@@ -16,15 +16,14 @@ JSON perf snapshot so the trajectory across PRs is diffable:
   recorded in ``BENCH_PR1.json`` (captured before the five simulators
   were migrated onto the shared runtime) to bound the abstraction cost;
 * **wire_batch** — batched pooled-buffer serialisation
-  (``encode_packets_into``) and offset-cursor streaming decode
-  (``read_frame_at``) vs the scalar codec and the tail-slicing
-  ``read_frame`` loop;
+  (``encode_packets_into``) vs one ``encode_packet`` per frame, and the
+  rate of the offset-cursor streaming decode (``read_frame_at``);
 * **recode_batch** — ``emit_batch`` (one mixing gemm per batch) vs the
   same number of sequential scalar ``emit`` calls, same run;
 * **net_throughput** — end-to-end packets/s of one outbound pump over a
-  real loopback TCP socket: the batched pipeline (``emit_batch`` →
-  encode-once frames → coalesced ``writelines`` flush) vs the scalar
-  per-packet path, plus the observed frames-per-flush ratio;
+  real loopback TCP socket (``emit_rows`` → encode-once frames → one
+  ``writelines`` flush per wakeup), plus the observed frames-per-flush
+  ratio;
 * **obs_overhead** — the same slot loop and sender enqueue path with
   and without ``repro.obs`` instrumentation attached, interleaved A/B
   slices in one process; the acceptance bar is a relative throughput
@@ -254,18 +253,17 @@ def bench_recode(budget_s: float, payload_size: int,
 def bench_wire_batch(budget_s: float, payload_size: int,
                      generation_size: int = 64,
                      batch: int = 64) -> dict[str, float]:
-    """Batched pooled codec vs the scalar per-frame codec.
+    """Batched pooled codec vs the single-frame form.
 
     Encode: ``encode_packets_into`` into one leased buffer per batch vs
-    one ``encode_packet`` (own allocation) per frame.  Decode: the
-    offset-cursor ``read_frame_at`` walk vs the legacy tail-slicing
-    ``read_frame`` loop over the same concatenated byte stream.
+    one ``encode_packet`` (own allocation) per frame.  Decode: the rate
+    of the offset-cursor ``read_frame_at`` walk over one concatenated
+    byte stream.
     """
     from repro.coding.buffers import BufferPool
     from repro.coding.wire import (
         encode_packet,
         encode_packets_into,
-        read_frame,
         read_frame_at,
     )
 
@@ -293,15 +291,6 @@ def bench_wire_batch(budget_s: float, payload_size: int,
             count += 1
         assert count == batch
 
-    def run_decode_slicing() -> None:
-        buf, count = stream, 0
-        while True:
-            packet, buf = read_frame(buf)
-            if packet is None:
-                break
-            count += 1
-        assert count == batch
-
     metrics: dict[str, float] = {}
     reps, elapsed = _timed_reps(run_encode_batched, budget_s)
     metrics["encode_frames_per_s"] = reps * batch / elapsed
@@ -312,11 +301,6 @@ def bench_wire_batch(budget_s: float, payload_size: int,
     )
     reps, elapsed = _timed_reps(run_decode_cursor, budget_s)
     metrics["decode_frames_per_s"] = reps * batch / elapsed
-    reps, elapsed = _timed_reps(run_decode_slicing, budget_s)
-    metrics["decode_frames_per_s_scalar"] = reps * batch / elapsed
-    metrics["speedup_decode"] = (
-        metrics["decode_frames_per_s"] / metrics["decode_frames_per_s_scalar"]
-    )
     metrics["pool_allocations"] = float(pool.stats.allocations)
     return metrics
 
@@ -405,17 +389,15 @@ def bench_recode_batch(budget_s: float,
 
 
 def bench_net_throughput(quick: bool) -> dict[str, float]:
-    """One outbound pump over real loopback TCP, batched vs scalar.
+    """One outbound pump over real loopback TCP.
 
     The producer is a full-rank recoder fanning mixtures into a
     :class:`~repro.net.streams.PacketSender`; the consumer counts
     length-prefixed frames off the socket without decoding them (the
-    receive path is identical in both modes and is measured by the
-    ``decode`` bench).  Batched mode runs the fused pipeline the live
-    peers use — ``emit_rows`` → ``encode_mixture_frames`` (gemm output
-    straight to pooled wire frames) → ``enqueue_frame`` → one
-    ``writelines`` per wakeup; scalar mode is the pre-batching path:
-    ``emit`` → per-packet serialisation → one ``write`` per frame.
+    receive path is measured by the ``decode`` bench).  The producer
+    runs the fused pipeline the live peers use — ``emit_rows`` →
+    ``encode_mixture_frames`` (gemm output straight to pooled wire
+    frames) → ``enqueue_frame`` → one ``writelines`` per wakeup.
     """
     import asyncio
 
@@ -426,7 +408,7 @@ def bench_net_throughput(quick: bool) -> dict[str, float]:
 
     # The live transport's default streaming geometry (LoopbackConfig):
     # small frames, where per-frame overhead — serialisation, queueing,
-    # per-write syscalls — dominates and coalescing pays.
+    # per-write syscalls — dominates.
     generation_size, payload_size = 8, 64
     total_frames = 2_000 if quick else 20_000
     burst = 64
@@ -436,7 +418,7 @@ def bench_net_throughput(quick: bool) -> dict[str, float]:
     frame_bytes = 5 + frame_size(generation_size, payload_size)
     expected_bytes = total_frames * frame_bytes
 
-    async def _measure(batched: bool) -> tuple[float, float]:
+    async def _measure() -> dict[str, float]:
         recoder = Recoder(params, 1, np.random.default_rng(17), node_id=5)
         for packet in packets:
             recoder.receive(packet)
@@ -462,22 +444,18 @@ def bench_net_throughput(quick: bool) -> dict[str, float]:
         port = server.sockets[0].getsockname()[1]
         _reader, writer = await asyncio.open_connection("127.0.0.1", port)
         sender = PacketSender(writer, column=0, sender_id=5,
-                              limit=4 * burst, coalesce=batched)
+                              limit=4 * burst)
         pump = asyncio.ensure_future(sender.run())
         start = asyncio.get_running_loop().time()
         produced = 0
         while produced < total_frames:
             count = min(burst, total_frames - produced)
-            if batched:
-                frames = encode_mixture_frames(
-                    recoder.emit_rows(count, 0),
-                    generation_size, origin=recoder.node_id,
-                )
-                for frame in frames:
-                    sender.enqueue_frame(frame)
-            else:
-                for _ in range(count):
-                    sender.enqueue(recoder.emit(0))
+            frames = encode_mixture_frames(
+                recoder.emit_rows(count, 0),
+                generation_size, origin=recoder.node_id,
+            )
+            for frame in frames:
+                sender.enqueue_frame(frame)
             produced += count
             while sender._queue:
                 await asyncio.sleep(0)
@@ -493,20 +471,12 @@ def bench_net_throughput(quick: bool) -> dict[str, float]:
         await pump
         server.close()
         await server.wait_closed()
-        return total_frames / elapsed, frames_per_flush
-
-    async def _run_both() -> dict[str, float]:
-        packets_per_s, frames_per_flush = await _measure(batched=True)
-        scalar_per_s, scalar_flush = await _measure(batched=False)
         return {
-            "packets_per_s": packets_per_s,
-            "packets_per_s_scalar": scalar_per_s,
-            "speedup": packets_per_s / scalar_per_s,
+            "packets_per_s": total_frames / elapsed,
             "frames_per_flush": frames_per_flush,
-            "frames_per_flush_scalar": scalar_flush,
         }
 
-    return asyncio.run(_run_both())
+    return asyncio.run(_measure())
 
 
 def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
@@ -703,7 +673,7 @@ def bench_dataplane_overhead(quick: bool, trials: int = 25) -> dict[str, float]:
         """One chunk-interleaved pass of both arms over the stream."""
         engine = RelayEngine(
             Recoder(params, generations, np.random.default_rng(506), 1),
-            batched=True, seed_burst=0,
+            seed_burst=0,
         )
         for child in range(degree):
             engine.handle(ChildAttached(child))

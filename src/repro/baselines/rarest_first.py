@@ -26,10 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..sim.behaviors import RarestFirstBehavior
-from .store_forward import FloodingReport, FloodingSimulation
+from .store_forward import FloodingSimulation
 
-# FloodingReport is re-exported for callers that imported it from here.
-__all__ = ["FloodingReport", "RarestFirstSimulation"]
+__all__ = ["RarestFirstSimulation"]
 
 
 class RarestFirstSimulation(FloodingSimulation):

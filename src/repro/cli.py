@@ -245,7 +245,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def _cmd_soak(args: argparse.Namespace) -> int:
-    """Long-horizon churn soak on the turbo virtual network."""
+    """Long-horizon churn soak on the virtual network."""
     from .net.testing import SoakConfig, run_soak
 
     peers, hours, epoch = args.peers, args.hours, args.epoch

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..gf.field import addmul_row
+from ..gf.kernels import addmul_row
 
 
 @dataclass

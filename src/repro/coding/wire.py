@@ -5,7 +5,7 @@ Layout (big-endian), matching the practical-network-coding framing of
 
     offset  size  field
     0       2     magic (0x5243, "RC")
-    2       1     version (1 or 2)
+    2       1     version (2)
     3       1     flags (bit 0: systematic hint)
     4       4     generation index
     8       4     origin node id (two's complement; -1 = server)
@@ -13,27 +13,23 @@ Layout (big-endian), matching the practical-network-coding framing of
     14      2     payload size in bytes
     16      g     coefficients (GF(256), one byte each)
     16+g    n     payload bytes
-    16+g+n  4     CRC32 trailer (version 2 only)
+    16+g+n  4     CRC32 trailer
 
-Version 2 appends a CRC32 of everything before the trailer, so a frame
-corrupted in transit (or mis-reassembled from TCP segments) fails loudly
-in :func:`decode_packet` instead of feeding garbage coefficients to the
-decoder.  Version 1 frames (no trailer) still decode, for compatibility
-with recorded traces.
+The trailer is a CRC32 of everything before it, so a frame corrupted in
+transit (or mis-reassembled from TCP segments) fails loudly in
+:func:`decode_packet` instead of feeding garbage coefficients to the
+decoder.  A frame stamped with any other version — including the
+trailer-less version 1 this format replaced, which would otherwise let
+a sender opt out of the checksum — is rejected as malformed.
 
-Two call styles are provided:
-
-* the scalar codec (:func:`encode_packet` / :func:`decode_packet` /
-  :func:`read_frame`) — one frame in, one frame out, allocating its own
-  buffers; unchanged wire bytes since the v2 bump;
-* the batched zero-copy codec (:func:`encode_packet_into` /
-  :func:`encode_packets_into` / :func:`decode_packet_from` /
-  :func:`read_frame_at`) — frames are written straight into a caller
-  (or :class:`~repro.coding.buffers.BufferPool`) supplied ``bytearray``
-  and parsed at an offset cursor, so a busy connection neither builds
-  per-frame temporaries on the way out nor re-slices its receive
-  buffer on the way in.  Both styles produce and accept bit-identical
-  frames.
+The codec is zero-copy (:func:`encode_packet_into` /
+:func:`encode_packets_into` / :func:`decode_packet_from` /
+:func:`read_frame_at`): frames are written straight into a caller (or
+:class:`~repro.coding.buffers.BufferPool`) supplied ``bytearray`` and
+parsed at an offset cursor, so a busy connection neither builds
+per-frame temporaries on the way out nor re-slices its receive buffer
+on the way in.  :func:`encode_packet` / :func:`decode_packet` are the
+exact-length single-frame forms of the same codec.
 
 ``wire_size()`` on :class:`~repro.coding.packet.CodedPacket` counts an
 8-byte abstract header; the concrete format here spends 16 for
@@ -54,10 +50,8 @@ from .packet import CodedPacket
 
 #: Magic bytes identifying a coded-packet frame.
 MAGIC = 0x5243
-#: Current wire version (CRC32 trailer).
+#: The wire version (CRC32 trailer).
 VERSION = 2
-#: Legacy wire version (no trailer).
-VERSION_1 = 1
 
 _HEADER = struct.Struct(">HBBIiHH")
 _TRAILER = struct.Struct(">I")
@@ -76,19 +70,16 @@ class CrcError(WireFormatError):
     separately from structural framing violations)."""
 
 
-def _frame_length(version: int, g: int, n: int) -> int:
-    length = _HEADER.size + g + n
-    if version >= VERSION:
-        length += _TRAILER.size
-    return length
+def frame_size(generation_size: int, payload_size: int) -> int:
+    """Bytes on the wire for the given geometry."""
+    return _HEADER.size + generation_size + payload_size + _TRAILER.size
 
 
 # ----------------------------------------------------------------------
 # Encoding
 
 
-def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0,
-                       version: int = VERSION) -> int:
+def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0) -> int:
     """Serialise ``packet`` into ``buf`` at ``offset``; return the end offset.
 
     This is the zero-copy encode path: the header is packed in place,
@@ -98,11 +89,9 @@ def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0,
     materialising an intermediate body.  ``buf`` must already be large
     enough; size it with :func:`frame_size`.
     """
-    if version not in (VERSION_1, VERSION):
-        raise WireFormatError(f"cannot encode version {version}")
     g = packet.generation_size
     n = packet.payload_size
-    end = offset + _frame_length(version, g, n)
+    end = offset + frame_size(g, n)
     if end > len(buf):
         raise WireFormatError(
             f"buffer too small: need {end} bytes, have {len(buf)}"
@@ -110,37 +99,26 @@ def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0,
     flags = FLAG_SYSTEMATIC if packet.is_systematic() else 0
     _HEADER.pack_into(
         buf, offset,
-        MAGIC, version, flags,
+        MAGIC, VERSION, flags,
         packet.generation, packet.origin, g, n,
     )
     view = memoryview(buf)
     coeff_start = offset + _HEADER.size
     view[coeff_start:coeff_start + g] = memoryview(packet.coefficients)
     view[coeff_start + g:coeff_start + g + n] = memoryview(packet.payload)
-    if version == VERSION_1:
-        return end
     crc = zlib.crc32(view[offset:end - _TRAILER.size])
     _TRAILER.pack_into(buf, end - _TRAILER.size, crc)
     return end
 
 
-def encode_packet(packet: CodedPacket, version: int = VERSION) -> bytes:
-    """Serialise a packet to its wire frame (scalar path).
-
-    ``version=1`` emits the legacy trailer-less frame (trace replay and
-    cross-version tests); the default appends the CRC32 trailer.
-    """
-    if version not in (VERSION_1, VERSION):
-        raise WireFormatError(f"cannot encode version {version}")
-    buf = bytearray(
-        _frame_length(version, packet.generation_size, packet.payload_size)
-    )
-    encode_packet_into(packet, buf, 0, version)
+def encode_packet(packet: CodedPacket) -> bytes:
+    """Serialise a packet to its exact-length wire frame."""
+    buf = bytearray(frame_size(packet.generation_size, packet.payload_size))
+    encode_packet_into(packet, buf)
     return bytes(buf)
 
 
-def encode_packets_rows(packets: Sequence[CodedPacket], rows: np.ndarray,
-                        version: int = VERSION) -> None:
+def encode_packets_rows(packets: Sequence[CodedPacket], rows: np.ndarray) -> None:
     """Vectorised batch encode of uniform-geometry packets.
 
     ``rows`` is a writable ``(len(packets), frame)`` uint8 view —
@@ -153,21 +131,19 @@ def encode_packets_rows(packets: Sequence[CodedPacket], rows: np.ndarray,
     bit-identical to :func:`encode_packet_into` row by row, it just
     replaces per-frame struct packing with whole-batch array stores.
     """
-    if version not in (VERSION_1, VERSION):
-        raise WireFormatError(f"cannot encode version {version}")
     m = len(packets)
     if m == 0:
         return
     first = packets[0]
     g = first.generation_size
     n = first.payload_size
-    frame = _frame_length(version, g, n)
+    frame = frame_size(g, n)
     if rows.shape != (m, frame):
         raise WireFormatError(
             f"row buffer shape {rows.shape} != ({m}, {frame})"
         )
     rows[:, : _HEADER.size] = np.frombuffer(
-        _HEADER.pack(MAGIC, version, 0, 0, 0, g, n), dtype=np.uint8
+        _HEADER.pack(MAGIC, VERSION, 0, 0, 0, g, n), dtype=np.uint8
     )
     generations = np.array([p.generation for p in packets], dtype=">u4")
     rows[:, 4:8] = generations.view(np.uint8).reshape(m, 4)
@@ -185,8 +161,6 @@ def encode_packets_rows(packets: Sequence[CodedPacket], rows: np.ndarray,
     rows[:, coeff_start + g:coeff_start + g + n] = np.stack(
         [p.payload for p in packets]
     )
-    if version == VERSION_1:
-        return
     data_end = frame - _TRAILER.size
     crcs = np.array(
         [zlib.crc32(rows[i, :data_end]) for i in range(m)], dtype=">u4"
@@ -195,8 +169,7 @@ def encode_packets_rows(packets: Sequence[CodedPacket], rows: np.ndarray,
 
 
 def encode_mixture_rows(dest: np.ndarray, mix: np.ndarray, generation: int,
-                        origin: int, generation_size: int,
-                        version: int = VERSION) -> None:
+                        origin: int, generation_size: int) -> None:
     """Encode a raw mixture matrix into wire frames, no packets involved.
 
     ``mix`` is a ``(m, g + n)`` matrix whose rows are
@@ -210,18 +183,16 @@ def encode_mixture_rows(dest: np.ndarray, mix: np.ndarray, generation: int,
     endpoint of the batched emit pipeline.  Bit-identical per row to
     :func:`encode_packet_into` on the equivalent packet.
     """
-    if version not in (VERSION_1, VERSION):
-        raise WireFormatError(f"cannot encode version {version}")
     m, width = mix.shape
     g = generation_size
     n = width - g
-    frame = _frame_length(version, g, n)
+    frame = frame_size(g, n)
     if dest.shape != (m, frame):
         raise WireFormatError(
             f"row buffer shape {dest.shape} != ({m}, {frame})"
         )
     dest[:, : _HEADER.size] = np.frombuffer(
-        _HEADER.pack(MAGIC, version, 0, generation, origin, g, n),
+        _HEADER.pack(MAGIC, VERSION, 0, generation, origin, g, n),
         dtype=np.uint8,
     )
     coeffs = mix[:, :g]
@@ -232,8 +203,6 @@ def encode_mixture_rows(dest: np.ndarray, mix: np.ndarray, generation: int,
         )
         dest[:, 3] = np.where(systematic, FLAG_SYSTEMATIC, 0)
     dest[:, _HEADER.size:_HEADER.size + width] = mix
-    if version == VERSION_1:
-        return
     data_end = frame - _TRAILER.size
     crcs = np.array(
         [zlib.crc32(dest[i, :data_end]) for i in range(m)], dtype=">u4"
@@ -257,7 +226,6 @@ def _uniform_geometry(
 def encode_packets_into(
     packets: Sequence[CodedPacket],
     buf: Optional[bytearray] = None,
-    version: int = VERSION,
     pool: Optional[BufferPool] = None,
 ) -> tuple[bytearray, list[tuple[int, int]]]:
     """Serialise a batch of packets back-to-back into one buffer.
@@ -279,7 +247,7 @@ def encode_packets_into(
     the old ``header + coeffs.tobytes() + payload.tobytes()`` path.
     """
     total = sum(
-        frame_size(p.generation_size, p.payload_size, version) for p in packets
+        frame_size(p.generation_size, p.payload_size) for p in packets
     )
     if buf is None:
         buf = (pool if pool is not None else DEFAULT_POOL).lease(total)
@@ -289,7 +257,7 @@ def encode_packets_into(
         if geometry is not None:
             # Uniform batch (the emit_batch common case): one vectorised
             # fill across all frames instead of m struct-packed encodes.
-            frame = frame_size(*geometry, version)
+            frame = frame_size(*geometry)
             if m * frame > len(buf):
                 raise WireFormatError(
                     f"buffer too small: need {m * frame} bytes, "
@@ -297,12 +265,12 @@ def encode_packets_into(
                 )
             rows = np.frombuffer(buf, dtype=np.uint8,
                                  count=m * frame).reshape(m, frame)
-            encode_packets_rows(packets, rows, version)
+            encode_packets_rows(packets, rows)
             return buf, [(i * frame, frame) for i in range(m)]
     offset = 0
     spans: list[tuple[int, int]] = []
     for packet in packets:
-        end = encode_packet_into(packet, buf, offset, version)
+        end = encode_packet_into(packet, buf, offset)
         spans.append((offset, end - offset))
         offset = end
     return buf, spans
@@ -312,20 +280,20 @@ def encode_packets_into(
 # Decoding
 
 
-def _parse_header_at(buffer, offset: int) -> tuple[int, int, int, int, int]:
-    """Validate magic/version; return (version, generation, origin, g, n)."""
+def _parse_header_at(buffer, offset: int) -> tuple[int, int, int, int]:
+    """Validate magic/version; return (generation, origin, g, n)."""
     magic, version, _flags, generation, origin, g, n = _HEADER.unpack_from(
         buffer, offset
     )
     if magic != MAGIC:
         raise WireFormatError(f"bad magic 0x{magic:04x}")
-    if version not in (VERSION_1, VERSION):
+    if version != VERSION:
         raise WireFormatError(f"unsupported version {version}")
-    return version, generation, origin, g, n
+    return generation, origin, g, n
 
 
-def _decode_at(buffer, offset: int, version: int, generation: int,
-               origin: int, g: int, n: int) -> CodedPacket:
+def _decode_at(buffer, offset: int, generation: int, origin: int,
+               g: int, n: int) -> CodedPacket:
     """Build a packet from a header-validated frame at ``offset``.
 
     The CRC is checked over a :class:`memoryview` (no body slice) and
@@ -333,15 +301,13 @@ def _decode_at(buffer, offset: int, version: int, generation: int,
     ``np.frombuffer(...).copy()`` each — the single copy that gives the
     packet ownership of its bytes, and the only per-frame allocation.
     """
-    end = offset + _frame_length(version, g, n)
-    if version == VERSION:
-        body_end = end - _TRAILER.size
-        (crc,) = _TRAILER.unpack_from(buffer, body_end)
-        actual = zlib.crc32(memoryview(buffer)[offset:body_end])
-        if actual != crc:
-            raise CrcError(
-                f"CRC mismatch: trailer 0x{crc:08x}, body 0x{actual:08x}"
-            )
+    body_end = offset + frame_size(g, n) - _TRAILER.size
+    (crc,) = _TRAILER.unpack_from(buffer, body_end)
+    actual = zlib.crc32(memoryview(buffer)[offset:body_end])
+    if actual != crc:
+        raise CrcError(
+            f"CRC mismatch: trailer 0x{crc:08x}, body 0x{actual:08x}"
+        )
     coefficients = np.frombuffer(buffer, dtype=np.uint8,
                                  count=g, offset=offset + _HEADER.size).copy()
     payload = np.frombuffer(buffer, dtype=np.uint8, count=n,
@@ -365,21 +331,19 @@ def decode_packet_from(buffer, offset: int = 0) -> tuple[CodedPacket, int]:
     available = len(buffer) - offset
     if available < _HEADER.size:
         raise WireFormatError(f"frame too short: {max(available, 0)} bytes")
-    version, generation, origin, g, n = _parse_header_at(buffer, offset)
-    total = _frame_length(version, g, n)
+    generation, origin, g, n = _parse_header_at(buffer, offset)
+    total = frame_size(g, n)
     if available < total:
         raise WireFormatError(
             f"length mismatch: header promises {total}, frame has {available}"
         )
-    packet = _decode_at(buffer, offset, version, generation, origin, g, n)
+    packet = _decode_at(buffer, offset, generation, origin, g, n)
     return packet, offset + total
 
 
 def decode_packet(frame) -> CodedPacket:
-    """Parse a wire frame back into a packet (scalar path).
+    """Parse an exact-length wire frame back into a packet.
 
-    Accepts both version 2 (CRC32 trailer, verified) and legacy
-    version 1 frames, and requires the frame to be exact-length.
     Raises :class:`WireFormatError` on truncation, bad magic, unknown
     version, trailing garbage, or checksum mismatch.
     """
@@ -404,33 +368,9 @@ def read_frame_at(buffer, offset: int = 0) -> tuple[Optional[CodedPacket], int]:
     """
     if len(buffer) - offset < _HEADER.size:
         return None, offset
-    version, generation, origin, g, n = _parse_header_at(buffer, offset)
-    total = _frame_length(version, g, n)
+    generation, origin, g, n = _parse_header_at(buffer, offset)
+    total = frame_size(g, n)
     if len(buffer) - offset < total:
         return None, offset
-    packet = _decode_at(buffer, offset, version, generation, origin, g, n)
+    packet = _decode_at(buffer, offset, generation, origin, g, n)
     return packet, offset + total
-
-
-def read_frame(buffer: bytes) -> tuple[Optional[CodedPacket], bytes]:
-    """Streaming decode: consume one frame from the front of ``buffer``.
-
-    Returns ``(packet, rest)`` when a complete frame is present, or
-    ``(None, buffer)`` when more bytes are needed.  This is the legacy
-    convenience form — it rebuilds the unconsumed tail on every call,
-    which is quadratic on a busy connection; hot paths should use
-    :func:`read_frame_at` (or :class:`repro.net.framing.FrameBuffer`,
-    which sits on top of the cursor API) instead.
-    """
-    packet, end = read_frame_at(buffer, 0)
-    if packet is None:
-        return None, buffer
-    return packet, buffer[end:]
-
-
-def frame_size(generation_size: int, payload_size: int,
-               version: int = VERSION) -> int:
-    """Bytes on the wire for the given geometry."""
-    if version not in (VERSION_1, VERSION):
-        raise WireFormatError(f"unknown version {version}")
-    return _frame_length(version, generation_size, payload_size)

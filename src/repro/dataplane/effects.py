@@ -62,11 +62,11 @@ class EmitToChildren(NamedTuple):
     Exactly one of the payload forms is set:
 
     * ``packets`` — one :class:`~repro.coding.packet.CodedPacket` per
-      child (scalar path: seed-bursts, idle fills, pull-mode slots,
-      unbatched fan-out).  ``children`` may repeat one child (a burst).
+      child (seed-bursts, idle fills, pull-mode slots, source
+      rounds).  ``children`` may repeat one child (a burst).
     * ``rows`` — :meth:`~repro.coding.recoder.Recoder.emit_rows`
       groups covering ``len(children)`` mixtures in draw order (the
-      fused batched path: drivers frame them with
+      relay's push fan-out: drivers frame them with
       ``encode_mixture_frames`` without building packet objects).
     """
 

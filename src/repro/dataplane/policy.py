@@ -76,7 +76,7 @@ class EagerPolicy(ForwardPolicy):
 
 class InnovativePolicy(ForwardPolicy):
     """Fan out only on rank-raising arrivals, bounding total forwards
-    per node at rank × children — the swarm harness's scale mode.
+    per node at rank × children — what the swarm harness runs.
     Idle keep-alive packets cover the rare child left short by a
     dependent-mixture tail."""
 

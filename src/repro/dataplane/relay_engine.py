@@ -19,7 +19,7 @@ bookkeeping).  Two driver shapes pump it:
 
 RNG discipline: the engine reproduces the pre-refactor inline paths'
 draw orders exactly — seed-bursts are sequential :meth:`Recoder.emit`
-calls, batched fan-out is one :meth:`Recoder.emit_rows` call sized to
+calls, push fan-out is one :meth:`Recoder.emit_rows` call sized to
 the child count, pull emissions are one :meth:`Recoder.emit` each —
 so every seeded golden survives the refactor byte-identical.
 """
@@ -52,10 +52,6 @@ class RelayEngine:
             mutation through :meth:`handle`.
         policy: Forwarding policy name or instance (``"eager"`` /
             ``"innovative"``).
-        batched: Fan out through :meth:`Recoder.emit_rows` (one gemm
-            per generation, mixtures framed straight off the matrix)
-            instead of per-child :meth:`Recoder.emit` packets.  Both
-            are RNG-stream identical.
         seed_burst: Packets emitted toward a child the moment it
             attaches — push drivers always seed at least one (a child
             of an already-complete parent must not wait for upstream
@@ -68,7 +64,7 @@ class RelayEngine:
     # of them in the churn soak) and its attributes are read on every
     # packet, so slots buy both memory and hot-path attribute speed.
     __slots__ = (
-        "recoder", "policy", "batched", "seed_burst",
+        "recoder", "policy", "seed_burst",
         "received", "innovative", "forwarded", "idle_emits", "completed",
         "_children", "_children_tuple", "_epoch", "_pull_sent",
         "_pull_gated", "_forward_innovative", "_forward_duplicates",
@@ -80,14 +76,12 @@ class RelayEngine:
         recoder: Recoder,
         *,
         policy: Union[str, ForwardPolicy] = "eager",
-        batched: bool = True,
         seed_burst: int = 1,
     ) -> None:
         if seed_burst < 0:
             raise ValueError("seed_burst must be >= 0")
         self.recoder = recoder
         self.policy = resolve_policy(policy)
-        self.batched = batched
         self.seed_burst = seed_burst
         #: data-plane counters — the one authoritative copy (PeerStats,
         #: RlncBehavior and NodeReport all read these now)
@@ -226,28 +220,15 @@ class RelayEngine:
             self._forward_innovative if innovative
             else self._forward_duplicates
         ):
-            if self.batched:
-                groups = self.recoder.emit_rows(len(children))
-                emitted = 0
-                for _generation, _rows, positions in groups:
-                    emitted += len(positions)
-                if emitted:
-                    self.forwarded += emitted
-                    effects.append(EmitToChildren._make(
-                        (children, None, tuple(groups))
-                    ))
-            else:
-                packets = []
-                for _ in children:
-                    mixture = self.recoder.emit()
-                    if mixture is None:
-                        break
-                    packets.append(mixture)
-                if packets:
-                    self.forwarded += len(packets)
-                    effects.append(EmitToChildren(
-                        children[:len(packets)], tuple(packets)
-                    ))
+            groups = self.recoder.emit_rows(len(children))
+            emitted = 0
+            for _generation, _rows, positions in groups:
+                emitted += len(positions)
+            if emitted:
+                self.forwarded += emitted
+                effects.append(EmitToChildren._make(
+                    (children, None, tuple(groups))
+                ))
         if (
             innovative
             and not self.completed

@@ -7,9 +7,8 @@
   :class:`EmitRound` per send interval; the engine serves generations
   round-robin off its round counter — which advances even when no
   column is attached, because generation scheduling is time-based, not
-  demand-based — and emits one packet per attached target (batched
-  through :meth:`SourceEncoder.emit_batch` or scalar, both RNG-stream
-  identical);
+  demand-based — and emits one packet per attached target through
+  :meth:`SourceEncoder.emit_batch` (one mixing gemm per round);
 * **slotted pull drivers** (the simulator's ``server_emit``) ask per
   edge with :class:`PullEmit`; the engine answers with a uniform
   generation draw, exactly the pre-refactor ``encoder.emit()`` call;
@@ -32,20 +31,14 @@ class SourceEngine:
     Args:
         encoder: The content owner.  Owned by the engine; drivers route
             every emission through :meth:`handle`.
-        batched: Emit rounds through
-            :meth:`~repro.coding.encoder.SourceEncoder.emit_batch`
-            (one mixing gemm per round) instead of per-target
-            :meth:`~repro.coding.encoder.SourceEncoder.emit` calls.
         seed_burst: Packets emitted toward a freshly attached child
             (default 0: rely on the round cadence).
     """
 
-    def __init__(self, encoder, *, batched: bool = True,
-                 seed_burst: int = 0) -> None:
+    def __init__(self, encoder, *, seed_burst: int = 0) -> None:
         if seed_burst < 0:
             raise ValueError("seed_burst must be >= 0")
         self.encoder = encoder
-        self.batched = batched
         self.seed_burst = seed_burst
         #: data-plane counters — ServerStats reads these now
         self.rounds = 0
@@ -91,10 +84,7 @@ class SourceEngine:
         targets = tuple(event.targets)
         if not targets:
             return []
-        if self.batched:
-            packets = tuple(self.encoder.emit_batch(len(targets), generation))
-        else:
-            packets = tuple(self.encoder.emit(generation) for _ in targets)
+        packets = tuple(self.encoder.emit_batch(len(targets), generation))
         self.packets_sent += len(packets)
         return [EmitToChildren(targets, packets=packets)]
 

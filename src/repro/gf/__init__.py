@@ -11,8 +11,8 @@ Public API:
   ``rank``, ``solve``, ``inverse``, ``vandermonde``).
 """
 
-from .field import add, addmul_row, div, inv, mul, power, scale_row, sub
-from .kernels import Workspace, addmul_rows, eliminate, gemm, mix_rows
+from .field import add, div, inv, mul, power, sub
+from .kernels import Workspace, addmul_row, addmul_rows, eliminate, gemm, mix_rows, scale_row
 from .linalg import (
     inverse,
     is_full_rank,

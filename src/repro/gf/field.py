@@ -12,7 +12,6 @@ from typing import Union
 
 import numpy as np
 
-from .kernels import addmul_row, scale_row  # noqa: F401  (canonical home)
 from .tables import EXP, FIELD_SIZE, INV, LOG, MUL
 
 Element = Union[int, np.ndarray]
@@ -69,8 +68,3 @@ def power(a: int, n: int) -> int:
         return 0
     exponent = (int(LOG[a]) * n) % (FIELD_SIZE - 1)
     return int(EXP[exponent])
-
-
-# ``scale_row`` and ``addmul_row`` live in :mod:`repro.gf.kernels` (the
-# single implementation of ``dest ^= scalar * src``) and are re-exported
-# here for the historical import path.

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .field import scale_row
+from .kernels import scale_row
 from .tables import FIELD_SIZE, INV, MUL
 
 

@@ -35,7 +35,7 @@ from .framing import (
     send_packet,
 )
 from .loopback import LoopbackConfig, LoopbackResult, run_loopback, run_loopback_sync
-from .peer import PeerNode, PeerStats, ReconnectBackoff
+from .peer import PeerNode, PeerStats
 from .server import ServerNode, ServerStats
 from .streams import PacketSender, SenderStats
 from .transport import (
@@ -64,7 +64,6 @@ __all__ = [
     "PeerLocator",
     "PeerNode",
     "PeerStats",
-    "ReconnectBackoff",
     "SenderStats",
     "ServerNode",
     "ServerStats",

@@ -187,7 +187,7 @@ def encode_mixture_frames(
     :func:`~repro.coding.wire.encode_mixture_rows` call into a single
     pooled buffer, and the frames are returned as immutable ``bytes``
     in draw order (``positions`` restores the interleaving).  This is
-    the fused emit-to-wire path the batched peers use.
+    the fused emit-to-wire path every peer's fan-out uses.
     """
     total = sum(len(positions) for _, _, positions in groups)
     if total == 0:

@@ -51,9 +51,6 @@ class LoopbackConfig:
     silence_timeout: float = 0.4
     probe_timeout: float = 0.2
     deadline: float = 30.0
-    #: Batched data plane (emit_batch + encode-once + coalesced flush);
-    #: False runs the scalar per-packet path for A/B measurement.
-    batched: bool = True
     #: Index of a peer to kill mid-run (None = no failure injection).
     kill_peer: Optional[int] = None
     #: Fraction of mean decode progress at which the kill fires.
@@ -110,7 +107,6 @@ async def run_loopback(config: LoopbackConfig) -> LoopbackResult:
         queue_limit=config.queue_limit,
         keepalive_interval=config.keepalive_interval,
         probe_timeout=config.probe_timeout,
-        batched=config.batched,
     )
     await server.start()
 
@@ -171,7 +167,6 @@ async def run_loopback(config: LoopbackConfig) -> LoopbackResult:
                 keepalive_interval=config.keepalive_interval,
                 silence_timeout=config.silence_timeout,
                 on_complete=_record_completion,
-                batched=config.batched,
             )
             await peer.start()
             peers.append(peer)

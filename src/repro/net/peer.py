@@ -69,7 +69,6 @@ from ..protocol import (
     LeaveRequest,
     MessageReceived,
     PeerEngine,
-    ReconnectBackoff,
     Send,
     ServerLost,
     StopThread,
@@ -87,7 +86,7 @@ from .framing import (
 from .streams import PacketSender, SenderStats
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
-__all__ = ["PeerNode", "PeerStats", "ReconnectBackoff"]
+__all__ = ["PeerNode", "PeerStats"]
 
 
 class PeerStats:
@@ -150,17 +149,13 @@ class PeerNode:
             decodes.
         transport: Network + clock seam (real asyncio TCP by default;
             the chaos harness injects a virtual network).
-        batched: Use the batched data plane (one recode gemm per
-            fan-out, encode-once frames, coalesced flushes).  Off
-            reproduces the scalar per-packet path — RNG-stream and
-            wire-byte identical, kept for A/B throughput measurement.
         forward_policy: ``"eager"`` (default) recodes toward every
             child on *every* upstream arrival — the paper's constant
             per-thread flow, which is fine on rate-limited real links
             but multiplies per hop on an infinitely fast virtual
             network.  ``"innovative"`` fans out only when the arrival
             raised our rank, bounding total forwards per node at
-            ``rank x children`` — the swarm harness's scale mode.
+            ``rank x children`` — what the swarm harness runs.
         seed_burst: Packets recoded toward a child immediately when it
             attaches (default 1).  Swarm runs set it to the generation
             size so a repaired child recovers from the burst instead of
@@ -181,7 +176,6 @@ class PeerNode:
         reconnect_max: float = 2.0,
         on_complete: Optional[Callable[["PeerNode"], None]] = None,
         transport: Optional[Transport] = None,
-        batched: bool = True,
         forward_policy: str = "eager",
         seed_burst: int = 1,
     ) -> None:
@@ -208,7 +202,6 @@ class PeerNode:
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
         self.on_complete = on_complete
-        self.batched = batched
         self.forward_policy = forward_policy
         self.seed_burst = seed_burst
         self.stats = PeerStats()
@@ -307,7 +300,6 @@ class PeerNode:
         self.dataplane = RelayEngine(
             self.recoder,
             policy=self.forward_policy,
-            batched=self.batched,
             seed_burst=self.seed_burst,
         )
         self.stats._dataplane = self.dataplane
@@ -585,7 +577,7 @@ class PeerNode:
         sender = PacketSender(
             writer, column=hello.column, sender_id=self.node_id or -1,
             limit=self.queue_limit, keepalive_interval=self.keepalive_interval,
-            clock=self.clock, coalesce=self.batched,
+            clock=self.clock,
             idle_packet=(
                 (lambda k=key: self._emit_idle(k)) if wants_idle else None
             ),
@@ -613,7 +605,7 @@ class PeerNode:
                     self.dataplane.handle(ChildDetached(key))
 
     def _emit_idle(self, key: tuple[int, int]) -> Optional[CodedPacket]:
-        """A fresh mixture for an idle child link (swarm scale mode)."""
+        """A fresh mixture for an idle child link (``innovative`` policy)."""
         if self.dataplane is None:
             return None
         for effect in self.dataplane.handle(IdlePoll(key)):
@@ -630,7 +622,7 @@ class PeerNode:
         for effect in effects:
             if isinstance(effect, EmitToChildren):
                 if effect.rows is not None:
-                    # The batched fused path: mixtures go straight from
+                    # The fused fan-out: mixtures go straight from
                     # the recode gemm output to wire frames — no
                     # intermediate packet objects, each frame serialised
                     # exactly once.

@@ -141,10 +141,6 @@ class ServerNode:
         probe_timeout: Grace period for a suspect to answer a probe.
         transport: Network + clock seam (real asyncio TCP by default;
             the chaos harness injects a virtual network).
-        batched: Use the batched data plane (one mixing gemm per round,
-            encode-once frames, coalesced flushes).  Off reproduces the
-            scalar per-packet path — RNG-stream and wire-byte identical,
-            kept for A/B throughput measurement.
     """
 
     def __init__(
@@ -163,7 +159,6 @@ class ServerNode:
         keepalive_interval: float = 0.25,
         probe_timeout: float = 0.5,
         transport: Optional[Transport] = None,
-        batched: bool = True,
     ) -> None:
         self.transport: Transport = (
             transport if transport is not None else AsyncioTransport()
@@ -177,7 +172,7 @@ class ServerNode:
         self.encoder = SourceEncoder(content, params, rng)
         #: The sans-IO data-plane core (generation scheduling + per-round
         #: emission; the stream loop just pumps its effects).
-        self.dataplane = SourceEngine(self.encoder, batched=batched)
+        self.dataplane = SourceEngine(self.encoder)
         self.params = params
         self.content_length = len(content)
         self.host = host
@@ -186,7 +181,6 @@ class ServerNode:
         self.queue_limit = queue_limit
         self.keepalive_interval = keepalive_interval
         self.probe_timeout = probe_timeout
-        self.batched = batched
         self.stats = ServerStats(self.dataplane)
         self._peers: dict[int, _PeerHandle] = {}
         self._column_senders: dict[int, PacketSender] = {}
@@ -283,9 +277,9 @@ class ServerNode:
 
         The :class:`~repro.dataplane.SourceEngine` owns the schedule —
         round-robin generations so every generation keeps flowing
-        regardless of which columns are attached, batched or scalar
-        emission (RNG-stream identical) — and this loop only translates
-        its effects onto the column pumps.
+        regardless of which columns are attached, one mixing gemm per
+        round — and this loop only translates its effects onto the column
+        pumps (one pooled serialisation pass, frames shared by reference).
         """
         try:
             while self._running:
@@ -300,17 +294,9 @@ class ServerNode:
                 )):
                     if not isinstance(effect, EmitToChildren):
                         continue
-                    senders = [s for _, s in attached]
-                    if self.batched:
-                        # One mixing gemm for the whole round, one pooled
-                        # serialisation pass, immutable frames shared
-                        # with the pumps.
-                        frames = encode_data_frames(effect.packets)
-                        for sender, frame in zip(senders, frames):
-                            sender.enqueue_frame(frame)
-                    else:
-                        for sender, packet in zip(senders, effect.packets):
-                            sender.enqueue(packet)
+                    frames = encode_data_frames(effect.packets)
+                    for (_, sender), frame in zip(attached, frames):
+                        sender.enqueue_frame(frame)
         except asyncio.CancelledError:
             pass
 
@@ -347,7 +333,7 @@ class ServerNode:
         sender = PacketSender(
             writer, column=column, sender_id=SERVER,
             limit=self.queue_limit, keepalive_interval=self.keepalive_interval,
-            clock=self.clock, coalesce=self.batched, logger=self.log,
+            clock=self.clock, logger=self.log,
         )
         self.sender_stats.append(sender.stats)
         self._column_senders[column] = sender

@@ -12,13 +12,10 @@ tracked.
 The queue holds *pre-encoded* immutable frame bytes rather than packet
 objects: a packet fanned out to several children is serialised once
 (see :func:`repro.net.framing.encode_data_frames`) and the same bytes
-object sits in every child's queue.  At each wakeup the pump coalesces
-everything queued into a single ``writelines`` flush when the writer
-supports it (a real :class:`asyncio.StreamWriter` does); writers
-without ``writelines`` — the chaos harness's virtual transport, whose
-loss/corruption injection is aligned to individual write calls — get
-one ``write`` per frame, preserving per-frame delivery traces
-bit-for-bit.
+object sits in every child's queue.  At each wakeup the pump hands
+everything queued to the writer in a single ``writelines`` flush — one
+syscall on a real socket; the virtual transport keeps its fault
+injection aligned to the individual frames of the list.
 
 The pump also emits a :class:`~repro.protocol.messages.KeepAlive`
 control frame when the data flow pauses, so an idle-but-healthy thread
@@ -72,10 +69,6 @@ class PacketSender:
             is sent (None disables keep-alives).
         clock: Timeline the idle timer runs on (real time by default;
             the chaos harness injects a virtual clock).
-        coalesce: Flush the whole queue with one ``writelines`` call
-            when the writer supports it.  Off, every frame is written
-            individually — the pre-batching behaviour, kept for A/B
-            throughput measurement.
         idle_packet: Optional source of a fresh coded packet to send in
             place of a bare keep-alive when the idle timer fires (the
             swarm harness's innovation-gated mode uses this so a child
@@ -94,7 +87,6 @@ class PacketSender:
         limit: int = 32,
         keepalive_interval: Optional[float] = None,
         clock: Optional[Clock] = None,
-        coalesce: bool = True,
         idle_packet: Optional[Callable[[], Optional[CodedPacket]]] = None,
         logger: Optional[logging.Logger] = None,
     ) -> None:
@@ -104,7 +96,6 @@ class PacketSender:
         self.sender_id = sender_id
         self.stats = SenderStats()
         self._writer = writer
-        self._writelines = getattr(writer, "writelines", None) if coalesce else None
         self._limit = limit
         self._keepalive_interval = keepalive_interval
         self._idle_packet = idle_packet
@@ -180,11 +171,7 @@ class PacketSender:
                     break
                 frames = list(self._queue)
                 self._queue.clear()
-                if self._writelines is not None:
-                    self._writelines(frames)
-                else:
-                    for frame in frames:
-                        self._writer.write(frame)
+                self._writer.writelines(frames)
                 self.stats.sent += len(frames)
                 self.stats.bytes_sent += sum(len(f) for f in frames)
                 self.stats.flushes += 1

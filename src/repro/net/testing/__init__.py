@@ -1,6 +1,6 @@
 """Deterministic in-memory testing rig for the live transport.
 
-Two layers:
+Three layers:
 
 * :mod:`~repro.net.testing.virtualnet` — a :class:`VirtualNetwork` of
   in-memory pipes with scripted per-link faults, driven by a
@@ -9,9 +9,9 @@ Two layers:
 * :mod:`~repro.net.testing.scenarios` — a :class:`ChaosHarness` and a
   registry of named chaos scenarios asserting the §3-§6 protocol
   invariants end to end.
-* :mod:`~repro.net.testing.swarm` — the same machinery with every
-  scale switch flipped (turbo network, quantum clock, batched joins)
-  for 1k-10k peer rounds and the soak runner built on top of them.
+* :mod:`~repro.net.testing.swarm` — the same machinery sized for
+  1k-10k peer rounds (quantum clock, batched joins, no trace) and the
+  soak runner built on top of them.
 """
 
 from .scenarios import (

@@ -72,8 +72,8 @@ class ChaosConfig:
     probe_timeout: float = 0.5
     reconnect_base: float = 0.05
     reconnect_max: float = 0.8
-    #: Peer fan-out policy: "eager" (the default, digest-pinned) or
-    #: "innovative" (swarm scale mode — see PeerNode.forward_policy).
+    #: Peer fan-out policy: "eager" (the paper's constant per-thread flow)
+    #: or "innovative" (what swarms run — see PeerNode.forward_policy).
     forward_policy: str = "eager"
     #: Packets recoded toward a child the moment it attaches.
     seed_burst: int = 1
@@ -148,7 +148,6 @@ class ChaosHarness:
         config: ChaosConfig,
         *,
         transport: str = "virtual",
-        turbo: bool = False,
         quantum: float = 0.0,
         record_trace: bool = True,
     ) -> None:
@@ -160,7 +159,6 @@ class ChaosHarness:
             self.net: Optional[VirtualNetwork] = VirtualNetwork(
                 VirtualClock(quantum=quantum),
                 seed=config.seed,
-                turbo=turbo,
                 record_trace=record_trace,
             )
             self.clock: Clock = self.net.clock

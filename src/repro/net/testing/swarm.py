@@ -1,14 +1,14 @@
-"""Large-swarm harness: thousands of peers on the turbo virtual network.
+"""Large-swarm harness: thousands of peers on the virtual network.
 
-The chaos scenarios optimise for fidelity — per-frame delivery, a trace
-of every event, a settle after every timer — which is the right trade
-at a dozen peers and hopeless at ten thousand.  :class:`SwarmHarness`
-reuses the exact same node code and :class:`ChaosHarness` machinery but
-flips every scale switch at once:
+The chaos scenarios optimise for fidelity — a trace of every event, a
+settle after every timer — which is the right trade at a dozen peers
+and hopeless at ten thousand.  :class:`SwarmHarness` reuses the exact
+same node code, network and :class:`ChaosHarness` machinery, sized for
+scale:
 
-* the :class:`~repro.net.testing.virtualnet.VirtualNetwork` runs in
-  ``turbo`` mode (synchronous clean-link delivery, lazy pumps,
-  coalesced writes) with trace recording off;
+* the :class:`~repro.net.testing.virtualnet.VirtualNetwork` runs with
+  trace recording off (its links are clean, so every delivery is
+  synchronous and no pipe ever needs a pump task);
 * the :class:`~repro.net.testing.virtualnet.VirtualClock` batches all
   timers due within one ``quantum`` and settles the loop once per
   batch;
@@ -158,19 +158,18 @@ class SwarmReport:
 
 
 class SwarmHarness(ChaosHarness):
-    """A :class:`ChaosHarness` with every scale switch flipped."""
+    """A :class:`ChaosHarness` sized for thousands of peers."""
 
     def __init__(self, config: SwarmConfig) -> None:
         super().__init__(
             config.chaos(),
             transport="virtual",
-            turbo=True,
             quantum=config.quantum,
             record_trace=False,
         )
         self.swarm = config
         self._churn_rng = np.random.default_rng(config.seed ^ 0xC0FFEE)
-        # Deep chains cascade synchronously in turbo mode: one server
+        # Deep chains cascade synchronously on clean links: one server
         # emission can ripple through hundreds of hops inside a single
         # settle, each hop costing a few ready-queue passes.
         self.clock.settle_limit = 500_000

@@ -9,8 +9,8 @@ host names) carries a scripted :class:`LinkFaults`:
 
 * ``latency`` / ``jitter`` — fixed plus seeded-uniform delivery delay;
 * ``loss`` — per-segment drop probability (a segment is one ``write``
-  call, i.e. one protocol frame — loss stays frame-aligned, like a
-  datagram network);
+  call or one element of a ``writelines`` list, i.e. one protocol
+  frame — loss stays frame-aligned, like a datagram network);
 * ``corrupt`` — per-segment single-byte flip, exercising the v2 CRC32
   rejection path end to end;
 * ``reorder`` — per-segment probability of swapping with the next
@@ -30,27 +30,16 @@ timer firings — so a scenario replayed with the same seed produces an
 identical :attr:`VirtualNetwork.trace`, event for event.  No socket is
 ever opened.
 
-Scale mode.  The default pipeline pays for its fidelity: every ``write``
-copies a segment, wakes a per-pipe pump task, and every timer firing
-settles the whole event loop before the next one pops.  That is exactly
-right for a dozen peers under scripted faults and far too slow for ten
-thousand.  ``VirtualNetwork(turbo=True)`` keeps the same API and the
-same determinism (one seed, one heap) but takes three shortcuts sized
-for clean links:
-
-* **no-fault fast path** — a segment written to a link with no scripted
-  faults is appended straight to the reader's buffer (zero copies, no
-  pump wakeup); the pump task is only created the first time a link
-  actually needs delay, loss, or throttling;
-* **coalesced writes** — virtual writers expose ``writelines`` so
-  the drop-oldest pumps flush a whole queue as one segment;
-* **timer batching** — a :class:`VirtualClock` built with a non-zero
-  ``quantum`` fires every timer due within one quantum together and
-  settles the loop once per batch instead of once per timer.
-
-Turbo runs are still deterministic, but their event interleaving (and
-hence trace) differs from the default mode — the pinned chaos digests
-are recorded in default mode, which stays bit-identical.
+Delivery.  A segment written to a link with nothing scripted on it
+(:meth:`LinkFaults.is_clean`) and nothing queued ahead of it is appended
+straight to the reader's buffer — no copy, no task wakeup — and a
+``writelines`` flush lands as one append.  A pipe gets a pump task only
+the first time a segment actually needs delay, loss or throttling; from
+then on segments queue behind the pump in order, one per frame, so
+scripting a fault mid-connection never reorders bytes.  A
+:class:`VirtualClock` built with a non-zero ``quantum`` additionally
+fires every timer due within one quantum together and settles the loop
+once per batch — what lets ten thousand peers share one heap.
 """
 
 from __future__ import annotations
@@ -101,9 +90,8 @@ class VirtualClock:
         self.firing_limit = 2_000_000
         #: Timer coalescing window: all timers due within one quantum of
         #: the earliest are fired together and the loop settles once per
-        #: batch.  0.0 (the default) settles after every single timer —
-        #: the maximally deterministic interleaving the pinned chaos
-        #: digests were recorded under.
+        #: batch.  0.0 (the default) settles after every single timer,
+        #: which scenarios asserting exact timer schedules rely on.
         self.quantum = quantum
 
     def time(self) -> float:
@@ -121,23 +109,23 @@ class VirtualClock:
         if timeout is None:
             return await awaitable
         task = asyncio.ensure_future(awaitable)
-        if self.quantum:
-            # Scale mode: the overwhelmingly common wait (a frame read
-            # with bytes already buffered) completes on its first step —
-            # skip the timer future, the heap push and the extra task
-            # the full two-future wait would cost per frame.
-            await asyncio.sleep(0)
-            if task.done() and not task.cancelled():
-                return task.result()
-        timer = asyncio.ensure_future(self.sleep(timeout))
+        timer = None
         try:
-            await asyncio.wait({task, timer}, return_when=asyncio.FIRST_COMPLETED)
+            # The overwhelmingly common wait (a frame read with bytes
+            # already buffered) completes on its first step — only a
+            # wait that really parks pays for the timer future, the heap
+            # push and the extra task.
+            await asyncio.sleep(0)
+            if not task.done():
+                timer = asyncio.ensure_future(self.sleep(timeout))
+                await asyncio.wait({task, timer}, return_when=asyncio.FIRST_COMPLETED)
         except asyncio.CancelledError:
             task.cancel()
-            timer.cancel()
             raise
+        finally:
+            if timer is not None:
+                timer.cancel()
         if task.done() and not task.cancelled():
-            timer.cancel()
             return task.result()
         task.cancel()
         try:
@@ -239,10 +227,12 @@ class LinkFaults:
 class _Pipe:
     """One direction of a virtual connection.
 
-    ``write`` queues segments; a single pump task per pipe applies the
-    link's faults to each segment in order and appends survivors to the
-    readable buffer.  ``drain`` blocks while more than ``buffer_bytes``
-    are queued-but-undelivered — the backpressure a slow or throttled
+    On a clean link with nothing queued, ``feed`` appends straight to
+    the readable buffer.  Otherwise it queues segments, and a single
+    pump task per pipe (created on first need) applies the link's
+    faults to each segment in order and appends survivors to the
+    buffer.  ``drain`` blocks while more than ``buffer_bytes`` are
+    queued-but-undelivered — the backpressure a slow or throttled
     receiver exerts on the sender.
     """
 
@@ -262,11 +252,9 @@ class _Pipe:
         self._writable = asyncio.Event()
         self._writable.set()
         self._work = asyncio.Event()
-        # Turbo: no pump task until a segment actually needs the fault
+        # No pump task until a segment actually needs the fault
         # pipeline — clean links deliver synchronously in feed().
         self._pump_task: Optional[asyncio.Task] = None
-        if not net.turbo:
-            self._ensure_pump()
 
     def _ensure_pump(self) -> None:
         if self._pump_task is None:
@@ -275,24 +263,31 @@ class _Pipe:
 
     # -- writer side ---------------------------------------------------
 
-    def feed(self, data: bytes) -> None:
-        if self.closed or self.broken or not data:
+    def feed(self, frames) -> None:
+        """Accept one flush: a list of frames written together."""
+        if self.closed or self.broken:
             return
         if (
-            self.net.turbo
-            and self.in_flight == 0
+            self.in_flight == 0
             and not self._segments
             and self.net.link(self.src, self.dst).is_clean()
         ):
-            # Fast path: nothing queued ahead, nothing scripted on the
-            # link — append straight to the reader's buffer with zero
-            # copies and no pump wakeup.
-            self.buffer.extend(data)
-            self._readable.set()
-            self.net.record("deliver", self.src, self.dst, len(data))
+            # Nothing queued ahead, nothing scripted on the link: the
+            # whole flush lands in the reader's buffer as one append,
+            # with no pump wakeup.
+            data = b"".join(frames)
+            if data:
+                self.buffer += data
+                self._readable.set()
+                self.net.record("deliver", self.src, self.dst, len(data))
             return
-        self.in_flight += len(data)
-        self._segments.append(bytes(data))
+        # One segment per frame, so scripted loss and corruption stay
+        # frame-aligned however the sender batched its flush.
+        segments = [bytes(frame) for frame in frames if frame]
+        if not segments:
+            return
+        self.in_flight += sum(map(len, segments))
+        self._segments.extend(segments)
         self._ensure_pump()
         self._work.set()
         if self.in_flight > self.net.link(self.src, self.dst).buffer_bytes:
@@ -311,19 +306,21 @@ class _Pipe:
         if self.closed:
             return
         self.closed = True
-        if self.net.turbo and self.in_flight == 0 and not self._segments:
-            # Queue is empty, so the pump would deliver EOF immediately
-            # anyway (it applies no latency to EOF) — do it inline.
-            if self.net.link(self.src, self.dst).delivers():
-                self.eof = True
-                self._readable.set()
-                self.net.record("eof", self.src, self.dst)
-            else:
-                self.net.record("void-eof", self.src, self.dst)
+        if self.in_flight == 0 and not self._segments:
+            # Nothing queued ahead, and EOF takes no latency.
+            self._deliver_eof()
             return
         self._segments.append(self._EOF)
         self._ensure_pump()
         self._work.set()
+
+    def _deliver_eof(self) -> None:
+        if self.net.link(self.src, self.dst).delivers():
+            self.eof = True
+            self._readable.set()
+            self.net.record("eof", self.src, self.dst)
+        else:
+            self.net.record("void-eof", self.src, self.dst)
 
     def break_(self) -> None:
         """Hard reset (the other endpoint closed the connection): the
@@ -361,12 +358,7 @@ class _Pipe:
                         return
                 segment = self._segments.pop(0)
                 if segment is self._EOF:
-                    if net.link(self.src, self.dst).delivers():
-                        self.eof = True
-                        self._readable.set()
-                        net.record("eof", self.src, self.dst)
-                    else:
-                        net.record("void-eof", self.src, self.dst)
+                    self._deliver_eof()
                     return
                 faults = net.link(self.src, self.dst)
                 delay = faults.latency
@@ -435,18 +427,12 @@ class _VirtualWriter:
         self._out = out
         self._back = back
         self._peername = peername
-        if out.net.turbo:
-            # Instance attribute, not a class method: senders probe for
-            # ``writelines`` to decide whether to coalesce flushes, and
-            # per-frame writes are what the pinned digests were recorded
-            # under — only turbo runs advertise coalescing.
-            self.writelines = self._writelines
 
     def write(self, data: bytes) -> None:
-        self._out.feed(data)
+        self._out.feed((data,))
 
-    def _writelines(self, frames) -> None:
-        self._out.feed(b"".join(frames))
+    def writelines(self, frames) -> None:
+        self._out.feed(frames)
 
     async def drain(self) -> None:
         await self._out.drained()
@@ -516,24 +502,19 @@ class VirtualNetwork:
 
     def __init__(self, clock: Optional[VirtualClock] = None, *, seed: int = 0,
                  default_faults: Optional[LinkFaults] = None,
-                 turbo: bool = False, record_trace: bool = True) -> None:
+                 record_trace: bool = True) -> None:
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self._rng = random.Random(seed)
         self._default = default_faults if default_faults is not None else LinkFaults()
         self._links: dict[tuple[str, str], LinkFaults] = {}
         self._listeners: dict[tuple[str, int], _VirtualListener] = {}
         #: Ephemeral port counter, shared by binds and dial source
-        #: ports (matching the allocation order the pinned traces were
-        #: recorded under).  Real ports are 16-bit — and PeerLocator
-        #: frames encode them as such — so the counter wraps back to
-        #: 1024 instead of marching past 65535 (a 10k-peer swarm burns
-        #: through the 49152+ range in one join wave).
+        #: ports.  Real ports are 16-bit — and PeerLocator frames encode
+        #: them as such — so the counter wraps back to 1024 instead of
+        #: marching past 65535 (a 10k-peer swarm burns through the
+        #: 49152+ range in one join wave).
         self._ports = itertools.count(49152)
         self._tasks: set[asyncio.Task] = set()
-        #: Scale mode (see module docstring): synchronous clean-link
-        #: delivery, lazy pumps, coalesced writes.  Changes interleaving,
-        #: so the pinned chaos digests run with turbo off.
-        self.turbo = turbo
         #: Trace recording toggle — a 10k-peer round generates millions
         #: of deliver events; soak runs switch the trace off.
         self.record_trace = record_trace

@@ -20,14 +20,15 @@ per-link faults, in milliseconds.
 The reader/writer duck types (:class:`ByteStreamReader`,
 :class:`ByteStreamWriter`) capture the *only* stream surface the
 protocol code relies on — ``readexactly`` on the way in; ``write``,
-``drain``, ``close`` and ``get_extra_info`` on the way out — so an
+``writelines``, ``drain``, ``close`` and ``get_extra_info`` on the way
+out — so an
 in-memory pipe can stand in for a socket without monkeypatching.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Optional, Protocol, runtime_checkable
+from typing import Any, Awaitable, Callable, Iterable, Optional, Protocol, runtime_checkable
 
 __all__ = [
     "AsyncioClock",
@@ -58,6 +59,8 @@ class ByteStreamWriter(Protocol):
     """The write surface the protocol nodes need from a connection."""
 
     def write(self, data: bytes) -> None: ...
+
+    def writelines(self, data: Iterable[bytes]) -> None: ...
 
     async def drain(self) -> None: ...
 

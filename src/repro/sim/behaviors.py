@@ -143,7 +143,6 @@ class RlncBehavior:
             engine = RelayEngine(
                 recoder,
                 policy=self.forward_policy,
-                batched=False,
                 seed_burst=self.seed_burst,
             )
             self._engines[node_id] = engine

@@ -20,8 +20,6 @@ from hypothesis import strategies as st
 from repro.coding import CodedPacket, GenerationParams, Recoder, SourceEncoder
 from repro.coding.buffers import BufferPool
 from repro.coding.wire import (
-    VERSION,
-    VERSION_1,
     WireFormatError,
     decode_packet,
     encode_packet,
@@ -83,13 +81,12 @@ def _seeded_recoder(seed: int, params, generation_count: int,
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     count=st.integers(min_value=1, max_value=8),
     uniform=st.booleans(),
-    version=st.sampled_from([VERSION_1, VERSION]),
 )
-def test_batch_encode_is_byte_identical_to_scalar(seed, count, uniform, version):
+def test_batch_encode_is_byte_identical_to_scalar(seed, count, uniform):
     """``encode_packets_into`` frames == per-packet ``encode_packet``.
 
     Covers both the vectorised uniform-geometry fast path and the
-    mixed-geometry fallback, for v1 and v2 frames alike.
+    mixed-geometry fallback.
     """
     rng = np.random.default_rng(seed)
     if uniform:
@@ -107,22 +104,21 @@ def test_batch_encode_is_byte_identical_to_scalar(seed, count, uniform, version)
         for g, n in geometries
     ]
     pool = BufferPool()
-    buf, spans = encode_packets_into(packets, version=version, pool=pool)
+    buf, spans = encode_packets_into(packets, pool=pool)
     try:
         frames = [bytes(memoryview(buf)[o:o + ln]) for o, ln in spans]
     finally:
         pool.release(buf)
     for packet, frame in zip(packets, frames):
-        assert frame == encode_packet(packet, version=version)
+        assert frame == encode_packet(packet)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     count=st.integers(min_value=1, max_value=8),
-    version=st.sampled_from([VERSION_1, VERSION]),
 )
-def test_streaming_decode_roundtrips_batch(seed, count, version):
+def test_streaming_decode_roundtrips_batch(seed, count):
     """Offset-cursor decode over one contiguous buffer recovers the batch."""
     rng = np.random.default_rng(seed)
     g, n = int(rng.integers(1, 12)), int(rng.integers(0, 24))
@@ -131,7 +127,7 @@ def test_streaming_decode_roundtrips_batch(seed, count, version):
                        origin=int(rng.integers(-1, 100)))
         for i in range(count)
     ]
-    buf, spans = encode_packets_into(packets, version=version)
+    buf, spans = encode_packets_into(packets)
     blob = bytes(memoryview(buf)[:sum(ln for _, ln in spans)])
     offset = 0
     for packet in packets:

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from repro.coding import CodedPacket, GenerationParams, SourceEncoder
 from repro.coding.wire import (
+    CrcError,
     WireFormatError,
     decode_packet,
+    decode_packet_from,
     encode_packet,
     frame_size,
-    read_frame,
+    read_frame_at,
 )
 
 
@@ -80,23 +82,7 @@ _packet_strategy = st.builds(
 
 
 class TestVersions:
-    """v2 adds a CRC32 trailer; v1 frames still decode."""
-
-    def test_v1_frame_decodes_without_trailer(self, packet):
-        frame = encode_packet(packet, version=1)
-        assert len(frame) == frame_size(packet.generation_size,
-                                        packet.payload_size, version=1)
-        decoded = decode_packet(frame)
-        assert _packets_equal(decoded, packet)
-
-    def test_v2_is_v1_plus_four_trailer_bytes(self, packet):
-        assert len(encode_packet(packet)) == len(encode_packet(packet, version=1)) + 4
-
-    def test_unknown_encode_version_rejected(self, packet):
-        with pytest.raises(WireFormatError):
-            encode_packet(packet, version=3)
-        with pytest.raises(WireFormatError):
-            frame_size(4, 4, version=0)
+    """The one wire version: a CRC32 trailer, verified on decode."""
 
     def test_corrupted_payload_fails_crc(self, packet):
         frame = bytearray(encode_packet(packet))
@@ -110,20 +96,10 @@ class TestVersions:
         with pytest.raises(WireFormatError, match="CRC"):
             decode_packet(bytes(frame))
 
-    def test_v1_corruption_is_silent(self, packet):
-        """The legacy format cannot detect body corruption — the reason
-        v2 exists."""
-        frame = bytearray(encode_packet(packet, version=1))
-        frame[-1] ^= 0x01
-        decoded = decode_packet(bytes(frame))  # parses fine, bad bytes
-        assert not np.array_equal(decoded.payload, packet.payload)
-
     @settings(max_examples=50, deadline=None)
-    @given(packet=_packet_strategy, version=st.sampled_from([1, 2]))
-    def test_roundtrip_both_versions(self, packet, version):
-        assert _packets_equal(
-            decode_packet(encode_packet(packet, version=version)), packet
-        )
+    @given(packet=_packet_strategy)
+    def test_roundtrip(self, packet):
+        assert _packets_equal(decode_packet(encode_packet(packet)), packet)
 
 
 class TestEdgeGeometry:
@@ -158,41 +134,39 @@ class TestReadFrame:
     """Streaming decode: a socket reader never sees aligned frames."""
 
     def test_empty_buffer(self):
-        packet, rest = read_frame(b"")
-        assert packet is None and rest == b""
+        assert read_frame_at(b"") == (None, 0)
 
     def test_partial_header(self, packet):
-        prefix = encode_packet(packet)[:10]
-        parsed, rest = read_frame(prefix)
-        assert parsed is None and rest == prefix
+        assert read_frame_at(encode_packet(packet)[:10]) == (None, 0)
 
     def test_partial_body(self, packet):
-        frame = encode_packet(packet)
-        parsed, rest = read_frame(frame[:-1])
-        assert parsed is None and rest == frame[:-1]
+        assert read_frame_at(encode_packet(packet)[:-1]) == (None, 0)
 
     def test_exact_frame(self, packet):
-        parsed, rest = read_frame(encode_packet(packet))
-        assert _packets_equal(parsed, packet) and rest == b""
+        frame = encode_packet(packet)
+        parsed, end = read_frame_at(frame)
+        assert _packets_equal(parsed, packet) and end == len(frame)
 
     def test_two_frames_back_to_back(self, packet):
-        buffer = encode_packet(packet) + encode_packet(packet, version=1)
-        first, rest = read_frame(buffer)
-        second, rest = read_frame(rest)
+        frame = encode_packet(packet)
+        first, middle = read_frame_at(frame + frame)
+        second, end = read_frame_at(frame + frame, middle)
         assert _packets_equal(first, packet)
         assert _packets_equal(second, packet)
-        assert rest == b""
+        assert (middle, end) == (len(frame), 2 * len(frame))
 
     def test_frame_plus_partial(self, packet):
-        tail = encode_packet(packet)[:7]
-        parsed, rest = read_frame(encode_packet(packet) + tail)
-        assert _packets_equal(parsed, packet) and rest == tail
+        frame = encode_packet(packet)
+        buffer = frame + frame[:7]
+        parsed, end = read_frame_at(buffer)
+        assert _packets_equal(parsed, packet) and end == len(frame)
+        assert read_frame_at(buffer, end) == (None, end)
 
     def test_bad_magic_raises(self, packet):
         frame = bytearray(encode_packet(packet))
         frame[0] ^= 0xFF
         with pytest.raises(WireFormatError):
-            read_frame(bytes(frame))
+            read_frame_at(bytes(frame))
 
     @settings(max_examples=50, deadline=None)
     @given(packet=_packet_strategy, data=st.data())
@@ -200,13 +174,14 @@ class TestReadFrame:
         """Feeding a frame in two arbitrary chunks yields the packet."""
         frame = encode_packet(packet)
         cut = data.draw(st.integers(min_value=0, max_value=len(frame)))
-        parsed, buffer = read_frame(frame[:cut])
+        parsed, end = read_frame_at(frame[:cut])
         if parsed is not None:  # cut == len(frame)
             assert _packets_equal(parsed, packet)
             return
-        parsed, rest = read_frame(bytes(buffer) + frame[cut:])
+        assert end == 0
+        parsed, end = read_frame_at(frame[:cut] + frame[cut:])
         assert _packets_equal(parsed, packet)
-        assert rest == b""
+        assert end == len(frame)
 
 
 class TestErrors:
@@ -221,10 +196,21 @@ class TestErrors:
             decode_packet(bytes(frame))
 
     def test_bad_version(self, packet):
-        frame = bytearray(encode_packet(packet))
-        frame[2] = 99
-        with pytest.raises(WireFormatError):
-            decode_packet(bytes(frame))
+        """Only version 2 exists.  A structurally valid frame stamped
+        with anything else — the trailer-less version 1 included, with
+        or without four bytes where a trailer would be — is malformed,
+        not a checksum failure: the version byte must not be a way to
+        skip the CRC."""
+        good = encode_packet(packet)
+        for version in (0, 1, 3, 99):
+            stamped = bytearray(good)
+            stamped[2] = version
+            for frame in (bytes(stamped), bytes(stamped[:-4])):
+                for parse in (decode_packet, decode_packet_from, read_frame_at):
+                    with pytest.raises(WireFormatError) as caught:
+                        parse(frame)
+                    assert not isinstance(caught.value, CrcError)
+                    assert "version" in str(caught.value)
 
     def test_length_mismatch(self, packet):
         frame = encode_packet(packet)

@@ -118,18 +118,6 @@ class TestSourceEngine:
         (effect,) = engine.handle(EmitRound(targets=("a",)))
         assert effect.packets[0].generation == 1
 
-    def test_batched_and_scalar_rounds_are_rng_identical(self):
-        batched = SourceEngine(make_encoder(3), batched=True)
-        scalar = SourceEngine(make_encoder(3), batched=False)
-        targets = ("a", "b", "c")
-        for _ in range(3):
-            (eb,) = batched.handle(EmitRound(targets=targets))
-            (es,) = scalar.handle(EmitRound(targets=targets))
-            for pb, ps in zip(eb.packets, es.packets):
-                assert pb.generation == ps.generation
-                assert bytes(pb.coefficients) == bytes(ps.coefficients)
-                assert bytes(pb.payload) == bytes(ps.payload)
-
     def test_pull_emit_answers_one_packet(self):
         engine = SourceEngine(make_encoder())
         (effect,) = engine.handle(PullEmit("edge"))
@@ -201,16 +189,17 @@ class TestRelayPushFanOut:
         return engine.forwarded  # seed-burst packets
 
     def test_eager_forwards_every_arrival(self, policy="eager"):
-        engine = make_relay(policy=policy, batched=False)
+        engine = make_relay(policy=policy)
         seeded = self.attach_two(engine)
         packets = feed_packets(engine, 1)
         effects = engine.handle(PacketArrived(packets[0]))  # duplicate
         emits = [e for e in effects if isinstance(e, EmitToChildren)]
         assert emits and emits[0].children == ("a", "b")
+        assert emits[0].packets is None
         assert engine.forwarded == seeded + 2 + 2
 
     def test_innovative_withholds_duplicates(self):
-        engine = make_relay(policy="innovative", batched=False)
+        engine = make_relay(policy="innovative")
         seeded = self.attach_two(engine)
         packets = feed_packets(engine, 1)
         assert engine.forwarded == seeded + 2
@@ -229,7 +218,7 @@ class TestRelayPushFanOut:
         )
 
     def test_attach_seed_burst_and_reattach_order(self):
-        engine = make_relay(seed_burst=2, batched=False)
+        engine = make_relay(seed_burst=2)
         feed_packets(engine, 3)
         (effect,) = engine.handle(ChildAttached("a", column=0))
         assert effect.children == ("a", "a")
@@ -242,17 +231,32 @@ class TestRelayPushFanOut:
         engine.handle(ChildDetached("b"))
         assert engine.children == ("a",)
 
-    def test_batched_and_scalar_fanout_count_identically(self):
-        counts = {}
-        for batched in (True, False):
-            engine = make_relay(seed=5, batched=batched)
-            self.attach_two(engine)
-            feed_packets(engine, 4, seed=6)
-            counts[batched] = engine.forwarded
-        assert counts[True] == counts[False]
+    def test_fanout_rows_give_every_child_one_mixture(self):
+        """One arrival yields one ``[coefficients | payload]`` row per
+        child, grouped by generation; ``positions`` maps each row back
+        to its child's slot in fan-out order."""
+        engine = make_relay(seed=5)
+        self.attach_two(engine)
+        engine.handle(ChildAttached("c", column=2))
+        seeded = engine.forwarded
+        arrivals = 4
+        encoder = make_encoder(6)
+        for index in range(arrivals):
+            effects = engine.handle(
+                PacketArrived(encoder.emit(index % GENERATIONS)))
+            (emit,) = [e for e in effects if isinstance(e, EmitToChildren)]
+            assert emit.children == ("a", "b", "c")
+            positions = []
+            for generation, rows, slots in emit.rows:
+                assert 0 <= generation < GENERATIONS
+                assert rows.shape == (
+                    len(slots), PARAMS.generation_size + PARAMS.payload_size)
+                positions.extend(slots)
+            assert sorted(positions) == [0, 1, 2]
+        assert engine.forwarded == seeded + 3 * arrivals
 
     def test_idle_poll_is_not_fanout(self):
-        engine = make_relay(policy="innovative", batched=False)
+        engine = make_relay(policy="innovative")
         feed_packets(engine, 2)
         before = engine.forwarded
         (effect,) = engine.handle(IdlePoll("a"))
@@ -319,13 +323,12 @@ class TestReplayDeterminism:
     @settings(max_examples=10, deadline=None)
     @given(
         policy=st.sampled_from(FORWARD_POLICIES),
-        batched=st.booleans(),
         ops=st.lists(st.integers(min_value=0, max_value=4),
                      min_size=5, max_size=40),
         seed=st.integers(min_value=0, max_value=1000),
     )
     def test_relay_replay_reproduces_effect_trace(
-        self, policy, batched, ops, seed,
+        self, policy, ops, seed,
     ):
         encoder = make_encoder(seed)
         events = []
@@ -341,12 +344,12 @@ class TestReplayDeterminism:
                 events.append(ChildDetached(f"c{index % 2}"))
             else:
                 events.append(IdlePoll(f"c{index % 2}"))
-        recorded = make_relay(seed=seed + 1, policy=policy, batched=batched)
+        recorded = make_relay(seed=seed + 1, policy=policy)
         log = EngineLog()
         recorded.log = log
         for event in events:
             recorded.handle(event)
-        fresh = make_relay(seed=seed + 1, policy=policy, batched=batched)
+        fresh = make_relay(seed=seed + 1, policy=policy)
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
         assert fresh.received == recorded.received

@@ -25,9 +25,8 @@ class TestWireFuzz:
             packet = decode_packet(frame)
         except WireFormatError:
             return
-        # if it parsed, it must re-encode to the same bytes at one of the
-        # two accepted wire versions
-        assert frame in (encode_packet(packet, version=1), encode_packet(packet))
+        # if it parsed, it must re-encode to the same bytes
+        assert frame == encode_packet(packet)
 
     @settings(max_examples=100)
     @given(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import ReconnectBackoff
+from repro.protocol.backoff import ReconnectBackoff
 
 
 class TestReconnectBackoff:

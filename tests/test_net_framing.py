@@ -11,6 +11,7 @@ from repro.net.control import DataHello, encode_control
 from repro.net.framing import (
     KIND_CONTROL,
     KIND_DATA,
+    CrcMismatchError,
     FrameBuffer,
     FramingError,
     encode_data_frame,
@@ -28,6 +29,14 @@ def _packet(generation=0, origin=3):
         payload=np.arange(10, dtype=np.uint8),
         origin=origin,
     )
+
+
+def _restamped(version: int) -> list[bytes]:
+    """A valid wire frame with its version byte overwritten, with and
+    without the four bytes where the CRC trailer sits."""
+    body = bytearray(encode_packet(_packet()))
+    body[2] = version
+    return [bytes(body), bytes(body[:-4])]
 
 
 def _decode_queued(frame: bytes) -> CodedPacket:
@@ -82,8 +91,20 @@ class TestFrameBuffer:
         body[-1] ^= 0x01  # breaks the CRC32 trailer
         buffer = FrameBuffer()
         buffer.feed(encode_frame(KIND_DATA, bytes(body)))
-        with pytest.raises(FramingError):
+        with pytest.raises(CrcMismatchError):
             buffer.next_message()
+
+    def test_wrong_version_is_malformed_not_a_crc_failure(self):
+        """A frame stamped with a version other than 2 is a structural
+        violation whatever its trailer says — receivers must not count
+        it as in-transit corruption."""
+        for version in (0, 1, 3):
+            for body in _restamped(version):
+                buffer = FrameBuffer()
+                buffer.feed(encode_frame(KIND_DATA, body))
+                with pytest.raises(FramingError) as caught:
+                    buffer.next_message()
+                assert not isinstance(caught.value, CrcMismatchError)
 
 
 class TestReadMessage:
@@ -125,6 +146,37 @@ class TestReadMessage:
 
         with pytest.raises(FramingError):
             asyncio.run(scenario())
+
+
+class TestPeerCorruptionAccounting:
+    def test_peer_counts_crc_failures_but_not_wrong_versions(self):
+        """PeerStats.crc_failures moves on a corrupted body and stays
+        put on a wrong-version frame; both drop the connection."""
+        from repro.net.peer import PeerNode
+        from repro.net.testing import VirtualNetwork
+
+        corrupted = bytearray(encode_packet(_packet()))
+        corrupted[-1] ^= 0x01
+
+        async def scenario(body):
+            net = VirtualNetwork()
+
+            async def parent(reader, writer):
+                await read_message(reader)  # the child's DataHello
+                writer.write(encode_frame(KIND_DATA, body))
+
+            listener = net.bind("parent", 0, parent)
+            peer = PeerNode("server", 1, transport=net.transport("peer"))
+            peer.engine.node_id = 9
+            peer.parents[0] = 5
+            peer._running = True
+            await peer._consume_upstream(0, 5, listener.address)
+            await net.shutdown()
+            return peer.stats.crc_failures
+
+        assert asyncio.run(scenario(bytes(corrupted))) == 1
+        for body in _restamped(1):
+            assert asyncio.run(scenario(body)) == 0
 
 
 class _StubWriter:
@@ -330,10 +382,16 @@ class _CollectingWriter:
 
     def __init__(self):
         self.chunks = []
+        self.batches = []
         self.closed = False
 
     def write(self, data):
         self.chunks.append(bytes(data))
+
+    def writelines(self, frames):
+        frames = [bytes(f) for f in frames]
+        self.batches.append(frames)
+        self.chunks.extend(frames)
 
     async def drain(self):
         return None
@@ -405,19 +463,6 @@ class TestPacketSenderEdges:
         assert stats.sent == 1
 
 
-class _CoalescingWriter(_CollectingWriter):
-    """A collecting writer that also supports ``writelines``."""
-
-    def __init__(self):
-        super().__init__()
-        self.batches = []
-
-    def writelines(self, frames):
-        frames = list(frames)
-        self.batches.append([bytes(f) for f in frames])
-        self.chunks.extend(bytes(f) for f in frames)
-
-
 class TestSenderCoalescing:
     """SenderStats accounting and the one-writelines-per-wakeup flush."""
 
@@ -439,41 +484,10 @@ class TestSenderCoalescing:
         return asyncio.run(scenario())
 
     def test_queue_drains_in_one_writelines_flush(self):
-        writer = _CoalescingWriter()
+        writer = _CollectingWriter()
         stats, frames = self._pump(writer, 5)
         assert writer.batches == [frames]  # a single writelines call
         assert stats.flushes == 1
         assert stats.sent == 5
         assert stats.bytes_sent == sum(len(f) for f in frames)
 
-    def test_writer_without_writelines_falls_back_per_frame(self):
-        """The chaos harness's virtual writer has no writelines; the
-        pump must emit identical bytes via write(), same accounting."""
-        writer = _CollectingWriter()
-        stats, frames = self._pump(writer, 5)
-        assert writer.chunks == frames
-        assert stats.flushes == 1
-        assert stats.sent == 5
-        assert stats.bytes_sent == sum(len(f) for f in frames)
-
-    def test_coalesce_opt_out_restores_per_frame_writes(self):
-        async def scenario():
-            writer = _CoalescingWriter()
-            sender = PacketSender(
-                writer, column=0, sender_id=1, limit=8, coalesce=False
-            )
-            frames = [
-                encode_data_frame(_packet(generation=i)) for i in range(3)
-            ]
-            for frame in frames:
-                sender.enqueue_frame(frame)
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0)
-            sender.close()
-            await task
-            return writer, sender.stats, frames
-
-        writer, stats, frames = asyncio.run(scenario())
-        assert writer.batches == []  # writelines never used
-        assert writer.chunks == frames
-        assert stats.bytes_sent == sum(len(f) for f in frames)

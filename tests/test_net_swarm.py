@@ -1,4 +1,4 @@
-"""Tests for the scale layer: turbo virtual net, swarm rounds, soak runs.
+"""Tests for the scale layer: quantum clock, swarm rounds, soak runs.
 
 Tier-1 keeps the populations modest (a couple hundred peers, seconds of
 wall clock); the 10k acceptance round — the PR-9 headline — is marked
@@ -24,18 +24,17 @@ from repro.net.testing.virtualnet import LinkFaults
 
 
 # ----------------------------------------------------------------------
-# Turbo network / quantum clock units
+# Virtual network / quantum clock units at swarm scale
 
 
 class TestTurboVirtualNet:
-    def test_default_network_is_not_turbo(self):
-        net = VirtualNetwork(VirtualClock(), seed=0)
-        assert not net.turbo
-        assert net.record_trace
+    """Network and clock units the swarm relies on.  ("Turbo" in the
+    test ids is the old name of what is now the network's only
+    delivery pipeline; the ids are kept stable.)"""
 
     def test_turbo_round_trip_preserves_bytes(self):
         async def scenario():
-            net = VirtualNetwork(VirtualClock(), seed=0, turbo=True,
+            net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)
             received = []
 
@@ -56,7 +55,7 @@ class TestTurboVirtualNet:
 
     def test_turbo_writer_coalesces_writelines(self):
         async def scenario():
-            net = VirtualNetwork(VirtualClock(), seed=0, turbo=True,
+            net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)
             received = []
 
@@ -66,7 +65,6 @@ class TestTurboVirtualNet:
 
             net.bind("srv", 9000, handler)
             reader, writer = await net.open_connection("cli", "srv", 9000)
-            assert hasattr(writer, "writelines")
             writer.writelines([b"abc", b"def"])
             await writer.drain()
             await net.clock.advance(1.0)
@@ -78,7 +76,7 @@ class TestTurboVirtualNet:
     def test_port_allocation_wraps_before_uint16_overflow(self):
         """65k+ allocations must stay encodable as a wire port (>H)."""
         async def scenario():
-            net = VirtualNetwork(VirtualClock(), seed=0, turbo=True,
+            net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)
 
             async def handler(reader, writer):

@@ -2,8 +2,11 @@
 
 import asyncio
 
+import numpy as np
 import pytest
 
+from repro.coding import CodedPacket
+from repro.coding.wire import WireFormatError, decode_packet, encode_packet
 from repro.net.testing import LinkFaults, VirtualClock, VirtualNetwork
 
 
@@ -85,6 +88,24 @@ class TestVirtualClock:
 
         assert run(scenario()) == 42
 
+    @pytest.mark.parametrize("quantum", [0.0, 0.25])
+    def test_cancelled_wait_for_cancels_the_awaited_task(self, quantum):
+        """Cancelling a waiter at its first-step yield (before any timer
+        exists) must not leave the awaited task running."""
+
+        async def scenario():
+            clock = VirtualClock(quantum=quantum)
+            inner = asyncio.ensure_future(asyncio.Event().wait())
+            waiter = asyncio.ensure_future(clock.wait_for(inner, timeout=5.0))
+            await asyncio.sleep(0)  # waiter is parked on its first step
+            waiter.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await waiter
+            await asyncio.sleep(0)
+            return inner.cancelled()
+
+        assert run(scenario()) is True
+
     def test_nested_sleeps_fire_in_one_advance(self):
         """A timer whose callback schedules another timer inside the
         advanced window fires within the same advance call."""
@@ -120,6 +141,94 @@ class TestVirtualPipes:
             return data
 
         assert run(scenario()) == b"x"
+
+    def test_clean_link_delivers_synchronously_without_a_pump(self):
+        async def scenario():
+            net = VirtualNetwork()
+            net.bind("b", 7, _echo_handler)
+            reader, writer = await net.open_connection("a", "b", 7)
+            tasks = len(net._tasks)  # the accept handler only
+            writer.write(b"x")
+            # No await since the write: the byte is already delivered.
+            delivered = net.events("deliver")
+            writer.writelines([b"ab", b"cd"])
+            coalesced = net.events("deliver")[len(delivered):]
+            pumps = len(net._tasks) - tasks
+            await net.shutdown()
+            return delivered, coalesced, pumps
+
+        delivered, coalesced, pumps = run(scenario())
+        assert [entry[2:] for entry in delivered] == [("a", "b", 1)]
+        assert [entry[2:] for entry in coalesced] == [("a", "b", 4)]
+        assert pumps == 0
+
+    def test_fault_set_mid_connection_keeps_byte_order(self):
+        """Scripting a fault on a live link moves the same pipe onto the
+        pump path; bytes already buffered stay ahead, and a write made
+        after the link is clean again still queues behind what is in
+        flight."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            received = asyncio.get_running_loop().create_future()
+
+            async def handler(reader, writer):
+                received.set_result(await reader.readexactly(11))
+
+            net.bind("b", 7, handler)
+            _, writer = await net.open_connection("a", "b", 7)
+            tasks = len(net._tasks)
+            writer.write(b"one")
+            net.set_link("a", "b", latency=0.1, symmetric=False)
+            writer.write(b"two")
+            pumps = len(net._tasks) - tasks
+            net.set_link("a", "b", latency=0.0, symmetric=False)
+            writer.write(b"three")
+            await net.clock.advance(1.0)
+            data = await received
+            await net.shutdown()
+            return data, pumps
+
+        assert run(scenario()) == (b"onetwothree", 1)
+
+    def test_writelines_faults_stay_frame_aligned(self):
+        """A coalesced flush over a faulted link is one segment per
+        frame: loss drops frames, corruption hits every frame's CRC."""
+        frames = [
+            encode_packet(CodedPacket(
+                generation=i,
+                coefficients=np.array([1, 2, 3], dtype=np.uint8),
+                payload=np.arange(10, dtype=np.uint8),
+            ))
+            for i in range(5)
+        ]
+        size = len(frames[0])
+
+        async def scenario(expect, **fault):
+            net = VirtualNetwork(seed=3)
+            accepted = {}
+
+            async def handler(reader, writer):
+                accepted["reader"] = reader
+
+            net.bind("b", 7, handler)
+            _, writer = await net.open_connection("a", "b", 7)
+            net.set_link("a", "b", symmetric=False, **fault)
+            writer.writelines(frames)
+            await net.clock.advance(0.1)
+            received = await accepted["reader"].readexactly(expect)
+            await net.shutdown()
+            return net, received
+
+        net, _ = run(scenario(0, loss=1.0))
+        assert [entry[4] for entry in net.events("lose")] == [size] * 5
+        assert not net.events("deliver")
+
+        net, received = run(scenario(5 * size, corrupt=1.0))
+        assert len(net.events("corrupt")) == 5
+        for start in range(0, len(received), size):
+            with pytest.raises(WireFormatError):
+                decode_packet(received[start:start + size])
 
     def test_latency_delays_delivery(self):
         async def scenario():

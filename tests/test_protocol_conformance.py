@@ -15,8 +15,8 @@ that differ between transports (duplicate complaints, per-transport
 timer cadence) produce zero effects and vanish from the flat trace.
 
 The trace is also pinned against a golden file, as are the chaos-tier
-``trace_digest`` values at seeds 0 and 7 — the wire-level regression
-net for the whole control plane.
+``trace_digest`` values at seeds 0 and 7 — the determinism pin for the
+virtual network's one delivery pipeline.
 """
 
 import json
@@ -139,8 +139,19 @@ class TestCrossDriverConformance:
 
 
 class TestChaosDigestGoldens:
-    """The wire-level regression net: refactors of the control plane
-    must not move a single byte on the virtual network."""
+    """Determinism of the virtual network's one delivery pipeline: a
+    scenario's byte-level event trace (every connect, deliver, lose,
+    corrupt and eof, in order, with sizes and virtual timestamps) is a
+    function of its script and seed alone.
+
+    A digest moves whenever the *transport* interleaving moves — pump
+    flush granularity, task wake order, timer batching — so it says
+    nothing about whether the protocol still does the same thing; that
+    equivalence is carried by the transport-independent effect goldens
+    (``protocol_effects.json``, ``dataplane_effects.json``, the runtime
+    goldens).  Re-pin from the mapping ``test_all_digests_unchanged``
+    prints only when those hold and the transport change is intended.
+    """
 
     #: Fast tier-1 subset; the slow test sweeps the full catalogue.
     SUBSET = [
@@ -162,11 +173,15 @@ class TestChaosDigestGoldens:
 
     @pytest.mark.slow
     def test_all_digests_unchanged(self, goldens):
-        mismatches = {}
-        for name in sorted(SCENARIOS):
-            for seed in (0, 7):
-                result = run_scenario_sync(name, seed=seed)
-                digest = trace_digest(result.trace)
-                if digest != goldens[f"{name}@{seed}"]:
-                    mismatches[f"{name}@{seed}"] = digest
-        assert not mismatches, mismatches
+        digests = {
+            f"{name}@{seed}": trace_digest(
+                run_scenario_sync(name, seed=seed).trace)
+            for name in sorted(SCENARIOS)
+            for seed in (0, 7)
+        }
+        moved = sorted(key for key in digests if digests[key] != goldens[key])
+        assert not moved, (
+            f"{len(moved)} digests moved: {moved}\n"
+            "chaos_digests.json for this tree:\n"
+            + json.dumps(digests, indent=2, sort_keys=True)
+        )

@@ -269,15 +269,3 @@ class TestActorCongestion:
         sim.congest(node)
         sim.run(1.0)  # must not raise; message ignored
         assert node not in sim.core.matrix
-
-
-class TestMessagesCompatShim:
-    def test_shim_reexports_the_protocol_vocabulary(self):
-        """``repro.protocol_sim.messages`` is a deprecated alias for
-        ``repro.protocol.messages``: same class objects, so isinstance
-        checks agree across old and new import paths."""
-        import repro.protocol.messages as canonical
-        import repro.protocol_sim.messages as shim
-
-        for name in shim.__all__:
-            assert getattr(shim, name) is getattr(canonical, name)
