@@ -1,68 +1,77 @@
 """X7 — the protocols as deployed: repair latency and server load.
 
-The actor-level simulation (keep-alives, complaints, probes) measures
-what the matrix-level control plane cannot:
+The live driver (``ServerNode``/``PeerNode``: keep-alives, complaints,
+probes) on the virtual network measures what the matrix-level control
+plane cannot:
 
-* repair latency distribution — crash to all-children-reattached, which
-  the paper's model abstracts as "the repair interval" and bounds every
-  theorem by.  Here it is silence_timeout + probe + a few RTTs,
-  independent of N;
-* the server's control-plane load — messages and bytes per peer per
-  second, flat in N (the "very small data load on the server" claim,
-  now with concrete bytes).
+* repair latency distribution — silent failure to the server's splice,
+  which the paper's model abstracts as "the repair interval" and bounds
+  every theorem by.  Here it is silence_timeout + probe_timeout, read
+  off the virtual clock, independent of N;
+* the server's control-plane load — events handled per peer per second,
+  flat in N (the "very small data load on the server" claim).
 """
+
+import asyncio
 
 import numpy as np
 
-from repro.protocol_sim import ProtocolConfig, ProtocolSimulation
+from repro.net.testing import ChaosConfig, ChaosHarness
 
 from conftest import emit_table, run_once
 
 POPULATIONS = (30, 60, 120)
 CRASHES = 6
-OBSERVE = 20.0  # seconds of simulated steady-state
+OBSERVE = 20.0  # seconds of virtual steady-state
 
 
-def _run(population: int, seed: int):
-    sim = ProtocolSimulation(ProtocolConfig(k=16, d=3, seed=seed))
-    sim.grow(population, settle=3.0)
-    assert sim.consistency_check()
-    # steady-state observation window for load measurement
-    control_before = _control_messages(sim)
-    sim.run(OBSERVE)
-    control_after = _control_messages(sim)
-    load_per_peer = (control_after - control_before) / (OBSERVE * population)
-    # crash a handful of parents, one at a time
-    rng = np.random.default_rng(seed + 1)
-    latencies = []
-    for _ in range(CRASHES):
-        parents = [
-            n for n in sim.core.matrix.node_ids
-            if sim.peers[n].alive
-            and any(c is not None
-                    for c in sim.core.matrix.children_of(n).values())
-        ]
-        victim = parents[int(rng.integers(0, len(parents)))]
-        before = len(sim.completed_repairs())
-        sim.crash(victim)
-        sim.run(5.0)
-        records = sim.completed_repairs()
-        if len(records) > before:
-            latencies.append(records[-1].repair_latency)
-    assert sim.consistency_check()
-    return latencies, load_per_peer
+async def _run(population: int, seed: int):
+    # "innovative" is what swarms run; the default "eager" policy floods
+    # an infinitely fast virtual net at k=16, d=3.
+    h = ChaosHarness(ChaosConfig(
+        peers=population, k=16, d=3, seed=seed, generations=1,
+        keepalive_interval=0.2, silence_timeout=0.5, probe_timeout=0.3,
+        forward_policy="innovative", seed_burst=8,
+    ), record_trace=False)
+    try:
+        await h.start()
+        await h.settle(3.0)
+        assert h.check_structure(), h.violations
+        # steady-state observation window for load measurement
+        control_before = _control_events(h)
+        await h.settle(OBSERVE)
+        load_per_peer = (
+            (_control_events(h) - control_before) / (OBSERVE * population)
+        )
+        # silently fail a handful of feeding peers, one at a time
+        rng = np.random.default_rng(seed + 1)
+        latencies = []
+        for _ in range(CRASHES):
+            feeders = sorted({parent for parent, _, _ in h.data_edges()})
+            victim = feeders[int(rng.integers(0, len(feeders)))]
+            before = h.server.stats.repairs
+            t0 = h.clock.time()
+            h.isolate(victim)
+            if await h.run_until(
+                lambda: h.server.stats.repairs > before, timeout=5.0
+            ):
+                latencies.append(h.clock.time() - t0)
+            await h.settle(1.0)
+        assert h.check_structure(), h.violations
+        return latencies, load_per_peer
+    finally:
+        await h.teardown()
 
 
-def _control_messages(sim: ProtocolSimulation) -> int:
-    stats = sim.network.stats
-    return stats.total_messages() - stats.messages.get("KeepAlive", 0)
+def _control_events(h: ChaosHarness) -> int:
+    return h.server.registry.snapshot()["counters"]["engine.events"]
 
 
 def experiment():
     rows = []
     loads = {}
     for population in POPULATIONS:
-        latencies, load = _run(population, 8000 + population)
+        latencies, load = asyncio.run(_run(population, 8000 + population))
         loads[population] = load
         rows.append([
             population,
@@ -83,7 +92,7 @@ def test_x7_protocol(benchmark):
         rows,
         title=(
             "X7 — deployed protocol: repair latency and server control load"
-            " (silence 0.5s, probe 0.3s, RTT ~0.06s)"
+            " (silence 0.5s, probe 0.3s, virtual net)"
         ),
     )
     latencies = [row[1] for row in rows]

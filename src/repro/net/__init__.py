@@ -1,8 +1,7 @@
 """repro.net — the curtain-rod protocol over real sockets.
 
-Where :mod:`repro.protocol_sim` runs the §3 protocols inside a
-discrete-event engine and :mod:`repro.sim` runs the data plane in
-synchronous slots, this package runs both on asyncio TCP: a
+Where :mod:`repro.sim` runs the data plane in synchronous slots, this
+package runs it and the §3 control protocol on asyncio TCP: a
 :class:`ServerNode` owning the thread matrix and the source stream, and
 :class:`PeerNode` instances that clip threads, recode with the shared
 :mod:`repro.coding` machinery, and forward through bounded per-child

@@ -1,13 +1,11 @@
 """Binary serialisation for the control plane.
 
-The live transport reuses the §3 protocol datagrams defined in
+The live transport takes the §3 protocol messages defined in
 :mod:`repro.protocol.messages` — the same dataclasses the sans-IO
-engines consume and the discrete-event simulation exchanges in
-memory — and gives each a
-compact big-endian wire form: one type byte followed by struct-packed
-fields.  The nominal ``size`` attributes on the dataclasses are
-simulation bookkeeping and are not serialised; decoding restores the
-defaults.
+engines consume — and gives each a compact big-endian wire form: one
+type byte followed by struct-packed fields.  The nominal ``size``
+attributes on the dataclasses are load-accounting bookkeeping and are
+not serialised; decoding restores the defaults.
 
 Three messages exist only on the live transport:
 

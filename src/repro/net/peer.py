@@ -192,7 +192,6 @@ class PeerNode:
         self.port = 0
         self.engine = PeerEngine(
             None,
-            silence_timeout=silence_timeout,
             reconnect_base=reconnect_base,
             reconnect_max=reconnect_max,
         )

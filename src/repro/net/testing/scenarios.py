@@ -34,7 +34,7 @@ import numpy as np
 from ...coding.generation import GenerationParams
 from ...core.matrix import SERVER
 from ...obs import format_dump
-from ...protocol import ReconnectBackoff
+from ...protocol import CongestionDrop, CongestionRestore, ReconnectBackoff
 from ..peer import PeerNode
 from ..server import ServerNode
 from ..transport import AsyncioTransport, Clock, Transport
@@ -363,6 +363,16 @@ class ChaosHarness:
             if other != index:
                 self.net.heal(host, self.host(other))
 
+    def congest(self, index: int) -> None:
+        """The peer reports congestion and asks to shed one thread (§5)."""
+        peer = self.peers[index]
+        peer._write_control(CongestionDrop(node_id=peer.node_id))
+
+    def uncongest(self, index: int) -> None:
+        """The peer reports recovery and asks for a thread back (§5)."""
+        peer = self.peers[index]
+        peer._write_control(CongestionRestore(node_id=peer.node_id))
+
     # -- observation ---------------------------------------------------
 
     def alive(self) -> list[tuple[int, PeerNode]]:
@@ -452,8 +462,12 @@ class ChaosHarness:
         if not condition:
             self.violations.append(message)
 
-    def check_invariants(self) -> None:
-        """The §3-§6 protocol invariants every scenario must end on.
+    def check_structure(self, label: str = "") -> bool:
+        """The control-plane half of the invariants: every working
+        peer's thread map equals its matrix row, every killed peer is
+        spliced out, every leaver is unregistered, and both are marked
+        departed.  True when nothing new was violated; ``label``
+        prefixes the messages (the soak names the epoch).
 
         Read straight off the engines: the server engine's core is the
         matrix authority and each peer engine's thread map is the
@@ -464,35 +478,49 @@ class ChaosHarness:
         """
         before = len(self.violations)
         core = self.server.engine.core
+        departed = self.server.engine.departed
         for index, peer in self.alive():
             if peer.node_id is None or not core.is_working(peer.node_id):
                 continue
             expected = core.matrix.parents_of(peer.node_id)
             self.expect(
                 dict(peer.engine.parents) == dict(expected),
-                f"peer{index} thread map {dict(peer.engine.parents)} "
+                f"{label}peer{index} thread map {dict(peer.engine.parents)} "
                 f"!= matrix row {dict(expected)}",
             )
         for index in self.killed:
             node_id = self.peers[index].node_id
             self.expect(
                 node_id is None or not core.is_working(node_id),
-                f"killed peer{index} (node {node_id}) still working",
+                f"{label}killed peer{index} (node {node_id}) still working",
             )
             self.expect(
-                node_id is None or node_id in self.server.engine.departed,
-                f"killed peer{index} (node {node_id}) not marked departed",
+                node_id is None or node_id in departed,
+                f"{label}killed peer{index} (node {node_id}) not marked "
+                f"departed",
             )
         for index in self.left:
             node_id = self.peers[index].node_id
             self.expect(
                 node_id not in core.registry,
-                f"left peer{index} (node {node_id}) still registered",
+                f"{label}left peer{index} (node {node_id}) still registered",
             )
             self.expect(
-                node_id is None or node_id in self.server.engine.departed,
-                f"left peer{index} (node {node_id}) not marked departed",
+                node_id is None or node_id in departed,
+                f"{label}left peer{index} (node {node_id}) not marked "
+                f"departed",
             )
+        fresh = self.violations[before:]
+        if fresh:
+            self._record_flight_dump(fresh)
+        return not fresh
+
+    def check_invariants(self) -> None:
+        """The §3-§6 protocol invariants every scenario must end on:
+        :meth:`check_structure` plus delivery — every surviving peer
+        decoded every generation, byte for byte."""
+        before = len(self.violations)
+        self.check_structure()
         for index, peer in self.alive():
             self.expect(peer.completed, f"peer{index} never finished decoding")
             if peer.completed:
@@ -501,6 +529,7 @@ class ChaosHarness:
                     f"peer{index} decoded the wrong bytes",
                 )
         if len(self.violations) > before:
+            # one dump naming structural and delivery violations together
             self._record_flight_dump(self.violations[before:])
 
     def _record_flight_dump(self, new_violations: list[str]) -> None:

@@ -248,48 +248,6 @@ class _SoakRun:
                 node_id=-1 if node_id is None else node_id,
             ))
 
-    # -- invariants ----------------------------------------------------
-
-    def _check_epoch(self, epoch: int) -> bool:
-        """Structural invariants that must hold at every epoch boundary.
-
-        Decode completion is a liveness property (fresh joiners are
-        legitimately mid-decode) and is only demanded at the end of the
-        run; what every epoch must show is a consistent control plane:
-        thread maps matching the matrix and every departure spliced out.
-        """
-        harness = self.harness
-        before = len(harness.violations)
-        core = harness.server.engine.core
-        for index, peer in harness.alive():
-            if peer.node_id is None or not core.is_working(peer.node_id):
-                continue
-            expected = core.matrix.parents_of(peer.node_id)
-            harness.expect(
-                dict(peer.engine.parents) == dict(expected),
-                f"epoch {epoch}: peer{index} thread map "
-                f"{dict(peer.engine.parents)} != matrix row {dict(expected)}",
-            )
-        for index in harness.killed:
-            node_id = harness.peers[index].node_id
-            harness.expect(
-                node_id is None or not core.is_working(node_id),
-                f"epoch {epoch}: killed peer{index} (node {node_id}) "
-                f"still working",
-            )
-        for index in harness.left:
-            node_id = harness.peers[index].node_id
-            harness.expect(
-                node_id not in core.registry,
-                f"epoch {epoch}: left peer{index} (node {node_id}) "
-                f"still registered",
-            )
-        fresh = harness.violations[before:]
-        if fresh:
-            harness._record_flight_dump(fresh)
-            return False
-        return True
-
     # -- the run -------------------------------------------------------
 
     async def run(self) -> SoakReport:
@@ -323,7 +281,13 @@ class _SoakRun:
                         )
                         harness._record_flight_dump(harness.violations[-1:])
                     self.epochs_run = epoch + 1
-                    if harness.violations or not self._check_epoch(epoch):
+                    # Decode completion is a liveness property (fresh
+                    # joiners are legitimately mid-decode) and is only
+                    # demanded at the end of the run; every epoch must
+                    # show a consistent control plane.
+                    if harness.violations or not harness.check_structure(
+                        f"epoch {epoch}: "
+                    ):
                         break
             if not harness.violations:
                 self.final_converged = await harness.run_until(

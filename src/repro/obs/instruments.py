@@ -40,7 +40,6 @@ from ..protocol.messages import (
     ComplaintMsg,
     CongestionDrop,
     CongestionRestore,
-    KeepAlive,
     Probe,
     ProbeAck,
 )
@@ -270,8 +269,7 @@ class PeerEngineInstruments:
 
     __slots__ = (
         "events", "effects", "clips", "backoffs",
-        "complaints_sent", "complaints_suppressed",
-        "keepalives_sent", "probe_acks",
+        "complaints_sent", "complaints_suppressed", "probe_acks",
     )
 
     def __init__(self, registry: Registry) -> None:
@@ -286,9 +284,6 @@ class PeerEngineInstruments:
         self.complaints_suppressed = counter(
             "engine.complaints_suppressed",
             "complaints withheld by the one-per-episode rule",
-        )
-        self.keepalives_sent = counter(
-            "engine.keepalives_sent", "keep-alives emitted to children",
         )
         self.probe_acks = counter("engine.probe_acks", "probes answered")
 
@@ -316,7 +311,5 @@ class PeerEngineInstruments:
                 message = effect.message
                 if isinstance(message, ComplaintMsg):
                     self.complaints_sent.inc()
-                elif isinstance(message, KeepAlive):
-                    self.keepalives_sent.inc()
                 elif isinstance(message, ProbeAck):
                     self.probe_acks.inc()

@@ -1,7 +1,7 @@
 """repro.protocol — the sans-IO core of the §3/§5 control protocol.
 
-One implementation of the control plane, three transports.  The
-:class:`ServerEngine` (hello/good-bye, EOF-crash fast path,
+One implementation of the control plane, one driver, two transports.
+The :class:`ServerEngine` (hello/good-bye, EOF-crash fast path,
 complaint→probe→repair slow path, §5 congestion) and
 :class:`PeerEngine` (clip/re-clip, silence detection, complaint
 emission, reconnect backoff) are pure state machines: they consume
@@ -9,11 +9,9 @@ typed :mod:`~repro.protocol.events` and return typed
 :mod:`~repro.protocol.effects`, and never import asyncio, sockets, or
 the simulators.  Drivers own the I/O:
 
-* :mod:`repro.protocol_sim.actors` pumps effects through the
-  discrete-event :class:`~repro.protocol_sim.network.MessageNetwork`;
-* :mod:`repro.net.server` / :mod:`repro.net.peer` pump them through
+* :mod:`repro.net.server` / :mod:`repro.net.peer` pump effects through
   the :class:`~repro.net.transport.Transport` seam (real asyncio TCP
-  or the in-memory chaos network);
+  or the in-memory chaos network under virtual time);
 * the chaos harness asserts protocol invariants against the engines'
   state directly.
 
@@ -39,15 +37,12 @@ from .effects import (
 from .events import (
     ConnectionLost,
     Event,
-    KeepAliveTick,
     MessageReceived,
     ServerLost,
-    SilenceCheck,
     TimerFired,
     UpstreamDown,
 )
 from .messages import (
-    SERVER_ADDRESS,
     AttachChild,
     ComplaintMsg,
     CongestionDrop,
@@ -67,7 +62,6 @@ from .server_engine import ServerEngine
 from .trace import EngineLog, replay
 
 __all__ = [
-    "SERVER_ADDRESS",
     "Admitted",
     "AttachChild",
     "Backoff",
@@ -86,7 +80,6 @@ __all__ = [
     "JoinGrant",
     "JoinRequest",
     "KeepAlive",
-    "KeepAliveTick",
     "LeaveRequest",
     "MessageReceived",
     "PeerDeparted",
@@ -98,7 +91,6 @@ __all__ = [
     "ServerEngine",
     "ServerLost",
     "SetParent",
-    "SilenceCheck",
     "StartTimer",
     "StopThread",
     "ThreadRemoved",

@@ -4,15 +4,13 @@ Effects are data, not actions.  ``engine.handle(event)`` returns a list
 of them, in the exact order the driver must perform them (send order is
 part of the protocol: a ``SetParent`` overtaking its ``AttachChild``
 re-introduces the stale-topology race the FIFO control channel exists
-to prevent).  Drivers translate each effect into their transport's
-vocabulary — a datagram send, a stream write, an asyncio task, a
-simulator timer — or ignore effects that have no meaning there (the
-message simulator has no data connections to ``Clip``).
+to prevent).  The driver translates each effect into its transport's
+vocabulary — a stream write, an asyncio task, a clock timer.
 
 Notification effects (``Admitted``, ``ComplaintNoted``,
 ``PeerDeparted``) carry no protocol obligation; they exist so drivers
-can keep their own bookkeeping (stats counters, repair-latency records,
-peer handles) without reimplementing the decision logic.
+can keep their own bookkeeping (stats counters, peer handles) without
+reimplementing the decision logic.
 """
 
 from __future__ import annotations

@@ -3,13 +3,11 @@
 An event is a plain frozen dataclass; the engines never look at a
 socket, a clock, or an event loop — whatever happened out there is
 narrated to them through one of these.  Drivers construct events from
-their transport of choice (delivered datagrams, stream EOFs, fired
+their transport (delivered control frames, stream EOFs, fired
 timers, read timeouts) and feed them to ``engine.handle``.
 
-Timestamps: engines are clockless.  Events that feed time-based logic
-(keep-alive bookkeeping, silence scans) carry an explicit ``now`` so a
-discrete-event simulator, a virtual clock, and the wall clock all look
-the same from inside the engine.
+Engines are clockless: whatever is time-based (read timeouts, probe
+timers, backoff sleeps) the driver times and narrates as an event.
 """
 
 from __future__ import annotations
@@ -20,10 +18,8 @@ from typing import Optional
 __all__ = [
     "ConnectionLost",
     "Event",
-    "KeepAliveTick",
     "MessageReceived",
     "ServerLost",
-    "SilenceCheck",
     "TimerFired",
     "UpstreamDown",
 ]
@@ -40,7 +36,6 @@ class MessageReceived:
 
     message: object
     sender: Optional[object] = None
-    now: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -60,26 +55,11 @@ class TimerFired:
 
 
 @dataclass(frozen=True)
-class KeepAliveTick:
-    """Peer driver cadence: time to emit per-thread keep-alives."""
-
-    now: float = 0.0
-
-
-@dataclass(frozen=True)
-class SilenceCheck:
-    """Peer driver cadence: scan incoming threads for silence
-    (timestamp-based detection, used by datagram drivers)."""
-
-    now: float = 0.0
-
-
-@dataclass(frozen=True)
 class UpstreamDown:
-    """A peer's upstream connection on ``column`` ended (stream-based
-    detection, used by connection drivers).  ``saw_traffic`` is True if
-    any packet or keep-alive arrived during the session — a healthy
-    session resets the reconnect backoff."""
+    """A peer's upstream connection on ``column`` ended — closed by the
+    parent or cut by the driver's read timeout.  ``saw_traffic`` is
+    True if any packet or keep-alive arrived during the session — a
+    healthy session resets the reconnect backoff."""
 
     column: int
     parent: int

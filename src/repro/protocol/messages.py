@@ -1,20 +1,16 @@
 """Protocol messages of the §3/§5 control plane.
 
-These are the protocol's concrete datagrams, shared by every
-incarnation of the control plane: the message-level simulator
-(:mod:`repro.protocol_sim`), the live transport (:mod:`repro.net`,
-which also serialises them to wire frames), and the sans-IO engines in
-this package.  Every message carries a nominal wire size so harnesses
-can report server byte-load; sizes are small constants (a few tens of
-bytes) per the paper's "very small data load on the server" claim.
+These are the protocol's concrete messages, shared by the sans-IO
+engines in this package and their driver (:mod:`repro.net`, which also
+serialises them to wire frames).  Every message carries a nominal wire
+size so harnesses can report server byte-load; sizes are small
+constants (a few tens of bytes) per the paper's "very small data load
+on the server" claim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-#: Address of the server actor (message-simulator transport address).
-SERVER_ADDRESS = "server"
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,10 @@ peer-side protocol decision exactly once:
 
 * **clip / re-clip** — a grant or ``SetParent`` push retargets a
   thread's upstream pump (the live Lemma 1 repair on the child side);
-* **silence detection** — two detector front-ends feed one complaint
-  rule: timestamp scans (:class:`~repro.protocol.events.SilenceCheck`,
-  for datagram drivers whose keep-alives carry the liveness signal) and
-  stream endings (:class:`~repro.protocol.events.UpstreamDown`, for
-  connection drivers whose read timeouts do);
+* **silence detection** — the driver applies its read timeout to each
+  upstream session and reports the ending
+  (:class:`~repro.protocol.events.UpstreamDown`); a session that saw
+  no traffic is a silent thread;
 * **complaint emission** — at most one complaint per column per
   silence episode, re-armed by ``SetParent``, suppressed after the
   server itself is lost (§6) and never against the server;
@@ -18,9 +17,8 @@ peer-side protocol decision exactly once:
   :class:`~repro.protocol.backoff.ReconnectBackoff` schedule, stepped
   on every failed session and reset by a healthy one or a re-clip.
 
-Drivers: :class:`repro.protocol_sim.actors.PeerActor` (datagrams on
-the discrete-event engine) and :class:`repro.net.peer.PeerNode` (real
-or virtual asyncio streams).
+Driver: :class:`repro.net.peer.PeerNode`, on real or virtual asyncio
+streams.
 """
 
 from __future__ import annotations
@@ -39,10 +37,8 @@ from .effects import (
 )
 from .events import (
     Event,
-    KeepAliveTick,
     MessageReceived,
     ServerLost,
-    SilenceCheck,
     UpstreamDown,
 )
 from .messages import (
@@ -50,7 +46,6 @@ from .messages import (
     ComplaintMsg,
     DetachChild,
     JoinGrant,
-    KeepAlive,
     Probe,
     ProbeAck,
     SetParent,
@@ -67,8 +62,6 @@ class PeerEngine:
     Args:
         node_id: Server-assigned id (assignable after construction for
             drivers that learn it from the grant).
-        silence_timeout: Silence on an incoming thread before the
-            timestamp-based detector complains.
         reconnect_base, reconnect_max: Bounds of the per-column
             exponential redial schedule.
     """
@@ -77,12 +70,10 @@ class PeerEngine:
         self,
         node_id: Optional[int] = None,
         *,
-        silence_timeout: float = 1.0,
         reconnect_base: float = 0.05,
         reconnect_max: float = 2.0,
     ) -> None:
         self.node_id = node_id
-        self.silence_timeout = silence_timeout
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
         self.server_lost = False
@@ -92,8 +83,6 @@ class PeerEngine:
         self.children: dict[int, int] = {}
         #: columns already complained about this silence episode
         self.complained: set[int] = set()
-        self._last_heard: dict[int, float] = {}
-        self._attached_at: dict[int, float] = {}
         self._backoffs: dict[int, ReconnectBackoff] = {}
         #: optional event/effect recorder (conformance and replay tests)
         self.log: Optional[EngineLog] = None
@@ -121,14 +110,7 @@ class PeerEngine:
 
     def _dispatch(self, event: Event) -> list[Effect]:
         if isinstance(event, MessageReceived):
-            return self._on_message(event.message, event.now)
-        if isinstance(event, KeepAliveTick):
-            return [
-                Send(child, KeepAlive(column=column, sender=self.node_id))
-                for column, child in self.children.items()
-            ]
-        if isinstance(event, SilenceCheck):
-            return self._on_silence_check(event.now)
+            return self._on_message(event.message)
         if isinstance(event, UpstreamDown):
             return self._on_upstream_down(
                 event.column, event.parent, event.saw_traffic
@@ -141,23 +123,18 @@ class PeerEngine:
     # ------------------------------------------------------------------
     # Control messages
 
-    def _on_message(self, message: object, now: float) -> list[Effect]:
-        if isinstance(message, KeepAlive):
-            self._last_heard[message.column] = now
-            return []
+    def _on_message(self, message: object) -> list[Effect]:
         if isinstance(message, JoinGrant):
-            effects: list[Effect] = []
-            for column, parent in message.assignments:
-                effects.append(self._clip(column, parent, now))
-            return effects
+            return [
+                self._clip(column, parent)
+                for column, parent in message.assignments
+            ]
         if isinstance(message, SetParent):
-            self._last_heard.pop(message.column, None)
             self.complained.discard(message.column)
-            return [self._clip(message.column, message.parent, now)]
+            return [self._clip(message.column, message.parent)]
         if isinstance(message, ThreadRemoved):
             self.parents.pop(message.column, None)
             self.children.pop(message.column, None)
-            self._last_heard.pop(message.column, None)
             self._backoffs.pop(message.column, None)
             self.complained.discard(message.column)
             return [StopThread(column=message.column)]
@@ -172,10 +149,9 @@ class PeerEngine:
                 node_id=self.node_id, nonce=message.nonce))]
         return []
 
-    def _clip(self, column: int, parent: int, now: float) -> Effect:
+    def _clip(self, column: int, parent: int) -> Effect:
         """Retarget one thread's upstream; fresh backoff schedule."""
         self.parents[column] = parent
-        self._attached_at[column] = now
         self._backoffs[column] = ReconnectBackoff(
             self.reconnect_base, self.reconnect_max
         )
@@ -184,24 +160,10 @@ class PeerEngine:
     # ------------------------------------------------------------------
     # Silence detection -> complaints
 
-    def _on_silence_check(self, now: float) -> list[Effect]:
-        """Timestamp-based detector: complain about threads whose
-        keep-alives stopped arriving."""
-        effects: list[Effect] = []
-        for column, parent in self.parents.items():
-            if parent == SERVER:
-                continue  # served directly by the server: assumed reliable
-            last = self._last_heard.get(
-                column, self._attached_at.get(column, now)
-            )
-            if now - last > self.silence_timeout:
-                effects.extend(self._complain(column, parent))
-        return effects
-
     def _on_upstream_down(
         self, column: int, parent: int, saw_traffic: bool
     ) -> list[Effect]:
-        """Stream-based detector: a session on ``column`` ended."""
+        """A session on ``column`` ended; a silent one is a complaint."""
         backoff = self._backoffs.setdefault(
             column, ReconnectBackoff(self.reconnect_base, self.reconnect_max)
         )

@@ -20,10 +20,9 @@ server-side protocol decision exactly once:
 
 The engine consumes :mod:`~repro.protocol.events` and returns
 :mod:`~repro.protocol.effects`; it never touches a socket, a clock, or
-an event loop.  Three drivers pump it: the message-level simulator
-(:mod:`repro.protocol_sim.actors`), the live transport
-(:mod:`repro.net.server`), and — via either of those — the chaos
-harness, which asserts invariants against :attr:`core` directly.
+an event loop.  One driver pumps it, :mod:`repro.net.server`, over
+real sockets or the virtual network; the chaos harness asserts
+invariants against :attr:`core` directly.
 """
 
 from __future__ import annotations

@@ -4,10 +4,9 @@ Attach an :class:`EngineLog` to an engine (``engine.log = EngineLog()``)
 and every ``handle`` call appends its ``(event, effects)`` step.  Two
 properties make the logs useful:
 
-* **conformance** — two drivers pumping the same protocol scenario
-  through their engines must produce identical *effect traces*, however
-  different their transports look (the cross-driver goldens assert
-  this for the message simulator vs. the virtual network);
+* **conformance** — a protocol scenario pumped through the engines
+  produces the same *effect trace* however the transport interleaves
+  (the conformance goldens pin it for the virtual network);
 * **determinism** — replaying a recorded event trace into a fresh,
   identically-seeded engine reproduces the effect trace exactly (the
   hypothesis suite fuzzes this).

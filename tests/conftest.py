@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import signal
 import threading
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core import OverlayNetwork
+from repro.net.testing import ChaosConfig, ChaosHarness
 
 try:
     import pytest_timeout  # noqa: F401
@@ -88,3 +90,38 @@ def uniform_net() -> OverlayNetwork:
     net = OverlayNetwork(k=12, d=3, seed=78, insert_mode="uniform")
     net.grow(40)
     return net
+
+
+@pytest.fixture
+def deploy():
+    """``deploy(script, **config)``: start a :class:`ChaosHarness` on the
+    virtual network, let the joins' control traffic land, await
+    ``script(harness)``, tear down, return the script's result.
+
+    The defaults are the control-plane test geometry: one small
+    generation, sub-second timers, and the ``"innovative"`` forward
+    policy (the default ``"eager"`` policy floods an infinitely fast
+    virtual net at these populations and trips the clock's settle
+    limit).
+    """
+
+    def run(script, **config):
+        config = {
+            "k": 12, "d": 2, "seed": 3, "generations": 1,
+            "keepalive_interval": 0.2, "silence_timeout": 0.5,
+            "probe_timeout": 0.3, "forward_policy": "innovative",
+            "seed_burst": 8, **config,
+        }
+
+        async def main():
+            harness = ChaosHarness(ChaosConfig(**config), record_trace=False)
+            try:
+                await harness.start()
+                await harness.settle(1.0)
+                return await script(harness)
+            finally:
+                await harness.teardown()
+
+        return asyncio.run(main())
+
+    return run

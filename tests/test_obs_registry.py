@@ -182,18 +182,16 @@ class TestInstruments:
     def test_peer_instruments_classify_effects(self):
         from repro.obs import PeerEngineInstruments
         from repro.protocol.effects import Backoff, Clip, Send
-        from repro.protocol.messages import ComplaintMsg, KeepAlive
+        from repro.protocol.messages import ComplaintMsg
 
         registry = Registry("r")
         instruments = PeerEngineInstruments(registry)
         instruments.record_step("ev", [Clip(column=0, parent=1)])
         instruments.record_step("ev", [Backoff(column=0, delay=0.1)])
         instruments.record_step(
-            "ev", [Send(0, ComplaintMsg(reporter=1, column=0, suspect=3)),
-                   Send(0, KeepAlive(column=0, sender=1))]
+            "ev", [Send(0, ComplaintMsg(reporter=1, column=0, suspect=3))]
         )
         snap = registry.snapshot()["counters"]
         assert snap["engine.clips"] == 1
         assert snap["engine.backoffs"] == 1
         assert snap["engine.complaints_sent"] == 1
-        assert snap["engine.keepalives_sent"] == 1

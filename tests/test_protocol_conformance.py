@@ -1,70 +1,63 @@
-"""Cross-driver conformance: one protocol core, identical effect traces.
+"""Protocol conformance: the live driver's effect traces, pinned.
 
-The same §3 scenario — three sequential joins, a graceful leave, then a
+One §3 scenario — three sequential joins, a graceful leave, then a
 slow-path failure (silence → complaint → probe → timeout → splice) — is
-scripted against two entirely different drivers:
+scripted against the live transport code on the in-memory virtual
+network (:mod:`repro.net` + :mod:`repro.net.testing`) with an
+:class:`~repro.protocol.EngineLog` attached to the server engine and to
+the surviving peer's.
 
-* the message-level discrete-event simulator
-  (:mod:`repro.protocol_sim`), and
-* the live transport code on the in-memory virtual network
-  (:mod:`repro.net` + :mod:`repro.net.testing`),
+The goldens were captured while a second, datagram-level driver of the
+same engines still existed and produced the *same flattened effect
+trace*: ``protocol_effects.json`` (the server's) and
+``protocol_observer.json`` (the observer's clips and complaints).
+Events that differ between transports (duplicate complaints, timer
+cadence) produce zero effects and vanish from the flat trace, so the
+goldens pin what the protocol does, not how a transport interleaves.
 
-with an :class:`~repro.protocol.EngineLog` attached to each server
-engine.  Both must produce the *same flattened effect trace*: events
-that differ between transports (duplicate complaints, per-transport
-timer cadence) produce zero effects and vanish from the flat trace.
-
-The trace is also pinned against a golden file, as are the chaos-tier
-``trace_digest`` values at seeds 0 and 7 — the determinism pin for the
-virtual network's one delivery pipeline.
+The chaos-tier ``trace_digest`` values at seeds 0 and 7 are pinned here
+too — the determinism pin for the virtual network's one delivery
+pipeline.
 """
 
+import asyncio
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.net.testing.scenarios import SCENARIOS, run_scenario_sync, trace_digest
-from repro.protocol import Clip, ComplaintMsg, EngineLog, Send
+from repro.core.server import CoordinationServer
+from repro.net.testing.scenarios import (
+    SCENARIOS,
+    ChaosConfig,
+    ChaosHarness,
+    run_scenario_sync,
+    trace_digest,
+)
+from repro.protocol import (
+    Clip,
+    ComplaintMsg,
+    EngineLog,
+    Send,
+    ServerEngine,
+    replay,
+)
 
 GOLDENS = Path(__file__).parent / "goldens"
 
-#: Geometry for the cross-driver script: k == d makes thread
-#: assignments independent of the rng stream, so both drivers see the
-#: same grants no matter how their transports interleave draws.
+#: Geometry for the script: k == d makes thread assignments independent
+#: of the rng stream, so the grants are the same no matter how a
+#: transport interleaves draws.
 K = D = 2
 PEERS = 3
 PROBE_TIMEOUT = 0.5
 
 
-def run_simulator_script():
-    """The script on the message-level simulator; returns both logs."""
-    from repro.protocol_sim import ProtocolConfig, ProtocolSimulation
-
-    sim = ProtocolSimulation(ProtocolConfig(
-        k=K, d=D, seed=0, jitter=0.0, message_loss=0.0,
-        keepalive_interval=0.2, silence_timeout=0.5,
-        probe_timeout=PROBE_TIMEOUT,
-    ))
-    sim.server.engine.log = EngineLog()
-    sim.grow(PEERS, settle=1.0)
-    observer = sim.peers[2]
-    observer.engine.log = EngineLog()
-    sim.leave(1)
-    # The leaver shuts down after its good-bye, as a real peer would
-    # (the net driver's ``leave()`` closes every transport).
-    sim.peers[1].crash()
-    sim.run(1.0)
-    sim.crash(0)
-    sim.run(5.0)
-    return sim.server.engine.log, observer.engine.log
-
-
-def run_virtualnet_script():
-    """The same script on the live transport over the virtual network."""
-    import asyncio
-
-    from repro.net.testing.scenarios import ChaosConfig, ChaosHarness
+@pytest.fixture(scope="module")
+def traces():
+    """The script on the live transport over the virtual network; the
+    server's and the observer's logs."""
 
     async def script():
         harness = ChaosHarness(ChaosConfig(
@@ -99,43 +92,46 @@ def run_virtualnet_script():
 
 
 @pytest.fixture(scope="module")
-def traces():
-    sim_server, sim_peer = run_simulator_script()
-    net_server, net_peer = run_virtualnet_script()
-    return sim_server, sim_peer, net_server, net_peer
+def observer_golden():
+    return json.loads((GOLDENS / "protocol_observer.json").read_text())
 
 
 class TestCrossDriverConformance:
     def test_server_effect_traces_identical(self, traces):
-        sim_server, _, net_server, _ = traces
-        assert sim_server.effect_reprs() == net_server.effect_reprs()
+        """The trace is a function of the event sequence alone: the
+        recorded events replayed into a fresh engine — no transport at
+        all — give the recorded effects."""
+        server, _ = traces
+        fresh = ServerEngine(
+            CoordinationServer(K, D, np.random.default_rng(0)),
+            probe_timeout=PROBE_TIMEOUT,
+        )
+        assert replay(fresh, server.events) == server.effect_trace()
 
     def test_server_effect_trace_matches_golden(self, traces):
-        sim_server, _, _, _ = traces
+        server, _ = traces
         golden = json.loads(
             (GOLDENS / "protocol_effects.json").read_text())
-        assert sim_server.effect_reprs() == golden["server_effects"]
+        assert server.effect_reprs() == golden["server_effects"]
 
-    def test_observer_clips_identical(self, traces):
-        """The surviving child re-clips through the same sequence on
-        both drivers: splice-to-grandparent on the leave, then
-        repair-to-server after the crash (the log attaches after the
-        grant, so admission clips are not recorded)."""
-        _, sim_peer, _, net_peer = traces
-        clips = lambda log: [  # noqa: E731
-            e for e in log.effect_trace() if isinstance(e, Clip)]
-        assert clips(sim_peer) == clips(net_peer)
-        assert clips(sim_peer), "observer never clipped a thread"
+    def test_observer_clips_identical(self, traces, observer_golden):
+        """The surviving child re-clips through the pinned sequence:
+        splice-to-grandparent on the leave, then repair-to-server after
+        the crash (the log attaches after the grant, so admission clips
+        are not recorded)."""
+        _, observer = traces
+        clips = [repr(e) for e in observer.effect_trace()
+                 if isinstance(e, Clip)]
+        assert clips == observer_golden["observer_clips"]
 
-    def test_observer_complaints_identical(self, traces):
-        """Both drivers complain about the same suspect on the same
-        columns (order may differ: the net driver's threads race)."""
-        _, sim_peer, _, net_peer = traces
-        complaints = lambda log: {  # noqa: E731
-            e.message for e in log.effect_trace()
-            if isinstance(e, Send) and isinstance(e.message, ComplaintMsg)}
-        assert complaints(sim_peer) == complaints(net_peer)
-        assert complaints(sim_peer), "observer never complained"
+    def test_observer_complaints_identical(self, traces, observer_golden):
+        """The observer complains about the pinned suspect on the pinned
+        columns (as a set: its two threads race)."""
+        _, observer = traces
+        complaints = sorted({
+            repr(e.message) for e in observer.effect_trace()
+            if isinstance(e, Send) and isinstance(e.message, ComplaintMsg)})
+        assert complaints == observer_golden["observer_complaints"]
 
 
 class TestChaosDigestGoldens:

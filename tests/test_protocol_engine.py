@@ -27,7 +27,6 @@ from repro.protocol import (
     JoinGrant,
     JoinRequest,
     KeepAlive,
-    KeepAliveTick,
     LeaveRequest,
     MessageReceived,
     PeerEngine,
@@ -35,7 +34,6 @@ from repro.protocol import (
     Send,
     ServerEngine,
     SetParent,
-    SilenceCheck,
     ThreadRemoved,
     TimerFired,
     UpstreamDown,
@@ -155,13 +153,10 @@ peer_events = st.lists(
             st.integers(0, 3),
         ),
         st.builds(
-            lambda column, sender, now: MessageReceived(
-                KeepAlive(column=column, sender=sender), now=now),
+            lambda column, sender: MessageReceived(
+                KeepAlive(column=column, sender=sender)),
             st.integers(0, 3), st.integers(0, 5),
-            st.floats(0, 100, allow_nan=False),
         ),
-        st.builds(KeepAliveTick, now=st.floats(0, 100, allow_nan=False)),
-        st.builds(SilenceCheck, now=st.floats(0, 100, allow_nan=False)),
         st.builds(
             UpstreamDown,
             column=st.integers(0, 3),
@@ -178,12 +173,12 @@ class TestPeerEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(events=peer_events)
     def test_replay_reproduces_effect_trace(self, events):
-        recorded = PeerEngine(7, silence_timeout=1.0)
+        recorded = PeerEngine(7)
         recorded.log = EngineLog()
         for event in events:
             recorded.handle(event)
 
-        fresh = PeerEngine(7, silence_timeout=1.0)
+        fresh = PeerEngine(7)
         assert replay(fresh, events) == recorded.log.effect_trace()
         assert fresh.parents == recorded.parents
         assert fresh.children == recorded.children

@@ -1,9 +1,9 @@
 """Tier-1 wrapper around the sans-IO layering contract.
 
 ``repro.protocol`` must never import asyncio, sockets, or any driver
-package (``repro.net``, ``repro.sim``, ``repro.protocol_sim``).  CI's
-lint job runs ``tools/check_layering.py`` directly; this test keeps the
-contract enforced for anyone who only runs pytest.
+package (``repro.net``, ``repro.sim``).  CI's lint job runs
+``tools/check_layering.py`` directly; this test keeps the contract
+enforced for anyone who only runs pytest.
 """
 
 import sys

@@ -1,271 +1,208 @@
-"""Unit tests for the actor-level protocol simulation."""
+"""The §3/§5 control protocol end to end under virtual time.
+
+These tests drive :mod:`repro.net` — the ``ServerNode``/``PeerNode``
+pumps that ship — on the in-memory virtual network through
+:class:`~repro.net.testing.ChaosHarness` (the ``deploy`` fixture): joins
+and good-byes, silent failure → complaint → probe → repair and its
+timing on the virtual clock, and the §5 congestion hand-off.  A silent
+failure is ``isolate`` (a partition: the slow path); ``kill`` would
+close the control connection and take the EOF fast path instead.
+"""
 
 import pytest
 
-from repro.protocol_sim import (
-    SERVER_ADDRESS,
-    JoinRequest,
-    MessageNetwork,
-    ProtocolConfig,
-    ProtocolSimulation,
+from repro.net.testing import ChaosHarness
+from repro.protocol import (
+    ComplaintMsg,
+    CongestionDrop,
+    LeaveRequest,
+    MessageReceived,
 )
-from repro.sim import Simulator
 
 
-def make_sim(**overrides):
-    config = ProtocolConfig(k=12, d=2, seed=3, **overrides)
-    return ProtocolSimulation(config)
+def feeders(h: ChaosHarness) -> list[int]:
+    """Indices of the peers that currently feed another peer."""
+    return list(dict.fromkeys(parent for parent, _, _ in h.data_edges()))
 
 
-class TestNetwork:
-    def test_delivery_with_latency(self, rng):
-        sim = Simulator()
-        network = MessageNetwork(sim, rng, base_latency=0.1, jitter=0.0)
-        inbox = []
-
-        class Sink:
-            def handle(self, message, sender):
-                inbox.append((sim.now, message, sender))
-
-        network.register("sink", Sink())
-        network.send("src", "sink", JoinRequest(reply_to=1))
-        sim.run()
-        assert len(inbox) == 1
-        assert inbox[0][0] == pytest.approx(0.1)
-        assert inbox[0][2] == "src"
-
-    def test_loss(self, rng):
-        sim = Simulator()
-        network = MessageNetwork(sim, rng, loss_rate=0.5)
-        received = []
-
-        class Sink:
-            def handle(self, message, sender):
-                received.append(message)
-
-        network.register("sink", Sink())
-        for _ in range(200):
-            network.send("src", "sink", JoinRequest(reply_to=1))
-        sim.run()
-        assert 60 < len(received) < 140
-        assert network.stats.dropped == 200 - len(received)
-
-    def test_unknown_destination_silently_dropped(self, rng):
-        sim = Simulator()
-        network = MessageNetwork(sim, rng)
-        network.send("src", "ghost", JoinRequest(reply_to=1))
-        sim.run()  # no exception
-
-    def test_stats_accounting(self, rng):
-        sim = Simulator()
-        network = MessageNetwork(sim, rng)
-        network.send("a", "b", JoinRequest(reply_to=1))
-        assert network.stats.messages["JoinRequest"] == 1
-        assert network.stats.total_bytes() == 16
-
-    def test_parameter_validation(self, rng):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            MessageNetwork(sim, rng, base_latency=-1)
-        with pytest.raises(ValueError):
-            MessageNetwork(sim, rng, loss_rate=1.0)
-
-    def test_fifo_preserves_per_channel_order(self, rng):
-        """Jitter must not reorder a channel's messages (TCP semantics);
-        regression for a real race: a stale AttachChild overtaking a
-        fresh one under §5 uniform insertion."""
-        sim = Simulator()
-        network = MessageNetwork(sim, rng, base_latency=0.01, jitter=0.5)
-        received = []
-
-        class Sink:
-            def handle(self, message, sender):
-                received.append(message.reply_to)
-
-        network.register("sink", Sink())
-        for index in range(50):
-            network.send("src", "sink", JoinRequest(reply_to=index))
-        sim.run()
-        assert received == list(range(50))
-
-    def test_datagram_mode_can_reorder(self, rng):
-        sim = Simulator()
-        network = MessageNetwork(sim, rng, base_latency=0.01, jitter=0.5,
-                                 fifo=False)
-        received = []
-
-        class Sink:
-            def handle(self, message, sender):
-                received.append(message.reply_to)
-
-        network.register("sink", Sink())
-        for index in range(50):
-            network.send("src", "sink", JoinRequest(reply_to=index))
-        sim.run()
-        assert sorted(received) == list(range(50))
-        assert received != list(range(50))  # jitter reorders datagrams
+async def isolate_and_time_repair(h: ChaosHarness, index: int) -> float:
+    """Silently fail one peer; virtual seconds until the server splices
+    it out."""
+    before = h.server.stats.repairs
+    t0 = h.clock.time()
+    h.isolate(index)
+    assert await h.run_until(
+        lambda: h.server.stats.repairs > before, timeout=10.0)
+    return h.clock.time() - t0
 
 
 class TestJoinLeave:
-    def test_grow_builds_consistent_views(self):
-        sim = make_sim()
-        sim.grow(25, settle=3.0)
-        assert len(sim.peers) == 25
-        assert sim.core.population == 25
-        assert sim.consistency_check()
+    def test_grow_builds_consistent_views(self, deploy):
+        async def script(h):
+            assert len(h.peers) == 25
+            assert h.server.core.population == 25
+            assert h.check_structure(), h.violations
 
-    def test_graceful_leave_updates_views(self):
-        sim = make_sim()
-        sim.grow(20, settle=3.0)
-        victim = sim.core.matrix.node_ids[4]
-        sim.leave(victim)
-        sim.run(2.0)
-        assert victim not in sim.core.matrix
-        assert sim.consistency_check()
+        deploy(script, peers=25)
 
-    def test_leave_of_unknown_is_ignored(self):
-        sim = make_sim()
-        sim.grow(5, settle=2.0)
-        from repro.protocol.messages import LeaveRequest
+    def test_graceful_leave_updates_views(self, deploy):
+        async def script(h):
+            victim = h.server.core.matrix.node_ids[4]
+            await h.leave(h.index_of(victim))
+            await h.settle(0.5)
+            assert victim not in h.server.core.matrix
+            assert h.check_structure(), h.violations
 
-        sim.network.send(999, SERVER_ADDRESS, LeaveRequest(node_id=999))
-        sim.run(1.0)
-        assert sim.core.population == 5
+        deploy(script, peers=20)
+
+    def test_leave_of_unknown_is_ignored(self, deploy):
+        async def script(h):
+            assert h.server.engine.handle(MessageReceived(
+                LeaveRequest(node_id=999), sender=999)) == []
+            assert h.server.core.population == 5
+
+        deploy(script, peers=5)
 
 
 class TestFailureDetectionAndRepair:
-    def _sim_with_victim(self):
-        sim = make_sim()
-        sim.grow(25, settle=3.0)
-        victims = [
-            n for n in sim.core.matrix.node_ids
-            if any(c is not None
-                   for c in sim.core.matrix.children_of(n).values())
-        ]
-        return sim, victims[0]
+    def test_crash_is_detected_and_repaired(self, deploy):
+        async def script(h):
+            victim = h.pick_parent()
+            node_id = h.peers[victim].node_id
+            await isolate_and_time_repair(h, victim)
+            await h.settle(1.0)
+            assert node_id not in h.server.core.matrix
+            assert h.server.stats.repairs == 1
+            assert node_id in h.server.engine.departed
+            assert h.check_structure(), h.violations
 
-    def test_crash_is_detected_and_repaired(self):
-        sim, victim = self._sim_with_victim()
-        sim.crash(victim)
-        sim.run(4.0)
-        assert victim not in sim.core.matrix
-        records = sim.completed_repairs()
-        assert len(records) == 1
-        assert records[0].victim == victim
-        assert sim.consistency_check()
+        deploy(script, peers=25)
 
-    def test_repair_latency_bounded_by_timers(self):
-        sim, victim = self._sim_with_victim()
-        sim.crash(victim)
-        sim.run(5.0)
-        latency = sim.repair_latencies()[0]
-        config = sim.config
-        # silence detection + probe + a few network hops
-        upper = (config.silence_timeout + 2 * config.keepalive_interval
-                 + config.probe_timeout + 6 * (config.base_latency + config.jitter))
-        assert 0 < latency <= upper
+    def test_repair_latency_bounded_by_timers(self, deploy):
+        async def script(h):
+            latency = await isolate_and_time_repair(h, h.pick_parent())
+            config = h.config
+            # silence detection + probe, observed at emission-round steps
+            upper = (config.silence_timeout + 2 * config.keepalive_interval
+                     + config.probe_timeout + config.send_interval)
+            assert 0 < latency <= upper
 
-    def test_alive_node_survives_spurious_complaint(self):
-        from repro.protocol.messages import ComplaintMsg
+        deploy(script, peers=25)
 
-        sim = make_sim()
-        sim.grow(15, settle=3.0)
-        suspect = sim.core.matrix.node_ids[2]
-        reporter = sim.core.matrix.node_ids[10]
-        sim.network.send(reporter, SERVER_ADDRESS,
-                         ComplaintMsg(reporter=reporter, column=0,
-                                      suspect=suspect))
-        sim.run(3.0)
-        assert suspect in sim.core.matrix  # the probe was answered
+    def test_alive_node_survives_spurious_complaint(self, deploy):
+        async def script(h):
+            node_ids = h.server.core.matrix.node_ids
+            suspect, reporter = node_ids[2], node_ids[10]
+            h.peers[h.index_of(reporter)]._write_control(ComplaintMsg(
+                reporter=reporter, column=0, suspect=suspect))
+            await h.settle(1.0)
+            assert h.server.stats.probes == 1
+            assert h.server.stats.repairs == 0
+            assert suspect in h.server.core.matrix  # the probe was answered
 
-    def test_leaf_crash_unnoticed_without_children(self):
+        deploy(script, peers=15)
+
+    def test_leaf_crash_unnoticed_without_children(self, deploy):
         """A node with no children never triggers complaints — its row
         stays until some child would depend on it (the paper's model:
         detection is complaint-driven)."""
-        sim = make_sim()
-        sim.grow(10, settle=3.0)
-        leaves = [
-            n for n in sim.core.matrix.node_ids
-            if all(c is None for c in sim.core.matrix.children_of(n).values())
-        ]
-        if not leaves:
-            pytest.skip("no childless node in this topology")
-        sim.crash(leaves[0])
-        sim.run(3.0)
-        assert leaves[0] in sim.core.matrix
-        assert not sim.completed_repairs()
 
-    def test_message_loss_delays_but_does_not_break(self):
-        sim = make_sim(message_loss=0.1)
-        sim.grow(20, settle=4.0)
-        victims = [
-            n for n in sim.core.matrix.node_ids
-            if any(c is not None
-                   for c in sim.core.matrix.children_of(n).values())
-        ]
-        sim.crash(victims[0])
-        sim.run(10.0)
-        assert victims[0] not in sim.core.matrix
+        async def script(h):
+            matrix = h.server.core.matrix
+            leaves = [
+                n for n in matrix.node_ids
+                if all(c is None for c in matrix.children_of(n).values())
+            ]
+            if not leaves:
+                pytest.skip("no childless node in this topology")
+            h.isolate(h.index_of(leaves[0]))
+            await h.settle(2.0)
+            assert leaves[0] in matrix
+            assert h.server.stats.repairs == 0
 
-    def test_two_simultaneous_crashes(self):
-        sim = make_sim()
-        sim.grow(30, settle=3.0)
-        parents = [
-            n for n in sim.core.matrix.node_ids
-            if any(c is not None
-                   for c in sim.core.matrix.children_of(n).values())
-        ]
-        first, second = parents[0], parents[1]
-        sim.crash(first)
-        sim.crash(second)
-        sim.run(6.0)
-        assert first not in sim.core.matrix
-        assert second not in sim.core.matrix
-        assert sim.consistency_check()
+        deploy(script, peers=10)
+
+    def test_message_loss_delays_but_does_not_break(self, deploy):
+        async def script(h):
+            for index in range(len(h.peers)):
+                h.net.set_link(h.host(index), h.server_host, loss=0.1)
+            victim = h.pick_parent()
+            node_id = h.peers[victim].node_id
+            h.isolate(victim)
+            assert await h.run_until(
+                lambda: node_id not in h.server.core.matrix, timeout=10.0)
+
+        deploy(script, peers=20)
+
+    def test_two_simultaneous_crashes(self, deploy):
+        async def script(h):
+            first, second = feeders(h)[:2]
+            h.isolate(first)
+            h.isolate(second)
+            await h.settle(3.0)
+            matrix = h.server.core.matrix
+            assert h.peers[first].node_id not in matrix
+            assert h.peers[second].node_id not in matrix
+            assert h.check_structure(), h.violations
+
+        deploy(script, peers=30)
 
 
 class TestServerLoad:
-    def test_keepalives_dominate_but_control_is_light(self):
-        sim = make_sim()
-        sim.grow(25, settle=5.0)
-        stats = sim.network.stats
-        control = stats.total_messages() - stats.messages.get("KeepAlive", 0)
-        # control-plane messages are O(N·d), keep-alives are the data plane
-        assert control < 0.2 * stats.total_messages()
-        assert stats.messages["JoinGrant"] == 25
+    def test_keepalives_dominate_but_control_is_light(self, deploy):
+        async def script(h):
+            await h.settle(2.0)
+            snapshot = h.server.registry.snapshot()
+            control = snapshot["counters"]["engine.effects"]
+            streamed = (snapshot["gauges"]["net.sender.sent"]
+                        + snapshot["gauges"]["net.sender.keepalives"])
+            # control-plane messages are O(N·d), the streams are the load
+            assert control < 0.2 * (control + streamed)
+            assert snapshot["counters"]["engine.joins"] == 25
+
+        deploy(script, peers=25)
 
 
 class TestActorCongestion:
-    def test_shed_and_restore_cycle(self):
-        sim = make_sim()
-        sim.grow(20, settle=3.0)
-        node = sim.core.matrix.node_ids[5]
-        degree_before = sim.core.matrix.row(node).degree
-        sim.congest(node)
-        sim.run(2.0)
-        assert sim.core.matrix.row(node).degree == degree_before - 1
-        assert sim.consistency_check()
-        sim.uncongest(node)
-        sim.run(2.0)
-        assert sim.core.matrix.row(node).degree == degree_before
-        assert sim.consistency_check()
+    def test_shed_and_restore_cycle(self, deploy):
+        async def script(h):
+            matrix = h.server.core.matrix
+            node = matrix.node_ids[5]
+            index = h.index_of(node)
+            peer = h.peers[index]
+            degree_before = matrix.row(node).degree
+            h.congest(index)
+            await h.settle(0.5)
+            assert matrix.row(node).degree == degree_before - 1
+            assert set(peer._thread_tasks) == set(peer.parents)
+            assert h.check_structure(), h.violations
+            h.uncongest(index)
+            await h.settle(0.5)
+            assert matrix.row(node).degree == degree_before
+            assert set(peer._thread_tasks) == set(peer.parents)
+            assert h.check_structure(), h.violations
 
-    def test_shed_to_floor_refused(self):
-        sim = make_sim()
-        sim.grow(15, settle=3.0)
-        node = sim.core.matrix.node_ids[3]
-        for _ in range(5):  # d=2: only one drop possible
-            sim.congest(node)
-            sim.run(1.5)
-        assert sim.core.matrix.row(node).degree == 1
-        assert sim.consistency_check()
+        deploy(script, peers=20)
 
-    def test_failed_node_congestion_ignored(self):
-        sim = make_sim()
-        sim.grow(15, settle=3.0)
-        node = sim.core.matrix.node_ids[2]
-        sim.crash(node)
-        sim.run(4.0)  # node is repaired away
-        sim.congest(node)
-        sim.run(1.0)  # must not raise; message ignored
-        assert node not in sim.core.matrix
+    def test_shed_to_floor_refused(self, deploy):
+        async def script(h):
+            matrix = h.server.core.matrix
+            node = matrix.node_ids[3]
+            for _ in range(5):  # d=2: only one drop possible
+                h.congest(h.index_of(node))
+                await h.settle(0.5)
+            assert matrix.row(node).degree == 1
+            assert h.check_structure(), h.violations
+
+        deploy(script, peers=15)
+
+    def test_failed_node_congestion_ignored(self, deploy):
+        async def script(h):
+            victim = h.pick_parent()
+            node = h.peers[victim].node_id
+            await isolate_and_time_repair(h, victim)
+            assert h.server.engine.handle(MessageReceived(
+                CongestionDrop(node_id=node), sender=node)) == []
+            assert node not in h.server.core.matrix
+
+        deploy(script, peers=15)

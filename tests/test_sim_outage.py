@@ -128,12 +128,9 @@ class TestMetricsExport:
 
 
 class TestProtocolInsertMode:
-    def test_uniform_mode_deployment(self):
-        from repro.protocol_sim import ProtocolConfig, ProtocolSimulation
+    def test_uniform_mode_deployment(self, deploy):
+        async def script(h):
+            assert h.server.core.insert_mode == "uniform"
+            assert h.check_structure(), h.violations
 
-        sim = ProtocolSimulation(
-            ProtocolConfig(k=10, d=2, seed=4, insert_mode="uniform")
-        )
-        sim.grow(25, settle=4.0)
-        assert sim.core.insert_mode == "uniform"
-        assert sim.consistency_check()
+        deploy(script, peers=25, k=10, seed=4, insert_mode="uniform")

@@ -6,8 +6,8 @@ knowledge of any driver.  This checker walks the package's ASTs and
 rejects any import of
 
 * ``asyncio`` (or any stdlib I/O loop: ``socket``, ``selectors``),
-* ``repro.net`` / ``repro.sim`` / ``repro.protocol_sim`` — the drivers
-  that pump the engines must depend on the core, never the reverse —
+* ``repro.net`` / ``repro.sim`` — the drivers that pump the engines
+  must depend on the core, never the reverse —
 
 whether spelled absolute or relative (``from ..net import ...``).
 
@@ -52,12 +52,11 @@ BANNED_ROOTS = {
     "selectors",
     "repro.net",
     "repro.sim",
-    "repro.protocol_sim",
 }
 
 #: Sibling packages of ``repro.protocol`` that are off-limits when
 #: reached by relative import (``from ..net import ...``).
-BANNED_SIBLINGS = {"net", "sim", "protocol_sim"}
+BANNED_SIBLINGS = {"net", "sim"}
 
 
 def _banned(module: str) -> bool:
