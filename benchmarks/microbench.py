@@ -325,7 +325,7 @@ def bench_recode_batch(budget_s: float,
       per second as the live peers produce them.
 
     Geometry matches the live transport's default streaming shape
-    (``LoopbackConfig``: generation size 8, 64-byte payloads), where
+    (``ChaosConfig``: generation size 8, 64-byte payloads), where
     each emit is dominated by per-call overhead rather than GF compute
     — the regime the batched fan-out was built for.  Each arm pair is
     measured in ``trials`` interleaved slices and the medians reported,
@@ -406,7 +406,7 @@ def bench_net_throughput(quick: bool) -> dict[str, float]:
     from repro.net.framing import encode_mixture_frames
     from repro.net.streams import PacketSender
 
-    # The live transport's default streaming geometry (LoopbackConfig):
+    # The live transport's default streaming geometry (ChaosConfig):
     # small frames, where per-frame overhead — serialisation, queueing,
     # per-write syscalls — dominates.
     generation_size, payload_size = 8, 64

@@ -167,17 +167,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_demo(args: argparse.Namespace) -> int:
     """One-process live deployment: server + N peers over loopback TCP."""
-    from .net import LoopbackConfig, run_loopback_sync
+    from .net.testing import ChaosConfig, ChaosHarness
+    from .obs import snapshot_obj
+    from .obs.http import MetricsServer
 
+    if args.peers < 1 or args.kill >= args.peers:
+        print(f"demo: need --peers >= 1 and --kill below it, got "
+              f"--peers {args.peers} --kill {args.kill}", file=sys.stderr)
+        return 2
     loop_name = _install_event_loop(args.no_uvloop)
     _configure_logging(args.log_level)
-    config = LoopbackConfig(
+    config = ChaosConfig(
         peers=args.peers, k=args.k, d=args.d,
         generation_size=args.g, payload_size=args.payload,
         generations=args.generations, seed=args.seed,
         insert_mode=args.insert_mode, deadline=args.deadline,
-        kill_peer=args.kill if args.kill >= 0 else None,
-        metrics_port=args.metrics_port,
+        # Wall-clock pacing for loopback sockets; the ChaosConfig
+        # defaults are sized for virtual time.
+        send_interval=0.004, keepalive_interval=0.1,
+        silence_timeout=0.4, probe_timeout=0.2,
     )
     print(f"event loop: {loop_name}")
     print(f"loopback demo: {config.peers} peers  k={config.k} d={config.d}  "
@@ -185,27 +193,58 @@ def _cmd_demo(args: argparse.Namespace) -> int:
           f"g={config.generation_size}x{config.payload_size}B  "
           f"insert={config.insert_mode}"
           + (f"  killing peer #{args.kill} mid-run" if args.kill >= 0 else ""))
-    result = run_loopback_sync(config)
-    report = result.report
-    if result.metrics_port is not None:
-        print(f"metrics served on http://127.0.0.1:{result.metrics_port}/metrics "
-              "during the run")
-    _write_stats_json(args.stats_json, result.snapshot)
-    print(f"converged: {result.converged}  "
-          f"wall clock: {result.wall_clock:.2f}s  rounds: {report.slots}")
-    print(f"completion: {report.completion_fraction:.1%}  "
-          f"server packets: {report.server_packets}  "
-          f"link delivery: {report.link_stats.delivery_ratio:.3f} "
-          f"({result.drops} backpressure drops)")
-    print(f"repairs: {result.repairs}  reconnects: {result.reconnects}  "
-          f"complaints: {result.complaints}")
-    slots = report.completion_slots()
-    if slots:
-        print(f"decode rounds: min {min(slots)} "
-              f"median {sorted(slots)[len(slots) // 2]} max {max(slots)}")
-    bad = [n.node_id for n in report.nodes if n.decoded_ok is False]
-    print(f"corrupt decodes: {len(bad)}")
-    return 0 if result.converged and not bad else 1
+
+    async def _run() -> int:
+        harness = ChaosHarness(config, transport="live")
+
+        def snapshot() -> dict:
+            nodes = [harness.server, *harness.peers]
+            return snapshot_obj({n.registry.name: n.registry for n in nodes})
+
+        metrics = None
+        try:
+            await harness.start()
+            if args.metrics_port is not None:
+                metrics = await MetricsServer(
+                    snapshot, port=args.metrics_port
+                ).start()
+                print(f"metrics on http://127.0.0.1:{metrics.port}/metrics "
+                      f"(JSON at /metrics.json)", flush=True)
+            started = harness.clock.time()
+            # --kill is crash_parent_midstream with a chosen victim.
+            if args.kill >= 0 and await harness.run_until(
+                lambda: harness.progress() >= 0.25
+            ):
+                harness.kill(args.kill)
+            await harness.run_until(
+                harness.converged,
+                timeout=config.deadline - (harness.clock.time() - started),
+            )
+            await harness.settle()
+            result = harness.result("demo")
+            # Snapshot before teardown so callback gauges read live state.
+            final_snapshot = snapshot()
+        finally:
+            if metrics is not None:
+                await metrics.stop()
+            await harness.teardown()
+        _write_stats_json(args.stats_json, final_snapshot)
+        survivors = [peer for _, peer in harness.alive()]
+        done = [peer for peer in survivors if peer.completed]
+        server = harness.server
+        print(f"converged: {result.converged}  "
+              f"wall clock: {result.elapsed:.2f}s  rounds: {server.stats.rounds}")
+        print(f"completion: {len(done) / max(len(survivors), 1):.1%}  "
+              f"server packets: {server.stats.packets_sent}  "
+              f"backpressure drops: {result.drops}")
+        print(f"repairs: {result.repairs}  reconnects: {result.reconnects}  "
+              f"complaints: {result.complaints}")
+        bad = [peer.node_id for peer in done
+               if peer.recovered_content() != harness.content]
+        print(f"corrupt decodes: {len(bad)}")
+        return 0 if result.converged and not bad else 1
+
+    return asyncio.run(_run())
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:

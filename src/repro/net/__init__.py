@@ -5,8 +5,8 @@ package runs it and the §3 control protocol on asyncio TCP: a
 :class:`ServerNode` owning the thread matrix and the source stream, and
 :class:`PeerNode` instances that clip threads, recode with the shared
 :mod:`repro.coding` machinery, and forward through bounded per-child
-queues.  :func:`run_loopback` deploys a whole session in one process
-and reports through the simulators' :class:`~repro.sim.report.RunReport`.
+queues.  A whole session in one process — server plus N peers, on real
+sockets or in memory — is :class:`repro.net.testing.ChaosHarness`.
 
 All I/O goes through the :class:`Transport` seam — real asyncio streams
 by default, or the in-memory fault-injecting network of
@@ -33,7 +33,6 @@ from .framing import (
     send_control,
     send_packet,
 )
-from .loopback import LoopbackConfig, LoopbackResult, run_loopback, run_loopback_sync
 from .peer import PeerNode, PeerStats
 from .server import ServerNode, ServerStats
 from .streams import PacketSender, SenderStats
@@ -56,8 +55,6 @@ __all__ = [
     "KIND_CONTROL",
     "KIND_DATA",
     "Listener",
-    "LoopbackConfig",
-    "LoopbackResult",
     "MESSAGE_TYPES",
     "PacketSender",
     "PeerLocator",
@@ -72,8 +69,6 @@ __all__ = [
     "encode_control",
     "encode_frame",
     "read_message",
-    "run_loopback",
-    "run_loopback_sync",
     "send_control",
     "send_packet",
 ]

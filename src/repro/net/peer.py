@@ -90,7 +90,7 @@ __all__ = ["PeerNode", "PeerStats"]
 
 
 class PeerStats:
-    """Counters the loopback harness folds into its RunReport.
+    """Per-peer counters the harnesses and the CLI report.
 
     The data-plane counters (``received``/``innovative``/``forwarded``/
     ``idle_emits``) are read-through views over the peer's
@@ -276,12 +276,19 @@ class PeerNode:
         )
         self.port = self._listener.address[1]
         self._running = True
-        reader, writer = await self.transport.connect(
-            self.server_host, self.server_port
-        )
-        self._control_writer = writer
-        await send_control(writer, JoinRequest(reply_to=self.port))
-        grant = await self._await_grant(reader)
+        try:
+            reader, writer = await self.transport.connect(
+                self.server_host, self.server_port
+            )
+            self._control_writer = writer
+            await send_control(writer, JoinRequest(reply_to=self.port))
+            grant = await self._await_grant(reader)
+        except BaseException:
+            # Never admitted: release the listener and the control
+            # connection rather than leave them bound behind a peer
+            # that is not running.
+            self.kill()
+            raise
         self.engine.node_id = grant.node_id
         self.log = logging.getLogger(f"repro.net.peer.{grant.node_id}")
         self.registry.name = f"peer:{grant.node_id}"

@@ -78,7 +78,7 @@ __all__ = ["ServerNode", "ServerStats"]
 
 
 class ServerStats:
-    """Counters the loopback harness folds into its RunReport.
+    """Server-side counters the harnesses and the CLI report.
 
     ``rounds`` and ``packets_sent`` are read-through views over the
     server's :class:`~repro.dataplane.SourceEngine` — the engine's

@@ -216,7 +216,7 @@ class _SoakRun:
         if count <= 0:
             return
         added = await self.harness.add_peers(
-            count, batch=256, timeout=self.harness.swarm.deadline
+            count, batch=256, timeout=self.harness.config.deadline
         )
         self.joins += len(added)
         for peer in added:
@@ -256,7 +256,7 @@ class _SoakRun:
         t0 = time.perf_counter()
         with _gc_paused():
             await harness.join_all()
-            started = await harness.broadcast()
+            started = await harness.run_until(harness.converged)
             harness.expect(started, "initial broadcast never converged")
             joins, fails, leaves = _schedules(config, self.rng)
             if not harness.violations:
@@ -290,9 +290,7 @@ class _SoakRun:
                     ):
                         break
             if not harness.violations:
-                self.final_converged = await harness.run_until(
-                    harness.converged, timeout=harness.swarm.deadline
-                )
+                self.final_converged = await harness.run_until(harness.converged)
                 await harness.settle()
                 if self.final_converged:
                     harness.check_invariants()

@@ -61,9 +61,11 @@ def _gc_paused():
 
 
 @dataclass(frozen=True)
-class SwarmConfig:
+class SwarmConfig(ChaosConfig):
     """Geometry and pacing for one large-swarm round.
 
+    A :class:`ChaosConfig` with swarm-scale defaults (only the fields
+    that differ are redeclared) plus the three knobs only a swarm has.
     Defaults are sized for a 1k-peer smoke; scale ``peers`` up and the
     rest holds.  Content is deliberately small (one generation): swarm
     runs measure control-plane and transport scaling, not bulk decode
@@ -74,20 +76,18 @@ class SwarmConfig:
     #: Server threads.  Chains are ~``peers * d / k`` deep; a wide
     #: server keeps depth (and hence per-round settle work) manageable.
     k: int = 32
-    d: int = 2
-    generation_size: int = 8
     payload_size: int = 32
     generations: int = 1
-    seed: int = 0
-    insert_mode: str = "append"
     #: One server emission round per (virtual) second.
     send_interval: float = 1.0
-    queue_limit: int = 32
     keepalive_interval: float = 10.0
     silence_timeout: float = 30.0
     probe_timeout: float = 4.0
     reconnect_base: float = 0.5
     reconnect_max: float = 4.0
+    forward_policy: str = "innovative"
+    #: One full generation the moment a child attaches.
+    seed_burst: int = 8
     #: Virtual-time budget for each phase (join / broadcast / re-decode).
     deadline: float = 900.0
     #: Timer-coalescing window for the quantum clock.
@@ -96,28 +96,6 @@ class SwarmConfig:
     join_batch: int = 256
     #: Fraction of the swarm crashed by :meth:`SwarmHarness.churn`.
     churn_fraction: float = 0.10
-
-    def chaos(self) -> ChaosConfig:
-        return ChaosConfig(
-            peers=self.peers,
-            k=self.k,
-            d=self.d,
-            generation_size=self.generation_size,
-            payload_size=self.payload_size,
-            generations=self.generations,
-            seed=self.seed,
-            insert_mode=self.insert_mode,
-            send_interval=self.send_interval,
-            queue_limit=self.queue_limit,
-            keepalive_interval=self.keepalive_interval,
-            silence_timeout=self.silence_timeout,
-            probe_timeout=self.probe_timeout,
-            reconnect_base=self.reconnect_base,
-            reconnect_max=self.reconnect_max,
-            forward_policy="innovative",
-            seed_burst=self.generation_size,
-            deadline=self.deadline,
-        )
 
 
 @dataclass
@@ -160,14 +138,15 @@ class SwarmReport:
 class SwarmHarness(ChaosHarness):
     """A :class:`ChaosHarness` sized for thousands of peers."""
 
+    config: SwarmConfig
+
     def __init__(self, config: SwarmConfig) -> None:
         super().__init__(
-            config.chaos(),
+            config,
             transport="virtual",
             quantum=config.quantum,
             record_trace=False,
         )
-        self.swarm = config
         self._churn_rng = np.random.default_rng(config.seed ^ 0xC0FFEE)
         # Deep chains cascade synchronously on clean links: one server
         # emission can ripple through hundreds of hops inside a single
@@ -180,26 +159,14 @@ class SwarmHarness(ChaosHarness):
         """Server up, then the whole population in concurrent waves."""
         await self.start(peers=0)
         await self.add_peers(
-            self.swarm.peers,
-            batch=self.swarm.join_batch,
-            timeout=self.swarm.deadline,
-        )
-
-    async def broadcast(self, until_progress: float = 1.0) -> bool:
-        """Advance until mean decode progress reaches the target (1.0
-        with everyone complete = full convergence)."""
-        if until_progress >= 1.0:
-            return await self.run_until(
-                self.converged, timeout=self.swarm.deadline
-            )
-        return await self.run_until(
-            lambda: self.progress() >= until_progress,
-            timeout=self.swarm.deadline,
+            self.config.peers,
+            batch=self.config.join_batch,
+            timeout=self.config.deadline,
         )
 
     def churn(self, fraction: float | None = None) -> list[int]:
         """Crash a uniformly random fraction of the live population."""
-        fraction = self.swarm.churn_fraction if fraction is None else fraction
+        fraction = self.config.churn_fraction if fraction is None else fraction
         live = [index for index, _ in self.alive()]
         count = int(len(live) * fraction)
         victims = sorted(
@@ -209,15 +176,6 @@ class SwarmHarness(ChaosHarness):
         for index in chosen:
             self.kill(index)
         return chosen
-
-    async def survivors_decoded(self) -> bool:
-        """Advance until every survivor holds the full content again.
-
-        Survivors whose parents died must complain, get repaired and
-        keep decoding off their new streams — this is where the repair
-        path earns its keep at scale.
-        """
-        return await self.run_until(self.converged, timeout=self.swarm.deadline)
 
     async def teardown(self) -> None:
         """Batched shutdown: close every surviving peer concurrently.
@@ -266,14 +224,15 @@ class SwarmHarness(ChaosHarness):
             t0 = time.perf_counter()
             await self.join_all()
             t1 = time.perf_counter()
-            started = await self.broadcast(until_progress=0.5)
+            started = await self.run_until(lambda: self.progress() >= 0.5)
             t2 = time.perf_counter()
             killed = self.churn()
-            decoded = await self.survivors_decoded()
+            # Survivors whose parents died must complain, get repaired
+            # and keep decoding off their new streams — this is where
+            # the repair path earns its keep at scale.
+            decoded = await self.run_until(self.converged)
             converged = started and decoded
-            healed = await self.run_until(
-                self.repaired, timeout=self.swarm.deadline
-            )
+            healed = await self.run_until(self.repaired)
             await self.settle()
             if decoded and healed:
                 self.check_invariants()
@@ -305,8 +264,8 @@ class SwarmHarness(ChaosHarness):
         for kind in ("counters", "gauges"):
             metrics.update(sections.get(kind, {}))
         return SwarmReport(
-            peers=self.swarm.peers,
-            seed=self.swarm.seed,
+            peers=self.config.peers,
+            seed=self.config.seed,
             joined=sum(1 for p in self.peers if p.node_id is not None),
             killed=killed,
             converged=converged,

@@ -60,6 +60,16 @@ from .trace import EngineLog
 __all__ = ["ServerEngine"]
 
 
+def _speaker(event: MessageReceived) -> int:
+    """The node a first-person message (leave, probe ack, congestion)
+    speaks for: the authenticated owner of the connection when the
+    driver has one, else the id the message claims.  A peer must not be
+    able to leave, answer a probe or shed a thread for another."""
+    if isinstance(event.sender, int):
+        return event.sender
+    return event.message.node_id
+
+
 class ServerEngine:
     """Pure event-in/effect-out server state machine.
 
@@ -113,19 +123,15 @@ class ServerEngine:
             if isinstance(message, JoinRequest):
                 return self._on_join()
             if isinstance(message, LeaveRequest):
-                node_id = (
-                    event.sender if isinstance(event.sender, int)
-                    else message.node_id
-                )
-                return self._on_leave(node_id)
+                return self._on_leave(_speaker(event))
             if isinstance(message, ComplaintMsg):
                 return self._on_complaint(message.suspect)
             if isinstance(message, ProbeAck):
-                return self._on_probe_ack(message.node_id, message.nonce)
+                return self._on_probe_ack(_speaker(event), message.nonce)
             if isinstance(message, CongestionDrop):
-                return self._on_congestion_drop(message.node_id)
+                return self._on_congestion_drop(_speaker(event))
             if isinstance(message, CongestionRestore):
-                return self._on_congestion_restore(message.node_id)
+                return self._on_congestion_restore(_speaker(event))
             return []
         if isinstance(event, ConnectionLost):
             return self._on_connection_lost(event.node_id)

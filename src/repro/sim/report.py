@@ -30,7 +30,6 @@ __all__ = [
     "NodeReport",
     "RunReport",
     "SlotRecord",
-    "TransportReport",
     "completion_percentile",
     "mean_completion_slot",
 ]
@@ -84,30 +83,6 @@ class SlotRecord:
 
 
 @dataclass
-class TransportReport:
-    """Wire-level accounting from a live-transport run.
-
-    Aggregated over every outbound pump of the deployment (server
-    columns and peer children).  ``frames_per_flush`` is the observed
-    coalescing ratio — how many frames each drain cycle carried; the
-    slotted simulators have no byte stream, so their reports leave
-    ``transport`` unset.
-    """
-
-    frames_sent: int = 0
-    bytes_sent: int = 0
-    flushes: int = 0
-    keepalives: int = 0
-
-    @property
-    def frames_per_flush(self) -> float:
-        """Mean data frames per drain cycle (0.0 before any flush)."""
-        if self.flushes == 0:
-            return 0.0
-        return self.frames_sent / self.flushes
-
-
-@dataclass
 class RunReport:
     """Aggregate outcome of a slotted run, shared by every simulator."""
 
@@ -116,8 +91,6 @@ class RunReport:
     link_stats: LinkStats
     server_packets: int
     timeline: list[SlotRecord] = field(default_factory=list)
-    #: Wire-level accounting (live transport runs only).
-    transport: Optional[TransportReport] = None
 
     @property
     def completion_fraction(self) -> float:

@@ -1,5 +1,7 @@
 """Unit tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -58,6 +60,21 @@ class TestCommands:
         assert code == 0
         assert "converged: True" in out
         assert "corrupt decodes: 0" in out
+
+    def test_demo_kill_reports_repair(self, capsys):
+        code = main(["demo", "--peers", "4", "--k", "4", "--d", "2",
+                     "--g", "8", "--payload", "32", "--generations", "2",
+                     "--seed", "5", "--deadline", "30", "--kill", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "converged: True" in out
+        assert "corrupt decodes: 0" in out
+        repairs = int(re.search(r"repairs: (\d+)", out).group(1))
+        assert repairs >= 1
+
+    def test_demo_rejects_out_of_range_kill(self, capsys):
+        assert main(["demo", "--peers", "3", "--kill", "3"]) == 2
+        assert "--kill" in capsys.readouterr().err
 
     def test_scenario_small(self, capsys):
         code = main(["scenario", "file_download", "--seed", "1",

@@ -97,6 +97,31 @@ def test_run_scenario_is_a_coroutine():
     assert result.ok
 
 
+@pytest.mark.slow
+def test_single_peer_chain_from_server_on_live_sockets():
+    """One peer, every thread clipped straight to the server, over real
+    loopback TCP (the smallest deployment the harness can stand up)."""
+    import asyncio
+
+    async def scenario():
+        harness = ChaosHarness(
+            ChaosConfig(peers=1, send_interval=0.004, deadline=30.0),
+            transport="live",
+        )
+        try:
+            await harness.start()
+            await harness.run_until(harness.converged)
+            await harness.settle()
+            harness.check_invariants()
+            return harness.result("single_peer")
+        finally:
+            await harness.teardown()
+
+    result = asyncio.run(scenario())
+    assert result.ok, result.summary()
+    assert result.transport == "live" and not result.trace
+
+
 class TestFlightRecorderDump:
     """A failing invariant must come with a flight-recorder dump."""
 
@@ -139,3 +164,72 @@ class TestFlightRecorderDump:
         result = run_scenario_sync("baseline", seed=0)
         assert result.ok
         assert result.flight_dump == ""
+
+
+class TestPeerStartFailure:
+    """A peer whose admission fails must not keep its child listener or
+    its control connection open."""
+
+    PORT = 4000
+
+    @staticmethod
+    def _bound(net, host):
+        return [key for key in net._listeners if key[0] == host]
+
+    def test_refused_dial_releases_the_listener(self):
+        import asyncio
+
+        from repro.net import PeerNode
+        from repro.net.testing import VirtualNetwork
+
+        async def scenario():
+            net = VirtualNetwork()
+            peer = PeerNode("server", self.PORT, transport=net.transport("peer0"))
+            with pytest.raises(ConnectionRefusedError):
+                await peer.start()
+            bound = self._bound(net, "peer0")
+            await net.shutdown()
+            return peer, bound
+
+        peer, bound = asyncio.run(scenario())
+        assert bound == []
+        assert not peer._running
+
+    def test_server_closing_mid_admission_then_a_clean_retry(self):
+        import asyncio
+
+        from repro.coding.generation import GenerationParams
+        from repro.net import PeerNode, ServerNode, read_message
+        from repro.net.testing import VirtualNetwork
+
+        async def scenario():
+            net = VirtualNetwork()
+
+            async def slam(reader, writer):
+                await read_message(reader)  # the JoinRequest
+                writer.close()
+
+            flaky = net.bind("server", self.PORT, slam)
+            peer = PeerNode("server", self.PORT, transport=net.transport("peer0"))
+            with pytest.raises(ConnectionError, match="during admission"):
+                await peer.start()
+            after_failure = self._bound(net, "peer0")
+            flaky.close()
+
+            server = ServerNode(
+                bytes(64), GenerationParams(4, 16), k=2, d=1,
+                port=self.PORT, transport=net.transport("server"),
+            )
+            await server.start()
+            await peer.start()
+            after_retry = self._bound(net, "peer0")
+            joined = peer.node_id
+            await server.stop()
+            await peer.close()
+            await net.shutdown()
+            return after_failure, after_retry, joined
+
+        after_failure, after_retry, joined = asyncio.run(scenario())
+        assert after_failure == []
+        assert len(after_retry) == 1
+        assert joined is not None

@@ -6,6 +6,7 @@ wall clock); the 10k acceptance round — the PR-9 headline — is marked
 """
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -185,6 +186,29 @@ class TestSettleFailure:
 
 # ----------------------------------------------------------------------
 # Swarm rounds
+
+
+class TestSwarmConfig:
+    def test_defaults_match_the_retired_chaos_copy(self):
+        """SwarmConfig *is* the ChaosConfig the harness runs on; these
+        are the values its hand-written copy produced before it became
+        a subclass, plus the three swarm-only fields."""
+        assert dataclasses.asdict(SwarmConfig()) == {
+            "peers": 1000, "k": 32, "d": 2, "generation_size": 8,
+            "payload_size": 32, "generations": 1, "seed": 0,
+            "insert_mode": "append", "send_interval": 1.0,
+            "queue_limit": 32, "keepalive_interval": 10.0,
+            "silence_timeout": 30.0, "probe_timeout": 4.0,
+            "reconnect_base": 0.5, "reconnect_max": 4.0,
+            "forward_policy": "innovative", "seed_burst": 8,
+            "deadline": 900.0,
+            "quantum": 0.25, "join_batch": 256, "churn_fraction": 0.10,
+        }
+
+    def test_harness_runs_on_the_config_it_was_given(self):
+        config = SwarmConfig(peers=5, seed=3)
+        assert isinstance(config, ChaosConfig)
+        assert SwarmHarness(config).config is config
 
 
 class TestSwarmRound:

@@ -29,11 +29,13 @@ from repro.protocol import (
     KeepAlive,
     LeaveRequest,
     MessageReceived,
+    PeerDeparted,
     PeerEngine,
     ProbeAck,
     Send,
     ServerEngine,
     SetParent,
+    StartTimer,
     ThreadRemoved,
     TimerFired,
     UpstreamDown,
@@ -133,6 +135,48 @@ class TestServerEngineProperties:
         assert replay(fresh, events) == recorded.log.effect_trace()
         assert fresh.departed == recorded.departed
         assert fresh.pending_probes == recorded.pending_probes
+
+
+class TestServerEngineSenderAuthority:
+    """The connection owner, not the id a message claims, decides whose
+    probe is answered and whose threads move."""
+
+    @staticmethod
+    def _engine_with_peers(count: int):
+        engine = ServerEngine(CoordinationServer(
+            3, 2, np.random.default_rng(0)))
+        for _ in range(count):
+            engine.handle(MessageReceived(JoinRequest(reply_to=0)))
+        return engine, sorted(engine.core.registry)
+
+    def test_spoofed_probe_ack_does_not_save_the_suspect(self):
+        engine, (a, b, _) = self._engine_with_peers(3)
+        effects = engine.handle(MessageReceived(
+            ComplaintMsg(reporter=b, column=0, suspect=a), sender=b))
+        (timer,) = [e for e in effects if isinstance(e, StartTimer)]
+        nonce = engine.pending_probes[a]
+
+        engine.handle(MessageReceived(ProbeAck(node_id=a, nonce=nonce), sender=b))
+        assert engine.pending_probes == {a: nonce}
+
+        repaired = engine.handle(TimerFired(timer.key))
+        assert PeerDeparted(node_id=a, reason="crash") in repaired
+        assert a in engine.departed
+
+    def test_spoofed_congestion_messages_move_the_senders_threads(self):
+        engine, (a, b, _) = self._engine_with_peers(3)
+        matrix = engine.core.matrix
+        row_a = matrix.parents_of(a)
+
+        effects = engine.handle(MessageReceived(CongestionDrop(node_id=a), sender=b))
+        assert matrix.parents_of(a) == row_a
+        assert matrix.row(b).degree == 1
+        assert isinstance(effects[0], Send) and effects[0].to == b
+        assert isinstance(effects[0].message, ThreadRemoved)
+
+        engine.handle(MessageReceived(CongestionRestore(node_id=a), sender=b))
+        assert matrix.parents_of(a) == row_a
+        assert matrix.row(b).degree == 2
 
 
 peer_events = st.lists(
