@@ -28,10 +28,9 @@ from .framing import (
     FramingError,
     KIND_CONTROL,
     KIND_DATA,
+    MessageStream,
     encode_frame,
-    read_message,
     send_control,
-    send_packet,
 )
 from .peer import PeerNode, PeerStats
 from .server import ServerNode, ServerStats
@@ -56,6 +55,7 @@ __all__ = [
     "KIND_DATA",
     "Listener",
     "MESSAGE_TYPES",
+    "MessageStream",
     "PacketSender",
     "PeerLocator",
     "PeerNode",
@@ -68,7 +68,5 @@ __all__ = [
     "decode_control",
     "encode_control",
     "encode_frame",
-    "read_message",
     "send_control",
-    "send_packet",
 ]

@@ -11,17 +11,16 @@ Data bodies are exactly the coded-packet wire frames of
 stream is a concatenation of the same frames the simulators serialise.
 Control bodies are :mod:`repro.net.control` messages.
 
-Two consumption styles are provided:
-
-* :class:`FrameBuffer` — a sans-IO accumulator (``feed`` bytes, iterate
-  complete messages) used by tests and by any custom reader;
-* ``read_message`` / ``send_packet`` / ``send_control`` — asyncio
-  stream helpers used by the server and peer nodes.
+There is one inbound path: :class:`FrameBuffer`, a sans-IO accumulator
+(``feed`` bytes, pop complete messages), is the only code that turns
+stream bytes into messages.  :class:`MessageStream` pairs it with a
+connection's reader — every read site in the server and peer nodes goes
+through one per connection — and ``send_control`` /
+``write_control_nowait`` are the outbound control helpers.
 """
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from typing import Iterator, Optional, Union
 
@@ -33,7 +32,6 @@ from ..coding.wire import (
     CrcError,
     WireFormatError,
     _uniform_geometry,
-    decode_packet,
     decode_packet_from,
     encode_mixture_rows,
     encode_packet_into,
@@ -50,13 +48,12 @@ __all__ = [
     "KIND_CONTROL",
     "KIND_DATA",
     "MAX_FRAME_BYTES",
+    "MessageStream",
     "encode_data_frame",
     "encode_data_frames",
     "encode_frame",
     "encode_mixture_frames",
-    "read_message",
     "send_control",
-    "send_packet",
 ]
 
 #: Frame kinds.
@@ -70,6 +67,10 @@ MAX_FRAME_BYTES = 1 << 20
 
 _PREFIX = struct.Struct(">IB")
 
+#: Bytes asked of the reader per :meth:`MessageStream.fill` — also the
+#: bound on how much one wake-up parses before yielding to the loop.
+READ_CHUNK_BYTES = 1 << 16
+
 #: A parsed message off the stream.
 Message = Union[CodedPacket, object]
 
@@ -82,11 +83,6 @@ class CrcMismatchError(FramingError):
     """A data frame failed its CRC32 check: the connection still dies
     (the stream can no longer be trusted), but receivers count these
     corruption events separately from structural framing errors."""
-
-
-def _body_error(exc: Exception) -> FramingError:
-    cls = CrcMismatchError if isinstance(exc, CrcError) else FramingError
-    return cls(f"bad frame body: {exc}")
 
 
 def encode_frame(kind: int, body: bytes) -> bytes:
@@ -226,17 +222,6 @@ def encode_mixture_frames(
     return frames
 
 
-def _parse_body(kind: int, body: bytes) -> Message:
-    try:
-        if kind == KIND_DATA:
-            return decode_packet(body)
-        if kind == KIND_CONTROL:
-            return decode_control(body)
-    except (WireFormatError, ControlFormatError) as exc:
-        raise _body_error(exc) from exc
-    raise FramingError(f"unknown frame kind {kind}")
-
-
 class FrameBuffer:
     """Sans-IO reassembly of frames from an arbitrary byte stream.
 
@@ -294,7 +279,9 @@ class FrameBuffer:
             try:
                 packet, end = decode_packet_from(buf, body_start)
             except WireFormatError as exc:
-                raise _body_error(exc) from exc
+                cls = (CrcMismatchError if isinstance(exc, CrcError)
+                       else FramingError)
+                raise cls(f"bad frame body: {exc}") from exc
             if end != cursor + total:
                 raise FramingError(
                     f"bad frame body: framed {length} bytes, wire frame "
@@ -309,47 +296,46 @@ class FrameBuffer:
         raise FramingError(f"unknown frame kind {kind}")
 
 
-# ----------------------------------------------------------------------
-# asyncio stream helpers
+class MessageStream:
+    """A connection's inbound side: its reader and the one
+    :class:`FrameBuffer` that parses it.
 
-
-async def read_message(reader: ByteStreamReader) -> Optional[Message]:
-    """Read one message off a stream; None on clean EOF at a boundary.
-
-    Accepts anything with ``readexactly`` semantics — a real
-    :class:`asyncio.StreamReader` or an in-memory virtual pipe.  Raises
-    :class:`FramingError` on truncation mid-frame or a malformed body.
+    Bytes the reader hands over stay buffered here between calls, so
+    the object must live as long as the connection does — hand the same
+    stream from an admission sequence to the loop that follows it.
     """
-    try:
-        prefix = await reader.readexactly(_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise FramingError("stream truncated inside a frame prefix") from exc
-    length, kind = _PREFIX.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise FramingError(f"frame body too large: {length} bytes")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FramingError("stream truncated inside a frame body") from exc
-    return _parse_body(kind, body)
 
+    def __init__(self, reader: ByteStreamReader) -> None:
+        self._reader = reader
+        self._frames = FrameBuffer()
 
-def write_packet_nowait(writer: ByteStreamWriter, packet: CodedPacket) -> None:
-    """Queue a data frame on the writer without draining."""
-    writer.write(encode_data_frame(packet))
+    def next_nowait(self) -> Optional[Message]:
+        """Pop one buffered message, or None when :meth:`fill` is due."""
+        return self._frames.next_message()
+
+    async def fill(self) -> bool:
+        """Feed the parser one chunked read.  False on a clean EOF (the
+        stream ended at a frame boundary); EOF inside a frame raises
+        :class:`FramingError`."""
+        data = await self._reader.read(READ_CHUNK_BYTES)
+        if data:
+            self._frames.feed(data)
+            return True
+        if self._frames.pending():
+            raise FramingError("stream truncated inside a frame")
+        return False
+
+    async def next(self) -> Optional[Message]:
+        """The next message off the stream; None on a clean EOF."""
+        while True:
+            message = self._frames.next_message()
+            if message is not None or not await self.fill():
+                return message
 
 
 def write_control_nowait(writer: ByteStreamWriter, message: object) -> None:
     """Queue a control frame on the writer without draining."""
     writer.write(encode_frame(KIND_CONTROL, encode_control(message)))
-
-
-async def send_packet(writer: ByteStreamWriter, packet: CodedPacket) -> None:
-    """Write one data frame and drain."""
-    write_packet_nowait(writer, packet)
-    await writer.drain()
 
 
 async def send_control(writer: ByteStreamWriter, message: object) -> None:

@@ -78,12 +78,12 @@ from .control import DataHello, PeerLocator, SessionInfo
 from .framing import (
     CrcMismatchError,
     FramingError,
+    MessageStream,
     encode_mixture_frames,
-    read_message,
     send_control,
     write_control_nowait,
 )
-from .streams import PacketSender, SenderStats
+from .streams import PacketSender, SenderStats, retire_sender
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
@@ -215,8 +215,8 @@ class PeerNode:
         self._addresses: dict[int, tuple[str, int]] = {}
         #: (child id, column) -> outbound pump
         self._children: dict[tuple[int, int], PacketSender] = {}
-        #: One entry per child connection ever served (stats outlive pumps).
-        self.sender_stats: list[SenderStats] = []
+        #: Retired-pump totals first, then one entry per live child pump.
+        self.sender_stats: list[SenderStats] = [SenderStats()]
         self._thread_tasks: dict[int, asyncio.Task] = {}
         self._listener: Optional[Listener] = None
         self._control_writer: Optional[ByteStreamWriter] = None
@@ -282,7 +282,10 @@ class PeerNode:
             )
             self._control_writer = writer
             await send_control(writer, JoinRequest(reply_to=self.port))
-            grant = await self._await_grant(reader)
+            # One stream for admission and the control loop after it:
+            # whatever arrived in the grant's segment stays buffered.
+            stream = MessageStream(reader)
+            grant = await self._await_grant(stream)
         except BaseException:
             # Never admitted: release the listener and the control
             # connection rather than leave them bound behind a peer
@@ -319,13 +322,13 @@ class PeerNode:
             self._pump_dataplane(self.dataplane.handle(
                 ChildAttached(key, column=key[1])
             ))
-        self._control_task = asyncio.ensure_future(self._control_loop(reader))
+        self._control_task = asyncio.ensure_future(self._control_loop(stream))
         self._dispatch_control(grant)
 
-    async def _await_grant(self, reader) -> JoinGrant:
+    async def _await_grant(self, stream: MessageStream) -> JoinGrant:
         """Consume the admission sequence: SessionInfo, locators, grant."""
         while True:
-            message = await read_message(reader)
+            message = await stream.next()
             if message is None:
                 raise ConnectionError("server closed during admission")
             if isinstance(message, SessionInfo):
@@ -350,21 +353,13 @@ class PeerNode:
         await self.close()
 
     async def close(self) -> None:
-        """Stop all tasks and close all transports (no good-bye)."""
-        self._running = False
+        """Stop all tasks and close all transports (no good-bye), then
+        wait for them to finish."""
         pending = list(self._thread_tasks.values())
         if self._control_task is not None:
             pending.append(self._control_task)
-        for task in pending:
-            task.cancel()
-        self._thread_tasks.clear()
-        for sender in list(self._children.values()):
-            sender.close()
-        self._children.clear()
-        if self._control_writer is not None:
-            self._control_writer.close()
+        self.kill()
         if self._listener is not None:
-            self._listener.close()
             await self._listener.wait_closed()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
@@ -408,10 +403,10 @@ class PeerNode:
     # ------------------------------------------------------------------
     # Control plane: pump the engine
 
-    async def _control_loop(self, reader) -> None:
+    async def _control_loop(self, stream: MessageStream) -> None:
         try:
             while self._running:
-                message = await read_message(reader)
+                message = await stream.next()
                 if message is None:
                     break
                 self._dispatch_control(message)
@@ -526,12 +521,22 @@ class PeerNode:
             reader, writer = await self.transport.connect(*address)
             await send_control(writer, DataHello(
                 node_id=self.node_id, column=column))
+            stream = MessageStream(reader)
+            heard = self.clock.time()
             while self._running and self.parents.get(column) == parent:
-                message = await self.clock.wait_for(
-                    read_message(reader), timeout=self.silence_timeout
-                )
+                message = stream.next_nowait()
                 if message is None:
-                    break  # upstream closed
+                    # Everything buffered is drained: park once, for
+                    # what is left of the silence window.  Silence runs
+                    # between complete messages, not between bytes, so
+                    # a chunk that finishes no frame buys no time.
+                    silent = self.clock.time() - heard
+                    if not await self.clock.wait_for(
+                        stream.fill(), timeout=self.silence_timeout - silent
+                    ):
+                        break  # upstream closed
+                    continue
+                heard = self.clock.time()
                 if isinstance(message, CodedPacket):
                     saw_traffic = True
                     self._on_packet(message)
@@ -546,8 +551,6 @@ class PeerNode:
             )
         except (asyncio.TimeoutError, ConnectionError, OSError, FramingError):
             pass
-        except asyncio.CancelledError:
-            raise
         finally:
             if writer is not None:
                 writer.close()
@@ -560,7 +563,7 @@ class PeerNode:
         self, reader, writer: ByteStreamWriter
     ) -> None:
         try:
-            hello = await read_message(reader)
+            hello = await MessageStream(reader).next()
         except FramingError:
             writer.close()
             return
@@ -591,20 +594,22 @@ class PeerNode:
         )
         self.sender_stats.append(sender.stats)
         self._children[key] = sender
-        # The per-neighbour-queue observable: one gauge per (child,
-        # column), reading whatever pump currently serves that key.
+        # The per-neighbour-queue observable: one gauge per column we
+        # serve (at most k), reading whichever pumps serve it now.
         self.registry.gauge(
-            f"net.queue_depth.child{hello.node_id}.c{hello.column}",
-            "frames queued toward this child",
-            fn=lambda k=key: (
+            f"net.queue_depth.c{hello.column}",
+            "frames queued toward this column's children",
+            fn=lambda c=hello.column: sum(
                 pump.queue_depth
-                if (pump := self._children.get(k)) is not None else 0
+                for (_, column), pump in self._children.items()
+                if column == c
             ),
         )
         self._pump_dataplane(effects)
         try:
             await sender.run()
         finally:
+            retire_sender(self.sender_stats, sender.stats)
             if self._children.get(key) is sender:
                 del self._children[key]
                 if self.dataplane is not None:

@@ -67,11 +67,11 @@ from ..protocol import (
 from .control import DataHello, PeerLocator, SessionInfo
 from .framing import (
     FramingError,
+    MessageStream,
     encode_data_frames,
-    read_message,
     write_control_nowait,
 )
-from .streams import PacketSender, SenderStats
+from .streams import PacketSender, SenderStats, retire_sender
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["ServerNode", "ServerStats"]
@@ -184,8 +184,8 @@ class ServerNode:
         self.stats = ServerStats(self.dataplane)
         self._peers: dict[int, _PeerHandle] = {}
         self._column_senders: dict[int, PacketSender] = {}
-        #: One entry per data connection ever served (stats outlive pumps).
-        self.sender_stats: list[SenderStats] = []
+        #: Retired-pump totals first, then one entry per live column pump.
+        self.sender_stats: list[SenderStats] = [SenderStats()]
         self._server: Optional[Listener] = None
         self._stream_task: Optional[asyncio.Task] = None
         self._timer_tasks: set[asyncio.Task] = set()
@@ -306,21 +306,23 @@ class ServerNode:
     async def _handle_connection(
         self, reader, writer: ByteStreamWriter
     ) -> None:
+        # One stream per connection: frames that arrived with the first
+        # one stay buffered for the control loop.
+        stream = MessageStream(reader)
         try:
-            first = await read_message(reader)
+            first = await stream.next()
         except FramingError:
             writer.close()
             return
         if isinstance(first, JoinRequest):
-            await self._serve_control(first, reader, writer)
+            await self._serve_control(first, stream, writer)
         elif isinstance(first, DataHello):
-            await self._serve_data(first, reader, writer)
+            await self._serve_data(first, writer)
         else:
             writer.close()
 
     async def _serve_data(
-        self, hello: DataHello, reader,
-        writer: ByteStreamWriter,
+        self, hello: DataHello, writer: ByteStreamWriter
     ) -> None:
         """Stream one column to the child that dialed us."""
         column = hello.column
@@ -340,6 +342,7 @@ class ServerNode:
         try:
             await sender.run()
         finally:
+            retire_sender(self.sender_stats, sender.stats)
             if self._column_senders.get(column) is sender:
                 del self._column_senders[column]
 
@@ -347,13 +350,13 @@ class ServerNode:
     # Control plane: pump the engine
 
     async def _serve_control(
-        self, request: JoinRequest, reader,
+        self, request: JoinRequest, stream: MessageStream,
         writer: ByteStreamWriter,
     ) -> None:
         handle = self._admit(request, writer)
         try:
             while self._running:
-                message = await read_message(reader)
+                message = await stream.next()
                 if message is None:
                     break
                 self._pump(self.engine.handle(

@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Deque, Optional
 
 from ..coding.packet import CodedPacket
@@ -37,7 +37,7 @@ from .control import encode_control
 from .framing import KIND_CONTROL, encode_data_frame, encode_frame
 from .transport import AsyncioClock, ByteStreamWriter, Clock
 
-__all__ = ["PacketSender", "SenderStats"]
+__all__ = ["PacketSender", "SenderStats", "retire_sender"]
 
 
 @dataclass
@@ -55,6 +55,20 @@ class SenderStats:
     keepalives: int = 0
     bytes_sent: int = 0
     flushes: int = 0
+
+
+def retire_sender(live: list[SenderStats], stats: SenderStats) -> None:
+    """Fold a finished pump's counters into ``live[0]``, the node's
+    retired-total entry, and drop its own: the list stays as long as
+    the pumps now running however many connections came and went, and
+    every sum over it is unchanged."""
+    total = live[0]
+    # By identity: SenderStats compares by value, and two idle pumps
+    # (or an idle pump and a fresh total) are equal.
+    live[:] = [entry for entry in live if entry is not stats]
+    for field in fields(SenderStats):
+        setattr(total, field.name,
+                getattr(total, field.name) + getattr(stats, field.name))
 
 
 class PacketSender:

@@ -333,12 +333,8 @@ class _Pipe:
 
     # -- reader side ---------------------------------------------------
 
-    async def readexactly(self, n: int) -> bytes:
-        while len(self.buffer) < n:
-            if self.eof:
-                partial = bytes(self.buffer)
-                self.buffer.clear()
-                raise asyncio.IncompleteReadError(partial, n)
+    async def read(self, n: int) -> bytes:
+        while not self.buffer and not self.eof:
             self._readable.clear()
             await self._readable.wait()
         data = bytes(self.buffer[:n])
@@ -403,16 +399,13 @@ class _Pipe:
 
 
 class _VirtualReader:
-    """Reader endpoint of a pipe (duck-typed like StreamReader)."""
+    """Reader endpoint of a pipe (the ``ByteStreamReader`` seam)."""
 
     def __init__(self, pipe: _Pipe) -> None:
         self._pipe = pipe
 
-    async def readexactly(self, n: int) -> bytes:
-        return await self._pipe.readexactly(n)
-
-    def at_eof(self) -> bool:
-        return self._pipe.eof and not self._pipe.buffer
+    async def read(self, n: int) -> bytes:
+        return await self._pipe.read(n)
 
 
 class _VirtualWriter:

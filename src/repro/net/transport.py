@@ -19,10 +19,10 @@ per-link faults, in milliseconds.
 
 The reader/writer duck types (:class:`ByteStreamReader`,
 :class:`ByteStreamWriter`) capture the *only* stream surface the
-protocol code relies on — ``readexactly`` on the way in; ``write``,
+protocol code relies on — ``read`` on the way in; ``write``,
 ``writelines``, ``drain``, ``close`` and ``get_extra_info`` on the way
-out — so an
-in-memory pipe can stand in for a socket without monkeypatching.
+out — so an in-memory pipe can stand in for a socket without
+monkeypatching.
 """
 
 from __future__ import annotations
@@ -47,10 +47,9 @@ __all__ = [
 class ByteStreamReader(Protocol):
     """The read surface the framing layer needs from a connection."""
 
-    async def readexactly(self, n: int) -> bytes:
-        """Return exactly ``n`` bytes; raise
-        :class:`asyncio.IncompleteReadError` (with ``partial`` set) on
-        EOF before then."""
+    async def read(self, n: int) -> bytes:
+        """Return between 1 and ``n`` bytes as soon as any are
+        available; ``b""`` once the stream has ended."""
         ...
 
 

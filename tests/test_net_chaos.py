@@ -199,14 +199,14 @@ class TestPeerStartFailure:
         import asyncio
 
         from repro.coding.generation import GenerationParams
-        from repro.net import PeerNode, ServerNode, read_message
+        from repro.net import MessageStream, PeerNode, ServerNode
         from repro.net.testing import VirtualNetwork
 
         async def scenario():
             net = VirtualNetwork()
 
             async def slam(reader, writer):
-                await read_message(reader)  # the JoinRequest
+                await MessageStream(reader).next()  # the JoinRequest
                 writer.close()
 
             flaky = net.bind("server", self.PORT, slam)

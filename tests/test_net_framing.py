@@ -14,9 +14,9 @@ from repro.net.framing import (
     CrcMismatchError,
     FrameBuffer,
     FramingError,
+    MessageStream,
     encode_data_frame,
     encode_frame,
-    read_message,
 )
 from repro.net.streams import PacketSender
 from repro.protocol.messages import KeepAlive, SetParent
@@ -107,25 +107,31 @@ class TestFrameBuffer:
                 assert not isinstance(caught.value, CrcMismatchError)
 
 
+def _stream(data: bytes) -> MessageStream:
+    """A MessageStream over a real StreamReader holding ``data`` + EOF."""
+    reader = asyncio.StreamReader()
+    reader.feed_data(data)
+    reader.feed_eof()
+    return MessageStream(reader)
+
+
+async def _first(data: bytes):
+    return await _stream(data).next()
+
+
 class TestReadMessage:
-    def _reader(self, data: bytes, eof: bool = True) -> asyncio.StreamReader:
-        reader = asyncio.StreamReader()
-        reader.feed_data(data)
-        if eof:
-            reader.feed_eof()
-        return reader
+    """Reading messages off an asyncio stream through the drivers'
+    inbound path, :class:`MessageStream` (the class name is kept so the
+    test ids stay stable)."""
 
     def test_reads_frames_then_clean_eof(self):
         async def scenario():
-            reader = self._reader(
+            stream = _stream(
                 encode_frame(KIND_CONTROL, encode_control(DataHello(node_id=1,
                                                                     column=2)))
                 + encode_frame(KIND_DATA, encode_packet(_packet()))
             )
-            first = await read_message(reader)
-            second = await read_message(reader)
-            third = await read_message(reader)
-            return first, second, third
+            return await stream.next(), await stream.next(), await stream.next()
 
         first, second, third = asyncio.run(scenario())
         assert first == DataHello(node_id=1, column=2)
@@ -133,19 +139,49 @@ class TestReadMessage:
         assert third is None
 
     def test_truncated_prefix_raises(self):
-        async def scenario():
-            await read_message(self._reader(b"\x00\x00"))
-
-        with pytest.raises(FramingError):
-            asyncio.run(scenario())
+        with pytest.raises(FramingError, match="truncated"):
+            asyncio.run(_first(b"\x00\x00"))
 
     def test_truncated_body_raises(self):
-        async def scenario():
-            frame = encode_frame(KIND_DATA, encode_packet(_packet()))
-            await read_message(self._reader(frame[:-3]))
+        frame = encode_frame(KIND_DATA, encode_packet(_packet()))
+        with pytest.raises(FramingError, match="truncated"):
+            asyncio.run(_first(frame[:-3]))
 
-        with pytest.raises(FramingError):
-            asyncio.run(scenario())
+    def test_complete_frames_before_a_truncation_still_arrive(self):
+        frame = encode_frame(KIND_DATA, encode_packet(_packet(generation=6)))
+
+        async def scenario():
+            stream = _stream(frame + frame[:-3])
+            first = await stream.next()
+            with pytest.raises(FramingError, match="truncated"):
+                await stream.next()
+            return first
+
+        assert asyncio.run(scenario()).generation == 6
+
+    @pytest.mark.parametrize("data, crc", [
+        pytest.param(
+            (2**30).to_bytes(4, "big") + b"\x00junk", False, id="oversize"),
+        pytest.param(
+            (1).to_bytes(4, "big") + bytes([7]) + b"x", False,
+            id="unknown-kind"),
+        pytest.param(
+            encode_frame(KIND_DATA, encode_packet(_packet()) + b"\x00"),
+            False, id="framed-length-exceeds-wire-span"),
+        pytest.param(
+            encode_frame(KIND_DATA, _restamped(3)[0]), False,
+            id="wrong-version"),
+        pytest.param(
+            encode_frame(KIND_DATA, encode_packet(_packet())[:-1] + b"\xff"),
+            True, id="crc-mismatch"),
+    ])
+    def test_every_rejection_surfaces_through_the_stream(self, data, crc):
+        """The checks live in FrameBuffer; the stream must not swallow
+        or reclassify any of them (an oversize prefix is rejected before
+        its body arrives)."""
+        with pytest.raises(FramingError) as caught:
+            asyncio.run(_first(data))
+        assert isinstance(caught.value, CrcMismatchError) is crc
 
 
 class TestPeerCorruptionAccounting:
@@ -162,7 +198,7 @@ class TestPeerCorruptionAccounting:
             net = VirtualNetwork()
 
             async def parent(reader, writer):
-                await read_message(reader)  # the child's DataHello
+                await MessageStream(reader).next()  # the child's DataHello
                 writer.write(encode_frame(KIND_DATA, body))
 
             listener = net.bind("parent", 0, parent)

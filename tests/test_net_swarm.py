@@ -40,7 +40,7 @@ class TestTurboVirtualNet:
             received = []
 
             async def handler(reader, writer):
-                received.append(await reader.readexactly(11))
+                received.append(await reader.read(11))
                 writer.close()
 
             net.bind("srv", 9000, handler)
@@ -61,7 +61,7 @@ class TestTurboVirtualNet:
             received = []
 
             async def handler(reader, writer):
-                received.append(await reader.readexactly(6))
+                received.append(await reader.read(6))
                 writer.close()
 
             net.bind("srv", 9000, handler)
