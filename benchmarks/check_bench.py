@@ -94,7 +94,7 @@ SMOKE_FLOORS = [
     ("recode_batch", "speedup", 1.0),
     ("recode_batch", "speedup_wire", 1.0),
     # Observability budget: instrumented hot paths hold >= 0.98 of bare
-    # throughput on a quiet machine (BENCH_PR8.json records the run);
+    # throughput on a quiet machine (CHANGES.md, PR 8, records the run);
     # the CI floor leaves headroom for noisy shared runners.
     ("obs_overhead", "relative_throughput_slot_loop", 0.95),
     ("obs_overhead", "relative_throughput_sender", 0.95),

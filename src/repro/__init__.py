@@ -21,10 +21,10 @@ Subpackages:
 * :mod:`repro.core` — overlay construction/maintenance (the contribution).
 * :mod:`repro.coding` — RLNC codec (encoder, recoder, decoder).
 * :mod:`repro.gf` — GF(2⁸) arithmetic and linear algebra.
-* :mod:`repro.sim` — event engine and packet-level broadcast simulation.
+* :mod:`repro.sim` — packet-level broadcast simulation.
 * :mod:`repro.analysis` — connectivity, defects, delay, expansion.
 * :mod:`repro.theory` — drift function, Theorem 4/5 bounds, collapse.
-* :mod:`repro.failures` — iid/adversarial failures, churn, §7 attacks.
+* :mod:`repro.failures` — iid/adversarial failures, §7 attacks.
 * :mod:`repro.baselines` — chains, striped trees, Edmonds packings,
   erasure striping, uncoded flooding.
 * :mod:`repro.workloads` — arrival schedules and named scenarios.
@@ -39,7 +39,7 @@ from .core import (
     ThreadMatrix,
 )
 from .coding import Decoder, GenerationParams, Recoder, SourceEncoder
-from .sim import BroadcastSimulation, SessionConfig, Simulator, run_session
+from .sim import BroadcastSimulation, SessionConfig, run_session
 
 __version__ = "1.0.0"
 
@@ -53,7 +53,6 @@ __all__ = [
     "RandomGraphOverlay",
     "Recoder",
     "SessionConfig",
-    "Simulator",
     "SourceEncoder",
     "ThreadMatrix",
     "__version__",

@@ -1,7 +1,6 @@
-"""Failure machinery: iid and adversarial models, churn, §7 attacks."""
+"""Failure machinery: iid and adversarial models, §7 attacks."""
 
 from .attacks import DetectionOutcome, assign_attack_roles, detect_low_innovation
-from .churn import ChurnTimeline, PoissonChurn
 from .models import (
     CohortBatchFailures,
     FailureModel,
@@ -12,12 +11,10 @@ from .models import (
 )
 
 __all__ = [
-    "ChurnTimeline",
     "CohortBatchFailures",
     "DetectionOutcome",
     "FailureModel",
     "IIDFailures",
-    "PoissonChurn",
     "RandomBatchFailures",
     "TopRowsFailures",
     "apply_failures",

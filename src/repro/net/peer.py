@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +56,6 @@ from ..obs import (
     PeerEngineInstruments,
     Registry,
     bind_fields,
-    bind_sender_totals,
     snapshot_obj,
 )
 from ..protocol import (
@@ -79,11 +79,10 @@ from .framing import (
     CrcMismatchError,
     FramingError,
     MessageStream,
-    encode_mixture_frames,
     send_control,
     write_control_nowait,
 )
-from .streams import PacketSender, SenderStats, retire_sender
+from .streams import PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
@@ -179,9 +178,14 @@ class PeerNode:
         forward_policy: str = "eager",
         seed_burst: int = 1,
     ) -> None:
-        resolve_policy(forward_policy)  # fail fast on a bad spelling
         if seed_burst < 0:
             raise ValueError("seed_burst must be >= 0")
+        #: The data-plane engine short of its recoder, which waits for
+        #: the grant's geometry (a bad policy spelling fails fast, here).
+        self._relay = partial(
+            RelayEngine,
+            policy=resolve_policy(forward_policy), seed_burst=seed_burst,
+        )
         self.transport: Transport = (
             transport if transport is not None else AsyncioTransport()
         )
@@ -195,28 +199,19 @@ class PeerNode:
             reconnect_base=reconnect_base,
             reconnect_max=reconnect_max,
         )
-        self.queue_limit = queue_limit
-        self.keepalive_interval = keepalive_interval
         self.silence_timeout = silence_timeout
-        self.reconnect_base = reconnect_base
-        self.reconnect_max = reconnect_max
         self.on_complete = on_complete
-        self.forward_policy = forward_policy
-        self.seed_burst = seed_burst
         self.stats = PeerStats()
         self.completed = False
-        self.recoder: Optional[Recoder] = None
-        #: The sans-IO data-plane core (created with the recoder once
+        #: The sans-IO data-plane core (created with its recoder once
         #: the join grant fixes the coding geometry).
         self.dataplane: Optional[RelayEngine] = None
         self.session: Optional[SessionInfo] = None
         self._rng = np.random.default_rng(seed)
-        #: node id -> (host, port), learned from PeerLocator pushes
-        self._addresses: dict[int, tuple[str, int]] = {}
-        #: (child id, column) -> outbound pump
-        self._children: dict[tuple[int, int], PacketSender] = {}
-        #: Retired-pump totals first, then one entry per live child pump.
-        self.sender_stats: list[SenderStats] = [SenderStats()]
+        #: node id -> (host, port): the server, then whatever
+        #: PeerLocator pushes teach us
+        self._addresses: dict[int, tuple[str, int]] = {
+            SERVER: (server_host, server_port)}
         self._thread_tasks: dict[int, asyncio.Task] = {}
         self._listener: Optional[Listener] = None
         self._control_writer: Optional[ByteStreamWriter] = None
@@ -226,6 +221,14 @@ class PeerNode:
         #: Per-node telemetry; renamed to ``peer:<node_id>`` once the
         #: grant assigns us an id.  Everything is snapshot-on-read.
         self.registry = Registry("peer")
+        #: The downstream side: one pump per (child id, column) dialed in.
+        self.pumps = PumpSet(
+            self.registry, limit=queue_limit,
+            keepalive_interval=keepalive_interval, clock=self.clock,
+            logger=self.log,
+        )
+        #: Retired-pump totals first, then one entry per live child pump.
+        self.sender_stats = self.pumps.stats
         PeerEngineInstruments(self.registry).attach(self.engine, self.registry)
         self.engine.flight = FlightRecorder()
         bind_fields(
@@ -234,17 +237,12 @@ class PeerNode:
              "complaints", "keepalives_seen", "crc_failures"),
             "net", "live PeerStats counter",
         )
-        bind_sender_totals(self.registry, lambda: self.sender_stats)
         self.registry.gauge(
             "net.rank", "degrees of freedom collected", fn=lambda: self.rank,
         )
         self.registry.gauge(
             "net.needed", "degrees of freedom for a full decode",
             fn=lambda: self.needed,
-        )
-        self.registry.gauge(
-            "net.children", "attached child pumps",
-            fn=lambda: len(self._children),
         )
 
     def snapshot(self) -> dict:
@@ -293,24 +291,22 @@ class PeerNode:
             self.kill()
             raise
         self.engine.node_id = grant.node_id
-        self.log = logging.getLogger(f"repro.net.peer.{grant.node_id}")
+        self.log = self.pumps.logger = logging.getLogger(
+            f"repro.net.peer.{grant.node_id}")
+        self.pumps.origin = grant.node_id
+        self.pumps.generation_size = self.session.generation_size
         self.registry.name = f"peer:{grant.node_id}"
         self.log.info(
             "joined as node %d with threads %s",
             grant.node_id, [column for column, _ in grant.assignments],
         )
-        self.recoder = Recoder(
+        self.dataplane = self._relay(Recoder(
             GenerationParams(self.session.generation_size,
                              self.session.payload_size),
             self.session.generation_count,
             self._rng,
             node_id=grant.node_id,
-        )
-        self.dataplane = RelayEngine(
-            self.recoder,
-            policy=self.forward_policy,
-            seed_burst=self.seed_burst,
-        )
+        ))
         self.stats._dataplane = self.dataplane
         DataplaneInstruments(self.registry).attach(
             self.dataplane, self.registry
@@ -318,8 +314,8 @@ class PeerNode:
         # A child that dialed before the grant arrived (possible only
         # under exotic orderings) is attached now so the fan-out list
         # matches the live pumps.
-        for key in list(self._children):
-            self._pump_dataplane(self.dataplane.handle(
+        for key in self.pumps.attached():
+            self._perform_data(self.dataplane.handle(
                 ChildAttached(key, column=key[1])
             ))
         self._control_task = asyncio.ensure_future(self._control_loop(stream))
@@ -373,9 +369,7 @@ class PeerNode:
         self._thread_tasks.clear()
         if self._control_task is not None:
             self._control_task.cancel()
-        for sender in list(self._children.values()):
-            sender.close()
-        self._children.clear()
+        self.pumps.close()
         if self._control_writer is not None:
             self._control_writer.close()
         if self._listener is not None:
@@ -387,18 +381,19 @@ class PeerNode:
     @property
     def rank(self) -> int:
         """Degrees of freedom collected so far."""
-        return self.recoder.decoder.total_rank if self.recoder else 0
+        return self.dataplane.rank if self.dataplane else 0
 
     @property
     def needed(self) -> int:
         """Degrees of freedom required for a full decode."""
-        return self.recoder.decoder.total_dof if self.recoder else 0
+        return self.dataplane.needed if self.dataplane else 0
 
     def recovered_content(self) -> bytes:
         """The decoded bytes; requires completeness."""
-        if self.recoder is None or not self.recoder.decoder.is_complete:
+        if not self.completed:
             raise RuntimeError("content not fully decoded yet")
-        return self.recoder.decoder.recover(self.session.content_length)
+        return self.dataplane.recoder.decoder.recover(
+            self.session.content_length)
 
     # ------------------------------------------------------------------
     # Control plane: pump the engine
@@ -424,24 +419,24 @@ class PeerNode:
         if isinstance(message, PeerLocator):
             self._addresses[message.node_id] = (message.host, message.port)
             return
-        self._perform_all(self.engine.handle(MessageReceived(message)))
+        self._perform(self.engine.handle(MessageReceived(message)))
 
-    def _perform_all(self, effects) -> None:
-        """Carry out the engine's control effects (everything except
-        ``Backoff``, which only the thread loops await)."""
+    def _perform(self, effects) -> Optional[float]:
+        """Carry out the control engine's effects.  A ``Backoff`` is the
+        one it cannot perform here: its delay is returned to the thread
+        loop, the only caller that sleeps on it."""
+        delay: Optional[float] = None
         for effect in effects:
             if isinstance(effect, Send):
                 self._write_control(effect.message)
-            elif isinstance(effect, Clip):
+            elif isinstance(effect, (Clip, StopThread)):
+                # A stopped thread has no parent left to restart toward.
                 self._restart_thread(effect.column)
-            elif isinstance(effect, StopThread):
-                task = self._thread_tasks.pop(effect.column, None)
-                if task is not None:
-                    task.cancel()
             elif isinstance(effect, CloseChildren):
-                for (child, column), sender in list(self._children.items()):
-                    if column == effect.column:
-                        sender.close()
+                self.pumps.close(effect.column)
+            elif isinstance(effect, Backoff):
+                delay = effect.delay
+        return delay
 
     def _write_control(self, message: object) -> None:
         if self._control_writer is None:
@@ -482,22 +477,14 @@ class PeerNode:
         episode) and backs off."""
         while self._running and column in self.parents:
             parent = self.parents[column]
-            address = (
-                (self.server_host, self.server_port) if parent == SERVER
-                else self._addresses.get(parent)
-            )
+            address = self._addresses.get(parent)
             saw_traffic = False
             if address is not None:
                 saw_traffic = await self._consume_upstream(
                     column, parent, address)
-            delay: Optional[float] = None
-            for effect in self.engine.handle(UpstreamDown(
+            delay = self._perform(self.engine.handle(UpstreamDown(
                 column=column, parent=parent, saw_traffic=saw_traffic,
-            )):
-                if isinstance(effect, Send):
-                    self._write_control(effect.message)
-                elif isinstance(effect, Backoff):
-                    delay = effect.delay
+            )))
             if delay is None:
                 continue  # healthy session: redial immediately
             self.log.debug(
@@ -539,7 +526,8 @@ class PeerNode:
                 heard = self.clock.time()
                 if isinstance(message, CodedPacket):
                     saw_traffic = True
-                    self._on_packet(message)
+                    self._perform_data(
+                        self.dataplane.handle(PacketArrived(message)))
                 elif isinstance(message, KeepAlive):
                     saw_traffic = True
                     self.stats.keepalives_seen += 1
@@ -565,100 +553,41 @@ class PeerNode:
         try:
             hello = await MessageStream(reader).next()
         except FramingError:
-            writer.close()
-            return
+            hello = None
         if not isinstance(hello, DataHello) or not self._running:
             writer.close()
             return
         key = (hello.node_id, hello.column)
-        old = self._children.pop(key, None)
-        if old is not None:
-            old.close()
         # Tell the engine first: it owns the fan-out order, decides the
-        # seed-burst (its emit() draws land exactly where the inline
-        # burst's did — pump construction draws no RNG), and asks for
-        # idle data-fills via RequestIdle under gated policies.
+        # seed-burst, and asks for idle data-fills via RequestIdle —
+        # which the pump has to be built with — under gated policies.
         effects = (
             self.dataplane.handle(ChildAttached(key, column=hello.column))
             if self.dataplane is not None else []
         )
         wants_idle = any(isinstance(e, RequestIdle) for e in effects)
-        sender = PacketSender(
-            writer, column=hello.column, sender_id=self.node_id or -1,
-            limit=self.queue_limit, keepalive_interval=self.keepalive_interval,
-            clock=self.clock,
-            idle_packet=(
-                (lambda k=key: self._emit_idle(k)) if wants_idle else None
-            ),
-            logger=self.log,
+        detached = await self.pumps.serve(
+            key, writer, column=hello.column, burst=effects,
+            idle_packet=(lambda: self._emit_idle(key)) if wants_idle else None,
         )
-        self.sender_stats.append(sender.stats)
-        self._children[key] = sender
-        # The per-neighbour-queue observable: one gauge per column we
-        # serve (at most k), reading whichever pumps serve it now.
-        self.registry.gauge(
-            f"net.queue_depth.c{hello.column}",
-            "frames queued toward this column's children",
-            fn=lambda c=hello.column: sum(
-                pump.queue_depth
-                for (_, column), pump in self._children.items()
-                if column == c
-            ),
-        )
-        self._pump_dataplane(effects)
-        try:
-            await sender.run()
-        finally:
-            retire_sender(self.sender_stats, sender.stats)
-            if self._children.get(key) is sender:
-                del self._children[key]
-                if self.dataplane is not None:
-                    self.dataplane.handle(ChildDetached(key))
+        if detached and self.dataplane is not None:
+            self.dataplane.handle(ChildDetached(key))
 
     def _emit_idle(self, key: tuple[int, int]) -> Optional[CodedPacket]:
         """A fresh mixture for an idle child link (``innovative`` policy)."""
-        if self.dataplane is None:
-            return None
         for effect in self.dataplane.handle(IdlePoll(key)):
             if isinstance(effect, EmitToChildren):
                 return effect.packets[0]
         return None
 
-    def _on_packet(self, packet: CodedPacket) -> None:
-        """Ingest one upstream packet and fan fresh mixtures downstream."""
-        self._pump_dataplane(self.dataplane.handle(PacketArrived(packet)))
-
-    def _pump_dataplane(self, effects) -> None:
-        """Carry out the data-plane engine's effects on the live pumps."""
+    def _perform_data(self, effects) -> None:
+        """Carry out the data-plane engine's effects.  ``Ingested`` is
+        trace/observability-only and ``RequestIdle`` is honoured where
+        the pump is built, in ``_handle_child``."""
         for effect in effects:
             if isinstance(effect, EmitToChildren):
-                if effect.rows is not None:
-                    # The fused fan-out: mixtures go straight from
-                    # the recode gemm output to wire frames — no
-                    # intermediate packet objects, each frame serialised
-                    # exactly once.
-                    frames = encode_mixture_frames(
-                        effect.rows, self.recoder.params.generation_size,
-                        origin=self.recoder.node_id,
-                    )
-                    for key, frame in zip(effect.children, frames):
-                        sender = self._children.get(key)
-                        if sender is not None:
-                            sender.enqueue_frame(frame)
-                else:
-                    for key, mixture in zip(effect.children, effect.packets):
-                        sender = self._children.get(key)
-                        if sender is not None:
-                            sender.enqueue(mixture)
+                self.pumps.emit(effect)
             elif isinstance(effect, MarkComplete):
                 self.completed = True
                 if self.on_complete is not None:
                     self.on_complete(self)
-            # Ingested and RequestIdle are bookkeeping: the former is
-            # trace/observability-only, the latter is honoured at pump
-            # construction in _handle_child.
-
-    #: All child pumps currently attached (diagnostics / harness).
-    @property
-    def child_senders(self) -> list[PacketSender]:
-        return list(self._children.values())

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -37,9 +37,8 @@ import numpy as np
 from ..coding.buffers import DEFAULT_POOL
 from ..coding.encoder import SourceEncoder
 from ..coding.generation import GenerationParams
-from ..core.matrix import SERVER
 from ..core.server import CoordinationServer
-from ..dataplane import EmitRound, EmitToChildren, SourceEngine
+from ..dataplane import ChildAttached, EmitRound, EmitToChildren, SourceEngine
 from ..obs import (
     DataplaneInstruments,
     FlightRecorder,
@@ -47,7 +46,6 @@ from ..obs import (
     ServerEngineInstruments,
     bind_fields,
     bind_pool,
-    bind_sender_totals,
     snapshot_obj,
 )
 from ..protocol import (
@@ -65,13 +63,8 @@ from ..protocol import (
     TimerFired,
 )
 from .control import DataHello, PeerLocator, SessionInfo
-from .framing import (
-    FramingError,
-    MessageStream,
-    encode_data_frames,
-    write_control_nowait,
-)
-from .streams import PacketSender, SenderStats, retire_sender
+from .framing import FramingError, MessageStream, write_control_nowait
+from .streams import PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["ServerNode", "ServerStats"]
@@ -114,13 +107,13 @@ class ServerStats:
 
 @dataclass
 class _PeerHandle:
-    """Server-side connection state for one admitted peer."""
+    """Server-side state of one control connection; ``node_id`` is
+    filled in when the engine admits the peer behind it."""
 
-    node_id: int
     host: str
     port: int
     writer: ByteStreamWriter
-    tasks: list = field(default_factory=list)
+    node_id: Optional[int] = None
 
 
 class ServerNode:
@@ -169,23 +162,14 @@ class ServerNode:
             CoordinationServer(k, d, rng, insert_mode),
             probe_timeout=probe_timeout,
         )
-        self.encoder = SourceEncoder(content, params, rng)
         #: The sans-IO data-plane core (generation scheduling + per-round
         #: emission; the stream loop just pumps its effects).
-        self.dataplane = SourceEngine(self.encoder)
-        self.params = params
-        self.content_length = len(content)
+        self.dataplane = SourceEngine(SourceEncoder(content, params, rng))
         self.host = host
         self.port = port
         self.send_interval = send_interval
-        self.queue_limit = queue_limit
-        self.keepalive_interval = keepalive_interval
-        self.probe_timeout = probe_timeout
         self.stats = ServerStats(self.dataplane)
         self._peers: dict[int, _PeerHandle] = {}
-        self._column_senders: dict[int, PacketSender] = {}
-        #: Retired-pump totals first, then one entry per live column pump.
-        self.sender_stats: list[SenderStats] = [SenderStats()]
         self._server: Optional[Listener] = None
         self._stream_task: Optional[asyncio.Task] = None
         self._timer_tasks: set[asyncio.Task] = set()
@@ -195,6 +179,14 @@ class ServerNode:
         #: per-column queue depths — everything snapshot-on-read, so the
         #: hot paths keep bumping plain dataclass fields.
         self.registry = Registry("server")
+        #: The downstream side: one pump per column, toward its top node.
+        self.pumps = PumpSet(
+            self.registry, limit=queue_limit,
+            keepalive_interval=keepalive_interval, clock=self.clock,
+            logger=self.log,
+        )
+        #: Retired-pump totals first, then one entry per live column pump.
+        self.sender_stats = self.pumps.stats
         ServerEngineInstruments(self.registry).attach(self.engine, self.registry)
         DataplaneInstruments(self.registry).attach(
             self.dataplane, self.registry
@@ -206,18 +198,7 @@ class ServerNode:
              "joins", "leaves", "crashes"),
             "net", "live ServerStats counter",
         )
-        bind_sender_totals(self.registry, lambda: self.sender_stats)
         bind_pool(self.registry, DEFAULT_POOL)
-        for column in range(k):
-            self.registry.gauge(
-                f"net.queue_depth.c{column}",
-                "frames queued on this column's outbound pump",
-                fn=lambda c=column: (
-                    sender.queue_depth
-                    if (sender := self._column_senders.get(c)) is not None
-                    else 0
-                ),
-            )
 
     def snapshot(self) -> dict:
         """This node's registries as a versioned snapshot object."""
@@ -237,7 +218,8 @@ class ServerNode:
             self._handle_connection, self.host, self.port
         )
         self.port = self._server.address[1]
-        self.log = logging.getLogger(f"repro.net.server.{self.port}")
+        self.log = self.pumps.logger = logging.getLogger(
+            f"repro.net.server.{self.port}")
         self.registry.name = f"server:{self.port}"
         self._running = True
         self._stream_task = asyncio.ensure_future(self._stream_loop())
@@ -253,9 +235,7 @@ class ServerNode:
                    if t is not None]
         for task in pending:
             task.cancel()
-        for sender in list(self._column_senders.values()):
-            sender.close()
-        self._column_senders.clear()
+        self.pumps.close()
         for handle in list(self._peers.values()):
             handle.writer.close()
         if self._server is not None:
@@ -263,11 +243,6 @@ class ServerNode:
             await self._server.wait_closed()
         if pending:
             await asyncio.gather(*pending, return_exceptions=True)
-
-    @property
-    def population(self) -> int:
-        """Rows currently in the matrix."""
-        return self.core.population
 
     # ------------------------------------------------------------------
     # Data plane
@@ -278,25 +253,16 @@ class ServerNode:
         The :class:`~repro.dataplane.SourceEngine` owns the schedule —
         round-robin generations so every generation keeps flowing
         regardless of which columns are attached, one mixing gemm per
-        round — and this loop only translates its effects onto the column
-        pumps (one pooled serialisation pass, frames shared by reference).
+        round — and this loop only hands its effects to the column pumps.
         """
         try:
             while self._running:
                 await self.clock.sleep(self.send_interval)
-                attached = [
-                    (column, s)
-                    for column, s in list(self._column_senders.items())
-                    if not s.closed
-                ]
-                for effect in self.dataplane.handle(EmitRound(
-                    targets=tuple(column for column, _ in attached)
-                )):
-                    if not isinstance(effect, EmitToChildren):
-                        continue
-                    frames = encode_data_frames(effect.packets)
-                    for (_, sender), frame in zip(attached, frames):
-                        sender.enqueue_frame(frame)
+                for effect in self.dataplane.handle(
+                    EmitRound(targets=self.pumps.attached())
+                ):
+                    if isinstance(effect, EmitToChildren):
+                        self.pumps.emit(effect)
         except asyncio.CancelledError:
             pass
 
@@ -312,39 +278,16 @@ class ServerNode:
         try:
             first = await stream.next()
         except FramingError:
-            writer.close()
-            return
+            first = None
         if isinstance(first, JoinRequest):
             await self._serve_control(first, stream, writer)
-        elif isinstance(first, DataHello):
-            await self._serve_data(first, writer)
+        elif isinstance(first, DataHello) and 0 <= first.column < self.core.k:
+            # Stream one column to the child that dialed us.
+            column = first.column
+            burst = self.dataplane.handle(ChildAttached(column, column=column))
+            await self.pumps.serve(column, writer, column=column, burst=burst)
         else:
             writer.close()
-
-    async def _serve_data(
-        self, hello: DataHello, writer: ByteStreamWriter
-    ) -> None:
-        """Stream one column to the child that dialed us."""
-        column = hello.column
-        if not 0 <= column < self.core.k:
-            writer.close()
-            return
-        old = self._column_senders.get(column)
-        if old is not None:
-            old.close()
-        sender = PacketSender(
-            writer, column=column, sender_id=SERVER,
-            limit=self.queue_limit, keepalive_interval=self.keepalive_interval,
-            clock=self.clock, logger=self.log,
-        )
-        self.sender_stats.append(sender.stats)
-        self._column_senders[column] = sender
-        try:
-            await sender.run()
-        finally:
-            retire_sender(self.sender_stats, sender.stats)
-            if self._column_senders.get(column) is sender:
-                del self._column_senders[column]
 
     # ------------------------------------------------------------------
     # Control plane: pump the engine
@@ -353,13 +296,18 @@ class ServerNode:
         self, request: JoinRequest, stream: MessageStream,
         writer: ByteStreamWriter,
     ) -> None:
-        handle = self._admit(request, writer)
+        peername = writer.get_extra_info("peername")
+        handle = _PeerHandle(
+            host=peername[0] if peername else "127.0.0.1",
+            port=request.reply_to, writer=writer,
+        )
+        self._perform(self.engine.handle(MessageReceived(request)), handle)
         try:
             while self._running:
                 message = await stream.next()
                 if message is None:
                     break
-                self._pump(self.engine.handle(
+                self._perform(self.engine.handle(
                     MessageReceived(message, sender=handle.node_id)
                 ))
                 if handle.node_id in self.engine.departed:
@@ -369,83 +317,76 @@ class ServerNode:
         finally:
             self._disconnect(handle)
 
-    def _admit(
-        self, request: JoinRequest, writer: ByteStreamWriter
-    ) -> _PeerHandle:
-        """Run the hello protocol for a fresh control connection."""
-        peername = writer.get_extra_info("peername")
-        host = peername[0] if peername else "127.0.0.1"
-        handle: Optional[_PeerHandle] = None
-        for effect in self.engine.handle(MessageReceived(request)):
-            if isinstance(effect, Admitted):
-                handle = _PeerHandle(
-                    node_id=effect.node_id, host=host,
-                    port=request.reply_to, writer=writer,
-                )
-                self._peers[effect.node_id] = handle
-                self.stats.joins += 1
-                self.log.info(
-                    "admitted peer %d from %s:%d with %d threads",
-                    effect.node_id, host, request.reply_to,
-                    len(effect.assignments),
-                )
-                # Geometry first, then parent locators, then the grant
-                # (delivered by the Send effect that follows): by the
-                # time the joiner sees its assignments it can dial them.
-                write_control_nowait(writer, SessionInfo(
-                    generation_size=self.params.generation_size,
-                    payload_size=self.params.payload_size,
-                    generation_count=self.encoder.generation_count,
-                    content_length=self.content_length,
-                    k=self.core.k,
-                    d=self.core.d,
-                ))
-                for _column, parent in effect.assignments:
-                    self._send_locator(handle, parent)
-            else:
-                self._perform(effect)
-        return handle
+    def _welcome(self, effect: Admitted, handle: _PeerHandle) -> None:
+        """Open the books on a freshly admitted control connection."""
+        handle.node_id = effect.node_id
+        self._peers[effect.node_id] = handle
+        self.stats.joins += 1
+        self.log.info(
+            "admitted peer %d from %s:%d with %d threads", effect.node_id,
+            handle.host, handle.port, len(effect.assignments),
+        )
+        # Geometry first, then parent locators, then the grant
+        # (delivered by the Send effect that follows): by the
+        # time the joiner sees its assignments it can dial them.
+        encoder = self.dataplane.encoder
+        write_control_nowait(handle.writer, SessionInfo(
+            generation_size=encoder.params.generation_size,
+            payload_size=encoder.params.payload_size,
+            generation_count=encoder.generation_count,
+            content_length=encoder.content_length,
+            k=self.core.k,
+            d=self.core.d,
+        ))
+        for _column, parent in effect.assignments:
+            self._send_locator(handle, parent)
 
-    def _pump(self, effects) -> None:
+    def _perform(
+        self, effects, joining: Optional[_PeerHandle] = None
+    ) -> None:
+        """Carry out the control engine's effects on the live transport.
+
+        ``joining`` is the connection whose ``JoinRequest`` produced
+        them, for the ``Admitted`` among them to claim.
+        ``ComplaintNoted`` is bookkeeping for drivers that track repair
+        latency.
+        """
         for effect in effects:
-            self._perform(effect)
-
-    def _perform(self, effect) -> None:
-        """Carry out one engine effect on the live transport."""
-        if isinstance(effect, Send):
-            if isinstance(effect.message, Probe):
-                self.stats.probes += 1
-                self.log.info("probing suspect %d", effect.to)
-            self._notify(effect.to, effect.message)
-        elif isinstance(effect, StartTimer):
-            task = asyncio.ensure_future(self._timer(effect.key, effect.delay))
-            self._timer_tasks.add(task)
-            task.add_done_callback(self._timer_tasks.discard)
-        elif isinstance(effect, CloseConnection):
-            handle = self._peers.get(effect.node_id)
-            if handle is not None:
-                handle.writer.close()
-        elif isinstance(effect, PeerDeparted):
-            self.log.info(
-                "peer %d departed (%s)", effect.node_id, effect.reason
-            )
-            if effect.reason == "leave":
-                self.stats.leaves += 1
-            else:
-                self.stats.repairs += 1
-                self._peers.pop(effect.node_id, None)
-        # Admitted is handled by _admit; ComplaintNoted is bookkeeping
-        # for drivers that track repair latency.
+            if isinstance(effect, Send):
+                if isinstance(effect.message, Probe):
+                    self.stats.probes += 1
+                    self.log.info("probing suspect %d", effect.to)
+                self._notify(effect.to, effect.message)
+            elif isinstance(effect, Admitted):
+                self._welcome(effect, joining)
+            elif isinstance(effect, StartTimer):
+                task = asyncio.ensure_future(
+                    self._timer(effect.key, effect.delay))
+                self._timer_tasks.add(task)
+                task.add_done_callback(self._timer_tasks.discard)
+            elif isinstance(effect, CloseConnection):
+                handle = self._peers.get(effect.node_id)
+                if handle is not None:
+                    handle.writer.close()
+            elif isinstance(effect, PeerDeparted):
+                self.log.info(
+                    "peer %d departed (%s)", effect.node_id, effect.reason
+                )
+                if effect.reason == "leave":
+                    self.stats.leaves += 1
+                else:
+                    self.stats.repairs += 1
+                    self._peers.pop(effect.node_id, None)
 
     async def _timer(self, key: tuple, delay: float) -> None:
         await self.clock.sleep(delay)
-        self._pump(self.engine.handle(TimerFired(key)))
+        self._perform(self.engine.handle(TimerFired(key)))
 
     def _disconnect(self, handle: _PeerHandle) -> None:
         """Control connection gone: a crash unless it said good-bye."""
         if self._running and handle.node_id not in self.engine.departed:
             self.stats.crashes += 1
-            self._pump(self.engine.handle(ConnectionLost(handle.node_id)))
+            self._perform(self.engine.handle(ConnectionLost(handle.node_id)))
         self._peers.pop(handle.node_id, None)
         handle.writer.close()
 
@@ -453,9 +394,8 @@ class ServerNode:
     # Helpers
 
     def _send_locator(self, to: _PeerHandle, node_id: int) -> None:
-        """Tell ``to`` where ``node_id`` listens (no-op for the server)."""
-        if node_id == SERVER:
-            return
+        """Tell ``to`` where ``node_id`` listens (a no-op for ``SERVER``,
+        which every peer can already dial and ``_peers`` never holds)."""
         peer = self._peers.get(node_id)
         if peer is not None:
             write_control_nowait(to.writer, PeerLocator(
@@ -465,8 +405,6 @@ class ServerNode:
         """Fire-and-forget a control message to a connected peer.  A
         ``SetParent`` is preceded by the new parent's locator so the
         child can dial it."""
-        if node_id == SERVER:
-            return
         handle = self._peers.get(node_id)
         if handle is None:
             return

@@ -1,4 +1,5 @@
-"""Per-connection outbound pumps with bounded queues.
+"""A node's downstream side: per-connection outbound pumps with bounded
+queues, and the :class:`PumpSet` that owns all of a node's.
 
 Backpressure policy (the per-neighbour-queues design of
 arXiv:1301.5107): every downstream connection owns a bounded FIFO of
@@ -10,12 +11,12 @@ information as the one evicted; nothing is retransmitted and nothing is
 tracked.
 
 The queue holds *pre-encoded* immutable frame bytes rather than packet
-objects: a packet fanned out to several children is serialised once
-(see :func:`repro.net.framing.encode_data_frames`) and the same bytes
-object sits in every child's queue.  At each wakeup the pump hands
-everything queued to the writer in a single ``writelines`` flush — one
-syscall on a real socket; the virtual transport keeps its fault
-injection aligned to the individual frames of the list.
+objects: every mixture is serialised exactly once, before it is queued
+(a relay's whole fan-out in one pooled pass, see
+:func:`repro.net.framing.encode_mixture_frames`).  At each wakeup the
+pump hands everything queued to the writer in a single ``writelines``
+flush — one syscall on a real socket; the virtual transport keeps its
+fault injection aligned to the individual frames of the list.
 
 The pump also emits a :class:`~repro.protocol.messages.KeepAlive`
 control frame when the data flow pauses, so an idle-but-healthy thread
@@ -29,15 +30,23 @@ import asyncio
 import logging
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, Hashable, Iterable, Optional
 
 from ..coding.packet import CodedPacket
+from ..core.matrix import SERVER
+from ..dataplane.effects import EmitToChildren
+from ..obs import Registry, bind_sender_totals
 from ..protocol.messages import KeepAlive
 from .control import encode_control
-from .framing import KIND_CONTROL, encode_data_frame, encode_frame
+from .framing import (
+    KIND_CONTROL,
+    encode_data_frame,
+    encode_frame,
+    encode_mixture_frames,
+)
 from .transport import AsyncioClock, ByteStreamWriter, Clock
 
-__all__ = ["PacketSender", "SenderStats", "retire_sender"]
+__all__ = ["PacketSender", "PumpSet", "SenderStats"]
 
 
 @dataclass
@@ -55,20 +64,6 @@ class SenderStats:
     keepalives: int = 0
     bytes_sent: int = 0
     flushes: int = 0
-
-
-def retire_sender(live: list[SenderStats], stats: SenderStats) -> None:
-    """Fold a finished pump's counters into ``live[0]``, the node's
-    retired-total entry, and drop its own: the list stays as long as
-    the pumps now running however many connections came and went, and
-    every sum over it is unchanged."""
-    total = live[0]
-    # By identity: SenderStats compares by value, and two idle pumps
-    # (or an idle pump and a fresh total) are equal.
-    live[:] = [entry for entry in live if entry is not stats]
-    for field in fields(SenderStats):
-        setattr(total, field.name,
-                getattr(total, field.name) + getattr(stats, field.name))
 
 
 class PacketSender:
@@ -224,3 +219,153 @@ class PacketSender:
             self.stats.flushes += 1
             await self._writer.drain()
             return False
+
+
+class PumpSet:
+    """Everything a node does toward the children that dial it.
+
+    The source and every relay have the same job downstream — accept
+    the child that dials a column, keep one bounded queue for it, put
+    each fresh mixture on it — so ``ServerNode`` and ``PeerNode`` each
+    hold one ``PumpSet`` and no pump of their own.  It owns the keyed
+    :class:`PacketSender` objects (a key is the node's data-plane
+    engine's name for the child: a column at the server, ``(child id,
+    column)`` at a peer), the rule that a key redialing replaces its
+    old pump, each pump's run → retire → detach lifetime, and the
+    node's ``sender_stats``.
+
+    Args:
+        registry: Where ``net.children``, the summed ``net.sender.*``
+            totals and one ``net.queue_depth.c<column>`` gauge per
+            served column (the per-neighbour-queue observable) are bound.
+        limit, keepalive_interval, clock, logger: Handed to every pump.
+
+    ``origin`` (whom keep-alives and mixtures are stamped from: the
+    server until told otherwise), ``generation_size`` (the geometry
+    mixture rows are framed with) and ``logger`` are plain attributes:
+    a peer learns them from its join grant, when this set already is
+    behind its listener.
+    """
+
+    def __init__(
+        self,
+        registry: Registry,
+        *,
+        limit: int,
+        keepalive_interval: Optional[float],
+        clock: Clock,
+        logger: Optional[logging.Logger] = None,
+    ) -> None:
+        self.origin = SERVER
+        self.generation_size: Optional[int] = None
+        self.logger = logger
+        #: Retired-pump totals first, then one entry per running pump —
+        #: bounded however many connections came and went.  Mutated in
+        #: place, never rebound.
+        self.stats: list[SenderStats] = [SenderStats()]
+        self._pumps: dict[Hashable, PacketSender] = {}
+        self._registry = registry
+        self._limit = limit
+        self._keepalive_interval = keepalive_interval
+        self._clock = clock
+        bind_sender_totals(registry, lambda: self.stats)
+        registry.gauge(
+            "net.children", "attached child pumps",
+            fn=lambda: len(self._pumps),
+        )
+
+    def get(self, key: Hashable) -> Optional[PacketSender]:
+        """The pump now serving ``key``, if any."""
+        return self._pumps.get(key)
+
+    def attached(self) -> tuple:
+        """Keys with an open pump, in attach order."""
+        return tuple(
+            key for key, pump in self._pumps.items() if not pump.closed
+        )
+
+    async def serve(
+        self,
+        key: Hashable,
+        writer: ByteStreamWriter,
+        *,
+        column: int,
+        idle_packet: Optional[Callable[[], Optional[CodedPacket]]] = None,
+        burst: Iterable = (),
+    ) -> bool:
+        """Pump one child connection for as long as it lasts.
+
+        A pump already serving ``key`` is closed and replaced (the child
+        redialed: its old connection is dead or about to be).  ``burst``
+        is the engine's answer to ``ChildAttached``; the mixtures in it
+        go on the new pump first.  Returns True if this pump was still
+        the one serving ``key`` when it finished — the key is unserved
+        now, and the caller's engine should hear ``ChildDetached``.
+        """
+        old = self._pumps.get(key)
+        if old is not None:
+            old.close()
+        pump = PacketSender(
+            writer, column=column, sender_id=self.origin, limit=self._limit,
+            keepalive_interval=self._keepalive_interval, clock=self._clock,
+            idle_packet=idle_packet, logger=self.logger,
+        )
+        self._pumps[key] = pump
+        self.stats.append(pump.stats)
+        gauge = f"net.queue_depth.c{column}"
+        if gauge not in self._registry:
+            self._registry.gauge(
+                gauge, "frames queued toward this column's children",
+                fn=lambda: sum(
+                    p.queue_depth for p in self._pumps.values()
+                    if p.column == column
+                ),
+            )
+        for effect in burst:
+            if isinstance(effect, EmitToChildren):
+                self.emit(effect)
+        try:
+            await pump.run()
+        finally:
+            # Fold the finished pump's counters into the retired total
+            # and drop its own entry: every sum over ``stats`` is
+            # unchanged.  By identity — SenderStats compares by value,
+            # and an idle pump equals another, or a fresh total.
+            self.stats[:] = [s for s in self.stats if s is not pump.stats]
+            total = self.stats[0]
+            for field in fields(SenderStats):
+                setattr(total, field.name, getattr(total, field.name)
+                        + getattr(pump.stats, field.name))
+            last = self._pumps.get(key) is pump
+            if last:
+                del self._pumps[key]
+        return last
+
+    def emit(self, effect: EmitToChildren) -> None:
+        """Put an engine's fresh mixtures on their children's pumps.
+
+        Each mixture is serialised exactly once, whichever payload form
+        carries it — rows go straight from the recode gemm output to
+        wire frames in one pooled pass, no packet objects in between —
+        and a child whose pump is gone is skipped.
+        """
+        pumps = self._pumps
+        if effect.rows is None:
+            for key, packet in zip(effect.children, effect.packets):
+                pump = pumps.get(key)
+                if pump is not None:
+                    pump.enqueue(packet)
+            return
+        frames = encode_mixture_frames(
+            effect.rows, self.generation_size, origin=self.origin)
+        for key, frame in zip(effect.children, frames):
+            pump = pumps.get(key)
+            if pump is not None:
+                pump.enqueue_frame(frame)
+
+    def close(self, column: Optional[int] = None) -> None:
+        """Stop every pump, or only those serving ``column``; each
+        leaves the set (and reports its detach) at its next wakeup."""
+        for pump in self._pumps.values():
+            if column is None or pump.column == column:
+                pump.close()

@@ -1,4 +1,4 @@
-"""Simulation layer: event engine, loss models, slotted RLNC broadcast.
+"""Simulation layer: loss models, slotted RLNC broadcast.
 
 * :class:`SlottedRuntime` — the unified two-phase slotted kernel: one
   :class:`Topology` (who sends to whom) × one :class:`NodeBehavior`
@@ -8,8 +8,6 @@
 * :class:`GraphBroadcastSimulation` — RLNC over the §6 random graph.
 * :func:`run_session` — one-call scenario orchestration (churn, repair,
   and attack schedules as runtime slot hooks).
-* :class:`Simulator` — generic discrete-event engine (membership/churn
-  timing experiments).
 """
 
 from .behaviors import (
@@ -19,9 +17,7 @@ from .behaviors import (
     StoreForwardBehavior,
 )
 from .broadcast import BroadcastSimulation
-from .engine import SimulationError, Simulator
 from .graph_broadcast import GraphBroadcastSimulation
-from .events import Event, make_event
 from .links import LinkStats, LossModel, OutageModel
 from .report import (
     BroadcastReport,
@@ -50,7 +46,6 @@ __all__ = [
     "BroadcastSimulation",
     "CurtainTopology",
     "DEFAULT_MAX_SLOTS",
-    "Event",
     "FloodingReport",
     "GraphBroadcastSimulation",
     "GraphTopology",
@@ -68,15 +63,12 @@ __all__ = [
     "RunReport",
     "SessionConfig",
     "SessionResult",
-    "SimulationError",
-    "Simulator",
     "SlotRecord",
     "SlottedRuntime",
     "StaticTopology",
     "StoreForwardBehavior",
     "Topology",
     "completion_percentile",
-    "make_event",
     "make_rng",
     "mean_completion_slot",
     "run_session",

@@ -2,10 +2,10 @@
 
 A trace is an ordered list of membership events (join / leave / fail /
 repair) with timestamps.  Traces make scenarios portable: record one
-from any driver (the slotted churn, the Poisson engine, a hand-written
-schedule), serialise it to JSON, and replay it bit-for-bit onto a fresh
-overlay — including onto a *differently configured* overlay, which is
-how like-for-like protocol comparisons are run.
+from any driver (the slotted churn, a hand-written schedule),
+serialise it to JSON, and replay it bit-for-bit onto a fresh overlay —
+including onto a *differently configured* overlay, which is how
+like-for-like protocol comparisons are run.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ different drivers:
   scripted injection on the server's outbound data pump (sixteen
   round-robin source packets with a mid-script duplicate and a trailing
   post-completion duplicate), all travelling through framing, CRC, and
-  :meth:`PeerNode._on_packet`;
+  :meth:`PeerNode._perform_data`;
 * the slotted simulator's pull-mode driver
   (:meth:`repro.sim.behaviors.RlncBehavior.deliver`), replaying the
   exact same packets, bring-up prefix included.
@@ -106,7 +106,7 @@ def run_virtualnet_script(script):
             log = peer.dataplane.log
             prefix = [event.packet for event in log.events]
             assert all(isinstance(e, PacketArrived) for e in log.events)
-            sender = harness.server._column_senders[0]
+            sender = harness.server.pumps.get(0)
             for packet in script:
                 assert sender.enqueue(packet), "injection queue overflow"
             expected = len(prefix) + len(script)

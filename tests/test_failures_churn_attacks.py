@@ -1,78 +1,11 @@
-"""Unit tests for Poisson churn and attack helpers."""
+"""Unit tests for the §7 attack helpers."""
 
 import numpy as np
 import pytest
 
 from repro.core import OverlayNetwork
-from repro.failures import (
-    PoissonChurn,
-    assign_attack_roles,
-    detect_low_innovation,
-)
-from repro.sim import NodeRole, Simulator
-
-
-class TestPoissonChurn:
-    def _run(self, failure_fraction=0.4, repair_delay=2.0, until=150.0, seed=5):
-        net = OverlayNetwork(k=16, d=2, seed=seed)
-        net.grow(40)
-        sim = Simulator()
-        churn = PoissonChurn(
-            net, sim, join_rate=1.5, mean_lifetime=25.0,
-            failure_fraction=failure_fraction, repair_delay=repair_delay,
-            rng=np.random.default_rng(seed + 1),
-        )
-        churn.start()
-        sim.run(until=until)
-        return net, churn
-
-    def test_joins_approximate_rate(self):
-        _, churn = self._run()
-        joins = len(churn.timeline.joins)
-        assert 150 < joins < 300  # Poisson(1.5 * 150) give or take
-
-    def test_every_failure_gets_repaired(self):
-        net, churn = self._run(until=100.0)
-        failed_ids = {node for _, node in churn.timeline.failures}
-        repaired_ids = {node for _, node in churn.timeline.repairs}
-        # failures within repair_delay of the end may still be pending
-        pending = failed_ids - repaired_ids
-        assert pending == set(net.server.failed)
-
-    def test_repair_latency_equals_delay(self):
-        _, churn = self._run(repair_delay=3.0)
-        for latency in churn.timeline.repair_latencies:
-            assert latency == pytest.approx(3.0)
-
-    def test_graceful_only(self):
-        net, churn = self._run(failure_fraction=0.0)
-        assert not churn.timeline.failures
-        assert len(churn.timeline.leaves) > 0
-        net.matrix.check_invariants()
-
-    def test_min_population_respected(self):
-        net = OverlayNetwork(k=8, d=2, seed=9)
-        net.grow(5)
-        sim = Simulator()
-        churn = PoissonChurn(
-            net, sim, join_rate=0.01, mean_lifetime=1.0,
-            failure_fraction=0.0, repair_delay=1.0,
-            rng=np.random.default_rng(10), min_population=4,
-        )
-        churn.start()
-        sim.run(until=200.0)
-        assert net.population >= 4
-
-    def test_invalid_parameters(self):
-        net = OverlayNetwork(k=8, d=2, seed=1)
-        sim = Simulator()
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            PoissonChurn(net, sim, 0.0, 1.0, 0.5, 1.0, rng)
-        with pytest.raises(ValueError):
-            PoissonChurn(net, sim, 1.0, 1.0, 1.5, 1.0, rng)
-        with pytest.raises(ValueError):
-            PoissonChurn(net, sim, 1.0, 1.0, 0.5, -1.0, rng)
+from repro.failures import assign_attack_roles, detect_low_innovation
+from repro.sim import NodeRole
 
 
 class TestAttackHelpers:

@@ -4,13 +4,8 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import CongestionController, OverlayNetwork
-from repro.failures import IIDFailures, PoissonChurn, apply_failures
-from repro.sim import (
-    BroadcastSimulation,
-    SessionConfig,
-    Simulator,
-    run_session,
-)
+from repro.failures import IIDFailures, apply_failures
+from repro.sim import BroadcastSimulation, SessionConfig, run_session
 
 
 class TestBroadcastUnderHeavyChurn:
@@ -41,31 +36,6 @@ class TestBroadcastUnderHeavyChurn:
         net.matrix.check_invariants()
         histogram = net.connectivity_histogram()
         assert histogram == {2: net.population}
-
-
-class TestEventEngineWithDataPlane:
-    def test_poisson_churn_then_broadcast(self):
-        """Run churn on the event engine, then broadcast over the result."""
-        net = OverlayNetwork(k=12, d=2, seed=17)
-        net.grow(30)
-        sim = Simulator()
-        churn = PoissonChurn(
-            net, sim, join_rate=1.0, mean_lifetime=40.0,
-            failure_fraction=0.5, repair_delay=2.0,
-            rng=np.random.default_rng(18), min_population=10,
-        )
-        churn.start()
-        sim.run(until=60.0)
-        net.repair_all()
-        rng = np.random.default_rng(19)
-        content = bytes(rng.integers(0, 256, size=800, dtype=np.uint8))
-        broadcast = BroadcastSimulation(
-            net, content, GenerationParams(generation_size=6, payload_size=32),
-            seed=20,
-        )
-        report = broadcast.run_until_complete(max_slots=1200)
-        assert report.completion_fraction == 1.0
-        assert all(n.decoded_ok for n in report.nodes)
 
 
 class TestCongestionDuringBroadcast:

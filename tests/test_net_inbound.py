@@ -14,7 +14,7 @@ from repro.coding import CodedPacket
 from repro.coding.generation import GenerationParams
 from repro.coding.recoder import Recoder
 from repro.core.matrix import SERVER
-from repro.dataplane import PacketArrived, RelayEngine
+from repro.dataplane import EmitToChildren, PacketArrived, RelayEngine
 from repro.net import MessageStream, PeerNode, ServerNode
 from repro.net.control import (
     DataHello,
@@ -23,7 +23,7 @@ from repro.net.control import (
     encode_control,
 )
 from repro.net.framing import KIND_CONTROL, encode_data_frame, encode_frame
-from repro.net.streams import SenderStats, retire_sender
+from repro.net.streams import SenderStats
 from repro.net.testing import VirtualNetwork
 from repro.protocol import (
     ComplaintMsg,
@@ -34,6 +34,8 @@ from repro.protocol import (
     UpstreamDown,
 )
 from repro.protocol.trace import EngineLog
+
+from tests.test_net_pumps import _pump_set, _serving
 
 PARAMS = GenerationParams(3, 10)
 PORT = 4000
@@ -142,9 +144,8 @@ class TestBatchedDrain:
 
             listener = net.bind("parent", 0, parent)
             peer = _child_of(net, listener)
-            peer.recoder = Recoder(
-                PARAMS, 5, np.random.default_rng(0), node_id=9)
-            peer.dataplane = RelayEngine(peer.recoder)
+            peer.dataplane = RelayEngine(Recoder(
+                PARAMS, 5, np.random.default_rng(0), node_id=9))
             log = peer.dataplane.log = EngineLog()
             task = asyncio.ensure_future(
                 peer._consume_upstream(0, 5, listener.address))
@@ -196,7 +197,7 @@ class TestOneStreamPerConnection:
         node_id, parents, addresses = asyncio.run(scenario())
         assert node_id == 7
         assert parents == {0: 3}
-        assert addresses == {3: ("elsewhere", 9)}
+        assert addresses == {SERVER: ("server", PORT), 3: ("elsewhere", 9)}
 
     def test_server_dispatches_what_arrived_with_the_join(self):
         """A ``JoinRequest`` and the ``LeaveRequest`` behind it in one
@@ -226,15 +227,39 @@ class TestOneStreamPerConnection:
 class TestBoundedPumpState:
     def test_retiring_folds_by_identity_not_by_value(self):
         """An idle pump's stats equal a fresh total's: retiring it must
-        not remove the total (or another idle pump) in its place."""
-        total, idle, busy = (
-            SenderStats(), SenderStats(), SenderStats(sent=3, bytes_sent=90))
-        live = [total, idle, busy]
-        retire_sender(live, idle)
-        assert [id(entry) for entry in live] == [id(total), id(busy)]
-        retire_sender(live, busy)
-        assert live == [SenderStats(sent=3, bytes_sent=90)]
-        assert live[0] is total
+        not remove the total (or another idle pump) in its place, and
+        no sum over ``stats`` moves when a pump's counters fold into
+        ``stats[0]``."""
+
+        async def scenario():
+            pumps = _pump_set()
+            total = pumps.stats[0]
+            _, idle_task = await _serving(pumps, "idle")
+            _, busy_task = await _serving(pumps, "busy")
+            idle, busy = pumps.get("idle").stats, pumps.get("busy").stats
+            pumps.emit(EmitToChildren(
+                ("busy",) * 3, packets=(_packet(),) * 3))
+            await asyncio.sleep(0)
+            assert idle == total == SenderStats() and busy.sent == 3
+            before = (busy.sent, busy.bytes_sent, busy.flushes)
+
+            def sums():
+                return tuple(
+                    sum(getattr(s, f) for s in pumps.stats)
+                    for f in ("sent", "bytes_sent", "flushes")
+                )
+
+            pumps.get("idle").close()
+            await idle_task
+            assert [id(s) for s in pumps.stats] == [id(total), id(busy)]
+            assert sums() == before
+            pumps.get("busy").close()
+            await busy_task
+            assert pumps.stats == [SenderStats(
+                enqueued=3, sent=3, bytes_sent=before[1], flushes=before[2])]
+            assert pumps.stats[0] is total and sums() == before
+
+        asyncio.run(scenario())
 
     def test_child_churn_leaves_sender_stats_and_registry_flat(self):
         """Soak in miniature: a column's child reconnecting over and
