@@ -99,9 +99,13 @@ SMOKE_FLOORS = [
     ("obs_overhead", "relative_throughput_slot_loop", 0.95),
     ("obs_overhead", "relative_throughput_sender", 0.95),
     # PR-10 sans-IO data-plane budget: the engine-dispatched
-    # ingest+pull pair holds >= 0.95 of the pre-refactor inline path
-    # (BENCH_PR10.json records the run).
-    ("dataplane_overhead", "relative_throughput", 0.95),
+    # ingest+pull pair against the pre-refactor inline path
+    # (BENCH_PR10.json records 0.97 at a floor of 0.95).  The engine
+    # costs a fixed 1-3 us per arrival; the native GF kernels halved
+    # the coding work that cost is divided by (g=16 x 256 B: ~95 us ->
+    # ~50 us a pair), so the same overhead now reads 0.93-0.96 and the
+    # floor moved with the denominator.
+    ("dataplane_overhead", "relative_throughput", 0.90),
 ]
 
 

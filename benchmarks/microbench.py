@@ -31,7 +31,8 @@ JSON perf snapshot so the trajectory across PRs is diffable:
 * **dataplane_overhead** — the per-packet ingest+pull pair through the
   sans-IO ``RelayEngine`` vs a faithful inline copy of the pre-refactor
   driver code, interleaved A/B; the acceptance bar is a relative
-  throughput of >= 0.95;
+  throughput of >= 0.90 (0.95 before the native GF kernels halved the
+  work the fixed dispatch cost is compared with);
 * **scaling** — membership ops/s on the coordination server and
   slot-loop rates at populations 100 / 1k / 5k / 10k; the CI gate
   requires the server rate to degrade sublinearly in n (the indexed
@@ -601,9 +602,10 @@ def bench_dataplane_overhead(quick: bool, trials: int = 25) -> dict[str, float]:
     lands on both arms of a trial equally and each trial's ratio is a
     fair sample; the median over many trials is reported (spikes that
     land inside one arm's chunk sit in the tails).  The acceptance bar
-    is >= 0.95: the sans-IO indirection (a measured, payload-independent
-    couple of microseconds per arrival) may cost at most 5% of the
-    fan-out work it wraps.
+    is >= 0.90: the sans-IO indirection (a measured, payload-independent
+    couple of microseconds per arrival) may cost at most 10% of the
+    fan-out work it wraps — 5% while that work ran on the numpy kernels,
+    which took twice as long for the same arrivals.
 
     Quick mode shrinks the stream and trial count, never the packet
     geometry (g=16 x 256 B, the simulator session default): shrinking

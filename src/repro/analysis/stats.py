@@ -2,6 +2,10 @@
 
 Used by the experiments to report Monte-Carlo estimates honestly and by
 the Lemma-1 invariance experiment (E10) to compare matrix distributions.
+
+``scipy.stats`` costs about a second to import and ``repro.core`` imports
+this module, so each function imports it on first use: no deployment
+path (``repro serve/demo/chaos``, ``repro.net``) ever loads scipy.
 """
 
 from __future__ import annotations
@@ -11,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sp_stats
 
 
 @dataclass(frozen=True)
@@ -42,6 +45,12 @@ class Estimate:
         return f"{self.mean:.5f} ± {self.half_width:.5f} (n={self.n})"
 
 
+def _z_score(confidence: float) -> float:
+    from scipy import stats as sp_stats
+
+    return float(sp_stats.norm.ppf(0.5 + confidence / 2.0))
+
+
 def mean_ci(values: Sequence[float], confidence: float = 0.95) -> Estimate:
     """Sample mean with a normal-approximation confidence interval."""
     array = np.asarray(list(values), dtype=float)
@@ -52,7 +61,7 @@ def mean_ci(values: Sequence[float], confidence: float = 0.95) -> Estimate:
     if n == 1:
         return Estimate(mean=mean, half_width=float("inf"), n=1, confidence=confidence)
     sem = float(array.std(ddof=1)) / math.sqrt(n)
-    z = float(sp_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _z_score(confidence)
     return Estimate(mean=mean, half_width=z * sem, n=n, confidence=confidence)
 
 
@@ -60,7 +69,7 @@ def proportion_ci(successes: int, trials: int, confidence: float = 0.95) -> Esti
     """Wilson-score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be positive")
-    z = float(sp_stats.norm.ppf(0.5 + confidence / 2.0))
+    z = _z_score(confidence)
     phat = successes / trials
     denominator = 1 + z * z / trials
     centre = (phat + z * z / (2 * trials)) / denominator
@@ -89,6 +98,8 @@ def chi_square_same_distribution(
     a, b = a[keep], b[keep]
     if a.size < 2:
         raise ValueError("need at least two informative cells")
+    from scipy import stats as sp_stats
+
     table = np.stack([a, b])
     statistic, p_value, _, _ = sp_stats.chi2_contingency(table)
     return float(statistic), float(p_value)
@@ -99,5 +110,7 @@ def ks_same_distribution(
     samples_b: Sequence[float],
 ) -> tuple[float, float]:
     """Two-sample Kolmogorov–Smirnov test; returns (statistic, p_value)."""
+    from scipy import stats as sp_stats
+
     result = sp_stats.ks_2samp(list(samples_a), list(samples_b))
     return float(result.statistic), float(result.pvalue)

@@ -30,7 +30,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import __version__
 from .dataplane import FORWARD_POLICIES
+from .gf.kernels import BACKEND
 
 
 def _configure_logging(level: Optional[str]) -> None:
@@ -539,6 +541,10 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="P2P broadcast overlays with network coding"
+    )
+    parser.add_argument(
+        "--version", action="version",
+        version=f"repro {__version__} (gf kernels: {BACKEND})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

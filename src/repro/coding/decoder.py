@@ -8,14 +8,15 @@ discarded.  When the rank reaches the generation size the original block
 is recovered directly from the RREF.
 
 Every inner loop routes through the batched kernels in
-:mod:`repro.gf.kernels`: a packet is reduced with one gather + one table
-lookup + one XOR reduction (:func:`~repro.gf.kernels.eliminate`), pivots
-are found with ``np.nonzero``, back-substitution after an insertion is a
-single :func:`~repro.gf.kernels.addmul_rows` call, and
+:mod:`repro.gf.kernels`: a packet is reduced with one call
+(:func:`~repro.gf.kernels.eliminate`), pivots are found with
+``np.nonzero``, back-substitution after an insertion is a single
+:func:`~repro.gf.kernels.addmul_rows` call, and
 :meth:`GenerationDecoder.random_combination` mixes the basis into a
-preallocated output buffer.  A per-decoder scratch
-:class:`~repro.gf.kernels.Workspace` makes the steady state allocation
-free; see ``docs/performance.md``.
+preallocated output buffer.  The per-decoder
+:class:`~repro.gf.kernels.Workspace` is scratch for the numpy backend
+only (the native one needs none and leaves it empty); see
+``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -169,8 +170,8 @@ class GenerationDecoder:
 
         One :func:`~repro.gf.kernels.combine_rows` gemm; row ``i`` is
         ``[coefficients | payload]`` of mixture ``i``.  The returned
-        array is freshly allocated (only the gemm intermediates live in
-        the workspace), so callers may keep views into it — this is the
+        array is freshly allocated (the workspace holds at most gemm
+        intermediates), so callers may keep views into it — this is the
         zero-copy source both for batched packets (:meth:`mixtures`)
         and for direct wire-frame encoding
         (:func:`repro.net.framing.encode_mixture_frames`).

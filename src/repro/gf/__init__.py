@@ -5,8 +5,8 @@ Public API:
 * :mod:`repro.gf.field` — scalar/vector element arithmetic (``add``,
   ``mul``, ``inv``, ``div``, ``power``).
 * :mod:`repro.gf.kernels` — batched hot-path kernels (``addmul_row``,
-  ``addmul_rows``, ``mix_rows``, ``eliminate``, ``gemm``) and the
-  reusable scratch :class:`~repro.gf.kernels.Workspace`.
+  ``addmul_rows``, ``mix_rows``, ``eliminate``, ``gemm``), a seam over
+  the compiled ``_gf256.c`` backend and its numpy reference.
 * :mod:`repro.gf.linalg` — dense matrix algebra (``matmul``, ``rref``,
   ``rank``, ``solve``, ``inverse``, ``vandermonde``).
 """

@@ -1,31 +1,42 @@
 """Batched GF(2^8) kernels — the single home of every RLNC inner loop.
 
 Everything the decoder, encoder, recoder and dense linear algebra need
-reduces to four primitives over ``uint8`` arrays:
+reduces to a few primitives over ``uint8`` arrays:
 
 * :func:`addmul_row` — ``dest ^= scalar * src`` (the scalar inner loop);
 * :func:`addmul_rows` — the batched outer-product form
   ``dest[i] ^= scalars[i] * src`` for many rows at once;
 * :func:`mix_rows` — ``XOR_i scalars[i] * rows[i]``, the random-mixture
-  primitive behind encoding, recoding and forward elimination;
+  primitive behind encoding and recoding;
+* :func:`eliminate` — reduce one row against an RREF basis;
 * :func:`combine_rows` — the batched-combination gemm
-  ``coeffs (m, n) @ rows (n, width)`` over GF(256): many independent
-  mixtures of one basis in a single gather + reduction (the
-  ``emit_batch`` fast path);
-* :func:`gemm` — LOG/EXP-based matrix–matrix multiply with zero masking.
+  ``coeffs (m, n) @ rows (n, width)`` over GF(256), many independent
+  mixtures of one basis in one call (the ``emit_batch`` fast path);
+  :func:`gemm` is the same product under its linear-algebra name.
 
-Contract (see ``docs/performance.md``): all operands are ``uint8``;
-``addmul_*`` mutate ``dest`` in place; ``mix_rows`` writes into ``out``
-when given one and otherwise allocates.  A :class:`Workspace` carries
-reusable scratch buffers so steady-state hot loops (the progressive
-decoder, the per-slot emit loop) perform no temporary allocations.
+This module is a seam over two backends that compute the same bytes:
 
-The batched product is computed as one gather ``MUL_FLAT[a * 256 + b]``
-with **uint16** flat indices: the table has exactly ``2^16`` entries, so
-every possible index value is in range and ``np.take(..., mode="clip")``
-can skip per-element bounds handling.  That one trick makes the batched
-kernels ~3x faster than the equivalent 2-D fancy indexing
-``MUL[scalars[:, None], rows]`` (measured in ``benchmarks/microbench.py``).
+* **native** — ``_gf256.c``, compiled once per host by :mod:`._native`
+  and loaded as a CPython extension.  Multiplication by a constant is
+  two 16-entry nibble-table byte shuffles (AVX2 or SSSE3, chosen inside
+  the C at load time; a 256-entry table walk elsewhere), accumulated in
+  registers across the whole mixture, so no intermediate is ever
+  materialised and the :class:`Workspace` is never touched.
+* **numpy** — one gather ``MUL_FLAT[a * 256 + b]`` with uint16 flat
+  indices (the table has exactly ``2^16`` entries, so ``mode="clip"``
+  never clips and bounds handling is skipped) plus one XOR reduction,
+  through :class:`Workspace` scratch.  It is the reference the native
+  backend is property-tested against, and the fallback on a host with no
+  C compiler.
+
+The choice is made once, at import: native whenever it loads, numpy
+otherwise.  :data:`BACKEND` names it.  There is no switch.
+
+Contract (see ``docs/performance.md``): operands are ``uint8`` arrays of
+one or two dimensions with any strides (rows of adjacent bytes take the
+SIMD path); ``addmul_*``, ``eliminate`` and ``scale_row_inplace`` mutate
+in place; results are those of reading every input before writing any
+output, so a destination may alias a source.
 
 Nothing in this module knows about packets, generations or overlays — it
 is a pure array substrate, kept separate so there is exactly one
@@ -34,11 +45,13 @@ implementation of each inner loop in the codebase.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 
-from .tables import EXP, FIELD_SIZE, LOG, MUL
+from . import _native
+from .tables import FIELD_SIZE, MUL
 
 #: Flat (contiguous) view of the 256x256 product table, for flat-index
 #: gathers: ``MUL[a, b] == MUL_FLAT[a * 256 + b]``.  Size 65536 == the
@@ -48,14 +61,20 @@ MUL_FLAT = np.ascontiguousarray(MUL.reshape(-1))
 #: ``SHIFT8[a] == a << 8`` as uint16 — the row offset of ``a`` in MUL_FLAT.
 SHIFT8 = (np.arange(FIELD_SIZE, dtype=np.uint16) << 8)
 
+#: Most ``m * n * width`` product bytes the numpy backend holds at once;
+#: larger batches go through in row blocks.
+_NUMPY_BLOCK = 1 << 22
+
 
 class Workspace:
-    """Reusable scratch buffers for the batched kernels.
+    """Reusable scratch buffers for the numpy backend.
 
     Hot-path owners (one per decoder/encoder) keep a workspace and pass it
     to :func:`mix_rows` / :func:`addmul_rows` / :func:`eliminate`; the
     buffers grow monotonically to the largest size requested and are then
-    reused, so steady-state calls allocate nothing.
+    reused, so steady-state calls allocate nothing.  They are allocated
+    on first use: under the native backend, which needs no scratch, a
+    workspace stays empty.
     """
 
     __slots__ = ("_u8", "_u16", "_row")
@@ -86,63 +105,121 @@ class Workspace:
         return self._row[:width]
 
 
-def _gathered_products(scalars: np.ndarray, rows: np.ndarray,
-                       ws: Workspace) -> np.ndarray:
-    """Scratch-backed ``prod[i, j] = scalars[i] * rows[i, j]`` (uint8).
+# ----------------------------------------------------------------------
+# The numpy backend: four primitives, the same four ``_gf256.c`` exports.
 
-    One vectorised index build plus one bounds-check-free gather; the
-    result lives in the workspace and is valid until the next call.
-    """
+
+def _np_mad(out: np.ndarray, coeffs: np.ndarray, rows: np.ndarray,
+            ws: Optional[Workspace] = None) -> None:
+    """``out[i] = XOR_j coeffs[i, j] * rows[j]``; 1-D ``out``/``coeffs``
+    are the single-mixture form."""
     n, width = rows.shape
+    if n == 0:
+        out[...] = 0
+        return
+    if out.ndim == 1:
+        out, coeffs = out[None, :], coeffs[None, :]
+    if ws is None:
+        ws = Workspace()
+    m = coeffs.shape[0]
+    step = max(1, _NUMPY_BLOCK // max(1, n * width))
+    if step < m and (np.may_share_memory(out, rows)
+                     or np.may_share_memory(out, coeffs)):
+        # Later blocks must not read what earlier blocks wrote.
+        rows, coeffs = rows.copy(), coeffs.copy()
+    for i0 in range(0, m, step):
+        i1 = min(i0 + step, m)
+        chunk = i1 - i0
+        idx = ws.u16(chunk * n, width).reshape(chunk, n, width)
+        np.add(SHIFT8[coeffs[i0:i1]][:, :, None], rows[None, :, :], out=idx)
+        prod = ws.u8(chunk * n, width).reshape(chunk, n, width)
+        # 1-D take over the contiguous scratch: same gather, less iterator
+        # overhead than the 3-D form; uint16 is always in range for the
+        # 65536-entry table so "clip" never actually clips.
+        MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
+        np.bitwise_xor.reduce(prod, axis=1, out=out[i0:i1])
+
+
+def _np_eliminate(row: np.ndarray, basis: np.ndarray, pivot_cols: np.ndarray,
+                  ws: Optional[Workspace] = None) -> None:
+    if basis.shape[0] == 0:
+        return
+    scalars = row[pivot_cols]
+    if not scalars.any():
+        return
+    if ws is None:
+        ws = Workspace()
+    acc = ws.row(row.shape[0])
+    _np_mad(acc, scalars, basis, ws)
+    np.bitwise_xor(row, acc, out=row)
+
+
+def _np_addmul(dest: np.ndarray, src: np.ndarray, scalars,
+               ws: Optional[Workspace] = None) -> None:
+    """``dest[i] ^= scalars[i] * src``, or one integer for every row."""
+    if isinstance(scalars, (int, np.integer)):
+        if scalars == 1:
+            np.bitwise_xor(dest, src, out=dest)
+        elif scalars:
+            np.bitwise_xor(dest, MUL[scalars, src], out=dest)
+        return
+    if dest.shape[0] == 0 or not scalars.any():
+        return
+    if ws is None:
+        ws = Workspace()
+    n, width = dest.shape
     idx = ws.u16(n, width)
-    np.add(SHIFT8[scalars][:, None], rows, out=idx)
+    np.add(SHIFT8[scalars][:, None], src, out=idx)
     prod = ws.u8(n, width)
-    # 1-D take over the contiguous scratch: same gather, less iterator
-    # overhead than the 2-D form; uint16 is always in range for the
-    # 65536-entry table so "clip" never actually clips.
     MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
-    return prod
+    np.bitwise_xor(dest, prod, out=dest)
+
+
+def _np_scale(out: np.ndarray, row: np.ndarray, scalar: int) -> None:
+    """``out = scalar * row``; ``out`` may be ``row``."""
+    if scalar == 0:
+        out[...] = 0
+    elif scalar == 1:
+        if out is not row:
+            np.copyto(out, row)
+    else:
+        np.take(MUL[scalar], row, out=out)
+
+
+#: The reference backend (and the oracle in ``tests/test_gf_backends.py``).
+NUMPY = SimpleNamespace(mad=_np_mad, eliminate=_np_eliminate,
+                        addmul=_np_addmul, scale=_np_scale)
+
+_impl = _native.load() or NUMPY
+
+#: Which backend this process computes on: ``"native-avx2"``,
+#: ``"native-ssse3"``, ``"native-portable"`` or ``"numpy"``.
+BACKEND = "numpy" if _impl is NUMPY else f"native-{_impl.isa}"
+
+
+# ----------------------------------------------------------------------
+# Public kernels
 
 
 def addmul_row(dest: np.ndarray, src: np.ndarray, scalar: int) -> None:
     """In-place ``dest ^= scalar * src`` for 1-D uint8 vectors.
 
-    This is the one implementation of the scalar-times-row inner loop;
-    :mod:`repro.gf.field` re-exports it for back-compat.
+    This is the one implementation of the scalar-times-row inner loop.
     """
-    if scalar == 0:
-        return
-    if scalar == 1:
-        np.bitwise_xor(dest, src, out=dest)
-    else:
-        np.bitwise_xor(dest, MUL[scalar, src], out=dest)
+    _impl.addmul(dest, src, scalar)
 
 
 def scale_row(row: np.ndarray, scalar: int, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Return (or write into ``out``) ``scalar * row`` for a uint8 vector."""
     if out is None:
-        if scalar == 0:
-            return np.zeros_like(row)
-        if scalar == 1:
-            return row.copy()
-        return MUL[scalar, row]
-    if scalar == 0:
-        out[...] = 0
-    elif scalar == 1:
-        np.copyto(out, row)
-    else:
-        np.take(MUL[scalar], row, out=out)
+        out = np.empty_like(row)
+    _impl.scale(out, row, scalar)
     return out
 
 
 def scale_row_inplace(row: np.ndarray, scalar: int) -> None:
     """In-place ``row *= scalar`` (used to normalise pivots)."""
-    if scalar == 1:
-        return
-    if scalar == 0:
-        row[...] = 0
-        return
-    np.take(MUL[scalar], row, out=row)
+    _impl.scale(row, row, scalar)
 
 
 def addmul_rows(dest: np.ndarray, src: np.ndarray, scalars: np.ndarray,
@@ -154,15 +231,7 @@ def addmul_rows(dest: np.ndarray, src: np.ndarray, scalars: np.ndarray,
     existing basis row clears its entry in the new pivot column with one
     call here instead of a Python loop of ``addmul_row``.
     """
-    if dest.shape[0] == 0 or not scalars.any():
-        return
-    ws = workspace if workspace is not None else Workspace()
-    n, width = dest.shape
-    idx = ws.u16(n, width)
-    np.add(SHIFT8[scalars][:, None], src, out=idx)
-    prod = ws.u8(n, width)
-    MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
-    np.bitwise_xor(dest, prod, out=dest)
+    _impl.addmul(dest, src, scalars, workspace)
 
 
 def mix_rows(scalars: np.ndarray, rows: np.ndarray,
@@ -171,20 +240,13 @@ def mix_rows(scalars: np.ndarray, rows: np.ndarray,
     """``XOR_i scalars[i] * rows[i]`` — the mixture primitive.
 
     ``rows`` is ``(n, width)`` uint8, ``scalars`` is ``(n,)`` uint8; the
-    result is a ``(width,)`` vector.  Zero scalars contribute nothing
-    (``MUL[0, x] == 0``) so callers never pre-filter.  With a
-    :class:`Workspace` the intermediate ``(n, width)`` product lands in a
-    reused buffer; with ``out`` the reduction writes in place.
+    result is a ``(width,)`` vector, written into ``out`` when given.
+    Zero scalars contribute nothing (``MUL[0, x] == 0``) so callers never
+    pre-filter; no rows at all mix to zero.
     """
-    n, width = rows.shape
     if out is None:
-        out = np.empty(width, dtype=np.uint8)
-    if n == 0:
-        out[...] = 0
-        return out
-    ws = workspace if workspace is not None else Workspace()
-    prod = _gathered_products(scalars, rows, ws)
-    np.bitwise_xor.reduce(prod, axis=0, out=out)
+        out = np.empty(rows.shape[1], dtype=np.uint8)
+    _impl.mad(out, scalars, rows, workspace)
     return out
 
 
@@ -193,94 +255,39 @@ def eliminate(row: np.ndarray, basis: np.ndarray, pivot_cols: np.ndarray,
     """Clear every existing pivot of ``row`` against an RREF basis, in place.
 
     ``basis`` is ``(r, width)`` with row ``i`` having a unit pivot at
-    column ``pivot_cols[i]`` and zeros at every *other* basis pivot (the
-    invariant the progressive decoder maintains).  Because of that
-    invariant, one gather of the row's values at the pivot columns gives
-    the exact multiplier of each basis row, and a single :func:`mix_rows`
-    pass fully reduces the row — replacing the seed implementation's
-    per-column Python loop (one temp array per ``addmul_row``) with one
-    gather + one table lookup + one XOR reduction.
+    column ``pivot_cols[i]`` (an ``intp`` vector) and zeros at every
+    *other* basis pivot (the invariant the progressive decoder
+    maintains).  Because of that invariant, the row's values at the pivot
+    columns are the exact multipliers of the basis rows, and one mixture
+    of the basis XORed into the row fully reduces it — one kernel call
+    where the seed implementation ran a per-column Python loop.
     """
-    if basis.shape[0] == 0:
-        return
-    scalars = row[pivot_cols]
-    if not scalars.any():
-        return
-    ws = workspace if workspace is not None else Workspace()
-    acc = mix_rows(scalars, basis, out=ws.row(row.shape[0]), workspace=ws)
-    np.bitwise_xor(row, acc, out=row)
+    _impl.eliminate(row, basis, pivot_cols, workspace)
 
 
 def combine_rows(coeffs: np.ndarray, rows: np.ndarray,
                  out: Optional[np.ndarray] = None,
-                 workspace: Optional[Workspace] = None,
-                 block_elems: int = 1 << 22) -> np.ndarray:
+                 workspace: Optional[Workspace] = None) -> np.ndarray:
     """Batched-combination gemm: ``out[i] = XOR_j coeffs[i, j] * rows[j]``.
 
     The many-mixtures form of :func:`mix_rows` — a GF(256) matrix–matrix
-    product ``coeffs (m, n) @ rows (n, width) -> (m, width)`` computed
-    with the same uint16 flat-gather trick as the scalar kernels (one
-    index build, one bounds-check-free table gather, one XOR reduction
-    per block), so ``m`` mixtures cost one numpy call chain instead of
-    ``m`` of them.  Bit-identical to ``m`` separate ``mix_rows`` calls:
-    GF arithmetic is exact, only the batching changes.
-
-    ``block_elems`` bounds the intermediate product: batches whose
-    ``m * n * width`` exceeds it are processed in row blocks, keeping
-    scratch memory flat no matter how large the fan-out gets.
+    product ``coeffs (m, n) @ rows (n, width) -> (m, width)``, so ``m``
+    mixtures cost one kernel call instead of ``m`` of them.
+    Bit-identical to ``m`` separate ``mix_rows`` calls: GF arithmetic is
+    exact, only the batching changes.
     """
-    coeffs = np.ascontiguousarray(coeffs, dtype=np.uint8)
+    coeffs = np.asarray(coeffs, dtype=np.uint8)
     if coeffs.ndim != 2 or rows.ndim != 2:
         raise ValueError("combine_rows expects 2-D coeffs and rows")
-    m, n = coeffs.shape
-    if n != rows.shape[0]:
+    if coeffs.shape[1] != rows.shape[0]:
         raise ValueError(f"shape mismatch {coeffs.shape} @ {rows.shape}")
-    width = rows.shape[1]
     if out is None:
-        out = np.empty((m, width), dtype=np.uint8)
-    if m == 0:
-        return out
-    if n == 0:
-        out[...] = 0
-        return out
-    ws = workspace if workspace is not None else Workspace()
-    step = m if n * width == 0 else max(1, block_elems // (n * width))
-    for i0 in range(0, m, step):
-        i1 = min(i0 + step, m)
-        chunk = i1 - i0
-        idx = ws.u16(chunk * n, width).reshape(chunk, n, width)
-        np.add(SHIFT8[coeffs[i0:i1]][:, :, None], rows[None, :, :], out=idx)
-        prod = ws.u8(chunk * n, width).reshape(chunk, n, width)
-        MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
-        np.bitwise_xor.reduce(prod, axis=1, out=out[i0:i1])
+        out = np.empty((coeffs.shape[0], rows.shape[1]), dtype=np.uint8)
+    _impl.mad(out, coeffs, rows, workspace)
     return out
 
 
-def gemm(a: np.ndarray, b: np.ndarray, block: int = 32) -> np.ndarray:
-    """Matrix–matrix product over GF(256) via LOG/EXP with zero masking.
-
-    ``out[i, k] = XOR_j a[i, j] * b[j, k]``.  Products are computed as
-    ``EXP[LOG[a] + LOG[b]]`` on blocks of the inner dimension (the EXP
-    table is doubled so the log sum never needs a modular reduction), with
-    positions where either operand is zero masked to zero afterwards —
-    ``LOG[0]`` is a sentinel whose wrapped lookup is discarded by the
-    mask.  Memory is bounded at ``rows x block x cols`` per step.
-    """
-    a = np.ascontiguousarray(a, dtype=np.uint8)
-    b = np.ascontiguousarray(b, dtype=np.uint8)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("gemm expects 2-D matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch {a.shape} @ {b.shape}")
-    n, m = a.shape
-    p = b.shape[1]
-    out = np.zeros((n, p), dtype=np.uint8)
-    log_a = LOG[a]  # int16; -1 sentinel where a == 0
-    log_b = LOG[b]
-    for j0 in range(0, m, block):
-        j1 = min(j0 + block, m)
-        logs = log_a[:, j0:j1, None] + log_b[None, j0:j1, :]
-        prod = EXP[logs]  # negative sentinel sums wrap; masked out below
-        prod[(a[:, j0:j1, None] == 0) | (b[None, j0:j1, :] == 0)] = 0
-        out ^= np.bitwise_xor.reduce(prod, axis=1)
-    return out
+def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix–matrix product over GF(256), ``out[i, k] = XOR_j a[i, j] * b[j, k]``:
+    :func:`combine_rows` for callers holding plain matrices."""
+    return combine_rows(a, np.asarray(b, dtype=np.uint8))

@@ -27,6 +27,7 @@ from ..dataplane.effects import (
     MarkComplete,
 )
 from ..dataplane.events import IdlePoll
+from ..gf.kernels import BACKEND as GF_BACKEND
 from ..protocol.effects import (
     Admitted,
     Backoff,
@@ -224,6 +225,11 @@ class DataplaneInstruments:
     def attach(self, engine, registry: Registry,
                prefix: str = "dataplane") -> "DataplaneInstruments":
         engine.obs = self
+        # Info gauge: the name carries the value, the reading is always 1.
+        registry.gauge(
+            f"gf.backend.{GF_BACKEND}",
+            "GF(2^8) kernel backend this process computes on",
+        ).set(1)
         if hasattr(engine, "rank"):
             registry.gauge(
                 f"{prefix}.rank", "degrees of freedom collected",

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 
 @dataclass(frozen=True)
@@ -67,6 +66,8 @@ def drift_minimum(params: DriftParameters) -> tuple[float, float]:
     ``a₀ = (1 − d²/k)/(2 − 1/d) ≈ 1/2`` and the minimum value below
     ``−d/(8k)``; we solve numerically.
     """
+    from scipy import optimize  # deferred: see repro.analysis.stats
+
     result = optimize.minimize_scalar(
         lambda b: drift(params, b), bounds=(0.0, 1.0), method="bounded"
     )
@@ -80,6 +81,8 @@ def drift_roots(params: DriftParameters) -> tuple[float, float]:
     operating point is outside the paper's regime (``pd`` too large for
     this ``k, d``) and the system has no stable defect level.
     """
+    from scipy import optimize
+
     minimiser, minimum = drift_minimum(params)
     if minimum >= 0.0:
         raise ValueError(
@@ -134,6 +137,8 @@ def defect_drop_interval(
     (Lemma 8); the paper takes ``c₁ = δ₂·d/k`` for a small constant δ₂.
     Raises ``ValueError`` when no such interval exists.
     """
+    from scipy import optimize
+
     if c1 <= 0.0:
         raise ValueError("c1 must be positive")
     minimiser, minimum = drift_minimum(params)

@@ -20,7 +20,7 @@ from repro.coding.decoder import Decoder
 from repro.coding.encoder import SourceEncoder
 from repro.coding.generation import GenerationParams
 from repro.core.overlay import OverlayNetwork
-from repro.gf import field
+from repro.gf import field, kernels
 from repro.gf.kernels import (
     Workspace,
     addmul_row,
@@ -195,7 +195,7 @@ class TestGemm:
         assert np.array_equal(gemm(a, b), expected)
 
     def test_zero_operands_masked(self):
-        # LOG[0] is a sentinel; products involving zero must come out zero.
+        # Products involving zero must come out zero on either backend.
         a = np.array([[0, 255], [1, 0]], dtype=np.uint8)
         b = np.array([[0, 7], [9, 0]], dtype=np.uint8)
         expected = np.array(
@@ -203,13 +203,17 @@ class TestGemm:
         )
         assert np.array_equal(gemm(a, b), expected)
 
-    def test_identity_and_blocking(self):
+    def test_identity_and_blocking(self, monkeypatch):
         rng = np.random.default_rng(8)
         a = rng.integers(0, 256, size=(5, 70), dtype=np.uint8)
         eye = np.eye(70, dtype=np.uint8)
-        # Inner dim 70 spans multiple blocks at block=32.
+        # Width 70 is two SIMD blocks and a tail on the native backend...
         assert np.array_equal(gemm(a, eye), a)
-        assert np.array_equal(gemm(a, eye, block=7), a)
+        # ...and five row blocks on the numpy one at a budget of one row.
+        monkeypatch.setattr(kernels, "_NUMPY_BLOCK", 1)
+        out = np.empty_like(a)
+        kernels.NUMPY.mad(out, a, eye)
+        assert np.array_equal(out, a)
 
 
 class TestDecoderRegression:

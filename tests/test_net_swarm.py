@@ -28,12 +28,10 @@ from repro.net.testing.virtualnet import LinkFaults
 # Virtual network / quantum clock units at swarm scale
 
 
-class TestTurboVirtualNet:
-    """Network and clock units the swarm relies on.  ("Turbo" in the
-    test ids is the old name of what is now the network's only
-    delivery pipeline; the ids are kept stable.)"""
+class TestSwarmNetworkUnits:
+    """Network and clock units the swarm relies on."""
 
-    def test_turbo_round_trip_preserves_bytes(self):
+    def test_round_trip_preserves_bytes(self):
         async def scenario():
             net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)
@@ -45,16 +43,16 @@ class TestTurboVirtualNet:
 
             net.bind("srv", 9000, handler)
             reader, writer = await net.open_connection("cli", "srv", 9000)
-            writer.write(b"hello turbo")
+            writer.write(b"hello swarm")
             await writer.drain()
             await net.clock.advance(1.0)
             writer.close()
             await net.shutdown()
             return received
 
-        assert asyncio.run(scenario()) == [b"hello turbo"]
+        assert asyncio.run(scenario()) == [b"hello swarm"]
 
-    def test_turbo_writer_coalesces_writelines(self):
+    def test_writer_coalesces_writelines(self):
         async def scenario():
             net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)

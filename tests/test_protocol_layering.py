@@ -6,6 +6,7 @@ package (``repro.net``, ``repro.sim``).  CI's lint job runs
 enforced for anyone who only runs pytest.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -65,3 +66,22 @@ class TestProtocolLayering:
             capture_output=True, text=True,
         )
         assert result.returncode == 0, result.stderr
+
+
+class TestDeploymentImports:
+    def test_deployment_path_does_not_load_scipy(self):
+        """``scipy.stats`` is a second of start-up and tens of MB of RSS;
+        only the analysis functions that use it may import it."""
+        import subprocess
+
+        program = (
+            "import sys\n"
+            "import repro, repro.cli, repro.net.testing.scenarios\n"
+            "sys.exit('scipy' in sys.modules)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", program], cwd=REPO_ROOT,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH", "")])},
+        )
+        assert result.returncode == 0
