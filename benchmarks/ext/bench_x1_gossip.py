@@ -20,10 +20,12 @@ not matter *as long as the resulting topology stays uniformly random*.
 import numpy as np
 
 from repro.analysis import delay_profile
-from repro.core import GossipJoinProtocol, OverlayNetwork, selection_bias
+from repro.core import OverlayNetwork
 from repro.failures import RandomBatchFailures, apply_failures
 
 from conftest import emit_table, run_once
+
+from .gossip import GossipJoinProtocol, selection_bias
 
 K, D, N = 16, 3, 400
 FAIL_FRACTION = 0.1

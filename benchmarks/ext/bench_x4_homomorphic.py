@@ -15,7 +15,10 @@ import numpy as np
 
 from repro.coding import Decoder, GenerationParams, Recoder, SourceEncoder
 from repro.coding.packet import CodedPacket
-from repro.security import (
+
+from conftest import emit_table, run_once
+
+from .security import (
     HomomorphicHasher,
     PrimeDecoder,
     PrimeEncoder,
@@ -25,8 +28,6 @@ from repro.security import (
     make_jam_packet,
     symbols_to_bytes,
 )
-
-from conftest import emit_table, run_once
 
 GENERATION, SYMBOLS = 12, 16
 CONTENT = 500

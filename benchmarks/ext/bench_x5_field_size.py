@@ -10,16 +10,11 @@ print the analytic expected overhead Σ 1/(1−q^{r−g}) next to it.
 
 import numpy as np
 
-from repro.coding import (
-    BinaryDecoder,
-    BinaryEncoder,
-    Decoder,
-    GenerationParams,
-    SourceEncoder,
-    innovation_probability_q,
-)
+from repro.coding import Decoder, GenerationParams, SourceEncoder
 
 from conftest import emit_table, run_once
+
+from .binary import BinaryDecoder, BinaryEncoder, innovation_probability_q
 
 GENERATIONS = (8, 16, 32)
 PAYLOAD = 32

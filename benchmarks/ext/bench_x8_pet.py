@@ -16,11 +16,12 @@ parent dies.
 
 import numpy as np
 
-from repro.coding.pet import PETEncoder, PETLayer
 from repro.core import BandwidthClass, OverlayNetwork, join_population
 from repro.failures import RandomBatchFailures, apply_failures
 
 from conftest import emit_table, run_once
+
+from .pet import PETEncoder, PETLayer
 
 K = 32
 CLASSES = (

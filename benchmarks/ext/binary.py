@@ -120,8 +120,8 @@ class BinaryDecoder:
 def innovation_probability_q(q: int, generation_size: int, have_rank: int) -> float:
     """P(a uniform GF(q) combination is innovative | receiver rank).
 
-    Generalises :func:`repro.coding.entropy.innovation_probability`:
-    ``1 − q^(have_rank − generation_size)``.
+    ``1 − q^(have_rank − generation_size)``: the chance a uniform vector
+    of GF(q)^g misses a fixed ``have_rank``-dimensional subspace.
     """
     if q < 2:
         raise ValueError("q must be a prime power >= 2")

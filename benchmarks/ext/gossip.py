@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import SERVER
-from .overlay import OverlayNetwork
-from .protocols import HelloGrant
+from repro.core.matrix import SERVER
+from repro.core.overlay import OverlayNetwork
+from repro.core.protocols import HelloGrant
 
 
 @dataclass

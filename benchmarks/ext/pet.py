@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..baselines.erasure import MDSCode
+from repro.baselines.erasure import MDSCode
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,11 @@
 """§7's open problem, implemented: homomorphic-hash-verified coding.
 
-* :mod:`repro.security.modmath` — Z_q arithmetic (q = 2³¹−1) and
+* :mod:`ext.security.modmath` — Z_q arithmetic (q = 2³¹−1) and
   byte/symbol packing.
-* :mod:`repro.security.codec` — RLNC encoder/decoder/recoder over Z_q.
-* :mod:`repro.security.homomorphic` — the Krohn–Freedman–Mazières hash:
+* :mod:`ext.security.codec` — RLNC encoder/decoder/recoder over Z_q.
+* :mod:`ext.security.homomorphic` — the Krohn–Freedman–Mazières hash:
   per-source hashes published once; any mixture verifiable by anyone.
-* :mod:`repro.security.defence` — :class:`VerifiedRelay`, which drops
+* :mod:`ext.security.defence` — :class:`VerifiedRelay`, which drops
   jammed packets on contact instead of letting them contaminate decodes.
 """
 

@@ -2,7 +2,7 @@
 
 Mirrors :mod:`repro.coding` but with coefficients and symbols in
 Z_q (q = 2³¹−1), which is what the homomorphic hash of
-:mod:`repro.security.homomorphic` can verify.  Single-generation API:
+:mod:`ext.security.homomorphic` can verify.  Single-generation API:
 the §7 defence is per-generation anyway (the source publishes one hash
 vector per generation).
 """

@@ -1,56 +1,28 @@
-"""Microbenchmark harness for the RLNC hot paths.
+"""The two perf gates the end-to-end benchmark cannot express.
 
-Measures the three loops every experiment spends its time in and writes a
-JSON perf snapshot so the trajectory across PRs is diffable:
+``benchmarks/e2e/`` (``BENCHMARK.json``) is the repo's performance gate:
+goodput, wire efficiency, membership rates and the per-layer ledger are
+measured there, parent against change.  Two properties are ratios
+*inside* one run, which a parent/change comparison of end-to-end numbers
+does not show, so they keep a harness of their own:
 
-* **decode** — progressive Gaussian-elimination throughput (packets/s)
-  at generation sizes 16/32/64, against an inline re-implementation of
-  the pre-kernel ("seed") decoder so the speedup is measured on the same
-  machine under the same load;
-* **recode** — random-mixture emit rate of a full-rank buffer, again
-  vs the seed mixing code;
-* **slot_loop** — wall clock of an E7-style `BroadcastSimulation` run
-  (the paper's throughput experiment geometry);
-* **runtime_overhead** — the same E7 run on today's unified
-  `repro.sim.runtime` kernel, compared against the slot-loop numbers
-  recorded in ``BENCH_PR1.json`` (captured before the five simulators
-  were migrated onto the shared runtime) to bound the abstraction cost;
-* **wire_batch** — batched pooled-buffer serialisation
-  (``encode_packets_into``) vs one ``encode_packet`` per frame, and the
-  rate of the offset-cursor streaming decode (``read_frame_at``);
-* **recode_batch** — ``emit_batch`` (one mixing gemm per batch) vs the
-  same number of sequential scalar ``emit`` calls, same run;
-* **net_throughput** — end-to-end packets/s of one outbound pump over a
-  real loopback TCP socket (``emit_rows`` → encode-once frames → one
-  ``writelines`` flush per wakeup), plus the observed frames-per-flush
-  ratio;
-* **obs_overhead** — the same slot loop and sender enqueue path with
-  and without ``repro.obs`` instrumentation attached, interleaved A/B
-  slices in one process; the acceptance bar is a relative throughput
-  of >= 0.98 on both arms (observability must cost <= 2%);
-* **dataplane_overhead** — the per-packet ingest+pull pair through the
-  sans-IO ``RelayEngine`` vs a faithful inline copy of the pre-refactor
-  driver code, interleaved A/B; the acceptance bar is a relative
-  throughput of >= 0.90 (0.95 before the native GF kernels halved the
-  work the fixed dispatch cost is compared with);
+* **obs_overhead** — the slot loop and the sender enqueue path with and
+  without ``repro.obs`` instrumentation attached, interleaved A/B slices
+  in one process; observability must stay close to free on the hot path
+  (``check_bench.py`` holds both ratios to a floor);
 * **scaling** — membership ops/s on the coordination server and
-  slot-loop rates at populations 100 / 1k / 5k / 10k; the CI gate
-  requires the server rate to degrade sublinearly in n (the indexed
-  engine-state acceptance curve).
+  slot-loop rates at populations 100 / 1k / 5k / 10k; the gate requires
+  the server rate to degrade sublinearly in n (the indexed engine state's
+  acceptance curve — ``membership_engine`` in the e2e benchmark runs at
+  one population and cannot see the slope).
 
 Usage::
 
+    PYTHONPATH=src python benchmarks/microbench.py --quick    # CI
     PYTHONPATH=src python benchmarks/microbench.py            # full run
-    PYTHONPATH=src python benchmarks/microbench.py --quick    # CI smoke
-    PYTHONPATH=src python benchmarks/microbench.py --out path.json
+    python benchmarks/check_bench.py bench_smoke.json
 
-Output schema (stable across PRs — subsequent PRs write
-``BENCH_PR<k>.json`` next to this one)::
-
-    {bench_name: {metric: value}}
-
-where every value is a number.  Seed-implementation numbers carry a
-``_baseline`` suffix; ``speedup_*`` metrics are current/baseline ratios.
+Output schema: ``{bench_name: {metric: number}}``.
 """
 
 from __future__ import annotations
@@ -62,422 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.coding.decoder import Decoder
-from repro.coding.encoder import SourceEncoder
 from repro.coding.generation import GenerationParams
 from repro.core.overlay import OverlayNetwork
-from repro.gf.tables import FIELD_SIZE, INV, MUL
 from repro.sim.broadcast import BroadcastSimulation
 from repro.sim.links import LossModel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO_ROOT / "BENCH_PR10.json"
-#: Perf snapshot recorded before the unified-runtime migration; the
-#: runtime_overhead bench reads its slot-loop numbers as the reference.
-PR1_SNAPSHOT = REPO_ROOT / "BENCH_PR1.json"
-#: Perf snapshot recorded before the batched data plane; the CI gate
-#: (benchmarks/check_bench.py) compares decode/recode speedups to it.
-PR2_SNAPSHOT = REPO_ROOT / "BENCH_PR2.json"
-
-DECODE_GENERATION_SIZES = (16, 32, 64)
-
-
-# ----------------------------------------------------------------------
-# Seed reference implementation
-#
-# A faithful inline copy of the decoder as it existed before the
-# vectorised kernel layer (per-column Python reduction loop, scalar
-# pivot search, per-row back-substitution, fancy-indexed mixing).  It is
-# re-measured on every run so the ``*_baseline`` numbers reflect this
-# machine and load, not a stale constant.
-
-
-def _seed_addmul_row(dest: np.ndarray, src: np.ndarray, scalar: int) -> None:
-    if scalar == 0:
-        return
-    if scalar == 1:
-        np.bitwise_xor(dest, src, out=dest)
-    else:
-        np.bitwise_xor(dest, MUL[scalar, src], out=dest)
-
-
-class SeedGenerationDecoder:
-    """The pre-kernel progressive decoder, kept verbatim for baselines."""
-
-    def __init__(self, generation_size: int, payload_size: int) -> None:
-        self.size = generation_size
-        width = generation_size + payload_size
-        self._rows = np.zeros((generation_size, width), dtype=np.uint8)
-        self._row_of_pivot: dict[int, int] = {}
-        self.rank = 0
-
-    @property
-    def is_complete(self) -> bool:
-        return self.rank == self.size
-
-    def push(self, packet) -> bool:
-        if self.is_complete:
-            return False
-        row = np.concatenate([packet.coefficients, packet.payload]).astype(np.uint8)
-        for col in range(self.size):
-            value = int(row[col])
-            if value == 0:
-                continue
-            basis_row = self._row_of_pivot.get(col)
-            if basis_row is None:
-                continue
-            _seed_addmul_row(row, self._rows[basis_row], value)
-        pivot = -1
-        for col in range(self.size):
-            if row[col]:
-                pivot = col
-                break
-        if pivot < 0:
-            return False
-        pivot_value = int(row[pivot])
-        if pivot_value != 1:
-            row = MUL[int(INV[pivot_value]), row]
-        slot = self.rank
-        self._rows[slot] = row
-        self._row_of_pivot[pivot] = slot
-        self.rank += 1
-        for other in range(slot):
-            value = int(self._rows[other][pivot])
-            if value:
-                _seed_addmul_row(self._rows[other], row, value)
-        return True
-
-    def random_combination(self, rng: np.random.Generator) -> np.ndarray:
-        scalars = rng.integers(1, FIELD_SIZE, size=self.rank, dtype=np.uint8)
-        mixed = MUL[scalars[:, None], self._rows[: self.rank]]
-        combined = np.bitwise_xor.reduce(mixed, axis=0)
-        return combined[: self.size].copy(), combined[self.size :].copy()
-
-
-# ----------------------------------------------------------------------
-# Timing helpers
-
-
-def _timed_reps(fn, budget_s: float, min_reps: int = 3) -> tuple[int, float]:
-    """Run ``fn`` repeatedly for ~``budget_s`` seconds; (reps, elapsed)."""
-    fn()  # warm caches, allocate scratch
-    reps = 0
-    start = time.perf_counter()
-    while True:
-        fn()
-        reps += 1
-        elapsed = time.perf_counter() - start
-        if elapsed >= budget_s and reps >= min_reps:
-            return reps, elapsed
-
-
-def _coded_stream(generation_size: int, payload_size: int, extra: int = 8):
-    """A fixed seeded packet stream that completes one generation."""
-    params = GenerationParams(generation_size, payload_size)
-    rng = np.random.default_rng(4096 + generation_size)
-    content = bytes(
-        rng.integers(0, 256, size=generation_size * payload_size, dtype=np.uint8)
-    )
-    encoder = SourceEncoder(content, params, np.random.default_rng(7))
-    return params, [encoder.emit() for _ in range(generation_size + extra)]
-
-
-# ----------------------------------------------------------------------
-# Benches
-
-
-def bench_decode(budget_s: float, payload_size: int) -> dict[str, float]:
-    """Progressive decode throughput, current vs seed, per generation size."""
-    metrics: dict[str, float] = {}
-    for size in DECODE_GENERATION_SIZES:
-        params, packets = _coded_stream(size, payload_size)
-
-        def run_current() -> None:
-            decoder = Decoder(params, 1)
-            for packet in packets:
-                decoder.push(packet)
-                if decoder.is_complete:
-                    break
-            assert decoder.is_complete
-
-        def run_seed() -> None:
-            decoder = SeedGenerationDecoder(size, payload_size)
-            for packet in packets:
-                decoder.push(packet)
-                if decoder.is_complete:
-                    break
-            assert decoder.is_complete
-
-        reps, elapsed = _timed_reps(run_current, budget_s)
-        metrics[f"packets_per_s_g{size}"] = reps * size / elapsed
-        reps, elapsed = _timed_reps(run_seed, budget_s)
-        metrics[f"packets_per_s_g{size}_baseline"] = reps * size / elapsed
-        metrics[f"speedup_g{size}"] = (
-            metrics[f"packets_per_s_g{size}"]
-            / metrics[f"packets_per_s_g{size}_baseline"]
-        )
-    return metrics
-
-
-def bench_recode(budget_s: float, payload_size: int,
-                 generation_size: int = 32, emits_per_rep: int = 64) -> dict[str, float]:
-    """Random-mixture emit rate of a full-rank buffer, current vs seed."""
-    params, packets = _coded_stream(generation_size, payload_size)
-    current = Decoder(params, 1)
-    seed = SeedGenerationDecoder(generation_size, payload_size)
-    for packet in packets:
-        current.push(packet)
-        seed.push(packet)
-    assert current.is_complete and seed.is_complete
-    gen_decoder = current.generations[0]
-
-    rng_current = np.random.default_rng(11)
-    rng_seed = np.random.default_rng(11)
-
-    def run_current() -> None:
-        for _ in range(emits_per_rep):
-            gen_decoder.random_combination(rng_current)
-
-    def run_seed() -> None:
-        for _ in range(emits_per_rep):
-            seed.random_combination(rng_seed)
-
-    metrics: dict[str, float] = {}
-    reps, elapsed = _timed_reps(run_current, budget_s)
-    metrics["emits_per_s"] = reps * emits_per_rep / elapsed
-    reps, elapsed = _timed_reps(run_seed, budget_s)
-    metrics["emits_per_s_baseline"] = reps * emits_per_rep / elapsed
-    metrics["speedup"] = metrics["emits_per_s"] / metrics["emits_per_s_baseline"]
-    return metrics
-
-
-def bench_wire_batch(budget_s: float, payload_size: int,
-                     generation_size: int = 64,
-                     batch: int = 64) -> dict[str, float]:
-    """Batched pooled codec vs the single-frame form.
-
-    Encode: ``encode_packets_into`` into one leased buffer per batch vs
-    one ``encode_packet`` (own allocation) per frame.  Decode: the rate
-    of the offset-cursor ``read_frame_at`` walk over one concatenated
-    byte stream.
-    """
-    from repro.coding.buffers import BufferPool
-    from repro.coding.wire import (
-        encode_packet,
-        encode_packets_into,
-        read_frame_at,
-    )
-
-    _params, packets = _coded_stream(generation_size, payload_size,
-                                     extra=batch - generation_size)
-    packets = packets[:batch]
-    pool = BufferPool()
-    stream = b"".join(encode_packet(p) for p in packets)
-
-    def run_encode_batched() -> None:
-        buf, spans = encode_packets_into(packets, pool=pool)
-        pool.release(buf)
-        assert len(spans) == batch
-
-    def run_encode_scalar() -> None:
-        frames = [encode_packet(p) for p in packets]
-        assert len(frames) == batch
-
-    def run_decode_cursor() -> None:
-        offset, count = 0, 0
-        while True:
-            packet, offset = read_frame_at(stream, offset)
-            if packet is None:
-                break
-            count += 1
-        assert count == batch
-
-    metrics: dict[str, float] = {}
-    reps, elapsed = _timed_reps(run_encode_batched, budget_s)
-    metrics["encode_frames_per_s"] = reps * batch / elapsed
-    reps, elapsed = _timed_reps(run_encode_scalar, budget_s)
-    metrics["encode_frames_per_s_scalar"] = reps * batch / elapsed
-    metrics["speedup_encode"] = (
-        metrics["encode_frames_per_s"] / metrics["encode_frames_per_s_scalar"]
-    )
-    reps, elapsed = _timed_reps(run_decode_cursor, budget_s)
-    metrics["decode_frames_per_s"] = reps * batch / elapsed
-    metrics["pool_allocations"] = float(pool.stats.allocations)
-    return metrics
-
-
-def bench_recode_batch(budget_s: float,
-                       generation_size: int = 8,
-                       payload_size: int = 64,
-                       batch: int = 64,
-                       trials: int = 5) -> dict[str, float]:
-    """Batched recode vs the same count of scalar ``emit`` calls.
-
-    Two comparisons on identical full-rank recoders in one process:
-
-    * ``speedup`` — ``emit_batch`` vs scalar ``emit`` (packet objects
-      out of both): the pure benefit of collapsing per-emit GF mixing
-      into one gemm.  The RNG draws stay per-emit by design (see
-      ``docs/performance.md``), which is most of each batched emit's
-      remaining cost.
-    * ``speedup_wire`` — the fused ``emit_rows`` →
-      ``encode_mixture_frames`` pipeline vs the pre-PR wire path
-      (``emit`` + per-packet frame encode), i.e. wire-ready emissions
-      per second as the live peers produce them.
-
-    Geometry matches the live transport's default streaming shape
-    (``ChaosConfig``: generation size 8, 64-byte payloads), where
-    each emit is dominated by per-call overhead rather than GF compute
-    — the regime the batched fan-out was built for.  Each arm pair is
-    measured in ``trials`` interleaved slices and the medians reported,
-    so load drift on a shared machine cannot skew one arm.
-    """
-    from statistics import median
-
-    from repro.coding.recoder import Recoder
-    from repro.net.framing import encode_data_frame, encode_mixture_frames
-
-    params, packets = _coded_stream(generation_size, payload_size)
-
-    def _full_recoder(seed: int) -> Recoder:
-        recoder = Recoder(params, 1, np.random.default_rng(seed), node_id=9)
-        for packet in packets:
-            recoder.receive(packet)
-        assert recoder.decoder.is_complete
-        return recoder
-
-    def _ab_rates(run_batched, run_scalar) -> tuple[float, float, float]:
-        per_slice = max(budget_s / trials, 0.02)
-        batched_rates, scalar_rates, ratios = [], [], []
-        for _ in range(trials):
-            reps, elapsed = _timed_reps(run_batched, per_slice)
-            batched_rates.append(reps * batch / elapsed)
-            reps, elapsed = _timed_reps(run_scalar, per_slice)
-            scalar_rates.append(reps * batch / elapsed)
-            ratios.append(batched_rates[-1] / scalar_rates[-1])
-        return median(batched_rates), median(scalar_rates), median(ratios)
-
-    batched = _full_recoder(11)
-    scalar = _full_recoder(11)
-
-    def run_batched() -> None:
-        assert len(batched.emit_batch(batch, 0)) == batch
-
-    def run_scalar() -> None:
-        for _ in range(batch):
-            scalar.emit(0)
-
-    metrics: dict[str, float] = {"batch_size": float(batch)}
-    (metrics["emits_per_s"], metrics["emits_per_s_scalar"],
-     metrics["speedup"]) = _ab_rates(run_batched, run_scalar)
-
-    wire_batched = _full_recoder(23)
-    wire_scalar = _full_recoder(23)
-
-    def run_wire_batched() -> None:
-        frames = encode_mixture_frames(
-            wire_batched.emit_rows(batch, 0), generation_size, origin=9,
-        )
-        assert len(frames) == batch
-
-    def run_wire_scalar() -> None:
-        for _ in range(batch):
-            encode_data_frame(wire_scalar.emit(0))
-
-    (metrics["wire_emits_per_s"], metrics["wire_emits_per_s_scalar"],
-     metrics["speedup_wire"]) = _ab_rates(run_wire_batched, run_wire_scalar)
-    return metrics
-
-
-def bench_net_throughput(quick: bool) -> dict[str, float]:
-    """One outbound pump over real loopback TCP.
-
-    The producer is a full-rank recoder fanning mixtures into a
-    :class:`~repro.net.streams.PacketSender`; the consumer counts
-    length-prefixed frames off the socket without decoding them (the
-    receive path is measured by the ``decode`` bench).  The producer
-    runs the fused pipeline the live peers use — ``emit_rows`` →
-    ``encode_mixture_frames`` (gemm output straight to pooled wire
-    frames) → ``enqueue_frame`` → one ``writelines`` per wakeup.
-    """
-    import asyncio
-
-    from repro.coding.recoder import Recoder
-    from repro.coding.wire import frame_size
-    from repro.net.framing import encode_mixture_frames
-    from repro.net.streams import PacketSender
-
-    # The live transport's default streaming geometry (ChaosConfig):
-    # small frames, where per-frame overhead — serialisation, queueing,
-    # per-write syscalls — dominates.
-    generation_size, payload_size = 8, 64
-    total_frames = 2_000 if quick else 20_000
-    burst = 64
-    params, packets = _coded_stream(generation_size, payload_size)
-    # Every emitted mixture serialises to the same length-prefixed size,
-    # so the sink can count bytes instead of parsing frame boundaries.
-    frame_bytes = 5 + frame_size(generation_size, payload_size)
-    expected_bytes = total_frames * frame_bytes
-
-    async def _measure() -> dict[str, float]:
-        recoder = Recoder(params, 1, np.random.default_rng(17), node_id=5)
-        for packet in packets:
-            recoder.receive(packet)
-        received_bytes = 0
-        done = asyncio.Event()
-
-        async def _sink(reader, writer) -> None:
-            nonlocal received_bytes
-            try:
-                while True:
-                    chunk = await reader.read(1 << 16)
-                    if not chunk:
-                        break
-                    received_bytes += len(chunk)
-                    if received_bytes >= expected_bytes:
-                        done.set()
-            except (asyncio.CancelledError, ConnectionResetError):
-                pass  # teardown: server.close() cancels the handler
-            finally:
-                writer.close()
-
-        server = await asyncio.start_server(_sink, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        _reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        sender = PacketSender(writer, column=0, sender_id=5,
-                              limit=4 * burst)
-        pump = asyncio.ensure_future(sender.run())
-        start = asyncio.get_running_loop().time()
-        produced = 0
-        while produced < total_frames:
-            count = min(burst, total_frames - produced)
-            frames = encode_mixture_frames(
-                recoder.emit_rows(count, 0),
-                generation_size, origin=recoder.node_id,
-            )
-            for frame in frames:
-                sender.enqueue_frame(frame)
-            produced += count
-            while sender._queue:
-                await asyncio.sleep(0)
-        await writer.drain()
-        await asyncio.wait_for(done.wait(), timeout=60)
-        elapsed = asyncio.get_running_loop().time() - start
-        assert sender.stats.dropped == 0
-        frames_per_flush = (
-            sender.stats.sent / sender.stats.flushes
-            if sender.stats.flushes else 0.0
-        )
-        sender.close()
-        await pump
-        server.close()
-        await server.wait_closed()
-        return {
-            "packets_per_s": total_frames / elapsed,
-            "frames_per_flush": frames_per_flush,
-        }
-
-    return asyncio.run(_measure())
+DEFAULT_OUT = REPO_ROOT / "bench_smoke.json"
 
 
 def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
@@ -581,205 +144,6 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
     return metrics
 
 
-def bench_dataplane_overhead(quick: bool, trials: int = 25) -> dict[str, float]:
-    """Engine-dispatched data plane vs the pre-refactor inline path.
-
-    The PR-10 refactor routes every per-packet relay decision through
-    ``RelayEngine.handle`` (event object in, effect list out).  This
-    section times the relay's hot path — ingest one upstream packet,
-    recode-fan-out toward d=2 children, batched — through the engine
-    against a faithful inline copy of the pre-refactor ``peer.py``
-    ``_on_packet`` body (direct ``Recoder.receive``/``emit_rows`` calls,
-    stats-object counters, per-arrival child-list build and completion
-    probe), on the identical packet stream with identical RNG draws.
-    Frame encoding and sender enqueues are outside both arms — that is
-    the driver's I/O boundary, unchanged by the refactor.
-
-    Measurement protocol: the GF arithmetic dominating each pass swings
-    +-15% on a shared runner, so whole-pass A-then-B ratios measure the
-    jitter, not the engine.  Each trial instead interleaves the two
-    arms chunk by chunk (alternating which goes first), so load drift
-    lands on both arms of a trial equally and each trial's ratio is a
-    fair sample; the median over many trials is reported (spikes that
-    land inside one arm's chunk sit in the tails).  The acceptance bar
-    is >= 0.90: the sans-IO indirection (a measured, payload-independent
-    couple of microseconds per arrival) may cost at most 10% of the
-    fan-out work it wraps — 5% while that work ran on the numpy kernels,
-    which took twice as long for the same arrivals.
-
-    Quick mode shrinks the stream and trial count, never the packet
-    geometry (g=16 x 256 B, the simulator session default): shrinking
-    packets would gate a different (artificially harder) bar than the
-    recorded run.
-    """
-    from repro.coding.recoder import Recoder
-    from repro.dataplane import ChildAttached, PacketArrived, RelayEngine
-
-    generation_size, payload_size = 16, 256
-    generations = 2
-    degree = 2  # the paper's tree degree d
-    params = GenerationParams(generation_size, payload_size)
-    rng = np.random.default_rng(505)
-    content = bytes(rng.integers(
-        0, 256, size=generations * generation_size * payload_size,
-        dtype=np.uint8,
-    ))
-    encoder = SourceEncoder(content, params, rng)
-    # Quick mode shrinks the stream but never the trial count: the
-    # gated metric is a median-of-ratios, and its CI stability comes
-    # from the number of ratio samples, not the per-trial length.
-    n_packets = 120 if quick else 240
-    arrivals = [encoder.emit(i % generations) for i in range(n_packets)]
-
-    class _Stats:
-        __slots__ = ("received", "innovative", "forwarded")
-
-        def __init__(self) -> None:
-            self.received = self.innovative = self.forwarded = 0
-
-    class _InlinePeer:
-        """``peer._on_packet`` exactly as it stood before the extraction:
-        a per-arrival method resolving its state through ``self``."""
-
-        __slots__ = ("recoder", "stats", "forward_policy", "_children",
-                     "completed")
-
-        def __init__(self) -> None:
-            self.recoder = Recoder(
-                params, generations, np.random.default_rng(506), 1
-            )
-            self.stats = _Stats()
-            self.forward_policy = "eager"
-            self._children = {child: None for child in range(degree)}
-            self.completed = False
-
-        def on_packet(self, packet) -> None:
-            self.stats.received += 1
-            innovative = self.recoder.receive(packet)
-            if innovative:
-                self.stats.innovative += 1
-            if not innovative and self.forward_policy == "innovative":
-                targets = []
-            else:
-                targets = list(self._children.values())
-            if targets:
-                groups = self.recoder.emit_rows(len(targets))
-                for _generation, _rows, positions in groups:
-                    self.stats.forwarded += len(positions)
-            if not self.completed and self.recoder.decoder.is_complete:
-                self.completed = True
-
-    chunk = 40
-
-    def _trial(flip: bool) -> tuple[float, float]:
-        """One chunk-interleaved pass of both arms over the stream."""
-        engine = RelayEngine(
-            Recoder(params, generations, np.random.default_rng(506), 1),
-            seed_burst=0,
-        )
-        for child in range(degree):
-            engine.handle(ChildAttached(child))
-        peer = _InlinePeer()
-        handle, on_packet = engine.handle, peer.on_packet
-        engine_elapsed = inline_elapsed = 0.0
-        for offset in range(0, n_packets, chunk):
-            batch = arrivals[offset:offset + chunk]
-            # The driver's translation of the returned EmitToChildren
-            # (framing + sender enqueue) is the I/O boundary, excluded
-            # from both arms.
-            if flip:
-                start = time.perf_counter()
-                for packet in batch:
-                    on_packet(packet)
-                inline_elapsed += time.perf_counter() - start
-                start = time.perf_counter()
-                for packet in batch:
-                    handle(PacketArrived(packet))
-                engine_elapsed += time.perf_counter() - start
-            else:
-                start = time.perf_counter()
-                for packet in batch:
-                    handle(PacketArrived(packet))
-                engine_elapsed += time.perf_counter() - start
-                start = time.perf_counter()
-                for packet in batch:
-                    on_packet(packet)
-                inline_elapsed += time.perf_counter() - start
-            flip = not flip
-        assert engine.completed and engine.forwarded == n_packets * degree
-        assert peer.completed and peer.stats.forwarded == n_packets * degree
-        return engine_elapsed, inline_elapsed
-
-    from statistics import median
-
-    _trial(False)  # warm both arms
-    engine_times, inline_times, ratios = [], [], []
-    for index in range(trials):
-        engine_elapsed, inline_elapsed = _trial(flip=bool(index % 2))
-        engine_times.append(engine_elapsed)
-        inline_times.append(inline_elapsed)
-        ratios.append(inline_elapsed / engine_elapsed)
-    return {
-        "ops_per_s": n_packets / min(engine_times),
-        "ops_per_s_inline": n_packets / min(inline_times),
-        "relative_throughput": min(1.0, median(ratios)),
-    }
-
-
-def bench_slot_loop(quick: bool) -> dict[str, float]:
-    """E7-style broadcast run: k=16, d=2, N=64 peers, 5% loss."""
-    k, d, n = (8, 2, 16) if quick else (16, 2, 64)
-    generation_size, payload_size = (8, 64) if quick else (16, 64)
-    net = OverlayNetwork(k=k, d=d, seed=303)
-    net.grow(n)
-    rng = np.random.default_rng(303)
-    content = bytes(
-        rng.integers(0, 256, size=generation_size * payload_size, dtype=np.uint8)
-    )
-    sim = BroadcastSimulation(
-        net,
-        content,
-        GenerationParams(generation_size, payload_size),
-        seed=303,
-        loss=LossModel(0.05),
-    )
-    budget = 200 if quick else 600
-    start = time.perf_counter()
-    report = sim.run_until_complete(max_slots=budget)
-    elapsed = time.perf_counter() - start
-    return {
-        "wall_clock_s": elapsed,
-        "slots": float(report.slots),
-        "slots_per_s": report.slots / elapsed if elapsed else 0.0,
-        "completion_fraction": report.completion_fraction,
-    }
-
-
-def bench_runtime_overhead(quick: bool) -> dict[str, float]:
-    """Unified-runtime slot loop vs the pre-migration PR 1 recording.
-
-    Re-times :func:`bench_slot_loop` (which now runs through
-    ``repro.sim.runtime.SlottedRuntime``) and, when the PR 1 snapshot is
-    available, reports the throughput ratio against the recorded
-    pre-refactor loop.  A ratio near 1.0 means the topology/behaviour
-    indirection costs nothing measurable; the acceptance bar is 0.95.
-    """
-    current = bench_slot_loop(quick)
-    metrics: dict[str, float] = {
-        "slots_per_s": current["slots_per_s"],
-        "wall_clock_s": current["wall_clock_s"],
-        "completion_fraction": current["completion_fraction"],
-    }
-    if PR1_SNAPSHOT.exists():
-        recorded = json.loads(PR1_SNAPSHOT.read_text()).get("slot_loop", {})
-        if "slots_per_s" in recorded:
-            metrics["slots_per_s_pr1_recorded"] = recorded["slots_per_s"]
-            metrics["relative_throughput"] = (
-                current["slots_per_s"] / recorded["slots_per_s"]
-            )
-    return metrics
-
-
 #: Populations the scaling section sweeps (the PR-9 acceptance curve).
 SCALING_POPULATIONS = (100, 1000, 5000, 10000)
 
@@ -834,22 +198,9 @@ def bench_scaling(quick: bool) -> dict[str, float]:
     return metrics
 
 
-# ----------------------------------------------------------------------
-
-
 def run(quick: bool) -> dict[str, dict[str, float]]:
-    budget_s = 0.05 if quick else 1.5
-    payload_size = 128 if quick else 1024
     return {
-        "decode": bench_decode(budget_s, payload_size),
-        "recode": bench_recode(budget_s, payload_size),
-        "wire_batch": bench_wire_batch(budget_s, payload_size),
-        "recode_batch": bench_recode_batch(budget_s),
-        "net_throughput": bench_net_throughput(quick),
-        "slot_loop": bench_slot_loop(quick),
-        "runtime_overhead": bench_runtime_overhead(quick),
         "obs_overhead": bench_obs_overhead(quick),
-        "dataplane_overhead": bench_dataplane_overhead(quick),
         "scaling": bench_scaling(quick),
     }
 

@@ -11,8 +11,7 @@ Run:  python examples/live_streaming.py
 """
 
 
-from repro.sim import run_session
-from repro.workloads import live_streaming
+from repro.sim import live_streaming, run_session
 
 
 def main() -> None:

@@ -15,8 +15,9 @@ Run:  python examples/quickstart.py
 
 import numpy as np
 
-from repro import GenerationParams, OverlayNetwork
 from repro.analysis import delay_profile
+from repro.coding import GenerationParams
+from repro.core import OverlayNetwork
 from repro.sim import BroadcastSimulation
 
 K = 16          # server bandwidth, in unit threads

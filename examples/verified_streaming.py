@@ -18,13 +18,19 @@ same relay pipeline twice:
 Run:  python examples/verified_streaming.py
 """
 
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
 from repro.coding import Decoder, GenerationParams, Recoder, SourceEncoder
 from repro.coding.packet import CodedPacket
-from repro.security import (
+
+# The Z_q codec and the hash live beside their experiment (X4), not in
+# the library: benchmarks/ext/security.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+from ext.security import (  # noqa: E402
     HomomorphicHasher,
     PrimeDecoder,
     PrimeEncoder,

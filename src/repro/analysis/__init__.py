@@ -1,16 +1,11 @@
-"""Measurement tooling: flows, connectivity, defects, expansion, delay.
+"""Measurement tooling: flows, connectivity, defects, delay, spectral gap.
 
 This package answers the quantitative questions the paper's theorems pose
 about a concrete overlay snapshot: what is each node's edge-connectivity
 from the server?  what fraction of hanging-thread d-tuples are defective?
-how deep is the pipeline?  how fast do ancestor sets grow?
+how deep is the pipeline?  how well does the overlay expand?
 """
 
-from .capacity import (
-    CapacityReport,
-    broadcast_capacity,
-    capacity_matches_branchings,
-)
 from .cuts import cut_mentions_failed_parents, min_cut
 from .connectivity import (
     TupleConnectivitySolver,
@@ -26,7 +21,6 @@ from .defects import (
     tuple_space_size,
 )
 from .delay import DelayProfile, delay_profile, pipeline_depth_profile
-from .expansion import ancestor_counts, mean_grandparent_count, vertex_expansion_sample
 from .flows import FlowNetwork
 from .spectral import expansion_report, spectral_gap, symmetric_adjacency
 from .trajectory import (
@@ -43,17 +37,13 @@ from .stats import (
 )
 
 __all__ = [
-    "CapacityReport",
     "DefectSummary",
     "DefectTrajectory",
-    "broadcast_capacity",
-    "capacity_matches_branchings",
     "DelayProfile",
     "Estimate",
     "FlowNetwork",
     "TupleConnectivitySolver",
     "all_node_connectivities",
-    "ancestor_counts",
     "chi_square_same_distribution",
     "cut_mentions_failed_parents",
     "defect_of_columns",
@@ -64,7 +54,6 @@ __all__ = [
     "graph_to_flow_network",
     "ks_same_distribution",
     "mean_ci",
-    "mean_grandparent_count",
     "measure_defect_trajectory",
     "TrajectoryPoint",
     "node_connectivity",
@@ -74,5 +63,4 @@ __all__ = [
     "spectral_gap",
     "symmetric_adjacency",
     "tuple_space_size",
-    "vertex_expansion_sample",
 ]

@@ -81,13 +81,12 @@ def _install_event_loop(no_uvloop: bool) -> str:
 
 
 def _cmd_scenario(args: argparse.Namespace) -> int:
-    from . import workloads
-    from .sim import run_session
+    from .sim import file_download, flash_crowd, live_streaming, run_session
 
     presets = {
-        "live_streaming": workloads.live_streaming,
-        "file_download": workloads.file_download,
-        "flash_crowd": workloads.flash_crowd,
+        "live_streaming": live_streaming,
+        "file_download": file_download,
+        "flash_crowd": flash_crowd,
     }
     preset = presets[args.name]
     overrides = {}

@@ -7,33 +7,18 @@ headers (:class:`SourceEncoder`); peers buffer-and-mix without decoding
 (:class:`Decoder`).
 """
 
-from .binary import (
-    BinaryDecoder,
-    BinaryEncoder,
-    BinaryPacket,
-    innovation_probability_q,
-)
 from .decoder import Decoder, GenerationDecoder
 from .encoder import SourceEncoder
-from .entropy import InnovationTracker, innovation_probability, packets_rank
 from .generation import GenerationParams, join_content, split_content
 from .packet import CodedPacket, SourceBlock, combine
-from .pet import PETEncoder, PETLayer
 from .wire import decode_packet, encode_packet, frame_size
 from .recoder import Recoder
 
 __all__ = [
-    "BinaryDecoder",
-    "BinaryEncoder",
-    "BinaryPacket",
     "CodedPacket",
-    "innovation_probability_q",
     "Decoder",
     "GenerationDecoder",
     "GenerationParams",
-    "InnovationTracker",
-    "PETEncoder",
-    "PETLayer",
     "decode_packet",
     "encode_packet",
     "frame_size",
@@ -41,8 +26,6 @@ __all__ = [
     "SourceBlock",
     "SourceEncoder",
     "combine",
-    "innovation_probability",
     "join_content",
-    "packets_rank",
     "split_content",
 ]

@@ -12,7 +12,6 @@ Public surface:
 """
 
 from .congestion import CongestionController, CongestionEvent
-from .gossip import GossipJoinProtocol, GossipJoinStats, selection_bias
 from .heterogeneous import (
     DEFAULT_CLASSES,
     BandwidthClass,
@@ -38,12 +37,6 @@ from .protocols import (
 )
 from .random_graph import RandomGraphOverlay
 from .server import CoordinationServer
-from .snapshot import (
-    load_snapshot,
-    restore_server,
-    save_snapshot,
-    snapshot_server,
-)
 from .topology import OverlayGraph, build_overlay_graph, hanging_thread_sources
 
 __all__ = [
@@ -57,8 +50,6 @@ __all__ = [
     "CongestionController",
     "CongestionEvent",
     "CoordinationServer",
-    "GossipJoinProtocol",
-    "GossipJoinStats",
     "HelloGrant",
     "MessageStats",
     "NodeInfo",
@@ -76,10 +67,5 @@ __all__ = [
     "class_connectivity_report",
     "hanging_thread_sources",
     "join_population",
-    "load_snapshot",
-    "restore_server",
-    "save_snapshot",
-    "selection_bias",
-    "snapshot_server",
     "sequential_arrivals",
 ]

@@ -44,17 +44,13 @@ class AppendKeys:
 class UniformKeys:
     """IID uniform keys: §5's random row insertion.
 
-    A fresh draw is rejected (and redrawn) on the measure-zero event of a
-    collision with an existing key, so ordering stays strict.
+    Strict ordering needs a key no *present* row holds; the matrix, which
+    knows the present rows, redraws on that measure-zero collision, so
+    the allocator remembers nothing per departed row.
     """
 
     def __init__(self, rng: np.random.Generator) -> None:
         self._rng = rng
-        self._used: set[float] = set()
 
     def next_key(self) -> float:
-        while True:
-            key = float(self._rng.random())
-            if key not in self._used:
-                self._used.add(key)
-                return key
+        return float(self._rng.random())

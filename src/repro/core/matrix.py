@@ -193,9 +193,13 @@ class ThreadMatrix:
             if not all(0 <= c < self.k for c in column_set):
                 raise ValueError("column index out of range")
         key = self._allocator.next_key()
+        index = bisect_left(self._order_keys, key)
+        while (index < len(self._order_keys)
+                and self._order_keys[index] == key):  # keys stay unique
+            key = self._allocator.next_key()
+            index = bisect_left(self._order_keys, key)
         row = Row(node_id=node_id, key=key, columns=column_set)
         self._rows[node_id] = row
-        index = bisect_left(self._order_keys, key)
         self._order_keys.insert(index, key)
         self._order_ids.insert(index, node_id)
         for column in column_set:

@@ -66,6 +66,11 @@ class CoordinationServer:
         return len(self.matrix)
 
     @property
+    def issued(self) -> int:
+        """Ids handed out so far: they are ``0 .. issued-1``, never recycled."""
+        return self._next_id
+
+    @property
     def working_nodes(self) -> list[int]:
         """Ids of nodes not currently failed, in matrix row order."""
         if not self.failed:

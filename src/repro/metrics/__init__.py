@@ -1,19 +1,12 @@
-"""Metrics: series recording and table rendering for the bench harness."""
+"""Metrics: summary statistics and table rendering for the bench harness."""
 
 from . import stats
-from .export import save_table, to_csv, to_json
-from .recorder import Recorder, Series
 from .report import format_cell, print_table, render_table, sparkline
 
 __all__ = [
-    "Recorder",
-    "Series",
     "stats",
     "format_cell",
     "print_table",
     "render_table",
-    "save_table",
     "sparkline",
-    "to_csv",
-    "to_json",
 ]

@@ -1,8 +1,7 @@
 """Shared summary statistics for series and run reports.
 
-One home for the mean/std/percentile helpers that were previously
-duplicated between :mod:`repro.metrics.recorder` (``Series``) and
-:mod:`repro.sim.report` (completion-slot summaries).  Every helper
+One home for the mean/std/percentile helpers behind
+:mod:`repro.sim.report`'s completion-slot summaries.  Every helper
 returns a defined value for an empty input — 0.0, never numpy's
 nan-plus-RuntimeWarning — so callers can summarise degenerate runs
 (no finishers, no samples) without guarding.

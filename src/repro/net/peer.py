@@ -33,7 +33,7 @@ import logging
 from functools import partial
 from typing import Callable, Optional
 
-import numpy as np
+from numpy.random import default_rng
 
 from ..coding.generation import GenerationParams
 from ..coding.packet import CodedPacket
@@ -207,7 +207,7 @@ class PeerNode:
         #: the join grant fixes the coding geometry).
         self.dataplane: Optional[RelayEngine] = None
         self.session: Optional[SessionInfo] = None
-        self._rng = np.random.default_rng(seed)
+        self._rng = default_rng(seed)
         #: node id -> (host, port): the server, then whatever
         #: PeerLocator pushes teach us
         self._addresses: dict[int, tuple[str, int]] = {

@@ -32,7 +32,7 @@ import logging
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
+from numpy.random import default_rng
 
 from ..coding.buffers import DEFAULT_POOL
 from ..coding.encoder import SourceEncoder
@@ -157,7 +157,7 @@ class ServerNode:
             transport if transport is not None else AsyncioTransport()
         )
         self.clock = self.transport.clock
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         self.engine = ServerEngine(
             CoordinationServer(k, d, rng, insert_mode),
             probe_timeout=probe_timeout,

@@ -69,7 +69,7 @@ class SwarmConfig(ChaosConfig):
     Defaults are sized for a 1k-peer smoke; scale ``peers`` up and the
     rest holds.  Content is deliberately small (one generation): swarm
     runs measure control-plane and transport scaling, not bulk decode
-    throughput — the microbenches cover coding-path speed.
+    throughput — the bulk workloads of ``benchmarks/e2e`` cover that.
     """
 
     peers: int = 1000

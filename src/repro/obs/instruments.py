@@ -158,7 +158,7 @@ class ServerEngineInstruments:
         )
         registry.gauge(
             "engine.population", "peers currently registered",
-            fn=lambda: len(engine.core.registry) - len(engine.departed),
+            fn=lambda: len(engine.core.registry),
         )
         return self
 

@@ -27,6 +27,7 @@ invariants against :attr:`core` directly.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Set
 from typing import Optional
 
 from ..core.matrix import SERVER
@@ -70,6 +71,39 @@ def _speaker(event: MessageReceived) -> int:
     return event.message.node_id
 
 
+class _Departed(Set):
+    """Read-only set of every id that left or was spliced out.
+
+    Ids never recycle and both departures (good-bye, splice) pop the id
+    from the registry, so "departed" is exactly "issued and no longer
+    registered".  Deriving it keeps the engine's state bounded by the
+    live population over unbounded uptime.
+    """
+
+    __slots__ = ("_core",)
+
+    def __init__(self, core: CoordinationServer) -> None:
+        self._core = core
+
+    def __contains__(self, node_id: object) -> bool:
+        # Drivers ask before admission, when the id is still ``None``.
+        return (isinstance(node_id, int)
+                and 0 <= node_id < self._core.issued
+                and node_id not in self._core.registry)
+
+    def __len__(self) -> int:
+        return self._core.issued - len(self._core.registry)
+
+    def __iter__(self) -> Iterator[int]:
+        registry = self._core.registry
+        return (n for n in range(self._core.issued) if n not in registry)
+
+    @classmethod
+    def _from_iterable(cls, iterable) -> frozenset:
+        """``&``, ``|``, ``-`` and ``^`` return plain sets."""
+        return frozenset(iterable)
+
+
 class ServerEngine:
     """Pure event-in/effect-out server state machine.
 
@@ -89,7 +123,7 @@ class ServerEngine:
         #: suspect -> probe nonce currently outstanding
         self.pending_probes: dict[int, int] = {}
         #: every node that left or was spliced out (ids never recycle)
-        self.departed: set[int] = set()
+        self.departed: Set[int] = _Departed(core)
         #: suspects with an open (complained, not yet repaired) episode
         self._open_episodes: set[int] = set()
         self._nonce = 0
@@ -180,10 +214,8 @@ class ServerEngine:
     # Good-bye
 
     def _on_leave(self, node_id: int) -> list[Effect]:
-        if (node_id not in self.core.registry or node_id in self.departed
-                or node_id in self.core.failed):
+        if node_id not in self.core.registry or node_id in self.core.failed:
             return []
-        self.departed.add(node_id)
         self._open_episodes.discard(node_id)
         redirects = self.core.goodbye(node_id)
         return [
@@ -195,8 +227,7 @@ class ServerEngine:
     # Failure detection and repair
 
     def _on_complaint(self, suspect: int) -> list[Effect]:
-        if (suspect in self.departed or suspect not in self.core.registry
-                or suspect in self.core.failed):
+        if suspect not in self.core.registry or suspect in self.core.failed:
             return []
         effects: list[Effect] = []
         if suspect not in self._open_episodes:
@@ -221,19 +252,18 @@ class ServerEngine:
         if self.pending_probes.get(suspect) != nonce:
             return []  # the suspect answered: spurious complaint
         del self.pending_probes[suspect]
-        if suspect in self.departed or suspect not in self.core.registry:
+        if suspect not in self.core.registry:
             return []
         return [CloseConnection(node_id=suspect),
                 *self._fail_and_splice(suspect)]
 
     def _on_connection_lost(self, node_id: int) -> list[Effect]:
-        if node_id in self.departed or node_id not in self.core.registry:
+        if node_id not in self.core.registry:
             return []
         return self._fail_and_splice(node_id)
 
     def _fail_and_splice(self, node_id: int) -> list[Effect]:
         """Splice a crashed peer out of every column (Lemma 1)."""
-        self.departed.add(node_id)
         self._open_episodes.discard(node_id)
         self.core.fail(node_id)
         redirects = self.core.repair(node_id)
@@ -268,8 +298,7 @@ class ServerEngine:
     # §5 congestion handling
 
     def _on_congestion_drop(self, node_id: int) -> list[Effect]:
-        if (node_id in self.departed or node_id not in self.core.registry
-                or node_id in self.core.failed):
+        if node_id not in self.core.registry or node_id in self.core.failed:
             return []
         matrix = self.core.matrix
         if matrix.row(node_id).degree <= 1:
@@ -297,8 +326,7 @@ class ServerEngine:
         return effects
 
     def _on_congestion_restore(self, node_id: int) -> list[Effect]:
-        if (node_id in self.departed or node_id not in self.core.registry
-                or node_id in self.core.failed):
+        if node_id not in self.core.registry or node_id in self.core.failed:
             return []
         matrix = self.core.matrix
         if matrix.row(node_id).degree >= matrix.k:

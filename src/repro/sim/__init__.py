@@ -7,7 +7,8 @@
 * :class:`BroadcastSimulation` — RLNC over the curtain overlay.
 * :class:`GraphBroadcastSimulation` — RLNC over the §6 random graph.
 * :func:`run_session` — one-call scenario orchestration (churn, repair,
-  and attack schedules as runtime slot hooks).
+  and attack schedules as runtime slot hooks); :func:`live_streaming`,
+  :func:`file_download` and :func:`flash_crowd` are its named presets.
 """
 
 from .behaviors import (
@@ -39,7 +40,14 @@ from .runtime import (
 )
 from .streaming import PlaybackMonitor, PlaybackReport
 from .rng import RngStreams, make_rng
-from .session import SessionConfig, SessionResult, run_session
+from .session import (
+    SessionConfig,
+    SessionResult,
+    file_download,
+    flash_crowd,
+    live_streaming,
+    run_session,
+)
 
 __all__ = [
     "BroadcastReport",
@@ -69,6 +77,9 @@ __all__ = [
     "StoreForwardBehavior",
     "Topology",
     "completion_percentile",
+    "file_download",
+    "flash_crowd",
+    "live_streaming",
     "make_rng",
     "mean_completion_slot",
     "run_session",

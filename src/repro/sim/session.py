@@ -16,7 +16,7 @@ no repair protocol — non-ergodic failures are a curtain-only concept).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -259,3 +259,77 @@ def run_session(config: SessionConfig) -> SessionResult:
         simulation=simulation,
         joined_at=joined_at,
     )
+
+
+# ----------------------------------------------------------------------
+# Named scenarios: the paper's motivating use cases as presets with
+# sensible laptop-scale parameters; examples and benches start from them
+# and tweak.
+
+
+def live_streaming(seed: Optional[int] = None, **overrides) -> SessionConfig:
+    """Synchronous broadcast of a live event to a stable audience.
+
+    Small generations (low latency), steady small churn, light ergodic
+    loss — the "television event" scenario of §1.
+    """
+    config = SessionConfig(
+        k=24,
+        d=4,
+        population=80,
+        content_size=24_576,
+        generation_size=12,
+        payload_size=256,
+        loss_rate=0.01,
+        fail_probability=0.005,
+        repair_interval=8,
+        join_rate=0,
+        leave_probability=0.0,
+        max_slots=2_500,
+        seed=seed,
+    )
+    return replace(config, **overrides)
+
+
+def file_download(seed: Optional[int] = None, **overrides) -> SessionConfig:
+    """Asynchronous file distribution (the BitTorrent-style scenario).
+
+    Larger generations (throughput over latency), nodes join during the
+    run, graceful leaves allowed.
+    """
+    config = SessionConfig(
+        k=20,
+        d=2,
+        population=60,
+        content_size=32_768,
+        generation_size=16,
+        payload_size=512,
+        loss_rate=0.0,
+        fail_probability=0.004,
+        repair_interval=10,
+        join_rate=2,
+        leave_probability=0.002,
+        max_slots=4_000,
+        seed=seed,
+    )
+    return replace(config, **overrides)
+
+
+def flash_crowd(seed: Optional[int] = None, **overrides) -> SessionConfig:
+    """A release-day rush: small initial swarm, aggressive join rate."""
+    config = SessionConfig(
+        k=24,
+        d=3,
+        population=20,
+        content_size=16_384,
+        generation_size=16,
+        payload_size=256,
+        loss_rate=0.005,
+        fail_probability=0.002,
+        repair_interval=5,
+        join_rate=6,
+        leave_probability=0.0,
+        max_slots=3_000,
+        seed=seed,
+    )
+    return replace(config, **overrides)

@@ -19,13 +19,6 @@ from .collapse import (
     measure_collapse_time,
     simulate_defect_walk,
 )
-from .moments import (
-    LossMoments,
-    binomial_loss_moments,
-    binomial_loss_pmf,
-    empirical_loss_moments,
-    required_d_for_std,
-)
 from .drift import (
     DriftParameters,
     defect_drop_interval,
@@ -40,11 +33,6 @@ from .drift import (
 __all__ = [
     "CollapseResult",
     "DriftParameters",
-    "LossMoments",
-    "binomial_loss_moments",
-    "binomial_loss_pmf",
-    "empirical_loss_moments",
-    "required_d_for_std",
     "Theorem4Prediction",
     "collapse_exponent",
     "collapse_probability_bound",

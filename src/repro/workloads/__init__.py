@@ -1,4 +1,4 @@
-"""Workload generation: arrival schedules and named scenarios."""
+"""Workload generation: arrival schedules and recorded churn traces."""
 
 from .generator import (
     diurnal_schedule,
@@ -6,7 +6,6 @@ from .generator import (
     steady_schedule,
     total_joins,
 )
-from .scenarios import file_download, flash_crowd, live_streaming
 from .trace import ChurnTrace, TraceEvent, TraceRecorder, replay
 
 __all__ = [
@@ -15,10 +14,7 @@ __all__ = [
     "TraceRecorder",
     "replay",
     "diurnal_schedule",
-    "file_download",
-    "flash_crowd",
     "flash_crowd_schedule",
-    "live_streaming",
     "steady_schedule",
     "total_joins",
 ]

@@ -1,57 +1,16 @@
-"""Unit tests for expansion, delay and statistics helpers."""
+"""Unit tests for delay and statistics helpers."""
 
 import pytest
 
 from repro.analysis import (
-    ancestor_counts,
     chi_square_same_distribution,
     delay_profile,
     ks_same_distribution,
     mean_ci,
-    mean_grandparent_count,
     pipeline_depth_profile,
     proportion_ci,
-    vertex_expansion_sample,
 )
 from repro.core import OverlayNetwork
-
-
-class TestExpansion:
-    def test_ancestor_counts_shape(self, small_net):
-        graph = small_net.graph()
-        bottom = small_net.matrix.node_ids[-1]
-        counts = ancestor_counts(graph, bottom, 3)
-        assert len(counts) == 3
-        assert counts[0] <= small_net.d  # distinct parents
-
-    def test_ancestor_counts_top_node(self, small_net):
-        graph = small_net.graph()
-        top = small_net.matrix.node_ids[0]
-        counts = ancestor_counts(graph, top, 2)
-        assert counts == [0, 0]  # only the server above
-
-    def test_invalid_depth(self, small_net):
-        with pytest.raises(ValueError):
-            ancestor_counts(small_net.graph(), 0, 0)
-
-    def test_grandparents_grow_with_d(self):
-        """§1 intuition: d parents lead to roughly d^2 grandparents."""
-        means = {}
-        for d in (2, 4):
-            net = OverlayNetwork(k=8 * d, d=d, seed=42)
-            net.grow(500)
-            graph = net.graph()
-            deep = net.matrix.node_ids[-100:]
-            means[d] = mean_grandparent_count(graph, deep)
-        assert means[4] > 2.0 * means[2]
-
-    def test_vertex_expansion_positive(self, small_net, rng):
-        ratio = vertex_expansion_sample(small_net.graph(), rng, set_size=5, samples=20)
-        assert ratio > 0.0
-
-    def test_vertex_expansion_set_too_big(self, tiny_net, rng):
-        with pytest.raises(ValueError):
-            vertex_expansion_sample(tiny_net.graph(), rng, set_size=100)
 
 
 class TestDelay:

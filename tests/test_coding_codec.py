@@ -8,9 +8,8 @@ from repro.coding import (
     GenerationParams,
     Recoder,
     SourceEncoder,
-    innovation_probability,
-    packets_rank,
 )
+from repro.gf.linalg import rank as gf_rank
 
 PARAMS = GenerationParams(generation_size=6, payload_size=24)
 
@@ -130,7 +129,7 @@ class TestDecoder:
         for _ in range(4):
             gdec.push(encoder.emit(0))
         basis = gdec.basis_packets()
-        assert packets_rank(basis) == gdec.rank
+        assert gf_rank(np.stack([p.coefficients for p in basis])) == gdec.rank
 
     def test_invalid_generation_count(self):
         with pytest.raises(ValueError):
@@ -191,16 +190,3 @@ class TestRecoder:
         recoder.receive(encoder.emit(1))
         packet = recoder.emit()
         assert packet.generation == 1
-
-
-class TestInnovationHelpers:
-    def test_innovation_probability_extremes(self):
-        assert innovation_probability(8, 8) == 0.0
-        assert innovation_probability(8, 0) == pytest.approx(1.0, abs=1e-9)
-
-    def test_innovation_probability_monotone(self):
-        values = [innovation_probability(8, r) for r in range(9)]
-        assert values == sorted(values, reverse=True)
-
-    def test_packets_rank_empty(self):
-        assert packets_rank([]) == 0

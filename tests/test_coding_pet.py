@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.coding.pet import PETEncoder, PETLayer
+from ext.pet import PETEncoder, PETLayer
 
 
 @pytest.fixture

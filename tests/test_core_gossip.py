@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import GossipJoinProtocol, OverlayNetwork, selection_bias
+from ext.gossip import GossipJoinProtocol, selection_bias
+from repro.core import OverlayNetwork
 from repro.core.matrix import SERVER
 
 
@@ -124,7 +125,7 @@ class TestSelectionBias:
     def test_server_joins_are_near_uniform(self):
         """Reference point: the server's own uniform choice has tiny bias."""
         net = OverlayNetwork(k=16, d=3, seed=9)
-        from repro.core.gossip import GossipJoinStats
+        from ext.gossip import GossipJoinStats
 
         history = []
         for _ in range(300):

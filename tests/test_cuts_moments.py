@@ -1,14 +1,6 @@
-"""Unit tests for min-cut witnesses and loss-moment analytics."""
-
-import pytest
+"""Unit tests for min-cut witnesses."""
 
 from repro.analysis import cut_mentions_failed_parents, min_cut
-from repro.theory import (
-    binomial_loss_moments,
-    binomial_loss_pmf,
-    empirical_loss_moments,
-    required_d_for_std,
-)
 
 
 class TestMinCut:
@@ -59,46 +51,3 @@ class TestMinCut:
             assert cut_mentions_failed_parents(
                 small_net.matrix, node, small_net.failed
             )
-
-
-class TestLossMoments:
-    def test_model_moments(self):
-        moments = binomial_loss_moments(4, 0.1)
-        assert moments.mean == pytest.approx(0.1)
-        assert moments.variance == pytest.approx(0.1 * 0.9 / 4)
-        assert moments.std == pytest.approx((0.1 * 0.9 / 4) ** 0.5)
-
-    def test_pmf_sums_to_one(self):
-        pmf = binomial_loss_pmf(5, 0.2)
-        assert len(pmf) == 6
-        assert sum(pmf) == pytest.approx(1.0)
-
-    def test_empirical_matches_model_on_binomial_data(self, rng):
-        d, p = 4, 0.15
-        losses = rng.binomial(d, p, size=30_000)
-        empirical = empirical_loss_moments(list(losses), d)
-        model = binomial_loss_moments(d, p)
-        assert empirical.mean == pytest.approx(model.mean, abs=0.01)
-        assert empirical.variance == pytest.approx(model.variance, rel=0.1)
-
-    def test_required_d_sizing(self):
-        # std(p=0.05, d) = sqrt(0.0475/d); target 0.05 -> d >= 19
-        assert required_d_for_std(0.05, 0.05) == 19
-        assert required_d_for_std(0.05, 1.0) == 1
-        with pytest.raises(ValueError):
-            required_d_for_std(0.5, 0.01, max_d=8)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            binomial_loss_moments(0, 0.1)
-        with pytest.raises(ValueError):
-            binomial_loss_moments(4, 1.5)
-        with pytest.raises(ValueError):
-            empirical_loss_moments([], 4)
-        with pytest.raises(ValueError):
-            required_d_for_std(0.1, 0.0)
-
-    def test_variance_decays_as_one_over_d(self):
-        """The conjecture's 1/d law, in the model."""
-        values = [binomial_loss_moments(d, 0.1).variance * d for d in (2, 4, 8)]
-        assert max(values) - min(values) < 1e-12

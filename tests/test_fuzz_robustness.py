@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ext.security import HomomorphicHasher, generate_params
+from ext.security.codec import PrimePacket
 from repro.coding import CodedPacket, Decoder, GenerationParams
 from repro.coding.wire import WireFormatError, decode_packet, encode_packet
-from repro.security import HomomorphicHasher, generate_params
-from repro.security.codec import PrimePacket
 
 
 class TestWireFuzz:

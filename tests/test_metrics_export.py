@@ -1,62 +1,10 @@
-"""Table export round-trips and the shared summary-statistics module."""
+"""The shared summary-statistics module and the reports built on it."""
 
-import csv
-import io
-import json
 import warnings
 
 import pytest
 
-from repro.metrics import Series, save_table, stats, to_csv, to_json
-
-
-class TestCsvRoundTrip:
-    def test_values_survive_a_csv_round_trip(self):
-        headers = ["name", "value", "note"]
-        rows = [["a", 1, "plain"], ["b", 2.5, None]]
-        parsed = list(csv.reader(io.StringIO(to_csv(headers, rows))))
-        assert parsed[0] == headers
-        assert parsed[1] == ["a", "1", "plain"]
-        assert parsed[2] == ["b", "2.5", ""]
-
-    def test_cells_with_commas_quotes_newlines_are_escaped(self):
-        headers = ["k", "v"]
-        rows = [
-            ["comma", "a,b"],
-            ["quote", 'say "hi"'],
-            ["newline", "line1\nline2"],
-        ]
-        parsed = list(csv.reader(io.StringIO(to_csv(headers, rows))))
-        assert parsed[1] == ["comma", "a,b"]
-        assert parsed[2] == ["quote", 'say "hi"']
-        assert parsed[3] == ["newline", "line1\nline2"]
-
-    def test_row_width_mismatch_raises(self):
-        with pytest.raises(ValueError, match="row width"):
-            to_csv(["a"], [[1, 2]])
-
-
-class TestJsonRoundTrip:
-    def test_values_and_types_survive(self):
-        headers = ["name", "count", "ratio", "missing"]
-        rows = [["x", 3, 0.5, None]]
-        records = json.loads(to_json(headers, rows))
-        assert records == [
-            {"name": "x", "count": 3, "ratio": 0.5, "missing": None}
-        ]
-
-    def test_row_width_mismatch_raises(self):
-        with pytest.raises(ValueError, match="row width"):
-            to_json(["a", "b"], [[1]])
-
-    def test_save_table_picks_format_by_suffix(self, tmp_path):
-        headers, rows = ["a", "b"], [[1, "x,y"]]
-        csv_path = tmp_path / "t.csv"
-        json_path = tmp_path / "t.json"
-        save_table(csv_path, headers, rows)
-        save_table(json_path, headers, rows)
-        assert list(csv.reader(io.StringIO(csv_path.read_text())))[1] == ["1", "x,y"]
-        assert json.loads(json_path.read_text()) == [{"a": 1, "b": "x,y"}]
+from repro.metrics import stats
 
 
 class TestSharedStats:
@@ -85,32 +33,6 @@ class TestSharedStats:
         assert result["max"] == 4.0
         assert result["n"] == 4.0
         assert stats.percentile(values, 50) == pytest.approx(2.5)
-
-
-class TestSeriesDelegation:
-    def test_series_percentile(self):
-        series = Series("s")
-        for i in range(11):
-            series.add(float(i), float(i))
-        assert series.percentile(50) == pytest.approx(5.0)
-        assert series.percentile(100) == 10.0
-
-    def test_empty_series_is_all_zero_without_warnings(self):
-        series = Series("s")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert series.mean() == 0.0
-            assert series.std() == 0.0
-            assert series.min() == 0.0
-            assert series.max() == 0.0
-            assert series.percentile(99) == 0.0
-        assert series.last() is None
-
-    def test_summary_method_matches_module(self):
-        series = Series("s")
-        series.add(0.0, 2.0)
-        series.add(1.0, 4.0)
-        assert series.summary() == stats.summary([2.0, 4.0])
 
 
 class TestReportEdgeCases:

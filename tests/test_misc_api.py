@@ -1,56 +1,9 @@
 """Tests for smaller public API surfaces not covered elsewhere."""
 
-import numpy as np
-import pytest
-
-from repro.coding import InnovationTracker, innovation_probability
 from repro.analysis import FlowNetwork, expansion_report
 from repro.baselines.edmonds import pack_arborescences
 from repro.core import OverlayNetwork
 from repro.sim import RngStreams
-
-
-class TestInnovationTracker:
-    def test_counts_and_efficiency(self):
-        tracker = InnovationTracker()
-        for outcome in (True, True, False, True):
-            tracker.record(outcome)
-        assert tracker.received == 4
-        assert tracker.innovative == 3
-        assert tracker.efficiency == pytest.approx(0.75)
-
-    def test_empty_efficiency_is_one(self):
-        assert InnovationTracker().efficiency == 1.0
-
-    def test_sampling_history(self):
-        tracker = InnovationTracker()
-        tracker.record(True)
-        tracker.sample(current_rank=1)
-        tracker.record(False)
-        tracker.sample(current_rank=1)
-        assert tracker.history == [(1, 1), (2, 1)]
-
-    def test_matches_analytic_probability(self, rng):
-        """Measured innovation frequency at fixed receiver rank matches
-        1 - q^(rank - g)."""
-        from repro.coding import Decoder, GenerationParams, SourceEncoder
-
-        g = 4
-        params = GenerationParams(generation_size=g, payload_size=4)
-        trials, hits = 0, 0
-        for seed in range(120):
-            local = np.random.default_rng(seed)
-            content = bytes(local.integers(0, 256, size=16, dtype=np.uint8))
-            encoder = SourceEncoder(content, params, local)
-            decoder = Decoder(params, 1)
-            # bring the decoder to rank g-1
-            while decoder.total_rank < g - 1:
-                decoder.push(encoder.emit(0))
-            trials += 1
-            if decoder.push(encoder.emit(0)):
-                hits += 1
-        expected = innovation_probability(g, g - 1)
-        assert hits / trials == pytest.approx(expected, abs=0.03)
 
 
 class TestFlowNetworkIntrospection:

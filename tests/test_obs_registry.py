@@ -179,6 +179,33 @@ class TestInstruments:
         assert snap["engine.leaves"] == 1
         assert snap["engine.events"] == 4
 
+    def test_population_gauge_is_the_registry_size(self):
+        """10 joins, 3 leaves, 1 crash: 6 registered.  (Departed ids are
+        already out of the registry; subtracting them again read 2.)"""
+        import numpy as np
+
+        from repro.core import CoordinationServer
+        from repro.obs import ServerEngineInstruments
+        from repro.protocol import (
+            ConnectionLost,
+            JoinRequest,
+            LeaveRequest,
+            MessageReceived,
+            ServerEngine,
+        )
+
+        engine = ServerEngine(CoordinationServer(4, 2, np.random.default_rng(0)))
+        registry = Registry("r")
+        ServerEngineInstruments(registry).attach(engine, registry)
+        for _ in range(10):
+            engine.handle(MessageReceived(JoinRequest(reply_to=0)))
+        for node in (1, 4, 7):
+            engine.handle(MessageReceived(LeaveRequest(node), sender=node))
+        engine.handle(ConnectionLost(2))
+        gauges = registry.snapshot()["gauges"]
+        assert gauges["engine.population"] == len(engine.core.registry) == 6
+        assert gauges["engine.departed"] == 4
+
     def test_peer_instruments_classify_effects(self):
         from repro.obs import PeerEngineInstruments
         from repro.protocol.effects import Backoff, Clip, Send

@@ -137,6 +137,85 @@ class TestServerEngineProperties:
         assert fresh.pending_probes == recorded.pending_probes
 
 
+class TestServerEngineBoundedState:
+    """``departed`` is derived (issued and no longer registered), so the
+    engine's state is bounded by the live population over any uptime."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=server_ops, seed=st.integers(0, 2**31 - 1),
+           mode=st.sampled_from(["append", "uniform"]))
+    def test_departed_is_exactly_the_peers_reported_departed(
+            self, ops, seed, mode):
+        engine = ServerEngine(CoordinationServer(
+            3, 2, np.random.default_rng(seed), mode))
+        reported: set[int] = set()
+
+        def check(event, effects):
+            reported.update(
+                e.node_id for e in effects if isinstance(e, PeerDeparted))
+            assert engine.departed == reported
+            assert len(engine.departed) == len(reported)
+            assert all(node in engine.departed for node in reported)
+
+        drive_server(engine, ops, check=check)
+
+    def test_departed_answers_what_its_callers_ask(self):
+        engine = ServerEngine(CoordinationServer(
+            3, 2, np.random.default_rng(0)))
+        for _ in range(4):
+            engine.handle(MessageReceived(JoinRequest(reply_to=0)))
+        engine.handle(MessageReceived(LeaveRequest(1), sender=1))
+        engine.handle(ConnectionLost(3))
+        departed = engine.departed
+        assert 1 in departed and 3 in departed
+        assert 0 not in departed            # still registered
+        assert 4 not in departed            # never issued
+        assert None not in departed         # a handle before admission
+        assert len(departed) == 2 and sorted(departed) == [1, 3]
+        assert departed == {1, 3} and {1, 3} == departed
+        assert departed & engine.core.registry.keys() == set()
+        assert departed & {0, 1, 2, 3} == {1, 3}
+        assert not hasattr(departed, "add")
+
+    def test_50k_churn_cycles_leave_no_container_above_the_population(self):
+        # Uniform insertion: the mode whose key allocator also used to
+        # remember one entry per join ever made.
+        population, cycles = 64, 50_000
+        engine = ServerEngine(CoordinationServer(
+            8, 2, np.random.default_rng(5), "uniform"))
+        join = MessageReceived(JoinRequest(reply_to=0))
+        for _ in range(population):
+            engine.handle(join)
+        draws = np.random.default_rng(6).random(cycles).tolist()
+        for cycle, draw in enumerate(draws):
+            victim = engine.core.matrix.node_ids[int(draw * population)]
+            if cycle % 2:
+                engine.handle(ConnectionLost(victim))
+            else:
+                engine.handle(
+                    MessageReceived(LeaveRequest(victim), sender=victim))
+            engine.handle(join)
+        core = engine.core
+        assert len(core.registry) == population
+        assert core.issued == population + cycles
+        assert len(engine.departed) == cycles
+
+        def containers(owner):
+            for name, value in vars(owner).items():
+                if isinstance(value, (dict, set, list)):
+                    yield f"{type(owner).__name__}.{name}", value
+                    if isinstance(value, list):  # per-column lists
+                        for index, inner in enumerate(value):
+                            if isinstance(inner, (dict, set, list)):
+                                yield f"{name}[{index}]", inner
+
+        owners = (engine, core, core.matrix, core.matrix._allocator)
+        sizes = {name: len(value)
+                 for owner in owners for name, value in containers(owner)}
+        assert "ThreadMatrix._rows" in sizes  # the walk saw the big ones
+        assert {n: s for n, s in sizes.items() if s > population} == {}
+
+
 class TestServerEngineSenderAuthority:
     """The connection owner, not the id a message claims, decides whose
     probe is answered and whose threads move."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.security import (
+from ext.security import (
     HomomorphicHasher,
     PrimeDecoder,
     PrimeEncoder,
@@ -16,7 +16,7 @@ from repro.security import (
     make_jam_packet,
     symbols_to_bytes,
 )
-from repro.security.homomorphic import _is_prime
+from ext.security.homomorphic import _is_prime
 
 
 @pytest.fixture

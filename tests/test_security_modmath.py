@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.security.modmath import (
+from ext.security.modmath import (
     Q,
     add_mod,
     bytes_to_symbols,

@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.security import HomomorphicHasher, generate_params
-from repro.security.modmath import (
+from ext.security import HomomorphicHasher, generate_params
+from ext.security.modmath import (
     Q,
     add_mod,
     bytes_to_symbols,

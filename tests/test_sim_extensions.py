@@ -4,12 +4,8 @@ and the binary-codec ablation support."""
 import numpy as np
 import pytest
 
-from repro.coding import (
-    BinaryDecoder,
-    BinaryEncoder,
-    GenerationParams,
-    innovation_probability_q,
-)
+from ext.binary import BinaryDecoder, BinaryEncoder, innovation_probability_q
+from repro.coding import GenerationParams
 from repro.core import OverlayNetwork, RandomGraphOverlay
 from repro.sim import BroadcastSimulation, GraphBroadcastSimulation, LossModel
 

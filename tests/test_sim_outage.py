@@ -89,44 +89,6 @@ class TestOutagesInBroadcast:
         assert len(sim.outaged) <= 10
 
 
-class TestMetricsExport:
-    def test_csv_roundtrip(self, tmp_path):
-        from repro.metrics import save_table, to_csv
-
-        headers = ["a", "b"]
-        rows = [[1, 2.5], ["x", None]]
-        text = to_csv(headers, rows)
-        assert text.splitlines()[0] == "a,b"
-        assert text.splitlines()[2] == "x,"
-        path = tmp_path / "t.csv"
-        save_table(path, headers, rows)
-        assert path.read_text() == text
-
-    def test_json_structure(self, tmp_path):
-        import json
-
-        from repro.metrics import save_table
-
-        path = tmp_path / "t.json"
-        save_table(path, ["n", "v"], [[1, 0.5], [2, 0.7]])
-        data = json.loads(path.read_text())
-        assert data == [{"n": 1, "v": 0.5}, {"n": 2, "v": 0.7}]
-
-    def test_bad_suffix_raises(self, tmp_path):
-        from repro.metrics import save_table
-
-        with pytest.raises(ValueError):
-            save_table(tmp_path / "t.xlsx", ["a"], [[1]])
-
-    def test_width_mismatch_raises(self):
-        from repro.metrics import to_csv, to_json
-
-        with pytest.raises(ValueError):
-            to_csv(["a"], [[1, 2]])
-        with pytest.raises(ValueError):
-            to_json(["a"], [[1, 2]])
-
-
 class TestProtocolInsertMode:
     def test_uniform_mode_deployment(self, deploy):
         async def script(h):

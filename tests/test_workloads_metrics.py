@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.metrics import Recorder, format_cell, render_table
+from repro.metrics import format_cell, render_table
+from repro.sim import file_download, flash_crowd, live_streaming
 from repro.workloads import (
     diurnal_schedule,
-    file_download,
-    flash_crowd,
     flash_crowd_schedule,
-    live_streaming,
     steady_schedule,
     total_joins,
 )
@@ -78,36 +76,6 @@ class TestScenarios:
             )
             result = run_session(config)
             assert result.report.completion_fraction == 1.0
-
-
-class TestRecorder:
-    def test_record_and_summary(self):
-        recorder = Recorder()
-        for t, v in enumerate([1.0, 2.0, 3.0]):
-            recorder.record("x", t, v)
-        series = recorder.series("x")
-        assert len(series) == 3
-        assert series.mean() == 2.0
-        assert series.min() == 1.0
-        assert series.max() == 3.0
-        assert series.last() == 3.0
-        summary = recorder.summary()
-        assert summary["x"]["n"] == 3
-
-    def test_names_sorted(self):
-        recorder = Recorder()
-        recorder.record("b", 0, 1)
-        recorder.record("a", 0, 1)
-        assert recorder.names() == ["a", "b"]
-
-    def test_missing_series_raises(self):
-        with pytest.raises(KeyError):
-            Recorder().series("nope")
-
-    def test_std_single_sample_zero(self):
-        recorder = Recorder()
-        recorder.record("x", 0, 5)
-        assert recorder.series("x").std() == 0.0
 
 
 class TestReportRendering:

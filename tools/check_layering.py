@@ -1,28 +1,30 @@
 #!/usr/bin/env python
-"""Layering contract for the sans-IO protocol core.
+"""Layering contracts for ``src/repro``: imports point downward only.
 
-``repro.protocol`` must stay pure: event in, effects out, no I/O and no
-knowledge of any driver.  This checker walks the package's ASTs and
-rejects any import of
+Three checks, all over the packages' ASTs:
 
-* ``asyncio`` (or any stdlib I/O loop: ``socket``, ``selectors``),
-* ``repro.net`` / ``repro.sim`` — the drivers that pump the engines
-  must depend on the core, never the reverse —
+**One declared package order** (:data:`LAYERS`, lowest first).  A module
+may import its own layer entry and any entry on an earlier line — never
+a later line, never another package on its own line — whether the
+import is spelled absolute (``from repro.sim import ...``) or relative
+(``from ..sim import ...``), at module level or inside a function.
+Package ``__init__`` files are modules like any other, so none can
+re-export a name from a package above its own.  The order is what makes
+``import repro.net`` load the deployment and nothing else: the
+experiments' library (``analysis``, ``sim``, ``baselines``, ...) ranks
+above ``net`` and therefore cannot be reached from it.
 
-whether spelled absolute or relative (``from ..net import ...``).
+**Sans-IO cores.**  ``repro.protocol``, ``repro.dataplane`` and the
+``repro.obs`` core (everything but ``obs/http.py``) are event in,
+effects out: no ``asyncio``, ``socket`` or ``selectors``.  (That they
+never import a driver package is the order's job: ``net`` and ``sim``
+rank above them.)
 
-The same contract covers the ``repro.obs`` core: registries, flight
-recorder, exporters, and instruments are snapshot-on-read data
-structures any driver may embed, so everything except the explicitly
-I/O module ``obs/http.py`` must stay free of event loops and driver
-imports.  (``obs`` may import ``repro.protocol`` — instruments classify
-engine effects — but never the reverse; engines reach obs only through
-duck-typed attributes.)
-
-``repro.dataplane`` — the data-plane twin of the protocol core — is
-held to the identical bans: it may import the pure coding layer (the
-recoder/encoder it wraps) and the protocol core's trace vocabulary, but
-never an event loop or a driver package.
+**No bystanders.**  Every module under ``src/repro`` is imported by some
+file that is not a test — another ``src/repro`` module (a package's own
+``__init__`` re-exporting it does not count), an example, or a
+benchmark/experiment script — apart from the entry point ``cli`` and the
+modules :data:`KNOWN_UNCALLED` lists with a reason.
 
 Run from the repo root (CI's lint job does, and a tier-1 test wraps
 it):
@@ -35,63 +37,189 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+from typing import Iterator, Optional
 
-_REPRO = Path(__file__).resolve().parent.parent / "src" / "repro"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+_REPRO = REPO_ROOT / "src" / "repro"
 PROTOCOL_DIR = _REPRO / "protocol"
 OBS_DIR = _REPRO / "obs"
 DATAPLANE_DIR = _REPRO / "dataplane"
+
+#: The declared order, lowest layer first; names are dotted prefixes
+#: under ``repro`` and the longest matching prefix wins (``net.testing``
+#: is the chaos/swarm/soak harness, a layer of its own above the
+#: drivers it stands up).  docs/architecture.md draws the same order.
+LAYERS: tuple[tuple[str, ...], ...] = (
+    ("gf",),
+    ("coding", "core"),
+    ("protocol",),
+    ("dataplane",),
+    ("obs",),
+    ("net",),
+    ("analysis", "metrics", "workloads"),
+    ("theory", "sim"),
+    ("baselines", "failures"),
+    ("net.testing",),
+    ("cli",),
+)
+
+#: (importing module, imported layer entry) pairs the order does not
+#: explain.  ``OverlayNetwork`` is the facade that answers "how
+#: connected is this overlay?", so it alone in ``core`` calls the flow
+#: solver and defect counter that are written on top of the matrix.
+ORDER_EXCEPTIONS = {
+    ("core.overlay", "analysis"),
+}
 
 #: Modules of ``repro.obs`` that are allowed to do I/O (everything else
 #: in the package must stay sans-IO like the protocol core).
 OBS_IO_MODULES = {"http.py"}
 
-#: Module roots the protocol core may never import.
-BANNED_ROOTS = {
-    "asyncio",
-    "socket",
-    "selectors",
-    "repro.net",
-    "repro.sim",
+#: Module roots a sans-IO core may never import.
+IO_ROOTS = {"asyncio", "socket", "selectors"}
+
+#: Modules that run rather than get imported.
+ENTRY_POINTS = {"cli"}
+
+#: Modules nothing calls yet, each with the reason it stays.
+KNOWN_UNCALLED = {
+    # ROADMAP 4a: the §7 entropy/jamming attacks the Byzantine-relay
+    # chaos scenarios are to run.
+    "failures.attacks",
 }
 
-#: Sibling packages of ``repro.protocol`` that are off-limits when
-#: reached by relative import (``from ..net import ...``).
-BANNED_SIBLINGS = {"net", "sim"}
+#: Where non-test importers live, relative to the repo root.
+CALLER_DIRS = ("examples", "benchmarks")
 
 
-def _banned(module: str) -> bool:
-    return any(
-        module == root or module.startswith(root + ".")
-        for root in BANNED_ROOTS
-    )
+# ----------------------------------------------------------------------
+# Reading imports
+
+
+def _module_name(path: Path, root: Path) -> str:
+    """Dotted name of ``path`` under ``root`` ('' for the root package)."""
+    parts = list(path.relative_to(root).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+def _tree_modules(root: Path) -> dict[str, Path]:
+    return {_module_name(p, root): p for p in sorted(root.rglob("*.py"))}
+
+
+def _imports(path: Path, module: Optional[str]) -> Iterator[tuple[int, str, Optional[str]]]:
+    """Yield ``(lineno, base, name)`` for every import of ``repro`` code.
+
+    ``base`` is the imported module's dotted name under ``repro`` ('' for
+    the root package) and ``name`` the attribute taken from it, or None
+    for a plain ``import``.  Relative imports are resolved against
+    ``module`` (the importer's own name; None for a file outside the
+    tree, whose relative imports are skipped).
+    """
+    is_package = path.name == "__init__.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "repro" or alias.name.startswith("repro."):
+                    yield node.lineno, alias.name[len("repro."):], None
+        elif isinstance(node, ast.ImportFrom):
+            imported = node.module or ""
+            if node.level == 0:
+                if imported != "repro" and not imported.startswith("repro."):
+                    continue
+                base = imported[len("repro."):]
+            elif module is None:
+                continue
+            else:
+                package = module.split(".") if module else []
+                if not is_package:
+                    package = package[:-1]
+                climb = node.level - 1
+                if climb > len(package):
+                    continue  # escapes the tree; not ours to judge
+                package = package[:len(package) - climb]
+                base = ".".join(package + ([imported] if imported else []))
+            for alias in node.names:
+                yield node.lineno, base, alias.name
+
+
+def _target(base: str, name: Optional[str], modules: dict[str, Path]) -> str:
+    """The module an import reaches: ``base.name`` when that is one."""
+    if name is not None:
+        candidate = f"{base}.{name}" if base else name
+        if candidate in modules:
+            return candidate
+    return base
+
+
+# ----------------------------------------------------------------------
+# The declared order
+
+
+def _layer_of(module: str) -> Optional[tuple[int, str]]:
+    """``(rank, entry)`` of the longest :data:`LAYERS` prefix of ``module``."""
+    best: Optional[tuple[int, str]] = None
+    for rank, entries in enumerate(LAYERS):
+        for entry in entries:
+            if module == entry or module.startswith(entry + "."):
+                if best is None or len(entry) > len(best[1]):
+                    best = (rank, entry)
+    return best
+
+
+def check_order(root: Path = _REPRO) -> list[str]:
+    """One violation string per import that does not point downward."""
+    modules = _tree_modules(root)
+    violations = []
+    for module, path in modules.items():
+        if module == "":
+            source = (-1, "")  # the root package: below everything
+        else:
+            source = _layer_of(module)
+            if source is None:
+                violations.append(
+                    f"{path}: {module!r} is in no declared layer")
+                continue
+        reaches = {(lineno, _target(base, name, modules))
+                   for lineno, base, name in _imports(path, module)}
+        for lineno, target in sorted(reaches):
+            if target == "":
+                continue  # ``repro`` itself exports only __version__
+            reached = _layer_of(target)
+            if reached is None:
+                violations.append(
+                    f"{path}:{lineno}: imports {target!r}, "
+                    f"which is in no declared layer")
+            elif reached[1] == source[1] or reached[0] < source[0]:
+                continue
+            elif (module, reached[1]) not in ORDER_EXCEPTIONS:
+                direction = "sideways" if reached[0] == source[0] else "upward"
+                violations.append(
+                    f"{path}:{lineno}: {direction} import of {target!r} "
+                    f"(layer {reached[1]!r}) from layer {source[1]!r}")
+    return violations
+
+
+# ----------------------------------------------------------------------
+# Sans-IO cores
 
 
 def check_file(path: Path) -> list[str]:
-    """Return one violation string per banned import in ``path``."""
+    """One violation string per event-loop or socket import in ``path``."""
     tree = ast.parse(path.read_text(), filename=str(path))
     violations = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            for alias in node.names:
-                if _banned(alias.name):
-                    violations.append(
-                        f"{path}:{node.lineno}: imports {alias.name!r}"
-                    )
-        elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            if node.level == 0 and _banned(module):
-                violations.append(
-                    f"{path}:{node.lineno}: imports from {module!r}"
-                )
-            elif node.level >= 2:
-                # from ..<sibling> import ... escapes the package; only
-                # pure layers (repro.core, repro.coding) are allowed.
-                root = module.split(".")[0] if module else ""
-                if root in BANNED_SIBLINGS:
-                    violations.append(
-                        f"{path}:{node.lineno}: imports from "
-                        f"{'.' * node.level}{module!r}"
-                    )
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module or ""]
+        else:
+            continue
+        for name in names:
+            if name.split(".")[0] in IO_ROOTS:
+                violations.append(f"{path}:{node.lineno}: imports {name!r}")
     return violations
 
 
@@ -120,24 +248,79 @@ def check_dataplane_package(root: Path = DATAPLANE_DIR) -> list[str]:
     return violations
 
 
+# ----------------------------------------------------------------------
+# No bystanders
+
+
+def _provider(base: str, name: Optional[str], modules: dict[str, Path],
+              exports: dict[str, dict[str, str]]) -> str:
+    """The module a name comes from, looking through package re-exports."""
+    target = _target(base, name, modules)
+    if target == base and name is not None:
+        return exports.get(base, {}).get(name, base)
+    return target
+
+
+def check_uncalled(root: Path = _REPRO,
+                   caller_roots: Optional[list[Path]] = None) -> list[str]:
+    """One string per module that only tests (or nothing) import."""
+    modules = _tree_modules(root)
+    # package -> {re-exported name: providing submodule}
+    exports: dict[str, dict[str, str]] = {}
+    for module, path in modules.items():
+        if path.name == "__init__.py":
+            for _lineno, base, name in _imports(path, module):
+                target = _target(base, name, modules)
+                if name is not None and target.startswith(module + "."):
+                    exports.setdefault(module, {})[name] = target
+    called: set[str] = set()
+    for module, path in modules.items():
+        own = module + "." if path.name == "__init__.py" else None
+        for _lineno, base, name in _imports(path, module):
+            provider = _provider(base, name, modules, exports)
+            if own is None or not provider.startswith(own):
+                called.add(provider)
+    if caller_roots is None:
+        caller_roots = [REPO_ROOT / d for d in CALLER_DIRS]
+    for caller_root in caller_roots:
+        for path in sorted(caller_root.rglob("*.py")):
+            if path.name.startswith("test_"):
+                continue
+            for _lineno, base, name in _imports(path, None):
+                called.add(_provider(base, name, modules, exports))
+    return [
+        f"{path}: {module!r} is imported by no non-test file"
+        for module, path in modules.items()
+        if path.name != "__init__.py"
+        and module not in called
+        and module not in ENTRY_POINTS
+        and module not in KNOWN_UNCALLED
+    ]
+
+
+# ----------------------------------------------------------------------
+
+
 def main() -> int:
+    if not _REPRO.is_dir():
+        print(f"error: {_REPRO} not found", file=sys.stderr)
+        return 2
     status = 0
-    for name, directory, checker in (
-        ("repro.protocol", PROTOCOL_DIR, check_protocol_package),
-        ("repro.obs core", OBS_DIR, check_obs_package),
-        ("repro.dataplane", DATAPLANE_DIR, check_dataplane_package),
+    for name, checker in (
+        ("package order", check_order),
+        ("repro.protocol sans-IO", check_protocol_package),
+        ("repro.obs core sans-IO", check_obs_package),
+        ("repro.dataplane sans-IO", check_dataplane_package),
+        ("no uncalled module", check_uncalled),
     ):
-        if not directory.is_dir():
-            print(f"error: {directory} not found", file=sys.stderr)
-            return 2
         violations = checker()
         if violations:
-            print(f"{name} layering violations:", file=sys.stderr)
+            print(f"{name} violations:", file=sys.stderr)
             for violation in violations:
                 print(f"  {violation}", file=sys.stderr)
             status = 1
         else:
-            print(f"{name} layering: clean")
+            print(f"{name}: clean")
     return status
 
 
