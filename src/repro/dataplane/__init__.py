@@ -9,13 +9,14 @@ virtual-network chaos tier running the latter) now lives in two pure
 state machines:
 
 * :class:`SourceEngine` — the server side: generation scheduling
-  (round-robin for clocked stream loops, uniform draws for pull-mode
-  drivers) and per-child emission over a
+  (each child's lowest unfinished generation for clocked stream loops,
+  uniform draws for pull-mode drivers) and per-child emission over a
   :class:`~repro.coding.encoder.SourceEncoder`, with an optional
   seed-burst toward freshly attached children;
 * :class:`RelayEngine` — the peer side: per-packet receive with
-  innovation gating, rank/needed/completion bookkeeping, recode
-  fan-out through the batched
+  innovation gating, rank/needed/completion bookkeeping, a per-child
+  view of the generations each child still lacks, recode fan-out
+  through the batched
   :meth:`~repro.coding.recoder.Recoder.emit_rows` path, idle/keepalive
   emit decisions, and a pluggable :class:`ForwardPolicy`
   (``eager``/``innovative``).
@@ -34,12 +35,14 @@ from ..protocol.trace import EngineLog, replay
 from .effects import (
     Effect,
     EmitToChildren,
+    GenerationComplete,
     Ingested,
     MarkComplete,
     RequestIdle,
 )
 from .events import (
     ChildAttached,
+    ChildCompleted,
     ChildDetached,
     EmitRound,
     Event,
@@ -60,6 +63,7 @@ from .source_engine import SourceEngine
 __all__ = [
     "FORWARD_POLICIES",
     "ChildAttached",
+    "ChildCompleted",
     "ChildDetached",
     "EagerPolicy",
     "Effect",
@@ -68,6 +72,7 @@ __all__ = [
     "EngineLog",
     "Event",
     "ForwardPolicy",
+    "GenerationComplete",
     "IdlePoll",
     "Ingested",
     "InnovativePolicy",

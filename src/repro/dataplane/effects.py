@@ -35,6 +35,7 @@ from typing import Hashable, NamedTuple, Optional
 __all__ = [
     "Effect",
     "EmitToChildren",
+    "GenerationComplete",
     "Ingested",
     "MarkComplete",
     "RequestIdle",
@@ -91,6 +92,16 @@ class EmitToChildren(NamedTuple):
         return f"EmitToChildren(children={self.children!r}, {payload})"
 
 
+class GenerationComplete(NamedTuple):
+    """This node just reached full rank in ``generation``.  Emitted
+    once per generation, before any :class:`MarkComplete`; push drivers
+    tell their parents (the node's completed set is
+    :attr:`~repro.dataplane.RelayEngine.completed_generations`),
+    clocked drivers ignore it."""
+
+    generation: int
+
+
 class MarkComplete(NamedTuple):
     """This node holds every degree of freedom: ``rank == needed``.
     Emitted exactly once; drivers fire their completion callbacks /
@@ -103,9 +114,10 @@ class RequestIdle(NamedTuple):
     """Ask the driver to fill idle periods toward ``child`` with
     data-bearing keep-alives: whenever its pump has been silent for a
     keep-alive interval, feed :class:`~repro.dataplane.events.IdlePoll`
-    back and send the returned mixture.  Emitted on attach under
-    policies that gate fan-out (the gated child must not starve on a
-    dependent-mixture tail)."""
+    back and send the returned mixture.  Emitted on every attach: a
+    relay forwards when packets arrive, and its own parents stop
+    sending once it has reported everything complete — a child still
+    short by then must not starve."""
 
     child: Hashable
 

@@ -2,16 +2,21 @@
 
 As in :mod:`repro.protocol.events`, an event is a plain immutable
 record narrating something that happened in the outside world — a
-coded packet arrived, a downstream subscriber attached, a clocked slot
-wants an emission.  The engines never look at a socket or a clock;
-connection drivers feed arrival-shaped events (:class:`PacketArrived`,
-:class:`ChildAttached`, :class:`IdlePoll`) and clocked drivers feed
+coded packet arrived, a downstream subscriber attached or told us what
+it has finished, a clocked slot wants an emission.  The engines never
+look at a socket or a clock; connection drivers feed arrival-shaped
+events (:class:`PacketArrived`, :class:`ChildAttached`,
+:class:`ChildCompleted`, :class:`IdlePoll`) and clocked drivers feed
 schedule-shaped ones (:class:`EmitRound`, :class:`PullEmit`).
 
 ``child``/``destination`` identities are opaque hashables owned by the
 driver — a ``(node_id, column)`` pair on the live transport, a bare
 node id in the slotted simulator.  The engines only use them to keep
 fan-out order and per-edge policy state.
+
+A child's *completed set* is written ``(base, extras)`` throughout:
+every generation below ``base`` is complete and ``extras`` names the
+complete ones above it, so a child served in order is one integer.
 
 Unlike the control-plane vocabulary these records ride the per-packet
 hot path (one event per arrival, per pull, per slot edge), so they are
@@ -26,6 +31,7 @@ from typing import Hashable, NamedTuple, Optional
 
 __all__ = [
     "ChildAttached",
+    "ChildCompleted",
     "ChildDetached",
     "EmitRound",
     "Event",
@@ -50,11 +56,28 @@ class PacketArrived(NamedTuple):
 class ChildAttached(NamedTuple):
     """A downstream subscriber attached (a child dialed its data
     connection; a repaired node re-clipped below us).  Triggers the
-    engine's seed-burst and, under an idle-filling policy, a
-    :class:`~repro.dataplane.effects.RequestIdle`."""
+    engine's seed-burst and a
+    :class:`~repro.dataplane.effects.RequestIdle`.
+
+    ``completed`` is the ``(base, extras)`` set the child reported as
+    it dialed, so a re-clipped child is never re-sent what it holds;
+    ``None`` is a child that reported nothing, which is served by the
+    sender's own schedule until it does."""
 
     child: Hashable
     column: Optional[int] = None
+    completed: Optional[tuple] = None
+
+
+class ChildCompleted(NamedTuple):
+    """An attached child reported its completed set (cumulative: the
+    engine takes the union with what it already knew).  From now on
+    the child is served the lowest generation it lacks and the sender
+    holds, or nothing."""
+
+    child: Hashable
+    base: int
+    extras: tuple = ()
 
 
 class ChildDetached(NamedTuple):
@@ -75,10 +98,10 @@ class IdlePoll(NamedTuple):
 
 class EmitRound(NamedTuple):
     """Clocked source cadence: one emission round toward the currently
-    attached ``targets`` (one packet each, one generation per round,
-    scheduled round-robin).  The round counter advances even when no
-    target is attached — generation scheduling is time-based, not
-    demand-based."""
+    attached ``targets`` — one packet each, of the lowest generation
+    that target has not reported complete; a target that needs nothing
+    is skipped.  A target that never reported rides the round-robin
+    carousel, whose counter advances every round."""
 
     targets: tuple = ()
 

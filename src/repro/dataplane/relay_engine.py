@@ -8,20 +8,33 @@ the RNG and the RREF buffer; the engine owns the policy and the
 bookkeeping).  Two driver shapes pump it:
 
 * **push** (live transport, virtual net): :class:`ChildAttached` /
-  :class:`ChildDetached` maintain the fan-out list, every
+  :class:`ChildDetached` maintain the fan-out list and
+  :class:`ChildCompleted` each child's completed set; every
   :class:`PacketArrived` triggers a recode toward the attached
   children (subject to the :class:`~repro.dataplane.policy.ForwardPolicy`),
-  and :class:`IdlePoll` backfills gated links;
+  and :class:`IdlePoll` backfills links gone quiet;
 * **pull** (slotted simulator): no children are attached, so arrivals
   only ingest, and the clocked driver requests each edge's emission
   with :class:`PullEmit` — which the policy may decline via the
   per-destination innovation-credit translation of arrival gating.
 
-RNG discipline: the engine reproduces the pre-refactor inline paths'
-draw orders exactly — seed-bursts are sequential :meth:`Recoder.emit`
-calls, push fan-out is one :meth:`Recoder.emit_rows` call sized to
-the child count, pull emissions are one :meth:`Recoder.emit` each —
-so every seeded golden survives the refactor byte-identical.
+What a child is sent is chosen by what it lacks.  The policy decides
+*when* a mixture goes out (every arrival, or rank-raising arrivals
+plus idle fills); *which* generation is always the lowest one the
+child has not reported complete and this node holds any rank in, and
+a child that lacks nothing this node holds is skipped.  Children are
+grouped by that choice — served in order they almost always share
+one — and each group is one explicit-generation
+:meth:`Recoder.emit_rows` call.  The grouping is cached and rebuilt
+only when a child attaches, detaches or reports, or this node gains
+its first rank in a generation, so the per-arrival path reads no
+per-child state.  A child that never reported is served by the
+recoder's own generation pick, as every child was before there was
+anything to report.
+
+RNG discipline: pull emissions are one :meth:`Recoder.emit` each and
+never look at a completed set, so every seeded simulator golden is
+untouched by the need view.
 """
 
 from __future__ import annotations
@@ -29,18 +42,31 @@ from __future__ import annotations
 from typing import Hashable, Optional, Union
 
 from ..coding.recoder import Recoder
-from .effects import Effect, EmitToChildren, Ingested, MarkComplete, RequestIdle
+from .effects import (
+    Effect,
+    EmitToChildren,
+    GenerationComplete,
+    Ingested,
+    MarkComplete,
+    RequestIdle,
+)
 from .events import (
     ChildAttached,
+    ChildCompleted,
     ChildDetached,
     Event,
     IdlePoll,
     PacketArrived,
     PullEmit,
 )
+from .needs import CompletedSet
 from .policy import ForwardPolicy, resolve_policy
 
 __all__ = ["RelayEngine"]
+
+#: What ``_choice`` answers for a child that lacks nothing this node
+#: holds (None is taken: it is how the recoder is asked to pick).
+_NOTHING = -1
 
 
 class RelayEngine:
@@ -68,7 +94,9 @@ class RelayEngine:
         "received", "innovative", "forwarded", "idle_emits", "completed",
         "_children", "_children_tuple", "_epoch", "_pull_sent",
         "_pull_gated", "_forward_innovative", "_forward_duplicates",
-        "_rank", "_log", "_flight", "_obs", "_taps",
+        "_rank", "_needed", "_generations", "_generation_size",
+        "_held_stop", "_mine", "_needs", "_plan",
+        "_log", "_flight", "_obs", "_taps",
     )
 
     def __init__(
@@ -111,6 +139,25 @@ class RelayEngine:
         # by exactly one) so the per-packet Ingested effect never walks
         # the per-generation decoders.
         self._rank = recoder.decoder.total_rank
+        self._needed = recoder.decoder.total_dof
+        self._generations = recoder.decoder.generations
+        self._generation_size = recoder.params.generation_size
+        #: one past the highest generation this node holds any rank in:
+        #: where the search for something a child lacks stops
+        self._held_stop = 0
+        #: the generations this node has finished — what it tells its
+        #: own parents
+        self._mine = CompletedSet()
+        for index, generation in enumerate(self._generations):
+            if generation.rank:
+                self._held_stop = index + 1
+            if generation.is_complete:
+                self._mine.add(index)
+        #: child -> its completed set, for the children that reported one
+        self._needs: dict[Hashable, CompletedSet] = {}
+        #: (children served, ((generation | None, count), ...), children
+        #: skipped) for one fan-out; None when it has to be rebuilt
+        self._plan: Optional[tuple] = None
         # Observer taps (``log``/``flight``/``obs`` properties below).
         # The recording hooks are collapsed into one tuple so the
         # untapped hot path pays a single truthiness check per event.
@@ -130,7 +177,17 @@ class RelayEngine:
     @property
     def needed(self) -> int:
         """Degrees of freedom required for a full decode."""
-        return self.recoder.decoder.total_dof
+        return self._needed
+
+    @property
+    def completed_generations(self) -> tuple[int, tuple[int, ...]]:
+        """The generations this node has finished, as ``(base,
+        extras)`` — the record it owes its parents."""
+        return self._mine.pair()
+
+    def finished(self, generation: int) -> bool:
+        """True once ``generation`` is held at full rank."""
+        return self._generations[generation].is_complete
 
     @property
     def children(self) -> tuple:
@@ -176,7 +233,8 @@ class RelayEngine:
     def obs(self):
         """Optional instrument bundle (duck-typed ``record_step``, e.g.
         ``obs.DataplaneInstruments``) — the engine never imports
-        ``repro.obs``."""
+        ``repro.obs``.  A skipped fan-out slot leaves no effect to
+        classify, so the engine bumps its ``withheld`` counter itself."""
         return self._obs
 
     @obs.setter
@@ -204,39 +262,98 @@ class RelayEngine:
 
     def _on_packet(self, event: PacketArrived) -> list[Effect]:
         packet = event.packet
+        generation = packet.generation
         self.received += 1
         innovative = self.recoder.receive(packet)
+        finished = False
         if innovative:
             self.innovative += 1
             self._epoch += 1
             self._rank += 1
+            # The one decoder that was pushed says everything the need
+            # view has to know about this arrival.
+            rank = self._generations[generation].rank
+            if rank == 1:
+                self._plan = None  # a generation to serve that was not
+                if generation >= self._held_stop:
+                    self._held_stop = generation + 1
+            finished = rank == self._generation_size
         # ``_make`` is ``tuple.__new__`` — the per-packet constructions
         # skip the keyword-handling ``__new__`` wrapper.
         effects: list[Effect] = [
-            Ingested._make((packet.generation, innovative, self._rank))
+            Ingested._make((generation, innovative, self._rank))
         ]
-        children = self._children_tuple
-        if children and (
+        if self._children_tuple and (
             self._forward_innovative if innovative
             else self._forward_duplicates
         ):
-            groups = self.recoder.emit_rows(len(children))
-            emitted = 0
-            for _generation, _rows, positions in groups:
-                emitted += len(positions)
-            if emitted:
-                self.forwarded += emitted
-                effects.append(EmitToChildren._make(
-                    (children, None, tuple(groups))
-                ))
-        if (
-            innovative
-            and not self.completed
-            and self.recoder.decoder.is_complete
-        ):
-            self.completed = True
-            effects.append(MarkComplete(self.needed))
+            children, spec, skipped = self._plan or self._replan()
+            if skipped and self._obs is not None:
+                self._obs.withheld.inc(skipped)
+            if children:
+                groups = self._draw(spec)
+                emitted = 0
+                for _generation, _rows, positions in groups:
+                    emitted += len(positions)
+                if emitted:
+                    self.forwarded += emitted
+                    effects.append(EmitToChildren._make(
+                        (children, None, tuple(groups))
+                    ))
+        if finished:
+            self._mine.add(generation)
+            effects.append(GenerationComplete(generation))
+            if self._rank == self._needed and not self.completed:
+                self.completed = True
+                effects.append(MarkComplete(self._needed))
         return effects
+
+    def _choice(self, child: Hashable) -> Optional[int]:
+        """The ``generation`` argument ``child``'s next mixture is
+        drawn with: the lowest generation it lacks that this node holds
+        rank in, ``_NOTHING`` if there is none — and None, the
+        recoder's own pick, for a child that never reported."""
+        need = self._needs.get(child)
+        if need is None:
+            return None
+        choice = need.lowest_missing(self._held_stop, self._generations)
+        return _NOTHING if choice is None else choice
+
+    def _replan(self) -> tuple:
+        """Group the children by the generation each is served."""
+        served: dict = {}
+        for child in self._children_tuple:
+            choice = self._choice(child)
+            if choice != _NOTHING:
+                served.setdefault(choice, []).append(child)
+        if None in served:
+            # Last: the recoder's own pick may come up short (an empty
+            # buffer), and a short group must not shift the others.
+            served[None] = served.pop(None)
+        children = tuple(c for members in served.values() for c in members)
+        self._plan = (
+            children,
+            tuple((g, len(members)) for g, members in served.items()),
+            len(self._children_tuple) - len(children),
+        )
+        return self._plan
+
+    def _draw(self, spec: tuple) -> list:
+        """One ``emit_rows`` per group, positions running on across
+        groups so they index the plan's child order."""
+        emit_rows = self.recoder.emit_rows
+        if len(spec) == 1:
+            generation, count = spec[0]
+            return emit_rows(count, generation)
+        groups = []
+        offset = 0
+        for generation, count in spec:
+            for g, rows, positions in emit_rows(count, generation):
+                groups.append(
+                    (g, rows, [offset + position for position in positions])
+                )
+            offset += count
+        return groups
 
     # ------------------------------------------------------------------
     # Pull-mode (clocked per-edge) emission
@@ -269,17 +386,19 @@ class RelayEngine:
         self._children[child] = event.column
         self._children_tuple = tuple(self._children)
         self._pull_sent.pop(child, None)
-        effects: list[Effect] = []
-        if self.policy.wants_idle:
-            effects.append(RequestIdle(child))
+        # A redial starts from what the child says now, not from what
+        # its last connection had reported.
+        if event.completed is None:
+            self._needs.pop(child, None)
+        else:
+            self._needs[child] = CompletedSet(*event.completed)
+        self._plan = None
+        effects: list[Effect] = [RequestIdle(child)]
         # Seed the child immediately rather than waiting for the next
         # upstream arrival (matters when upstream is already complete).
-        packets = []
-        for _ in range(max(1, self.seed_burst)):
-            packet = self.recoder.emit()
-            if packet is None:
-                break
-            packets.append(packet)
+        choice = self._choice(child)
+        packets = [] if choice == _NOTHING else self.recoder.emit_batch(
+            max(1, self.seed_burst), choice)
         if packets:
             self.forwarded += len(packets)
             effects.append(EmitToChildren(
@@ -287,16 +406,30 @@ class RelayEngine:
             ))
         return effects
 
+    def _on_completed(self, event: ChildCompleted) -> list[Effect]:
+        child = event.child
+        if child not in self._children:
+            return []  # a report that outlived its connection
+        self._needs.setdefault(child, CompletedSet()).update(
+            event.base, event.extras)
+        self._plan = None
+        return []
+
     def _on_detach(self, event: ChildDetached) -> list[Effect]:
         self._children.pop(event.child, None)
         self._children_tuple = tuple(self._children)
         self._pull_sent.pop(event.child, None)
+        self._needs.pop(event.child, None)
+        self._plan = None
         return []
 
     def _on_idle(self, event: IdlePoll) -> list[Effect]:
         # Idle fills are keep-alive substitutes, not fan-out: they are
         # counted separately and never in ``forwarded``.
-        packet = self.recoder.emit()
+        choice = self._choice(event.child)
+        if choice == _NOTHING:
+            return []  # a bare keep-alive will do
+        packet = self.recoder.emit(choice)
         if packet is None:
             return []
         self.idle_emits += 1
@@ -307,6 +440,7 @@ _HANDLERS = {
     PacketArrived: RelayEngine._on_packet,
     PullEmit: RelayEngine._on_pull,
     ChildAttached: RelayEngine._on_attach,
+    ChildCompleted: RelayEngine._on_completed,
     ChildDetached: RelayEngine._on_detach,
     IdlePoll: RelayEngine._on_idle,
 }

@@ -4,11 +4,15 @@
 :class:`~repro.coding.encoder.SourceEncoder` it is handed:
 
 * **clocked stream drivers** (the live ``ServerNode`` loop) feed one
-  :class:`EmitRound` per send interval; the engine serves generations
-  round-robin off its round counter — which advances even when no
-  column is attached, because generation scheduling is time-based, not
-  demand-based — and emits one packet per attached target through
-  :meth:`SourceEncoder.emit_batch` (one mixing gemm per round);
+  :class:`EmitRound` per send interval; each attached target is sent
+  one packet of the lowest generation it has not reported complete
+  (:class:`ChildAttached` carries the set it dialed in with,
+  :class:`ChildCompleted` every update), and a target that has
+  everything is skipped.  Targets that share a choice — served in
+  order, nearly always all of them — are one
+  :meth:`SourceEncoder.emit_batch` (one mixing gemm).  A target that
+  never reported rides the round-robin carousel off the round counter,
+  which advances every round, attached columns or not;
 * **slotted pull drivers** (the simulator's ``server_emit``) ask per
   edge with :class:`PullEmit`; the engine answers with a uniform
   generation draw, exactly the pre-refactor ``encoder.emit()`` call;
@@ -19,8 +23,18 @@
 
 from __future__ import annotations
 
+from typing import Hashable, Optional
+
 from .effects import Effect, EmitToChildren
-from .events import ChildAttached, EmitRound, Event, PullEmit
+from .events import (
+    ChildAttached,
+    ChildCompleted,
+    ChildDetached,
+    EmitRound,
+    Event,
+    PullEmit,
+)
+from .needs import CompletedSet
 
 __all__ = ["SourceEngine"]
 
@@ -43,11 +57,15 @@ class SourceEngine:
         #: data-plane counters — ServerStats reads these now
         self.rounds = 0
         self.packets_sent = 0
+        #: attached child -> its completed set (None until it reports)
+        self._needs: dict[Hashable, Optional[CompletedSet]] = {}
         #: optional event/effect recorder (conformance and replay tests)
         self.log = None
         #: optional bounded ring of recent steps (duck-typed ``record``)
         self.flight = None
-        #: optional instrument bundle (duck-typed ``record_step``)
+        #: optional instrument bundle (duck-typed ``record_step``, plus
+        #: a ``withheld`` counter bumped here: a skipped target leaves
+        #: no effect to classify)
         self.obs = None
 
     @property
@@ -72,21 +90,39 @@ class SourceEngine:
             return self._on_round(event)
         if isinstance(event, PullEmit):
             return self._on_pull(event)
+        if isinstance(event, ChildCompleted):
+            return self._on_completed(event)
         if isinstance(event, ChildAttached):
             return self._on_attach(event)
+        if isinstance(event, ChildDetached):
+            self._needs.pop(event.child, None)
         return []
 
     # ------------------------------------------------------------------
 
     def _on_round(self, event: EmitRound) -> list[Effect]:
-        generation = self.rounds % self.encoder.generation_count
+        carousel = self.rounds % self.encoder.generation_count
         self.rounds += 1
-        targets = tuple(event.targets)
-        if not targets:
+        count = self.encoder.generation_count
+        served: dict[int, list] = {}
+        for target in event.targets:
+            need = self._needs.get(target)
+            generation = (
+                carousel if need is None else need.lowest_missing(count))
+            if generation is not None:
+                served.setdefault(generation, []).append(target)
+        children: list = []
+        packets: list = []
+        for generation, members in served.items():
+            children += members
+            packets += self.encoder.emit_batch(len(members), generation)
+        skipped = len(event.targets) - len(children)
+        if skipped and self.obs is not None:
+            self.obs.withheld.inc(skipped)
+        if not packets:
             return []
-        packets = tuple(self.encoder.emit_batch(len(targets), generation))
         self.packets_sent += len(packets)
-        return [EmitToChildren(targets, packets=packets)]
+        return [EmitToChildren(tuple(children), packets=tuple(packets))]
 
     def _on_pull(self, event: PullEmit) -> list[Effect]:
         packet = self.encoder.emit()
@@ -94,12 +130,28 @@ class SourceEngine:
         return [EmitToChildren((event.destination,), packets=(packet,))]
 
     def _on_attach(self, event: ChildAttached) -> list[Effect]:
+        need = self._needs[event.child] = (
+            None if event.completed is None
+            else CompletedSet(*event.completed))
         if self.seed_burst <= 0:
             return []
-        packets = tuple(
-            self.encoder.emit() for _ in range(self.seed_burst)
-        )
+        generation = None  # never reported: the encoder's uniform draw
+        if need is not None:
+            generation = need.lowest_missing(self.encoder.generation_count)
+            if generation is None:
+                return []
+        packets = self.encoder.emit_batch(self.seed_burst, generation)
         self.packets_sent += len(packets)
         return [EmitToChildren(
-            (event.child,) * len(packets), packets=packets
+            (event.child,) * len(packets), packets=tuple(packets)
         )]
+
+    def _on_completed(self, event: ChildCompleted) -> list[Effect]:
+        if event.child in self._needs:  # else: outlived its connection
+            need = self._needs[event.child]
+            if need is None:
+                self._needs[event.child] = CompletedSet(
+                    event.base, event.extras)
+            else:
+                need.update(event.base, event.extras)
+        return []

@@ -17,6 +17,7 @@ it in explicitly).
 from .control import (
     ControlFormatError,
     DataHello,
+    GenerationsComplete,
     MESSAGE_TYPES,
     PeerLocator,
     SessionInfo,
@@ -51,6 +52,7 @@ __all__ = [
     "DataHello",
     "FrameBuffer",
     "FramingError",
+    "GenerationsComplete",
     "KIND_CONTROL",
     "KIND_DATA",
     "Listener",

@@ -7,7 +7,7 @@ type byte followed by struct-packed fields.  The nominal ``size``
 attributes on the dataclasses are load-accounting bookkeeping and are
 not serialised; decoding restores the defaults.
 
-Three messages exist only on the live transport:
+Four messages exist only on the live transport:
 
 * :class:`SessionInfo` — server -> joiner: the coding geometry and
   content length, so a peer can build a matching decoder before the
@@ -19,6 +19,10 @@ Three messages exist only on the live transport:
   connection: "I am node ``node_id``; stream me column ``column``".
   Downstream nodes dial upstream, which makes reconnect-after-repair a
   pure child-side retry loop.
+* :class:`GenerationsComplete` — child -> parent, on the same data
+  connection: which generations the child has fully decoded, so the
+  parent stops spending the thread on them.  Cumulative, so a lost or
+  repeated record costs nothing but redundancy.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ from ..protocol.messages import (
 __all__ = [
     "ControlFormatError",
     "DataHello",
+    "GenerationsComplete",
+    "MAX_COMPLETE_WINDOW",
     "MESSAGE_TYPES",
     "PeerLocator",
     "SessionInfo",
@@ -90,6 +96,28 @@ class DataHello:
     column: int
 
 
+#: Furthest above ``base`` a :class:`GenerationsComplete` can name a
+#: generation: the bound on its bitmap (8 KiB), and so on what a
+#: hostile child can make a parent parse per record.
+MAX_COMPLETE_WINDOW = 1 << 16
+
+
+@dataclass(frozen=True)
+class GenerationsComplete:
+    """Child -> parent: the generations the child has fully decoded.
+
+    Every generation below ``base`` is complete, ``base`` itself is
+    not, and ``extras`` names the complete ones above it in increasing
+    order — a child served in order reports ``(n, ())``, ten bytes
+    framed, however many generations there are.  The record is the
+    child's whole set every time: a parent takes the union, so records
+    may be lost, repeated or coalesced freely.
+    """
+
+    base: int
+    extras: tuple[int, ...] = ()
+
+
 # ----------------------------------------------------------------------
 # Codec registry: message class -> (type byte, struct, field names)
 
@@ -117,10 +145,12 @@ _SIMPLE: dict[type, tuple[int, struct.Struct, tuple[str, ...]]] = {
 
 _TYPE_JOIN_GRANT = 0x0D
 _TYPE_PEER_LOCATOR = 0x11
+_TYPE_GENERATIONS_COMPLETE = 0x13
 
 #: Every message class the codec round-trips (property-based tests
 #: enumerate this to fuzz arbitrary control streams).
-MESSAGE_TYPES: tuple[type, ...] = (*_SIMPLE, JoinGrant, PeerLocator)
+MESSAGE_TYPES: tuple[type, ...] = (
+    *_SIMPLE, JoinGrant, PeerLocator, GenerationsComplete)
 
 _BY_TYPE = {type_byte: (cls, fmt, fields)
             for cls, (type_byte, fmt, fields) in _SIMPLE.items()}
@@ -128,6 +158,7 @@ _BY_TYPE = {type_byte: (cls, fmt, fields)
 _GRANT_HEADER = struct.Struct(">iH")
 _GRANT_PAIR = struct.Struct(">Hi")
 _LOCATOR_HEADER = struct.Struct(">iHB")
+_COMPLETE_BASE = struct.Struct(">I")
 
 
 def encode_control(message: object) -> bytes:
@@ -149,6 +180,22 @@ def encode_control(message: object) -> bytes:
         return (bytes([_TYPE_PEER_LOCATOR])
                 + _LOCATOR_HEADER.pack(message.node_id, message.port, len(host))
                 + host)
+    if isinstance(message, GenerationsComplete):
+        # Bit j of the little-endian bitmap is generation base + 1 + j.
+        # An extra past the window is left out: under-reporting only
+        # costs the redundancy the record exists to save.
+        first = message.base + 1
+        bits = 0
+        for generation in message.extras:
+            if generation < first:
+                raise ControlFormatError(
+                    f"GenerationsComplete: extra {generation} not above "
+                    f"base {message.base}")
+            if generation - first < MAX_COMPLETE_WINDOW:
+                bits |= 1 << (generation - first)
+        return (bytes([_TYPE_GENERATIONS_COMPLETE])
+                + _COMPLETE_BASE.pack(message.base)
+                + bits.to_bytes((bits.bit_length() + 7) // 8, "little"))
     raise ControlFormatError(f"unknown control message {type(message).__name__}")
 
 
@@ -186,6 +233,23 @@ def decode_control(data: bytes) -> object:
                     f"PeerLocator: expected {host_len} host bytes, got {len(host)}"
                 )
             return PeerLocator(node_id=node_id, host=host.decode("utf-8"), port=port)
+        if type_byte == _TYPE_GENERATIONS_COMPLETE:
+            (base,) = _COMPLETE_BASE.unpack_from(body)
+            bitmap = body[_COMPLETE_BASE.size:]
+            if len(bitmap) * 8 > MAX_COMPLETE_WINDOW:
+                raise ControlFormatError(
+                    f"GenerationsComplete: {len(bitmap)} bitmap bytes "
+                    f"exceed the {MAX_COMPLETE_WINDOW}-generation window")
+            if bitmap and not bitmap[-1]:
+                raise ControlFormatError(
+                    "GenerationsComplete: bitmap ends in a zero byte")
+            bits = int.from_bytes(bitmap, "little")
+            extras = []
+            while bits:
+                lowest = bits & -bits
+                extras.append(base + lowest.bit_length())
+                bits ^= lowest
+            return GenerationsComplete(base=base, extras=tuple(extras))
     except struct.error as exc:
         raise ControlFormatError(str(exc)) from exc
     except UnicodeDecodeError as exc:

@@ -21,6 +21,7 @@ through one per connection — and ``send_control`` /
 
 from __future__ import annotations
 
+import asyncio
 import struct
 from typing import Iterator, Optional, Union
 
@@ -39,7 +40,7 @@ from ..coding.wire import (
     frame_size,
 )
 from .control import ControlFormatError, decode_control, encode_control
-from .transport import ByteStreamReader, ByteStreamWriter
+from .transport import ByteStreamReader, ByteStreamWriter, Clock
 
 __all__ = [
     "CrcMismatchError",
@@ -53,6 +54,7 @@ __all__ = [
     "encode_data_frames",
     "encode_frame",
     "encode_mixture_frames",
+    "first_message",
     "send_control",
 ]
 
@@ -331,6 +333,32 @@ class MessageStream:
             message = self._frames.next_message()
             if message is not None or not await self.fill():
                 return message
+
+
+async def first_message(
+    stream: MessageStream, writer: ByteStreamWriter,
+    clock: Clock, timeout: float,
+) -> Optional[Message]:
+    """A dialler's first message; None if it sent garbage, hung up, or
+    did not finish one within ``timeout``.
+
+    The wait is bounded by a watchdog that closes the connection under
+    the read rather than by wrapping the read in ``clock.wait_for``:
+    the common case — the frame is already here — then completes in
+    the caller's own step, with no task switch between a dial and the
+    attach it asks for.
+    """
+    async def hang_up() -> None:
+        await clock.sleep(timeout)
+        writer.close()
+
+    watchdog = asyncio.ensure_future(hang_up())
+    try:
+        return await stream.next()
+    except (ConnectionError, OSError):
+        return None
+    finally:
+        watchdog.cancel()
 
 
 def write_control_nowait(writer: ByteStreamWriter, message: object) -> None:

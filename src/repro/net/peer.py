@@ -8,7 +8,11 @@ it: it joins through the server's hello protocol, dials one upstream
 *data* connection per assigned thread, feeds everything it receives
 into the shared :class:`~repro.coding.recoder.Recoder`, and fans fresh
 random mixtures out to the children that dial it — each child behind a
-bounded drop-oldest queue (see :mod:`repro.net.streams`).
+bounded drop-oldest queue (see :mod:`repro.net.streams`).  On each
+upstream connection it also tells the parent which generations it has
+finished (with the hello, then as each completes), and it reads the
+same from its own children, so no thread is spent on a generation its
+receiver already holds.
 
 Robustness model, mirroring §3/§5 on a real event loop:
 
@@ -41,8 +45,10 @@ from ..coding.recoder import Recoder
 from ..core.matrix import SERVER
 from ..dataplane import (
     ChildAttached,
+    ChildCompleted,
     ChildDetached,
     EmitToChildren,
+    GenerationComplete,
     IdlePoll,
     MarkComplete,
     PacketArrived,
@@ -74,15 +80,24 @@ from ..protocol import (
     StopThread,
     UpstreamDown,
 )
-from .control import DataHello, PeerLocator, SessionInfo
+from .control import (
+    DataHello,
+    GenerationsComplete,
+    PeerLocator,
+    SessionInfo,
+    encode_control,
+)
 from .framing import (
+    KIND_CONTROL,
     CrcMismatchError,
     FramingError,
     MessageStream,
+    encode_frame,
+    first_message,
     send_control,
     write_control_nowait,
 )
-from .streams import PumpSet
+from .streams import ChildReports, PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
@@ -213,6 +228,11 @@ class PeerNode:
         self._addresses: dict[int, tuple[str, int]] = {
             SERVER: (server_host, server_port)}
         self._thread_tasks: dict[int, asyncio.Task] = {}
+        #: column -> the open connection to that thread's parent: where
+        #: completed-set reports go
+        self._upstream_writers: dict[int, ByteStreamWriter] = {}
+        #: a generation completed since the last report went out
+        self._report_due = False
         self._listener: Optional[Listener] = None
         self._control_writer: Optional[ByteStreamWriter] = None
         self._control_task: Optional[asyncio.Task] = None
@@ -506,13 +526,32 @@ class PeerNode:
         saw_traffic = False
         try:
             reader, writer = await self.transport.connect(*address)
-            await send_control(writer, DataHello(
-                node_id=self.node_id, column=column))
+            # The hello and what we already hold go out as one write,
+            # so the parent that reads the one has the other: a
+            # re-clipped thread is never re-sent a finished generation.
+            report = self._report_frame()
+            writer.write(encode_frame(KIND_CONTROL, encode_control(
+                DataHello(node_id=self.node_id, column=column))) + report)
+            self.pumps.count_report(len(report))
+            await writer.drain()
+            self._upstream_writers[column] = writer
             stream = MessageStream(reader)
             heard = self.clock.time()
+            #: packets of generations we had already finished, since the
+            #: last report this loop sent
+            stale = 0
             while self._running and self.parents.get(column) == parent:
                 message = stream.next_nowait()
                 if message is None:
+                    # One report for everything this drain completed —
+                    # or again, to a parent that has sent a whole
+                    # generation's worth of what we hold: it missed one.
+                    if self._report_due:
+                        self._send_reports()
+                        stale = 0
+                    elif stale >= self.session.generation_size:
+                        self._write_report(writer, self._report_frame())
+                        stale = 0
                     # Everything buffered is drained: park once, for
                     # what is left of the silence window.  Silence runs
                     # between complete messages, not between bytes, so
@@ -526,8 +565,11 @@ class PeerNode:
                 heard = self.clock.time()
                 if isinstance(message, CodedPacket):
                     saw_traffic = True
-                    self._perform_data(
-                        self.dataplane.handle(PacketArrived(message)))
+                    effects = self.dataplane.handle(PacketArrived(message))
+                    self._perform_data(effects)
+                    if not effects[0].innovative and self.dataplane.finished(
+                            message.generation):
+                        stale += 1
                 elif isinstance(message, KeepAlive):
                     saw_traffic = True
                     self.stats.keepalives_seen += 1
@@ -541,8 +583,30 @@ class PeerNode:
             pass
         finally:
             if writer is not None:
+                if self._upstream_writers.get(column) is writer:
+                    del self._upstream_writers[column]
                 writer.close()
         return saw_traffic
+
+    def _report_frame(self) -> bytes:
+        """Our completed-generation set as a framed record."""
+        return encode_frame(KIND_CONTROL, encode_control(GenerationsComplete(
+            *self.dataplane.completed_generations)))
+
+    def _send_reports(self) -> None:
+        """Tell every parent what we have finished.  The parent whose
+        packet did not complete the generation is still sending it."""
+        self._report_due = False
+        frame = self._report_frame()
+        for writer in self._upstream_writers.values():
+            self._write_report(writer, frame)
+
+    def _write_report(self, writer: ByteStreamWriter, frame: bytes) -> None:
+        try:
+            writer.write(frame)
+        except (ConnectionError, OSError):
+            return
+        self.pumps.count_report(len(frame))
 
     # ------------------------------------------------------------------
     # Downstream data plane (we are the parent)
@@ -550,25 +614,40 @@ class PeerNode:
     async def _handle_child(
         self, reader, writer: ByteStreamWriter
     ) -> None:
-        try:
-            hello = await MessageStream(reader).next()
-        except FramingError:
-            hello = None
+        # One stream for the hello and the reports behind it: whatever
+        # arrived in the hello's segment stays buffered.  A dialler
+        # gets one silence window to finish its first frame.
+        stream = MessageStream(reader)
+        hello = await first_message(
+            stream, writer, self.clock, self.silence_timeout)
         if not isinstance(hello, DataHello) or not self._running:
             writer.close()
             return
         key = (hello.node_id, hello.column)
-        # Tell the engine first: it owns the fan-out order, decides the
-        # seed-burst, and asks for idle data-fills via RequestIdle —
-        # which the pump has to be built with — under gated policies.
-        effects = (
-            self.dataplane.handle(ChildAttached(key, column=hello.column))
-            if self.dataplane is not None else []
-        )
+        # A child that dialed before our own grant arrived (possible
+        # only under exotic orderings) is pumped unheard; start()
+        # attaches it to the engine.
+        reports = completed = None
+        effects = []
+        if self.dataplane is not None:
+            reports = ChildReports(stream, self.session.generation_count)
+            try:
+                completed = reports.buffered()
+            except FramingError:
+                writer.close()
+                return
+            # Tell the engine first: it owns the fan-out order, decides
+            # the seed-burst, and asks for idle data-fills via
+            # RequestIdle — which the pump has to be built with.
+            effects = self.dataplane.handle(
+                ChildAttached(key, hello.column, completed))
         wants_idle = any(isinstance(e, RequestIdle) for e in effects)
         detached = await self.pumps.serve(
             key, writer, column=hello.column, burst=effects,
             idle_packet=(lambda: self._emit_idle(key)) if wants_idle else None,
+            reports=reports,
+            on_report=lambda base, extras: self.dataplane.handle(
+                ChildCompleted(key, base, extras)),
         )
         if detached and self.dataplane is not None:
             self.dataplane.handle(ChildDetached(key))
@@ -582,11 +661,15 @@ class PeerNode:
 
     def _perform_data(self, effects) -> None:
         """Carry out the data-plane engine's effects.  ``Ingested`` is
-        trace/observability-only and ``RequestIdle`` is honoured where
-        the pump is built, in ``_handle_child``."""
+        trace/observability-only, ``RequestIdle`` is honoured where
+        the pump is built, in ``_handle_child``, and a
+        ``GenerationComplete`` becomes the report ``_consume_upstream``
+        writes when it has drained what it was handed."""
         for effect in effects:
             if isinstance(effect, EmitToChildren):
                 self.pumps.emit(effect)
+            elif isinstance(effect, GenerationComplete):
+                self._report_due = True  # sent once this drain is done
             elif isinstance(effect, MarkComplete):
                 self.completed = True
                 if self.on_complete is not None:

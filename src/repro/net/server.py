@@ -38,7 +38,14 @@ from ..coding.buffers import DEFAULT_POOL
 from ..coding.encoder import SourceEncoder
 from ..coding.generation import GenerationParams
 from ..core.server import CoordinationServer
-from ..dataplane import ChildAttached, EmitRound, EmitToChildren, SourceEngine
+from ..dataplane import (
+    ChildAttached,
+    ChildCompleted,
+    ChildDetached,
+    EmitRound,
+    EmitToChildren,
+    SourceEngine,
+)
 from ..obs import (
     DataplaneInstruments,
     FlightRecorder,
@@ -63,8 +70,13 @@ from ..protocol import (
     TimerFired,
 )
 from .control import DataHello, PeerLocator, SessionInfo
-from .framing import FramingError, MessageStream, write_control_nowait
-from .streams import PumpSet
+from .framing import (
+    FramingError,
+    MessageStream,
+    first_message,
+    write_control_nowait,
+)
+from .streams import ChildReports, PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["ServerNode", "ServerStats"]
@@ -185,6 +197,7 @@ class ServerNode:
             keepalive_interval=keepalive_interval, clock=self.clock,
             logger=self.log,
         )
+        self.pumps.generation_size = params.generation_size
         #: Retired-pump totals first, then one entry per live column pump.
         self.sender_stats = self.pumps.stats
         ServerEngineInstruments(self.registry).attach(self.engine, self.registry)
@@ -251,9 +264,9 @@ class ServerNode:
         """One emission round per interval: a packet per attached column.
 
         The :class:`~repro.dataplane.SourceEngine` owns the schedule —
-        round-robin generations so every generation keeps flowing
-        regardless of which columns are attached, one mixing gemm per
-        round — and this loop only hands its effects to the column pumps.
+        each column's top node is sent the lowest generation it has not
+        reported complete, one mixing gemm per generation chosen — and
+        this loop only hands its effects to the column pumps.
         """
         try:
             while self._running:
@@ -273,21 +286,38 @@ class ServerNode:
         self, reader, writer: ByteStreamWriter
     ) -> None:
         # One stream per connection: frames that arrived with the first
-        # one stay buffered for the control loop.
+        # one stay buffered for the loop that follows.  A dialler gets
+        # one probe window to finish its first frame.
         stream = MessageStream(reader)
-        try:
-            first = await stream.next()
-        except FramingError:
-            first = None
+        first = await first_message(
+            stream, writer, self.clock, self.engine.probe_timeout)
         if isinstance(first, JoinRequest):
             await self._serve_control(first, stream, writer)
         elif isinstance(first, DataHello) and 0 <= first.column < self.core.k:
-            # Stream one column to the child that dialed us.
-            column = first.column
-            burst = self.dataplane.handle(ChildAttached(column, column=column))
-            await self.pumps.serve(column, writer, column=column, burst=burst)
+            await self._serve_column(first.column, stream, writer)
         else:
             writer.close()
+
+    async def _serve_column(
+        self, column: int, stream: MessageStream, writer: ByteStreamWriter,
+    ) -> None:
+        """Stream one column to the child that dialed us, choosing
+        generations by what it reports complete."""
+        reports = ChildReports(stream, self.dataplane.generation_count)
+        try:
+            completed = reports.buffered()
+        except FramingError:
+            writer.close()
+            return
+        burst = self.dataplane.handle(
+            ChildAttached(column, column, completed))
+        detached = await self.pumps.serve(
+            column, writer, column=column, burst=burst, reports=reports,
+            on_report=lambda base, extras: self.dataplane.handle(
+                ChildCompleted(column, base, extras)),
+        )
+        if detached:
+            self.dataplane.handle(ChildDetached(column))
 
     # ------------------------------------------------------------------
     # Control plane: pump the engine

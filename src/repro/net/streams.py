@@ -22,6 +22,12 @@ The pump also emits a :class:`~repro.protocol.messages.KeepAlive`
 control frame when the data flow pauses, so an idle-but-healthy thread
 is distinguishable from a dead parent (the paper's silence-based
 failure detection, run over real sockets).
+
+The connection's other direction carries one thing: the child's
+:class:`~repro.net.control.GenerationsComplete` records, which
+:class:`ChildReports` checks and :meth:`PumpSet.serve` hands to the
+node's data-plane engine, so the queue is not filled with generations
+the child has finished.
 """
 
 from __future__ import annotations
@@ -37,16 +43,18 @@ from ..core.matrix import SERVER
 from ..dataplane.effects import EmitToChildren
 from ..obs import Registry, bind_sender_totals
 from ..protocol.messages import KeepAlive
-from .control import encode_control
+from .control import GenerationsComplete, encode_control
 from .framing import (
     KIND_CONTROL,
+    FramingError,
+    MessageStream,
     encode_data_frame,
     encode_frame,
     encode_mixture_frames,
 )
 from .transport import AsyncioClock, ByteStreamWriter, Clock
 
-__all__ = ["PacketSender", "PumpSet", "SenderStats"]
+__all__ = ["ChildReports", "PacketSender", "PumpSet", "SenderStats"]
 
 
 @dataclass
@@ -54,8 +62,10 @@ class SenderStats:
     """Delivery accounting for one outbound pump.
 
     ``bytes_sent`` counts every byte written (data frames and
-    keep-alives); ``flushes`` counts drain cycles, so ``sent /
-    flushes`` is the observed frames-per-flush coalescing ratio.
+    keep-alives; in a node's retired-pump total also the completed-set
+    records it wrote to its own parents); ``flushes`` counts drain
+    cycles, so ``sent / flushes`` is the observed frames-per-flush
+    coalescing ratio.
     """
 
     enqueued: int = 0
@@ -117,7 +127,10 @@ class PacketSender:
             logger is not None and logger.isEnabledFor(logging.DEBUG)
         )
         self._queue: Deque[bytes] = deque()
-        self._wakeup = asyncio.Event()
+        #: What the parked run loop waits on; None while it is awake.  A
+        #: bare future the clock can wait on as it is, where an Event's
+        #: ``wait()`` would cost a wrapper task per park.
+        self._parked: Optional[asyncio.Future] = None
         self._closed = False
 
     @property
@@ -161,13 +174,18 @@ class PacketSender:
                     self.column, self._limit, self.stats.dropped,
                 )
         self._queue.append(frame)
-        self._wakeup.set()
+        self._wake()
         return clean
 
     def close(self) -> None:
         """Stop the pump; the run loop exits at its next wakeup."""
         self._closed = True
-        self._wakeup.set()
+        self._wake()
+
+    def _wake(self) -> None:
+        parked = self._parked
+        if parked is not None and not parked.done():
+            parked.set_result(None)
 
     async def run(self) -> None:
         """Drain the queue onto the wire until closed or disconnected."""
@@ -193,12 +211,12 @@ class PacketSender:
 
     async def _wait_for_work(self) -> bool:
         """Block until work arrives; False after an idle keep-alive."""
-        self._wakeup.clear()
         if self._queue or self._closed:
             return True
+        self._parked = asyncio.get_running_loop().create_future()
         try:
             await self._clock.wait_for(
-                self._wakeup.wait(), timeout=self._keepalive_interval
+                self._parked, timeout=self._keepalive_interval
             )
             return True
         except asyncio.TimeoutError:
@@ -221,6 +239,46 @@ class PacketSender:
             return False
 
 
+class ChildReports:
+    """What a child may say on its data connection after the hello:
+    its completed-generation set, and nothing else.
+
+    Every record is checked against the session before an engine sees
+    it: a generation the content does not have, or anything that is
+    not a report, is a :class:`FramingError`, and the caller closes
+    that child's connection and nobody else's.  (How *often* a child
+    may report is :meth:`PumpSet.serve`'s to judge: it knows what the
+    child was sent.)
+    """
+
+    def __init__(self, stream: MessageStream, generation_count: int) -> None:
+        self.generation_count = generation_count
+        self._stream = stream
+
+    def _checked(self, message: object) -> tuple:
+        if not isinstance(message, GenerationsComplete):
+            raise FramingError(
+                f"child sent {type(message).__name__} on a data connection")
+        highest = message.extras[-1] if message.extras else message.base - 1
+        if highest >= self.generation_count:
+            raise FramingError(
+                f"report names generation {highest} of "
+                f"{self.generation_count}")
+        return message.base, message.extras
+
+    def buffered(self) -> Optional[tuple]:
+        """The ``(base, extras)`` of a report already received — the
+        one a child sends in its hello's segment — else None."""
+        message = self._stream.next_nowait()
+        return None if message is None else self._checked(message)
+
+    async def next(self) -> Optional[tuple]:
+        """The next report's ``(base, extras)``; None once the child
+        has closed its side."""
+        message = await self._stream.next()
+        return None if message is None else self._checked(message)
+
+
 class PumpSet:
     """Everything a node does toward the children that dial it.
 
@@ -231,8 +289,8 @@ class PumpSet:
     :class:`PacketSender` objects (a key is the node's data-plane
     engine's name for the child: a column at the server, ``(child id,
     column)`` at a peer), the rule that a key redialing replaces its
-    old pump, each pump's run → retire → detach lifetime, and the
-    node's ``sender_stats``.
+    old pump, each pump's run → retire → detach lifetime, the reading
+    of what each child reports back, and the node's ``sender_stats``.
 
     Args:
         registry: Where ``net.children``, the summed ``net.sender.*``
@@ -278,6 +336,12 @@ class PumpSet:
         """The pump now serving ``key``, if any."""
         return self._pumps.get(key)
 
+    def count_report(self, size: int) -> None:
+        """Charge ``size`` bytes of completed-set report this node
+        wrote to a parent: ``sender_stats`` is the node's whole
+        data-connection byte account, whichever way the bytes went."""
+        self.stats[0].bytes_sent += size
+
     def attached(self) -> tuple:
         """Keys with an open pump, in attach order."""
         return tuple(
@@ -292,15 +356,21 @@ class PumpSet:
         column: int,
         idle_packet: Optional[Callable[[], Optional[CodedPacket]]] = None,
         burst: Iterable = (),
+        reports: Optional[ChildReports] = None,
+        on_report: Optional[Callable[[int, tuple], None]] = None,
     ) -> bool:
         """Pump one child connection for as long as it lasts.
 
         A pump already serving ``key`` is closed and replaced (the child
         redialed: its old connection is dead or about to be).  ``burst``
         is the engine's answer to ``ChildAttached``; the mixtures in it
-        go on the new pump first.  Returns True if this pump was still
-        the one serving ``key`` when it finished — the key is unserved
-        now, and the caller's engine should hear ``ChildDetached``.
+        go on the new pump first.  Each report the child sends is
+        handed to ``on_report(base, extras)``; a child that closes its
+        side, sends anything ``reports`` rejects, or reports more often
+        than an honest child can, ends the pump.
+        Returns True if this pump was still the one serving ``key``
+        when it finished — the key is unserved now, and the caller's
+        engine should hear ``ChildDetached``.
         """
         old = self._pumps.get(key)
         if old is not None:
@@ -324,9 +394,15 @@ class PumpSet:
         for effect in burst:
             if isinstance(effect, EmitToChildren):
                 self.emit(effect)
+        listening = (
+            asyncio.ensure_future(self._listen(reports, on_report, pump))
+            if reports is not None else None
+        )
         try:
             await pump.run()
         finally:
+            if listening is not None:
+                listening.cancel()
             # Fold the finished pump's counters into the retired total
             # and drop its own entry: every sum over ``stats`` is
             # unchanged.  By identity — SenderStats compares by value,
@@ -340,6 +416,45 @@ class PumpSet:
             if last:
                 del self._pumps[key]
         return last
+
+    async def _listen(
+        self, reports: ChildReports,
+        on_report: Callable[[int, tuple], None], pump: PacketSender,
+    ) -> None:
+        """Feed one child's reports to the engine until either side is
+        done with the connection.
+
+        An honest child reports as it dials, once per generation it
+        completes, and once more per generation's worth of packets it
+        is sent of generations it had finished (the parent evidently
+        missed a report) — so never more often than this pump's own
+        enqueue count allows.  More is a flood.
+        """
+        count = 0
+        try:
+            while True:
+                report = await reports.next()
+                if report is None:
+                    break
+                count += 1
+                allowed = (
+                    1 + reports.generation_count
+                    + pump.stats.enqueued // self.generation_size
+                )
+                if count > allowed:
+                    raise FramingError(
+                        f"{count} completed-set reports where an honest "
+                        f"child sends at most {allowed}")
+                on_report(*report)
+        except FramingError as error:
+            if self.logger is not None:
+                self.logger.info(
+                    "column %d: dropping child connection: %s",
+                    pump.column, error)
+        except (ConnectionError, OSError):
+            pass
+        finally:
+            pump.close()
 
     def emit(self, effect: EmitToChildren) -> None:
         """Put an engine's fresh mixtures on their children's pumps.

@@ -363,6 +363,15 @@ class ChaosHarness:
             if other != index:
                 self.net.heal(host, self.host(other))
 
+    def set_peer_links(self, **faults) -> None:
+        """Script faults on every directed peer-to-peer link (the
+        links to and from the server stay clean)."""
+        hosts = [self.host(index) for index in range(len(self.peers))]
+        for a in hosts:
+            for b in hosts:
+                if a != b:
+                    self.net.set_link(a, b, symmetric=False, **faults)
+
     def congest(self, index: int) -> None:
         """The peer reports congestion and asks to shed one thread (§5)."""
         peer = self.peers[index]
@@ -683,10 +692,7 @@ async def _latency_jitter(h: ChaosHarness) -> None:
 )
 async def _reordered_delivery(h: ChaosHarness) -> None:
     await h.start()
-    for a in range(h.config.peers):
-        for b in range(h.config.peers):
-            if a != b:
-                h.net.set_link(h.host(a), h.host(b), symmetric=False, reorder=0.3)
+    h.set_peer_links(reorder=0.3)
     h.expect(await h.run_until(h.converged), "never converged under reordering")
     await h.settle()
     h.check_invariants()
@@ -699,10 +705,7 @@ async def _reordered_delivery(h: ChaosHarness) -> None:
 )
 async def _lossy_links(h: ChaosHarness) -> None:
     await h.start()
-    for a in range(h.config.peers):
-        for b in range(h.config.peers):
-            if a != b:
-                h.net.set_link(h.host(a), h.host(b), symmetric=False, loss=0.08)
+    h.set_peer_links(loss=0.08)
     h.expect(await h.run_until(h.converged), "never converged under loss")
     await h.settle()
     h.check_invariants()
@@ -739,6 +742,27 @@ async def _crash_parent_midstream(h: ChaosHarness) -> None:
     await h.start()
     h.expect(
         await h.run_until(lambda: h.progress() >= 0.25),
+        "no decode progress before the crash",
+    )
+    h.kill(h.pick_parent())
+    h.expect(await h.run_until(h.converged), "survivors never converged")
+    await h.settle()
+    h.check_invariants()
+    h.expect(h.server.stats.repairs >= 1, "crash never repaired")
+
+
+@scenario(
+    "lossy_crash_multigen",
+    "Six generations over 8%-lossy peer links, and a feeding peer dies "
+    "half-way: its children re-clip, tell their new parents what they "
+    "already hold, and are sent only the rest.",
+    config=ChaosConfig(peers=8, generations=6),
+)
+async def _lossy_crash_multigen(h: ChaosHarness) -> None:
+    await h.start()
+    h.set_peer_links(loss=0.08)
+    h.expect(
+        await h.run_until(lambda: h.progress() >= 0.5),
         "no decode progress before the crash",
     )
     h.kill(h.pick_parent())
@@ -878,7 +902,7 @@ async def _reconnect_backoff_storm(h: ChaosHarness) -> None:
     "One child's inbound link is throttled with a tiny receive window; the "
     "parent's drop-oldest queue sheds packets instead of stalling, and the "
     "child still converges via its other thread.",
-    config=ChaosConfig(queue_limit=4),
+    config=ChaosConfig(queue_limit=4, generations=4),
 )
 async def _slow_reader_backpressure(h: ChaosHarness) -> None:
     await h.start()

@@ -26,7 +26,7 @@ from ..dataplane.effects import (
     Ingested,
     MarkComplete,
 )
-from ..dataplane.events import IdlePoll
+from ..dataplane.events import ChildAttached, ChildCompleted, IdlePoll
 from ..gf.kernels import BACKEND as GF_BACKEND
 from ..protocol.effects import (
     Admitted,
@@ -194,12 +194,17 @@ class DataplaneInstruments:
     once, off the engine's event/effect stream: ``Ingested`` effects
     are arrivals through the receive gate, ``EmitToChildren`` carries
     its mixture count (idle fills — emissions answering an ``IdlePoll``
-    — are classified separately), ``MarkComplete`` is the decode.
+    — are classified separately), ``MarkComplete`` is the decode, and a
+    ``ChildCompleted`` (or the set a ``ChildAttached`` dialed in with)
+    is one completed-set update applied.  ``withheld`` is the odd one:
+    a fan-out slot the engine skips because the child lacks nothing
+    this node holds leaves no effect, so the engine bumps it directly.
     """
 
     __slots__ = (
         "events", "effects", "packets_in", "innovative_in",
         "mixtures_out", "idle_fills", "completions",
+        "withheld", "feedback_in",
     )
 
     def __init__(self, registry: Registry, prefix: str = "dataplane") -> None:
@@ -220,6 +225,13 @@ class DataplaneInstruments:
         )
         self.completions = counter(
             f"{prefix}.completions", "full decodes marked",
+        )
+        self.withheld = counter(
+            f"{prefix}.withheld",
+            "fan-out slots skipped: the child lacks nothing this node holds",
+        )
+        self.feedback_in = counter(
+            f"{prefix}.feedback_in", "completed-set updates applied",
         )
 
     def attach(self, engine, registry: Registry,
@@ -249,7 +261,12 @@ class DataplaneInstruments:
     def record_step(self, event, effects) -> None:
         self.events.inc()
         self.effects.inc(len(effects))
-        idle = isinstance(event, IdlePoll)
+        kind = event.__class__
+        idle = kind is IdlePoll
+        if kind is ChildCompleted or (
+            kind is ChildAttached and event.completed is not None
+        ):
+            self.feedback_in.inc()
         for effect in effects:
             if isinstance(effect, Ingested):
                 self.packets_in.inc()

@@ -18,7 +18,8 @@ different drivers:
 
 Both must produce the *same flattened effect trace* — the
 :class:`~repro.dataplane.Ingested` gate verdicts, post-ingest ranks,
-and the single :class:`~repro.dataplane.MarkComplete` — because the
+one :class:`~repro.dataplane.GenerationComplete` per generation and
+the single :class:`~repro.dataplane.MarkComplete` — because the
 receive gate is pure linear algebra over the packet bytes, whatever
 transport carried them.  The trace is also pinned against a golden
 file, the data-plane sibling of ``protocol_effects.json``.
@@ -181,12 +182,16 @@ class TestCrossIncarnationConformance:
         assert ranks[-1] == NEEDED
 
     def test_effect_vocabulary_is_payload_free(self, traces):
-        """Only gate verdicts and the completion cross incarnations —
+        """Only gate verdicts and the completions cross incarnations —
         a leaf with no children must never be asked to emit."""
         sim_trace, _, prefix = traces
         assert all(
-            line.startswith(("Ingested", "MarkComplete"))
+            line.startswith(
+                ("Ingested", "GenerationComplete", "MarkComplete"))
             for line in sim_trace
         )
+        assert sum(
+            line.startswith("GenerationComplete") for line in sim_trace
+        ) == GENERATIONS
         assert sim_trace[0] == repr(
             Ingested(prefix[0].generation, True, 1))

@@ -3,7 +3,7 @@
 The :class:`~repro.dataplane.SourceEngine` / :class:`RelayEngine` pair
 owns every data-plane decision that used to live inline in three
 drivers; these tests pin the contract each driver relies on — the
-receive gate, round-robin scheduling, push fan-out under both forward
+receive gate, source scheduling, push fan-out under both forward
 policies, the pull-mode innovation-credit translation, seed-bursts,
 idle fills — plus the two behaviour claims the ``innovative`` policy
 is sold on:
@@ -13,23 +13,31 @@ is sold on:
   sender's span, so peer-to-peer transfers never grow the swarm's
   union span — only server emissions do, and those are policy-blind);
 * it sends strictly fewer data packets once ranks saturate.
+
+The need view — what each engine sends a child chosen by the
+generations the child reported complete — has its unit tests, one
+hypothesis machine over both engines, and the bounded-state audit at
+the end.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.coding import GenerationParams, Recoder, SourceEncoder
 from repro.core import OverlayNetwork
 from repro.dataplane import (
     FORWARD_POLICIES,
     ChildAttached,
+    ChildCompleted,
     ChildDetached,
     EagerPolicy,
     EmitRound,
     EmitToChildren,
     EngineLog,
+    GenerationComplete,
     IdlePoll,
     Ingested,
     InnovativePolicy,
@@ -42,6 +50,7 @@ from repro.dataplane import (
     replay,
     resolve_policy,
 )
+from repro.dataplane.needs import CompletedSet
 from repro.sim import BroadcastSimulation
 
 PARAMS = GenerationParams(generation_size=4, payload_size=8)
@@ -109,8 +118,9 @@ class TestSourceEngine:
         assert engine.packets_sent == 4
 
     def test_empty_round_still_advances_schedule(self):
-        """Generation scheduling is time-based: a round with nobody
-        attached produces nothing but still consumes its slot."""
+        """The carousel a never-reporting target rides turns every
+        round: one with nobody attached produces nothing but still
+        consumes its slot."""
         engine = SourceEngine(make_encoder())
         assert engine.handle(EmitRound(targets=())) == []
         assert engine.rounds == 1
@@ -211,16 +221,19 @@ class TestRelayPushFanOut:
         engine = make_relay(policy="innovative")
         effects = engine.handle(ChildAttached("a", column=0))
         assert any(e == RequestIdle("a") for e in effects)
-        eager = make_relay(policy="eager")
-        assert not any(
-            isinstance(e, RequestIdle)
-            for e in eager.handle(ChildAttached("a", column=0))
-        )
+
+    def test_eager_attach_requests_idle_fill_too(self):
+        """A relay whose parents have stopped sending (it reported
+        everything complete) has no arrival left to forward on: the
+        idle fill is what still reaches a child short by then."""
+        engine = make_relay(policy="eager")
+        effects = engine.handle(ChildAttached("a", column=0))
+        assert effects[0] == RequestIdle("a")
 
     def test_attach_seed_burst_and_reattach_order(self):
         engine = make_relay(seed_burst=2)
         feed_packets(engine, 3)
-        (effect,) = engine.handle(ChildAttached("a", column=0))
+        _, effect = engine.handle(ChildAttached("a", column=0))
         assert effect.children == ("a", "a")
         engine.handle(ChildAttached("b", column=1))
         assert engine.children == ("a", "b")
@@ -439,3 +452,366 @@ class TestPolicyBehaviour:
             completed[policy] = report.completion_fraction
         assert completed["eager"] == completed["innovative"] == 1.0
         assert totals["innovative"] < totals["eager"]
+
+
+# ----------------------------------------------------------------------
+# The need view
+
+
+def served(effect):
+    """``[(child, generation), ...]`` of one ``EmitToChildren``."""
+    if effect.rows is None:
+        return [(child, packet.generation)
+                for child, packet in zip(effect.children, effect.packets)]
+    pairs = []
+    for generation, _rows, positions in effect.rows:
+        pairs.extend((effect.children[p], generation) for p in positions)
+    return pairs
+
+
+def emissions(effects):
+    return [pair for effect in effects
+            if isinstance(effect, EmitToChildren) for pair in served(effect)]
+
+
+class TestCompletedSet:
+    def test_in_order_completion_is_one_integer(self):
+        done = CompletedSet()
+        for generation in range(5):
+            done.add(generation)
+        assert done.pair() == (5, ()) and len(done) == 5
+
+    def test_extras_fold_into_the_base_when_the_gap_closes(self):
+        done = CompletedSet()
+        done.add(2)
+        done.add(1)
+        assert done.pair() == (0, (1, 2))
+        done.add(0)
+        assert done.pair() == (3, ())
+
+    def test_update_is_a_union_and_never_shrinks(self):
+        done = CompletedSet(2, (5,))
+        done.update(1, (3,))
+        assert done.pair() == (2, (3, 5))
+        done.update(4)
+        assert done.pair() == (4, (5,))
+        done.update(0, (4, 4, 1))
+        assert done.pair() == (6, ())
+
+    def test_lowest_missing_skips_what_the_sender_lacks(self):
+        class Held:
+            def __init__(self, rank):
+                self.rank = rank
+
+        done = CompletedSet(1, (2,))
+        assert done.lowest_missing(5) == 1
+        holders = [Held(1), Held(0), Held(1), Held(0), Held(3)]
+        assert done.lowest_missing(5, holders) == 4
+        assert done.lowest_missing(4, holders) is None
+        assert CompletedSet(5).lowest_missing(5) is None
+
+
+class TestSourceNeedView:
+    def test_round_serves_each_target_its_lowest_unfinished_generation(self):
+        engine = SourceEngine(make_encoder())
+        engine.handle(ChildAttached("a", 0, (0, ())))
+        engine.handle(ChildAttached("b", 1, (1, ())))
+        for _ in range(3):  # not a carousel: the same answer every round
+            (effect,) = engine.handle(EmitRound(targets=("a", "b")))
+            assert sorted(served(effect)) == [("a", 0), ("b", 1)]
+        assert engine.rounds == 3
+
+    def test_finished_target_is_skipped_and_counted(self):
+        class Obs:
+            class withheld:
+                value = 0
+
+                @classmethod
+                def inc(cls, amount):
+                    cls.value += amount
+
+            @staticmethod
+            def record_step(event, effects):
+                pass
+
+        engine = SourceEngine(make_encoder())
+        engine.obs = Obs
+        engine.handle(ChildAttached("a", 0, (GENERATIONS, ())))
+        engine.handle(ChildAttached("b", 1, (0, ())))
+        (effect,) = engine.handle(EmitRound(targets=("a", "b")))
+        assert served(effect) == [("b", 0)]
+        assert engine.handle(EmitRound(targets=("a",))) == []
+        assert Obs.withheld.value == 2
+        assert engine.packets_sent == 1 and engine.rounds == 2
+
+    def test_update_moves_the_choice_and_detach_forgets(self):
+        engine = SourceEngine(make_encoder())
+        engine.handle(ChildAttached("a", 0, (0, ())))
+        engine.handle(ChildCompleted("a", 0, (1,)))
+        (effect,) = engine.handle(EmitRound(targets=("a",)))
+        assert served(effect) == [("a", 0)]
+        engine.handle(ChildCompleted("a", 1))
+        assert engine.handle(EmitRound(targets=("a",))) == []
+        engine.handle(ChildDetached("a"))
+        assert engine._needs == {}
+        # A report that outlived its connection builds no state.
+        engine.handle(ChildCompleted("a", 1))
+        assert engine._needs == {}
+
+    def test_burst_is_of_the_needed_generation(self):
+        engine = SourceEngine(make_encoder(), seed_burst=3)
+        (effect,) = engine.handle(ChildAttached("a", 0, (1, ())))
+        assert served(effect) == [("a", 1)] * 3
+        assert engine.handle(
+            ChildAttached("b", 0, (GENERATIONS, ()))) == []
+
+
+class TestRelayNeedView:
+    def relay(self, **kwargs):
+        engine = make_relay(**kwargs)
+        feed_packets(engine, 2)  # rank 1 in each generation
+        return engine
+
+    def test_fanout_groups_children_by_what_each_lacks(self):
+        engine = self.relay()
+        engine.handle(ChildAttached("a", 0, (0, ())))
+        engine.handle(ChildAttached("b", 1, (1, ())))
+        engine.handle(ChildAttached("c", 2, (0, ())))
+        effects = engine.handle(PacketArrived(make_encoder(3).emit(0)))
+        (emit,) = [e for e in effects if isinstance(e, EmitToChildren)]
+        assert sorted(served(emit)) == [("a", 0), ("b", 1), ("c", 0)]
+        # One emit_rows per generation chosen, positions running on.
+        assert [(g, len(p)) for g, _, p in emit.rows] == [(0, 2), (1, 1)]
+        assert sorted(p for _, _, ps in emit.rows for p in ps) == [0, 1, 2]
+
+    def test_child_with_nothing_to_gain_is_skipped(self):
+        engine = self.relay()
+        engine.handle(ChildAttached("done", 0, (GENERATIONS, ())))
+        forwarded = engine.forwarded
+        effects = engine.handle(PacketArrived(make_encoder(3).emit(0)))
+        assert emissions(effects) == []
+        assert engine.forwarded == forwarded
+        assert engine.handle(IdlePoll("done")) == []
+
+    def test_sender_without_rank_in_the_lacked_generation_withholds(self):
+        engine = make_relay()
+        engine.handle(PacketArrived(make_encoder().emit(1)))  # rank in 1 only
+        (_idle, burst) = engine.handle(ChildAttached("a", 0, (0, ())))
+        assert served(burst) == [("a", 1)]  # 0 is lacked, but not held
+        engine.handle(ChildCompleted("a", 0, (1,)))
+        assert emissions(engine.handle(
+            PacketArrived(make_encoder(4).emit(1)))) == []
+        # The first rank in generation 0 makes it servable at once.
+        effects = engine.handle(PacketArrived(make_encoder(5).emit(0)))
+        assert emissions(effects) == [("a", 0)]
+
+    def test_attach_burst_and_idle_fill_follow_the_need(self):
+        engine = self.relay(policy="innovative", seed_burst=2)
+        _, burst = engine.handle(ChildAttached("a", 0, (1, ())))
+        assert served(burst) == [("a", 1), ("a", 1)]
+        (fill,) = engine.handle(IdlePoll("a"))
+        assert served(fill) == [("a", 1)]
+        assert engine.idle_emits == 1
+
+    def test_reattach_starts_from_the_new_report(self):
+        engine = self.relay()
+        engine.handle(ChildAttached("a", 0, (GENERATIONS, ())))
+        _, burst = engine.handle(ChildAttached("a", 0, (0, ())))
+        assert served(burst) == [("a", 0)]
+        # ... and a redial that reports nothing is served the old way.
+        engine.handle(ChildAttached("a", 0))
+        assert "a" not in engine._needs
+
+    def test_never_reporting_child_gets_the_recoders_own_pick(self):
+        reference, engine = self.relay(seed=9), self.relay(seed=9)
+        engine.handle(ChildAttached("quiet", 0))
+        engine.handle(ChildAttached("loud", 1, (GENERATIONS, ())))
+        reference.handle(ChildAttached("quiet", 0))
+        packet = make_encoder(3).emit(1)
+        ours = engine.handle(PacketArrived(packet))
+        theirs = reference.handle(PacketArrived(packet))
+        assert repr(ours) == repr(theirs)
+        assert [c for c, _ in emissions(ours)] == ["quiet"]
+
+    def test_generation_complete_precedes_mark_complete(self):
+        engine = make_relay()
+        log = engine.log = EngineLog()
+        encoder = make_encoder()
+        for generation in (1, 0):
+            for _ in range(PARAMS.generation_size + 2):
+                engine.handle(PacketArrived(encoder.emit(generation)))
+        tail = [e for e in log.effect_trace()
+                if isinstance(e, (GenerationComplete, MarkComplete))]
+        assert tail == [GenerationComplete(1), GenerationComplete(0),
+                        MarkComplete(NEEDED)]
+        assert engine.completed_generations == (GENERATIONS, ())
+
+    def test_completed_generations_survive_construction(self):
+        recoder = Recoder(PARAMS, GENERATIONS, np.random.default_rng(1), 7)
+        encoder = make_encoder()
+        for _ in range(PARAMS.generation_size + 2):
+            recoder.receive(encoder.emit(1))
+        engine = RelayEngine(recoder)
+        assert engine.completed_generations == (0, (1,))
+        _, burst = engine.handle(ChildAttached("a", 0, (0, ())))
+        assert served(burst) == [("a", 1)]
+
+
+class NeedViewMachine(RuleBasedStateMachine):
+    """Any interleaving of attach/detach, arrivals, rounds, idle polls
+    and completed-set updates, against a model that remembers only what
+    each child said.  Every emission must be exactly the need view's
+    choice: never a generation its child reported complete, always the
+    lowest one it lacks that the sender holds — which is what makes "a
+    child that lacks ``g`` under a sender holding ``g`` is served ``g``"
+    hold on the very next trigger, not merely eventually."""
+
+    CHILDREN = ("a", "b", "c")
+    COUNT = 4
+
+    def __init__(self):
+        super().__init__()
+        rng = np.random.default_rng(0)
+        params = GenerationParams(generation_size=3, payload_size=4)
+        content = bytes(rng.integers(
+            0, 256, size=self.COUNT * 3 * 4, dtype=np.uint8))
+        self.feed = SourceEncoder(content, params, np.random.default_rng(1))
+        self.source = SourceEngine(
+            SourceEncoder(content, params, np.random.default_rng(2)),
+            seed_burst=1)
+        self.relay = RelayEngine(
+            Recoder(params, self.COUNT, np.random.default_rng(3), 7),
+            policy="eager")
+        #: child -> set of generations it reported, None = never reported
+        self.model = {}
+
+    # -- the model's answer --------------------------------------------
+
+    def choice(self, child, held):
+        reported = self.model[child]
+        for generation in range(self.COUNT):
+            if generation not in reported and held(generation):
+                return generation
+        return None
+
+    def relay_holds(self, generation):
+        return self.relay.recoder.rank(generation) > 0
+
+    def check(self, effects, held, triggered):
+        """``triggered``: the attached children this event must serve."""
+        got = emissions(effects)
+        for child, generation in got:
+            assert child in self.model, f"{child} is detached"
+            reported = self.model[child]
+            if reported is not None:
+                assert generation not in reported
+                assert generation == self.choice(child, held)
+            assert held(generation)
+        expected = {
+            child for child in triggered
+            if self.model[child] is None
+            or self.choice(child, held) is not None
+        }
+        assert {child for child, _ in got} == expected
+
+    # -- rules ---------------------------------------------------------
+
+    @rule(child=st.sampled_from(CHILDREN),
+          report=st.none() | st.sets(st.integers(0, COUNT - 1)))
+    def attach(self, child, report):
+        self.model[child] = report
+        completed = (
+            None if report is None else CompletedSet(0, report).pair())
+        for engine, held in ((self.relay, self.relay_holds),
+                             (self.source, lambda g: True)):
+            effects = engine.handle(ChildAttached(child, 0, completed))
+            if report is None:
+                continue  # burst drawn by the sender's own schedule
+            self.check(effects, held, [child])
+
+    @rule(child=st.sampled_from(CHILDREN))
+    def detach(self, child):
+        self.model.pop(child, None)
+        for engine in (self.relay, self.source):
+            assert engine.handle(ChildDetached(child)) == []
+
+    @rule(child=st.sampled_from(CHILDREN),
+          report=st.sets(st.integers(0, COUNT - 1)))
+    def report(self, child, report):
+        if child in self.model:
+            self.model[child] = (self.model[child] or set()) | report
+        pair = CompletedSet(0, report).pair()
+        for engine in (self.relay, self.source):
+            assert engine.handle(ChildCompleted(child, *pair)) == []
+
+    @rule(generation=st.integers(0, COUNT - 1))
+    def arrival(self, generation):
+        effects = self.relay.handle(PacketArrived(self.feed.emit(generation)))
+        if any(self.relay_holds(g) for g in range(self.COUNT)):
+            self.check(effects, self.relay_holds, list(self.model))
+
+    @rule(asked=st.sets(st.sampled_from(CHILDREN)))
+    def round(self, asked):
+        targets = tuple(sorted(asked & self.model.keys()))
+        effects = self.source.handle(EmitRound(targets=targets))
+        self.check(effects, lambda g: True, targets)
+
+    @rule(child=st.sampled_from(CHILDREN))
+    def idle(self, child):
+        if child not in self.model:
+            return  # pull-mode poll of a stranger: the recoder's pick
+        effects = self.relay.handle(IdlePoll(child))
+        if any(self.relay_holds(g) for g in range(self.COUNT)):
+            self.check(effects, self.relay_holds, [child])
+
+    @invariant()
+    def engines_remember_exactly_the_attached_children(self):
+        assert set(self.relay.children) == set(self.model)
+        assert set(self.source._needs) == set(self.model)
+        assert set(self.relay._needs) == {
+            child for child, said in self.model.items() if said is not None}
+
+
+NeedViewMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None)
+TestNeedViewMachine = NeedViewMachine.TestCase
+
+
+class TestDataplaneBoundedState:
+    def test_50k_attach_report_detach_cycles_leave_nothing_behind(self):
+        """Every child that ever dialed gets a fresh key; the engines'
+        containers must follow the live population, not the history."""
+        population, cycles = 16, 50_000
+        relay = make_relay(policy="innovative")
+        feed_packets(relay, NEEDED)
+        source = SourceEngine(make_encoder())
+        engines = (relay, source)
+        live = list(range(population))
+        for child in live:
+            for engine in engines:
+                engine.handle(ChildAttached(child, 0, (0, ())))
+        for cycle in range(cycles):
+            gone = live[cycle % population]
+            fresh = live[cycle % population] = population + cycle
+            for engine in engines:
+                engine.handle(ChildCompleted(gone, 1, ()))
+                engine.handle(ChildDetached(gone))
+                engine.handle(ChildCompleted(gone, 2, ()))  # late report
+                engine.handle(ChildAttached(
+                    fresh, 0, None if cycle % 3 else (cycle % 2, ())))
+            relay.handle(PullEmit(fresh))
+            relay.handle(IdlePoll(fresh))
+
+        def containers(engine):
+            names = getattr(type(engine), "__slots__", None) or vars(engine)
+            for name in names:
+                value = getattr(engine, name)
+                if isinstance(value, (dict, set, list)):
+                    yield f"{type(engine).__name__}.{name}", len(value)
+
+        sizes = dict(pair for engine in engines for pair in containers(engine))
+        assert {"RelayEngine._children", "RelayEngine._needs",
+                "RelayEngine._pull_sent", "SourceEngine._needs"} <= set(sizes)
+        assert sizes["RelayEngine._children"] == population
+        assert sizes["SourceEngine._needs"] == population
+        assert {n: s for n, s in sizes.items() if s > population} == {}

@@ -64,6 +64,75 @@ def test_crash_parent_acceptance():
     assert not result.violations
 
 
+def test_reclipped_child_is_sent_nothing_it_reported_on_redial():
+    """Six generations over lossy peer links, a feeding peer killed
+    half-way: the orphaned children redial their new parents with the
+    generations they already hold, and from that moment the parent
+    never spends a packet on one of them — read off every sender's
+    engine log, where each attach opens a fresh pump."""
+    import asyncio
+    from dataclasses import replace
+
+    from repro.dataplane import (
+        ChildAttached,
+        ChildCompleted,
+        ChildDetached,
+        EmitToChildren,
+        EngineLog,
+    )
+    from repro.net.testing import get_scenario
+
+    from tests.test_dataplane_engine import served
+
+    spec = get_scenario("lossy_crash_multigen")
+
+    class Logged(ChaosHarness):
+        async def start(self, peers=None):
+            await super().start(peers)
+            for node in (self.server, *self.peers):
+                node.dataplane.log = EngineLog()
+
+    async def scenario():
+        harness = Logged(replace(spec.config, seed=0))
+        try:
+            await spec.run(harness)
+            return harness.result(spec.name), [
+                node.dataplane.log
+                for node in (harness.server, *harness.peers)
+            ]
+        finally:
+            await harness.teardown()
+
+    result, logs = asyncio.run(scenario())
+    assert result.ok, result.summary()
+    assert result.repairs >= 1 and result.trace
+    assert any(entry[1] == "lose" for entry in result.trace)
+
+    redials = sent = 0
+    for log in logs:
+        reported: dict = {}  # child -> generations it has reported
+        for event, effects in zip(log.events, log.steps):
+            if isinstance(event, ChildAttached):
+                reported[event.child] = set()
+                if event.completed is not None:
+                    base, extras = event.completed
+                    reported[event.child] = {*range(base), *extras}
+                    redials += base > 0
+            elif isinstance(event, ChildCompleted):
+                if event.child in reported:
+                    reported[event.child] |= {*range(event.base),
+                                              *event.extras}
+            elif isinstance(event, ChildDetached):
+                reported.pop(event.child, None)
+            for effect in effects:
+                if isinstance(effect, EmitToChildren):
+                    for child, generation in served(effect):
+                        sent += 1
+                        assert generation not in reported.get(child, ())
+    assert redials >= 2, "no child redialed holding a finished generation"
+    assert sent > 100
+
+
 def test_no_socket_is_ever_opened(monkeypatch):
     """The virtual tier must not touch the real network stack (the
     event loop's internal self-pipe is the only socket allowed)."""

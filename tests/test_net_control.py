@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.control import (
+    MAX_COMPLETE_WINDOW,
     ControlFormatError,
     DataHello,
+    GenerationsComplete,
     PeerLocator,
     SessionInfo,
     decode_control,
@@ -48,6 +50,9 @@ SAMPLES = [
     PeerLocator(node_id=12, host="127.0.0.1", port=40301),
     PeerLocator(node_id=1, host="2001:db8::1", port=1),
     DataHello(node_id=8, column=5),
+    GenerationsComplete(base=0),
+    GenerationsComplete(base=40, extras=(41, 48, 49, 40 + MAX_COMPLETE_WINDOW)),
+    GenerationsComplete(base=2**32 - 1),
 ]
 
 
@@ -114,6 +119,32 @@ class TestErrors:
     def test_oversized_host_rejected(self):
         with pytest.raises(ControlFormatError):
             encode_control(PeerLocator(node_id=1, host="x" * 300, port=1))
+
+    def test_in_order_report_is_five_bytes_whatever_the_base(self):
+        for base in (0, 7, 2**31):
+            assert len(encode_control(GenerationsComplete(base))) == 5
+
+    def test_report_extras_past_the_window_are_left_out(self):
+        """Under-reporting is safe; a record that cannot be parsed is
+        not.  The encoder drops what the decoder would refuse."""
+        far = GenerationsComplete(3, (5, 4 + MAX_COMPLETE_WINDOW))
+        assert decode_control(encode_control(far)) == GenerationsComplete(3, (5,))
+
+    def test_report_extra_not_above_its_base_rejected(self):
+        with pytest.raises(ControlFormatError, match="not above"):
+            encode_control(GenerationsComplete(3, (3,)))
+
+    def test_report_must_be_canonical(self):
+        """One encoding per set (what lets random bytes round-trip): a
+        bitmap never ends in a zero byte, and never exceeds the window."""
+        frame = encode_control(GenerationsComplete(1, (2,)))
+        with pytest.raises(ControlFormatError, match="zero byte"):
+            decode_control(frame + b"\x00")
+        with pytest.raises(ControlFormatError, match="window"):
+            decode_control(
+                frame + bytes(MAX_COMPLETE_WINDOW // 8 - 1) + b"\x01")
+        with pytest.raises(ControlFormatError):
+            decode_control(frame[:3])  # truncated inside the base
 
     def test_unregistered_message_rejected(self):
         with pytest.raises(ControlFormatError):

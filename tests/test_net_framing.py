@@ -5,9 +5,10 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.coding import CodedPacket
+from repro.coding import CodedPacket, GenerationParams, Recoder
 from repro.coding.wire import encode_packet
-from repro.net.control import DataHello, encode_control
+from repro.dataplane import RelayEngine
+from repro.net.control import DataHello, SessionInfo, encode_control
 from repro.net.framing import (
     KIND_CONTROL,
     KIND_DATA,
@@ -204,6 +205,9 @@ class TestPeerCorruptionAccounting:
             listener = net.bind("parent", 0, parent)
             peer = PeerNode("server", 1, transport=net.transport("peer"))
             peer.engine.node_id = 9
+            peer.session = SessionInfo(4, 16, 1, 64, k=1, d=1)
+            peer.dataplane = RelayEngine(Recoder(
+                GenerationParams(4, 16), 1, np.random.default_rng(0), 9))
             peer.parents[0] = 5
             peer._running = True
             await peer._consume_upstream(0, 5, listener.address)
@@ -257,7 +261,7 @@ class TestPacketSenderQueue:
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.net.control import decode_control
+from repro.net.control import GenerationsComplete, decode_control
 from repro.protocol.messages import ComplaintMsg, JoinGrant, Probe
 
 _INT32 = st.integers(-(2**31), 2**31 - 1)
@@ -272,6 +276,14 @@ control_messages = st.one_of(
     st.builds(ComplaintMsg, reporter=_INT32, column=_UINT16, suspect=_INT32),
     st.builds(Probe, nonce=_UINT64),
     st.builds(DataHello, node_id=_INT32, column=_UINT16),
+    # The completed-set record a child writes behind its hello: any
+    # base, extras anywhere in a window above it (canonical: sorted).
+    st.builds(
+        lambda base, offsets: GenerationsComplete(
+            base, tuple(base + offset for offset in sorted(offsets))),
+        base=st.integers(0, 2**32 - 1),
+        offsets=st.sets(st.integers(1, 300), max_size=6),
+    ),
     st.builds(
         JoinGrant,
         node_id=_INT32,

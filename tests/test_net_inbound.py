@@ -2,13 +2,17 @@
 
 Peer- and server-level behaviour that rides on it — silence measured
 between complete messages, a whole flush drained per wake-up, no byte
-lost between an admission sequence and the loop after it — plus the
-bounded per-connection state of the outbound pumps under churn.
+lost between an admission sequence (or a data hello) and the loop
+after it, a bounded wait for a dialler's first frame — plus the
+bounded per-connection state of the outbound pumps under churn, and
+what a child can and cannot do with the completed-set reports it
+writes on its data connection.
 """
 
 import asyncio
 
 import numpy as np
+import pytest
 
 from repro.coding import CodedPacket
 from repro.coding.generation import GenerationParams
@@ -17,18 +21,27 @@ from repro.core.matrix import SERVER
 from repro.dataplane import EmitToChildren, PacketArrived, RelayEngine
 from repro.net import MessageStream, PeerNode, ServerNode
 from repro.net.control import (
+    MAX_COMPLETE_WINDOW,
     DataHello,
+    GenerationsComplete,
     PeerLocator,
     SessionInfo,
     encode_control,
 )
-from repro.net.framing import KIND_CONTROL, encode_data_frame, encode_frame
-from repro.net.streams import SenderStats
-from repro.net.testing import VirtualNetwork
+from repro.net.framing import (
+    KIND_CONTROL,
+    READ_CHUNK_BYTES,
+    FramingError,
+    encode_data_frame,
+    encode_frame,
+)
+from repro.net.streams import ChildReports, SenderStats
+from repro.net.testing import ChaosConfig, ChaosHarness, VirtualNetwork
 from repro.protocol import (
     ComplaintMsg,
     JoinGrant,
     JoinRequest,
+    KeepAlive,
     LeaveRequest,
     SetParent,
     UpstreamDown,
@@ -74,6 +87,9 @@ def _child_of(net, listener, **kwargs) -> PeerNode:
     the state a grant would leave, without a server."""
     peer = PeerNode("server", 1, transport=net.transport("peer"), **kwargs)
     peer.engine.node_id = 9
+    peer.session = SessionInfo(3, 10, 1, 30, k=1, d=1)
+    peer.dataplane = RelayEngine(Recoder(
+        PARAMS, 1, np.random.default_rng(0), node_id=9))
     peer.parents[0] = 5
     peer._addresses[5] = listener.address
     peer._running = True
@@ -269,8 +285,10 @@ class TestBoundedPumpState:
 
         async def scenario():
             net = VirtualNetwork()
+            # More content than the run can deliver: a peer that had
+            # finished would be sent nothing, and ``sent`` would stall.
             server = ServerNode(
-                bytes(range(240)), PARAMS, k=1, d=1, port=PORT,
+                bytes(30_000), PARAMS, k=1, d=1, port=PORT,
                 transport=net.transport("server"),
             )
             await server.start()
@@ -309,3 +327,256 @@ class TestBoundedPumpState:
             assert list(sent) == sorted(set(sent)), (name, sent)
             assert list(sent_bytes) == sorted(set(sent_bytes)), name
             assert gauge == sent, name
+
+
+# ----------------------------------------------------------------------
+# The child's half of a data connection
+
+
+def _collect(reader) -> tuple[list, asyncio.Task]:
+    """Parse everything a hand-dialed connection is sent, as it comes."""
+    inbox: list = []
+
+    async def pump():
+        stream = MessageStream(reader)
+        while True:
+            message = await stream.next()
+            if message is None:
+                inbox.append(None)  # the node closed the connection
+                return
+            inbox.append(message)
+
+    return inbox, asyncio.ensure_future(pump())
+
+
+def _generations(inbox) -> list[int]:
+    return [m.generation for m in inbox if isinstance(m, CodedPacket)]
+
+
+class TestFirstFrame:
+    def test_report_in_the_hellos_segment_is_not_lost(self):
+        """The hello and the completed set behind it arrive as one
+        segment; the stream that parsed the hello must be the one the
+        report is read from, or a redialing child is re-sent everything
+        it holds (here: the attach burst names generation 0)."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            peer = PeerNode("server", 1, transport=net.transport("peer"),
+                            seed_burst=4)
+            peer.session = SessionInfo(3, 10, 2, 60, k=1, d=1)
+            peer.dataplane = peer._relay(Recoder(
+                PARAMS, 2, np.random.default_rng(0), node_id=9))
+            for generation in (0, 1):
+                peer.dataplane.handle(PacketArrived(_packet(generation)))
+            peer._running = True
+            listener = net.bind("peer", 0, peer._handle_child)
+            reader, writer = await net.open_connection(
+                "child", *listener.address)
+            inbox, task = _collect(reader)
+            writer.write(_control(
+                DataHello(node_id=4, column=0),
+                GenerationsComplete(base=1)))
+            await net.clock.advance(0.01)
+            task.cancel()
+            await net.shutdown()
+            return _generations(inbox)
+
+        assert asyncio.run(scenario()) == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize("node", ["peer", "server"])
+    def test_half_a_hello_is_closed_after_one_timeout(self, node):
+        """A dialler that never finishes its first frame holds a task
+        and a socket for one timeout (``silence_timeout`` at a peer,
+        ``probe_timeout`` at the server), not forever."""
+        timeout = 0.5
+        hello = _control(DataHello(node_id=4, column=0))
+
+        async def scenario():
+            net = VirtualNetwork()
+            if node == "peer":
+                peer = PeerNode(
+                    "server", 1, transport=net.transport("node"),
+                    silence_timeout=timeout)
+                peer._running = True
+                address = net.bind("node", 0, peer._handle_child).address
+            else:
+                server = ServerNode(
+                    bytes(30), PARAMS, k=1, d=1, port=PORT,
+                    probe_timeout=timeout, transport=net.transport("node"))
+                await server.start()
+                address = ("node", PORT)
+            reader, writer = await net.open_connection("child", *address)
+            inbox, task = _collect(reader)
+            writer.write(hello[:len(hello) // 2])
+            await net.clock.advance(timeout - 0.01)
+            early = list(inbox)
+            await net.clock.advance(0.02)
+            late = list(inbox)
+            task.cancel()
+            if node == "server":
+                await server.stop()
+            await net.shutdown()
+            return early, late
+
+        early, late = asyncio.run(scenario())
+        assert early == []
+        assert late == [None]
+
+
+def _reports(*chunks: bytes, generation_count: int = 8):
+    """A ``ChildReports`` over a connection that was sent ``chunks``."""
+
+    class Reader:
+        def __init__(self):
+            self.pending = list(chunks)
+
+        async def read(self, n):
+            if not self.pending:
+                return b""
+            head, self.pending[0] = self.pending[0][:n], self.pending[0][n:]
+            if not self.pending[0]:
+                self.pending.pop(0)
+            return head
+
+    stream = MessageStream(Reader())
+    return ChildReports(stream, generation_count), stream
+
+
+class TestHostileReports:
+    """Whatever a child writes after its hello is a report the session
+    allows, or a typed error that costs the child its connection."""
+
+    def run(self, *chunks, **kwargs):
+        reports, stream = _reports(*chunks, **kwargs)
+
+        async def drain():
+            seen = []
+            while True:
+                report = await reports.next()
+                if report is None:
+                    return seen
+                seen.append(report)
+
+        return asyncio.run(drain()), stream
+
+    def test_honest_reports_pass_through(self):
+        seen, _ = self.run(_control(
+            GenerationsComplete(0), GenerationsComplete(2, (4, 7)),
+            GenerationsComplete(8)))
+        assert seen == [(0, ()), (2, (4, 7)), (8, ())]
+
+    @pytest.mark.parametrize("record", [
+        GenerationsComplete(9),        # a base past the content
+        GenerationsComplete(0, (8,)),  # an extra past the content
+    ])
+    def test_generation_the_content_lacks_is_a_framing_error(self, record):
+        with pytest.raises(FramingError, match="names generation"):
+            self.run(_control(record))
+
+    def test_oversize_set_is_a_framing_error(self):
+        body = (encode_control(GenerationsComplete(0))
+                + bytes(MAX_COMPLETE_WINDOW // 8) + b"\x01")
+        with pytest.raises(FramingError, match="window"):
+            self.run(encode_frame(KIND_CONTROL, body))
+
+    def test_truncated_body_is_a_framing_error(self):
+        body = encode_control(GenerationsComplete(3))[:-1]
+        with pytest.raises(FramingError, match="bad frame body"):
+            self.run(encode_frame(KIND_CONTROL, body))
+
+    def test_anything_but_a_report_is_a_framing_error(self):
+        for intruder in (_control(KeepAlive(column=0, sender=4)),
+                         encode_data_frame(_packet())):
+            with pytest.raises(FramingError, match="on a data connection"):
+                self.run(_control(GenerationsComplete(1)) + intruder)
+
+    def test_flood_is_cut_off_with_bounded_buffering(self):
+        """A report per dial, one per generation, and one more per
+        generation's worth of packets the parent itself queued is all
+        an honest child can send; a megabyte of them is refused at the
+        first one too many — the pump closes, the key detaches — with
+        at most one read chunk ever buffered."""
+        record = _control(GenerationsComplete(1))
+        flood = record * (1_000_000 // len(record))
+        reports, stream = _reports(flood, generation_count=8)
+        applied = []
+
+        def on_report(base, extras):
+            applied.append(base)
+            assert stream._frames.pending() <= READ_CHUNK_BYTES
+
+        async def scenario():
+            pumps = _pump_set()
+            pumps.generation_size = 3
+            writer, task = await _serving(
+                pumps, "child", reports=reports, on_report=on_report)
+            # Three packets queued: one more report allowed, 10 in all.
+            pumps.emit(EmitToChildren(
+                ("child",) * 3, packets=(_packet(),) * 3))
+            detached = await task
+            return detached, writer.closed, pumps.attached()
+
+        assert asyncio.run(scenario()) == (True, True, ())
+        assert applied == [1] * 10
+        assert stream._frames.pending() <= READ_CHUNK_BYTES
+
+
+class TestWhatAChildCanDo:
+    """A multi-generation deployment with three strangers dialed into
+    one relay: one lies that it has everything, one reports a
+    generation the content does not have, one never reports at all."""
+
+    def test_liar_starves_itself_alone_and_silence_is_served(self):
+        config = ChaosConfig(
+            peers=4, k=2, d=2, generations=4, seed=2, send_interval=0.02,
+            keepalive_interval=0.1)
+
+        async def scenario():
+            harness = ChaosHarness(config, record_trace=False)
+            try:
+                await harness.start()
+                relay = harness.peers[0]
+                count = relay.session.generation_count
+                dials = {
+                    "liar": GenerationsComplete(count),
+                    "wild": GenerationsComplete(0, (count,)),
+                    "mute": None,
+                }
+                inboxes, tasks = {}, []
+                for index, (name, record) in enumerate(dials.items()):
+                    reader, writer = await harness.net.open_connection(
+                        name, harness.host(0), relay.port)
+                    inboxes[name], task = _collect(reader)
+                    tasks.append(task)
+                    hello = [DataHello(node_id=900 + index, column=0)]
+                    writer.write(_control(
+                        *hello, *([record] if record else [])))
+                assert await harness.run_until(harness.converged)
+                await harness.settle(1.0)
+                harness.check_invariants()
+                for task in tasks:
+                    task.cancel()
+                return (inboxes, harness.violations,
+                        relay.dataplane.children)
+            finally:
+                await harness.teardown()
+
+        inboxes, violations, children = asyncio.run(scenario())
+        # Everyone else decoded bit-identically (check_invariants).
+        assert violations == []
+        # The liar got keep-alives and not one packet; it is still
+        # attached, costing its parent nothing but that.
+        assert _generations(inboxes["liar"]) == []
+        assert any(isinstance(m, KeepAlive) for m in inboxes["liar"])
+        assert inboxes["liar"][-1] is not None
+        # The out-of-range report cost its sender the connection before
+        # it was ever attached.
+        assert inboxes["wild"] == [None]
+        # The mute child is served the way every child was before there
+        # was anything to report: mixtures across generations, not a
+        # stream stuck on the first one.
+        assert set(_generations(inboxes["mute"])) == set(range(4))
+        # Still attached when it ended: the two that kept to the rules.
+        assert {key[0] for key in children} >= {900, 902}
+        assert 901 not in {key[0] for key in children}

@@ -160,7 +160,9 @@ class TestServerLoad:
             assert control < 0.2 * (control + streamed)
             assert snapshot["counters"]["engine.joins"] == 25
 
-        deploy(script, peers=25)
+        # Enough content to outlast the window: the source stops
+        # streaming to a column whose top node has everything.
+        deploy(script, peers=25, generations=16)
 
 
 class TestActorCongestion:
