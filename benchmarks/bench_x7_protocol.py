@@ -26,8 +26,9 @@ OBSERVE = 20.0  # seconds of virtual steady-state
 
 
 async def _run(population: int, seed: int):
-    # "innovative" is what swarms run; the default "eager" policy floods
-    # an infinitely fast virtual net at k=16, d=3.
+    # "innovative" is what swarms run.  "eager" converges here too, each
+    # child being sent only what it lacks (120 peers, seed 3: 2 786
+    # frames against innovative's 2 784).
     h = ChaosHarness(ChaosConfig(
         peers=population, k=16, d=3, seed=seed, generations=1,
         keepalive_interval=0.2, silence_timeout=0.5, probe_timeout=0.3,

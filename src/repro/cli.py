@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
-from .dataplane import FORWARD_POLICIES
 from .gf.kernels import BACKEND
 
 
@@ -142,15 +141,13 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rlnc = BroadcastSimulation(
         build_net(), content, GenerationParams(args.g, args.payload),
         seed=args.seed, loss=loss,
-        forward_policy=args.forward_policy, seed_burst=args.seed_burst,
     )
     flood = FloodingSimulation(build_net(), packet_count=args.g,
                                seed=args.seed, loss=loss)
     rarest = RarestFirstSimulation(build_net(), packet_count=args.g,
                                    seed=args.seed, loss=loss)
     print(f"comparing schemes: k={args.k} d={args.d} N={args.peers} "
-          f"g={args.g} loss={args.p} budget={args.max_slots} slots "
-          f"policy={args.forward_policy}")
+          f"g={args.g} loss={args.p} budget={args.max_slots} slots")
     rows = [
         ("rlnc", rlnc.run_until_complete(max_slots=args.max_slots)),
         ("store-forward", flood.run_until_complete(max_slots=args.max_slots)),
@@ -569,18 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--p", type=float, default=0.02)
     compare.add_argument("--max-slots", type=int, default=600, dest="max_slots")
     compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument(
-        "--forward-policy", choices=list(FORWARD_POLICIES), default="eager",
-        dest="forward_policy",
-        help="RLNC relay policy: eager emits on every edge every slot; "
-             "innovative spends one emission per edge per rank raise "
-             "(plus --seed-burst unconditional packets)",
-    )
-    compare.add_argument(
-        "--seed-burst", type=int, default=1, dest="seed_burst",
-        help="unconditional packets per edge under --forward-policy "
-             "innovative",
-    )
     compare.set_defaults(func=_cmd_compare)
 
     demo = sub.add_parser(

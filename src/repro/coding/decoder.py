@@ -13,10 +13,7 @@ Every inner loop routes through the batched kernels in
 ``np.nonzero``, back-substitution after an insertion is a single
 :func:`~repro.gf.kernels.addmul_rows` call, and
 :meth:`GenerationDecoder.random_combination` mixes the basis into a
-preallocated output buffer.  The per-decoder
-:class:`~repro.gf.kernels.Workspace` is scratch for the numpy backend
-only (the native one needs none and leaves it empty); see
-``docs/performance.md``.
+preallocated output buffer; see ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..gf.kernels import Workspace, addmul_rows, combine_rows, eliminate, mix_rows
+from ..gf.kernels import addmul_rows, combine_rows, eliminate, mix_rows
 from ..gf.tables import FIELD_SIZE, INV, MUL
 from .generation import GenerationParams, join_content
 from .packet import CodedPacket, SourceBlock
@@ -45,7 +42,6 @@ class GenerationDecoder:
         self._row_of_pivot: dict[int, int] = {}
         self._scratch_row = np.empty(width, dtype=np.uint8)
         self._mix_out = np.empty(width, dtype=np.uint8)
-        self._workspace = Workspace()
         self.rank = 0
         self.received = 0
         self.innovative = 0
@@ -77,8 +73,7 @@ class GenerationDecoder:
         # Basis rows are zero at every pivot column but their own, so one
         # batched pass fully clears the row at all existing pivots; the
         # first remaining nonzero (if any) is a brand-new pivot.
-        eliminate(row, self._rows[: self.rank], self._pivot_cols[: self.rank],
-                  workspace=self._workspace)
+        eliminate(row, self._rows[: self.rank], self._pivot_cols[: self.rank])
         return row
 
     def push(self, packet: CodedPacket) -> bool:
@@ -109,8 +104,7 @@ class GenerationDecoder:
         # batched kernel call.
         if slot:
             addmul_rows(self._rows[:slot], self._rows[slot],
-                        self._rows[:slot, pivot].copy(),
-                        workspace=self._workspace)
+                        self._rows[:slot, pivot].copy())
         return True
 
     def decoded_block(self) -> SourceBlock:
@@ -137,8 +131,7 @@ class GenerationDecoder:
         if self.rank == 0:
             return None
         scalars = rng.integers(1, FIELD_SIZE, size=self.rank, dtype=np.uint8)
-        combined = mix_rows(scalars, self._rows[: self.rank],
-                            out=self._mix_out, workspace=self._workspace)
+        combined = mix_rows(scalars, self._rows[: self.rank], out=self._mix_out)
         size = self.params.generation_size
         return CodedPacket(
             generation=self.generation,
@@ -170,14 +163,12 @@ class GenerationDecoder:
 
         One :func:`~repro.gf.kernels.combine_rows` gemm; row ``i`` is
         ``[coefficients | payload]`` of mixture ``i``.  The returned
-        array is freshly allocated (the workspace holds at most gemm
-        intermediates), so callers may keep views into it — this is the
+        array is freshly allocated, so callers may keep views into it — this is the
         zero-copy source both for batched packets (:meth:`mixtures`)
         and for direct wire-frame encoding
         (:func:`repro.net.framing.encode_mixture_frames`).
         """
-        return combine_rows(scalars, self._rows[: self.rank],
-                            workspace=self._workspace)
+        return combine_rows(scalars, self._rows[: self.rank])
 
     def mixtures(self, scalars: np.ndarray,
                  origin: int = -1) -> list[CodedPacket]:

@@ -12,7 +12,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..gf.kernels import Workspace, combine_rows, mix_rows
+from ..gf.kernels import combine_rows, mix_rows
 from ..gf.tables import FIELD_SIZE
 from .generation import GenerationParams, split_content
 from .packet import CodedPacket, SourceBlock
@@ -42,7 +42,6 @@ class SourceEncoder:
         self._rng = rng
         self._systematic_first = systematic_first
         self._systematic_cursor = {block.generation: 0 for block in self.blocks}
-        self._workspace = Workspace()
 
     @property
     def generation_count(self) -> int:
@@ -73,56 +72,46 @@ class SourceEncoder:
             # A zero vector carries nothing; force one nonzero entry.
             coefficients[int(self._rng.integers(0, block.generation_size))] = 1
         # One batched mixture over the whole block — no per-source-row loop.
-        payload = mix_rows(coefficients, block.data, workspace=self._workspace)
+        payload = mix_rows(coefficients, block.data)
         return CodedPacket(
             generation=generation, coefficients=coefficients, payload=payload, origin=-1
         )
 
-    def emit_batch(self, count: int,
-                   generation: Optional[int] = None) -> list[CodedPacket]:
-        """Emit ``count`` packets with one mixing gemm per generation.
+    def emit_batch(self, count: int, generation: int) -> list[CodedPacket]:
+        """Emit ``count`` packets of ``generation`` with one mixing gemm.
 
-        RNG-stream identical to ``count`` sequential :meth:`emit` calls —
-        the generation draw, the systematic-cursor fast path, the
-        coefficient draw, and the zero-vector fixup all happen per packet
-        in the same order; only the payload mixing is deferred and
-        batched (one :func:`~repro.gf.kernels.combine_rows` per distinct
-        generation touched).
+        RNG-stream identical to ``count`` sequential ``emit(generation)``
+        calls — the systematic-cursor fast path, the coefficient draw and
+        the zero-vector fixup all happen per packet in the same order;
+        only the payload mixing is deferred and batched (one
+        :func:`~repro.gf.kernels.combine_rows`).
         """
-        if count <= 0:
-            return []
-        packets: list[Optional[CodedPacket]] = [None] * count
-        pending: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for i in range(count):
-            gen = generation
-            if gen is None:
-                gen = int(self._rng.integers(0, self.generation_count))
-            block = self.blocks[gen]
-            cursor = self._systematic_cursor[gen]
-            if self._systematic_first and cursor < block.generation_size:
-                self._systematic_cursor[gen] = cursor + 1
-                packet = block.source_packet(cursor)
-                packet.origin = -1
-                packets[i] = packet
-                continue
-            coefficients = self._rng.integers(
-                0, FIELD_SIZE, size=block.generation_size, dtype=np.uint8
-            )
+        block = self.blocks[generation]
+        size = block.generation_size
+        packets: list[CodedPacket] = []
+        cursor = self._systematic_cursor[generation]
+        while self._systematic_first and cursor < size and len(packets) < count:
+            packet = block.source_packet(cursor)
+            packet.origin = -1
+            packets.append(packet)
+            cursor += 1
+        self._systematic_cursor[generation] = cursor
+        mixed = count - len(packets)
+        if mixed <= 0:
+            return packets
+        coeffs = np.empty((mixed, size), dtype=np.uint8)
+        for i in range(mixed):
+            coefficients = self._rng.integers(0, FIELD_SIZE, size=size, dtype=np.uint8)
             if not coefficients.any():
-                coefficients[int(self._rng.integers(0, block.generation_size))] = 1
-            pending.setdefault(gen, []).append((i, coefficients))
-        for gen, items in pending.items():
-            block = self.blocks[gen]
-            coeffs = np.stack([c for _, c in items])
-            # combine_rows allocates a fresh output (the workspace only
-            # holds intermediates), so packets keep row views of it.
-            payloads = combine_rows(coeffs, block.data,
-                                    workspace=self._workspace)
-            for (i, coefficients), payload in zip(items, payloads):
-                packets[i] = CodedPacket.trusted(
-                    gen, coefficients, payload, origin=-1,
-                )
-        return [p for p in packets if p is not None]
+                coefficients[int(self._rng.integers(0, size))] = 1
+            coeffs[i] = coefficients
+        # combine_rows allocates a fresh output, so packets keep row views.
+        payloads = combine_rows(coeffs, block.data)
+        trusted = CodedPacket.trusted
+        return packets + [
+            trusted(generation, coeffs[i], payloads[i], origin=-1)
+            for i in range(mixed)
+        ]
 
     def stream(self, generation: Optional[int] = None) -> Iterator[CodedPacket]:
         """Infinite iterator of coded packets (``emit`` in a loop)."""

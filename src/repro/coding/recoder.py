@@ -87,94 +87,45 @@ class Recoder:
         packet.origin = self.node_id
         return packet
 
-    def emit_rows(self, count: int,
-                  generation: Optional[int] = None,
-                  ) -> list[tuple[int, np.ndarray, list[int]]]:
-        """Draw up to ``count`` mixtures as raw matrices, one per generation.
+    def emit_rows(self, count: int, generation: int) -> np.ndarray:
+        """Draw ``count`` mixtures of ``generation`` as one raw matrix.
 
-        Returns ``[(generation, rows, positions), ...]`` where ``rows``
-        is the :meth:`~repro.coding.decoder.GenerationDecoder.mixture_rows`
-        matrix for that generation's draws and ``positions[j]`` is the
-        emit index (0..count) at which row ``j`` was drawn — callers
-        that fan mixtures out in draw order use it to restore the
-        interleaving.  RNG-stream identical to ``count`` sequential
-        :meth:`emit` calls: every generation pick and every scalar
-        vector is drawn per emit in the same order; only the GF mixing
-        is batched (one gemm per distinct generation).  Stops early when
-        the buffer is empty, like a caller breaking on ``emit() is
-        None``.
+        Row ``j`` is ``[coefficients | payload]`` of mixture ``j`` (the
+        :meth:`~repro.coding.decoder.GenerationDecoder.mixture_rows`
+        gemm output), ready to be framed without building packets.
+        RNG-stream identical to ``count`` sequential ``emit(generation)``
+        calls: the scalar vectors are drawn one per mixture in the same
+        order; only the GF mixing is batched.  No rows when the buffer
+        holds nothing of ``generation``.
         """
-        if count <= 0:
-            return []
-        if generation is not None:
-            # Explicit-generation fast path: the rank cannot change between
-            # draws, so the scalar rows land straight in one (count, rank)
-            # matrix — no per-draw tuples and no group-by.
-            decoder = self.decoder.generations[generation]
-            if decoder.rank == 0:
-                return []
-            rank = decoder.rank
-            draw = self._rng.integers
-            scalars = np.empty((count, rank), dtype=np.uint8)
-            for i in range(count):
-                scalars[i] = draw(1, FIELD_SIZE, size=rank, dtype=np.uint8)
-            return [(generation, decoder.mixture_rows(scalars),
-                     list(range(count)))]
-        draws: list[tuple[int, np.ndarray]] = []
-        for _ in range(count):
-            g = self._pick_generation()
-            if g is None:
-                break
-            decoder = self.decoder.generations[g]
-            if decoder.rank == 0:
-                break  # sequential emit would return None here too
-            scalars = self._rng.integers(1, FIELD_SIZE, size=decoder.rank,
-                                         dtype=np.uint8)
-            draws.append((g, scalars))
-        by_generation: dict[int, list[int]] = {}
-        for index, (g, _) in enumerate(draws):
-            by_generation.setdefault(g, []).append(index)
-        return [
-            (g, self.decoder.generations[g].mixture_rows(
-                np.stack([draws[i][1] for i in indices])), indices)
-            for g, indices in by_generation.items()
-        ]
+        decoder = self.decoder.generations[generation]
+        rank = decoder.rank
+        if rank == 0 or count <= 0:
+            params = self.params
+            return np.empty((0, params.generation_size + params.payload_size),
+                            dtype=np.uint8)
+        draw = self._rng.integers
+        scalars = np.empty((count, rank), dtype=np.uint8)
+        for i in range(count):
+            scalars[i] = draw(1, FIELD_SIZE, size=rank, dtype=np.uint8)
+        return decoder.mixture_rows(scalars)
 
-    def emit_batch(self, count: int,
-                   generation: Optional[int] = None) -> list[CodedPacket]:
-        """Emit up to ``count`` fresh mixtures with one gemm per generation.
-
-        RNG-stream identical to ``count`` sequential :meth:`emit` calls:
-        every generation pick and every scalar vector is drawn in the
-        same interleaved order, so under a shared seed the packets are
-        bit-for-bit the same — only the GF mixing is batched (via
-        :meth:`emit_rows`).  The common case returns ``count`` packets,
-        in draw order.
-        """
-        groups = self.emit_rows(count, generation)
+    def emit_batch(self, count: int, generation: int) -> list[CodedPacket]:
+        """:meth:`emit_rows` as packets: ``count`` fresh mixtures of
+        ``generation`` with one gemm, bit-for-bit the packets of
+        ``count`` sequential ``emit(generation)`` calls."""
+        rows = self.emit_rows(count, generation)
         size = self.params.generation_size
+        # Splitting the matrix once keeps the per-packet indexing to two
+        # integer lookups.
+        coeffs = rows[:, :size]
+        payloads = rows[:, size:]
         origin = self.node_id
         trusted = CodedPacket.trusted
-        if len(groups) == 1:
-            # One generation touched (always true for an explicit
-            # generation): positions are 0..m-1 in order, so the packets
-            # build straight off the matrix rows.  Splitting the matrix
-            # once keeps the per-packet indexing to two integer lookups.
-            g, rows, _ = groups[0]
-            coeffs = rows[:, :size]
-            payloads = rows[:, size:]
-            return [
-                trusted(g, coeffs[j], payloads[j], origin=origin)
-                for j in range(rows.shape[0])
-            ]
-        total = sum(len(positions) for _, _, positions in groups)
-        packets: list[Optional[CodedPacket]] = [None] * total
-        for g, rows, positions in groups:
-            for j, position in enumerate(positions):
-                packets[position] = trusted(
-                    g, rows[j, :size], rows[j, size:], origin=origin,
-                )
-        return [p for p in packets if p is not None]
+        return [
+            trusted(generation, coeffs[j], payloads[j], origin=origin)
+            for j in range(rows.shape[0])
+        ]
 
     def emit_trivial(self, generation: Optional[int] = None) -> Optional[CodedPacket]:
         """Emit a *non-mixed* packet: replay one buffered basis row.

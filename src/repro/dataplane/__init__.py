@@ -11,15 +11,14 @@ state machines:
 * :class:`SourceEngine` — the server side: generation scheduling
   (each child's lowest unfinished generation for clocked stream loops,
   uniform draws for pull-mode drivers) and per-child emission over a
-  :class:`~repro.coding.encoder.SourceEncoder`, with an optional
-  seed-burst toward freshly attached children;
+  :class:`~repro.coding.encoder.SourceEncoder`;
 * :class:`RelayEngine` — the peer side: per-packet receive with
   innovation gating, rank/needed/completion bookkeeping, a per-child
   view of the generations each child still lacks, recode fan-out
   through the batched
-  :meth:`~repro.coding.recoder.Recoder.emit_rows` path, idle/keepalive
-  emit decisions, and a pluggable :class:`ForwardPolicy`
-  (``eager``/``innovative``).
+  :meth:`~repro.coding.recoder.Recoder.emit_rows` path (on every
+  arrival, or only rank-raising ones), and idle/keepalive emit
+  decisions.
 
 Engines consume :mod:`~repro.dataplane.events` and return
 :mod:`~repro.dataplane.effects`; they never touch a socket, a clock, or
@@ -50,32 +49,21 @@ from .events import (
     PacketArrived,
     PullEmit,
 )
-from .policy import (
-    FORWARD_POLICIES,
-    EagerPolicy,
-    ForwardPolicy,
-    InnovativePolicy,
-    resolve_policy,
-)
 from .relay_engine import RelayEngine
 from .source_engine import SourceEngine
 
 __all__ = [
-    "FORWARD_POLICIES",
     "ChildAttached",
     "ChildCompleted",
     "ChildDetached",
-    "EagerPolicy",
     "Effect",
     "EmitRound",
     "EmitToChildren",
     "EngineLog",
     "Event",
-    "ForwardPolicy",
     "GenerationComplete",
     "IdlePoll",
     "Ingested",
-    "InnovativePolicy",
     "MarkComplete",
     "PacketArrived",
     "PullEmit",

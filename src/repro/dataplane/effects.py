@@ -50,11 +50,11 @@ def _packet_digest(packet) -> str:
 
 
 def _group_digest(group) -> str:
-    """Digest of one :meth:`~repro.coding.recoder.Recoder.emit_rows`
-    group: generation, row count, and a CRC over the raw mixture rows."""
-    generation, rows, positions = group
+    """Digest of one ``(generation, rows)`` group: generation, row
+    count, and a CRC over the raw mixture rows."""
+    generation, rows = group
     crc = zlib.crc32(rows.tobytes())
-    return f"g{generation}x{len(positions)}#{crc & 0xFFFFFFFF:08x}"
+    return f"g{generation}x{rows.shape[0]}#{crc & 0xFFFFFFFF:08x}"
 
 
 class EmitToChildren(NamedTuple):
@@ -65,9 +65,10 @@ class EmitToChildren(NamedTuple):
     * ``packets`` — one :class:`~repro.coding.packet.CodedPacket` per
       child (seed-bursts, idle fills, pull-mode slots, source
       rounds).  ``children`` may repeat one child (a burst).
-    * ``rows`` — :meth:`~repro.coding.recoder.Recoder.emit_rows`
-      groups covering ``len(children)`` mixtures in draw order (the
-      relay's push fan-out: drivers frame them with
+    * ``rows`` — ``(generation, rows)`` groups, each ``rows`` one
+      :meth:`~repro.coding.recoder.Recoder.emit_rows` matrix, whose
+      rows taken group after group are the ``len(children)`` mixtures
+      in child order (the relay's push fan-out: drivers frame them with
       ``encode_mixture_frames`` without building packet objects).
     """
 
@@ -79,7 +80,7 @@ class EmitToChildren(NamedTuple):
     def count(self) -> int:
         """Mixtures carried (== packets fanned out by the driver)."""
         if self.rows is not None:
-            return sum(len(positions) for _, _, positions in self.rows)
+            return sum(rows.shape[0] for _, rows in self.rows)
         return len(self.packets) if self.packets is not None else 0
 
     def __repr__(self) -> str:  # noqa: D105 - digest form, see module doc

@@ -10,13 +10,14 @@ events (:class:`PacketArrived`, :class:`ChildAttached`,
 schedule-shaped ones (:class:`EmitRound`, :class:`PullEmit`).
 
 ``child``/``destination`` identities are opaque hashables owned by the
-driver — a ``(node_id, column)`` pair on the live transport, a bare
-node id in the slotted simulator.  The engines only use them to keep
-fan-out order and per-edge policy state.
+driver — a ``(node_id, column)`` pair at a live peer, a column at the
+server, a bare node id in the slotted simulator.  The engines only use
+them to keep fan-out order and each child's completed set.
 
 A child's *completed set* is written ``(base, extras)`` throughout:
 every generation below ``base`` is complete and ``extras`` names the
-complete ones above it, so a child served in order is one integer.
+complete ones above it, so a child served in order is one integer, and
+a child that has reported nothing holds ``(0, ())``.
 
 Unlike the control-plane vocabulary these records ride the per-packet
 hot path (one event per arrival, per pull, per slot edge), so they are
@@ -27,7 +28,7 @@ format, equality, and hashability.
 
 from __future__ import annotations
 
-from typing import Hashable, NamedTuple, Optional
+from typing import Hashable, NamedTuple
 
 __all__ = [
     "ChildAttached",
@@ -55,18 +56,16 @@ class PacketArrived(NamedTuple):
 
 class ChildAttached(NamedTuple):
     """A downstream subscriber attached (a child dialed its data
-    connection; a repaired node re-clipped below us).  Triggers the
-    engine's seed-burst and a
+    connection; a repaired node re-clipped below us).  A relay answers
+    with its seed-burst and a
     :class:`~repro.dataplane.effects.RequestIdle`.
 
     ``completed`` is the ``(base, extras)`` set the child reported as
-    it dialed, so a re-clipped child is never re-sent what it holds;
-    ``None`` is a child that reported nothing, which is served by the
-    sender's own schedule until it does."""
+    it dialed, so a re-clipped child is never re-sent what it holds; a
+    child that reported nothing yet holds the empty set ``(0, ())``."""
 
     child: Hashable
-    column: Optional[int] = None
-    completed: Optional[tuple] = None
+    completed: tuple
 
 
 class ChildCompleted(NamedTuple):
@@ -81,8 +80,8 @@ class ChildCompleted(NamedTuple):
 
 
 class ChildDetached(NamedTuple):
-    """The subscriber is gone; forget its fan-out slot and policy
-    state."""
+    """The subscriber is gone; forget its fan-out slot and completed
+    set."""
 
     child: Hashable
 
@@ -100,17 +99,16 @@ class EmitRound(NamedTuple):
     """Clocked source cadence: one emission round toward the currently
     attached ``targets`` — one packet each, of the lowest generation
     that target has not reported complete; a target that needs nothing
-    is skipped.  A target that never reported rides the round-robin
-    carousel, whose counter advances every round."""
+    is skipped."""
 
     targets: tuple = ()
 
 
 class PullEmit(NamedTuple):
     """Clocked per-edge emission: a slotted driver asks for the packet
-    to put on the edge toward ``destination`` this slot.  Subject to
-    the engine's :class:`~repro.dataplane.policy.ForwardPolicy` — an
-    innovation-gated relay may decline (no effect)."""
+    to put on the edge toward ``destination`` this slot — a fresh
+    mixture of whatever the sender holds, unconditionally (no effect
+    only from a relay that holds nothing yet)."""
 
     destination: Hashable
 

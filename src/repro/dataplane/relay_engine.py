@@ -4,42 +4,39 @@
 once — the receive gate, the forward/withhold choice, the recode
 fan-out shape, completion — around a
 :class:`~repro.coding.recoder.Recoder` it is handed (the recoder owns
-the RNG and the RREF buffer; the engine owns the policy and the
-bookkeeping).  Two driver shapes pump it:
+the RNG and the RREF buffer; the engine owns the choices and the
+bookkeeping).  Two driver shapes pump it, one rule each:
 
 * **push** (live transport, virtual net): :class:`ChildAttached` /
   :class:`ChildDetached` maintain the fan-out list and
-  :class:`ChildCompleted` each child's completed set; every
-  :class:`PacketArrived` triggers a recode toward the attached
-  children (subject to the :class:`~repro.dataplane.policy.ForwardPolicy`),
-  and :class:`IdlePoll` backfills links gone quiet;
+  :class:`ChildAttached` / :class:`ChildCompleted` each child's
+  completed set; a :class:`PacketArrived` triggers a recode toward the
+  attached children (every arrival, or only rank-raising ones under
+  ``forward_dependent=False``), and :class:`IdlePoll` backfills links
+  gone quiet.  Every child is served the lowest generation it has not
+  reported complete and this node holds any rank in, and a child that
+  lacks nothing this node holds is skipped.  A child that has not
+  reported yet holds the empty set, so it is served from generation 0
+  on, like every other child that holds nothing.
 * **pull** (slotted simulator): no children are attached, so arrivals
-  only ingest, and the clocked driver requests each edge's emission
-  with :class:`PullEmit` — which the policy may decline via the
-  per-destination innovation-credit translation of arrival gating.
+  only ingest, and the clocked driver asks for each edge's emission
+  with :class:`PullEmit`: one :meth:`Recoder.emit`, unconditionally —
+  the paper's constant per-thread flow, which never looks at a
+  completed set, so every seeded simulator golden is untouched by the
+  need view.  It is the one driver shape that is not push; DESIGN.md
+  says why it stays.
 
-What a child is sent is chosen by what it lacks.  The policy decides
-*when* a mixture goes out (every arrival, or rank-raising arrivals
-plus idle fills); *which* generation is always the lowest one the
-child has not reported complete and this node holds any rank in, and
-a child that lacks nothing this node holds is skipped.  Children are
-grouped by that choice — served in order they almost always share
-one — and each group is one explicit-generation
+Push children are grouped by the generation they are served — served
+in order they almost always share one — and each group is one
 :meth:`Recoder.emit_rows` call.  The grouping is cached and rebuilt
-only when a child attaches, detaches or reports, or this node gains
-its first rank in a generation, so the per-arrival path reads no
-per-child state.  A child that never reported is served by the
-recoder's own generation pick, as every child was before there was
-anything to report.
-
-RNG discipline: pull emissions are one :meth:`Recoder.emit` each and
-never look at a completed set, so every seeded simulator golden is
-untouched by the need view.
+only when a child attaches, detaches or reports, or this node gains its
+first rank in a generation, so the per-arrival path reads no per-child
+state.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional
 
 from ..coding.recoder import Recoder
 from .effects import (
@@ -60,13 +57,8 @@ from .events import (
     PullEmit,
 )
 from .needs import CompletedSet
-from .policy import ForwardPolicy, resolve_policy
 
 __all__ = ["RelayEngine"]
-
-#: What ``_choice`` answers for a child that lacks nothing this node
-#: holds (None is taken: it is how the recoder is asked to pick).
-_NOTHING = -1
 
 
 class RelayEngine:
@@ -76,26 +68,23 @@ class RelayEngine:
         recoder: The buffer/codec state.  Owned by the engine; drivers
             read it (rank, recovered content) but route every data-plane
             mutation through :meth:`handle`.
-        policy: Forwarding policy name or instance (``"eager"`` /
-            ``"innovative"``).
+        forward_dependent: Push mode: whether an arrival that raised no
+            rank fans out too (``eager``, the default) or only
+            rank-raising ones do (``innovative``).
         seed_burst: Packets emitted toward a child the moment it
-            attaches — push drivers always seed at least one (a child
-            of an already-complete parent must not wait for upstream
-            innovation); pull mode uses it as the per-edge
-            unconditional-packet allowance before innovation credit is
-            required.
+            attaches — at least one (a child of an already-complete
+            parent must not wait for upstream innovation).
     """
 
     # Fixed attribute layout: the engine is instantiated per node (10k
     # of them in the churn soak) and its attributes are read on every
     # packet, so slots buy both memory and hot-path attribute speed.
     __slots__ = (
-        "recoder", "policy", "seed_burst",
+        "recoder", "seed_burst",
         "received", "innovative", "forwarded", "idle_emits", "completed",
-        "_children", "_children_tuple", "_epoch", "_pull_sent",
-        "_pull_gated", "_forward_innovative", "_forward_duplicates",
+        "_children", "_children_tuple", "_forward_dependent",
         "_rank", "_needed", "_generations", "_generation_size",
-        "_held_stop", "_mine", "_needs", "_plan",
+        "_held_stop", "_mine", "_plan",
         "_log", "_flight", "_obs", "_taps",
     )
 
@@ -103,13 +92,12 @@ class RelayEngine:
         self,
         recoder: Recoder,
         *,
-        policy: Union[str, ForwardPolicy] = "eager",
+        forward_dependent: bool = True,
         seed_burst: int = 1,
     ) -> None:
         if seed_burst < 0:
             raise ValueError("seed_burst must be >= 0")
         self.recoder = recoder
-        self.policy = resolve_policy(policy)
         self.seed_burst = seed_burst
         #: data-plane counters — the one authoritative copy (PeerStats,
         #: RlncBehavior and NodeReport all read these now)
@@ -118,23 +106,14 @@ class RelayEngine:
         self.forwarded = 0
         self.idle_emits = 0
         self.completed = False
-        #: child -> column, in attach order == fan-out order (mirrors
-        #: the live driver's pump dict; re-attach moves to the end)
-        self._children: dict[Hashable, Optional[int]] = {}
+        #: child -> its completed set, in attach order == fan-out order
+        #: (mirrors the live driver's pump dict; re-attach moves to the
+        #: end)
+        self._children: dict[Hashable, CompletedSet] = {}
         # Fan-out tuple rebuilt on (rare) attach/detach so the
         # per-arrival path never re-materialises the dict's keys.
         self._children_tuple: tuple = ()
-        #: bumped once per innovative ingest; the pull-mode credit pool
-        #: (push mode forwards once per innovative arrival per child, so
-        #: pull mode lets each edge take ``seed_burst`` + one emission
-        #: per innovative arrival)
-        self._epoch = 0
-        self._pull_sent: dict[Hashable, int] = {}
-        # Policy verdicts hoisted out of the per-packet paths (the
-        # policy is fixed at construction).
-        self._pull_gated = not self.policy.pull_without_credit
-        self._forward_innovative = self.policy.forward_on(True)
-        self._forward_duplicates = self.policy.forward_on(False)
+        self._forward_dependent = forward_dependent
         # Rank mirrored incrementally (an innovative arrival raises it
         # by exactly one) so the per-packet Ingested effect never walks
         # the per-generation decoders.
@@ -153,9 +132,7 @@ class RelayEngine:
                 self._held_stop = index + 1
             if generation.is_complete:
                 self._mine.add(index)
-        #: child -> its completed set, for the children that reported one
-        self._needs: dict[Hashable, CompletedSet] = {}
-        #: (children served, ((generation | None, count), ...), children
+        #: (children served, ((generation, count), ...), children
         #: skipped) for one fan-out; None when it has to be rebuilt
         self._plan: Optional[tuple] = None
         # Observer taps (``log``/``flight``/``obs`` properties below).
@@ -268,7 +245,6 @@ class RelayEngine:
         finished = False
         if innovative:
             self.innovative += 1
-            self._epoch += 1
             self._rank += 1
             # The one decoder that was pushed says everything the need
             # view has to know about this arrival.
@@ -283,23 +259,15 @@ class RelayEngine:
         effects: list[Effect] = [
             Ingested._make((generation, innovative, self._rank))
         ]
-        if self._children_tuple and (
-            self._forward_innovative if innovative
-            else self._forward_duplicates
-        ):
+        if self._children_tuple and (innovative or self._forward_dependent):
             children, spec, skipped = self._plan or self._replan()
             if skipped and self._obs is not None:
                 self._obs.withheld.inc(skipped)
             if children:
-                groups = self._draw(spec)
-                emitted = 0
-                for _generation, _rows, positions in groups:
-                    emitted += len(positions)
-                if emitted:
-                    self.forwarded += emitted
-                    effects.append(EmitToChildren._make(
-                        (children, None, tuple(groups))
-                    ))
+                emit_rows = self.recoder.emit_rows
+                self.forwarded += len(children)
+                effects.append(EmitToChildren._make((children, None, tuple(
+                    (g, emit_rows(count, g)) for g, count in spec))))
         if finished:
             self._mine.add(generation)
             effects.append(GenerationComplete(generation))
@@ -309,27 +277,22 @@ class RelayEngine:
         return effects
 
     def _choice(self, child: Hashable) -> Optional[int]:
-        """The ``generation`` argument ``child``'s next mixture is
-        drawn with: the lowest generation it lacks that this node holds
-        rank in, ``_NOTHING`` if there is none — and None, the
-        recoder's own pick, for a child that never reported."""
-        need = self._needs.get(child)
+        """The generation ``child``'s next mixture is drawn from: the
+        lowest one it lacks that this node holds rank in — None if
+        there is none, or ``child`` is not attached."""
+        need = self._children.get(child)
         if need is None:
             return None
-        choice = need.lowest_missing(self._held_stop, self._generations)
-        return _NOTHING if choice is None else choice
+        return need.lowest_missing(self._held_stop, self._generations)
 
     def _replan(self) -> tuple:
-        """Group the children by the generation each is served."""
+        """Group the children by the generation each is served; one
+        ``emit_rows`` per group draws its mixtures in child order."""
         served: dict = {}
-        for child in self._children_tuple:
-            choice = self._choice(child)
-            if choice != _NOTHING:
+        for child, need in self._children.items():
+            choice = need.lowest_missing(self._held_stop, self._generations)
+            if choice is not None:
                 served.setdefault(choice, []).append(child)
-        if None in served:
-            # Last: the recoder's own pick may come up short (an empty
-            # buffer), and a short group must not shift the others.
-            served[None] = served.pop(None)
         children = tuple(c for members in served.values() for c in members)
         self._plan = (
             children,
@@ -338,42 +301,15 @@ class RelayEngine:
         )
         return self._plan
 
-    def _draw(self, spec: tuple) -> list:
-        """One ``emit_rows`` per group, positions running on across
-        groups so they index the plan's child order."""
-        emit_rows = self.recoder.emit_rows
-        if len(spec) == 1:
-            generation, count = spec[0]
-            return emit_rows(count, generation)
-        groups = []
-        offset = 0
-        for generation, count in spec:
-            for g, rows, positions in emit_rows(count, generation):
-                groups.append(
-                    (g, rows, [offset + position for position in positions])
-                )
-            offset += count
-        return groups
-
     # ------------------------------------------------------------------
-    # Pull-mode (clocked per-edge) emission
+    # Pull-mode (clocked per-edge) emission: the constant flow
 
     def _on_pull(self, event: PullEmit) -> list[Effect]:
-        destination = event.destination
-        if self._pull_gated:
-            sent = self._pull_sent.get(destination, 0)
-            if sent >= self.seed_burst + self._epoch:
-                return []
-            packet = self.recoder.emit()
-            if packet is None:
-                return []
-            self._pull_sent[destination] = sent + 1
-        else:
-            packet = self.recoder.emit()
-            if packet is None:
-                return []
+        packet = self.recoder.emit()
+        if packet is None:
+            return []
         self.forwarded += 1
-        return [EmitToChildren._make(((destination,), (packet,), None))]
+        return [EmitToChildren._make(((event.destination,), (packet,), None))]
 
     # ------------------------------------------------------------------
     # Push-mode child lifecycle
@@ -382,22 +318,17 @@ class RelayEngine:
         child = event.child
         # Pop-then-reinsert so a re-attaching child moves to the end of
         # the fan-out order, exactly as the live driver's pump dict did.
-        self._children.pop(child, None)
-        self._children[child] = event.column
-        self._children_tuple = tuple(self._children)
-        self._pull_sent.pop(child, None)
         # A redial starts from what the child says now, not from what
         # its last connection had reported.
-        if event.completed is None:
-            self._needs.pop(child, None)
-        else:
-            self._needs[child] = CompletedSet(*event.completed)
+        self._children.pop(child, None)
+        self._children[child] = CompletedSet(*event.completed)
+        self._children_tuple = tuple(self._children)
         self._plan = None
         effects: list[Effect] = [RequestIdle(child)]
         # Seed the child immediately rather than waiting for the next
         # upstream arrival (matters when upstream is already complete).
         choice = self._choice(child)
-        packets = [] if choice == _NOTHING else self.recoder.emit_batch(
+        packets = [] if choice is None else self.recoder.emit_batch(
             max(1, self.seed_burst), choice)
         if packets:
             self.forwarded += len(packets)
@@ -407,19 +338,15 @@ class RelayEngine:
         return effects
 
     def _on_completed(self, event: ChildCompleted) -> list[Effect]:
-        child = event.child
-        if child not in self._children:
-            return []  # a report that outlived its connection
-        self._needs.setdefault(child, CompletedSet()).update(
-            event.base, event.extras)
-        self._plan = None
+        need = self._children.get(event.child)
+        if need is not None:  # else: a report that outlived its connection
+            need.update(event.base, event.extras)
+            self._plan = None
         return []
 
     def _on_detach(self, event: ChildDetached) -> list[Effect]:
         self._children.pop(event.child, None)
         self._children_tuple = tuple(self._children)
-        self._pull_sent.pop(event.child, None)
-        self._needs.pop(event.child, None)
         self._plan = None
         return []
 
@@ -427,7 +354,7 @@ class RelayEngine:
         # Idle fills are keep-alive substitutes, not fan-out: they are
         # counted separately and never in ``forwarded``.
         choice = self._choice(event.child)
-        if choice == _NOTHING:
+        if choice is None:
             return []  # a bare keep-alive will do
         packet = self.recoder.emit(choice)
         if packet is None:

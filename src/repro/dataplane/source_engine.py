@@ -1,29 +1,26 @@
 """The server side of the RLNC data plane as a sans-IO engine.
 
 :class:`SourceEngine` owns the source's scheduling decisions around a
-:class:`~repro.coding.encoder.SourceEncoder` it is handed:
+:class:`~repro.coding.encoder.SourceEncoder` it is handed, one rule per
+driver shape:
 
 * **clocked stream drivers** (the live ``ServerNode`` loop) feed one
   :class:`EmitRound` per send interval; each attached target is sent
   one packet of the lowest generation it has not reported complete
   (:class:`ChildAttached` carries the set it dialed in with,
   :class:`ChildCompleted` every update), and a target that has
-  everything is skipped.  Targets that share a choice — served in
-  order, nearly always all of them — are one
-  :meth:`SourceEncoder.emit_batch` (one mixing gemm).  A target that
-  never reported rides the round-robin carousel off the round counter,
-  which advances every round, attached columns or not;
+  everything — or is not attached — is skipped.  Targets that share a
+  choice — served in order, nearly always all of them — are one
+  :meth:`SourceEncoder.emit_batch` (one mixing gemm);
 * **slotted pull drivers** (the simulator's ``server_emit``) ask per
-  edge with :class:`PullEmit`; the engine answers with a uniform
-  generation draw, exactly the pre-refactor ``encoder.emit()`` call;
-* :class:`ChildAttached` optionally seed-bursts a fresh subscriber
-  (``seed_burst`` packets; default 0 — the live server has no burst,
-  its round cadence reaches a new column within one interval).
+  edge with :class:`PullEmit`; the engine answers with the encoder's
+  uniform generation draw, one ``encoder.emit()`` — the paper's
+  constant per-thread flow.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Optional
+from typing import Hashable
 
 from .effects import Effect, EmitToChildren
 from .events import (
@@ -45,20 +42,15 @@ class SourceEngine:
     Args:
         encoder: The content owner.  Owned by the engine; drivers route
             every emission through :meth:`handle`.
-        seed_burst: Packets emitted toward a freshly attached child
-            (default 0: rely on the round cadence).
     """
 
-    def __init__(self, encoder, *, seed_burst: int = 0) -> None:
-        if seed_burst < 0:
-            raise ValueError("seed_burst must be >= 0")
+    def __init__(self, encoder) -> None:
         self.encoder = encoder
-        self.seed_burst = seed_burst
         #: data-plane counters — ServerStats reads these now
         self.rounds = 0
         self.packets_sent = 0
-        #: attached child -> its completed set (None until it reports)
-        self._needs: dict[Hashable, Optional[CompletedSet]] = {}
+        #: attached child -> its completed set
+        self._needs: dict[Hashable, CompletedSet] = {}
         #: optional event/effect recorder (conformance and replay tests)
         self.log = None
         #: optional bounded ring of recent steps (duck-typed ``record``)
@@ -91,24 +83,24 @@ class SourceEngine:
         if isinstance(event, PullEmit):
             return self._on_pull(event)
         if isinstance(event, ChildCompleted):
-            return self._on_completed(event)
-        if isinstance(event, ChildAttached):
-            return self._on_attach(event)
-        if isinstance(event, ChildDetached):
+            need = self._needs.get(event.child)
+            if need is not None:  # else: outlived its connection
+                need.update(event.base, event.extras)
+        elif isinstance(event, ChildAttached):
+            self._needs[event.child] = CompletedSet(*event.completed)
+        elif isinstance(event, ChildDetached):
             self._needs.pop(event.child, None)
         return []
 
     # ------------------------------------------------------------------
 
     def _on_round(self, event: EmitRound) -> list[Effect]:
-        carousel = self.rounds % self.encoder.generation_count
         self.rounds += 1
         count = self.encoder.generation_count
         served: dict[int, list] = {}
         for target in event.targets:
             need = self._needs.get(target)
-            generation = (
-                carousel if need is None else need.lowest_missing(count))
+            generation = None if need is None else need.lowest_missing(count)
             if generation is not None:
                 served.setdefault(generation, []).append(target)
         children: list = []
@@ -128,30 +120,3 @@ class SourceEngine:
         packet = self.encoder.emit()
         self.packets_sent += 1
         return [EmitToChildren((event.destination,), packets=(packet,))]
-
-    def _on_attach(self, event: ChildAttached) -> list[Effect]:
-        need = self._needs[event.child] = (
-            None if event.completed is None
-            else CompletedSet(*event.completed))
-        if self.seed_burst <= 0:
-            return []
-        generation = None  # never reported: the encoder's uniform draw
-        if need is not None:
-            generation = need.lowest_missing(self.encoder.generation_count)
-            if generation is None:
-                return []
-        packets = self.encoder.emit_batch(self.seed_burst, generation)
-        self.packets_sent += len(packets)
-        return [EmitToChildren(
-            (event.child,) * len(packets), packets=tuple(packets)
-        )]
-
-    def _on_completed(self, event: ChildCompleted) -> list[Effect]:
-        if event.child in self._needs:  # else: outlived its connection
-            need = self._needs[event.child]
-            if need is None:
-                self._needs[event.child] = CompletedSet(
-                    event.base, event.extras)
-            else:
-                need.update(event.base, event.extras)
-        return []

@@ -12,7 +12,7 @@ Public API:
 """
 
 from .field import add, div, inv, mul, power, sub
-from .kernels import Workspace, addmul_row, addmul_rows, eliminate, gemm, mix_rows, scale_row
+from .kernels import addmul_row, addmul_rows, eliminate, gemm, mix_rows, scale_row
 from .linalg import (
     inverse,
     is_full_rank,
@@ -32,7 +32,6 @@ __all__ = [
     "FIELD_SIZE",
     "GENERATOR",
     "PRIMITIVE_POLY",
-    "Workspace",
     "add",
     "addmul_row",
     "addmul_rows",

@@ -339,8 +339,7 @@ static int as_scalar(PyObject *obj, uint8_t *scalar)
 
 static int arity(const char *name, Py_ssize_t nargs, Py_ssize_t needed)
 {
-    /* One optional trailing argument: the reference backend's Workspace. */
-    if (nargs == needed || nargs == needed + 1)
+    if (nargs == needed)
         return 0;
     PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", name, needed);
     return -1;

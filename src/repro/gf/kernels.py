@@ -21,13 +21,13 @@ This module is a seam over two backends that compute the same bytes:
   two 16-entry nibble-table byte shuffles (AVX2 or SSSE3, chosen inside
   the C at load time; a 256-entry table walk elsewhere), accumulated in
   registers across the whole mixture, so no intermediate is ever
-  materialised and the :class:`Workspace` is never touched.
+  materialised.
 * **numpy** — one gather ``MUL_FLAT[a * 256 + b]`` with uint16 flat
   indices (the table has exactly ``2^16`` entries, so ``mode="clip"``
   never clips and bounds handling is skipped) plus one XOR reduction,
-  through :class:`Workspace` scratch.  It is the reference the native
-  backend is property-tested against, and the fallback on a host with no
-  C compiler.
+  through one set of scratch buffers private to the backend.  It is the
+  reference the native backend is property-tested against, and the
+  fallback on a host with no C compiler.
 
 The choice is made once, at import: native whenever it loads, numpy
 otherwise.  :data:`BACKEND` names it.  There is no switch.
@@ -45,7 +45,6 @@ implementation of each inner loop in the codebase.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -66,15 +65,14 @@ SHIFT8 = (np.arange(FIELD_SIZE, dtype=np.uint16) << 8)
 _NUMPY_BLOCK = 1 << 22
 
 
-class Workspace:
-    """Reusable scratch buffers for the numpy backend.
+class _NumpyBackend:
+    """The reference backend: the four primitives ``_gf256.c`` exports,
+    in numpy.
 
-    Hot-path owners (one per decoder/encoder) keep a workspace and pass it
-    to :func:`mix_rows` / :func:`addmul_rows` / :func:`eliminate`; the
-    buffers grow monotonically to the largest size requested and are then
-    reused, so steady-state calls allocate nothing.  They are allocated
-    on first use: under the native backend, which needs no scratch, a
-    workspace stays empty.
+    Its scratch buffers are its own: each grows monotonically to the
+    largest size requested and is then reused, so steady-state calls
+    allocate nothing, and each is allocated on first use, so a process
+    that computes on the native backend holds none.
     """
 
     __slots__ = ("_u8", "_u16", "_row")
@@ -84,111 +82,95 @@ class Workspace:
         self._u16: Optional[np.ndarray] = None
         self._row: Optional[np.ndarray] = None
 
-    def u8(self, n: int, width: int) -> np.ndarray:
+    def _scratch_u8(self, n: int, width: int) -> np.ndarray:
         """A uint8 scratch of shape ``(n, width)`` (contents undefined)."""
         size = n * width
         if self._u8 is None or self._u8.size < size:
             self._u8 = np.empty(size, dtype=np.uint8)
         return self._u8[:size].reshape(n, width)
 
-    def u16(self, n: int, width: int) -> np.ndarray:
+    def _scratch_u16(self, n: int, width: int) -> np.ndarray:
         """A uint16 scratch of shape ``(n, width)`` for flat-index gathers."""
         size = n * width
         if self._u16 is None or self._u16.size < size:
             self._u16 = np.empty(size, dtype=np.uint16)
         return self._u16[:size].reshape(n, width)
 
-    def row(self, width: int) -> np.ndarray:
-        """A uint8 row scratch, disjoint from the :meth:`u8` buffer."""
+    def _scratch_row(self, width: int) -> np.ndarray:
+        """A uint8 row scratch, disjoint from the other two."""
         if self._row is None or self._row.size < width:
             self._row = np.empty(width, dtype=np.uint8)
         return self._row[:width]
 
+    def mad(self, out: np.ndarray, coeffs: np.ndarray, rows: np.ndarray) -> None:
+        """``out[i] = XOR_j coeffs[i, j] * rows[j]``; 1-D ``out``/``coeffs``
+        are the single-mixture form."""
+        n, width = rows.shape
+        if n == 0:
+            out[...] = 0
+            return
+        if out.ndim == 1:
+            out, coeffs = out[None, :], coeffs[None, :]
+        m = coeffs.shape[0]
+        step = max(1, _NUMPY_BLOCK // max(1, n * width))
+        if step < m and (np.may_share_memory(out, rows)
+                         or np.may_share_memory(out, coeffs)):
+            # Later blocks must not read what earlier blocks wrote.
+            rows, coeffs = rows.copy(), coeffs.copy()
+        for i0 in range(0, m, step):
+            i1 = min(i0 + step, m)
+            chunk = i1 - i0
+            idx = self._scratch_u16(chunk * n, width).reshape(chunk, n, width)
+            np.add(SHIFT8[coeffs[i0:i1]][:, :, None], rows[None, :, :], out=idx)
+            prod = self._scratch_u8(chunk * n, width).reshape(chunk, n, width)
+            # 1-D take over the contiguous scratch: same gather, less
+            # iterator overhead than the 3-D form; uint16 is always in
+            # range for the 65536-entry table so "clip" never clips.
+            MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
+            np.bitwise_xor.reduce(prod, axis=1, out=out[i0:i1])
 
-# ----------------------------------------------------------------------
-# The numpy backend: four primitives, the same four ``_gf256.c`` exports.
+    def eliminate(self, row: np.ndarray, basis: np.ndarray,
+                  pivot_cols: np.ndarray) -> None:
+        if basis.shape[0] == 0:
+            return
+        scalars = row[pivot_cols]
+        if not scalars.any():
+            return
+        acc = self._scratch_row(row.shape[0])
+        self.mad(acc, scalars, basis)
+        np.bitwise_xor(row, acc, out=row)
 
-
-def _np_mad(out: np.ndarray, coeffs: np.ndarray, rows: np.ndarray,
-            ws: Optional[Workspace] = None) -> None:
-    """``out[i] = XOR_j coeffs[i, j] * rows[j]``; 1-D ``out``/``coeffs``
-    are the single-mixture form."""
-    n, width = rows.shape
-    if n == 0:
-        out[...] = 0
-        return
-    if out.ndim == 1:
-        out, coeffs = out[None, :], coeffs[None, :]
-    if ws is None:
-        ws = Workspace()
-    m = coeffs.shape[0]
-    step = max(1, _NUMPY_BLOCK // max(1, n * width))
-    if step < m and (np.may_share_memory(out, rows)
-                     or np.may_share_memory(out, coeffs)):
-        # Later blocks must not read what earlier blocks wrote.
-        rows, coeffs = rows.copy(), coeffs.copy()
-    for i0 in range(0, m, step):
-        i1 = min(i0 + step, m)
-        chunk = i1 - i0
-        idx = ws.u16(chunk * n, width).reshape(chunk, n, width)
-        np.add(SHIFT8[coeffs[i0:i1]][:, :, None], rows[None, :, :], out=idx)
-        prod = ws.u8(chunk * n, width).reshape(chunk, n, width)
-        # 1-D take over the contiguous scratch: same gather, less iterator
-        # overhead than the 3-D form; uint16 is always in range for the
-        # 65536-entry table so "clip" never actually clips.
+    def addmul(self, dest: np.ndarray, src: np.ndarray, scalars) -> None:
+        """``dest[i] ^= scalars[i] * src``, or one integer for every row."""
+        if isinstance(scalars, (int, np.integer)):
+            if scalars == 1:
+                np.bitwise_xor(dest, src, out=dest)
+            elif scalars:
+                np.bitwise_xor(dest, MUL[scalars, src], out=dest)
+            return
+        if dest.shape[0] == 0 or not scalars.any():
+            return
+        n, width = dest.shape
+        idx = self._scratch_u16(n, width)
+        np.add(SHIFT8[scalars][:, None], src, out=idx)
+        prod = self._scratch_u8(n, width)
         MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
-        np.bitwise_xor.reduce(prod, axis=1, out=out[i0:i1])
+        np.bitwise_xor(dest, prod, out=dest)
 
-
-def _np_eliminate(row: np.ndarray, basis: np.ndarray, pivot_cols: np.ndarray,
-                  ws: Optional[Workspace] = None) -> None:
-    if basis.shape[0] == 0:
-        return
-    scalars = row[pivot_cols]
-    if not scalars.any():
-        return
-    if ws is None:
-        ws = Workspace()
-    acc = ws.row(row.shape[0])
-    _np_mad(acc, scalars, basis, ws)
-    np.bitwise_xor(row, acc, out=row)
-
-
-def _np_addmul(dest: np.ndarray, src: np.ndarray, scalars,
-               ws: Optional[Workspace] = None) -> None:
-    """``dest[i] ^= scalars[i] * src``, or one integer for every row."""
-    if isinstance(scalars, (int, np.integer)):
-        if scalars == 1:
-            np.bitwise_xor(dest, src, out=dest)
-        elif scalars:
-            np.bitwise_xor(dest, MUL[scalars, src], out=dest)
-        return
-    if dest.shape[0] == 0 or not scalars.any():
-        return
-    if ws is None:
-        ws = Workspace()
-    n, width = dest.shape
-    idx = ws.u16(n, width)
-    np.add(SHIFT8[scalars][:, None], src, out=idx)
-    prod = ws.u8(n, width)
-    MUL_FLAT.take(idx.reshape(-1), out=prod.reshape(-1), mode="clip")
-    np.bitwise_xor(dest, prod, out=dest)
-
-
-def _np_scale(out: np.ndarray, row: np.ndarray, scalar: int) -> None:
-    """``out = scalar * row``; ``out`` may be ``row``."""
-    if scalar == 0:
-        out[...] = 0
-    elif scalar == 1:
-        if out is not row:
-            np.copyto(out, row)
-    else:
-        np.take(MUL[scalar], row, out=out)
+    @staticmethod
+    def scale(out: np.ndarray, row: np.ndarray, scalar: int) -> None:
+        """``out = scalar * row``; ``out`` may be ``row``."""
+        if scalar == 0:
+            out[...] = 0
+        elif scalar == 1:
+            if out is not row:
+                np.copyto(out, row)
+        else:
+            np.take(MUL[scalar], row, out=out)
 
 
 #: The reference backend (and the oracle in ``tests/test_gf_backends.py``).
-NUMPY = SimpleNamespace(mad=_np_mad, eliminate=_np_eliminate,
-                        addmul=_np_addmul, scale=_np_scale)
+NUMPY = _NumpyBackend()
 
 _impl = _native.load() or NUMPY
 
@@ -222,8 +204,7 @@ def scale_row_inplace(row: np.ndarray, scalar: int) -> None:
     _impl.scale(row, row, scalar)
 
 
-def addmul_rows(dest: np.ndarray, src: np.ndarray, scalars: np.ndarray,
-                workspace: Optional[Workspace] = None) -> None:
+def addmul_rows(dest: np.ndarray, src: np.ndarray, scalars: np.ndarray) -> None:
     """Batched in-place ``dest[i] ^= scalars[i] * src`` (2-D ``dest``).
 
     ``src`` is a single row broadcast across every destination row — the
@@ -231,12 +212,11 @@ def addmul_rows(dest: np.ndarray, src: np.ndarray, scalars: np.ndarray,
     existing basis row clears its entry in the new pivot column with one
     call here instead of a Python loop of ``addmul_row``.
     """
-    _impl.addmul(dest, src, scalars, workspace)
+    _impl.addmul(dest, src, scalars)
 
 
 def mix_rows(scalars: np.ndarray, rows: np.ndarray,
-             out: Optional[np.ndarray] = None,
-             workspace: Optional[Workspace] = None) -> np.ndarray:
+             out: Optional[np.ndarray] = None) -> np.ndarray:
     """``XOR_i scalars[i] * rows[i]`` — the mixture primitive.
 
     ``rows`` is ``(n, width)`` uint8, ``scalars`` is ``(n,)`` uint8; the
@@ -246,12 +226,11 @@ def mix_rows(scalars: np.ndarray, rows: np.ndarray,
     """
     if out is None:
         out = np.empty(rows.shape[1], dtype=np.uint8)
-    _impl.mad(out, scalars, rows, workspace)
+    _impl.mad(out, scalars, rows)
     return out
 
 
-def eliminate(row: np.ndarray, basis: np.ndarray, pivot_cols: np.ndarray,
-              workspace: Optional[Workspace] = None) -> None:
+def eliminate(row: np.ndarray, basis: np.ndarray, pivot_cols: np.ndarray) -> None:
     """Clear every existing pivot of ``row`` against an RREF basis, in place.
 
     ``basis`` is ``(r, width)`` with row ``i`` having a unit pivot at
@@ -262,12 +241,11 @@ def eliminate(row: np.ndarray, basis: np.ndarray, pivot_cols: np.ndarray,
     of the basis XORed into the row fully reduces it — one kernel call
     where the seed implementation ran a per-column Python loop.
     """
-    _impl.eliminate(row, basis, pivot_cols, workspace)
+    _impl.eliminate(row, basis, pivot_cols)
 
 
 def combine_rows(coeffs: np.ndarray, rows: np.ndarray,
-                 out: Optional[np.ndarray] = None,
-                 workspace: Optional[Workspace] = None) -> np.ndarray:
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
     """Batched-combination gemm: ``out[i] = XOR_j coeffs[i, j] * rows[j]``.
 
     The many-mixtures form of :func:`mix_rows` — a GF(256) matrix–matrix
@@ -283,7 +261,7 @@ def combine_rows(coeffs: np.ndarray, rows: np.ndarray,
         raise ValueError(f"shape mismatch {coeffs.shape} @ {rows.shape}")
     if out is None:
         out = np.empty((coeffs.shape[0], rows.shape[1]), dtype=np.uint8)
-    _impl.mad(out, coeffs, rows, workspace)
+    _impl.mad(out, coeffs, rows)
     return out
 
 

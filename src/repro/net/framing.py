@@ -177,17 +177,17 @@ def encode_mixture_frames(
 ) -> list[bytes]:
     """Encode recoder mixture groups straight to length-prefixed frames.
 
-    ``groups`` is :meth:`repro.coding.recoder.Recoder.emit_rows` output —
-    ``[(generation, rows, positions), ...]`` with every ``rows`` matrix
-    sharing one ``(g, n)`` geometry (they mix one content object).  The
-    mixtures never become :class:`~repro.coding.packet.CodedPacket`
-    objects: each group's matrix is framed with one vectorised
+    ``groups`` is ``[(generation, rows), ...]``, each ``rows`` a
+    :meth:`repro.coding.recoder.Recoder.emit_rows` matrix, all sharing
+    one ``(g, n)`` geometry (they mix one content object).  The mixtures
+    never become :class:`~repro.coding.packet.CodedPacket` objects: each
+    group's matrix is framed with one vectorised
     :func:`~repro.coding.wire.encode_mixture_rows` call into a single
-    pooled buffer, and the frames are returned as immutable ``bytes``
-    in draw order (``positions`` restores the interleaving).  This is
-    the fused emit-to-wire path every peer's fan-out uses.
+    pooled buffer, and the frames are returned as immutable ``bytes``,
+    group after group.  This is the fused emit-to-wire path every
+    peer's fan-out uses.
     """
-    total = sum(len(positions) for _, _, positions in groups)
+    total = sum(rows.shape[0] for _, rows in groups)
     if total == 0:
         return []
     width = groups[0][1].shape[1]
@@ -204,24 +204,17 @@ def encode_mixture_frames(
             _PREFIX.pack(body, KIND_DATA), dtype=np.uint8
         )
         slot = 0
-        slots: list[tuple[int, list[int]]] = []
-        for generation, rows, positions in groups:
-            count = len(positions)
+        for generation, rows in groups:
+            count = rows.shape[0]
             encode_mixture_rows(
                 arr[slot:slot + count, _PREFIX.size:], rows,
                 generation, origin, generation_size,
             )
-            slots.append((slot, positions))
             slot += count
         blob = bytes(memoryview(buf)[: total * length])
     finally:
         scratch_pool.release(buf)
-    frames: list[bytes] = [b""] * total
-    for slot, positions in slots:
-        for j, position in enumerate(positions):
-            start = (slot + j) * length
-            frames[position] = blob[start:start + length]
-    return frames
+    return [blob[i * length:(i + 1) * length] for i in range(total)]
 
 
 class FrameBuffer:

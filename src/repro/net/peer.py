@@ -54,7 +54,6 @@ from ..dataplane import (
     PacketArrived,
     RelayEngine,
     RequestIdle,
-    resolve_policy,
 )
 from ..obs import (
     DataplaneInstruments,
@@ -101,6 +100,10 @@ from .streams import ChildReports, PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
+
+#: ``forward_policy`` spellings -> whether an arrival that raised no rank
+#: is fanned out too (``RelayEngine(forward_dependent=...)``).
+FORWARD_POLICIES = {"eager": True, "innovative": False}
 
 
 class PeerStats:
@@ -164,12 +167,12 @@ class PeerNode:
         transport: Network + clock seam (real asyncio TCP by default;
             the chaos harness injects a virtual network).
         forward_policy: ``"eager"`` (default) recodes toward every
-            child on *every* upstream arrival — the paper's constant
-            per-thread flow, which is fine on rate-limited real links
-            but multiplies per hop on an infinitely fast virtual
-            network.  ``"innovative"`` fans out only when the arrival
-            raised our rank, bounding total forwards per node at
-            ``rank x children`` — what the swarm harness runs.
+            child on *every* upstream arrival.  ``"innovative"`` fans
+            out only when the arrival raised our rank, bounding total
+            forwards per node at ``rank x children`` — what the swarm
+            harness runs.  Either way each child is sent only what it
+            lacks, so neither floods: each is the faster one on some
+            workload (DESIGN.md §5).
         seed_burst: Packets recoded toward a child immediately when it
             attaches (default 1).  Swarm runs set it to the generation
             size so a repaired child recovers from the burst instead of
@@ -195,11 +198,15 @@ class PeerNode:
     ) -> None:
         if seed_burst < 0:
             raise ValueError("seed_burst must be >= 0")
+        if forward_policy not in FORWARD_POLICIES:
+            raise ValueError(
+                f"unknown forward_policy {forward_policy!r} (expected one "
+                f"of {', '.join(FORWARD_POLICIES)})")
         #: The data-plane engine short of its recoder, which waits for
-        #: the grant's geometry (a bad policy spelling fails fast, here).
+        #: the grant's geometry.
         self._relay = partial(
-            RelayEngine,
-            policy=resolve_policy(forward_policy), seed_burst=seed_burst,
+            RelayEngine, forward_dependent=FORWARD_POLICIES[forward_policy],
+            seed_burst=seed_burst,
         )
         self.transport: Transport = (
             transport if transport is not None else AsyncioTransport()
@@ -331,13 +338,6 @@ class PeerNode:
         DataplaneInstruments(self.registry).attach(
             self.dataplane, self.registry
         )
-        # A child that dialed before the grant arrived (possible only
-        # under exotic orderings) is attached now so the fan-out list
-        # matches the live pumps.
-        for key in self.pumps.attached():
-            self._perform_data(self.dataplane.handle(
-                ChildAttached(key, column=key[1])
-            ))
         self._control_task = asyncio.ensure_future(self._control_loop(stream))
         self._dispatch_control(grant)
 
@@ -620,40 +620,40 @@ class PeerNode:
         stream = MessageStream(reader)
         hello = await first_message(
             stream, writer, self.clock, self.silence_timeout)
-        if not isinstance(hello, DataHello) or not self._running:
+        # A child that dials before our own grant has nothing to be
+        # served yet — closed, its thread loop redials — and a column
+        # outside the session is nobody's: it would cost this node a
+        # queue-depth gauge for good.
+        if (not isinstance(hello, DataHello) or not self._running
+                or self.dataplane is None
+                or not 0 <= hello.column < self.session.k):
             writer.close()
             return
         key = (hello.node_id, hello.column)
-        # A child that dialed before our own grant arrived (possible
-        # only under exotic orderings) is pumped unheard; start()
-        # attaches it to the engine.
-        reports = completed = None
-        effects = []
-        if self.dataplane is not None:
-            reports = ChildReports(stream, self.session.generation_count)
-            try:
-                completed = reports.buffered()
-            except FramingError:
-                writer.close()
-                return
-            # Tell the engine first: it owns the fan-out order, decides
-            # the seed-burst, and asks for idle data-fills via
-            # RequestIdle — which the pump has to be built with.
-            effects = self.dataplane.handle(
-                ChildAttached(key, hello.column, completed))
-        wants_idle = any(isinstance(e, RequestIdle) for e in effects)
+        reports = ChildReports(stream, self.session.generation_count)
+        try:
+            completed = reports.buffered()
+        except FramingError:
+            writer.close()
+            return
+        # Tell the engine first: it owns the fan-out order, decides the
+        # seed-burst, and asks for idle data-fills via RequestIdle —
+        # which the pump has to be built with.
+        effects = self.dataplane.handle(ChildAttached(key, completed))
+        fills = any(isinstance(e, RequestIdle) for e in effects)
         detached = await self.pumps.serve(
             key, writer, column=hello.column, burst=effects,
-            idle_packet=(lambda: self._emit_idle(key)) if wants_idle else None,
+            idle_packet=(lambda: self._emit_idle(key)) if fills else None,
             reports=reports,
             on_report=lambda base, extras: self.dataplane.handle(
                 ChildCompleted(key, base, extras)),
         )
-        if detached and self.dataplane is not None:
+        if detached:
             self.dataplane.handle(ChildDetached(key))
 
     def _emit_idle(self, key: tuple[int, int]) -> Optional[CodedPacket]:
-        """A fresh mixture for an idle child link (``innovative`` policy)."""
+        """A fresh mixture for an idle child link, if it lacks anything
+        this node holds."""
         for effect in self.dataplane.handle(IdlePoll(key)):
             if isinstance(effect, EmitToChildren):
                 return effect.packets[0]

@@ -309,10 +309,9 @@ class ServerNode:
         except FramingError:
             writer.close()
             return
-        burst = self.dataplane.handle(
-            ChildAttached(column, column, completed))
+        self.dataplane.handle(ChildAttached(column, completed))
         detached = await self.pumps.serve(
-            column, writer, column=column, burst=burst, reports=reports,
+            column, writer, column=column, reports=reports,
             on_report=lambda base, extras: self.dataplane.handle(
                 ChildCompleted(column, base, extras)),
         )

@@ -266,11 +266,13 @@ class ChildReports:
                 f"{self.generation_count}")
         return message.base, message.extras
 
-    def buffered(self) -> Optional[tuple]:
+    def buffered(self) -> tuple:
         """The ``(base, extras)`` of a report already received — the
-        one a child sends in its hello's segment — else None."""
+        one a child sends in its hello's segment — else the empty set
+        ``(0, ())``: a child that has not said what it holds is served
+        as one that holds nothing."""
         message = self._stream.next_nowait()
-        return None if message is None else self._checked(message)
+        return (0, ()) if message is None else self._checked(message)
 
     async def next(self) -> Optional[tuple]:
         """The next report's ``(base, extras)``; None once the child

@@ -195,8 +195,8 @@ class DataplaneInstruments:
     are arrivals through the receive gate, ``EmitToChildren`` carries
     its mixture count (idle fills — emissions answering an ``IdlePoll``
     — are classified separately), ``MarkComplete`` is the decode, and a
-    ``ChildCompleted`` (or the set a ``ChildAttached`` dialed in with)
-    is one completed-set update applied.  ``withheld`` is the odd one:
+    ``ChildCompleted`` or ``ChildAttached`` (the set a child dialed in
+    with) is one completed-set update applied.  ``withheld`` is the odd one:
     a fan-out slot the engine skips because the child lacks nothing
     this node holds leaves no effect, so the engine bumps it directly.
     """
@@ -263,9 +263,7 @@ class DataplaneInstruments:
         self.effects.inc(len(effects))
         kind = event.__class__
         idle = kind is IdlePoll
-        if kind is ChildCompleted or (
-            kind is ChildAttached and event.completed is not None
-        ):
+        if kind is ChildCompleted or kind is ChildAttached:
             self.feedback_in.inc()
         for effect in effects:
             if isinstance(effect, Ingested):

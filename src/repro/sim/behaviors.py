@@ -17,7 +17,7 @@ payload lands.  Three families cover the repo:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -27,14 +27,11 @@ from ..coding.packet import CodedPacket
 from ..coding.recoder import Recoder
 from ..dataplane import (
     EmitToChildren,
-    ForwardPolicy,
-    IdlePoll,
     MarkComplete,
     PacketArrived,
     PullEmit,
     RelayEngine,
     SourceEngine,
-    resolve_policy,
 )
 from ..gf.tables import FIELD_SIZE
 from .report import NodeReport
@@ -57,12 +54,13 @@ class NodeRole(enum.Enum):
 
 
 class RlncBehavior:
-    """RLNC at every node: fresh random mixtures on every outgoing edge.
+    """RLNC at every node: a fresh random mixture on every outgoing edge
+    every slot — the paper's constant per-thread flow.
 
     Since the data-plane unification this class is a pull-mode driver of
     :class:`~repro.dataplane.RelayEngine` (one per contacted node) and
     one :class:`~repro.dataplane.SourceEngine`: the engines own the
-    receive gate, the emit decisions, and the received/innovative/
+    receive gate, the emissions, and the received/innovative/
     completion bookkeeping; the behaviour keeps only what the engines
     cannot know — role dispatch (attackers bypass the honest data
     plane) and the slot at which each completion landed.
@@ -74,22 +72,6 @@ class RlncBehavior:
             the ``encoder``, ``node-<id>``, and ``jammer-<id>`` streams).
         roles: Optional ``node_id -> NodeRole`` for attack experiments.
         systematic: Emit original packets first from the server.
-        forward_policy: ``"eager"`` (default) emits a fresh mixture on
-            every outgoing edge every slot — the paper's constant
-            per-thread flow.  ``"innovative"`` spends one emission per
-            edge per rank raise (plus ``seed_burst`` unconditional
-            packets), the engine-level translation of the live
-            transport's innovation-gated fan-out.
-        seed_burst: Unconditional packets per edge before the
-            ``innovative`` policy demands fresh innovation credit.
-        idle_every: Idle-fill period, in slots, for credit-gated edges:
-            after this many consecutive declined pulls on one edge the
-            behaviour pumps an :class:`~repro.dataplane.IdlePoll` and
-            sends the returned mixture anyway — the slotted translation
-            of the live transport honouring
-            :class:`~repro.dataplane.RequestIdle` with data-bearing
-            keep-alives (a gated child must not starve on a
-            dependent-mixture tail).
     """
 
     def __init__(
@@ -100,17 +82,11 @@ class RlncBehavior:
         *,
         roles: Optional[dict[int, NodeRole]] = None,
         systematic: bool = False,
-        forward_policy: Union[str, ForwardPolicy] = "eager",
-        seed_burst: int = 1,
-        idle_every: int = 4,
     ) -> None:
         self.content = content
         self.params = params
         self.streams = streams
         self.roles = dict(roles or {})
-        self.forward_policy = resolve_policy(forward_policy)
-        self.seed_burst = seed_burst
-        self.idle_every = idle_every
         self.encoder = SourceEncoder(
             content, params, streams.get("encoder"), systematic_first=systematic
         )
@@ -120,9 +96,6 @@ class RlncBehavior:
         self._engines: dict[int, RelayEngine] = {}
         self._completed_at: dict[int, int] = {}
         self._jammer_rngs: dict[int, np.random.Generator] = {}
-        #: (sender, destination) -> consecutive declined pulls, for the
-        #: idle-fill cadence on credit-gated edges
-        self._idle_silence: dict[tuple[int, int], int] = {}
 
     # -- roles and codec state -----------------------------------------
 
@@ -140,12 +113,7 @@ class RlncBehavior:
                 node_id=node_id,
             )
             self._recoders[node_id] = recoder
-            engine = RelayEngine(
-                recoder,
-                policy=self.forward_policy,
-                seed_burst=self.seed_burst,
-            )
-            self._engines[node_id] = engine
+            engine = self._engines[node_id] = RelayEngine(recoder)
         return engine
 
     def recoder_of(self, node_id: int) -> Recoder:
@@ -200,22 +168,7 @@ class RlncBehavior:
         if role is NodeRole.HONEST:
             for effect in engine.handle(PullEmit(destination)):
                 if isinstance(effect, EmitToChildren):
-                    if engine.policy.wants_idle:
-                        self._idle_silence.pop((sender, destination), None)
                     return effect.packets[0]
-            if engine.policy.wants_idle:
-                # Declined for lack of credit: honour RequestIdle the
-                # way the live transport does — a data-bearing fill
-                # every ``idle_every`` silent slots on this edge.
-                edge = (sender, destination)
-                silent = self._idle_silence.get(edge, 0) + 1
-                if silent >= self.idle_every:
-                    self._idle_silence[edge] = 0
-                    for effect in engine.handle(IdlePoll(destination)):
-                        if isinstance(effect, EmitToChildren):
-                            return effect.packets[0]
-                else:
-                    self._idle_silence[edge] = silent
             return None
         if role is NodeRole.JAMMER:
             rng = self._jammer_rng(sender)

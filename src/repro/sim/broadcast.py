@@ -62,10 +62,6 @@ class BroadcastSimulation:
             no complaint, no repair.
         roles: Optional ``node_id -> NodeRole`` for attack experiments.
         systematic: Emit original packets first from the server.
-        forward_policy: Engine-level forwarding policy (``"eager"`` /
-            ``"innovative"``); see :class:`~repro.sim.behaviors.RlncBehavior`.
-        seed_burst: Unconditional packets per edge under the
-            ``innovative`` policy.
     """
 
     def __init__(
@@ -78,8 +74,6 @@ class BroadcastSimulation:
         outage: Optional[OutageModel] = None,
         roles: Optional[dict[int, NodeRole]] = None,
         systematic: bool = False,
-        forward_policy: str = "eager",
-        seed_burst: int = 1,
     ) -> None:
         self.net = net
         self.content = content
@@ -87,7 +81,6 @@ class BroadcastSimulation:
         self.streams = RngStreams(seed)
         self.behavior = RlncBehavior(
             content, params, self.streams, roles=roles, systematic=systematic,
-            forward_policy=forward_policy, seed_burst=seed_burst,
         )
         self.topology = CurtainTopology(net)
         self.runtime = SlottedRuntime(

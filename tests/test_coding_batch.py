@@ -6,8 +6,8 @@ Two identities anchor this PR's perf work and must hold bit-for-bit:
   streaming decode) produces and accepts exactly the frames of the
   scalar v2 codec — including legacy v1 frames, the maximal
   ``g = 0xFFFF`` geometry, and CRC-corruption rejection;
-* ``Recoder.emit_batch(k)`` (and the fused ``emit_rows`` →
-  ``encode_mixture_frames`` path) equals ``k`` sequential ``emit``
+* ``Recoder.emit_batch(k, g)`` (and the fused ``emit_rows`` →
+  ``encode_mixture_frames`` path) equals ``k`` sequential ``emit(g)``
   calls under the same RNG stream, so turning batching on cannot
   change a single byte of any seeded trace.
 """
@@ -187,14 +187,14 @@ def test_any_corruption_is_rejected(seed, position, flip):
     seed=st.integers(min_value=0, max_value=2**31 - 1),
     count=st.integers(min_value=1, max_value=12),
     fill=st.integers(min_value=1, max_value=12),
-    explicit=st.booleans(),
+    generation=st.integers(min_value=0, max_value=1),
 )
-def test_emit_batch_matches_sequential_emits(seed, count, fill, explicit):
-    """``emit_batch(k)`` == ``k`` x ``emit()`` under the same RNG stream."""
+def test_emit_batch_matches_sequential_emits(seed, count, fill, generation):
+    """``emit_batch(k, g)`` == ``k`` x ``emit(g)`` under the same RNG
+    stream."""
     params = GenerationParams(generation_size=4, payload_size=8)
     batched = _seeded_recoder(seed, params, 2, fill)
     scalar = _seeded_recoder(seed, params, 2, fill)
-    generation = 0 if explicit else None
     got = batched.emit_batch(count, generation)
     expected = []
     for _ in range(count):
@@ -216,32 +216,62 @@ def test_emit_batch_matches_sequential_emits(seed, count, fill, explicit):
 @settings(max_examples=20, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    counts=st.lists(st.integers(min_value=0, max_value=7),
+                    min_size=1, max_size=4),
+    generation=st.integers(min_value=0, max_value=1),
+    systematic=st.booleans(),
+)
+def test_source_emit_batch_matches_sequential_emits(seed, counts, generation,
+                                                    systematic):
+    """``SourceEncoder.emit_batch(k, g)`` == ``k`` x ``emit(g)``, across
+    batches that start inside, straddle and follow the systematic
+    prefix."""
+    params = GenerationParams(generation_size=4, payload_size=8)
+    content = bytes(np.random.default_rng(seed).integers(
+        0, 256, size=2 * params.generation_size * params.payload_size,
+        dtype=np.uint8))
+
+    def encoder():
+        return SourceEncoder(content, params, np.random.default_rng(seed),
+                             systematic_first=systematic)
+
+    batched, scalar = encoder(), encoder()
+    for count in counts:
+        got = batched.emit_batch(count, generation)
+        assert len(got) == count
+        for packet in got:
+            _assert_packets_equal(packet, scalar.emit(generation))
+    _assert_packets_equal(batched.emit(generation), scalar.emit(generation))
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
     count=st.integers(min_value=1, max_value=12),
     fill=st.integers(min_value=1, max_value=12),
-    explicit=st.booleans(),
 )
-def test_fused_mixture_frames_match_scalar_wire_path(seed, count, fill,
-                                                     explicit):
+def test_fused_mixture_frames_match_scalar_wire_path(seed, count, fill):
     """``emit_rows`` → ``encode_mixture_frames`` == emit + frame, per byte.
 
     This is the peer fan-out fast path: mixtures go from the gemm
     output matrix straight to length-prefixed wire frames with no
     intermediate packets — the frames must still be exactly what the
-    scalar path would have sent, in draw order.
+    scalar path would have sent, in draw order, group after group.
     """
     params = GenerationParams(generation_size=4, payload_size=8)
     batched = _seeded_recoder(seed, params, 2, fill)
     scalar = _seeded_recoder(seed, params, 2, fill)
-    generation = 0 if explicit else None
-    groups = batched.emit_rows(count, generation)
+    groups = [(generation, batched.emit_rows(count, generation))
+              for generation in (1, 0)]
     frames = encode_mixture_frames(groups, params.generation_size,
                                    origin=batched.node_id)
     expected = []
-    for _ in range(count):
-        packet = scalar.emit(generation)
-        if packet is None:
-            break
-        expected.append(encode_data_frame(packet))
+    for generation in (1, 0):
+        for _ in range(count):
+            packet = scalar.emit(generation)
+            if packet is None:
+                break
+            expected.append(encode_data_frame(packet))
     assert frames == expected
 
 

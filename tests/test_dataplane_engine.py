@@ -3,22 +3,20 @@
 The :class:`~repro.dataplane.SourceEngine` / :class:`RelayEngine` pair
 owns every data-plane decision that used to live inline in three
 drivers; these tests pin the contract each driver relies on — the
-receive gate, source scheduling, push fan-out under both forward
-policies, the pull-mode innovation-credit translation, seed-bursts,
-idle fills — plus the two behaviour claims the ``innovative`` policy
-is sold on:
-
-* on clean links it never delays the swarm full-rank slot versus
-  ``eager`` (hypothesis property: recoded packets lie inside the
-  sender's span, so peer-to-peer transfers never grow the swarm's
-  union span — only server emissions do, and those are policy-blind);
-* it sends strictly fewer data packets once ranks saturate.
+receive gate, source scheduling, push fan-out on every arrival or on
+rank-raising ones only, pull mode's unconditional per-edge emission,
+seed-bursts, idle fills — plus the one behaviour claim the
+``innovative`` spelling is kept for: on a deployment it sends fewer
+data packets than ``eager``.
 
 The need view — what each engine sends a child chosen by the
-generations the child reported complete — has its unit tests, one
-hypothesis machine over both engines, and the bounded-state audit at
-the end.
+generations the child reported complete, the empty set until it
+reports — has its unit tests, one hypothesis machine over both engines,
+and the bounded-state audit at the end.
 """
+
+import asyncio
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,20 +25,16 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.coding import GenerationParams, Recoder, SourceEncoder
-from repro.core import OverlayNetwork
 from repro.dataplane import (
-    FORWARD_POLICIES,
     ChildAttached,
     ChildCompleted,
     ChildDetached,
-    EagerPolicy,
     EmitRound,
     EmitToChildren,
     EngineLog,
     GenerationComplete,
     IdlePoll,
     Ingested,
-    InnovativePolicy,
     MarkComplete,
     PacketArrived,
     PullEmit,
@@ -48,14 +42,16 @@ from repro.dataplane import (
     RequestIdle,
     SourceEngine,
     replay,
-    resolve_policy,
 )
 from repro.dataplane.needs import CompletedSet
-from repro.sim import BroadcastSimulation
+from repro.net.peer import FORWARD_POLICIES, PeerNode
+from repro.net.testing import ChaosConfig, ChaosHarness
 
 PARAMS = GenerationParams(generation_size=4, payload_size=8)
 GENERATIONS = 2
 NEEDED = GENERATIONS * PARAMS.generation_size
+#: What a child that has not reported anything holds.
+NOTHING = (0, ())
 
 
 def make_encoder(seed=0):
@@ -82,51 +78,36 @@ def feed_packets(engine, count, *, seed=0):
 
 
 class TestPolicies:
+    """The ``forward_policy`` spelling a deployment is configured with
+    is one bit of the relay: whether a dependent arrival fans out."""
+
     def test_catalogue(self):
-        assert FORWARD_POLICIES == ("eager", "innovative")
-
-    def test_resolve_by_name_returns_singletons(self):
-        assert resolve_policy("eager") is resolve_policy("eager")
-        assert isinstance(resolve_policy("eager"), EagerPolicy)
-        assert isinstance(resolve_policy("innovative"), InnovativePolicy)
-
-    def test_resolve_passes_instances_through(self):
-        policy = InnovativePolicy()
-        assert resolve_policy(policy) is policy
+        assert tuple(FORWARD_POLICIES) == ("eager", "innovative")
 
     def test_resolve_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown forward_policy"):
-            resolve_policy("flooding")
+            PeerNode("server", 1, forward_policy="flooding")
 
     def test_verdicts(self):
-        eager, gated = resolve_policy("eager"), resolve_policy("innovative")
-        assert eager.forward_on(False) and eager.forward_on(True)
-        assert gated.forward_on(True) and not gated.forward_on(False)
-        assert gated.wants_idle and not eager.wants_idle
-        assert eager.pull_without_credit and not gated.pull_without_credit
+        assert FORWARD_POLICIES == {"eager": True, "innovative": False}
+        peer = PeerNode("server", 1, forward_policy="innovative")
+        engine = peer._relay(Recoder(PARAMS, GENERATIONS,
+                                     np.random.default_rng(0)))
+        assert engine._forward_dependent is False
 
 
 class TestSourceEngine:
-    def test_rounds_serve_generations_round_robin(self):
-        engine = SourceEngine(make_encoder())
-        generations = []
-        for _ in range(4):
-            (effect,) = engine.handle(EmitRound(targets=("a",)))
-            generations.append(effect.packets[0].generation)
-        assert generations == [0, 1, 0, 1]
-        assert engine.rounds == 4
-        assert engine.packets_sent == 4
-
     def test_empty_round_still_advances_schedule(self):
-        """The carousel a never-reporting target rides turns every
-        round: one with nobody attached produces nothing but still
-        consumes its slot."""
+        """``rounds`` counts every round (``ServerStats.rounds`` and the
+        benchmark's ``loop.rounds`` read it), attached targets or not."""
         engine = SourceEngine(make_encoder())
         assert engine.handle(EmitRound(targets=())) == []
         assert engine.rounds == 1
         assert engine.packets_sent == 0
+        engine.handle(ChildAttached("a", NOTHING))
         (effect,) = engine.handle(EmitRound(targets=("a",)))
-        assert effect.packets[0].generation == 1
+        assert effect.packets[0].generation == 0
+        assert engine.rounds == 2
 
     def test_pull_emit_answers_one_packet(self):
         engine = SourceEngine(make_encoder())
@@ -137,18 +118,13 @@ class TestSourceEngine:
         assert engine.packets_sent == 1
         assert engine.rounds == 0
 
-    def test_attach_seed_burst(self):
-        silent = SourceEngine(make_encoder())
-        assert silent.handle(ChildAttached("c")) == []
-        bursty = SourceEngine(make_encoder(), seed_burst=2)
-        (effect,) = bursty.handle(ChildAttached("c"))
-        assert effect.children == ("c", "c")
-        assert effect.count == 2
-        assert bursty.packets_sent == 2
-
-    def test_rejects_negative_seed_burst(self):
-        with pytest.raises(ValueError):
-            SourceEngine(make_encoder(), seed_burst=-1)
+    def test_unattached_target_is_skipped(self):
+        """A round names the targets with an open pump; one the engine
+        never heard attach is sent nothing."""
+        engine = SourceEngine(make_encoder())
+        assert engine.handle(ChildAttached("a", NOTHING)) == []
+        (effect,) = engine.handle(EmitRound(targets=("stranger", "a")))
+        assert effect.children == ("a",)
 
 
 class TestRelayReceiveGate:
@@ -183,9 +159,9 @@ class TestRelayReceiveGate:
 
     def test_pull_mode_arrivals_only_ingest(self):
         """No attached children (the simulator shape): an arrival never
-        fans out, whatever the policy."""
-        for policy in FORWARD_POLICIES:
-            engine = make_relay(policy=policy)
+        fans out, whichever arrivals would."""
+        for forward_dependent in (True, False):
+            engine = make_relay(forward_dependent=forward_dependent)
             encoder = make_encoder()
             effects = engine.handle(PacketArrived(encoder.emit(0)))
             assert [type(e) for e in effects] == [Ingested]
@@ -194,12 +170,12 @@ class TestRelayReceiveGate:
 
 class TestRelayPushFanOut:
     def attach_two(self, engine):
-        engine.handle(ChildAttached("a", column=0))
-        engine.handle(ChildAttached("b", column=1))
+        engine.handle(ChildAttached("a", NOTHING))
+        engine.handle(ChildAttached("b", NOTHING))
         return engine.forwarded  # seed-burst packets
 
-    def test_eager_forwards_every_arrival(self, policy="eager"):
-        engine = make_relay(policy=policy)
+    def test_eager_forwards_every_arrival(self):
+        engine = make_relay(forward_dependent=True)
         seeded = self.attach_two(engine)
         packets = feed_packets(engine, 1)
         effects = engine.handle(PacketArrived(packets[0]))  # duplicate
@@ -209,7 +185,7 @@ class TestRelayPushFanOut:
         assert engine.forwarded == seeded + 2 + 2
 
     def test_innovative_withholds_duplicates(self):
-        engine = make_relay(policy="innovative")
+        engine = make_relay(forward_dependent=False)
         seeded = self.attach_two(engine)
         packets = feed_packets(engine, 1)
         assert engine.forwarded == seeded + 2
@@ -218,39 +194,43 @@ class TestRelayPushFanOut:
         assert engine.forwarded == seeded + 2
 
     def test_innovative_attach_requests_idle_fill(self):
-        engine = make_relay(policy="innovative")
-        effects = engine.handle(ChildAttached("a", column=0))
+        engine = make_relay(forward_dependent=False)
+        effects = engine.handle(ChildAttached("a", NOTHING))
         assert any(e == RequestIdle("a") for e in effects)
 
     def test_eager_attach_requests_idle_fill_too(self):
         """A relay whose parents have stopped sending (it reported
         everything complete) has no arrival left to forward on: the
         idle fill is what still reaches a child short by then."""
-        engine = make_relay(policy="eager")
-        effects = engine.handle(ChildAttached("a", column=0))
+        engine = make_relay(forward_dependent=True)
+        effects = engine.handle(ChildAttached("a", NOTHING))
         assert effects[0] == RequestIdle("a")
 
     def test_attach_seed_burst_and_reattach_order(self):
         engine = make_relay(seed_burst=2)
         feed_packets(engine, 3)
-        _, effect = engine.handle(ChildAttached("a", column=0))
+        _, effect = engine.handle(ChildAttached("a", NOTHING))
         assert effect.children == ("a", "a")
-        engine.handle(ChildAttached("b", column=1))
+        engine.handle(ChildAttached("b", NOTHING))
         assert engine.children == ("a", "b")
         # Re-attach moves the child to the end of the fan-out order,
         # exactly like the live driver's pump dict.
-        engine.handle(ChildAttached("a", column=0))
+        engine.handle(ChildAttached("a", NOTHING))
         assert engine.children == ("b", "a")
         engine.handle(ChildDetached("b"))
         assert engine.children == ("a",)
 
+    def test_rejects_negative_seed_burst(self):
+        with pytest.raises(ValueError):
+            make_relay(seed_burst=-1)
+
     def test_fanout_rows_give_every_child_one_mixture(self):
         """One arrival yields one ``[coefficients | payload]`` row per
-        child, grouped by generation; ``positions`` maps each row back
-        to its child's slot in fan-out order."""
+        child: ``(generation, rows)`` groups whose rows, group after
+        group, are the children in fan-out order."""
         engine = make_relay(seed=5)
         self.attach_two(engine)
-        engine.handle(ChildAttached("c", column=2))
+        engine.handle(ChildAttached("c", NOTHING))
         seeded = engine.forwarded
         arrivals = 4
         encoder = make_encoder(6)
@@ -259,71 +239,48 @@ class TestRelayPushFanOut:
                 PacketArrived(encoder.emit(index % GENERATIONS)))
             (emit,) = [e for e in effects if isinstance(e, EmitToChildren)]
             assert emit.children == ("a", "b", "c")
-            positions = []
-            for generation, rows, slots in emit.rows:
+            for generation, rows in emit.rows:
                 assert 0 <= generation < GENERATIONS
-                assert rows.shape == (
-                    len(slots), PARAMS.generation_size + PARAMS.payload_size)
-                positions.extend(slots)
-            assert sorted(positions) == [0, 1, 2]
+                assert rows.shape[1] == (
+                    PARAMS.generation_size + PARAMS.payload_size)
+            assert emit.count == 3
         assert engine.forwarded == seeded + 3 * arrivals
 
     def test_idle_poll_is_not_fanout(self):
-        engine = make_relay(policy="innovative")
+        engine = make_relay(forward_dependent=False)
         feed_packets(engine, 2)
+        engine.handle(ChildAttached("a", NOTHING))
         before = engine.forwarded
         (effect,) = engine.handle(IdlePoll("a"))
         assert effect.children == ("a",)
         assert engine.idle_emits == 1
         assert engine.forwarded == before
 
+    def test_unattached_child_is_answered_with_nothing(self):
+        """An idle poll or a report for a child that is not attached —
+        never was, or outlived its connection — is ``[]``, and builds
+        no state."""
+        engine = make_relay()
+        feed_packets(engine, 2)
+        assert engine.handle(IdlePoll("stranger")) == []
+        assert engine.handle(ChildCompleted("stranger", 1)) == []
+        engine.handle(ChildAttached("gone", NOTHING))
+        engine.handle(ChildDetached("gone"))
+        assert engine.handle(IdlePoll("gone")) == []
+        assert engine.handle(ChildCompleted("gone", 1)) == []
+        assert engine._children == {} and engine.idle_emits == 0
 
-class TestRelayPullCredit:
-    def test_eager_pull_is_unconditional(self):
-        engine = make_relay(policy="eager")
+
+class TestRelayPull:
+    def test_pull_is_unconditional(self):
+        """Pull mode is the constant flow: every slot, every edge, a
+        fresh mixture of whatever the relay holds — arrivals or not."""
+        engine = make_relay(forward_dependent=False)
+        assert engine.handle(PullEmit(9)) == []  # holds nothing yet
         feed_packets(engine, 1)
         for _ in range(5):
             assert engine.handle(PullEmit(9)) != []
         assert engine.forwarded == 5
-
-    def test_innovative_pull_takes_one_credit_per_innovation(self):
-        """Pull mode mirrors push mode's one-forward-per-innovative-
-        arrival-per-child: each edge may take ``seed_burst`` packets
-        plus one per innovative ingest, then it goes silent until
-        something innovative lands."""
-        engine = make_relay(policy="innovative", seed_burst=1)
-        packets = feed_packets(engine, 2)
-        for _ in range(1 + 2):  # seed allowance + two innovations
-            assert engine.handle(PullEmit(9)) != []
-        assert engine.handle(PullEmit(9)) == []
-        # A duplicate arrival grants nothing ...
-        engine.handle(PacketArrived(packets[0]))
-        assert engine.handle(PullEmit(9)) == []
-        # ... fresh innovative arrivals re-open the edge, one each.
-        before = engine.innovative
-        feed_packets(engine, 3, seed=11)
-        for _ in range(engine.innovative - before):
-            assert engine.handle(PullEmit(9)) != []
-        assert engine.handle(PullEmit(9)) == []
-
-    def test_seed_burst_sizes_the_unconditional_allowance(self):
-        engine = make_relay(policy="innovative", seed_burst=3)
-        feed_packets(engine, 1)  # rank 1 grants one credit on top
-        for _ in range(3 + 1):
-            assert engine.handle(PullEmit(9)) != []
-        assert engine.handle(PullEmit(9)) == []
-        assert engine.forwarded == 4
-
-    def test_credit_is_per_destination(self):
-        engine = make_relay(policy="innovative", seed_burst=1)
-        feed_packets(engine, 1)
-        assert engine.handle(PullEmit("x")) != []
-        assert engine.handle(PullEmit("x")) != []
-        assert engine.handle(PullEmit("x")) == []
-        # A different edge still holds its own seed + credit allowance.
-        assert engine.handle(PullEmit("y")) != []
-        assert engine.handle(PullEmit("y")) != []
-        assert engine.handle(PullEmit("y")) == []
 
 
 class TestReplayDeterminism:
@@ -335,13 +292,13 @@ class TestReplayDeterminism:
 
     @settings(max_examples=10, deadline=None)
     @given(
-        policy=st.sampled_from(FORWARD_POLICIES),
+        forward_dependent=st.booleans(),
         ops=st.lists(st.integers(min_value=0, max_value=4),
                      min_size=5, max_size=40),
         seed=st.integers(min_value=0, max_value=1000),
     )
     def test_relay_replay_reproduces_effect_trace(
-        self, policy, ops, seed,
+        self, forward_dependent, ops, seed,
     ):
         encoder = make_encoder(seed)
         events = []
@@ -352,17 +309,18 @@ class TestReplayDeterminism:
             elif op == 1:
                 events.append(PullEmit(index % 3))
             elif op == 2:
-                events.append(ChildAttached(f"c{index % 2}", column=index % 2))
+                events.append(ChildAttached(f"c{index % 2}", NOTHING))
             elif op == 3:
                 events.append(ChildDetached(f"c{index % 2}"))
             else:
                 events.append(IdlePoll(f"c{index % 2}"))
-        recorded = make_relay(seed=seed + 1, policy=policy)
+        recorded = make_relay(seed=seed + 1,
+                              forward_dependent=forward_dependent)
         log = EngineLog()
         recorded.log = log
         for event in events:
             recorded.handle(event)
-        fresh = make_relay(seed=seed + 1, policy=policy)
+        fresh = make_relay(seed=seed + 1, forward_dependent=forward_dependent)
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
         assert fresh.received == recorded.received
@@ -372,86 +330,52 @@ class TestReplayDeterminism:
 
     def test_source_replay_reproduces_effect_trace(self):
         events = [
+            ChildAttached("a", NOTHING),
             EmitRound(targets=("a", "b")),
             PullEmit("x"),
             EmitRound(targets=()),
-            ChildAttached("c"),
-            EmitRound(targets=("c",)),
+            ChildAttached("c", (1, ())),
+            EmitRound(targets=("a", "c")),
         ]
-        recorded = SourceEngine(make_encoder(9), seed_burst=2)
+        recorded = SourceEngine(make_encoder(9))
         log = EngineLog()
         recorded.log = log
         for event in events:
             recorded.handle(event)
-        fresh = SourceEngine(make_encoder(9), seed_burst=2)
+        fresh = SourceEngine(make_encoder(9))
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
         assert fresh.packets_sent == recorded.packets_sent
         assert fresh.rounds == recorded.rounds
 
 
-def _make_sim(forward_policy, *, k, d, peers, seed, net_seed):
-    net = OverlayNetwork(k=k, d=d, seed=net_seed)
-    net.grow(peers)
-    rng = np.random.default_rng(net_seed + 1)
-    size = GENERATIONS * PARAMS.generation_size * PARAMS.payload_size
-    content = bytes(rng.integers(0, 256, size=size, dtype=np.uint8))
-    return BroadcastSimulation(
-        net, content, PARAMS, seed=seed, forward_policy=forward_policy,
-    )
-
-
-def _full_rank_slot(sim, budget=400):
-    for _ in range(budget):
-        if sim.swarm_has_full_rank():
-            return sim.slot
-        sim.step()
-    return None
-
-
 class TestPolicyBehaviour:
-    @settings(max_examples=12, deadline=None)
-    @given(
-        k=st.integers(min_value=2, max_value=4),
-        peers=st.integers(min_value=4, max_value=10),
-        seed=st.integers(min_value=0, max_value=2**31 - 1),
-        net_seed=st.integers(min_value=0, max_value=100),
-    )
-    def test_innovative_never_delays_swarm_full_rank(
-        self, k, peers, seed, net_seed,
-    ):
-        """On clean links, recoded peer-to-peer packets lie inside the
-        sender's span and so never grow the swarm's union span; only
-        server emissions do — and those are policy-blind.  Withholding
-        non-innovative forwards therefore cannot delay the §6
-        self-sustainability slot."""
-        eager = _make_sim(
-            "eager", k=k, d=2, peers=peers, seed=seed, net_seed=net_seed)
-        gated = _make_sim(
-            "innovative", k=k, d=2, peers=peers, seed=seed, net_seed=net_seed)
-        eager_slot = _full_rank_slot(eager)
-        gated_slot = _full_rank_slot(gated)
-        assert eager_slot is not None and gated_slot is not None
-        assert gated_slot <= eager_slot
-
     def test_innovative_sends_fewer_packets_than_eager(self):
-        """Once ranks saturate, ``eager`` keeps pushing dependent
-        mixtures every slot while ``innovative`` falls silent — the
-        whole point of the policy."""
+        """On a deployment the two spellings differ only in whether a
+        dependent arrival fans out: both converge, every peer decodes
+        bit-identically, and ``innovative`` spends fewer packets."""
+        config = ChaosConfig(
+            peers=8, k=4, d=2, generation_size=8, payload_size=32,
+            generations=3, seed=4, send_interval=0.01)
+
+        async def run(policy):
+            harness = ChaosHarness(replace(config, forward_policy=policy),
+                                   record_trace=False)
+            try:
+                await harness.start()
+                converged = await harness.run_until(harness.converged)
+                harness.check_invariants()
+                forwarded = sum(
+                    peer.dataplane.forwarded for peer in harness.peers)
+                return converged, harness.violations, forwarded
+            finally:
+                await harness.teardown()
+
         totals = {}
-        completed = {}
         for policy in FORWARD_POLICIES:
-            sim = _make_sim(
-                policy, k=3, d=2, peers=8, seed=13, net_seed=2)
-            sim.run(120)
-            totals[policy] = sum(
-                engine.forwarded + engine.idle_emits
-                for engine in sim.behavior._engines.values()
-            )
-            report = sim.report()
-            completed[policy] = report.completion_fraction
-        assert completed["eager"] == completed["innovative"] == 1.0
-        assert totals["innovative"] < totals["eager"]
+            converged, violations, totals[policy] = asyncio.run(run(policy))
+            assert converged and violations == [], policy
+        assert totals["innovative"] < totals["eager"], totals
 
 
 # ----------------------------------------------------------------------
@@ -463,10 +387,9 @@ def served(effect):
     if effect.rows is None:
         return [(child, packet.generation)
                 for child, packet in zip(effect.children, effect.packets)]
-    pairs = []
-    for generation, _rows, positions in effect.rows:
-        pairs.extend((effect.children[p], generation) for p in positions)
-    return pairs
+    generations = [generation for generation, rows in effect.rows
+                   for _ in range(rows.shape[0])]
+    return list(zip(effect.children, generations))
 
 
 def emissions(effects):
@@ -514,8 +437,8 @@ class TestCompletedSet:
 class TestSourceNeedView:
     def test_round_serves_each_target_its_lowest_unfinished_generation(self):
         engine = SourceEngine(make_encoder())
-        engine.handle(ChildAttached("a", 0, (0, ())))
-        engine.handle(ChildAttached("b", 1, (1, ())))
+        engine.handle(ChildAttached("a", (0, ())))
+        engine.handle(ChildAttached("b", (1, ())))
         for _ in range(3):  # not a carousel: the same answer every round
             (effect,) = engine.handle(EmitRound(targets=("a", "b")))
             assert sorted(served(effect)) == [("a", 0), ("b", 1)]
@@ -536,8 +459,8 @@ class TestSourceNeedView:
 
         engine = SourceEngine(make_encoder())
         engine.obs = Obs
-        engine.handle(ChildAttached("a", 0, (GENERATIONS, ())))
-        engine.handle(ChildAttached("b", 1, (0, ())))
+        engine.handle(ChildAttached("a", (GENERATIONS, ())))
+        engine.handle(ChildAttached("b", (0, ())))
         (effect,) = engine.handle(EmitRound(targets=("a", "b")))
         assert served(effect) == [("b", 0)]
         assert engine.handle(EmitRound(targets=("a",))) == []
@@ -546,7 +469,7 @@ class TestSourceNeedView:
 
     def test_update_moves_the_choice_and_detach_forgets(self):
         engine = SourceEngine(make_encoder())
-        engine.handle(ChildAttached("a", 0, (0, ())))
+        engine.handle(ChildAttached("a", (0, ())))
         engine.handle(ChildCompleted("a", 0, (1,)))
         (effect,) = engine.handle(EmitRound(targets=("a",)))
         assert served(effect) == [("a", 0)]
@@ -558,13 +481,6 @@ class TestSourceNeedView:
         engine.handle(ChildCompleted("a", 1))
         assert engine._needs == {}
 
-    def test_burst_is_of_the_needed_generation(self):
-        engine = SourceEngine(make_encoder(), seed_burst=3)
-        (effect,) = engine.handle(ChildAttached("a", 0, (1, ())))
-        assert served(effect) == [("a", 1)] * 3
-        assert engine.handle(
-            ChildAttached("b", 0, (GENERATIONS, ()))) == []
-
 
 class TestRelayNeedView:
     def relay(self, **kwargs):
@@ -574,19 +490,19 @@ class TestRelayNeedView:
 
     def test_fanout_groups_children_by_what_each_lacks(self):
         engine = self.relay()
-        engine.handle(ChildAttached("a", 0, (0, ())))
-        engine.handle(ChildAttached("b", 1, (1, ())))
-        engine.handle(ChildAttached("c", 2, (0, ())))
+        engine.handle(ChildAttached("a", (0, ())))
+        engine.handle(ChildAttached("b", (1, ())))
+        engine.handle(ChildAttached("c", (0, ())))
         effects = engine.handle(PacketArrived(make_encoder(3).emit(0)))
         (emit,) = [e for e in effects if isinstance(e, EmitToChildren)]
         assert sorted(served(emit)) == [("a", 0), ("b", 1), ("c", 0)]
-        # One emit_rows per generation chosen, positions running on.
-        assert [(g, len(p)) for g, _, p in emit.rows] == [(0, 2), (1, 1)]
-        assert sorted(p for _, _, ps in emit.rows for p in ps) == [0, 1, 2]
+        # One emit_rows per generation chosen, children in group order.
+        assert [(g, len(rows)) for g, rows in emit.rows] == [(0, 2), (1, 1)]
+        assert emit.children == ("a", "c", "b")
 
     def test_child_with_nothing_to_gain_is_skipped(self):
         engine = self.relay()
-        engine.handle(ChildAttached("done", 0, (GENERATIONS, ())))
+        engine.handle(ChildAttached("done", (GENERATIONS, ())))
         forwarded = engine.forwarded
         effects = engine.handle(PacketArrived(make_encoder(3).emit(0)))
         assert emissions(effects) == []
@@ -596,7 +512,7 @@ class TestRelayNeedView:
     def test_sender_without_rank_in_the_lacked_generation_withholds(self):
         engine = make_relay()
         engine.handle(PacketArrived(make_encoder().emit(1)))  # rank in 1 only
-        (_idle, burst) = engine.handle(ChildAttached("a", 0, (0, ())))
+        (_idle, burst) = engine.handle(ChildAttached("a", (0, ())))
         assert served(burst) == [("a", 1)]  # 0 is lacked, but not held
         engine.handle(ChildCompleted("a", 0, (1,)))
         assert emissions(engine.handle(
@@ -606,8 +522,8 @@ class TestRelayNeedView:
         assert emissions(effects) == [("a", 0)]
 
     def test_attach_burst_and_idle_fill_follow_the_need(self):
-        engine = self.relay(policy="innovative", seed_burst=2)
-        _, burst = engine.handle(ChildAttached("a", 0, (1, ())))
+        engine = self.relay(forward_dependent=False, seed_burst=2)
+        _, burst = engine.handle(ChildAttached("a", (1, ())))
         assert served(burst) == [("a", 1), ("a", 1)]
         (fill,) = engine.handle(IdlePoll("a"))
         assert served(fill) == [("a", 1)]
@@ -615,23 +531,27 @@ class TestRelayNeedView:
 
     def test_reattach_starts_from_the_new_report(self):
         engine = self.relay()
-        engine.handle(ChildAttached("a", 0, (GENERATIONS, ())))
-        _, burst = engine.handle(ChildAttached("a", 0, (0, ())))
+        engine.handle(ChildAttached("a", (GENERATIONS, ())))
+        _, burst = engine.handle(ChildAttached("a", (1, ())))
+        assert served(burst) == [("a", 1)]
+        # ... and a redial that reports nothing holds nothing.
+        _, burst = engine.handle(ChildAttached("a", NOTHING))
         assert served(burst) == [("a", 0)]
-        # ... and a redial that reports nothing is served the old way.
-        engine.handle(ChildAttached("a", 0))
-        assert "a" not in engine._needs
 
-    def test_never_reporting_child_gets_the_recoders_own_pick(self):
-        reference, engine = self.relay(seed=9), self.relay(seed=9)
-        engine.handle(ChildAttached("quiet", 0))
-        engine.handle(ChildAttached("loud", 1, (GENERATIONS, ())))
-        reference.handle(ChildAttached("quiet", 0))
-        packet = make_encoder(3).emit(1)
-        ours = engine.handle(PacketArrived(packet))
-        theirs = reference.handle(PacketArrived(packet))
-        assert repr(ours) == repr(theirs)
-        assert [c for c, _ in emissions(ours)] == ["quiet"]
+    def test_unreported_child_is_served_in_order_until_it_reports(self):
+        """A child that has not said what it holds is served as one
+        that holds nothing — generation 0, repeatedly — so a child that
+        never reports starves only itself; its report moves it on."""
+        engine = self.relay(forward_dependent=True)
+        engine.handle(ChildAttached("quiet", NOTHING))
+        engine.handle(ChildAttached("loud", (1, ())))
+        encoder = make_encoder(3)
+        for _ in range(3):
+            effects = engine.handle(PacketArrived(encoder.emit(1)))
+            assert sorted(emissions(effects)) == [("loud", 1), ("quiet", 0)]
+        engine.handle(ChildCompleted("quiet", 1))
+        effects = engine.handle(PacketArrived(encoder.emit(0)))
+        assert sorted(emissions(effects)) == [("loud", 1), ("quiet", 1)]
 
     def test_generation_complete_precedes_mark_complete(self):
         engine = make_relay()
@@ -653,18 +573,19 @@ class TestRelayNeedView:
             recoder.receive(encoder.emit(1))
         engine = RelayEngine(recoder)
         assert engine.completed_generations == (0, (1,))
-        _, burst = engine.handle(ChildAttached("a", 0, (0, ())))
+        _, burst = engine.handle(ChildAttached("a", (0, ())))
         assert served(burst) == [("a", 1)]
 
 
 class NeedViewMachine(RuleBasedStateMachine):
     """Any interleaving of attach/detach, arrivals, rounds, idle polls
     and completed-set updates, against a model that remembers only what
-    each child said.  Every emission must be exactly the need view's
-    choice: never a generation its child reported complete, always the
-    lowest one it lacks that the sender holds — which is what makes "a
-    child that lacks ``g`` under a sender holding ``g`` is served ``g``"
-    hold on the very next trigger, not merely eventually."""
+    each attached child said — the empty set until it says anything.
+    Every emission must be exactly the need view's choice: never a
+    generation its child reported complete, always the lowest one it
+    lacks that the sender holds — which is what makes "a child that
+    lacks ``g`` under a sender holding ``g`` is served ``g``" hold on
+    the very next trigger, not merely eventually."""
 
     CHILDREN = ("a", "b", "c")
     COUNT = 4
@@ -677,12 +598,11 @@ class NeedViewMachine(RuleBasedStateMachine):
             0, 256, size=self.COUNT * 3 * 4, dtype=np.uint8))
         self.feed = SourceEncoder(content, params, np.random.default_rng(1))
         self.source = SourceEngine(
-            SourceEncoder(content, params, np.random.default_rng(2)),
-            seed_burst=1)
+            SourceEncoder(content, params, np.random.default_rng(2)))
         self.relay = RelayEngine(
             Recoder(params, self.COUNT, np.random.default_rng(3), 7),
-            policy="eager")
-        #: child -> set of generations it reported, None = never reported
+            forward_dependent=True)
+        #: attached child -> the set of generations it reported
         self.model = {}
 
     # -- the model's answer --------------------------------------------
@@ -702,32 +622,26 @@ class NeedViewMachine(RuleBasedStateMachine):
         got = emissions(effects)
         for child, generation in got:
             assert child in self.model, f"{child} is detached"
-            reported = self.model[child]
-            if reported is not None:
-                assert generation not in reported
-                assert generation == self.choice(child, held)
+            assert generation not in self.model[child]
+            assert generation == self.choice(child, held)
             assert held(generation)
         expected = {
             child for child in triggered
-            if self.model[child] is None
-            or self.choice(child, held) is not None
+            if self.choice(child, held) is not None
         }
         assert {child for child, _ in got} == expected
 
     # -- rules ---------------------------------------------------------
 
     @rule(child=st.sampled_from(CHILDREN),
-          report=st.none() | st.sets(st.integers(0, COUNT - 1)))
+          report=st.sets(st.integers(0, COUNT - 1)))
     def attach(self, child, report):
-        self.model[child] = report
-        completed = (
-            None if report is None else CompletedSet(0, report).pair())
-        for engine, held in ((self.relay, self.relay_holds),
-                             (self.source, lambda g: True)):
-            effects = engine.handle(ChildAttached(child, 0, completed))
-            if report is None:
-                continue  # burst drawn by the sender's own schedule
-            self.check(effects, held, [child])
+        self.model[child] = set(report)
+        completed = CompletedSet(0, report).pair()
+        self.check(self.relay.handle(ChildAttached(child, completed)),
+                   self.relay_holds, [child])
+        # The source has no burst: its next round reaches the child.
+        assert self.source.handle(ChildAttached(child, completed)) == []
 
     @rule(child=st.sampled_from(CHILDREN))
     def detach(self, child):
@@ -739,7 +653,7 @@ class NeedViewMachine(RuleBasedStateMachine):
           report=st.sets(st.integers(0, COUNT - 1)))
     def report(self, child, report):
         if child in self.model:
-            self.model[child] = (self.model[child] or set()) | report
+            self.model[child] |= report
         pair = CompletedSet(0, report).pair()
         for engine in (self.relay, self.source):
             assert engine.handle(ChildCompleted(child, *pair)) == []
@@ -747,8 +661,7 @@ class NeedViewMachine(RuleBasedStateMachine):
     @rule(generation=st.integers(0, COUNT - 1))
     def arrival(self, generation):
         effects = self.relay.handle(PacketArrived(self.feed.emit(generation)))
-        if any(self.relay_holds(g) for g in range(self.COUNT)):
-            self.check(effects, self.relay_holds, list(self.model))
+        self.check(effects, self.relay_holds, list(self.model))
 
     @rule(asked=st.sets(st.sampled_from(CHILDREN)))
     def round(self, asked):
@@ -758,18 +671,17 @@ class NeedViewMachine(RuleBasedStateMachine):
 
     @rule(child=st.sampled_from(CHILDREN))
     def idle(self, child):
-        if child not in self.model:
-            return  # pull-mode poll of a stranger: the recoder's pick
         effects = self.relay.handle(IdlePoll(child))
-        if any(self.relay_holds(g) for g in range(self.COUNT)):
-            self.check(effects, self.relay_holds, [child])
+        if child not in self.model:
+            assert effects == []  # a stranger is sent nothing
+            return
+        self.check(effects, self.relay_holds, [child])
 
     @invariant()
     def engines_remember_exactly_the_attached_children(self):
         assert set(self.relay.children) == set(self.model)
+        assert set(self.relay._children) == set(self.model)
         assert set(self.source._needs) == set(self.model)
-        assert set(self.relay._needs) == {
-            child for child, said in self.model.items() if said is not None}
 
 
 NeedViewMachine.TestCase.settings = settings(
@@ -782,14 +694,14 @@ class TestDataplaneBoundedState:
         """Every child that ever dialed gets a fresh key; the engines'
         containers must follow the live population, not the history."""
         population, cycles = 16, 50_000
-        relay = make_relay(policy="innovative")
+        relay = make_relay(forward_dependent=False)
         feed_packets(relay, NEEDED)
         source = SourceEngine(make_encoder())
         engines = (relay, source)
         live = list(range(population))
         for child in live:
             for engine in engines:
-                engine.handle(ChildAttached(child, 0, (0, ())))
+                engine.handle(ChildAttached(child, NOTHING))
         for cycle in range(cycles):
             gone = live[cycle % population]
             fresh = live[cycle % population] = population + cycle
@@ -797,10 +709,10 @@ class TestDataplaneBoundedState:
                 engine.handle(ChildCompleted(gone, 1, ()))
                 engine.handle(ChildDetached(gone))
                 engine.handle(ChildCompleted(gone, 2, ()))  # late report
-                engine.handle(ChildAttached(
-                    fresh, 0, None if cycle % 3 else (cycle % 2, ())))
+                engine.handle(ChildAttached(fresh, (cycle % 2, ())))
             relay.handle(PullEmit(fresh))
             relay.handle(IdlePoll(fresh))
+            relay.handle(IdlePoll(gone))
 
         def containers(engine):
             names = getattr(type(engine), "__slots__", None) or vars(engine)
@@ -810,8 +722,7 @@ class TestDataplaneBoundedState:
                     yield f"{type(engine).__name__}.{name}", len(value)
 
         sizes = dict(pair for engine in engines for pair in containers(engine))
-        assert {"RelayEngine._children", "RelayEngine._needs",
-                "RelayEngine._pull_sent", "SourceEngine._needs"} <= set(sizes)
+        assert {"RelayEngine._children", "SourceEngine._needs"} <= set(sizes)
         assert sizes["RelayEngine._children"] == population
         assert sizes["SourceEngine._needs"] == population
         assert {n: s for n, s in sizes.items() if s > population} == {}

@@ -110,8 +110,7 @@ class TestEqualOnEveryShape:
             scalars = scalars_like(rng, n)
             out_base, out = vector(rng, width, out_layout)
             result = kernels.mix_rows(
-                scalars, rows, out=out if give_out else None,
-                workspace=kernels.Workspace())
+                scalars, rows, out=out if give_out else None)
             assert (result is out) == give_out
             return result, rows_base, out_base
         agree(case)

@@ -22,7 +22,6 @@ from repro.coding.generation import GenerationParams
 from repro.core.overlay import OverlayNetwork
 from repro.gf import field, kernels
 from repro.gf.kernels import (
-    Workspace,
     addmul_row,
     addmul_rows,
     eliminate,
@@ -104,7 +103,7 @@ class TestRowKernels:
         for i in range(n):
             addmul_row(expected[i], src, int(scalars[i]))
         got = dest.copy()
-        addmul_rows(got, src, scalars, workspace=Workspace())
+        addmul_rows(got, src, scalars)
         assert np.array_equal(got, expected)
 
     def test_addmul_rows_zero_scalars_and_empty_dest_are_noops(self):
@@ -127,7 +126,7 @@ class TestRowKernels:
         expected = np.zeros(width, dtype=np.uint8)
         for i in range(n):
             addmul_row(expected, rows[i], int(scalars[i]))
-        got = mix_rows(scalars, rows, workspace=Workspace())
+        got = mix_rows(scalars, rows)
         assert np.array_equal(got, expected)
         out = np.empty(width, dtype=np.uint8)
         assert np.array_equal(mix_rows(scalars, rows, out=out), expected)
@@ -161,7 +160,7 @@ class TestEliminate:
         for i, col in enumerate(pivot_cols):
             addmul_row(expected, basis[i], int(expected[col]))
         got = row.copy()
-        eliminate(got, basis, pivot_cols, workspace=Workspace())
+        eliminate(got, basis, pivot_cols)
         assert np.array_equal(got, expected)
         # Reduced row is zero at every basis pivot column.
         assert not got[pivot_cols].any()

@@ -113,11 +113,9 @@ def test_reclipped_child_is_sent_nothing_it_reported_on_redial():
         reported: dict = {}  # child -> generations it has reported
         for event, effects in zip(log.events, log.steps):
             if isinstance(event, ChildAttached):
-                reported[event.child] = set()
-                if event.completed is not None:
-                    base, extras = event.completed
-                    reported[event.child] = {*range(base), *extras}
-                    redials += base > 0
+                base, extras = event.completed
+                reported[event.child] = {*range(base), *extras}
+                redials += base > 0
             elif isinstance(event, ChildCompleted):
                 if event.child in reported:
                     reported[event.child] |= {*range(event.base),

@@ -385,6 +385,73 @@ class TestFirstFrame:
         assert asyncio.run(scenario()) == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("node", ["peer", "server"])
+    def test_unreported_child_is_served_in_order_until_it_reports(
+            self, node):
+        """A hello with no report behind it is a child that holds
+        nothing: it is sent generation 0, and nothing else, until its
+        report says it has that one — then it is sent generation 1."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            if node == "peer":
+                peer = PeerNode("server", 1, transport=net.transport("node"),
+                                keepalive_interval=0.05)
+                peer.session = SessionInfo(3, 10, 2, 60, k=1, d=1)
+                peer.pumps.generation_size = 3
+                peer.dataplane = peer._relay(Recoder(
+                    PARAMS, 2, np.random.default_rng(0), node_id=9))
+                for generation in (0, 1):
+                    peer.dataplane.handle(PacketArrived(_packet(generation)))
+                peer._running = True
+                address = net.bind("node", 0, peer._handle_child).address
+            else:
+                server = ServerNode(
+                    bytes(60), PARAMS, k=1, d=1, port=PORT,
+                    send_interval=0.05, transport=net.transport("node"))
+                await server.start()
+                address = ("node", PORT)
+            reader, writer = await net.open_connection("child", *address)
+            inbox, task = _collect(reader)
+            writer.write(_control(DataHello(node_id=4, column=0)))
+            await net.clock.advance(0.3)
+            before = _generations(inbox)
+            writer.write(_control(GenerationsComplete(base=1)))
+            await net.clock.advance(0.3)
+            after = _generations(inbox)[len(before):]
+            task.cancel()
+            if node == "server":
+                await server.stop()
+            await net.shutdown()
+            return before, after
+
+        before, after = asyncio.run(scenario())
+        assert len(before) >= 3 and set(before) == {0}
+        assert len(after) >= 3 and set(after) == {1}
+
+    def test_child_dialing_before_the_grant_is_closed(self):
+        """A peer with no grant yet has nothing to serve and no session
+        to check the hello against: the dialler is closed at once, and
+        its own thread loop redials."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            peer = PeerNode("server", 1, transport=net.transport("node"))
+            peer._running = True
+            address = net.bind("node", 0, peer._handle_child).address
+            reader, writer = await net.open_connection("child", *address)
+            inbox, task = _collect(reader)
+            writer.write(_control(
+                DataHello(node_id=4, column=0), GenerationsComplete(0)))
+            await net.clock.advance(0.01)
+            task.cancel()
+            await net.shutdown()
+            return inbox, len(peer.registry)
+
+        inbox, instruments = asyncio.run(scenario())
+        assert inbox == [None]
+        assert instruments == len(PeerNode("server", 1).registry)
+
+    @pytest.mark.parametrize("node", ["peer", "server"])
     def test_half_a_hello_is_closed_after_one_timeout(self, node):
         """A dialler that never finishes its first frame holds a task
         and a socket for one timeout (``silence_timeout`` at a peer,
@@ -525,7 +592,8 @@ class TestHostileReports:
 class TestWhatAChildCanDo:
     """A multi-generation deployment with three strangers dialed into
     one relay: one lies that it has everything, one reports a
-    generation the content does not have, one never reports at all."""
+    generation the content does not have, one never reports at all —
+    and, apart, strangers naming columns the session does not have."""
 
     def test_liar_starves_itself_alone_and_silence_is_served(self):
         config = ChaosConfig(
@@ -573,10 +641,49 @@ class TestWhatAChildCanDo:
         # The out-of-range report cost its sender the connection before
         # it was ever attached.
         assert inboxes["wild"] == [None]
-        # The mute child is served the way every child was before there
-        # was anything to report: mixtures across generations, not a
-        # stream stuck on the first one.
-        assert set(_generations(inboxes["mute"])) == set(range(4))
+        # The mute child is served as one that holds nothing: the
+        # lowest generation, over and over — it starves only itself.
+        assert _generations(inboxes["mute"])
+        assert set(_generations(inboxes["mute"])) == {0}
         # Still attached when it ended: the two that kept to the rules.
         assert {key[0] for key in children} >= {900, 902}
         assert 901 not in {key[0] for key in children}
+
+    def test_column_outside_the_session_is_refused(self):
+        """A relay serves the columns the session has (``0 <= column <
+        k``), as the server does.  Strangers dialling columns 100, 200
+        and 300 are closed before they are attached, and leave no
+        per-column queue-depth gauge behind — up to 65 536 of them per
+        peer otherwise, one per distinct uint16."""
+        config = ChaosConfig(peers=2, k=4, d=2, seed=1, generations=2)
+
+        async def scenario():
+            harness = ChaosHarness(config, record_trace=False)
+            try:
+                await harness.start()
+                relay = harness.peers[0]
+                before = len(relay.registry)
+                inboxes = []
+                for index, column in enumerate((100, 200, 300)):
+                    reader, writer = await harness.net.open_connection(
+                        f"stranger{index}", harness.host(0), relay.port)
+                    inbox, task = _collect(reader)
+                    inboxes.append(inbox)
+                    writer.write(_control(
+                        DataHello(node_id=900 + index, column=column),
+                        GenerationsComplete(0)))
+                    await harness.settle(0.1)
+                    writer.close()
+                    task.cancel()
+                await harness.settle(0.1)
+                strays = [name for name in (
+                    "net.queue_depth.c100", "net.queue_depth.c200",
+                    "net.queue_depth.c300") if name in relay.registry]
+                return inboxes, before, len(relay.registry), strays
+            finally:
+                await harness.teardown()
+
+        inboxes, before, after, strays = asyncio.run(scenario())
+        assert strays == []
+        assert after == before
+        assert all(inbox == [None] for inbox in inboxes)

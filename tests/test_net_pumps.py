@@ -155,8 +155,9 @@ class TestPumpSet:
                 recoder = Recoder(PARAMS, 3, np.random.default_rng(0), 9)
                 for generation in range(3):
                     recoder.receive(_packet(generation=generation))
-                effect = EmitToChildren(
-                    children, rows=tuple(recoder.emit_rows(3)))
+                effect = EmitToChildren(children, rows=(
+                    (0, recoder.emit_rows(1, 0)),
+                    (2, recoder.emit_rows(2, 2))))
             pumps.emit(effect)
             await asyncio.sleep(0)
             pumps.close()
