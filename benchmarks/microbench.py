@@ -116,7 +116,8 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
 
     def _sender_run(instrumented: bool) -> float:
         sender = PacketSender(
-            _NullWriter(), column=0, sender_id=1, limit=8,
+            _NullWriter(), column=0, sender_id=1, idle_packet=lambda: None,
+            limit=8,
             logger=silent if instrumented else None,
         )
         start = time.perf_counter()

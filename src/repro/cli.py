@@ -233,7 +233,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"converged: {result.converged}  "
               f"wall clock: {result.elapsed:.2f}s  rounds: {server.stats.rounds}")
         print(f"completion: {len(done) / max(len(survivors), 1):.1%}  "
-              f"server packets: {server.stats.packets_sent}  "
+              f"server packets: {server.dataplane.packets_sent}  "
               f"backpressure drops: {result.drops}")
         print(f"repairs: {result.repairs}  reconnects: {result.reconnects}  "
               f"complaints: {result.complaints}")
@@ -357,7 +357,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if metrics is not None:
                 await metrics.stop()
             await server.stop()
-        print(f"served {server.stats.packets_sent} packets over "
+        print(f"served {server.dataplane.packets_sent} packets over "
               f"{server.stats.rounds} rounds; joins={server.stats.joins} "
               f"leaves={server.stats.leaves} repairs={server.stats.repairs}")
         _write_stats_json(args.stats_json, snapshot)
@@ -382,7 +382,15 @@ def _cmd_join(args: argparse.Namespace) -> int:
         done = asyncio.Event()
         peer = PeerNode(args.host, args.port, seed=args.seed,
                         on_complete=lambda _peer: done.set())
-        await peer.start()
+        loop = asyncio.get_running_loop()
+        give_up = loop.time() + args.deadline
+        try:
+            await asyncio.wait_for(peer.start(), timeout=args.deadline)
+        except (asyncio.TimeoutError, OSError) as error:
+            reason = str(error) or f"no grant within {args.deadline:g}s"
+            print(f"join: not admitted by {args.host}:{args.port}: {reason}",
+                  file=sys.stderr)
+            return 1
         print(f"joined as node {peer.node_id}: "
               f"threads {sorted(peer.parents)}  listening on {peer.port}")
         metrics = None
@@ -393,13 +401,14 @@ def _cmd_join(args: argparse.Namespace) -> int:
             print(f"metrics on http://127.0.0.1:{metrics.port}/metrics "
                   f"(JSON at /metrics.json)", flush=True)
         try:
-            await asyncio.wait_for(done.wait(), timeout=args.deadline)
+            await asyncio.wait_for(
+                done.wait(), timeout=max(0.0, give_up - loop.time()))
         except asyncio.TimeoutError:
             pass
         ok = peer.completed
         print(f"rank {peer.rank}/{peer.needed}  "
-              f"received {peer.stats.received} "
-              f"(innovative {peer.stats.innovative})  "
+              f"received {peer.dataplane.received} "
+              f"(innovative {peer.dataplane.innovative})  "
               f"reconnects {peer.stats.reconnects}")
         if ok:
             print(f"decoded {len(peer.recovered_content())} bytes")
@@ -649,7 +658,8 @@ def build_parser() -> argparse.ArgumentParser:
     join.add_argument("--port", type=int, required=True)
     join.add_argument("--seed", type=int, default=0)
     join.add_argument("--deadline", type=float, default=60.0,
-                      help="give up decoding after this many seconds")
+                      help="give up joining and decoding after this "
+                           "many seconds")
     join.add_argument("--linger", type=float, default=0.0,
                       help="keep forwarding this long after decoding")
     join.add_argument("--no-uvloop", action="store_true", dest="no_uvloop",

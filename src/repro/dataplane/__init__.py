@@ -37,7 +37,6 @@ from .effects import (
     GenerationComplete,
     Ingested,
     MarkComplete,
-    RequestIdle,
 )
 from .events import (
     ChildAttached,
@@ -68,7 +67,6 @@ __all__ = [
     "PacketArrived",
     "PullEmit",
     "RelayEngine",
-    "RequestIdle",
     "SourceEngine",
     "replay",
 ]

@@ -6,7 +6,9 @@ the fan-out that followed it would reorder mixtures on the wire).
 Drivers translate each effect into their transport's vocabulary — a
 frame enqueued on a :class:`~repro.net.streams.PacketSender`, a payload
 placed on a slotted edge — or ignore effects that have no meaning
-there.
+there.  No effect asks a driver to poll: every push pump asks its
+engine :class:`~repro.dataplane.events.IdlePoll` on its own keep-alive
+timer, and an engine with nothing to send answers ``[]``.
 
 :class:`Ingested` is a notification effect in the
 :class:`~repro.protocol.effects.ComplaintNoted` tradition: it carries
@@ -30,7 +32,7 @@ equality as frozen dataclasses, at C-level construction cost.
 from __future__ import annotations
 
 import zlib
-from typing import Hashable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "Effect",
@@ -38,7 +40,6 @@ __all__ = [
     "GenerationComplete",
     "Ingested",
     "MarkComplete",
-    "RequestIdle",
 ]
 
 
@@ -109,18 +110,6 @@ class MarkComplete(NamedTuple):
     record the completion slot."""
 
     needed: int
-
-
-class RequestIdle(NamedTuple):
-    """Ask the driver to fill idle periods toward ``child`` with
-    data-bearing keep-alives: whenever its pump has been silent for a
-    keep-alive interval, feed :class:`~repro.dataplane.events.IdlePoll`
-    back and send the returned mixture.  Emitted on every attach: a
-    relay forwards when packets arrive, and its own parents stop
-    sending once it has reported everything complete — a child still
-    short by then must not starve."""
-
-    child: Hashable
 
 
 class Ingested(NamedTuple):

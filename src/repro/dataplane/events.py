@@ -5,9 +5,11 @@ record narrating something that happened in the outside world — a
 coded packet arrived, a downstream subscriber attached or told us what
 it has finished, a clocked slot wants an emission.  The engines never
 look at a socket or a clock; connection drivers feed arrival-shaped
-events (:class:`PacketArrived`, :class:`ChildAttached`,
-:class:`ChildCompleted`, :class:`IdlePoll`) and clocked drivers feed
-schedule-shaped ones (:class:`EmitRound`, :class:`PullEmit`).
+events (:class:`PacketArrived`, and — all from one place, the live
+:class:`~repro.net.streams.PumpSet` — a child connection's
+:class:`ChildAttached`, :class:`ChildCompleted`, :class:`IdlePoll` and
+:class:`ChildDetached`) and clocked drivers feed schedule-shaped ones
+(:class:`EmitRound`, :class:`PullEmit`).
 
 ``child``/``destination`` identities are opaque hashables owned by the
 driver — a ``(node_id, column)`` pair at a live peer, a column at the
@@ -57,8 +59,7 @@ class PacketArrived(NamedTuple):
 class ChildAttached(NamedTuple):
     """A downstream subscriber attached (a child dialed its data
     connection; a repaired node re-clipped below us).  A relay answers
-    with its seed-burst and a
-    :class:`~repro.dataplane.effects.RequestIdle`.
+    with its seed-burst.
 
     ``completed`` is the ``(base, extras)`` set the child reported as
     it dialed, so a re-clipped child is never re-sent what it holds; a
@@ -89,8 +90,9 @@ class ChildDetached(NamedTuple):
 class IdlePoll(NamedTuple):
     """The driver's outbound pump for ``child`` has been idle for a
     keep-alive period and offers to carry a data-bearing packet instead
-    of an empty heartbeat.  Only drivers that honoured a
-    :class:`~repro.dataplane.effects.RequestIdle` ask this."""
+    of an empty heartbeat.  Every push pump asks it, at the source and
+    at every relay; an engine with nothing to send answers ``[]`` and
+    the heartbeat goes."""
 
     child: Hashable
 

@@ -12,8 +12,9 @@ bookkeeping).  Two driver shapes pump it, one rule each:
   :class:`ChildAttached` / :class:`ChildCompleted` each child's
   completed set; a :class:`PacketArrived` triggers a recode toward the
   attached children (every arrival, or only rank-raising ones under
-  ``forward_dependent=False``), and :class:`IdlePoll` backfills links
-  gone quiet.  Every child is served the lowest generation it has not
+  ``forward_dependent=False``), and :class:`IdlePoll` — which every
+  push driver asks when a child's link has gone quiet — backfills it.
+  Every child is served the lowest generation it has not
   reported complete and this node holds any rank in, and a child that
   lacks nothing this node holds is skipped.  A child that has not
   reported yet holds the empty set, so it is served from generation 0
@@ -45,7 +46,6 @@ from .effects import (
     GenerationComplete,
     Ingested,
     MarkComplete,
-    RequestIdle,
 )
 from .events import (
     ChildAttached,
@@ -155,6 +155,11 @@ class RelayEngine:
     def needed(self) -> int:
         """Degrees of freedom required for a full decode."""
         return self._needed
+
+    @property
+    def generation_count(self) -> int:
+        """Generations in the content (what a child's report may name)."""
+        return len(self._generations)
 
     @property
     def completed_generations(self) -> tuple[int, tuple[int, ...]]:
@@ -324,18 +329,16 @@ class RelayEngine:
         self._children[child] = CompletedSet(*event.completed)
         self._children_tuple = tuple(self._children)
         self._plan = None
-        effects: list[Effect] = [RequestIdle(child)]
         # Seed the child immediately rather than waiting for the next
         # upstream arrival (matters when upstream is already complete).
         choice = self._choice(child)
         packets = [] if choice is None else self.recoder.emit_batch(
             max(1, self.seed_burst), choice)
-        if packets:
-            self.forwarded += len(packets)
-            effects.append(EmitToChildren(
-                (child,) * len(packets), packets=tuple(packets)
-            ))
-        return effects
+        if not packets:
+            return []
+        self.forwarded += len(packets)
+        return [EmitToChildren(
+            (child,) * len(packets), packets=tuple(packets))]
 
     def _on_completed(self, event: ChildCompleted) -> list[Effect]:
         need = self._children.get(event.child)

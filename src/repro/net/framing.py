@@ -32,11 +32,9 @@ from ..coding.packet import CodedPacket
 from ..coding.wire import (
     CrcError,
     WireFormatError,
-    _uniform_geometry,
     decode_packet_from,
     encode_mixture_rows,
     encode_packet_into,
-    encode_packets_rows,
     frame_size,
 )
 from .control import ControlFormatError, decode_control, encode_control
@@ -111,62 +109,10 @@ def encode_data_frame(packet: CodedPacket) -> bytes:
     return bytes(buf)
 
 
-def encode_data_frames(
-    packets: list[CodedPacket],
-    pool: Optional[BufferPool] = None,
-) -> list[bytes]:
-    """Serialise a batch of packets as length-prefixed data frames.
-
-    This is the encode-once fan-out primitive: every frame is written
-    back-to-back into one pooled scratch buffer, then sliced out as an
-    immutable ``bytes`` object that any number of sender queues may
-    share — a packet fanned out to many children is serialised exactly
-    once.  The scratch buffer is released back to ``pool`` (the wire
-    layer's default pool if none is given) before returning.
-    """
-    if not packets:
-        return []
-    scratch_pool = pool if pool is not None else DEFAULT_POOL
-    geometry = _uniform_geometry(packets) if len(packets) > 1 else None
-    if geometry is not None:
-        # Uniform batch (every emit_batch product): broadcast the
-        # constant prefix across all frames and hand the bodies to the
-        # wire layer's vectorised row encoder in one call.
-        body = frame_size(*geometry)
-        if body > MAX_FRAME_BYTES:
-            raise FramingError(f"frame body too large: {body} bytes")
-        m = len(packets)
-        length = _PREFIX.size + body
-        buf = scratch_pool.lease(m * length)
-        try:
-            rows = np.frombuffer(buf, dtype=np.uint8,
-                                 count=m * length).reshape(m, length)
-            rows[:, : _PREFIX.size] = np.frombuffer(
-                _PREFIX.pack(body, KIND_DATA), dtype=np.uint8
-            )
-            encode_packets_rows(packets, rows[:, _PREFIX.size:])
-            blob = bytes(memoryview(buf)[: m * length])
-        finally:
-            scratch_pool.release(buf)
-        return [blob[i * length:(i + 1) * length] for i in range(m)]
-    sizes = [frame_size(p.generation_size, p.payload_size) for p in packets]
-    for body in sizes:
-        if body > MAX_FRAME_BYTES:
-            raise FramingError(f"frame body too large: {body} bytes")
-    total = sum(sizes) + _PREFIX.size * len(sizes)
-    buf = scratch_pool.lease(total)
-    try:
-        view = memoryview(buf)
-        frames: list[bytes] = []
-        offset = 0
-        for packet, body in zip(packets, sizes):
-            _PREFIX.pack_into(buf, offset, body, KIND_DATA)
-            end = encode_packet_into(packet, buf, offset + _PREFIX.size)
-            frames.append(bytes(view[offset:end]))
-            offset = end
-        return frames
-    finally:
-        scratch_pool.release(buf)
+def encode_data_frames(packets: list[CodedPacket]) -> list[bytes]:
+    """Serialise a batch of packets as length-prefixed data frames, one
+    :func:`encode_data_frame` each."""
+    return [encode_data_frame(p) for p in packets]
 
 
 def encode_mixture_frames(

@@ -44,16 +44,11 @@ from ..coding.packet import CodedPacket
 from ..coding.recoder import Recoder
 from ..core.matrix import SERVER
 from ..dataplane import (
-    ChildAttached,
-    ChildCompleted,
-    ChildDetached,
     EmitToChildren,
     GenerationComplete,
-    IdlePoll,
     MarkComplete,
     PacketArrived,
     RelayEngine,
-    RequestIdle,
 )
 from ..obs import (
     DataplaneInstruments,
@@ -96,7 +91,7 @@ from .framing import (
     send_control,
     write_control_nowait,
 )
-from .streams import ChildReports, PumpSet
+from .streams import PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
@@ -107,44 +102,20 @@ FORWARD_POLICIES = {"eager": True, "innovative": False}
 
 
 class PeerStats:
-    """Per-peer counters the harnesses and the CLI report.
-
-    The data-plane counters (``received``/``innovative``/``forwarded``/
-    ``idle_emits``) are read-through views over the peer's
-    :class:`~repro.dataplane.RelayEngine` — the engine's bookkeeping is
-    the one authoritative copy since the dataplane unification (they
-    read 0 until the join grant creates the engine).  The transport
-    counters stay plain driver-owned fields.
-    """
+    """Per-peer transport counters the harnesses and the CLI report.
+    The data plane's own numbers are the engine's: ``node.dataplane``
+    and the registry's ``dataplane.*``."""
 
     def __init__(self) -> None:
-        self._dataplane: Optional[RelayEngine] = None
         self.reconnects = 0
         self.complaints = 0
         self.keepalives_seen = 0
         self.crc_failures = 0
 
-    @property
-    def received(self) -> int:
-        return self._dataplane.received if self._dataplane else 0
-
-    @property
-    def innovative(self) -> int:
-        return self._dataplane.innovative if self._dataplane else 0
-
-    @property
-    def forwarded(self) -> int:
-        return self._dataplane.forwarded if self._dataplane else 0
-
-    @property
-    def idle_emits(self) -> int:
-        return self._dataplane.idle_emits if self._dataplane else 0
-
     def __repr__(self) -> str:  # noqa: D105
         return (
-            f"PeerStats(received={self.received}, "
-            f"innovative={self.innovative}, forwarded={self.forwarded}, "
-            f"reconnects={self.reconnects}, complaints={self.complaints}, "
+            f"PeerStats(reconnects={self.reconnects}, "
+            f"complaints={self.complaints}, "
             f"keepalives_seen={self.keepalives_seen}, "
             f"crc_failures={self.crc_failures})"
         )
@@ -260,12 +231,8 @@ class PeerNode:
         self.engine.flight = FlightRecorder()
         bind_fields(
             self.registry, self.stats,
-            ("received", "innovative", "forwarded", "reconnects",
-             "complaints", "keepalives_seen", "crc_failures"),
+            ("reconnects", "complaints", "keepalives_seen", "crc_failures"),
             "net", "live PeerStats counter",
-        )
-        self.registry.gauge(
-            "net.rank", "degrees of freedom collected", fn=lambda: self.rank,
         )
         self.registry.gauge(
             "net.needed", "degrees of freedom for a full decode",
@@ -321,6 +288,7 @@ class PeerNode:
         self.log = self.pumps.logger = logging.getLogger(
             f"repro.net.peer.{grant.node_id}")
         self.pumps.origin = grant.node_id
+        self.pumps.k = self.session.k
         self.pumps.generation_size = self.session.generation_size
         self.registry.name = f"peer:{grant.node_id}"
         self.log.info(
@@ -334,7 +302,7 @@ class PeerNode:
             self._rng,
             node_id=grant.node_id,
         ))
-        self.stats._dataplane = self.dataplane
+        self.pumps.engine = self.dataplane
         DataplaneInstruments(self.registry).attach(
             self.dataplane, self.registry
         )
@@ -620,51 +588,17 @@ class PeerNode:
         stream = MessageStream(reader)
         hello = await first_message(
             stream, writer, self.clock, self.silence_timeout)
-        # A child that dials before our own grant has nothing to be
-        # served yet — closed, its thread loop redials — and a column
-        # outside the session is nobody's: it would cost this node a
-        # queue-depth gauge for good.
-        if (not isinstance(hello, DataHello) or not self._running
-                or self.dataplane is None
-                or not 0 <= hello.column < self.session.k):
+        if not isinstance(hello, DataHello) or not self._running:
             writer.close()
             return
-        key = (hello.node_id, hello.column)
-        reports = ChildReports(stream, self.session.generation_count)
-        try:
-            completed = reports.buffered()
-        except FramingError:
-            writer.close()
-            return
-        # Tell the engine first: it owns the fan-out order, decides the
-        # seed-burst, and asks for idle data-fills via RequestIdle —
-        # which the pump has to be built with.
-        effects = self.dataplane.handle(ChildAttached(key, completed))
-        fills = any(isinstance(e, RequestIdle) for e in effects)
-        detached = await self.pumps.serve(
-            key, writer, column=hello.column, burst=effects,
-            idle_packet=(lambda: self._emit_idle(key)) if fills else None,
-            reports=reports,
-            on_report=lambda base, extras: self.dataplane.handle(
-                ChildCompleted(key, base, extras)),
-        )
-        if detached:
-            self.dataplane.handle(ChildDetached(key))
-
-    def _emit_idle(self, key: tuple[int, int]) -> Optional[CodedPacket]:
-        """A fresh mixture for an idle child link, if it lacks anything
-        this node holds."""
-        for effect in self.dataplane.handle(IdlePoll(key)):
-            if isinstance(effect, EmitToChildren):
-                return effect.packets[0]
-        return None
+        await self.pumps.serve(
+            (hello.node_id, hello.column), stream, writer, hello.column)
 
     def _perform_data(self, effects) -> None:
         """Carry out the data-plane engine's effects.  ``Ingested`` is
-        trace/observability-only, ``RequestIdle`` is honoured where
-        the pump is built, in ``_handle_child``, and a
-        ``GenerationComplete`` becomes the report ``_consume_upstream``
-        writes when it has drained what it was handed."""
+        trace/observability-only, and a ``GenerationComplete`` becomes
+        the report ``_consume_upstream`` writes when it has drained what
+        it was handed."""
         for effect in effects:
             if isinstance(effect, EmitToChildren):
                 self.pumps.emit(effect)

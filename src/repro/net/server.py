@@ -37,15 +37,9 @@ from numpy.random import default_rng
 from ..coding.buffers import DEFAULT_POOL
 from ..coding.encoder import SourceEncoder
 from ..coding.generation import GenerationParams
+from ..core.matrix import SERVER
 from ..core.server import CoordinationServer
-from ..dataplane import (
-    ChildAttached,
-    ChildCompleted,
-    ChildDetached,
-    EmitRound,
-    EmitToChildren,
-    SourceEngine,
-)
+from ..dataplane import EmitRound, EmitToChildren, SourceEngine
 from ..obs import (
     DataplaneInstruments,
     FlightRecorder,
@@ -76,20 +70,18 @@ from .framing import (
     first_message,
     write_control_nowait,
 )
-from .streams import ChildReports, PumpSet
+from .streams import PumpSet
 from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["ServerNode", "ServerStats"]
 
 
 class ServerStats:
-    """Server-side counters the harnesses and the CLI report.
-
-    ``rounds`` and ``packets_sent`` are read-through views over the
-    server's :class:`~repro.dataplane.SourceEngine` — the engine's
-    bookkeeping is the one authoritative copy since the dataplane
-    unification.  The membership counters stay plain driver-owned
-    fields.
+    """Server-side membership counters the harnesses and the CLI
+    report, plus ``rounds``, a read-through view of the
+    :class:`~repro.dataplane.SourceEngine`'s.  The data plane's own
+    numbers are the engine's: ``node.dataplane`` and the registry's
+    ``dataplane.*``.
     """
 
     def __init__(self, dataplane: SourceEngine) -> None:
@@ -104,14 +96,9 @@ class ServerStats:
     def rounds(self) -> int:
         return self._dataplane.rounds
 
-    @property
-    def packets_sent(self) -> int:
-        return self._dataplane.packets_sent
-
     def __repr__(self) -> str:  # noqa: D105
         return (
-            f"ServerStats(rounds={self.rounds}, "
-            f"packets_sent={self.packets_sent}, repairs={self.repairs}, "
+            f"ServerStats(rounds={self.rounds}, repairs={self.repairs}, "
             f"probes={self.probes}, joins={self.joins}, "
             f"leaves={self.leaves}, crashes={self.crashes})"
         )
@@ -197,6 +184,8 @@ class ServerNode:
             keepalive_interval=keepalive_interval, clock=self.clock,
             logger=self.log,
         )
+        self.pumps.engine = self.dataplane
+        self.pumps.k = k
         self.pumps.generation_size = params.generation_size
         #: Retired-pump totals first, then one entry per live column pump.
         self.sender_stats = self.pumps.stats
@@ -207,7 +196,7 @@ class ServerNode:
         self.engine.flight = FlightRecorder()
         bind_fields(
             self.registry, self.stats,
-            ("rounds", "packets_sent", "repairs", "probes",
+            ("rounds", "repairs", "probes",
              "joins", "leaves", "crashes"),
             "net", "live ServerStats counter",
         )
@@ -293,30 +282,21 @@ class ServerNode:
             stream, writer, self.clock, self.engine.probe_timeout)
         if isinstance(first, JoinRequest):
             await self._serve_control(first, stream, writer)
-        elif isinstance(first, DataHello) and 0 <= first.column < self.core.k:
-            await self._serve_column(first.column, stream, writer)
+        elif isinstance(first, DataHello) and self._at_top(first):
+            await self.pumps.serve(first.column, stream, writer, first.column)
         else:
             writer.close()
 
-    async def _serve_column(
-        self, column: int, stream: MessageStream, writer: ByteStreamWriter,
-    ) -> None:
-        """Stream one column to the child that dialed us, choosing
-        generations by what it reports complete."""
-        reports = ChildReports(stream, self.dataplane.generation_count)
-        try:
-            completed = reports.buffered()
-        except FramingError:
-            writer.close()
-            return
-        self.dataplane.handle(ChildAttached(column, completed))
-        detached = await self.pumps.serve(
-            column, writer, column=column, reports=reports,
-            on_report=lambda base, extras: self.dataplane.handle(
-                ChildCompleted(column, base, extras)),
-        )
-        if detached:
-            self.dataplane.handle(ChildDetached(column))
+    def _at_top(self, hello: DataHello) -> bool:
+        """Whether the matrix has the dialer at the top of the column it
+        names: a server column is served to that node and nobody else,
+        so a stranger cannot close the top's pump by redialing its key.
+        (The hello is unauthenticated: a forged ``node_id`` passes.)"""
+        matrix = self.core.matrix
+        return (hello.node_id in matrix
+                and hello.column in matrix.row(hello.node_id).columns
+                and matrix.parent_in_column(
+                    hello.node_id, hello.column) == SERVER)
 
     # ------------------------------------------------------------------
     # Control plane: pump the engine

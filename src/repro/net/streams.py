@@ -27,7 +27,9 @@ The connection's other direction carries one thing: the child's
 :class:`~repro.net.control.GenerationsComplete` records, which
 :class:`ChildReports` checks and :meth:`PumpSet.serve` hands to the
 node's data-plane engine, so the queue is not filled with generations
-the child has finished.
+the child has finished.  ``serve`` is a child connection's whole life
+against that engine — attach, burst, reports, idle fills, detach — for
+the source and every relay alike.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ import asyncio
 import logging
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import Callable, Deque, Hashable, Iterable, Optional
+from functools import partial
+from typing import Callable, Deque, Hashable, Optional
 
 from ..coding.packet import CodedPacket
 from ..core.matrix import SERVER
 from ..dataplane.effects import EmitToChildren
+from ..dataplane.events import (
+    ChildAttached,
+    ChildCompleted,
+    ChildDetached,
+    IdlePoll,
+)
 from ..obs import Registry, bind_sender_totals
 from ..protocol.messages import KeepAlive
 from .control import GenerationsComplete, encode_control
@@ -83,16 +92,15 @@ class PacketSender:
         writer: The connection to the downstream node.
         column: Thread column this pump serves (stamped on keep-alives).
         sender_id: Our node id (stamped on keep-alives; -1 = server).
+        idle_packet: Asked for a fresh coded packet whenever the idle
+            timer fires (:class:`PumpSet` asks its engine for one, so a
+            child a relay's parents have stopped feeding still heals);
+            an answer of None sends a bare keep-alive frame instead.
         limit: Queue bound; the oldest packet is evicted on overflow.
-        keepalive_interval: Idle period after which a keep-alive frame
-            is sent (None disables keep-alives).
+        keepalive_interval: Idle period after which the idle packet or
+            a keep-alive frame is sent (None disables both).
         clock: Timeline the idle timer runs on (real time by default;
             the chaos harness injects a virtual clock).
-        idle_packet: Optional source of a fresh coded packet to send in
-            place of a bare keep-alive when the idle timer fires (the
-            swarm harness's innovation-gated mode uses this so a child
-            stuck one degree short of full rank still heals).  Returning
-            None falls back to the normal keep-alive frame.
         logger: Destination for backpressure decisions (evictions are
             logged at DEBUG); None keeps the pump silent.
     """
@@ -103,10 +111,10 @@ class PacketSender:
         *,
         column: int,
         sender_id: int,
+        idle_packet: Callable[[], Optional[CodedPacket]],
         limit: int = 32,
         keepalive_interval: Optional[float] = None,
         clock: Optional[Clock] = None,
-        idle_packet: Optional[Callable[[], Optional[CodedPacket]]] = None,
         logger: Optional[logging.Logger] = None,
     ) -> None:
         if limit < 1:
@@ -220,7 +228,7 @@ class PacketSender:
             )
             return True
         except asyncio.TimeoutError:
-            packet = self._idle_packet() if self._idle_packet is not None else None
+            packet = self._idle_packet()
             if packet is not None:
                 frame = encode_data_frame(packet)
                 self.stats.sent += 1
@@ -287,12 +295,14 @@ class PumpSet:
     The source and every relay have the same job downstream — accept
     the child that dials a column, keep one bounded queue for it, put
     each fresh mixture on it — so ``ServerNode`` and ``PeerNode`` each
-    hold one ``PumpSet`` and no pump of their own.  It owns the keyed
+    hold one ``PumpSet``, hand it each child's data connection once its
+    hello is read, and keep no pump of their own.  It owns the keyed
     :class:`PacketSender` objects (a key is the node's data-plane
     engine's name for the child: a column at the server, ``(child id,
     column)`` at a peer), the rule that a key redialing replaces its
-    old pump, each pump's run → retire → detach lifetime, the reading
-    of what each child reports back, and the node's ``sender_stats``.
+    old pump, each child's attach → burst → reports → idle fills →
+    detach conversation with the engine, and the node's
+    ``sender_stats``.
 
     Args:
         registry: Where ``net.children``, the summed ``net.sender.*``
@@ -300,11 +310,13 @@ class PumpSet:
             served column (the per-neighbour-queue observable) are bound.
         limit, keepalive_interval, clock, logger: Handed to every pump.
 
-    ``origin`` (whom keep-alives and mixtures are stamped from: the
-    server until told otherwise), ``generation_size`` (the geometry
+    ``engine`` (the node's :class:`~repro.dataplane.SourceEngine` or
+    :class:`~repro.dataplane.RelayEngine`), ``k`` (the session's column
+    count), ``origin`` (whom keep-alives and mixtures are stamped from:
+    the server until told otherwise), ``generation_size`` (the geometry
     mixture rows are framed with) and ``logger`` are plain attributes:
-    a peer learns them from its join grant, when this set already is
-    behind its listener.
+    the server sets them as it is built, a peer at its join grant, when
+    this set already is behind its listener.
     """
 
     def __init__(
@@ -316,6 +328,8 @@ class PumpSet:
         clock: Clock,
         logger: Optional[logging.Logger] = None,
     ) -> None:
+        self.engine = None
+        self.k = 0
         self.origin = SERVER
         self.generation_size: Optional[int] = None
         self.logger = logger
@@ -353,34 +367,48 @@ class PumpSet:
     async def serve(
         self,
         key: Hashable,
+        stream: MessageStream,
         writer: ByteStreamWriter,
-        *,
         column: int,
-        idle_packet: Optional[Callable[[], Optional[CodedPacket]]] = None,
-        burst: Iterable = (),
-        reports: Optional[ChildReports] = None,
-        on_report: Optional[Callable[[int, tuple], None]] = None,
-    ) -> bool:
-        """Pump one child connection for as long as it lasts.
+    ) -> None:
+        """Serve one child's data connection, its hello already read
+        off ``stream``, for as long as it lasts.
 
-        A pump already serving ``key`` is closed and replaced (the child
-        redialed: its old connection is dead or about to be).  ``burst``
-        is the engine's answer to ``ChildAttached``; the mixtures in it
-        go on the new pump first.  Each report the child sends is
-        handed to ``on_report(base, extras)``; a child that closes its
-        side, sends anything ``reports`` rejects, or reports more often
-        than an honest child can, ends the pump.
-        Returns True if this pump was still the one serving ``key``
-        when it finished — the key is unserved now, and the caller's
-        engine should hear ``ChildDetached``.
+        A column the session does not have (``0 <= column < k``), a
+        child that dials before the engine exists, or a report behind
+        the hello that the session rejects is closed unattached.
+        Otherwise the engine hears ``ChildAttached`` with the set the
+        child dialed in with, a pump already serving ``key`` is closed
+        and replaced (the child redialed: its old connection is dead or
+        about to be), and the engine's answer goes on the new pump
+        first.  Each report the child sends becomes ``ChildCompleted``;
+        each keep-alive interval the pump sits idle becomes
+        ``IdlePoll``.  A child that closes its side, sends anything
+        :class:`ChildReports` rejects, or reports more often than an
+        honest child can, ends the pump — and if it was still the one
+        serving ``key``, the engine hears ``ChildDetached``.
         """
+        engine = self.engine
+        if engine is None or not 0 <= column < self.k:
+            writer.close()
+            return
+        reports = ChildReports(stream, engine.generation_count)
+        try:
+            completed = reports.buffered()
+        except FramingError:
+            writer.close()
+            return
+        # The engine first: it owns the fan-out order the new pump
+        # joins, and its answer is the burst the pump starts with.
+        burst = engine.handle(ChildAttached(key, completed))
         old = self._pumps.get(key)
         if old is not None:
             old.close()
         pump = PacketSender(
-            writer, column=column, sender_id=self.origin, limit=self._limit,
+            writer, column=column, sender_id=self.origin,
+            idle_packet=partial(self._idle_packet, key), limit=self._limit,
             keepalive_interval=self._keepalive_interval, clock=self._clock,
-            idle_packet=idle_packet, logger=self.logger,
+            logger=self.logger,
         )
         self._pumps[key] = pump
         self.stats.append(pump.stats)
@@ -394,17 +422,12 @@ class PumpSet:
                 ),
             )
         for effect in burst:
-            if isinstance(effect, EmitToChildren):
-                self.emit(effect)
-        listening = (
-            asyncio.ensure_future(self._listen(reports, on_report, pump))
-            if reports is not None else None
-        )
+            self.emit(effect)
+        listening = asyncio.ensure_future(self._listen(key, reports, pump))
         try:
             await pump.run()
         finally:
-            if listening is not None:
-                listening.cancel()
+            listening.cancel()
             # Fold the finished pump's counters into the retired total
             # and drop its own entry: every sum over ``stats`` is
             # unchanged.  By identity — SenderStats compares by value,
@@ -414,14 +437,17 @@ class PumpSet:
             for field in fields(SenderStats):
                 setattr(total, field.name, getattr(total, field.name)
                         + getattr(pump.stats, field.name))
-            last = self._pumps.get(key) is pump
-            if last:
+            if self._pumps.get(key) is pump:
                 del self._pumps[key]
-        return last
+                engine.handle(ChildDetached(key))
+
+    def _idle_packet(self, key: Hashable) -> Optional[CodedPacket]:
+        """The engine's fill for ``key``'s idle link, if it has one."""
+        effects = self.engine.handle(IdlePoll(key))
+        return effects[0].packets[0] if effects else None
 
     async def _listen(
-        self, reports: ChildReports,
-        on_report: Callable[[int, tuple], None], pump: PacketSender,
+        self, key: Hashable, reports: ChildReports, pump: PacketSender,
     ) -> None:
         """Feed one child's reports to the engine until either side is
         done with the connection.
@@ -447,7 +473,7 @@ class PumpSet:
                     raise FramingError(
                         f"{count} completed-set reports where an honest "
                         f"child sends at most {allowed}")
-                on_report(*report)
+                self.engine.handle(ChildCompleted(key, *report))
         except FramingError as error:
             if self.logger is not None:
                 self.logger.info(

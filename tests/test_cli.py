@@ -1,6 +1,11 @@
 """Unit tests for the command-line interface."""
 
+import os
 import re
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,3 +103,40 @@ class TestCommands:
     def test_soak_smoke_preset_shrinks_horizon(self):
         args = build_parser().parse_args(["soak", "--smoke"])
         assert args.smoke and args.peers == 1000 and args.hours == 2.0
+
+
+class TestJoinGivesUp:
+    """``repro join`` is bounded by ``--deadline`` from the first dial:
+    a server that never grants, or nothing listening at all, is one
+    line on stderr and exit status 1."""
+
+    @staticmethod
+    def _join(port: int) -> "subprocess.CompletedProcess":
+        src = Path(__file__).parent.parent / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "repro.cli", "join", "--port", str(port),
+             "--deadline", "1"],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(src), os.environ.get("PYTHONPATH", "")])},
+        )
+
+    def test_silent_server_times_out(self):
+        with socket.socket() as silent:
+            silent.bind(("127.0.0.1", 0))
+            silent.listen()
+            port = silent.getsockname()[1]
+            result = self._join(port)
+        assert result.returncode == 1
+        assert result.stderr.strip().splitlines() == [
+            f"join: not admitted by 127.0.0.1:{port}: no grant within 1s"]
+
+    def test_refused_port_is_one_line(self):
+        with socket.socket() as closed:
+            closed.bind(("127.0.0.1", 0))
+            port = closed.getsockname()[1]
+        result = self._join(port)
+        assert result.returncode == 1
+        (line,) = result.stderr.strip().splitlines()
+        assert line.startswith(f"join: not admitted by 127.0.0.1:{port}: ")
+        assert "Traceback" not in result.stderr

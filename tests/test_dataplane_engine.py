@@ -39,7 +39,6 @@ from repro.dataplane import (
     PacketArrived,
     PullEmit,
     RelayEngine,
-    RequestIdle,
     SourceEngine,
     replay,
 )
@@ -193,23 +192,21 @@ class TestRelayPushFanOut:
         assert not any(isinstance(e, EmitToChildren) for e in effects)
         assert engine.forwarded == seeded + 2
 
-    def test_innovative_attach_requests_idle_fill(self):
-        engine = make_relay(forward_dependent=False)
-        effects = engine.handle(ChildAttached("a", NOTHING))
-        assert any(e == RequestIdle("a") for e in effects)
-
-    def test_eager_attach_requests_idle_fill_too(self):
-        """A relay whose parents have stopped sending (it reported
-        everything complete) has no arrival left to forward on: the
-        idle fill is what still reaches a child short by then."""
-        engine = make_relay(forward_dependent=True)
-        effects = engine.handle(ChildAttached("a", NOTHING))
-        assert effects[0] == RequestIdle("a")
+    @pytest.mark.parametrize("policy", ["eager", "innovative"])
+    def test_attach_answers_only_its_seed_burst(self, policy):
+        """An attach asks the driver for nothing: with nothing held
+        there is no burst, and the idle fill is the pump's own
+        question (``IdlePoll``), under either policy."""
+        engine = make_relay(forward_dependent=FORWARD_POLICIES[policy])
+        assert engine.handle(ChildAttached("a", NOTHING)) == []
+        feed_packets(engine, 1)
+        (burst,) = engine.handle(ChildAttached("b", NOTHING))
+        assert burst.children == ("b",)
 
     def test_attach_seed_burst_and_reattach_order(self):
         engine = make_relay(seed_burst=2)
         feed_packets(engine, 3)
-        _, effect = engine.handle(ChildAttached("a", NOTHING))
+        (effect,) = engine.handle(ChildAttached("a", NOTHING))
         assert effect.children == ("a", "a")
         engine.handle(ChildAttached("b", NOTHING))
         assert engine.children == ("a", "b")
@@ -512,7 +509,7 @@ class TestRelayNeedView:
     def test_sender_without_rank_in_the_lacked_generation_withholds(self):
         engine = make_relay()
         engine.handle(PacketArrived(make_encoder().emit(1)))  # rank in 1 only
-        (_idle, burst) = engine.handle(ChildAttached("a", (0, ())))
+        (burst,) = engine.handle(ChildAttached("a", (0, ())))
         assert served(burst) == [("a", 1)]  # 0 is lacked, but not held
         engine.handle(ChildCompleted("a", 0, (1,)))
         assert emissions(engine.handle(
@@ -523,7 +520,7 @@ class TestRelayNeedView:
 
     def test_attach_burst_and_idle_fill_follow_the_need(self):
         engine = self.relay(forward_dependent=False, seed_burst=2)
-        _, burst = engine.handle(ChildAttached("a", (1, ())))
+        (burst,) = engine.handle(ChildAttached("a", (1, ())))
         assert served(burst) == [("a", 1), ("a", 1)]
         (fill,) = engine.handle(IdlePoll("a"))
         assert served(fill) == [("a", 1)]
@@ -532,10 +529,10 @@ class TestRelayNeedView:
     def test_reattach_starts_from_the_new_report(self):
         engine = self.relay()
         engine.handle(ChildAttached("a", (GENERATIONS, ())))
-        _, burst = engine.handle(ChildAttached("a", (1, ())))
+        (burst,) = engine.handle(ChildAttached("a", (1, ())))
         assert served(burst) == [("a", 1)]
         # ... and a redial that reports nothing holds nothing.
-        _, burst = engine.handle(ChildAttached("a", NOTHING))
+        (burst,) = engine.handle(ChildAttached("a", NOTHING))
         assert served(burst) == [("a", 0)]
 
     def test_unreported_child_is_served_in_order_until_it_reports(self):
@@ -573,7 +570,7 @@ class TestRelayNeedView:
             recoder.receive(encoder.emit(1))
         engine = RelayEngine(recoder)
         assert engine.completed_generations == (0, (1,))
-        _, burst = engine.handle(ChildAttached("a", (0, ())))
+        (burst,) = engine.handle(ChildAttached("a", (0, ())))
         assert served(burst) == [("a", 1)]
 
 

@@ -219,6 +219,11 @@ class TestPeerCorruptionAccounting:
             assert asyncio.run(scenario(body)) == 0
 
 
+def _no_fill():
+    """A pump's idle question with no data to answer it: keep-alives."""
+    return None
+
+
 class _StubWriter:
     """Just enough StreamWriter for a PacketSender that never runs."""
 
@@ -232,7 +237,9 @@ class _StubWriter:
 class TestPacketSenderQueue:
     def test_drop_oldest_on_overflow(self):
         async def scenario():
-            sender = PacketSender(_StubWriter(), column=0, sender_id=1, limit=3)
+            sender = PacketSender(
+                _StubWriter(), column=0, sender_id=1, idle_packet=_no_fill,
+                limit=3)
             for generation in range(5):
                 sender.enqueue(_packet(generation=generation))
             return sender
@@ -248,7 +255,9 @@ class TestPacketSenderQueue:
 
     def test_enqueue_after_close_is_refused(self):
         async def scenario():
-            sender = PacketSender(_StubWriter(), column=0, sender_id=1, limit=2)
+            sender = PacketSender(
+                _StubWriter(), column=0, sender_id=1, idle_packet=_no_fill,
+                limit=2)
             sender.close()
             return sender.enqueue(_packet())
 
@@ -451,11 +460,13 @@ class _CollectingWriter:
 class TestPacketSenderEdges:
     def test_zero_capacity_is_rejected(self):
         with pytest.raises(ValueError, match="limit"):
-            PacketSender(_CollectingWriter(), column=0, sender_id=1, limit=0)
+            PacketSender(_CollectingWriter(), column=0, sender_id=1,
+                         idle_packet=_no_fill, limit=0)
 
     def test_negative_capacity_is_rejected(self):
         with pytest.raises(ValueError, match="limit"):
-            PacketSender(_CollectingWriter(), column=0, sender_id=1, limit=-3)
+            PacketSender(_CollectingWriter(), column=0, sender_id=1,
+                         idle_packet=_no_fill, limit=-3)
 
     def test_close_while_blocked_unblocks_run(self):
         """close() must wake a pump parked on an empty queue (no
@@ -463,7 +474,9 @@ class TestPacketSenderEdges:
 
         async def scenario():
             writer = _CollectingWriter()
-            sender = PacketSender(writer, column=0, sender_id=1, limit=2)
+            sender = PacketSender(
+                writer, column=0, sender_id=1, idle_packet=_no_fill,
+                limit=2)
             task = asyncio.ensure_future(sender.run())
             await asyncio.sleep(0)  # let run() park on the empty queue
             assert not task.done()
@@ -476,7 +489,9 @@ class TestPacketSenderEdges:
     def test_enqueue_while_closed_never_wakes_the_pump(self):
         async def scenario():
             writer = _CollectingWriter()
-            sender = PacketSender(writer, column=0, sender_id=1, limit=2)
+            sender = PacketSender(
+                writer, column=0, sender_id=1, idle_packet=_no_fill,
+                limit=2)
             sender.close()
             assert sender.enqueue(_packet()) is False
             await sender.run()  # exits immediately: already closed
@@ -493,7 +508,7 @@ class TestPacketSenderEdges:
             clock = VirtualClock()
             writer = _CollectingWriter()
             sender = PacketSender(
-                writer, column=3, sender_id=7, limit=4,
+                writer, column=3, sender_id=7, idle_packet=_no_fill, limit=4,
                 keepalive_interval=0.5, clock=clock,
             )
             task = asyncio.ensure_future(sender.run())
@@ -517,7 +532,9 @@ class TestSenderCoalescing:
     @staticmethod
     def _pump(writer, n):
         async def scenario():
-            sender = PacketSender(writer, column=0, sender_id=1, limit=2 * n)
+            sender = PacketSender(
+                writer, column=0, sender_id=1, idle_packet=_no_fill,
+                limit=2 * n)
             frames = [
                 encode_data_frame(_packet(generation=i)) for i in range(n)
             ]

@@ -18,7 +18,14 @@ from repro.coding import CodedPacket
 from repro.coding.generation import GenerationParams
 from repro.coding.recoder import Recoder
 from repro.core.matrix import SERVER
-from repro.dataplane import EmitToChildren, PacketArrived, RelayEngine
+from repro.dataplane import (
+    ChildAttached,
+    ChildCompleted,
+    ChildDetached,
+    EmitToChildren,
+    PacketArrived,
+    RelayEngine,
+)
 from repro.net import MessageStream, PeerNode, ServerNode
 from repro.net.control import (
     MAX_COMPLETE_WINDOW,
@@ -48,7 +55,8 @@ from repro.protocol import (
 )
 from repro.protocol.trace import EngineLog
 
-from tests.test_net_pumps import _pump_set, _serving
+from tests.test_net_framing import _CollectingWriter
+from tests.test_net_pumps import RecordingEngine, _pump_set, _Reader, _serving
 
 PARAMS = GenerationParams(3, 10)
 PORT = 4000
@@ -82,18 +90,39 @@ class _ControlSink:
         pass
 
 
+def _as_granted(peer: PeerNode, session: SessionInfo) -> RelayEngine:
+    """Leave on ``peer`` what its grant would: the session, and the
+    relay engine its pumps serve children from."""
+    peer.session = session
+    peer.dataplane = peer.pumps.engine = peer._relay(Recoder(
+        PARAMS, session.generation_count, np.random.default_rng(0),
+        node_id=9))
+    peer.pumps.k = session.k
+    peer.pumps.generation_size = session.generation_size
+    return peer.dataplane
+
+
 def _child_of(net, listener, **kwargs) -> PeerNode:
     """A peer already holding column 0 under parent 5 at ``listener`` —
     the state a grant would leave, without a server."""
     peer = PeerNode("server", 1, transport=net.transport("peer"), **kwargs)
     peer.engine.node_id = 9
-    peer.session = SessionInfo(3, 10, 1, 30, k=1, d=1)
-    peer.dataplane = RelayEngine(Recoder(
-        PARAMS, 1, np.random.default_rng(0), node_id=9))
+    _as_granted(peer, SessionInfo(3, 10, 1, 30, k=1, d=1))
     peer.parents[0] = 5
     peer._addresses[5] = listener.address
     peer._running = True
     return peer
+
+
+async def _admitted(net, server: ServerNode, address):
+    """Join ``server`` at ``address`` on a hand-dialed control
+    connection; return the id the matrix has at the top of column 0
+    (a server column is served to that node only) and the connection,
+    which must stay open: closing it is a crash."""
+    _, control = await net.open_connection("child", *address)
+    control.write(_control(JoinRequest(reply_to=9)))
+    await net.clock.advance(0.05)
+    return server.core.matrix.column_chain(0)[0], control
 
 
 class TestSilenceBetweenMessages:
@@ -287,12 +316,19 @@ class TestBoundedPumpState:
             net = VirtualNetwork()
             # More content than the run can deliver: a peer that had
             # finished would be sent nothing, and ``sent`` would stall.
-            server = ServerNode(
-                bytes(30_000), PARAMS, k=1, d=1, port=PORT,
-                transport=net.transport("server"),
-            )
-            await server.start()
-            peer = PeerNode("server", PORT, transport=net.transport("peer"))
+            # The peer hangs below a server of its own: the churned one's
+            # column 0 is re-taken by each fresh top node in turn.
+            servers = [
+                ServerNode(
+                    bytes(30_000), PARAMS, k=1, d=1, port=PORT,
+                    transport=net.transport(host),
+                )
+                for host in ("server", "upstream")
+            ]
+            for node in servers:
+                await node.start()
+            server = servers[0]
+            peer = PeerNode("upstream", PORT, transport=net.transport("peer"))
             await peer.start()
             nodes = {
                 "server": (server, ("server", PORT)),
@@ -301,11 +337,18 @@ class TestBoundedPumpState:
             samples = {name: [] for name in nodes}
             for child in range(100, 112):
                 for name, (node, address) in nodes.items():
+                    node_id = child
+                    if name == "server":
+                        node_id, control = await _admitted(
+                            net, server, address)
                     _, writer = await net.open_connection("child", *address)
                     writer.write(_control(
-                        DataHello(node_id=child, column=0)))
+                        DataHello(node_id=node_id, column=0)))
                     await net.clock.advance(0.1)
                     writer.close()
+                    if name == "server":
+                        control.write(_control(
+                            LeaveRequest(node_id=node_id)))
                     await net.clock.advance(0.1)
                     samples[name].append((
                         len(node.sender_stats),
@@ -316,7 +359,8 @@ class TestBoundedPumpState:
                         ["gauges"]["net.sender.sent"],
                     ))
             await peer.close()
-            await server.stop()
+            for node in servers:
+                await node.stop()
             await net.shutdown()
             return samples
 
@@ -364,11 +408,9 @@ class TestFirstFrame:
             net = VirtualNetwork()
             peer = PeerNode("server", 1, transport=net.transport("peer"),
                             seed_burst=4)
-            peer.session = SessionInfo(3, 10, 2, 60, k=1, d=1)
-            peer.dataplane = peer._relay(Recoder(
-                PARAMS, 2, np.random.default_rng(0), node_id=9))
+            relay = _as_granted(peer, SessionInfo(3, 10, 2, 60, k=1, d=1))
             for generation in (0, 1):
-                peer.dataplane.handle(PacketArrived(_packet(generation)))
+                relay.handle(PacketArrived(_packet(generation)))
             peer._running = True
             listener = net.bind("peer", 0, peer._handle_child)
             reader, writer = await net.open_connection(
@@ -396,12 +438,10 @@ class TestFirstFrame:
             if node == "peer":
                 peer = PeerNode("server", 1, transport=net.transport("node"),
                                 keepalive_interval=0.05)
-                peer.session = SessionInfo(3, 10, 2, 60, k=1, d=1)
-                peer.pumps.generation_size = 3
-                peer.dataplane = peer._relay(Recoder(
-                    PARAMS, 2, np.random.default_rng(0), node_id=9))
+                relay = _as_granted(
+                    peer, SessionInfo(3, 10, 2, 60, k=1, d=1))
                 for generation in (0, 1):
-                    peer.dataplane.handle(PacketArrived(_packet(generation)))
+                    relay.handle(PacketArrived(_packet(generation)))
                 peer._running = True
                 address = net.bind("node", 0, peer._handle_child).address
             else:
@@ -410,9 +450,12 @@ class TestFirstFrame:
                     send_interval=0.05, transport=net.transport("node"))
                 await server.start()
                 address = ("node", PORT)
+            node_id = 4
+            if node == "server":
+                node_id, _ = await _admitted(net, server, address)
             reader, writer = await net.open_connection("child", *address)
             inbox, task = _collect(reader)
-            writer.write(_control(DataHello(node_id=4, column=0)))
+            writer.write(_control(DataHello(node_id=node_id, column=0)))
             await net.clock.advance(0.3)
             before = _generations(inbox)
             writer.write(_control(GenerationsComplete(base=1)))
@@ -566,26 +609,30 @@ class TestHostileReports:
         at most one read chunk ever buffered."""
         record = _control(GenerationsComplete(1))
         flood = record * (1_000_000 // len(record))
-        reports, stream = _reports(flood, generation_count=8)
-        applied = []
+        stream = MessageStream(_Reader(flood, eof=True))
 
-        def on_report(base, extras):
-            applied.append(base)
-            assert stream._frames.pending() <= READ_CHUNK_BYTES
+        class Engine(RecordingEngine):
+            def handle(self, event):
+                assert stream._frames.pending() <= READ_CHUNK_BYTES
+                return super().handle(event)
 
         async def scenario():
-            pumps = _pump_set()
-            pumps.generation_size = 3
-            writer, task = await _serving(
-                pumps, "child", reports=reports, on_report=on_report)
+            engine = Engine()
+            pumps = _pump_set(engine)
+            writer = _CollectingWriter()
+            task = asyncio.ensure_future(
+                pumps.serve("child", stream, writer, 0))
+            await asyncio.sleep(0)
             # Three packets queued: one more report allowed, 10 in all.
             pumps.emit(EmitToChildren(
                 ("child",) * 3, packets=(_packet(),) * 3))
-            detached = await task
-            return detached, writer.closed, pumps.attached()
+            await task
+            return engine.heard, writer.closed, pumps.attached()
 
-        assert asyncio.run(scenario()) == (True, True, ())
-        assert applied == [1] * 10
+        heard, closed, attached = asyncio.run(scenario())
+        assert heard == [ChildAttached("child", (0, ()))] + [
+            ChildCompleted("child", 1, ())] * 10 + [ChildDetached("child")]
+        assert closed and attached == ()
         assert stream._frames.pending() <= READ_CHUNK_BYTES
 
 
@@ -649,24 +696,29 @@ class TestWhatAChildCanDo:
         assert {key[0] for key in children} >= {900, 902}
         assert 901 not in {key[0] for key in children}
 
-    def test_column_outside_the_session_is_refused(self):
-        """A relay serves the columns the session has (``0 <= column <
-        k``), as the server does.  Strangers dialling columns 100, 200
-        and 300 are closed before they are attached, and leave no
+    @pytest.mark.parametrize("node", ["peer", "server"])
+    def test_column_outside_the_session_is_refused(self, node):
+        """The source and a relay serve the columns the session has
+        (``0 <= column < k``).  Strangers dialling columns 100, 200 and
+        300 are closed before they are attached, and leave no
         per-column queue-depth gauge behind — up to 65 536 of them per
-        peer otherwise, one per distinct uint16."""
+        node otherwise, one per distinct uint16."""
         config = ChaosConfig(peers=2, k=4, d=2, seed=1, generations=2)
 
         async def scenario():
             harness = ChaosHarness(config, record_trace=False)
             try:
                 await harness.start()
-                relay = harness.peers[0]
-                before = len(relay.registry)
+                if node == "peer":
+                    target = harness.peers[0]
+                    host = harness.host(0)
+                else:
+                    target, host = harness.server, harness.server_host
+                before = len(target.registry)
                 inboxes = []
                 for index, column in enumerate((100, 200, 300)):
                     reader, writer = await harness.net.open_connection(
-                        f"stranger{index}", harness.host(0), relay.port)
+                        f"stranger{index}", host, target.port)
                     inbox, task = _collect(reader)
                     inboxes.append(inbox)
                     writer.write(_control(
@@ -678,8 +730,8 @@ class TestWhatAChildCanDo:
                 await harness.settle(0.1)
                 strays = [name for name in (
                     "net.queue_depth.c100", "net.queue_depth.c200",
-                    "net.queue_depth.c300") if name in relay.registry]
-                return inboxes, before, len(relay.registry), strays
+                    "net.queue_depth.c300") if name in target.registry]
+                return inboxes, before, len(target.registry), strays
             finally:
                 await harness.teardown()
 
@@ -687,3 +739,39 @@ class TestWhatAChildCanDo:
         assert strays == []
         assert after == before
         assert all(inbox == [None] for inbox in inboxes)
+
+    def test_server_column_is_served_only_to_its_top_node(self):
+        """A server column belongs to the node the matrix has at its
+        top.  A stranger, and a node lower down the same column, dialing
+        it are closed; the top's pump — and every other column — is
+        untouched."""
+        config = ChaosConfig(peers=6, k=2, d=2, seed=0, generations=8)
+
+        async def scenario():
+            harness = ChaosHarness(config, record_trace=False)
+            try:
+                await harness.start()
+                server = harness.server
+                before = {c: server.pumps.get(c) for c in range(config.k)}
+                lower = server.core.matrix.column_chain(0)[1]
+                inboxes = []
+                for index, node_id in enumerate((999, lower)):
+                    reader, writer = await harness.net.open_connection(
+                        f"stranger{index}", harness.server_host,
+                        server.port)
+                    inbox, task = _collect(reader)
+                    inboxes.append(inbox)
+                    writer.write(_control(
+                        DataHello(node_id=node_id, column=0)))
+                    await harness.settle(0.1)
+                    task.cancel()
+                after = {c: server.pumps.get(c) for c in range(config.k)}
+                closed = [pump.closed for pump in after.values()]
+                return before, after, closed, inboxes
+            finally:
+                await harness.teardown()
+
+        before, after, closed, inboxes = asyncio.run(scenario())
+        assert all(pump is not None for pump in before.values())
+        assert after == before and not any(closed)
+        assert inboxes == [[None], [None]]
