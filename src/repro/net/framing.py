@@ -21,7 +21,6 @@ through one per connection — and ``send_control`` /
 
 from __future__ import annotations
 
-import asyncio
 import struct
 from typing import Iterator, Optional, Union
 
@@ -281,23 +280,20 @@ async def first_message(
     """A dialler's first message; None if it sent garbage, hung up, or
     did not finish one within ``timeout``.
 
-    The wait is bounded by a watchdog that closes the connection under
-    the read rather than by wrapping the read in ``clock.wait_for``:
-    the common case — the frame is already here — then completes in
-    the caller's own step, with no task switch between a dial and the
+    The read is bare.  Its bound is one timer, due ``timeout`` from
+    now, that closes the connection under the read (which then ends
+    as a hang-up) and is cancelled as soon as the message is in: the
+    common case — the frame is already here — completes in the
+    caller's own step, with no task switch between a dial and the
     attach it asks for.
     """
-    async def hang_up() -> None:
-        await clock.sleep(timeout)
-        writer.close()
-
-    watchdog = asyncio.ensure_future(hang_up())
+    deadline = clock.call_at(clock.time() + timeout, writer.close)
     try:
         return await stream.next()
     except (ConnectionError, OSError):
         return None
     finally:
-        watchdog.cancel()
+        deadline.cancel()
 
 
 def write_control_nowait(writer: ByteStreamWriter, message: object) -> None:

@@ -92,7 +92,13 @@ from .framing import (
     write_control_nowait,
 )
 from .streams import PumpSet
-from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
+from .transport import (
+    AsyncioTransport,
+    ByteStreamWriter,
+    Listener,
+    TimerHandle,
+    Transport,
+)
 
 __all__ = ["PeerNode", "PeerStats"]
 
@@ -104,20 +110,25 @@ FORWARD_POLICIES = {"eager": True, "innovative": False}
 class PeerStats:
     """Per-peer transport counters the harnesses and the CLI report.
     The data plane's own numbers are the engine's: ``node.dataplane``
-    and the registry's ``dataplane.*``."""
+    and the registry's ``dataplane.*``.  ``upstream_fills`` counts the
+    reads the upstream connections parked on, so ``(packets_in +
+    keepalives_seen) / upstream_fills`` is frames per received
+    segment."""
 
     def __init__(self) -> None:
         self.reconnects = 0
         self.complaints = 0
         self.keepalives_seen = 0
         self.crc_failures = 0
+        self.upstream_fills = 0
 
     def __repr__(self) -> str:  # noqa: D105
         return (
             f"PeerStats(reconnects={self.reconnects}, "
             f"complaints={self.complaints}, "
             f"keepalives_seen={self.keepalives_seen}, "
-            f"crc_failures={self.crc_failures})"
+            f"crc_failures={self.crc_failures}, "
+            f"upstream_fills={self.upstream_fills})"
         )
 
 
@@ -231,7 +242,8 @@ class PeerNode:
         self.engine.flight = FlightRecorder()
         bind_fields(
             self.registry, self.stats,
-            ("reconnects", "complaints", "keepalives_seen", "crc_failures"),
+            ("reconnects", "complaints", "keepalives_seen", "crc_failures",
+             "upstream_fills"),
             "net", "live PeerStats counter",
         )
         self.registry.gauge(
@@ -489,9 +501,27 @@ class PeerNode:
         self, column: int, parent: int, address: tuple[str, int]
     ) -> bool:
         """One connection lifetime; True if any packet arrived (healthy
-        session — reset the backoff)."""
+        session — reset the backoff).
+
+        Silence runs between complete messages, not between bytes: a
+        chunk that finishes no frame buys no time.  It is one timer per
+        connection, due ``silence_timeout`` after the last complete
+        message.  When it fires past that deadline it closes the
+        connection under the read, which then ends like a hang-up;
+        otherwise it re-arms for the deadline as it now stands.
+        """
         writer: Optional[ByteStreamWriter] = None
+        silence: Optional[TimerHandle] = None
         saw_traffic = False
+
+        def check_silence() -> None:
+            nonlocal silence
+            deadline = heard + self.silence_timeout
+            if self.clock.time() >= deadline:
+                writer.close()
+            else:
+                silence = self.clock.call_at(deadline, check_silence)
+
         try:
             reader, writer = await self.transport.connect(*address)
             # The hello and what we already hold go out as one write,
@@ -505,6 +535,8 @@ class PeerNode:
             self._upstream_writers[column] = writer
             stream = MessageStream(reader)
             heard = self.clock.time()
+            silence = self.clock.call_at(
+                heard + self.silence_timeout, check_silence)
             #: packets of generations we had already finished, since the
             #: last report this loop sent
             stale = 0
@@ -520,15 +552,10 @@ class PeerNode:
                     elif stale >= self.session.generation_size:
                         self._write_report(writer, self._report_frame())
                         stale = 0
-                    # Everything buffered is drained: park once, for
-                    # what is left of the silence window.  Silence runs
-                    # between complete messages, not between bytes, so
-                    # a chunk that finishes no frame buys no time.
-                    silent = self.clock.time() - heard
-                    if not await self.clock.wait_for(
-                        stream.fill(), timeout=self.silence_timeout - silent
-                    ):
-                        break  # upstream closed
+                    # Everything buffered is drained: park on the read.
+                    self.stats.upstream_fills += 1
+                    if not await stream.fill():
+                        break  # upstream closed, or silent too long
                     continue
                 heard = self.clock.time()
                 if isinstance(message, CodedPacket):
@@ -547,9 +574,11 @@ class PeerNode:
                 "column %d: corrupted frame from parent %d (CRC mismatch), "
                 "dropping connection", column, parent,
             )
-        except (asyncio.TimeoutError, ConnectionError, OSError, FramingError):
+        except (ConnectionError, OSError, FramingError):
             pass
         finally:
+            if silence is not None:
+                silence.cancel()
             if writer is not None:
                 if self._upstream_writers.get(column) is writer:
                     del self._upstream_writers[column]

@@ -11,7 +11,7 @@ a real deployment adds around it:
   engine and performing the effects it returns;
 * address book upkeep — a ``PeerLocator`` precedes every ``SetParent``
   so the child can dial its new parent;
-* probe deadlines as asyncio sleeps feeding
+* probe deadlines as clock timers feeding
   :class:`~repro.protocol.events.TimerFired` back into the engine;
 * the data plane's root: a
   :class:`~repro.coding.encoder.SourceEncoder` pumping coded packets
@@ -71,7 +71,13 @@ from .framing import (
     write_control_nowait,
 )
 from .streams import PumpSet
-from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
+from .transport import (
+    AsyncioTransport,
+    ByteStreamWriter,
+    Listener,
+    TimerHandle,
+    Transport,
+)
 
 __all__ = ["ServerNode", "ServerStats"]
 
@@ -171,7 +177,8 @@ class ServerNode:
         self._peers: dict[int, _PeerHandle] = {}
         self._server: Optional[Listener] = None
         self._stream_task: Optional[asyncio.Task] = None
-        self._timer_tasks: set[asyncio.Task] = set()
+        #: The engine's armed timers (probe deadlines), until they fire.
+        self._timers: set[TimerHandle] = set()
         self._running = False
         self.log = logging.getLogger("repro.net.server")
         #: Per-node telemetry: engine counters, folded stats dataclasses,
@@ -233,18 +240,19 @@ class ServerNode:
     async def stop(self) -> None:
         """Close every connection and stop serving."""
         self._running = False
-        pending = [t for t in [self._stream_task, *self._timer_tasks]
-                   if t is not None]
-        for task in pending:
-            task.cancel()
+        for timer in self._timers:
+            timer.cancel()
+        self._timers.clear()
+        if self._stream_task is not None:
+            self._stream_task.cancel()
         self.pumps.close()
         for handle in list(self._peers.values()):
             handle.writer.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
+        if self._stream_task is not None:
+            await asyncio.gather(self._stream_task, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # Data plane
@@ -369,10 +377,7 @@ class ServerNode:
             elif isinstance(effect, Admitted):
                 self._welcome(effect, joining)
             elif isinstance(effect, StartTimer):
-                task = asyncio.ensure_future(
-                    self._timer(effect.key, effect.delay))
-                self._timer_tasks.add(task)
-                task.add_done_callback(self._timer_tasks.discard)
+                self._start_timer(effect.key, effect.delay)
             elif isinstance(effect, CloseConnection):
                 handle = self._peers.get(effect.node_id)
                 if handle is not None:
@@ -387,9 +392,15 @@ class ServerNode:
                     self.stats.repairs += 1
                     self._peers.pop(effect.node_id, None)
 
-    async def _timer(self, key: tuple, delay: float) -> None:
-        await self.clock.sleep(delay)
-        self._perform(self.engine.handle(TimerFired(key)))
+    def _start_timer(self, key: tuple, delay: float) -> None:
+        """Arm the engine's timer: ``TimerFired(key)`` after ``delay``."""
+
+        def fire() -> None:
+            self._timers.discard(timer)
+            self._perform(self.engine.handle(TimerFired(key)))
+
+        timer = self.clock.call_at(self.clock.time() + delay, fire)
+        self._timers.add(timer)
 
     def _disconnect(self, handle: _PeerHandle) -> None:
         """Control connection gone: a crash unless it said good-bye."""

@@ -61,7 +61,7 @@ from .framing import (
     encode_frame,
     encode_mixture_frames,
 )
-from .transport import AsyncioClock, ByteStreamWriter, Clock
+from .transport import AsyncioClock, ByteStreamWriter, Clock, TimerHandle
 
 __all__ = ["ChildReports", "PacketSender", "PumpSet", "SenderStats"]
 
@@ -98,7 +98,8 @@ class PacketSender:
             an answer of None sends a bare keep-alive frame instead.
         limit: Queue bound; the oldest packet is evicted on overflow.
         keepalive_interval: Idle period after which the idle packet or
-            a keep-alive frame is sent (None disables both).
+            a keep-alive frame is sent (None disables both).  It runs
+            from the pump's last park, on one timer per pump.
         clock: Timeline the idle timer runs on (real time by default;
             the chaos harness injects a virtual clock).
         logger: Destination for backpressure decisions (evictions are
@@ -135,10 +136,15 @@ class PacketSender:
             logger is not None and logger.isEnabledFor(logging.DEBUG)
         )
         self._queue: Deque[bytes] = deque()
-        #: What the parked run loop waits on; None while it is awake.  A
-        #: bare future the clock can wait on as it is, where an Event's
-        #: ``wait()`` would cost a wrapper task per park.
+        #: The bare future the run loop last parked on (done once it is
+        #: woken).  Its result says why it woke: True for the keep-alive
+        #: timer, False for work or a close.
         self._parked: Optional[asyncio.Future] = None
+        #: When the run loop last parked: the keep-alive is due one
+        #: interval later.
+        self._parked_at = 0.0
+        #: The pump's one keep-alive timer, armed at its first park.
+        self._keepalive: Optional[TimerHandle] = None
         self._closed = False
 
     @property
@@ -193,15 +199,35 @@ class PacketSender:
     def _wake(self) -> None:
         parked = self._parked
         if parked is not None and not parked.done():
-            parked.set_result(None)
+            parked.set_result(False)
+
+    def _keepalive_due(self) -> None:
+        """The keep-alive timer fired: wake a pump that has sat parked
+        a whole interval (its next park arms the timer afresh), else
+        re-arm for one interval after its last park — so the timer
+        fires at or before every deadline, never after."""
+        clock = self._clock
+        now = clock.time()
+        parked = self._parked
+        if parked is None or parked.done():
+            # Awake: its next park is no earlier than now.
+            deadline = now + self._keepalive_interval
+        else:
+            deadline = self._parked_at + self._keepalive_interval
+            if now >= deadline:
+                self._keepalive = None
+                parked.set_result(True)
+                return
+        self._keepalive = clock.call_at(deadline, self._keepalive_due)
 
     async def run(self) -> None:
         """Drain the queue onto the wire until closed or disconnected."""
         try:
             while not self._closed:
                 if not self._queue:
-                    if not await self._wait_for_work():
-                        continue  # idle timeout: keep-alive sent
+                    if await self._park() and not self._queue:
+                        await self._send_idle()
+                        continue
                 if self._closed:
                     break
                 frames = list(self._queue)
@@ -215,36 +241,40 @@ class PacketSender:
             pass
         finally:
             self._closed = True
+            if self._keepalive is not None:
+                self._keepalive.cancel()
             self._writer.close()
 
-    async def _wait_for_work(self) -> bool:
-        """Block until work arrives; False after an idle keep-alive."""
-        if self._queue or self._closed:
-            return True
+    async def _park(self) -> bool:
+        """Wait for work, a close, or the keep-alive timer; True for
+        the timer."""
         self._parked = asyncio.get_running_loop().create_future()
-        try:
-            await self._clock.wait_for(
-                self._parked, timeout=self._keepalive_interval
+        self._parked_at = self._clock.time()
+        if self._keepalive is None and self._keepalive_interval is not None:
+            self._keepalive = self._clock.call_at(
+                self._parked_at + self._keepalive_interval,
+                self._keepalive_due)
+        return await self._parked
+
+    async def _send_idle(self) -> None:
+        """The link sat idle an interval: the engine's fill for it, or
+        a bare keep-alive frame."""
+        packet = self._idle_packet()
+        if packet is not None:
+            frame = encode_data_frame(packet)
+            self.stats.sent += 1
+        else:
+            frame = encode_frame(
+                KIND_CONTROL,
+                encode_control(
+                    KeepAlive(column=self.column, sender=self.sender_id)
+                ),
             )
-            return True
-        except asyncio.TimeoutError:
-            packet = self._idle_packet()
-            if packet is not None:
-                frame = encode_data_frame(packet)
-                self.stats.sent += 1
-            else:
-                frame = encode_frame(
-                    KIND_CONTROL,
-                    encode_control(
-                        KeepAlive(column=self.column, sender=self.sender_id)
-                    ),
-                )
-                self.stats.keepalives += 1
-            self._writer.write(frame)
-            self.stats.bytes_sent += len(frame)
-            self.stats.flushes += 1
-            await self._writer.drain()
-            return False
+            self.stats.keepalives += 1
+        self._writer.write(frame)
+        self.stats.bytes_sent += len(frame)
+        self.stats.flushes += 1
+        await self._writer.drain()
 
 
 class ChildReports:

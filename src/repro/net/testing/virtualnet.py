@@ -49,7 +49,7 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from heapq import heappop, heappush
-from typing import Any, Awaitable, Optional
+from typing import Any, Callable, Optional
 
 from ..transport import Clock, ConnectionHandler
 
@@ -65,19 +65,56 @@ __all__ = [
 # Virtual time
 
 
+class VirtualTimer:
+    """A :meth:`VirtualClock.call_at` timer: ``cancel()`` it before it
+    runs and it never does.
+
+    It waits on the clock's heap beside the futures of parked sleeps,
+    and answers the two things the heap asks of them: ``done()`` (a
+    cancelled timer is popped lazily, like a cancelled sleep) and
+    ``set_result()`` (firing, which puts the callback on the loop's
+    ready queue behind whatever fired before it).
+    """
+
+    __slots__ = ("_callback",)
+
+    def __init__(self, callback: Callable[[], Any]) -> None:
+        self._callback: Optional[Callable[[], Any]] = callback
+
+    def cancel(self) -> None:
+        self._callback = None
+
+    def done(self) -> bool:
+        return self._callback is None
+
+    def set_result(self, _result: None) -> None:
+        asyncio.get_running_loop().call_soon(self._run)
+
+    def _run(self) -> None:
+        # Cancelled between firing and running: like asyncio's handles,
+        # it still never runs.
+        callback, self._callback = self._callback, None
+        if callback is not None:
+            callback()
+
+
 class VirtualClock:
     """A :class:`~repro.net.transport.Clock` whose time only moves when a
     driver calls :meth:`advance` / :meth:`run_until`.
 
-    ``sleep`` parks the caller on a timer heap; ``advance`` pops due
-    timers in deadline order, settling the event loop (draining its
-    ready queue) between firings so causally-dependent wakeups happen in
-    a deterministic, repeatable order.
+    ``sleep`` parks the caller on a timer heap and ``call_at`` puts a
+    :class:`VirtualTimer` on the same heap, in one sequence, so a sleep
+    and a timer due at the same instant fire in the order they were
+    armed.  ``advance`` pops due timers in deadline order, settling the
+    event loop (draining its ready queue) between firings so
+    causally-dependent wakeups happen in a deterministic, repeatable
+    order.
     """
 
     def __init__(self, *, quantum: float = 0.0) -> None:
         self._now = 0.0
-        self._timers: list[tuple[float, int, asyncio.Future]] = []
+        #: (deadline, sequence, sleeper's future or VirtualTimer)
+        self._timers: list[tuple[float, int, Any]] = []
         self._seq = itertools.count()
         #: Bound on settle iterations, so a busy-spinning task turns
         #: into a loud failure instead of a silent hang.
@@ -105,34 +142,10 @@ class VirtualClock:
         heappush(self._timers, (self._now + delay, next(self._seq), future))
         await future
 
-    async def wait_for(self, awaitable: Awaitable, timeout: Optional[float]) -> Any:
-        if timeout is None:
-            return await awaitable
-        task = asyncio.ensure_future(awaitable)
-        timer = None
-        try:
-            # The overwhelmingly common wait (a frame read with bytes
-            # already buffered) completes on its first step — only a
-            # wait that really parks pays for the timer future, the heap
-            # push and the extra task.
-            await asyncio.sleep(0)
-            if not task.done():
-                timer = asyncio.ensure_future(self.sleep(timeout))
-                await asyncio.wait({task, timer}, return_when=asyncio.FIRST_COMPLETED)
-        except asyncio.CancelledError:
-            task.cancel()
-            raise
-        finally:
-            if timer is not None:
-                timer.cancel()
-        if task.done() and not task.cancelled():
-            return task.result()
-        task.cancel()
-        try:
-            await task
-        except (asyncio.CancelledError, Exception):  # noqa: BLE001 - parked result
-            pass
-        raise asyncio.TimeoutError(f"virtual wait_for exceeded {timeout}s")
+    def call_at(self, when: float, callback: Callable[[], Any]) -> VirtualTimer:
+        timer = VirtualTimer(callback)
+        heappush(self._timers, (when, next(self._seq), timer))
+        return timer
 
     async def advance(self, delay: float) -> None:
         await self.run_until(self._now + delay)
@@ -144,7 +157,7 @@ class VirtualClock:
         while True:
             await self._settle()
             while self._timers and self._timers[0][2].done():
-                heappop(self._timers)  # cancelled sleeps
+                heappop(self._timers)  # cancelled sleeps and timers
             if not self._timers or self._timers[0][0] > deadline:
                 break
             fired += 1

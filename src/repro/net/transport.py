@@ -3,8 +3,9 @@
 Everything in :mod:`repro.net` that touches a socket or the passage of
 time does so through three small protocols defined here:
 
-* :class:`Clock` — ``time``/``sleep``/``wait_for`` plus ``advance`` (a
-  driver-side hook that real clocks implement as a plain sleep);
+* :class:`Clock` — ``time``/``sleep``, one timer primitive
+  (``call_at``), plus ``advance`` (a driver-side hook that real clocks
+  implement as a plain sleep);
 * :class:`Listener` — the accepting side of a bound endpoint;
 * :class:`Transport` — dial + bind, returning stream reader/writer
   pairs shaped like asyncio's.
@@ -39,6 +40,7 @@ __all__ = [
     "Clock",
     "ConnectionHandler",
     "Listener",
+    "TimerHandle",
     "Transport",
 ]
 
@@ -74,22 +76,35 @@ ConnectionHandler = Callable[
 ]
 
 
+class TimerHandle(Protocol):
+    """What :meth:`Clock.call_at` returns."""
+
+    def cancel(self) -> None:
+        """Make sure the callback never runs (a no-op once it has)."""
+        ...
+
+
 class Clock(Protocol):
     """Time as seen by the protocol code.
 
-    ``time``/``sleep``/``wait_for`` are used *inside* the nodes (silence
-    timeouts, keep-alive idles, reconnect backoff, emission pacing);
-    ``advance`` is the *driver-side* hook harnesses use to let a span of
-    time pass — a real clock simply sleeps, a virtual clock fires every
-    timer due in the span and settles the event loop between firings.
+    ``time``/``sleep``/``call_at`` are used *inside* the nodes: pacing
+    and backoff sleep, and every bound on a connection — upstream
+    silence, the keep-alive idle, the first frame, a probe — is a
+    deadline, one ``call_at`` per connection that checks its deadline
+    when it fires and re-arms itself if the deadline has moved on.  No
+    read or park is ever wrapped in a per-call timeout.  ``advance`` is
+    the *driver-side* hook harnesses use to let a span of time pass — a
+    real clock simply sleeps, a virtual clock fires every timer due in
+    the span and settles the event loop between firings.
     """
 
     def time(self) -> float: ...
 
     async def sleep(self, delay: float) -> None: ...
 
-    async def wait_for(self, awaitable: Awaitable, timeout: Optional[float]) -> Any:
-        """Like :func:`asyncio.wait_for`, against this clock's timeline."""
+    def call_at(self, when: float, callback: Callable[[], Any]) -> TimerHandle:
+        """Run ``callback()`` on the event loop once :meth:`time`
+        reaches ``when`` (an absolute time on this clock)."""
         ...
 
     async def advance(self, delay: float) -> None: ...
@@ -136,8 +151,8 @@ class AsyncioClock:
     async def sleep(self, delay: float) -> None:
         await asyncio.sleep(delay)
 
-    async def wait_for(self, awaitable: Awaitable, timeout: Optional[float]) -> Any:
-        return await asyncio.wait_for(awaitable, timeout)
+    def call_at(self, when: float, callback: Callable[[], Any]) -> TimerHandle:
+        return asyncio.get_running_loop().call_at(when, callback)
 
     async def advance(self, delay: float) -> None:
         await asyncio.sleep(delay)

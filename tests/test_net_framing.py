@@ -500,30 +500,42 @@ class TestPacketSenderEdges:
         assert asyncio.run(scenario()) == []
 
     def test_keepalive_cadence_on_virtual_clock(self):
-        """Idle keep-alives follow the configured interval exactly when
-        the pump runs on virtual time."""
+        """A keep-alive goes out exactly one interval (0.5) after the
+        pump's last park, and never while it is fed faster than that:
+        idle at 0.5, 1.0, 1.5; flushed at 1.75 and every 0.4 after,
+        through 3.35; idle again at 3.85."""
         from repro.net.testing import VirtualClock
 
         async def scenario():
             clock = VirtualClock()
             writer = _CollectingWriter()
+            log = []
+            write, writelines = writer.write, writer.writelines
+            writer.write = lambda data: (
+                log.append((clock.time(), "keepalive")), write(data))
+            writer.writelines = lambda frames: (
+                log.append((clock.time(), "flush")), writelines(frames))
             sender = PacketSender(
                 writer, column=3, sender_id=7, idle_packet=_no_fill, limit=4,
                 keepalive_interval=0.5, clock=clock,
             )
             task = asyncio.ensure_future(sender.run())
-            await clock.advance(1.75)  # idle: keep-alives at 0.5, 1.0, 1.5
-            idle_frames = len(writer.chunks)
-            sender.enqueue(_packet())
-            await clock.advance(0.1)
+            await clock.advance(1.75)
+            for _ in range(5):
+                sender.enqueue(_packet())
+                await clock.advance(0.4)
+            await clock.advance(0.3)
             sender.close()
             await task
-            return idle_frames, sender.stats
+            return log, sender.stats
 
-        idle_frames, stats = asyncio.run(scenario())
-        assert idle_frames == 3
-        assert stats.keepalives == 3
-        assert stats.sent == 1
+        log, stats = asyncio.run(scenario())
+        assert [kind for _, kind in log] == (
+            ["keepalive"] * 3 + ["flush"] * 5 + ["keepalive"])
+        assert [when for when, _ in log] == [
+            pytest.approx(t, abs=1e-9)
+            for t in (0.5, 1.0, 1.5, 1.75, 2.15, 2.55, 2.95, 3.35, 3.85)]
+        assert (stats.keepalives, stats.sent) == (4, 5)
 
 
 class TestSenderCoalescing:

@@ -125,43 +125,87 @@ async def _admitted(net, server: ServerNode, address):
     return server.core.matrix.column_chain(0)[0], control
 
 
+def at(when):
+    """A virtual time, up to float rounding of the sums that reach it."""
+    return pytest.approx(when, abs=1e-9)
+
+
+def _timed(clock, handle, log):
+    """``handle``, logging each event with the time it arrived."""
+
+    def timed(event):
+        log.append((clock.time(), event))
+        return handle(event)
+
+    return timed
+
+
 class TestSilenceBetweenMessages:
+    """Silence runs from the last complete message: the thread is down
+    exactly ``silence_timeout`` after it."""
+
+    silence = 1.0
+
+    def _run(self, script, until):
+        """A child below a parent that reads the hello, then plays
+        ``script(clock, writer)`` on its first connection only and
+        holds it open; what the engine heard, when, and the control
+        bytes the child wrote."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            dials = []
+
+            async def parent(reader, writer):
+                await MessageStream(reader).next()  # the child's DataHello
+                dials.append(writer)
+                if len(dials) == 1:
+                    await script(net.clock, writer)
+
+            listener = net.bind("parent", 0, parent)
+            peer = _child_of(net, listener, silence_timeout=self.silence)
+            sink = peer._control_writer = _ControlSink()
+            heard = []
+            peer.engine.handle = _timed(net.clock, peer.engine.handle, heard)
+            task = asyncio.ensure_future(peer._thread_loop(0))
+            await net.clock.advance(until)
+            task.cancel()
+            await net.shutdown()
+            return heard, peer.stats.complaints, bytes(sink.written)
+
+        return asyncio.run(scenario())
+
     def test_parent_trickling_an_unfinished_frame_is_still_silent(self):
         """Bytes are not traffic: half a frame, then one byte every
         ``silence_timeout / 2``, never completes a message — the session
         ends ``silence_timeout`` after it began, with a complaint."""
-        silence = 1.0
         frame = encode_data_frame(_packet())
 
-        async def scenario():
-            net = VirtualNetwork()
+        async def script(clock, writer):
+            half = len(frame) // 2
+            writer.write(frame[:half])
+            for byte in frame[half:-1]:
+                await clock.sleep(self.silence / 2)
+                writer.write(bytes([byte]))
 
-            async def parent(reader, writer):
-                await MessageStream(reader).next()  # the child's DataHello
-                half = len(frame) // 2
-                writer.write(frame[:half])
-                for byte in frame[half:-1]:
-                    await net.clock.sleep(silence / 2)
-                    writer.write(bytes([byte]))
-
-            listener = net.bind("parent", 0, parent)
-            peer = _child_of(net, listener, silence_timeout=silence)
-            sink = peer._control_writer = _ControlSink()
-            log = peer.engine.log = EngineLog()
-            task = asyncio.ensure_future(peer._thread_loop(0))
-            await net.clock.advance(silence - 0.01)
-            early = list(log.events)
-            await net.clock.advance(0.02)
-            task.cancel()
-            await net.shutdown()
-            return early, log.events, peer.stats.complaints, bytes(sink.written)
-
-        early, events, complaints, written = asyncio.run(scenario())
-        assert early == []
-        assert events == [UpstreamDown(column=0, parent=5, saw_traffic=False)]
+        heard, complaints, written = self._run(script, self.silence + 0.01)
+        assert heard == [(at(self.silence), UpstreamDown(
+            column=0, parent=5, saw_traffic=False))]
         assert complaints == 1
         assert written == _control(
             ComplaintMsg(reporter=9, column=0, suspect=5))
+
+    def test_parent_gone_silent_is_down_at_its_last_message_plus_the_timeout(
+            self):
+        async def script(clock, writer):
+            for gap in (0.1, 0.25):
+                await clock.sleep(gap)
+                writer.write(_control(KeepAlive(column=0, sender=5)))
+
+        heard, complaints, _ = self._run(script, 0.35 + self.silence + 0.01)
+        assert heard == [(at(0.35 + self.silence), UpstreamDown(
+            column=0, parent=5, saw_traffic=True))]
+        assert complaints == 0  # a session that heard traffic redials
 
 
 class TestBatchedDrain:
@@ -498,7 +542,8 @@ class TestFirstFrame:
     def test_half_a_hello_is_closed_after_one_timeout(self, node):
         """A dialler that never finishes its first frame holds a task
         and a socket for one timeout (``silence_timeout`` at a peer,
-        ``probe_timeout`` at the server), not forever."""
+        ``probe_timeout`` at the server) from its dial — at 0.3 here —
+        not forever."""
         timeout = 0.5
         hello = _control(DataHello(node_id=4, column=0))
 
@@ -516,22 +561,24 @@ class TestFirstFrame:
                     probe_timeout=timeout, transport=net.transport("node"))
                 await server.start()
                 address = ("node", PORT)
+            await net.clock.advance(0.3)
             reader, writer = await net.open_connection("child", *address)
-            inbox, task = _collect(reader)
             writer.write(hello[:len(hello) // 2])
-            await net.clock.advance(timeout - 0.01)
-            early = list(inbox)
-            await net.clock.advance(0.02)
-            late = list(inbox)
-            task.cancel()
+            closed = []
+
+            async def watch():
+                assert await MessageStream(reader).next() is None
+                closed.append(net.clock.time())
+
+            task = asyncio.ensure_future(watch())
+            await net.clock.advance(1.0)
+            await task
             if node == "server":
                 await server.stop()
             await net.shutdown()
-            return early, late
+            return closed
 
-        early, late = asyncio.run(scenario())
-        assert early == []
-        assert late == [None]
+        assert asyncio.run(scenario()) == [at(0.3 + timeout)]
 
 
 def _reports(*chunks: bytes, generation_count: int = 8):

@@ -67,55 +67,119 @@ class TestVirtualClock:
             ("early", 0.1), ("mid", 0.2), ("late", 0.3)
         ]
 
-    def test_wait_for_timeout_is_virtual(self):
-        async def scenario():
-            clock = VirtualClock()
-            blocked = asyncio.Event()
-
-            async def waiter():
-                with pytest.raises(asyncio.TimeoutError):
-                    await clock.wait_for(blocked.wait(), timeout=0.5)
-                return clock.time()
-
-            task = asyncio.ensure_future(waiter())
-            await clock.advance(0.5)
-            return await task
-
-        assert run(scenario()) == 0.5
-
-    def test_wait_for_returns_result_before_timeout(self):
-        async def scenario():
-            clock = VirtualClock()
-
-            async def value_soon():
-                await clock.sleep(0.1)
-                return 42
-
-            task = asyncio.ensure_future(
-                clock.wait_for(value_soon(), timeout=5.0)
-            )
-            await clock.advance(0.2)
-            return await task
-
-        assert run(scenario()) == 42
-
     @pytest.mark.parametrize("quantum", [0.0, 0.25])
-    def test_cancelled_wait_for_cancels_the_awaited_task(self, quantum):
-        """Cancelling a waiter at its first-step yield (before any timer
-        exists) must not leave the awaited task running."""
+    @pytest.mark.parametrize("timer_first", [True, False])
+    def test_timer_and_sleep_due_together_fire_in_arming_order(
+            self, quantum, timer_first):
+        """``call_at`` and ``sleep`` share one heap and one sequence: a
+        timer and a sleep with the same deadline fire in the order they
+        were armed, at that deadline, batched or not."""
 
         async def scenario():
             clock = VirtualClock(quantum=quantum)
-            inner = asyncio.ensure_future(asyncio.Event().wait())
-            waiter = asyncio.ensure_future(clock.wait_for(inner, timeout=5.0))
-            await asyncio.sleep(0)  # waiter is parked on its first step
-            waiter.cancel()
-            with pytest.raises(asyncio.CancelledError):
-                await waiter
-            await asyncio.sleep(0)
-            return inner.cancelled()
+            order = []
 
-        assert run(scenario()) is True
+            async def sleeper():
+                await clock.sleep(0.5)
+                order.append(("sleep", clock.time()))
+
+            def arm_timer():
+                clock.call_at(0.5, lambda: order.append(("timer", clock.time())))
+
+            if timer_first:
+                arm_timer()
+            task = asyncio.ensure_future(sleeper())
+            await asyncio.sleep(0)  # the sleep is armed on its first step
+            if not timer_first:
+                arm_timer()
+            await clock.advance(1.0)
+            await task
+            return order
+
+        fired = run(scenario())
+        expected = ["timer", "sleep"] if timer_first else ["sleep", "timer"]
+        assert [kind for kind, _ in fired] == expected
+        assert [when for _, when in fired] == [0.5, 0.5]
+
+    def test_cancelled_timer_never_fires_nor_counts_against_the_limit(self):
+        async def scenario():
+            clock = VirtualClock()
+            clock.firing_limit = 2
+            fired = []
+            timers = [
+                clock.call_at(0.1 * (i + 1), lambda i=i: fired.append(i))
+                for i in range(10)
+            ]
+            for index, timer in enumerate(timers):
+                if index not in (3, 7):
+                    timer.cancel()
+            await clock.advance(2.0)  # two firings: within the limit
+            return fired, clock._timers
+
+        assert run(scenario()) == ([3, 7], [])
+
+    @pytest.mark.parametrize("quantum", [0.0, 0.25])
+    def test_timer_cancelled_by_one_due_with_it_never_runs(self, quantum):
+        """Two timers due together: the first one's callback cancels the
+        second.  Batched, both have already fired when the first runs —
+        the cancel still reaches the second on the ready queue."""
+
+        async def scenario():
+            clock = VirtualClock(quantum=quantum)
+            fired = []
+            second = None
+
+            def first():
+                fired.append("first")
+                second.cancel()
+
+            clock.call_at(0.5, first)
+            second = clock.call_at(0.5, lambda: fired.append("second"))
+            await clock.advance(1.0)
+            return fired
+
+        assert run(scenario()) == ["first"]
+
+    def test_timers_fire_in_batches_under_quantum(self):
+        """With a quantum, every timer due within one quantum of the
+        earliest fires before the loop settles; without one, the loop
+        settles after each."""
+
+        async def scenario(quantum):
+            clock = VirtualClock(quantum=quantum)
+            seen = []
+            for when in (0.1, 0.15, 0.3):
+                # Each callback records which timers are still queued.
+                clock.call_at(when, lambda when=when: seen.append(
+                    (when, clock.time(), len(clock._timers))))
+            await clock.advance(1.0)
+            return seen
+
+        # Unbatched: each callback runs at its own deadline, before the
+        # next timer is popped.
+        assert run(scenario(0.0)) == [(0.1, 0.1, 2), (0.15, 0.15, 1),
+                                      (0.3, 0.3, 0)]
+        # One 0.1 quantum: 0.1 and 0.15 fire together (time already at
+        # the batch's last deadline), then 0.3 alone.
+        assert run(scenario(0.1)) == [(0.1, 0.15, 1), (0.15, 0.15, 1),
+                                      (0.3, 0.3, 0)]
+
+    @pytest.mark.parametrize("quantum", [0.0, 0.25])
+    def test_timer_rearming_at_now_is_stopped_by_the_firing_limit(
+            self, quantum):
+        async def scenario():
+            clock = VirtualClock(quantum=quantum)
+            clock.firing_limit = 50
+
+            def rearm():
+                clock.call_at(clock.time(), rearm)
+
+            clock.call_at(0.1, rearm)
+            with pytest.raises(RuntimeError, match="fired 50 timers"):
+                await clock.advance(1.0)
+            return clock.time()
+
+        assert run(scenario()) == pytest.approx(0.1)
 
     def test_nested_sleeps_fire_in_one_advance(self):
         """A timer whose callback schedules another timer inside the
