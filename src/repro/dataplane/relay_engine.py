@@ -95,8 +95,8 @@ class RelayEngine:
         forward_dependent: bool = True,
         seed_burst: int = 1,
     ) -> None:
-        if seed_burst < 0:
-            raise ValueError("seed_burst must be >= 0")
+        if seed_burst < 1:
+            raise ValueError("seed_burst must be >= 1")
         self.recoder = recoder
         self.seed_burst = seed_burst
         #: data-plane counters — the one authoritative copy (PeerStats,
@@ -333,7 +333,7 @@ class RelayEngine:
         # upstream arrival (matters when upstream is already complete).
         choice = self._choice(child)
         packets = [] if choice is None else self.recoder.emit_batch(
-            max(1, self.seed_burst), choice)
+            self.seed_burst, choice)
         if not packets:
             return []
         self.forwarded += len(packets)

@@ -4,15 +4,12 @@
 :class:`~repro.protocol.peer_engine.PeerEngine`.  The engine owns every
 peer-side protocol decision — which parent feeds which column, when to
 complain, how long to back off — and this module owns the I/O around
-it: it joins through the server's hello protocol, dials one upstream
-*data* connection per assigned thread, feeds everything it receives
-into the shared :class:`~repro.coding.recoder.Recoder`, and fans fresh
-random mixtures out to the children that dial it — each child behind a
-bounded drop-oldest queue (see :mod:`repro.net.streams`).  On each
-upstream connection it also tells the parent which generations it has
-finished (with the hello, then as each completes), and it reads the
-same from its own children, so no thread is spent on a generation its
-receiver already holds.
+it: it joins through the server's hello protocol, keeps the control
+connection, and dials one upstream *data* connection per assigned
+thread.  Both ends of every data connection — what it is sent by its
+parents, the reports it owes them, the mixtures it fans out to the
+children that dial it — are its :class:`~repro.net.streams.PumpSet`'s,
+run against the node's :class:`~repro.dataplane.RelayEngine`.
 
 Robustness model, mirroring §3/§5 on a real event loop:
 
@@ -34,22 +31,16 @@ from __future__ import annotations
 
 import asyncio
 import logging
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 from numpy.random import default_rng
 
 from ..coding.generation import GenerationParams
-from ..coding.packet import CodedPacket
 from ..coding.recoder import Recoder
 from ..core.matrix import SERVER
-from ..dataplane import (
-    EmitToChildren,
-    GenerationComplete,
-    MarkComplete,
-    PacketArrived,
-    RelayEngine,
-)
+from ..dataplane import RelayEngine
 from ..obs import (
     DataplaneInstruments,
     FlightRecorder,
@@ -65,7 +56,6 @@ from ..protocol import (
     ComplaintMsg,
     JoinGrant,
     JoinRequest,
-    KeepAlive,
     LeaveRequest,
     MessageReceived,
     PeerEngine,
@@ -74,31 +64,16 @@ from ..protocol import (
     StopThread,
     UpstreamDown,
 )
-from .control import (
-    DataHello,
-    GenerationsComplete,
-    PeerLocator,
-    SessionInfo,
-    encode_control,
-)
+from .control import DataHello, PeerLocator, SessionInfo
 from .framing import (
-    KIND_CONTROL,
-    CrcMismatchError,
     FramingError,
     MessageStream,
-    encode_frame,
     first_message,
     send_control,
     write_control_nowait,
 )
 from .streams import PumpSet
-from .transport import (
-    AsyncioTransport,
-    ByteStreamWriter,
-    Listener,
-    TimerHandle,
-    Transport,
-)
+from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
 
@@ -107,6 +82,7 @@ __all__ = ["PeerNode", "PeerStats"]
 FORWARD_POLICIES = {"eager": True, "innovative": False}
 
 
+@dataclass
 class PeerStats:
     """Per-peer transport counters the harnesses and the CLI report.
     The data plane's own numbers are the engine's: ``node.dataplane``
@@ -115,21 +91,11 @@ class PeerStats:
     keepalives_seen) / upstream_fills`` is frames per received
     segment."""
 
-    def __init__(self) -> None:
-        self.reconnects = 0
-        self.complaints = 0
-        self.keepalives_seen = 0
-        self.crc_failures = 0
-        self.upstream_fills = 0
-
-    def __repr__(self) -> str:  # noqa: D105
-        return (
-            f"PeerStats(reconnects={self.reconnects}, "
-            f"complaints={self.complaints}, "
-            f"keepalives_seen={self.keepalives_seen}, "
-            f"crc_failures={self.crc_failures}, "
-            f"upstream_fills={self.upstream_fills})"
-        )
+    reconnects: int = 0
+    complaints: int = 0
+    keepalives_seen: int = 0
+    crc_failures: int = 0
+    upstream_fills: int = 0
 
 
 class PeerNode:
@@ -156,9 +122,9 @@ class PeerNode:
             lacks, so neither floods: each is the faster one on some
             workload (DESIGN.md §5).
         seed_burst: Packets recoded toward a child immediately when it
-            attaches (default 1).  Swarm runs set it to the generation
-            size so a repaired child recovers from the burst instead of
-            waiting on upstream innovation.
+            attaches: at least one (the default).  Swarm runs set it to
+            the generation size so a repaired child recovers from the
+            burst instead of waiting on upstream innovation.
     """
 
     def __init__(
@@ -178,8 +144,8 @@ class PeerNode:
         forward_policy: str = "eager",
         seed_burst: int = 1,
     ) -> None:
-        if seed_burst < 0:
-            raise ValueError("seed_burst must be >= 0")
+        if seed_burst < 1:
+            raise ValueError("seed_burst must be >= 1")
         if forward_policy not in FORWARD_POLICIES:
             raise ValueError(
                 f"unknown forward_policy {forward_policy!r} (expected one "
@@ -206,7 +172,6 @@ class PeerNode:
         self.silence_timeout = silence_timeout
         self.on_complete = on_complete
         self.stats = PeerStats()
-        self.completed = False
         #: The sans-IO data-plane core (created with its recoder once
         #: the join grant fixes the coding geometry).
         self.dataplane: Optional[RelayEngine] = None
@@ -217,11 +182,6 @@ class PeerNode:
         self._addresses: dict[int, tuple[str, int]] = {
             SERVER: (server_host, server_port)}
         self._thread_tasks: dict[int, asyncio.Task] = {}
-        #: column -> the open connection to that thread's parent: where
-        #: completed-set reports go
-        self._upstream_writers: dict[int, ByteStreamWriter] = {}
-        #: a generation completed since the last report went out
-        self._report_due = False
         self._listener: Optional[Listener] = None
         self._control_writer: Optional[ByteStreamWriter] = None
         self._control_task: Optional[asyncio.Task] = None
@@ -230,7 +190,8 @@ class PeerNode:
         #: Per-node telemetry; renamed to ``peer:<node_id>`` once the
         #: grant assigns us an id.  Everything is snapshot-on-read.
         self.registry = Registry("peer")
-        #: The downstream side: one pump per (child id, column) dialed in.
+        #: Both ends of every data connection: one pump per (child id,
+        #: column) dialed in, and each thread's dial to its parent.
         self.pumps = PumpSet(
             self.registry, limit=queue_limit,
             keepalive_interval=keepalive_interval, clock=self.clock,
@@ -388,6 +349,11 @@ class PeerNode:
         """Degrees of freedom required for a full decode."""
         return self.dataplane.needed if self.dataplane else 0
 
+    @property
+    def completed(self) -> bool:
+        """Every generation decoded."""
+        return self.dataplane is not None and self.dataplane.completed
+
     def recovered_content(self) -> bytes:
         """The decoded bytes; requires completeness."""
         if not self.completed:
@@ -453,7 +419,7 @@ class PeerNode:
             pass
 
     # ------------------------------------------------------------------
-    # Upstream data plane (we are the child)
+    # Data connections: dial each thread's parent, accept children
 
     def _restart_thread(self, column: int) -> None:
         """(Re)start the upstream pump for one thread."""
@@ -470,18 +436,26 @@ class PeerNode:
         )
 
     async def _thread_loop(self, column: int) -> None:
-        """Dial the current parent of ``column`` and consume its stream,
-        reconnecting with exponential backoff for as long as we hold the
-        thread.  The engine judges every session end: a healthy one
-        redials immediately, a silent one complains (at most once per
-        episode) and backs off."""
+        """Dial the current parent of ``column`` and hand the connection
+        to ``pumps.consume``, reconnecting with exponential backoff for
+        as long as we hold the thread.  The engine judges every session
+        end: a healthy one redials immediately, a silent one complains
+        (at most once per episode) and backs off."""
+        notify = None if self.on_complete is None else partial(
+            self.on_complete, self)
         while self._running and column in self.parents:
             parent = self.parents[column]
             address = self._addresses.get(parent)
             saw_traffic = False
             if address is not None:
-                saw_traffic = await self._consume_upstream(
-                    column, parent, address)
+                try:
+                    reader, writer = await self.transport.connect(*address)
+                except (ConnectionError, OSError):
+                    pass
+                else:
+                    saw_traffic = await self.pumps.consume(
+                        column, reader, writer, self.silence_timeout,
+                        self.stats, notify)
             delay = self._perform(self.engine.handle(UpstreamDown(
                 column=column, parent=parent, saw_traffic=saw_traffic,
             )))
@@ -497,117 +471,6 @@ class PeerNode:
                 return
             self.stats.reconnects += 1
 
-    async def _consume_upstream(
-        self, column: int, parent: int, address: tuple[str, int]
-    ) -> bool:
-        """One connection lifetime; True if any packet arrived (healthy
-        session — reset the backoff).
-
-        Silence runs between complete messages, not between bytes: a
-        chunk that finishes no frame buys no time.  It is one timer per
-        connection, due ``silence_timeout`` after the last complete
-        message.  When it fires past that deadline it closes the
-        connection under the read, which then ends like a hang-up;
-        otherwise it re-arms for the deadline as it now stands.
-        """
-        writer: Optional[ByteStreamWriter] = None
-        silence: Optional[TimerHandle] = None
-        saw_traffic = False
-
-        def check_silence() -> None:
-            nonlocal silence
-            deadline = heard + self.silence_timeout
-            if self.clock.time() >= deadline:
-                writer.close()
-            else:
-                silence = self.clock.call_at(deadline, check_silence)
-
-        try:
-            reader, writer = await self.transport.connect(*address)
-            # The hello and what we already hold go out as one write,
-            # so the parent that reads the one has the other: a
-            # re-clipped thread is never re-sent a finished generation.
-            report = self._report_frame()
-            writer.write(encode_frame(KIND_CONTROL, encode_control(
-                DataHello(node_id=self.node_id, column=column))) + report)
-            self.pumps.count_report(len(report))
-            await writer.drain()
-            self._upstream_writers[column] = writer
-            stream = MessageStream(reader)
-            heard = self.clock.time()
-            silence = self.clock.call_at(
-                heard + self.silence_timeout, check_silence)
-            #: packets of generations we had already finished, since the
-            #: last report this loop sent
-            stale = 0
-            while self._running and self.parents.get(column) == parent:
-                message = stream.next_nowait()
-                if message is None:
-                    # One report for everything this drain completed —
-                    # or again, to a parent that has sent a whole
-                    # generation's worth of what we hold: it missed one.
-                    if self._report_due:
-                        self._send_reports()
-                        stale = 0
-                    elif stale >= self.session.generation_size:
-                        self._write_report(writer, self._report_frame())
-                        stale = 0
-                    # Everything buffered is drained: park on the read.
-                    self.stats.upstream_fills += 1
-                    if not await stream.fill():
-                        break  # upstream closed, or silent too long
-                    continue
-                heard = self.clock.time()
-                if isinstance(message, CodedPacket):
-                    saw_traffic = True
-                    effects = self.dataplane.handle(PacketArrived(message))
-                    self._perform_data(effects)
-                    if not effects[0].innovative and self.dataplane.finished(
-                            message.generation):
-                        stale += 1
-                elif isinstance(message, KeepAlive):
-                    saw_traffic = True
-                    self.stats.keepalives_seen += 1
-        except CrcMismatchError:
-            self.stats.crc_failures += 1
-            self.log.info(
-                "column %d: corrupted frame from parent %d (CRC mismatch), "
-                "dropping connection", column, parent,
-            )
-        except (ConnectionError, OSError, FramingError):
-            pass
-        finally:
-            if silence is not None:
-                silence.cancel()
-            if writer is not None:
-                if self._upstream_writers.get(column) is writer:
-                    del self._upstream_writers[column]
-                writer.close()
-        return saw_traffic
-
-    def _report_frame(self) -> bytes:
-        """Our completed-generation set as a framed record."""
-        return encode_frame(KIND_CONTROL, encode_control(GenerationsComplete(
-            *self.dataplane.completed_generations)))
-
-    def _send_reports(self) -> None:
-        """Tell every parent what we have finished.  The parent whose
-        packet did not complete the generation is still sending it."""
-        self._report_due = False
-        frame = self._report_frame()
-        for writer in self._upstream_writers.values():
-            self._write_report(writer, frame)
-
-    def _write_report(self, writer: ByteStreamWriter, frame: bytes) -> None:
-        try:
-            writer.write(frame)
-        except (ConnectionError, OSError):
-            return
-        self.pumps.count_report(len(frame))
-
-    # ------------------------------------------------------------------
-    # Downstream data plane (we are the parent)
-
     async def _handle_child(
         self, reader, writer: ByteStreamWriter
     ) -> None:
@@ -622,18 +485,3 @@ class PeerNode:
             return
         await self.pumps.serve(
             (hello.node_id, hello.column), stream, writer, hello.column)
-
-    def _perform_data(self, effects) -> None:
-        """Carry out the data-plane engine's effects.  ``Ingested`` is
-        trace/observability-only, and a ``GenerationComplete`` becomes
-        the report ``_consume_upstream`` writes when it has drained what
-        it was handed."""
-        for effect in effects:
-            if isinstance(effect, EmitToChildren):
-                self.pumps.emit(effect)
-            elif isinstance(effect, GenerationComplete):
-                self._report_due = True  # sent once this drain is done
-            elif isinstance(effect, MarkComplete):
-                self.completed = True
-                if self.on_complete is not None:
-                    self.on_complete(self)

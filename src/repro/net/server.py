@@ -185,7 +185,7 @@ class ServerNode:
         #: per-column queue depths — everything snapshot-on-read, so the
         #: hot paths keep bumping plain dataclass fields.
         self.registry = Registry("server")
-        #: The downstream side: one pump per column, toward its top node.
+        #: The data connections: one pump per column, toward its top node.
         self.pumps = PumpSet(
             self.registry, limit=queue_limit,
             keepalive_interval=keepalive_interval, clock=self.clock,

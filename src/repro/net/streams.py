@@ -1,5 +1,6 @@
-"""A node's downstream side: per-connection outbound pumps with bounded
-queues, and the :class:`PumpSet` that owns all of a node's.
+"""A node's data connections, both ends: the :class:`PumpSet` that
+serves the children that dial it, one bounded outbound pump each, and
+consumes the connections it dials to its own parents.
 
 Backpressure policy (the per-neighbour-queues design of
 arXiv:1301.5107): every downstream connection owns a bounded FIFO of
@@ -29,7 +30,23 @@ The connection's other direction carries one thing: the child's
 node's data-plane engine, so the queue is not filled with generations
 the child has finished.  ``serve`` is a child connection's whole life
 against that engine — attach, burst, reports, idle fills, detach — for
-the source and every relay alike.
+the source and every relay alike; :meth:`PumpSet.consume` is the same
+for a connection a relay dials to its parent — hello, arrivals,
+reports, silence.
+
+The reports are one contract with two halves, both counted in the
+session's ``generation_size``:
+
+* the child (``consume``) sends its completed set with its hello, in
+  the same write; once after each drain that completed a generation,
+  to every parent it has open; and once more to a parent that has sent
+  it ``generation_size`` packets of generations it already held since
+  its last report there (that parent evidently missed one);
+* so the parent (``serve``) allows a child ``1 + G + enqueued //
+  generation_size`` reports on one connection — the hello's, one per
+  generation of the content's ``G``, one per ``generation_size``
+  packets it has queued toward the child — and closes one that sends
+  more.
 """
 
 from __future__ import annotations
@@ -43,25 +60,33 @@ from typing import Callable, Deque, Hashable, Optional
 
 from ..coding.packet import CodedPacket
 from ..core.matrix import SERVER
-from ..dataplane.effects import EmitToChildren
+from ..dataplane.effects import EmitToChildren, GenerationComplete, MarkComplete
 from ..dataplane.events import (
     ChildAttached,
     ChildCompleted,
     ChildDetached,
     IdlePoll,
+    PacketArrived,
 )
 from ..obs import Registry, bind_sender_totals
 from ..protocol.messages import KeepAlive
-from .control import GenerationsComplete, encode_control
+from .control import DataHello, GenerationsComplete, encode_control
 from .framing import (
     KIND_CONTROL,
+    CrcMismatchError,
     FramingError,
     MessageStream,
     encode_data_frame,
     encode_frame,
     encode_mixture_frames,
 )
-from .transport import AsyncioClock, ByteStreamWriter, Clock, TimerHandle
+from .transport import (
+    AsyncioClock,
+    ByteStreamReader,
+    ByteStreamWriter,
+    Clock,
+    TimerHandle,
+)
 
 __all__ = ["ChildReports", "PacketSender", "PumpSet", "SenderStats"]
 
@@ -320,7 +345,7 @@ class ChildReports:
 
 
 class PumpSet:
-    """Everything a node does toward the children that dial it.
+    """A node's data connections, both ends.
 
     The source and every relay have the same job downstream — accept
     the child that dials a column, keep one bounded queue for it, put
@@ -332,7 +357,10 @@ class PumpSet:
     column)`` at a peer), the rule that a key redialing replaces its
     old pump, each child's attach → burst → reports → idle fills →
     detach conversation with the engine, and the node's
-    ``sender_stats``.
+    ``sender_stats``.  Upstream, a peer hands it each connection it
+    dials to a parent (:meth:`consume`), so the engine's arrivals, the
+    fan-out they trigger and the reports the node owes its parents
+    meet in one place.
 
     Args:
         registry: Where ``net.children``, the summed ``net.sender.*``
@@ -342,9 +370,10 @@ class PumpSet:
 
     ``engine`` (the node's :class:`~repro.dataplane.SourceEngine` or
     :class:`~repro.dataplane.RelayEngine`), ``k`` (the session's column
-    count), ``origin`` (whom keep-alives and mixtures are stamped from:
-    the server until told otherwise), ``generation_size`` (the geometry
-    mixture rows are framed with) and ``logger`` are plain attributes:
+    count), ``origin`` (whom keep-alives, mixtures and hellos are
+    stamped from: the server until told otherwise), ``generation_size``
+    (the geometry mixture rows are framed with, and the reports' unit)
+    and ``logger`` are plain attributes:
     the server sets them as it is built, a peer at its join grant, when
     this set already is behind its listener.
     """
@@ -368,6 +397,11 @@ class PumpSet:
         #: place, never rebound.
         self.stats: list[SenderStats] = [SenderStats()]
         self._pumps: dict[Hashable, PacketSender] = {}
+        #: column -> the open connection to that thread's parent: where
+        #: this node's reports go
+        self._parents: dict[int, ByteStreamWriter] = {}
+        #: a generation completed since the last report went out
+        self._report_due = False
         self._registry = registry
         self._limit = limit
         self._keepalive_interval = keepalive_interval
@@ -381,12 +415,6 @@ class PumpSet:
     def get(self, key: Hashable) -> Optional[PacketSender]:
         """The pump now serving ``key``, if any."""
         return self._pumps.get(key)
-
-    def count_report(self, size: int) -> None:
-        """Charge ``size`` bytes of completed-set report this node
-        wrote to a parent: ``sender_stats`` is the node's whole
-        data-connection byte account, whichever way the bytes went."""
-        self.stats[0].bytes_sent += size
 
     def attached(self) -> tuple:
         """Keys with an open pump, in attach order."""
@@ -480,14 +508,8 @@ class PumpSet:
         self, key: Hashable, reports: ChildReports, pump: PacketSender,
     ) -> None:
         """Feed one child's reports to the engine until either side is
-        done with the connection.
-
-        An honest child reports as it dials, once per generation it
-        completes, and once more per generation's worth of packets it
-        is sent of generations it had finished (the parent evidently
-        missed a report) — so never more often than this pump's own
-        enqueue count allows.  More is a flood.
-        """
+        done with the connection; more than the allowance in the module
+        docstring is a flood."""
         count = 0
         try:
             while True:
@@ -542,3 +564,117 @@ class PumpSet:
         for pump in self._pumps.values():
             if column is None or pump.column == column:
                 pump.close()
+
+    async def consume(
+        self,
+        column: int,
+        reader: ByteStreamReader,
+        writer: ByteStreamWriter,
+        silence_timeout: float,
+        stats,
+        on_complete: Optional[Callable[[], None]] = None,
+    ) -> bool:
+        """Consume the connection this node dialed to ``column``'s
+        parent for as long as it lasts, and close it; True if a packet
+        or a keep-alive arrived (a healthy session).
+
+        Every packet is the engine's ``PacketArrived``: its
+        ``EmitToChildren`` goes to :meth:`emit`, its ``MarkComplete``
+        calls ``on_complete``, and the reports follow the child's half
+        of the module docstring's contract.  Silence runs between
+        complete messages, not bytes: one timer per connection, due
+        ``silence_timeout`` after the last complete message, closes the
+        connection under the read when it fires past that deadline (the
+        read then ends like a hang-up), else re-arms for the deadline
+        as it now stands.  ``stats`` (the node's ``PeerStats``) counts
+        the reads parked on, keep-alives heard and CRC failures.
+        """
+        engine, clock = self.engine, self._clock
+        silence: Optional[TimerHandle] = None
+        saw_traffic = False
+
+        def check_silence() -> None:
+            nonlocal silence
+            deadline = heard + silence_timeout
+            if clock.time() >= deadline:
+                writer.close()
+            else:
+                silence = clock.call_at(deadline, check_silence)
+
+        try:
+            # One write: the parent that parses the hello holds the set,
+            # so a re-clipped thread is never re-sent what it decoded.
+            report = self._report()
+            writer.write(encode_frame(KIND_CONTROL, encode_control(
+                DataHello(node_id=self.origin, column=column))) + report)
+            self.stats[0].bytes_sent += len(report)
+            await writer.drain()
+            self._parents[column] = writer
+            stream = MessageStream(reader)
+            heard = clock.time()
+            silence = clock.call_at(heard + silence_timeout, check_silence)
+            #: packets of generations already held, since the last
+            #: report this connection sent
+            stale = 0
+            while True:
+                message = stream.next_nowait()
+                if message is None:
+                    # Everything buffered is drained: report, then park
+                    # on the read.
+                    if self._report_due:
+                        self._report_due = False
+                        report = self._report()
+                        for parent in self._parents.values():
+                            self._report_to(parent, report)
+                        stale = 0
+                    elif stale >= self.generation_size:
+                        self._report_to(writer, self._report())
+                        stale = 0
+                    stats.upstream_fills += 1
+                    if not await stream.fill():
+                        break  # the parent closed, or fell silent
+                    continue
+                heard = clock.time()
+                if isinstance(message, CodedPacket):
+                    saw_traffic = True
+                    effects = engine.handle(PacketArrived(message))
+                    for effect in effects:
+                        if isinstance(effect, EmitToChildren):
+                            self.emit(effect)
+                        elif isinstance(effect, GenerationComplete):
+                            self._report_due = True
+                        elif isinstance(effect, MarkComplete) and on_complete:
+                            on_complete()
+                    if not effects[0].innovative and engine.finished(
+                            message.generation):
+                        stale += 1
+                elif isinstance(message, KeepAlive):
+                    saw_traffic = True
+                    stats.keepalives_seen += 1
+        except CrcMismatchError:
+            stats.crc_failures += 1
+            if self.logger is not None:
+                self.logger.info(
+                    "column %d: corrupted frame from the parent (CRC "
+                    "mismatch), dropping connection", column)
+        except (ConnectionError, OSError, FramingError):
+            pass
+        finally:
+            if silence is not None:
+                silence.cancel()
+            if self._parents.get(column) is writer:
+                del self._parents[column]
+            writer.close()
+        return saw_traffic
+
+    def _report(self) -> bytes:
+        """This node's completed-generation set as a framed record."""
+        return encode_frame(KIND_CONTROL, encode_control(GenerationsComplete(
+            *self.engine.completed_generations)))
+
+    def _report_to(self, writer: ByteStreamWriter, frame: bytes) -> None:
+        try:
+            writer.write(frame)
+        except (ConnectionError, OSError):
+            return
+        self.stats[0].bytes_sent += len(frame)

@@ -11,7 +11,7 @@ different drivers:
   scripted injection on the server's outbound data pump (sixteen
   round-robin source packets with a mid-script duplicate and a trailing
   post-completion duplicate), all travelling through framing, CRC, and
-  :meth:`PeerNode._perform_data`;
+  :meth:`repro.net.streams.PumpSet.consume`;
 * the slotted simulator's pull-mode driver
   (:meth:`repro.sim.behaviors.RlncBehavior.deliver`), replaying the
   exact same packets, bring-up prefix included.

@@ -218,8 +218,15 @@ class TestRelayPushFanOut:
         assert engine.children == ("a",)
 
     def test_rejects_negative_seed_burst(self):
-        with pytest.raises(ValueError):
-            make_relay(seed_burst=-1)
+        """A burst is at least one packet: zero is refused, not read
+        as one."""
+        for burst in (-1, 0):
+            with pytest.raises(ValueError):
+                make_relay(seed_burst=burst)
+
+    def test_peer_rejects_an_empty_seed_burst(self):
+        with pytest.raises(ValueError, match="seed_burst"):
+            PeerNode("server", 1, seed_burst=0)
 
     def test_fanout_rows_give_every_child_one_mixture(self):
         """One arrival yields one ``[coefficients | payload]`` row per

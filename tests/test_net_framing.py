@@ -8,7 +8,7 @@ import pytest
 from repro.coding import CodedPacket, GenerationParams, Recoder
 from repro.coding.wire import encode_packet
 from repro.dataplane import RelayEngine
-from repro.net.control import DataHello, SessionInfo, encode_control
+from repro.net.control import DataHello, encode_control
 from repro.net.framing import (
     KIND_CONTROL,
     KIND_DATA,
@@ -19,7 +19,7 @@ from repro.net.framing import (
     encode_data_frame,
     encode_frame,
 )
-from repro.net.streams import PacketSender
+from repro.net.streams import PacketSender, PumpSet
 from repro.protocol.messages import KeepAlive, SetParent
 
 
@@ -188,9 +188,11 @@ class TestReadMessage:
 class TestPeerCorruptionAccounting:
     def test_peer_counts_crc_failures_but_not_wrong_versions(self):
         """PeerStats.crc_failures moves on a corrupted body and stays
-        put on a wrong-version frame; both drop the connection."""
-        from repro.net.peer import PeerNode
+        put on a wrong-version frame; both drop the connection
+        ``PumpSet.consume`` is reading."""
+        from repro.net.peer import PeerStats
         from repro.net.testing import VirtualNetwork
+        from repro.obs import Registry
 
         corrupted = bytearray(encode_packet(_packet()))
         corrupted[-1] ^= 0x01
@@ -203,16 +205,17 @@ class TestPeerCorruptionAccounting:
                 writer.write(encode_frame(KIND_DATA, body))
 
             listener = net.bind("parent", 0, parent)
-            peer = PeerNode("server", 1, transport=net.transport("peer"))
-            peer.engine.node_id = 9
-            peer.session = SessionInfo(4, 16, 1, 64, k=1, d=1)
-            peer.dataplane = RelayEngine(Recoder(
+            pumps = PumpSet(Registry("peer"), limit=8,
+                            keepalive_interval=None, clock=net.clock)
+            pumps.engine = RelayEngine(Recoder(
                 GenerationParams(4, 16), 1, np.random.default_rng(0), 9))
-            peer.parents[0] = 5
-            peer._running = True
-            await peer._consume_upstream(0, 5, listener.address)
+            pumps.generation_size = 4
+            stats = PeerStats()
+            reader, writer = await net.open_connection(
+                "peer", *listener.address)
+            await pumps.consume(0, reader, writer, 1.0, stats)
             await net.shutdown()
-            return peer.stats.crc_failures
+            return stats.crc_failures
 
         assert asyncio.run(scenario(bytes(corrupted))) == 1
         for body in _restamped(1):

@@ -1,7 +1,8 @@
 """The live drivers' inbound path: one ``MessageStream`` per connection.
 
 Peer- and server-level behaviour that rides on it — silence measured
-between complete messages, a whole flush drained per wake-up, no byte
+between complete messages, a whole flush drained per wake-up, the
+reports a child owes its parents and the allowance they grant it, no byte
 lost between an admission sequence (or a data hello) and the loop
 after it, a bounded wait for a dialler's first frame — plus the
 bounded per-connection state of the outbound pumps under churn, and
@@ -10,6 +11,7 @@ writes on its data connection.
 """
 
 import asyncio
+import logging
 
 import numpy as np
 import pytest
@@ -42,8 +44,14 @@ from repro.net.framing import (
     encode_data_frame,
     encode_frame,
 )
+from repro.net.peer import PeerStats
 from repro.net.streams import ChildReports, SenderStats
-from repro.net.testing import ChaosConfig, ChaosHarness, VirtualNetwork
+from repro.net.testing import (
+    ChaosConfig,
+    ChaosHarness,
+    VirtualNetwork,
+    run_scenario_sync,
+)
 from repro.protocol import (
     ComplaintMsg,
     JoinGrant,
@@ -90,26 +98,44 @@ class _ControlSink:
         pass
 
 
+def _basis(generation):
+    """Three packets that complete ``generation`` at g = 3."""
+    return [
+        CodedPacket(
+            generation=generation,
+            coefficients=np.eye(3, dtype=np.uint8)[row],
+            payload=np.arange(10, dtype=np.uint8),
+            origin=5,
+        )
+        for row in range(3)
+    ]
+
+
 def _as_granted(peer: PeerNode, session: SessionInfo) -> RelayEngine:
-    """Leave on ``peer`` what its grant would: the session, and the
-    relay engine its pumps serve children from."""
+    """Leave on ``peer`` what its grant would, as node 9: the session,
+    and the relay engine its pumps run both ends against."""
     peer.session = session
     peer.dataplane = peer.pumps.engine = peer._relay(Recoder(
         PARAMS, session.generation_count, np.random.default_rng(0),
         node_id=9))
+    peer.pumps.origin = 9
     peer.pumps.k = session.k
     peer.pumps.generation_size = session.generation_size
     return peer.dataplane
 
 
-def _child_of(net, listener, **kwargs) -> PeerNode:
-    """A peer already holding column 0 under parent 5 at ``listener`` —
-    the state a grant would leave, without a server."""
+def _child_of(net, *listeners, generations=1, **kwargs) -> PeerNode:
+    """A peer already holding column ``c`` under parent ``5 + c`` at
+    ``listeners[c]`` — the state a grant would leave, without a
+    server."""
     peer = PeerNode("server", 1, transport=net.transport("peer"), **kwargs)
     peer.engine.node_id = 9
-    _as_granted(peer, SessionInfo(3, 10, 1, 30, k=1, d=1))
-    peer.parents[0] = 5
-    peer._addresses[5] = listener.address
+    k = len(listeners)
+    _as_granted(peer, SessionInfo(
+        3, 10, generations, 30 * generations, k=k, d=k))
+    for column, listener in enumerate(listeners):
+        peer.parents[column] = 5 + column
+        peer._addresses[5 + column] = listener.address
     peer._running = True
     return peer
 
@@ -210,7 +236,8 @@ class TestSilenceBetweenMessages:
 
 class TestBatchedDrain:
     def test_one_flush_is_drained_in_one_wakeup(self, monkeypatch):
-        """Five frames flushed in one ``writelines`` arrive as five
+        """Five frames flushed in one ``writelines`` arrive at the
+        engine ``PumpSet.consume`` runs against as five
         ``PacketArrived`` in order from a single ``fill()``; the reader
         parks once, on the ``fill()`` after it."""
         fills = []
@@ -232,12 +259,14 @@ class TestBatchedDrain:
                     [encode_data_frame(_packet(g)) for g in range(5)])
 
             listener = net.bind("parent", 0, parent)
-            peer = _child_of(net, listener)
-            peer.dataplane = RelayEngine(Recoder(
+            engine = RelayEngine(Recoder(
                 PARAMS, 5, np.random.default_rng(0), node_id=9))
-            log = peer.dataplane.log = EngineLog()
+            log = engine.log = EngineLog()
+            pumps = _pump_set(engine, clock=net.clock)
+            reader, writer = await net.open_connection(
+                "peer", *listener.address)
             task = asyncio.ensure_future(
-                peer._consume_upstream(0, 5, listener.address))
+                pumps.consume(0, reader, writer, 1.0, PeerStats()))
             await net.clock.advance(0.1)
             parked = not task.done()
             task.cancel()
@@ -249,6 +278,123 @@ class TestBatchedDrain:
         assert [e.packet.generation for e in events] == [0, 1, 2, 3, 4]
         assert parked
         assert len(fills) == 2
+
+
+class TestChildReportRules:
+    """The child's half of the completion-report contract, as its
+    parents read it: a report with the hello, one per drain that
+    completed a generation (to every open parent), and one to a parent
+    that has sent a generation's worth of packets the child held."""
+
+    def _run(self, script, *, parents=1, generations=2, held=()):
+        """Clip a child holding ``held`` below ``parents`` parents:
+        parent ``c`` (host ``parent<c>``) records what it reads, with
+        the time, while it plays ``script(c, clock, writer)``.  Returns
+        the inboxes, the peer and the network's trace."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            inboxes = [[] for _ in range(parents)]
+
+            async def read(stream, inbox):
+                while (message := await stream.next()) is not None:
+                    inbox.append((net.clock.time(), message))
+
+            def parent(column):
+                async def handler(reader, writer):
+                    reading = asyncio.ensure_future(
+                        read(MessageStream(reader), inboxes[column]))
+                    try:
+                        await script(column, net.clock, writer)
+                        await reading
+                    finally:
+                        reading.cancel()
+
+                return net.bind(f"parent{column}", 0, handler)
+
+            peer = _child_of(
+                net, *(parent(c) for c in range(parents)),
+                generations=generations)
+            for generation in held:
+                for packet in _basis(generation):
+                    peer.dataplane.handle(PacketArrived(packet))
+            tasks = [asyncio.ensure_future(peer._thread_loop(c))
+                     for c in range(parents)]
+            await net.clock.advance(0.2)
+            for task in tasks:
+                task.cancel()
+            await net.shutdown()
+            return inboxes, peer, net.trace
+
+        return asyncio.run(scenario())
+
+    @staticmethod
+    async def _quiet(column, clock, writer):
+        pass
+
+    @staticmethod
+    def _reports(inbox) -> list:
+        return [(when, m) for when, m in inbox
+                if isinstance(m, GenerationsComplete)]
+
+    def test_hello_and_completed_set_are_one_write_charged_to_the_node(
+            self):
+        inboxes, peer, trace = self._run(self._quiet, held=(0,))
+        hello = _control(DataHello(node_id=9, column=0))
+        report = _control(GenerationsComplete(1))
+        assert [m for _, m in inboxes[0]] == [
+            DataHello(node_id=9, column=0), GenerationsComplete(1)]
+        assert [entry[4] for entry in trace if entry[1:4] == (
+            "deliver", "peer", "parent0")] == [len(hello) + len(report)]
+        assert peer.sender_stats[0].bytes_sent == len(report)
+
+    def test_drain_that_completes_generations_reports_once_to_every_parent(
+            self):
+        """Two generations completed by one flush on column 0: after
+        that drain, one report — the new set — to each open parent."""
+
+        async def script(column, clock, writer):
+            if column == 0:
+                await clock.sleep(0.05)
+                writer.writelines([
+                    encode_data_frame(p) for p in _basis(0) + _basis(1)])
+
+        inboxes, peer, _ = self._run(script, parents=2, generations=3)
+        for inbox in inboxes:
+            assert self._reports(inbox) == [
+                (0.0, GenerationsComplete(0)),
+                (at(0.05), GenerationsComplete(2))]
+        report = len(_control(GenerationsComplete(0)))
+        assert peer.sender_stats[0].bytes_sent == 4 * report
+
+    def test_a_generation_of_stale_packets_re_reports_to_that_parent_only(
+            self):
+        """Packets of a generation the child holds are counted per
+        connection; the ``generation_size``-th sends the report again
+        to the parent that sent them, and to no one else."""
+
+        async def script(column, clock, writer):
+            if column == 0:
+                stale = [encode_data_frame(p) for p in _basis(0)]
+                await clock.sleep(0.05)
+                writer.writelines(stale[:2])
+                await clock.sleep(0.05)
+                writer.write(stale[2])
+
+        inboxes, _, _ = self._run(script, parents=2, held=(0,))
+        assert self._reports(inboxes[0]) == [
+            (0.0, GenerationsComplete(1)), (at(0.1), GenerationsComplete(1))]
+        assert self._reports(inboxes[1]) == [(0.0, GenerationsComplete(1))]
+
+    def test_no_honest_child_exceeds_its_parents_flood_allowance(
+            self, caplog):
+        """The parent's half: under loss and a crash, every report an
+        honest child sends fits the allowance its parent grants."""
+        caplog.set_level(logging.INFO, logger="repro.net")
+        for seed in range(10):
+            assert run_scenario_sync("lossy_crash_multigen", seed=seed).ok
+        assert not [r for r in caplog.records
+                    if "an honest child sends at most" in r.getMessage()]
 
 
 class TestOneStreamPerConnection:

@@ -1,10 +1,11 @@
-"""``PumpSet``: the one downstream side ``ServerNode`` and ``PeerNode``
-share — keyed pumps, replace-on-redial, close-by-column, the single
-``EmitToChildren`` → frames → pumps translation, and each child
-connection's whole conversation with the node's data-plane engine
-(attach → burst → reports → idle polls → detach).  (The bounded
+"""``PumpSet``'s downstream end, the one ``ServerNode`` and
+``PeerNode`` share — keyed pumps, replace-on-redial, close-by-column,
+the single ``EmitToChildren`` → frames → pumps translation, and each
+child connection's whole conversation with the node's data-plane
+engine (attach → burst → reports → idle polls → detach).  (The bounded
 ``sender_stats`` list keeps its tests in
-``test_net_inbound.TestBoundedPumpState``.)
+``test_net_inbound.TestBoundedPumpState``; the upstream end,
+``consume``, is pinned in ``test_net_inbound`` too.)
 """
 
 import asyncio

@@ -4,22 +4,22 @@ The server's engine timers fire when they are due (the peer's silence,
 the pumps' keep-alives and the first-frame bound are pinned beside the
 paths they bound, in ``test_net_inbound`` and ``test_net_framing``),
 and the timer state a node leaves behind is one timer per connection,
-never one per packet: after a broadcast, and after 50k child
-attach/detach cycles.
+never one per packet: after a broadcast, after 50k child
+attach/detach cycles, and through 2 000 re-clips of a peer's threads.
 """
 
 import asyncio
 
-from repro.net import ServerNode
+from repro.net import MessageStream, ServerNode
 from repro.net.testing import (
     ChaosConfig,
     ChaosHarness,
     VirtualClock,
     VirtualNetwork,
 )
-from repro.protocol import StartTimer, TimerFired
+from repro.protocol import SetParent, StartTimer, TimerFired
 
-from tests.test_net_inbound import PARAMS, PORT, _timed, at
+from tests.test_net_inbound import PARAMS, PORT, _child_of, _timed, at
 from tests.test_net_pumps import _pump_set, _serving
 
 
@@ -144,3 +144,46 @@ class TestTimerState:
         assert (pumps, stats, grown) == (population, population + 1, 0)
         assert armed == population  # one keep-alive timer per live pump
         assert heap <= 3 * population
+
+    def test_2000_reclips_leave_one_task_and_one_parent_per_column(self):
+        """A peer whose threads are re-clipped over and over, each
+        between two parents: what it holds afterwards follows the
+        columns it holds, not the re-clips — one thread task and at most
+        one open parent connection per column — and the clock heap stays
+        within the per-connection bound throughout: each re-clip's
+        cancelled silence timer is popped, not left due."""
+        k, reclips, silence = 2, 2_000, 1.0
+
+        async def scenario():
+            net = VirtualNetwork()
+
+            async def parent(reader, writer):
+                stream = MessageStream(reader)
+                while await stream.next() is not None:
+                    pass
+
+            peer = _child_of(
+                net, *(net.bind(f"parent{c}", 0, parent) for c in range(k)),
+                silence_timeout=silence)
+            for column in range(k):
+                peer._addresses[50 + column] = net.bind(
+                    f"other{column}", 0, parent).address
+                peer._restart_thread(column)
+            heap = 0
+            for reclip in range(reclips):
+                column = reclip % k
+                parent_id = (5 if reclip // k % 2 else 50) + column
+                peer._dispatch_control(
+                    SetParent(column=column, parent=parent_id))
+                await net.clock.advance(0.005)
+                heap = max(heap, len(net.clock._timers))
+            state = (len(peer.parents), len(peer._thread_tasks),
+                     len(peer.pumps._parents), heap)
+            peer.kill()
+            await net.shutdown()
+            return state
+
+        held, tasks, parents, heap = asyncio.run(scenario())
+        assert held == k
+        assert tasks == held and parents == held
+        assert heap <= 3 * held

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from repro.core import CoordinationServer
 from repro.core.matrix import SERVER
 from repro.protocol import (
+    AttachChild,
     ComplaintMsg,
     ConnectionLost,
     CongestionDrop,
     CongestionRestore,
+    DetachChild,
     EngineLog,
     JoinGrant,
     JoinRequest,
@@ -214,6 +216,37 @@ class TestServerEngineBoundedState:
                  for owner in owners for name, value in containers(owner)}
         assert "ThreadMatrix._rows" in sizes  # the walk saw the big ones
         assert {n: s for n, s in sizes.items() if s > population} == {}
+
+
+class TestPeerEngineBoundedState:
+    def test_50k_cycles_leave_no_container_above_the_columns(self):
+        """Re-clips, removed threads, silent sessions, and children
+        coming and going over ``k`` columns: each of the engine's maps
+        and sets holds at most one entry per column, over any uptime."""
+        k, cycles = 8, 50_000
+        engine = PeerEngine(7)
+        draws = np.random.default_rng(4).integers(
+            0, 1 << 20, size=(cycles, 3)).tolist()
+        peak = 0
+        for op, column, node in draws:
+            column %= k
+            message = (
+                SetParent(column=column, parent=node),
+                ThreadRemoved(column=column),
+                None,
+                AttachChild(column=column, child=node),
+                DetachChild(column=column),
+            )[op % 5]
+            if message is not None:
+                engine.handle(MessageReceived(message))
+            else:
+                engine.handle(UpstreamDown(
+                    column=column, parent=engine.parents.get(column, node),
+                    saw_traffic=False))
+            peak = max(peak, len(engine.parents), len(engine.children),
+                       len(engine.complained), len(engine._backoffs))
+        assert engine.complained and engine.children  # the run reached them
+        assert peak <= k
 
 
 class TestServerEngineSenderAuthority:
