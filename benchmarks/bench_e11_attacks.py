@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation, NodeRole
+from repro.sim import NodeRole, rlnc
 
 from conftest import emit_table, run_once
 
@@ -46,7 +46,7 @@ def _run(fraction: float, kind: str, seed: int):
         roles = {node: NodeRole.JAMMER for node in attackers}
     content = bytes(rng.integers(0, 256, size=GENERATION * PAYLOAD,
                                  dtype=np.uint8))
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net, content, GenerationParams(GENERATION, PAYLOAD),
         seed=seed + 2, roles=roles,
     )

@@ -20,7 +20,6 @@ import numpy as np
 
 from repro.baselines import (
     ChainOverlay,
-    FloodingSimulation,
     curtain_tree_decomposition,
     evaluate_erasure_overlay,
     route_stripes,
@@ -28,7 +27,7 @@ from repro.baselines import (
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
 from repro.failures import RandomBatchFailures
-from repro.sim import BroadcastSimulation
+from repro.sim import RarestFirstBehavior, rlnc, uncoded
 
 from conftest import emit_table, run_once
 
@@ -47,32 +46,25 @@ def _build(seed):
 BUDGET = 600
 
 
-def _rlnc(net, seed) -> tuple[float, float]:
+def _outcome(sim) -> tuple[float, float]:
     """(completion fraction, slot by which the last survivor finished)."""
-    rng = np.random.default_rng(seed)
-    content = bytes(rng.integers(0, 256, size=GENERATION * PAYLOAD, dtype=np.uint8))
-    sim = BroadcastSimulation(
-        net, content, GenerationParams(GENERATION, PAYLOAD), seed=seed
-    )
     report = sim.run_until_complete(max_slots=BUDGET)
     slots = report.completion_slots()
     return report.completion_fraction, float(max(slots)) if slots else float(BUDGET)
 
 
+def _rlnc(net, seed) -> tuple[float, float]:
+    rng = np.random.default_rng(seed)
+    content = bytes(rng.integers(0, 256, size=GENERATION * PAYLOAD, dtype=np.uint8))
+    return _outcome(rlnc(net, content, GenerationParams(GENERATION, PAYLOAD), seed=seed))
+
+
 def _flooding(net, seed) -> tuple[float, float]:
-    sim = FloodingSimulation(net, packet_count=GENERATION, seed=seed)
-    report = sim.run_until_complete(max_slots=BUDGET)
-    slots = report.completion_slots
-    return report.completion_fraction, float(max(slots)) if slots else float(BUDGET)
+    return _outcome(uncoded(net, GENERATION, seed=seed))
 
 
 def _rarest(net, seed) -> tuple[float, float]:
-    from repro.baselines import RarestFirstSimulation
-
-    sim = RarestFirstSimulation(net, packet_count=GENERATION, seed=seed)
-    report = sim.run_until_complete(max_slots=BUDGET)
-    slots = report.completion_slots
-    return report.completion_fraction, float(max(slots)) if slots else float(BUDGET)
+    return _outcome(uncoded(net, GENERATION, seed=seed, behavior=RarestFirstBehavior))
 
 
 def experiment():

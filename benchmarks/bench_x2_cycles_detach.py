@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork, RandomGraphOverlay
-from repro.sim import BroadcastSimulation, GraphBroadcastSimulation
+from repro.sim import rlnc
 
 from conftest import emit_table, run_once
 
@@ -42,13 +42,13 @@ def experiment():
     # curtain
     net = OverlayNetwork(k=K, d=D, seed=32)
     net.grow(N)
-    curtain = BroadcastSimulation(net, content, params, seed=33)
+    curtain = rlnc(net, content, params, seed=33)
     curtain_report = curtain.run_until_complete(max_slots=2000)
 
     # random graph
     overlay = RandomGraphOverlay(k=K, d=D, seed=32)
     overlay.grow(N)
-    cyclic = GraphBroadcastSimulation(overlay, content, params, seed=33)
+    cyclic = rlnc(overlay, content, params, seed=33)
     cyclic_report = cyclic.run_until_complete(max_slots=2000)
 
     rows = [
@@ -66,7 +66,7 @@ def experiment():
     detach_rows = []
     net2 = OverlayNetwork(k=K, d=D, seed=34)
     net2.grow(40)
-    sim2 = BroadcastSimulation(net2, content, params, seed=35)
+    sim2 = rlnc(net2, content, params, seed=35)
     while not sim2.swarm_has_full_rank():
         sim2.step()
     sim2.detach_server()
@@ -76,7 +76,7 @@ def experiment():
 
     overlay3 = RandomGraphOverlay(k=K, d=D, seed=34)
     overlay3.grow(40)
-    sim3 = GraphBroadcastSimulation(overlay3, content, params, seed=35)
+    sim3 = rlnc(overlay3, content, params, seed=35)
     while not sim3.swarm_has_full_rank():
         sim3.step()
     sim3.detach_server()

@@ -13,8 +13,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation
-from repro.sim.streaming import PlaybackMonitor
+from repro.sim import PlaybackMonitor, rlnc
 
 from conftest import emit_table, run_once
 
@@ -34,7 +33,7 @@ def _continuities(d: int, seed: int) -> list[float]:
     net.grow(POPULATION)
     rng = np.random.default_rng(seed + 1)
     content = bytes(rng.integers(0, 256, size=16_000, dtype=np.uint8))
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net, content,
         GenerationParams(generation_size=2 * d, payload_size=16_000 // (10 * 2 * d)),
         seed=seed + 2,

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation, LossModel, OutageModel, PlaybackMonitor
+from repro.sim import LossModel, OutageModel, PlaybackMonitor, rlnc
 
 from conftest import emit_table, run_once
 
@@ -40,7 +40,7 @@ def _run(condition: str, mean_burst: float, seed: int):
         recovery = 1.0 / mean_burst
         onset = TARGET_UNAVAILABILITY * recovery / (1.0 - TARGET_UNAVAILABILITY)
         outage = OutageModel(onset=onset, recovery=recovery)
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net, content, GenerationParams(10, 60), seed=seed + 2,
         loss=loss, outage=outage,
     )

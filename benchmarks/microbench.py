@@ -36,8 +36,8 @@ import numpy as np
 
 from repro.coding.generation import GenerationParams
 from repro.core.overlay import OverlayNetwork
-from repro.sim.broadcast import BroadcastSimulation
 from repro.sim.links import LossModel
+from repro.sim.runtime import rlnc
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "bench_smoke.json"
@@ -82,12 +82,12 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
         for _ in range(runs_per_slice):
             net = OverlayNetwork(k=k, d=d, seed=404)
             net.grow(n)
-            sim = BroadcastSimulation(
+            sim = rlnc(
                 net, content, GenerationParams(generation_size, payload_size),
                 seed=404, loss=LossModel(0.05),
             )
             if instrumented:
-                sim.runtime.attach_obs(Registry("bench"))
+                sim.attach_obs(Registry("bench"))
             start = time.perf_counter()
             report = sim.run_until_complete(max_slots=budget)
             elapsed += time.perf_counter() - start
@@ -186,7 +186,7 @@ def bench_scaling(quick: bool) -> dict[str, float]:
         metrics[f"server_ops_per_s_n{n}"] = ops / elapsed if elapsed else 0.0
         rng = np.random.default_rng(909)
         content = bytes(rng.integers(0, 256, size=4 * 16, dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(4, 16), seed=909,
             loss=LossModel(0.0),
         )

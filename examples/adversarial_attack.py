@@ -20,7 +20,7 @@ import numpy as np
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
 from repro.failures import CohortBatchFailures, apply_failures
-from repro.sim import BroadcastSimulation, NodeRole
+from repro.sim import NodeRole, rlnc
 
 K, D, N = 16, 2, 300
 ATTACK_FRACTION = 0.15
@@ -47,7 +47,7 @@ def data_plane_attack(role: NodeRole, seed: int) -> None:
     attackers = rng.choice(net.matrix.node_ids, size=6, replace=False)
     roles = {int(a): role for a in attackers}
     content = rng.integers(0, 256, size=8_000, dtype=np.uint8).tobytes()
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net, content, GenerationParams(generation_size=10, payload_size=200),
         seed=seed + 2, roles=roles,
     )

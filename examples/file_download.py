@@ -12,10 +12,9 @@ Run:  python examples/file_download.py
 
 import numpy as np
 
-from repro.baselines import FloodingSimulation
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation
+from repro.sim import rlnc, uncoded
 from repro.workloads import flash_crowd_schedule
 
 K, D = 20, 2
@@ -36,7 +35,7 @@ def run_rlnc(seed: int) -> None:
     content = rng.integers(0, 256, size=CONTENT_BYTES, dtype=np.uint8).tobytes()
     net = build_overlay(seed)
     params = GenerationParams(generation_size=GENERATION, payload_size=PAYLOAD)
-    sim = BroadcastSimulation(net, content, params, seed=seed)
+    sim = rlnc(net, content, params, seed=seed)
 
     # flash crowd: Gaussian arrival spike centred early in the download
     schedule = flash_crowd_schedule(
@@ -61,7 +60,7 @@ def run_rlnc(seed: int) -> None:
 def run_flooding(seed: int) -> None:
     net = build_overlay(seed)
     packet_count = CONTENT_BYTES // PAYLOAD  # same number of pieces
-    sim = FloodingSimulation(net, packet_count=packet_count, seed=seed)
+    sim = uncoded(net, packet_count, seed=seed)
     report = sim.run_until_complete(max_slots=3_000)
     print(f"[flooding] {report.completion_fraction:.0%} complete "
           f"after {report.slots} slots; "

@@ -18,7 +18,7 @@ import numpy as np
 from repro.analysis import delay_profile
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation
+from repro.sim import rlnc
 
 K = 16          # server bandwidth, in unit threads
 D = 3           # per-node bandwidth, in unit threads
@@ -65,7 +65,7 @@ def main() -> None:
     rng = np.random.default_rng(SEED)
     content = rng.integers(0, 256, size=24_000, dtype=np.uint8).tobytes()
     params = GenerationParams(generation_size=12, payload_size=250)
-    sim = BroadcastSimulation(net, content, params, seed=SEED)
+    sim = rlnc(net, content, params, seed=SEED)
     report = sim.run_until_complete(max_slots=2_000)
 
     slots = report.completion_slots()

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork, RandomGraphOverlay
-from repro.sim import BroadcastSimulation, GraphBroadcastSimulation
+from repro.sim import rlnc
 
 K, D, PEERS = 12, 3, 40
 CONTENT_BYTES = 6_000
@@ -37,7 +37,7 @@ def content_bytes(seed: int) -> bytes:
 def curtain_run(seed: int) -> None:
     net = OverlayNetwork(k=K, d=D, seed=seed)
     net.grow(PEERS)
-    sim = BroadcastSimulation(net, content_bytes(seed), PARAMS, seed=seed + 1)
+    sim = rlnc(net, content_bytes(seed), PARAMS, seed=seed + 1)
     while not sim.swarm_has_full_rank():
         sim.step()
     print(f"[curtain]      swarm holds all DoF at slot {sim.slot} "
@@ -51,8 +51,7 @@ def curtain_run(seed: int) -> None:
 def random_graph_run(seed: int) -> None:
     overlay = RandomGraphOverlay(k=K, d=D, seed=seed)
     overlay.grow(PEERS)
-    sim = GraphBroadcastSimulation(overlay, content_bytes(seed), PARAMS,
-                                   seed=seed + 1)
+    sim = rlnc(overlay, content_bytes(seed), PARAMS, seed=seed + 1)
     while not sim.swarm_has_full_rank():
         sim.step()
     print(f"[random graph] swarm holds all DoF at slot {sim.slot} "
@@ -62,7 +61,7 @@ def random_graph_run(seed: int) -> None:
     ok = all(n.decoded_ok for n in report.nodes)
     print(f"[random graph] completion after detach: "
           f"{report.completion_fraction:.0%}, bit-exact: {ok}")
-    total_dof = sim.generation_count * PARAMS.generation_size
+    total_dof = sim.behavior.generation_count * PARAMS.generation_size
     print(f"[random graph] the server sent {sim.server_packets} packets for "
           f"{PEERS} peers x {total_dof} DoF each — "
           f"{sim.server_packets / (PEERS * total_dof):.1%} of a unicast load")

@@ -6,7 +6,10 @@
   fragility under failures.
 * :class:`MDSCode` / erasure striping — Reed–Solomon-coded multi-parent
   overlays (no in-network mixing).
-* :class:`FloodingSimulation` — uncoded store-and-forward.
+
+The uncoded store-and-forward and rarest-first baselines are not here:
+they are behaviours on the shared slotted runtime
+(:func:`repro.sim.uncoded`).
 """
 
 from .chain import ChainOverlay
@@ -24,18 +27,13 @@ from .erasure import (
     evaluate_erasure_overlay,
     stripes_received,
 )
-from .rarest_first import RarestFirstSimulation
-from .store_forward import FloodingReport, FloodingSimulation
 from .trees import StripedTrees
 
 __all__ = [
     "ChainOverlay",
     "ErasureOutcome",
-    "FloodingReport",
-    "FloodingSimulation",
     "MDSCode",
     "Packing",
-    "RarestFirstSimulation",
     "StripedTrees",
     "TreeRoutingOutcome",
     "curtain_tree_decomposition",

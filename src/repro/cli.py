@@ -123,10 +123,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     the same curtain topology, loss model, and slot budget — the
     apples-to-apples comparison the unified runtime exists for.
     """
-    from .baselines import FloodingSimulation, RarestFirstSimulation
     from .coding.generation import GenerationParams
     from .core import OverlayNetwork
-    from .sim import BroadcastSimulation, LossModel
+    from .sim import LossModel, RarestFirstBehavior, rlnc, uncoded
 
     def build_net():
         net = OverlayNetwork(k=args.k, d=args.d, seed=args.seed)
@@ -138,24 +137,22 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         rng.integers(0, 256, size=args.g * args.payload, dtype=np.uint8)
     )
     loss = LossModel(args.p)
-    rlnc = BroadcastSimulation(
+    coded = rlnc(
         build_net(), content, GenerationParams(args.g, args.payload),
         seed=args.seed, loss=loss,
     )
-    flood = FloodingSimulation(build_net(), packet_count=args.g,
-                               seed=args.seed, loss=loss)
-    rarest = RarestFirstSimulation(build_net(), packet_count=args.g,
-                                   seed=args.seed, loss=loss)
+    flood = uncoded(build_net(), args.g, seed=args.seed, loss=loss)
+    rarest = uncoded(build_net(), args.g, seed=args.seed, loss=loss,
+                     behavior=RarestFirstBehavior)
     print(f"comparing schemes: k={args.k} d={args.d} N={args.peers} "
           f"g={args.g} loss={args.p} budget={args.max_slots} slots")
     rows = [
-        ("rlnc", rlnc.run_until_complete(max_slots=args.max_slots)),
+        ("rlnc", coded.run_until_complete(max_slots=args.max_slots)),
         ("store-forward", flood.run_until_complete(max_slots=args.max_slots)),
         ("rarest-first", rarest.run_until_complete(max_slots=args.max_slots)),
     ]
     for name, report in rows:
-        slots = (report.completion_slots() if callable(report.completion_slots)
-                 else report.completion_slots)
+        slots = report.completion_slots()
         last = max(slots) if slots else args.max_slots
         print(f"  {name:>14}: completion {report.completion_fraction:.1%}  "
               f"mean slot {report.mean_completion_slot():.1f}  "

@@ -76,7 +76,7 @@ class ThreadMatrix:
         #: Monotone counter bumped by every structural mutation (join,
         #: leave, drop_thread, add_thread).  Consumers cache derived
         #: topology (chains, children maps) keyed on this value and
-        #: invalidate only when it moves — see ``BroadcastSimulation``.
+        #: invalidate only when it moves — see ``CurtainTopology``.
         self.mutation_epoch = 0
 
     # ------------------------------------------------------------------

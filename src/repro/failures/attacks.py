@@ -10,8 +10,9 @@ Three attacks the paper discusses:
 * *jamming attack* — inject random garbage claiming to be combinations.
   After mixing, the garbage contaminates almost every packet downstream.
 
-Role assignment feeds :class:`repro.sim.BroadcastSimulation`; the
-detector quantifies the paper's detectability claim.
+Role assignment feeds the ``roles=`` of :func:`repro.sim.rlnc`; the
+detector reads its :class:`~repro.sim.RunReport` and quantifies the
+paper's detectability claim.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..sim.broadcast import BroadcastReport, NodeRole
+from ..sim.behaviors import NodeRole
+from ..sim.report import RunReport
 
 
 def assign_attack_roles(
@@ -59,7 +61,7 @@ class DetectionOutcome:
 
 
 def detect_low_innovation(
-    report: BroadcastReport,
+    report: RunReport,
     roles: dict[int, NodeRole],
     attacker_children: set[int],
     threshold: float = 0.5,

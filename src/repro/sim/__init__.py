@@ -3,9 +3,9 @@
 * :class:`SlottedRuntime` — the unified two-phase slotted kernel: one
   :class:`Topology` (who sends to whom) × one :class:`NodeBehavior`
   (what is sent, what receipt does) under shared loss/outage/link
-  accounting.  Every simulator below runs on it.
-* :class:`BroadcastSimulation` — RLNC over the curtain overlay.
-* :class:`GraphBroadcastSimulation` — RLNC over the §6 random graph.
+  accounting.  Every experiment runs on it.
+* :func:`rlnc` — a runtime for RLNC over the curtain overlay or the §6
+  random graph; :func:`uncoded` — one for the flooding baselines.
 * :func:`run_session` — one-call scenario orchestration (churn, repair,
   and attack schedules as runtime slot hooks); :func:`live_streaming`,
   :func:`file_download` and :func:`flash_crowd` are its named presets.
@@ -17,12 +17,8 @@ from .behaviors import (
     RlncBehavior,
     StoreForwardBehavior,
 )
-from .broadcast import BroadcastSimulation
-from .graph_broadcast import GraphBroadcastSimulation
 from .links import LinkStats, LossModel, OutageModel
 from .report import (
-    BroadcastReport,
-    FloodingReport,
     NodeReport,
     RunReport,
     SlotRecord,
@@ -37,6 +33,8 @@ from .runtime import (
     SlottedRuntime,
     StaticTopology,
     Topology,
+    rlnc,
+    uncoded,
 )
 from .streaming import PlaybackMonitor, PlaybackReport
 from .rng import RngStreams, make_rng
@@ -50,12 +48,8 @@ from .session import (
 )
 
 __all__ = [
-    "BroadcastReport",
-    "BroadcastSimulation",
     "CurtainTopology",
     "DEFAULT_MAX_SLOTS",
-    "FloodingReport",
-    "GraphBroadcastSimulation",
     "GraphTopology",
     "LinkStats",
     "LossModel",
@@ -82,5 +76,7 @@ __all__ = [
     "live_streaming",
     "make_rng",
     "mean_completion_slot",
+    "rlnc",
     "run_session",
+    "uncoded",
 ]

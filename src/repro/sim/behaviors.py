@@ -17,7 +17,7 @@ payload lands.  Three families cover the repo:
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -92,8 +92,8 @@ class RlncBehavior:
         )
         self.generation_count = self.encoder.generation_count
         self.source = SourceEngine(self.encoder)
-        self._recoders: dict[int, Recoder] = {}
-        self._engines: dict[int, RelayEngine] = {}
+        #: ``node -> engine`` for every node contacted so far.
+        self.engines: dict[int, RelayEngine] = {}
         self._completed_at: dict[int, int] = {}
         self._jammer_rngs: dict[int, np.random.Generator] = {}
 
@@ -104,7 +104,7 @@ class RlncBehavior:
 
     def engine_of(self, node_id: int) -> RelayEngine:
         """The node's data-plane engine, created on first contact."""
-        engine = self._engines.get(node_id)
+        engine = self.engines.get(node_id)
         if engine is None:
             recoder = Recoder(
                 self.params,
@@ -112,23 +112,12 @@ class RlncBehavior:
                 self.streams.get(f"node-{node_id}"),
                 node_id=node_id,
             )
-            self._recoders[node_id] = recoder
-            engine = self._engines[node_id] = RelayEngine(recoder)
+            engine = self.engines[node_id] = RelayEngine(recoder)
         return engine
 
     def recoder_of(self, node_id: int) -> Recoder:
         """The node's buffer/codec state, created on first contact."""
         return self.engine_of(node_id).recoder
-
-    @property
-    def _received(self) -> dict[int, int]:
-        """``node -> packets ingested`` (a view over the engines)."""
-        return {nid: e.received for nid, e in self._engines.items()}
-
-    @property
-    def _innovative(self) -> dict[int, int]:
-        """``node -> rank-raising packets`` (a view over the engines)."""
-        return {nid: e.innovative for nid, e in self._engines.items()}
 
     def _jammer_rng(self, node_id: int) -> np.random.Generator:
         """Per-node jammer stream, cached off the per-emission path."""
@@ -188,7 +177,7 @@ class RlncBehavior:
 
     def node_report(self, node_id: int) -> NodeReport:
         needed = self.generation_count * self.params.generation_size
-        engine = self._engines.get(node_id)
+        engine = self.engines.get(node_id)
         if engine is None:
             return NodeReport(node_id=node_id, rank=0, needed=needed,
                               completed_at=None, received=0, innovative=0,
@@ -215,25 +204,22 @@ class RlncBehavior:
 
     # -- §6 self-sustainability ----------------------------------------
 
-    def swarm_has_full_rank(
-        self, include: Optional[Callable[[int], bool]] = None
-    ) -> bool:
-        """True if the included peers collectively hold all content DoF.
+    def swarm_has_full_rank(self, nodes: Iterable[int]) -> bool:
+        """True if the given peers collectively hold all content DoF.
 
-        Checked per generation: the union of the included nodes'
-        coefficient bases must span the full generation space.  This is
-        the §6 self-sustainability condition — once true, the server is
+        Checked per generation: the union of the peers' coefficient
+        bases must span the full generation space.  This is the §6
+        self-sustainability condition — once true, the server is
         redundant (in a loss-free network).
         """
         from ..gf.linalg import rank as gf_rank
 
+        engines = [self.engines[n] for n in nodes if n in self.engines]
         for generation in range(self.generation_count):
             rows = []
             complete = False
-            for node_id, recoder in self._recoders.items():
-                if include is not None and not include(node_id):
-                    continue
-                decoder = recoder.decoder.generations[generation]
+            for engine in engines:
+                decoder = engine.recoder.decoder.generations[generation]
                 if decoder.is_complete:
                     complete = True  # someone already decodes: full rank
                     break

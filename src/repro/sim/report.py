@@ -1,17 +1,16 @@
-"""Unified run reporting for every slotted data-plane simulator.
+"""Unified run reporting for the slotted data-plane runtime.
 
-All five simulators (curtain RLNC, random-graph RLNC, streaming playback,
-store-and-forward flooding, rarest-first) report through one
-:class:`RunReport`: a list of per-node :class:`NodeReport` rows plus link
-accounting, server load, and an optional per-slot timeline.  The summary
-helpers (completion percentiles, mean completion slot) live here once
-instead of being reimplemented per report type.
+Every run (curtain RLNC, random-graph RLNC, store-and-forward flooding,
+rarest-first) reports through one :class:`RunReport`: a list of
+per-node :class:`NodeReport` rows plus link accounting, server load, and
+an optional per-slot timeline.  The summary helpers (completion
+percentiles, mean completion slot) live here once.
 
 For the uncoded baselines the RLNC vocabulary maps directly: *rank* is
 the number of distinct pieces buffered, *needed* is the piece count, and
-*innovative* is the number of deliveries that added a new piece —
-:class:`FloodingReport` is a derived view over those rows, kept for its
-historical field names (``mean_unique_fraction``, ``duplicate_fraction``).
+*innovative* is the number of deliveries that added a new piece, so
+:attr:`RunReport.mean_unique_fraction` and
+:attr:`RunReport.duplicate_fraction` read the same rows.
 """
 
 from __future__ import annotations
@@ -25,8 +24,6 @@ from ..metrics import stats
 from .links import LinkStats
 
 __all__ = [
-    "BroadcastReport",
-    "FloodingReport",
     "NodeReport",
     "RunReport",
     "SlotRecord",
@@ -114,6 +111,24 @@ class RunReport:
             return 0.0
         return sum(1 for n in completed if n.decoded_ok is False) / len(completed)
 
+    @property
+    def mean_unique_fraction(self) -> float:
+        """Mean share of the needed DoF (distinct pieces) each node holds."""
+        # A node that needs nothing is trivially complete: fraction 1.0,
+        # not a ZeroDivisionError.
+        return stats.mean(
+            [n.rank / n.needed if n.needed else 1.0 for n in self.nodes]
+        )
+
+    @property
+    def duplicate_fraction(self) -> float:
+        """Share of deliveries that added nothing to their receiver."""
+        received = sum(n.received for n in self.nodes)
+        if not received:
+            return 0.0
+        duplicates = sum(max(0, n.received - n.innovative) for n in self.nodes)
+        return duplicates / received
+
     def completion_slots(self) -> list[int]:
         """Completion times of the nodes that finished."""
         return [n.completed_at for n in self.nodes if n.completed_at is not None]
@@ -125,43 +140,3 @@ class RunReport:
     def completion_percentile(self, q: float) -> float:
         """The ``q``-th percentile completion slot over finishers."""
         return completion_percentile(self.completion_slots(), q)
-
-
-#: Historical name for the RLNC simulators' report; same object.
-BroadcastReport = RunReport
-
-
-@dataclass
-class FloodingReport:
-    """Outcome of an uncoded flooding run (derived view of a RunReport)."""
-
-    slots: int
-    completion_fraction: float
-    mean_unique_fraction: float
-    duplicate_fraction: float
-    completion_slots: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_run(cls, run: RunReport) -> "FloodingReport":
-        # A node that needs nothing is trivially complete: fraction 1.0,
-        # not a ZeroDivisionError.
-        unique_fractions = [
-            n.rank / n.needed if n.needed else 1.0 for n in run.nodes
-        ]
-        duplicates = sum(max(0, n.received - n.innovative) for n in run.nodes)
-        received = sum(n.received for n in run.nodes)
-        return cls(
-            slots=run.slots,
-            completion_fraction=run.completion_fraction,
-            mean_unique_fraction=stats.mean(unique_fractions),
-            duplicate_fraction=duplicates / received if received else 0.0,
-            completion_slots=run.completion_slots(),
-        )
-
-    def mean_completion_slot(self) -> float:
-        """Mean completion slot over the nodes that finished."""
-        return mean_completion_slot(self.completion_slots)
-
-    def completion_percentile(self, q: float) -> float:
-        """The ``q``-th percentile completion slot over finishers."""
-        return completion_percentile(self.completion_slots, q)

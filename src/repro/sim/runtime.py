@@ -29,19 +29,24 @@ Churn, repair, and attack *schedules* plug in as slot hooks
 failure scenario; behavioural attackers (entropy replay, jamming) are
 roles inside :class:`~repro.sim.behaviors.RlncBehavior`.
 
-The historical simulator classes (``BroadcastSimulation``,
-``GraphBroadcastSimulation``, ``FloodingSimulation``,
-``RarestFirstSimulation``) are thin adapters over this runtime and their
-seeded runs are golden-tested to be identical to the pre-refactor loops
-(``tests/test_runtime_goldens.py``).
+Two constructors build every experiment's runtime: :func:`rlnc` (RLNC
+over a curtain or §6 random-graph overlay) and :func:`uncoded` (the
+store-and-forward and rarest-first flooding baselines over a curtain).
+Their seeded runs are golden-tested (``tests/test_runtime_goldens.py``).
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    Callable, Iterable, Optional, Protocol, Sequence, Union, runtime_checkable,
+)
 
+from ..coding.generation import GenerationParams
 from ..core.matrix import SERVER
+from ..core.overlay import OverlayNetwork
+from ..core.random_graph import RandomGraphOverlay
+from .behaviors import NodeRole, RlncBehavior, StoreForwardBehavior
 from .links import LinkStats, LossModel, OutageModel
 from .report import NodeReport, RunReport, SlotRecord
 from .rng import RngStreams
@@ -54,12 +59,13 @@ __all__ = [
     "SlottedRuntime",
     "StaticTopology",
     "Topology",
+    "rlnc",
+    "uncoded",
 ]
 
-#: One cap for every ``run_until_complete`` in the repo.  The historical
-#: loops disagreed (5 000 in the graph simulator, 10 000 in the flooding
-#: baselines); the larger bound is the safe unification — callers that
-#: care about budgets pass ``max_slots`` explicitly.
+#: Default budget of :meth:`SlottedRuntime.run_until_complete`: a safety
+#: stop, not an experiment parameter — callers that care about budgets
+#: pass ``max_slots`` explicitly.
 DEFAULT_MAX_SLOTS = 10_000
 
 
@@ -344,8 +350,22 @@ class SlottedRuntime:
         return self.server_detach_slot is None or self.slot < self.server_detach_slot
 
     def detach_server(self, at_slot: Optional[int] = None) -> None:
-        """Stop the server's emissions at ``at_slot`` (default: now)."""
+        """Stop the server's emissions at ``at_slot`` (default: now).
+
+        Models §6's self-sustaining download: once the swarm collectively
+        holds every degree of freedom (:meth:`swarm_has_full_rank`), the
+        peers can finish the distribution among themselves.
+        """
         self.server_detach_slot = self.slot if at_slot is None else at_slot
+
+    def swarm_has_full_rank(self) -> bool:
+        """True if the live peers collectively hold all content DoF.
+
+        Only peers the topology still counts as live contribute: a peer
+        that failed or left takes its buffer with it.  RLNC behaviours
+        only.
+        """
+        return self.behavior.swarm_has_full_rank(self.topology.live_nodes())
 
     # -- the kernel -----------------------------------------------------
 
@@ -463,3 +483,75 @@ class SlottedRuntime:
             server_packets=self.server_packets,
             timeline=list(self.timeline),
         )
+
+
+def rlnc(
+    overlay: Union[OverlayNetwork, RandomGraphOverlay],
+    content: bytes,
+    params: GenerationParams,
+    *,
+    seed: Optional[int] = None,
+    loss: Optional[LossModel] = None,
+    outage: Optional[OutageModel] = None,
+    roles: Optional[dict[int, NodeRole]] = None,
+    systematic: bool = False,
+) -> SlottedRuntime:
+    """RLNC broadcast of ``content`` over a curtain or §6 overlay.
+
+    ``overlay`` is an :class:`~repro.core.overlay.OverlayNetwork` (walked
+    as a :class:`CurtainTopology`) or a
+    :class:`~repro.core.random_graph.RandomGraphOverlay` (a
+    :class:`GraphTopology`); either may be mutated between slots.
+    Reports and completion checks cover the topology's measured nodes
+    whose role is :attr:`NodeRole.HONEST`.
+
+    Args:
+        seed: Root seed of the one :class:`RngStreams` the behaviour and
+            the runtime share.
+        loss: Ergodic per-delivery loss model.
+        outage: Ergodic per-node outage model (§2).
+        roles: Optional ``node_id -> NodeRole`` for the §7 attacks.
+        systematic: Emit original packets first from the server.
+    """
+    streams = RngStreams(seed)
+    behavior = RlncBehavior(
+        content, params, streams, roles=roles, systematic=systematic,
+    )
+    topology: Topology = (
+        GraphTopology(overlay) if isinstance(overlay, RandomGraphOverlay)
+        else CurtainTopology(overlay)
+    )
+
+    def honest() -> list[int]:
+        return [
+            n for n in topology.measured_nodes()
+            if behavior.role_of(n) is NodeRole.HONEST
+        ]
+
+    return SlottedRuntime(
+        topology, behavior, streams=streams, loss=loss, outage=outage,
+        measured=honest,
+    )
+
+
+def uncoded(
+    net: OverlayNetwork,
+    packet_count: int,
+    *,
+    seed: Optional[int] = None,
+    loss: Optional[LossModel] = None,
+    behavior: Callable[[int, RngStreams], NodeBehavior] = StoreForwardBehavior,
+) -> SlottedRuntime:
+    """Uncoded flooding of ``packet_count`` pieces over a curtain overlay.
+
+    The coupon-collector baselines RLNC is measured against: pass
+    ``behavior=RarestFirstBehavior`` for BitTorrent's rarest-first piece
+    selection instead of uniformly random forwarding.  Reports cover the
+    working nodes; :attr:`RunReport.mean_unique_fraction` and
+    :attr:`RunReport.duplicate_fraction` are the flooding summaries.
+    """
+    streams = RngStreams(seed)
+    return SlottedRuntime(
+        CurtainTopology(net), behavior(packet_count, streams),
+        streams=streams, loss=loss,
+    )

@@ -25,11 +25,10 @@ from ..coding.generation import GenerationParams
 from ..core.overlay import OverlayNetwork
 from ..core.random_graph import RandomGraphOverlay
 from .behaviors import NodeRole
-from .broadcast import BroadcastReport, BroadcastSimulation
-from .graph_broadcast import GraphBroadcastSimulation
 from .links import LossModel
+from .report import RunReport
 from .rng import RngStreams
-from .runtime import SlottedRuntime
+from .runtime import SlottedRuntime, rlnc
 
 
 @dataclass
@@ -88,13 +87,13 @@ class SessionConfig:
 class SessionResult:
     """Outcome of :func:`run_session`."""
 
-    report: BroadcastReport
+    report: RunReport
     failures_injected: int
     repairs_performed: int
     joins: int
     graceful_leaves: int
     net: Union[OverlayNetwork, RandomGraphOverlay] = field(repr=False)
-    simulation: Union[BroadcastSimulation, GraphBroadcastSimulation] = field(repr=False)
+    simulation: SlottedRuntime = field(repr=False)
     #: node id -> slot at which it joined (0 for the initial population)
     joined_at: dict[int, int] = field(default_factory=dict, repr=False)
 
@@ -160,23 +159,17 @@ class _SessionDynamics:
         self.repairs = 0
         self.joins = 0
         self.leaves = 0
-        self._curtain = isinstance(net, OverlayNetwork)
-
-    def _working(self) -> list[int]:
-        if self._curtain:
-            return list(self.net.working_nodes)
-        return sorted(self.net.nodes)
 
     def __call__(self, runtime: SlottedRuntime) -> None:
         interval = self.config.repair_interval
         if not interval or runtime.slot % interval != 0 or runtime.slot == 0:
             return
         net = self.net
-        if self._curtain:
+        if isinstance(net, OverlayNetwork):
             # Repair sweep first (end of previous interval), then dynamics.
             self.repairs += len(net.server.failed)
             net.repair_all()
-        for node_id in self._working():
+        for node_id in list(runtime.topology.live_nodes()):
             roll = self.rng.random()
             if roll < self.config.fail_probability:
                 net.fail(node_id)
@@ -221,32 +214,15 @@ def run_session(config: SessionConfig) -> SessionResult:
         0, 256, size=config.content_size, dtype=np.uint8
     ).tobytes()
     roles = _assign_roles(initial, config, streams.get("roles"))
-
-    if config.topology == "curtain":
-        simulation: Union[BroadcastSimulation, GraphBroadcastSimulation] = (
-            BroadcastSimulation(
-                net=net,
-                content=content,
-                params=params,
-                seed=config.seed,
-                loss=LossModel(config.loss_rate),
-                roles=roles,
-                systematic=config.systematic,
-            )
-        )
-    else:
-        simulation = GraphBroadcastSimulation(
-            net,
-            content,
-            params,
-            seed=config.seed,
-            loss=LossModel(config.loss_rate),
-            roles=roles,
-        )
+    simulation = rlnc(
+        net, content, params, seed=config.seed,
+        loss=LossModel(config.loss_rate), roles=roles,
+        systematic=config.systematic,
+    )
 
     joined_at = {node_id: 0 for node_id in initial}
     dynamics = _SessionDynamics(net, config, streams.get("dynamics"), joined_at)
-    simulation.runtime.add_slot_hook(dynamics)
+    simulation.add_slot_hook(dynamics)
     report = simulation.run_until_complete(max_slots=config.max_slots)
 
     return SessionResult(

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .broadcast import BroadcastSimulation
+from .runtime import SlottedRuntime
 
 
 @dataclass(frozen=True)
@@ -49,14 +49,15 @@ class PlaybackMonitor:
     """Deadline bookkeeping for every honest receiver in a broadcast.
 
     Args:
-        sim: The broadcast to monitor (drive it via :meth:`step`).
+        sim: The RLNC broadcast to monitor (a :func:`~repro.sim.rlnc`
+            runtime; drive it via :meth:`step`).
         window: Slots of content per generation at playback rate (the
             generation's play duration).
         startup_delay: Slots a receiver buffers before starting playback
             (counted from when it first receives anything).
     """
 
-    sim: BroadcastSimulation
+    sim: SlottedRuntime
     window: int
     startup_delay: int
     _first_heard: dict[int, int] = field(default_factory=dict)
@@ -72,10 +73,10 @@ class PlaybackMonitor:
         """Advance the broadcast one slot and sample decode states."""
         self.sim.step()
         slot = self.sim.slot
-        for node_id, recoder in self.sim._recoders.items():
-            if node_id not in self._first_heard and self.sim._received.get(node_id, 0):
+        for node_id, engine in self.sim.behavior.engines.items():
+            if node_id not in self._first_heard and engine.received:
                 self._first_heard[node_id] = slot
-            for generation, decoder in enumerate(recoder.decoder.generations):
+            for generation, decoder in enumerate(engine.recoder.decoder.generations):
                 key = (node_id, generation)
                 if key not in self._decoded_at and decoder.is_complete:
                     self._decoded_at[key] = slot
@@ -91,7 +92,7 @@ class PlaybackMonitor:
         if first is None:
             return None
         start = first + self.startup_delay
-        generations = self.sim.generation_count
+        generations = self.sim.behavior.generation_count
         stalls = 0
         for generation in range(generations):
             deadline = start + (generation + 1) * self.window
@@ -108,7 +109,7 @@ class PlaybackMonitor:
     def continuity_summary(self) -> dict[int, float]:
         """Continuity index per honest working receiver."""
         out = {}
-        for node_id in self.sim._honest_working_nodes():
+        for node_id in self.sim.measured_nodes():
             report = self.report(node_id)
             if report is not None:
                 out[node_id] = report.continuity

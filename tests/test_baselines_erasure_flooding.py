@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from repro.baselines import (
-    FloodingSimulation,
     MDSCode,
     evaluate_erasure_overlay,
     stripes_received,
 )
 from repro.core import OverlayNetwork
+from repro.sim import uncoded
 
 
 class TestMDSCode:
@@ -94,44 +94,44 @@ class TestFloodingSimulation:
         return net
 
     def test_completes_eventually(self):
-        sim = FloodingSimulation(self._net(), packet_count=15, seed=1)
+        sim = uncoded(self._net(), 15, seed=1)
         report = sim.run_until_complete(max_slots=2000)
         assert report.completion_fraction == 1.0
         assert report.slots < 2000
 
     def test_duplicates_waste_bandwidth(self):
-        sim = FloodingSimulation(self._net(), packet_count=15, seed=2)
+        sim = uncoded(self._net(), 15, seed=2)
         report = sim.run_until_complete(max_slots=2000)
         assert report.duplicate_fraction > 0.2
 
     def test_slower_than_rlnc(self):
         """The headline gap: flooding pays the coupon-collector tax."""
         from repro.coding import GenerationParams
-        from repro.sim import BroadcastSimulation
+        from repro.sim import rlnc
 
         packet_count = 24
-        flood = FloodingSimulation(self._net(seed=44), packet_count, seed=3)
+        flood = uncoded(self._net(seed=44), packet_count, seed=3)
         flood_report = flood.run_until_complete(max_slots=3000)
 
         rng = np.random.default_rng(0)
         content = bytes(
             rng.integers(0, 256, size=packet_count * 32, dtype=np.uint8)
         )
-        rlnc = BroadcastSimulation(
+        coded = rlnc(
             self._net(seed=44), content,
             GenerationParams(generation_size=packet_count, payload_size=32),
             seed=3,
         )
-        rlnc_report = rlnc.run_until_complete(max_slots=3000)
+        rlnc_report = coded.run_until_complete(max_slots=3000)
         assert rlnc_report.completion_fraction == 1.0
         assert max(rlnc_report.completion_slots()) < flood_report.slots
 
     def test_progress_metric(self):
-        sim = FloodingSimulation(self._net(), packet_count=30, seed=4)
+        sim = uncoded(self._net(), 30, seed=4)
         sim.step()
         report = sim.report()
         assert 0.0 <= report.mean_unique_fraction <= 1.0
 
     def test_invalid_packet_count(self):
         with pytest.raises(ValueError):
-            FloodingSimulation(self._net(), packet_count=0)
+            uncoded(self._net(), 0)

@@ -4,12 +4,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork, RandomGraphOverlay
-from repro.sim import (
-    BroadcastSimulation,
-    GraphBroadcastSimulation,
-    SessionConfig,
-    run_session,
-)
+from repro.sim import SessionConfig, rlnc, run_session
 
 
 class TestDegenerateOverlays:
@@ -58,7 +53,7 @@ class TestBroadcastEdgeStates:
         net = OverlayNetwork(k=6, d=2, seed=5)
         rng = np.random.default_rng(6)
         content = bytes(rng.integers(0, 256, size=200, dtype=np.uint8))
-        sim = BroadcastSimulation(net, content, GenerationParams(4, 50), seed=7)
+        sim = rlnc(net, content, GenerationParams(4, 50), seed=7)
         sim.run(5)
         assert sim.report().nodes == []
         assert sim.server_packets == 0  # no occupied columns
@@ -66,7 +61,7 @@ class TestBroadcastEdgeStates:
     def test_single_generation_single_packet(self):
         net = OverlayNetwork(k=6, d=2, seed=8)
         net.grow(6)
-        sim = BroadcastSimulation(net, b"x", GenerationParams(1, 1), seed=9)
+        sim = rlnc(net, b"x", GenerationParams(1, 1), seed=9)
         report = sim.run_until_complete(max_slots=60)
         assert report.completion_fraction == 1.0
         assert all(n.decoded_ok for n in report.nodes)
@@ -83,7 +78,7 @@ class TestBroadcastEdgeStates:
         overlay = RandomGraphOverlay(k=6, d=2, seed=11)
         rng = np.random.default_rng(12)
         content = bytes(rng.integers(0, 256, size=100, dtype=np.uint8))
-        sim = GraphBroadcastSimulation(
+        sim = rlnc(
             overlay, content, GenerationParams(4, 25), seed=13
         )
         report = sim.run_until_complete(max_slots=5)

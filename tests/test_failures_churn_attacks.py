@@ -29,7 +29,7 @@ class TestAttackHelpers:
         """Children fed only trivial combinations have low innovation
         efficiency and should be flagged."""
         from repro.coding import GenerationParams
-        from repro.sim import BroadcastSimulation
+        from repro.sim import rlnc
 
         net = OverlayNetwork(k=8, d=2, seed=31)
         net.grow(20)
@@ -37,7 +37,7 @@ class TestAttackHelpers:
         roles = {attacker: NodeRole.ENTROPY_ATTACKER}
         rng = np.random.default_rng(1)
         content = bytes(rng.integers(0, 256, size=800, dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(generation_size=8, payload_size=32),
             seed=32, roles=roles,
         )

@@ -32,8 +32,8 @@ from repro.gf.kernels import (
 )
 from repro.gf.linalg import rref
 from repro.gf.tables import MUL
-from repro.sim.broadcast import BroadcastSimulation
 from repro.sim.links import LossModel
+from repro.sim.runtime import rlnc
 
 elements = st.integers(min_value=0, max_value=255)
 
@@ -264,7 +264,7 @@ class TestBroadcastRegression:
         content = bytes(
             np.random.default_rng(5).integers(0, 256, size=2048, dtype=np.uint8)
         )
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(8, 64), seed=2024, loss=LossModel(0.1)
         )
         report = sim.run_until_complete(max_slots=600)

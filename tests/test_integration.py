@@ -5,7 +5,7 @@ import numpy as np
 from repro.coding import GenerationParams
 from repro.core import CongestionController, OverlayNetwork
 from repro.failures import IIDFailures, apply_failures
-from repro.sim import BroadcastSimulation, SessionConfig, run_session
+from repro.sim import SessionConfig, rlnc, run_session
 
 
 class TestBroadcastUnderHeavyChurn:
@@ -47,7 +47,7 @@ class TestCongestionDuringBroadcast:
         controller = CongestionController(net.server, drop_after=1, restore_after=3)
         rng = np.random.default_rng(24)
         content = bytes(rng.integers(0, 256, size=1000, dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(generation_size=8, payload_size=50),
             seed=25,
         )
@@ -75,7 +75,7 @@ class TestHeterogeneousBroadcast:
             rng=rng,
         )
         content = bytes(rng.integers(0, 256, size=800, dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(generation_size=6, payload_size=40),
             seed=31,
         )

@@ -4,7 +4,7 @@ topology, then the data plane broadcasts over the result."""
 import numpy as np
 
 from repro.coding import GenerationParams
-from repro.sim import BroadcastSimulation
+from repro.sim import rlnc
 
 
 class TestControlPlaneThenDataPlane:
@@ -28,7 +28,7 @@ class TestControlPlaneThenDataPlane:
             net_view = _overlay_facade(h.server.core)
             rng = np.random.default_rng(62)
             content = bytes(rng.integers(0, 256, size=2000, dtype=np.uint8))
-            sim = BroadcastSimulation(
+            sim = rlnc(
                 net_view, content, GenerationParams(8, 125), seed=63
             )
             report = sim.run_until_complete(max_slots=1200)

@@ -38,16 +38,15 @@ class TestSharedStats:
 class TestReportEdgeCases:
     def test_flooding_report_tolerates_zero_needed(self):
         from repro.sim.links import LinkStats
-        from repro.sim.report import FloodingReport, NodeReport, RunReport
+        from repro.sim.report import NodeReport, RunReport
 
-        run = RunReport(
+        report = RunReport(
             slots=5,
             nodes=[NodeReport(node_id=1, rank=0, needed=0, completed_at=0,
                               received=0, innovative=0, decoded_ok=None)],
             link_stats=LinkStats(),
             server_packets=0,
         )
-        report = FloodingReport.from_run(run)
         assert report.mean_unique_fraction == 1.0
 
     def test_empty_run_percentiles_are_zero(self):

@@ -11,7 +11,7 @@ from repro.analysis import exact_defect, ks_same_distribution, sampled_defect
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork, RandomGraphOverlay, sequential_arrivals
 from repro.failures import CohortBatchFailures, RandomBatchFailures, apply_failures
-from repro.sim import BroadcastSimulation
+from repro.sim import rlnc
 from repro.theory import lemma6_max_jump_fraction, theorem4_prediction
 
 
@@ -204,7 +204,7 @@ class TestNetworkCodingAchievesConnectivity:
         generation_size = 10
         content = bytes(rng.integers(0, 256, size=generation_size * 64,
                                      dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content,
             GenerationParams(generation_size=generation_size, payload_size=64),
             seed=21,
@@ -235,12 +235,12 @@ class TestNetworkCodingAchievesConnectivity:
         remaining = net.connectivity(victim_child)
         rng = np.random.default_rng(23)
         content = bytes(rng.integers(0, 256, size=16 * 32, dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(generation_size=16, payload_size=32),
             seed=24,
         )
         sim.run(12)
-        rank = sim.recoder_of(victim_child).decoder.total_rank
+        rank = sim.behavior.recoder_of(victim_child).decoder.total_rank
         # rank growth per slot ≈ connectivity (after pipeline fill)
         assert rank <= remaining * 12 + 1
         if remaining > 0:

@@ -135,10 +135,10 @@ class TestPackageOrder:
     def test_package_init_cannot_reexport_from_above(self, tmp_path):
         tree = _plant(tmp_path, {
             "core/matrix.py": "",
-            "sim/broadcast.py": "",
+            "sim/runtime.py": "",
         })
         (tree / "core" / "__init__.py").write_text(
-            "from ..sim.broadcast import BroadcastSimulation\n")
+            "from ..sim.runtime import SlottedRuntime\n")
         (violation,) = check_layering.check_order(tree)
         assert "core/__init__.py:1: upward import" in violation
 

@@ -3,8 +3,9 @@
 The five slotted data-plane loops (curtain RLNC, random-graph RLNC,
 store-and-forward flooding, rarest-first, streaming playback) were
 captured on fixed seeds *before* they were migrated onto
-:mod:`repro.sim.runtime`.  These tests re-run the same scenarios and
-assert the reports are field-identical, so the refactor is provably
+:mod:`repro.sim.runtime`.  These tests re-run the same scenarios through
+:func:`repro.sim.rlnc` and :func:`repro.sim.uncoded` and assert the
+reports are field-identical, so the refactor is provably
 behaviour-neutral on the paths the paper's claims depend on.
 
 Regenerate (only when a behaviour change is intended)::
@@ -59,7 +60,7 @@ def _flooding_dump(report) -> dict:
         "completion_fraction": report.completion_fraction,
         "mean_unique_fraction": report.mean_unique_fraction,
         "duplicate_fraction": report.duplicate_fraction,
-        "completion_slots": sorted(report.completion_slots),
+        "completion_slots": sorted(report.completion_slots()),
     }
 
 
@@ -71,11 +72,11 @@ def scenario_curtain() -> dict:
     """Curtain RLNC with loss, outages, and both §7 attacker roles."""
     from repro.coding.generation import GenerationParams
     from repro.core import OverlayNetwork
-    from repro.sim import BroadcastSimulation, LossModel, NodeRole, OutageModel
+    from repro.sim import LossModel, NodeRole, OutageModel, rlnc
 
     net = OverlayNetwork(k=8, d=2, seed=101)
     nodes = net.grow(24)
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net,
         _content(4096, 202),
         GenerationParams(generation_size=16, payload_size=64),
@@ -92,11 +93,11 @@ def scenario_curtain_detach() -> dict:
     """Curtain RLNC exercising server detach + swarm-rank probing."""
     from repro.coding.generation import GenerationParams
     from repro.core import OverlayNetwork
-    from repro.sim import BroadcastSimulation
+    from repro.sim import rlnc
 
     net = OverlayNetwork(k=6, d=2, seed=11)
     net.grow(12)
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net,
         _content(2048, 12),
         GenerationParams(generation_size=8, payload_size=64),
@@ -116,11 +117,11 @@ def scenario_graph() -> dict:
     """Random-graph (§6, cyclic) RLNC broadcast under loss."""
     from repro.coding.generation import GenerationParams
     from repro.core.random_graph import RandomGraphOverlay
-    from repro.sim import GraphBroadcastSimulation, LossModel
+    from repro.sim import LossModel, rlnc
 
     overlay = RandomGraphOverlay(k=8, d=2, seed=77)
     overlay.grow(20)
-    sim = GraphBroadcastSimulation(
+    sim = rlnc(
         overlay,
         _content(4096, 78),
         GenerationParams(generation_size=16, payload_size=64),
@@ -133,28 +134,27 @@ def scenario_graph() -> dict:
 
 def scenario_store_forward() -> dict:
     """Uncoded random flooding with loss and one failed node."""
-    from repro.baselines import FloodingSimulation
     from repro.core import OverlayNetwork
-    from repro.sim import LossModel
+    from repro.sim import LossModel, uncoded
 
     net = OverlayNetwork(k=6, d=2, seed=55)
     nodes = net.grow(16)
     net.fail(nodes[7])
-    sim = FloodingSimulation(net, packet_count=12, seed=56, loss=LossModel(0.05))
+    sim = uncoded(net, 12, seed=56, loss=LossModel(0.05))
     report = sim.run_until_complete(max_slots=600)
     return _flooding_dump(report)
 
 
 def scenario_rarest_first() -> dict:
     """Rarest-first flooding on the same geometry as store-forward."""
-    from repro.baselines import RarestFirstSimulation
     from repro.core import OverlayNetwork
-    from repro.sim import LossModel
+    from repro.sim import LossModel, RarestFirstBehavior, uncoded
 
     net = OverlayNetwork(k=6, d=2, seed=55)
     nodes = net.grow(16)
     net.fail(nodes[7])
-    sim = RarestFirstSimulation(net, packet_count=12, seed=56, loss=LossModel(0.05))
+    sim = uncoded(net, 12, seed=56, loss=LossModel(0.05),
+                  behavior=RarestFirstBehavior)
     report = sim.run_until_complete(max_slots=600)
     return _flooding_dump(report)
 
@@ -194,11 +194,11 @@ def scenario_streaming() -> dict:
     """Playback monitor continuity over a lossy curtain broadcast."""
     from repro.coding.generation import GenerationParams
     from repro.core import OverlayNetwork
-    from repro.sim import BroadcastSimulation, LossModel, PlaybackMonitor
+    from repro.sim import LossModel, PlaybackMonitor, rlnc
 
     net = OverlayNetwork(k=6, d=2, seed=21)
     net.grow(12)
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net,
         _content(4096, 22),
         GenerationParams(generation_size=8, payload_size=64),

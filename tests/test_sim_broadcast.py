@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation, LossModel, NodeRole
+from repro.sim import LossModel, NodeRole, rlnc
 
 PARAMS = GenerationParams(generation_size=6, payload_size=32)
 
@@ -13,7 +13,7 @@ def make_sim(net=None, content_size=400, seed=9, **kwargs):
     net = net or _default_net()
     rng = np.random.default_rng(1)
     content = bytes(rng.integers(0, 256, size=content_size, dtype=np.uint8))
-    return BroadcastSimulation(net, content, PARAMS, seed=seed, **kwargs), net
+    return rlnc(net, content, PARAMS, seed=seed, **kwargs), net
 
 
 def _default_net():

@@ -7,7 +7,7 @@ import pytest
 from ext.binary import BinaryDecoder, BinaryEncoder, innovation_probability_q
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork, RandomGraphOverlay
-from repro.sim import BroadcastSimulation, GraphBroadcastSimulation, LossModel
+from repro.sim import LossModel, rlnc
 
 
 def make_content(size, seed=3):
@@ -20,7 +20,7 @@ class TestGraphBroadcast:
         overlay = RandomGraphOverlay(k=12, d=3, seed=seed)
         overlay.grow(n)
         content = make_content(2000)
-        sim = GraphBroadcastSimulation(
+        sim = rlnc(
             overlay, content, GenerationParams(8, 125), seed=seed + 1,
             loss=LossModel(loss),
         )
@@ -53,14 +53,14 @@ class TestGraphBroadcast:
         overlay = RandomGraphOverlay(k=12, d=3, seed=7)
         overlay.grow(150)
         content = make_content(1500)
-        graph_sim = GraphBroadcastSimulation(
+        graph_sim = rlnc(
             overlay, content, GenerationParams(6, 250), seed=8
         )
         graph_report = graph_sim.run_until_complete(max_slots=1000)
 
         net = OverlayNetwork(k=12, d=3, seed=7)
         net.grow(150)
-        curtain_sim = BroadcastSimulation(
+        curtain_sim = rlnc(
             net, content, GenerationParams(6, 250), seed=8
         )
         curtain_report = curtain_sim.run_until_complete(max_slots=1000)
@@ -76,7 +76,7 @@ class TestServerDetach:
         net = OverlayNetwork(k=10, d=2, seed=5)
         net.grow(20)
         content = make_content(3000)
-        sim = BroadcastSimulation(net, content, GenerationParams(12, 125), seed=6)
+        sim = rlnc(net, content, GenerationParams(12, 125), seed=6)
         while not sim.swarm_has_full_rank():
             sim.step()
         sim.detach_server()
@@ -88,7 +88,7 @@ class TestServerDetach:
         overlay = RandomGraphOverlay(k=12, d=3, seed=2)
         overlay.grow(40)
         content = make_content(3000)
-        sim = GraphBroadcastSimulation(
+        sim = rlnc(
             overlay, content, GenerationParams(12, 125), seed=4
         )
         while not sim.swarm_has_full_rank():
@@ -103,7 +103,7 @@ class TestServerDetach:
     def test_detach_at_future_slot(self):
         net = OverlayNetwork(k=10, d=2, seed=9)
         net.grow(10)
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, make_content(500), GenerationParams(4, 125), seed=10
         )
         sim.detach_server(at_slot=5)
@@ -116,7 +116,7 @@ class TestServerDetach:
     def test_swarm_rank_false_before_anything_sent(self):
         net = OverlayNetwork(k=10, d=2, seed=11)
         net.grow(5)
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, make_content(500), GenerationParams(4, 125), seed=12
         )
         assert not sim.swarm_has_full_rank()

@@ -5,7 +5,7 @@ import pytest
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation, OutageModel
+from repro.sim import OutageModel, rlnc
 
 
 class TestOutageModel:
@@ -49,7 +49,7 @@ class TestOutagesInBroadcast:
         net.grow(25)
         rng = np.random.default_rng(seed + 1)
         content = bytes(rng.integers(0, 256, size=1500, dtype=np.uint8))
-        sim = BroadcastSimulation(
+        sim = rlnc(
             net, content, GenerationParams(8, 75), seed=seed + 2, outage=outage
         )
         return sim
@@ -69,18 +69,19 @@ class TestOutagesInBroadcast:
         sim = self._run(outage=OutageModel(onset=0.9, recovery=0.01))
         sim.run(5)
         # with near-total outage, almost nothing gets delivered
-        delivered = sum(sim._received.values())
+        delivered = sim.link_stats.delivered
         clean = self._run()
         clean.run(5)
-        assert delivered < sum(clean._received.values())
+        assert delivered < clean.link_stats.delivered
 
     def test_no_repairs_triggered_by_outages(self):
         """Ergodic failures never touch the matrix: no rows removed."""
         sim = self._run(outage=OutageModel(onset=0.1, recovery=0.2))
-        before = sim.net.population
+        net = sim.topology.net
+        before = net.population
         sim.run(40)
-        assert sim.net.population == before
-        assert sim.net.failed == frozenset()
+        assert net.population == before
+        assert net.failed == frozenset()
 
     def test_outage_state_recovers(self):
         sim = self._run(outage=OutageModel(onset=0.2, recovery=0.9))

@@ -8,13 +8,8 @@ from repro.core import OverlayNetwork
 from repro.core.matrix import SERVER
 from repro.core.random_graph import RandomGraphOverlay
 from repro.sim import (
-    DEFAULT_MAX_SLOTS,
-    BroadcastSimulation,
     CurtainTopology,
-    FloodingReport,
-    GraphBroadcastSimulation,
     GraphTopology,
-    LossModel,
     NodeBehavior,
     NodeReport,
     NodeRole,
@@ -28,6 +23,7 @@ from repro.sim import (
     Topology,
     completion_percentile,
     mean_completion_slot,
+    rlnc,
     run_session,
 )
 from repro.sim.links import LinkStats
@@ -67,8 +63,8 @@ class TestStaticTopology:
         topology.fail(0)
         runtime.step()
         # failed node neither receives nor forwards
-        assert runtime.behavior._received.get(0, 0) == 0
-        assert runtime.behavior._received.get(1, 0) == 0
+        assert runtime.behavior.node_report(0).received == 0
+        assert runtime.behavior.node_report(1).received == 0
         topology.repair(0)
         report = runtime.run_until_complete(max_slots=200)
         assert report.completion_fraction == 1.0
@@ -83,9 +79,7 @@ class TestStaticTopology:
         )
         report = runtime.run_until_complete(max_slots=500)
         assert report.completion_fraction == 1.0
-        flooding = FloodingReport.from_run(report)
-        assert flooding.completion_fraction == 1.0
-        assert 0.0 <= flooding.duplicate_fraction < 1.0
+        assert 0.0 <= report.duplicate_fraction < 1.0
 
 
 class TestProtocols:
@@ -104,16 +98,6 @@ class TestProtocols:
         flood = StoreForwardBehavior(4, RngStreams(3))
         assert isinstance(rlnc, NodeBehavior)
         assert isinstance(flood, NodeBehavior)
-
-    def test_adapters_share_default_budget(self):
-        import inspect
-
-        from repro.baselines import FloodingSimulation, RarestFirstSimulation
-
-        for cls in (BroadcastSimulation, GraphBroadcastSimulation,
-                    FloodingSimulation, RarestFirstSimulation):
-            signature = inspect.signature(cls.run_until_complete)
-            assert signature.parameters["max_slots"].default == DEFAULT_MAX_SLOTS
 
 
 class TestSlotHooks:
@@ -135,9 +119,9 @@ class TestSlotHooks:
 
         runtime.add_slot_hook(kill_at_three)
         runtime.run(20)
-        received = runtime.behavior._received
-        assert received[0] == 20  # head of chain unaffected
-        assert received.get(1, 0) <= 3
+        behavior = runtime.behavior
+        assert behavior.node_report(0).received == 20  # head of chain unaffected
+        assert behavior.node_report(1).received <= 3
 
     def test_bare_step_skips_hooks(self):
         runtime = _rlnc_runtime(StaticTopology([(SERVER, 0)]))
@@ -197,19 +181,18 @@ class TestReportHelpers:
         ]
         report = RunReport(slots=20, nodes=rows, link_stats=LinkStats(),
                            server_packets=0)
-        view = FloodingReport.from_run(report)
-        assert view.completion_fraction == 0.5
-        assert view.mean_unique_fraction == pytest.approx((0.75 + 1.0) / 2)
-        assert view.duplicate_fraction == pytest.approx(6 / 13)
-        assert view.completion_slots == [12]
-        assert view.mean_completion_slot() == 12.0
+        assert report.completion_fraction == 0.5
+        assert report.mean_unique_fraction == pytest.approx((0.75 + 1.0) / 2)
+        assert report.duplicate_fraction == pytest.approx(6 / 13)
+        assert report.completion_slots() == [12]
+        assert report.mean_completion_slot() == 12.0
 
 
 class TestGraphRoles:
     def test_graph_broadcast_supports_attacker_roles(self):
         overlay = RandomGraphOverlay(k=6, d=2, seed=31)
         nodes = overlay.grow(10)
-        sim = GraphBroadcastSimulation(
+        sim = rlnc(
             overlay,
             _content(256),
             GenerationParams(4, 64),
@@ -220,6 +203,34 @@ class TestGraphRoles:
         measured = {n.node_id for n in report.nodes}
         assert nodes[4] not in measured  # attackers are not measured
         assert report.completion_fraction > 0.0
+
+
+class TestSwarmFullRank:
+    def test_peers_that_left_do_not_count(self):
+        # §6: the server detaches on this answer, so a buffer that left
+        # with its peer must not keep it true.
+        overlay = RandomGraphOverlay(k=6, d=2, seed=3)
+        overlay.grow(12)
+        sim = rlnc(overlay, _content(512), GenerationParams(8, 64), seed=4)
+        while not sim.swarm_has_full_rank():
+            sim.step()
+        holders = [
+            n for n in sim.topology.live_nodes() if sim.behavior.node_report(n).rank
+        ]
+        assert sim.slot == 2 and len(holders) == 10
+        for node_id in holders:
+            overlay.leave(node_id)
+        assert not sim.swarm_has_full_rank()
+
+    def test_failed_curtain_peers_do_not_count(self):
+        net = OverlayNetwork(k=4, d=2, seed=9)
+        net.grow(6)
+        sim = rlnc(net, _content(256), GenerationParams(4, 64), seed=10)
+        while not sim.swarm_has_full_rank():
+            sim.step()
+        for node_id in net.working_nodes:
+            net.fail(node_id)
+        assert not sim.swarm_has_full_rank()
 
 
 class TestGraphSession:
@@ -237,6 +248,25 @@ class TestGraphSession:
         assert isinstance(result.net, RandomGraphOverlay)
         assert result.report.completion_fraction > 0.0
 
+    def test_graph_session_honours_systematic(self):
+        # One slot: everything received so far came from the server, so
+        # with systematic=True every basis row is one original packet.
+        result = run_session(
+            SessionConfig(
+                k=6, d=2, population=10, content_size=512,
+                generation_size=8, payload_size=64, systematic=True,
+                max_slots=1, seed=5, topology="graph",
+            )
+        )
+        rows = [
+            row
+            for engine in result.simulation.behavior.engines.values()
+            for generation in engine.recoder.decoder.generations
+            for row in generation.coefficient_rows()
+        ]
+        assert rows
+        assert all(np.count_nonzero(row) == 1 for row in rows)
+
     def test_graph_topology_rejects_failures(self):
         with pytest.raises(ValueError, match="curtain"):
             run_session(
@@ -250,19 +280,3 @@ class TestGraphSession:
             run_session(SessionConfig(k=4, d=2, population=2, max_slots=5,
                                       topology="mesh", seed=1))
 
-
-class TestCurtainAdapterDelegation:
-    def test_adapter_state_is_runtime_state(self):
-        net = OverlayNetwork(k=4, d=2, seed=9)
-        net.grow(6)
-        sim = BroadcastSimulation(
-            net, _content(256), GenerationParams(4, 64), seed=10,
-            loss=LossModel(0.1),
-        )
-        sim.run(5)
-        assert sim.slot == sim.runtime.slot == 5
-        assert sim.link_stats is sim.runtime.link_stats
-        assert sim._recoders is sim.behavior._recoders
-        sim.detach_server(at_slot=7)
-        assert sim.runtime.server_detach_slot == 7
-        assert sim.server_detach_slot == 7

@@ -73,7 +73,7 @@ class TestAttackConfiguration:
         result = run_session(
             small_config(entropy_attacker_fraction=0.2, max_slots=150)
         )
-        roles = result.simulation.roles
+        roles = result.simulation.behavior.roles
         entropy = [r for r in roles.values() if r is NodeRole.ENTROPY_ATTACKER]
         assert len(entropy) == 5  # 20% of 25
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.coding import GenerationParams
 from repro.core import OverlayNetwork
-from repro.sim import BroadcastSimulation, LossModel
+from repro.sim import LossModel, rlnc
 from repro.sim.streaming import PlaybackMonitor
 
 
@@ -14,7 +14,7 @@ def make_monitor(window=6, startup_delay=8, loss=0.0, seed=5, population=20):
     net.grow(population)
     rng = np.random.default_rng(seed + 1)
     content = bytes(rng.integers(0, 256, size=4800, dtype=np.uint8))
-    sim = BroadcastSimulation(
+    sim = rlnc(
         net, content, GenerationParams(8, 100), seed=seed + 2,
         loss=LossModel(loss),
     )
@@ -41,7 +41,7 @@ class TestPlayback:
         node = net.matrix.node_ids[0]
         report = monitor.report(node)
         assert report is not None
-        assert report.windows == monitor.sim.generation_count
+        assert report.windows == monitor.sim.behavior.generation_count
         assert 0 <= report.stalls <= report.windows
         assert report.continuity == pytest.approx(
             1.0 - report.stalls / report.windows
