@@ -31,11 +31,9 @@ import struct
 from dataclasses import dataclass
 
 from ..protocol.messages import (
-    AttachChild,
     ComplaintMsg,
     CongestionDrop,
     CongestionRestore,
-    DetachChild,
     JoinGrant,
     JoinRequest,
     KeepAlive,
@@ -119,13 +117,13 @@ class GenerationsComplete:
 
 
 # ----------------------------------------------------------------------
-# Codec registry: message class -> (type byte, struct, field names)
+# Codec registry: message class -> (type byte, struct, field names).
+# 0x03 and 0x04 are retired and never reused: a node still sending them
+# gets a ControlFormatError, never a different message.
 
 _SIMPLE: dict[type, tuple[int, struct.Struct, tuple[str, ...]]] = {
     JoinRequest: (0x01, struct.Struct(">i"), ("reply_to",)),
     LeaveRequest: (0x02, struct.Struct(">i"), ("node_id",)),
-    AttachChild: (0x03, struct.Struct(">Hi"), ("column", "child")),
-    DetachChild: (0x04, struct.Struct(">H"), ("column",)),
     SetParent: (0x05, struct.Struct(">Hi"), ("column", "parent")),
     KeepAlive: (0x06, struct.Struct(">Hi"), ("column", "sender")),
     CongestionDrop: (0x07, struct.Struct(">i"), ("node_id",)),

@@ -52,7 +52,6 @@ from ..obs import (
 from ..protocol import (
     Backoff,
     Clip,
-    CloseChildren,
     ComplaintMsg,
     JoinGrant,
     JoinRequest,
@@ -398,8 +397,6 @@ class PeerNode:
             elif isinstance(effect, (Clip, StopThread)):
                 # A stopped thread has no parent left to restart toward.
                 self._restart_thread(effect.column)
-            elif isinstance(effect, CloseChildren):
-                self.pumps.close(effect.column)
             elif isinstance(effect, Backoff):
                 delay = effect.delay
         return delay

@@ -558,12 +558,11 @@ class PumpSet:
             if pump is not None:
                 pump.enqueue_frame(frame)
 
-    def close(self, column: Optional[int] = None) -> None:
-        """Stop every pump, or only those serving ``column``; each
-        leaves the set (and reports its detach) at its next wakeup."""
+    def close(self) -> None:
+        """Stop every pump; each leaves the set (and reports its
+        detach) at its next wakeup."""
         for pump in self._pumps.values():
-            if column is None or pump.column == column:
-                pump.close()
+            pump.close()
 
     async def consume(
         self,

@@ -314,10 +314,6 @@ class PeerEngineInstruments:
             "engine.threads", "columns with a live parent",
             fn=lambda: len(engine.parents),
         )
-        registry.gauge(
-            "engine.children", "columns with a downstream child",
-            fn=lambda: len(engine.children),
-        )
         return self
 
     def record_step(self, event, effects) -> None:

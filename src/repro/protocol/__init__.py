@@ -25,7 +25,6 @@ from .effects import (
     Admitted,
     Backoff,
     Clip,
-    CloseChildren,
     CloseConnection,
     ComplaintNoted,
     Effect,
@@ -43,11 +42,9 @@ from .events import (
     UpstreamDown,
 )
 from .messages import (
-    AttachChild,
     ComplaintMsg,
     CongestionDrop,
     CongestionRestore,
-    DetachChild,
     JoinGrant,
     JoinRequest,
     KeepAlive,
@@ -63,17 +60,14 @@ from .trace import EngineLog, replay
 
 __all__ = [
     "Admitted",
-    "AttachChild",
     "Backoff",
     "Clip",
-    "CloseChildren",
     "CloseConnection",
     "ComplaintMsg",
     "ComplaintNoted",
     "CongestionDrop",
     "CongestionRestore",
     "ConnectionLost",
-    "DetachChild",
     "Effect",
     "EngineLog",
     "Event",

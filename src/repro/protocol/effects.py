@@ -2,9 +2,9 @@
 
 Effects are data, not actions.  ``engine.handle(event)`` returns a list
 of them, in the exact order the driver must perform them (send order is
-part of the protocol: a ``SetParent`` overtaking its ``AttachChild``
-re-introduces the stale-topology race the FIFO control channel exists
-to prevent).  The driver translates each effect into its transport's
+part of the protocol: two ``SetParent`` pushes for one column must reach
+the child in the order the server decided them, or it re-clips to a
+stale parent).  The driver translates each effect into its transport's
 vocabulary — a stream write, an asyncio task, a clock timer.
 
 Notification effects (``Admitted``, ``ComplaintNoted``,
@@ -21,7 +21,6 @@ __all__ = [
     "Admitted",
     "Backoff",
     "Clip",
-    "CloseChildren",
     "CloseConnection",
     "ComplaintNoted",
     "Effect",
@@ -96,13 +95,6 @@ class Clip:
 @dataclass(frozen=True)
 class StopThread:
     """Peer driver: stop the upstream pump for ``column`` entirely."""
-
-    column: int
-
-
-@dataclass(frozen=True)
-class CloseChildren:
-    """Peer driver: close every downstream pump on ``column``."""
 
     column: int
 

@@ -31,23 +31,6 @@ class JoinGrant:
 
 
 @dataclass(frozen=True)
-class AttachChild:
-    """Server -> parent: start streaming ``column`` to ``child``."""
-
-    column: int
-    child: int
-    size: int = 24
-
-
-@dataclass(frozen=True)
-class DetachChild:
-    """Server -> parent: ``column`` now hangs (stop forwarding on it)."""
-
-    column: int
-    size: int = 20
-
-
-@dataclass(frozen=True)
 class SetParent:
     """Server -> child: your stream on ``column`` now comes from ``parent``."""
 

@@ -1,8 +1,8 @@
 """The peer side of the §3 protocol as a sans-IO engine.
 
 :class:`PeerEngine` holds a peer's view of its threads — which parent
-feeds each column, which child it feeds — and implements every
-peer-side protocol decision exactly once:
+feeds each column — and implements every peer-side protocol decision
+exactly once:
 
 * **clip / re-clip** — a grant or ``SetParent`` push retargets a
   thread's upstream pump (the live Lemma 1 repair on the child side);
@@ -17,6 +17,9 @@ peer-side protocol decision exactly once:
   :class:`~repro.protocol.backoff.ReconnectBackoff` schedule, stepped
   on every failed session and reset by a healthy one or a re-clip.
 
+Whom the peer feeds is not the control plane's business: a child dials
+its parent, and the parent's data plane serves whoever dialed.
+
 Driver: :class:`repro.net.peer.PeerNode`, on real or virtual asyncio
 streams.
 """
@@ -30,7 +33,6 @@ from .backoff import ReconnectBackoff
 from .effects import (
     Backoff,
     Clip,
-    CloseChildren,
     Effect,
     Send,
     StopThread,
@@ -42,9 +44,7 @@ from .events import (
     UpstreamDown,
 )
 from .messages import (
-    AttachChild,
     ComplaintMsg,
-    DetachChild,
     JoinGrant,
     Probe,
     ProbeAck,
@@ -79,8 +79,6 @@ class PeerEngine:
         self.server_lost = False
         #: column -> parent we currently receive from
         self.parents: dict[int, int] = {}
-        #: column -> child we currently forward to
-        self.children: dict[int, int] = {}
         #: columns already complained about this silence episode
         self.complained: set[int] = set()
         self._backoffs: dict[int, ReconnectBackoff] = {}
@@ -134,16 +132,9 @@ class PeerEngine:
             return [self._clip(message.column, message.parent)]
         if isinstance(message, ThreadRemoved):
             self.parents.pop(message.column, None)
-            self.children.pop(message.column, None)
             self._backoffs.pop(message.column, None)
             self.complained.discard(message.column)
             return [StopThread(column=message.column)]
-        if isinstance(message, AttachChild):
-            self.children[message.column] = message.child
-            return []
-        if isinstance(message, DetachChild):
-            self.children.pop(message.column, None)
-            return [CloseChildren(column=message.column)]
         if isinstance(message, Probe):
             return [Send(SERVER, ProbeAck(
                 node_id=self.node_id, nonce=message.nonce))]

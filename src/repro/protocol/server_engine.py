@@ -4,11 +4,10 @@
 (:class:`~repro.core.server.CoordinationServer`) and implements every
 server-side protocol decision exactly once:
 
-* **hello** — admit a joiner, grant its thread assignments, attach it
-  to its parents and (under §5 uniform insertion) redirect the children
-  its row displaced;
-* **good-bye** — splice the leaver out, redirecting each of its parents
-  to the corresponding child (Lemma 1);
+* **hello** — admit a joiner, grant its thread assignments and (under
+  §5 uniform insertion) redirect the children its row displaced;
+* **good-bye** — splice the leaver out, re-clipping each of its
+  children onto the corresponding parent (Lemma 1);
 * **EOF-crash fast path** — a control connection dying without a
   good-bye is a crash: splice immediately;
 * **complaint → probe → repair slow path** — a child's complaint about
@@ -16,7 +15,13 @@ server-side protocol decision exactly once:
   probe in flight per suspect), and splices it out when the probe timer
   fires unanswered;
 * **§5 congestion** — shed one thread from a congested node / hand one
-  back, rewiring the affected parent and child.
+  back, re-clipping the affected child.
+
+The engine writes only to nodes whose own parents moved — the joiner, a
+redirected child, a congested node and its child — and to a probed
+suspect.  A parent learns each child from the child's own dial
+(``DataHello``) and loses it when that connection ends, so no message
+ever tells a node whom it feeds.
 
 The engine consumes :mod:`~repro.protocol.events` and returns
 :mod:`~repro.protocol.effects`; it never touches a socket, a clock, or
@@ -30,7 +35,6 @@ from __future__ import annotations
 from collections.abc import Iterator, Set
 from typing import Optional
 
-from ..core.matrix import SERVER
 from ..core.server import CoordinationServer
 from .effects import (
     Admitted,
@@ -43,11 +47,9 @@ from .effects import (
 )
 from .events import ConnectionLost, Event, MessageReceived, TimerFired
 from .messages import (
-    AttachChild,
     ComplaintMsg,
     CongestionDrop,
     CongestionRestore,
-    DetachChild,
     JoinGrant,
     JoinRequest,
     LeaveRequest,
@@ -185,30 +187,13 @@ class ServerEngine:
         assignments = tuple(
             (a.column, a.parent) for a in grant.assignments
         )
-        effects: list[Effect] = [
-            Admitted(node_id=node_id, assignments=assignments),
-            Send(node_id, JoinGrant(node_id=node_id, assignments=assignments)),
-        ]
-        for assignment in grant.assignments:
-            if assignment.parent != SERVER:
-                effects.append(Send(
-                    assignment.parent,
-                    AttachChild(column=assignment.column, child=node_id),
-                ))
         # Uniform insertion (§5) may splice the newcomer mid-column: the
         # displaced children re-clip onto it.
-        for redirect in grant.redirects:
-            if redirect.child is None:
-                continue
-            effects.append(Send(
-                redirect.child,
-                SetParent(column=redirect.column, parent=node_id),
-            ))
-            effects.append(Send(
-                node_id,
-                AttachChild(column=redirect.column, child=redirect.child),
-            ))
-        return effects
+        return [
+            Admitted(node_id=node_id, assignments=assignments),
+            Send(node_id, JoinGrant(node_id=node_id, assignments=assignments)),
+            *self._redirect_sends(grant.redirects),
+        ]
 
     # ------------------------------------------------------------------
     # Good-bye
@@ -273,26 +258,12 @@ class ServerEngine:
         ]
 
     def _redirect_sends(self, redirects) -> list[Effect]:
-        """Push the post-splice topology to every affected, live peer."""
-        effects: list[Effect] = []
-        for redirect in redirects:
-            if redirect.child is not None:
-                effects.append(Send(
-                    redirect.child,
-                    SetParent(column=redirect.column, parent=redirect.parent),
-                ))
-            if redirect.parent != SERVER:
-                if redirect.child is not None:
-                    effects.append(Send(
-                        redirect.parent,
-                        AttachChild(column=redirect.column, child=redirect.child),
-                    ))
-                else:
-                    effects.append(Send(
-                        redirect.parent,
-                        DetachChild(column=redirect.column),
-                    ))
-        return effects
+        """Re-clip every child a redirect moved onto its new parent."""
+        return [
+            Send(redirect.child,
+                 SetParent(column=redirect.column, parent=redirect.parent))
+            for redirect in redirects if redirect.child is not None
+        ]
 
     # ------------------------------------------------------------------
     # §5 congestion handling
@@ -314,12 +285,6 @@ class ServerEngine:
         effects: list[Effect] = [
             Send(node_id, ThreadRemoved(column=column)),
         ]
-        if parent != SERVER:
-            if child is not None:
-                effects.append(Send(
-                    parent, AttachChild(column=column, child=child)))
-            else:
-                effects.append(Send(parent, DetachChild(column=column)))
         if child is not None:
             effects.append(Send(
                 child, SetParent(column=column, parent=parent)))
@@ -337,12 +302,7 @@ class ServerEngine:
         effects: list[Effect] = [
             Send(node_id, SetParent(column=column, parent=parent)),
         ]
-        if parent != SERVER:
-            effects.append(Send(
-                parent, AttachChild(column=column, child=node_id)))
         if child is not None:
-            effects.append(Send(
-                node_id, AttachChild(column=column, child=child)))
             effects.append(Send(
                 child, SetParent(column=column, parent=node_id)))
         return effects

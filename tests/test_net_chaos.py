@@ -131,6 +131,37 @@ def test_reclipped_child_is_sent_nothing_it_reported_on_redial():
     assert sent > 100
 
 
+def test_a_join_writes_to_no_existing_peer():
+    """A parent learns its child from the child's dial, so an
+    append-mode join leaves every existing peer's control engine
+    untouched — its parents included — while the joiner decodes."""
+    import asyncio
+
+    async def scenario():
+        harness = ChaosHarness(ChaosConfig(seed=0))
+        try:
+            await harness.start()
+            assert await harness.run_until(harness.converged)
+            await harness.settle(1.0)
+            events = [peer.registry.counter("engine.events").value
+                      for peer in harness.peers]
+            joiner = await harness.add_peer()
+            parents = set(
+                harness.server.core.matrix.parents_of(joiner.node_id).values())
+            assert await harness.run_until(harness.converged)
+            await harness.settle(1.0)
+            return events, [
+                peer.registry.counter("engine.events").value
+                for peer in harness.peers[:len(events)]
+            ], {harness.index_of(parent) for parent in parents} - {None}
+        finally:
+            await harness.teardown()
+
+    before, after, peer_parents = asyncio.run(scenario())
+    assert peer_parents, "the joiner clipped only to the server"
+    assert after == before
+
+
 def test_no_socket_is_ever_opened(monkeypatch):
     """The virtual tier must not touch the real network stack (the
     event loop's internal self-pipe is the only socket allowed)."""

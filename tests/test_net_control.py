@@ -15,11 +15,9 @@ from repro.net.control import (
     encode_control,
 )
 from repro.protocol.messages import (
-    AttachChild,
     ComplaintMsg,
     CongestionDrop,
     CongestionRestore,
-    DetachChild,
     JoinGrant,
     JoinRequest,
     KeepAlive,
@@ -33,8 +31,6 @@ from repro.protocol.messages import (
 SAMPLES = [
     JoinRequest(reply_to=40301),
     LeaveRequest(node_id=17),
-    AttachChild(column=3, child=9),
-    DetachChild(column=0),
     SetParent(column=65535, parent=-1),
     KeepAlive(column=2, sender=-1),
     CongestionDrop(node_id=4),
@@ -98,6 +94,15 @@ class TestErrors:
     def test_unknown_type_byte(self):
         with pytest.raises(ControlFormatError):
             decode_control(b"\xfe\x00\x00")
+
+    @pytest.mark.parametrize("frame", [b"\x03" + bytes(6), b"\x04" + bytes(2)],
+                             ids=["0x03", "0x04"])
+    def test_retired_type_byte_rejected(self, frame):
+        """The two retired server-to-parent types are format errors, not
+        messages to ignore: a node speaking the old protocol has its
+        connection closed."""
+        with pytest.raises(ControlFormatError, match="unknown control type"):
+            decode_control(frame)
 
     def test_truncated_body(self):
         frame = encode_control(SetParent(column=1, parent=2))

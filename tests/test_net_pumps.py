@@ -1,8 +1,9 @@
 """``PumpSet``'s downstream end, the one ``ServerNode`` and
-``PeerNode`` share — keyed pumps, replace-on-redial, close-by-column,
-the single ``EmitToChildren`` → frames → pumps translation, and each
-child connection's whole conversation with the node's data-plane
-engine (attach → burst → reports → idle polls → detach).  (The bounded
+``PeerNode`` share — keyed pumps, replace-on-redial, pumps that end
+with their connections, the single ``EmitToChildren`` → frames → pumps
+translation, and each child connection's whole conversation with the
+node's data-plane engine (attach → burst → reports → idle polls →
+detach).  (The bounded
 ``sender_stats`` list keeps its tests in
 ``test_net_inbound.TestBoundedPumpState``; the upstream end,
 ``consume``, is pinned in ``test_net_inbound`` too.)
@@ -154,13 +155,17 @@ class TestPumpSet:
         asyncio.run(scenario())
 
     def test_close_by_column_closes_only_that_column(self):
+        """Nothing closes a column from outside: its children's pumps
+        end one by one as their connections end, each detaching only
+        its own key, and ``close()`` at teardown stops the rest."""
         async def scenario():
             engine = RecordingEngine()
             pumps = _pump_set(engine)
             tasks = {}
             for key, column in (("a", 0), ("b", 1), ("c", 0)):
                 _, tasks[key] = await _serving(pumps, key, column=column)
-            pumps.close(0)
+            for key in ("a", "c"):
+                pumps.get(key).close()
             assert pumps.attached() == ("b",)
             await asyncio.gather(tasks["a"], tasks["c"])
             assert {e.child for e in engine.heard_of(ChildDetached)} == {

@@ -1,11 +1,13 @@
 """Property-based tests for the sans-IO protocol engines.
 
-Two contracts the drivers rely on:
+Three contracts the drivers rely on:
 
 * the :class:`~repro.protocol.ServerEngine` never emits an effect
   aimed at a peer that already departed (left or was spliced out) —
   drivers would otherwise write to dead connections or, worse, revive
   stale topology;
+* it writes only to nodes whose own threads moved (or to a probed
+  suspect): a parent learns its children from their dials;
 * engines are deterministic state machines: replaying a recorded event
   trace into a fresh, identically-seeded engine reproduces the exact
   effect trace (what makes the cross-driver conformance goldens and
@@ -19,12 +21,10 @@ from hypothesis import strategies as st
 from repro.core import CoordinationServer
 from repro.core.matrix import SERVER
 from repro.protocol import (
-    AttachChild,
     ComplaintMsg,
     ConnectionLost,
     CongestionDrop,
     CongestionRestore,
-    DetachChild,
     EngineLog,
     JoinGrant,
     JoinRequest,
@@ -33,6 +33,7 @@ from repro.protocol import (
     MessageReceived,
     PeerDeparted,
     PeerEngine,
+    Probe,
     ProbeAck,
     Send,
     ServerEngine,
@@ -120,6 +121,39 @@ class TestServerEngineProperties:
                         f"{event} made the engine send "
                         f"{effect.message} to departed peer {effect.to}"
                     )
+
+        drive_server(engine, ops, check=check)
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=server_ops, seed=st.integers(0, 2**31 - 1),
+           mode=st.sampled_from(["append", "uniform"]))
+    def test_writes_only_to_nodes_whose_threads_moved(self, ops, seed, mode):
+        """Every ``Send`` goes to the joiner, to a probed suspect, or to
+        a node whose parents differ across the step; never to a parent
+        whose child changed."""
+        engine = ServerEngine(CoordinationServer(
+            3, 2, np.random.default_rng(seed), mode))
+        matrix = engine.core.matrix
+
+        def rows():
+            return {node: matrix.parents_of(node) for node in matrix.node_ids}
+
+        before = rows()
+
+        def check(event, effects):
+            nonlocal before
+            after = rows()
+            joiners = after.keys() - before.keys()
+            for effect in effects:
+                if not isinstance(effect, Send) or effect.to == SERVER:
+                    continue
+                moved = before.get(effect.to) != after.get(effect.to)
+                assert (effect.to in joiners or moved
+                        or isinstance(effect.message, Probe)), (
+                    f"{event} made the engine send {effect.message} to "
+                    f"node {effect.to}, whose parents stayed "
+                    f"{after.get(effect.to)}")
+            before = after
 
         drive_server(engine, ops, check=check)
 
@@ -220,9 +254,9 @@ class TestServerEngineBoundedState:
 
 class TestPeerEngineBoundedState:
     def test_50k_cycles_leave_no_container_above_the_columns(self):
-        """Re-clips, removed threads, silent sessions, and children
-        coming and going over ``k`` columns: each of the engine's maps
-        and sets holds at most one entry per column, over any uptime."""
+        """Re-clips, removed threads and silent sessions over ``k``
+        columns: each of the engine's maps and sets holds at most one
+        entry per column, over any uptime."""
         k, cycles = 8, 50_000
         engine = PeerEngine(7)
         draws = np.random.default_rng(4).integers(
@@ -234,18 +268,16 @@ class TestPeerEngineBoundedState:
                 SetParent(column=column, parent=node),
                 ThreadRemoved(column=column),
                 None,
-                AttachChild(column=column, child=node),
-                DetachChild(column=column),
-            )[op % 5]
+            )[op % 3]
             if message is not None:
                 engine.handle(MessageReceived(message))
             else:
                 engine.handle(UpstreamDown(
                     column=column, parent=engine.parents.get(column, node),
                     saw_traffic=False))
-            peak = max(peak, len(engine.parents), len(engine.children),
-                       len(engine.complained), len(engine._backoffs))
-        assert engine.complained and engine.children  # the run reached them
+            peak = max(peak, len(engine.parents), len(engine.complained),
+                       len(engine._backoffs))
+        assert engine.complained and engine.parents  # the run reached them
         assert peak <= k
 
 
@@ -337,5 +369,4 @@ class TestPeerEngineProperties:
         fresh = PeerEngine(7)
         assert replay(fresh, events) == recorded.log.effect_trace()
         assert fresh.parents == recorded.parents
-        assert fresh.children == recorded.children
         assert fresh.complained == recorded.complained
