@@ -50,11 +50,11 @@ async def _run(population: int, seed: int):
         for _ in range(CRASHES):
             feeders = sorted({parent for parent, _, _ in h.data_edges()})
             victim = feeders[int(rng.integers(0, len(feeders)))]
-            before = h.server.stats.repairs
+            before = h.server.engine.obs.repairs.value
             t0 = h.clock.time()
             h.isolate(victim)
             if await h.run_until(
-                lambda: h.server.stats.repairs > before, timeout=5.0
+                lambda: h.server.engine.obs.repairs.value > before, timeout=5.0
             ):
                 latencies.append(h.clock.time() - t0)
             await h.settle(1.0)

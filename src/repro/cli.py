@@ -230,7 +230,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"converged: {result.converged}  "
               f"wall clock: {result.elapsed:.2f}s  rounds: {server.stats.rounds}")
         print(f"completion: {len(done) / max(len(survivors), 1):.1%}  "
-              f"server packets: {server.dataplane.packets_sent}  "
+              f"server packets: {server.dataplane.obs.mixtures_out.value}  "
               f"backpressure drops: {result.drops}")
         print(f"repairs: {result.repairs}  reconnects: {result.reconnects}  "
               f"complaints: {result.complaints}")
@@ -354,9 +354,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             if metrics is not None:
                 await metrics.stop()
             await server.stop()
-        print(f"served {server.dataplane.packets_sent} packets over "
-              f"{server.stats.rounds} rounds; joins={server.stats.joins} "
-              f"leaves={server.stats.leaves} repairs={server.stats.repairs}")
+        counts = server.engine.obs
+        print(f"served {server.dataplane.obs.mixtures_out.value} packets "
+              f"over {server.stats.rounds} rounds; "
+              f"joins={counts.joins.value} leaves={counts.leaves.value} "
+              f"repairs={counts.repairs.value}")
         _write_stats_json(args.stats_json, snapshot)
         return 0
 
@@ -404,8 +406,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
             pass
         ok = peer.completed
         print(f"rank {peer.rank}/{peer.needed}  "
-              f"received {peer.dataplane.received} "
-              f"(innovative {peer.dataplane.innovative})  "
+              f"received {peer.dataplane.obs.packets_in.value} "
+              f"(innovative {peer.dataplane.obs.innovative_in.value})  "
               f"reconnects {peer.stats.reconnects}")
         if ok:
             print(f"decoded {len(peer.recovered_content())} bytes")

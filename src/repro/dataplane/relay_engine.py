@@ -40,6 +40,7 @@ from __future__ import annotations
 from typing import Hashable, Optional
 
 from ..coding.recoder import Recoder
+from ..protocol.trace import TappedEngine
 from .effects import (
     Effect,
     EmitToChildren,
@@ -61,7 +62,7 @@ from .needs import CompletedSet
 __all__ = ["RelayEngine"]
 
 
-class RelayEngine:
+class RelayEngine(TappedEngine):
     """Pure event-in/effect-out relay data-plane state machine.
 
     Args:
@@ -80,12 +81,10 @@ class RelayEngine:
     # of them in the churn soak) and its attributes are read on every
     # packet, so slots buy both memory and hot-path attribute speed.
     __slots__ = (
-        "recoder", "seed_burst",
-        "received", "innovative", "forwarded", "idle_emits", "completed",
+        "recoder", "seed_burst", "completed",
         "_children", "_children_tuple", "_forward_dependent",
         "_rank", "_needed", "_generations", "_generation_size",
         "_held_stop", "_mine", "_plan",
-        "_log", "_flight", "_obs", "_taps",
     )
 
     def __init__(
@@ -97,14 +96,9 @@ class RelayEngine:
     ) -> None:
         if seed_burst < 1:
             raise ValueError("seed_burst must be >= 1")
+        super().__init__()
         self.recoder = recoder
         self.seed_burst = seed_burst
-        #: data-plane counters — the one authoritative copy (PeerStats,
-        #: RlncBehavior and NodeReport all read these now)
-        self.received = 0
-        self.innovative = 0
-        self.forwarded = 0
-        self.idle_emits = 0
         self.completed = False
         #: child -> its completed set, in attach order == fan-out order
         #: (mirrors the live driver's pump dict; re-attach moves to the
@@ -135,13 +129,6 @@ class RelayEngine:
         #: (children served, ((generation, count), ...), children
         #: skipped) for one fan-out; None when it has to be rebuilt
         self._plan: Optional[tuple] = None
-        # Observer taps (``log``/``flight``/``obs`` properties below).
-        # The recording hooks are collapsed into one tuple so the
-        # untapped hot path pays a single truthiness check per event.
-        self._log = None
-        self._flight = None
-        self._obs = None
-        self._taps: tuple = ()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -177,67 +164,13 @@ class RelayEngine:
         return self._children_tuple
 
     # ------------------------------------------------------------------
-    # Observer taps.  Plain-attribute assignment (``engine.log = ...``)
-    # still works — the setters just refresh the collapsed hook tuple
-    # the hot path checks.
 
-    def _retap(self) -> None:
-        hooks = []
-        if self._log is not None:
-            hooks.append(self._log.record)
-        if self._flight is not None:
-            hooks.append(self._flight.record)
-        if self._obs is not None:
-            hooks.append(self._obs.record_step)
-        self._taps = tuple(hooks)
-
-    @property
-    def log(self):
-        """Optional event/effect recorder (conformance and replay)."""
-        return self._log
-
-    @log.setter
-    def log(self, value) -> None:
-        self._log = value
-        self._retap()
-
-    @property
-    def flight(self):
-        """Optional bounded ring of recent steps (duck-typed ``record``)."""
-        return self._flight
-
-    @flight.setter
-    def flight(self, value) -> None:
-        self._flight = value
-        self._retap()
-
-    @property
-    def obs(self):
-        """Optional instrument bundle (duck-typed ``record_step``, e.g.
-        ``obs.DataplaneInstruments``) — the engine never imports
-        ``repro.obs``.  A skipped fan-out slot leaves no effect to
-        classify, so the engine bumps its ``withheld`` counter itself."""
-        return self._obs
-
-    @obs.setter
-    def obs(self, value) -> None:
-        self._obs = value
-        self._retap()
-
-    # ------------------------------------------------------------------
-
-    def handle(self, event: Event) -> list[Effect]:
-        """Advance the state machine by one event."""
+    def _dispatch(self, event: Event) -> list[Effect]:
         # Exact-type table dispatch: the event vocabulary is closed (no
         # driver subclasses an event) and this runs once per packet, so
         # it beats an isinstance chain on the hot path.
         handler = _HANDLERS.get(event.__class__)
-        effects = handler(self, event) if handler is not None else []
-        taps = self._taps
-        if taps:
-            for record in taps:
-                record(event, effects)
-        return effects
+        return handler(self, event) if handler is not None else []
 
     # ------------------------------------------------------------------
     # Receive gate + push-mode fan-out
@@ -245,11 +178,9 @@ class RelayEngine:
     def _on_packet(self, event: PacketArrived) -> list[Effect]:
         packet = event.packet
         generation = packet.generation
-        self.received += 1
         innovative = self.recoder.receive(packet)
         finished = False
         if innovative:
-            self.innovative += 1
             self._rank += 1
             # The one decoder that was pushed says everything the need
             # view has to know about this arrival.
@@ -270,7 +201,6 @@ class RelayEngine:
                 self._obs.withheld.inc(skipped)
             if children:
                 emit_rows = self.recoder.emit_rows
-                self.forwarded += len(children)
                 effects.append(EmitToChildren._make((children, None, tuple(
                     (g, emit_rows(count, g)) for g, count in spec))))
         if finished:
@@ -313,7 +243,6 @@ class RelayEngine:
         packet = self.recoder.emit()
         if packet is None:
             return []
-        self.forwarded += 1
         return [EmitToChildren._make(((event.destination,), (packet,), None))]
 
     # ------------------------------------------------------------------
@@ -336,7 +265,6 @@ class RelayEngine:
             self.seed_burst, choice)
         if not packets:
             return []
-        self.forwarded += len(packets)
         return [EmitToChildren(
             (child,) * len(packets), packets=tuple(packets))]
 
@@ -354,15 +282,14 @@ class RelayEngine:
         return []
 
     def _on_idle(self, event: IdlePoll) -> list[Effect]:
-        # Idle fills are keep-alive substitutes, not fan-out: they are
-        # counted separately and never in ``forwarded``.
+        # Idle fills are keep-alive substitutes, not fan-out: the
+        # instruments count them apart from ``mixtures_out``.
         choice = self._choice(event.child)
         if choice is None:
             return []  # a bare keep-alive will do
         packet = self.recoder.emit(choice)
         if packet is None:
             return []
-        self.idle_emits += 1
         return [EmitToChildren((event.child,), packets=(packet,))]
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
+from ..protocol.trace import TappedEngine
 from .effects import Effect, EmitToChildren
 from .events import (
     ChildAttached,
@@ -36,7 +37,7 @@ from .needs import CompletedSet
 __all__ = ["SourceEngine"]
 
 
-class SourceEngine:
+class SourceEngine(TappedEngine):
     """Pure event-in/effect-out source data-plane state machine.
 
     Args:
@@ -45,37 +46,18 @@ class SourceEngine:
     """
 
     def __init__(self, encoder) -> None:
+        super().__init__()
         self.encoder = encoder
-        #: data-plane counters — ServerStats reads these now
+        #: emission rounds scheduled (``ServerStats.rounds`` reads it)
         self.rounds = 0
-        self.packets_sent = 0
         #: attached child -> its completed set
         self._needs: dict[Hashable, CompletedSet] = {}
-        #: optional event/effect recorder (conformance and replay tests)
-        self.log = None
-        #: optional bounded ring of recent steps (duck-typed ``record``)
-        self.flight = None
-        #: optional instrument bundle (duck-typed ``record_step``, plus
-        #: a ``withheld`` counter bumped here: a skipped target leaves
-        #: no effect to classify)
-        self.obs = None
 
     @property
     def generation_count(self) -> int:
         return self.encoder.generation_count
 
     # ------------------------------------------------------------------
-
-    def handle(self, event: Event) -> list[Effect]:
-        """Advance the state machine by one event."""
-        effects = self._dispatch(event)
-        if self.log is not None:
-            self.log.record(event, effects)
-        if self.flight is not None:
-            self.flight.record(event, effects)
-        if self.obs is not None:
-            self.obs.record_step(event, effects)
-        return effects
 
     def _dispatch(self, event: Event) -> list[Effect]:
         if isinstance(event, EmitRound):
@@ -109,14 +91,12 @@ class SourceEngine:
             children += members
             packets += self.encoder.emit_batch(len(members), generation)
         skipped = len(event.targets) - len(children)
-        if skipped and self.obs is not None:
-            self.obs.withheld.inc(skipped)
+        if skipped and self._obs is not None:
+            self._obs.withheld.inc(skipped)
         if not packets:
             return []
-        self.packets_sent += len(packets)
         return [EmitToChildren(tuple(children), packets=tuple(packets))]
 
     def _on_pull(self, event: PullEmit) -> list[Effect]:
         packet = self.encoder.emit()
-        self.packets_sent += 1
         return [EmitToChildren((event.destination,), packets=(packet,))]

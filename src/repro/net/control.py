@@ -3,9 +3,7 @@
 The live transport takes the §3 protocol messages defined in
 :mod:`repro.protocol.messages` — the same dataclasses the sans-IO
 engines consume — and gives each a compact big-endian wire form: one
-type byte followed by struct-packed fields.  The nominal ``size``
-attributes on the dataclasses are load-accounting bookkeeping and are
-not serialised; decoding restores the defaults.
+type byte followed by struct-packed fields.
 
 Four messages exist only on the live transport:
 

@@ -84,14 +84,13 @@ FORWARD_POLICIES = {"eager": True, "innovative": False}
 @dataclass
 class PeerStats:
     """Per-peer transport counters the harnesses and the CLI report.
-    The data plane's own numbers are the engine's: ``node.dataplane``
-    and the registry's ``dataplane.*``.  ``upstream_fills`` counts the
-    reads the upstream connections parked on, so ``(packets_in +
-    keepalives_seen) / upstream_fills`` is frames per received
-    segment."""
+    Every engine fact is counted once, by the instruments:
+    ``node.engine.obs`` and ``node.dataplane.obs``.  ``upstream_fills``
+    counts the reads the upstream connections parked on, so
+    ``(packets_in + keepalives_seen) / upstream_fills`` is frames per
+    received segment."""
 
     reconnects: int = 0
-    complaints: int = 0
     keepalives_seen: int = 0
     crc_failures: int = 0
     upstream_fills: int = 0
@@ -202,7 +201,7 @@ class PeerNode:
         self.engine.flight = FlightRecorder()
         bind_fields(
             self.registry, self.stats,
-            ("reconnects", "complaints", "keepalives_seen", "crc_failures",
+            ("reconnects", "keepalives_seen", "crc_failures",
              "upstream_fills"),
             "net", "live PeerStats counter",
         )
@@ -405,7 +404,6 @@ class PeerNode:
         if self._control_writer is None:
             return
         if isinstance(message, ComplaintMsg):
-            self.stats.complaints += 1
             self.log.info(
                 "complaining about node %d on column %d",
                 message.suspect, message.column,

@@ -83,19 +83,16 @@ __all__ = ["ServerNode", "ServerStats"]
 
 
 class ServerStats:
-    """Server-side membership counters the harnesses and the CLI
-    report, plus ``rounds``, a read-through view of the
-    :class:`~repro.dataplane.SourceEngine`'s.  The data plane's own
-    numbers are the engine's: ``node.dataplane`` and the registry's
-    ``dataplane.*``.
+    """The driver's own count: ``crashes``, the control connections
+    that dropped without a good-bye (the EOF fast path), plus
+    ``rounds``, a read-through view of the
+    :class:`~repro.dataplane.SourceEngine`'s.  Every engine fact —
+    joins, leaves, repairs, probes, packets — is counted once, by the
+    instruments: ``node.engine.obs`` and ``node.dataplane.obs``.
     """
 
     def __init__(self, dataplane: SourceEngine) -> None:
         self._dataplane = dataplane
-        self.repairs = 0
-        self.probes = 0
-        self.joins = 0
-        self.leaves = 0
         self.crashes = 0
 
     @property
@@ -103,11 +100,7 @@ class ServerStats:
         return self._dataplane.rounds
 
     def __repr__(self) -> str:  # noqa: D105
-        return (
-            f"ServerStats(rounds={self.rounds}, repairs={self.repairs}, "
-            f"probes={self.probes}, joins={self.joins}, "
-            f"leaves={self.leaves}, crashes={self.crashes})"
-        )
+        return f"ServerStats(rounds={self.rounds}, crashes={self.crashes})"
 
 
 @dataclass
@@ -202,10 +195,8 @@ class ServerNode:
         )
         self.engine.flight = FlightRecorder()
         bind_fields(
-            self.registry, self.stats,
-            ("rounds", "repairs", "probes",
-             "joins", "leaves", "crashes"),
-            "net", "live ServerStats counter",
+            self.registry, self.stats, ("crashes",),
+            "net", "control connections lost without a good-bye",
         )
         bind_pool(self.registry, DEFAULT_POOL)
 
@@ -338,7 +329,6 @@ class ServerNode:
         """Open the books on a freshly admitted control connection."""
         handle.node_id = effect.node_id
         self._peers[effect.node_id] = handle
-        self.stats.joins += 1
         self.log.info(
             "admitted peer %d from %s:%d with %d threads", effect.node_id,
             handle.host, handle.port, len(effect.assignments),
@@ -371,7 +361,6 @@ class ServerNode:
         for effect in effects:
             if isinstance(effect, Send):
                 if isinstance(effect.message, Probe):
-                    self.stats.probes += 1
                     self.log.info("probing suspect %d", effect.to)
                 self._notify(effect.to, effect.message)
             elif isinstance(effect, Admitted):
@@ -386,10 +375,7 @@ class ServerNode:
                 self.log.info(
                     "peer %d departed (%s)", effect.node_id, effect.reason
                 )
-                if effect.reason == "leave":
-                    self.stats.leaves += 1
-                else:
-                    self.stats.repairs += 1
+                if effect.reason != "leave":
                     self._peers.pop(effect.node_id, None)
 
     def _start_timer(self, key: tuple, delay: float) -> None:

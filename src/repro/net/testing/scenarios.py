@@ -563,7 +563,7 @@ class ChaosHarness:
         self.flight_dump = "\n".join(sections)
 
     def result(self, name: str) -> ScenarioResult:
-        stats = self.server.stats if self.server is not None else None
+        counts = self.server.engine.obs
         return ScenarioResult(
             name=name,
             transport=self.mode,
@@ -571,12 +571,13 @@ class ChaosHarness:
             converged=self.converged(),
             elapsed=self.clock.time() - self._t0,
             violations=list(self.violations),
-            repairs=stats.repairs if stats else 0,
-            crashes=stats.crashes if stats else 0,
-            probes=stats.probes if stats else 0,
-            leaves=stats.leaves if stats else 0,
+            repairs=counts.repairs.value,
+            crashes=self.server.stats.crashes,
+            probes=counts.probes_sent.value,
+            leaves=counts.leaves.value,
             reconnects=sum(p.stats.reconnects for p in self.peers),
-            complaints=sum(p.stats.complaints for p in self.peers),
+            complaints=sum(
+                p.engine.obs.complaints_sent.value for p in self.peers),
             drops=sum(
                 s.dropped
                 for p in self.peers for s in p.sender_stats
@@ -669,7 +670,8 @@ async def _baseline(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "deployment never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.stats.repairs == 0, "repairs on a healthy network")
+    h.expect(h.server.engine.obs.repairs.value == 0,
+             "repairs on a healthy network")
 
 
 @scenario(
@@ -748,7 +750,7 @@ async def _crash_parent_midstream(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.stats.repairs >= 1, "crash never repaired")
+    h.expect(h.server.engine.obs.repairs.value >= 1, "crash never repaired")
 
 
 @scenario(
@@ -769,7 +771,7 @@ async def _lossy_crash_multigen(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.stats.repairs >= 1, "crash never repaired")
+    h.expect(h.server.engine.obs.repairs.value >= 1, "crash never repaired")
 
 
 @scenario(
@@ -788,7 +790,7 @@ async def _multi_crash(h: ChaosHarness) -> None:
     first = h.pick_parent()
     h.kill(first)
     h.expect(
-        await h.run_until(lambda: h.server.stats.repairs >= 1),
+        await h.run_until(lambda: h.server.engine.obs.repairs.value >= 1),
         "first crash never repaired",
     )
     second = next(i for i, _ in h.alive() if i != first)
@@ -796,7 +798,8 @@ async def _multi_crash(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.stats.repairs >= 2, "second crash never repaired")
+    h.expect(h.server.engine.obs.repairs.value >= 2,
+             "second crash never repaired")
 
 
 @scenario(
@@ -814,7 +817,8 @@ async def _partition_repair(h: ChaosHarness) -> None:
     victim = h.pick_parent(peer_parents_only=True)
     h.isolate(victim)
     h.expect(
-        await h.run_until(lambda: h.server.stats.repairs >= 1, timeout=30.0),
+        await h.run_until(
+            lambda: h.server.engine.obs.repairs.value >= 1, timeout=30.0),
         "partitioned peer never repaired away",
     )
     h.rejoin(victim)
@@ -826,6 +830,12 @@ async def _partition_repair(h: ChaosHarness) -> None:
         not h.server.core.is_working(node_id),
         f"partitioned node {node_id} still in the matrix",
     )
+    # The probe timer spliced the victim, not the EOF fast path: one
+    # repair, and no control connection counted as crashed.
+    h.expect(h.server.engine.obs.repairs.value == 1,
+             "the partition was not repaired exactly once")
+    h.expect(h.server.stats.crashes == 0,
+             "the partitioned peer's control connection reached EOF")
 
 
 @scenario(
@@ -840,12 +850,14 @@ async def _halfopen_parent(h: ChaosHarness) -> None:
     h.net.set_link(h.host(parent), h.host(child), symmetric=False, blackhole=True)
     h.expect(
         await h.run_until(
-            lambda: h.peers[child].stats.complaints >= 1, timeout=30.0
+            lambda: h.peers[child].engine.obs.complaints_sent.value >= 1,
+            timeout=30.0,
         ),
         "child never complained about the half-open parent",
     )
     h.expect(
-        await h.run_until(lambda: h.server.stats.probes >= 1, timeout=30.0),
+        await h.run_until(
+            lambda: h.server.engine.obs.probes_sent.value >= 1, timeout=30.0),
         "server never probed the suspect",
     )
     h.net.set_link(h.host(parent), h.host(child), symmetric=False, blackhole=False)
@@ -853,7 +865,7 @@ async def _halfopen_parent(h: ChaosHarness) -> None:
     await h.settle()
     h.check_invariants()
     h.expect(
-        h.server.stats.repairs == 0,
+        h.server.engine.obs.repairs.value == 0,
         "healthy parent was repaired away on a half-open link (false positive)",
     )
 
@@ -935,8 +947,10 @@ async def _graceful_leave_reclip(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.stats.leaves == 1, "good-bye never reached the server")
-    h.expect(h.server.stats.repairs == 0, "a graceful leave triggered repair")
+    h.expect(h.server.engine.obs.leaves.value == 1,
+             "good-bye never reached the server")
+    h.expect(h.server.engine.obs.repairs.value == 0,
+             "a graceful leave triggered repair")
 
 
 @scenario(

@@ -7,7 +7,8 @@ means a join, a repair, a probe — lives *here*, next to the protocol
 vocabulary it reads, so ``repro.protocol`` never imports ``repro.obs``
 and the layering contract holds in both directions (this module may
 import the protocol vocabulary because the protocol core is itself
-sans-IO).
+sans-IO).  A bundle is the one place an engine fact is counted: no
+engine or driver keeps a copy.
 
 Everything else in this module is snapshot-on-read binding: stats
 dataclasses the transports already keep (``SenderStats``, ``PoolStats``,
@@ -119,7 +120,7 @@ class ServerEngineInstruments:
     """
 
     __slots__ = (
-        "events", "effects", "joins", "leaves", "crashes",
+        "events", "effects", "joins", "leaves", "repairs",
         "probes_sent", "episodes_opened",
         "congestion_drops", "congestion_restores",
     )
@@ -130,7 +131,7 @@ class ServerEngineInstruments:
         self.effects = counter("engine.effects", "effects emitted")
         self.joins = counter("engine.joins", "peers admitted")
         self.leaves = counter("engine.leaves", "graceful good-byes")
-        self.crashes = counter("engine.crashes", "crash splices (repairs)")
+        self.repairs = counter("engine.repairs", "crash splices")
         self.probes_sent = counter("engine.probes_sent", "probes dispatched")
         self.episodes_opened = counter(
             "engine.episodes_opened", "failure episodes opened by a complaint",
@@ -178,7 +179,7 @@ class ServerEngineInstruments:
                 if effect.reason == "leave":
                     self.leaves.inc()
                 else:
-                    self.crashes.inc()
+                    self.repairs.inc()
             elif isinstance(effect, ComplaintNoted):
                 self.episodes_opened.inc()
             elif isinstance(effect, Send) and isinstance(effect.message, Probe):
@@ -189,9 +190,8 @@ class DataplaneInstruments:
     """Data-plane counters for one :class:`~repro.dataplane.RelayEngine`
     or :class:`~repro.dataplane.SourceEngine`.
 
-    The received/innovative/forwarded classification that used to be
-    hand-maintained in ``PeerStats`` and ``RlncBehavior`` happens here,
-    once, off the engine's event/effect stream: ``Ingested`` effects
+    Arrivals, innovation and emissions are classified here, once, off
+    the engine's event/effect stream: ``Ingested`` effects
     are arrivals through the receive gate, ``EmitToChildren`` carries
     its mixture count (idle fills — emissions answering an ``IdlePoll``
     — are classified separately), ``MarkComplete`` is the decode, and a

@@ -2,10 +2,7 @@
 
 These are the protocol's concrete messages, shared by the sans-IO
 engines in this package and their driver (:mod:`repro.net`, which also
-serialises them to wire frames).  Every message carries a nominal wire
-size so harnesses can report server byte-load; sizes are small
-constants (a few tens of bytes) per the paper's "very small data load
-on the server" claim.
+serialises them to wire frames).
 """
 
 from __future__ import annotations
@@ -18,7 +15,6 @@ class JoinRequest:
     """A prospective peer asks to join (the hello protocol)."""
 
     reply_to: int  # provisional transport address chosen by the joiner
-    size: int = 16
 
 
 @dataclass(frozen=True)
@@ -27,7 +23,6 @@ class JoinGrant:
 
     node_id: int
     assignments: tuple[tuple[int, int], ...]  # (column, parent)
-    size: int = 48
 
 
 @dataclass(frozen=True)
@@ -36,7 +31,6 @@ class SetParent:
 
     column: int
     parent: int
-    size: int = 24
 
 
 @dataclass(frozen=True)
@@ -44,7 +38,6 @@ class LeaveRequest:
     """Peer -> server: graceful good-bye."""
 
     node_id: int
-    size: int = 16
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,6 @@ class KeepAlive:
 
     column: int
     sender: int
-    size: int = 8
 
 
 @dataclass(frozen=True)
@@ -65,7 +57,6 @@ class CongestionDrop:
     """Peer -> server: I am congested; splice me out of one thread."""
 
     node_id: int
-    size: int = 16
 
 
 @dataclass(frozen=True)
@@ -73,7 +64,6 @@ class CongestionRestore:
     """Peer -> server: congestion cleared; give me a thread back."""
 
     node_id: int
-    size: int = 16
 
 
 @dataclass(frozen=True)
@@ -81,7 +71,6 @@ class ThreadRemoved:
     """Server -> peer: you no longer hold ``column`` at all (shed)."""
 
     column: int
-    size: int = 16
 
 
 @dataclass(frozen=True)
@@ -91,7 +80,6 @@ class ComplaintMsg:
     reporter: int
     column: int
     suspect: int
-    size: int = 24
 
 
 @dataclass(frozen=True)
@@ -99,7 +87,6 @@ class Probe:
     """Server -> suspect: are you alive?"""
 
     nonce: int
-    size: int = 12
 
 
 @dataclass(frozen=True)
@@ -108,4 +95,3 @@ class ProbeAck:
 
     node_id: int
     nonce: int
-    size: int = 12

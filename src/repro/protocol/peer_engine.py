@@ -51,12 +51,12 @@ from .messages import (
     SetParent,
     ThreadRemoved,
 )
-from .trace import EngineLog
+from .trace import TappedEngine
 
 __all__ = ["PeerEngine"]
 
 
-class PeerEngine:
+class PeerEngine(TappedEngine):
     """Pure event-in/effect-out peer state machine.
 
     Args:
@@ -73,6 +73,7 @@ class PeerEngine:
         reconnect_base: float = 0.05,
         reconnect_max: float = 2.0,
     ) -> None:
+        super().__init__()
         self.node_id = node_id
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
@@ -82,29 +83,8 @@ class PeerEngine:
         #: columns already complained about this silence episode
         self.complained: set[int] = set()
         self._backoffs: dict[int, ReconnectBackoff] = {}
-        #: optional event/effect recorder (conformance and replay tests)
-        self.log: Optional[EngineLog] = None
-        #: optional bounded ring of recent steps (duck-typed: anything
-        #: with ``record(event, effects)``, e.g. ``obs.FlightRecorder``)
-        self.flight = None
-        #: optional instrument bundle (duck-typed: anything with
-        #: ``record_step(event, effects)`` and a ``complaints_suppressed``
-        #: counter, e.g. ``obs.PeerEngineInstruments``) — the engine
-        #: never imports ``repro.obs``
-        self.obs = None
 
     # ------------------------------------------------------------------
-
-    def handle(self, event: Event) -> list[Effect]:
-        """Advance the state machine by one event."""
-        effects = self._dispatch(event)
-        if self.log is not None:
-            self.log.record(event, effects)
-        if self.flight is not None:
-            self.flight.record(event, effects)
-        if self.obs is not None:
-            self.obs.record_step(event, effects)
-        return effects
 
     def _dispatch(self, event: Event) -> list[Effect]:
         if isinstance(event, MessageReceived):
@@ -174,8 +154,8 @@ class PeerEngine:
         if self.server_lost or suspect == SERVER:
             return []
         if column in self.complained:
-            if self.obs is not None:
-                self.obs.complaints_suppressed.inc()
+            if self._obs is not None:
+                self._obs.complaints_suppressed.inc()
             return []
         self.complained.add(column)
         return [Send(SERVER, ComplaintMsg(

@@ -33,7 +33,6 @@ invariants against :attr:`core` directly.
 from __future__ import annotations
 
 from collections.abc import Iterator, Set
-from typing import Optional
 
 from ..core.server import CoordinationServer
 from .effects import (
@@ -58,7 +57,7 @@ from .messages import (
     SetParent,
     ThreadRemoved,
 )
-from .trace import EngineLog
+from .trace import TappedEngine
 
 __all__ = ["ServerEngine"]
 
@@ -106,7 +105,7 @@ class _Departed(Set):
         return frozenset(iterable)
 
 
-class ServerEngine:
+class ServerEngine(TappedEngine):
     """Pure event-in/effect-out server state machine.
 
     Args:
@@ -120,6 +119,7 @@ class ServerEngine:
     def __init__(
         self, core: CoordinationServer, *, probe_timeout: float = 0.5
     ) -> None:
+        super().__init__()
         self.core = core
         self.probe_timeout = probe_timeout
         #: suspect -> probe nonce currently outstanding
@@ -129,29 +129,8 @@ class ServerEngine:
         #: suspects with an open (complained, not yet repaired) episode
         self._open_episodes: set[int] = set()
         self._nonce = 0
-        #: optional event/effect recorder (conformance and replay tests)
-        self.log: Optional[EngineLog] = None
-        #: optional bounded ring of recent steps (duck-typed: anything
-        #: with ``record(event, effects)``, e.g. ``obs.FlightRecorder``)
-        self.flight = None
-        #: optional instrument bundle (duck-typed: anything with
-        #: ``record_step(event, effects)``, e.g.
-        #: ``obs.ServerEngineInstruments``) — the engine never imports
-        #: ``repro.obs``; observability hangs off these two attributes
-        self.obs = None
 
     # ------------------------------------------------------------------
-
-    def handle(self, event: Event) -> list[Effect]:
-        """Advance the state machine by one event."""
-        effects = self._dispatch(event)
-        if self.log is not None:
-            self.log.record(event, effects)
-        if self.flight is not None:
-            self.flight.record(event, effects)
-        if self.obs is not None:
-            self.obs.record_step(event, effects)
-        return effects
 
     def _dispatch(self, event: Event) -> list[Effect]:
         if isinstance(event, MessageReceived):

@@ -192,13 +192,14 @@ class RlncBehavior:
                 )
             except Exception:
                 decoded_ok = False
+        decoders = engine.recoder.decoder.generations
         return NodeReport(
             node_id=node_id,
             rank=engine.rank,
             needed=needed,
             completed_at=completed,
-            received=engine.received,
-            innovative=engine.innovative,
+            received=sum(g.received for g in decoders),
+            innovative=sum(g.innovative for g in decoders),
             decoded_ok=decoded_ok,
         )
 

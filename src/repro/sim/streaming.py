@@ -74,9 +74,11 @@ class PlaybackMonitor:
         self.sim.step()
         slot = self.sim.slot
         for node_id, engine in self.sim.behavior.engines.items():
-            if node_id not in self._first_heard and engine.received:
+            decoders = engine.recoder.decoder.generations
+            if node_id not in self._first_heard and any(
+                    decoder.received for decoder in decoders):
                 self._first_heard[node_id] = slot
-            for generation, decoder in enumerate(engine.recoder.decoder.generations):
+            for generation, decoder in enumerate(decoders):
                 key = (node_id, generation)
                 if key not in self._decoded_at and decoder.is_complete:
                     self._decoded_at[key] = slot

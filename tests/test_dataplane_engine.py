@@ -45,6 +45,8 @@ from repro.dataplane import (
 from repro.dataplane.needs import CompletedSet
 from repro.net.peer import FORWARD_POLICIES, PeerNode
 from repro.net.testing import ChaosConfig, ChaosHarness
+from repro.obs import DataplaneInstruments, Registry
+from tests.test_protocol_engine import attributes
 
 PARAMS = GenerationParams(generation_size=4, payload_size=8)
 GENERATIONS = 2
@@ -60,9 +62,17 @@ def make_encoder(seed=0):
     return SourceEncoder(content, PARAMS, rng)
 
 
+def counted(engine):
+    """Attach the instruments that count a bare engine's arrivals and
+    emissions (``engine.obs.mixtures_out.value`` and the rest)."""
+    registry = Registry("test")
+    DataplaneInstruments(registry).attach(engine, registry)
+    return engine
+
+
 def make_relay(seed=1, **kwargs):
     recoder = Recoder(PARAMS, GENERATIONS, np.random.default_rng(seed), 7)
-    return RelayEngine(recoder, **kwargs)
+    return counted(RelayEngine(recoder, **kwargs))
 
 
 def feed_packets(engine, count, *, seed=0):
@@ -99,22 +109,22 @@ class TestSourceEngine:
     def test_empty_round_still_advances_schedule(self):
         """``rounds`` counts every round (``ServerStats.rounds`` and the
         benchmark's ``loop.rounds`` read it), attached targets or not."""
-        engine = SourceEngine(make_encoder())
+        engine = counted(SourceEngine(make_encoder()))
         assert engine.handle(EmitRound(targets=())) == []
         assert engine.rounds == 1
-        assert engine.packets_sent == 0
+        assert engine.obs.mixtures_out.value == 0
         engine.handle(ChildAttached("a", NOTHING))
         (effect,) = engine.handle(EmitRound(targets=("a",)))
         assert effect.packets[0].generation == 0
         assert engine.rounds == 2
 
     def test_pull_emit_answers_one_packet(self):
-        engine = SourceEngine(make_encoder())
+        engine = counted(SourceEngine(make_encoder()))
         (effect,) = engine.handle(PullEmit("edge"))
         assert isinstance(effect, EmitToChildren)
         assert effect.children == ("edge",)
         assert effect.count == 1
-        assert engine.packets_sent == 1
+        assert engine.obs.mixtures_out.value == 1
         assert engine.rounds == 0
 
     def test_unattached_target_is_skipped(self):
@@ -130,14 +140,14 @@ class TestRelayReceiveGate:
     def test_innovative_arrivals_raise_rank(self):
         engine = make_relay()
         packets = feed_packets(engine, 2)
-        assert engine.received == 2
-        assert engine.innovative == 2
+        assert engine.obs.packets_in.value == 2
+        assert engine.obs.innovative_in.value == 2
         assert engine.rank == 2
         # Re-delivering an already-absorbed packet is not innovative.
         effects = engine.handle(PacketArrived(packets[0]))
         assert effects == [Ingested(packets[0].generation, False, 2)]
-        assert engine.received == 3
-        assert engine.innovative == 2
+        assert engine.obs.packets_in.value == 3
+        assert engine.obs.innovative_in.value == 2
 
     def test_rank_mirror_matches_decoder(self):
         engine = make_relay()
@@ -164,14 +174,14 @@ class TestRelayReceiveGate:
             encoder = make_encoder()
             effects = engine.handle(PacketArrived(encoder.emit(0)))
             assert [type(e) for e in effects] == [Ingested]
-            assert engine.forwarded == 0
+            assert engine.obs.mixtures_out.value == 0
 
 
 class TestRelayPushFanOut:
     def attach_two(self, engine):
         engine.handle(ChildAttached("a", NOTHING))
         engine.handle(ChildAttached("b", NOTHING))
-        return engine.forwarded  # seed-burst packets
+        return engine.obs.mixtures_out.value  # seed-burst packets
 
     def test_eager_forwards_every_arrival(self):
         engine = make_relay(forward_dependent=True)
@@ -181,16 +191,16 @@ class TestRelayPushFanOut:
         emits = [e for e in effects if isinstance(e, EmitToChildren)]
         assert emits and emits[0].children == ("a", "b")
         assert emits[0].packets is None
-        assert engine.forwarded == seeded + 2 + 2
+        assert engine.obs.mixtures_out.value == seeded + 2 + 2
 
     def test_innovative_withholds_duplicates(self):
         engine = make_relay(forward_dependent=False)
         seeded = self.attach_two(engine)
         packets = feed_packets(engine, 1)
-        assert engine.forwarded == seeded + 2
+        assert engine.obs.mixtures_out.value == seeded + 2
         effects = engine.handle(PacketArrived(packets[0]))  # duplicate
         assert not any(isinstance(e, EmitToChildren) for e in effects)
-        assert engine.forwarded == seeded + 2
+        assert engine.obs.mixtures_out.value == seeded + 2
 
     @pytest.mark.parametrize("policy", ["eager", "innovative"])
     def test_attach_answers_only_its_seed_burst(self, policy):
@@ -235,7 +245,7 @@ class TestRelayPushFanOut:
         engine = make_relay(seed=5)
         self.attach_two(engine)
         engine.handle(ChildAttached("c", NOTHING))
-        seeded = engine.forwarded
+        seeded = engine.obs.mixtures_out.value
         arrivals = 4
         encoder = make_encoder(6)
         for index in range(arrivals):
@@ -248,17 +258,17 @@ class TestRelayPushFanOut:
                 assert rows.shape[1] == (
                     PARAMS.generation_size + PARAMS.payload_size)
             assert emit.count == 3
-        assert engine.forwarded == seeded + 3 * arrivals
+        assert engine.obs.mixtures_out.value == seeded + 3 * arrivals
 
     def test_idle_poll_is_not_fanout(self):
         engine = make_relay(forward_dependent=False)
         feed_packets(engine, 2)
         engine.handle(ChildAttached("a", NOTHING))
-        before = engine.forwarded
+        before = engine.obs.mixtures_out.value
         (effect,) = engine.handle(IdlePoll("a"))
         assert effect.children == ("a",)
-        assert engine.idle_emits == 1
-        assert engine.forwarded == before
+        assert engine.obs.idle_fills.value == 1
+        assert engine.obs.mixtures_out.value == before
 
     def test_unattached_child_is_answered_with_nothing(self):
         """An idle poll or a report for a child that is not attached —
@@ -272,7 +282,7 @@ class TestRelayPushFanOut:
         engine.handle(ChildDetached("gone"))
         assert engine.handle(IdlePoll("gone")) == []
         assert engine.handle(ChildCompleted("gone", 1)) == []
-        assert engine._children == {} and engine.idle_emits == 0
+        assert engine._children == {} and engine.obs.idle_fills.value == 0
 
 
 class TestRelayPull:
@@ -284,7 +294,7 @@ class TestRelayPull:
         feed_packets(engine, 1)
         for _ in range(5):
             assert engine.handle(PullEmit(9)) != []
-        assert engine.forwarded == 5
+        assert engine.obs.mixtures_out.value == 5
 
 
 class TestReplayDeterminism:
@@ -327,9 +337,9 @@ class TestReplayDeterminism:
         fresh = make_relay(seed=seed + 1, forward_dependent=forward_dependent)
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
-        assert fresh.received == recorded.received
-        assert fresh.innovative == recorded.innovative
-        assert fresh.forwarded == recorded.forwarded
+        for name in ("packets_in", "innovative_in", "mixtures_out"):
+            assert (getattr(fresh.obs, name).value
+                    == getattr(recorded.obs, name).value)
         assert fresh.rank == recorded.rank
 
     def test_source_replay_reproduces_effect_trace(self):
@@ -341,15 +351,16 @@ class TestReplayDeterminism:
             ChildAttached("c", (1, ())),
             EmitRound(targets=("a", "c")),
         ]
-        recorded = SourceEngine(make_encoder(9))
+        recorded = counted(SourceEngine(make_encoder(9)))
         log = EngineLog()
         recorded.log = log
         for event in events:
             recorded.handle(event)
-        fresh = SourceEngine(make_encoder(9))
+        fresh = counted(SourceEngine(make_encoder(9)))
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
-        assert fresh.packets_sent == recorded.packets_sent
+        assert (fresh.obs.mixtures_out.value
+                == recorded.obs.mixtures_out.value)
         assert fresh.rounds == recorded.rounds
 
 
@@ -369,8 +380,8 @@ class TestPolicyBehaviour:
                 await harness.start()
                 converged = await harness.run_until(harness.converged)
                 harness.check_invariants()
-                forwarded = sum(
-                    peer.dataplane.forwarded for peer in harness.peers)
+                forwarded = sum(peer.dataplane.obs.mixtures_out.value
+                                for peer in harness.peers)
                 return converged, harness.violations, forwarded
             finally:
                 await harness.teardown()
@@ -449,27 +460,14 @@ class TestSourceNeedView:
         assert engine.rounds == 3
 
     def test_finished_target_is_skipped_and_counted(self):
-        class Obs:
-            class withheld:
-                value = 0
-
-                @classmethod
-                def inc(cls, amount):
-                    cls.value += amount
-
-            @staticmethod
-            def record_step(event, effects):
-                pass
-
-        engine = SourceEngine(make_encoder())
-        engine.obs = Obs
+        engine = counted(SourceEngine(make_encoder()))
         engine.handle(ChildAttached("a", (GENERATIONS, ())))
         engine.handle(ChildAttached("b", (0, ())))
         (effect,) = engine.handle(EmitRound(targets=("a", "b")))
         assert served(effect) == [("b", 0)]
         assert engine.handle(EmitRound(targets=("a",))) == []
-        assert Obs.withheld.value == 2
-        assert engine.packets_sent == 1 and engine.rounds == 2
+        assert engine.obs.withheld.value == 2
+        assert engine.obs.mixtures_out.value == 1 and engine.rounds == 2
 
     def test_update_moves_the_choice_and_detach_forgets(self):
         engine = SourceEngine(make_encoder())
@@ -507,10 +505,10 @@ class TestRelayNeedView:
     def test_child_with_nothing_to_gain_is_skipped(self):
         engine = self.relay()
         engine.handle(ChildAttached("done", (GENERATIONS, ())))
-        forwarded = engine.forwarded
+        forwarded = engine.obs.mixtures_out.value
         effects = engine.handle(PacketArrived(make_encoder(3).emit(0)))
         assert emissions(effects) == []
-        assert engine.forwarded == forwarded
+        assert engine.obs.mixtures_out.value == forwarded
         assert engine.handle(IdlePoll("done")) == []
 
     def test_sender_without_rank_in_the_lacked_generation_withholds(self):
@@ -531,7 +529,7 @@ class TestRelayNeedView:
         assert served(burst) == [("a", 1), ("a", 1)]
         (fill,) = engine.handle(IdlePoll("a"))
         assert served(fill) == [("a", 1)]
-        assert engine.idle_emits == 1
+        assert engine.obs.idle_fills.value == 1
 
     def test_reattach_starts_from_the_new_report(self):
         engine = self.relay()
@@ -719,9 +717,7 @@ class TestDataplaneBoundedState:
             relay.handle(IdlePoll(gone))
 
         def containers(engine):
-            names = getattr(type(engine), "__slots__", None) or vars(engine)
-            for name in names:
-                value = getattr(engine, name)
+            for name, value in attributes(engine):
                 if isinstance(value, (dict, set, list)):
                     yield f"{type(engine).__name__}.{name}", len(value)
 

@@ -80,11 +80,6 @@ class TestRoundtrip:
         locator = PeerLocator(node_id=node_id, host=host, port=port)
         assert decode_control(encode_control(locator)) == locator
 
-    def test_nominal_size_not_serialised(self):
-        """The sim's byte-accounting field decodes back to its default."""
-        frame = encode_control(JoinRequest(reply_to=1, size=999))
-        assert decode_control(frame).size == JoinRequest(reply_to=1).size
-
 
 class TestErrors:
     def test_empty_frame(self):

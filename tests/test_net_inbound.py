@@ -197,7 +197,8 @@ class TestSilenceBetweenMessages:
             await net.clock.advance(until)
             task.cancel()
             await net.shutdown()
-            return heard, peer.stats.complaints, bytes(sink.written)
+            return (heard, peer.engine.obs.complaints_sent.value,
+                    bytes(sink.written))
 
         return asyncio.run(scenario())
 
@@ -451,10 +452,11 @@ class TestOneStreamPerConnection:
             await net.clock.advance(0.01)
             writer.close()
             await net.clock.advance(0.01)
-            stats = server.stats
+            counts = server.engine.obs
             await server.stop()
             await net.shutdown()
-            return stats.joins, stats.leaves, stats.crashes
+            return (counts.joins.value, counts.leaves.value,
+                    server.stats.crashes)
 
         assert asyncio.run(scenario()) == (1, 1, 0)
 

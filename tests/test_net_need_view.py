@@ -145,7 +145,8 @@ def test_same_seed_live_runs_deliver_the_same_packet_count(capsys):
             begin = perf_counter()
             assert await harness.run_until(harness.converged)
             wall = perf_counter() - begin
-            received = sum(peer.dataplane.received for peer in harness.peers)
+            received = sum(peer.dataplane.obs.packets_in.value
+                           for peer in harness.peers)
             assert all(
                 peer.recovered_content() == harness.content
                 for peer in harness.peers)

@@ -28,11 +28,11 @@ def feeders(h: ChaosHarness) -> list[int]:
 async def isolate_and_time_repair(h: ChaosHarness, index: int) -> float:
     """Silently fail one peer; virtual seconds until the server splices
     it out."""
-    before = h.server.stats.repairs
+    before = h.server.engine.obs.repairs.value
     t0 = h.clock.time()
     h.isolate(index)
     assert await h.run_until(
-        lambda: h.server.stats.repairs > before, timeout=10.0)
+        lambda: h.server.engine.obs.repairs.value > before, timeout=10.0)
     return h.clock.time() - t0
 
 
@@ -72,7 +72,7 @@ class TestFailureDetectionAndRepair:
             await isolate_and_time_repair(h, victim)
             await h.settle(1.0)
             assert node_id not in h.server.core.matrix
-            assert h.server.stats.repairs == 1
+            assert h.server.engine.obs.repairs.value == 1
             assert node_id in h.server.engine.departed
             assert h.check_structure(), h.violations
 
@@ -96,8 +96,8 @@ class TestFailureDetectionAndRepair:
             h.peers[h.index_of(reporter)]._write_control(ComplaintMsg(
                 reporter=reporter, column=0, suspect=suspect))
             await h.settle(1.0)
-            assert h.server.stats.probes == 1
-            assert h.server.stats.repairs == 0
+            assert h.server.engine.obs.probes_sent.value == 1
+            assert h.server.engine.obs.repairs.value == 0
             assert suspect in h.server.core.matrix  # the probe was answered
 
         deploy(script, peers=15)
@@ -118,7 +118,7 @@ class TestFailureDetectionAndRepair:
             h.isolate(h.index_of(leaves[0]))
             await h.settle(2.0)
             assert leaves[0] in matrix
-            assert h.server.stats.repairs == 0
+            assert h.server.engine.obs.repairs.value == 0
 
         deploy(script, peers=10)
 

@@ -175,7 +175,7 @@ class TestInstruments:
         snap = registry.snapshot()["counters"]
         assert snap["engine.joins"] == 1
         assert snap["engine.probes_sent"] == 1
-        assert snap["engine.crashes"] == 1
+        assert snap["engine.repairs"] == 1
         assert snap["engine.leaves"] == 1
         assert snap["engine.events"] == 4
 
@@ -222,3 +222,59 @@ class TestInstruments:
         assert snap["engine.clips"] == 1
         assert snap["engine.backoffs"] == 1
         assert snap["engine.complaints_sent"] == 1
+
+
+def _scenario_run(name):
+    """Run one chaos scenario at seed 0; return its harness (torn down,
+    so every counter is final) and its result."""
+    import asyncio
+    from dataclasses import replace
+
+    from repro.net.testing import ChaosHarness, get_scenario
+
+    spec = get_scenario(name)
+    harness = ChaosHarness(replace(spec.config, seed=0))
+
+    async def script():
+        try:
+            await spec.run(harness)
+        finally:
+            await harness.teardown()
+
+    asyncio.run(script())
+    return harness, harness.result(name)
+
+
+class TestCountedOnce:
+    """Every engine fact has one counter, on the engine's instruments;
+    the drivers keep only what they decide themselves, and every
+    reader reads the instrument."""
+
+    @pytest.mark.parametrize("name", ["baseline", "partition_repair"])
+    def test_each_fact_is_reported_once(self, name):
+        harness, result = _scenario_run(name)
+        assert result.ok, result.summary()
+        server, peers = harness.server, harness.peers
+
+        def copies(node, fields):
+            return [f for f in fields if f"net.{f}" in node.registry]
+
+        assert copies(server, ("joins", "leaves", "repairs", "probes",
+                               "rounds")) == []
+        assert not any(copies(peer, ("complaints",)) for peer in peers)
+        counts = server.engine.obs
+        assert counts.joins.value == len(peers)
+        assert result.repairs == counts.repairs.value
+        assert result.probes == counts.probes_sent.value
+        assert result.leaves == counts.leaves.value
+        assert result.crashes == server.stats.crashes
+        assert result.complaints == sum(
+            peer.engine.obs.complaints_sent.value for peer in peers)
+        assert result.reconnects == sum(peer.stats.reconnects for peer in peers)
+        if name == "partition_repair":
+            # The probe timer spliced the victim; its control connection
+            # never reached EOF, so the driver counted no crash.
+            assert (result.repairs, result.crashes) == (1, 0)
+            assert result.probes >= 1 and result.complaints >= 1
+        else:
+            assert (result.repairs, result.crashes, result.probes) == (0, 0, 0)

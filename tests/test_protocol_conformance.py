@@ -75,7 +75,7 @@ def traces():
             await harness.settle(1.0)
             harness.isolate(0)
             await harness.run_until(
-                lambda: harness.server.stats.repairs >= 1, timeout=20.0)
+                lambda: harness.server.engine.obs.repairs.value >= 1, timeout=20.0)
             await harness.settle(1.0)
             # Snapshot before teardown: closing connections feeds the
             # engines teardown noise that is not part of the script.

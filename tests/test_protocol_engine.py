@@ -45,6 +45,17 @@ from repro.protocol import (
     replay,
 )
 
+def attributes(owner):
+    """Every ``(name, value)`` ``owner`` holds: the ``__slots__`` of
+    each class in its MRO, then its ``__dict__`` — what a bounded-state
+    audit must see, whichever way a class stores its state."""
+    for cls in type(owner).__mro__:
+        for name in getattr(cls, "__slots__", ()):
+            if hasattr(owner, name):
+                yield name, getattr(owner, name)
+    yield from getattr(owner, "__dict__", {}).items()
+
+
 server_ops = st.lists(
     st.tuples(
         st.sampled_from([
@@ -237,7 +248,7 @@ class TestServerEngineBoundedState:
         assert len(engine.departed) == cycles
 
         def containers(owner):
-            for name, value in vars(owner).items():
+            for name, value in attributes(owner):
                 if isinstance(value, (dict, set, list)):
                     yield f"{type(owner).__name__}.{name}", value
                     if isinstance(value, list):  # per-column lists
