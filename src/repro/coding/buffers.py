@@ -1,10 +1,11 @@
 """A small lease/release pool of ``bytearray`` scratch buffers.
 
-The batched wire path (:func:`repro.coding.wire.encode_packets_into`)
-serialises whole packet batches into one contiguous buffer per flush.
-Allocating a fresh megabyte-class ``bytearray`` per flush would put the
-allocator back on the hot path, so encoders lease buffers here and
-return them once the frame bytes have been handed to the transport.
+:func:`repro.coding.wire.encode_packets_into` serialises a packet batch
+back-to-back into one contiguous buffer, and leases that buffer here
+when its caller brings none; the caller returns it once the frame bytes
+have been handed on.  The live data plane does not take this path: its
+frames are immutable ``bytes`` built by one join each, so nothing on it
+leases.
 
 The pool is deliberately simple — it is an asyncio-process helper, not
 a thread-safe arena:
@@ -17,8 +18,8 @@ a thread-safe arena:
   in which case the buffer is simply dropped for the GC — the pool
   bounds idle memory instead of growing without limit.
 
-:data:`DEFAULT_POOL` is the module-wide instance the wire layer uses
-when the caller does not bring its own.
+:data:`DEFAULT_POOL` is the module-wide instance ``encode_packets_into``
+uses when the caller does not bring its own.
 """
 
 from __future__ import annotations
@@ -94,5 +95,5 @@ class BufferPool:
         return sum(len(bucket) for bucket in self._buckets.values())
 
 
-#: Shared pool used by the wire layer when no pool is passed in.
+#: Shared pool ``encode_packets_into`` leases from when no pool is passed in.
 DEFAULT_POOL = BufferPool()

@@ -18,6 +18,18 @@ import numpy as np
 from ..gf.kernels import addmul_row
 
 
+def systematic_row(row: bytes, g: int) -> bool:
+    """Whether the first ``g`` bytes of ``row`` — a coefficient vector,
+    perhaps followed by its payload — are one 1 among zeros, i.e. an
+    unmixed source packet.
+
+    Two C-level ``bytes.count`` calls: numpy reductions cost
+    microseconds at these vector sizes, and this runs once per
+    serialised frame.
+    """
+    return row.count(1, 0, g) == 1 and row.count(0, 0, g) == g - 1
+
+
 @dataclass
 class CodedPacket:
     """One packet on the wire.
@@ -83,15 +95,10 @@ class CodedPacket:
         return not self.coefficients.any()
 
     def is_systematic(self) -> bool:
-        """True if this packet is an unmixed original source packet.
-
-        Exactly one nonzero coefficient, equal to 1 — tested with bytes
-        ops (one tiny copy, two C-level counts) because this runs once
-        per serialised frame and numpy reductions cost microseconds at
-        these vector sizes.
-        """
+        """True if this packet is an unmixed original source packet
+        (:func:`systematic_row` of its coefficients)."""
         raw = self.coefficients.tobytes()
-        return raw.count(1) == 1 and raw.count(0) == len(raw) - 1
+        return systematic_row(raw, len(raw))
 
     def copy(self) -> "CodedPacket":
         """Deep copy (the simulator hands packets across node boundaries)."""

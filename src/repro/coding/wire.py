@@ -22,14 +22,23 @@ decoder.  A frame stamped with any other version — including the
 trailer-less version 1 this format replaced, which would otherwise let
 a sender opt out of the checksum — is rejected as malformed.
 
-The codec is zero-copy (:func:`encode_packet_into` /
-:func:`encode_packets_into` / :func:`decode_packet_from` /
-:func:`read_frame_at`): frames are written straight into a caller (or
-:class:`~repro.coding.buffers.BufferPool`) supplied ``bytearray`` and
-parsed at an offset cursor, so a busy connection neither builds
-per-frame temporaries on the way out nor re-slices its receive buffer
-on the way in.  :func:`encode_packet` / :func:`decode_packet` are the
-exact-length single-frame forms of the same codec.
+Every frame is built the same way: one ``bytes`` join of a head (the
+header, after whatever prefix the caller frames it with), the row
+``coefficients | payload``, and a trailer whose CRC is seeded with the
+header's.  A relay's fan-out (:func:`encode_mixture_rows`) packs each
+group's two possible headers — systematic flag clear and set — and
+their CRCs once, so a mixture costs a flag test (two ``bytes.count``
+calls), one CRC over its row and the join.  The packet forms
+(:func:`encode_packet`, :func:`encode_packet_into`,
+:func:`encode_packets_into`) pack the one header they need.  At the
+one- and two-row groups a relay typically frames, numpy's per-call cost
+on tiny arrays was most of what framing cost, so the mixture path makes
+no numpy call per frame and leases no buffer.
+
+Decoding parses at an offset cursor (:func:`decode_packet_from` /
+:func:`read_frame_at`), bounded by the end of the frame when the caller
+knows it, and copies the body once: the coefficient and payload arrays
+of the packet are two views of that one copy, which the packet owns.
 
 ``wire_size()`` on :class:`~repro.coding.packet.CodedPacket` counts an
 8-byte abstract header; the concrete format here spends 16 for
@@ -46,7 +55,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .buffers import DEFAULT_POOL, BufferPool
-from .packet import CodedPacket
+from .packet import CodedPacket, systematic_row
 
 #: Magic bytes identifying a coded-packet frame.
 MAGIC = 0x5243
@@ -79,148 +88,93 @@ def frame_size(generation_size: int, payload_size: int) -> int:
 # Encoding
 
 
+def _frame(head: bytes, header_crc: int, row: bytes) -> bytes:
+    """The one frame encoder: ``head`` (ending in the wire header whose
+    CRC32 is ``header_crc``), the ``coefficients | payload`` row, and
+    the trailer."""
+    return b"".join((head, row, _TRAILER.pack(zlib.crc32(row, header_crc))))
+
+
+def encode_packet(packet: CodedPacket) -> bytes:
+    """Serialise a packet to its exact-length wire frame.
+
+    ``tobytes`` reads either array whatever its strides, so views of a
+    larger matrix need no preparation.
+    """
+    coefficients = packet.coefficients.tobytes()
+    row = coefficients + packet.payload.tobytes()
+    g = len(coefficients)
+    header = _HEADER.pack(
+        MAGIC, VERSION, FLAG_SYSTEMATIC if systematic_row(row, g) else 0,
+        packet.generation, packet.origin, g, len(row) - g,
+    )
+    return _frame(header, zlib.crc32(header), row)
+
+
 def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0) -> int:
     """Serialise ``packet`` into ``buf`` at ``offset``; return the end offset.
 
-    This is the zero-copy encode path: the header is packed in place,
-    the coefficient and payload bytes are copied exactly once (from the
-    packet's arrays into the frame slot — the one copy that must
-    happen), and the CRC is computed over a :class:`memoryview` without
-    materialising an intermediate body.  ``buf`` must already be large
-    enough; size it with :func:`frame_size`.
+    ``buf`` must already be large enough; size it with :func:`frame_size`.
     """
-    g = packet.generation_size
-    n = packet.payload_size
-    end = offset + frame_size(g, n)
+    frame = encode_packet(packet)
+    end = offset + len(frame)
     if end > len(buf):
         raise WireFormatError(
             f"buffer too small: need {end} bytes, have {len(buf)}"
         )
-    flags = FLAG_SYSTEMATIC if packet.is_systematic() else 0
-    _HEADER.pack_into(
-        buf, offset,
-        MAGIC, VERSION, flags,
-        packet.generation, packet.origin, g, n,
-    )
-    view = memoryview(buf)
-    coeff_start = offset + _HEADER.size
-    view[coeff_start:coeff_start + g] = memoryview(packet.coefficients)
-    view[coeff_start + g:coeff_start + g + n] = memoryview(packet.payload)
-    crc = zlib.crc32(view[offset:end - _TRAILER.size])
-    _TRAILER.pack_into(buf, end - _TRAILER.size, crc)
+    buf[offset:end] = frame
     return end
 
 
-def encode_packet(packet: CodedPacket) -> bytes:
-    """Serialise a packet to its exact-length wire frame."""
-    buf = bytearray(frame_size(packet.generation_size, packet.payload_size))
-    encode_packet_into(packet, buf)
-    return bytes(buf)
-
-
 def encode_packets_rows(packets: Sequence[CodedPacket], rows: np.ndarray) -> None:
-    """Vectorised batch encode of uniform-geometry packets.
+    """Encode uniform-geometry packets into the rows of ``rows``.
 
     ``rows`` is a writable ``(len(packets), frame)`` uint8 view —
     possibly non-contiguous columns of a larger per-frame buffer, as
     long as each row's bytes are contiguous.  Every packet must share
-    one ``(g, n)`` geometry (callers check; mismatched shapes fail the
-    ``np.stack`` below).  The constant header fields are broadcast once
-    across the batch, each variable field lands with one vectorised
-    store, and only the CRC runs per frame — the result is
-    bit-identical to :func:`encode_packet_into` row by row, it just
-    replaces per-frame struct packing with whole-batch array stores.
+    one ``(g, n)`` geometry (callers check).  Row ``i`` receives
+    :func:`encode_packet` of packet ``i``.
     """
     m = len(packets)
     if m == 0:
         return
     first = packets[0]
-    g = first.generation_size
-    n = first.payload_size
-    frame = frame_size(g, n)
+    frame = frame_size(first.generation_size, first.payload_size)
     if rows.shape != (m, frame):
         raise WireFormatError(
             f"row buffer shape {rows.shape} != ({m}, {frame})"
         )
-    rows[:, : _HEADER.size] = np.frombuffer(
-        _HEADER.pack(MAGIC, VERSION, 0, 0, 0, g, n), dtype=np.uint8
-    )
-    generations = np.array([p.generation for p in packets], dtype=">u4")
-    rows[:, 4:8] = generations.view(np.uint8).reshape(m, 4)
-    origins = np.array([p.origin for p in packets], dtype=">i4")
-    rows[:, 8:12] = origins.view(np.uint8).reshape(m, 4)
-    coeff_start = _HEADER.size
-    coeffs = np.stack([p.coefficients for p in packets])
-    rows[:, coeff_start:coeff_start + g] = coeffs
-    if g:
-        systematic = (
-            (np.count_nonzero(coeffs, axis=1) == 1)
-            & (coeffs.max(axis=1) == 1)
-        )
-        rows[:, 3] = np.where(systematic, FLAG_SYSTEMATIC, 0)
-    rows[:, coeff_start + g:coeff_start + g + n] = np.stack(
-        [p.payload for p in packets]
-    )
-    data_end = frame - _TRAILER.size
-    crcs = np.array(
-        [zlib.crc32(rows[i, :data_end]) for i in range(m)], dtype=">u4"
-    )
-    rows[:, data_end:] = crcs.view(np.uint8).reshape(m, 4)
+    for i, packet in enumerate(packets):
+        rows[i] = np.frombuffer(encode_packet(packet), dtype=np.uint8)
 
 
-def encode_mixture_rows(dest: np.ndarray, mix: np.ndarray, generation: int,
-                        origin: int, generation_size: int) -> None:
-    """Encode a raw mixture matrix into wire frames, no packets involved.
+def encode_mixture_rows(mix: np.ndarray, generation: int, origin: int,
+                        generation_size: int, prefix: bytes) -> list[bytes]:
+    """Frame a raw mixture matrix, no packets involved.
 
     ``mix`` is a ``(m, g + n)`` matrix whose rows are
     ``[coefficients | payload]`` (the
-    :meth:`~repro.coding.decoder.GenerationDecoder.mixture_rows` output);
-    ``dest`` is a writable ``(m, frame)`` uint8 view.  All frames share
-    one generation and origin, so the entire header except the
-    systematic flag is baked into a single broadcast template, the flag
-    is computed with one vectorised reduction over the coefficient
-    columns, and the bodies land with one 2-D copy — the zero-copy
-    endpoint of the batched emit pipeline.  Bit-identical per row to
-    :func:`encode_packet_into` on the equivalent packet.
+    :meth:`~repro.coding.decoder.GenerationDecoder.mixture_rows`
+    output); each returned frame is ``prefix`` followed by one row's
+    wire frame, byte for byte what :func:`encode_packet` makes of the
+    equivalent packet.  Every row shares the generation and origin, so
+    the header is packed once per flag value, and the matrix is read
+    once into ``bytes`` (whatever its strides), whose row slices the
+    flag test and the CRC run on.
     """
     m, width = mix.shape
     g = generation_size
-    n = width - g
-    frame = frame_size(g, n)
-    if dest.shape != (m, frame):
-        raise WireFormatError(
-            f"row buffer shape {dest.shape} != ({m}, {frame})"
-        )
-    dest[:, : _HEADER.size] = np.frombuffer(
-        _HEADER.pack(MAGIC, VERSION, 0, generation, origin, g, n),
-        dtype=np.uint8,
-    )
-    coeffs = mix[:, :g]
-    if g:
-        systematic = (
-            (np.count_nonzero(coeffs, axis=1) == 1)
-            & (coeffs.max(axis=1) == 1)
-        )
-        dest[:, 3] = np.where(systematic, FLAG_SYSTEMATIC, 0)
-    dest[:, _HEADER.size:_HEADER.size + width] = mix
-    data_end = frame - _TRAILER.size
-    crcs = np.array(
-        [zlib.crc32(dest[i, :data_end]) for i in range(m)], dtype=">u4"
-    )
-    dest[:, data_end:] = crcs.view(np.uint8).reshape(m, 4)
-
-
-def _uniform_geometry(
-    packets: Sequence[CodedPacket],
-) -> Optional[tuple[int, int]]:
-    """``(g, n)`` when every packet shares one geometry, else None."""
-    first = packets[0]
-    g = first.generation_size
-    n = first.payload_size
-    for packet in packets:
-        if packet.generation_size != g or packet.payload_size != n:
-            return None
-    return g, n
+    heads = []
+    for flags in (0, FLAG_SYSTEMATIC):
+        header = _HEADER.pack(MAGIC, VERSION, flags, generation, origin,
+                              g, width - g)
+        heads.append((prefix + header, zlib.crc32(header)))
+    raw = mix.tobytes()
+    frames = []
+    for i in range(m):
+        row = raw[i * width:(i + 1) * width]
+        frames.append(_frame(*heads[systematic_row(row, g)], row))
+    return frames
 
 
 def encode_packets_into(
@@ -241,32 +195,16 @@ def encode_packets_into(
             frames = [bytes(memoryview(buf)[o:o + ln]) for o, ln in spans]
         finally:
             DEFAULT_POOL.release(buf)
-
-    One batch costs one (pooled, usually pre-existing) allocation and
-    one copy per payload byte, versus three temporaries per frame on
-    the old ``header + coeffs.tobytes() + payload.tobytes()`` path.
     """
     total = sum(
         frame_size(p.generation_size, p.payload_size) for p in packets
     )
     if buf is None:
         buf = (pool if pool is not None else DEFAULT_POOL).lease(total)
-    m = len(packets)
-    if m > 1:
-        geometry = _uniform_geometry(packets)
-        if geometry is not None:
-            # Uniform batch (the emit_batch common case): one vectorised
-            # fill across all frames instead of m struct-packed encodes.
-            frame = frame_size(*geometry)
-            if m * frame > len(buf):
-                raise WireFormatError(
-                    f"buffer too small: need {m * frame} bytes, "
-                    f"have {len(buf)}"
-                )
-            rows = np.frombuffer(buf, dtype=np.uint8,
-                                 count=m * frame).reshape(m, frame)
-            encode_packets_rows(packets, rows)
-            return buf, [(i * frame, frame) for i in range(m)]
+    elif total > len(buf):
+        raise WireFormatError(
+            f"buffer too small: need {total} bytes, have {len(buf)}"
+        )
     offset = 0
     spans: list[tuple[int, int]] = []
     for packet in packets:
@@ -296,44 +234,41 @@ def _decode_at(buffer, offset: int, generation: int, origin: int,
                g: int, n: int) -> CodedPacket:
     """Build a packet from a header-validated frame at ``offset``.
 
-    The CRC is checked over a :class:`memoryview` (no body slice) and
-    the coefficient/payload arrays are materialised with one
-    ``np.frombuffer(...).copy()`` each — the single copy that gives the
-    packet ownership of its bytes, and the only per-frame allocation.
+    The body is copied once, and the CRC runs over that copy seeded
+    with the header's; the packet's coefficients and payload are the
+    two halves of the copy, so it shares nothing with ``buffer``.
     """
-    body_end = offset + frame_size(g, n) - _TRAILER.size
-    (crc,) = _TRAILER.unpack_from(buffer, body_end)
-    actual = zlib.crc32(memoryview(buffer)[offset:body_end])
+    body_start = offset + _HEADER.size
+    body = np.frombuffer(buffer, dtype=np.uint8, count=g + n,
+                         offset=body_start).copy()
+    (crc,) = _TRAILER.unpack_from(buffer, body_start + g + n)
+    actual = zlib.crc32(body, zlib.crc32(buffer[offset:body_start]))
     if actual != crc:
         raise CrcError(
             f"CRC mismatch: trailer 0x{crc:08x}, body 0x{actual:08x}"
         )
-    coefficients = np.frombuffer(buffer, dtype=np.uint8,
-                                 count=g, offset=offset + _HEADER.size).copy()
-    payload = np.frombuffer(buffer, dtype=np.uint8, count=n,
-                            offset=offset + _HEADER.size + g).copy()
-    return CodedPacket(
-        generation=generation,
-        coefficients=coefficients,
-        payload=payload,
-        origin=origin,
-    )
+    return CodedPacket.trusted(generation, body[:g], body[g:], origin)
 
 
-def decode_packet_from(buffer, offset: int = 0) -> tuple[CodedPacket, int]:
+def decode_packet_from(buffer, offset: int = 0,
+                       end: Optional[int] = None) -> tuple[CodedPacket, int]:
     """Parse one frame at ``offset``; return ``(packet, end_offset)``.
 
     The streaming-decode primitive: nothing before ``offset`` is looked
-    at, nothing is sliced, and the caller advances its cursor to the
-    returned end offset.  Raises :class:`WireFormatError` on truncation,
-    bad magic, unknown version, or checksum mismatch.
+    at, and the caller advances its cursor to the returned end offset.
+    ``end``, when given, is where the frame must stop (a stream's
+    length prefix says so): a header that promises any other length is
+    rejected before the CRC is computed, so it can never be decoded
+    from the bytes of the frame after it.  Raises
+    :class:`WireFormatError` on truncation, bad magic, unknown version,
+    length mismatch, or checksum mismatch.
     """
-    available = len(buffer) - offset
+    available = (len(buffer) if end is None else end) - offset
     if available < _HEADER.size:
         raise WireFormatError(f"frame too short: {max(available, 0)} bytes")
     generation, origin, g, n = _parse_header_at(buffer, offset)
     total = frame_size(g, n)
-    if available < total:
+    if available < total or (end is not None and available != total):
         raise WireFormatError(
             f"length mismatch: header promises {total}, frame has {available}"
         )
@@ -347,12 +282,7 @@ def decode_packet(frame) -> CodedPacket:
     Raises :class:`WireFormatError` on truncation, bad magic, unknown
     version, trailing garbage, or checksum mismatch.
     """
-    packet, end = decode_packet_from(frame, 0)
-    if end != len(frame):
-        raise WireFormatError(
-            f"length mismatch: header promises {end}, frame has {len(frame)}"
-        )
-    return packet
+    return decode_packet_from(frame, 0, len(frame))[0]
 
 
 def read_frame_at(buffer, offset: int = 0) -> tuple[Optional[CodedPacket], int]:

@@ -24,16 +24,13 @@ from __future__ import annotations
 import struct
 from typing import Iterator, Optional, Union
 
-import numpy as np
-
-from ..coding.buffers import DEFAULT_POOL, BufferPool
 from ..coding.packet import CodedPacket
 from ..coding.wire import (
     CrcError,
     WireFormatError,
     decode_packet_from,
     encode_mixture_rows,
-    encode_packet_into,
+    encode_packet,
     frame_size,
 )
 from .control import ControlFormatError, decode_control, encode_control
@@ -61,7 +58,8 @@ KIND_CONTROL = 1
 
 #: Upper bound on a frame body; anything larger is treated as stream
 #: corruption (the largest legitimate data frame is a little over
-#: 128 KiB: 64 KiB of coefficients + 64 KiB of payload + header).
+#: 128 KiB: 64 KiB of coefficients + 64 KiB of payload + header — the
+#: wire header's 16-bit sizes keep every encoded data frame below it).
 MAX_FRAME_BYTES = 1 << 20
 
 _PREFIX = struct.Struct(">IB")
@@ -94,18 +92,9 @@ def encode_frame(kind: int, body: bytes) -> bytes:
 
 
 def encode_data_frame(packet: CodedPacket) -> bytes:
-    """Serialise one packet as a length-prefixed data frame.
-
-    Prefix and wire body are packed into a single buffer — no
-    intermediate body ``bytes`` and no prefix-plus-body concatenation.
-    """
-    body = frame_size(packet.generation_size, packet.payload_size)
-    if body > MAX_FRAME_BYTES:
-        raise FramingError(f"frame body too large: {body} bytes")
-    buf = bytearray(_PREFIX.size + body)
-    _PREFIX.pack_into(buf, 0, body, KIND_DATA)
-    encode_packet_into(packet, buf, _PREFIX.size)
-    return bytes(buf)
+    """Serialise one packet as a length-prefixed data frame."""
+    frame = encode_packet(packet)
+    return _PREFIX.pack(len(frame), KIND_DATA) + frame
 
 
 def encode_data_frames(packets: list[CodedPacket]) -> list[bytes]:
@@ -115,10 +104,7 @@ def encode_data_frames(packets: list[CodedPacket]) -> list[bytes]:
 
 
 def encode_mixture_frames(
-    groups: list,
-    generation_size: int,
-    origin: int,
-    pool: Optional[BufferPool] = None,
+    groups: list, generation_size: int, origin: int,
 ) -> list[bytes]:
     """Encode recoder mixture groups straight to length-prefixed frames.
 
@@ -126,40 +112,20 @@ def encode_mixture_frames(
     :meth:`repro.coding.recoder.Recoder.emit_rows` matrix, all sharing
     one ``(g, n)`` geometry (they mix one content object).  The mixtures
     never become :class:`~repro.coding.packet.CodedPacket` objects: each
-    group's matrix is framed with one vectorised
-    :func:`~repro.coding.wire.encode_mixture_rows` call into a single
-    pooled buffer, and the frames are returned as immutable ``bytes``,
-    group after group.  This is the fused emit-to-wire path every
-    peer's fan-out uses.
+    group is framed by one :func:`~repro.coding.wire.encode_mixture_rows`
+    call behind the prefix they all share, group after group.  This is
+    the fused emit-to-wire path every peer's fan-out uses.
     """
-    total = sum(rows.shape[0] for _, rows in groups)
-    if total == 0:
+    if not groups:
         return []
     width = groups[0][1].shape[1]
-    body = frame_size(generation_size, width - generation_size)
-    if body > MAX_FRAME_BYTES:
-        raise FramingError(f"frame body too large: {body} bytes")
-    length = _PREFIX.size + body
-    scratch_pool = pool if pool is not None else DEFAULT_POOL
-    buf = scratch_pool.lease(total * length)
-    try:
-        arr = np.frombuffer(buf, dtype=np.uint8,
-                            count=total * length).reshape(total, length)
-        arr[:, : _PREFIX.size] = np.frombuffer(
-            _PREFIX.pack(body, KIND_DATA), dtype=np.uint8
-        )
-        slot = 0
-        for generation, rows in groups:
-            count = rows.shape[0]
-            encode_mixture_rows(
-                arr[slot:slot + count, _PREFIX.size:], rows,
-                generation, origin, generation_size,
-            )
-            slot += count
-        blob = bytes(memoryview(buf)[: total * length])
-    finally:
-        scratch_pool.release(buf)
-    return [blob[i * length:(i + 1) * length] for i in range(total)]
+    prefix = _PREFIX.pack(frame_size(generation_size, width - generation_size),
+                          KIND_DATA)
+    frames: list[bytes] = []
+    for generation, rows in groups:
+        frames += encode_mixture_rows(
+            rows, generation, origin, generation_size, prefix)
+    return frames
 
 
 class FrameBuffer:
@@ -173,10 +139,11 @@ class FrameBuffer:
     into the accumulated buffer instead of rebuilding the tail, so
     draining F buffered frames costs O(bytes) rather than the
     O(bytes x F) of the old ``del buffer[:total]`` per message; the
-    consumed prefix is compacted away on the next ``feed``.  Data
-    bodies are decoded in place through the wire layer's offset cursor
-    (:func:`repro.coding.wire.decode_packet_from`) — no per-frame body
-    slice.
+    consumed prefix is compacted away on the next ``feed``.  A data
+    body is decoded through the wire layer's offset cursor
+    (:func:`repro.coding.wire.decode_packet_from`), bounded by the end
+    its prefix framed, with one copy: the packet's.  A control body is
+    copied once, into the slice :func:`decode_control` parses.
     """
 
     def __init__(self) -> None:
@@ -214,23 +181,17 @@ class FrameBuffer:
         if len(buf) - cursor < total:
             return None
         body_start = cursor + _PREFIX.size
-        self._cursor = cursor + total  # the frame is consumed even if bad
+        end = self._cursor = cursor + total  # consumed even if bad
         if kind == KIND_DATA:
             try:
-                packet, end = decode_packet_from(buf, body_start)
+                return decode_packet_from(buf, body_start, end)[0]
             except WireFormatError as exc:
                 cls = (CrcMismatchError if isinstance(exc, CrcError)
                        else FramingError)
                 raise cls(f"bad frame body: {exc}") from exc
-            if end != cursor + total:
-                raise FramingError(
-                    f"bad frame body: framed {length} bytes, wire frame "
-                    f"spans {end - body_start}"
-                )
-            return packet
         if kind == KIND_CONTROL:
             try:
-                return decode_control(bytes(buf[body_start:cursor + total]))
+                return decode_control(buf[body_start:end])
             except ControlFormatError as exc:
                 raise FramingError(f"bad frame body: {exc}") from exc
         raise FramingError(f"unknown frame kind {kind}")

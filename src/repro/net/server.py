@@ -34,7 +34,6 @@ from typing import Optional
 
 from numpy.random import default_rng
 
-from ..coding.buffers import DEFAULT_POOL
 from ..coding.encoder import SourceEncoder
 from ..coding.generation import GenerationParams
 from ..core.matrix import SERVER
@@ -46,7 +45,6 @@ from ..obs import (
     Registry,
     ServerEngineInstruments,
     bind_fields,
-    bind_pool,
     snapshot_obj,
 )
 from ..protocol import (
@@ -198,7 +196,6 @@ class ServerNode:
             self.registry, self.stats, ("crashes",),
             "net", "control connections lost without a good-bye",
         )
-        bind_pool(self.registry, DEFAULT_POOL)
 
     def snapshot(self) -> dict:
         """This node's registries as a versioned snapshot object."""

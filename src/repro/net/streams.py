@@ -13,7 +13,8 @@ tracked.
 
 The queue holds *pre-encoded* immutable frame bytes rather than packet
 objects: every mixture is serialised exactly once, before it is queued
-(a relay's whole fan-out in one pooled pass, see
+(a relay's fan-out is one ``bytes`` join per frame behind headers
+packed once per group, see
 :func:`repro.net.framing.encode_mixture_frames`).  At each wakeup the
 pump hands everything queued to the writer in a single ``writelines``
 flush — one syscall on a real socket; the virtual transport keeps its
@@ -541,7 +542,7 @@ class PumpSet:
 
         Each mixture is serialised exactly once, whichever payload form
         carries it — rows go straight from the recode gemm output to
-        wire frames in one pooled pass, no packet objects in between —
+        wire frames, no packet objects in between —
         and a child whose pump is gone is skipped.
         """
         pumps = self._pumps

@@ -28,7 +28,6 @@ from .instruments import (
     PeerEngineInstruments,
     ServerEngineInstruments,
     bind_fields,
-    bind_pool,
     bind_sender_totals,
 )
 from .registry import (
@@ -52,7 +51,6 @@ __all__ = [
     "SCHEMA",
     "ServerEngineInstruments",
     "bind_fields",
-    "bind_pool",
     "bind_sender_totals",
     "format_dump",
     "pow2_bounds",

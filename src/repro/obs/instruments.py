@@ -11,9 +11,9 @@ sans-IO).  A bundle is the one place an engine fact is counted: no
 engine or driver keeps a copy.
 
 Everything else in this module is snapshot-on-read binding: stats
-dataclasses the transports already keep (``SenderStats``, ``PoolStats``,
-per-node ``ServerStats``/``PeerStats``) become callback gauges that
-read the live object only when an exporter scrapes.  The hot paths
+dataclasses the transports already keep (``SenderStats``, per-node
+``ServerStats``/``PeerStats``) become callback gauges that read the
+live object only when an exporter scrapes.  The hot paths
 keep bumping their plain dataclass fields; observability costs nothing
 until somebody looks.
 """
@@ -52,7 +52,6 @@ __all__ = [
     "PeerEngineInstruments",
     "ServerEngineInstruments",
     "bind_fields",
-    "bind_pool",
     "bind_sender_totals",
 ]
 
@@ -75,20 +74,6 @@ def bind_fields(
             f"{prefix}.{field}", help,
             fn=lambda o=obj, f=field: getattr(o, f),
         )
-
-
-def bind_pool(
-    registry: Registry, pool, prefix: str = "coding.pool",
-) -> None:
-    """Fold a :class:`repro.coding.buffers.BufferPool` into gauges."""
-    bind_fields(
-        registry, pool.stats,
-        ("leases", "allocations", "reuses", "releases", "discarded"),
-        prefix, "buffer pool accounting",
-    )
-    registry.gauge(
-        f"{prefix}.idle", "buffers parked in the pool", fn=pool.idle_buffers,
-    )
 
 
 def bind_sender_totals(

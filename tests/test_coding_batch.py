@@ -1,16 +1,23 @@
 """Property tests for the batched zero-copy data plane.
 
-Two identities anchor this PR's perf work and must hold bit-for-bit:
+Two identities anchor the data plane's perf work and must hold
+bit-for-bit:
 
-* the batched wire codec (``encode_packets_into`` + offset-cursor
-  streaming decode) produces and accepts exactly the frames of the
-  scalar v2 codec — including legacy v1 frames, the maximal
-  ``g = 0xFFFF`` geometry, and CRC-corruption rejection;
+* every frame producer (``encode_mixture_frames``,
+  ``encode_data_frame``, ``encode_packet``, ``encode_packets_into``,
+  ``encode_packets_rows``)
+  writes exactly the frame the documented layout describes, and the
+  offset-cursor streaming decode accepts it — including the maximal
+  ``g = 0xFFFF`` geometry, strided inputs, and CRC-corruption
+  rejection;
 * ``Recoder.emit_batch(k, g)`` (and the fused ``emit_rows`` →
   ``encode_mixture_frames`` path) equals ``k`` sequential ``emit(g)``
   calls under the same RNG stream, so turning batching on cannot
   change a single byte of any seeded trace.
 """
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -24,10 +31,12 @@ from repro.coding.wire import (
     decode_packet,
     encode_packet,
     encode_packets_into,
+    encode_packets_rows,
     frame_size,
     read_frame_at,
 )
 from repro.net.framing import (
+    FrameBuffer,
     encode_data_frame,
     encode_data_frames,
     encode_mixture_frames,
@@ -85,8 +94,7 @@ def _seeded_recoder(seed: int, params, generation_count: int,
 def test_batch_encode_is_byte_identical_to_scalar(seed, count, uniform):
     """``encode_packets_into`` frames == per-packet ``encode_packet``.
 
-    Covers both the vectorised uniform-geometry fast path and the
-    mixed-geometry fallback.
+    Covers batches of one shared geometry and of mixed geometries.
     """
     rng = np.random.default_rng(seed)
     if uniform:
@@ -176,6 +184,99 @@ def test_any_corruption_is_rejected(seed, position, flip):
     except WireFormatError:
         return
     assert decoded is None
+
+
+# ----------------------------------------------------------------------
+# Every frame producer against the documented layout
+
+
+def _reference_frame(generation, origin, coefficients, payload) -> bytes:
+    """A wire frame built from the layout in ``repro.coding.wire``'s
+    docstring: header, coefficients, payload, CRC32 of all of it."""
+    coefficients = bytes(coefficients)
+    payload = bytes(payload)
+    nonzero = [c for c in coefficients if c]
+    flags = 1 if nonzero == [1] else 0
+    body = struct.pack(">HBBIiHH", 0x5243, 2, flags, generation, origin,
+                       len(coefficients), len(payload))
+    body += coefficients + payload
+    return body + struct.pack(">I", zlib.crc32(body))
+
+
+def _prefixed(frame: bytes) -> bytes:
+    """``frame`` behind the stream prefix: body length, kind 0."""
+    return struct.pack(">IB", len(frame), 0) + frame
+
+
+def _strided(array: np.ndarray, stride: int) -> np.ndarray:
+    """The same values as a view taking every ``stride``-th element of
+    the last axis of a larger buffer (a plain copy when ``stride`` is 1)."""
+    shape = array.shape[:-1] + (array.shape[-1] * stride,)
+    base = np.full(shape, 0xEE, dtype=np.uint8)
+    base[..., ::stride] = array
+    return base[..., ::stride]
+
+
+_geometry = st.tuples(
+    st.one_of(st.integers(min_value=1, max_value=64), st.just(0xFFFF)),
+    st.integers(min_value=0, max_value=1100),
+)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    geometry=_geometry,
+    generations=st.lists(st.integers(min_value=0, max_value=2**32 - 1),
+                         min_size=1, max_size=3),
+    origin=st.integers(min_value=-1, max_value=2**31 - 1),
+    rows=st.integers(min_value=1, max_value=3),
+    stride=st.integers(min_value=1, max_value=3),
+)
+def test_every_frame_producer_matches_the_documented_layout(
+        seed, geometry, generations, origin, rows, stride):
+    """``encode_mixture_frames``, ``encode_data_frame``, ``encode_packet``,
+    ``encode_packets_into`` and ``encode_packets_rows`` all write the
+    reference frame, strided
+    inputs and systematic rows included; and what a ``FrameBuffer``
+    decodes from them owns its bytes."""
+    g, n = geometry
+    rng = np.random.default_rng(seed)
+    groups, packets, expected = [], [], []
+    for generation in generations:
+        mix = rng.integers(0, 256, size=(rows, g + n), dtype=np.uint8)
+        # Row 0 is a source packet: one coefficient, equal to 1.
+        mix[0, :g] = 0
+        mix[0, int(rng.integers(0, g))] = 1
+        view = _strided(mix, stride)
+        groups.append((generation, view))
+        for row in mix:
+            expected.append(_reference_frame(generation, origin,
+                                             row[:g], row[g:]))
+            packets.append(CodedPacket.trusted(
+                generation, _strided(row[:g], stride),
+                _strided(row[g:], stride), origin))
+
+    mixture_frames = encode_mixture_frames(groups, g, origin)
+    assert mixture_frames == [_prefixed(frame) for frame in expected]
+    assert [encode_data_frame(p) for p in packets] == mixture_frames
+    assert [encode_packet(p) for p in packets] == expected
+    buf, spans = encode_packets_into(packets, pool=BufferPool())
+    assert [bytes(buf[o:o + ln]) for o, ln in spans] == expected
+    rows_out = np.zeros((len(packets), frame_size(g, n)), dtype=np.uint8)
+    encode_packets_rows(packets, rows_out)
+    assert [row.tobytes() for row in rows_out] == expected
+
+    fed = bytearray(b"".join(mixture_frames))
+    frames = FrameBuffer()
+    frames.feed(fed)
+    decoded = list(frames.messages())
+    fed[:] = bytes(len(fed))
+    frames.feed(b"\xff" * 7)  # compacts the consumed frames away
+    assert frames.pending() == 7
+    assert len(decoded) == len(packets)
+    for got, packet in zip(decoded, packets):
+        _assert_packets_equal(got, packet)
 
 
 # ----------------------------------------------------------------------

@@ -107,6 +107,33 @@ class TestFrameBuffer:
                     buffer.next_message()
                 assert not isinstance(caught.value, CrcMismatchError)
 
+    @pytest.mark.parametrize("followed", [True, False],
+                             ids=["followed", "alone"])
+    def test_header_must_agree_with_the_length_prefix(self, followed):
+        """A header promising more bytes than its prefix framed is a
+        framing error whether or not another frame follows — it is
+        never decoded (and CRC-checked) over the next frame's bytes."""
+        buffer = FrameBuffer()
+        buffer.feed(_overlong_frame(followed))
+        with pytest.raises(FramingError) as caught:
+            buffer.next_message()
+        assert not isinstance(caught.value, CrcMismatchError)
+
+
+def _overlong_frame(followed: bool) -> bytes:
+    """A 64-byte data frame whose payload-size field says 80, then —
+    if ``followed`` — a valid frame."""
+    packet = CodedPacket(generation=1,
+                         coefficients=np.arange(1, 9, dtype=np.uint8),
+                         payload=np.arange(36, dtype=np.uint8), origin=2)
+    body = bytearray(encode_packet(packet))
+    assert len(body) == 64
+    body[14:16] = (80).to_bytes(2, "big")
+    data = encode_frame(KIND_DATA, bytes(body))
+    if followed:
+        data += encode_data_frame(packet)
+    return data
+
 
 def _stream(data: bytes) -> MessageStream:
     """A MessageStream over a real StreamReader holding ``data`` + EOF."""
@@ -185,41 +212,52 @@ class TestReadMessage:
         assert isinstance(caught.value, CrcMismatchError) is crc
 
 
+def _crc_failures(data: bytes) -> int:
+    """``PeerStats.crc_failures`` after ``PumpSet.consume`` reads a
+    parent that answers the child's hello with ``data``."""
+    from repro.net.peer import PeerStats
+    from repro.net.testing import VirtualNetwork
+    from repro.obs import Registry
+
+    async def scenario():
+        net = VirtualNetwork()
+
+        async def parent(reader, writer):
+            await MessageStream(reader).next()  # the child's DataHello
+            writer.write(data)
+
+        listener = net.bind("parent", 0, parent)
+        pumps = PumpSet(Registry("peer"), limit=8,
+                        keepalive_interval=None, clock=net.clock)
+        pumps.engine = RelayEngine(Recoder(
+            GenerationParams(4, 16), 1, np.random.default_rng(0), 9))
+        pumps.generation_size = 4
+        stats = PeerStats()
+        reader, writer = await net.open_connection("peer", *listener.address)
+        await pumps.consume(0, reader, writer, 1.0, stats)
+        await net.shutdown()
+        return stats.crc_failures
+
+    return asyncio.run(scenario())
+
+
 class TestPeerCorruptionAccounting:
     def test_peer_counts_crc_failures_but_not_wrong_versions(self):
         """PeerStats.crc_failures moves on a corrupted body and stays
         put on a wrong-version frame; both drop the connection
         ``PumpSet.consume`` is reading."""
-        from repro.net.peer import PeerStats
-        from repro.net.testing import VirtualNetwork
-        from repro.obs import Registry
-
         corrupted = bytearray(encode_packet(_packet()))
         corrupted[-1] ^= 0x01
-
-        async def scenario(body):
-            net = VirtualNetwork()
-
-            async def parent(reader, writer):
-                await MessageStream(reader).next()  # the child's DataHello
-                writer.write(encode_frame(KIND_DATA, body))
-
-            listener = net.bind("parent", 0, parent)
-            pumps = PumpSet(Registry("peer"), limit=8,
-                            keepalive_interval=None, clock=net.clock)
-            pumps.engine = RelayEngine(Recoder(
-                GenerationParams(4, 16), 1, np.random.default_rng(0), 9))
-            pumps.generation_size = 4
-            stats = PeerStats()
-            reader, writer = await net.open_connection(
-                "peer", *listener.address)
-            await pumps.consume(0, reader, writer, 1.0, stats)
-            await net.shutdown()
-            return stats.crc_failures
-
-        assert asyncio.run(scenario(bytes(corrupted))) == 1
+        assert _crc_failures(encode_frame(KIND_DATA, bytes(corrupted))) == 1
         for body in _restamped(1):
-            assert asyncio.run(scenario(body)) == 0
+            assert _crc_failures(encode_frame(KIND_DATA, body)) == 0
+
+    @pytest.mark.parametrize("followed", [True, False],
+                             ids=["followed", "alone"])
+    def test_overlong_header_is_not_a_crc_failure(self, followed):
+        """A data frame whose header outruns its length prefix drops
+        the connection without counting a CRC failure."""
+        assert _crc_failures(_overlong_frame(followed)) == 0
 
 
 def _no_fill():
