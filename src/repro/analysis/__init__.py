@@ -22,25 +22,18 @@ from .defects import (
 )
 from .delay import DelayProfile, delay_profile, pipeline_depth_profile
 from .flows import FlowNetwork
-from .spectral import expansion_report, spectral_gap, symmetric_adjacency
+from .spectral import spectral_gap, symmetric_adjacency
 from .trajectory import (
     DefectTrajectory,
     TrajectoryPoint,
     measure_defect_trajectory,
 )
-from .stats import (
-    Estimate,
-    chi_square_same_distribution,
-    ks_same_distribution,
-    mean_ci,
-    proportion_ci,
-)
+from .stats import chi_square_same_distribution, ks_same_distribution
 
 __all__ = [
     "DefectSummary",
     "DefectTrajectory",
     "DelayProfile",
-    "Estimate",
     "FlowNetwork",
     "TupleConnectivitySolver",
     "all_node_connectivities",
@@ -50,15 +43,12 @@ __all__ = [
     "min_cut",
     "delay_profile",
     "exact_defect",
-    "expansion_report",
     "graph_to_flow_network",
     "ks_same_distribution",
-    "mean_ci",
     "measure_defect_trajectory",
     "TrajectoryPoint",
     "node_connectivity",
     "pipeline_depth_profile",
-    "proportion_ci",
     "sampled_defect",
     "spectral_gap",
     "symmetric_adjacency",

@@ -42,10 +42,6 @@ class FlowNetwork:
         return name in self._index
 
     @property
-    def vertex_count(self) -> int:
-        return len(self._adj)
-
-    @property
     def edge_count(self) -> int:
         """Number of directed edges (not counting residual reverses)."""
         return len(self._to) // 2

@@ -62,11 +62,3 @@ def spectral_gap(graph: OverlayGraph, include_server: bool = True) -> float:
     eigenvalues = np.linalg.eigvalsh(lazy)
     return float(1.0 - eigenvalues[-2])
 
-
-def expansion_report(graph: OverlayGraph) -> dict[str, float]:
-    """Gap plus basic size stats, for tables."""
-    return {
-        "nodes": float(len(graph.nodes)),
-        "edges": float(graph.edge_count()),
-        "spectral_gap": spectral_gap(graph),
-    }

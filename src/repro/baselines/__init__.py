@@ -17,7 +17,6 @@ from .edmonds import (
     Packing,
     TreeRoutingOutcome,
     curtain_tree_decomposition,
-    pack_arborescences,
     route_stripes,
     verify_packing,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "TreeRoutingOutcome",
     "curtain_tree_decomposition",
     "evaluate_erasure_overlay",
-    "pack_arborescences",
     "route_stripes",
     "stripes_received",
     "verify_packing",

@@ -9,16 +9,14 @@ the paper stresses, the partition must be *recomputed whenever a node
 fails*, which is impractical for short-lived failures.  Network coding
 reaches the same rate with no trees at all.
 
-Two constructions:
-
-* :func:`curtain_tree_decomposition` — the curtain overlay's DAG has
-  in-degree exactly ``d`` at every node, so colouring each node's ``d``
-  incoming threads with distinct tree indices *is* a valid packing
-  (every colour class gives each node exactly one parent that joined
-  earlier, hence an arborescence rooted at the server).  O(N·d).
-* :func:`pack_arborescences` — the general Lovász-style constructive
-  algorithm with max-flow safety checks, for arbitrary graphs (small
-  instances; used as a cross-check oracle and for post-failure repacking).
+No general packer is needed here: the curtain overlay's DAG has
+in-degree exactly ``d`` at every node, so colouring each node's ``d``
+incoming threads with distinct tree indices *is* a valid packing (every
+colour class gives each node exactly one parent that joined earlier,
+hence an arborescence rooted at the server) —
+:func:`curtain_tree_decomposition`, O(N·d).  :func:`route_stripes` then
+routes stripes down that fixed packing under failures, and
+:func:`verify_packing` is the tests' oracle for a packing's validity.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..analysis.flows import FlowNetwork
 from ..core.matrix import SERVER, ThreadMatrix
 from ..core.topology import OverlayGraph
 
@@ -92,99 +89,6 @@ def verify_packing(graph: OverlayGraph, trees: Packing) -> bool:
         if count > graph.succ.get(u, {}).get(v, 0):
             return False
     return True
-
-
-def _connectivities(
-    graph_edges: dict[tuple[int, int], int],
-    targets: list[int],
-    limit: int,
-) -> dict[int, int]:
-    """λ(SERVER → v) for each target, capped at ``limit``."""
-    result = {}
-    network = FlowNetwork()
-    network.vertex(SERVER)
-    for (u, v), mult in graph_edges.items():
-        network.add_edge(u, v, mult)
-    base = network.snapshot()
-    for v in targets:
-        if not network.has_vertex(v):
-            result[v] = 0
-            continue
-        result[v] = network.max_flow(SERVER, v, limit=limit)
-        network.restore(base)
-    return result
-
-
-def pack_arborescences(
-    graph: OverlayGraph,
-    count: int,
-    rng: Optional[np.random.Generator] = None,
-    max_candidate_tries: Optional[int] = None,
-) -> Packing:
-    """General Lovász-style packing of ``count`` arborescences.
-
-    Grows each arborescence edge by edge; an edge is accepted only if the
-    residual graph still supports the remaining requirement (``count - i``
-    full trees' worth of connectivity for vertices not yet spanned,
-    one less for vertices already spanned).  Edmonds' theorem guarantees
-    a safe edge always exists when the input connectivity suffices;
-    raises ``ValueError`` otherwise.
-
-    Exponentially safer but polynomially slower than the curtain fast
-    path — intended for small graphs (N up to a few hundred).
-    """
-    rng = rng or np.random.default_rng()
-    nodes = sorted(graph.nodes)
-    edges: dict[tuple[int, int], int] = {}
-    for u, targets in graph.succ.items():
-        for v, mult in targets.items():
-            edges[(u, v)] = mult
-    initial = _connectivities(edges, nodes, count)
-    short = [v for v, c in initial.items() if c < count]
-    if short:
-        raise ValueError(
-            f"connectivity below {count} at nodes {short[:5]} — packing impossible"
-        )
-    trees: Packing = []
-    for i in range(count):
-        remaining = count - i  # trees still to build, including this one
-        tree: dict[int, int] = {}
-        in_tree = {SERVER}
-        while len(tree) < len(nodes):
-            frontier = [
-                (u, v)
-                for (u, v), mult in edges.items()
-                if mult > 0 and u in in_tree and v not in in_tree
-            ]
-            if not frontier:
-                raise ValueError("frontier empty — input violated the invariant")
-            order = list(rng.permutation(len(frontier)))
-            tries = len(order) if max_candidate_tries is None else min(
-                len(order), max_candidate_tries
-            )
-            accepted = None
-            for index in order[:tries]:
-                u, v = frontier[int(index)]
-                edges[(u, v)] -= 1
-                # Lovász's extension lemma: e is safe iff, with the tree
-                # edges so far and e removed, EVERY vertex still has
-                # connectivity >= remaining - 1 (enough for the trees
-                # still to come).  A safe edge always exists.
-                if remaining - 1 == 0:
-                    accepted = (u, v)
-                    break
-                lambdas = _connectivities(edges, nodes, remaining - 1)
-                if all(c >= remaining - 1 for c in lambdas.values()):
-                    accepted = (u, v)
-                    break
-                edges[(u, v)] += 1  # roll back, try next candidate
-            if accepted is None:
-                raise ValueError("no safe edge found — packing failed")
-            u, v = accepted
-            tree[v] = u
-            in_tree.add(v)
-        trees.append(tree)
-    return trees
 
 
 @dataclass(frozen=True)

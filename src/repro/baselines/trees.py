@@ -75,14 +75,6 @@ class StripedTrees:
         parent_position = min(parent_position, len(interior) - 1)
         return interior[parent_position]
 
-    def children_in_tree(self, node_id: int, stripe: int) -> list[int]:
-        """The node's children in one stripe's tree (empty for leaves)."""
-        return [
-            v
-            for v in range(self.population)
-            if v != node_id and self.parent_in_tree(v, stripe) == node_id
-        ]
-
     def depth_in_tree(self, node_id: int, stripe: int) -> int:
         """Hop depth of a node in one stripe's tree."""
         depth = 0
@@ -91,15 +83,6 @@ class StripedTrees:
             current = self.parent_in_tree(current, stripe)
             depth += 1
         return depth
-
-    def stripe_delivery_probability(self, node_id: int, stripe: int, p: float) -> float:
-        """P(stripe reaches node) = all tree ancestors working."""
-        ancestors = 0
-        current = self.parent_in_tree(node_id, stripe)
-        while current != SERVER:
-            ancestors += 1
-            current = self.parent_in_tree(current, stripe)
-        return float((1.0 - p) ** ancestors)
 
     def simulate_delivery(
         self, p: float, rng: np.random.Generator

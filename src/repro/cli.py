@@ -60,25 +60,6 @@ def _write_stats_json(path: Optional[str], snapshot: Optional[dict]) -> None:
     print(f"stats snapshot written to {path}")
 
 
-def _install_event_loop(no_uvloop: bool) -> str:
-    """Install uvloop's event-loop policy when available; return the name.
-
-    The live-transport commands (``serve``/``join``/``demo``) opt into
-    uvloop whenever it is importable — bench runs on a stock interpreter
-    simply fall back to asyncio.  ``--no-uvloop`` forces the fallback so
-    A/B comparisons can pin the loop; the chosen loop is always printed
-    at startup so recorded runs say which one they used.
-    """
-    if no_uvloop:
-        return "asyncio"
-    try:
-        import uvloop
-    except ImportError:
-        return "asyncio"
-    uvloop.install()
-    return "uvloop"
-
-
 def _cmd_scenario(args: argparse.Namespace) -> int:
     from .sim import file_download, flash_crowd, live_streaming, run_session
 
@@ -170,7 +151,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"demo: need --peers >= 1 and --kill below it, got "
               f"--peers {args.peers} --kill {args.kill}", file=sys.stderr)
         return 2
-    loop_name = _install_event_loop(args.no_uvloop)
     _configure_logging(args.log_level)
     config = ChaosConfig(
         peers=args.peers, k=args.k, d=args.d,
@@ -182,7 +162,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         send_interval=0.004, keepalive_interval=0.1,
         silence_timeout=0.4, probe_timeout=0.2,
     )
-    print(f"event loop: {loop_name}")
     print(f"loopback demo: {config.peers} peers  k={config.k} d={config.d}  "
           f"{config.generations} generations of "
           f"g={config.generation_size}x{config.payload_size}B  "
@@ -317,7 +296,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .net import ServerNode
     from .obs.http import MetricsServer
 
-    loop_name = _install_event_loop(args.no_uvloop)
     _configure_logging(args.log_level)
     params = GenerationParams(args.g, args.payload)
     rng = np.random.default_rng(args.seed)
@@ -326,7 +304,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     ).tobytes()
 
     async def _run() -> int:
-        print(f"event loop: {loop_name}")
         server = ServerNode(
             content, params, k=args.k, d=args.d,
             host=args.host, port=args.port, seed=args.seed,
@@ -373,11 +350,9 @@ def _cmd_join(args: argparse.Namespace) -> int:
     from .net import PeerNode
     from .obs.http import MetricsServer
 
-    loop_name = _install_event_loop(args.no_uvloop)
     _configure_logging(args.log_level)
 
     async def _run() -> int:
-        print(f"event loop: {loop_name}")
         done = asyncio.Event()
         peer = PeerNode(args.host, args.port, seed=args.seed,
                         on_complete=lambda _peer: done.set())
@@ -592,8 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="kill this peer mid-run to exercise repair (-1 = off)")
     demo.add_argument("--deadline", type=float, default=60.0,
                       help="hard wall-clock limit in seconds")
-    demo.add_argument("--no-uvloop", action="store_true", dest="no_uvloop",
-                      help="stay on the stock asyncio event loop")
     _add_obs_flags(demo)
     demo.set_defaults(func=_cmd_demo)
 
@@ -647,8 +620,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="seconds between emission rounds")
     serve.add_argument("--duration", type=float, default=0.0,
                        help="stop after this many seconds (0 = run forever)")
-    serve.add_argument("--no-uvloop", action="store_true", dest="no_uvloop",
-                       help="stay on the stock asyncio event loop")
     _add_obs_flags(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -661,8 +632,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "many seconds")
     join.add_argument("--linger", type=float, default=0.0,
                       help="keep forwarding this long after decoding")
-    join.add_argument("--no-uvloop", action="store_true", dest="no_uvloop",
-                      help="stay on the stock asyncio event loop")
     _add_obs_flags(join)
     join.set_defaults(func=_cmd_join)
 

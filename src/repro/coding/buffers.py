@@ -90,10 +90,6 @@ class BufferPool:
         else:
             self.stats.discarded += 1
 
-    def idle_buffers(self) -> int:
-        """Buffers currently parked in the pool (diagnostics)."""
-        return sum(len(bucket) for bucket in self._buckets.values())
-
 
 #: Shared pool ``encode_packets_into`` leases from when no pool is passed in.
 DEFAULT_POOL = BufferPool()

@@ -139,25 +139,6 @@ class GenerationDecoder:
             payload=combined[size:].copy(),
         )
 
-    def random_combinations(self, rng: np.random.Generator,
-                            count: int) -> list[CodedPacket]:
-        """``count`` fresh uniform mixtures in one batched kernel call.
-
-        RNG-stream compatible with ``count`` sequential calls to
-        :meth:`random_combination`: the scalar vectors are drawn one
-        draw per mixture in the same order, so under a shared seed the
-        emitted packets are bit-identical — only the GF work is batched
-        (one :func:`~repro.gf.kernels.combine_rows` gemm instead of
-        ``count`` separate mixes).  Returns ``[]`` on an empty basis.
-        """
-        if self.rank == 0 or count <= 0:
-            return []
-        scalars = np.empty((count, self.rank), dtype=np.uint8)
-        for i in range(count):
-            scalars[i] = rng.integers(1, FIELD_SIZE, size=self.rank,
-                                      dtype=np.uint8)
-        return self.mixtures(scalars)
-
     def mixture_rows(self, scalars: np.ndarray) -> np.ndarray:
         """Raw mixture matrix ``(m, size + payload)`` for pre-drawn scalars.
 
@@ -170,29 +151,6 @@ class GenerationDecoder:
         """
         return combine_rows(scalars, self._rows[: self.rank])
 
-    def mixtures(self, scalars: np.ndarray,
-                 origin: int = -1) -> list[CodedPacket]:
-        """Mix pre-drawn scalar rows over the basis, one gemm for all.
-
-        ``scalars`` is ``(m, rank)`` uint8 — callers that must
-        interleave their own RNG draws (the recoder's generation picks)
-        draw the rows themselves and batch only the mixing here.
-        ``origin`` is stamped on every packet at construction so callers
-        need no second pass over the batch.
-        """
-        if scalars.shape[0] == 0:
-            return []
-        combined = self.mixture_rows(scalars)
-        size = self.params.generation_size
-        generation = self.generation
-        coeffs = combined[:, :size]
-        payloads = combined[:, size:]
-        trusted = CodedPacket.trusted
-        return [
-            trusted(generation, coeffs[i], payloads[i], origin=origin)
-            for i in range(scalars.shape[0])
-        ]
-
     def basis_packet(self, index: int) -> CodedPacket:
         """One buffered basis row as a packet (no full-list materialisation)."""
         if not 0 <= index < self.rank:
@@ -204,10 +162,6 @@ class GenerationDecoder:
             coefficients=row[:size].copy(),
             payload=row[size:].copy(),
         )
-
-    def basis_packets(self) -> list[CodedPacket]:
-        """Current basis as packets (used by recoders sharing the buffer)."""
-        return [self.basis_packet(index) for index in range(self.rank)]
 
     def coefficient_rows(self) -> np.ndarray:
         """Read-only view of the basis coefficient rows (rank x size)."""

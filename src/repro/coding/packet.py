@@ -90,10 +90,6 @@ class CodedPacket:
         total = self.generation_size + self.payload_size
         return self.generation_size / total if total else 0.0
 
-    def is_zero(self) -> bool:
-        """True for the all-zero (information-free) packet."""
-        return not self.coefficients.any()
-
     def is_systematic(self) -> bool:
         """True if this packet is an unmixed original source packet
         (:func:`systematic_row` of its coefficients)."""
@@ -153,8 +149,9 @@ class SourceBlock:
 def combine(packets: list[CodedPacket], scalars: np.ndarray) -> CodedPacket:
     """Form the linear combination ``sum_i scalars[i] * packets[i]``.
 
-    All packets must share a generation and have equal sizes.  This is the
-    single primitive behind the encoder and recoder.
+    All packets must share a generation and have equal sizes.  The
+    encoder and recoder batch the same arithmetic through
+    :mod:`repro.gf.kernels`; this one-packet form is the tests' reference.
     """
     if not packets:
         raise ValueError("cannot combine an empty packet list")

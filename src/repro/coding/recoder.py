@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from ..gf.tables import FIELD_SIZE
-from .decoder import Decoder, GenerationDecoder
+from .decoder import Decoder
 from .generation import GenerationParams
 from .packet import CodedPacket
 
@@ -146,7 +146,3 @@ class Recoder:
         packet = decoder.basis_packet(0)
         packet.origin = self.node_id
         return packet
-
-    def generation_decoder(self, generation: int) -> GenerationDecoder:
-        """Access the per-generation decoder (diagnostics)."""
-        return self.decoder.generations[generation]

@@ -37,7 +37,7 @@ from .protocols import (
 )
 from .random_graph import RandomGraphOverlay
 from .server import CoordinationServer
-from .topology import OverlayGraph, build_overlay_graph, hanging_thread_sources
+from .topology import OverlayGraph, build_overlay_graph
 
 __all__ = [
     "SERVER",
@@ -65,7 +65,6 @@ __all__ = [
     "build_overlay_graph",
     "churn_epochs",
     "class_connectivity_report",
-    "hanging_thread_sources",
     "join_population",
     "sequential_arrivals",
 ]

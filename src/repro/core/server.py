@@ -78,11 +78,6 @@ class CoordinationServer:
         working = self._working
         return [n for n in self.matrix.node_ids if n in working]
 
-    @property
-    def working_count(self) -> int:
-        """Number of working nodes, without materialising the list."""
-        return len(self._working)
-
     def is_working(self, node_id: int) -> bool:
         return node_id in self._working
 

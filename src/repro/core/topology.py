@@ -129,18 +129,6 @@ class OverlayGraph:
             return False
         return True
 
-    def to_networkx(self):
-        """Export to a networkx MultiDiGraph (test oracle / plotting)."""
-        import networkx as nx
-
-        graph = nx.MultiDiGraph()
-        graph.add_node(SERVER)
-        graph.add_nodes_from(self.nodes)
-        for u, targets in self.succ.items():
-            for v, multiplicity in targets.items():
-                for _ in range(multiplicity):
-                    graph.add_edge(u, v)
-        return graph
 
 
 def build_overlay_graph(
@@ -165,20 +153,3 @@ def build_overlay_graph(
         graph.add_edge(parent, child)
     return graph
 
-
-def hanging_thread_sources(
-    matrix: ThreadMatrix,
-    failed: Optional[AbstractSet[int]] = None,
-) -> dict[int, int]:
-    """Map column -> working owner of its hanging thread.
-
-    Columns whose bottom occupant is failed are omitted: that hanging
-    thread is dead until the failure is repaired.
-    """
-    failed = failed or frozenset()
-    owners = {}
-    for column in range(matrix.k):
-        owner = matrix.hanging_owner(column)
-        if owner == SERVER or owner not in failed:
-            owners[column] = owner
-    return owners

@@ -6,7 +6,6 @@ from .models import (
     FailureModel,
     IIDFailures,
     RandomBatchFailures,
-    TopRowsFailures,
     apply_failures,
 )
 
@@ -16,7 +15,6 @@ __all__ = [
     "FailureModel",
     "IIDFailures",
     "RandomBatchFailures",
-    "TopRowsFailures",
     "apply_failures",
     "assign_attack_roles",
     "detect_low_innovation",

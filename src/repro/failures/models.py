@@ -100,26 +100,6 @@ class CohortBatchFailures:
         return working[start : start + count]
 
 
-@dataclass(frozen=True)
-class TopRowsFailures:
-    """Worst-case positional adversary: fail the nodes closest to the rod.
-
-    Not achievable by a §5 adversary (it cannot choose positions), but a
-    useful stress bound: these nodes carry the most descendants.
-    """
-
-    fraction: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.fraction <= 1.0:
-            raise ValueError("fraction must be in [0, 1]")
-
-    def select(self, net: OverlayNetwork, rng: np.random.Generator) -> list[int]:
-        ordered = [n for n in net.matrix.node_ids if n in set(net.working_nodes)]
-        count = int(round(self.fraction * len(ordered)))
-        return ordered[:count]
-
-
 def apply_failures(
     net: OverlayNetwork,
     model: FailureModel,

@@ -1,12 +1,11 @@
 """Metrics: summary statistics and table rendering for the bench harness."""
 
 from . import stats
-from .report import format_cell, print_table, render_table, sparkline
+from .report import format_cell, render_table, sparkline
 
 __all__ = [
     "stats",
     "format_cell",
-    "print_table",
     "render_table",
     "sparkline",
 ]

@@ -77,14 +77,3 @@ def sparkline(values, low: float = None, high: float = None) -> str:
         out.append(_SPARK_BLOCKS[max(0, min(top, int(position * top + 0.5)))])
     return "".join(out)
 
-
-def print_table(
-    headers: Sequence[str],
-    rows: Iterable[Sequence[Cell]],
-    title: str = "",
-    precision: int = 4,
-) -> None:
-    """Render and print (benches' standard output path)."""
-    print()
-    print(render_table(headers, rows, title, precision))
-    print()

@@ -447,9 +447,6 @@ class _VirtualWriter:
         self._out.close()
         self._back.break_()
 
-    def is_closing(self) -> bool:
-        return self._out.closed or self._out.broken
-
     async def wait_closed(self) -> None:
         return None
 
@@ -507,11 +504,10 @@ class VirtualNetwork:
     """
 
     def __init__(self, clock: Optional[VirtualClock] = None, *, seed: int = 0,
-                 default_faults: Optional[LinkFaults] = None,
                  record_trace: bool = True) -> None:
         self.clock: Clock = clock if clock is not None else VirtualClock()
         self._rng = random.Random(seed)
-        self._default = default_faults if default_faults is not None else LinkFaults()
+        self._default = LinkFaults()
         self._links: dict[tuple[str, str], LinkFaults] = {}
         self._listeners: dict[tuple[str, int], _VirtualListener] = {}
         #: Ephemeral port counter, shared by binds and dial source

@@ -18,7 +18,6 @@ Four small pieces, layered like the rest of the repo:
 from .export import (
     SCHEMA,
     prometheus_text,
-    snapshot_json,
     snapshot_obj,
     validate_snapshot,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "format_dump",
     "pow2_bounds",
     "prometheus_text",
-    "snapshot_json",
     "snapshot_obj",
     "validate_snapshot",
 ]

@@ -29,7 +29,6 @@ becomes a ``registry`` label, and histograms emit cumulative
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Mapping, Union
 
@@ -38,7 +37,6 @@ from .registry import Registry
 __all__ = [
     "SCHEMA",
     "prometheus_text",
-    "snapshot_json",
     "snapshot_obj",
     "validate_snapshot",
 ]
@@ -63,13 +61,6 @@ def snapshot_obj(
             name: registry.snapshot() for name, registry in registries.items()
         },
     }
-
-
-def snapshot_json(
-    registries: Union[Registry, Mapping[str, Registry]], indent: int = 2,
-) -> str:
-    """The JSON text of :func:`snapshot_obj` (sorted, newline-closed)."""
-    return json.dumps(snapshot_obj(registries), indent=indent, sort_keys=True) + "\n"
 
 
 def validate_snapshot(obj: object) -> list[str]:

@@ -1,4 +1,4 @@
-"""Asyncio surfaces: the scrape endpoint and the periodic sampler.
+"""Asyncio surface: the scrape endpoint.
 
 This is the only ``repro.obs`` module allowed to import asyncio — the
 layering check exempts it by name.  Everything it serves comes from a
@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import asyncio
 import json
-from collections import deque
 from typing import Callable, Optional
 
 from .export import prometheus_text
 
-__all__ = ["MetricsServer", "PeriodicSampler"]
+__all__ = ["MetricsServer"]
 
 #: Returns a snapshot object (``snapshot_obj`` shape) on demand.
 SnapshotProvider = Callable[[], dict]
@@ -116,55 +115,3 @@ def _response(status: int, content_type: str, body: str) -> bytes:
     )
     return head.encode("ascii") + payload
 
-
-class PeriodicSampler:
-    """Keep a bounded history of snapshots on a fixed cadence.
-
-    A rate question ("how many packets in the last second?") needs two
-    snapshots; the sampler takes one every ``interval`` seconds and
-    retains the last ``capacity``, timestamped with the loop clock.
-    """
-
-    def __init__(
-        self,
-        provider: SnapshotProvider,
-        *,
-        interval: float = 1.0,
-        capacity: int = 60,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("sample interval must be positive")
-        self._provider = provider
-        self._interval = interval
-        self.samples: deque = deque(maxlen=capacity)
-        self._task: Optional[asyncio.Task] = None
-
-    def start(self) -> "PeriodicSampler":
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
-        return self
-
-    async def stop(self) -> None:
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
-
-    def sample_once(self) -> dict:
-        """Take (and retain) one sample immediately."""
-        snapshot = self._provider()
-        self.samples.append(
-            (asyncio.get_event_loop().time(), snapshot)
-        )
-        return snapshot
-
-    def latest(self) -> Optional[dict]:
-        return self.samples[-1][1] if self.samples else None
-
-    async def _run(self) -> None:
-        while True:
-            await asyncio.sleep(self._interval)
-            self.sample_once()

@@ -13,7 +13,8 @@ server-side protocol decision exactly once:
 * **complaint → probe → repair slow path** — a child's complaint about
   a silent thread opens a failure episode, probes the suspect once (one
   probe in flight per suspect), and splices it out when the probe timer
-  fires unanswered;
+  fires unanswered; a complaint counts only when the suspect is the
+  reporter's parent on the named column;
 * **§5 congestion** — shed one thread from a congested node / hand one
   back, re-clipping the affected child.
 
@@ -63,13 +64,17 @@ __all__ = ["ServerEngine"]
 
 
 def _speaker(event: MessageReceived) -> int:
-    """The node a first-person message (leave, probe ack, congestion)
-    speaks for: the authenticated owner of the connection when the
-    driver has one, else the id the message claims.  A peer must not be
-    able to leave, answer a probe or shed a thread for another."""
+    """The node a first-person message (leave, complaint, probe ack,
+    congestion) speaks for: the authenticated owner of the connection
+    when the driver has one, else the id the message claims.  A peer
+    must not be able to leave, complain, answer a probe or shed a thread
+    for another."""
     if isinstance(event.sender, int):
         return event.sender
-    return event.message.node_id
+    message = event.message
+    if isinstance(message, ComplaintMsg):
+        return message.reporter
+    return message.node_id
 
 
 class _Departed(Set):
@@ -140,7 +145,8 @@ class ServerEngine(TappedEngine):
             if isinstance(message, LeaveRequest):
                 return self._on_leave(_speaker(event))
             if isinstance(message, ComplaintMsg):
-                return self._on_complaint(message.suspect)
+                return self._on_complaint(
+                    _speaker(event), message.column, message.suspect)
             if isinstance(message, ProbeAck):
                 return self._on_probe_ack(_speaker(event), message.nonce)
             if isinstance(message, CongestionDrop):
@@ -190,8 +196,16 @@ class ServerEngine(TappedEngine):
     # ------------------------------------------------------------------
     # Failure detection and repair
 
-    def _on_complaint(self, suspect: int) -> list[Effect]:
+    def _on_complaint(self, reporter: int, column: int,
+                      suspect: int) -> list[Effect]:
         if suspect not in self.core.registry or suspect in self.core.failed:
+            return []
+        # Only the suspect's child on that column may name it: anyone
+        # else could get a briefly unreachable bystander spliced out.
+        matrix = self.core.matrix
+        if (reporter not in matrix
+                or column not in matrix.row(reporter).columns
+                or matrix.parent_in_column(reporter, column) != suspect):
             return []
         effects: list[Effect] = []
         if suspect not in self._open_episodes:

@@ -37,7 +37,7 @@ from .runtime import (
     uncoded,
 )
 from .streaming import PlaybackMonitor, PlaybackReport
-from .rng import RngStreams, make_rng
+from .rng import RngStreams
 from .session import (
     SessionConfig,
     SessionResult,
@@ -74,7 +74,6 @@ __all__ = [
     "file_download",
     "flash_crowd",
     "live_streaming",
-    "make_rng",
     "mean_completion_slot",
     "rlnc",
     "run_session",

@@ -72,11 +72,6 @@ class OutageModel:
             raise ValueError("recovery must be in (0, 1]")
 
     @property
-    def mean_duration(self) -> float:
-        """Expected outage length in slots."""
-        return 1.0 / self.recovery
-
-    @property
     def stationary_outage_fraction(self) -> float:
         """Long-run fraction of time a node spends outaged."""
         if self.onset == 0.0:

@@ -8,18 +8,9 @@ reproducible and comparable across configurations.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
-
-SeedLike = Union[int, np.random.Generator, None]
-
-
-def make_rng(seed: SeedLike = None) -> np.random.Generator:
-    """Coerce a seed-like value into a Generator (pass-through if one)."""
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 class RngStreams:

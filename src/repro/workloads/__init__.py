@@ -1,11 +1,6 @@
 """Workload generation: arrival schedules and recorded churn traces."""
 
-from .generator import (
-    diurnal_schedule,
-    flash_crowd_schedule,
-    steady_schedule,
-    total_joins,
-)
+from .generator import flash_crowd_schedule, steady_schedule
 from .trace import ChurnTrace, TraceEvent, TraceRecorder, replay
 
 __all__ = [
@@ -13,8 +8,6 @@ __all__ = [
     "TraceEvent",
     "TraceRecorder",
     "replay",
-    "diurnal_schedule",
     "flash_crowd_schedule",
     "steady_schedule",
-    "total_joins",
 ]

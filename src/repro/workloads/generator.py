@@ -1,16 +1,14 @@
 """Arrival-schedule generators for realistic workloads.
 
 A schedule is a list of per-interval join counts; drivers feed it to the
-overlay one repair interval at a time.  Three shapes cover the paper's
-motivating scenarios: steady trickle (long-lived live channel), flash
-crowd (a release event — the BitTorrent/Redhat-9 story of §3), and a
-diurnal wave (a daily audience cycle).
+overlay one repair interval at a time.  Two shapes cover the paper's
+motivating scenarios: steady trickle (long-lived live channel) and flash
+crowd (a release event — the BitTorrent/Redhat-9 story of §3).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
 
 import numpy as np
 
@@ -43,27 +41,3 @@ def flash_crowd_schedule(
         rate = base_rate + peak_rate * math.exp(-((t - peak_at) ** 2) / (2 * width**2))
         schedule.append(int(rng.poisson(rate)))
     return schedule
-
-
-def diurnal_schedule(
-    intervals: int,
-    mean_rate: float,
-    period: int,
-    rng: np.random.Generator,
-    swing: float = 0.8,
-) -> list[int]:
-    """A sinusoidal daily cycle: rate = mean·(1 + swing·sin(2πt/period))."""
-    if period <= 0:
-        raise ValueError("period must be positive")
-    if not 0.0 <= swing <= 1.0:
-        raise ValueError("swing must be in [0, 1]")
-    schedule = []
-    for t in range(intervals):
-        rate = mean_rate * (1.0 + swing * math.sin(2 * math.pi * t / period))
-        schedule.append(int(rng.poisson(max(0.0, rate))))
-    return schedule
-
-
-def total_joins(schedule: Iterable[int]) -> int:
-    """Sum of a schedule (convenience for sizing assertions)."""
-    return int(sum(schedule))

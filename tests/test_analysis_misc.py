@@ -6,9 +6,7 @@ from repro.analysis import (
     chi_square_same_distribution,
     delay_profile,
     ks_same_distribution,
-    mean_ci,
     pipeline_depth_profile,
-    proportion_ci,
 )
 from repro.core import OverlayNetwork
 
@@ -44,31 +42,6 @@ class TestDelay:
 
 
 class TestStats:
-    def test_mean_ci_contains_truth(self, rng):
-        samples = rng.normal(5.0, 1.0, size=400)
-        estimate = mean_ci(samples)
-        assert estimate.low < 5.0 < estimate.high
-        assert estimate.n == 400
-
-    def test_mean_ci_single_sample(self):
-        estimate = mean_ci([3.0])
-        assert estimate.mean == 3.0
-        assert estimate.half_width == float("inf")
-
-    def test_mean_ci_empty_raises(self):
-        with pytest.raises(ValueError):
-            mean_ci([])
-
-    def test_proportion_ci_bounds(self):
-        estimate = proportion_ci(30, 100)
-        assert 0.2 < estimate.low < 0.3 < estimate.high < 0.42
-
-    def test_proportion_ci_extremes(self):
-        zero = proportion_ci(0, 50)
-        assert zero.low >= 0.0 or zero.mean - zero.half_width < 0.05
-        with pytest.raises(ValueError):
-            proportion_ci(1, 0)
-
     def test_chi_square_same_distribution_accepts_identical(self, rng):
         counts = rng.integers(50, 100, size=6)
         _, p_value = chi_square_same_distribution(counts, counts)

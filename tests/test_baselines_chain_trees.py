@@ -1,6 +1,7 @@
 """Unit tests for the chain and striped-tree baselines."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -64,12 +65,12 @@ class TestStripedTrees:
     def test_interior_out_degree_bounded(self):
         trees = StripedTrees(d=3, population=60)
         for stripe in range(3):
+            out_degree = Counter(trees.parent_in_tree(v, stripe) for v in range(60))
             for node in range(60):
-                children = trees.children_in_tree(node, stripe)
                 if node % 3 == stripe:
-                    assert len(children) <= 3
+                    assert out_degree[node] <= 3
                 else:
-                    assert children == []
+                    assert out_degree[node] == 0
 
     def test_unknown_node_raises(self):
         trees = StripedTrees(d=2, population=4)
@@ -95,14 +96,6 @@ class TestStripedTrees:
         low, _ = trees.simulate_delivery(0.01, np.random.default_rng(4))
         high, _ = trees.simulate_delivery(0.2, np.random.default_rng(4))
         assert high < low
-
-    def test_stripe_probability_formula(self):
-        trees = StripedTrees(d=2, population=20)
-        for node in (0, 7, 19):
-            for stripe in (0, 1):
-                probability = trees.stripe_delivery_probability(node, stripe, 0.1)
-                depth = trees.depth_in_tree(node, stripe)
-                assert probability == pytest.approx(0.9 ** (depth - 1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

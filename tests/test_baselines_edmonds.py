@@ -5,7 +5,6 @@ import pytest
 
 from repro.baselines import (
     curtain_tree_decomposition,
-    pack_arborescences,
     route_stripes,
     verify_packing,
 )
@@ -41,38 +40,6 @@ class TestCurtainDecomposition:
         trees = curtain_tree_decomposition(small_net.matrix)
         used = sum(len(t) for t in trees)
         assert used == 40 * 3  # every thread segment used exactly once
-
-
-class TestGeneralPacking:
-    def test_packs_curtain_graph(self, rng):
-        net = OverlayNetwork(k=10, d=2, seed=3)
-        net.grow(20)
-        graph = net.graph()
-        trees = pack_arborescences(graph, 2, rng)
-        assert verify_packing(graph, trees)
-
-    def test_rejects_insufficient_connectivity(self, rng):
-        graph = OverlayGraph()
-        graph.add_node(1)
-        graph.add_edge(SERVER, 1, 1)
-        with pytest.raises(ValueError):
-            pack_arborescences(graph, 2, rng)
-
-    def test_single_tree_is_spanning(self, rng):
-        net = OverlayNetwork(k=8, d=2, seed=4)
-        net.grow(15)
-        graph = net.graph()
-        trees = pack_arborescences(graph, 1, rng)
-        assert len(trees) == 1
-        assert verify_packing(graph, trees)
-
-    def test_matches_curtain_count(self, rng):
-        """The general algorithm finds as many trees as the fast path."""
-        net = OverlayNetwork(k=12, d=3, seed=5)
-        net.grow(15)
-        graph = net.graph()
-        trees = pack_arborescences(graph, 3, rng)
-        assert verify_packing(graph, trees)
 
 
 class TestVerifyPacking:

@@ -9,7 +9,6 @@ from repro.coding import (
     Recoder,
     SourceEncoder,
 )
-from repro.gf.linalg import rank as gf_rank
 
 PARAMS = GenerationParams(generation_size=6, payload_size=24)
 
@@ -36,7 +35,7 @@ class TestEncoder:
 
     def test_emit_never_zero(self, encoder):
         for _ in range(100):
-            assert not encoder.emit().is_zero()
+            assert encoder.emit().coefficients.any()
 
     def test_payload_consistent_with_coefficients(self, encoder):
         """Emitted payload must equal coefficients applied to the block."""
@@ -123,13 +122,6 @@ class TestDecoder:
             assert progress >= last
             last = progress
         assert 0.0 <= last <= 1.0
-
-    def test_basis_packets_reproduce_rank(self, encoder):
-        gdec = Decoder(PARAMS, encoder.generation_count).generations[0]
-        for _ in range(4):
-            gdec.push(encoder.emit(0))
-        basis = gdec.basis_packets()
-        assert gf_rank(np.stack([p.coefficients for p in basis])) == gdec.rank
 
     def test_invalid_generation_count(self):
         with pytest.raises(ValueError):

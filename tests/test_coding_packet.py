@@ -25,10 +25,6 @@ class TestCodedPacket:
         packet = make_packet([1, 0], [0] * 8)
         assert packet.header_overhead == pytest.approx(2 / 10)
 
-    def test_is_zero(self):
-        assert make_packet([0, 0], [1, 2]).is_zero()
-        assert not make_packet([0, 1], [1, 2]).is_zero()
-
     def test_is_systematic(self):
         assert make_packet([0, 1, 0], [5]).is_systematic()
         assert not make_packet([0, 2, 0], [5]).is_systematic()

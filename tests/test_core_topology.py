@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import SERVER, ThreadMatrix, build_overlay_graph, hanging_thread_sources
+from repro.core import SERVER, ThreadMatrix, build_overlay_graph
 from repro.core.topology import OverlayGraph
 
 
@@ -79,23 +79,8 @@ class TestGraphAlgorithms:
         assert set(graph.parents(2)) == {0, 1}
         assert set(graph.children(0)) == {1, 2}
 
-    def test_to_networkx(self, matrix):
-        nx_graph = build_overlay_graph(matrix).to_networkx()
-        assert nx_graph.number_of_nodes() == 4  # server + 3
-        assert nx_graph.number_of_edges() == 6
-
 
 class TestHangingSources:
-    def test_all_live(self, matrix):
-        owners = hanging_thread_sources(matrix)
-        assert owners == {0: 2, 1: 1, 2: 2, 3: SERVER, 4: SERVER}
-
-    def test_failed_owner_omitted(self, matrix):
-        owners = hanging_thread_sources(matrix, failed={2})
-        assert 0 not in owners
-        assert 2 not in owners
-        assert owners[1] == 1
-
     def test_unreachable_nodes_have_no_depth(self, matrix):
         graph = build_overlay_graph(matrix, failed={0, 1})
         depths = graph.depths_from_server()

@@ -8,7 +8,6 @@ from repro.failures import (
     CohortBatchFailures,
     IIDFailures,
     RandomBatchFailures,
-    TopRowsFailures,
     apply_failures,
 )
 
@@ -60,12 +59,8 @@ class TestBatchModels:
         victims = CohortBatchFailures(1.0).select(net, rng)
         assert len(victims) == 100
 
-    def test_top_rows_hits_earliest(self, net, rng):
-        victims = TopRowsFailures(0.1).select(net, rng)
-        assert victims == net.matrix.node_ids[:10]
-
     def test_invalid_fractions(self):
-        for model in (RandomBatchFailures, CohortBatchFailures, TopRowsFailures):
+        for model in (RandomBatchFailures, CohortBatchFailures):
             with pytest.raises(ValueError):
                 model(1.2)
 

@@ -1,8 +1,6 @@
 """Tests for smaller public API surfaces not covered elsewhere."""
 
-from repro.analysis import FlowNetwork, expansion_report
-from repro.baselines.edmonds import pack_arborescences
-from repro.core import OverlayNetwork
+from repro.analysis import FlowNetwork
 from repro.sim import RngStreams
 
 
@@ -14,27 +12,7 @@ class TestFlowNetworkIntrospection:
         assert network.has_vertex("a")
         assert not network.has_vertex("b")
         network.add_edge("a", "b", 1)
-        assert network.vertex_count == 2
         assert network.edge_count == 1
-
-
-class TestEdmondsCandidateLimit:
-    def test_candidate_cap_still_packs(self, rng):
-        net = OverlayNetwork(k=8, d=2, seed=3)
-        net.grow(12)
-        graph = net.graph()
-        trees = pack_arborescences(graph, 2, rng, max_candidate_tries=4)
-        from repro.baselines import verify_packing
-
-        assert verify_packing(graph, trees)
-
-
-class TestExpansionReport:
-    def test_fields(self, small_net):
-        report = expansion_report(small_net.graph())
-        assert report["nodes"] == 40.0
-        assert report["edges"] == 120.0
-        assert 0.0 <= report["spectral_gap"] <= 1.0
 
 
 class TestRngStreamsIndependenceAcrossNames:

@@ -91,10 +91,14 @@ class TestFailureDetectionAndRepair:
 
     def test_alive_node_survives_spurious_complaint(self, deploy):
         async def script(h):
-            node_ids = h.server.core.matrix.node_ids
-            suspect, reporter = node_ids[2], node_ids[10]
+            matrix = h.server.core.matrix
+            suspect = matrix.node_ids[2]
+            column, reporter = next(
+                (column, child) for column, child
+                in sorted(matrix.children_of(suspect).items())
+                if child is not None)
             h.peers[h.index_of(reporter)]._write_control(ComplaintMsg(
-                reporter=reporter, column=0, suspect=suspect))
+                reporter=reporter, column=column, suspect=suspect))
             await h.settle(1.0)
             assert h.server.engine.obs.probes_sent.value == 1
             assert h.server.engine.obs.repairs.value == 0

@@ -7,7 +7,7 @@ import pytest
 
 from repro.coding import CodedPacket
 from repro.coding.wire import WireFormatError, decode_packet, encode_packet
-from repro.net.testing import LinkFaults, VirtualClock, VirtualNetwork
+from repro.net.testing import VirtualClock, VirtualNetwork
 
 
 def run(coro):
@@ -455,8 +455,8 @@ class TestVirtualPipes:
         assert delivered == 0  # the echo never happened: b heard nothing
 
     def test_default_faults_apply_to_new_links(self):
-        net = VirtualNetwork(default_faults=LinkFaults(latency=0.5))
-        assert net.link("x", "y").latency == 0.5
+        net = VirtualNetwork()
+        assert net.link("x", "y").latency == 0.0
         net.set_default(latency=0.1)
         assert net.link("p", "q").latency == 0.1
         assert net.link("x", "y").latency == 0.1  # existing links updated too

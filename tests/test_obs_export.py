@@ -7,11 +7,10 @@ from repro.obs import (
     Registry,
     SCHEMA,
     prometheus_text,
-    snapshot_json,
     snapshot_obj,
     validate_snapshot,
 )
-from repro.obs.http import MetricsServer, PeriodicSampler
+from repro.obs.http import MetricsServer
 
 
 def _populated_registry(name="r") -> Registry:
@@ -37,11 +36,6 @@ class TestSnapshotSchema:
         })
         assert set(obj["registries"]) == {"server:1", "peer:2"}
         assert validate_snapshot(obj) == []
-
-    def test_json_round_trip(self):
-        text = snapshot_json(_populated_registry())
-        assert text.endswith("\n")
-        assert validate_snapshot(json.loads(text)) == []
 
     def test_wrong_schema_tag_rejected(self):
         obj = snapshot_obj(_populated_registry())
@@ -135,30 +129,3 @@ class TestMetricsServer:
             b"HTTP/1.0 405"
         )
 
-
-class TestPeriodicSampler:
-    def test_sample_once_and_bounded_history(self):
-        async def _run():
-            registry = Registry("r")
-            counter = registry.counter("ticks")
-            sampler = PeriodicSampler(
-                lambda: snapshot_obj(registry), capacity=2,
-            )
-            for _ in range(4):
-                counter.inc()
-                sampler.sample_once()
-            assert len(sampler.samples) == 2
-            latest = sampler.latest()
-            assert latest["registries"]["r"]["counters"]["ticks"] == 4
-        asyncio.run(_run())
-
-    def test_background_task_samples_on_cadence(self):
-        async def _run():
-            registry = Registry("r")
-            sampler = PeriodicSampler(
-                lambda: snapshot_obj(registry), interval=0.01,
-            ).start()
-            await asyncio.sleep(0.05)
-            await sampler.stop()
-            assert len(sampler.samples) >= 2
-        asyncio.run(_run())

@@ -103,8 +103,14 @@ def drive_server(engine: ServerEngine, ops, *, check=None) -> list:
             if op == "leave":
                 step(MessageReceived(LeaveRequest(node_id=node), sender=node))
             elif op == "complaint":
-                step(MessageReceived(
-                    ComplaintMsg(reporter=node, column=0, suspect=node)))
+                # Name the node's parent on one of its columns: the only
+                # complaint the engine acts on.
+                matrix = engine.core.matrix
+                parents = (sorted(matrix.parents_of(node).items())
+                           if node in matrix else [(0, node)])
+                column, suspect = parents[raw % len(parents)]
+                step(MessageReceived(ComplaintMsg(
+                    reporter=node, column=column, suspect=suspect)))
             elif op == "ack":
                 nonce = engine.pending_probes.get(node, 0)
                 step(MessageReceived(ProbeAck(node_id=node, nonce=nonce)))
@@ -304,10 +310,18 @@ class TestServerEngineSenderAuthority:
             engine.handle(MessageReceived(JoinRequest(reply_to=0)))
         return engine, sorted(engine.core.registry)
 
+    @staticmethod
+    def _a_child_of(engine, parent: int) -> tuple[int, int]:
+        """``(column, child)`` of one thread ``parent`` feeds."""
+        return next((column, child) for column, child
+                    in engine.core.matrix.children_of(parent).items()
+                    if child is not None)
+
     def test_spoofed_probe_ack_does_not_save_the_suspect(self):
-        engine, (a, b, _) = self._engine_with_peers(3)
+        engine, (a, _, _) = self._engine_with_peers(3)
+        column, b = self._a_child_of(engine, a)
         effects = engine.handle(MessageReceived(
-            ComplaintMsg(reporter=b, column=0, suspect=a), sender=b))
+            ComplaintMsg(reporter=b, column=column, suspect=a), sender=b))
         (timer,) = [e for e in effects if isinstance(e, StartTimer)]
         nonce = engine.pending_probes[a]
 
@@ -317,6 +331,41 @@ class TestServerEngineSenderAuthority:
         repaired = engine.handle(TimerFired(timer.key))
         assert PeerDeparted(node_id=a, reason="crash") in repaired
         assert a in engine.departed
+
+    def test_only_the_suspects_child_gets_it_probed(self):
+        """A peer that does not feed the reporter on the named column
+        is never probed on its word, so it can never be spliced out;
+        its child's complaint still probes it."""
+        engine, peers = self._engine_with_peers(5)
+        matrix = engine.core.matrix
+        for reporter in peers:
+            for column in range(matrix.k):
+                for suspect in peers:
+                    if (column in matrix.row(reporter).columns
+                            and matrix.parent_in_column(reporter, column)
+                            == suspect):
+                        continue
+                    effects = engine.handle(MessageReceived(ComplaintMsg(
+                        reporter=reporter, column=column, suspect=suspect)))
+                    assert effects == [], (reporter, column, suspect)
+        assert engine.pending_probes == {}
+
+        column, child = self._a_child_of(engine, peers[0])
+        effects = engine.handle(MessageReceived(ComplaintMsg(
+            reporter=child, column=column, suspect=peers[0])))
+        assert Send(peers[0], Probe(nonce=engine.pending_probes[peers[0]])) in effects
+        assert any(isinstance(e, StartTimer) for e in effects)
+
+    def test_complaint_speaks_for_its_sender(self):
+        """Claiming to be the suspect's child does not make a complaint
+        count: the connection's owner is the reporter."""
+        engine, (a, b, c) = self._engine_with_peers(3)
+        column, child = self._a_child_of(engine, a)
+        spoofer = b if child == c else c
+        effects = engine.handle(MessageReceived(
+            ComplaintMsg(reporter=child, column=column, suspect=a),
+            sender=spoofer))
+        assert effects == []
 
     def test_spoofed_congestion_messages_move_the_senders_threads(self):
         engine, (a, b, _) = self._engine_with_peers(3)

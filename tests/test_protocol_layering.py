@@ -181,6 +181,64 @@ class TestNoBystanders:
         (violation,) = check_layering.check_uncalled(tree, [callers])
         assert "'coding.entropy' is imported by no non-test file" in violation
 
+    def test_this_tree_has_no_test_only_name(self):
+        assert check_layering.check_unused_names() == []
+        assert all(check_layering.KNOWN_TEST_ONLY.values())
+
+    @staticmethod
+    def _names_tree(tmp_path, caller: str):
+        """A planted tree with three public names, plus one example file
+        (``caller``) and one test that calls all of them."""
+        tree = _plant(tmp_path, {
+            "coding/mix.py": (
+                "def used():\n    return helper()\n\n"
+                "def helper():\n    return 1\n\n"
+                "def orphan():\n    return orphan\n\n"
+                "def _private():\n    ...\n"
+            ),
+        })
+        (tree / "coding" / "__init__.py").write_text(
+            "from .mix import orphan, used\n__all__ = ['orphan', 'used']\n")
+        callers = tmp_path / "examples"
+        callers.mkdir()
+        (callers / "demo.py").write_text(caller)
+        (callers / "test_demo.py").write_text(
+            "from repro.coding.mix import helper, orphan, used\n"
+            "orphan(); helper(); used()\n")
+        return tree, [callers]
+
+    def test_planted_unreferenced_function_is_reported(self, tmp_path, monkeypatch):
+        """Imports, ``__all__``, the definition's own body and tests do
+        not count; a call from another source function does."""
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY", {})
+        tree, callers = self._names_tree(
+            tmp_path, "from repro.coding import mix\nmix.used()\n")
+        (violation,) = check_layering.check_unused_names(tree, callers)
+        assert violation.endswith(
+            "mix.py:7: coding.mix.orphan is used by no non-test file")
+
+    def test_string_constant_reference_counts(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY", {})
+        tree, callers = self._names_tree(
+            tmp_path,
+            "import importlib\n"
+            "mix = importlib.import_module('repro.coding.mix')\n"
+            "for name in ('used', 'orphan'):\n"
+            "    getattr(mix, name)()\n")
+        assert check_layering.check_unused_names(tree, callers) == []
+
+    def test_stale_table_entries_are_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY", {
+            "coding.mix.orphan": "oracle",
+            "coding.mix.used": "oracle",
+            "coding.mix.gone": "oracle",
+        })
+        tree, callers = self._names_tree(tmp_path, "from repro.coding import used\nused()\n")
+        assert check_layering.check_unused_names(tree, callers) == [
+            "KNOWN_TEST_ONLY['coding.mix.gone']: names nothing",
+            "KNOWN_TEST_ONLY['coding.mix.used']: now has a non-test caller",
+        ]
+
 
 class TestDeploymentImports:
     #: Packages of the experiments' library (and the relocated codec):

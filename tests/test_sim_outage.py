@@ -20,9 +20,6 @@ class TestOutageModel:
         assert model.stationary_outage_fraction == pytest.approx(0.2)
         assert OutageModel(onset=0.0).stationary_outage_fraction == 0.0
 
-    def test_mean_duration(self):
-        assert OutageModel(onset=0.1, recovery=0.25).mean_duration == 4.0
-
     def test_advance_statistics(self, rng):
         model = OutageModel(onset=0.05, recovery=0.2)
         population = list(range(200))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim import LinkStats, LossModel, RngStreams, make_rng
+from repro.sim import LinkStats, LossModel, RngStreams
 
 
 class TestRngStreams:
@@ -26,11 +26,6 @@ class TestRngStreams:
         a = RngStreams(1).get("s").integers(0, 10**6)
         b = RngStreams(2).get("s").integers(0, 10**6)
         assert a != b
-
-    def test_make_rng_passthrough(self):
-        rng = np.random.default_rng(0)
-        assert make_rng(rng) is rng
-        assert isinstance(make_rng(5), np.random.Generator)
 
 
 class TestLossModel:

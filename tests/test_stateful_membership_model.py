@@ -145,7 +145,6 @@ class MembershipModelMachine(RuleBasedStateMachine):
     @invariant()
     def working_index_matches_scan(self):
         assert sorted(self.server.working_nodes) == self.model.working
-        assert self.server.working_count == len(self.model.working)
 
     @invariant()
     def failed_set_matches_model(self):

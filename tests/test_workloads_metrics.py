@@ -5,12 +5,7 @@ import pytest
 
 from repro.metrics import format_cell, render_table
 from repro.sim import file_download, flash_crowd, live_streaming
-from repro.workloads import (
-    diurnal_schedule,
-    flash_crowd_schedule,
-    steady_schedule,
-    total_joins,
-)
+from repro.workloads import flash_crowd_schedule, steady_schedule
 
 
 class TestSchedules:
@@ -34,21 +29,6 @@ class TestSchedules:
     def test_flash_crowd_validation(self, rng):
         with pytest.raises(ValueError):
             flash_crowd_schedule(10, 5.0, 5, width=0.0, rng=rng)
-
-    def test_diurnal_oscillates(self, rng):
-        schedule = diurnal_schedule(200, mean_rate=10.0, period=50, rng=rng)
-        crest = np.mean([schedule[i] for i in range(5, 200, 50)])
-        trough = np.mean([schedule[i] for i in range(37, 200, 50)])
-        assert crest > trough
-
-    def test_diurnal_validation(self, rng):
-        with pytest.raises(ValueError):
-            diurnal_schedule(10, 5.0, period=0, rng=rng)
-        with pytest.raises(ValueError):
-            diurnal_schedule(10, 5.0, period=5, rng=rng, swing=2.0)
-
-    def test_total_joins(self):
-        assert total_joins([1, 2, 3]) == 6
 
 
 class TestScenarios:

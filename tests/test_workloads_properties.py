@@ -25,12 +25,7 @@ from hypothesis import strategies as st
 
 from repro.core import OverlayNetwork
 from repro.workloads import ChurnTrace, TraceRecorder
-from repro.workloads.generator import (
-    diurnal_schedule,
-    flash_crowd_schedule,
-    steady_schedule,
-    total_joins,
-)
+from repro.workloads.generator import flash_crowd_schedule, steady_schedule
 
 GOLDEN = Path(__file__).parent / "goldens" / "workload_steady.json"
 
@@ -53,7 +48,6 @@ class TestScheduleProperties:
         )
         assert len(schedule) == intervals
         assert all(isinstance(x, int) and x >= 0 for x in schedule)
-        assert total_joins(schedule) == sum(schedule)
 
     @given(
         rate=st.floats(min_value=0.5, max_value=30.0),
@@ -71,7 +65,7 @@ class TestScheduleProperties:
         schedule = steady_schedule(
             intervals, rate, np.random.default_rng(seed)
         )
-        mean = total_joins(schedule) / intervals
+        mean = sum(schedule) / intervals
         assert abs(mean - rate) < 6.0 * math.sqrt(rate / intervals) + 1e-9
 
     @given(
@@ -108,26 +102,9 @@ class TestScheduleProperties:
             schedule[t] for t in range(intervals)
             if abs(t - peak_at) <= 3 * width
         )
-        total = total_joins(schedule)
+        total = sum(schedule)
         if total >= 20:  # too few arrivals and the ratio is noise
             assert window / total > 0.9
-
-    @given(
-        intervals=st.integers(min_value=1, max_value=300),
-        mean_rate=st.floats(min_value=0.0, max_value=30.0),
-        period=st.integers(min_value=1, max_value=100),
-        swing=st.floats(min_value=0.0, max_value=1.0),
-        seed=st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_diurnal_shape_and_support(self, intervals, mean_rate, period,
-                                       swing, seed):
-        schedule = diurnal_schedule(
-            intervals, mean_rate, period,
-            np.random.default_rng(seed), swing=swing,
-        )
-        assert len(schedule) == intervals
-        assert all(x >= 0 for x in schedule)
 
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
@@ -185,7 +162,7 @@ class TestGoldenTrace:
         trace = ChurnTrace.load(GOLDEN)
         assert ChurnTrace.from_json(trace.to_json()).events == trace.events
         counts = trace.counts()
-        assert counts["join"] == total_joins(
+        assert counts["join"] == sum(
             steady_schedule(12, 2.5, np.random.default_rng(90210))
         )
         assert counts["fail"] == counts["repair"]

@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Layering contracts for ``src/repro``: imports point downward only.
+"""Layering contracts for ``src/repro``: imports point downward only,
+and every module and public name has a caller that is not a test.
 
-Three checks, all over the packages' ASTs:
+Four checks, all over the packages' ASTs:
 
 **One declared package order** (:data:`LAYERS`, lowest first).  A module
 may import its own layer entry and any entry on an earlier line — never
@@ -25,6 +26,17 @@ file that is not a test — another ``src/repro`` module (a package's own
 ``__init__`` re-exporting it does not count), an example, or a
 benchmark/experiment script — apart from the entry point ``cli`` and the
 modules :data:`KNOWN_UNCALLED` lists with a reason.
+
+**No test-only names.**  The same rule one level down: every public
+top-level ``def`` and ``class`` in ``src/repro`` is mentioned by some
+non-test file — as a ``Name``, an ``Attribute`` or an identifier string
+constant (``benchmarks/e2e/trace.py`` resolves its tables with
+``getattr``) — outside its own definition, imports and ``__all__``.
+A name that tests use to check something else (an oracle, a fake, a
+golden producer) is listed in :data:`KNOWN_TEST_ONLY` with its reason;
+an entry there that names nothing, or whose names all have a non-test
+caller, is itself a violation.  Methods are not checked: too many share
+a name for a bare-name scan to tell them apart.
 
 Run from the repo root (CI's lint job does, and a tier-1 test wraps
 it):
@@ -86,6 +98,41 @@ KNOWN_UNCALLED = {
     # ROADMAP 4a: the §7 entropy/jamming attacks the Byzantine-relay
     # chaos scenarios are to run.
     "failures.attacks",
+}
+
+#: Public top-level names (``module.name``), or whole modules and
+#: packages, that no non-test file uses, each with the reason it stays:
+#: the tests use it to check something else, or a ROADMAP item names it.
+#: (The names of a :data:`KNOWN_UNCALLED` module need no entry.)
+KNOWN_TEST_ONLY: dict[str, str] = {
+    # Oracles, fakes and golden producers.
+    "baselines.edmonds.verify_packing":
+        "oracle: checks curtain_tree_decomposition's packings",
+    "coding.packet.combine":
+        "oracle: the one-packet form of the mixing the kernels batch",
+    "coding.wire.decode_packet":
+        "oracle: exact-frame inverse of encode_packet in the wire tests",
+    "protocol.trace.EngineLog":
+        "records the effect traces the conformance goldens pin",
+    "protocol.trace.replay":
+        "replays EngineLog traces for the determinism properties",
+    "sim.runtime.StaticTopology":
+        "fake: explicit-edge topology for the slotted-runtime tests",
+    "workloads.trace.TraceRecorder":
+        "golden producer: writes tests/goldens/workload_steady.json",
+    # Reads what a command writes.
+    "workloads.trace.replay":
+        "reads the files `repro soak --trace-out` writes",
+    # Named by a README no change may edit.
+    "net.testing.swarm.run_swarm_round":
+        "named in benchmarks/e2e/README.md (frozen)",
+    # Whole modules.
+    "gf.field": "numpy oracle surface the native kernels are tested against",
+    "gf.linalg": "numpy oracle surface the native kernels are tested against",
+    "gf.kernels": "numpy oracle surface the native kernels are tested against",
+    "theory": "ROADMAP 3: source of the server's defect and drift gauges",
+    "analysis.defects":
+        "ROADMAP 3: source of the server's defect and drift gauges",
 }
 
 #: Where non-test importers live, relative to the repo root.
@@ -261,6 +308,17 @@ def _provider(base: str, name: Optional[str], modules: dict[str, Path],
     return target
 
 
+def _caller_files(caller_roots: Optional[list[Path]]) -> Iterator[Path]:
+    """The non-test files under ``caller_roots`` (default
+    :data:`CALLER_DIRS`)."""
+    if caller_roots is None:
+        caller_roots = [REPO_ROOT / d for d in CALLER_DIRS]
+    for caller_root in caller_roots:
+        for path in sorted(caller_root.rglob("*.py")):
+            if not path.name.startswith("test_"):
+                yield path
+
+
 def check_uncalled(root: Path = _REPRO,
                    caller_roots: Optional[list[Path]] = None) -> list[str]:
     """One string per module that only tests (or nothing) import."""
@@ -280,14 +338,9 @@ def check_uncalled(root: Path = _REPRO,
             provider = _provider(base, name, modules, exports)
             if own is None or not provider.startswith(own):
                 called.add(provider)
-    if caller_roots is None:
-        caller_roots = [REPO_ROOT / d for d in CALLER_DIRS]
-    for caller_root in caller_roots:
-        for path in sorted(caller_root.rglob("*.py")):
-            if path.name.startswith("test_"):
-                continue
-            for _lineno, base, name in _imports(path, None):
-                called.add(_provider(base, name, modules, exports))
+    for path in _caller_files(caller_roots):
+        for _lineno, base, name in _imports(path, None):
+            called.add(_provider(base, name, modules, exports))
     return [
         f"{path}: {module!r} is imported by no non-test file"
         for module, path in modules.items()
@@ -296,6 +349,73 @@ def check_uncalled(root: Path = _REPRO,
         and module not in ENTRY_POINTS
         and module not in KNOWN_UNCALLED
     ]
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names a module mentions, outside imports, ``__all__`` and each
+    top-level definition's mentions of its own name."""
+    found: set[str] = set()
+    for statement in tree.body:
+        if isinstance(statement, (ast.Import, ast.ImportFrom)):
+            continue
+        targets = (statement.targets if isinstance(statement, ast.Assign)
+                   else [getattr(statement, "target", None)])
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            continue
+        mentioned: set[str] = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                mentioned.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                mentioned.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                mentioned.add(node.value)
+        mentioned.discard(getattr(statement, "name", None))
+        found |= mentioned
+    return found
+
+
+def check_unused_names(root: Path = _REPRO,
+                       caller_roots: Optional[list[Path]] = None) -> list[str]:
+    """One string per public top-level ``def``/``class`` that only tests
+    (or nothing) mention, and per stale :data:`KNOWN_TEST_ONLY` entry."""
+    modules = _tree_modules(root)
+    definitions: dict[tuple[str, str], tuple[Path, int]] = {}
+    referenced: set[str] = set()
+    for module, path in modules.items():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for statement in tree.body:
+            if (isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                       ast.ClassDef))
+                    and not statement.name.startswith("_")):
+                definitions[module, statement.name] = (path, statement.lineno)
+        referenced |= _references(tree)
+    for path in _caller_files(caller_roots):
+        referenced |= _references(ast.parse(path.read_text(), filename=str(path)))
+
+    def covers(entry: str, dotted: str) -> bool:
+        return (dotted + ".").startswith(entry + ".")
+
+    violations = []
+    excused: set[str] = set()
+    for (module, name), (path, lineno) in definitions.items():
+        if name in referenced or module in KNOWN_UNCALLED:
+            continue
+        dotted = f"{module}.{name}"
+        entry = next((e for e in KNOWN_TEST_ONLY if covers(e, dotted)), None)
+        if entry is None:
+            violations.append(
+                f"{path}:{lineno}: {dotted} is used by no non-test file")
+        else:
+            excused.add(entry)
+    for entry in sorted(set(KNOWN_TEST_ONLY) - excused):
+        named = any(covers(entry, f"{module}.{name}")
+                    for module, name in definitions)
+        violations.append(
+            f"KNOWN_TEST_ONLY[{entry!r}]: " + (
+                "now has a non-test caller" if named else "names nothing"))
+    return violations
 
 
 # ----------------------------------------------------------------------
@@ -312,6 +432,7 @@ def main() -> int:
         ("repro.obs core sans-IO", check_obs_package),
         ("repro.dataplane sans-IO", check_dataplane_package),
         ("no uncalled module", check_uncalled),
+        ("no test-only name", check_unused_names),
     ):
         violations = checker()
         if violations:
