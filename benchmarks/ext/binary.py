@@ -68,7 +68,7 @@ class BinaryDecoder:
         self.generation_size = generation_size
         self.payload_size = payload_size
         self._rows: list[np.ndarray] = []  # rows kept in echelon form
-        self._pivot_of_row: list[int] = []
+        self._pivots: list[int] = []
         self.rank = 0
         self.received = 0
         self.innovative = 0
@@ -82,7 +82,7 @@ class BinaryDecoder:
         if self.is_complete:
             return False
         row = np.concatenate([packet.coefficients, packet.payload]).astype(np.uint8)
-        for pivot, basis in zip(self._pivot_of_row, self._rows):
+        for pivot, basis in zip(self._pivots, self._rows):
             if row[pivot]:
                 row ^= basis
         pivot = -1
@@ -97,7 +97,7 @@ class BinaryDecoder:
             if basis[pivot]:
                 self._rows[i] = basis ^ row
         self._rows.append(row)
-        self._pivot_of_row.append(pivot)
+        self._pivots.append(pivot)
         self.rank += 1
         self.innovative += 1
         return True
@@ -107,7 +107,7 @@ class BinaryDecoder:
         if not self.is_complete:
             raise RuntimeError(f"rank {self.rank}/{self.generation_size}")
         out = np.zeros((self.generation_size, self.payload_size), dtype=np.uint8)
-        for pivot, row in zip(self._pivot_of_row, self._rows):
+        for pivot, row in zip(self._pivots, self._rows):
             out[pivot] = row[self.generation_size:]
         return out
 

@@ -7,12 +7,12 @@ packets (those that increase rank) are inserted, everything else is
 discarded.  When the rank reaches the generation size the original block
 is recovered directly from the RREF.
 
-Every inner loop routes through the batched kernels in
-:mod:`repro.gf.kernels`: a packet is reduced with one call
-(:func:`~repro.gf.kernels.eliminate`), pivots are found with
-``np.nonzero``, back-substitution after an insertion is a single
-:func:`~repro.gf.kernels.addmul_rows` call, and
-:meth:`GenerationDecoder.random_combination` mixes the basis into a
+Every inner loop routes through :mod:`repro.gf.kernels`, one call per
+step: a packet's whole insertion — copy into the free basis row,
+elimination, pivot search, normalisation, back-substitution — is
+:func:`~repro.gf.kernels.insert_row`, and
+:meth:`GenerationDecoder.random_combination` draws its scalars with
+:func:`~repro.gf.kernels.draw_rows` and mixes the basis into a
 preallocated output buffer; see ``docs/performance.md``.
 """
 
@@ -22,8 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..gf.kernels import addmul_rows, combine_rows, eliminate, mix_rows
-from ..gf.tables import FIELD_SIZE, INV, MUL
+from ..gf.kernels import combine_rows, draw_rows, insert_row, mix_rows
 from .generation import GenerationParams, join_content
 from .packet import CodedPacket, SourceBlock
 
@@ -36,11 +35,11 @@ class GenerationDecoder:
         self.params = params
         size = params.generation_size
         width = size + params.payload_size
-        # Row i, when present, has its pivot at column _pivot_cols[i].
+        # Row i < rank has its pivot at column _pivot_cols[i]; row rank
+        # is where insert_row writes the next packet.
         self._rows = np.zeros((size, width), dtype=np.uint8)
         self._pivot_cols = np.zeros(size, dtype=np.intp)
-        self._row_of_pivot: dict[int, int] = {}
-        self._scratch_row = np.empty(width, dtype=np.uint8)
+        self._scalars = np.empty((1, size), dtype=np.uint8)
         self._mix_out = np.empty(width, dtype=np.uint8)
         self.rank = 0
         self.received = 0
@@ -51,31 +50,6 @@ class GenerationDecoder:
         """True once the generation can be fully decoded."""
         return self.rank == self.params.generation_size
 
-    @property
-    def _pivot_of_row(self) -> list[Optional[int]]:
-        """Pivot column of each row slot (None when empty) — diagnostics."""
-        size = self.params.generation_size
-        pivots: list[Optional[int]] = [None] * size
-        for i in range(self.rank):
-            pivots[i] = int(self._pivot_cols[i])
-        return pivots
-
-    def _reduce(self, coefficients: np.ndarray, payload: np.ndarray) -> np.ndarray:
-        """Reduce a packet against the current basis; returns the full row.
-
-        The returned array is the decoder's scratch row — valid until the
-        next ``_reduce`` call; ``push`` copies it on insertion.
-        """
-        size = self.params.generation_size
-        row = self._scratch_row
-        row[:size] = coefficients
-        row[size:] = payload
-        # Basis rows are zero at every pivot column but their own, so one
-        # batched pass fully clears the row at all existing pivots; the
-        # first remaining nonzero (if any) is a brand-new pivot.
-        eliminate(row, self._rows[: self.rank], self._pivot_cols[: self.rank])
-        return row
-
     def push(self, packet: CodedPacket) -> bool:
         """Consume a packet; returns True iff it was innovative."""
         if packet.generation != self.generation:
@@ -83,28 +57,11 @@ class GenerationDecoder:
         self.received += 1
         if self.is_complete:
             return False
-        row = self._reduce(packet.coefficients, packet.payload)
-        size = self.params.generation_size
-        nonzero = np.nonzero(row[:size])[0]
-        if nonzero.size == 0:
+        if insert_row(self._rows, self._pivot_cols, self.rank,
+                      packet.coefficients, packet.payload) < 0:
             return False  # non-innovative
-        pivot = int(nonzero[0])
-        slot = self.rank
-        # Normalise the pivot to 1, writing straight into the basis slot.
-        pivot_value = int(row[pivot])
-        if pivot_value != 1:
-            np.take(MUL[int(INV[pivot_value])], row, out=self._rows[slot])
-        else:
-            self._rows[slot] = row
-        self._pivot_cols[slot] = pivot
-        self._row_of_pivot[pivot] = slot
         self.rank += 1
         self.innovative += 1
-        # Back-substitute: clear column `pivot` from existing rows in one
-        # batched kernel call.
-        if slot:
-            addmul_rows(self._rows[:slot], self._rows[slot],
-                        self._rows[:slot, pivot].copy())
         return True
 
     def decoded_block(self) -> SourceBlock:
@@ -130,8 +87,9 @@ class GenerationDecoder:
         """
         if self.rank == 0:
             return None
-        scalars = rng.integers(1, FIELD_SIZE, size=self.rank, dtype=np.uint8)
-        combined = mix_rows(scalars, self._rows[: self.rank], out=self._mix_out)
+        scalars = self._scalars[:, : self.rank]
+        draw_rows(rng, scalars, 1)
+        combined = mix_rows(scalars[0], self._rows[: self.rank], out=self._mix_out)
         size = self.params.generation_size
         return CodedPacket(
             generation=self.generation,

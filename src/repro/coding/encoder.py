@@ -12,8 +12,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from ..gf.kernels import combine_rows, mix_rows
-from ..gf.tables import FIELD_SIZE
+from ..gf.kernels import combine_rows, draw_rows
 from .generation import GenerationParams, split_content
 from .packet import CodedPacket, SourceBlock
 
@@ -58,33 +57,18 @@ class SourceEncoder:
         """
         if generation is None:
             generation = int(self._rng.integers(0, self.generation_count))
-        block = self.blocks[generation]
-        cursor = self._systematic_cursor[generation]
-        if self._systematic_first and cursor < block.generation_size:
-            self._systematic_cursor[generation] = cursor + 1
-            packet = block.source_packet(cursor)
-            packet.origin = -1
-            return packet
-        coefficients = self._rng.integers(
-            0, FIELD_SIZE, size=block.generation_size, dtype=np.uint8
-        )
-        if not coefficients.any():
-            # A zero vector carries nothing; force one nonzero entry.
-            coefficients[int(self._rng.integers(0, block.generation_size))] = 1
-        # One batched mixture over the whole block — no per-source-row loop.
-        payload = mix_rows(coefficients, block.data)
-        return CodedPacket(
-            generation=generation, coefficients=coefficients, payload=payload, origin=-1
-        )
+        return self.emit_batch(1, generation)[0]
 
     def emit_batch(self, count: int, generation: int) -> list[CodedPacket]:
         """Emit ``count`` packets of ``generation`` with one mixing gemm.
 
         RNG-stream identical to ``count`` sequential ``emit(generation)``
-        calls — the systematic-cursor fast path, the coefficient draw and
-        the zero-vector fixup all happen per packet in the same order;
-        only the payload mixing is deferred and batched (one
-        :func:`~repro.gf.kernels.combine_rows`).
+        calls (``emit`` is this with ``count=1``): systematic packets
+        first, then one uniform coefficient vector per packet, a zero
+        vector replaced by a single 1 at a drawn position the moment it
+        is drawn.  :func:`~repro.gf.kernels.draw_rows` makes the draws in
+        one call per zero vector met, and one
+        :func:`~repro.gf.kernels.combine_rows` mixes every payload.
         """
         block = self.blocks[generation]
         size = block.generation_size
@@ -100,11 +84,12 @@ class SourceEncoder:
         if mixed <= 0:
             return packets
         coeffs = np.empty((mixed, size), dtype=np.uint8)
-        for i in range(mixed):
-            coefficients = self._rng.integers(0, FIELD_SIZE, size=size, dtype=np.uint8)
-            if not coefficients.any():
-                coefficients[int(self._rng.integers(0, size))] = 1
-            coeffs[i] = coefficients
+        drawn = 0
+        while drawn < mixed:
+            drawn += draw_rows(self._rng, coeffs[drawn:], 0)
+            if not coeffs[drawn - 1].any():
+                # A zero vector carries nothing; force one nonzero entry.
+                coeffs[drawn - 1, int(self._rng.integers(0, size))] = 1
         # combine_rows allocates a fresh output, so packets keep row views.
         payloads = combine_rows(coeffs, block.data)
         trusted = CodedPacket.trusted

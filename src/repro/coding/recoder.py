@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..gf.tables import FIELD_SIZE
+from ..gf.kernels import draw_rows
 from .decoder import Decoder
 from .generation import GenerationParams
 from .packet import CodedPacket
@@ -94,9 +94,10 @@ class Recoder:
         :meth:`~repro.coding.decoder.GenerationDecoder.mixture_rows`
         gemm output), ready to be framed without building packets.
         RNG-stream identical to ``count`` sequential ``emit(generation)``
-        calls: the scalar vectors are drawn one per mixture in the same
-        order; only the GF mixing is batched.  No rows when the buffer
-        holds nothing of ``generation``.
+        calls: :func:`~repro.gf.kernels.draw_rows` draws the scalar
+        vectors as one ``integers`` call each, in the same order, with
+        one native call; only the GF mixing is batched.  No rows when
+        the buffer holds nothing of ``generation``.
         """
         decoder = self.decoder.generations[generation]
         rank = decoder.rank
@@ -104,10 +105,8 @@ class Recoder:
             params = self.params
             return np.empty((0, params.generation_size + params.payload_size),
                             dtype=np.uint8)
-        draw = self._rng.integers
         scalars = np.empty((count, rank), dtype=np.uint8)
-        for i in range(count):
-            scalars[i] = draw(1, FIELD_SIZE, size=rank, dtype=np.uint8)
+        draw_rows(self._rng, scalars, 1)
         return decoder.mixture_rows(scalars)
 
     def emit_batch(self, count: int, generation: int) -> list[CodedPacket]:

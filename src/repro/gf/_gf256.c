@@ -4,8 +4,10 @@
  * in three builds chosen once at module init: AVX2 and SSSE3 multiply by
  * a constant with two 16-entry nibble tables and a byte shuffle; every
  * other host (and every operand whose bytes are not adjacent) walks the
- * 256-entry product row.  The four Python entry points below only check
- * operands and loop that kernel over rows.
+ * 256-entry product row.  The Python entry points below check operands
+ * and loop that kernel over rows; insert_row chains it through a whole
+ * decoder insertion, and draw_rows fills coefficient rows with numpy's
+ * own bounded-integer draws (libnpyrandom, linked in by _native.py).
  *
  * Operands arrive through the buffer protocol: uint8, one or two
  * dimensions, any strides.  An input that shares memory with the output
@@ -20,6 +22,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include <numpy/random/distributions.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -27,6 +30,7 @@
 #endif
 
 static uint8_t MUL[256][256];                                /* MUL[c][x] = c * x */
+static uint8_t INV[256];                                     /* INV[x] * x = 1; INV[0] = 0 */
 static uint8_t NIB[256][2][16] __attribute__((aligned(16))); /* c * k, c * (k << 4) */
 
 static void build_tables(void)
@@ -41,9 +45,11 @@ static void build_tables(void)
         if (value & 0x100)
             value ^= 0x11D;
     }
-    for (int c = 1; c < 256; c++)
+    for (int c = 1; c < 256; c++) {
+        INV[c] = exp[255 - log[c]];
         for (int x = 1; x < 256; x++)
             MUL[c][x] = exp[log[c] + log[x]];
+    }
     for (int c = 0; c < 256; c++)
         for (int k = 0; k < 16; k++) {
             NIB[c][0][k] = MUL[c][k];
@@ -351,6 +357,82 @@ static PyObject *mismatch(void)
     return NULL;
 }
 
+/* A 1-D intp vector of `count` pivot columns. */
+static int acquire_pivots(PyObject *obj, Py_buffer *pivots, int writable,
+                          Py_ssize_t count)
+{
+    int flags = PyBUF_STRIDES | PyBUF_FORMAT | (writable ? PyBUF_WRITABLE : 0);
+    if (PyObject_GetBuffer(obj, pivots, flags) < 0)
+        return -1;
+    if (pivots->ndim != 1 || pivots->itemsize != sizeof(Py_ssize_t)
+            || pivots->format == NULL || strchr("lqn", pivots->format[0]) == NULL
+            || pivots->format[1] != '\0') {
+        PyErr_SetString(PyExc_TypeError, "pivot_cols must be a 1-D intp array");
+        PyBuffer_Release(pivots);
+        return -1;
+    }
+    if (pivots->shape[0] != count) {
+        mismatch();
+        PyBuffer_Release(pivots);
+        return -1;
+    }
+    return 0;
+}
+
+static Py_ssize_t *pivot_at(const Py_buffer *pivots, Py_ssize_t i)
+{
+    return (Py_ssize_t *)((char *)pivots->buf + i * pivots->strides[0]);
+}
+
+/* The multipliers that clear a row's pivots: entry i (i < n) is byte
+ * pivot_cols[i] of the row `head ++ tail` (`tail` may be NULL).  Written
+ * into `few` (256 entries) when they fit, else into a block the caller
+ * frees; NULL with an exception set on failure. */
+static uint8_t *gather_pivots(const Py_buffer *pivots, Py_ssize_t n,
+                              const operand *head, const operand *tail,
+                              uint8_t *few)
+{
+    Py_ssize_t len = head->len + (tail ? tail->len : 0);
+    uint8_t *scalars = few;
+    if (n > 256 && (scalars = malloc((size_t)n)) == NULL) {
+        PyErr_NoMemory();
+        return NULL;
+    }
+    for (Py_ssize_t i = 0; i < n; i++) {
+        Py_ssize_t col = *pivot_at(pivots, i);
+        if (col < 0)
+            col += len;
+        if (col < 0 || col >= len) {
+            PyErr_SetString(PyExc_IndexError, "pivot column out of range");
+            if (scalars != few)
+                free(scalars);
+            return NULL;
+        }
+        scalars[i] = col < head->len ? head->p[col * head->step]
+                                     : tail->p[(col - head->len) * tail->step];
+    }
+    return scalars;
+}
+
+/* dst[k * step] = src[k] over a whole 1-D operand. */
+static void copy_row(uint8_t *dst, Py_ssize_t step, const operand *src)
+{
+    if (step == 1 && src->step == 1) {
+        memcpy(dst, src->p, (size_t)src->len);
+        return;
+    }
+    for (Py_ssize_t k = 0; k < src->len; k++)
+        dst[k * step] = src->p[k * src->step];
+}
+
+static int all_zero(const uint8_t *row, Py_ssize_t len)
+{
+    for (Py_ssize_t k = 0; k < len; k++)
+        if (row[k])
+            return 0;
+    return 1;
+}
+
 /* ------------------------------------------------------------------ */
 /* Entry points */
 
@@ -394,7 +476,7 @@ static PyObject *gf_eliminate(PyObject *self, PyObject *const *args, Py_ssize_t 
 {
     operand row, basis;
     Py_buffer pivots;
-    uint8_t few[256], *scalars = few;
+    uint8_t few[256], *scalars;
     PyObject *result = NULL;
     if (arity("eliminate", nargs, 3) < 0)
         return NULL;
@@ -402,48 +484,152 @@ static PyObject *gf_eliminate(PyObject *self, PyObject *const *args, Py_ssize_t 
         return NULL;
     if (acquire(args[1], &basis, 0, 2, 2, "basis") < 0)
         goto release_row;
-    if (PyObject_GetBuffer(args[2], &pivots, PyBUF_STRIDES | PyBUF_FORMAT) < 0)
+    if (acquire_pivots(args[2], &pivots, 0, basis.rows) < 0)
         goto release_basis;
-    if (pivots.ndim != 1 || pivots.itemsize != sizeof(Py_ssize_t)
-            || pivots.format == NULL || strchr("lqn", pivots.format[0]) == NULL
-            || pivots.format[1] != '\0') {
-        PyErr_SetString(PyExc_TypeError, "pivot_cols must be a 1-D intp array");
-        goto done;
-    }
-    if (pivots.shape[0] != basis.rows || (basis.rows && basis.len != row.len)) {
+    if (basis.rows && basis.len != row.len) {
         mismatch();
         goto done;
     }
-    if (basis.rows > (Py_ssize_t)sizeof(few)) {
-        scalars = malloc((size_t)basis.rows);
-        if (scalars == NULL) {
-            PyErr_NoMemory();
-            goto done;
-        }
-    }
-    for (Py_ssize_t i = 0; i < basis.rows; i++) {
-        Py_ssize_t col = *(const Py_ssize_t *)((const char *)pivots.buf + i * pivots.strides[0]);
-        if (col < 0)
-            col += row.len;
-        if (col < 0 || col >= row.len) {
-            PyErr_SetString(PyExc_IndexError, "pivot column out of range");
-            goto done;
-        }
-        scalars[i] = row.p[col * row.step];
-    }
-    if (detach(&basis, &row) < 0)
+    if ((scalars = gather_pivots(&pivots, basis.rows, &row, NULL, few)) == NULL)
         goto done;
-    mad_row(&row, 0, &basis, 0, basis.rows, scalars, 1, 1);
-    result = Py_None;
-    Py_INCREF(result);
-done:
+    if (detach(&basis, &row) == 0) {
+        mad_row(&row, 0, &basis, 0, basis.rows, scalars, 1, 1);
+        result = Py_None;
+        Py_INCREF(result);
+    }
     if (scalars != few)
         free(scalars);
+done:
     PyBuffer_Release(&pivots);
 release_basis:
     release(&basis);
 release_row:
     release(&row);
+    return result;
+}
+
+/* insert_row(basis, pivot_cols, rank, coefficients, payload) -> pivot.
+ * One progressive Gauss-Jordan step.  `basis` has one row per coefficient;
+ * rows [:rank] are in RREF, row i with a unit pivot at pivot_cols[i] and
+ * zeros at the other rows' pivots.  The packet [coefficients | payload]
+ * is written into the free row `rank` and reduced against rows [:rank].
+ * If a coefficient survives, the first one is the new pivot: the row is
+ * normalised by its inverse, the pivot's column is cleared from rows
+ * [:rank], pivot_cols[rank] is set and the pivot returned.  Otherwise the
+ * packet is not innovative: -1, and only the free row was written. */
+static PyObject *gf_insert_row(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    operand basis, coefficients, payload;
+    Py_buffer pivots;
+    Py_ssize_t rank, size, pivot = -1;
+    uint8_t few[256], *scalars, *row;
+    PyObject *result = NULL;
+    if (arity("insert_row", nargs, 5) < 0)
+        return NULL;
+    rank = PyNumber_AsSsize_t(args[2], PyExc_OverflowError);
+    if (rank == -1 && PyErr_Occurred())
+        return NULL;
+    if (acquire(args[0], &basis, 1, 2, 2, "basis") < 0)
+        return NULL;
+    size = basis.rows;
+    if (acquire_pivots(args[1], &pivots, 1, size) < 0)
+        goto release_basis;
+    if (acquire(args[3], &coefficients, 0, 1, 1, "coefficients") < 0)
+        goto release_pivots;
+    if (acquire(args[4], &payload, 0, 1, 1, "payload") < 0)
+        goto release_coefficients;
+    if (coefficients.len != size || basis.len != size + payload.len) {
+        mismatch();
+        goto done;
+    }
+    if (rank < 0 || rank >= size) {
+        PyErr_SetString(PyExc_ValueError, "rank leaves no free basis row");
+        goto done;
+    }
+    if ((scalars = gather_pivots(&pivots, rank, &coefficients, &payload, few)) == NULL)
+        goto done;
+    if (detach(&coefficients, &basis) < 0 || detach(&payload, &basis) < 0)
+        goto free_scalars;
+    row = basis.p + rank * basis.row;
+    copy_row(row, basis.step, &coefficients);
+    copy_row(row + size * basis.step, basis.step, &payload);
+    mad_row(&basis, rank, &basis, 0, rank, scalars, 1, 1);
+    for (Py_ssize_t k = 0; k < size && pivot < 0; k++)
+        if (row[k * basis.step])
+            pivot = k;
+    if (pivot >= 0) {
+        uint8_t inverse = INV[row[pivot * basis.step]];
+        if (inverse != 1)
+            mad_row(&basis, rank, &basis, rank, 1, &inverse, 0, 0);
+        for (Py_ssize_t i = 0; i < rank; i++) {
+            uint8_t scalar = basis.p[i * basis.row + pivot * basis.step];
+            if (scalar)
+                mad_row(&basis, i, &basis, rank, 1, &scalar, 0, 1);
+        }
+        *pivot_at(&pivots, rank) = pivot;
+    }
+    result = PyLong_FromSsize_t(pivot);
+free_scalars:
+    if (scalars != few)
+        free(scalars);
+done:
+    release(&payload);
+release_coefficients:
+    release(&coefficients);
+release_pivots:
+    PyBuffer_Release(&pivots);
+release_basis:
+    release(&basis);
+    return result;
+}
+
+/* draw_rows(rng, out, low) -> rows drawn.  Row i of `out` (a matrix of
+ * rows of adjacent bytes) gets exactly what the i-th of out.shape[0]
+ * sequential rng.integers(low, 256, size=out.shape[1], dtype=np.uint8)
+ * calls returns, and the generator ends where those calls leave it: each
+ * row is one call of numpy's own random_bounded_uint8_fill on the
+ * generator's bitgen_t, under its lock, as Generator.integers makes it.
+ * With low = 0 the draw stops after the first all-zero row. */
+static PyObject *gf_draw_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    operand out;
+    uint8_t low;
+    PyObject *bit_generator, *capsule = NULL, *lock = NULL, *held, *result = NULL;
+    bitgen_t *bitgen;
+    Py_ssize_t i = 0;
+    if (arity("draw_rows", nargs, 3) < 0 || as_scalar(args[2], &low) < 0)
+        return NULL;
+    if ((bit_generator = PyObject_GetAttrString(args[0], "bit_generator")) == NULL)
+        return NULL;
+    if (acquire(args[1], &out, 1, 2, 2, "out") < 0)
+        goto release_generator;
+    if (out.len > 1 && out.step != 1) {
+        PyErr_SetString(PyExc_ValueError, "out rows must be contiguous");
+        goto done;
+    }
+    if ((capsule = PyObject_GetAttrString(bit_generator, "capsule")) == NULL
+            || (lock = PyObject_GetAttrString(bit_generator, "lock")) == NULL
+            || (bitgen = PyCapsule_GetPointer(capsule, "BitGenerator")) == NULL
+            || (held = PyObject_CallMethod(lock, "acquire", NULL)) == NULL)
+        goto done;
+    Py_DECREF(held);
+    while (i < out.rows) {
+        uint8_t *row = out.p + i++ * out.row;
+        random_bounded_uint8_fill(bitgen, low, (uint8_t)(255 - low), out.len,
+                                  false, row);
+        if (low == 0 && all_zero(row, out.len))
+            break;
+    }
+    if ((held = PyObject_CallMethod(lock, "release", NULL)) != NULL) {
+        Py_DECREF(held);
+        result = PyLong_FromSsize_t(i);
+    }
+done:
+    Py_XDECREF(lock);
+    Py_XDECREF(capsule);
+    release(&out);
+release_generator:
+    Py_DECREF(bit_generator);
     return result;
 }
 
@@ -527,6 +713,8 @@ static PyMethodDef methods[] = {
     {"eliminate", (PyCFunction)(void (*)(void))gf_eliminate, METH_FASTCALL, NULL},
     {"addmul", (PyCFunction)(void (*)(void))gf_addmul, METH_FASTCALL, NULL},
     {"scale", (PyCFunction)(void (*)(void))gf_scale, METH_FASTCALL, NULL},
+    {"insert_row", (PyCFunction)(void (*)(void))gf_insert_row, METH_FASTCALL, NULL},
+    {"draw_rows", (PyCFunction)(void (*)(void))gf_draw_rows, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

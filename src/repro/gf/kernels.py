@@ -14,6 +14,14 @@ reduces to a few primitives over ``uint8`` arrays:
   mixtures of one basis in one call (the ``emit_batch`` fast path);
   :func:`gemm` is the same product under its linear-algebra name.
 
+and the two per-packet steps of the data plane are one call each:
+
+* :func:`draw_rows` — a matrix of random scalar rows, exactly the rows
+  (and the generator state) of one ``Generator.integers`` call per row:
+  the coefficient draws of every encoder, recoder and decoder mixture;
+* :func:`insert_row` — the decoder's whole progressive Gauss–Jordan
+  insertion of one packet into an RREF basis.
+
 This module is a seam over two backends that compute the same bytes:
 
 * **native** — ``_gf256.c``, compiled once per host by :mod:`._native`
@@ -21,7 +29,8 @@ This module is a seam over two backends that compute the same bytes:
   two 16-entry nibble-table byte shuffles (AVX2 or SSSE3, chosen inside
   the C at load time; a 256-entry table walk elsewhere), accumulated in
   registers across the whole mixture, so no intermediate is ever
-  materialised.
+  materialised.  Its draws call numpy's own bounded-integer fill on the
+  generator's ``bitgen_t``.
 * **numpy** — one gather ``MUL_FLAT[a * 256 + b]`` with uint16 flat
   indices (the table has exactly ``2^16`` entries, so ``mode="clip"``
   never clips and bounds handling is skipped) plus one XOR reduction,
@@ -34,13 +43,14 @@ otherwise.  :data:`BACKEND` names it.  There is no switch.
 
 Contract (see ``docs/performance.md``): operands are ``uint8`` arrays of
 one or two dimensions with any strides (rows of adjacent bytes take the
-SIMD path); ``addmul_*``, ``eliminate`` and ``scale_row_inplace`` mutate
-in place; results are those of reading every input before writing any
-output, so a destination may alias a source.
+SIMD path); ``addmul_*``, ``eliminate``, ``scale_row_inplace`` and
+``insert_row`` mutate in place, ``draw_rows`` fills its ``out`` and
+advances the generator; results are those of reading every input before
+writing any output, so a destination may alias a source.
 
-Nothing in this module knows about packets, generations or overlays — it
-is a pure array substrate, kept separate so there is exactly one
-implementation of each inner loop in the codebase.
+Nothing in this module knows about packet objects, generations or
+overlays — it is a pure array substrate, kept separate so there is
+exactly one implementation of each inner loop in the codebase.
 """
 
 from __future__ import annotations
@@ -50,7 +60,7 @@ from typing import Optional
 import numpy as np
 
 from . import _native
-from .tables import FIELD_SIZE, MUL
+from .tables import FIELD_SIZE, INV, MUL
 
 #: Flat (contiguous) view of the 256x256 product table, for flat-index
 #: gathers: ``MUL[a, b] == MUL_FLAT[a * 256 + b]``.  Size 65536 == the
@@ -66,8 +76,8 @@ _NUMPY_BLOCK = 1 << 22
 
 
 class _NumpyBackend:
-    """The reference backend: the four primitives ``_gf256.c`` exports,
-    in numpy.
+    """The reference backend: the primitives ``_gf256.c`` exports, in
+    numpy.
 
     Its scratch buffers are its own: each grows monotonically to the
     largest size requested and is then reused, so steady-state calls
@@ -96,7 +106,7 @@ class _NumpyBackend:
             self._u16 = np.empty(size, dtype=np.uint16)
         return self._u16[:size].reshape(n, width)
 
-    def _scratch_row(self, width: int) -> np.ndarray:
+    def _scratch_vector(self, width: int) -> np.ndarray:
         """A uint8 row scratch, disjoint from the other two."""
         if self._row is None or self._row.size < width:
             self._row = np.empty(width, dtype=np.uint8)
@@ -136,7 +146,7 @@ class _NumpyBackend:
         scalars = row[pivot_cols]
         if not scalars.any():
             return
-        acc = self._scratch_row(row.shape[0])
+        acc = self._scratch_vector(row.shape[0])
         self.mad(acc, scalars, basis)
         np.bitwise_xor(row, acc, out=row)
 
@@ -167,6 +177,45 @@ class _NumpyBackend:
                 np.copyto(out, row)
         else:
             np.take(MUL[scalar], row, out=out)
+
+    def insert_row(self, basis: np.ndarray, pivot_cols: np.ndarray, rank: int,
+                   coefficients: np.ndarray, payload: np.ndarray) -> int:
+        size, width = basis.shape
+        if (pivot_cols.shape != (size,) or coefficients.shape != (size,)
+                or payload.shape != (width - size,)):
+            raise ValueError("operand shapes do not match")
+        if not 0 <= rank < size:
+            raise ValueError("rank leaves no free basis row")
+        # Read the packet before writing: it may be a view of the basis.
+        if np.may_share_memory(coefficients, basis):
+            coefficients = coefficients.copy()
+        if np.may_share_memory(payload, basis):
+            payload = payload.copy()
+        row = basis[rank]
+        row[:size] = coefficients
+        row[size:] = payload
+        # Basis rows are zero at every pivot column but their own, so one
+        # pass clears the row at every existing pivot; the first nonzero
+        # coefficient left is a new pivot.
+        self.eliminate(row, basis[:rank], pivot_cols[:rank])
+        nonzero = np.flatnonzero(row[:size])
+        if nonzero.size == 0:
+            return -1
+        pivot = int(nonzero[0])
+        self.scale(row, row, int(INV[row[pivot]]))
+        if rank:
+            self.addmul(basis[:rank], row, basis[:rank, pivot].copy())
+        pivot_cols[rank] = pivot
+        return pivot
+
+    @staticmethod
+    def draw_rows(rng: np.random.Generator, out: np.ndarray, low: int) -> int:
+        width = out.shape[1]
+        for i in range(out.shape[0]):
+            out[i] = rng.integers(low, FIELD_SIZE, size=width, dtype=np.uint8)
+            if low == 0 and not out[i].any():
+                return i + 1
+        return out.shape[0]
 
 
 #: The reference backend (and the oracle in ``tests/test_gf_backends.py``).
@@ -263,6 +312,40 @@ def combine_rows(coeffs: np.ndarray, rows: np.ndarray,
         out = np.empty((coeffs.shape[0], rows.shape[1]), dtype=np.uint8)
     _impl.mad(out, coeffs, rows)
     return out
+
+
+def draw_rows(rng: np.random.Generator, out: np.ndarray, low: int) -> int:
+    """Fill ``out`` with random field elements in ``[low, 256)``, one row
+    per ``rng.integers`` call; returns the number of rows filled.
+
+    Row ``i`` of the ``(n, width)`` uint8 matrix ``out`` (rows of
+    adjacent bytes) is what the ``i``-th of ``n`` sequential
+    ``rng.integers(low, 256, size=width, dtype=np.uint8)`` calls returns,
+    and ``rng`` is left where those calls leave it, on either backend.
+    With ``low=0`` the fill stops after the first all-zero row, so a
+    caller that must replace a zero vector draws its fix-up exactly
+    where a per-row loop would.
+    """
+    return _impl.draw_rows(rng, out, low)
+
+
+def insert_row(basis: np.ndarray, pivot_cols: np.ndarray, rank: int,
+               coefficients: np.ndarray, payload: np.ndarray) -> int:
+    """Insert one packet into a progressive-decoder basis; returns its
+    pivot column, or -1 if the packet is not innovative.
+
+    ``basis`` is ``(size, size + payload_size)``; rows ``[:rank]`` are in
+    RREF with unit pivots at ``pivot_cols[:rank]`` (an ``intp`` vector of
+    ``size``).  The packet ``[coefficients | payload]`` is written into
+    the free row ``rank`` and reduced (:func:`eliminate`); if a
+    coefficient survives, the first one becomes the new pivot: the row
+    is normalised, back-substituted into rows ``[:rank]``
+    (:func:`addmul_rows`) and ``pivot_cols[rank]`` is set.  A packet that
+    is not innovative writes nothing but the free row.  Shapes that do
+    not match, or a ``rank`` with no free row, raise ``ValueError``
+    before anything is written.
+    """
+    return _impl.insert_row(basis, pivot_cols, rank, coefficients, payload)
 
 
 def gemm(a: np.ndarray, b: np.ndarray) -> np.ndarray:

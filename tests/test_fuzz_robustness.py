@@ -71,15 +71,36 @@ class TestDecoderFuzz:
             assert 0 <= decoder.total_rank <= decoder.total_dof
 
     def test_mismatched_sizes_rejected(self):
+        """A packet of the wrong shape raises and leaves the decoder as it
+        was: the insertion writes into the free basis row, so a rejection
+        must happen before anything moves."""
         params = GenerationParams(generation_size=4, payload_size=8)
         decoder = Decoder(params, 1)
-        bad = CodedPacket(
-            generation=0,
-            coefficients=np.ones(5, dtype=np.uint8),  # wrong g
-            payload=np.zeros(8, dtype=np.uint8),
-        )
-        with pytest.raises(ValueError):
-            decoder.push(bad)
+        generation = decoder.generations[0]
+        rng = np.random.default_rng(5)
+        for _ in range(2):
+            decoder.push(CodedPacket(
+                generation=0,
+                coefficients=rng.integers(1, 256, size=4, dtype=np.uint8),
+                payload=rng.integers(0, 256, size=8, dtype=np.uint8),
+            ))
+        assert generation.rank == 2
+
+        def basis():
+            return [(p.coefficients.tobytes(), p.payload.tobytes())
+                    for p in map(generation.basis_packet, range(generation.rank))]
+
+        before = basis()
+        for g, payload_size in ((5, 8), (4, 7), (4, 9)):  # wrong g; one byte short, long
+            bad = CodedPacket(
+                generation=0,
+                coefficients=np.ones(g, dtype=np.uint8),
+                payload=np.full(payload_size, 7, dtype=np.uint8),
+            )
+            with pytest.raises(ValueError):
+                decoder.push(bad)
+            assert generation.rank == 2
+            assert basis() == before
 
 
 class TestHashFuzz:

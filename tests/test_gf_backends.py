@@ -4,7 +4,9 @@ Every public kernel is run twice on operands built the same way — once
 on ``_gf256.c``, once on :data:`repro.gf.kernels.NUMPY` — and everything
 it could have touched is compared: the return value, the operands, and
 the whole allocation each operand is a view of (so a write outside the
-view fails the comparison too).  Shapes cover what the engines produce
+view fails the comparison too).  The coefficient draws are compared the
+same way, and against ``Generator.integers`` itself, down to the
+generator state they leave.  Shapes cover what the engines produce
 (ranks 0..64; widths with every SIMD tail length; a basis prefix
 ``rows[:rank]``, the column slices ``combined[:, :size]``, one row of a
 larger matrix) and what they do not (strided and reversed views,
@@ -25,6 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coding import GenerationParams, Recoder, SourceEncoder
 from repro.gf import kernels
 
 pytestmark = pytest.mark.skipif(
@@ -269,6 +272,166 @@ class TestAliasing:
         assert np.array_equal(rows, expected)
 
 
+def draw_script(rng, steps):
+    """Run ``steps`` on ``rng``: ``draw_rows`` fills interleaved with the
+    other ``Generator`` calls a recoder makes; every result, in order."""
+    results = []
+    for kind, a, b in steps:
+        if kind == "draw":
+            rows = np.empty((a, b[0]), dtype=np.uint8)
+            drawn = kernels.draw_rows(rng, rows, b[1])
+            results.append(rows[:drawn])
+        elif kind == "random":
+            results.append(np.array([rng.random()]))
+        elif kind == "integers":
+            results.append(np.array([rng.integers(0, a)]))
+        else:
+            results.append(np.array([rng.choice(list(range(a)))]))
+    return results
+
+
+draw_steps = st.lists(st.one_of(
+    st.tuples(st.just("draw"), st.integers(0, 12),
+              st.tuples(st.one_of(st.integers(1, 255), st.sampled_from([1, 2, 8, 64])),
+                        st.sampled_from([0, 1]))),
+    st.tuples(st.sampled_from(["random", "integers", "choice"]),
+              st.integers(1, 40), st.none()),
+), min_size=1, max_size=12)
+
+PACKET_KINDS = ("random", "random", "duplicate", "combination", "zero",
+                "basis_row", "free_row")
+
+
+def make_packet(rng, basis, rank, size, kind, sent):
+    """``(coefficients, payload)`` of one packet of ``kind``; views of
+    ``basis`` itself for the aliasing kinds."""
+    width = basis.shape[1]
+    if kind == "duplicate" and sent:
+        row = sent[int(rng.integers(len(sent)))]
+    elif kind == "combination" and sent:
+        row = kernels.mix_rows(scalars_like(rng, len(sent)), np.array(sent))
+    elif kind == "zero":
+        row = np.zeros(width, dtype=np.uint8)
+    elif kind == "basis_row" and rank:
+        row = basis[int(rng.integers(rank))]
+    elif kind == "free_row":
+        row = basis[rank]
+    else:
+        row = rng.integers(0, 256, width, dtype=np.uint8)
+        if rng.random() < 0.3:
+            row[:size][rng.random(size) < 0.5] = 0
+    return row[:size], row[size:]
+
+
+class TestCodingSteps:
+    """The two per-packet steps of the data plane: draws and insertion."""
+
+    @given(seeds, draw_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_draw_rows(self, seed, steps):
+        outcomes = []
+        for impl in (NATIVE, kernels.NUMPY):
+            with backend(impl):
+                rng = np.random.default_rng(seed)
+                outcomes.append((draw_script(rng, steps), rng.bit_generator.state))
+        (native, native_state), (reference, reference_state) = outcomes
+        assert native_state == reference_state
+        assert len(native) == len(reference)
+        for got, expected in zip(native, reference):
+            assert np.array_equal(got, expected)
+
+    @given(seeds, draw_steps)
+    @settings(max_examples=100, deadline=None)
+    def test_draw_rows_is_one_integers_call_a_row(self, seed, steps):
+        """Against numpy itself: row ``i`` is the ``i``-th
+        ``integers(low, 256, size=width)``; ``low=0`` stops after a zero
+        row."""
+        twin = np.random.default_rng(seed)
+        results = draw_script(np.random.default_rng(seed), steps)
+        for (kind, a, b), result in zip(steps, results):
+            if kind == "draw":
+                width, low = b
+                expected = []
+                for _ in range(a):
+                    expected.append(twin.integers(low, 256, size=width, dtype=np.uint8))
+                    if low == 0 and not expected[-1].any():
+                        break
+                assert np.array_equal(result, np.array(expected).reshape(-1, width))
+            elif kind == "random":
+                assert result[0] == twin.random()
+            elif kind == "integers":
+                assert result[0] == twin.integers(0, a)
+            else:
+                assert result[0] == twin.choice(list(range(a)))
+
+    @pytest.mark.parametrize("impl", ["native", "numpy"])
+    def test_a_zero_row_ends_a_low_zero_draw(self, impl):
+        """Seed 120's one-byte stream reads 0 at its fifth draw."""
+        with backend(NATIVE if impl == "native" else kernels.NUMPY):
+            rows = np.full((8, 1), 9, dtype=np.uint8)
+            assert kernels.draw_rows(np.random.default_rng(120), rows, 0) == 5
+            assert rows[4, 0] == 0 and rows[5:, 0].tolist() == [9, 9, 9]
+            assert kernels.draw_rows(np.random.default_rng(120), rows, 1) == 8
+
+    @given(st.sampled_from([1, 2, 3, 8, 64, 255]), st.integers(0, 40), seeds,
+           st.sampled_from(LAYOUTS),
+           st.lists(st.sampled_from(PACKET_KINDS), min_size=1, max_size=40))
+    @settings(max_examples=120, deadline=None)
+    def test_insert_row(self, size, payload_size, seed, layout, kinds):
+        if size == 255:
+            kinds = kinds + ["random"] * 300      # fill a large generation
+        def case():
+            rng = np.random.default_rng(seed)
+            # Garbage everywhere: free rows are never read.
+            base, basis = matrix(rng, size, size + payload_size, layout)
+            pivot_cols = np.zeros(size, dtype=np.intp)
+            rank, sent, pivots = 0, [], []
+            for kind in kinds:
+                if rank == size:
+                    break
+                coefficients, payload = make_packet(rng, basis, rank, size, kind, sent)
+                packet = np.concatenate([coefficients, payload])
+                pivot = kernels.insert_row(basis, pivot_cols, rank, coefficients, payload)
+                pivots.append(pivot)
+                if pivot >= 0:
+                    rank += 1
+                    sent.append(packet)
+            if rank:
+                # RREF: the pivot columns of the basis are the identity.
+                assert np.array_equal(basis[:rank][:, pivot_cols[:rank]],
+                                      np.eye(rank, dtype=np.uint8))
+            return base, pivot_cols[:rank], np.array(pivots)
+        agree(case)
+
+    @pytest.mark.parametrize("impl", ["native", "numpy"])
+    @pytest.mark.parametrize("size", [1, 8, 64])
+    def test_recoder_draws_are_integers_calls(self, impl, size):
+        """Oracle through neither backend: over a systematic full-rank
+        basis a mixture's coefficients are its scalars, so
+        ``emit_rows(n, g)`` must read ``n`` sequential
+        ``integers(1, 256, size=g)`` draws of a twin generator."""
+        params = GenerationParams(generation_size=size, payload_size=16)
+        content = bytes(np.random.default_rng(size).integers(
+            0, 256, size * 16 * 2, dtype=np.uint8))
+        source = SourceEncoder(content, params, np.random.default_rng(0),
+                               systematic_first=True)
+        with backend(NATIVE if impl == "native" else kernels.NUMPY):
+            rng = np.random.default_rng(77)
+            recoder = Recoder(params, source.generation_count, rng)
+            for packet in source.emit_batch(size, 1):
+                recoder.receive(packet)
+            twin = np.random.default_rng(77)
+            for count in (1, 5, 3):
+                rows = recoder.emit_rows(count, 1)
+                expected = [twin.integers(1, 256, size=size, dtype=np.uint8)
+                            for _ in range(count)]
+                assert np.array_equal(rows[:, :size], np.array(expected))
+                assert np.array_equal(
+                    rows[:, size:], kernels.combine_rows(rows[:, :size],
+                                                         source.blocks[1].data))
+            assert rng.bit_generator.state == twin.bit_generator.state
+
+
 class TestRejections:
     """What the native entry points refuse, they refuse with a typed
     error before touching memory."""
@@ -313,6 +476,21 @@ class TestRejections:
             kernels.scale_row(self.row, 3, out=self.row[:19])
         with pytest.raises(ValueError):
             kernels.mix_rows(self.scalars, self.rows[None])
+        pivots = np.zeros(4, dtype=np.intp)
+        basis = self.rows[:, :12].copy()
+        for coefficients, payload in ((self.row[:3], self.row[:8]),
+                                      (self.row[:4], self.row[:7]),
+                                      (self.row[:4], self.row[:9])):
+            with pytest.raises(ValueError):
+                kernels.insert_row(basis, pivots, 1, coefficients, payload)
+        with pytest.raises(ValueError):
+            kernels.insert_row(basis, pivots[:3], 1, self.row[:4], self.row[:8])
+        for rank in (-1, 4):
+            with pytest.raises(ValueError):
+                kernels.insert_row(basis, pivots, rank, self.row[:4], self.row[:8])
+        assert np.array_equal(basis, self.rows[:, :12])
+        with pytest.raises(ValueError):
+            kernels.draw_rows(np.random.default_rng(0), self.rows[:, ::2], 1)
 
     def test_out_of_range_values(self):
         with pytest.raises(IndexError):

@@ -13,6 +13,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -113,6 +114,63 @@ def test_no_compiler_on_path_is_quietly_numpy(tmp_path, monkeypatch, caplog):
     assert not (tmp_path / "repro-gf").exists()
     out, err = probe(tmp_path, PATH="").communicate(timeout=90)
     assert (out.strip(), err) == ("numpy", "")
+
+
+@pytest.mark.parametrize("missing", ["library", "header"])
+def test_no_numpy_random_library_or_header_is_quietly_numpy(
+        tmp_path, monkeypatch, caplog, builds, missing):
+    if missing == "library":
+        monkeypatch.setattr(_native, "NPYRANDOM", tmp_path / "libnpyrandom.a")
+    else:
+        monkeypatch.setattr(_native, "NUMPY_INCLUDE", tmp_path)
+    with caplog.at_level(logging.INFO, logger=_native.__name__):
+        assert _native.load(tmp_path) is None
+    (record,) = caplog.records
+    assert record.levelno == logging.INFO
+    assert builds == []
+
+
+def _skew(module, name, wrap):
+    """``module`` with entry point ``name`` replaced by ``wrap(original)``."""
+    entries = {key: getattr(module, key) for key in dir(module)
+               if not key.startswith("__")}
+    entries[name] = wrap(entries[name])
+    return types.SimpleNamespace(**entries)
+
+
+def _one_draw_too_many(draw_rows):
+    def draw(rng, out, low):
+        drawn = draw_rows(rng, out, low)
+        rng.random()        # same rows, generator left elsewhere
+        return drawn
+    return draw
+
+
+def _flip_a_basis_byte(insert_row):
+    def insert(basis, pivot_cols, rank, coefficients, payload):
+        pivot = insert_row(basis, pivot_cols, rank, coefficients, payload)
+        basis[rank, -1] ^= 1
+        return pivot
+    return insert
+
+
+@pytest.mark.parametrize("name, wrap, complaint", [
+    ("draw_rows", _one_draw_too_many, "Generator.integers"),
+    ("insert_row", _flip_a_basis_byte, "insertion"),
+])
+def test_object_that_strays_from_numpy_is_not_used(
+        tmp_path, monkeypatch, caplog, name, wrap, complaint):
+    """What a numpy whose ``bitgen_t`` or bounded-integer algorithm moved
+    would look like: the load-time check refuses the object, so seeded
+    runs keep numpy's stream on the numpy backend."""
+    real = _native._import
+    monkeypatch.setattr(_native, "_import",
+                        lambda path: _skew(real(path), name, wrap))
+    with caplog.at_level(logging.INFO, logger=_native.__name__):
+        assert _native.load(tmp_path) is None
+    (record,) = caplog.records
+    assert record.levelno == logging.WARNING
+    assert complaint in record.getMessage()
 
 
 def test_unusable_cache_directory_is_numpy_with_one_line(tmp_path, caplog):
