@@ -8,8 +8,11 @@ unit-bandwidth thread segments, and the bottom-most one in each column
 owns that column's *hanging thread* (an open slot a future node can clip).
 
 Representation.  Rather than a dense matrix with row shifting, each row
-carries an arrival *key* (see :mod:`repro.core.keys`) and each column
-stores its occupants as a key-sorted list.  This supports, in O(d log N):
+carries an arrival *key* (see :mod:`repro.core.keys`), one index maps
+each present key to its node, and each column stores its occupants'
+keys as a sorted list.  Each edit finds its place in each of its
+columns by binary search, O(d log N), and then shifts those columns'
+lists, O(d N / k) pointer moves (a column holds about ``d N / k`` rows):
 
 * ``join`` — insert a row (at the bottom for append keys, at a uniformly
   random height for uniform keys);
@@ -17,6 +20,16 @@ stores its occupants as a key-sorted list.  This supports, in O(d log N):
   protocol and the end state of a repair);
 * ``drop_thread`` / ``add_thread`` — §5 congestion handling (turn a one
   into a zero and back).
+
+``threads_of`` reads a row's parent and child in each of its columns
+with one binary search per column, O(d log N).
+
+No edit touches a list of all N rows.  The global row order is computed
+where it is read, in ``node_ids``: the joins and leaves since the last
+read are replayed into it by binary-search insert and delete (O(N) each),
+and once more than ``min(PENDING_MAX, N)`` are waiting they are dropped
+and the next read sorts the keys afresh (O(N log N)), so an unread order
+costs the writers nothing and memory stays O(N).
 
 The matrix is purely structural: it knows nothing about failures, which
 are tracked by the server registry and applied at analysis time.
@@ -30,10 +43,17 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..gf.kernels import draw_distinct
 from .keys import AppendKeys, KeyAllocator
 
 #: Virtual node id of the server (the implicit all-ones top row).
 SERVER = -1
+
+#: Most row-order edits kept for replay (fewer while there are fewer
+#: rows); past it the next read of the order re-sorts.  Replaying an edit
+#: shifts the order list once, so this is about where re-sorting N keys
+#: costs less than replaying the edits.
+PENDING_MAX = 1024
 
 
 @dataclass
@@ -64,15 +84,20 @@ class ThreadMatrix:
         self.k = k
         self._allocator: KeyAllocator = allocator or AppendKeys()
         self._rows: dict[int, Row] = {}
-        # Per-column key-sorted occupancy: parallel (keys, ids) lists.
+        # Key -> node id of every present row: O(1) key uniqueness, the
+        # names of the column occupants, and what the row order is
+        # re-sorted from.
+        self._id_of_key: dict[float, int] = {}
+        # Per-column occupancy: the occupants' keys, sorted.
         self._col_keys: list[list[float]] = [[] for _ in range(k)]
-        self._col_ids: list[list[int]] = [[] for _ in range(k)]
-        # Global key-sorted row order, maintained incrementally (one
-        # O(log N) bisect per join/leave) so ``node_ids`` is a copy, not
-        # a fresh O(N log N) sort — simulators and failure models read
-        # the row order every slot, which dominates at 10k-peer scale.
-        self._order_keys: list[float] = []
-        self._order_ids: list[int] = []
+        # Global key-sorted row order as of the last read (None: re-sort
+        # at the next), and the (key, id) joins and (key, None) leaves
+        # since.  Simulators and failure models read the order every
+        # slot or op, so a read replays a few edits; a membership engine
+        # never reads it, so its joins and leaves never shift it.
+        self._order_keys: Optional[list[float]] = []
+        self._order_ids: Optional[list[int]] = []
+        self._pending: list[tuple[float, Optional[int]]] = []
         #: Monotone counter bumped by every structural mutation (join,
         #: leave, drop_thread, add_thread).  Consumers cache derived
         #: topology (chains, children maps) keyed on this value and
@@ -91,7 +116,7 @@ class ThreadMatrix:
     @property
     def node_ids(self) -> list[int]:
         """All current node ids, in arrival-key (i.e. matrix row) order."""
-        return list(self._order_ids)
+        return list(self._row_order())
 
     def row(self, node_id: int) -> Row:
         """The row of ``node_id``; KeyError if absent."""
@@ -103,12 +128,12 @@ class ThreadMatrix:
 
     def column_chain(self, column: int) -> list[int]:
         """Node ids with a one in ``column``, top (oldest key) to bottom."""
-        return list(self._col_ids[column])
+        return list(map(self._id_of_key.__getitem__, self._col_keys[column]))
 
     def hanging_owner(self, column: int) -> int:
         """Owner of the hanging thread of ``column`` (``SERVER`` if empty)."""
-        ids = self._col_ids[column]
-        return ids[-1] if ids else SERVER
+        keys = self._col_keys[column]
+        return self._id_of_key[keys[-1]] if keys else SERVER
 
     def hanging_owners(self) -> list[int]:
         """Owner of each of the k hanging threads, indexed by column."""
@@ -128,39 +153,54 @@ class ThreadMatrix:
 
     def parent_in_column(self, node_id: int, column: int) -> int:
         """The node directly above ``node_id`` in ``column`` (or SERVER)."""
-        index = self._index_in_column(node_id, column)
-        ids = self._col_ids[column]
-        return ids[index - 1] if index > 0 else SERVER
+        return self._thread(node_id, column)[1]
 
     def child_in_column(self, node_id: int, column: int) -> Optional[int]:
         """The node directly below ``node_id`` in ``column`` (None = hanging)."""
-        index = self._index_in_column(node_id, column)
-        ids = self._col_ids[column]
-        return ids[index + 1] if index + 1 < len(ids) else None
+        return self._thread(node_id, column)[2]
+
+    def threads_of(self, node_id: int) -> list[tuple[int, int, Optional[int]]]:
+        """``(column, parent, child)`` for each thread of ``node_id``, in
+        column order: the node above it (SERVER at the top) and the node
+        below it (None when the thread hangs)."""
+        row = self._rows[node_id]
+        return self._threads(row.key, sorted(row.columns))
 
     def parents_of(self, node_id: int) -> dict[int, int]:
-        """Map column -> parent node id (SERVER allowed) for each thread."""
-        return {
-            column: self.parent_in_column(node_id, column)
-            for column in self._rows[node_id].columns
-        }
+        """Map column -> parent node id (SERVER allowed) for each thread,
+        in the row's own column order."""
+        row = self._rows[node_id]
+        return {column: parent
+                for column, parent, _ in self._threads(row.key, row.columns)}
 
     def children_of(self, node_id: int) -> dict[int, Optional[int]]:
-        """Map column -> child node id (None when the thread hangs)."""
-        return {
-            column: self.child_in_column(node_id, column)
-            for column in self._rows[node_id].columns
-        }
+        """Map column -> child node id (None when the thread hangs), in
+        the row's own column order."""
+        row = self._rows[node_id]
+        return {column: child
+                for column, _, child in self._threads(row.key, row.columns)}
 
-    def _index_in_column(self, node_id: int, column: int) -> int:
+    def _threads(self, key: float, columns) -> list[tuple[int, int, Optional[int]]]:
+        """``(column, parent, child)`` of the row with ``key`` in each of
+        ``columns``, in that order: one binary search per column."""
+        id_of_key = self._id_of_key
+        threads = []
+        for column in columns:
+            keys = self._col_keys[column]
+            index = bisect_left(keys, key)
+            threads.append((
+                column,
+                id_of_key[keys[index - 1]] if index else SERVER,
+                id_of_key[keys[index + 1]] if index + 1 < len(keys) else None,
+            ))
+        return threads
+
+    def _thread(self, node_id: int, column: int) -> tuple[int, int, Optional[int]]:
+        """``(column, parent, child)`` of ``node_id``'s thread in ``column``."""
         row = self._rows[node_id]
         if column not in row.columns:
             raise KeyError(f"node {node_id} has no thread in column {column}")
-        keys = self._col_keys[column]
-        index = bisect_left(keys, row.key)
-        # keys are unique so this is exact
-        assert self._col_ids[column][index] == node_id
-        return index
+        return self._threads(row.key, (column,))[0]
 
     # ------------------------------------------------------------------
     # Mutation: the hello / good-bye primitives
@@ -182,8 +222,7 @@ class ThreadMatrix:
         if not 1 <= d <= self.k:
             raise ValueError(f"d={d} out of range for k={self.k}")
         if columns is None:
-            chosen = rng.choice(self.k, size=d, replace=False)
-            column_set = {int(c) for c in chosen}
+            column_set = set(draw_distinct(rng, self.k, d))
         else:
             column_set = {int(c) for c in columns}
             if len(column_set) != len(columns):
@@ -193,17 +232,14 @@ class ThreadMatrix:
             if not all(0 <= c < self.k for c in column_set):
                 raise ValueError("column index out of range")
         key = self._allocator.next_key()
-        index = bisect_left(self._order_keys, key)
-        while (index < len(self._order_keys)
-                and self._order_keys[index] == key):  # keys stay unique
+        while key in self._id_of_key:  # keys stay unique
             key = self._allocator.next_key()
-            index = bisect_left(self._order_keys, key)
         row = Row(node_id=node_id, key=key, columns=column_set)
         self._rows[node_id] = row
-        self._order_keys.insert(index, key)
-        self._order_ids.insert(index, node_id)
+        self._id_of_key[key] = node_id
+        self._note_order_edit(key, node_id)
         for column in column_set:
-            self._insert_into_column(column, key, node_id)
+            self._insert_into_column(column, key)
         return row
 
     def leave(self, node_id: int) -> Row:
@@ -214,10 +250,8 @@ class ThreadMatrix:
         corresponding child (Lemma 1).
         """
         row = self._rows.pop(node_id)
-        index = bisect_left(self._order_keys, row.key)
-        assert self._order_ids[index] == node_id  # keys are unique
-        self._order_keys.pop(index)
-        self._order_ids.pop(index)
+        del self._id_of_key[row.key]
+        self._note_order_edit(row.key, None)
         for column in row.columns:
             self._remove_from_column(column, row.key, node_id)
         return row
@@ -260,7 +294,7 @@ class ThreadMatrix:
             column = int(rng.choice(free))
         if column in row.columns:
             raise ValueError(f"node {node_id} already has a thread in column {column}")
-        self._insert_into_column(column, row.key, node_id)
+        self._insert_into_column(column, row.key)
         row.columns.add(column)
         return column
 
@@ -275,9 +309,8 @@ class ThreadMatrix:
         column.
         """
         for column in range(self.k):
-            ids = self._col_ids[column]
             previous = SERVER
-            for node_id in ids:
+            for node_id in self.column_chain(column):
                 yield previous, node_id, column
                 previous = node_id
 
@@ -292,20 +325,44 @@ class ThreadMatrix:
     # ------------------------------------------------------------------
     # Internals
 
-    def _insert_into_column(self, column: int, key: float, node_id: int) -> None:
+    def _note_order_edit(self, key: float, node_id: Optional[int]) -> None:
+        """Queue a join (``node_id``) or leave (None) for the row order."""
+        if self._order_ids is None:
+            return  # the next read re-sorts anyway
+        self._pending.append((key, node_id))
+        if len(self._pending) > min(PENDING_MAX, len(self._rows)):
+            self._order_keys = self._order_ids = None
+            self._pending.clear()
+
+    def _row_order(self) -> list[int]:
+        """The row order, brought up to date with the edits since the
+        last read (the module docstring has the costs)."""
+        if self._order_ids is None:
+            self._order_keys = sorted(self._id_of_key)
+            self._order_ids = list(map(self._id_of_key.__getitem__, self._order_keys))
+        elif self._pending:
+            keys, ids = self._order_keys, self._order_ids
+            for key, node_id in self._pending:
+                index = bisect_left(keys, key)
+                if node_id is None:
+                    del keys[index], ids[index]
+                else:
+                    keys.insert(index, key)
+                    ids.insert(index, node_id)
+            self._pending.clear()
+        return self._order_ids
+
+    def _insert_into_column(self, column: int, key: float) -> None:
         keys = self._col_keys[column]
-        index = bisect_left(keys, key)
-        keys.insert(index, key)
-        self._col_ids[column].insert(index, node_id)
+        keys.insert(bisect_left(keys, key), key)
         self.mutation_epoch += 1
 
     def _remove_from_column(self, column: int, key: float, node_id: int) -> None:
         keys = self._col_keys[column]
         index = bisect_left(keys, key)
-        if index >= len(keys) or self._col_ids[column][index] != node_id:
+        if index >= len(keys) or keys[index] != key:
             raise KeyError(f"node {node_id} not found in column {column}")
-        keys.pop(index)
-        self._col_ids[column].pop(index)
+        del keys[index]
         self.mutation_epoch += 1
 
     # ------------------------------------------------------------------
@@ -313,28 +370,27 @@ class ThreadMatrix:
 
     def check_invariants(self) -> None:
         """Assert internal consistency; raises AssertionError on violation."""
-        seen_keys = set()
+        assert len(self._id_of_key) == len(self._rows), "duplicate arrival key"
         for node_id, row in self._rows.items():
             assert row.node_id == node_id
             assert 1 <= row.degree <= self.k
-            assert row.key not in seen_keys, "duplicate arrival key"
-            seen_keys.add(row.key)
+            assert self._id_of_key.get(row.key) == node_id, "key index drift"
         for column in range(self.k):
             keys = self._col_keys[column]
-            ids = self._col_ids[column]
-            assert len(keys) == len(ids)
             assert keys == sorted(keys), f"column {column} keys unsorted"
-            for key, node_id in zip(keys, ids):
-                row = self._rows.get(node_id)
-                assert row is not None, f"ghost node {node_id} in column {column}"
-                assert row.key == key
-                assert column in row.columns
+            for key in keys:
+                node_id = self._id_of_key.get(key)
+                assert node_id is not None, f"ghost key {key} in column {column}"
+                assert column in self._rows[node_id].columns
         for node_id, row in self._rows.items():
             for column in row.columns:
-                assert node_id in self._col_ids[column]
-        assert len(self._order_ids) == len(self._rows)
+                assert row.key in self._col_keys[column]
+        assert len(self._pending) <= min(PENDING_MAX, len(self._rows)), \
+            "row-order edits unbounded"
+        order = self._row_order()
+        assert len(order) == len(self._rows)
         assert self._order_keys == sorted(self._order_keys), "row order unsorted"
-        for key, node_id in zip(self._order_keys, self._order_ids):
+        for key, node_id in zip(self._order_keys, order):
             row = self._rows.get(node_id)
             assert row is not None, f"ghost node {node_id} in row order"
             assert row.key == key, f"row-order key drift for node {node_id}"

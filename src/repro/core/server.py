@@ -9,6 +9,7 @@ peer-to-peer RLNC.
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,7 +56,6 @@ class CoordinationServer:
         self._working: set[int] = set()
         self.stats = MessageStats()
         self._next_id = 0
-        self._join_sequence = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -99,25 +99,23 @@ class CoordinationServer:
         degree = self.d if d is None else d
         self.stats.hello_requests += 1
         node_id = self._next_id
-        self._next_id += 1
+        # The id is issued only once the join is valid: a rejected hello
+        # leaves no id that was never admitted.
         self.matrix.join(node_id, degree, self._rng, columns)
-        self._join_sequence += 1
+        self._next_id += 1
         self.registry[node_id] = NodeInfo(
-            node_id=node_id, nominal_degree=degree, joined_at=self._join_sequence
+            node_id=node_id, nominal_degree=degree, joined_at=self._next_id
         )
         self._working.add(node_id)
-        assignments = tuple(
-            ThreadAssignment(column=column, parent=parent)
-            for column, parent in sorted(self.matrix.parents_of(node_id).items())
-        )
-        redirects = tuple(
-            Redirect(column=column, parent=node_id, child=child)
-            for column, child in sorted(self.matrix.children_of(node_id).items())
-            if child is not None
-        )
+        assignments = []
+        redirects = []
+        for column, parent, child in self.matrix.threads_of(node_id):
+            assignments.append(ThreadAssignment(column, parent))
+            if child is not None:
+                redirects.append(Redirect(column, node_id, child))
         self.stats.hello_grants += 1
         self.stats.redirects += len(redirects)
-        return HelloGrant(node_id=node_id, assignments=assignments, redirects=redirects)
+        return HelloGrant(node_id, tuple(assignments), tuple(redirects))
 
     # ------------------------------------------------------------------
     # Good-bye protocol
@@ -219,12 +217,8 @@ class CoordinationServer:
     # ------------------------------------------------------------------
 
     def _splice_out(self, node_id: int) -> tuple[Redirect, ...]:
-        parents = self.matrix.parents_of(node_id)
-        children = self.matrix.children_of(node_id)
-        redirects = tuple(
-            Redirect(column=column, parent=parents[column], child=children[column])
-            for column in sorted(parents)
-        )
+        # Each parent now feeds the child below the node on its column.
+        redirects = tuple(starmap(Redirect, self.matrix.threads_of(node_id)))
         self.matrix.leave(node_id)
         self.registry.pop(node_id, None)
         self._working.discard(node_id)

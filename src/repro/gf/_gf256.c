@@ -6,8 +6,9 @@
  * other host (and every operand whose bytes are not adjacent) walks the
  * 256-entry product row.  The Python entry points below check operands
  * and loop that kernel over rows; insert_row chains it through a whole
- * decoder insertion, and draw_rows fills coefficient rows with numpy's
- * own bounded-integer draws (libnpyrandom, linked in by _native.py).
+ * decoder insertion, draw_rows fills coefficient rows with numpy's own
+ * bounded-integer draws (libnpyrandom, linked in by _native.py), and
+ * draw_distinct samples without replacement from the same draws.
  *
  * Operands arrive through the buffer protocol: uint8, one or two
  * dimensions, any strides.  An input that shares memory with the output
@@ -583,6 +584,45 @@ release_basis:
     return result;
 }
 
+/* A Generator's bitgen_t, held under the generator's lock as numpy holds
+ * it around every draw.  The capsule points into `owner`, the generator's
+ * BitGenerator, so the hold keeps a reference to it. */
+typedef struct {
+    PyObject *owner, *capsule, *lock;
+    bitgen_t *bitgen;
+} held_bitgen;
+
+static int hold_bitgen(PyObject *rng, held_bitgen *held)
+{
+    PyObject *acquired;
+    held->capsule = held->lock = NULL;
+    if ((held->owner = PyObject_GetAttrString(rng, "bit_generator")) == NULL)
+        return -1;
+    if ((held->capsule = PyObject_GetAttrString(held->owner, "capsule")) == NULL
+            || (held->lock = PyObject_GetAttrString(held->owner, "lock")) == NULL
+            || (held->bitgen = PyCapsule_GetPointer(held->capsule, "BitGenerator")) == NULL
+            || (acquired = PyObject_CallMethod(held->lock, "acquire", NULL)) == NULL) {
+        Py_XDECREF(held->lock);
+        Py_XDECREF(held->capsule);
+        Py_DECREF(held->owner);
+        return -1;
+    }
+    Py_DECREF(acquired);
+    return 0;
+}
+
+/* Release the lock and the references; -1 (exception set) if the
+ * release failed. */
+static int unhold_bitgen(held_bitgen *held)
+{
+    PyObject *released = PyObject_CallMethod(held->lock, "release", NULL);
+    Py_XDECREF(released);
+    Py_DECREF(held->lock);
+    Py_DECREF(held->capsule);
+    Py_DECREF(held->owner);
+    return released == NULL ? -1 : 0;
+}
+
 /* draw_rows(rng, out, low) -> rows drawn.  Row i of `out` (a matrix of
  * rows of adjacent bytes) gets exactly what the i-th of out.shape[0]
  * sequential rng.integers(low, 256, size=out.shape[1], dtype=np.uint8)
@@ -594,42 +634,94 @@ static PyObject *gf_draw_rows(PyObject *self, PyObject *const *args, Py_ssize_t 
 {
     operand out;
     uint8_t low;
-    PyObject *bit_generator, *capsule = NULL, *lock = NULL, *held, *result = NULL;
-    bitgen_t *bitgen;
+    held_bitgen held;
+    PyObject *result = NULL;
     Py_ssize_t i = 0;
     if (arity("draw_rows", nargs, 3) < 0 || as_scalar(args[2], &low) < 0)
         return NULL;
-    if ((bit_generator = PyObject_GetAttrString(args[0], "bit_generator")) == NULL)
-        return NULL;
     if (acquire(args[1], &out, 1, 2, 2, "out") < 0)
-        goto release_generator;
+        return NULL;
     if (out.len > 1 && out.step != 1) {
         PyErr_SetString(PyExc_ValueError, "out rows must be contiguous");
         goto done;
     }
-    if ((capsule = PyObject_GetAttrString(bit_generator, "capsule")) == NULL
-            || (lock = PyObject_GetAttrString(bit_generator, "lock")) == NULL
-            || (bitgen = PyCapsule_GetPointer(capsule, "BitGenerator")) == NULL
-            || (held = PyObject_CallMethod(lock, "acquire", NULL)) == NULL)
+    if (hold_bitgen(args[0], &held) < 0)
         goto done;
-    Py_DECREF(held);
     while (i < out.rows) {
         uint8_t *row = out.p + i++ * out.row;
-        random_bounded_uint8_fill(bitgen, low, (uint8_t)(255 - low), out.len,
+        random_bounded_uint8_fill(held.bitgen, low, (uint8_t)(255 - low), out.len,
                                   false, row);
         if (low == 0 && all_zero(row, out.len))
             break;
     }
-    if ((held = PyObject_CallMethod(lock, "release", NULL)) != NULL) {
-        Py_DECREF(held);
+    if (unhold_bitgen(&held) == 0)
         result = PyLong_FromSsize_t(i);
+done:
+    release(&out);
+    return result;
+}
+
+/* Largest population draw_distinct takes: up to it, Generator.choice
+ * samples without replacement by Floyd's method whatever the sample size
+ * (above it, large samples take numpy's other branch). */
+#define DISTINCT_MAX 10000
+
+/* draw_distinct(rng, n, d) -> list of d distinct ints in [0, n), exactly
+ * rng.choice(n, size=d, replace=False).tolist() for 1 <= d <= n <= 10000,
+ * with the generator left where that call leaves it: numpy's Floyd
+ * branch (for j = n-d .. n-1 draw v on [0, j]; a v already taken becomes
+ * j), then its tail shuffle (for i = d-1 .. 1 swap i with a draw on
+ * [0, i]), every draw numpy's own random_bounded_uint64 under the
+ * generator's lock. */
+static PyObject *gf_draw_distinct(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t n, d;
+    int64_t few[64], *chosen;
+    uint64_t taken[(DISTINCT_MAX + 63) / 64];
+    held_bitgen held;
+    PyObject *result = NULL;
+    if (arity("draw_distinct", nargs, 3) < 0)
+        return NULL;
+    if ((n = PyNumber_AsSsize_t(args[1], PyExc_OverflowError)) == -1 && PyErr_Occurred())
+        return NULL;
+    if ((d = PyNumber_AsSsize_t(args[2], PyExc_OverflowError)) == -1 && PyErr_Occurred())
+        return NULL;
+    if (d < 1 || d > n || n > DISTINCT_MAX) {
+        PyErr_SetString(PyExc_ValueError, "draw_distinct needs 1 <= d <= n <= 10000");
+        return NULL;
+    }
+    chosen = few;
+    if (d > 64 && (chosen = malloc((size_t)d * sizeof *chosen)) == NULL)
+        return PyErr_NoMemory();
+    memset(taken, 0, (size_t)(n + 63) / 64 * sizeof *taken);
+    if (hold_bitgen(args[0], &held) < 0)
+        goto done;
+    for (Py_ssize_t j = n - d; j < n; j++) {
+        uint64_t value = random_bounded_uint64(held.bitgen, 0, (uint64_t)j, 0, false);
+        if (taken[value / 64] >> (value % 64) & 1)
+            value = (uint64_t)j;
+        taken[value / 64] |= (uint64_t)1 << (value % 64);
+        chosen[j - (n - d)] = (int64_t)value;
+    }
+    for (Py_ssize_t i = d - 1; i > 0; i--) {
+        Py_ssize_t j = (Py_ssize_t)random_bounded_uint64(held.bitgen, 0, (uint64_t)i, 0, false);
+        int64_t swap = chosen[i];
+        chosen[i] = chosen[j];
+        chosen[j] = swap;
+    }
+    if (unhold_bitgen(&held) < 0 || (result = PyList_New(d)) == NULL)
+        goto done;
+    for (Py_ssize_t i = 0; i < d; i++) {
+        PyObject *item = PyLong_FromLongLong(chosen[i]);
+        if (item == NULL) {
+            Py_CLEAR(result);
+            break;
+        }
+        PyList_SET_ITEM(result, i, item);
     }
 done:
-    Py_XDECREF(lock);
-    Py_XDECREF(capsule);
-    release(&out);
-release_generator:
-    Py_DECREF(bit_generator);
+    if (chosen != few)
+        free(chosen);
     return result;
 }
 
@@ -715,6 +807,7 @@ static PyMethodDef methods[] = {
     {"scale", (PyCFunction)(void (*)(void))gf_scale, METH_FASTCALL, NULL},
     {"insert_row", (PyCFunction)(void (*)(void))gf_insert_row, METH_FASTCALL, NULL},
     {"draw_rows", (PyCFunction)(void (*)(void))gf_draw_rows, METH_FASTCALL, NULL},
+    {"draw_distinct", (PyCFunction)(void (*)(void))gf_draw_distinct, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 

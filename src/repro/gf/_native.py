@@ -9,8 +9,9 @@ extensions), so the coefficient draws are numpy's bounded-integer code
 itself.  It returns ``None`` — and ``kernels`` stays on numpy — when
 there is no compiler, no ``Python.h``, no numpy random library or header,
 or no usable cache directory, and never raises.  A built object that
-does not reproduce a known product, ``Generator.integers``' stream or
-the numpy reference's insertion is not used either.
+does not reproduce a known product, ``Generator.integers``' stream,
+``Generator.choice``'s sample or the numpy reference's insertion is not
+used either.
 
 The cache is ``$XDG_CACHE_HOME/repro-gf`` (``~/.cache/repro-gf``), one
 file per ``hash(source + flags + compiler + numpy + interpreter ABI)``; delete
@@ -161,6 +162,8 @@ def _self_check(module: ModuleType) -> None:
     One product spanning a SIMD body, both tails and a zero scalar; the
     draws of ``Generator.integers`` for both ``low`` values, through a
     zero row that ends a ``low=0`` draw early, and the generator state
+    after them; the samples of ``Generator.choice`` without replacement,
+    through a full permutation and a one-element sample, and the state
     after them; and every insertion into a 4 x 12 system, as the numpy
     reference makes it.  A numpy whose ``bitgen_t`` or bounded-integer
     algorithm moved fails here and leaves the kernels on numpy, instead
@@ -182,6 +185,13 @@ def _self_check(module: ModuleType) -> None:
                 or not np.array_equal(draws[:drawn], expected)
                 or ours.bit_generator.state != theirs.bit_generator.state):
             raise _BuildFailed("the built draws leave Generator.integers' stream")
+    ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+    for n, d in ((32, 2), (8, 8), (5, 1), (40, 7)):
+        expected = theirs.choice(n, size=d, replace=False).tolist()
+        if module.draw_distinct(ours, n, d) != expected:
+            raise _BuildFailed("the built sample is not Generator.choice's")
+    if ours.bit_generator.state != theirs.bit_generator.state:
+        raise _BuildFailed("the built sample leaves Generator.choice's stream")
     from .kernels import NUMPY  # defined before kernels loads this module
     packets = np.random.default_rng(3).integers(0, 256, (6, 12), dtype=np.uint8)
     packets[2] = packets[0] ^ packets[1]    # dependent on the first two

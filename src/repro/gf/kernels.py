@@ -22,6 +22,10 @@ and the two per-packet steps of the data plane are one call each:
 * :func:`insert_row` — the decoder's whole progressive Gauss–Jordan
   insertion of one packet into an RREF basis.
 
+One draw serves the control plane: :func:`draw_distinct` is exactly
+``Generator.choice(n, size=d, replace=False)`` (values and generator
+state), the columns a joining row of the thread matrix takes.
+
 This module is a seam over two backends that compute the same bytes:
 
 * **native** — ``_gf256.c``, compiled once per host by :mod:`._native`
@@ -45,8 +49,9 @@ Contract (see ``docs/performance.md``): operands are ``uint8`` arrays of
 one or two dimensions with any strides (rows of adjacent bytes take the
 SIMD path); ``addmul_*``, ``eliminate``, ``scale_row_inplace`` and
 ``insert_row`` mutate in place, ``draw_rows`` fills its ``out`` and
-advances the generator; results are those of reading every input before
-writing any output, so a destination may alias a source.
+``draw_distinct`` returns a list, both advancing the generator; results
+are those of reading every input before writing any output, so a
+destination may alias a source.
 
 Nothing in this module knows about packet objects, generations or
 overlays — it is a pure array substrate, kept separate so there is
@@ -73,6 +78,10 @@ SHIFT8 = (np.arange(FIELD_SIZE, dtype=np.uint16) << 8)
 #: Most ``m * n * width`` product bytes the numpy backend holds at once;
 #: larger batches go through in row blocks.
 _NUMPY_BLOCK = 1 << 22
+
+#: Largest population ``Generator.choice`` always samples by Floyd's
+#: method, the branch the native ``draw_distinct`` reproduces.
+_FLOYD_MAX = 10_000
 
 
 class _NumpyBackend:
@@ -217,6 +226,10 @@ class _NumpyBackend:
                 return i + 1
         return out.shape[0]
 
+    @staticmethod
+    def draw_distinct(rng: np.random.Generator, n: int, d: int) -> list[int]:
+        return rng.choice(n, size=d, replace=False).tolist()
+
 
 #: The reference backend (and the oracle in ``tests/test_gf_backends.py``).
 NUMPY = _NumpyBackend()
@@ -327,6 +340,20 @@ def draw_rows(rng: np.random.Generator, out: np.ndarray, low: int) -> int:
     where a per-row loop would.
     """
     return _impl.draw_rows(rng, out, low)
+
+
+def draw_distinct(rng: np.random.Generator, n: int, d: int) -> list[int]:
+    """``d`` distinct integers from ``[0, n)``: exactly
+    ``rng.choice(n, size=d, replace=False).tolist()``, and ``rng`` is left
+    where that call leaves it, on either backend.
+
+    The native backend draws numpy's own Floyd sample in one C call; a
+    population over 10 000, where numpy may sample another way, and any
+    argument ``choice`` would reject go to ``choice`` itself.
+    """
+    if 0 < d <= n <= _FLOYD_MAX:
+        return _impl.draw_distinct(rng, n, d)
+    return NUMPY.draw_distinct(rng, n, d)
 
 
 def insert_row(basis: np.ndarray, pivot_cols: np.ndarray, rank: int,

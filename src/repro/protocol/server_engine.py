@@ -34,6 +34,7 @@ invariants against :attr:`core` directly.
 from __future__ import annotations
 
 from collections.abc import Iterator, Set
+from operator import attrgetter
 
 from ..core.server import CoordinationServer
 from .effects import (
@@ -61,6 +62,10 @@ from .messages import (
 from .trace import TappedEngine
 
 __all__ = ["ServerEngine"]
+
+#: A grant's ``ThreadAssignment`` as the ``(column, parent)`` pair the
+#: wire and the ``Admitted`` effect carry.
+_PAIR = attrgetter("column", "parent")
 
 
 def _speaker(event: MessageReceived) -> int:
@@ -169,9 +174,7 @@ class ServerEngine(TappedEngine):
     def _on_join(self) -> list[Effect]:
         grant = self.core.hello()
         node_id = grant.node_id
-        assignments = tuple(
-            (a.column, a.parent) for a in grant.assignments
-        )
+        assignments = tuple(map(_PAIR, grant.assignments))
         # Uniform insertion (§5) may splice the newcomer mid-column: the
         # displaced children re-clip onto it.
         return [

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import SERVER, CoordinationServer, NodeStatus
+from repro.protocol import ServerEngine
 
 
 @pytest.fixture
@@ -29,6 +30,19 @@ class TestHello:
         by_column = {a.column: a.parent for a in second.assignments}
         assert by_column[1] == first.node_id
         assert by_column[2] == SERVER
+
+    def test_rejected_hello_issues_no_id(self, server, rng):
+        """A hello the matrix refuses must not burn an id: one that was
+        never admitted would read as departed forever."""
+        server.hello()
+        state = rng.bit_generator.state
+        for bad in ({"columns": [1, 1]}, {"d": 9}, {"columns": [0, 8]}):
+            with pytest.raises(ValueError):
+                server.hello(**bad)
+        assert rng.bit_generator.state == state
+        assert server.issued == 1
+        assert set(ServerEngine(server).departed) == set()
+        assert server.hello().node_id == 1
 
     def test_heterogeneous_degree(self, server):
         grant = server.hello(d=4)

@@ -298,6 +298,33 @@ draw_steps = st.lists(st.one_of(
               st.integers(1, 40), st.none()),
 ), min_size=1, max_size=12)
 
+distinct_steps = st.lists(st.one_of(
+    st.integers(1, 64).flatmap(lambda n: st.tuples(
+        st.just("distinct"), st.just(n), st.integers(1, n))),
+    st.tuples(st.sampled_from(["random", "integers"]), st.integers(1, 40),
+              st.none()),
+), min_size=1, max_size=12)
+
+
+def distinct_script(rng, steps, distinct=kernels.draw_distinct):
+    """Run ``steps`` on ``rng``: ``distinct(rng, n, d)`` samples
+    interleaved with the other ``Generator`` calls a server makes; every
+    result, in order."""
+    results = []
+    for kind, a, b in steps:
+        if kind == "distinct":
+            results.append(distinct(rng, a, b))
+        elif kind == "random":
+            results.append(rng.random())
+        else:
+            results.append(int(rng.integers(0, a)))
+    return results
+
+
+def choice(rng, n, d):
+    return rng.choice(n, size=d, replace=False).tolist()
+
+
 PACKET_KINDS = ("random", "random", "duplicate", "combination", "zero",
                 "basis_row", "free_row")
 
@@ -363,6 +390,54 @@ class TestCodingSteps:
                 assert result[0] == twin.integers(0, a)
             else:
                 assert result[0] == twin.choice(list(range(a)))
+
+    @given(seeds, distinct_steps)
+    @settings(max_examples=200, deadline=None)
+    def test_draw_distinct(self, seed, steps):
+        """Native, numpy and a twin ``Generator.choice``: the same
+        samples, and the generator where ``choice`` leaves it."""
+        outcomes = []
+        for impl in (NATIVE, kernels.NUMPY):
+            with backend(impl):
+                rng = np.random.default_rng(seed)
+                outcomes.append((distinct_script(rng, steps), rng.bit_generator.state))
+        twin = np.random.default_rng(seed)
+        expected = (distinct_script(twin, steps, choice), twin.bit_generator.state)
+        assert outcomes[0] == outcomes[1] == expected
+
+    @pytest.mark.parametrize("impl", ["native", "numpy"])
+    def test_draw_distinct_is_choice_at_every_size(self, impl):
+        """Every ``(n, d)`` with ``1 <= d <= n <= 64`` through one
+        generator, each sample followed by a ``random()``."""
+        steps = [step for n in range(1, 65) for d in range(1, n + 1)
+                 for step in (("distinct", n, d), ("random", 1, None))]
+        with backend(NATIVE if impl == "native" else kernels.NUMPY):
+            rng = np.random.default_rng(64)
+            ours = distinct_script(rng, steps)
+        twin = np.random.default_rng(64)
+        assert ours == distinct_script(twin, steps, choice)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("n, d", [(10_000, 3), (10_000, 10_000),
+                                      (10_001, 2), (50_000, 1_001), (7, 0)])
+    def test_draw_distinct_past_floyd_is_choice(self, n, d):
+        """Numpy's Floyd branch ends at a population of 10 000; past it
+        (and for an empty sample) the wrapper is ``choice`` itself."""
+        rng, twin = np.random.default_rng(n + d), np.random.default_rng(n + d)
+        assert kernels.draw_distinct(rng, n, d) == choice(twin, n, d)
+        assert rng.bit_generator.state == twin.bit_generator.state
+
+    def test_draw_distinct_rejects_what_choice_rejects(self):
+        """The wrapper raises what ``choice`` raises; the native entry
+        point also refuses a population past Floyd's branch."""
+        for n, d in ((3, 4), (0, 1), (5, -1), (10_001, 1)):
+            rng = np.random.default_rng(0)
+            if n <= 10_000:
+                with pytest.raises(ValueError):
+                    kernels.draw_distinct(rng, n, d)
+            with pytest.raises(ValueError):
+                NATIVE.draw_distinct(rng, n, d)
+            assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
     @pytest.mark.parametrize("impl", ["native", "numpy"])
     def test_a_zero_row_ends_a_low_zero_draw(self, impl):

@@ -146,6 +146,13 @@ def _one_draw_too_many(draw_rows):
     return draw
 
 
+def _off_by_one(draw_distinct):
+    def draw(rng, n, d):
+        # Same generator state, every column one along.
+        return [(column + 1) % n for column in draw_distinct(rng, n, d)]
+    return draw
+
+
 def _flip_a_basis_byte(insert_row):
     def insert(basis, pivot_cols, rank, coefficients, payload):
         pivot = insert_row(basis, pivot_cols, rank, coefficients, payload)
@@ -157,6 +164,7 @@ def _flip_a_basis_byte(insert_row):
 @pytest.mark.parametrize("name, wrap, complaint", [
     ("draw_rows", _one_draw_too_many, "Generator.integers"),
     ("insert_row", _flip_a_basis_byte, "insertion"),
+    ("draw_distinct", _off_by_one, "Generator.choice"),
 ])
 def test_object_that_strays_from_numpy_is_not_used(
         tmp_path, monkeypatch, caplog, name, wrap, complaint):

@@ -14,10 +14,15 @@ Three contracts the drivers rely on:
   crash-consistent debugging possible).
 """
 
+import os
+import sys
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from ext import membership_scaling
 from repro.core import CoordinationServer
 from repro.core.matrix import SERVER
 from repro.protocol import (
@@ -267,6 +272,64 @@ class TestServerEngineBoundedState:
                  for owner in owners for name, value in containers(owner)}
         assert "ThreadMatrix._rows" in sizes  # the walk saw the big ones
         assert {n: s for n, s in sizes.items() if s > population} == {}
+
+
+class TestServerEngineCost:
+    """What §3 says a membership op costs, counted exactly: Python
+    function calls into ``repro`` per ``ServerEngine`` event."""
+
+    #: Calls into ``repro`` per event on the crash/leave/join/join mix.
+    CEILING = 20
+
+    def test_membership_event_stays_under_its_call_ceiling(
+            self, record_property):
+        population, cycles = 2000, 500
+        engine = ServerEngine(CoordinationServer(
+            32, 2, np.random.default_rng(0), "uniform"))
+        join = MessageReceived(JoinRequest(reply_to=0))
+        live = [engine.handle(join)[0].node_id for _ in range(population)]
+        draws = np.random.default_rng([0, 1]).random(2 * cycles).tolist()
+        package = os.path.dirname(repro.__file__) + os.sep
+        counts = {"repro": 0, "other": 0}
+
+        def profile(frame, event, arg):
+            if event == "call":
+                inside = frame.f_code.co_filename.startswith(package)
+                counts["repro" if inside else "other"] += 1
+
+        def handle(event):
+            sys.setprofile(profile)
+            try:
+                return engine.handle(event)
+            finally:
+                sys.setprofile(None)
+
+        def pick(draw):
+            index = int(draw * len(live))
+            live[index], live[-1] = live[-1], live[index]
+            return live.pop()
+
+        for cycle in range(cycles):
+            handle(ConnectionLost(pick(draws[2 * cycle])))
+            leaver = pick(draws[2 * cycle + 1])
+            handle(MessageReceived(LeaveRequest(leaver), sender=leaver))
+            live.append(handle(join)[0].node_id)
+            live.append(handle(join)[0].node_id)
+        events = 4 * cycles
+        ours, theirs = counts["repro"] / events, counts["other"] / events
+        # Dataclass __init__s (``<string>``) and numpy, reported unpinned.
+        record_property("stdlib_calls_per_event", theirs)
+        assert ours <= self.CEILING, (
+            f"{ours:.2f} calls into repro per membership event "
+            f"(and {theirs:.2f} elsewhere)")
+
+    def test_membership_scaling_script_at_toy_size(self, capsys):
+        membership_scaling.main(populations=(50, 400), cycles=100, rounds=2)
+        header, *rows = capsys.readouterr().out.splitlines()
+        assert header.split() == ["n", "ops/s", "ratio"]
+        assert [row.split()[0] for row in rows] == ["50", "400"]
+        assert rows[0].split()[2] == "1.00"
+        assert all(float(row.split()[1].replace(",", "")) > 0 for row in rows)
 
 
 class TestPeerEngineBoundedState:
