@@ -139,7 +139,9 @@ class FrameBuffer:
     into the accumulated buffer instead of rebuilding the tail, so
     draining F buffered frames costs O(bytes) rather than the
     O(bytes x F) of the old ``del buffer[:total]`` per message; the
-    consumed prefix is compacted away on the next ``feed``.  A data
+    consumed prefix is compacted away on the next ``feed``, or at once
+    when a message ends where the buffered bytes end, so a drained
+    buffer holds nothing between reads.  A data
     body is decoded through the wire layer's offset cursor
     (:func:`repro.coding.wire.decode_packet_from`), bounded by the end
     its prefix framed, with one copy: the packet's.  A control body is
@@ -184,17 +186,23 @@ class FrameBuffer:
         end = self._cursor = cursor + total  # consumed even if bad
         if kind == KIND_DATA:
             try:
-                return decode_packet_from(buf, body_start, end)[0]
+                message = decode_packet_from(buf, body_start, end)[0]
             except WireFormatError as exc:
                 cls = (CrcMismatchError if isinstance(exc, CrcError)
                        else FramingError)
                 raise cls(f"bad frame body: {exc}") from exc
-        if kind == KIND_CONTROL:
+        elif kind == KIND_CONTROL:
             try:
-                return decode_control(buf[body_start:end])
+                message = decode_control(buf[body_start:end])
             except ControlFormatError as exc:
                 raise FramingError(f"bad frame body: {exc}") from exc
-        raise FramingError(f"unknown frame kind {kind}")
+        else:
+            raise FramingError(f"unknown frame kind {kind}")
+        if end == len(buf):
+            # Drained: release the bytes now, not at the next feed.
+            self._buffer = bytearray()
+            self._cursor = 0
+        return message
 
 
 class MessageStream:

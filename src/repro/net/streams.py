@@ -54,10 +54,9 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import partial
-from typing import Callable, Deque, Hashable, Optional
+from typing import Callable, Hashable, Optional
 
 from ..coding.packet import CodedPacket
 from ..core.matrix import SERVER
@@ -161,7 +160,9 @@ class PacketSender:
         self._log_drops = (
             logger is not None and logger.isEnabledFor(logging.DEBUG)
         )
-        self._queue: Deque[bytes] = deque()
+        #: Frames not yet flushed, oldest first (at most ``limit``).  A
+        #: flush takes the whole list and leaves an empty one behind.
+        self._queue: list[bytes] = []
         #: The bare future the run loop last parked on (done once it is
         #: woken).  Its result says why it woke: True for the keep-alive
         #: timer, False for work or a close.
@@ -204,7 +205,7 @@ class PacketSender:
         self.stats.enqueued += 1
         clean = True
         if len(self._queue) >= self._limit:
-            self._queue.popleft()
+            del self._queue[0]
             self.stats.dropped += 1
             clean = False
             if self._log_drops:
@@ -247,7 +248,11 @@ class PacketSender:
         self._keepalive = clock.call_at(deadline, self._keepalive_due)
 
     async def run(self) -> None:
-        """Drain the queue onto the wire until closed or disconnected."""
+        """Drain the queue onto the wire until closed or disconnected.
+
+        A flushed list is dropped before the pump awaits anything, so a
+        pump blocked in ``drain`` or parked holds none of the frames it
+        has handed to the writer."""
         try:
             while not self._closed:
                 if not self._queue:
@@ -256,12 +261,12 @@ class PacketSender:
                         continue
                 if self._closed:
                     break
-                frames = list(self._queue)
-                self._queue.clear()
+                frames, self._queue = self._queue, []
                 self._writer.writelines(frames)
                 self.stats.sent += len(frames)
-                self.stats.bytes_sent += sum(len(f) for f in frames)
+                self.stats.bytes_sent += sum(map(len, frames))
                 self.stats.flushes += 1
+                del frames
                 await self._writer.drain()
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
@@ -300,6 +305,7 @@ class PacketSender:
         self._writer.write(frame)
         self.stats.bytes_sent += len(frame)
         self.stats.flushes += 1
+        del frame, packet
         await self._writer.drain()
 
 

@@ -237,6 +237,12 @@ class LinkFaults:
         )
 
 
+def _release(waiter: Optional[asyncio.Future]) -> None:
+    """Wake a parked waiter, unless it is gone or was cancelled."""
+    if waiter is not None and not waiter.done():
+        waiter.set_result(None)
+
+
 class _Pipe:
     """One direction of a virtual connection.
 
@@ -247,7 +253,17 @@ class _Pipe:
     buffer.  ``drain`` blocks while more than ``buffer_bytes`` are
     queued-but-undelivered — the backpressure a slow or throttled
     receiver exerts on the sender.
+
+    A parked reader, a parked pump and each blocked drain wait on a
+    bare future that exists only while they are parked, so an idle pipe
+    holds no waiter state.
     """
+
+    __slots__ = (
+        "net", "src", "dst", "buffer", "eof", "closed", "broken",
+        "in_flight", "_segments", "_reader", "_writable", "_drainers",
+        "_work", "_pump_task",
+    )
 
     _EOF = object()
 
@@ -261,10 +277,15 @@ class _Pipe:
         self.broken = False  # hard reset: drain raises, pump stops
         self.in_flight = 0
         self._segments: list = []
-        self._readable = asyncio.Event()
-        self._writable = asyncio.Event()
-        self._writable.set()
-        self._work = asyncio.Event()
+        #: The parked read's future (one reader per pipe, as a socket's
+        #: stream reader allows).
+        self._reader: Optional[asyncio.Future] = None
+        #: False while more than the link's window is in flight.
+        self._writable = True
+        #: Futures of the drains blocked on the window; None when none is.
+        self._drainers: Optional[list[asyncio.Future]] = None
+        #: The parked pump's future.
+        self._work: Optional[asyncio.Future] = None
         # No pump task until a segment actually needs the fault
         # pipeline — clean links deliver synchronously in feed().
         self._pump_task: Optional[asyncio.Task] = None
@@ -273,6 +294,21 @@ class _Pipe:
         if self._pump_task is None:
             self._pump_task = asyncio.ensure_future(self._pump())
             self.net._track(self._pump_task)
+
+    def _wake_reader(self) -> None:
+        reader, self._reader = self._reader, None
+        _release(reader)
+
+    def _wake_pump(self) -> None:
+        work, self._work = self._work, None
+        _release(work)
+
+    def _set_writable(self) -> None:
+        self._writable = True
+        drainers, self._drainers = self._drainers, None
+        if drainers is not None:
+            for drainer in drainers:
+                _release(drainer)
 
     # -- writer side ---------------------------------------------------
 
@@ -283,7 +319,7 @@ class _Pipe:
         if (
             self.in_flight == 0
             and not self._segments
-            and self.net.link(self.src, self.dst).is_clean()
+            and self.net.faults(self.src, self.dst).is_clean()
         ):
             # Nothing queued ahead, nothing scripted on the link: the
             # whole flush lands in the reader's buffer as one append,
@@ -291,7 +327,7 @@ class _Pipe:
             data = b"".join(frames)
             if data:
                 self.buffer += data
-                self._readable.set()
+                self._wake_reader()
                 self.net.record("deliver", self.src, self.dst, len(data))
             return
         # One segment per frame, so scripted loss and corruption stay
@@ -302,15 +338,19 @@ class _Pipe:
         self.in_flight += sum(map(len, segments))
         self._segments.extend(segments)
         self._ensure_pump()
-        self._work.set()
-        if self.in_flight > self.net.link(self.src, self.dst).buffer_bytes:
-            self._writable.clear()
+        self._wake_pump()
+        if self.in_flight > self.net.faults(self.src, self.dst).buffer_bytes:
+            self._writable = False
 
     async def drained(self) -> None:
-        while not self._writable.is_set():
+        while not self._writable:
             if self.broken:
                 raise ConnectionResetError(f"virtual pipe {self.src}->{self.dst} reset")
-            await self._writable.wait()
+            drainer = asyncio.get_running_loop().create_future()
+            if self._drainers is None:
+                self._drainers = []
+            self._drainers.append(drainer)
+            await drainer
         if self.broken:
             raise ConnectionResetError(f"virtual pipe {self.src}->{self.dst} reset")
 
@@ -325,12 +365,12 @@ class _Pipe:
             return
         self._segments.append(self._EOF)
         self._ensure_pump()
-        self._work.set()
+        self._wake_pump()
 
     def _deliver_eof(self) -> None:
-        if self.net.link(self.src, self.dst).delivers():
+        if self.net.faults(self.src, self.dst).delivers():
             self.eof = True
-            self._readable.set()
+            self._wake_reader()
             self.net.record("eof", self.src, self.dst)
         else:
             self.net.record("void-eof", self.src, self.dst)
@@ -340,16 +380,22 @@ class _Pipe:
         writer's next drain raises, any parked reader sees EOF."""
         self.broken = True
         self.eof = True
-        self._work.set()
-        self._writable.set()
-        self._readable.set()
+        self._wake_pump()
+        self._set_writable()
+        self._wake_reader()
 
     # -- reader side ---------------------------------------------------
 
     async def read(self, n: int) -> bytes:
+        """Up to ``n`` buffered bytes, parking while there are none;
+        b"" at EOF.  This is the reader endpoint's ``read`` itself."""
         while not self.buffer and not self.eof:
-            self._readable.clear()
-            await self._readable.wait()
+            if self._reader is not None and not self._reader.done():
+                raise RuntimeError(
+                    f"virtual pipe {self.src}->{self.dst}: read() called "
+                    "while another read is parked")
+            self._reader = asyncio.get_running_loop().create_future()
+            await self._reader
         data = bytes(self.buffer[:n])
         del self.buffer[:n]
         return data
@@ -361,15 +407,15 @@ class _Pipe:
         try:
             while not self.broken:
                 while not self._segments:
-                    self._work.clear()
-                    await self._work.wait()
+                    self._work = asyncio.get_running_loop().create_future()
+                    await self._work
                     if self.broken:
                         return
                 segment = self._segments.pop(0)
                 if segment is self._EOF:
                     self._deliver_eof()
                     return
-                faults = net.link(self.src, self.dst)
+                faults = net.faults(self.src, self.dst)
                 delay = faults.latency
                 if faults.jitter:
                     delay += rng.uniform(0.0, faults.jitter)
@@ -384,9 +430,9 @@ class _Pipe:
     def _deliver(self, segment: bytes, rng: random.Random) -> None:
         net = self.net
         self.in_flight -= len(segment)
-        faults = net.link(self.src, self.dst)  # re-read: may have changed mid-flight
+        faults = net.faults(self.src, self.dst)  # re-read: may have changed mid-flight
         if self.in_flight <= faults.buffer_bytes:
-            self._writable.set()
+            self._set_writable()
         if not faults.delivers():
             net.record("void", self.src, self.dst, len(segment))
             return
@@ -407,18 +453,18 @@ class _Pipe:
                        + segment[index + 1:])
             net.record("corrupt", self.src, self.dst, index)
         self.buffer.extend(segment)
-        self._readable.set()
+        self._wake_reader()
         net.record("deliver", self.src, self.dst, len(segment))
 
 
 class _VirtualReader:
-    """Reader endpoint of a pipe (the ``ByteStreamReader`` seam)."""
+    """Reader endpoint of a pipe (the ``ByteStreamReader`` seam): its
+    ``read`` is the pipe's own, so a parked read is one frame deep."""
+
+    __slots__ = ("read",)
 
     def __init__(self, pipe: _Pipe) -> None:
-        self._pipe = pipe
-
-    async def read(self, n: int) -> bytes:
-        return await self._pipe.read(n)
+        self.read = pipe.read
 
 
 class _VirtualWriter:
@@ -428,6 +474,8 @@ class _VirtualWriter:
     direction flushes then EOFs, the reverse direction is reset so the
     peer's next ``drain`` raises :class:`ConnectionResetError`.
     """
+
+    __slots__ = ("_out", "_back", "_peername")
 
     def __init__(self, out: _Pipe, back: _Pipe, peername: tuple[str, int]) -> None:
         self._out = out
@@ -466,7 +514,9 @@ class _VirtualListener:
         self.port = port
         self.handler = handler
         self.closed = False
-        self._closed_event = asyncio.Event()
+        #: What ``serve_forever`` waits on: made by the first wait,
+        #: shared by every later one, resolved by ``close``.
+        self._serving: Optional[asyncio.Future] = None
 
     @property
     def address(self) -> tuple[str, int]:
@@ -479,14 +529,25 @@ class _VirtualListener:
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            self._closed_event.set()
+            _release(self._serving)
             self.net._listeners.pop((self.host, self.port), None)
 
     async def wait_closed(self) -> None:
         return None
 
     async def serve_forever(self) -> None:
-        await self._closed_event.wait()
+        task = asyncio.current_task()
+        while not self.closed:
+            if self._serving is None or self._serving.cancelled():
+                self._serving = asyncio.get_running_loop().create_future()
+            try:
+                await self._serving
+            except asyncio.CancelledError:
+                # Cancelling one waiter cancels the shared future; the
+                # others wait on afresh.  (Before 3.11 a task cannot
+                # tell, and every waiter ends.)
+                if getattr(task, "cancelling", lambda: 1)():
+                    raise
 
 
 # ----------------------------------------------------------------------
@@ -546,8 +607,15 @@ class VirtualNetwork:
 
     # -- faults --------------------------------------------------------
 
+    def faults(self, src: str, dst: str) -> LinkFaults:
+        """The faults on src -> dst, for reading only: the link's own
+        record if one was scripted, else the shared default.  Creates
+        nothing, so the link table holds only scripted pairs."""
+        return self._links.get((src, dst), self._default)
+
     def link(self, src: str, dst: str) -> LinkFaults:
-        """The (directed) fault record for src -> dst, created on demand."""
+        """The (directed) fault record for src -> dst, created on demand
+        — the scripting API; the transport reads :meth:`faults`."""
         faults = self._links.get((src, dst))
         if faults is None:
             faults = replace(self._default)
@@ -607,15 +675,15 @@ class VirtualNetwork:
     ) -> tuple[_VirtualReader, _VirtualWriter]:
         """Dial ``dst:port`` from ``src`` — SYN latency, then either a
         refusal or a fresh pipe pair handed to the listener's handler."""
-        faults = self.link(src, dst)
+        faults = self.faults(src, dst)
         delay = faults.latency + (self._rng.uniform(0.0, faults.jitter)
                                   if faults.jitter else 0.0)
         if delay > 0:
             await self.clock.sleep(delay)
         listener = self._listeners.get((dst, port))
         if (listener is None or listener.closed
-                or not self.link(src, dst).delivers()
-                or self.link(dst, src).partitioned):
+                or not self.faults(src, dst).delivers()
+                or self.faults(dst, src).partitioned):
             self.record("refused", src, dst, port)
             raise ConnectionRefusedError(f"virtual connect {src}->{dst}:{port}")
         out = _Pipe(self, src, dst)

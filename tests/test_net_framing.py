@@ -1,6 +1,7 @@
 """Tests for stream framing and the bounded outbound pumps."""
 
 import asyncio
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,37 @@ class TestFrameBuffer:
         with pytest.raises(FramingError) as caught:
             buffer.next_message()
         assert not isinstance(caught.value, CrcMismatchError)
+
+
+class TestFrameBufferHoldsNothingDrained:
+    """A buffer whose last message ended where its bytes end keeps
+    none of them until the next feed."""
+
+    def test_three_whole_frames_drain_to_empty(self):
+        buffer = FrameBuffer()
+        buffer.feed(b"".join(encode_data_frame(_packet(g)) for g in range(3)))
+        assert [buffer.next_message().generation for _ in range(3)] == [0, 1, 2]
+        assert buffer.pending() == 0
+        assert len(buffer._buffer) == 0
+
+    def test_control_only_stream_drains_to_empty(self):
+        keepalive = encode_frame(
+            KIND_CONTROL, encode_control(KeepAlive(column=0, sender=1)))
+        buffer = FrameBuffer()
+        buffer.feed(keepalive * 3)
+        assert [type(m) for m in buffer.messages()] == [KeepAlive] * 3
+        assert len(buffer._buffer) == 0
+
+    def test_a_partial_frame_stays_buffered(self):
+        frame = encode_data_frame(_packet())
+        buffer = FrameBuffer()
+        buffer.feed(frame + frame[:5])
+        assert isinstance(buffer.next_message(), CodedPacket)
+        assert buffer.next_message() is None
+        assert buffer.pending() == 5
+        buffer.feed(frame[5:])
+        assert isinstance(buffer.next_message(), CodedPacket)
+        assert len(buffer._buffer) == 0
 
 
 def _overlong_frame(followed: bool) -> bytes:
@@ -275,7 +307,52 @@ class _StubWriter:
         pass
 
 
+class _DiscardingWriter:
+    """A writer that keeps nothing it is handed (drain never blocks)."""
+
+    def write(self, data):
+        pass
+
+    def writelines(self, frames):
+        pass
+
+    async def drain(self):
+        return None
+
+    def close(self):
+        pass
+
+
 class TestPacketSenderQueue:
+    def test_parked_pump_keeps_none_of_what_it_flushed(self):
+        """256 KiB goes out in one flush; once the pump is parked again
+        it holds under 4 KiB of anything allocated since."""
+        async def scenario():
+            sender = PacketSender(
+                _DiscardingWriter(), column=0, sender_id=1,
+                idle_packet=_no_fill, limit=64)
+            task = asyncio.ensure_future(sender.run())
+            await asyncio.sleep(0)  # parked on an empty queue
+            tracemalloc.start()
+            try:
+                for _ in range(64):
+                    sender.enqueue_frame(bytes(4096))
+                for _ in range(3):
+                    await asyncio.sleep(0)  # flushed, drained, parked
+                retained = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            parked = sender._parked is not None and not sender._parked.done()
+            sender.close()
+            await task
+            return retained, parked, sender.stats
+
+        retained, parked, stats = asyncio.run(scenario())
+        assert parked
+        assert (stats.sent, stats.flushes) == (64, 1)
+        assert stats.bytes_sent == 256 * 1024
+        assert retained < 4096
+
     def test_drop_oldest_on_overflow(self):
         async def scenario():
             sender = PacketSender(

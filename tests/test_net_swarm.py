@@ -23,6 +23,8 @@ from repro.net.testing import (
 )
 from repro.net.testing.virtualnet import LinkFaults
 
+from ext import swarm_memory
+
 
 # ----------------------------------------------------------------------
 # Virtual network / quantum clock units at swarm scale
@@ -239,6 +241,29 @@ class TestSwarmRound:
         assert "n=60" in report.summary()
         assert report.wall_total > 0
         assert report.virtual_elapsed > 0
+
+    def test_clean_round_leaves_the_link_table_empty(self):
+        """Only scripting makes a per-link fault record; a round that
+        scripts nothing dials thousands of pairs and makes none."""
+        async def run():
+            harness = SwarmHarness(SwarmConfig(peers=300, seed=0))
+            try:
+                report = await harness.run_round()
+            finally:
+                await harness.teardown()
+            return report, harness.net._links
+
+        report, links = asyncio.run(run())
+        assert report.ok, report.violations[:5]
+        assert links == {}
+
+    def test_memory_ledger_groups_sum_to_the_traced_total(self):
+        groups = swarm_memory.ledger(50)
+        assert set(groups) == {*swarm_memory.GROUPS, "total"}
+        charged = sum(groups[name] for name in swarm_memory.GROUPS)
+        assert abs(groups["total"] - charged) < 4096, (groups, charged)
+        assert groups["net.testing.virtualnet"] > 0
+        assert groups["net.streams"] > 0
 
     @pytest.mark.slow
     def test_10k_acceptance_round_under_budget(self):

@@ -1,12 +1,14 @@
 """Unit tests for the virtual clock and the in-memory fault network."""
 
 import asyncio
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.coding import CodedPacket
 from repro.coding.wire import WireFormatError, decode_packet, encode_packet
+from repro.net.framing import MessageStream
 from repro.net.testing import VirtualClock, VirtualNetwork
 
 
@@ -460,3 +462,55 @@ class TestVirtualPipes:
         net.set_default(latency=0.1)
         assert net.link("p", "q").latency == 0.1
         assert net.link("x", "y").latency == 0.1  # existing links updated too
+
+    def test_reading_faults_creates_no_link_record(self):
+        net = VirtualNetwork()
+        assert net.faults("x", "y").is_clean()
+        net.set_default(latency=0.1)
+        assert net.faults("x", "y").latency == 0.1
+        assert net._links == {}
+        net.set_link("x", "y", loss=0.5, symmetric=False)
+        assert net.faults("x", "y").loss == 0.5
+        assert net.faults("y", "x").loss == 0.0
+        assert set(net._links) == {("x", "y")}
+
+
+class TestIdleConnectionCost:
+    def test_idle_connection_costs_at_most_5500_bytes(self):
+        """500 connections, both ends parked on a MessageStream read:
+        two pipes, two endpoints, two parsers, two parked tasks and
+        nothing else per connection."""
+        count = 500
+
+        async def scenario():
+            net = VirtualNetwork(VirtualClock(), record_trace=False)
+            hosts = [f"h{i}" for i in range(count)]
+            writers, clients = [], []
+
+            async def handler(reader, writer):
+                writers.append(writer)
+                await MessageStream(reader).next()
+
+            net.bind("srv", 7, handler)
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for host in hosts:
+                    reader, writer = await net.open_connection(host, "srv", 7)
+                    writers.append(writer)
+                    clients.append(asyncio.ensure_future(
+                        MessageStream(reader).next()))
+                await net.clock.advance(0.0)
+                used = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            parked = len(net._tasks)
+            await net.shutdown()
+            for client in clients:
+                client.cancel()
+            await asyncio.gather(*clients, return_exceptions=True)
+            return used / count, parked
+
+        per_connection, parked = run(scenario())
+        assert parked == count  # every accept handler still parked
+        assert per_connection <= 5500, per_connection
