@@ -36,7 +36,7 @@ def _protocol_cost(n: int, seed: int) -> tuple[float, float]:
 def _congestion_cycle(seed: int):
     net = OverlayNetwork(k=K, d=D, seed=seed)
     net.grow(60)
-    controller = CongestionController(net.server, drop_after=2, restore_after=3)
+    controller = CongestionController(net.server, restore_after=3)
     cohort = net.matrix.node_ids[10:25]
     # congestion phase: cohort reports congested for 6 rounds
     for _ in range(6):

@@ -29,7 +29,7 @@ def _measure(d: int, p: float, seed: int) -> float:
     seed = seed + 1000 * d + int(p * 100_000)
     net = OverlayNetwork(k=k, d=d, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    sequential_arrivals(net, ARRIVALS, p=p, rng=rng, repair_interval=None)
+    sequential_arrivals(net, ARRIVALS, p=p, rng=rng)
     summary = sampled_defect(net.matrix, d, rng, samples=SAMPLES,
                              failed=net.failed)
     return summary.mean_defect

@@ -23,7 +23,7 @@ def _probe(d: int, p: float, seed: int) -> tuple[float, float]:
     seed = seed + 7000 * d + int(p * 100_000)
     net = OverlayNetwork(k=k, d=d, seed=seed)
     rng = np.random.default_rng(seed + 1)
-    sequential_arrivals(net, ARRIVALS, p=p, rng=rng, repair_interval=None)
+    sequential_arrivals(net, ARRIVALS, p=p, rng=rng)
     solver = TupleConnectivitySolver(net.matrix, net.failed)
     losses = []
     for _ in range(PROBES):

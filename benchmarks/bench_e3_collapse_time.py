@@ -41,7 +41,7 @@ def experiment():
             mean_steps, math.log(mean_steps), censored,
         ])
     real = measure_collapse_time(
-        k=8, d=2, p=0.6, seed=5, max_steps=4000, check_every=25,
+        k=8, d=2, p=0.6, seed=5, max_steps=4000,
         defect_samples=40, threshold=0.5,
     )
     return rows, real

@@ -15,7 +15,6 @@ from .connectivity import (
 )
 from .defects import (
     DefectSummary,
-    defect_of_columns,
     exact_defect,
     sampled_defect,
     tuple_space_size,
@@ -39,7 +38,6 @@ __all__ = [
     "all_node_connectivities",
     "chi_square_same_distribution",
     "cut_mentions_failed_parents",
-    "defect_of_columns",
     "min_cut",
     "delay_profile",
     "exact_defect",

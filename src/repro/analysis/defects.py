@@ -50,6 +50,10 @@ class DefectSummary:
         return self.mean_defect / d if d else 0.0
 
 
+#: The most tuples :func:`exact_defect` enumerates (the space is ``C(k, d)``).
+MAX_EXACT_TUPLES = 200_000
+
+
 def tuple_space_size(k: int, d: int) -> int:
     """``A = C(k, d)``, the number of d-tuples of hanging threads."""
     return math.comb(k, d)
@@ -59,17 +63,16 @@ def exact_defect(
     matrix: ThreadMatrix,
     d: int,
     failed: Optional[AbstractSet[int]] = None,
-    max_tuples: int = 200_000,
 ) -> DefectSummary:
     """Enumerate every d-tuple and compute the exact defect profile.
 
-    Guarded by ``max_tuples`` because the space is ``C(k, d)``.
+    Guarded by :data:`MAX_EXACT_TUPLES` because the space is ``C(k, d)``.
     """
     space = tuple_space_size(matrix.k, d)
-    if space > max_tuples:
+    if space > MAX_EXACT_TUPLES:
         raise ValueError(
-            f"C({matrix.k},{d}) = {space} tuples exceeds max_tuples={max_tuples};"
-            " use sampled_defect instead"
+            f"C({matrix.k},{d}) = {space} tuples exceeds "
+            f"MAX_EXACT_TUPLES={MAX_EXACT_TUPLES}; use sampled_defect instead"
         )
     solver = TupleConnectivitySolver(matrix, failed)
     counts = [0] * (d + 1)
@@ -107,13 +110,3 @@ def sampled_defect(
         mean_defect=mean, bad_fraction=bad, histogram=histogram,
         samples=samples, exact=False,
     )
-
-
-def defect_of_columns(
-    matrix: ThreadMatrix,
-    columns: tuple[int, ...],
-    failed: Optional[AbstractSet[int]] = None,
-) -> int:
-    """Defect of one explicit column tuple (fresh-arrival loss, Lemma 3)."""
-    solver = TupleConnectivitySolver(matrix, failed)
-    return solver.defect(columns)

@@ -38,14 +38,6 @@ class FlowNetwork:
             self._adj.append([])
         return idx
 
-    def has_vertex(self, name: object) -> bool:
-        return name in self._index
-
-    @property
-    def edge_count(self) -> int:
-        """Number of directed edges (not counting residual reverses)."""
-        return len(self._to) // 2
-
     def add_edge(self, u: object, v: object, capacity: int) -> None:
         """Add a directed edge ``u -> v`` with the given capacity."""
         if capacity < 0:

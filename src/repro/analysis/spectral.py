@@ -16,15 +16,13 @@ from ..core.matrix import SERVER
 from ..core.topology import OverlayGraph
 
 
-def symmetric_adjacency(graph: OverlayGraph, include_server: bool = True
-                        ) -> tuple[np.ndarray, list[int]]:
-    """Dense symmetrised adjacency (multiplicities summed both ways).
+def symmetric_adjacency(graph: OverlayGraph) -> tuple[np.ndarray, list[int]]:
+    """Dense symmetrised adjacency (multiplicities summed both ways), the
+    server included.
 
     Returns ``(A, index)`` where ``index[i]`` is the node at row ``i``.
     """
-    nodes = sorted(graph.nodes)
-    if include_server:
-        nodes = [SERVER] + nodes
+    nodes = [SERVER] + sorted(graph.nodes)
     position = {node: i for i, node in enumerate(nodes)}
     n = len(nodes)
     adjacency = np.zeros((n, n), dtype=float)
@@ -39,14 +37,14 @@ def symmetric_adjacency(graph: OverlayGraph, include_server: bool = True
     return adjacency, nodes
 
 
-def spectral_gap(graph: OverlayGraph, include_server: bool = True) -> float:
+def spectral_gap(graph: OverlayGraph) -> float:
     """``1 − λ₂`` of the lazy random-walk matrix of the symmetrised graph.
 
     The walk is made lazy (``W = (I + D⁻¹A)/2``) so negative eigenvalues
     cannot masquerade as a small gap.  Returns 0.0 for graphs with
     fewer than two vertices.  Isolated vertices (degree 0) are dropped.
     """
-    adjacency, _ = symmetric_adjacency(graph, include_server)
+    adjacency, _ = symmetric_adjacency(graph)
     degrees = adjacency.sum(axis=1)
     keep = degrees > 0
     adjacency = adjacency[np.ix_(keep, keep)]

@@ -44,10 +44,10 @@ class DefectTrajectory:
     def values(self) -> list[float]:
         return [point.normalized_defect for point in self.points]
 
-    def steady_state_mean(self, burn_in: float = 0.5) -> float:
-        """Mean defect after discarding the first ``burn_in`` fraction."""
+    def steady_state_mean(self) -> float:
+        """Mean defect over the second half of the samples."""
         values = self.values
-        start = int(len(values) * burn_in)
+        start = len(values) // 2
         tail = values[start:] or values
         return float(np.mean(tail))
 
@@ -61,7 +61,6 @@ def measure_defect_trajectory(
     p: float,
     arrivals: int,
     sample_every: int = 25,
-    defect_samples: int = 200,
     seed: Optional[int] = None,
 ) -> DefectTrajectory:
     """Run ``arrivals`` §4 steps, sampling the defect periodically."""
@@ -78,9 +77,9 @@ def measure_defect_trajectory(
     done = 0
     while done < arrivals:
         batch = min(sample_every, arrivals - done)
-        sequential_arrivals(net, batch, p=p, rng=rng, repair_interval=None)
+        sequential_arrivals(net, batch, p=p, rng=rng)
         done += batch
-        summary = sampled_defect(net.matrix, d, rng, samples=defect_samples,
+        summary = sampled_defect(net.matrix, d, rng, samples=200,
                                  failed=net.failed)
         trajectory.points.append(
             TrajectoryPoint(

@@ -68,19 +68,3 @@ class ChainOverlay:
                 [self.delivery_probability(n, p) for n in range(self.population)]
             )
         ) if self.population else 1.0
-
-    def simulate_delivery(self, p: float, rng: np.random.Generator) -> float:
-        """One Monte-Carlo trial: fraction of working nodes still served."""
-        working = rng.random(self.population) >= p
-        served = 0
-        total_working = 0
-        chain_alive = [True] * self.k
-        for node_id in range(self.population):
-            chain = self.chain_of(node_id)
-            if not working[node_id]:
-                chain_alive[chain] = False
-                continue
-            total_working += 1
-            if chain_alive[chain]:
-                served += 1
-        return served / total_working if total_working else 1.0

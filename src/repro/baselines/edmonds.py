@@ -22,7 +22,6 @@ routes stripes down that fixed packing under failures, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -110,7 +109,6 @@ class TreeRoutingOutcome:
 def route_stripes(
     trees: Packing,
     failed: set[int],
-    nodes: Optional[list[int]] = None,
 ) -> TreeRoutingOutcome:
     """Evaluate a fixed packing under a failure set — no recomputation.
 
@@ -121,8 +119,7 @@ def route_stripes(
     """
     if not trees:
         return TreeRoutingOutcome(1.0, 1.0, 0.0)
-    population = nodes if nodes is not None else sorted(trees[0])
-    working = [v for v in population if v not in failed]
+    working = [v for v in sorted(trees[0]) if v not in failed]
     if not working:
         return TreeRoutingOutcome(1.0, 1.0, 0.0)
     fractions = []

@@ -16,7 +16,7 @@ encode/decode path proving the substrate correct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Optional
+from typing import AbstractSet
 
 import numpy as np
 
@@ -108,11 +108,9 @@ def evaluate_erasure_overlay(
     matrix: ThreadMatrix,
     failed: AbstractSet[int],
     required: int,
-    nodes: Optional[list[int]] = None,
 ) -> ErasureOutcome:
     """Fraction of working nodes holding >= ``required`` live stripes."""
-    population = nodes if nodes is not None else matrix.node_ids
-    working = [v for v in population if v not in failed]
+    working = [v for v in matrix.node_ids if v not in failed]
     if not working:
         return ErasureOutcome(mean_stripe_count=0.0, decode_fraction=1.0)
     counts = []

@@ -5,16 +5,12 @@ multicast over its own tree.  Each node is an *interior* node in exactly
 one tree (forwarding that stripe to up to ``d`` children, spending its
 whole upload bandwidth there) and a leaf in the other trees — so upload
 equals download, like the overlay paper's model.  Reliability per stripe
-decays with tree depth (≈ log_d N); stripes may be protected by an MDS
-erasure code: receive any ``m`` of ``d`` stripes to decode (at rate m/d
-of the full content).
+decays with tree depth (≈ log_d N).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..core.matrix import SERVER
 
@@ -35,23 +31,16 @@ class StripedTrees:
     Attributes:
         d: Stripe/tree count (= per-node bandwidth in stripe units).
         population: Node count.
-        required_stripes: Stripes needed to decode (MDS ``m`` of ``d``);
-            defaults to ``d`` (no erasure protection).
     """
 
     d: int
     population: int
-    required_stripes: int = 0  # 0 -> defaults to d in __post_init__
     _interior: list[list[int]] = field(default_factory=list, repr=False)
     _position: list[dict[int, int]] = field(default_factory=list, repr=False)
 
     def __post_init__(self) -> None:
         if self.d < 1 or self.population < 0:
             raise ValueError("need d >= 1 and population >= 0")
-        if self.required_stripes == 0:
-            self.required_stripes = self.d
-        if not 1 <= self.required_stripes <= self.d:
-            raise ValueError("required_stripes must be in [1, d]")
         self._interior = [
             [v for v in range(self.population) if v % self.d == s]
             for s in range(self.d)
@@ -83,35 +72,6 @@ class StripedTrees:
             current = self.parent_in_tree(current, stripe)
             depth += 1
         return depth
-
-    def simulate_delivery(
-        self, p: float, rng: np.random.Generator
-    ) -> tuple[float, float]:
-        """One trial: (mean stripes received / d, full-decode fraction).
-
-        A working node decodes iff at least ``required_stripes`` stripes
-        arrive through all-working ancestor chains.
-        """
-        if self.population == 0:
-            return 1.0, 1.0
-        working = rng.random(self.population) >= p
-        received = np.zeros((self.population, self.d), dtype=bool)
-        for s in range(self.d):
-            # Evaluate in heap-position order so parents come first.
-            layout = sorted(range(self.population), key=lambda v: self._position[s][v])
-            for v in layout:
-                parent = self.parent_in_tree(v, s)
-                if parent == SERVER:
-                    received[v, s] = True
-                else:
-                    received[v, s] = bool(working[parent]) and received[parent, s]
-        working_ids = [v for v in range(self.population) if working[v]]
-        if not working_ids:
-            return 1.0, 1.0
-        stripe_counts = received[working_ids].sum(axis=1)
-        mean_fraction = float(stripe_counts.mean()) / self.d
-        decode_fraction = float((stripe_counts >= self.required_stripes).mean())
-        return mean_fraction, decode_fraction
 
     def max_depth(self) -> int:
         """Deepest node over all trees (the delay figure for E6)."""

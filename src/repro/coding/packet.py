@@ -41,15 +41,12 @@ class CodedPacket:
         payload: ``uint8`` vector of the (coded) data bytes.
         origin: Identifier of the node that emitted this packet (for
             diagnostics and attack experiments; not used for decoding).
-        hop_count: Number of recoding hops this packet's lineage passed
-            through (diagnostics only).
     """
 
     generation: int
     coefficients: np.ndarray
     payload: np.ndarray
     origin: int = -1
-    hop_count: int = 0
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=np.uint8)
@@ -57,8 +54,7 @@ class CodedPacket:
 
     @classmethod
     def trusted(cls, generation: int, coefficients: np.ndarray,
-                payload: np.ndarray, origin: int = -1,
-                hop_count: int = 0) -> "CodedPacket":
+                payload: np.ndarray, origin: int = -1) -> "CodedPacket":
         """Construct without the ``__post_init__`` coercion.
 
         For hot paths whose operands are already ``uint8`` arrays straight
@@ -71,7 +67,6 @@ class CodedPacket:
         self.coefficients = coefficients
         self.payload = payload
         self.origin = origin
-        self.hop_count = hop_count
         return self
 
     @property
@@ -90,12 +85,6 @@ class CodedPacket:
         total = self.generation_size + self.payload_size
         return self.generation_size / total if total else 0.0
 
-    def is_systematic(self) -> bool:
-        """True if this packet is an unmixed original source packet
-        (:func:`systematic_row` of its coefficients)."""
-        raw = self.coefficients.tobytes()
-        return systematic_row(raw, len(raw))
-
     def copy(self) -> "CodedPacket":
         """Deep copy (the simulator hands packets across node boundaries)."""
         return CodedPacket(
@@ -103,7 +92,6 @@ class CodedPacket:
             coefficients=self.coefficients.copy(),
             payload=self.payload.copy(),
             origin=self.origin,
-            hop_count=self.hop_count,
         )
 
     def wire_size(self) -> int:
@@ -135,16 +123,6 @@ class SourceBlock:
     def payload_size(self) -> int:
         return int(self.data.shape[1])
 
-    def source_packet(self, index: int) -> CodedPacket:
-        """Return the ``index``-th original packet in systematic form."""
-        coefficients = np.zeros(self.generation_size, dtype=np.uint8)
-        coefficients[index] = 1
-        return CodedPacket(
-            generation=self.generation,
-            coefficients=coefficients,
-            payload=self.data[index].copy(),
-        )
-
 
 def combine(packets: list[CodedPacket], scalars: np.ndarray) -> CodedPacket:
     """Form the linear combination ``sum_i scalars[i] * packets[i]``.
@@ -161,7 +139,6 @@ def combine(packets: list[CodedPacket], scalars: np.ndarray) -> CodedPacket:
     generation = packets[0].generation
     coefficients = np.zeros_like(packets[0].coefficients)
     payload = np.zeros_like(packets[0].payload)
-    max_hops = 0
     for packet, scalar in zip(packets, scalars):
         if packet.generation != generation:
             raise ValueError("cannot mix packets from different generations")
@@ -171,10 +148,8 @@ def combine(packets: list[CodedPacket], scalars: np.ndarray) -> CodedPacket:
             raise ValueError("mismatched payload sizes")
         addmul_row(coefficients, packet.coefficients, int(scalar))
         addmul_row(payload, packet.payload, int(scalar))
-        max_hops = max(max_hops, packet.hop_count)
     return CodedPacket(
         generation=generation,
         coefficients=coefficients,
         payload=payload,
-        hop_count=max_hops + 1,
     )

@@ -126,17 +126,16 @@ class Recoder:
             for j in range(rows.shape[0])
         ]
 
-    def emit_trivial(self, generation: Optional[int] = None) -> Optional[CodedPacket]:
+    def emit_trivial(self) -> Optional[CodedPacket]:
         """Emit a *non-mixed* packet: replay one buffered basis row.
 
         This models the §7 *entropy destruction attack* — a malicious or
         lazy node that forwards trivial combinations instead of fresh
         mixtures, silently destroying the innovation its subtree receives.
         """
+        generation = self._pick_generation()
         if generation is None:
-            generation = self._pick_generation()
-            if generation is None:
-                return None
+            return None
         decoder = self.decoder.generations[generation]
         if decoder.rank == 0:
             return None

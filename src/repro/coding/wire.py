@@ -187,14 +187,7 @@ def encode_packets_into(
     Returns ``(buffer, spans)`` where ``spans[i] = (offset, length)``
     locates packet ``i``'s frame inside ``buffer``.  When ``buf`` is
     None the buffer is leased from ``pool`` (the module default pool if
-    none is given) and the *caller* is responsible for releasing it —
-    typically after the flush that hands the bytes to the transport::
-
-        buf, spans = encode_packets_into(batch)
-        try:
-            frames = [bytes(memoryview(buf)[o:o + ln]) for o, ln in spans]
-        finally:
-            DEFAULT_POOL.release(buf)
+    none is given).
     """
     total = sum(
         frame_size(p.generation_size, p.payload_size) for p in packets

@@ -18,6 +18,11 @@ from dataclasses import dataclass
 
 from .server import CoordinationServer
 
+#: Congested observations in a row before a thread is shed.
+DROP_AFTER = 2
+#: A node never sheds below this many threads.
+MIN_DEGREE = 1
+
 
 @dataclass
 class _NodeCongestionState:
@@ -36,31 +41,24 @@ class CongestionEvent:
 
 
 class CongestionController:
-    """Hysteresis policy: drop a thread after ``drop_after`` consecutive
-    congested observations; restore one after ``restore_after`` calm ones.
+    """Hysteresis policy: drop a thread after :data:`DROP_AFTER`
+    consecutive congested observations (never below :data:`MIN_DEGREE`
+    threads); restore one after ``restore_after`` calm ones.
 
     Args:
         server: The coordination server to negotiate with.
-        drop_after: Congested observations required before shedding.
         restore_after: Calm observations required before re-adding.
-        min_degree: Never shed below this many threads (>= 1).
     """
 
     def __init__(
         self,
         server: CoordinationServer,
-        drop_after: int = 2,
         restore_after: int = 4,
-        min_degree: int = 1,
     ) -> None:
-        if min_degree < 1:
-            raise ValueError("min_degree must be >= 1")
-        if drop_after < 1 or restore_after < 1:
+        if restore_after < 1:
             raise ValueError("thresholds must be >= 1")
         self.server = server
-        self.drop_after = drop_after
         self.restore_after = restore_after
-        self.min_degree = min_degree
         self._state: dict[int, _NodeCongestionState] = {}
         self.events: list[CongestionEvent] = []
 
@@ -76,7 +74,7 @@ class CongestionController:
             state.congested_streak += 1
             state.calm_streak = 0
             degree = self.server.matrix.row(node_id).degree
-            if state.congested_streak >= self.drop_after and degree > self.min_degree:
+            if state.congested_streak >= DROP_AFTER and degree > MIN_DEGREE:
                 column = self.server.congestion_drop(node_id)
                 state.congested_streak = 0
                 state.shed_count += 1

@@ -256,9 +256,8 @@ class ThreadMatrix:
             self._remove_from_column(column, row.key, node_id)
         return row
 
-    def drop_thread(self, node_id: int, column: Optional[int] = None,
-                    rng: Optional[np.random.Generator] = None) -> int:
-        """§5 congestion: give up one thread (turn a one into a zero).
+    def drop_thread(self, node_id: int, rng: np.random.Generator) -> int:
+        """§5 congestion: give up one random thread (turn a one into a zero).
 
         The node splices itself out of one column only — its parent there
         connects directly to its child.  Returns the dropped column.
@@ -267,18 +266,12 @@ class ThreadMatrix:
         row = self._rows[node_id]
         if row.degree <= 1:
             raise ValueError("cannot drop the last thread of a node")
-        if column is None:
-            if rng is None:
-                raise ValueError("need a column or an rng to pick one")
-            column = int(rng.choice(sorted(row.columns)))
-        if column not in row.columns:
-            raise KeyError(f"node {node_id} has no thread in column {column}")
+        column = int(rng.choice(sorted(row.columns)))
         self._remove_from_column(column, row.key, node_id)
         row.columns.discard(column)
         return column
 
-    def add_thread(self, node_id: int, column: Optional[int] = None,
-                   rng: Optional[np.random.Generator] = None) -> int:
+    def add_thread(self, node_id: int, rng: np.random.Generator) -> int:
         """§5 recovery: re-acquire a thread (turn a random zero into a one).
 
         The node splices itself into the chosen column at its own key
@@ -287,13 +280,8 @@ class ThreadMatrix:
         row = self._rows[node_id]
         if row.degree >= self.k:
             raise ValueError("node already occupies every column")
-        if column is None:
-            if rng is None:
-                raise ValueError("need a column or an rng to pick one")
-            free = [c for c in range(self.k) if c not in row.columns]
-            column = int(rng.choice(free))
-        if column in row.columns:
-            raise ValueError(f"node {node_id} already has a thread in column {column}")
+        free = [c for c in range(self.k) if c not in row.columns]
+        column = int(rng.choice(free))
         self._insert_into_column(column, row.key)
         row.columns.add(column)
         return column
@@ -313,14 +301,6 @@ class ThreadMatrix:
             for node_id in self.column_chain(column):
                 yield previous, node_id, column
                 previous = node_id
-
-    def edge_multiplicities(self) -> dict[tuple[int, int], int]:
-        """Aggregate parallel thread segments into ``(u, v) -> count``."""
-        counts: dict[tuple[int, int], int] = {}
-        for parent, child, _ in self.iter_edges():
-            pair = (parent, child)
-            counts[pair] = counts.get(pair, 0) + 1
-        return counts
 
     # ------------------------------------------------------------------
     # Internals

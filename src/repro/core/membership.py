@@ -2,16 +2,16 @@
 
 The analysis builds ``M`` sequentially: each arriving node tosses a coin
 *before* joining and enters as a failed node with probability ``p`` (the
-paper's time-interchange trick).  Repairs run periodically — once per
-*repair interval* — removing all failed rows.  These drivers reproduce
-that process exactly, plus a steady-state churn variant with graceful
-leaves for the long-running experiments.
+paper's time-interchange trick).  These drivers reproduce that process
+exactly, failed rows kept (the "no repair yet" snapshot the defect is
+measured on), plus a steady-state churn variant with graceful leaves and
+one repair sweep per epoch for the long-running experiments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,8 +32,6 @@ def sequential_arrivals(
     count: int,
     p: float,
     rng: Optional[np.random.Generator] = None,
-    repair_interval: Optional[int] = None,
-    on_step: Optional[Callable[[ArrivalRecord], None]] = None,
 ) -> list[ArrivalRecord]:
     """Run the §4 process: ``count`` arrivals, each failed w.p. ``p``.
 
@@ -43,11 +41,6 @@ def sequential_arrivals(
         p: Probability an arrival is (or promptly becomes) a failed node
             within the repair interval.
         rng: Randomness for the failure coins (defaults to the net's rng).
-        repair_interval: If given, ``repair_all`` runs every that many
-            steps — the periodic repair the paper's model assumes.  If
-            None, failures accumulate (the adversarial "no repair yet"
-            snapshot used when measuring defects).
-        on_step: Optional observer invoked after each arrival.
 
     Returns the per-step records.
     """
@@ -62,10 +55,6 @@ def sequential_arrivals(
             net.fail(grant.node_id)
         record = ArrivalRecord(step=step, node_id=grant.node_id, failed_on_arrival=failed)
         records.append(record)
-        if on_step is not None:
-            on_step(record)
-        if repair_interval and (step + 1) % repair_interval == 0:
-            net.repair_all()
     return records
 
 
@@ -87,7 +76,6 @@ def churn_epochs(
     join_rate: int,
     leave_probability: float,
     failure_probability: float,
-    rng: Optional[np.random.Generator] = None,
     min_population: int = 1,
 ) -> list[ChurnEpochStats]:
     """Steady-state churn: joins, graceful leaves and repaired failures.
@@ -97,7 +85,7 @@ def churn_epochs(
     ``failure_probability``; then all failures are repaired (one repair
     interval per epoch).  Population never drops below ``min_population``.
     """
-    rng = rng or net.rng
+    rng = net.rng
     history = []
     for epoch in range(epochs):
         joins = len(net.grow(join_rate))

@@ -15,7 +15,7 @@ for callers that need the raw protocol surface.
 from __future__ import annotations
 
 from collections import Counter
-from typing import AbstractSet, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -96,9 +96,9 @@ class OverlayNetwork:
         """Admit one node (the hello protocol); returns its grant."""
         return self.server.hello(d, columns)
 
-    def grow(self, count: int, d: Optional[int] = None) -> list[int]:
+    def grow(self, count: int) -> list[int]:
         """Admit ``count`` nodes; returns their ids."""
-        return [self.join(d).node_id for _ in range(count)]
+        return [self.join().node_id for _ in range(count)]
 
     def leave(self, node_id: int) -> tuple[Redirect, ...]:
         """Graceful departure (the good-bye protocol)."""
@@ -126,10 +126,9 @@ class OverlayNetwork:
     # ------------------------------------------------------------------
     # Measurement
 
-    def graph(self, with_failures: bool = True) -> OverlayGraph:
-        """The working overlay graph (failed vertices removed by default)."""
-        failed = self.failed if with_failures else frozenset()
-        return build_overlay_graph(self.matrix, failed)
+    def graph(self) -> OverlayGraph:
+        """The working overlay graph (failed vertices removed)."""
+        return build_overlay_graph(self.matrix, self.failed)
 
     def connectivity(self, node_id: int) -> int:
         """Edge-connectivity from the server to one node."""
@@ -143,19 +142,14 @@ class OverlayNetwork:
         """Histogram {connectivity value: node count} over working nodes."""
         return dict(Counter(self.connectivities().values()))
 
-    def defect_summary(
-        self,
-        samples: Optional[int] = 200,
-        failed: Optional[AbstractSet[int]] = None,
-    ) -> DefectSummary:
+    def defect_summary(self, samples: Optional[int] = 200) -> DefectSummary:
         """Defect profile of the current hanging-thread pool.
 
         ``samples=None`` enumerates every tuple (small ``k`` only).
         """
-        failed = self.failed if failed is None else failed
         if samples is None:
-            return exact_defect(self.matrix, self.d, failed)
-        return sampled_defect(self.matrix, self.d, self.rng, samples, failed)
+            return exact_defect(self.matrix, self.d, self.failed)
+        return sampled_defect(self.matrix, self.d, self.rng, samples, self.failed)
 
     def mean_depth(self) -> float:
         """Average shortest-path hop depth of working nodes."""

@@ -181,7 +181,7 @@ class CoordinationServer:
     # ------------------------------------------------------------------
     # §5 congestion handling
 
-    def congestion_drop(self, node_id: int, column: Optional[int] = None) -> int:
+    def congestion_drop(self, node_id: int) -> int:
         """A congested node sheds one thread; parent joins child directly.
 
         Returns the dropped column.
@@ -189,7 +189,7 @@ class CoordinationServer:
         info = self.registry[node_id]
         if node_id in self.failed:
             raise ValueError("failed nodes cannot negotiate congestion")
-        dropped = self.matrix.drop_thread(node_id, column, self._rng)
+        dropped = self.matrix.drop_thread(node_id, self._rng)
         info.dropped_threads.append(dropped)
         info.status = NodeStatus.CONGESTED
         self.stats.congestion_notices += 1
@@ -205,7 +205,7 @@ class CoordinationServer:
         info = self.registry[node_id]
         if node_id in self.failed:
             raise ValueError("failed nodes cannot negotiate congestion")
-        added = self.matrix.add_thread(node_id, None, self._rng)
+        added = self.matrix.add_thread(node_id, self._rng)
         if info.dropped_threads:
             info.dropped_threads.pop()
         if not info.dropped_threads:

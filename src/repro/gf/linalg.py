@@ -140,13 +140,13 @@ def random_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, FIELD_SIZE, size=(rows, cols), dtype=np.uint8)
 
 
-def random_full_rank(n: int, rng: np.random.Generator, max_tries: int = 64) -> np.ndarray:
+def random_full_rank(n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a uniformly random invertible n×n matrix by rejection sampling.
 
     A random matrix over GF(256) is invertible with probability
     ``prod_{i>=1} (1 - 256^-i) > 0.996``, so rejection terminates fast.
     """
-    for _ in range(max_tries):
+    for _ in range(64):
         candidate = random_matrix(n, n, rng)
         if rank(candidate) == n:
             return candidate

@@ -11,8 +11,11 @@ from typing import Iterable, Sequence, Union
 
 Cell = Union[str, int, float, None]
 
+#: Significant digits (or decimals) a float cell keeps.
+PRECISION = 4
 
-def format_cell(value: Cell, precision: int = 4) -> str:
+
+def format_cell(value: Cell) -> str:
     """Render one table cell."""
     if value is None:
         return "-"
@@ -21,9 +24,9 @@ def format_cell(value: Cell, precision: int = 4) -> str:
     if isinstance(value, float):
         if value == 0:
             return "0"
-        if abs(value) >= 10_000 or 0 < abs(value) < 10 ** (-precision):
-            return f"{value:.{precision}g}"
-        return f"{value:.{precision}f}".rstrip("0").rstrip(".")
+        if abs(value) >= 10_000 or 0 < abs(value) < 10 ** (-PRECISION):
+            return f"{value:.{PRECISION}g}"
+        return f"{value:.{PRECISION}f}".rstrip("0").rstrip(".")
     return str(value)
 
 
@@ -31,10 +34,9 @@ def render_table(
     headers: Sequence[str],
     rows: Iterable[Sequence[Cell]],
     title: str = "",
-    precision: int = 4,
 ) -> str:
     """Render a fixed-width table with a separator under the header."""
-    text_rows = [[format_cell(c, precision) for c in row] for row in rows]
+    text_rows = [[format_cell(c) for c in row] for row in rows]
     widths = [len(h) for h in headers]
     for row in text_rows:
         if len(row) != len(headers):

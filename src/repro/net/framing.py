@@ -22,7 +22,7 @@ through one per connection — and ``send_control`` /
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from ..coding.packet import CodedPacket
 from ..coding.wire import (
@@ -162,14 +162,6 @@ class FrameBuffer:
     def pending(self) -> int:
         """Bytes buffered but not yet consumed."""
         return len(self._buffer) - self._cursor
-
-    def messages(self) -> Iterator[Message]:
-        """Yield every complete message currently buffered."""
-        while True:
-            message = self.next_message()
-            if message is None:
-                return
-            yield message
 
     def next_message(self) -> Optional[Message]:
         """Pop one complete message, or None if more bytes are needed."""

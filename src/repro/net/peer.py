@@ -163,7 +163,6 @@ class PeerNode:
         self.host = host
         self.port = 0
         self.engine = PeerEngine(
-            None,
             reconnect_base=reconnect_base,
             reconnect_max=reconnect_max,
         )

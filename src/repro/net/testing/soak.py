@@ -42,6 +42,14 @@ __all__ = ["SoakConfig", "SoakReport", "run_soak", "TRACE_SHAPES"]
 #: Recognised ``SoakConfig.trace`` values.
 TRACE_SHAPES = ("steady", "flash", "correlated")
 
+#: Mean joins, crashes and graceful leaves per epoch (the joins are the
+#: base rate of every shape).
+JOIN_RATE, FAIL_RATE, LEAVE_RATE = 2.0, 1.0, 0.5
+#: ``flash``: peak joins per epoch at the top of the spike.
+PEAK_RATE = 40.0
+#: ``correlated``: fraction of the swarm crashed in the burst epoch.
+BURST_FRACTION = 0.2
+
 
 @dataclass(frozen=True)
 class SoakConfig:
@@ -57,19 +65,6 @@ class SoakConfig:
     #: Churn shape: one of :data:`TRACE_SHAPES`.
     trace: str = "steady"
     seed: int = 0
-    #: Mean joins per epoch (base rate for all shapes).
-    join_rate: float = 2.0
-    #: Mean crashes per epoch.
-    fail_rate: float = 1.0
-    #: Mean graceful leaves per epoch.
-    leave_rate: float = 0.5
-    #: ``flash``: peak joins per epoch at the top of the spike.
-    peak_rate: float = 40.0
-    #: ``correlated``: fraction of the swarm crashed in the burst epoch.
-    burst_fraction: float = 0.2
-    #: Hard cap on total population (joins beyond it are clipped and
-    #: counted — never silently dropped).
-    max_peers: int = 0
 
     def __post_init__(self) -> None:
         if self.trace not in TRACE_SHAPES:
@@ -78,17 +73,10 @@ class SoakConfig:
             )
         if self.peers < 1 or self.hours <= 0 or self.epoch <= 0:
             raise ValueError("peers, hours and epoch must be positive")
-        if not 0.0 <= self.burst_fraction < 1.0:
-            raise ValueError("burst_fraction must be in [0, 1)")
 
     @property
     def epochs(self) -> int:
         return max(1, int(self.hours * 3600.0 / self.epoch))
-
-    @property
-    def population_cap(self) -> int:
-        """Effective cap: explicit ``max_peers`` or 2x the start size."""
-        return self.max_peers if self.max_peers > 0 else 2 * self.peers
 
     def swarm(self) -> SwarmConfig:
         """The harness geometry: swarm defaults with soak-grade pacing.
@@ -107,7 +95,6 @@ class SoakConfig:
             silence_timeout=90.0,
             probe_timeout=8.0,
             deadline=max(900.0, 4 * self.epoch),
-            join_batch=256,
         )
 
 
@@ -164,16 +151,16 @@ def _schedules(
     if config.trace == "flash":
         joins = flash_crowd_schedule(
             epochs,
-            peak_rate=config.peak_rate,
+            peak_rate=PEAK_RATE,
             peak_at=max(1, epochs // 4),
             width=max(1.0, epochs / 12.0),
             rng=rng,
-            base_rate=config.join_rate,
+            base_rate=JOIN_RATE,
         )
     else:
-        joins = steady_schedule(epochs, config.join_rate, rng)
-    fails = steady_schedule(epochs, config.fail_rate, rng)
-    leaves = steady_schedule(epochs, config.leave_rate, rng)
+        joins = steady_schedule(epochs, JOIN_RATE, rng)
+    fails = steady_schedule(epochs, FAIL_RATE, rng)
+    leaves = steady_schedule(epochs, LEAVE_RATE, rng)
     if config.trace == "correlated":
         # The burst epoch replaces the background hazard outright: the
         # point is one synchronised mass failure, not a noisy epoch.
@@ -207,7 +194,9 @@ class _SoakRun:
         return [live[i] for i in sorted(chosen)]
 
     async def _apply_joins(self, count: int) -> None:
-        room = self.config.population_cap - len(
+        # The population is capped at twice its start: joins beyond the
+        # cap are clipped and counted, never silently dropped.
+        room = 2 * self.config.peers - len(
             [1 for i, _ in self.harness.alive()]
         )
         clipped = max(0, count - max(0, room))
@@ -228,7 +217,7 @@ class _SoakRun:
 
     def _apply_fails(self, count: int) -> None:
         if count < 0:  # correlated-burst sentinel
-            count = int(len(self.harness.alive()) * self.config.burst_fraction)
+            count = int(len(self.harness.alive()) * BURST_FRACTION)
         for index in self._pick_alive(count):
             node_id = self.harness.peers[index].node_id
             self.harness.kill(index)

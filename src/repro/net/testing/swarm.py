@@ -60,12 +60,20 @@ def _gc_paused():
             gc.collect()
 
 
+#: Timer-coalescing window for the quantum clock.
+QUANTUM = 0.25
+#: Concurrent hellos per join wave.
+JOIN_BATCH = 256
+#: Fraction of the swarm crashed by :meth:`SwarmHarness.churn`.
+CHURN_FRACTION = 0.10
+
+
 @dataclass(frozen=True)
 class SwarmConfig(ChaosConfig):
     """Geometry and pacing for one large-swarm round.
 
     A :class:`ChaosConfig` with swarm-scale defaults (only the fields
-    that differ are redeclared) plus the three knobs only a swarm has.
+    that differ are redeclared).
     Defaults are sized for a 1k-peer smoke; scale ``peers`` up and the
     rest holds.  Content is deliberately small (one generation): swarm
     runs measure control-plane and transport scaling, not bulk decode
@@ -90,12 +98,6 @@ class SwarmConfig(ChaosConfig):
     seed_burst: int = 8
     #: Virtual-time budget for each phase (join / broadcast / re-decode).
     deadline: float = 900.0
-    #: Timer-coalescing window for the quantum clock.
-    quantum: float = 0.25
-    #: Concurrent hellos per join wave.
-    join_batch: int = 256
-    #: Fraction of the swarm crashed by :meth:`SwarmHarness.churn`.
-    churn_fraction: float = 0.10
 
 
 @dataclass
@@ -144,7 +146,7 @@ class SwarmHarness(ChaosHarness):
         super().__init__(
             config,
             transport="virtual",
-            quantum=config.quantum,
+            quantum=QUANTUM,
             record_trace=False,
         )
         self._churn_rng = np.random.default_rng(config.seed ^ 0xC0FFEE)
@@ -160,13 +162,13 @@ class SwarmHarness(ChaosHarness):
         await self.start(peers=0)
         await self.add_peers(
             self.config.peers,
-            batch=self.config.join_batch,
+            batch=JOIN_BATCH,
             timeout=self.config.deadline,
         )
 
     def churn(self, fraction: float | None = None) -> list[int]:
         """Crash a uniformly random fraction of the live population."""
-        fraction = self.config.churn_fraction if fraction is None else fraction
+        fraction = CHURN_FRACTION if fraction is None else fraction
         live = [index for index, _ in self.alive()]
         count = int(len(live) * fraction)
         victims = sorted(

@@ -29,7 +29,7 @@ monkeypatching.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Iterable, Optional, Protocol, runtime_checkable
+from typing import Any, Awaitable, Callable, Iterable, Protocol, runtime_checkable
 
 __all__ = [
     "AsyncioClock",
@@ -67,7 +67,7 @@ class ByteStreamWriter(Protocol):
 
     def close(self) -> None: ...
 
-    def get_extra_info(self, name: str, default: Any = None) -> Any: ...
+    def get_extra_info(self, name: str) -> Any: ...
 
 
 #: Signature of a connection handler passed to ``Transport.start_server``.
@@ -182,8 +182,8 @@ class AsyncioListener:
 class AsyncioTransport:
     """The production transport: asyncio TCP streams."""
 
-    def __init__(self, clock: Optional[Clock] = None) -> None:
-        self.clock: Clock = clock if clock is not None else AsyncioClock()
+    def __init__(self) -> None:
+        self.clock: Clock = AsyncioClock()
 
     async def connect(
         self, host: str, port: int

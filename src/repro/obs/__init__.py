@@ -29,14 +29,7 @@ from .instruments import (
     bind_fields,
     bind_sender_totals,
 )
-from .registry import (
-    POW2_LATENCY_BOUNDS,
-    Counter,
-    Gauge,
-    Histogram,
-    Registry,
-    pow2_bounds,
-)
+from .registry import Counter, Gauge, Histogram, Registry
 
 __all__ = [
     "Counter",
@@ -44,7 +37,6 @@ __all__ = [
     "FlightRecorder",
     "Gauge",
     "Histogram",
-    "POW2_LATENCY_BOUNDS",
     "PeerEngineInstruments",
     "Registry",
     "SCHEMA",
@@ -52,7 +44,6 @@ __all__ = [
     "bind_fields",
     "bind_sender_totals",
     "format_dump",
-    "pow2_bounds",
     "prometheus_text",
     "snapshot_obj",
     "validate_snapshot",

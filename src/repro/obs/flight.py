@@ -20,9 +20,9 @@ from collections import deque
 
 __all__ = ["FlightRecorder", "format_dump"]
 
-#: Default ring capacity: enough steps to cover a whole repair episode
+#: Ring capacity: enough steps to cover a whole repair episode
 #: (complaint, probe, timer, splice fan-out) with room to spare.
-DEFAULT_CAPACITY = 64
+CAPACITY = 64
 
 
 class FlightRecorder:
@@ -38,15 +38,9 @@ class FlightRecorder:
 
     __slots__ = ("steps", "recorded")
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
-        if capacity < 1:
-            raise ValueError("flight recorder capacity must be >= 1")
-        self.steps: deque = deque(maxlen=capacity)
+    def __init__(self) -> None:
+        self.steps: deque = deque(maxlen=CAPACITY)
         self.recorded = 0
-
-    @property
-    def capacity(self) -> int:
-        return self.steps.maxlen
 
     def record(self, event, effects) -> None:
         """One engine step (the engines call this from ``handle``)."""

@@ -11,7 +11,9 @@ on :func:`asyncio.start_server` (no ``http.server`` thread, no route
 framework): ``GET /metrics`` answers Prometheus text, ``GET
 /metrics.json`` (or ``/``) the JSON snapshot.  Anything else is 404.
 One scrape = one connection = one response; the writer closes after
-answering, which is all a scraper needs.
+answering, which is all a scraper needs.  A request head (request line
+and headers) longer than :data:`_MAX_REQUEST_BYTES`, or not complete
+within :data:`_HEAD_TIMEOUT` seconds, is dropped unanswered.
 """
 
 from __future__ import annotations
@@ -27,7 +29,10 @@ __all__ = ["MetricsServer"]
 #: Returns a snapshot object (``snapshot_obj`` shape) on demand.
 SnapshotProvider = Callable[[], dict]
 
+#: Most bytes a request head may take, headers included.
 _MAX_REQUEST_BYTES = 8192
+#: Seconds a client has to send its whole request head.
+_HEAD_TIMEOUT = 5.0
 
 
 class MetricsServer:
@@ -71,17 +76,11 @@ class MetricsServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter,
     ) -> None:
         try:
-            request = await reader.readline()
-            if len(request) > _MAX_REQUEST_BYTES:
-                raise ValueError("request line too long")
-            # Drain headers so well-behaved clients see a clean close.
-            while True:
-                line = await reader.readline()
-                if line in (b"", b"\r\n", b"\n"):
-                    break
-            writer.write(self._respond(request.decode("latin-1", "replace")))
+            request = await asyncio.wait_for(_read_head(reader), _HEAD_TIMEOUT)
+            writer.write(self._respond(request))
             await writer.drain()
-        except (ConnectionError, OSError, ValueError, asyncio.IncompleteReadError):
+        except (ConnectionError, OSError, ValueError, asyncio.IncompleteReadError,
+                asyncio.TimeoutError):
             pass
         finally:
             writer.close()
@@ -102,6 +101,20 @@ class MetricsServer:
                 json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
             )
         return _response(404, "text/plain", "not found\n")
+
+
+async def _read_head(reader: asyncio.StreamReader) -> str:
+    """The request line, once the head behind it has been read to its
+    blank line (so well-behaved clients see a clean close); raises
+    ``ValueError`` past :data:`_MAX_REQUEST_BYTES`."""
+    request = line = await reader.readline()
+    size = len(request)
+    while size <= _MAX_REQUEST_BYTES and line not in (b"", b"\r\n", b"\n"):
+        line = await reader.readline()
+        size += len(line)
+    if size > _MAX_REQUEST_BYTES:
+        raise ValueError("request head too long")
+    return request.decode("latin-1", "replace")
 
 
 def _response(status: int, content_type: str, body: str) -> bytes:

@@ -79,7 +79,6 @@ def bind_fields(
 def bind_sender_totals(
     registry: Registry,
     senders: Callable[[], Sequence],
-    prefix: str = "net.sender",
 ) -> None:
     """Aggregate live ``SenderStats`` across a dynamic pump set.
 
@@ -91,7 +90,7 @@ def bind_sender_totals(
         "enqueued", "dropped", "sent", "keepalives", "bytes_sent", "flushes",
     ):
         registry.gauge(
-            f"{prefix}.{field}", "summed across live outbound pumps",
+            f"net.sender.{field}", "summed across live outbound pumps",
             fn=lambda f=field: sum(getattr(s, f) for s in senders()),
         )
 
@@ -192,35 +191,34 @@ class DataplaneInstruments:
         "withheld", "feedback_in",
     )
 
-    def __init__(self, registry: Registry, prefix: str = "dataplane") -> None:
+    def __init__(self, registry: Registry) -> None:
         counter = registry.counter
-        self.events = counter(f"{prefix}.events", "data-plane events handled")
-        self.effects = counter(f"{prefix}.effects", "data-plane effects emitted")
+        self.events = counter("dataplane.events", "data-plane events handled")
+        self.effects = counter("dataplane.effects", "data-plane effects emitted")
         self.packets_in = counter(
-            f"{prefix}.packets_in", "packets through the receive gate",
+            "dataplane.packets_in", "packets through the receive gate",
         )
         self.innovative_in = counter(
-            f"{prefix}.innovative_in", "rank-raising arrivals",
+            "dataplane.innovative_in", "rank-raising arrivals",
         )
         self.mixtures_out = counter(
-            f"{prefix}.mixtures_out", "fresh mixtures emitted toward children",
+            "dataplane.mixtures_out", "fresh mixtures emitted toward children",
         )
         self.idle_fills = counter(
-            f"{prefix}.idle_fills", "data-bearing keep-alive substitutes",
+            "dataplane.idle_fills", "data-bearing keep-alive substitutes",
         )
         self.completions = counter(
-            f"{prefix}.completions", "full decodes marked",
+            "dataplane.completions", "full decodes marked",
         )
         self.withheld = counter(
-            f"{prefix}.withheld",
+            "dataplane.withheld",
             "fan-out slots skipped: the child lacks nothing this node holds",
         )
         self.feedback_in = counter(
-            f"{prefix}.feedback_in", "completed-set updates applied",
+            "dataplane.feedback_in", "completed-set updates applied",
         )
 
-    def attach(self, engine, registry: Registry,
-               prefix: str = "dataplane") -> "DataplaneInstruments":
+    def attach(self, engine, registry: Registry) -> "DataplaneInstruments":
         engine.obs = self
         # Info gauge: the name carries the value, the reading is always 1.
         registry.gauge(
@@ -229,16 +227,16 @@ class DataplaneInstruments:
         ).set(1)
         if hasattr(engine, "rank"):
             registry.gauge(
-                f"{prefix}.rank", "degrees of freedom collected",
+                "dataplane.rank", "degrees of freedom collected",
                 fn=lambda: engine.rank,
             )
             registry.gauge(
-                f"{prefix}.children", "children in the fan-out list",
+                "dataplane.children", "children in the fan-out list",
                 fn=lambda: len(engine.children),
             )
         else:
             registry.gauge(
-                f"{prefix}.rounds", "emission rounds scheduled",
+                "dataplane.rounds", "emission rounds scheduled",
                 fn=lambda: engine.rounds,
             )
         return self

@@ -21,35 +21,20 @@ is not bought with locks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Optional, Union
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "POW2_LATENCY_BOUNDS",
     "Registry",
-    "pow2_bounds",
 ]
 
 
-def pow2_bounds(base: float, count: int) -> tuple[float, ...]:
-    """``count`` power-of-two bucket bounds starting at ``base``.
-
-    ``pow2_bounds(1e-6, 4)`` is ``(1e-06, 2e-06, 4e-06, 8e-06)``; a
-    histogram built on it adds one implicit +Inf overflow bucket.
-    """
-    if base <= 0:
-        raise ValueError("base bound must be positive")
-    if count < 1:
-        raise ValueError("need at least one bound")
-    return tuple(base * (1 << i) for i in range(count))
-
-
-#: Default latency bounds: 1 µs to ~4 s in power-of-two steps (23
-#: buckets, plus the implicit overflow bucket).  Wide enough for both a
-#: simulator slot and a straggling network round-trip.
-POW2_LATENCY_BOUNDS = pow2_bounds(1e-6, 23)
+#: Every histogram's bucket bounds: 1 µs to ~4 s in power-of-two steps
+#: (23 buckets, plus the implicit overflow bucket).  Wide enough for both
+#: a simulator slot and a straggling network round-trip.
+LATENCY_BOUNDS = tuple(1e-6 * (1 << i) for i in range(23))
 
 
 class Counter:
@@ -63,7 +48,7 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self.value = 0
@@ -81,7 +66,7 @@ class Counter:
 class Gauge:
     """A value that can go up, down, or be computed on read.
 
-    A gauge either holds a value (``set``/``inc``/``dec``) or is bound
+    A gauge either holds a value (``set``/``inc``) or is bound
     to a zero-argument callback (``bind``) evaluated at snapshot time —
     the snapshot-on-read idiom that keeps queue depths, pool occupancy,
     and rank progress observable with zero hot-path cost.
@@ -91,7 +76,7 @@ class Gauge:
 
     kind = "gauge"
 
-    def __init__(self, name: str, help: str = "") -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
         self.value = 0.0
@@ -102,9 +87,6 @@ class Gauge:
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
 
     def bind(self, fn: Callable[[], float]) -> "Gauge":
         """Evaluate ``fn`` at snapshot time instead of storing a value.
@@ -127,31 +109,21 @@ class Gauge:
 class Histogram:
     """Fixed-bucket histogram with cumulative-``le`` semantics.
 
-    Buckets are fixed at construction (power-of-two latency bounds by
-    default) so ``observe`` is one :func:`bisect.bisect_left` plus two
-    attribute bumps — no allocation, no rebucketing.  An observation
-    equal to a bound lands in that bound's bucket (``value <= le``,
-    Prometheus semantics); anything above the last bound lands in the
-    implicit overflow bucket.
+    Buckets are fixed (:data:`LATENCY_BOUNDS`), so ``observe`` is one
+    :func:`bisect.bisect_left` plus two attribute bumps — no allocation,
+    no rebucketing.  An observation equal to a bound lands in that
+    bound's bucket (``value <= le``, Prometheus semantics); anything
+    above the last bound lands in the implicit overflow bucket.
     """
 
-    __slots__ = ("name", "help", "bounds", "bucket_counts", "count", "sum")
+    __slots__ = ("name", "help", "bucket_counts", "count", "sum")
 
     kind = "histogram"
+    bounds = LATENCY_BOUNDS
 
-    def __init__(
-        self,
-        name: str,
-        help: str = "",
-        bounds: Iterable[float] = POW2_LATENCY_BOUNDS,
-    ) -> None:
+    def __init__(self, name: str, help: str) -> None:
         self.name = name
         self.help = help
-        self.bounds = tuple(float(b) for b in bounds)
-        if not self.bounds:
-            raise ValueError("histogram needs at least one bucket bound")
-        if list(self.bounds) != sorted(set(self.bounds)):
-            raise ValueError("histogram bounds must be strictly increasing")
         #: Per-bucket observation counts; the extra last slot is the
         #: +Inf overflow bucket.
         self.bucket_counts = [0] * (len(self.bounds) + 1)
@@ -194,7 +166,7 @@ class Registry:
 
     # -- construction ---------------------------------------------------
 
-    def _get_or_create(self, cls, name: str, help: str, **kwargs) -> Instrument:
+    def _get_or_create(self, cls, name: str, help: str) -> Instrument:
         existing = self._instruments.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -203,7 +175,7 @@ class Registry:
                     f"{existing.kind}, not {cls.kind}"
                 )
             return existing
-        instrument = cls(name, help, **kwargs)
+        instrument = cls(name, help)
         self._instruments[name] = instrument
         return instrument
 
@@ -219,17 +191,10 @@ class Registry:
             gauge.bind(fn)
         return gauge
 
-    def histogram(
-        self, name: str, help: str = "",
-        bounds: Iterable[float] = POW2_LATENCY_BOUNDS,
-    ) -> Histogram:
-        return self._get_or_create(Histogram, name, help, bounds=bounds)
+    def histogram(self, name: str, help: str = "") -> Histogram:
+        return self._get_or_create(Histogram, name, help)
 
     # -- introspection --------------------------------------------------
-
-    def instruments(self) -> list[Instrument]:
-        """Every registered instrument, in name order."""
-        return [self._instruments[name] for name in sorted(self._instruments)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._instruments

@@ -59,22 +59,21 @@ __all__ = ["PeerEngine"]
 class PeerEngine(TappedEngine):
     """Pure event-in/effect-out peer state machine.
 
+    The driver assigns :attr:`node_id` once the join grant names it.
+
     Args:
-        node_id: Server-assigned id (assignable after construction for
-            drivers that learn it from the grant).
         reconnect_base, reconnect_max: Bounds of the per-column
             exponential redial schedule.
     """
 
     def __init__(
         self,
-        node_id: Optional[int] = None,
         *,
         reconnect_base: float = 0.05,
         reconnect_max: float = 2.0,
     ) -> None:
         super().__init__()
-        self.node_id = node_id
+        self.node_id: Optional[int] = None
         self.reconnect_base = reconnect_base
         self.reconnect_max = reconnect_max
         self.server_lost = False

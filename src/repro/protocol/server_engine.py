@@ -146,7 +146,9 @@ class ServerEngine(TappedEngine):
         if isinstance(event, MessageReceived):
             message = event.message
             if isinstance(message, JoinRequest):
-                return self._on_join()
+                # Only a connection nothing was admitted on may join: a
+                # second hello from an admitted peer is ignored.
+                return self._on_join() if event.sender is None else []
             if isinstance(message, LeaveRequest):
                 return self._on_leave(_speaker(event))
             if isinstance(message, ComplaintMsg):

@@ -21,7 +21,6 @@ from .links import LinkStats, LossModel, OutageModel
 from .report import (
     NodeReport,
     RunReport,
-    SlotRecord,
     completion_percentile,
     mean_completion_slot,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "RunReport",
     "SessionConfig",
     "SessionResult",
-    "SlotRecord",
     "SlottedRuntime",
     "StaticTopology",
     "StoreForwardBehavior",

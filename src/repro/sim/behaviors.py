@@ -71,7 +71,6 @@ class RlncBehavior:
         streams: The simulation's named RNG streams (the behaviour uses
             the ``encoder``, ``node-<id>``, and ``jammer-<id>`` streams).
         roles: Optional ``node_id -> NodeRole`` for attack experiments.
-        systematic: Emit original packets first from the server.
     """
 
     def __init__(
@@ -81,15 +80,12 @@ class RlncBehavior:
         streams: RngStreams,
         *,
         roles: Optional[dict[int, NodeRole]] = None,
-        systematic: bool = False,
     ) -> None:
         self.content = content
         self.params = params
         self.streams = streams
         self.roles = dict(roles or {})
-        self.encoder = SourceEncoder(
-            content, params, streams.get("encoder"), systematic_first=systematic
-        )
+        self.encoder = SourceEncoder(content, params, streams.get("encoder"))
         self.generation_count = self.encoder.generation_count
         self.source = SourceEngine(self.encoder)
         #: ``node -> engine`` for every node contacted so far.
@@ -114,10 +110,6 @@ class RlncBehavior:
             )
             engine = self.engines[node_id] = RelayEngine(recoder)
         return engine
-
-    def recoder_of(self, node_id: int) -> Recoder:
-        """The node's buffer/codec state, created on first contact."""
-        return self.engine_of(node_id).recoder
 
     def _jammer_rng(self, node_id: int) -> np.random.Generator:
         """Per-node jammer stream, cached off the per-emission path."""

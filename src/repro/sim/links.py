@@ -71,13 +71,6 @@ class OutageModel:
         if not 0.0 < self.recovery <= 1.0:
             raise ValueError("recovery must be in (0, 1]")
 
-    @property
-    def stationary_outage_fraction(self) -> float:
-        """Long-run fraction of time a node spends outaged."""
-        if self.onset == 0.0:
-            return 0.0
-        return self.onset / (self.onset + self.recovery)
-
     def advance(self, outaged: set[int], population, rng: np.random.Generator) -> None:
         """Advance the outage state one slot, in place.
 

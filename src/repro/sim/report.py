@@ -15,7 +15,7 @@ the number of distinct pieces buffered, *needed* is the piece count, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .links import LinkStats
 __all__ = [
     "NodeReport",
     "RunReport",
-    "SlotRecord",
     "completion_percentile",
     "mean_completion_slot",
 ]
@@ -68,17 +67,6 @@ class NodeReport:
     decoded_ok: Optional[bool]
 
 
-@dataclass(frozen=True)
-class SlotRecord:
-    """One slot's delivery accounting (collected when timeline recording
-    is enabled on the runtime)."""
-
-    slot: int
-    attempted: int
-    delivered: int
-    completions: int
-
-
 @dataclass
 class RunReport:
     """Aggregate outcome of a slotted run, shared by every simulator."""
@@ -87,7 +75,6 @@ class RunReport:
     nodes: list[NodeReport]
     link_stats: LinkStats
     server_packets: int
-    timeline: list[SlotRecord] = field(default_factory=list)
 
     @property
     def completion_fraction(self) -> float:

@@ -48,7 +48,7 @@ from ..core.overlay import OverlayNetwork
 from ..core.random_graph import RandomGraphOverlay
 from .behaviors import NodeRole, RlncBehavior, StoreForwardBehavior
 from .links import LinkStats, LossModel, OutageModel
-from .report import NodeReport, RunReport, SlotRecord
+from .report import NodeReport, RunReport
 from .rng import RngStreams
 
 __all__ = [
@@ -172,12 +172,11 @@ class StaticTopology:
     Failures may be injected/repaired between slots.
     """
 
-    def __init__(self, edges: Iterable[tuple[int, int]],
-                 nodes: Optional[Iterable[int]] = None) -> None:
+    def __init__(self, edges: Iterable[tuple[int, int]]) -> None:
         self._edges = list(edges)
         inferred = {v for _, v in self._edges}
         inferred.update(u for u, _ in self._edges if u != SERVER)
-        self._nodes = sorted(inferred if nodes is None else set(nodes))
+        self._nodes = sorted(inferred)
         self._failed: set[int] = set()
 
     def edges(self) -> list[tuple[int, int]]:
@@ -235,15 +234,12 @@ class SlottedRuntime:
     Args:
         topology: Who sends to whom each slot.
         behavior: What is sent and how receipts update node state.
-        streams: Shared named RNG streams (or pass ``seed`` to create).
-        seed: Root seed, used only when ``streams`` is not given.
+        streams: Shared named RNG streams.
         loss: Ergodic per-delivery loss model.
         outage: Ergodic per-node outage model (§2): outaged nodes
             neither send nor receive until they spontaneously recover.
         measured: Override for the default report/termination node set
             (e.g. "working honest nodes" for attack experiments).
-        record_timeline: Keep a per-slot :class:`SlotRecord` trace in
-            :attr:`timeline` (and in reports).
     """
 
     def __init__(
@@ -251,16 +247,14 @@ class SlottedRuntime:
         topology: Topology,
         behavior: NodeBehavior,
         *,
-        streams: Optional[RngStreams] = None,
-        seed: Optional[int] = None,
+        streams: RngStreams,
         loss: Optional[LossModel] = None,
         outage: Optional[OutageModel] = None,
         measured: Optional[Callable[[], list[int]]] = None,
-        record_timeline: bool = False,
     ) -> None:
         self.topology = topology
         self.behavior = behavior
-        self.streams = streams if streams is not None else RngStreams(seed)
+        self.streams = streams
         self.loss = loss or LossModel(0.0)
         self.outage = outage
         #: Nodes currently in an ergodic outage (silent, not failed).
@@ -271,8 +265,6 @@ class SlottedRuntime:
         #: When set, the server stops emitting at this slot (§6: the
         #: server may disconnect once the swarm is self-sustaining).
         self.server_detach_slot: Optional[int] = None
-        self.record_timeline = record_timeline
-        self.timeline: list[SlotRecord] = []
         self._measured = measured
         self._slot_hooks: list[Callable[["SlottedRuntime"], None]] = []
         self._loss_rng = self.streams.get("loss")
@@ -349,14 +341,14 @@ class SlottedRuntime:
     def server_active(self) -> bool:
         return self.server_detach_slot is None or self.slot < self.server_detach_slot
 
-    def detach_server(self, at_slot: Optional[int] = None) -> None:
-        """Stop the server's emissions at ``at_slot`` (default: now).
+    def detach_server(self) -> None:
+        """Stop the server's emissions from this slot on.
 
         Models §6's self-sustaining download: once the swarm collectively
         holds every degree of freedom (:meth:`swarm_has_full_rank`), the
         peers can finish the distribution among themselves.
         """
-        self.server_detach_slot = self.slot if at_slot is None else at_slot
+        self.server_detach_slot = self.slot
 
     def swarm_has_full_rank(self) -> bool:
         """True if the live peers collectively hold all content DoF.
@@ -424,18 +416,6 @@ class SlottedRuntime:
             delivered_count += 1
             behavior.deliver(destination, payload, self.slot)
         self.link_stats.record_batch(len(sends), delivered_count)
-        if self.record_timeline:
-            completions = sum(
-                1 for at in self.behavior.completed_at().values() if at == self.slot
-            )
-            self.timeline.append(
-                SlotRecord(
-                    slot=self.slot,
-                    attempted=len(sends),
-                    delivered=delivered_count,
-                    completions=completions,
-                )
-            )
         self.slot += 1
         if timing is not None:
             timing.observe(perf_counter() - started)
@@ -451,25 +431,21 @@ class SlottedRuntime:
             self.step()
         return self.report()
 
-    def run_until_complete(
-        self,
-        max_slots: int = DEFAULT_MAX_SLOTS,
-        nodes: Optional[list[int]] = None,
-    ) -> RunReport:
-        """Run until every measured (or given) node completes.
+    def run_until_complete(self, max_slots: int = DEFAULT_MAX_SLOTS) -> RunReport:
+        """Run until every measured node completes.
 
         Stops at ``max_slots`` regardless; check ``completion_fraction``
         on the report.
         """
         completed = self.behavior.completed_at()
         while self.slot < max_slots:
-            targets = nodes if nodes is not None else self.measured_nodes()
+            targets = self.measured_nodes()
             if targets and all(t in completed for t in targets):
                 break
             for hook in self._slot_hooks:
                 hook(self)
             self.step()
-        return self.report(nodes)
+        return self.report()
 
     # -- reporting ------------------------------------------------------
 
@@ -481,7 +457,6 @@ class SlottedRuntime:
             nodes=[self.behavior.node_report(node_id) for node_id in targets],
             link_stats=self.link_stats,
             server_packets=self.server_packets,
-            timeline=list(self.timeline),
         )
 
 
@@ -494,7 +469,6 @@ def rlnc(
     loss: Optional[LossModel] = None,
     outage: Optional[OutageModel] = None,
     roles: Optional[dict[int, NodeRole]] = None,
-    systematic: bool = False,
 ) -> SlottedRuntime:
     """RLNC broadcast of ``content`` over a curtain or §6 overlay.
 
@@ -511,12 +485,9 @@ def rlnc(
         loss: Ergodic per-delivery loss model.
         outage: Ergodic per-node outage model (§2).
         roles: Optional ``node_id -> NodeRole`` for the §7 attacks.
-        systematic: Emit original packets first from the server.
     """
     streams = RngStreams(seed)
-    behavior = RlncBehavior(
-        content, params, streams, roles=roles, systematic=systematic,
-    )
+    behavior = RlncBehavior(content, params, streams, roles=roles)
     topology: Topology = (
         GraphTopology(overlay) if isinstance(overlay, RandomGraphOverlay)
         else CurtainTopology(overlay)

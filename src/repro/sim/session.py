@@ -2,7 +2,7 @@
 
 :class:`SessionConfig` describes a whole experiment — overlay geometry,
 content, coding parameters, per-slot dynamics (failures, repairs, churn,
-losses, attackers) — and :func:`run_session` executes it, returning the
+losses) — and :func:`run_session` executes it, returning the
 data-plane report plus event accounting.  The examples and the E7/E11
 benches are thin wrappers over this.
 
@@ -24,7 +24,6 @@ import numpy as np
 from ..coding.generation import GenerationParams
 from ..core.overlay import OverlayNetwork
 from ..core.random_graph import RandomGraphOverlay
-from .behaviors import NodeRole
 from .links import LossModel
 from .report import RunReport
 from .rng import RngStreams
@@ -51,12 +50,6 @@ class SessionConfig:
         join_rate: Nodes joining per repair interval.
         leave_probability: Per-node graceful-leave probability per repair
             interval.
-        entropy_attacker_fraction: Fraction of initial nodes replaying
-            trivial combinations (§7).
-        jammer_fraction: Fraction of initial nodes injecting garbage (§7).
-        systematic: Server sends originals first.
-        insert_mode: Matrix row insertion mode ("append"/"uniform",
-            curtain topology only).
         max_slots: Hard stop for the run.
         seed: Root seed.
         topology: Overlay family — "curtain" (thread matrix, §3–§5) or
@@ -74,10 +67,6 @@ class SessionConfig:
     repair_interval: int = 0
     join_rate: int = 0
     leave_probability: float = 0.0
-    entropy_attacker_fraction: float = 0.0
-    jammer_fraction: float = 0.0
-    systematic: bool = False
-    insert_mode: str = "append"
     max_slots: int = 5_000
     seed: Optional[int] = None
     topology: str = "curtain"
@@ -113,26 +102,6 @@ class SessionResult:
                 node.completed_at - self.joined_at.get(node.node_id, 0)
             )
         return durations
-
-
-def _assign_roles(
-    node_ids: list[int],
-    config: SessionConfig,
-    rng: np.random.Generator,
-) -> dict[int, NodeRole]:
-    roles: dict[int, NodeRole] = {}
-    count = len(node_ids)
-    n_entropy = int(round(config.entropy_attacker_fraction * count))
-    n_jammer = int(round(config.jammer_fraction * count))
-    if n_entropy + n_jammer > count:
-        raise ValueError("attacker fractions exceed the population")
-    shuffled = list(node_ids)
-    rng.shuffle(shuffled)
-    for node_id in shuffled[:n_entropy]:
-        roles[node_id] = NodeRole.ENTROPY_ATTACKER
-    for node_id in shuffled[n_entropy : n_entropy + n_jammer]:
-        roles[node_id] = NodeRole.JAMMER
-    return roles
 
 
 class _SessionDynamics:
@@ -196,7 +165,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     if config.topology == "curtain":
         net: Union[OverlayNetwork, RandomGraphOverlay] = OverlayNetwork(
             k=config.k, d=config.d, seed=streams.get("overlay"),
-            insert_mode=config.insert_mode,
         )
     elif config.topology == "graph":
         if config.fail_probability:
@@ -213,11 +181,9 @@ def run_session(config: SessionConfig) -> SessionResult:
     content = content_rng.integers(
         0, 256, size=config.content_size, dtype=np.uint8
     ).tobytes()
-    roles = _assign_roles(initial, config, streams.get("roles"))
     simulation = rlnc(
         net, content, params, seed=config.seed,
-        loss=LossModel(config.loss_rate), roles=roles,
-        systematic=config.systematic,
+        loss=LossModel(config.loss_rate),
     )
 
     joined_at = {node_id: 0 for node_id in initial}

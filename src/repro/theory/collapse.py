@@ -50,22 +50,18 @@ def measure_collapse_time(
     p: float,
     seed: Optional[int] = None,
     max_steps: int = 20_000,
-    check_every: int = 25,
     defect_samples: int = 60,
     threshold: Optional[float] = None,
-    repair_interval: Optional[int] = None,
 ) -> CollapseResult:
     """Run the real arrival process until the defect crosses ``threshold``.
 
-    The defect is estimated by tuple sampling every ``check_every``
-    arrivals.  ``threshold`` defaults to the numeric tipping root ``a₂``
-    when the drift has roots, else 0.5.
+    The defect is estimated by tuple sampling every 25 arrivals.
+    ``threshold`` defaults to the numeric tipping root ``a₂`` when the
+    drift has roots, else 0.5.
 
-    ``repair_interval`` defaults to None — failed rows persist, exactly
-    the §4 process whose tags accumulate (the drift heals defects through
-    later working arrivals, not through repairs).  Passing an interval
-    studies the easier repaired regime, where collapse effectively never
-    happens.
+    Failed rows persist, exactly the §4 process whose tags accumulate
+    (the drift heals defects through later working arrivals, not through
+    repairs).
     """
     if threshold is None:
         try:
@@ -78,8 +74,8 @@ def measure_collapse_time(
     steps = 0
     peak = 0.0
     while steps < max_steps:
-        batch = min(check_every, max_steps - steps)
-        sequential_arrivals(net, batch, p, rng=rng, repair_interval=repair_interval)
+        batch = min(25, max_steps - steps)
+        sequential_arrivals(net, batch, p, rng=rng)
         steps += batch
         summary = sampled_defect(net.matrix, d, rng, samples=defect_samples,
                                  failed=net.failed)
@@ -98,10 +94,10 @@ def simulate_defect_walk(
     p: float,
     rng: np.random.Generator,
     max_steps: int = 1_000_000,
-    threshold: Optional[float] = None,
-    start: float = 0.0,
 ) -> CollapseResult:
-    """Run the abstract Lemma-8 walk on the normalised defect ``b``.
+    """Run the abstract Lemma-8 walk on the normalised defect ``b`` from
+    0 until it reaches the tipping root ``a₂`` (0.5 when the drift has
+    no roots).
 
     Each arrival is a failure with probability ``p`` (defect jumps up by
     the Lemma 6 maximum ``d²/k``) or a working node (defect drops by the
@@ -110,14 +106,12 @@ def simulate_defect_walk(
     of the down-step are worst-case — so its collapse times lower-bound
     the real system's and exhibit the Theorem 5 exponent.
     """
-    if threshold is None:
-        try:
-            _, a2 = drift_roots(DriftParameters(k=k, d=d, p=p))
-            threshold = a2
-        except ValueError:
-            threshold = 0.5
+    try:
+        _, threshold = drift_roots(DriftParameters(k=k, d=d, p=p))
+    except ValueError:
+        threshold = 0.5
     jump = d * d / k
-    b = start
+    b = 0.0
     peak = b
     params_up = p
     contraction = lambda b_val: b_val * (d / k) * max(

@@ -93,38 +93,35 @@ class TraceRecorder:
     """Record membership events against a live overlay.
 
     Wrap the overlay's verbs with this recorder's; it forwards and logs.
+    An event's time is its index in the history.
     """
 
-    def __init__(self, net: OverlayNetwork, clock=None) -> None:
+    def __init__(self, net: OverlayNetwork) -> None:
         self.net = net
-        self._clock = clock or (lambda: float(len(self._events)))
         self._events: list[TraceEvent] = []
+
+    def _log(self, kind: str, node_id: int, degree: int = 0) -> None:
+        self._events.append(TraceEvent(
+            time=float(len(self._events)), kind=kind, node_id=node_id,
+            degree=degree,
+        ))
 
     def join(self, d: Optional[int] = None) -> int:
         grant = self.net.join(d)
-        self._events.append(TraceEvent(
-            time=self._clock(), kind="join", node_id=grant.node_id,
-            degree=d or 0,
-        ))
+        self._log("join", grant.node_id, d or 0)
         return grant.node_id
 
     def leave(self, node_id: int) -> None:
         self.net.leave(node_id)
-        self._events.append(TraceEvent(
-            time=self._clock(), kind="leave", node_id=node_id,
-        ))
+        self._log("leave", node_id)
 
     def fail(self, node_id: int) -> None:
         self.net.fail(node_id)
-        self._events.append(TraceEvent(
-            time=self._clock(), kind="fail", node_id=node_id,
-        ))
+        self._log("fail", node_id)
 
     def repair(self, node_id: int) -> None:
         self.net.repair(node_id)
-        self._events.append(TraceEvent(
-            time=self._clock(), kind="repair", node_id=node_id,
-        ))
+        self._log("repair", node_id)
 
     def trace(self) -> ChurnTrace:
         """The history recorded so far."""

@@ -3,11 +3,12 @@
 import pytest
 
 from repro.analysis import (
-    defect_of_columns,
+    TupleConnectivitySolver,
     exact_defect,
     sampled_defect,
     tuple_space_size,
 )
+from repro.analysis import defects
 from repro.core import OverlayNetwork, ThreadMatrix
 
 
@@ -47,11 +48,12 @@ class TestExactDefect:
         assert summary.mean_defect == pytest.approx((2 + 4 * 1) / 6)
         assert summary.bad_fraction == pytest.approx(5 / 6)
 
-    def test_guard_on_huge_space(self, rng):
+    def test_guard_on_huge_space(self, rng, monkeypatch):
+        monkeypatch.setattr(defects, "MAX_EXACT_TUPLES", 1000)
         net = OverlayNetwork(k=40, d=5, seed=1)
         net.grow(5)
         with pytest.raises(ValueError):
-            exact_defect(net.matrix, 5, max_tuples=1000)
+            exact_defect(net.matrix, 5)
 
     def test_normalized_defect(self, rng):
         m = ThreadMatrix(k=4)
@@ -85,8 +87,8 @@ class TestDefectOfColumns:
     def test_explicit_tuple(self, rng):
         m = ThreadMatrix(k=4)
         m.join(0, 2, rng, columns=[0, 1])
-        assert defect_of_columns(m, (2, 3)) == 0
-        assert defect_of_columns(m, (0, 1), failed={0}) == 2
+        assert TupleConnectivitySolver(m).defect((2, 3)) == 0
+        assert TupleConnectivitySolver(m, {0}).defect((0, 1)) == 2
 
     def test_fresh_arrival_defect_is_its_connectivity_loss(self, small_net):
         """Lemma 3 sanity: the defect of the tuple a node picked equals
@@ -99,5 +101,6 @@ class TestDefectOfColumns:
         # by removing it again
         connectivity = small_net.connectivity(grant.node_id)
         small_net.leave(grant.node_id)
-        defect = defect_of_columns(small_net.matrix, columns, small_net.failed)
+        defect = TupleConnectivitySolver(
+            small_net.matrix, small_net.failed).defect(columns)
         assert defect == small_net.d - connectivity

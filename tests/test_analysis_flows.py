@@ -91,13 +91,14 @@ class TestSnapshotRestore:
         net.restore(base)
         assert net.max_flow("s", "t") == 2
 
+    def test_edge_count(self):
+        """Each edge carries its residual reverse: four edges mark 8."""
+        assert build_diamond().edge_mark() == 2 * 4
+
     def test_truncate_rejects_odd_floor(self):
         net = build_diamond()
         with pytest.raises(ValueError):
             net.truncate(1)
-
-    def test_edge_count(self):
-        assert build_diamond().edge_count == 4
 
 
 class TestAgainstNetworkx:

@@ -21,11 +21,9 @@ class TestAdjacency:
         i, j = nodes.index(0), nodes.index(1)
         assert adjacency[i, j] == 2
 
-    def test_server_optional(self, small_net):
-        _, with_server = symmetric_adjacency(small_net.graph(), include_server=True)
-        _, without = symmetric_adjacency(small_net.graph(), include_server=False)
-        assert SERVER in with_server
-        assert SERVER not in without
+    def test_server_included(self, small_net):
+        _, index = symmetric_adjacency(small_net.graph())
+        assert index[0] == SERVER
 
 
 class TestSpectralGap:
@@ -37,7 +35,7 @@ class TestSpectralGap:
             for v in range(6):
                 if u != v:
                     graph.add_edge(u, v)
-        assert spectral_gap(graph, include_server=False) > 0.4
+        assert spectral_gap(graph) > 0.4
 
     def test_path_graph_tiny_gap(self):
         graph = OverlayGraph()
@@ -45,13 +43,13 @@ class TestSpectralGap:
             graph.add_node(v)
         for v in range(39):
             graph.add_edge(v, v + 1)
-        assert spectral_gap(graph, include_server=False) < 0.02
+        assert spectral_gap(graph) < 0.02
 
     def test_trivial_graphs(self):
         graph = OverlayGraph()
-        assert spectral_gap(graph, include_server=False) == 0.0
+        assert spectral_gap(graph) == 0.0
         graph.add_node(0)
-        assert spectral_gap(graph, include_server=False) == 0.0
+        assert spectral_gap(graph) == 0.0
 
     def test_gap_in_unit_interval(self, small_net):
         gap = spectral_gap(small_net.graph())

@@ -10,8 +10,7 @@ from repro.theory import theorem4_prediction
 class TestTrajectory:
     def test_shape(self):
         trajectory = measure_defect_trajectory(
-            k=16, d=2, p=0.02, arrivals=200, sample_every=25,
-            defect_samples=60, seed=1,
+            k=16, d=2, p=0.02, arrivals=200, sample_every=25, seed=1,
         )
         assert len(trajectory.points) == 8
         assert trajectory.points[-1].arrivals == 200
@@ -19,8 +18,7 @@ class TestTrajectory:
 
     def test_zero_p_zero_defect(self):
         trajectory = measure_defect_trajectory(
-            k=16, d=2, p=0.0, arrivals=150, sample_every=50,
-            defect_samples=60, seed=2,
+            k=16, d=2, p=0.0, arrivals=150, sample_every=50, seed=2,
         )
         assert trajectory.peak() == 0.0
         assert trajectory.steady_state_mean() == 0.0
@@ -29,16 +27,14 @@ class TestTrajectory:
         """The long-run mean stays within a small multiple of a1."""
         k, d, p = 32, 2, 0.02
         trajectory = measure_defect_trajectory(
-            k=k, d=d, p=p, arrivals=600, sample_every=30,
-            defect_samples=150, seed=3,
+            k=k, d=d, p=p, arrivals=600, sample_every=30, seed=3,
         )
         attractor = theorem4_prediction(k, d, p).attractor
         assert trajectory.steady_state_mean() <= 3.0 * attractor
 
     def test_failed_rows_recorded(self):
         trajectory = measure_defect_trajectory(
-            k=16, d=2, p=0.5, arrivals=100, sample_every=50,
-            defect_samples=40, seed=4,
+            k=16, d=2, p=0.5, arrivals=100, sample_every=50, seed=4,
         )
         assert trajectory.points[-1].failed_rows > 20
 

@@ -49,20 +49,6 @@ class TestEncoder:
                 expected ^= MUL[int(c), block.data[i]]
         assert np.array_equal(packet.payload, expected)
 
-    def test_systematic_first(self, content, rng):
-        encoder = SourceEncoder(content, PARAMS, rng, systematic_first=True)
-        for i in range(PARAMS.generation_size):
-            packet = encoder.emit(0)
-            assert packet.is_systematic()
-            assert packet.coefficients[i] == 1
-        # after the originals, coded packets follow
-        assert encoder.emit(0) is not None
-
-    def test_stream(self, encoder):
-        stream = encoder.stream(0)
-        packets = [next(stream) for _ in range(5)]
-        assert all(p.generation == 0 for p in packets)
-
 
 class TestDecoder:
     def test_decodes_from_encoder(self, encoder, content, rng):
@@ -168,8 +154,8 @@ class TestRecoder:
     def test_trivial_emission_is_replay(self, encoder, rng):
         recoder = Recoder(PARAMS, encoder.generation_count, rng, node_id=3)
         recoder.receive(encoder.emit(0))
-        first = recoder.emit_trivial(0)
-        second = recoder.emit_trivial(0)
+        first = recoder.emit_trivial()
+        second = recoder.emit_trivial()
         assert np.array_equal(first.coefficients, second.coefficients)
 
     def test_pick_generation_prefers_incomplete(self, content, rng):

@@ -54,11 +54,10 @@ class TestRoundtrip:
             decoder.push(decode_packet(encode_packet(encoder.emit())))
         assert decoder.recover(len(content)) == content
 
-    def test_systematic_flag(self, rng):
-        params = GenerationParams(generation_size=4, payload_size=8)
-        content = bytes(32)
-        encoder = SourceEncoder(content, params, rng, systematic_first=True)
-        frame = encode_packet(encoder.emit(0))
+    def test_systematic_flag(self):
+        original = CodedPacket(0, np.eye(4, dtype=np.uint8)[0],
+                               np.zeros(8, dtype=np.uint8))
+        frame = encode_packet(original)
         assert frame[3] & 0x01  # flags byte carries the systematic hint
 
 

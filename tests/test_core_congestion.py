@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import CongestionController, CoordinationServer
+from repro.core import CongestionController, CoordinationServer, congestion
 
 
 @pytest.fixture
@@ -15,7 +15,7 @@ def server(rng):
 
 @pytest.fixture
 def controller(server):
-    return CongestionController(server, drop_after=2, restore_after=3)
+    return CongestionController(server, restore_after=3)
 
 
 class TestDropPolicy:
@@ -35,15 +35,17 @@ class TestDropPolicy:
         controller.observe(0, congested=False)
         assert controller.observe(0, congested=True) is None
 
-    def test_min_degree_floor(self, server):
-        controller = CongestionController(server, drop_after=1, restore_after=100,
-                                          min_degree=2)
+    def test_min_degree_floor(self, server, monkeypatch):
+        monkeypatch.setattr(congestion, "DROP_AFTER", 1)
+        monkeypatch.setattr(congestion, "MIN_DEGREE", 2)
+        controller = CongestionController(server, restore_after=100)
         assert controller.observe(0, congested=True).action == "drop"
         assert controller.observe(0, congested=True) is None  # at the floor
         assert server.matrix.row(0).degree == 2
 
-    def test_consecutive_drops(self, server):
-        controller = CongestionController(server, drop_after=1, restore_after=100)
+    def test_consecutive_drops(self, server, monkeypatch):
+        monkeypatch.setattr(congestion, "DROP_AFTER", 1)
+        controller = CongestionController(server, restore_after=100)
         controller.observe(0, congested=True)
         controller.observe(0, congested=True)
         assert server.matrix.row(0).degree == 1
@@ -88,6 +90,4 @@ class TestValidation:
 
     def test_invalid_parameters(self, server):
         with pytest.raises(ValueError):
-            CongestionController(server, min_degree=0)
-        with pytest.raises(ValueError):
-            CongestionController(server, drop_after=0)
+            CongestionController(server, restore_after=0)

@@ -75,7 +75,7 @@ def test_edge_counts_match_column_occupancy(ops, seed):
     matrix = apply_ops(ThreadMatrix(k=6), ops, rng)
     # every occupant of a column contributes exactly one incoming segment
     expected = sum(len(matrix.column_chain(c)) for c in range(matrix.k))
-    assert sum(matrix.edge_multiplicities().values()) == expected
+    assert len(list(matrix.iter_edges())) == expected
 
 
 @settings(max_examples=50, deadline=None)

@@ -25,23 +25,10 @@ class TestSequentialArrivals:
         rate = sum(r.failed_on_arrival for r in records) / len(records)
         assert 0.07 < rate < 0.13
 
-    def test_repair_interval_clears_failures(self):
-        net = OverlayNetwork(k=10, d=2, seed=4)
-        sequential_arrivals(net, 100, p=0.3, repair_interval=10)
-        # failures may remain only from the final partial interval
-        assert len(net.failed) <= 10
-
     def test_no_repair_accumulates(self):
         net = OverlayNetwork(k=10, d=2, seed=5)
-        sequential_arrivals(net, 100, p=0.3, repair_interval=None)
+        sequential_arrivals(net, 100, p=0.3)
         assert len(net.failed) > 10
-
-    def test_observer_called(self):
-        net = OverlayNetwork(k=10, d=2, seed=6)
-        seen = []
-        sequential_arrivals(net, 10, p=0.0, on_step=seen.append)
-        assert len(seen) == 10
-        assert [r.step for r in seen] == list(range(10))
 
     def test_invalid_p_raises(self):
         net = OverlayNetwork(k=10, d=2, seed=7)

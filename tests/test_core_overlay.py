@@ -73,9 +73,9 @@ class TestMeasurements:
         assert small_net.connectivity(5) == 0
 
     def test_graph_excludes_failures_by_default(self, small_net):
+        assert 7 in small_net.graph().nodes
         small_net.fail(7)
         assert 7 not in small_net.graph().nodes
-        assert 7 in small_net.graph(with_failures=False).nodes
 
     def test_defect_summary_sampled(self, small_net):
         summary = small_net.defect_summary(samples=50)

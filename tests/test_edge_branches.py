@@ -100,14 +100,14 @@ class TestMatrixBoundaryOps:
     def test_interleaved_drop_add_same_column(self, rng):
         from repro.core import ThreadMatrix
 
-        matrix = ThreadMatrix(k=4)
+        matrix = ThreadMatrix(k=2)
         matrix.join(0, 2, rng, columns=[0, 1])
         matrix.join(1, 2, rng, columns=[0, 1])
-        matrix.drop_thread(1, column=0)
-        matrix.add_thread(1, column=0)
-        matrix.drop_thread(0, column=0)
+        column = matrix.drop_thread(1, rng)
+        assert matrix.add_thread(1, rng) == column  # the one free column
+        dropped = matrix.drop_thread(0, rng)
         matrix.check_invariants()
-        assert matrix.column_chain(0) == [1]
+        assert matrix.column_chain(dropped) == [1]
 
     def test_random_graph_population_one(self):
         overlay = RandomGraphOverlay(k=4, d=2, seed=14)

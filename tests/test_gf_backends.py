@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.coding import GenerationParams, Recoder, SourceEncoder
+from repro.coding import CodedPacket, GenerationParams, Recoder, SourceEncoder
 from repro.gf import kernels
 
 pytestmark = pytest.mark.skipif(
@@ -488,13 +488,13 @@ class TestCodingSteps:
         params = GenerationParams(generation_size=size, payload_size=16)
         content = bytes(np.random.default_rng(size).integers(
             0, 256, size * 16 * 2, dtype=np.uint8))
-        source = SourceEncoder(content, params, np.random.default_rng(0),
-                               systematic_first=True)
+        source = SourceEncoder(content, params, np.random.default_rng(0))
+        identity = np.eye(size, dtype=np.uint8)
         with backend(NATIVE if impl == "native" else kernels.NUMPY):
             rng = np.random.default_rng(77)
             recoder = Recoder(params, source.generation_count, rng)
-            for packet in source.emit_batch(size, 1):
-                recoder.receive(packet)
+            for row, data in zip(identity, source.blocks[1].data):
+                recoder.receive(CodedPacket(1, row, data))
             twin = np.random.default_rng(77)
             for count in (1, 5, 3):
                 rows = recoder.emit_rows(count, 1)

@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.coding import GenerationParams
-from repro.core import CongestionController, OverlayNetwork
+from repro.core import CongestionController, OverlayNetwork, congestion
 from repro.failures import IIDFailures, apply_failures
 from repro.sim import SessionConfig, rlnc, run_session
 
@@ -39,12 +39,13 @@ class TestBroadcastUnderHeavyChurn:
 
 
 class TestCongestionDuringBroadcast:
-    def test_thread_shedding_degrades_gracefully(self):
+    def test_thread_shedding_degrades_gracefully(self, monkeypatch):
         """A congested node sheds a thread mid-broadcast; the swarm still
         completes and the shed node still decodes (more slowly)."""
+        monkeypatch.setattr(congestion, "DROP_AFTER", 1)
         net = OverlayNetwork(k=12, d=3, seed=23)
         net.grow(25)
-        controller = CongestionController(net.server, drop_after=1, restore_after=3)
+        controller = CongestionController(net.server, restore_after=3)
         rng = np.random.default_rng(24)
         content = bytes(rng.integers(0, 256, size=1000, dtype=np.uint8))
         sim = rlnc(

@@ -9,10 +9,7 @@ class TestFlowNetworkIntrospection:
         network = FlowNetwork()
         a = network.vertex("a")
         assert network.vertex("a") == a  # idempotent
-        assert network.has_vertex("a")
-        assert not network.has_vertex("b")
-        network.add_edge("a", "b", 1)
-        assert network.edge_count == 1
+        assert network.vertex("b") != a
 
 
 class TestRngStreamsIndependenceAcrossNames:
@@ -27,13 +24,6 @@ class TestRngStreamsIndependenceAcrossNames:
 
 
 class TestOverlayMiscBranches:
-    def test_defect_summary_explicit_failed_override(self, tiny_net):
-        bottom = tiny_net.matrix.node_ids[-1]
-        summary = tiny_net.defect_summary(samples=None, failed={bottom})
-        assert summary.mean_defect > 0.0
-        # the overlay itself has no failures recorded
-        assert tiny_net.failed == frozenset()
-
     def test_stats_property_is_live(self, tiny_net):
         before = tiny_net.stats.hello_grants
         tiny_net.join()

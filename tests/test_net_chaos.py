@@ -162,6 +162,35 @@ def test_a_join_writes_to_no_existing_peer():
     assert after == before
 
 
+def test_a_second_join_on_an_admitted_connection_is_ignored():
+    """An admitted peer that says hello again neither crashes the
+    server's control loop nor leaves a registered row behind that no
+    control connection owns."""
+    import asyncio
+
+    from repro.protocol.messages import JoinRequest
+
+    async def scenario():
+        harness = ChaosHarness(ChaosConfig(peers=3, seed=0))
+        try:
+            await harness.start()
+            assert await harness.run_until(harness.converged)
+            peer = harness.peers[0]
+            peer._write_control(JoinRequest(reply_to=peer.port))
+            await harness.settle(1.0)
+            server = harness.server
+            return (server.stats.crashes, peer.node_id,
+                    set(server.core.registry), set(server._peers),
+                    [index for index, _ in harness.alive()])
+        finally:
+            await harness.teardown()
+
+    crashes, node_id, registry, handles, alive = asyncio.run(scenario())
+    assert crashes == 0
+    assert node_id in registry and 0 in alive
+    assert registry == handles
+
+
 def test_no_socket_is_ever_opened(monkeypatch):
     """The virtual tier must not touch the real network stack (the
     event loop's internal self-pipe is the only socket allowed)."""

@@ -24,6 +24,11 @@ from repro.net.streams import PacketSender, PumpSet
 from repro.protocol.messages import KeepAlive, SetParent
 
 
+def _drain(buffer: FrameBuffer) -> list:
+    """Every complete message buffered, in order."""
+    return list(iter(buffer.next_message, None))
+
+
 def _packet(generation=0, origin=3):
     return CodedPacket(
         generation=generation,
@@ -69,7 +74,7 @@ class TestFrameBuffer:
             + encode_frame(KIND_CONTROL, encode_control(SetParent(column=1, parent=2)))
             + encode_frame(KIND_CONTROL, encode_control(KeepAlive(column=0, sender=9)))
         )
-        messages = list(buffer.messages())
+        messages = list(_drain(buffer))
         assert [type(m).__name__ for m in messages] == [
             "CodedPacket", "SetParent", "KeepAlive"
         ]
@@ -137,7 +142,7 @@ class TestFrameBufferHoldsNothingDrained:
             KIND_CONTROL, encode_control(KeepAlive(column=0, sender=1)))
         buffer = FrameBuffer()
         buffer.feed(keepalive * 3)
-        assert [type(m) for m in buffer.messages()] == [KeepAlive] * 3
+        assert [type(m) for m in _drain(buffer)] == [KeepAlive] * 3
         assert len(buffer._buffer) == 0
 
     def test_a_partial_frame_stays_buffered(self):
@@ -473,7 +478,7 @@ class FrameStreamMachine(RuleBasedStateMachine):
         chunk = bytes(self.pending[:size])
         del self.pending[:size]
         self.buffer.feed(chunk)
-        for message in self.buffer.messages():
+        for message in _drain(self.buffer):
             self.decoded.append(_message_key(message))
 
     @invariant()
@@ -483,7 +488,7 @@ class FrameStreamMachine(RuleBasedStateMachine):
     def teardown(self):
         # Flush the remainder: every queued message must come out.
         self.buffer.feed(bytes(self.pending))
-        for message in self.buffer.messages():
+        for message in _drain(self.buffer):
             self.decoded.append(_message_key(message))
         assert self.decoded == self.expected
 
@@ -527,7 +532,7 @@ class TestCorruptStreams:
             position += size
             try:
                 decoded.extend(
-                    _message_key(m) for m in buffer.messages()
+                    _message_key(m) for m in _drain(buffer)
                 )
             except FramingError:
                 failed = True

@@ -59,7 +59,7 @@ def _packets(writer: _CollectingWriter) -> list:
     """What a pump wrote, parsed back into messages."""
     buffer = FrameBuffer()
     buffer.feed(b"".join(writer.chunks))
-    return list(buffer.messages())
+    return list(iter(buffer.next_message, None))
 
 
 class RecordingEngine:

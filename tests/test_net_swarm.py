@@ -10,6 +10,7 @@ import dataclasses
 
 import pytest
 
+from repro.net.testing import soak, swarm
 from repro.net.testing import (
     ChaosConfig,
     ChaosHarness,
@@ -192,7 +193,9 @@ class TestSwarmConfig:
     def test_defaults_match_the_retired_chaos_copy(self):
         """SwarmConfig *is* the ChaosConfig the harness runs on; these
         are the values its hand-written copy produced before it became
-        a subclass, plus the three swarm-only fields."""
+        a subclass, and the three swarm-only settings are constants."""
+        assert (swarm.QUANTUM, swarm.JOIN_BATCH, swarm.CHURN_FRACTION) == (
+            0.25, 256, 0.10)
         assert dataclasses.asdict(SwarmConfig()) == {
             "peers": 1000, "k": 32, "d": 2, "generation_size": 8,
             "payload_size": 32, "generations": 1, "seed": 0,
@@ -202,7 +205,6 @@ class TestSwarmConfig:
             "reconnect_base": 0.5, "reconnect_max": 4.0,
             "forward_policy": "innovative", "seed_burst": 8,
             "deadline": 900.0,
-            "quantum": 0.25, "join_batch": 256, "churn_fraction": 0.10,
         }
 
     def test_harness_runs_on_the_config_it_was_given(self):
@@ -212,10 +214,11 @@ class TestSwarmConfig:
 
 
 class TestSwarmRound:
-    def test_small_swarm_full_round(self):
+    def test_small_swarm_full_round(self, monkeypatch):
         """Join, broadcast, 10% churn, survivors re-decode — at 150."""
+        monkeypatch.setattr(swarm, "JOIN_BATCH", 64)
         report = asyncio.run(run_swarm_round(SwarmConfig(
-            peers=150, k=16, join_batch=64, seed=0,
+            peers=150, k=16, seed=0,
         )))
         assert report.ok, report.violations[:5]
         assert report.joined == 150
@@ -266,10 +269,11 @@ class TestSwarmRound:
         assert groups["net.streams"] > 0
 
     @pytest.mark.slow
-    def test_10k_acceptance_round_under_budget(self):
+    def test_10k_acceptance_round_under_budget(self, monkeypatch):
         """The PR-9 headline: 10k peers, full round, < 60s wall."""
+        monkeypatch.setattr(swarm, "JOIN_BATCH", 512)
         report = asyncio.run(run_swarm_round(SwarmConfig(
-            peers=10_000, k=64, join_batch=512, seed=0,
+            peers=10_000, k=64, seed=0,
         )))
         assert report.ok, report.violations[:5]
         assert report.joined == 10_000
@@ -287,14 +291,10 @@ class TestSoak:
             SoakConfig(trace="tsunami")
         with pytest.raises(ValueError, match="positive"):
             SoakConfig(peers=0)
-        with pytest.raises(ValueError, match="burst_fraction"):
-            SoakConfig(burst_fraction=1.5)
 
     def test_epoch_arithmetic(self):
         config = SoakConfig(peers=10, hours=0.5, epoch=60.0)
         assert config.epochs == 30
-        assert config.population_cap == 20
-        assert SoakConfig(peers=10, max_peers=64).population_cap == 64
 
     def test_steady_soak_smoke(self):
         report = asyncio.run(run_soak(SoakConfig(
@@ -309,22 +309,23 @@ class TestSoak:
         assert counts["fail"] == report.fails
         assert counts["leave"] == report.leaves
 
-    def test_correlated_soak_mass_failure_absorbed(self):
+    def test_correlated_soak_mass_failure_absorbed(self, monkeypatch):
+        monkeypatch.setattr(soak, "BURST_FRACTION", 0.25)
         report = asyncio.run(run_soak(SoakConfig(
-            peers=64, hours=0.05, epoch=30.0, trace="correlated",
-            seed=1, burst_fraction=0.25,
+            peers=64, hours=0.05, epoch=30.0, trace="correlated", seed=1,
         )))
         assert report.ok, report.violations[:5]
         # The burst epoch alone crashes ~a quarter of the swarm.
         assert report.fails >= int(0.2 * 64)
 
-    def test_population_cap_clips_and_counts(self):
+    def test_population_cap_clips_and_counts(self, monkeypatch):
+        """Joins beyond twice the start population are clipped."""
+        monkeypatch.setattr(soak, "PEAK_RATE", 60.0)
         report = asyncio.run(run_soak(SoakConfig(
-            peers=32, hours=0.05, epoch=30.0, trace="flash",
-            peak_rate=60.0, max_peers=40, seed=0,
+            peers=32, hours=0.05, epoch=30.0, trace="flash", seed=0,
         )))
         assert report.clipped_joins > 0
-        assert report.peers_final <= 40
+        assert report.peers_final <= 64
 
     @pytest.mark.slow
     def test_nightly_scale_soak(self):

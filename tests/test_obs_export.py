@@ -4,12 +4,14 @@ import asyncio
 import json
 
 from repro.obs import (
+    Histogram,
     Registry,
     SCHEMA,
     prometheus_text,
     snapshot_obj,
     validate_snapshot,
 )
+from repro.obs import http
 from repro.obs.http import MetricsServer
 
 
@@ -17,7 +19,7 @@ def _populated_registry(name="r") -> Registry:
     registry = Registry(name)
     registry.counter("engine.events").inc(3)
     registry.gauge("net.rank").set(5)
-    hist = registry.histogram("sim.slot_seconds", bounds=(0.001, 0.01))
+    hist = registry.histogram("sim.slot_seconds")
     hist.observe(0.0005)
     hist.observe(0.5)
     return registry
@@ -77,11 +79,13 @@ class TestPrometheusText:
     def test_histogram_buckets_are_cumulative(self):
         text = prometheus_text(_populated_registry())
         lines = [l for l in text.splitlines() if "slot_seconds_bucket" in l]
-        assert lines == [
-            'repro_sim_slot_seconds_bucket{registry="r",le="0.001"} 1',
-            'repro_sim_slot_seconds_bucket{registry="r",le="0.01"} 1',
-            'repro_sim_slot_seconds_bucket{registry="r",le="+Inf"} 2',
-        ]
+        assert len(lines) == len(Histogram.bounds) + 1
+        assert lines[-1] == (
+            'repro_sim_slot_seconds_bucket{registry="r",le="+Inf"} 2')
+        for line in lines[:-1]:
+            le = float(line.split('le="')[1].split('"')[0])
+            count = int(line.rsplit(" ", 1)[1])
+            assert count == sum(1 for v in (0.0005, 0.5) if v <= le), line
         assert 'repro_sim_slot_seconds_count{registry="r"} 2' in text
 
     def test_accepts_a_prebuilt_snapshot(self):
@@ -129,3 +133,54 @@ class TestMetricsServer:
             b"HTTP/1.0 405"
         )
 
+    def test_oversized_header_block_is_not_answered(self):
+        """The head is bounded as a whole: a short request line followed
+        by megabytes of headers gets no response."""
+        async def _run() -> bytes:
+            server = await MetricsServer(
+                lambda: snapshot_obj(_populated_registry())
+            ).start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                filler = b"X-Filler: " + b"a" * 90 + b"\r\n"
+                try:
+                    writer.write(b"GET /metrics HTTP/1.0\r\n")
+                    for _ in range(20):
+                        writer.write(filler * 1000)
+                        await writer.drain()
+                    writer.write(b"\r\n")
+                    await writer.drain()
+                except ConnectionError:
+                    pass  # the server hung up mid-head
+                try:
+                    response = await asyncio.wait_for(reader.read(), 10.0)
+                except ConnectionError:
+                    response = b""
+                writer.close()
+                return response
+            finally:
+                await server.stop()
+
+        assert not asyncio.run(_run()).startswith(b"HTTP/1.0 200")
+
+    def test_silent_client_is_dropped_at_the_head_deadline(self, monkeypatch):
+        monkeypatch.setattr(http, "_HEAD_TIMEOUT", 0.2, raising=False)
+
+        async def _run() -> bytes:
+            server = await MetricsServer(
+                lambda: snapshot_obj(_populated_registry())
+            ).start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port
+                )
+                try:
+                    return await asyncio.wait_for(reader.read(), 2.0)
+                finally:
+                    writer.close()
+            finally:
+                await server.stop()
+
+        assert asyncio.run(_run()) == b""

@@ -15,11 +15,13 @@ from repro.obs import (
     FlightRecorder,
     Gauge,
     Histogram,
-    POW2_LATENCY_BOUNDS,
     Registry,
     format_dump,
-    pow2_bounds,
 )
+from repro.obs import flight
+
+#: Every histogram's fixed bucket bounds.
+BOUNDS = Histogram.bounds
 
 
 class TestCounter:
@@ -32,12 +34,11 @@ class TestCounter:
 
 
 class TestGauge:
-    def test_set_inc_dec(self):
+    def test_set_and_inc(self):
         gauge = Gauge("g", "")
         gauge.set(10)
         gauge.inc(2.5)
-        gauge.dec()
-        assert gauge.snapshot_value() == 11.5
+        assert gauge.snapshot_value() == 12.5
 
     def test_bound_callback_wins_over_stored_value(self):
         gauge = Gauge("g", "")
@@ -51,34 +52,32 @@ class TestGauge:
 
 class TestHistogram:
     def test_exact_boundary_lands_in_its_bucket(self):
-        hist = Histogram("h", "", bounds=(1.0, 2.0, 4.0))
-        hist.observe(1.0)  # == first bound -> first bucket (le semantics)
-        hist.observe(2.0)
-        hist.observe(4.0)
-        assert hist.bucket_counts == [1, 1, 1, 0]
+        hist = Histogram("h", "")
+        hist.observe(BOUNDS[0])  # == first bound -> first bucket (le semantics)
+        hist.observe(BOUNDS[1])
+        hist.observe(BOUNDS[2])
+        assert hist.bucket_counts[:4] == [1, 1, 1, 0]
 
     def test_one_ulp_above_bound_spills_to_next_bucket(self):
         import math
 
-        hist = Histogram("h", "", bounds=(1.0, 2.0))
-        hist.observe(math.nextafter(1.0, 2.0))
-        assert hist.bucket_counts == [0, 1, 0]
+        hist = Histogram("h", "")
+        hist.observe(math.nextafter(BOUNDS[0], BOUNDS[1]))
+        assert hist.bucket_counts[:3] == [0, 1, 0]
 
     def test_overflow_bucket(self):
-        hist = Histogram("h", "", bounds=(1.0,))
+        hist = Histogram("h", "")
         hist.observe(100.0)
-        assert hist.bucket_counts == [0, 1]
+        assert hist.bucket_counts == [0] * len(BOUNDS) + [1]
         assert hist.count == 1
         assert hist.sum == 100.0
 
     def test_pow2_bounds_are_powers_of_two(self):
-        bounds = pow2_bounds(1e-6, 5)
-        assert len(bounds) == 5
-        for i in range(1, len(bounds)):
-            assert bounds[i] == pytest.approx(2 * bounds[i - 1])
-        # The default latency scale spans ~1 microsecond to ~4 seconds.
-        assert POW2_LATENCY_BOUNDS[0] == pytest.approx(1e-6)
-        assert POW2_LATENCY_BOUNDS[-1] > 1.0
+        for i in range(1, len(BOUNDS)):
+            assert BOUNDS[i] == pytest.approx(2 * BOUNDS[i - 1])
+        # The latency scale spans ~1 microsecond to ~4 seconds.
+        assert BOUNDS[0] == pytest.approx(1e-6)
+        assert BOUNDS[-1] > 1.0
 
     @settings(max_examples=50, deadline=None)
     @given(samples=st.lists(
@@ -88,7 +87,7 @@ class TestHistogram:
     ))
     def test_buckets_partition_the_samples(self, samples):
         """Every sample lands in exactly one bucket; count/sum agree."""
-        hist = Histogram("h", "", bounds=(1.0, 10.0, 100.0))
+        hist = Histogram("h", "")
         for sample in samples:
             hist.observe(sample)
         assert sum(hist.bucket_counts) == hist.count == len(samples)
@@ -137,19 +136,22 @@ class TestRegistry:
 
 
 class TestFlightRecorder:
-    def test_ring_keeps_only_the_tail(self):
-        flight = FlightRecorder(capacity=3)
+    def test_ring_keeps_only_the_tail(self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 3)
+        recorder = FlightRecorder()
         for i in range(10):
-            flight.record(f"event{i}", [f"effect{i}"])
-        assert flight.recorded == 10
-        assert [seq for seq, _, _ in flight.tail(3)] == [7, 8, 9]
+            recorder.record(f"event{i}", [f"effect{i}"])
+        assert recorder.recorded == 10
+        assert len(recorder.steps) == 3
+        assert [seq for seq, _, _ in recorder.tail(3)] == [7, 8, 9]
 
-    def test_format_dump_names_label_and_truncation(self):
-        flight = FlightRecorder(capacity=2)
-        flight.record("ev1", [])
-        flight.record("ev2", ["fx"])
-        flight.record("ev3", [])
-        text = format_dump(flight, "server")
+    def test_format_dump_names_label_and_truncation(self, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 2)
+        recorder = FlightRecorder()
+        recorder.record("ev1", [])
+        recorder.record("ev2", ["fx"])
+        recorder.record("ev3", [])
+        text = format_dump(recorder, "server")
         assert "flight recorder: server" in text
         assert "last 2 of 3 steps" in text
         assert "'ev1'" not in text  # evicted

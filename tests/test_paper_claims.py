@@ -56,7 +56,7 @@ class TestTheorem4DefectBound:
         k, d, p = 20, 2, 0.02
         net = OverlayNetwork(k=k, d=d, seed=5)
         rng = np.random.default_rng(6)
-        sequential_arrivals(net, 400, p=p, rng=rng, repair_interval=None)
+        sequential_arrivals(net, 400, p=p, rng=rng)
         summary = sampled_defect(net.matrix, d, rng, samples=600, failed=net.failed)
         prediction = theorem4_prediction(k, d, p)
         # measured mean defect must not exceed the drift attractor by much
@@ -69,8 +69,7 @@ class TestTheorem4DefectBound:
         levels = []
         for count in (200, 400, 800):
             net = OverlayNetwork(k=k, d=d, seed=8)
-            sequential_arrivals(net, count, p=p, rng=np.random.default_rng(9),
-                                repair_interval=None)
+            sequential_arrivals(net, count, p=p, rng=np.random.default_rng(9))
             summary = sampled_defect(net.matrix, d, rng, samples=500,
                                      failed=net.failed)
             levels.append(summary.mean_defect)
@@ -240,7 +239,7 @@ class TestNetworkCodingAchievesConnectivity:
             seed=24,
         )
         sim.run(12)
-        rank = sim.behavior.recoder_of(victim_child).decoder.total_rank
+        rank = sim.behavior.engine_of(victim_child).recoder.decoder.total_rank
         # rank growth per slot ≈ connectivity (after pipeline fill)
         assert rank <= remaining * 12 + 1
         if remaining > 0:

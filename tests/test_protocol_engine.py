@@ -50,6 +50,13 @@ from repro.protocol import (
     replay,
 )
 
+def _peer_engine(node_id: int) -> PeerEngine:
+    """A peer engine whose join grant named it ``node_id``."""
+    engine = PeerEngine()
+    engine.node_id = node_id
+    return engine
+
+
 def attributes(owner):
     """Every ``(name, value)`` ``owner`` holds: the ``__slots__`` of
     each class in its MRO, then its ``__dict__`` — what a bounded-state
@@ -338,7 +345,7 @@ class TestPeerEngineBoundedState:
         columns: each of the engine's maps and sets holds at most one
         entry per column, over any uptime."""
         k, cycles = 8, 50_000
-        engine = PeerEngine(7)
+        engine = _peer_engine(7)
         draws = np.random.default_rng(4).integers(
             0, 1 << 20, size=(cycles, 3)).tolist()
         peak = 0
@@ -379,6 +386,15 @@ class TestServerEngineSenderAuthority:
         return next((column, child) for column, child
                     in engine.core.matrix.children_of(parent).items()
                     if child is not None)
+
+    def test_an_admitted_connection_cannot_join_again(self):
+        """A second ``JoinRequest`` from an admitted peer admits nobody:
+        only a connection with no owner yet may say hello."""
+        engine, (a, _, _) = self._engine_with_peers(3)
+        registry = dict(engine.core.registry)
+        assert engine.handle(MessageReceived(
+            JoinRequest(reply_to=0), sender=a)) == []
+        assert dict(engine.core.registry) == registry
 
     def test_spoofed_probe_ack_does_not_save_the_suspect(self):
         engine, (a, _, _) = self._engine_with_peers(3)
@@ -484,12 +500,12 @@ class TestPeerEngineProperties:
     @settings(max_examples=60, deadline=None)
     @given(events=peer_events)
     def test_replay_reproduces_effect_trace(self, events):
-        recorded = PeerEngine(7)
+        recorded = _peer_engine(7)
         recorded.log = EngineLog()
         for event in events:
             recorded.handle(event)
 
-        fresh = PeerEngine(7)
+        fresh = _peer_engine(7)
         assert replay(fresh, events) == recorded.log.effect_trace()
         assert fresh.parents == recorded.parents
         assert fresh.complained == recorded.complained

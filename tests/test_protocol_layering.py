@@ -240,6 +240,124 @@ class TestNoBystanders:
         ]
 
 
+class TestNoTestOnlyOptionsOrMethods:
+    """Every defaulted parameter and config field is set by a non-test
+    call site, and every public method is named by a non-test file."""
+
+    def test_this_tree_is_clean(self):
+        assert check_layering.check_test_only_options() == []
+        assert check_layering.check_test_only_methods() == []
+        assert all(check_layering.KNOWN_TEST_ONLY_OPTIONS.values())
+        assert all(check_layering.KNOWN_TEST_ONLY_METHODS.values())
+
+    #: A module with one option of each kind: a function's, a
+    #: constructor's, a method's, a config field, and a stats field.
+    LIBRARY = (
+        "from dataclasses import dataclass\n\n"
+        "def mix(rows, rounds=1, *, seed=None):\n    return rows\n\n"
+        "class Mixer:\n"
+        "    def __init__(self, rows, width=8):\n        self.rows = rows\n\n"
+        "    def emit(self, count=1):\n        return count\n\n"
+        "class Turbo(Mixer):\n    pass\n\n"
+        "@dataclass\nclass MixConfig:\n    k: int\n    d: int = 2\n\n"
+        "@dataclass\nclass MixStats:\n    sent: int = 0\n"
+    )
+    OPTIONS = {"coding.mix.mix.rounds", "coding.mix.mix.seed",
+               "coding.mix.Mixer.width", "coding.mix.Mixer.emit.count",
+               "coding.mix.MixConfig.d"}
+
+    def _unset(self, tmp_path, monkeypatch, caller: str) -> set[str]:
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY_OPTIONS", {})
+        tree = _plant(tmp_path, {"coding/mix.py": self.LIBRARY})
+        callers = tmp_path / "examples"
+        callers.mkdir()
+        (callers / "demo.py").write_text(caller)
+        (callers / "test_demo.py").write_text(
+            "mix(1, rounds=2, seed=3)\nMixer(1, width=4).emit(count=5)\n"
+            "MixConfig(k=1, d=5)\n")
+        return {v.split(": ")[1].split()[0]
+                for v in check_layering.check_test_only_options(tree, [callers])}
+
+    def test_planted_unused_options_are_reported(self, tmp_path, monkeypatch):
+        """Tests, a call passing the default, and a stats field do not
+        count; every other option is reported."""
+        assert self._unset(tmp_path, monkeypatch,
+                           "mix(1, 1)\nMixer(1, width=8)\n") == self.OPTIONS
+
+    @pytest.mark.parametrize("caller, set_", [
+        ("mix(1, 2)", "coding.mix.mix.rounds"),
+        ("mix(1, seed=4)", "coding.mix.mix.seed"),
+        ("from functools import partial\npartial(mix, seed=4)",
+         "coding.mix.mix.seed"),
+        ("class Fast(Mixer):\n    def __init__(self):\n"
+         "        super().__init__(1, width=2)", "coding.mix.Mixer.width"),
+        ("Turbo(1, 16)", "coding.mix.Mixer.width"),
+        ("m.emit(3)", "coding.mix.Mixer.emit.count"),
+        ("from dataclasses import replace\nreplace(c, d=3)",
+         "coding.mix.MixConfig.d"),
+        ("c.d = 3", "coding.mix.MixConfig.d"),
+        ("GEOMETRY = dict(d=3)\nMixConfig(k=1, **GEOMETRY)",
+         "coding.mix.MixConfig.d"),
+        ("def build(**geometry):\n    return MixConfig(k=1, **geometry)\n"
+         "build(d=3)", "coding.mix.MixConfig.d"),
+    ])
+    def test_each_way_of_setting_counts(self, tmp_path, monkeypatch,
+                                        caller, set_):
+        assert self._unset(tmp_path, monkeypatch, caller) == self.OPTIONS - {set_}
+
+    def test_any_other_splat_sets_everything(self, tmp_path, monkeypatch):
+        unset = self._unset(tmp_path, monkeypatch,
+                            "mix(1, **load())\nMixConfig(**load())\n")
+        assert unset == self.OPTIONS - {
+            "coding.mix.mix.rounds", "coding.mix.mix.seed",
+            "coding.mix.MixConfig.d"}
+
+    def test_planted_test_only_method_is_reported(self, tmp_path, monkeypatch):
+        """Its own body and tests do not count; a mention elsewhere,
+        even as an identifier string, does."""
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY_METHODS", {})
+        tree = _plant(tmp_path, {"coding/mix.py": (
+            "class Mixer:\n"
+            "    def emit(self):\n        return self.emit\n\n"
+            "    def drain(self):\n        return 1\n\n"
+            "    def flush(self):\n        return 2\n\n"
+            "    def _private(self):\n        return 3\n"
+        )})
+        callers = tmp_path / "examples"
+        callers.mkdir()
+        (callers / "demo.py").write_text(
+            "Mixer().drain()\ngetattr(Mixer(), 'flush')()\n")
+        (callers / "test_demo.py").write_text("Mixer().emit()\n")
+        (violation,) = check_layering.check_test_only_methods(tree, [callers])
+        assert violation.endswith(
+            "mix.py:2: coding.mix.Mixer.emit is called by no non-test file")
+
+    def test_stale_table_entries_are_reported(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY_OPTIONS", {
+            "coding.mix.mix.rounds": "oracle",
+            "coding.mix.mix.gone": "oracle",
+        })
+        monkeypatch.setattr(check_layering, "KNOWN_TEST_ONLY_METHODS", {
+            "coding.mix.Mixer.emit": "oracle",
+            "coding.mix.Mixer.gone": "oracle",
+        })
+        tree = _plant(tmp_path, {"coding/mix.py": self.LIBRARY})
+        callers = tmp_path / "examples"
+        callers.mkdir()
+        (callers / "demo.py").write_text(
+            "mix(1, 2, seed=3)\nMixer(1, 4).emit(5)\nMixConfig(1, 5)\n")
+        assert check_layering.check_test_only_options(tree, [callers]) == [
+            "KNOWN_TEST_ONLY_OPTIONS['coding.mix.mix.gone']: names nothing",
+            "KNOWN_TEST_ONLY_OPTIONS['coding.mix.mix.rounds']: "
+            "now has a non-test caller",
+        ]
+        assert check_layering.check_test_only_methods(tree, [callers]) == [
+            "KNOWN_TEST_ONLY_METHODS['coding.mix.Mixer.emit']: "
+            "now has a non-test caller",
+            "KNOWN_TEST_ONLY_METHODS['coding.mix.Mixer.gone']: names nothing",
+        ]
+
+
 class TestDeploymentImports:
     #: Packages of the experiments' library (and the relocated codec):
     #: the deployment path must not execute any of them.

@@ -161,26 +161,39 @@ def scenario_rarest_first() -> dict:
 
 def scenario_session_churn() -> dict:
     """run_session with failures/repairs/joins/leaves and attackers."""
-    from repro.sim import SessionConfig, run_session
+    from repro.sim import NodeRole, RngStreams, SessionConfig, run_session
+    from repro.sim import session
 
-    result = run_session(
-        SessionConfig(
-            k=8,
-            d=2,
-            population=20,
-            content_size=2048,
-            generation_size=8,
-            payload_size=64,
-            loss_rate=0.05,
-            fail_probability=0.05,
-            repair_interval=20,
-            join_rate=1,
-            leave_probability=0.02,
-            entropy_attacker_fraction=0.1,
-            max_slots=400,
-            seed=909,
+    def rlnc_with_attackers(net, *args, **kwargs):
+        # Two of the 20 initial nodes replay trivial combinations, drawn
+        # by shuffling them with the session's "roles" stream.
+        nodes = sorted(net.matrix.node_ids)
+        RngStreams(909).get("roles").shuffle(nodes)
+        roles = dict.fromkeys(nodes[:2], NodeRole.ENTROPY_ATTACKER)
+        return plain_rlnc(net, *args, roles=roles, **kwargs)
+
+    plain_rlnc = session.rlnc
+    session.rlnc = rlnc_with_attackers
+    try:
+        result = run_session(
+            SessionConfig(
+                k=8,
+                d=2,
+                population=20,
+                content_size=2048,
+                generation_size=8,
+                payload_size=64,
+                loss_rate=0.05,
+                fail_probability=0.05,
+                repair_interval=20,
+                join_rate=1,
+                leave_probability=0.02,
+                max_slots=400,
+                seed=909,
+            )
         )
-    )
+    finally:
+        session.rlnc = plain_rlnc
     dump = _broadcast_dump(result.report)
     dump["failures_injected"] = result.failures_injected
     dump["repairs_performed"] = result.repairs_performed

@@ -129,11 +129,3 @@ class TestAttacks:
         sim.run(5)
         report = sim.report()
         assert all(n.node_id != net.matrix.node_ids[0] for n in report.nodes)
-
-
-class TestSystematicMode:
-    def test_systematic_completes(self):
-        sim, _ = make_sim(systematic=True)
-        report = sim.run_until_complete(max_slots=800)
-        assert report.completion_fraction == 1.0
-        assert all(n.decoded_ok for n in report.nodes)

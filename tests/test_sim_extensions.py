@@ -106,11 +106,12 @@ class TestServerDetach:
         sim = rlnc(
             net, make_content(500), GenerationParams(4, 125), seed=10
         )
-        sim.detach_server(at_slot=5)
         occupied = sum(
             1 for c in range(net.k) if net.matrix.column_chain(c)
         )
-        sim.run(8)
+        sim.run(5)
+        sim.detach_server()
+        sim.run(3)
         assert sim.server_packets == 5 * occupied
 
     def test_swarm_rank_false_before_anything_sent(self):

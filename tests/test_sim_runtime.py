@@ -131,25 +131,6 @@ class TestSlotHooks:
         assert fired == []
 
 
-class TestTimeline:
-    def test_timeline_records_slots(self):
-        topology = StaticTopology([(SERVER, 0), (0, 1)])
-        runtime = _rlnc_runtime(topology, record_timeline=True)
-        report = runtime.run_until_complete(max_slots=100)
-        assert len(report.timeline) == report.slots
-        assert [record.slot for record in report.timeline] == list(range(report.slots))
-        assert sum(record.completions for record in report.timeline) == len(
-            [n for n in report.nodes if n.completed_at is not None]
-        )
-        total = sum(record.delivered for record in report.timeline)
-        assert total == report.link_stats.delivered
-
-    def test_timeline_off_by_default(self):
-        runtime = _rlnc_runtime(StaticTopology([(SERVER, 0)]))
-        runtime.run(3)
-        assert runtime.timeline == []
-
-
 class TestReportHelpers:
     def test_summary_helpers_empty(self):
         assert mean_completion_slot([]) == 0.0
@@ -247,25 +228,6 @@ class TestGraphSession:
         assert result.failures_injected == 0
         assert isinstance(result.net, RandomGraphOverlay)
         assert result.report.completion_fraction > 0.0
-
-    def test_graph_session_honours_systematic(self):
-        # One slot: everything received so far came from the server, so
-        # with systematic=True every basis row is one original packet.
-        result = run_session(
-            SessionConfig(
-                k=6, d=2, population=10, content_size=512,
-                generation_size=8, payload_size=64, systematic=True,
-                max_slots=1, seed=5, topology="graph",
-            )
-        )
-        rows = [
-            row
-            for engine in result.simulation.behavior.engines.values()
-            for generation in engine.recoder.decoder.generations
-            for row in generation.coefficient_rows()
-        ]
-        assert rows
-        assert all(np.count_nonzero(row) == 1 for row in rows)
 
     def test_graph_topology_rejects_failures(self):
         with pytest.raises(ValueError, match="curtain"):

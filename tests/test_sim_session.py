@@ -1,8 +1,11 @@
 """Unit tests for session orchestration."""
 
-import pytest
+import numpy as np
 
-from repro.sim import NodeRole, SessionConfig, run_session
+from repro.coding import GenerationParams
+from repro.core import OverlayNetwork
+from repro.failures import assign_attack_roles
+from repro.sim import NodeRole, SessionConfig, rlnc, run_session
 
 
 def small_config(**overrides):
@@ -63,30 +66,40 @@ class TestDynamics:
         )
         assert result.graceful_leaves > 0
 
+
+
     def test_uniform_insert_mode(self):
-        result = run_session(small_config(insert_mode="uniform"))
-        assert result.report.completion_fraction == 1.0
+        """§5's uniform row insertion: the swarm still completes."""
+        net = OverlayNetwork(k=12, d=2, seed=21, insert_mode="uniform")
+        net.grow(25)
+        content = bytes(np.random.default_rng(23).integers(0, 256, 600, dtype=np.uint8))
+        report = rlnc(net, content, GenerationParams(6, 32),
+                      seed=21).run_until_complete(max_slots=800)
+        assert report.completion_fraction == 1.0
+
+
+def _attacked(role: NodeRole, fraction: float, slots: int):
+    """The small session's swarm broadcast with ``fraction`` of its nodes
+    in ``role``, set the one way the §7 attacks reach the simulator:
+    ``rlnc(roles=)``."""
+    net = OverlayNetwork(k=12, d=2, seed=21)
+    nodes = net.grow(25)
+    roles = assign_attack_roles(nodes, fraction, role, np.random.default_rng(22))
+    content = bytes(np.random.default_rng(23).integers(0, 256, 600, dtype=np.uint8))
+    sim = rlnc(net, content, GenerationParams(6, 32), seed=21, roles=roles)
+    return sim, sim.run_until_complete(max_slots=slots)
 
 
 class TestAttackConfiguration:
     def test_roles_assigned_by_fraction(self):
-        result = run_session(
-            small_config(entropy_attacker_fraction=0.2, max_slots=150)
-        )
-        roles = result.simulation.behavior.roles
+        sim, _ = _attacked(NodeRole.ENTROPY_ATTACKER, 0.2, 150)
+        roles = sim.behavior.roles
         entropy = [r for r in roles.values() if r is NodeRole.ENTROPY_ATTACKER]
         assert len(entropy) == 5  # 20% of 25
 
     def test_jammers_poison(self):
-        result = run_session(
-            small_config(jammer_fraction=0.1, max_slots=600)
-        )
-        assert result.report.poisoned_fraction > 0.0
-
-    def test_excessive_fractions_rejected(self):
-        with pytest.raises(ValueError):
-            run_session(small_config(entropy_attacker_fraction=0.7,
-                                     jammer_fraction=0.7))
+        _, report = _attacked(NodeRole.JAMMER, 0.1, 600)
+        assert report.poisoned_fraction > 0.0
 
 
 class TestDownloadDurations:

@@ -21,19 +21,6 @@ class TestAbstractWalk:
         assert not result.collapsed
         assert result.peak_defect < 0.5
 
-    def test_threshold_override(self, rng):
-        result = simulate_defect_walk(
-            k=12, d=2, p=0.45, rng=rng, max_steps=100_000, threshold=0.2
-        )
-        assert result.threshold == 0.2
-
-    def test_start_at_threshold_collapses_immediately(self, rng):
-        result = simulate_defect_walk(
-            k=12, d=2, p=0.4, rng=rng, threshold=0.3, start=0.35, max_steps=100
-        )
-        assert result.collapsed
-        assert result.steps <= 2
-
     def test_collapse_time_grows_with_k(self, rng):
         """Theorem 5 shape: mean collapse steps increase with k/d³."""
         means = []
@@ -55,31 +42,20 @@ class TestAbstractWalk:
 class TestRealNetworkCollapse:
     def test_extreme_p_collapses_real_network(self):
         result = measure_collapse_time(
-            k=8, d=2, p=0.6, seed=1, max_steps=3_000, check_every=20,
+            k=8, d=2, p=0.6, seed=1, max_steps=3_000,
             defect_samples=40, threshold=0.5,
         )
         assert result.collapsed
 
     def test_small_p_does_not_collapse_quickly(self):
         result = measure_collapse_time(
-            k=24, d=2, p=0.01, seed=2, max_steps=400, check_every=100,
-            defect_samples=30,
+            k=24, d=2, p=0.01, seed=2, max_steps=400, defect_samples=30,
         )
         assert not result.collapsed
         assert result.steps == 400
 
-    def test_immediate_repair_prevents_collapse(self):
-        """With per-step repairs the defect never accumulates at all."""
-        result = measure_collapse_time(
-            k=8, d=2, p=0.6, seed=4, max_steps=400, check_every=50,
-            defect_samples=30, threshold=0.5, repair_interval=1,
-        )
-        assert not result.collapsed
-        assert result.peak_defect == 0.0
-
     def test_defaults_resolve_threshold(self):
         result = measure_collapse_time(
-            k=24, d=2, p=0.02, seed=3, max_steps=100, check_every=100,
-            defect_samples=20,
+            k=24, d=2, p=0.02, seed=3, max_steps=100, defect_samples=20,
         )
         assert 0.5 < result.threshold <= 1.0

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Layering contracts for ``src/repro``: imports point downward only,
-and every module and public name has a caller that is not a test.
+and every module, public name, option and method has a caller that is
+not a test.
 
-Four checks, all over the packages' ASTs:
+Six checks, all over the packages' ASTs:
 
 **One declared package order** (:data:`LAYERS`, lowest first).  A module
 may import its own layer entry and any entry on an earlier line — never
@@ -35,13 +36,37 @@ constant (``benchmarks/e2e/trace.py`` resolves its tables with
 A name that tests use to check something else (an oracle, a fake, a
 golden producer) is listed in :data:`KNOWN_TEST_ONLY` with its reason;
 an entry there that names nothing, or whose names all have a non-test
-caller, is itself a violation.  Methods are not checked: too many share
-a name for a bare-name scan to tell them apart.
+caller, is itself a violation.
+
+**No test-only options.**  An *option* is a defaulted parameter of a
+public function, method or constructor, or a defaulted field of a
+config dataclass (one not named for :data:`NOT_CONFIG_SUFFIXES`: stats,
+reports and state hold results, not settings).  Each is set by some
+non-test call site — in ``src/repro`` or under :data:`CALLER_DIRS` —
+to something other than its literal default: by keyword, by a
+positional argument that reaches it, through ``functools.partial``,
+``super().__init__``, a subclass that inherits the constructor or
+``dataclasses.replace``, by attribute assignment or ``setattr``, or by
+``**mapping``.  A module-level dict literal sets its own keys, a
+function's own ``**kwargs`` passed on sets what its callers pass it,
+and any other ``**`` sets every option of the callee.  Callees are
+matched by bare name, which errs towards "set".  An option nobody sets
+becomes a constant; :data:`KNOWN_TEST_ONLY_OPTIONS` lists the ones that
+stay, each with its reason.
+
+**No test-only methods.**  Every public method and property is
+mentioned, by the name scan above, outside its own ``def`` by some
+non-test file.  Only names nobody mentions are flagged, so a method
+that shares its name with a used one is never reported;
+:data:`KNOWN_TEST_ONLY_METHODS` lists the oracles and golden producers
+that stay.  Stale entries in either table are violations, as above.
 
 Run from the repo root (CI's lint job does, and a tier-1 test wraps
 it):
 
     python tools/check_layering.py
+
+It ends with the surface it counted: options and public methods.
 """
 
 from __future__ import annotations
@@ -49,13 +74,14 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 _REPRO = REPO_ROOT / "src" / "repro"
 PROTOCOL_DIR = _REPRO / "protocol"
 OBS_DIR = _REPRO / "obs"
 DATAPLANE_DIR = _REPRO / "dataplane"
+_FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 #: The declared order, lowest layer first; names are dotted prefixes
 #: under ``repro`` and the longest matching prefix wins (``net.testing``
@@ -131,8 +157,57 @@ KNOWN_TEST_ONLY: dict[str, str] = {
     "gf.linalg": "numpy oracle surface the native kernels are tested against",
     "gf.kernels": "numpy oracle surface the native kernels are tested against",
     "theory": "ROADMAP 3: source of the server's defect and drift gauges",
-    "analysis.defects":
-        "ROADMAP 3: source of the server's defect and drift gauges",
+}
+
+#: Dataclasses whose fields are counters, results or state, not
+#: settings: the option pass skips a dataclass whose name ends so.
+NOT_CONFIG_SUFFIXES = ("Stats", "Report", "Result", "Outcome", "State",
+                       "Summary", "Trajectory", "Log", "Graph", "Info")
+
+#: Options (``module.function.param``, ``module.Class.method.param``,
+#: ``module.Class.field``) or whole functions, classes and modules whose
+#: options no non-test caller sets, each with the reason they stay.
+KNOWN_TEST_ONLY_OPTIONS: dict[str, str] = {
+    # Deployment addresses.
+    "net.peer.PeerNode.host": "deployment address the peer listens on",
+    "obs.http.MetricsServer.host": "deployment address of the scrape endpoint",
+    # The frozen surface: benchmarks/e2e/trace.py wraps these by name.
+    "gf.kernels": "kernel surface kept whole: trace.py wraps its entry "
+                  "points, the backend tests check each out= path",
+    "coding.wire.encode_packets_into": "frozen: named in trace.py's FUNCTIONS",
+    "coding.wire.read_frame_at": "frozen: named in trace.py's FUNCTIONS",
+    # Set, but through an alias the bare-name scan cannot follow.
+    "sim.session.file_download.seed":
+        "`repro scenario` calls each preset with seed= through a table",
+    "sim.session.flash_crowd.seed":
+        "`repro scenario` calls each preset with seed= through a table",
+}
+
+#: Public methods (``module.Class.name``) no non-test file calls, each
+#: with the reason it stays.
+KNOWN_TEST_ONLY_METHODS: dict[str, str] = {
+    # Oracles and golden producers.
+    "core.matrix.ThreadMatrix.to_dense":
+        "oracle: the dense 0/1 matrix the flow and defect tests check against",
+    "core.topology.OverlayGraph.in_degree":
+        "oracle: degree checks of the built overlay graphs",
+    "core.topology.OverlayGraph.out_degree":
+        "oracle: degree checks of the built overlay graphs",
+    "core.topology.OverlayGraph.edge_count":
+        "oracle: edge counts of the built overlay graphs",
+    "core.topology.OverlayGraph.is_acyclic":
+        "invariant: the curtain overlay is a DAG (ROADMAP 5a)",
+    "core.random_graph.RandomGraphOverlay.is_acyclic":
+        "invariant: the §6 overlay stays a DAG under churn (ROADMAP 5a)",
+    "protocol.trace.EngineLog.effect_reprs":
+        "golden producer: the conformance goldens pin its output",
+    "sim.report.RunReport.mean_unique_fraction":
+        "pinned by tests/goldens/{store_forward,rarest_first}.json",
+    # Retired with the private-writer route.
+    "net.testing.scenarios.ChaosHarness.congest":
+        "ROADMAP 7 retires it with the private-writer route",
+    "net.testing.scenarios.ChaosHarness.uncongest":
+        "ROADMAP 7 retires it with the private-writer route",
 }
 
 #: Where non-test importers live, relative to the repo root.
@@ -351,9 +426,27 @@ def check_uncalled(root: Path = _REPRO,
     ]
 
 
+def _mentions(node: ast.AST) -> set[str]:
+    """Names ``node`` mentions — as a ``Name``, an ``Attribute`` or an
+    identifier string — less each definition's mentions of its own name."""
+    found: set[str] = set()
+    for child in ast.iter_child_nodes(node):
+        found |= _mentions(child)
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+          and node.value.isidentifier()):
+        found.add(node.value)
+    elif isinstance(node, (*_FUNCTIONS, ast.ClassDef)):
+        found.discard(node.name)
+    return found
+
+
 def _references(tree: ast.Module) -> set[str]:
     """Names a module mentions, outside imports, ``__all__`` and each
-    top-level definition's mentions of its own name."""
+    definition's mentions of its own name."""
     found: set[str] = set()
     for statement in tree.body:
         if isinstance(statement, (ast.Import, ast.ImportFrom)):
@@ -362,18 +455,32 @@ def _references(tree: ast.Module) -> set[str]:
                    else [getattr(statement, "target", None)])
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
             continue
-        mentioned: set[str] = set()
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                mentioned.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                mentioned.add(node.attr)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and node.value.isidentifier()):
-                mentioned.add(node.value)
-        mentioned.discard(getattr(statement, "name", None))
-        found |= mentioned
+        found |= _mentions(statement)
     return found
+
+
+def _covers(entry: str, dotted: str) -> bool:
+    return (dotted + ".").startswith(entry + ".")
+
+
+def _judge(unused: dict[str, tuple[Path, int]], defined: Iterator[str],
+           known: dict[str, str], table: str, complaint: str) -> list[str]:
+    """One string per ``unused`` name no ``known`` entry covers, and per
+    ``known`` entry that covers none of them (stale)."""
+    violations = []
+    excused: set[str] = set()
+    for dotted, (path, lineno) in unused.items():
+        entry = next((e for e in known if _covers(e, dotted)), None)
+        if entry is None:
+            violations.append(f"{path}:{lineno}: {dotted} {complaint}")
+        else:
+            excused.add(entry)
+    defined = list(defined)
+    for entry in sorted(set(known) - excused):
+        named = any(_covers(entry, dotted) for dotted in defined)
+        violations.append(f"{table}[{entry!r}]: " + (
+            "now has a non-test caller" if named else "names nothing"))
+    return violations
 
 
 def check_unused_names(root: Path = _REPRO,
@@ -381,41 +488,412 @@ def check_unused_names(root: Path = _REPRO,
     """One string per public top-level ``def``/``class`` that only tests
     (or nothing) mention, and per stale :data:`KNOWN_TEST_ONLY` entry."""
     modules = _tree_modules(root)
-    definitions: dict[tuple[str, str], tuple[Path, int]] = {}
+    definitions: dict[str, tuple[Path, int]] = {}
+    uncalled: set[str] = set()
     referenced: set[str] = set()
     for module, path in modules.items():
         tree = ast.parse(path.read_text(), filename=str(path))
         for statement in tree.body:
-            if (isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                       ast.ClassDef))
+            if (isinstance(statement, (*_FUNCTIONS, ast.ClassDef))
                     and not statement.name.startswith("_")):
-                definitions[module, statement.name] = (path, statement.lineno)
+                dotted = f"{module}.{statement.name}"
+                definitions[dotted] = (path, statement.lineno)
+                if module in KNOWN_UNCALLED:
+                    uncalled.add(dotted)
         referenced |= _references(tree)
     for path in _caller_files(caller_roots):
         referenced |= _references(ast.parse(path.read_text(), filename=str(path)))
+    unused = {dotted: where for dotted, where in definitions.items()
+              if dotted.rpartition(".")[2] not in referenced
+              and dotted not in uncalled}
+    return _judge(unused, iter(definitions), KNOWN_TEST_ONLY,
+                  "KNOWN_TEST_ONLY", "is used by no non-test file")
 
-    def covers(entry: str, dotted: str) -> bool:
-        return (dotted + ".").startswith(entry + ".")
 
-    violations = []
-    excused: set[str] = set()
-    for (module, name), (path, lineno) in definitions.items():
-        if name in referenced or module in KNOWN_UNCALLED:
+# ----------------------------------------------------------------------
+# No test-only options or methods
+
+
+def _bare(node: ast.expr) -> Optional[str]:
+    """The name a callee goes by: ``f`` for ``f`` and for ``x.y.f``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+class _Option(NamedTuple):
+    #: ``module.function.param``, ``module.Class.method.param``, or
+    #: ``module.Class.name`` for a constructor parameter or a field.
+    key: str
+    path: Path
+    lineno: int
+    #: The bare names a call reaching it goes by: the function or method
+    #: name, or the class and each subclass that inherits the parameter.
+    callees: frozenset[str]
+    name: str
+    #: Index among the positional arguments (``self`` excluded), or None
+    #: for a keyword-only parameter.
+    position: Optional[int]
+    default: ast.expr
+    #: A dataclass field, which ``replace`` and attribute assignment set.
+    is_field: bool
+
+
+def _dataclass_fields(cls: ast.ClassDef, classes: dict[str, ast.ClassDef]
+                      ) -> list[ast.AnnAssign]:
+    """``cls``'s fields in constructor order, inherited ones first."""
+    fields: dict[str, ast.AnnAssign] = {}
+    for base in cls.bases:
+        parent = classes.get(_bare(base) or "")
+        if parent is not None and _is_dataclass(parent):
+            fields.update((f.target.id, f)
+                          for f in _dataclass_fields(parent, classes))
+    for statement in cls.body:
+        if (isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)):
+            fields[statement.target.id] = statement
+    return list(fields.values())
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(_bare(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def _heirs(cls: ast.ClassDef, classes: dict[str, ast.ClassDef],
+           overrides) -> frozenset[str]:
+    """``cls``'s name and its subclasses' that don't ``overrides(sub)``."""
+    names = {cls.name}
+    grew = True
+    while grew:
+        grew = False
+        for other in classes.values():
+            if (other.name not in names and not overrides(other)
+                    and any(_bare(b) in names for b in other.bases)):
+                names.add(other.name)
+                grew = True
+    return frozenset(names)
+
+
+def _parameters(fn: ast.FunctionDef, skip_first: bool
+                ) -> Iterator[tuple[str, Optional[int], ast.expr]]:
+    """``(name, position, default)`` of ``fn``'s defaulted parameters."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][int(skip_first):]
+    first = len(positional) - len(args.defaults)
+    for index, default in enumerate(args.defaults):
+        yield positional[first + index].arg, first + index, default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None, default
+
+
+def _options(root: Path = _REPRO) -> list[_Option]:
+    """Every option in the tree: the defaulted parameters of public
+    functions, methods and constructors, and the defaulted fields of
+    config dataclasses (any not named for :data:`NOT_CONFIG_SUFFIXES`)."""
+    parsed = [(module, path, ast.parse(path.read_text(), filename=str(path)))
+              for module, path in _tree_modules(root).items()]
+    classes = {node.name: node for _m, _p, tree in parsed
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    options = []
+    for module, path, tree in parsed:
+        if module in KNOWN_UNCALLED:
             continue
-        dotted = f"{module}.{name}"
-        entry = next((e for e in KNOWN_TEST_ONLY if covers(e, dotted)), None)
-        if entry is None:
-            violations.append(
-                f"{path}:{lineno}: {dotted} is used by no non-test file")
-        else:
-            excused.add(entry)
-    for entry in sorted(set(KNOWN_TEST_ONLY) - excused):
-        named = any(covers(entry, f"{module}.{name}")
-                    for module, name in definitions)
-        violations.append(
-            f"KNOWN_TEST_ONLY[{entry!r}]: " + (
-                "now has a non-test caller" if named else "names nothing"))
-    return violations
+        for node in tree.body:
+            if isinstance(node, _FUNCTIONS) and not node.name.startswith("_"):
+                options.extend(
+                    _Option(f"{module}.{node.name}.{name}", path,
+                            default.lineno, frozenset({node.name}), name,
+                            position, default, False)
+                    for name, position, default in _parameters(node, False))
+            if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+                continue
+            prefix = f"{module}.{node.name}"
+            if _is_dataclass(node) and not node.name.endswith(NOT_CONFIG_SUFFIXES):
+                order = [f.target.id for f in _dataclass_fields(node, classes)]
+                inherited = {f.target.id for base in node.bases
+                             if _bare(base) in classes
+                             for f in _dataclass_fields(classes[_bare(base)], classes)}
+                callees = _heirs(node, classes, lambda sub: False)
+                for field in node.body:
+                    # A redeclared inherited field is the base's option.
+                    if (isinstance(field, ast.AnnAssign) and field.value is not None
+                            and isinstance(field.target, ast.Name)
+                            and not field.target.id.startswith("_")
+                            and field.target.id not in inherited):
+                        name = field.target.id
+                        options.append(_Option(
+                            f"{prefix}.{name}", path, field.lineno, callees,
+                            name, order.index(name), field.value, True))
+            for method in node.body:
+                if not isinstance(method, _FUNCTIONS):
+                    continue
+                if method.name == "__init__":
+                    owner, callees = prefix, _heirs(node, classes, lambda sub: any(
+                        isinstance(s, _FUNCTIONS) and s.name == "__init__"
+                        for s in sub.body))
+                elif not method.name.startswith("_"):
+                    owner = f"{prefix}.{method.name}"
+                    callees = frozenset({method.name})
+                else:
+                    continue
+                static = any(_bare(d) == "staticmethod"
+                             for d in method.decorator_list)
+                options.extend(
+                    _Option(f"{owner}.{name}", path, default.lineno, callees,
+                            name, position, default, False)
+                    for name, position, default in _parameters(method, not static))
+    return options
+
+
+class _Call(NamedTuple):
+    callee: str
+    #: Positional arguments up to the first ``*args``.
+    args: list[ast.expr]
+    #: True when a ``*args`` follows them (it may reach any position).
+    starred: bool
+    #: Keyword arguments; None stands for a value the scan cannot see.
+    keywords: dict[str, Optional[ast.expr]]
+    #: A ``**mapping`` the scan cannot read: it may set anything.
+    splat: bool
+
+
+class _CallScan(ast.NodeVisitor):
+    """The calls, forwarded ``**kwargs`` and attribute assignments of
+    one file."""
+
+    def __init__(self, tree: ast.Module) -> None:
+        self.calls: list[_Call] = []
+        #: (callee, forwarder, forwarder's named parameters): a call
+        #: passing the forwarder's own ``**kwargs`` on to ``callee``.
+        self.forwards: list[tuple[str, str, frozenset[str]]] = []
+        #: Names assigned as an attribute of anything but ``self``.
+        self.assigned: set[str] = set()
+        self._classes: list[ast.ClassDef] = []
+        self._functions: list[ast.FunctionDef] = []
+        #: Module-level dict literals: their keys are what a ``**`` sets.
+        self._dicts: dict[str, list[str]] = {}
+        for statement in tree.body:
+            if (isinstance(statement, ast.Assign) and len(statement.targets) == 1
+                    and isinstance(statement.targets[0], ast.Name)):
+                keys = _literal_keys(statement.value)
+                if keys is not None:
+                    self._dicts[statement.targets[0].id] = keys
+        self.visit(tree)
+
+    def visit_ClassDef(self, node: ast.ClassDef) -> None:
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        self._functions.append(node)
+        self.generic_visit(node)
+        self._functions.pop()
+
+    visit_AsyncFunctionDef = visit_FunctionDef
+
+    def _assign(self, targets: list[ast.expr]) -> None:
+        for target in targets:
+            for node in ast.walk(target):
+                if (isinstance(node, ast.Attribute)
+                        and not (isinstance(node.value, ast.Name)
+                                 and node.value.id == "self")):
+                    self.assigned.add(node.attr)
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self._assign(node.targets)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._assign([node.target])
+        self.generic_visit(node)
+
+    visit_AnnAssign = visit_AugAssign
+
+    def _forward(self, callee: str, forwarder: ast.FunctionDef) -> None:
+        own = forwarder.name
+        if own == "__init__" and self._classes:
+            own = self._classes[-1].name
+        named = frozenset(a.arg for a in (
+            *forwarder.args.posonlyargs, *forwarder.args.args,
+            *forwarder.args.kwonlyargs))
+        self.forwards.append((callee, own, named))
+
+    def visit_Call(self, node: ast.Call) -> None:
+        self.generic_visit(node)
+        func, args = node.func, list(node.args)
+        callees = [_bare(func)]
+        if callees[0] == "partial" and args:
+            callees, args = [_bare(args[0])], args[1:]
+        elif (isinstance(func, ast.Attribute) and func.attr == "__init__"
+              and isinstance(func.value, ast.Call)
+              and _bare(func.value.func) == "super" and self._classes):
+            callees = [_bare(base) for base in self._classes[-1].bases]
+        elif callees[0] == "cls" and self._classes:
+            callees = [self._classes[-1].name]
+        elif callees[0] == "setattr" and len(args) > 1:
+            # A literal key is an attribute assignment; a computed one, in
+            # a function taking ``**kwargs``, sets what its callers pass.
+            key, forwarder = args[1], self._functions[-1] if self._functions else None
+            if isinstance(key, ast.Constant) and isinstance(key.value, str):
+                self.assigned.add(key.value)
+            elif forwarder is not None and forwarder.args.kwarg is not None:
+                self._forward("replace", forwarder)
+        starred = next((i for i, a in enumerate(args)
+                        if isinstance(a, ast.Starred)), None)
+        keywords: dict[str, Optional[ast.expr]] = {}
+        splat = False
+        for keyword in node.keywords:
+            if keyword.arg is not None:
+                keywords[keyword.arg] = keyword.value
+                continue
+            mapping = keyword.value
+            name = mapping.id if isinstance(mapping, ast.Name) else None
+            forwarder = self._functions[-1] if self._functions else None
+            if name in self._dicts:
+                keywords.update(dict.fromkeys(self._dicts[name]))
+            elif (forwarder is not None and forwarder.args.kwarg is not None
+                  and forwarder.args.kwarg.arg == name):
+                for callee in filter(None, callees):
+                    self._forward(callee, forwarder)
+            else:
+                keys = _literal_keys(mapping)
+                if keys is None:
+                    splat = True
+                else:
+                    keywords.update(dict.fromkeys(keys))
+        for callee in callees:
+            if callee:
+                self.calls.append(_Call(
+                    callee, args if starred is None else args[:starred],
+                    starred is not None, keywords, splat))
+
+
+def _literal_keys(node: ast.expr) -> Optional[list[str]]:
+    """The keys of a dict display or ``dict(k=...)`` call, else None."""
+    if isinstance(node, ast.Dict) and all(
+            isinstance(k, ast.Constant) and isinstance(k.value, str)
+            for k in node.keys):
+        return [k.value for k in node.keys]
+    if (isinstance(node, ast.Call) and _bare(node.func) == "dict"
+            and not node.args and all(k.arg for k in node.keywords)):
+        return [k.arg for k in node.keywords]
+    return None
+
+
+def _same(value: Optional[ast.expr], default: ast.expr) -> bool:
+    """True when ``value`` is a literal equal to the literal ``default``."""
+    if value is None:
+        return False
+    try:
+        a, b = ast.literal_eval(value), ast.literal_eval(default)
+    except ValueError:
+        return False
+    return type(a) is type(b) and a == b
+
+
+def _settings(root: Path, caller_roots: Optional[list[Path]]
+              ) -> tuple[dict[str, list[_Call]], set[str]]:
+    """Every non-test call by callee name, with each forwarded
+    ``**kwargs`` followed to its destination, and the field names
+    ``replace`` or an attribute assignment sets."""
+    calls: dict[str, list[_Call]] = {}
+    forwards: list[tuple[str, str, frozenset[str]]] = []
+    fields: set[str] = set()
+    paths = [*sorted(root.rglob("*.py")), *_caller_files(caller_roots)]
+    for path in paths:
+        scan = _CallScan(ast.parse(path.read_text(), filename=str(path)))
+        for call in scan.calls:
+            calls.setdefault(call.callee, []).append(call)
+        forwards.extend(scan.forwards)
+        fields |= scan.assigned
+    seen: set[tuple[str, tuple[str, ...], bool]] = set()
+    while True:
+        fresh = []
+        for callee, forwarder, named in forwards:
+            for call in calls.get(forwarder, ()):
+                extra = tuple(sorted(set(call.keywords) - named))
+                if (extra or call.splat) and (callee, extra, call.splat) not in seen:
+                    seen.add((callee, extra, call.splat))
+                    fresh.append(_Call(callee, [], False,
+                                       dict.fromkeys(extra), call.splat))
+        if not fresh:
+            break
+        for call in fresh:
+            calls.setdefault(call.callee, []).append(call)
+    for call in calls.get("replace", ()):
+        fields |= set(call.keywords)
+        if call.splat:
+            fields.add("*")
+    return calls, fields
+
+
+def _is_set(option: _Option, calls: dict[str, list[_Call]],
+            fields: set[str]) -> bool:
+    if option.is_field and (option.name in fields or "*" in fields):
+        return True
+    for callee in option.callees:
+        for call in calls.get(callee, ()):
+            if call.splat:
+                return True
+            if option.name in call.keywords:
+                value = call.keywords[option.name]
+            elif option.position is not None and option.position < len(call.args):
+                value = call.args[option.position]
+            elif option.position is not None and call.starred:
+                return True
+            else:
+                continue
+            if not _same(value, option.default):
+                return True
+    return False
+
+
+def check_test_only_options(root: Path = _REPRO,
+                            caller_roots: Optional[list[Path]] = None
+                            ) -> list[str]:
+    """One string per option no non-test call site sets to anything but
+    its default, and per stale :data:`KNOWN_TEST_ONLY_OPTIONS` entry."""
+    options = _options(root)
+    calls, fields = _settings(root, caller_roots)
+    unused = {option.key: (option.path, option.lineno) for option in options
+              if not _is_set(option, calls, fields)}
+    return _judge(unused, (option.key for option in options),
+                  KNOWN_TEST_ONLY_OPTIONS, "KNOWN_TEST_ONLY_OPTIONS",
+                  "is set by no non-test caller")
+
+
+def _methods(root: Path = _REPRO) -> dict[str, tuple[Path, int]]:
+    """Every public method and property, as ``module.Class.name``."""
+    methods = {}
+    for module, path in _tree_modules(root).items():
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, _FUNCTIONS) and not item.name.startswith("_"):
+                        methods[f"{module}.{node.name}.{item.name}"] = (
+                            path, item.lineno)
+    return methods
+
+
+def check_test_only_methods(root: Path = _REPRO,
+                            caller_roots: Optional[list[Path]] = None
+                            ) -> list[str]:
+    """One string per public method or property whose bare name no
+    non-test file mentions outside its own ``def``, and per stale
+    :data:`KNOWN_TEST_ONLY_METHODS` entry."""
+    methods = _methods(root)
+    referenced: set[str] = set()
+    for path in [*sorted(root.rglob("*.py")), *_caller_files(caller_roots)]:
+        referenced |= _references(ast.parse(path.read_text(), filename=str(path)))
+    unused = {dotted: where for dotted, where in methods.items()
+              if dotted.rpartition(".")[2] not in referenced}
+    return _judge(unused, iter(methods), KNOWN_TEST_ONLY_METHODS,
+                  "KNOWN_TEST_ONLY_METHODS", "is called by no non-test file")
 
 
 # ----------------------------------------------------------------------
@@ -433,6 +911,8 @@ def main() -> int:
         ("repro.dataplane sans-IO", check_dataplane_package),
         ("no uncalled module", check_uncalled),
         ("no test-only name", check_unused_names),
+        ("no test-only option", check_test_only_options),
+        ("no test-only method", check_test_only_methods),
     ):
         violations = checker()
         if violations:
@@ -442,6 +922,7 @@ def main() -> int:
             status = 1
         else:
             print(f"{name}: clean")
+    print(f"surface: {len(_options())} options, {len(_methods())} public methods")
     return status
 
 
