@@ -55,8 +55,8 @@ class GenerationDecoder:
         if packet.generation != self.generation:
             raise ValueError("packet belongs to a different generation")
         self.received += 1
-        if self.is_complete:
-            return False
+        if self.rank == self.params.generation_size:
+            return False  # complete: nothing can be innovative
         if insert_row(self._rows, self._pivot_cols, self.rank,
                       packet.coefficients, packet.payload) < 0:
             return False  # non-innovative

@@ -71,7 +71,8 @@ class SourceEncoder:
         drawn = 0
         while drawn < count:
             drawn += draw_rows(self._rng, coeffs[drawn:], 0)
-            if not coeffs[drawn - 1].any():
+            # (bytes.count: ndarray.any() is a Python-level numpy wrapper)
+            if coeffs[drawn - 1].tobytes().count(0) == size:
                 # A zero vector carries nothing; force one nonzero entry.
                 coeffs[drawn - 1, int(self._rng.integers(0, size))] = 1
         # combine_rows allocates a fresh output, so packets keep row views.

@@ -27,18 +27,19 @@ header, after whatever prefix the caller frames it with), the row
 ``coefficients | payload``, and a trailer whose CRC is seeded with the
 header's.  A relay's fan-out (:func:`encode_mixture_rows`) packs each
 group's two possible headers — systematic flag clear and set — and
-their CRCs once, so a mixture costs a flag test (two ``bytes.count``
-calls), one CRC over its row and the join.  The packet forms
-(:func:`encode_packet`, :func:`encode_packet_into`,
-:func:`encode_packets_into`) pack the one header they need.  At the
-one- and two-row groups a relay typically frames, numpy's per-call cost
-on tiny arrays was most of what framing cost, so the mixture path makes
+their CRCs once, then frames the group's rows in one loop, so a
+mixture costs a flag test (two ``bytes.count`` calls), one CRC over
+its row and the join.  The packet forms (:func:`encode_packet` and the
+batch forms built on it) pack the one header they need.  At the one-
+and two-row groups a relay typically frames, numpy's per-call cost on
+tiny arrays was most of what framing cost, so the mixture path makes
 no numpy call per frame and leases no buffer.
 
 Decoding parses at an offset cursor (:func:`decode_packet_from` /
 :func:`read_frame_at`), bounded by the end of the frame when the caller
-knows it, and copies the body once: the coefficient and payload arrays
-of the packet are two views of that one copy, which the packet owns.
+knows it, and copies header and body once, into a ``bytearray`` the
+CRC runs over: the packet's coefficient and payload arrays are two
+writable views of that copy, which the packet owns.
 
 ``wire_size()`` on :class:`~repro.coding.packet.CodedPacket` counts an
 8-byte abstract header; the concrete format here spends 16 for
@@ -64,6 +65,8 @@ VERSION = 2
 
 _HEADER = struct.Struct(">HBBIiHH")
 _TRAILER = struct.Struct(">I")
+#: Bytes of a frame beyond its ``coefficients | payload`` row.
+FRAME_OVERHEAD = _HEADER.size + _TRAILER.size
 
 #: Flag bit: the sender believes this is an unmixed source packet.
 FLAG_SYSTEMATIC = 0x01
@@ -81,18 +84,11 @@ class CrcError(WireFormatError):
 
 def frame_size(generation_size: int, payload_size: int) -> int:
     """Bytes on the wire for the given geometry."""
-    return _HEADER.size + generation_size + payload_size + _TRAILER.size
+    return FRAME_OVERHEAD + generation_size + payload_size
 
 
 # ----------------------------------------------------------------------
 # Encoding
-
-
-def _frame(head: bytes, header_crc: int, row: bytes) -> bytes:
-    """The one frame encoder: ``head`` (ending in the wire header whose
-    CRC32 is ``header_crc``), the ``coefficients | payload`` row, and
-    the trailer."""
-    return b"".join((head, row, _TRAILER.pack(zlib.crc32(row, header_crc))))
 
 
 def encode_packet(packet: CodedPacket) -> bytes:
@@ -108,7 +104,8 @@ def encode_packet(packet: CodedPacket) -> bytes:
         MAGIC, VERSION, FLAG_SYSTEMATIC if systematic_row(row, g) else 0,
         packet.generation, packet.origin, g, len(row) - g,
     )
-    return _frame(header, zlib.crc32(header), row)
+    return b"".join((header, row, _TRAILER.pack(
+        zlib.crc32(row, zlib.crc32(header)))))
 
 
 def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0) -> int:
@@ -171,9 +168,14 @@ def encode_mixture_rows(mix: np.ndarray, generation: int, origin: int,
         heads.append((prefix + header, zlib.crc32(header)))
     raw = mix.tobytes()
     frames = []
-    for i in range(m):
-        row = raw[i * width:(i + 1) * width]
-        frames.append(_frame(*heads[systematic_row(row, g)], row))
+    for start in range(0, m * width, width):
+        row = raw[start:start + width]
+        # systematic_row(row, g), inline (a tests/test_coding_batch.py
+        # property test holds every frame producer to one layout)
+        head, crc = heads[
+            row.count(1, 0, g) == 1 and row.count(0, 0, g) == g - 1]
+        frames.append(
+            b"".join((head, row, _TRAILER.pack(zlib.crc32(row, crc)))))
     return frames
 
 
@@ -211,36 +213,15 @@ def encode_packets_into(
 # Decoding
 
 
-def _parse_header_at(buffer, offset: int) -> tuple[int, int, int, int]:
-    """Validate magic/version; return (generation, origin, g, n)."""
-    magic, version, _flags, generation, origin, g, n = _HEADER.unpack_from(
-        buffer, offset
-    )
+def _parse_header_at(buffer, offset: int) -> tuple[int, int]:
+    """Validate magic/version; return the geometry (g, n)."""
+    magic, version, _flags, _generation, _origin, g, n = (
+        _HEADER.unpack_from(buffer, offset))
     if magic != MAGIC:
         raise WireFormatError(f"bad magic 0x{magic:04x}")
     if version != VERSION:
         raise WireFormatError(f"unsupported version {version}")
-    return generation, origin, g, n
-
-
-def _decode_at(buffer, offset: int, generation: int, origin: int,
-               g: int, n: int) -> CodedPacket:
-    """Build a packet from a header-validated frame at ``offset``.
-
-    The body is copied once, and the CRC runs over that copy seeded
-    with the header's; the packet's coefficients and payload are the
-    two halves of the copy, so it shares nothing with ``buffer``.
-    """
-    body_start = offset + _HEADER.size
-    body = np.frombuffer(buffer, dtype=np.uint8, count=g + n,
-                         offset=body_start).copy()
-    (crc,) = _TRAILER.unpack_from(buffer, body_start + g + n)
-    actual = zlib.crc32(body, zlib.crc32(buffer[offset:body_start]))
-    if actual != crc:
-        raise CrcError(
-            f"CRC mismatch: trailer 0x{crc:08x}, body 0x{actual:08x}"
-        )
-    return CodedPacket.trusted(generation, body[:g], body[g:], origin)
+    return g, n
 
 
 def decode_packet_from(buffer, offset: int = 0,
@@ -259,14 +240,33 @@ def decode_packet_from(buffer, offset: int = 0,
     available = (len(buffer) if end is None else end) - offset
     if available < _HEADER.size:
         raise WireFormatError(f"frame too short: {max(available, 0)} bytes")
-    generation, origin, g, n = _parse_header_at(buffer, offset)
-    total = frame_size(g, n)
+    # _parse_header_at's checks, inline; TestErrors runs both copies
+    magic, version, _flags, generation, origin, g, n = _HEADER.unpack_from(
+        buffer, offset)
+    if magic != MAGIC:
+        raise WireFormatError(f"bad magic 0x{magic:04x}")
+    if version != VERSION:
+        raise WireFormatError(f"unsupported version {version}")
+    total = FRAME_OVERHEAD + g + n
     if available < total or (end is not None and available != total):
         raise WireFormatError(
             f"length mismatch: header promises {total}, frame has {available}"
         )
-    packet = _decode_at(buffer, offset, generation, origin, g, n)
-    return packet, offset + total
+    stop = offset + total - _TRAILER.size
+    frame = buffer[offset:stop]
+    if frame.__class__ is not bytearray:
+        frame = bytearray(frame)  # bytes are read-only, a view shares
+    (crc,) = _TRAILER.unpack_from(buffer, stop)
+    actual = zlib.crc32(frame)
+    if actual != crc:
+        raise CrcError(
+            f"CRC mismatch: trailer 0x{crc:08x}, body 0x{actual:08x}"
+        )
+    body = np.frombuffer(frame, dtype=np.uint8)
+    coefficients_end = _HEADER.size + g
+    return CodedPacket.trusted(
+        generation, body[_HEADER.size:coefficients_end],
+        body[coefficients_end:], origin), offset + total
 
 
 def decode_packet(frame) -> CodedPacket:
@@ -291,9 +291,8 @@ def read_frame_at(buffer, offset: int = 0) -> tuple[Optional[CodedPacket], int]:
     """
     if len(buffer) - offset < _HEADER.size:
         return None, offset
-    generation, origin, g, n = _parse_header_at(buffer, offset)
-    total = frame_size(g, n)
-    if len(buffer) - offset < total:
+    g, n = _parse_header_at(buffer, offset)
+    end = offset + FRAME_OVERHEAD + g + n
+    if len(buffer) < end:
         return None, offset
-    packet = _decode_at(buffer, offset, generation, origin, g, n)
-    return packet, offset + total
+    return decode_packet_from(buffer, offset, end)

@@ -26,7 +26,9 @@ Like :mod:`repro.dataplane.events`, these records are built on the
 per-packet hot path (at least one :class:`Ingested` per arrival, one
 :class:`EmitToChildren` per fan-out), so they are
 :class:`~typing.NamedTuple` subclasses — same field names, reprs, and
-equality as frozen dataclasses, at C-level construction cost.
+equality as frozen dataclasses — and the engines build the per-packet
+ones with ``tuple.__new__(cls, fields)``, one C call with no Python
+frame.
 """
 
 from __future__ import annotations
@@ -71,18 +73,14 @@ class EmitToChildren(NamedTuple):
       rows taken group after group are the ``len(children)`` mixtures
       in child order (the relay's push fan-out: drivers frame them with
       ``encode_mixture_frames`` without building packet objects).
+
+    Either way it carries exactly ``len(children)`` mixtures, one per
+    child: :class:`~repro.obs.DataplaneInstruments` counts it so.
     """
 
     children: tuple
     packets: Optional[tuple] = None
     rows: Optional[tuple] = None
-
-    @property
-    def count(self) -> int:
-        """Mixtures carried (== packets fanned out by the driver)."""
-        if self.rows is not None:
-            return sum(rows.shape[0] for _, rows in self.rows)
-        return len(self.packets) if self.packets is not None else 0
 
     def __repr__(self) -> str:  # noqa: D105 - digest form, see module doc
         if self.rows is not None:

@@ -61,6 +61,8 @@ from .needs import CompletedSet
 
 __all__ = ["RelayEngine"]
 
+_new = tuple.__new__
+
 
 class RelayEngine(TappedEngine):
     """Pure event-in/effect-out relay data-plane state machine.
@@ -178,7 +180,8 @@ class RelayEngine(TappedEngine):
     def _on_packet(self, event: PacketArrived) -> list[Effect]:
         packet = event.packet
         generation = packet.generation
-        innovative = self.recoder.receive(packet)
+        # ``Recoder.receive`` without its frame: the decoder's ``push``.
+        innovative = self.recoder.decoder.push(packet)
         finished = False
         if innovative:
             self._rank += 1
@@ -190,19 +193,22 @@ class RelayEngine(TappedEngine):
                 if generation >= self._held_stop:
                     self._held_stop = generation + 1
             finished = rank == self._generation_size
-        # ``_make`` is ``tuple.__new__`` — the per-packet constructions
-        # skip the keyword-handling ``__new__`` wrapper.
+        # The per-packet effects are built with ``tuple.__new__``: one C
+        # call, where ``_make`` and the generated ``__new__`` are frames.
         effects: list[Effect] = [
-            Ingested._make((generation, innovative, self._rank))
+            _new(Ingested, (generation, innovative, self._rank))
         ]
         if self._children_tuple and (innovative or self._forward_dependent):
             children, spec, skipped = self._plan or self._replan()
             if skipped and self._obs is not None:
-                self._obs.withheld.inc(skipped)
+                self._obs.withheld.value += skipped
             if children:
                 emit_rows = self.recoder.emit_rows
-                effects.append(EmitToChildren._make((children, None, tuple(
-                    (g, emit_rows(count, g)) for g, count in spec))))
+                groups = []
+                for g, count in spec:
+                    groups.append((g, emit_rows(count, g)))
+                effects.append(
+                    _new(EmitToChildren, (children, None, tuple(groups))))
         if finished:
             self._mine.add(generation)
             effects.append(GenerationComplete(generation))
@@ -228,10 +234,13 @@ class RelayEngine(TappedEngine):
             choice = need.lowest_missing(self._held_stop, self._generations)
             if choice is not None:
                 served.setdefault(choice, []).append(child)
-        children = tuple(c for members in served.values() for c in members)
+        children: list = []
+        spec = []
+        for g, members in served.items():
+            children += members
+            spec.append((g, len(members)))
         self._plan = (
-            children,
-            tuple((g, len(members)) for g, members in served.items()),
+            tuple(children), tuple(spec),
             len(self._children_tuple) - len(children),
         )
         return self._plan
@@ -243,7 +252,7 @@ class RelayEngine(TappedEngine):
         packet = self.recoder.emit()
         if packet is None:
             return []
-        return [EmitToChildren._make(((event.destination,), (packet,), None))]
+        return [_new(EmitToChildren, ((event.destination,), (packet,), None))]
 
     # ------------------------------------------------------------------
     # Push-mode child lifecycle

@@ -26,12 +26,12 @@ from typing import Optional, Union
 
 from ..coding.packet import CodedPacket
 from ..coding.wire import (
+    FRAME_OVERHEAD,
     CrcError,
     WireFormatError,
     decode_packet_from,
     encode_mixture_rows,
     encode_packet,
-    frame_size,
 )
 from .control import ControlFormatError, decode_control, encode_control
 from .transport import ByteStreamReader, ByteStreamWriter, Clock
@@ -118,9 +118,7 @@ def encode_mixture_frames(
     """
     if not groups:
         return []
-    width = groups[0][1].shape[1]
-    prefix = _PREFIX.pack(frame_size(generation_size, width - generation_size),
-                          KIND_DATA)
+    prefix = _PREFIX.pack(FRAME_OVERHEAD + groups[0][1].shape[1], KIND_DATA)
     frames: list[bytes] = []
     for generation, rows in groups:
         frames += encode_mixture_rows(
@@ -197,9 +195,12 @@ class FrameBuffer:
         return message
 
 
-class MessageStream:
-    """A connection's inbound side: its reader and the one
-    :class:`FrameBuffer` that parses it.
+class MessageStream(FrameBuffer):
+    """A connection's inbound side: the one :class:`FrameBuffer` that
+    parses it, reading from its reader.  ``next_message`` pops one
+    buffered message, or None when :meth:`fill` is due — the parser's
+    own method, so a popped message costs no frame of this class's and
+    a connection holds no parser object of its own.
 
     Bytes the reader hands over stay buffered here between calls, so
     the object must live as long as the connection does — hand the same
@@ -207,12 +208,8 @@ class MessageStream:
     """
 
     def __init__(self, reader: ByteStreamReader) -> None:
+        super().__init__()
         self._reader = reader
-        self._frames = FrameBuffer()
-
-    def next_nowait(self) -> Optional[Message]:
-        """Pop one buffered message, or None when :meth:`fill` is due."""
-        return self._frames.next_message()
 
     async def fill(self) -> bool:
         """Feed the parser one chunked read.  False on a clean EOF (the
@@ -220,16 +217,16 @@ class MessageStream:
         :class:`FramingError`."""
         data = await self._reader.read(READ_CHUNK_BYTES)
         if data:
-            self._frames.feed(data)
+            self.feed(data)
             return True
-        if self._frames.pending():
+        if self.pending():
             raise FramingError("stream truncated inside a frame")
         return False
 
     async def next(self) -> Optional[Message]:
         """The next message off the stream; None on a clean EOF."""
         while True:
-            message = self._frames.next_message()
+            message = self.next_message()
             if message is not None or not await self.fill():
                 return message
 

@@ -90,6 +90,8 @@ from .transport import (
 
 __all__ = ["ChildReports", "PacketSender", "PumpSet", "SenderStats"]
 
+_new = tuple.__new__
+
 
 @dataclass
 class SenderStats:
@@ -172,11 +174,9 @@ class PacketSender:
         self._parked_at = 0.0
         #: The pump's one keep-alive timer, armed at its first park.
         self._keepalive: Optional[TimerHandle] = None
-        self._closed = False
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
+        #: Set by :meth:`close` (or the run loop's exit); read-only
+        #: outside this class.
+        self.closed = False
 
     @property
     def queue_depth(self) -> int:
@@ -189,7 +189,7 @@ class PacketSender:
 
         Returns True if the packet was queued without an eviction.
         """
-        if self._closed:
+        if self.closed:
             return False
         return self.enqueue_frame(encode_data_frame(packet))
 
@@ -200,7 +200,7 @@ class PacketSender:
         a single time and hand the same immutable bytes to every child's
         pump.  Returns True if the frame was queued without an eviction.
         """
-        if self._closed:
+        if self.closed:
             return False
         self.stats.enqueued += 1
         clean = True
@@ -215,15 +215,14 @@ class PacketSender:
                     self.column, self._limit, self.stats.dropped,
                 )
         self._queue.append(frame)
-        self._wake()
+        parked = self._parked  # wake the pump (the park's work signal)
+        if parked is not None and not parked.done():
+            parked.set_result(False)
         return clean
 
     def close(self) -> None:
         """Stop the pump; the run loop exits at its next wakeup."""
-        self._closed = True
-        self._wake()
-
-    def _wake(self) -> None:
+        self.closed = True
         parked = self._parked
         if parked is not None and not parked.done():
             parked.set_result(False)
@@ -253,13 +252,21 @@ class PacketSender:
         A flushed list is dropped before the pump awaits anything, so a
         pump blocked in ``drain`` or parked holds none of the frames it
         has handed to the writer."""
+        clock, interval = self._clock, self._keepalive_interval
         try:
-            while not self._closed:
+            while not self.closed:
                 if not self._queue:
-                    if await self._park() and not self._queue:
+                    # Park (inline: one frame less per wake-up) until
+                    # work or a close (False) or the keep-alive timer.
+                    self._parked = asyncio.get_running_loop().create_future()
+                    self._parked_at = clock.time()
+                    if self._keepalive is None and interval is not None:
+                        self._keepalive = clock.call_at(
+                            self._parked_at + interval, self._keepalive_due)
+                    if await self._parked and not self._queue:
                         await self._send_idle()
                         continue
-                if self._closed:
+                if self.closed:
                     break
                 frames, self._queue = self._queue, []
                 self._writer.writelines(frames)
@@ -271,21 +278,10 @@ class PacketSender:
         except (ConnectionError, OSError, asyncio.CancelledError):
             pass
         finally:
-            self._closed = True
+            self.closed = True
             if self._keepalive is not None:
                 self._keepalive.cancel()
             self._writer.close()
-
-    async def _park(self) -> bool:
-        """Wait for work, a close, or the keep-alive timer; True for
-        the timer."""
-        self._parked = asyncio.get_running_loop().create_future()
-        self._parked_at = self._clock.time()
-        if self._keepalive is None and self._keepalive_interval is not None:
-            self._keepalive = self._clock.call_at(
-                self._parked_at + self._keepalive_interval,
-                self._keepalive_due)
-        return await self._parked
 
     async def _send_idle(self) -> None:
         """The link sat idle an interval: the engine's fill for it, or
@@ -341,7 +337,7 @@ class ChildReports:
         one a child sends in its hello's segment — else the empty set
         ``(0, ())``: a child that has not said what it holds is served
         as one that holds nothing."""
-        message = self._stream.next_nowait()
+        message = self._stream.next_message()
         return (0, ()) if message is None else self._checked(message)
 
     async def next(self) -> Optional[tuple]:
@@ -425,9 +421,8 @@ class PumpSet:
 
     def attached(self) -> tuple:
         """Keys with an open pump, in attach order."""
-        return tuple(
-            key for key, pump in self._pumps.items() if not pump.closed
-        )
+        return tuple([
+            key for key, pump in self._pumps.items() if not pump.closed])
 
     async def serve(
         self,
@@ -592,8 +587,9 @@ class PumpSet:
         ``silence_timeout`` after the last complete message, closes the
         connection under the read when it fires past that deadline (the
         read then ends like a hang-up), else re-arms for the deadline
-        as it now stands.  ``stats`` (the node's ``PeerStats``) counts
-        the reads parked on, keep-alives heard and CRC failures.
+        as it now stands (read once per fill, at its first complete
+        message).  ``stats`` (the node's ``PeerStats``) counts the
+        reads parked on, keep-alives heard and CRC failures.
         """
         engine, clock = self.engine, self._clock
         silence: Optional[TimerHandle] = None
@@ -622,8 +618,10 @@ class PumpSet:
             #: packets of generations already held, since the last
             #: report this connection sent
             stale = 0
+            #: a fill came in and no complete message has been popped
+            filled = False
             while True:
-                message = stream.next_nowait()
+                message = stream.next_message()
                 if message is None:
                     # Everything buffered is drained: report, then park
                     # on the read.
@@ -639,11 +637,14 @@ class PumpSet:
                     stats.upstream_fills += 1
                     if not await stream.fill():
                         break  # the parent closed, or fell silent
+                    filled = True
                     continue
-                heard = clock.time()
+                if filled:
+                    heard = clock.time()
+                    filled = False
                 if isinstance(message, CodedPacket):
                     saw_traffic = True
-                    effects = engine.handle(PacketArrived(message))
+                    effects = engine.handle(_new(PacketArrived, (message, 0.0)))
                     for effect in effects:
                         if isinstance(effect, EmitToChildren):
                             self.emit(effect)

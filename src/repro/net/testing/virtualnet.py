@@ -316,19 +316,24 @@ class _Pipe:
         """Accept one flush: a list of frames written together."""
         if self.closed or self.broken:
             return
+        net = self.net
+        # The link lookup is VirtualNetwork.faults, inline: keep both alike.
         if (
             self.in_flight == 0
             and not self._segments
-            and self.net.faults(self.src, self.dst).is_clean()
+            and net._links.get((self.src, self.dst), net._default).is_clean()
         ):
             # Nothing queued ahead, nothing scripted on the link: the
             # whole flush lands in the reader's buffer as one append,
-            # with no pump wakeup.
+            # with no pump wakeup (and the reader woken inline).
             data = b"".join(frames)
             if data:
                 self.buffer += data
-                self._wake_reader()
-                self.net.record("deliver", self.src, self.dst, len(data))
+                reader, self._reader = self._reader, None  # _wake_reader
+                if reader is not None and not reader.done():
+                    reader.set_result(None)
+                if net.record_trace:
+                    net.record("deliver", self.src, self.dst, len(data))
             return
         # One segment per frame, so scripted loss and corruption stay
         # frame-aligned however the sender batched its flush.
@@ -386,9 +391,12 @@ class _Pipe:
 
     # -- reader side ---------------------------------------------------
 
-    async def read(self, n: int) -> bytes:
+    async def read(self, n: int) -> bytearray:
         """Up to ``n`` buffered bytes, parking while there are none;
-        b"" at EOF.  This is the reader endpoint's ``read`` itself."""
+        empty at EOF.  This is the reader endpoint's ``read`` itself.
+        Unlike a socket's, it returns a ``bytearray``: a buffer that
+        fits is handed over whole, uncopied, and the pipe starts a new
+        one."""
         while not self.buffer and not self.eof:
             if self._reader is not None and not self._reader.done():
                 raise RuntimeError(
@@ -396,7 +404,11 @@ class _Pipe:
                     "while another read is parked")
             self._reader = asyncio.get_running_loop().create_future()
             await self._reader
-        data = bytes(self.buffer[:n])
+        data = self.buffer
+        if len(data) <= n:
+            self.buffer = bytearray()
+            return data
+        data = bytes(data[:n])
         del self.buffer[:n]
         return data
 

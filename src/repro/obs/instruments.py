@@ -148,26 +148,26 @@ class ServerEngineInstruments:
         return self
 
     def record_step(self, event, effects) -> None:
-        self.events.inc()
-        self.effects.inc(len(effects))
+        self.events.value += 1
+        self.effects.value += len(effects)
         if effects and isinstance(event, MessageReceived):
             message = event.message
             if isinstance(message, CongestionDrop):
-                self.congestion_drops.inc()
+                self.congestion_drops.value += 1
             elif isinstance(message, CongestionRestore):
-                self.congestion_restores.inc()
+                self.congestion_restores.value += 1
         for effect in effects:
             if isinstance(effect, Admitted):
-                self.joins.inc()
+                self.joins.value += 1
             elif isinstance(effect, PeerDeparted):
                 if effect.reason == "leave":
-                    self.leaves.inc()
+                    self.leaves.value += 1
                 else:
-                    self.repairs.inc()
+                    self.repairs.value += 1
             elif isinstance(effect, ComplaintNoted):
-                self.episodes_opened.inc()
+                self.episodes_opened.value += 1
             elif isinstance(effect, Send) and isinstance(effect.message, Probe):
-                self.probes_sent.inc()
+                self.probes_sent.value += 1
 
 
 class DataplaneInstruments:
@@ -177,7 +177,7 @@ class DataplaneInstruments:
     Arrivals, innovation and emissions are classified here, once, off
     the engine's event/effect stream: ``Ingested`` effects
     are arrivals through the receive gate, ``EmitToChildren`` carries
-    its mixture count (idle fills — emissions answering an ``IdlePoll``
+    one mixture per child (idle fills — emissions answering an ``IdlePoll``
     — are classified separately), ``MarkComplete`` is the decode, and a
     ``ChildCompleted`` or ``ChildAttached`` (the set a child dialed in
     with) is one completed-set update applied.  ``withheld`` is the odd one:
@@ -242,24 +242,25 @@ class DataplaneInstruments:
         return self
 
     def record_step(self, event, effects) -> None:
-        self.events.inc()
-        self.effects.inc(len(effects))
+        # Once per data-plane event: plain ``value`` bumps, and effects
+        # classified by exact class (the vocabulary is closed).
+        self.events.value += 1
+        self.effects.value += len(effects)
         kind = event.__class__
-        idle = kind is IdlePoll
         if kind is ChildCompleted or kind is ChildAttached:
-            self.feedback_in.inc()
+            self.feedback_in.value += 1
         for effect in effects:
-            if isinstance(effect, Ingested):
-                self.packets_in.inc()
+            cls = effect.__class__
+            if cls is Ingested:
+                self.packets_in.value += 1
                 if effect.innovative:
-                    self.innovative_in.inc()
-            elif isinstance(effect, EmitToChildren):
-                if idle:
-                    self.idle_fills.inc(effect.count)
-                else:
-                    self.mixtures_out.inc(effect.count)
-            elif isinstance(effect, MarkComplete):
-                self.completions.inc()
+                    self.innovative_in.value += 1
+            elif cls is EmitToChildren:
+                # One mixture per child, in either payload form.
+                sent = self.idle_fills if kind is IdlePoll else self.mixtures_out
+                sent.value += len(effect.children)
+            elif cls is MarkComplete:
+                self.completions.value += 1
 
 
 class PeerEngineInstruments:
@@ -300,16 +301,16 @@ class PeerEngineInstruments:
         return self
 
     def record_step(self, event, effects) -> None:
-        self.events.inc()
-        self.effects.inc(len(effects))
+        self.events.value += 1
+        self.effects.value += len(effects)
         for effect in effects:
             if isinstance(effect, Clip):
-                self.clips.inc()
+                self.clips.value += 1
             elif isinstance(effect, Backoff):
-                self.backoffs.inc()
+                self.backoffs.value += 1
             elif isinstance(effect, Send):
                 message = effect.message
                 if isinstance(message, ComplaintMsg):
-                    self.complaints_sent.inc()
+                    self.complaints_sent.value += 1
                 elif isinstance(message, ProbeAck):
-                    self.probe_acks.inc()
+                    self.probe_acks.value += 1

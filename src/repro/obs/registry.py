@@ -1,10 +1,11 @@
 """Named instrument registries: counters, gauges, histograms.
 
-The hot-path contract is the whole design: an increment is one Python
-attribute bump on a pre-bound instrument object — no dict lookup, no
-lock, no string formatting.  Everything expensive (callback gauges,
-bucket summaries, name sorting) happens at *snapshot* time, which runs
-on demand when an exporter scrapes or a run folds its report.
+The hot-path contract is the whole design: an increment is one
+attribute ``+=`` on a pre-bound instrument's ``value`` (``inc`` is the
+same as a method call) — no dict lookup, no lock, no string
+formatting.  Everything expensive (callback gauges, bucket summaries,
+name sorting) happens at *snapshot* time, which runs on demand when an
+exporter scrapes or a run folds its report.
 
 The module is part of the sans-IO observability core: it imports
 nothing but the stdlib (``tools/check_layering.py`` enforces this), so
@@ -40,8 +41,8 @@ LATENCY_BOUNDS = tuple(1e-6 * (1 << i) for i in range(23))
 class Counter:
     """A monotonically increasing count.
 
-    ``inc`` is the hot-path entry point; callers hold the instrument
-    object directly so the increment is a single attribute bump.
+    Callers hold the instrument object directly.  ``inc`` is a
+    method call; a per-packet path bumps ``value`` itself (``+=``).
     """
 
     __slots__ = ("name", "help", "value")

@@ -233,9 +233,10 @@ def test_every_frame_producer_matches_the_documented_layout(
         seed, geometry, generations, origin, rows, stride):
     """``encode_mixture_frames``, ``encode_data_frame``, ``encode_packet``,
     ``encode_packets_into`` and ``encode_packets_rows`` all write the
-    reference frame, strided
-    inputs and systematic rows included; and what a ``FrameBuffer``
-    decodes from them owns its bytes."""
+    reference frame, strided inputs, systematic rows and near misses
+    included (this holds the mixture path's inline flag test and
+    ``systematic_row`` to one rule); and what a ``FrameBuffer`` decodes
+    from them owns its bytes."""
     g, n = geometry
     rng = np.random.default_rng(seed)
     groups, packets, expected = [], [], []
@@ -244,6 +245,14 @@ def test_every_frame_producer_matches_the_documented_layout(
         # Row 0 is a source packet: one coefficient, equal to 1.
         mix[0, :g] = 0
         mix[0, int(rng.integers(0, g))] = 1
+        if rows > 1:
+            # Row 1 almost is one, flag clear: all zero, one 2, two 1s.
+            mix[1, :g] = 0
+            kind = int(rng.integers(0, 3))
+            if kind == 1:
+                mix[1, int(rng.integers(0, g))] = 2
+            elif kind == 2 and g > 1:
+                mix[1, rng.choice(g, size=2, replace=False)] = 1
         view = _strided(mix, stride)
         groups.append((generation, view))
         for row in mix:

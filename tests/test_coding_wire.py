@@ -15,6 +15,12 @@ from repro.coding.wire import (
     frame_size,
     read_frame_at,
 )
+from repro.net.framing import (
+    CrcMismatchError,
+    FrameBuffer,
+    FramingError,
+    encode_data_frame,
+)
 
 
 @pytest.fixture
@@ -189,10 +195,15 @@ class TestErrors:
             decode_packet(b"\x00\x01")
 
     def test_bad_magic(self, packet):
+        """Every parser rejects it: ``decode_packet_from`` checks the
+        header inline, ``read_frame_at`` through ``_parse_header_at``."""
         frame = bytearray(encode_packet(packet))
         frame[0] ^= 0xFF
-        with pytest.raises(WireFormatError):
-            decode_packet(bytes(frame))
+        for parse in (decode_packet, decode_packet_from, read_frame_at):
+            with pytest.raises(WireFormatError) as caught:
+                parse(bytes(frame))
+            assert not isinstance(caught.value, CrcError)
+            assert "magic" in str(caught.value)
 
     def test_bad_version(self, packet):
         """Only version 2 exists.  A structurally valid frame stamped
@@ -217,3 +228,62 @@ class TestErrors:
             decode_packet(frame[:-1])
         with pytest.raises(WireFormatError):
             decode_packet(frame + b"\x00")
+
+
+class TestSingleCopyDecode:
+    """A decoded packet's arrays are two views of one private copy of
+    header plus body: writable ``uint8``, and nothing shared with the
+    bytes they were parsed from."""
+
+    def test_packet_shares_nothing_with_the_frame_buffer(self, packet):
+        frame = encode_data_frame(packet)
+        parser = FrameBuffer()
+        parser.feed(frame + frame)  # the second keeps the buffer alive
+        decoded = parser.next_message()
+        held = np.frombuffer(parser._buffer, dtype=np.uint8)
+        for array in (decoded.coefficients, decoded.payload):
+            assert not np.shares_memory(array, held)
+        del held  # an exported buffer cannot be resized
+        coefficients = decoded.coefficients.copy()
+        payload = decoded.payload.copy()
+        # Clobber the consumed bytes the packet was parsed from, refill
+        # (the compaction moves the rest over them), then drain.
+        parser._buffer[:len(frame)] = bytes(len(frame))
+        parser.feed(frame)
+        assert parser.next_message() is not None
+        assert parser.next_message() is not None
+        assert parser.pending() == 0
+        assert np.array_equal(decoded.coefficients, coefficients)
+        assert np.array_equal(decoded.payload, payload)
+        assert np.array_equal(decoded.coefficients, packet.coefficients)
+
+    def test_arrays_are_writable_uint8_whatever_the_input(self, packet):
+        frame = encode_packet(packet)
+        for source in (frame, bytearray(frame), memoryview(frame)):
+            decoded, end = read_frame_at(source)
+            assert end == len(frame)
+            for array in (decoded.coefficients, decoded.payload):
+                assert array.dtype == np.uint8 and array.flags.writeable
+            source_bytes = np.frombuffer(source, dtype=np.uint8)
+            assert not np.shares_memory(decoded.payload, source_bytes)
+            decoded.payload[0] ^= 0xFF  # its own copy: the input keeps
+            assert bytes(source) == frame
+
+    #: Byte offsets of every header field after magic and version:
+    #: flags, generation, origin, g, n.
+    HEADER_FIELDS = range(3, 16)
+
+    def test_one_flipped_bit_in_the_header_or_trailer_kills_the_frame(
+            self, packet):
+        frame = encode_data_frame(packet)
+        prefix = len(frame) - frame_size(packet.generation_size,
+                                         packet.payload_size)
+        trailer = range(len(frame) - 4, len(frame))
+        for index in (*(prefix + i for i in self.HEADER_FIELDS), *trailer):
+            for bit in range(8):
+                flipped = bytearray(frame)
+                flipped[index] ^= 1 << bit
+                parser = FrameBuffer()
+                parser.feed(bytes(flipped))
+                with pytest.raises((CrcMismatchError, FramingError)):
+                    parser.next_message()

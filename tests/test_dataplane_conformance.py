@@ -195,3 +195,47 @@ class TestCrossIncarnationConformance:
         ) == GENERATIONS
         assert sim_trace[0] == repr(
             Ingested(prefix[0].generation, True, 1))
+
+
+class TestFanOutCarriesOneMixturePerChild:
+    """``DataplaneInstruments.record_step`` counts a fan-out as
+    ``len(children)``: every :class:`~repro.dataplane.EmitToChildren`
+    either engine emits must carry exactly that many mixtures, in
+    whichever payload form."""
+
+    def test_every_emission_in_a_lossy_crash_run(self, monkeypatch):
+        import repro.net.peer as peer_module
+        import repro.net.server as server_module
+        from repro.dataplane import EmitToChildren
+        from repro.net.testing.scenarios import run_scenario_sync
+
+        logs = []
+
+        def logged(engine_class):
+            def build(*args, **kwargs):
+                engine = engine_class(*args, **kwargs)
+                engine.log = EngineLog()
+                logs.append(engine.log)
+                return engine
+            return build
+
+        monkeypatch.setattr(
+            peer_module, "RelayEngine", logged(peer_module.RelayEngine))
+        monkeypatch.setattr(
+            server_module, "SourceEngine", logged(server_module.SourceEngine))
+        result = run_scenario_sync("lossy_crash_multigen", seed=0)
+        assert result.ok, result.violations
+        emissions = [
+            effect for log in logs for effect in log.effect_trace()
+            if isinstance(effect, EmitToChildren)
+        ]
+        forms = {"rows": 0, "packets": 0}
+        for effect in emissions:
+            if effect.rows is not None:
+                forms["rows"] += 1
+                mixtures = sum(rows.shape[0] for _, rows in effect.rows)
+            else:
+                forms["packets"] += 1
+                mixtures = len(effect.packets)
+            assert mixtures == len(effect.children), effect
+        assert forms["rows"] > 100 and forms["packets"] > 10, forms

@@ -123,7 +123,7 @@ class TestSourceEngine:
         (effect,) = engine.handle(PullEmit("edge"))
         assert isinstance(effect, EmitToChildren)
         assert effect.children == ("edge",)
-        assert effect.count == 1
+        assert len(effect.packets) == 1
         assert engine.obs.mixtures_out.value == 1
         assert engine.rounds == 0
 
@@ -257,7 +257,7 @@ class TestRelayPushFanOut:
                 assert 0 <= generation < GENERATIONS
                 assert rows.shape[1] == (
                     PARAMS.generation_size + PARAMS.payload_size)
-            assert emit.count == 3
+            assert sum(rows.shape[0] for _, rows in emit.rows) == 3
         assert engine.obs.mixtures_out.value == seeded + 3 * arrivals
 
     def test_idle_poll_is_not_fanout(self):

@@ -808,7 +808,7 @@ class TestHostileReports:
 
         class Engine(RecordingEngine):
             def handle(self, event):
-                assert stream._frames.pending() <= READ_CHUNK_BYTES
+                assert stream.pending() <= READ_CHUNK_BYTES
                 return super().handle(event)
 
         async def scenario():
@@ -828,7 +828,7 @@ class TestHostileReports:
         assert heard == [ChildAttached("child", (0, ()))] + [
             ChildCompleted("child", 1, ())] * 10 + [ChildDetached("child")]
         assert closed and attached == ()
-        assert stream._frames.pending() <= READ_CHUNK_BYTES
+        assert stream.pending() <= READ_CHUNK_BYTES
 
 
 class TestWhatAChildCanDo:

@@ -122,7 +122,7 @@ async def _serving(pumps, key, *, column=0, reader=None, hello=b""):
     segment: already read off the connection when ``serve`` starts."""
     writer = _CollectingWriter()
     stream = MessageStream(reader if reader is not None else _Reader())
-    stream._frames.feed(hello)
+    stream.feed(hello)
     task = asyncio.ensure_future(pumps.serve(key, stream, writer, column))
     await asyncio.sleep(0)
     return writer, task

@@ -18,13 +18,15 @@ import os
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from ext import membership_scaling
+from ext import calls_per_packet, membership_scaling
 from repro.core import CoordinationServer
 from repro.core.matrix import SERVER
+from repro.gf import kernels
 from repro.protocol import (
     ComplaintMsg,
     ConnectionLost,
@@ -337,6 +339,51 @@ class TestServerEngineCost:
         assert [row.split()[0] for row in rows] == ["50", "400"]
         assert rows[0].split()[2] == "1.00"
         assert all(float(row.split()[1].replace(",", "")) > 0 for row in rows)
+
+
+@pytest.mark.skipif(
+    kernels.BACKEND == "numpy",
+    reason="the numpy kernels are Python frames in repro: a different count")
+class TestDataplaneCost:
+    """What one hop costs, counted exactly: Python calls into ``repro``
+    per packet delivered to a peer, over one seed-0 ``ChaosHarness`` rep
+    in each virtual geometry of the end-to-end benchmark (coroutine
+    resumes count; ``benchmarks/ext/calls_per_packet.py`` prints the
+    sites)."""
+
+    #: Calls into ``repro`` per delivered packet, per geometry.
+    CEILINGS = {"smallgen": 46, "bulk": 42}
+
+    @pytest.mark.parametrize("geometry", sorted(CEILINGS))
+    def test_delivered_packet_stays_under_its_call_ceiling(
+            self, geometry, record_property):
+        count = calls_per_packet.count_calls(geometry)
+        ours = count.per_packet(inside_only=True)
+        total = count.per_packet()
+        # asyncio's share moves with the Python version: reported only.
+        record_property("stdlib_calls_per_packet", total - ours)
+        assert ours <= self.CEILINGS[geometry], (
+            f"{ours:.2f} calls into repro per delivered packet "
+            f"(and {total - ours:.2f} elsewhere) on {geometry}")
+
+
+class TestCallsPerPacketGeometries:
+    """``calls_per_packet`` copies the end-to-end benchmark's virtual
+    workloads; the ceilings above mean nothing if the copy drifts."""
+
+    @pytest.mark.parametrize("geometry", sorted(calls_per_packet.GEOMETRIES))
+    def test_each_geometry_is_its_e2e_workload(self, geometry, monkeypatch):
+        from e2e import workloads
+
+        seen = []
+
+        async def capture(config, transport):
+            seen.append((config, transport))
+
+        monkeypatch.setattr(workloads, "_broadcast_rep", capture)
+        workloads.WORKLOADS[f"{geometry}_virtual"].run(0, True)
+        assert seen == [(calls_per_packet.chaos_config(geometry, 0),
+                         "virtual")]
 
 
 class TestPeerEngineBoundedState:
