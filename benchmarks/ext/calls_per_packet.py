@@ -14,9 +14,12 @@ region, after ``start()`` -- per packet the peers received meanwhile
 
     PYTHONPATH=src python benchmarks/ext/calls_per_packet.py [--geometry smallgen|bulk] [--quick]
 
-It prints the total and the share into ``src/repro``, then one row per
-call site (file and function) with its calls per packet, heaviest
-first; ``--quick`` prints the first 25 rows.  Two runs of one seed
+It prints the total and the share into ``src/repro``, then the part no
+``benchmarks/e2e`` ledger row names split three ways -- asyncio's
+event loop, the virtual network (``repro/net/testing``) and the driver
+glue (``net/peer.py``, ``net/server.py``) -- then one row per call site
+(file and function) with its calls per packet, heaviest first;
+``--quick`` prints the first 25 rows.  Two runs of one seed
 agree to the digit.  ``TestDataplaneCost`` in
 ``tests/test_protocol_engine.py`` pins the ``src/repro`` share with
 :func:`count_calls`, and ``TestCallsPerPacketGeometries`` there checks
@@ -46,6 +49,15 @@ GEOMETRIES = {
     "bulk": dict(generation_size=64, payload_size=1024, generations=8),
 }
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
+_ASYNCIO = os.path.dirname(asyncio.__file__) + os.sep
+
+#: The loop remainder's three parts: label -> path prefixes.
+REMAINDER = {
+    "asyncio": (_ASYNCIO,),
+    "repro/net/testing": (os.path.join(_PACKAGE, "net", "testing") + os.sep,),
+    "drivers": tuple(os.path.join(_PACKAGE, "net", name)
+                     for name in ("peer.py", "server.py")),
+}
 
 
 class CallCount(NamedTuple):
@@ -59,6 +71,14 @@ class CallCount(NamedTuple):
             calls for (path, _), calls in self.sites.items()
             if not inside_only or path.startswith(_PACKAGE)
         ) / self.packets
+
+    def remainder(self) -> dict[str, float]:
+        """Calls per packet in each part of :data:`REMAINDER`."""
+        return {
+            label: sum(calls for (path, _), calls in self.sites.items()
+                       if path.startswith(prefixes)) / self.packets
+            for label, prefixes in REMAINDER.items()
+        }
 
 
 def _peer_packets(peers) -> int:
@@ -123,6 +143,8 @@ def main(argv=None) -> None:
     print(f"{args.geometry} seed {args.seed}: {count.packets} packets, "
           f"{count.per_packet(inside_only=True):.1f} calls into src/repro "
           f"and {count.per_packet():.1f} in total per packet")
+    print("remainder per packet: " + ", ".join(
+        f"{label} {calls:.1f}" for label, calls in count.remainder().items()))
     rows = count.sites.most_common(25 if args.quick else None)
     width = max(len(_label(*site)) for site, _ in rows)
     print(f"{'site':<{width}}  {'repro':>6}  {'total':>6}")

@@ -8,8 +8,8 @@ package runs it and the §3 control protocol on asyncio TCP: a
 queues.  A whole session in one process — server plus N peers, on real
 sockets or in memory — is :class:`repro.net.testing.ChaosHarness`.
 
-All I/O goes through the :class:`Transport` seam — real asyncio streams
-by default, or the in-memory fault-injecting network of
+All I/O goes through the :class:`Transport` seam — real asyncio
+transports and protocols by default, or the in-memory fault-injecting network of
 :mod:`repro.net.testing` (kept out of this package's import graph; pull
 it in explicitly).
 """
@@ -25,13 +25,12 @@ from .control import (
     encode_control,
 )
 from .framing import (
+    Connection,
     FrameBuffer,
     FramingError,
     KIND_CONTROL,
     KIND_DATA,
-    MessageStream,
     encode_frame,
-    send_control,
 )
 from .peer import PeerNode, PeerStats
 from .server import ServerNode, ServerStats
@@ -48,6 +47,7 @@ __all__ = [
     "AsyncioClock",
     "AsyncioTransport",
     "Clock",
+    "Connection",
     "ControlFormatError",
     "DataHello",
     "FrameBuffer",
@@ -57,7 +57,6 @@ __all__ = [
     "KIND_DATA",
     "Listener",
     "MESSAGE_TYPES",
-    "MessageStream",
     "PacketSender",
     "PeerLocator",
     "PeerNode",
@@ -70,5 +69,4 @@ __all__ = [
     "decode_control",
     "encode_control",
     "encode_frame",
-    "send_control",
 ]

@@ -13,16 +13,20 @@ Control bodies are :mod:`repro.net.control` messages.
 
 There is one inbound path: :class:`FrameBuffer`, a sans-IO accumulator
 (``feed`` bytes, pop complete messages), is the only code that turns
-stream bytes into messages.  :class:`MessageStream` pairs it with a
-connection's reader — every read site in the server and peer nodes goes
-through one per connection — and ``send_control`` /
-``write_control_nowait`` are the outbound control helpers.
+stream bytes into messages.  :class:`Connection` is that buffer as a
+connection's protocol object — the transport calls its
+``data_received`` with each segment, and it hands every complete
+message to the connection's :class:`Handler` — so every connection,
+control or data, dialled or accepted, is one ``Connection`` and one
+handler.  :class:`FirstFrame` is the handler of an accepted connection
+until its first message picks the real one, and
+``write_control_nowait`` is the outbound control helper.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from ..coding.packet import CodedPacket
 from ..coding.wire import (
@@ -34,22 +38,24 @@ from ..coding.wire import (
     encode_packet,
 )
 from .control import ControlFormatError, decode_control, encode_control
-from .transport import ByteStreamReader, ByteStreamWriter, Clock
+from .transport import ByteStreamWriter, Clock
 
 __all__ = [
+    "Callbacks",
+    "Connection",
     "CrcMismatchError",
+    "FirstFrame",
     "FrameBuffer",
     "FramingError",
+    "Handler",
     "KIND_CONTROL",
     "KIND_DATA",
     "MAX_FRAME_BYTES",
-    "MessageStream",
     "encode_data_frame",
     "encode_data_frames",
     "encode_frame",
     "encode_mixture_frames",
-    "first_message",
-    "send_control",
+    "write_control_nowait",
 ]
 
 #: Frame kinds.
@@ -63,10 +69,6 @@ KIND_CONTROL = 1
 MAX_FRAME_BYTES = 1 << 20
 
 _PREFIX = struct.Struct(">IB")
-
-#: Bytes asked of the reader per :meth:`MessageStream.fill` — also the
-#: bound on how much one wake-up parses before yielding to the loop.
-READ_CHUNK_BYTES = 1 << 16
 
 #: A parsed message off the stream.
 Message = Union[CodedPacket, object]
@@ -195,71 +197,158 @@ class FrameBuffer:
         return message
 
 
-class MessageStream(FrameBuffer):
-    """A connection's inbound side: the one :class:`FrameBuffer` that
-    parses it, reading from its reader.  ``next_message`` pops one
-    buffered message, or None when :meth:`fill` is due — the parser's
-    own method, so a popped message costs no frame of this class's and
-    a connection holds no parser object of its own.
+class Handler:
+    """What one connection's messages mean: the per-connection half of
+    a :class:`Connection`.  Every callback is a no-op here; a handler
+    overrides the ones its kind of connection needs."""
 
-    Bytes the reader hands over stay buffered here between calls, so
-    the object must live as long as the connection does — hand the same
-    stream from an admission sequence to the loop that follows it.
+    __slots__ = ()
+
+    def connected(self, connection: "Connection") -> None:
+        """The connection is up and ``connection.transport`` is set."""
+
+    def message(self, message: Message) -> None:
+        """One complete message, in stream order.  Raising
+        :class:`FramingError` closes the connection with that error."""
+
+    def drained(self) -> None:
+        """Every complete message of a segment has been handed over (a
+        segment that completes none does not call this)."""
+
+    def closed(self, error: Optional[BaseException]) -> None:
+        """The connection ended, once: ``error`` is None for a clean
+        close, the :class:`FramingError` (or transport error) else."""
+
+
+class Callbacks(Handler):
+    """A handler that is two callables: ``message(message)`` and
+    ``closed(error)``."""
+
+    __slots__ = ("message", "closed")
+
+    def __init__(self, message: Callable[[Message], None],
+                 closed: Callable[[Optional[BaseException]], None]) -> None:
+        self.message = message
+        self.closed = closed
+
+
+class Connection(FrameBuffer):
+    """One connection's protocol object, on either transport: the
+    :class:`FrameBuffer` its bytes are fed to, and the :class:`Handler`
+    its messages go to.
+
+    ``data_received`` feeds the segment, pops every complete message
+    into the handler — re-reading ``handler`` each time, so a message
+    may hand the rest to another (:class:`FirstFrame`) — then tells it
+    the segment is drained.  EOF at a frame boundary is a clean close;
+    EOF inside a frame, and any :class:`FramingError` a message raises,
+    close the connection with that error.  Nothing is delivered after a
+    close, and a drained connection buffers nothing: what stays between
+    segments is one incomplete frame, at most ``MAX_FRAME_BYTES`` and a
+    prefix.  The transport's flow-control pair goes to ``sender``, the
+    outbound pump feeding the connection, if it has one.
     """
 
-    def __init__(self, reader: ByteStreamReader) -> None:
+    def __init__(self, handler: Handler) -> None:
         super().__init__()
-        self._reader = reader
+        self.handler = handler
+        #: The write side, set by ``connection_made``.
+        self.transport: Optional[ByteStreamWriter] = None
+        #: What hears ``pause_writing``/``resume_writing``.
+        self.sender = None
+        self.closed = False
 
-    async def fill(self) -> bool:
-        """Feed the parser one chunked read.  False on a clean EOF (the
-        stream ended at a frame boundary); EOF inside a frame raises
-        :class:`FramingError`."""
-        data = await self._reader.read(READ_CHUNK_BYTES)
-        if data:
-            self.feed(data)
-            return True
-        if self.pending():
-            raise FramingError("stream truncated inside a frame")
-        return False
+    def connection_made(self, transport: ByteStreamWriter) -> None:
+        self.transport = transport
+        self.handler.connected(self)
 
-    async def next(self) -> Optional[Message]:
-        """The next message off the stream; None on a clean EOF."""
-        while True:
+    def data_received(self, data: bytes) -> None:
+        if self.closed:
+            return
+        self.feed(data)
+        try:
             message = self.next_message()
-            if message is not None or not await self.fill():
-                return message
+            if message is None:
+                return
+            while message is not None:
+                self.handler.message(message)
+                if self.closed:
+                    return
+                message = self.next_message()
+        except FramingError as error:
+            self.close(error)
+            return
+        if self._cursor:
+            # A partial frame is left: keep only its bytes.
+            del self._buffer[: self._cursor]
+            self._cursor = 0
+        self.handler.drained()
+
+    def eof_received(self) -> None:
+        self.close(FramingError("stream truncated inside a frame")
+                   if self.pending() else None)
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.close(exc)
+
+    def pause_writing(self) -> None:
+        if self.sender is not None:
+            self.sender.pause_writing()
+
+    def resume_writing(self) -> None:
+        if self.sender is not None:
+            self.sender.resume_writing()
+
+    def close(self, error: Optional[BaseException] = None) -> None:
+        """End the connection (idempotent): the transport closes, the
+        buffer is released and the handler hears ``closed(error)``."""
+        if self.closed:
+            return
+        self.closed = True
+        self._buffer = bytearray()
+        self._cursor = 0
+        if self.transport is not None:
+            self.transport.close()
+        self.handler.closed(error)
 
 
-async def first_message(
-    stream: MessageStream, writer: ByteStreamWriter,
-    clock: Clock, timeout: float,
-) -> Optional[Message]:
-    """A dialler's first message; None if it sent garbage, hung up, or
-    did not finish one within ``timeout``.
+class FirstFrame(Handler):
+    """An accepted connection until its first message: ``pick(connection,
+    message)`` sets the connection's ``handler`` to the one that message
+    calls for, or leaves the connection to be closed.  A dialler that
+    has not finished its first frame ``timeout`` after it connected is
+    closed by one ``clock.call_at`` deadline, cancelled when the frame
+    is in."""
 
-    The read is bare.  Its bound is one timer, due ``timeout`` from
-    now, that closes the connection under the read (which then ends
-    as a hang-up) and is cancelled as soon as the message is in: the
-    common case — the frame is already here — completes in the
-    caller's own step, with no task switch between a dial and the
-    attach it asks for.
-    """
-    deadline = clock.call_at(clock.time() + timeout, writer.close)
-    try:
-        return await stream.next()
-    except (ConnectionError, OSError):
-        return None
-    finally:
-        deadline.cancel()
+    def __init__(
+        self,
+        pick: Callable[[Connection, Message], None],
+        clock: Clock,
+        timeout: float,
+    ) -> None:
+        self._pick = pick
+        self._clock = clock
+        self._timeout = timeout
+        self._connection: Optional[Connection] = None
+        self._deadline = None
+
+    def connected(self, connection: Connection) -> None:
+        self._connection = connection
+        self._deadline = self._clock.call_at(
+            self._clock.time() + self._timeout, connection.close)
+
+    def message(self, message: Message) -> None:
+        self._deadline.cancel()
+        connection = self._connection
+        self._pick(connection, message)
+        if connection.handler is self:
+            connection.close()
+
+    def closed(self, error: Optional[BaseException]) -> None:
+        if self._deadline is not None:
+            self._deadline.cancel()
 
 
 def write_control_nowait(writer: ByteStreamWriter, message: object) -> None:
-    """Queue a control frame on the writer without draining."""
+    """Queue a control frame on the writer."""
     writer.write(encode_frame(KIND_CONTROL, encode_control(message)))
-
-
-async def send_control(writer: ByteStreamWriter, message: object) -> None:
-    """Write one control frame and drain."""
-    write_control_nowait(writer, message)
-    await writer.drain()

@@ -6,7 +6,11 @@ peer-side protocol decision — which parent feeds which column, when to
 complain, how long to back off — and this module owns the I/O around
 it: it joins through the server's hello protocol, keeps the control
 connection, and dials one upstream *data* connection per assigned
-thread.  Both ends of every data connection — what it is sent by its
+thread.  Every connection is a :class:`~repro.net.framing.Connection`
+fed by its transport's ``data_received``: the control connection's
+handler is this node's, an accepted one's first frame picks its own,
+and only each held thread keeps a task — the redial loop, parked on
+its connection's end.  Both ends of every data connection — what it is sent by its
 parents, the reports it owes them, the mixtures it fans out to the
 children that dial it — are its :class:`~repro.net.streams.PumpSet`'s,
 run against the node's :class:`~repro.dataplane.RelayEngine`.
@@ -20,8 +24,9 @@ Robustness model, mirroring §3/§5 on a real event loop:
   episode) and how long the redial should back off;
 * a ``SetParent`` push from the server (repair, uniform-insert splice,
   or graceful leave upstream) re-clips the thread through the engine's
-  ``Clip`` effect: the old upstream task is cancelled and a new one
-  dials the new parent — the live Lemma 1 repair;
+  ``Clip`` effect: the old thread task is cancelled (closing its
+  connection) and a new one dials the new parent — the live Lemma 1
+  repair;
 * losing the *server* stops membership repair but not the data plane:
   established peer connections keep streaming (the §6 observation that
   swarms outlive the server).
@@ -65,14 +70,14 @@ from ..protocol import (
 )
 from .control import DataHello, PeerLocator, SessionInfo
 from .framing import (
+    Callbacks,
+    Connection,
+    FirstFrame,
     FramingError,
-    MessageStream,
-    first_message,
-    send_control,
     write_control_nowait,
 )
 from .streams import PumpSet
-from .transport import AsyncioTransport, ByteStreamWriter, Listener, Transport
+from .transport import AsyncioTransport, Listener, Transport
 
 __all__ = ["PeerNode", "PeerStats"]
 
@@ -86,9 +91,9 @@ class PeerStats:
     """Per-peer transport counters the harnesses and the CLI report.
     Every engine fact is counted once, by the instruments:
     ``node.engine.obs`` and ``node.dataplane.obs``.  ``upstream_fills``
-    counts the reads the upstream connections parked on, so
-    ``(packets_in + keepalives_seen) / upstream_fills`` is frames per
-    received segment."""
+    counts the segments the upstream connections delivered a complete
+    message in, so ``(packets_in + keepalives_seen) / upstream_fills``
+    is frames per received segment."""
 
     reconnects: int = 0
     keepalives_seen: int = 0
@@ -180,8 +185,10 @@ class PeerNode:
             SERVER: (server_host, server_port)}
         self._thread_tasks: dict[int, asyncio.Task] = {}
         self._listener: Optional[Listener] = None
-        self._control_writer: Optional[ByteStreamWriter] = None
-        self._control_task: Optional[asyncio.Task] = None
+        #: The control connection to the server, and the grant it
+        #: resolves (or fails) during admission.
+        self._control: Optional[Connection] = None
+        self._granted: Optional[asyncio.Future] = None
         self._running = False
         self.log = logging.getLogger("repro.net.peer")
         #: Per-node telemetry; renamed to ``peer:<node_id>`` once the
@@ -234,26 +241,32 @@ class PeerNode:
     async def start(self) -> None:
         """Listen, join through the server, and clip every thread."""
         self._listener = await self.transport.start_server(
-            self._handle_child, self.host, 0
+            lambda: Connection(FirstFrame(
+                self._child, self.clock, self.silence_timeout)),
+            self.host, 0,
         )
         self.port = self._listener.address[1]
         self._running = True
+        self._granted = asyncio.get_running_loop().create_future()
+        control = self._control = Connection(Callbacks(
+            self._control_message, self._control_closed))
         try:
-            reader, writer = await self.transport.connect(
-                self.server_host, self.server_port
-            )
-            self._control_writer = writer
-            await send_control(writer, JoinRequest(reply_to=self.port))
-            # One stream for admission and the control loop after it:
-            # whatever arrived in the grant's segment stays buffered.
-            stream = MessageStream(reader)
-            grant = await self._await_grant(stream)
+            await self.transport.connect(
+                lambda: control, self.server_host, self.server_port)
+            write_control_nowait(
+                control.transport, JoinRequest(reply_to=self.port))
+            await self._granted
         except BaseException:
             # Never admitted: release the listener and the control
             # connection rather than leave them bound behind a peer
             # that is not running.
+            self._granted.cancel()
             self.kill()
             raise
+
+    def _admit(self, grant: JoinGrant) -> None:
+        """The grant is in: become its node, and clip its threads —
+        before any message behind it in the same segment is read."""
         self.engine.node_id = grant.node_id
         self.log = self.pumps.logger = logging.getLogger(
             f"repro.net.peer.{grant.node_id}")
@@ -276,42 +289,19 @@ class PeerNode:
         DataplaneInstruments(self.registry).attach(
             self.dataplane, self.registry
         )
-        self._control_task = asyncio.ensure_future(self._control_loop(stream))
         self._dispatch_control(grant)
-
-    async def _await_grant(self, stream: MessageStream) -> JoinGrant:
-        """Consume the admission sequence: SessionInfo, locators, grant."""
-        while True:
-            message = await stream.next()
-            if message is None:
-                raise ConnectionError("server closed during admission")
-            if isinstance(message, SessionInfo):
-                self.session = message
-            elif isinstance(message, PeerLocator):
-                self._addresses[message.node_id] = (message.host, message.port)
-            elif isinstance(message, JoinGrant):
-                if self.session is None:
-                    raise FramingError("grant arrived before session info")
-                return message
+        self._granted.set_result(grant)
 
     async def leave(self) -> None:
         """Graceful good-bye, then tear everything down."""
-        if self._control_writer is not None and not self.server_lost:
-            try:
-                await send_control(
-                    self._control_writer,
-                    LeaveRequest(node_id=self.node_id),
-                )
-            except (ConnectionError, OSError):
-                pass
+        if self._control is not None and not self.server_lost:
+            self._write_control(LeaveRequest(node_id=self.node_id))
         await self.close()
 
     async def close(self) -> None:
         """Stop all tasks and close all transports (no good-bye), then
         wait for them to finish."""
         pending = list(self._thread_tasks.values())
-        if self._control_task is not None:
-            pending.append(self._control_task)
         self.kill()
         if self._listener is not None:
             await self._listener.wait_closed()
@@ -325,11 +315,9 @@ class PeerNode:
         for task in list(self._thread_tasks.values()):
             task.cancel()
         self._thread_tasks.clear()
-        if self._control_task is not None:
-            self._control_task.cancel()
         self.pumps.close()
-        if self._control_writer is not None:
-            self._control_writer.close()
+        if self._control is not None:
+            self._control.close()
         if self._listener is not None:
             self._listener.close()
 
@@ -361,16 +349,27 @@ class PeerNode:
     # ------------------------------------------------------------------
     # Control plane: pump the engine
 
-    async def _control_loop(self, stream: MessageStream) -> None:
-        try:
-            while self._running:
-                message = await stream.next()
-                if message is None:
-                    break
-                self._dispatch_control(message)
-        except (FramingError, ConnectionError, OSError):
-            pass
-        except asyncio.CancelledError:
+    def _control_message(self, message: object) -> None:
+        """A message from the server: admission (session, locators,
+        grant) until the grant, the engine's after it."""
+        if self.engine.node_id is not None:
+            self._dispatch_control(message)
+        elif isinstance(message, SessionInfo):
+            self.session = message
+        elif isinstance(message, PeerLocator):
+            self._addresses[message.node_id] = (message.host, message.port)
+        elif isinstance(message, JoinGrant):
+            if self.session is None:
+                raise FramingError("grant arrived before session info")
+            self._admit(message)
+
+    def _control_closed(self, error: Optional[BaseException]) -> None:
+        granted = self._granted
+        if granted is not None and not granted.done():
+            granted.set_exception(error or ConnectionError(
+                "server closed during admission"))
+            return
+        if not self._running:
             return
         # The server is gone.  Keep the data plane alive (§6): existing
         # upstream connections and children continue, but there is no
@@ -400,17 +399,14 @@ class PeerNode:
         return delay
 
     def _write_control(self, message: object) -> None:
-        if self._control_writer is None:
+        if self._control is None or self._control.closed:
             return
         if isinstance(message, ComplaintMsg):
             self.log.info(
                 "complaining about node %d on column %d",
                 message.suspect, message.column,
             )
-        try:
-            write_control_nowait(self._control_writer, message)
-        except (ConnectionError, OSError):
-            pass
+        write_control_nowait(self._control.transport, message)
 
     # ------------------------------------------------------------------
     # Data connections: dial each thread's parent, accept children
@@ -430,11 +426,12 @@ class PeerNode:
         )
 
     async def _thread_loop(self, column: int) -> None:
-        """Dial the current parent of ``column`` and hand the connection
-        to ``pumps.consume``, reconnecting with exponential backoff for
-        as long as we hold the thread.  The engine judges every session
-        end: a healthy one redials immediately, a silent one complains
-        (at most once per episode) and backs off."""
+        """Dial the current parent of ``column`` on a connection from
+        ``pumps.upstream`` and wait for it to end, reconnecting with
+        exponential backoff for as long as we hold the thread.  The
+        engine judges every session end: a healthy one redials
+        immediately, a silent one complains (at most once per episode)
+        and backs off."""
         notify = None if self.on_complete is None else partial(
             self.on_complete, self)
         while self._running and column in self.parents:
@@ -442,14 +439,15 @@ class PeerNode:
             address = self._addresses.get(parent)
             saw_traffic = False
             if address is not None:
+                link = self.pumps.upstream(
+                    column, self.silence_timeout, self.stats, notify)
                 try:
-                    reader, writer = await self.transport.connect(*address)
+                    await self.transport.connect(lambda: link, *address)
+                    saw_traffic = await link.handler.done
                 except (ConnectionError, OSError):
                     pass
-                else:
-                    saw_traffic = await self.pumps.consume(
-                        column, reader, writer, self.silence_timeout,
-                        self.stats, notify)
+                finally:
+                    link.close()
             delay = self._perform(self.engine.handle(UpstreamDown(
                 column=column, parent=parent, saw_traffic=saw_traffic,
             )))
@@ -465,17 +463,9 @@ class PeerNode:
                 return
             self.stats.reconnects += 1
 
-    async def _handle_child(
-        self, reader, writer: ByteStreamWriter
-    ) -> None:
-        # One stream for the hello and the reports behind it: whatever
-        # arrived in the hello's segment stays buffered.  A dialler
-        # gets one silence window to finish its first frame.
-        stream = MessageStream(reader)
-        hello = await first_message(
-            stream, writer, self.clock, self.silence_timeout)
-        if not isinstance(hello, DataHello) or not self._running:
-            writer.close()
-            return
-        await self.pumps.serve(
-            (hello.node_id, hello.column), stream, writer, hello.column)
+    def _child(self, connection: Connection, hello: object) -> None:
+        """An accepted connection's first message: a child's hello is
+        served, anything else is closed."""
+        if isinstance(hello, DataHello) and self._running:
+            self.pumps.serve(
+                (hello.node_id, hello.column), connection, hello.column)

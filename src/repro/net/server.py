@@ -6,9 +6,11 @@ decision — hello grants, Lemma 1 splices, the complaint→probe→repair
 slow path — happens inside the engine, and this module only owns what
 a real deployment adds around it:
 
-* the listen socket and one control connection per admitted peer
-  (first frame: ``JoinRequest``), each pumping received frames into the
-  engine and performing the effects it returns;
+* the listen socket, where an accepted connection's first frame picks
+  its handler: ``JoinRequest`` makes it a control connection, whose
+  every message goes into the engine and whose effects this module
+  performs; ``DataHello`` from a column's top node makes it that
+  column's data connection;
 * address book upkeep — a ``PeerLocator`` precedes every ``SetParent``
   so the child can dial its new parent;
 * probe deadlines as clock timers feeding
@@ -30,6 +32,7 @@ from __future__ import annotations
 import asyncio
 import logging
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from numpy.random import default_rng
@@ -62,20 +65,9 @@ from ..protocol import (
     TimerFired,
 )
 from .control import DataHello, PeerLocator, SessionInfo
-from .framing import (
-    FramingError,
-    MessageStream,
-    first_message,
-    write_control_nowait,
-)
+from .framing import Callbacks, Connection, FirstFrame, write_control_nowait
 from .streams import PumpSet
-from .transport import (
-    AsyncioTransport,
-    ByteStreamWriter,
-    Listener,
-    TimerHandle,
-    Transport,
-)
+from .transport import AsyncioTransport, Listener, TimerHandle, Transport
 
 __all__ = ["ServerNode", "ServerStats"]
 
@@ -108,7 +100,7 @@ class _PeerHandle:
 
     host: str
     port: int
-    writer: ByteStreamWriter
+    connection: Connection
     node_id: Optional[int] = None
 
 
@@ -212,7 +204,9 @@ class ServerNode:
     async def start(self) -> None:
         """Bind the listen socket and start the emission loop."""
         self._server = await self.transport.start_server(
-            self._handle_connection, self.host, self.port
+            lambda: Connection(FirstFrame(
+                self._accept, self.clock, self.engine.probe_timeout)),
+            self.host, self.port,
         )
         self.port = self._server.address[1]
         self.log = self.pumps.logger = logging.getLogger(
@@ -235,7 +229,7 @@ class ServerNode:
             self._stream_task.cancel()
         self.pumps.close()
         for handle in list(self._peers.values()):
-            handle.writer.close()
+            handle.connection.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
@@ -267,21 +261,21 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Connection handling
 
-    async def _handle_connection(
-        self, reader, writer: ByteStreamWriter
-    ) -> None:
-        # One stream per connection: frames that arrived with the first
-        # one stay buffered for the loop that follows.  A dialler gets
-        # one probe window to finish its first frame.
-        stream = MessageStream(reader)
-        first = await first_message(
-            stream, writer, self.clock, self.engine.probe_timeout)
+    def _accept(self, connection: Connection, first: object) -> None:
+        """An accepted connection's first message picks its handler;
+        anything but a join or a top node's data hello is closed."""
         if isinstance(first, JoinRequest):
-            await self._serve_control(first, stream, writer)
+            peername = connection.transport.get_extra_info("peername")
+            handle = _PeerHandle(
+                host=peername[0] if peername else "127.0.0.1",
+                port=first.reply_to, connection=connection,
+            )
+            connection.handler = Callbacks(
+                partial(self._control_message, handle),
+                partial(self._disconnect, handle))
+            self._perform(self.engine.handle(MessageReceived(first)), handle)
         elif isinstance(first, DataHello) and self._at_top(first):
-            await self.pumps.serve(first.column, stream, writer, first.column)
-        else:
-            writer.close()
+            self.pumps.serve(first.column, connection, first.column)
 
     def _at_top(self, hello: DataHello) -> bool:
         """Whether the matrix has the dialer at the top of the column it
@@ -297,30 +291,11 @@ class ServerNode:
     # ------------------------------------------------------------------
     # Control plane: pump the engine
 
-    async def _serve_control(
-        self, request: JoinRequest, stream: MessageStream,
-        writer: ByteStreamWriter,
-    ) -> None:
-        peername = writer.get_extra_info("peername")
-        handle = _PeerHandle(
-            host=peername[0] if peername else "127.0.0.1",
-            port=request.reply_to, writer=writer,
-        )
-        self._perform(self.engine.handle(MessageReceived(request)), handle)
-        try:
-            while self._running:
-                message = await stream.next()
-                if message is None:
-                    break
-                self._perform(self.engine.handle(
-                    MessageReceived(message, sender=handle.node_id)
-                ))
-                if handle.node_id in self.engine.departed:
-                    break
-        except (FramingError, ConnectionError, OSError):
-            pass
-        finally:
-            self._disconnect(handle)
+    def _control_message(self, handle: _PeerHandle, message: object) -> None:
+        self._perform(self.engine.handle(
+            MessageReceived(message, sender=handle.node_id)))
+        if handle.node_id in self.engine.departed:
+            handle.connection.close()
 
     def _welcome(self, effect: Admitted, handle: _PeerHandle) -> None:
         """Open the books on a freshly admitted control connection."""
@@ -334,7 +309,7 @@ class ServerNode:
         # (delivered by the Send effect that follows): by the
         # time the joiner sees its assignments it can dial them.
         encoder = self.dataplane.encoder
-        write_control_nowait(handle.writer, SessionInfo(
+        write_control_nowait(handle.connection.transport, SessionInfo(
             generation_size=encoder.params.generation_size,
             payload_size=encoder.params.payload_size,
             generation_count=encoder.generation_count,
@@ -367,7 +342,7 @@ class ServerNode:
             elif isinstance(effect, CloseConnection):
                 handle = self._peers.get(effect.node_id)
                 if handle is not None:
-                    handle.writer.close()
+                    handle.connection.transport.close()
             elif isinstance(effect, PeerDeparted):
                 self.log.info(
                     "peer %d departed (%s)", effect.node_id, effect.reason
@@ -385,13 +360,13 @@ class ServerNode:
         timer = self.clock.call_at(self.clock.time() + delay, fire)
         self._timers.add(timer)
 
-    def _disconnect(self, handle: _PeerHandle) -> None:
+    def _disconnect(self, handle: _PeerHandle,
+                    error: Optional[BaseException]) -> None:
         """Control connection gone: a crash unless it said good-bye."""
         if self._running and handle.node_id not in self.engine.departed:
             self.stats.crashes += 1
             self._perform(self.engine.handle(ConnectionLost(handle.node_id)))
         self._peers.pop(handle.node_id, None)
-        handle.writer.close()
 
     # ------------------------------------------------------------------
     # Helpers
@@ -401,7 +376,7 @@ class ServerNode:
         which every peer can already dial and ``_peers`` never holds)."""
         peer = self._peers.get(node_id)
         if peer is not None:
-            write_control_nowait(to.writer, PeerLocator(
+            write_control_nowait(to.connection.transport, PeerLocator(
                 node_id=node_id, host=peer.host, port=peer.port))
 
     def _notify(self, node_id: int, message: object) -> None:
@@ -411,12 +386,9 @@ class ServerNode:
         handle = self._peers.get(node_id)
         if handle is None:
             return
-        try:
-            if isinstance(message, SetParent):
-                self._send_locator(handle, message.parent)
-            write_control_nowait(handle.writer, message)
-        except (ConnectionError, OSError):
-            pass
+        if isinstance(message, SetParent):
+            self._send_locator(handle, message.parent)
+        write_control_nowait(handle.connection.transport, message)
 
     async def serve_forever(self) -> None:
         """Block until cancelled (used by the ``repro serve`` command)."""

@@ -15,31 +15,37 @@ The queue holds *pre-encoded* immutable frame bytes rather than packet
 objects: every mixture is serialised exactly once, before it is queued
 (a relay's fan-out is one ``bytes`` join per frame behind headers
 packed once per group, see
-:func:`repro.net.framing.encode_mixture_frames`).  At each wakeup the
-pump hands everything queued to the writer in a single ``writelines``
-flush — one syscall on a real socket; the virtual transport keeps its
-fault injection aligned to the individual frames of the list.
+:func:`repro.net.framing.encode_mixture_frames`).  The first enqueue of
+a loop tick schedules one flush (``call_soon``), which hands everything
+queued by then to the transport in a single ``writelines`` — one
+syscall on a real socket; the virtual transport keeps its fault
+injection aligned to the individual frames of the list.  Nothing
+awaits a drain: while the transport says ``pause_writing`` (its unsent
+bytes are over its high-water mark) no flush runs and the queue takes
+the backlog, drop-oldest; ``resume_writing`` schedules the next flush.
 
-The pump also emits a :class:`~repro.protocol.messages.KeepAlive`
-control frame when the data flow pauses, so an idle-but-healthy thread
-is distinguishable from a dead parent (the paper's silence-based
-failure detection, run over real sockets).
+The pump's one timer emits a :class:`~repro.protocol.messages.KeepAlive`
+control frame (or the engine's idle fill) when the data flow pauses, so
+an idle-but-healthy thread is distinguishable from a dead parent (the
+paper's silence-based failure detection, run over real sockets).
 
-The connection's other direction carries one thing: the child's
-:class:`~repro.net.control.GenerationsComplete` records, which
-:class:`ChildReports` checks and :meth:`PumpSet.serve` hands to the
-node's data-plane engine, so the queue is not filled with generations
-the child has finished.  ``serve`` is a child connection's whole life
-against that engine — attach, burst, reports, idle fills, detach — for
-the source and every relay alike; :meth:`PumpSet.consume` is the same
-for a connection a relay dials to its parent — hello, arrivals,
-reports, silence.
+Every connection is a :class:`~repro.net.framing.Connection` fed by
+``data_received``, and this module holds the two data-connection
+handlers.  A child connection's handler takes the child's
+:class:`~repro.net.control.GenerationsComplete` records — checked
+against the session, then handed to the node's data-plane engine, so
+the queue is not filled with generations the child has finished —
+and retires the pump when the connection ends: :meth:`PumpSet.serve`
+is a child connection's whole life against that engine — attach,
+burst, reports, idle fills, detach — for the source and every relay
+alike.  :meth:`PumpSet.upstream` is the same for a connection a relay
+dials to its parent — hello, arrivals, reports, silence.
 
 The reports are one contract with two halves, both counted in the
 session's ``generation_size``:
 
-* the child (``consume``) sends its completed set with its hello, in
-  the same write; once after each drain that completed a generation,
+* the child (``upstream``) sends its completed set with its hello, in
+  the same write; once after each segment that completed a generation,
   to every parent it has open; and once more to a parent that has sent
   it ``generation_size`` packets of generations it already held since
   its last report there (that parent evidently missed one);
@@ -73,22 +79,17 @@ from ..protocol.messages import KeepAlive
 from .control import DataHello, GenerationsComplete, encode_control
 from .framing import (
     KIND_CONTROL,
+    Connection,
     CrcMismatchError,
     FramingError,
-    MessageStream,
+    Handler,
     encode_data_frame,
     encode_frame,
     encode_mixture_frames,
 )
-from .transport import (
-    AsyncioClock,
-    ByteStreamReader,
-    ByteStreamWriter,
-    Clock,
-    TimerHandle,
-)
+from .transport import AsyncioClock, ByteStreamWriter, Clock, TimerHandle
 
-__all__ = ["ChildReports", "PacketSender", "PumpSet", "SenderStats"]
+__all__ = ["PacketSender", "PumpSet", "SenderStats"]
 
 _new = tuple.__new__
 
@@ -99,9 +100,9 @@ class SenderStats:
 
     ``bytes_sent`` counts every byte written (data frames and
     keep-alives; in a node's retired-pump total also the completed-set
-    records it wrote to its own parents); ``flushes`` counts drain
-    cycles, so ``sent / flushes`` is the observed frames-per-flush
-    coalescing ratio.
+    records it wrote to its own parents); ``flushes`` counts the writes
+    to the transport, so ``sent / flushes`` is the observed
+    frames-per-flush coalescing ratio.
     """
 
     enqueued: int = 0
@@ -116,7 +117,7 @@ class PacketSender:
     """Bounded drop-oldest pump feeding one downstream connection.
 
     Args:
-        writer: The connection to the downstream node.
+        writer: The connection's transport.
         column: Thread column this pump serves (stamped on keep-alives).
         sender_id: Our node id (stamped on keep-alives; -1 = server).
         idle_packet: Asked for a fresh coded packet whenever the idle
@@ -126,7 +127,7 @@ class PacketSender:
         limit: Queue bound; the oldest packet is evicted on overflow.
         keepalive_interval: Idle period after which the idle packet or
             a keep-alive frame is sent (None disables both).  It runs
-            from the pump's last park, on one timer per pump.
+            from the pump's last write, on one timer per pump.
         clock: Timeline the idle timer runs on (real time by default;
             the chaos harness injects a virtual clock).
         logger: Destination for backpressure decisions (evictions are
@@ -165,17 +166,24 @@ class PacketSender:
         #: Frames not yet flushed, oldest first (at most ``limit``).  A
         #: flush takes the whole list and leaves an empty one behind.
         self._queue: list[bytes] = []
-        #: The bare future the run loop last parked on (done once it is
-        #: woken).  Its result says why it woke: True for the keep-alive
-        #: timer, False for work or a close.
-        self._parked: Optional[asyncio.Future] = None
-        #: When the run loop last parked: the keep-alive is due one
-        #: interval later.
-        self._parked_at = 0.0
-        #: The pump's one keep-alive timer, armed at its first park.
-        self._keepalive: Optional[TimerHandle] = None
-        #: Set by :meth:`close` (or the run loop's exit); read-only
-        #: outside this class.
+        #: A flush is on the loop's ready queue.
+        self._flush_due = False
+        #: Set by ``pause_writing``, cleared by ``resume_writing``: no
+        #: flush runs while it is set.
+        self.paused = False
+        #: When the pump last wrote: the idle send is due one interval
+        #: later.
+        self._written_at = 0.0
+        #: The pump's one idle timer.
+        self._idle: Optional[TimerHandle] = None
+        if keepalive_interval is not None:
+            self._written_at = self._clock.time()
+            self._idle = self._clock.call_at(
+                self._written_at + keepalive_interval, self._idle_due)
+        #: The connection this pump feeds, closed with it (set by
+        #: :meth:`PumpSet.serve`).
+        self.connection: Optional[Connection] = None
+        #: Set by :meth:`close`; read-only outside this class.
         self.closed = False
 
     @property
@@ -198,7 +206,9 @@ class PacketSender:
 
         The encode-once fan-out entry point: callers serialise a packet
         a single time and hand the same immutable bytes to every child's
-        pump.  Returns True if the frame was queued without an eviction.
+        pump.  The first frame of a loop tick schedules the flush that
+        writes all of them; nothing is written here.  Returns True if
+        the frame was queued without an eviction.
         """
         if self.closed:
             return False
@@ -215,136 +225,229 @@ class PacketSender:
                     self.column, self._limit, self.stats.dropped,
                 )
         self._queue.append(frame)
-        parked = self._parked  # wake the pump (the park's work signal)
-        if parked is not None and not parked.done():
-            parked.set_result(False)
+        if not self._flush_due and not self.paused:
+            self._flush_due = True
+            try:
+                asyncio.get_running_loop().call_soon(self._flush)
+            except RuntimeError:
+                pass  # no loop to flush on: the queue only fills
         return clean
 
+    def _flush(self) -> None:
+        """Hand everything queued to the transport in one write."""
+        self._flush_due = False
+        if self.closed or self.paused or not self._queue:
+            return
+        frames, self._queue = self._queue, []
+        self._writer.writelines(frames)
+        stats = self.stats
+        stats.sent += len(frames)
+        stats.bytes_sent += sum(map(len, frames))
+        stats.flushes += 1
+        self._written_at = self._clock.time()
+
+    def pause_writing(self) -> None:
+        """The transport is over its high-water mark: hold the queue."""
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        """The transport drained: flush what queued meanwhile."""
+        self.paused = False
+        if self._queue and not self._flush_due and not self.closed:
+            self._flush_due = True
+            asyncio.get_running_loop().call_soon(self._flush)
+
     def close(self) -> None:
-        """Stop the pump; the run loop exits at its next wakeup."""
+        """Stop the pump (idempotent): nothing more is queued or
+        written, and its connection closes."""
+        if self.closed:
+            return
         self.closed = True
-        parked = self._parked
-        if parked is not None and not parked.done():
-            parked.set_result(False)
+        self._queue = []
+        if self._idle is not None:
+            self._idle.cancel()
+        if self.connection is not None:
+            self.connection.close()
 
-    def _keepalive_due(self) -> None:
-        """The keep-alive timer fired: wake a pump that has sat parked
-        a whole interval (its next park arms the timer afresh), else
-        re-arm for one interval after its last park — so the timer
-        fires at or before every deadline, never after."""
-        clock = self._clock
-        now = clock.time()
-        parked = self._parked
-        if parked is None or parked.done():
-            # Awake: its next park is no earlier than now.
-            deadline = now + self._keepalive_interval
-        else:
-            deadline = self._parked_at + self._keepalive_interval
-            if now >= deadline:
-                self._keepalive = None
-                parked.set_result(True)
-                return
-        self._keepalive = clock.call_at(deadline, self._keepalive_due)
-
-    async def run(self) -> None:
-        """Drain the queue onto the wire until closed or disconnected.
-
-        A flushed list is dropped before the pump awaits anything, so a
-        pump blocked in ``drain`` or parked holds none of the frames it
-        has handed to the writer."""
+    def _idle_due(self) -> None:
+        """The idle timer fired.  A pump that has written nothing for a
+        whole interval sends the engine's fill for its link, or a bare
+        keep-alive frame; a busy one (a flush due, or the transport
+        paused) re-arms one interval on, else re-arm for one interval
+        after the last write — so the timer fires at or before every
+        deadline, never after."""
         clock, interval = self._clock, self._keepalive_interval
-        try:
-            while not self.closed:
-                if not self._queue:
-                    # Park (inline: one frame less per wake-up) until
-                    # work or a close (False) or the keep-alive timer.
-                    self._parked = asyncio.get_running_loop().create_future()
-                    self._parked_at = clock.time()
-                    if self._keepalive is None and interval is not None:
-                        self._keepalive = clock.call_at(
-                            self._parked_at + interval, self._keepalive_due)
-                    if await self._parked and not self._queue:
-                        await self._send_idle()
-                        continue
-                if self.closed:
-                    break
-                frames, self._queue = self._queue, []
-                self._writer.writelines(frames)
-                self.stats.sent += len(frames)
-                self.stats.bytes_sent += sum(map(len, frames))
-                self.stats.flushes += 1
-                del frames
-                await self._writer.drain()
-        except (ConnectionError, OSError, asyncio.CancelledError):
-            pass
-        finally:
-            self.closed = True
-            if self._keepalive is not None:
-                self._keepalive.cancel()
-            self._writer.close()
-
-    async def _send_idle(self) -> None:
-        """The link sat idle an interval: the engine's fill for it, or
-        a bare keep-alive frame."""
-        packet = self._idle_packet()
-        if packet is not None:
-            frame = encode_data_frame(packet)
-            self.stats.sent += 1
-        else:
-            frame = encode_frame(
-                KIND_CONTROL,
-                encode_control(
-                    KeepAlive(column=self.column, sender=self.sender_id)
-                ),
-            )
-            self.stats.keepalives += 1
-        self._writer.write(frame)
-        self.stats.bytes_sent += len(frame)
-        self.stats.flushes += 1
-        del frame, packet
-        await self._writer.drain()
+        now = clock.time()
+        deadline = self._written_at + interval
+        if self._queue or self.paused:
+            deadline = now + interval
+        elif now >= deadline:
+            packet = self._idle_packet()
+            if packet is not None:
+                frame = encode_data_frame(packet)
+                self.stats.sent += 1
+            else:
+                frame = encode_frame(KIND_CONTROL, encode_control(
+                    KeepAlive(column=self.column, sender=self.sender_id)))
+                self.stats.keepalives += 1
+            self._writer.write(frame)
+            self.stats.bytes_sent += len(frame)
+            self.stats.flushes += 1
+            self._written_at = now
+            deadline = now + interval
+        self._idle = clock.call_at(deadline, self._idle_due)
 
 
-class ChildReports:
-    """What a child may say on its data connection after the hello:
-    its completed-generation set, and nothing else.
+class _Child(Handler):
+    """A child's data connection at its parent, after the hello: the
+    reports it may send, and the pump that feeds it.
 
-    Every record is checked against the session before an engine sees
-    it: a generation the content does not have, or anything that is
-    not a report, is a :class:`FramingError`, and the caller closes
-    that child's connection and nobody else's.  (How *often* a child
-    may report is :meth:`PumpSet.serve`'s to judge: it knows what the
-    child was sent.)
+    Every record is checked against the session before the engine sees
+    it — a generation the content does not have, anything that is not
+    a report, or more reports than the module docstring's allowance is
+    a :class:`FramingError`, which closes this child's connection and
+    nobody else's.
     """
 
-    def __init__(self, stream: MessageStream, generation_count: int) -> None:
-        self.generation_count = generation_count
-        self._stream = stream
+    __slots__ = ("pumps", "key", "pump", "reports")
 
-    def _checked(self, message: object) -> tuple:
-        if not isinstance(message, GenerationsComplete):
+    def __init__(self, pumps: "PumpSet", key: Hashable,
+                 pump: PacketSender) -> None:
+        self.pumps = pumps
+        self.key = key
+        self.pump = pump
+        self.reports = 0
+
+    def message(self, message) -> None:
+        pumps = self.pumps
+        report = pumps._checked(message)
+        self.reports += 1
+        allowed = (1 + pumps.engine.generation_count
+                   + self.pump.stats.enqueued // pumps.generation_size)
+        if self.reports > allowed:
             raise FramingError(
-                f"child sent {type(message).__name__} on a data connection")
-        highest = message.extras[-1] if message.extras else message.base - 1
-        if highest >= self.generation_count:
-            raise FramingError(
-                f"report names generation {highest} of "
-                f"{self.generation_count}")
-        return message.base, message.extras
+                f"{self.reports} completed-set reports where an honest "
+                f"child sends at most {allowed}")
+        pumps.engine.handle(ChildCompleted(self.key, *report))
 
-    def buffered(self) -> tuple:
-        """The ``(base, extras)`` of a report already received — the
-        one a child sends in its hello's segment — else the empty set
-        ``(0, ())``: a child that has not said what it holds is served
-        as one that holds nothing."""
-        message = self._stream.next_message()
-        return (0, ()) if message is None else self._checked(message)
+    def closed(self, error: Optional[BaseException]) -> None:
+        pumps = self.pumps
+        if isinstance(error, FramingError) and pumps.logger is not None:
+            pumps.logger.info(
+                "column %d: dropping child connection: %s",
+                self.pump.column, error)
+        pumps._retire(self.key, self.pump)
 
-    async def next(self) -> Optional[tuple]:
-        """The next report's ``(base, extras)``; None once the child
-        has closed its side."""
-        message = await self._stream.next()
-        return None if message is None else self._checked(message)
+
+class _Upstream(Handler):
+    """The connection a node dialed to ``column``'s parent.
+
+    Its hello and the node's completed set go out in one write as it
+    connects.  Every packet is the engine's ``PacketArrived``: its
+    ``EmitToChildren`` goes to :meth:`PumpSet.emit`, its
+    ``MarkComplete`` calls ``on_complete``, and after each segment the
+    reports follow the child's half of the module docstring's contract.
+    Silence runs between complete messages, not bytes: one timer per
+    connection, due ``silence_timeout`` after the segment that last
+    completed one, closes the connection when it fires past that
+    deadline, else re-arms for the deadline as it now stands.  ``done``
+    resolves when the connection ends, True if a packet or a keep-alive
+    arrived (a healthy session).
+    """
+
+    def __init__(self, pumps: "PumpSet", column: int, silence_timeout: float,
+                 stats, on_complete: Optional[Callable[[], None]]) -> None:
+        self.pumps = pumps
+        self.engine = pumps.engine
+        self.column = column
+        self.silence_timeout = silence_timeout
+        #: The node's ``PeerStats``: segments, keep-alives heard and
+        #: CRC failures.
+        self.stats = stats
+        self.on_complete = on_complete
+        self.done = asyncio.get_running_loop().create_future()
+        self.saw_traffic = False
+        #: packets of generations already held, since the last report
+        #: this connection sent
+        self.stale = 0
+        self.heard = 0.0
+        self._connection: Optional[Connection] = None
+        self._silence: Optional[TimerHandle] = None
+
+    def connected(self, connection: Connection) -> None:
+        pumps = self.pumps
+        self._connection = connection
+        writer = connection.transport
+        # One write: the parent that parses the hello holds the set,
+        # so a re-clipped thread is never re-sent what it decoded.
+        report = pumps._report()
+        writer.write(encode_frame(KIND_CONTROL, encode_control(
+            DataHello(node_id=pumps.origin, column=self.column))) + report)
+        pumps.stats[0].bytes_sent += len(report)
+        pumps._parents[self.column] = writer
+        clock = pumps._clock
+        self.heard = clock.time()
+        self._silence = clock.call_at(
+            self.heard + self.silence_timeout, self._check_silence)
+
+    def _check_silence(self) -> None:
+        clock = self.pumps._clock
+        deadline = self.heard + self.silence_timeout
+        if clock.time() >= deadline:
+            self._silence = None
+            self._connection.close()
+        else:
+            self._silence = clock.call_at(deadline, self._check_silence)
+
+    def message(self, message) -> None:
+        if isinstance(message, CodedPacket):
+            self.saw_traffic = True
+            engine = self.engine
+            effects = engine.handle(_new(PacketArrived, (message, 0.0)))
+            for effect in effects:
+                if isinstance(effect, EmitToChildren):
+                    self.pumps.emit(effect)
+                elif isinstance(effect, GenerationComplete):
+                    self.pumps._report_due = True
+                elif isinstance(effect, MarkComplete) and self.on_complete:
+                    self.on_complete()
+            if not effects[0].innovative and engine.finished(
+                    message.generation):
+                self.stale += 1
+        elif isinstance(message, KeepAlive):
+            self.saw_traffic = True
+            self.stats.keepalives_seen += 1
+
+    def drained(self) -> None:
+        pumps = self.pumps
+        self.heard = pumps._clock.time()
+        self.stats.upstream_fills += 1
+        if pumps._report_due:
+            pumps._report_due = False
+            report = pumps._report()
+            for parent in pumps._parents.values():
+                pumps._report_to(parent, report)
+            self.stale = 0
+        elif self.stale >= pumps.generation_size:
+            pumps._report_to(self._connection.transport, pumps._report())
+            self.stale = 0
+
+    def closed(self, error: Optional[BaseException]) -> None:
+        if self._silence is not None:
+            self._silence.cancel()
+        pumps, column = self.pumps, self.column
+        connection = self._connection
+        if (connection is not None
+                and pumps._parents.get(column) is connection.transport):
+            del pumps._parents[column]
+        if isinstance(error, CrcMismatchError):
+            self.stats.crc_failures += 1
+            if pumps.logger is not None:
+                pumps.logger.info(
+                    "column %d: corrupted frame from the parent (CRC "
+                    "mismatch), dropping connection", column)
+        if not self.done.done():
+            self.done.set_result(self.saw_traffic)
 
 
 class PumpSet:
@@ -361,7 +464,7 @@ class PumpSet:
     old pump, each child's attach → burst → reports → idle fills →
     detach conversation with the engine, and the node's
     ``sender_stats``.  Upstream, a peer hands it each connection it
-    dials to a parent (:meth:`consume`), so the engine's arrivals, the
+    dials to a parent (:meth:`upstream`), so the engine's arrivals, the
     fan-out they trigger and the reports the node owes its parents
     meet in one place.
 
@@ -424,53 +527,64 @@ class PumpSet:
         return tuple([
             key for key, pump in self._pumps.items() if not pump.closed])
 
-    async def serve(
-        self,
-        key: Hashable,
-        stream: MessageStream,
-        writer: ByteStreamWriter,
-        column: int,
-    ) -> None:
-        """Serve one child's data connection, its hello already read
-        off ``stream``, for as long as it lasts.
+    def _checked(self, message: object) -> tuple:
+        """A child's report as ``(base, extras)``; a
+        :class:`FramingError` for anything else, or a generation the
+        content does not have."""
+        if not isinstance(message, GenerationsComplete):
+            raise FramingError(
+                f"child sent {type(message).__name__} on a data connection")
+        count = self.engine.generation_count
+        highest = message.extras[-1] if message.extras else message.base - 1
+        if highest >= count:
+            raise FramingError(
+                f"report names generation {highest} of {count}")
+        return message.base, message.extras
+
+    def serve(self, key: Hashable, connection: Connection,
+              column: int) -> None:
+        """Take over one child's data connection, its hello just read.
 
         A column the session does not have (``0 <= column < k``), a
         child that dials before the engine exists, or a report behind
-        the hello that the session rejects is closed unattached.
-        Otherwise the engine hears ``ChildAttached`` with the set the
-        child dialed in with, a pump already serving ``key`` is closed
-        and replaced (the child redialed: its old connection is dead or
-        about to be), and the engine's answer goes on the new pump
-        first.  Each report the child sends becomes ``ChildCompleted``;
-        each keep-alive interval the pump sits idle becomes
-        ``IdlePoll``.  A child that closes its side, sends anything
-        :class:`ChildReports` rejects, or reports more often than an
-        honest child can, ends the pump — and if it was still the one
-        serving ``key``, the engine hears ``ChildDetached``.
+        the hello that the session rejects is closed unattached.  The
+        report buffered behind the hello — the one a child sends in its
+        hello's segment — is the set it dialed in with, else the empty
+        set ``(0, ())``: a child that has not said what it holds is
+        served as one that holds nothing.  The engine hears
+        ``ChildAttached`` with that set, a pump already serving ``key``
+        is closed and replaced (the child redialed: its old connection
+        is dead or about to be), and the engine's answer goes on the
+        new pump first.  From then on each report is ``ChildCompleted``
+        and each keep-alive interval the pump sits idle ``IdlePoll``;
+        when the connection ends, the pump does — and if it was still
+        the one serving ``key``, the engine hears ``ChildDetached``.
         """
         engine = self.engine
         if engine is None or not 0 <= column < self.k:
-            writer.close()
+            connection.close()
             return
-        reports = ChildReports(stream, engine.generation_count)
         try:
-            completed = reports.buffered()
+            message = connection.next_message()
+            completed = (0, ()) if message is None else self._checked(message)
         except FramingError:
-            writer.close()
+            connection.close()
             return
         # The engine first: it owns the fan-out order the new pump
         # joins, and its answer is the burst the pump starts with.
         burst = engine.handle(ChildAttached(key, completed))
-        old = self._pumps.get(key)
-        if old is not None:
-            old.close()
         pump = PacketSender(
-            writer, column=column, sender_id=self.origin,
+            connection.transport, column=column, sender_id=self.origin,
             idle_packet=partial(self._idle_packet, key), limit=self._limit,
             keepalive_interval=self._keepalive_interval, clock=self._clock,
             logger=self.logger,
         )
+        pump.connection = connection
+        connection.sender = pump
+        old = self._pumps.get(key)
         self._pumps[key] = pump
+        if old is not None:
+            old.close()
         self.stats.append(pump.stats)
         gauge = f"net.queue_depth.c{column}"
         if gauge not in self._registry:
@@ -481,62 +595,31 @@ class PumpSet:
                     if p.column == column
                 ),
             )
+        connection.handler = _Child(self, key, pump)
         for effect in burst:
             self.emit(effect)
-        listening = asyncio.ensure_future(self._listen(key, reports, pump))
-        try:
-            await pump.run()
-        finally:
-            listening.cancel()
-            # Fold the finished pump's counters into the retired total
-            # and drop its own entry: every sum over ``stats`` is
-            # unchanged.  By identity — SenderStats compares by value,
-            # and an idle pump equals another, or a fresh total.
-            self.stats[:] = [s for s in self.stats if s is not pump.stats]
-            total = self.stats[0]
-            for field in fields(SenderStats):
-                setattr(total, field.name, getattr(total, field.name)
-                        + getattr(pump.stats, field.name))
-            if self._pumps.get(key) is pump:
-                del self._pumps[key]
-                engine.handle(ChildDetached(key))
+
+    def _retire(self, key: Hashable, pump: PacketSender) -> None:
+        """A child connection ended: stop its pump, fold its counters
+        into the retired total and drop its own entry — every sum over
+        ``stats`` is unchanged — and, if it still served ``key``,
+        detach the key."""
+        pump.close()
+        # By identity — SenderStats compares by value, and an idle
+        # pump equals another, or a fresh total.
+        self.stats[:] = [s for s in self.stats if s is not pump.stats]
+        total = self.stats[0]
+        for field in fields(SenderStats):
+            setattr(total, field.name, getattr(total, field.name)
+                    + getattr(pump.stats, field.name))
+        if self._pumps.get(key) is pump:
+            del self._pumps[key]
+            self.engine.handle(ChildDetached(key))
 
     def _idle_packet(self, key: Hashable) -> Optional[CodedPacket]:
         """The engine's fill for ``key``'s idle link, if it has one."""
         effects = self.engine.handle(IdlePoll(key))
         return effects[0].packets[0] if effects else None
-
-    async def _listen(
-        self, key: Hashable, reports: ChildReports, pump: PacketSender,
-    ) -> None:
-        """Feed one child's reports to the engine until either side is
-        done with the connection; more than the allowance in the module
-        docstring is a flood."""
-        count = 0
-        try:
-            while True:
-                report = await reports.next()
-                if report is None:
-                    break
-                count += 1
-                allowed = (
-                    1 + reports.generation_count
-                    + pump.stats.enqueued // self.generation_size
-                )
-                if count > allowed:
-                    raise FramingError(
-                        f"{count} completed-set reports where an honest "
-                        f"child sends at most {allowed}")
-                self.engine.handle(ChildCompleted(key, *report))
-        except FramingError as error:
-            if self.logger is not None:
-                self.logger.info(
-                    "column %d: dropping child connection: %s",
-                    pump.column, error)
-        except (ConnectionError, OSError):
-            pass
-        finally:
-            pump.close()
 
     def emit(self, effect: EmitToChildren) -> None:
         """Put an engine's fresh mixtures on their children's pumps.
@@ -561,118 +644,23 @@ class PumpSet:
                 pump.enqueue_frame(frame)
 
     def close(self) -> None:
-        """Stop every pump; each leaves the set (and reports its
-        detach) at its next wakeup."""
-        for pump in self._pumps.values():
+        """Stop every pump: each closes its connection, leaves the set
+        and reports its detach."""
+        for pump in list(self._pumps.values()):
             pump.close()
 
-    async def consume(
+    def upstream(
         self,
         column: int,
-        reader: ByteStreamReader,
-        writer: ByteStreamWriter,
         silence_timeout: float,
         stats,
-        on_complete: Optional[Callable[[], None]] = None,
-    ) -> bool:
-        """Consume the connection this node dialed to ``column``'s
-        parent for as long as it lasts, and close it; True if a packet
-        or a keep-alive arrived (a healthy session).
-
-        Every packet is the engine's ``PacketArrived``: its
-        ``EmitToChildren`` goes to :meth:`emit`, its ``MarkComplete``
-        calls ``on_complete``, and the reports follow the child's half
-        of the module docstring's contract.  Silence runs between
-        complete messages, not bytes: one timer per connection, due
-        ``silence_timeout`` after the last complete message, closes the
-        connection under the read when it fires past that deadline (the
-        read then ends like a hang-up), else re-arms for the deadline
-        as it now stands (read once per fill, at its first complete
-        message).  ``stats`` (the node's ``PeerStats``) counts the
-        reads parked on, keep-alives heard and CRC failures.
-        """
-        engine, clock = self.engine, self._clock
-        silence: Optional[TimerHandle] = None
-        saw_traffic = False
-
-        def check_silence() -> None:
-            nonlocal silence
-            deadline = heard + silence_timeout
-            if clock.time() >= deadline:
-                writer.close()
-            else:
-                silence = clock.call_at(deadline, check_silence)
-
-        try:
-            # One write: the parent that parses the hello holds the set,
-            # so a re-clipped thread is never re-sent what it decoded.
-            report = self._report()
-            writer.write(encode_frame(KIND_CONTROL, encode_control(
-                DataHello(node_id=self.origin, column=column))) + report)
-            self.stats[0].bytes_sent += len(report)
-            await writer.drain()
-            self._parents[column] = writer
-            stream = MessageStream(reader)
-            heard = clock.time()
-            silence = clock.call_at(heard + silence_timeout, check_silence)
-            #: packets of generations already held, since the last
-            #: report this connection sent
-            stale = 0
-            #: a fill came in and no complete message has been popped
-            filled = False
-            while True:
-                message = stream.next_message()
-                if message is None:
-                    # Everything buffered is drained: report, then park
-                    # on the read.
-                    if self._report_due:
-                        self._report_due = False
-                        report = self._report()
-                        for parent in self._parents.values():
-                            self._report_to(parent, report)
-                        stale = 0
-                    elif stale >= self.generation_size:
-                        self._report_to(writer, self._report())
-                        stale = 0
-                    stats.upstream_fills += 1
-                    if not await stream.fill():
-                        break  # the parent closed, or fell silent
-                    filled = True
-                    continue
-                if filled:
-                    heard = clock.time()
-                    filled = False
-                if isinstance(message, CodedPacket):
-                    saw_traffic = True
-                    effects = engine.handle(_new(PacketArrived, (message, 0.0)))
-                    for effect in effects:
-                        if isinstance(effect, EmitToChildren):
-                            self.emit(effect)
-                        elif isinstance(effect, GenerationComplete):
-                            self._report_due = True
-                        elif isinstance(effect, MarkComplete) and on_complete:
-                            on_complete()
-                    if not effects[0].innovative and engine.finished(
-                            message.generation):
-                        stale += 1
-                elif isinstance(message, KeepAlive):
-                    saw_traffic = True
-                    stats.keepalives_seen += 1
-        except CrcMismatchError:
-            stats.crc_failures += 1
-            if self.logger is not None:
-                self.logger.info(
-                    "column %d: corrupted frame from the parent (CRC "
-                    "mismatch), dropping connection", column)
-        except (ConnectionError, OSError, FramingError):
-            pass
-        finally:
-            if silence is not None:
-                silence.cancel()
-            if self._parents.get(column) is writer:
-                del self._parents[column]
-            writer.close()
-        return saw_traffic
+        on_complete: Optional[Callable[[], None]],
+    ) -> Connection:
+        """The connection to dial to ``column``'s parent (see
+        :class:`_Upstream`); its handler's ``done`` says when it ended
+        and whether it was a healthy session."""
+        return Connection(_Upstream(
+            self, column, silence_timeout, stats, on_complete))
 
     def _report(self) -> bytes:
         """This node's completed-generation set as a framed record."""
@@ -680,8 +668,5 @@ class PumpSet:
             *self.engine.completed_generations)))
 
     def _report_to(self, writer: ByteStreamWriter, frame: bytes) -> None:
-        try:
-            writer.write(frame)
-        except (ConnectionError, OSError):
-            return
+        writer.write(frame)
         self.stats[0].bytes_sent += len(frame)

@@ -267,15 +267,11 @@ class ChaosHarness:
         return added
 
     async def teardown(self) -> None:
-        try:
-            if self.server is not None:
-                await self._drive(self.server.stop(), timeout=30.0)
-            for index, peer in enumerate(self.peers):
-                if index not in self.killed:
-                    await self._drive(peer.close(), timeout=30.0)
-        finally:
-            if self.net is not None:
-                await self.net.shutdown()
+        if self.server is not None:
+            await self._drive(self.server.stop(), timeout=30.0)
+        for index, peer in enumerate(self.peers):
+            if index not in self.killed:
+                await self._drive(peer.close(), timeout=30.0)
 
     # -- time ----------------------------------------------------------
 

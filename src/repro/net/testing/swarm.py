@@ -186,21 +186,17 @@ class SwarmHarness(ChaosHarness):
         that ordering is part of the pinned traces, but here it would
         cost more wall time than the round itself.
         """
-        try:
-            if self.server is not None:
-                await self._drive(self.server.stop(), timeout=30.0)
-            open_peers = [
-                peer for index, peer in enumerate(self.peers)
-                if index not in self.killed
-            ]
-            if open_peers:
-                await self._drive(
-                    asyncio.gather(*(peer.close() for peer in open_peers)),
-                    timeout=60.0,
-                )
-        finally:
-            if self.net is not None:
-                await self.net.shutdown()
+        if self.server is not None:
+            await self._drive(self.server.stop(), timeout=30.0)
+        open_peers = [
+            peer for index, peer in enumerate(self.peers)
+            if index not in self.killed
+        ]
+        if open_peers:
+            await self._drive(
+                asyncio.gather(*(peer.close() for peer in open_peers)),
+                timeout=60.0,
+            )
 
     def repaired(self) -> bool:
         """True once every crash has been detected and spliced out."""

@@ -16,8 +16,10 @@ host names) carries a scripted :class:`LinkFaults`:
 * ``reorder`` — per-segment probability of swapping with the next
   queued segment;
 * ``bandwidth`` / ``buffer_bytes`` — delivery rate cap and the
-  receive-window bound ``drain()`` blocks on, which is how a slow
-  reader pushes backpressure into the sender's drop-oldest queue;
+  receive-window bound: past it the writer's protocol hears
+  ``pause_writing``, and ``resume_writing`` once the link has carried
+  the excess — which is how a slow reader pushes backpressure into the
+  sender's drop-oldest queue;
 * ``partitioned`` — both data and new connects blackholed until
   :meth:`VirtualNetwork.heal`;
 * ``blackhole`` — one direction silently swallowed (a half-open
@@ -30,13 +32,18 @@ timer firings — so a scenario replayed with the same seed produces an
 identical :attr:`VirtualNetwork.trace`, event for event.  No socket is
 ever opened.
 
-Delivery.  A segment written to a link with nothing scripted on it
-(:meth:`LinkFaults.is_clean`) and nothing queued ahead of it is appended
-straight to the reader's buffer — no copy, no task wakeup — and a
-``writelines`` flush lands as one append.  A pipe gets a pump task only
-the first time a segment actually needs delay, loss or throttling; from
-then on segments queue behind the pump in order, one per frame, so
-scripting a fault mid-connection never reorders bytes.  A
+Delivery.  Every connection end is an asyncio-shaped transport, and
+the receiving side is the protocol object the dial's or the listener's
+factory made: bytes reach it only through ``data_received``, called
+from the event loop — one ``call_soon`` per pending delivery, which
+hands over everything landed by then — and never inside the writer's
+own call, so a reply written from a handler cannot re-enter the engine
+that is still handling.  A segment written to a link with nothing
+scripted on it (:meth:`LinkFaults.is_clean`) and nothing queued ahead
+of it lands at once, and a ``writelines`` flush lands as one append.
+Otherwise segments queue, one per frame, behind the pipe's fault pump —
+a chain of ``call_soon``/``clock.call_at`` callbacks, no task — in
+order, so scripting a fault mid-connection never reorders bytes.  A
 :class:`VirtualClock` built with a non-zero ``quantum`` additionally
 fires every timer due within one quantum together and settles the loop
 once per batch — what lets ten thousand peers share one heap.
@@ -51,7 +58,7 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from ..transport import Clock, ConnectionHandler
+from ..transport import Clock, ProtocolFactory
 
 __all__ = [
     "LinkFaults",
@@ -237,84 +244,97 @@ class LinkFaults:
         )
 
 
-def _release(waiter: Optional[asyncio.Future]) -> None:
-    """Wake a parked waiter, unless it is gone or was cancelled."""
-    if waiter is not None and not waiter.done():
-        waiter.set_result(None)
-
-
 class _Pipe:
-    """One direction of a virtual connection.
+    """One direction of a virtual connection, and the transport its
+    writer holds (duck-typed like an asyncio transport).
 
-    On a clean link with nothing queued, ``feed`` appends straight to
-    the readable buffer.  Otherwise it queues segments, and a single
-    pump task per pipe (created on first need) applies the link's
-    faults to each segment in order and appends survivors to the
-    buffer.  ``drain`` blocks while more than ``buffer_bytes`` are
-    queued-but-undelivered — the backpressure a slow or throttled
-    receiver exerts on the sender.
+    ``protocol`` writes here; ``reverse`` is the other direction, whose
+    writer's protocol reads what crosses this one.  Bytes that have
+    crossed the link wait in ``buffer`` (and an EOF in ``eof``) for the
+    one delivery callback on the loop.  On a clean link with nothing
+    queued a flush lands at once; otherwise segments queue, and the
+    fault pump applies the link's faults to each in order.  While more
+    than ``buffer_bytes`` are queued but not yet carried, the writer's
+    protocol is paused — the backpressure a slow or throttled receiver
+    exerts on the sender.
 
-    A parked reader, a parked pump and each blocked drain wait on a
-    bare future that exists only while they are parked, so an idle pipe
-    holds no waiter state.
+    ``close`` closes the *connection*, matching socket semantics: this
+    direction flushes then EOFs, the reverse one is reset, so the other
+    end's next write ends its side with :class:`ConnectionResetError`.
+    The closing protocol hears ``connection_lost`` on the loop.
     """
 
     __slots__ = (
-        "net", "src", "dst", "buffer", "eof", "closed", "broken",
-        "in_flight", "_segments", "_reader", "_writable", "_drainers",
-        "_work", "_pump_task",
+        "net", "src", "dst", "loop", "protocol", "reverse", "peername",
+        "buffer", "eof", "closed", "broken", "in_flight", "paused",
+        "_segments", "_due", "_pumping", "_held",
     )
 
     _EOF = object()
 
-    def __init__(self, net: "VirtualNetwork", src: str, dst: str) -> None:
+    def __init__(self, net: "VirtualNetwork", src: str, dst: str,
+                 loop: asyncio.AbstractEventLoop, protocol: asyncio.Protocol,
+                 peername: tuple[str, int]) -> None:
         self.net = net
         self.src = src
         self.dst = dst
+        self.loop = loop
+        self.protocol = protocol
+        self.reverse: Optional[_Pipe] = None
+        self.peername = peername
         self.buffer = bytearray()
         self.eof = False
-        self.closed = False  # write side closed (flushes, then EOF)
-        self.broken = False  # hard reset: drain raises, pump stops
+        self.closed = False  # the writer closed: flushes, then EOF
+        self.broken = False  # the reading end closed: writes reset
         self.in_flight = 0
+        self.paused = False  # the writer's protocol was told to pause
         self._segments: list = []
-        #: The parked read's future (one reader per pipe, as a socket's
-        #: stream reader allows).
-        self._reader: Optional[asyncio.Future] = None
-        #: False while more than the link's window is in flight.
-        self._writable = True
-        #: Futures of the drains blocked on the window; None when none is.
-        self._drainers: Optional[list[asyncio.Future]] = None
-        #: The parked pump's future.
-        self._work: Optional[asyncio.Future] = None
-        # No pump task until a segment actually needs the fault
-        # pipeline — clean links deliver synchronously in feed().
-        self._pump_task: Optional[asyncio.Task] = None
+        #: A delivery is on the loop's ready queue.
+        self._due = False
+        #: The fault pump is running (a callback is due).
+        self._pumping = False
+        #: The segment the pump is delaying, until its timer fires.
+        self._held: Optional[bytes] = None
 
-    def _ensure_pump(self) -> None:
-        if self._pump_task is None:
-            self._pump_task = asyncio.ensure_future(self._pump())
-            self.net._track(self._pump_task)
+    # -- the writer's transport ----------------------------------------
 
-    def _wake_reader(self) -> None:
-        reader, self._reader = self._reader, None
-        _release(reader)
+    def write(self, data: bytes) -> None:
+        self._feed((data,))
 
-    def _wake_pump(self) -> None:
-        work, self._work = self._work, None
-        _release(work)
+    def writelines(self, frames) -> None:
+        self._feed(frames)
 
-    def _set_writable(self) -> None:
-        self._writable = True
-        drainers, self._drainers = self._drainers, None
-        if drainers is not None:
-            for drainer in drainers:
-                _release(drainer)
+    def close(self) -> None:
+        if self.closed:
+            return
+        self.closed = True
+        self.reverse.broken = True
+        if self.in_flight == 0 and not self._segments:
+            # Nothing queued ahead, and EOF takes no latency.
+            self._deliver_eof()
+        else:
+            self._segments.append(self._EOF)
+            self._start_pump()
+        self.loop.call_soon(self.protocol.connection_lost, None)
 
-    # -- writer side ---------------------------------------------------
+    def get_extra_info(self, name: str, default: Any = None) -> Any:
+        if name == "peername":
+            return self.peername
+        return default
 
-    def feed(self, frames) -> None:
+    def _abort(self, error: BaseException) -> None:
+        """The other end reset the connection under a write."""
+        if not self.closed:
+            self.closed = True
+            self.loop.call_soon(self.protocol.connection_lost, error)
+
+    def _feed(self, frames) -> None:
         """Accept one flush: a list of frames written together."""
-        if self.closed or self.broken:
+        if self.closed:
+            return
+        if self.broken:
+            self._abort(ConnectionResetError(
+                f"virtual pipe {self.src}->{self.dst} reset"))
             return
         net = self.net
         # The link lookup is VirtualNetwork.faults, inline: keep both alike.
@@ -324,14 +344,13 @@ class _Pipe:
             and net._links.get((self.src, self.dst), net._default).is_clean()
         ):
             # Nothing queued ahead, nothing scripted on the link: the
-            # whole flush lands in the reader's buffer as one append,
-            # with no pump wakeup (and the reader woken inline).
+            # whole flush lands as one append.
             data = b"".join(frames)
             if data:
                 self.buffer += data
-                reader, self._reader = self._reader, None  # _wake_reader
-                if reader is not None and not reader.done():
-                    reader.set_result(None)
+                if not self._due:
+                    self._due = True
+                    self.loop.call_soon(self._deliver)
                 if net.record_trace:
                     net.record("deliver", self.src, self.dst, len(data))
             return
@@ -342,109 +361,53 @@ class _Pipe:
             return
         self.in_flight += sum(map(len, segments))
         self._segments.extend(segments)
-        self._ensure_pump()
-        self._wake_pump()
-        if self.in_flight > self.net.faults(self.src, self.dst).buffer_bytes:
-            self._writable = False
+        self._start_pump()
+        if (not self.paused and self.in_flight
+                > net.faults(self.src, self.dst).buffer_bytes):
+            self.paused = True
+            self.protocol.pause_writing()
 
-    async def drained(self) -> None:
-        while not self._writable:
-            if self.broken:
-                raise ConnectionResetError(f"virtual pipe {self.src}->{self.dst} reset")
-            drainer = asyncio.get_running_loop().create_future()
-            if self._drainers is None:
-                self._drainers = []
-            self._drainers.append(drainer)
-            await drainer
-        if self.broken:
-            raise ConnectionResetError(f"virtual pipe {self.src}->{self.dst} reset")
+    # -- the link ------------------------------------------------------
 
-    def close(self) -> None:
-        """Flush pending segments, then deliver EOF."""
-        if self.closed:
-            return
-        self.closed = True
-        if self.in_flight == 0 and not self._segments:
-            # Nothing queued ahead, and EOF takes no latency.
-            self._deliver_eof()
-            return
-        self._segments.append(self._EOF)
-        self._ensure_pump()
-        self._wake_pump()
+    def _start_pump(self) -> None:
+        if not self._pumping:
+            self._pumping = True
+            self.loop.call_soon(self._pump)
 
-    def _deliver_eof(self) -> None:
-        if self.net.faults(self.src, self.dst).delivers():
-            self.eof = True
-            self._wake_reader()
-            self.net.record("eof", self.src, self.dst)
-        else:
-            self.net.record("void-eof", self.src, self.dst)
-
-    def break_(self) -> None:
-        """Hard reset (the other endpoint closed the connection): the
-        writer's next drain raises, any parked reader sees EOF."""
-        self.broken = True
-        self.eof = True
-        self._wake_pump()
-        self._set_writable()
-        self._wake_reader()
-
-    # -- reader side ---------------------------------------------------
-
-    async def read(self, n: int) -> bytearray:
-        """Up to ``n`` buffered bytes, parking while there are none;
-        empty at EOF.  This is the reader endpoint's ``read`` itself.
-        Unlike a socket's, it returns a ``bytearray``: a buffer that
-        fits is handed over whole, uncopied, and the pipe starts a new
-        one."""
-        while not self.buffer and not self.eof:
-            if self._reader is not None and not self._reader.done():
-                raise RuntimeError(
-                    f"virtual pipe {self.src}->{self.dst}: read() called "
-                    "while another read is parked")
-            self._reader = asyncio.get_running_loop().create_future()
-            await self._reader
-        data = self.buffer
-        if len(data) <= n:
-            self.buffer = bytearray()
-            return data
-        data = bytes(data[:n])
-        del self.buffer[:n]
-        return data
-
-    # -- delivery ------------------------------------------------------
-
-    async def _pump(self) -> None:
+    def _pump(self) -> None:
+        """Carry queued segments across the link in order: the one a
+        timer was delaying, then each next one — at once if the link
+        adds no delay, else on a timer that calls back here."""
         net, clock, rng = self.net, self.net.clock, self.net._rng
-        try:
-            while not self.broken:
-                while not self._segments:
-                    self._work = asyncio.get_running_loop().create_future()
-                    await self._work
-                    if self.broken:
-                        return
-                segment = self._segments.pop(0)
-                if segment is self._EOF:
-                    self._deliver_eof()
-                    return
-                faults = net.faults(self.src, self.dst)
-                delay = faults.latency
-                if faults.jitter:
-                    delay += rng.uniform(0.0, faults.jitter)
-                if faults.bandwidth:
-                    delay += len(segment) / faults.bandwidth
-                if delay > 0:
-                    await clock.sleep(delay)
-                self._deliver(segment, rng)
-        except asyncio.CancelledError:
-            pass
+        held, self._held = self._held, None
+        if held is not None and not self.broken:
+            self._land(held, rng)
+        while self._segments and not self.broken:
+            segment = self._segments.pop(0)
+            if segment is self._EOF:
+                self._deliver_eof()
+                break
+            faults = net.faults(self.src, self.dst)
+            delay = faults.latency
+            if faults.jitter:
+                delay += rng.uniform(0.0, faults.jitter)
+            if faults.bandwidth:
+                delay += len(segment) / faults.bandwidth
+            if delay > 0:
+                self._held = segment
+                clock.call_at(clock.time() + delay, self._pump)
+                return
+            self._land(segment, rng)
+        self._pumping = False
 
-    def _deliver(self, segment: bytes, rng: random.Random) -> None:
+    def _land(self, segment: bytes, rng: random.Random) -> None:
         net = self.net
         self.in_flight -= len(segment)
         faults = net.faults(self.src, self.dst)  # re-read: may have changed mid-flight
-        if self.in_flight <= faults.buffer_bytes:
-            self._set_writable()
+        if self.paused and self.in_flight <= faults.buffer_bytes:
+            self.paused = False
+            if not self.closed:
+                self.protocol.resume_writing()
         if not faults.delivers():
             net.record("void", self.src, self.dst, len(segment))
             return
@@ -465,101 +428,60 @@ class _Pipe:
                        + segment[index + 1:])
             net.record("corrupt", self.src, self.dst, index)
         self.buffer.extend(segment)
-        self._wake_reader()
+        if not self._due:
+            self._due = True
+            self.loop.call_soon(self._deliver)
         net.record("deliver", self.src, self.dst, len(segment))
 
+    def _deliver_eof(self) -> None:
+        if self.net.faults(self.src, self.dst).delivers():
+            self.eof = True
+            if not self._due:
+                self._due = True
+                self.loop.call_soon(self._deliver)
+            self.net.record("eof", self.src, self.dst)
+        else:
+            self.net.record("void-eof", self.src, self.dst)
 
-class _VirtualReader:
-    """Reader endpoint of a pipe (the ``ByteStreamReader`` seam): its
-    ``read`` is the pipe's own, so a parked read is one frame deep."""
-
-    __slots__ = ("read",)
-
-    def __init__(self, pipe: _Pipe) -> None:
-        self.read = pipe.read
-
-
-class _VirtualWriter:
-    """Writer endpoint of a connection (duck-typed like StreamWriter).
-
-    ``close`` closes the *connection*, matching socket semantics: our
-    direction flushes then EOFs, the reverse direction is reset so the
-    peer's next ``drain`` raises :class:`ConnectionResetError`.
-    """
-
-    __slots__ = ("_out", "_back", "_peername")
-
-    def __init__(self, out: _Pipe, back: _Pipe, peername: tuple[str, int]) -> None:
-        self._out = out
-        self._back = back
-        self._peername = peername
-
-    def write(self, data: bytes) -> None:
-        self._out.feed((data,))
-
-    def writelines(self, frames) -> None:
-        self._out.feed(frames)
-
-    async def drain(self) -> None:
-        await self._out.drained()
-
-    def close(self) -> None:
-        self._out.close()
-        self._back.break_()
-
-    async def wait_closed(self) -> None:
-        return None
-
-    def get_extra_info(self, name: str, default: Any = None) -> Any:
-        if name == "peername":
-            return self._peername
-        return default
+    def _deliver(self) -> None:
+        """Hand the reading protocol everything landed (uncopied: the
+        pipe starts a new buffer), then the EOF if it has come."""
+        self._due = False
+        reader = self.reverse
+        if reader.closed:
+            self.buffer = bytearray()
+            return
+        if self.buffer:
+            data, self.buffer = self.buffer, bytearray()
+            reader.protocol.data_received(data)
+        if self.eof and not reader.closed:
+            self.eof = False
+            if not reader.protocol.eof_received():
+                reader.close()
 
 
 class _VirtualListener:
     """A bound (host, port) accepting virtual connections."""
 
     def __init__(self, net: "VirtualNetwork", host: str, port: int,
-                 handler: ConnectionHandler) -> None:
+                 factory: ProtocolFactory) -> None:
         self.net = net
         self.host = host
         self.port = port
-        self.handler = handler
+        self.factory = factory
         self.closed = False
-        #: What ``serve_forever`` waits on: made by the first wait,
-        #: shared by every later one, resolved by ``close``.
-        self._serving: Optional[asyncio.Future] = None
 
     @property
     def address(self) -> tuple[str, int]:
         return (self.host, self.port)
 
-    def dispatch(self, reader: _VirtualReader, writer: _VirtualWriter) -> None:
-        task = asyncio.ensure_future(self.handler(reader, writer))
-        self.net._track(task)
-
     def close(self) -> None:
         if not self.closed:
             self.closed = True
-            _release(self._serving)
             self.net._listeners.pop((self.host, self.port), None)
 
     async def wait_closed(self) -> None:
         return None
-
-    async def serve_forever(self) -> None:
-        task = asyncio.current_task()
-        while not self.closed:
-            if self._serving is None or self._serving.cancelled():
-                self._serving = asyncio.get_running_loop().create_future()
-            try:
-                await self._serving
-            except asyncio.CancelledError:
-                # Cancelling one waiter cancels the shared future; the
-                # others wait on afresh.  (Before 3.11 a task cannot
-                # tell, and every waiter ends.)
-                if getattr(task, "cancelling", lambda: 1)():
-                    raise
 
 
 # ----------------------------------------------------------------------
@@ -589,7 +511,6 @@ class VirtualNetwork:
         #: marching past 65535 (a 10k-peer swarm burns through the
         #: 49152+ range in one join wave).
         self._ports = itertools.count(49152)
-        self._tasks: set[asyncio.Task] = set()
         #: Trace recording toggle — a 10k-peer round generates millions
         #: of deliver events; soak runs switch the trace off.
         self.record_trace = record_trace
@@ -598,10 +519,6 @@ class VirtualNetwork:
 
     # -- bookkeeping ---------------------------------------------------
 
-    def _track(self, task: asyncio.Task) -> None:
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-
     def record(self, kind: str, *details) -> None:
         if self.record_trace:
             self.trace.append((round(self.clock.time(), 9), kind, *details))
@@ -609,13 +526,6 @@ class VirtualNetwork:
     def events(self, *kinds: str) -> list[tuple]:
         """Trace entries filtered by event kind."""
         return [entry for entry in self.trace if entry[1] in kinds]
-
-    async def shutdown(self) -> None:
-        """Cancel every pump and handler task still alive."""
-        for task in list(self._tasks):
-            task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
 
     # -- faults --------------------------------------------------------
 
@@ -671,22 +581,26 @@ class VirtualNetwork:
             if host is None or (host, port) not in self._listeners:
                 return port
 
-    def bind(self, host: str, port: int, handler: ConnectionHandler) -> _VirtualListener:
+    def bind(self, host: str, port: int,
+             factory: ProtocolFactory) -> _VirtualListener:
         if port == 0:
             port = self._next_port(host)
         key = (host, port)
         if key in self._listeners:
             raise OSError(f"virtual address {host}:{port} already in use")
-        listener = _VirtualListener(self, host, port, handler)
+        listener = _VirtualListener(self, host, port, factory)
         self._listeners[key] = listener
         self.record("bind", host, port)
         return listener
 
     async def open_connection(
-        self, src: str, dst: str, port: int
-    ) -> tuple[_VirtualReader, _VirtualWriter]:
+        self, src: str, dst: str, port: int, factory: ProtocolFactory
+    ) -> asyncio.Protocol:
         """Dial ``dst:port`` from ``src`` — SYN latency, then either a
-        refusal or a fresh pipe pair handed to the listener's handler."""
+        refusal or a fresh pipe pair between the protocol ``factory``
+        makes and the one the listener's makes.  The dialler's
+        ``connection_made`` has run when this returns; the listener's
+        runs on the loop, ahead of any delivery to it."""
         faults = self.faults(src, dst)
         delay = faults.latency + (self._rng.uniform(0.0, faults.jitter)
                                   if faults.jitter else 0.0)
@@ -698,14 +612,15 @@ class VirtualNetwork:
                 or self.faults(dst, src).partitioned):
             self.record("refused", src, dst, port)
             raise ConnectionRefusedError(f"virtual connect {src}->{dst}:{port}")
-        out = _Pipe(self, src, dst)
-        back = _Pipe(self, dst, src)
-        src_port = self._next_port()
-        client_writer = _VirtualWriter(out, back, peername=(dst, port))
-        server_writer = _VirtualWriter(back, out, peername=(src, src_port))
+        loop = asyncio.get_running_loop()
+        out = _Pipe(self, src, dst, loop, factory(), (dst, port))
+        back = _Pipe(self, dst, src, loop, listener.factory(),
+                     (src, self._next_port()))
+        out.reverse, back.reverse = back, out
         self.record("connect", src, dst, port)
-        listener.dispatch(_VirtualReader(out), server_writer)
-        return _VirtualReader(back), client_writer
+        loop.call_soon(back.protocol.connection_made, back)
+        out.protocol.connection_made(out)
+        return out.protocol
 
 
 class VirtualTransport:
@@ -722,9 +637,10 @@ class VirtualTransport:
         self.host = host
         self.clock: Clock = net.clock
 
-    async def connect(self, host: str, port: int):
-        return await self.net.open_connection(self.host, host, port)
+    async def connect(self, factory: ProtocolFactory, host: str,
+                      port: int) -> asyncio.Protocol:
+        return await self.net.open_connection(self.host, host, port, factory)
 
-    async def start_server(self, handler: ConnectionHandler,
+    async def start_server(self, factory: ProtocolFactory,
                            host: str, port: int) -> _VirtualListener:
-        return self.net.bind(self.host, port, handler)
+        return self.net.bind(self.host, port, factory)

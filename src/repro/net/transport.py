@@ -1,79 +1,62 @@
 """The transport seam: how nodes reach the network and the clock.
 
 Everything in :mod:`repro.net` that touches a socket or the passage of
-time does so through three small protocols defined here:
+time does so through the small protocols defined here:
 
 * :class:`Clock` — ``time``/``sleep``, one timer primitive
   (``call_at``), plus ``advance`` (a driver-side hook that real clocks
   implement as a plain sleep);
 * :class:`Listener` — the accepting side of a bound endpoint;
-* :class:`Transport` — dial + bind, returning stream reader/writer
-  pairs shaped like asyncio's.
+* :class:`Transport` — dial + bind, each handed a *protocol factory*
+  the way asyncio's ``create_connection``/``create_server`` are.
 
-:class:`ServerNode`, :class:`PeerNode` and the outbound pumps in
-:mod:`repro.net.streams` are written against these protocols only.  The
-default implementations (:class:`AsyncioClock`, :class:`AsyncioTransport`)
-delegate straight to asyncio TCP, so production behaviour is unchanged;
-:mod:`repro.net.testing` swaps in a virtual clock and an in-memory
-network to run the same protocol code deterministically, with scripted
-per-link faults, in milliseconds.
+A connection is callbacks, not a coroutine: the transport calls the
+:class:`asyncio.Protocol`-shaped object the factory made —
+``connection_made`` with the connection's write side
+(``ByteStreamWriter``), ``data_received`` with every
+segment as it lands, ``eof_received``/``connection_lost`` when it ends,
+and ``pause_writing``/``resume_writing`` when the bytes written but not
+yet sent cross the transport's high-water mark and fall back below it.
+That flow-control pair is what a stream writer's ``drain`` used to
+await; nothing awaits it now, an outbound pump just stops flushing
+while it is paused (:mod:`repro.net.streams`).  No read is ever parked
+on, so an idle connection holds no task.
 
-The reader/writer duck types (:class:`ByteStreamReader`,
-:class:`ByteStreamWriter`) capture the *only* stream surface the
-protocol code relies on — ``read`` on the way in; ``write``,
-``writelines``, ``drain``, ``close`` and ``get_extra_info`` on the way
-out — so an in-memory pipe can stand in for a socket without
-monkeypatching.
+:class:`ServerNode`, :class:`PeerNode` and :mod:`repro.net.streams` are
+written against these protocols only.  The default implementations
+(:class:`AsyncioClock`, :class:`AsyncioTransport`) delegate straight to
+asyncio's TCP transports; :mod:`repro.net.testing` swaps in a virtual
+clock and an in-memory network to run the same protocol code
+deterministically, with scripted per-link faults, in milliseconds.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Iterable, Protocol, runtime_checkable
+from typing import Any, Callable, Protocol
 
 __all__ = [
     "AsyncioClock",
     "AsyncioListener",
     "AsyncioTransport",
-    "ByteStreamReader",
     "ByteStreamWriter",
     "Clock",
-    "ConnectionHandler",
     "Listener",
+    "ProtocolFactory",
     "TimerHandle",
     "Transport",
 ]
 
 
-@runtime_checkable
-class ByteStreamReader(Protocol):
-    """The read surface the framing layer needs from a connection."""
+#: What a connection's protocol is handed in ``connection_made``: the
+#: write side of an asyncio transport — ``write``, ``writelines``,
+#: ``close``, ``get_extra_info`` are all the nodes use, and all the
+#: virtual network's pipes implement.
+ByteStreamWriter = asyncio.WriteTransport
 
-    async def read(self, n: int) -> bytes:
-        """Return between 1 and ``n`` bytes as soon as any are
-        available; ``b""`` once the stream has ended."""
-        ...
-
-
-@runtime_checkable
-class ByteStreamWriter(Protocol):
-    """The write surface the protocol nodes need from a connection."""
-
-    def write(self, data: bytes) -> None: ...
-
-    def writelines(self, data: Iterable[bytes]) -> None: ...
-
-    async def drain(self) -> None: ...
-
-    def close(self) -> None: ...
-
-    def get_extra_info(self, name: str) -> Any: ...
-
-
-#: Signature of a connection handler passed to ``Transport.start_server``.
-ConnectionHandler = Callable[
-    [ByteStreamReader, ByteStreamWriter], Awaitable[None]
-]
+#: Makes the protocol object of one new connection: anything with
+#: :class:`asyncio.Protocol`'s callbacks.
+ProtocolFactory = Callable[[], asyncio.Protocol]
 
 
 class TimerHandle(Protocol):
@@ -91,11 +74,11 @@ class Clock(Protocol):
     and backoff sleep, and every bound on a connection — upstream
     silence, the keep-alive idle, the first frame, a probe — is a
     deadline, one ``call_at`` per connection that checks its deadline
-    when it fires and re-arms itself if the deadline has moved on.  No
-    read or park is ever wrapped in a per-call timeout.  ``advance`` is
-    the *driver-side* hook harnesses use to let a span of time pass — a
-    real clock simply sleeps, a virtual clock fires every timer due in
-    the span and settles the event loop between firings.
+    when it fires and re-arms itself if the deadline has moved on.
+    ``advance`` is the *driver-side* hook harnesses use to let a span
+    of time pass — a real clock simply sleeps, a virtual clock fires
+    every timer due in the span and settles the event loop between
+    firings.
     """
 
     def time(self) -> float: ...
@@ -120,8 +103,6 @@ class Listener(Protocol):
 
     async def wait_closed(self) -> None: ...
 
-    async def serve_forever(self) -> None: ...
-
 
 class Transport(Protocol):
     """How a node dials out and binds in.  Carries its own clock so one
@@ -130,11 +111,14 @@ class Transport(Protocol):
     clock: Clock
 
     async def connect(
-        self, host: str, port: int
-    ) -> tuple[ByteStreamReader, ByteStreamWriter]: ...
+        self, factory: ProtocolFactory, host: str, port: int
+    ) -> asyncio.Protocol:
+        """Dial ``host:port``; the protocol ``factory`` made, once its
+        ``connection_made`` has run."""
+        ...
 
     async def start_server(
-        self, handler: ConnectionHandler, host: str, port: int
+        self, factory: ProtocolFactory, host: str, port: int
     ) -> Listener: ...
 
 
@@ -160,7 +144,8 @@ class AsyncioClock:
 
 class AsyncioListener:
     """Thin adapter giving :class:`asyncio.AbstractServer` the
-    :class:`Listener` surface."""
+    :class:`Listener` surface (plus ``serve_forever``, which only the
+    ``repro serve`` command blocks on)."""
 
     def __init__(self, server: asyncio.AbstractServer) -> None:
         self._server = server
@@ -180,18 +165,20 @@ class AsyncioListener:
 
 
 class AsyncioTransport:
-    """The production transport: asyncio TCP streams."""
+    """The production transport: asyncio TCP transports and protocols."""
 
     def __init__(self) -> None:
         self.clock: Clock = AsyncioClock()
 
     async def connect(
-        self, host: str, port: int
-    ) -> tuple[ByteStreamReader, ByteStreamWriter]:
-        return await asyncio.open_connection(host, port)
+        self, factory: ProtocolFactory, host: str, port: int
+    ) -> asyncio.Protocol:
+        loop = asyncio.get_running_loop()
+        _, protocol = await loop.create_connection(factory, host, port)
+        return protocol
 
     async def start_server(
-        self, handler: ConnectionHandler, host: str, port: int
+        self, factory: ProtocolFactory, host: str, port: int
     ) -> Listener:
-        server = await asyncio.start_server(handler, host, port)
-        return AsyncioListener(server)
+        loop = asyncio.get_running_loop()
+        return AsyncioListener(await loop.create_server(factory, host, port))

@@ -200,8 +200,9 @@ def test_no_socket_is_ever_opened(monkeypatch):
     async def _bomb(*args, **kwargs):
         raise AssertionError("chaos scenario opened a real connection")
 
-    monkeypatch.setattr(asyncio, "open_connection", _bomb)
-    monkeypatch.setattr(asyncio, "start_server", _bomb)
+    loop = asyncio.base_events.BaseEventLoop
+    monkeypatch.setattr(loop, "create_connection", _bomb)
+    monkeypatch.setattr(loop, "create_server", _bomb)
     monkeypatch.setattr(
         socket.socket, "connect",
         lambda *a, **k: (_ for _ in ()).throw(
@@ -315,7 +316,6 @@ class TestPeerStartFailure:
             with pytest.raises(ConnectionRefusedError):
                 await peer.start()
             bound = self._bound(net, "peer0")
-            await net.shutdown()
             return peer, bound
 
         peer, bound = asyncio.run(scenario())
@@ -326,17 +326,16 @@ class TestPeerStartFailure:
         import asyncio
 
         from repro.coding.generation import GenerationParams
-        from repro.net import MessageStream, PeerNode, ServerNode
+        from repro.net import PeerNode, ServerNode
         from repro.net.testing import VirtualNetwork
+
+        from tests.netkit import listen
 
         async def scenario():
             net = VirtualNetwork()
-
-            async def slam(reader, writer):
-                await MessageStream(reader).next()  # the JoinRequest
-                writer.close()
-
-            flaky = net.bind("server", self.PORT, slam)
+            # The JoinRequest is answered with a hang-up.
+            flaky = listen(net, "server", self.PORT,
+                           lambda inbox, request: inbox.close())
             peer = PeerNode("server", self.PORT, transport=net.transport("peer0"))
             with pytest.raises(ConnectionError, match="during admission"):
                 await peer.start()
@@ -353,7 +352,6 @@ class TestPeerStartFailure:
             joined = peer.node_id
             await server.stop()
             await peer.close()
-            await net.shutdown()
             return after_failure, after_retry, joined
 
         after_failure, after_retry, joined = asyncio.run(scenario())

@@ -13,15 +13,17 @@ from repro.net.control import DataHello, encode_control
 from repro.net.framing import (
     KIND_CONTROL,
     KIND_DATA,
+    Connection,
     CrcMismatchError,
     FrameBuffer,
     FramingError,
-    MessageStream,
     encode_data_frame,
     encode_frame,
 )
 from repro.net.streams import PacketSender, PumpSet
 from repro.protocol.messages import KeepAlive, SetParent
+
+from tests.netkit import CollectingWriter, Inbox, listen
 
 
 def _drain(buffer: FrameBuffer) -> list:
@@ -172,57 +174,52 @@ def _overlong_frame(followed: bool) -> bytes:
     return data
 
 
-def _stream(data: bytes) -> MessageStream:
-    """A MessageStream over a real StreamReader holding ``data`` + EOF."""
-    reader = asyncio.StreamReader()
-    reader.feed_data(data)
-    reader.feed_eof()
-    return MessageStream(reader)
-
-
-async def _first(data: bytes):
-    return await _stream(data).next()
+def _read(data: bytes):
+    """A :class:`Connection` fed ``data`` in one segment, then EOF: the
+    messages it delivered, and the error it closed with."""
+    inbox = Inbox()
+    connection = Connection(inbox)
+    connection.connection_made(CollectingWriter())
+    connection.data_received(data)
+    connection.eof_received()
+    assert inbox.messages[-1] is None  # closed, exactly once
+    return inbox.messages[:-1], inbox.error
 
 
 class TestReadMessage:
-    """Reading messages off an asyncio stream through the drivers'
-    inbound path, :class:`MessageStream` (the class name is kept so the
-    test ids stay stable)."""
+    """Reading messages off a connection through the drivers' inbound
+    path, :class:`Connection`: every segment is fed to its
+    ``FrameBuffer`` and each complete message handed to its handler."""
 
     def test_reads_frames_then_clean_eof(self):
-        async def scenario():
-            stream = _stream(
-                encode_frame(KIND_CONTROL, encode_control(DataHello(node_id=1,
-                                                                    column=2)))
-                + encode_frame(KIND_DATA, encode_packet(_packet()))
-            )
-            return await stream.next(), await stream.next(), await stream.next()
-
-        first, second, third = asyncio.run(scenario())
+        messages, error = _read(
+            encode_frame(KIND_CONTROL, encode_control(DataHello(node_id=1,
+                                                                column=2)))
+            + encode_frame(KIND_DATA, encode_packet(_packet()))
+        )
+        first, second = messages
         assert first == DataHello(node_id=1, column=2)
         assert isinstance(second, CodedPacket)
-        assert third is None
+        assert error is None
 
     def test_truncated_prefix_raises(self):
+        messages, error = _read(b"\x00\x00")
+        assert messages == []
         with pytest.raises(FramingError, match="truncated"):
-            asyncio.run(_first(b"\x00\x00"))
+            raise error
 
     def test_truncated_body_raises(self):
         frame = encode_frame(KIND_DATA, encode_packet(_packet()))
+        _, error = _read(frame[:-3])
         with pytest.raises(FramingError, match="truncated"):
-            asyncio.run(_first(frame[:-3]))
+            raise error
 
     def test_complete_frames_before_a_truncation_still_arrive(self):
         frame = encode_frame(KIND_DATA, encode_packet(_packet(generation=6)))
-
-        async def scenario():
-            stream = _stream(frame + frame[:-3])
-            first = await stream.next()
-            with pytest.raises(FramingError, match="truncated"):
-                await stream.next()
-            return first
-
-        assert asyncio.run(scenario()).generation == 6
+        (first,), error = _read(frame + frame[:-3])
+        assert first.generation == 6
+        with pytest.raises(FramingError, match="truncated"):
+            raise error
 
     @pytest.mark.parametrize("data, crc", [
         pytest.param(
@@ -241,38 +238,36 @@ class TestReadMessage:
             True, id="crc-mismatch"),
     ])
     def test_every_rejection_surfaces_through_the_stream(self, data, crc):
-        """The checks live in FrameBuffer; the stream must not swallow
-        or reclassify any of them (an oversize prefix is rejected before
-        its body arrives)."""
-        with pytest.raises(FramingError) as caught:
-            asyncio.run(_first(data))
-        assert isinstance(caught.value, CrcMismatchError) is crc
+        """The checks live in FrameBuffer; the connection must not
+        swallow or reclassify any of them (an oversize prefix is
+        rejected before its body arrives)."""
+        messages, error = _read(data)
+        assert messages == []
+        assert isinstance(error, FramingError)
+        assert isinstance(error, CrcMismatchError) is crc
 
 
 def _crc_failures(data: bytes) -> int:
-    """``PeerStats.crc_failures`` after ``PumpSet.consume`` reads a
-    parent that answers the child's hello with ``data``."""
+    """``PeerStats.crc_failures`` after the connection
+    ``PumpSet.upstream`` dials reads a parent that answers the child's
+    hello with ``data``."""
     from repro.net.peer import PeerStats
     from repro.net.testing import VirtualNetwork
     from repro.obs import Registry
 
     async def scenario():
         net = VirtualNetwork()
-
-        async def parent(reader, writer):
-            await MessageStream(reader).next()  # the child's DataHello
-            writer.write(data)
-
-        listener = net.bind("parent", 0, parent)
+        listener = listen(net, "parent", 0, lambda inbox, hello: (
+            inbox.write(data)))
         pumps = PumpSet(Registry("peer"), limit=8,
                         keepalive_interval=None, clock=net.clock)
         pumps.engine = RelayEngine(Recoder(
             GenerationParams(4, 16), 1, np.random.default_rng(0), 9))
         pumps.generation_size = 4
         stats = PeerStats()
-        reader, writer = await net.open_connection("peer", *listener.address)
-        await pumps.consume(0, reader, writer, 1.0, stats)
-        await net.shutdown()
+        link = pumps.upstream(0, 1.0, stats, None)
+        await net.open_connection("peer", *listener.address, lambda: link)
+        await link.handler.done
         return stats.crc_failures
 
     return asyncio.run(scenario())
@@ -282,7 +277,7 @@ class TestPeerCorruptionAccounting:
     def test_peer_counts_crc_failures_but_not_wrong_versions(self):
         """PeerStats.crc_failures moves on a corrupted body and stays
         put on a wrong-version frame; both drop the connection
-        ``PumpSet.consume`` is reading."""
+        ``PumpSet.upstream`` dialed."""
         corrupted = bytearray(encode_packet(_packet()))
         corrupted[-1] ^= 0x01
         assert _crc_failures(encode_frame(KIND_DATA, bytes(corrupted))) == 1
@@ -303,7 +298,7 @@ def _no_fill():
 
 
 class _StubWriter:
-    """Just enough StreamWriter for a PacketSender that never runs."""
+    """Just enough transport for a PacketSender that never flushes."""
 
     def write(self, data):  # pragma: no cover - enqueue never writes
         raise AssertionError("enqueue must not touch the writer")
@@ -313,7 +308,7 @@ class _StubWriter:
 
 
 class _DiscardingWriter:
-    """A writer that keeps nothing it is handed (drain never blocks)."""
+    """A transport that keeps nothing it is handed."""
 
     def write(self, data):
         pass
@@ -321,39 +316,32 @@ class _DiscardingWriter:
     def writelines(self, frames):
         pass
 
-    async def drain(self):
-        return None
-
     def close(self):
         pass
 
 
 class TestPacketSenderQueue:
     def test_parked_pump_keeps_none_of_what_it_flushed(self):
-        """256 KiB goes out in one flush; once the pump is parked again
-        it holds under 4 KiB of anything allocated since."""
+        """256 KiB goes out in one flush; once it has, the pump holds
+        under 4 KiB of anything allocated since."""
         async def scenario():
             sender = PacketSender(
                 _DiscardingWriter(), column=0, sender_id=1,
                 idle_packet=_no_fill, limit=64)
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0)  # parked on an empty queue
             tracemalloc.start()
             try:
                 for _ in range(64):
                     sender.enqueue_frame(bytes(4096))
-                for _ in range(3):
-                    await asyncio.sleep(0)  # flushed, drained, parked
+                await asyncio.sleep(0)  # the tick's one flush
                 retained = tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
-            parked = sender._parked is not None and not sender._parked.done()
+            idle = not sender._flush_due and sender.queue_depth == 0
             sender.close()
-            await task
-            return retained, parked, sender.stats
+            return retained, idle, sender.stats
 
-        retained, parked, stats = asyncio.run(scenario())
-        assert parked
+        retained, idle, stats = asyncio.run(scenario())
+        assert idle
         assert (stats.sent, stats.flushes) == (64, 1)
         assert stats.bytes_sent == 256 * 1024
         assert retained < 4096
@@ -365,15 +353,17 @@ class TestPacketSenderQueue:
                 limit=3)
             for generation in range(5):
                 sender.enqueue(_packet(generation=generation))
-            return sender
+            queue = list(sender._queue)  # before the tick's flush
+            sender.close()
+            return sender, queue
 
-        sender = asyncio.run(scenario())
+        sender, queue = asyncio.run(scenario())
         assert sender.stats.enqueued == 5
         assert sender.stats.dropped == 2
         # The three newest mixtures survive — RLNC makes the evicted
         # two redundant by construction.  The queue holds pre-encoded
         # length-prefixed frames; decode them to inspect.
-        queued = [_decode_queued(frame) for frame in sender._queue]
+        queued = [_decode_queued(frame) for frame in queue]
         assert [p.generation for p in queued] == [2, 3, 4]
 
     def test_enqueue_after_close_is_refused(self):
@@ -557,27 +547,7 @@ class TestCorruptStreams:
 # PacketSender edge cases (satellite: drop-oldest queue branches)
 
 
-class _CollectingWriter:
-    """A writer whose sink is a list (drain never blocks)."""
-
-    def __init__(self):
-        self.chunks = []
-        self.batches = []
-        self.closed = False
-
-    def write(self, data):
-        self.chunks.append(bytes(data))
-
-    def writelines(self, frames):
-        frames = [bytes(f) for f in frames]
-        self.batches.append(frames)
-        self.chunks.extend(frames)
-
-    async def drain(self):
-        return None
-
-    def close(self):
-        self.closed = True
+_CollectingWriter = CollectingWriter
 
 
 class TestPacketSenderEdges:
@@ -591,40 +561,47 @@ class TestPacketSenderEdges:
             PacketSender(_CollectingWriter(), column=0, sender_id=1,
                          idle_packet=_no_fill, limit=-3)
 
-    def test_close_while_blocked_unblocks_run(self):
-        """close() must wake a pump parked on an empty queue (no
-        keep-alives configured, so the wait would otherwise be forever)."""
+    def test_close_while_paused_closes_the_connection(self):
+        """close() on a pump the transport has paused drops what it
+        queued, writes nothing, and closes the connection it feeds —
+        whose handler hears it once."""
 
         async def scenario():
-            writer = _CollectingWriter()
+            writer = CollectingWriter()
+            inbox = Inbox()
+            connection = Connection(inbox)
+            connection.connection_made(writer)
             sender = PacketSender(
                 writer, column=0, sender_id=1, idle_packet=_no_fill,
                 limit=2)
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0)  # let run() park on the empty queue
-            assert not task.done()
+            sender.connection = connection
+            sender.pause_writing()
+            sender.enqueue(_packet())
+            await asyncio.sleep(0)
             sender.close()
-            await asyncio.wait_for(task, timeout=5)
-            return writer.closed
+            sender.resume_writing()
+            await asyncio.sleep(0)
+            return writer.chunks, writer.closed, inbox.messages
 
-        assert asyncio.run(scenario()) is True
+        assert asyncio.run(scenario()) == ([], True, [None])
 
     def test_enqueue_while_closed_never_wakes_the_pump(self):
         async def scenario():
-            writer = _CollectingWriter()
+            writer = CollectingWriter()
             sender = PacketSender(
                 writer, column=0, sender_id=1, idle_packet=_no_fill,
                 limit=2)
             sender.close()
             assert sender.enqueue(_packet()) is False
-            await sender.run()  # exits immediately: already closed
+            assert not sender._flush_due
+            await asyncio.sleep(0)
             return writer.chunks
 
         assert asyncio.run(scenario()) == []
 
     def test_keepalive_cadence_on_virtual_clock(self):
         """A keep-alive goes out exactly one interval (0.5) after the
-        pump's last park, and never while it is fed faster than that:
+        pump's last write, and never while it is fed faster than that:
         idle at 0.5, 1.0, 1.5; flushed at 1.75 and every 0.4 after,
         through 3.35; idle again at 3.85."""
         from repro.net.testing import VirtualClock
@@ -642,14 +619,12 @@ class TestPacketSenderEdges:
                 writer, column=3, sender_id=7, idle_packet=_no_fill, limit=4,
                 keepalive_interval=0.5, clock=clock,
             )
-            task = asyncio.ensure_future(sender.run())
             await clock.advance(1.75)
             for _ in range(5):
                 sender.enqueue(_packet())
                 await clock.advance(0.4)
             await clock.advance(0.3)
             sender.close()
-            await task
             return log, sender.stats
 
         log, stats = asyncio.run(scenario())
@@ -662,7 +637,7 @@ class TestPacketSenderEdges:
 
 
 class TestSenderCoalescing:
-    """SenderStats accounting and the one-writelines-per-wakeup flush."""
+    """SenderStats accounting and the one-writelines-per-tick flush."""
 
     @staticmethod
     def _pump(writer, n):
@@ -675,10 +650,9 @@ class TestSenderCoalescing:
             ]
             for frame in frames:
                 sender.enqueue_frame(frame)
-            task = asyncio.ensure_future(sender.run())
-            await asyncio.sleep(0)  # one wakeup: the whole queue drains
+            assert writer.batches == []  # nothing written by enqueue
+            await asyncio.sleep(0)  # one tick: the whole queue drains
             sender.close()
-            await task
             return sender.stats, frames
 
         return asyncio.run(scenario())

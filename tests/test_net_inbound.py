@@ -1,4 +1,4 @@
-"""The live drivers' inbound path: one ``MessageStream`` per connection.
+"""The live drivers' inbound path: one ``Connection`` per connection.
 
 Peer- and server-level behaviour that rides on it — silence measured
 between complete messages, a whole flush drained per wake-up, the
@@ -28,7 +28,7 @@ from repro.dataplane import (
     PacketArrived,
     RelayEngine,
 )
-from repro.net import MessageStream, PeerNode, ServerNode
+from repro.net import PeerNode, ServerNode
 from repro.net.control import (
     MAX_COMPLETE_WINDOW,
     DataHello,
@@ -39,13 +39,15 @@ from repro.net.control import (
 )
 from repro.net.framing import (
     KIND_CONTROL,
-    READ_CHUNK_BYTES,
+    Connection,
+    FirstFrame,
     FramingError,
+    Handler,
     encode_data_frame,
     encode_frame,
 )
 from repro.net.peer import PeerStats
-from repro.net.streams import ChildReports, SenderStats
+from repro.net.streams import SenderStats
 from repro.net.testing import (
     ChaosConfig,
     ChaosHarness,
@@ -63,8 +65,8 @@ from repro.protocol import (
 )
 from repro.protocol.trace import EngineLog
 
-from tests.test_net_framing import _CollectingWriter
-from tests.test_net_pumps import RecordingEngine, _pump_set, _Reader, _serving
+from tests.netkit import CollectingWriter, Inbox, dial, listen
+from tests.test_net_pumps import RecordingEngine, _pump_set, _serving
 
 PARAMS = GenerationParams(3, 10)
 PORT = 4000
@@ -85,17 +87,19 @@ def _control(*messages) -> bytes:
     )
 
 
-class _ControlSink:
-    """Stands in for the control connection: collects what is written."""
+def _control_sink(peer: PeerNode) -> CollectingWriter:
+    """Stand in for ``peer``'s control connection; what it writes
+    there is collected."""
+    sink = CollectingWriter()
+    peer._control = Connection(Handler())
+    peer._control.connection_made(sink)
+    return sink
 
-    def __init__(self):
-        self.written = bytearray()
 
-    def write(self, data):
-        self.written += data
-
-    def close(self):
-        pass
+def _accepting(net, peer: PeerNode, host: str = "node"):
+    """Bind ``peer``'s child listener on ``host`` as ``start`` would."""
+    return net.bind(host, 0, lambda: Connection(FirstFrame(
+        peer._child, net.clock, peer.silence_timeout)))
 
 
 def _basis(generation):
@@ -145,7 +149,7 @@ async def _admitted(net, server: ServerNode, address):
     connection; return the id the matrix has at the top of column 0
     (a server column is served to that node only) and the connection,
     which must stay open: closing it is a crash."""
-    _, control = await net.open_connection("child", *address)
+    control = await dial(net, "child", *address)
     control.write(_control(JoinRequest(reply_to=9)))
     await net.clock.advance(0.05)
     return server.core.matrix.column_chain(0)[0], control
@@ -182,23 +186,23 @@ class TestSilenceBetweenMessages:
             net = VirtualNetwork()
             dials = []
 
-            async def parent(reader, writer):
-                await MessageStream(reader).next()  # the child's DataHello
-                dials.append(writer)
-                if len(dials) == 1:
-                    await script(net.clock, writer)
+            def parent(inbox, message):
+                if len(inbox.messages) == 1:  # the child's DataHello
+                    dials.append(inbox)
+                    if len(dials) == 1:
+                        asyncio.ensure_future(
+                            script(net.clock, inbox.transport))
 
-            listener = net.bind("parent", 0, parent)
+            listener = listen(net, "parent", 0, parent)
             peer = _child_of(net, listener, silence_timeout=self.silence)
-            sink = peer._control_writer = _ControlSink()
+            sink = _control_sink(peer)
             heard = []
             peer.engine.handle = _timed(net.clock, peer.engine.handle, heard)
             task = asyncio.ensure_future(peer._thread_loop(0))
             await net.clock.advance(until)
             task.cancel()
-            await net.shutdown()
             return (heard, peer.engine.obs.complaints_sent.value,
-                    bytes(sink.written))
+                    b"".join(sink.chunks))
 
         return asyncio.run(scenario())
 
@@ -236,55 +240,47 @@ class TestSilenceBetweenMessages:
 
 
 class TestBatchedDrain:
-    def test_one_flush_is_drained_in_one_wakeup(self, monkeypatch):
+    def test_one_flush_is_drained_in_one_wakeup(self):
         """Five frames flushed in one ``writelines`` arrive at the
-        engine ``PumpSet.consume`` runs against as five
-        ``PacketArrived`` in order from a single ``fill()``; the reader
-        parks once, on the ``fill()`` after it."""
-        fills = []
-        fill = MessageStream.fill
-
-        async def counted(self):
-            fills.append(None)
-            return await fill(self)
-
-        monkeypatch.setattr(MessageStream, "fill", counted)
+        engine the connection ``PumpSet.upstream`` dials runs against
+        as five ``PacketArrived`` in order from a single
+        ``data_received``, which drains once; the connection then sits
+        open, holding no task."""
+        segments = []
 
         async def scenario():
             net = VirtualNetwork()
-
-            async def parent(reader, writer):
-                # (No read of the child's hello: every fill() counted
-                # below is the peer's.)
-                writer.writelines(
-                    [encode_data_frame(_packet(g)) for g in range(5)])
-
-            listener = net.bind("parent", 0, parent)
+            listener = listen(net, "parent", 0, on_connect=lambda inbox: (
+                inbox.writelines(
+                    [encode_data_frame(_packet(g)) for g in range(5)])))
             engine = RelayEngine(Recoder(
                 PARAMS, 5, np.random.default_rng(0), node_id=9))
             log = engine.log = EngineLog()
             pumps = _pump_set(engine, clock=net.clock)
-            reader, writer = await net.open_connection(
-                "peer", *listener.address)
-            task = asyncio.ensure_future(
-                pumps.consume(0, reader, writer, 1.0, PeerStats()))
+            stats = PeerStats()
+            link = pumps.upstream(0, 1.0, stats, None)
+            received = link.data_received
+            link.data_received = lambda data: (
+                segments.append(len(data)), received(data))
+            await net.open_connection(
+                "peer", *listener.address, lambda: link)
             await net.clock.advance(0.1)
-            parked = not task.done()
-            task.cancel()
-            await net.shutdown()
-            return log.events, parked
+            open_ = not link.handler.done.done()
+            tasks = len(asyncio.all_tasks())
+            link.close()
+            return log.events, open_, stats.upstream_fills, tasks
 
-        events, parked = asyncio.run(scenario())
+        events, open_, drains, tasks = asyncio.run(scenario())
         assert all(isinstance(e, PacketArrived) for e in events)
         assert [e.packet.generation for e in events] == [0, 1, 2, 3, 4]
-        assert parked
-        assert len(fills) == 2
+        assert open_ and tasks == 1
+        assert len(segments) == 1 and drains == 1
 
 
 class TestChildReportRules:
     """The child's half of the completion-report contract, as its
-    parents read it: a report with the hello, one per drain that
-    completed a generation (to every open parent), and one to a parent
+    parents read it: a report with the hello, one per drained segment
+    that completed a generation (to every open parent), and one to a parent
     that has sent a generation's worth of packets the child held."""
 
     def _run(self, script, *, parents=1, generations=2, held=()):
@@ -297,21 +293,13 @@ class TestChildReportRules:
             net = VirtualNetwork()
             inboxes = [[] for _ in range(parents)]
 
-            async def read(stream, inbox):
-                while (message := await stream.next()) is not None:
-                    inbox.append((net.clock.time(), message))
-
             def parent(column):
-                async def handler(reader, writer):
-                    reading = asyncio.ensure_future(
-                        read(MessageStream(reader), inboxes[column]))
-                    try:
-                        await script(column, net.clock, writer)
-                        await reading
-                    finally:
-                        reading.cancel()
-
-                return net.bind(f"parent{column}", 0, handler)
+                return listen(
+                    net, f"parent{column}", 0,
+                    on_message=lambda inbox, message: inboxes[column].append(
+                        (net.clock.time(), message)),
+                    on_connect=lambda inbox: asyncio.ensure_future(
+                        script(column, net.clock, inbox.transport)))
 
             peer = _child_of(
                 net, *(parent(c) for c in range(parents)),
@@ -324,7 +312,6 @@ class TestChildReportRules:
             await net.clock.advance(0.2)
             for task in tasks:
                 task.cancel()
-            await net.shutdown()
             return inboxes, peer, net.trace
 
         return asyncio.run(scenario())
@@ -401,8 +388,8 @@ class TestChildReportRules:
 class TestOneStreamPerConnection:
     def test_peer_dispatches_what_arrived_with_the_grant(self):
         """The admission frames, the grant and the first ``SetParent``
-        in one segment: the control loop must see the ``SetParent`` that
-        ``_await_grant`` left buffered."""
+        in one segment: the grant is taken and the ``SetParent`` behind
+        it dispatched within the one ``data_received``."""
         admission = _control(
             SessionInfo(generation_size=3, payload_size=10,
                         generation_count=1, content_length=30, k=2, d=1),
@@ -414,20 +401,18 @@ class TestOneStreamPerConnection:
         async def scenario():
             net = VirtualNetwork()
 
-            async def server(reader, writer):
-                first = await MessageStream(reader).next()
+            def server(inbox, first):
                 if isinstance(first, JoinRequest):
-                    writer.write(admission)
+                    inbox.write(admission)
                 else:
-                    writer.close()  # the data dial toward SERVER
+                    inbox.close()  # the data dial toward SERVER
 
-            net.bind("server", PORT, server)
+            listen(net, "server", PORT, server)
             peer = PeerNode("server", PORT, transport=net.transport("peer"))
             await peer.start()
             await net.clock.advance(0.01)
             state = peer.node_id, dict(peer.parents), dict(peer._addresses)
             peer.kill()
-            await net.shutdown()
             return state
 
         node_id, parents, addresses = asyncio.run(scenario())
@@ -446,15 +431,14 @@ class TestOneStreamPerConnection:
                 transport=net.transport("server"),
             )
             await server.start()
-            _, writer = await net.open_connection("peer", "server", PORT)
-            writer.write(_control(
+            client = await dial(net, "peer", "server", PORT)
+            client.write(_control(
                 JoinRequest(reply_to=9), LeaveRequest(node_id=0)))
             await net.clock.advance(0.01)
-            writer.close()
+            client.close()
             await net.clock.advance(0.01)
             counts = server.engine.obs
             await server.stop()
-            await net.shutdown()
             return (counts.joins.value, counts.leaves.value,
                     server.stats.crashes)
 
@@ -471,8 +455,8 @@ class TestBoundedPumpState:
         async def scenario():
             pumps = _pump_set()
             total = pumps.stats[0]
-            _, idle_task = await _serving(pumps, "idle")
-            _, busy_task = await _serving(pumps, "busy")
+            _serving(pumps, "idle")
+            _serving(pumps, "busy")
             idle, busy = pumps.get("idle").stats, pumps.get("busy").stats
             pumps.emit(EmitToChildren(
                 ("busy",) * 3, packets=(_packet(),) * 3))
@@ -487,11 +471,9 @@ class TestBoundedPumpState:
                 )
 
             pumps.get("idle").close()
-            await idle_task
             assert [id(s) for s in pumps.stats] == [id(total), id(busy)]
             assert sums() == before
             pumps.get("busy").close()
-            await busy_task
             assert pumps.stats == [SenderStats(
                 enqueued=3, sent=3, bytes_sent=before[1], flushes=before[2])]
             assert pumps.stats[0] is total and sums() == before
@@ -533,11 +515,11 @@ class TestBoundedPumpState:
                     if name == "server":
                         node_id, control = await _admitted(
                             net, server, address)
-                    _, writer = await net.open_connection("child", *address)
-                    writer.write(_control(
+                    link = await dial(net, "child", *address)
+                    link.write(_control(
                         DataHello(node_id=node_id, column=0)))
                     await net.clock.advance(0.1)
-                    writer.close()
+                    link.close()
                     if name == "server":
                         control.write(_control(
                             LeaveRequest(node_id=node_id)))
@@ -553,7 +535,6 @@ class TestBoundedPumpState:
             await peer.close()
             for node in servers:
                 await node.stop()
-            await net.shutdown()
             return samples
 
         for name, rows in asyncio.run(scenario()).items():
@@ -569,22 +550,6 @@ class TestBoundedPumpState:
 # The child's half of a data connection
 
 
-def _collect(reader) -> tuple[list, asyncio.Task]:
-    """Parse everything a hand-dialed connection is sent, as it comes."""
-    inbox: list = []
-
-    async def pump():
-        stream = MessageStream(reader)
-        while True:
-            message = await stream.next()
-            if message is None:
-                inbox.append(None)  # the node closed the connection
-                return
-            inbox.append(message)
-
-    return inbox, asyncio.ensure_future(pump())
-
-
 def _generations(inbox) -> list[int]:
     return [m.generation for m in inbox if isinstance(m, CodedPacket)]
 
@@ -592,8 +557,8 @@ def _generations(inbox) -> list[int]:
 class TestFirstFrame:
     def test_report_in_the_hellos_segment_is_not_lost(self):
         """The hello and the completed set behind it arrive as one
-        segment; the stream that parsed the hello must be the one the
-        report is read from, or a redialing child is re-sent everything
+        segment; the connection that parsed the hello must be the one
+        the report is read from, or a redialing child is re-sent everything
         it holds (here: the attach burst names generation 0)."""
 
         async def scenario():
@@ -604,17 +569,13 @@ class TestFirstFrame:
             for generation in (0, 1):
                 relay.handle(PacketArrived(_packet(generation)))
             peer._running = True
-            listener = net.bind("peer", 0, peer._handle_child)
-            reader, writer = await net.open_connection(
-                "child", *listener.address)
-            inbox, task = _collect(reader)
-            writer.write(_control(
+            listener = _accepting(net, peer, "peer")
+            child = await dial(net, "child", *listener.address)
+            child.write(_control(
                 DataHello(node_id=4, column=0),
                 GenerationsComplete(base=1)))
             await net.clock.advance(0.01)
-            task.cancel()
-            await net.shutdown()
-            return _generations(inbox)
+            return _generations(child.messages)
 
         assert asyncio.run(scenario()) == [1, 1, 1, 1]
 
@@ -635,7 +596,7 @@ class TestFirstFrame:
                 for generation in (0, 1):
                     relay.handle(PacketArrived(_packet(generation)))
                 peer._running = True
-                address = net.bind("node", 0, peer._handle_child).address
+                address = _accepting(net, peer).address
             else:
                 server = ServerNode(
                     bytes(60), PARAMS, k=1, d=1, port=PORT,
@@ -645,18 +606,15 @@ class TestFirstFrame:
             node_id = 4
             if node == "server":
                 node_id, _ = await _admitted(net, server, address)
-            reader, writer = await net.open_connection("child", *address)
-            inbox, task = _collect(reader)
-            writer.write(_control(DataHello(node_id=node_id, column=0)))
+            child = await dial(net, "child", *address)
+            child.write(_control(DataHello(node_id=node_id, column=0)))
             await net.clock.advance(0.3)
-            before = _generations(inbox)
-            writer.write(_control(GenerationsComplete(base=1)))
+            before = _generations(child.messages)
+            child.write(_control(GenerationsComplete(base=1)))
             await net.clock.advance(0.3)
-            after = _generations(inbox)[len(before):]
-            task.cancel()
+            after = _generations(child.messages)[len(before):]
             if node == "server":
                 await server.stop()
-            await net.shutdown()
             return before, after
 
         before, after = asyncio.run(scenario())
@@ -672,15 +630,12 @@ class TestFirstFrame:
             net = VirtualNetwork()
             peer = PeerNode("server", 1, transport=net.transport("node"))
             peer._running = True
-            address = net.bind("node", 0, peer._handle_child).address
-            reader, writer = await net.open_connection("child", *address)
-            inbox, task = _collect(reader)
-            writer.write(_control(
+            address = _accepting(net, peer).address
+            child = await dial(net, "child", *address)
+            child.write(_control(
                 DataHello(node_id=4, column=0), GenerationsComplete(0)))
             await net.clock.advance(0.01)
-            task.cancel()
-            await net.shutdown()
-            return inbox, len(peer.registry)
+            return child.messages, len(peer.registry)
 
         inbox, instruments = asyncio.run(scenario())
         assert inbox == [None]
@@ -688,8 +643,8 @@ class TestFirstFrame:
 
     @pytest.mark.parametrize("node", ["peer", "server"])
     def test_half_a_hello_is_closed_after_one_timeout(self, node):
-        """A dialler that never finishes its first frame holds a task
-        and a socket for one timeout (``silence_timeout`` at a peer,
+        """A dialler that never finishes its first frame holds a
+        connection for one timeout (``silence_timeout`` at a peer,
         ``probe_timeout`` at the server) from its dial — at 0.3 here —
         not forever."""
         timeout = 0.5
@@ -702,7 +657,7 @@ class TestFirstFrame:
                     "server", 1, transport=net.transport("node"),
                     silence_timeout=timeout)
                 peer._running = True
-                address = net.bind("node", 0, peer._handle_child).address
+                address = _accepting(net, peer).address
             else:
                 server = ServerNode(
                     bytes(30), PARAMS, k=1, d=1, port=PORT,
@@ -710,42 +665,39 @@ class TestFirstFrame:
                 await server.start()
                 address = ("node", PORT)
             await net.clock.advance(0.3)
-            reader, writer = await net.open_connection("child", *address)
-            writer.write(hello[:len(hello) // 2])
             closed = []
 
-            async def watch():
-                assert await MessageStream(reader).next() is None
-                closed.append(net.clock.time())
+            class Watch(Inbox):
+                def closed(self, error):
+                    super().closed(error)
+                    closed.append(net.clock.time())
 
-            task = asyncio.ensure_future(watch())
+            child = await dial(net, "child", *address, inbox=Watch())
+            child.write(hello[:len(hello) // 2])
             await net.clock.advance(1.0)
-            await task
+            assert child.messages == [None]
             if node == "server":
                 await server.stop()
-            await net.shutdown()
             return closed
 
         assert asyncio.run(scenario()) == [at(0.3 + timeout)]
 
 
 def _reports(*chunks: bytes, generation_count: int = 8):
-    """A ``ChildReports`` over a connection that was sent ``chunks``."""
-
-    class Reader:
-        def __init__(self):
-            self.pending = list(chunks)
-
-        async def read(self, n):
-            if not self.pending:
-                return b""
-            head, self.pending[0] = self.pending[0][:n], self.pending[0][n:]
-            if not self.pending[0]:
-                self.pending.pop(0)
-            return head
-
-    stream = MessageStream(Reader())
-    return ChildReports(stream, generation_count), stream
+    """A child's data connection, past its hello, sent ``chunks`` and
+    then EOF: the reports the engine heard, and the error the
+    connection closed with."""
+    engine = RecordingEngine()
+    engine.generation_count = generation_count
+    _, link = _serving(_pump_set(engine), "child")
+    errors = []
+    close = link.close
+    link.close = lambda error=None: (errors.append(error), close(error))
+    for chunk in chunks:
+        link.data_received(chunk)
+    link.eof_received()
+    return ([(e.base, e.extras) for e in engine.heard_of(ChildCompleted)],
+            errors[0])
 
 
 class TestHostileReports:
@@ -753,17 +705,16 @@ class TestHostileReports:
     allows, or a typed error that costs the child its connection."""
 
     def run(self, *chunks, **kwargs):
-        reports, stream = _reports(*chunks, **kwargs)
+        """The reports delivered, or the error that closed the
+        connection, raised."""
 
-        async def drain():
-            seen = []
-            while True:
-                report = await reports.next()
-                if report is None:
-                    return seen
-                seen.append(report)
+        async def scenario():
+            return _reports(*chunks, **kwargs)
 
-        return asyncio.run(drain()), stream
+        seen, error = asyncio.run(scenario())
+        if error is not None:
+            raise error
+        return seen, None
 
     def test_honest_reports_pass_through(self):
         seen, _ = self.run(_control(
@@ -801,34 +752,35 @@ class TestHostileReports:
         generation's worth of packets the parent itself queued is all
         an honest child can send; a megabyte of them is refused at the
         first one too many — the pump closes, the key detaches — with
-        at most one read chunk ever buffered."""
+        at most one segment ever buffered."""
         record = _control(GenerationsComplete(1))
         flood = record * (1_000_000 // len(record))
-        stream = MessageStream(_Reader(flood, eof=True))
+        segment = 1 << 16
+        links = []
 
         class Engine(RecordingEngine):
             def handle(self, event):
-                assert stream.pending() <= READ_CHUNK_BYTES
+                assert not links or links[0].pending() <= segment
                 return super().handle(event)
 
         async def scenario():
             engine = Engine()
             pumps = _pump_set(engine)
-            writer = _CollectingWriter()
-            task = asyncio.ensure_future(
-                pumps.serve("child", stream, writer, 0))
-            await asyncio.sleep(0)
+            writer, link = _serving(pumps, "child")
+            links.append(link)
             # Three packets queued: one more report allowed, 10 in all.
             pumps.emit(EmitToChildren(
                 ("child",) * 3, packets=(_packet(),) * 3))
-            await task
-            return engine.heard, writer.closed, pumps.attached()
+            for start in range(0, len(flood), segment):
+                link.data_received(flood[start:start + segment])
+            link.eof_received()
+            return engine.heard, writer.closed, pumps.attached(), link
 
-        heard, closed, attached = asyncio.run(scenario())
+        heard, closed, attached, link = asyncio.run(scenario())
         assert heard == [ChildAttached("child", (0, ()))] + [
             ChildCompleted("child", 1, ())] * 10 + [ChildDetached("child")]
         assert closed and attached == ()
-        assert stream.pending() <= READ_CHUNK_BYTES
+        assert link.pending() == 0  # a closed connection keeps nothing
 
 
 class TestWhatAChildCanDo:
@@ -853,22 +805,20 @@ class TestWhatAChildCanDo:
                     "wild": GenerationsComplete(0, (count,)),
                     "mute": None,
                 }
-                inboxes, tasks = {}, []
+                inboxes = {}
                 for index, (name, record) in enumerate(dials.items()):
-                    reader, writer = await harness.net.open_connection(
-                        name, harness.host(0), relay.port)
-                    inboxes[name], task = _collect(reader)
-                    tasks.append(task)
+                    child = await dial(
+                        harness.net, name, harness.host(0), relay.port)
+                    inboxes[name] = child.messages
                     hello = [DataHello(node_id=900 + index, column=0)]
-                    writer.write(_control(
+                    child.write(_control(
                         *hello, *([record] if record else [])))
                 assert await harness.run_until(harness.converged)
                 await harness.settle(1.0)
                 harness.check_invariants()
-                for task in tasks:
-                    task.cancel()
-                return (inboxes, harness.violations,
-                        relay.dataplane.children)
+                return ({name: list(messages)
+                         for name, messages in inboxes.items()},
+                        harness.violations, relay.dataplane.children)
             finally:
                 await harness.teardown()
 
@@ -912,16 +862,14 @@ class TestWhatAChildCanDo:
                 before = len(target.registry)
                 inboxes = []
                 for index, column in enumerate((100, 200, 300)):
-                    reader, writer = await harness.net.open_connection(
-                        f"stranger{index}", host, target.port)
-                    inbox, task = _collect(reader)
-                    inboxes.append(inbox)
-                    writer.write(_control(
+                    child = await dial(
+                        harness.net, f"stranger{index}", host, target.port)
+                    inboxes.append(child.messages)
+                    child.write(_control(
                         DataHello(node_id=900 + index, column=column),
                         GenerationsComplete(0)))
                     await harness.settle(0.1)
-                    writer.close()
-                    task.cancel()
+                    child.close()
                 await harness.settle(0.1)
                 strays = [name for name in (
                     "net.queue_depth.c100", "net.queue_depth.c200",
@@ -951,18 +899,16 @@ class TestWhatAChildCanDo:
                 lower = server.core.matrix.column_chain(0)[1]
                 inboxes = []
                 for index, node_id in enumerate((999, lower)):
-                    reader, writer = await harness.net.open_connection(
-                        f"stranger{index}", harness.server_host,
+                    child = await dial(
+                        harness.net, f"stranger{index}", harness.server_host,
                         server.port)
-                    inbox, task = _collect(reader)
-                    inboxes.append(inbox)
-                    writer.write(_control(
+                    inboxes.append(child.messages)
+                    child.write(_control(
                         DataHello(node_id=node_id, column=0)))
                     await harness.settle(0.1)
-                    task.cancel()
                 after = {c: server.pumps.get(c) for c in range(config.k)}
                 closed = [pump.closed for pump in after.values()]
-                return before, after, closed, inboxes
+                return before, after, closed, [list(m) for m in inboxes]
             finally:
                 await harness.teardown()
 

@@ -62,10 +62,10 @@ class TestWireEfficiency:
                 self.fed = bytearray()
                 pipes.append(self)
 
-            def feed(self, frames):
+            def _feed(self, frames):
                 frames = list(frames)
                 self.fed += b"".join(frames)
-                super().feed(frames)
+                super()._feed(frames)
 
         monkeypatch.setattr(virtualnet, "_Pipe", Counted)
 

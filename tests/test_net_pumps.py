@@ -6,7 +6,7 @@ node's data-plane engine (attach → burst → reports → idle polls →
 detach).  (The bounded
 ``sender_stats`` list keeps its tests in
 ``test_net_inbound.TestBoundedPumpState``; the upstream end,
-``consume``, is pinned in ``test_net_inbound`` too.)
+``upstream``, is pinned in ``test_net_inbound`` too.)
 """
 
 import asyncio
@@ -24,17 +24,17 @@ from repro.dataplane import (
     EmitToChildren,
     IdlePoll,
 )
-from repro.net import MessageStream, PeerNode, ServerNode
+from repro.net import PeerNode, ServerNode
 from repro.net import streams
 from repro.net.control import DataHello, GenerationsComplete, encode_control
-from repro.net.framing import FrameBuffer, KIND_CONTROL, encode_frame
+from repro.net.framing import KIND_CONTROL, Connection, Handler, encode_frame
 from repro.net.streams import PumpSet
 from repro.net.testing import VirtualClock, VirtualNetwork
 from repro.net.transport import AsyncioClock
 from repro.obs import Registry
 from repro.protocol import JoinRequest, KeepAlive
 
-from tests.test_net_framing import _CollectingWriter
+from tests.netkit import CollectingWriter, dial, parsed
 
 PARAMS = GenerationParams(3, 10)
 PORT = 4000
@@ -55,11 +55,7 @@ def _control(*messages) -> bytes:
     )
 
 
-def _packets(writer: _CollectingWriter) -> list:
-    """What a pump wrote, parsed back into messages."""
-    buffer = FrameBuffer()
-    buffer.feed(b"".join(writer.chunks))
-    return list(iter(buffer.next_message, None))
+_packets = parsed
 
 
 class RecordingEngine:
@@ -85,25 +81,6 @@ class RecordingEngine:
         return [e for e in self.heard if isinstance(e, kind)]
 
 
-class _Reader:
-    """A child's side of the connection: ``chunks``, then EOF if
-    ``eof``, else silence for good."""
-
-    def __init__(self, *chunks: bytes, eof: bool = False):
-        self.pending = list(chunks)
-        self.eof = eof
-
-    async def read(self, n):
-        if self.pending:
-            head, self.pending[0] = self.pending[0][:n], self.pending[0][n:]
-            if not self.pending[0]:
-                self.pending.pop(0)
-            return head
-        if not self.eof:
-            await asyncio.get_running_loop().create_future()
-        return b""
-
-
 def _pump_set(engine=None, *, keepalive_interval=None, clock=None) -> PumpSet:
     """A node's pump set past its grant: four columns, g = 3."""
     pumps = PumpSet(
@@ -116,16 +93,16 @@ def _pump_set(engine=None, *, keepalive_interval=None, clock=None) -> PumpSet:
     return pumps
 
 
-async def _serving(pumps, key, *, column=0, reader=None, hello=b""):
-    """Start serving ``key`` on a fresh writer; the pump is registered
-    by the time this returns.  ``hello`` is what arrived in the hello's
-    segment: already read off the connection when ``serve`` starts."""
-    writer = _CollectingWriter()
-    stream = MessageStream(reader if reader is not None else _Reader())
-    stream.feed(hello)
-    task = asyncio.ensure_future(pumps.serve(key, stream, writer, column))
-    await asyncio.sleep(0)
-    return writer, task
+def _serving(pumps, key, *, column=0, hello=b""):
+    """Hand ``key``'s connection, on a fresh writer, to
+    ``pumps.serve``; the pump is registered when this returns.
+    ``hello`` is what arrived in the hello's segment behind it."""
+    writer = CollectingWriter()
+    connection = Connection(Handler())
+    connection.connection_made(writer)
+    connection.feed(hello)
+    pumps.serve(key, connection, column)
+    return writer, connection
 
 
 class TestPumpSet:
@@ -133,20 +110,20 @@ class TestPumpSet:
         async def scenario():
             engine = RecordingEngine()
             pumps = _pump_set(engine)
-            old_writer, old_task = await _serving(pumps, "child")
+            old_writer, old_link = _serving(pumps, "child")
             old = pumps.get("child")
-            new_writer, new_task = await _serving(pumps, "child")
+            new_writer, new_link = _serving(pumps, "child")
             new = pumps.get("child")
             assert new is not old and old.closed and not new.closed
             # The replaced pump finishes without detaching the key ...
-            await old_task
+            assert old_link.closed and not new_link.closed
             assert engine.heard_of(ChildDetached) == []
             assert old_writer.closed and not new_writer.closed
             assert pumps.get("child") is new
             assert pumps.attached() == ("child",)
             # ... the one that replaced it does.
             new.close()
-            await new_task
+            assert new_link.closed
             assert engine.heard_of(ChildDetached) == [ChildDetached("child")]
             assert pumps.get("child") is None and pumps.attached() == ()
             assert engine.heard_of(ChildAttached) == [
@@ -161,18 +138,18 @@ class TestPumpSet:
         async def scenario():
             engine = RecordingEngine()
             pumps = _pump_set(engine)
-            tasks = {}
+            links = {}
             for key, column in (("a", 0), ("b", 1), ("c", 0)):
-                _, tasks[key] = await _serving(pumps, key, column=column)
+                _, links[key] = _serving(pumps, key, column=column)
             for key in ("a", "c"):
                 pumps.get(key).close()
             assert pumps.attached() == ("b",)
-            await asyncio.gather(tasks["a"], tasks["c"])
+            assert links["a"].closed and links["c"].closed
             assert {e.child for e in engine.heard_of(ChildDetached)} == {
                 "a", "c"}
-            assert not tasks["b"].done() and pumps.get("b") is not None
+            assert not links["b"].closed and pumps.get("b") is not None
             pumps.close()
-            await tasks["b"]
+            assert links["b"].closed
             assert pumps.get("b") is None
             assert engine.heard_of(ChildDetached)[-1] == ChildDetached("b")
 
@@ -183,11 +160,11 @@ class TestPumpSet:
             pumps = _pump_set()
             registry = pumps._registry
             assert "net.queue_depth.c3" not in registry
-            _, first = await _serving(pumps, ("x", 3), column=3)
+            _serving(pumps, ("x", 3), column=3)
             gauge = registry.gauge("net.queue_depth.c3")
             size = len(registry)
-            _, second = await _serving(pumps, ("y", 3), column=3)
-            _, third = await _serving(pumps, ("x", 3), column=3)
+            _serving(pumps, ("y", 3), column=3)
+            _serving(pumps, ("x", 3), column=3)
             assert registry.gauge("net.queue_depth.c3") is gauge
             assert len(registry) == size
             # One gauge reads every pump now serving the column.
@@ -195,7 +172,6 @@ class TestPumpSet:
             pumps.get(("y", 3))._queue.extend([b"f"] * 3)
             assert gauge.snapshot_value() == 5
             pumps.close()
-            await asyncio.gather(first, second, third)
 
         asyncio.run(scenario())
 
@@ -216,10 +192,8 @@ class TestPumpSet:
             pumps = _pump_set()
             pumps.origin = 9
             writers = {}
-            tasks = []
             for key in ("a", "b"):
-                writers[key], task = await _serving(pumps, key)
-                tasks.append(task)
+                writers[key], _ = _serving(pumps, key)
             children = ("a", "gone", "b")
             if form == "packets":
                 effect = EmitToChildren(children, packets=tuple(
@@ -234,7 +208,6 @@ class TestPumpSet:
             pumps.emit(effect)
             await asyncio.sleep(0)
             pumps.close()
-            await asyncio.gather(*tasks)
             return {k: _packets(w) for k, w in writers.items()}, pumps.stats
 
         received, stats = asyncio.run(scenario())
@@ -264,11 +237,10 @@ class TestOneConversationPerChild:
         async def scenario():
             engine = RecordingEngine(attach=[burst])
             pumps = _pump_set(engine)
-            writer, task = await _serving(
+            writer, _ = _serving(
                 pumps, "child", hello=_control(GenerationsComplete(1, (3,))))
             await asyncio.sleep(0)
             pumps.close()
-            await task
             return engine.heard, _packets(writer)
 
         heard, sent = asyncio.run(scenario())
@@ -280,10 +252,10 @@ class TestOneConversationPerChild:
         async def scenario():
             engine = RecordingEngine()
             pumps = _pump_set(engine)
-            _, task = await _serving(pumps, ("c", 2), column=2, reader=_Reader(
-                _control(GenerationsComplete(2), GenerationsComplete(
-                    3, (5,))), eof=True))
-            await task
+            _, link = _serving(pumps, ("c", 2), column=2)
+            link.data_received(_control(
+                GenerationsComplete(2), GenerationsComplete(3, (5,))))
+            link.eof_received()
             return engine.heard
 
         heard = asyncio.run(scenario())
@@ -306,10 +278,9 @@ class TestOneConversationPerChild:
             clock = VirtualClock()
             engine = RecordingEngine(idle=[fill] if answer == "packet" else [])
             pumps = _pump_set(engine, keepalive_interval=0.5, clock=clock)
-            writer, task = await _serving(pumps, "child", column=1)
+            writer, _ = _serving(pumps, "child", column=1)
             await clock.advance(1.25)
             pumps.close()
-            await task
             return engine.heard_of(IdlePoll), _packets(writer), pumps.stats[0]
 
         polls, sent, stats = asyncio.run(scenario())
@@ -327,8 +298,8 @@ class TestOneConversationPerChild:
         async def scenario():
             engine = RecordingEngine()
             pumps = _pump_set(engine)
-            writer, task = await _serving(pumps, "x", column=column)
-            await task
+            writer, link = _serving(pumps, "x", column=column)
+            assert link.closed
             return engine.heard, writer.closed, len(pumps._registry)
 
         heard, closed, size = asyncio.run(scenario())
@@ -339,8 +310,8 @@ class TestOneConversationPerChild:
         async def scenario():
             pumps = _pump_set()
             pumps.engine = None
-            writer, task = await _serving(pumps, "x")
-            await task
+            writer, link = _serving(pumps, "x")
+            assert link.closed
             return writer.closed, pumps.attached()
 
         assert asyncio.run(scenario()) == (True, ())
@@ -364,7 +335,7 @@ def test_both_nodes_run_the_same_attach_emit_detach_script(kind):
             # The child is admitted first: a server column is served to
             # the node the matrix has at its top, and nobody else.
             node, address, key = server, ("server", PORT), 0
-            _, control = await net.open_connection("child", "server", PORT)
+            control = await dial(net, "child", "server", PORT)
             control.write(_control(JoinRequest(reply_to=9)))
             hello = DataHello(node_id=0, column=0)
         else:
@@ -373,16 +344,9 @@ def test_both_nodes_run_the_same_attach_emit_detach_script(kind):
             address, key = ("peer", node.port), (77, 0)
             hello = DataHello(node_id=77, column=0)
         await net.clock.advance(0.1)
-        reader, writer = await net.open_connection("child", *address)
-        received = []
-
-        async def collect():
-            stream = MessageStream(reader)
-            while (message := await stream.next()) is not None:
-                received.append(message)
-
-        collector = asyncio.ensure_future(collect())
-        writer.write(_control(hello))
+        child = await dial(net, "child", *address)
+        received = child.messages
+        child.write(_control(hello))
         await net.clock.advance(0.05)
         pump = node.pumps.get(key)
         assert pump is not None and pump.column == 0
@@ -401,7 +365,7 @@ def test_both_nodes_run_the_same_attach_emit_detach_script(kind):
         sent = sum(s.sent for s in node.sender_stats)
         assert sent >= 1
 
-        writer.close()
+        child.close()
         await net.clock.advance(0.05)
         assert node.pumps.get(key) is None
         assert key not in node.pumps.attached()
@@ -409,10 +373,8 @@ def test_both_nodes_run_the_same_attach_emit_detach_script(kind):
         assert pump.closed
         assert all(s is not pump.stats for s in node.sender_stats)
         assert sum(s.sent for s in node.sender_stats) >= sent
-        collector.cancel()
         if kind == "peer":
             await node.close()
         await server.stop()
-        await net.shutdown()
 
     asyncio.run(scenario())

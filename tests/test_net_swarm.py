@@ -25,6 +25,7 @@ from repro.net.testing import (
 from repro.net.testing.virtualnet import LinkFaults
 
 from ext import swarm_memory
+from tests.test_net_virtualnet import _Bytes
 
 
 # ----------------------------------------------------------------------
@@ -38,20 +39,14 @@ class TestSwarmNetworkUnits:
         async def scenario():
             net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)
-            received = []
-
-            async def handler(reader, writer):
-                received.append(await reader.read(11))
-                writer.close()
-
-            net.bind("srv", 9000, handler)
-            reader, writer = await net.open_connection("cli", "srv", 9000)
-            writer.write(b"hello swarm")
-            await writer.drain()
+            accepted = []
+            net.bind("srv", 9000, lambda: accepted.append(_Bytes()) or (
+                accepted[-1]))
+            client = await net.open_connection("cli", "srv", 9000, _Bytes)
+            client.transport.write(b"hello swarm")
             await net.clock.advance(1.0)
-            writer.close()
-            await net.shutdown()
-            return received
+            client.transport.close()
+            return [bytes(p.data) for p in accepted]
 
         assert asyncio.run(scenario()) == [b"hello swarm"]
 
@@ -59,21 +54,15 @@ class TestSwarmNetworkUnits:
         async def scenario():
             net = VirtualNetwork(VirtualClock(), seed=0,
                                  record_trace=False)
-            received = []
-
-            async def handler(reader, writer):
-                received.append(await reader.read(6))
-                writer.close()
-
-            net.bind("srv", 9000, handler)
-            reader, writer = await net.open_connection("cli", "srv", 9000)
-            writer.writelines([b"abc", b"def"])
-            await writer.drain()
+            accepted = []
+            net.bind("srv", 9000, lambda: accepted.append(_Bytes()) or (
+                accepted[-1]))
+            client = await net.open_connection("cli", "srv", 9000, _Bytes)
+            client.transport.writelines([b"abc", b"def"])
             await net.clock.advance(1.0)
-            await net.shutdown()
-            return received
+            return [p.segments for p in accepted]
 
-        assert asyncio.run(scenario()) == [b"abcdef"]
+        assert asyncio.run(scenario()) == [[b"abcdef"]]
 
     def test_port_allocation_wraps_before_uint16_overflow(self):
         """65k+ allocations must stay encodable as a wire port (>H)."""
@@ -94,7 +83,6 @@ class TestSwarmNetworkUnits:
                 assert (("srv", port)) not in net._listeners
                 ports.add(port)
             listener.close()
-            await net.shutdown()
             return ports
 
         ports = asyncio.run(scenario())

@@ -10,7 +10,7 @@ attach/detach cycles, and through 2 000 re-clips of a peer's threads.
 
 import asyncio
 
-from repro.net import MessageStream, ServerNode
+from repro.net import ServerNode
 from repro.net.testing import (
     ChaosConfig,
     ChaosHarness,
@@ -19,6 +19,7 @@ from repro.net.testing import (
 )
 from repro.protocol import SetParent, StartTimer, TimerFired
 
+from tests.netkit import listen
 from tests.test_net_inbound import PARAMS, PORT, _child_of, _timed, at
 from tests.test_net_pumps import _pump_set, _serving
 
@@ -43,7 +44,6 @@ def test_server_timer_fires_when_due_and_stop_cancels_the_rest():
         await server.stop()
         await net.clock.advance(2.0)
         after_stop = [(t, e) for t, e in heard if isinstance(e, TimerFired)]
-        await net.shutdown()
         return fired, after_stop
 
     fired, after_stop = asyncio.run(scenario())
@@ -63,7 +63,6 @@ class TestTimerState:
             await net.clock.advance(1.0)
             armed = len(server._timers)
             await server.stop()
-            await net.shutdown()
             return armed, len(server._timers)
 
         assert asyncio.run(scenario()) == (1, 0)
@@ -114,17 +113,15 @@ class TestTimerState:
             pumps = _pump_set(
                 Engine(), keepalive_interval=interval, clock=clock)
             live = list(range(population))
-            tasks = {}
             for key in live:
-                _, tasks[key] = await _serving(pumps, key)
+                _serving(pumps, key)
             instruments = len(pumps._registry)
             for cycle in range(cycles):
                 slot = cycle % population
                 gone, fresh = live[slot], population + cycle
                 pumps.get(gone).close()
-                await tasks.pop(gone)
                 live[slot] = fresh
-                _, tasks[fresh] = await _serving(pumps, fresh)
+                _serving(pumps, fresh)
                 if slot == population - 1:
                     # Each pump lives a quarter interval: the timers of
                     # the last three generations of pumps are not due
@@ -137,7 +134,6 @@ class TestTimerState:
                 len(clock._timers),
             )
             pumps.close()
-            await asyncio.gather(*tasks.values())
             return state
 
         pumps, stats, grown, armed, heap = asyncio.run(scenario())
@@ -157,17 +153,12 @@ class TestTimerState:
         async def scenario():
             net = VirtualNetwork()
 
-            async def parent(reader, writer):
-                stream = MessageStream(reader)
-                while await stream.next() is not None:
-                    pass
-
             peer = _child_of(
-                net, *(net.bind(f"parent{c}", 0, parent) for c in range(k)),
+                net, *(listen(net, f"parent{c}", 0) for c in range(k)),
                 silence_timeout=silence)
             for column in range(k):
-                peer._addresses[50 + column] = net.bind(
-                    f"other{column}", 0, parent).address
+                peer._addresses[50 + column] = listen(
+                    net, f"other{column}", 0).address
                 peer._restart_thread(column)
             heap = 0
             for reclip in range(reclips):
@@ -180,7 +171,6 @@ class TestTimerState:
             state = (len(peer.parents), len(peer._thread_tasks),
                      len(peer.pumps._parents), heap)
             peer.kill()
-            await net.shutdown()
             return state
 
         held, tasks, parents, heap = asyncio.run(scenario())

@@ -8,33 +8,62 @@ import pytest
 
 from repro.coding import CodedPacket
 from repro.coding.wire import WireFormatError, decode_packet, encode_packet
-from repro.net.framing import MessageStream
+from repro.net.framing import Connection
 from repro.net.testing import VirtualClock, VirtualNetwork
+
+from tests.netkit import Inbox
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
-async def _read_n(reader, n):
-    """Exactly ``n`` bytes off a virtual reader (which only has the
-    seam's ``read``); EOFError if the stream ends first."""
-    data = b""
-    while len(data) < n:
-        chunk = await reader.read(n - len(data))
-        if not chunk:
-            raise EOFError(f"stream ended {n - len(data)} bytes short")
-        data += chunk
-    return data
+class _Bytes:
+    """A raw-bytes protocol: keeps what it receives, in ``data`` and
+    one entry per ``data_received`` in ``segments``; echoes it back if
+    ``echo``; logs every other callback in ``events``."""
+
+    def __init__(self, echo=False, keep_open=False):
+        self.echo = echo
+        self.keep_open = keep_open
+        self.transport = None
+        self.data = bytearray()
+        self.segments = []
+        self.events = []
+
+    def connection_made(self, transport):
+        self.transport = transport
+
+    def data_received(self, data):
+        self.data += data
+        self.segments.append(bytes(data))
+        if self.echo:
+            self.transport.write(bytes(data))
+
+    def eof_received(self):
+        self.events.append("eof")
+        return self.keep_open
+
+    def connection_lost(self, exc):
+        self.events.append(("lost", type(exc).__name__ if exc else None))
+
+    def pause_writing(self):
+        self.events.append("pause")
+
+    def resume_writing(self):
+        self.events.append("resume")
 
 
-async def _echo_handler(reader, writer):
-    try:
-        while data := await reader.read(1):
-            writer.write(data)
-            await writer.drain()
-    except ConnectionError:
-        pass
+def _accepting(net, host="b", port=7, **kwargs) -> list:
+    """Bind ``host:port``; the list every accepted protocol joins."""
+    accepted = []
+
+    def factory():
+        accepted.append(_Bytes(**kwargs))
+        return accepted[-1]
+
+    net.bind(host, port, factory)
+    return accepted
 
 
 class TestVirtualClock:
@@ -208,65 +237,59 @@ class TestVirtualPipes:
     def test_echo_roundtrip(self):
         async def scenario():
             net = VirtualNetwork()
-            net.bind("b", 7, _echo_handler)
-            reader, writer = await net.open_connection("a", "b", 7)
-            writer.write(b"x")
-            await writer.drain()
-            data = await _read_n(reader, 1)
-            writer.close()
-            await net.shutdown()
-            return data
+            _accepting(net, echo=True)
+            client = await net.open_connection("a", "b", 7, _Bytes)
+            client.transport.write(b"x")
+            await net.clock.advance(0.0)
+            client.transport.close()
+            return bytes(client.data)
 
         assert run(scenario()) == b"x"
 
-    def test_clean_link_delivers_synchronously_without_a_pump(self):
+    def test_clean_link_delivers_on_the_next_tick_without_a_timer(self):
+        """A clean link lands a write at once (the trace records it),
+        but the receiving protocol hears it only from the loop — never
+        inside the writer's call — and what is written in one tick
+        reaches it as one segment.  No timer is armed."""
+
         async def scenario():
             net = VirtualNetwork()
-            net.bind("b", 7, _echo_handler)
-            reader, writer = await net.open_connection("a", "b", 7)
-            tasks = len(net._tasks)  # the accept handler only
-            writer.write(b"x")
-            # No await since the write: the byte is already delivered.
+            accepted = _accepting(net)
+            client = await net.open_connection("a", "b", 7, _Bytes)
+            client.transport.write(b"x")
             delivered = net.events("deliver")
-            writer.writelines([b"ab", b"cd"])
+            client.transport.writelines([b"ab", b"cd"])
             coalesced = net.events("deliver")[len(delivered):]
-            pumps = len(net._tasks) - tasks
-            await net.shutdown()
-            return delivered, coalesced, pumps
+            before = list(accepted[0].segments)
+            await asyncio.sleep(0)
+            return (delivered, coalesced, before, accepted[0].segments,
+                    len(net.clock._timers))
 
-        delivered, coalesced, pumps = run(scenario())
+        delivered, coalesced, before, segments, timers = run(scenario())
         assert [entry[2:] for entry in delivered] == [("a", "b", 1)]
         assert [entry[2:] for entry in coalesced] == [("a", "b", 4)]
-        assert pumps == 0
+        assert before == [] and segments == [b"xabcd"]
+        assert timers == 0
 
     def test_fault_set_mid_connection_keeps_byte_order(self):
         """Scripting a fault on a live link moves the same pipe onto the
-        pump path; bytes already buffered stay ahead, and a write made
+        pump path; bytes already landed stay ahead, and a write made
         after the link is clean again still queues behind what is in
         flight."""
 
         async def scenario():
             net = VirtualNetwork()
-            received = asyncio.get_running_loop().create_future()
-
-            async def handler(reader, writer):
-                received.set_result(await _read_n(reader, 11))
-
-            net.bind("b", 7, handler)
-            _, writer = await net.open_connection("a", "b", 7)
-            tasks = len(net._tasks)
-            writer.write(b"one")
+            accepted = _accepting(net)
+            client = await net.open_connection("a", "b", 7, _Bytes)
+            client.transport.write(b"one")
             net.set_link("a", "b", latency=0.1, symmetric=False)
-            writer.write(b"two")
-            pumps = len(net._tasks) - tasks
+            client.transport.write(b"two")
             net.set_link("a", "b", latency=0.0, symmetric=False)
-            writer.write(b"three")
+            client.transport.write(b"three")
             await net.clock.advance(1.0)
-            data = await received
-            await net.shutdown()
-            return data, pumps
+            return bytes(accepted[0].data)
 
-        assert run(scenario()) == (b"onetwothree", 1)
+        assert run(scenario()) == b"onetwothree"
 
     def test_writelines_faults_stay_frame_aligned(self):
         """A coalesced flush over a faulted link is one segment per
@@ -281,28 +304,22 @@ class TestVirtualPipes:
         ]
         size = len(frames[0])
 
-        async def scenario(expect, **fault):
+        async def scenario(**fault):
             net = VirtualNetwork(seed=3)
-            accepted = {}
-
-            async def handler(reader, writer):
-                accepted["reader"] = reader
-
-            net.bind("b", 7, handler)
-            _, writer = await net.open_connection("a", "b", 7)
+            accepted = _accepting(net)
+            client = await net.open_connection("a", "b", 7, _Bytes)
             net.set_link("a", "b", symmetric=False, **fault)
-            writer.writelines(frames)
+            client.transport.writelines(frames)
             await net.clock.advance(0.1)
-            received = await _read_n(accepted["reader"], expect)
-            await net.shutdown()
-            return net, received
+            return net, bytes(accepted[0].data)
 
-        net, _ = run(scenario(0, loss=1.0))
+        net, received = run(scenario(loss=1.0))
         assert [entry[4] for entry in net.events("lose")] == [size] * 5
-        assert not net.events("deliver")
+        assert not net.events("deliver") and received == b""
 
-        net, received = run(scenario(5 * size, corrupt=1.0))
+        net, received = run(scenario(corrupt=1.0))
         assert len(net.events("corrupt")) == 5
+        assert len(received) == 5 * size
         for start in range(0, len(received), size):
             with pytest.raises(WireFormatError):
                 decode_packet(received[start:start + size])
@@ -311,29 +328,28 @@ class TestVirtualPipes:
         async def scenario():
             net = VirtualNetwork()
             net.set_link("a", "b", latency=0.25)
-            net.bind("b", 7, _echo_handler)
-            dial = asyncio.ensure_future(net.open_connection("a", "b", 7))
+            _accepting(net, echo=True)
+            dial = asyncio.ensure_future(
+                net.open_connection("a", "b", 7, _Bytes))
             await net.clock.advance(0.25)  # the SYN pays one link latency
-            reader, writer = await dial
+            client = await dial
             connect_time = net.clock.time()
-            writer.write(b"x")
-            task = asyncio.ensure_future(_read_n(reader, 1))
+            client.transport.write(b"x")
             await net.clock.advance(1.0)
-            await task
             echo_at = [t for t, kind, src, _, *_ in net.trace
                        if kind == "deliver" and src == "b"]
-            await net.shutdown()
-            return connect_time, echo_at[0]
+            return connect_time, echo_at[0], bytes(client.data)
 
-        connect_time, echoed = run(scenario())
+        connect_time, echoed, data = run(scenario())
         assert connect_time == 0.25
         assert echoed == pytest.approx(0.75)  # there and back
+        assert data == b"x"
 
     def test_connect_refused_without_listener(self):
         async def scenario():
             net = VirtualNetwork()
             with pytest.raises(ConnectionRefusedError):
-                await net.open_connection("a", "b", 7)
+                await net.open_connection("a", "b", 7, _Bytes)
             return net.events("refused")
 
         assert len(run(scenario())) == 1
@@ -341,21 +357,18 @@ class TestVirtualPipes:
     def test_partition_refuses_and_voids_then_heals(self):
         async def scenario():
             net = VirtualNetwork()
-            net.bind("b", 7, _echo_handler)
-            reader, writer = await net.open_connection("a", "b", 7)
+            _accepting(net, echo=True)
+            client = await net.open_connection("a", "b", 7, _Bytes)
             net.partition("a", "b")
-            writer.write(b"x")
-            await writer.drain()
+            client.transport.write(b"x")
             await net.clock.advance(0.1)
             voided = len(net.events("void"))
             with pytest.raises(ConnectionRefusedError):
-                await net.open_connection("a", "b", 7)
+                await net.open_connection("a", "b", 7, _Bytes)
             net.heal("a", "b")
-            writer.write(b"y")
-            await writer.drain()
-            data = await _read_n(reader, 1)
-            await net.shutdown()
-            return voided, data
+            client.transport.write(b"y")
+            await net.clock.advance(0.1)
+            return voided, bytes(client.data)
 
         voided, data = run(scenario())
         assert voided == 1
@@ -365,14 +378,12 @@ class TestVirtualPipes:
         async def scenario(seed):
             net = VirtualNetwork(seed=seed)
             net.set_link("a", "b", loss=0.5, symmetric=False)
-            net.bind("b", 7, _echo_handler)
-            _, writer = await net.open_connection("a", "b", 7)
+            _accepting(net, echo=True)
+            client = await net.open_connection("a", "b", 7, _Bytes)
             for _ in range(20):
-                writer.write(b"z")
+                client.transport.write(b"z")
             await net.clock.advance(0.1)
-            lost = len(net.events("lose"))
-            await net.shutdown()
-            return lost
+            return len(net.events("lose"))
 
         first = run(scenario(5))
         assert first == run(scenario(5))  # same seed, same losses
@@ -382,15 +393,12 @@ class TestVirtualPipes:
         async def scenario():
             net = VirtualNetwork()
             net.set_link("a", "b", corrupt=1.0, symmetric=False)
-            net.bind("b", 7, _echo_handler)
-            reader, writer = await net.open_connection("a", "b", 7)
+            accepted = _accepting(net)
+            client = await net.open_connection("a", "b", 7, _Bytes)
             original = bytes(range(32))
-            writer.write(original)
-            task = asyncio.ensure_future(_read_n(reader, 32))
+            client.transport.write(original)
             await net.clock.advance(0.1)
-            received = await task
-            await net.shutdown()
-            return original, received
+            return original, bytes(accepted[0].data)
 
         original, received = run(scenario())
         assert received != original
@@ -399,57 +407,60 @@ class TestVirtualPipes:
         assert len(flipped) == 1 and bin(flipped[0]).count("1") == 1
 
     def test_close_resets_the_other_side(self):
+        """Closing one end: its protocol hears ``connection_lost(None)``;
+        the other end hears EOF, and — kept half-open — its next write
+        ends its side with a reset.  Nothing is delivered after it."""
+
         async def scenario():
             net = VirtualNetwork()
-            accepted = {}
-
-            async def handler(reader, writer):
-                accepted["reader"] = reader
-                accepted["writer"] = writer
-
-            net.bind("b", 7, handler)
-            reader, writer = await net.open_connection("a", "b", 7)
+            accepted = _accepting(net, keep_open=True)
+            client = await net.open_connection("a", "b", 7, _Bytes)
             await net.clock.advance(0.0)
-            writer.close()
+            client.transport.close()
             await net.clock.advance(0.1)
-            # Server side: reads run out, writes raise.
-            assert await accepted["reader"].read(1) == b""
-            accepted["writer"].write(b"x")
-            with pytest.raises(ConnectionResetError):
-                await accepted["writer"].drain()
-            await net.shutdown()
+            server = accepted[0]
+            eof_only = list(server.events)
+            server.transport.write(b"x")
+            await net.clock.advance(0.1)
+            return client.events, eof_only, server.events, client.data
 
-        run(scenario())
+        client, eof_only, server, data = run(scenario())
+        assert client == [("lost", None)]
+        assert eof_only == ["eof"]
+        assert server == ["eof", ("lost", "ConnectionResetError")]
+        assert data == b""
 
-    def test_backpressure_blocks_drain_until_delivery(self):
+    def test_backpressure_pauses_writing_until_delivery(self):
+        """Past the link's window the writer's protocol hears
+        ``pause_writing`` inside the write, and ``resume_writing`` once
+        the link has carried the excess (16 B at 100 B/s: 0.16 s)."""
+
         async def scenario():
             net = VirtualNetwork()
             net.set_link("a", "b", bandwidth=100.0, buffer_bytes=8,
                          symmetric=False)
-            net.bind("b", 7, _echo_handler)
-            _, writer = await net.open_connection("a", "b", 7)
-            writer.write(bytes(16))  # 16B at 100B/s = 0.16s in flight
-            drained = asyncio.ensure_future(writer.drain())
-            await net.clock.advance(0.01)
-            still_blocked = not drained.done()
+            _accepting(net)
+            client = await net.open_connection("a", "b", 7, _Bytes)
+            client.transport.write(bytes(16))
+            paused = list(client.events)
+            await net.clock.advance(0.1)
+            still_paused = list(client.events)
             await net.clock.advance(1.0)
-            await drained
-            await net.shutdown()
-            return still_blocked
+            return paused, still_paused, client.events
 
-        assert run(scenario()) is True
+        paused, still_paused, events = run(scenario())
+        assert paused == still_paused == ["pause"]
+        assert events == ["pause", "resume"]
 
     def test_blackhole_swallows_one_direction_only(self):
         async def scenario():
             net = VirtualNetwork()
-            net.bind("b", 7, _echo_handler)
-            reader, writer = await net.open_connection("a", "b", 7)
+            _accepting(net, echo=True)
+            client = await net.open_connection("a", "b", 7, _Bytes)
             # The established link goes half-open: a's frames vanish.
             net.set_link("a", "b", blackhole=True, symmetric=False)
-            writer.write(b"x")
-            await writer.drain()
+            client.transport.write(b"x")
             await net.clock.advance(0.1)
-            await net.shutdown()
             return len(net.events("void")), len(net.events("deliver"))
 
         voided, delivered = run(scenario())
@@ -477,40 +488,28 @@ class TestVirtualPipes:
 
 class TestIdleConnectionCost:
     def test_idle_connection_costs_at_most_5500_bytes(self):
-        """500 connections, both ends parked on a MessageStream read:
-        two pipes, two endpoints, two parsers, two parked tasks and
-        nothing else per connection."""
+        """500 idle connections: two pipes, two endpoints and two
+        ``Connection`` objects with their handlers each, and not one
+        task."""
         count = 500
 
         async def scenario():
             net = VirtualNetwork(VirtualClock(), record_trace=False)
             hosts = [f"h{i}" for i in range(count)]
-            writers, clients = [], []
-
-            async def handler(reader, writer):
-                writers.append(writer)
-                await MessageStream(reader).next()
-
-            net.bind("srv", 7, handler)
+            clients = []
+            net.bind("srv", 7, lambda: Connection(Inbox()))
             tracemalloc.start()
             try:
                 before = tracemalloc.get_traced_memory()[0]
                 for host in hosts:
-                    reader, writer = await net.open_connection(host, "srv", 7)
-                    writers.append(writer)
-                    clients.append(asyncio.ensure_future(
-                        MessageStream(reader).next()))
+                    clients.append(await net.open_connection(
+                        host, "srv", 7, lambda: Connection(Inbox())))
                 await net.clock.advance(0.0)
                 used = tracemalloc.get_traced_memory()[0] - before
             finally:
                 tracemalloc.stop()
-            parked = len(net._tasks)
-            await net.shutdown()
-            for client in clients:
-                client.cancel()
-            await asyncio.gather(*clients, return_exceptions=True)
-            return used / count, parked
+            return used / count, len(asyncio.all_tasks())
 
-        per_connection, parked = run(scenario())
-        assert parked == count  # every accept handler still parked
+        per_connection, tasks = run(scenario())
+        assert tasks == 1  # the test's own
         assert per_connection <= 5500, per_connection

@@ -351,8 +351,10 @@ class TestDataplaneCost:
     resumes count; ``benchmarks/ext/calls_per_packet.py`` prints the
     sites)."""
 
-    #: Calls into ``repro`` per delivered packet, per geometry.
-    CEILINGS = {"smallgen": 46, "bulk": 42}
+    #: Calls into ``repro`` per delivered packet, per geometry: the
+    #: seed-0 counts once connections became callbacks (33.8 / 30.4)
+    #: plus the margin the first ceilings had (7.7 / 7.4).
+    CEILINGS = {"smallgen": 41.5, "bulk": 37.8}
 
     @pytest.mark.parametrize("geometry", sorted(CEILINGS))
     def test_delivered_packet_stays_under_its_call_ceiling(
