@@ -12,31 +12,43 @@ the harness runs until every peer decodes -- the benchmark's timed
 region, after ``start()`` -- per packet the peers received meanwhile
 (``dataplane.packets_in`` summed over peers)::
 
-    PYTHONPATH=src python benchmarks/ext/calls_per_packet.py [--geometry smallgen|bulk] [--quick]
+    PYTHONPATH=src python benchmarks/ext/calls_per_packet.py [--geometry smallgen|bulk|swarm] [--quick]
 
-It prints the total and the share into ``src/repro``, then the part no
-``benchmarks/e2e`` ledger row names split three ways -- asyncio's
-event loop, the virtual network (``repro/net/testing``) and the driver
-glue (``net/peer.py``, ``net/server.py``) -- then one row per call site
-(file and function) with its calls per packet, heaviest first;
-``--quick`` prints the first 25 rows.  Two runs of one seed
-agree to the digit.  ``TestDataplaneCost`` in
-``tests/test_protocol_engine.py`` pins the ``src/repro`` share with
-:func:`count_calls`, and ``TestCallsPerPacketGeometries`` there checks
-that :func:`chaos_config` still builds the e2e workloads' configs.
+It prints the total, the share into ``src/repro`` and the event loop's
+``call_soon`` calls, then the part no ``benchmarks/e2e`` ledger row
+names split three ways -- asyncio's event loop, the virtual network
+(``repro/net/testing``) and the driver glue (``net/peer.py``,
+``net/server.py``) -- then one row per call site (file and function)
+with its calls per packet, heaviest first; ``--quick`` prints the first
+25 rows.  ``--geometry swarm`` counts the same per membership op
+(peers joined plus peers killed) over one 300-peer
+:class:`~repro.net.testing.SwarmHarness` round, the ``swarm_churn``
+workload's round at its ``--quick`` size (about 1.5 s).  Two runs of
+one seed agree to the digit.  ``TestDataplaneCost`` and
+``TestSwarmCallCost`` in ``tests/test_protocol_engine.py`` pin the
+``src/repro`` share and the ``call_soon`` count with
+:func:`count_calls` and :func:`count_swarm_calls`, and
+``TestCallsPerPacketGeometries`` there checks that :func:`chaos_config`
+still builds the e2e workloads' configs.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import os
 import sys
 from collections import Counter
 from typing import NamedTuple
 
 import repro
-from repro.net.testing import ChaosConfig, ChaosHarness
+from repro.net.testing import (
+    ChaosConfig,
+    ChaosHarness,
+    SwarmConfig,
+    SwarmHarness,
+)
 
 #: The virtual workloads of ``benchmarks/e2e/workloads.py``: its
 #: broadcast settings plus each geometry (a test holds the copy to it).
@@ -48,8 +60,12 @@ GEOMETRIES = {
     "smallgen": dict(generation_size=8, payload_size=64, generations=64),
     "bulk": dict(generation_size=64, payload_size=1024, generations=8),
 }
+#: The membership round ``--geometry swarm`` counts.
+SWARM_PEERS = 300
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 _ASYNCIO = os.path.dirname(asyncio.__file__) + os.sep
+#: The event loop's scheduling entry point, as a call site.
+_CALL_SOON = (os.path.join(_ASYNCIO, "base_events.py"), "call_soon")
 
 #: The loop remainder's three parts: label -> path prefixes.
 REMAINDER = {
@@ -61,24 +77,46 @@ REMAINDER = {
 
 
 class CallCount(NamedTuple):
-    """Calls over one rep, by site, and the packets it delivered."""
+    """Calls over one rep, by site, and the events it is divided by:
+    packets delivered, or membership ops."""
 
     sites: Counter  # (file, function) -> calls
-    packets: int
+    events: int
 
-    def per_packet(self, inside_only: bool = False) -> float:
+    def per_event(self, inside_only: bool = False) -> float:
         return sum(
             calls for (path, _), calls in self.sites.items()
             if not inside_only or path.startswith(_PACKAGE)
-        ) / self.packets
+        ) / self.events
+
+    def call_soon(self) -> float:
+        """``loop.call_soon`` calls per event: the loop callbacks the
+        code schedules itself."""
+        return self.sites[_CALL_SOON] / self.events
 
     def remainder(self) -> dict[str, float]:
-        """Calls per packet in each part of :data:`REMAINDER`."""
+        """Calls per event in each part of :data:`REMAINDER`."""
         return {
             label: sum(calls for (path, _), calls in self.sites.items()
-                       if path.startswith(prefixes)) / self.packets
+                       if path.startswith(prefixes)) / self.events
             for label, prefixes in REMAINDER.items()
         }
+
+
+@contextlib.contextmanager
+def _counting(sites: Counter):
+    """Count every ``"call"`` event into ``sites`` while the block runs."""
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            sites[code.co_filename, code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(None)
 
 
 def _peer_packets(peers) -> int:
@@ -89,23 +127,26 @@ def _peer_packets(peers) -> int:
 
 async def _rep(config: ChaosConfig, sites: Counter) -> int:
     harness = ChaosHarness(config, record_trace=False)
-
-    def profile(frame, event, arg):
-        if event == "call":
-            code = frame.f_code
-            sites[code.co_filename, code.co_name] += 1
-
     try:
         await harness.start()
         before = _peer_packets(harness.peers)
-        sys.setprofile(profile)
-        try:
+        with _counting(sites):
             converged = await harness.run_until(harness.converged)
-        finally:
-            sys.setprofile(None)
         if not converged:
             raise AssertionError("the rep did not converge")
         return _peer_packets(harness.peers) - before
+    finally:
+        await harness.teardown()
+
+
+async def _swarm_rep(config: SwarmConfig, sites: Counter) -> int:
+    harness = SwarmHarness(config)
+    try:
+        with _counting(sites):
+            report = await harness.run_round()
+        if not report.ok:
+            raise AssertionError(report.summary())
+        return report.joined + report.killed
     finally:
         await harness.teardown()
 
@@ -117,10 +158,20 @@ def chaos_config(geometry: str, seed: int) -> ChaosConfig:
 
 
 def count_calls(geometry: str, seed: int = 0) -> CallCount:
-    """Count one rep of ``geometry`` (a :data:`GEOMETRIES` key)."""
+    """Count one rep of ``geometry`` (a :data:`GEOMETRIES` key), per
+    delivered packet."""
     sites: Counter = Counter()
     packets = asyncio.run(_rep(chaos_config(geometry, seed), sites))
     return CallCount(sites, packets)
+
+
+def count_swarm_calls(seed: int = 0) -> CallCount:
+    """Count one :data:`SWARM_PEERS`-peer swarm round, per membership
+    op."""
+    sites: Counter = Counter()
+    ops = asyncio.run(_swarm_rep(
+        SwarmConfig(peers=SWARM_PEERS, seed=seed), sites))
+    return CallCount(sites, ops)
 
 
 def _label(path: str, function: str) -> str:
@@ -133,17 +184,23 @@ def _label(path: str, function: str) -> str:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--geometry", choices=sorted(GEOMETRIES),
+    parser.add_argument("--geometry", choices=[*sorted(GEOMETRIES), "swarm"],
                         default="smallgen")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
                         help="print only the 25 heaviest sites")
     args = parser.parse_args(argv)
-    count = count_calls(args.geometry, args.seed)
-    print(f"{args.geometry} seed {args.seed}: {count.packets} packets, "
-          f"{count.per_packet(inside_only=True):.1f} calls into src/repro "
-          f"and {count.per_packet():.1f} in total per packet")
-    print("remainder per packet: " + ", ".join(
+    if args.geometry == "swarm":
+        count, unit = count_swarm_calls(args.seed), "op"
+        what = f"n={SWARM_PEERS}: {count.events} membership ops"
+    else:
+        count, unit = count_calls(args.geometry, args.seed), "packet"
+        what = f"{count.events} packets"
+    print(f"{args.geometry} seed {args.seed}: {what}, "
+          f"{count.per_event(inside_only=True):.1f} calls into src/repro, "
+          f"{count.per_event():.1f} in total and {count.call_soon():.2f} "
+          f"call_soon per {unit}")
+    print(f"remainder per {unit}: " + ", ".join(
         f"{label} {calls:.1f}" for label, calls in count.remainder().items()))
     rows = count.sites.most_common(25 if args.quick else None)
     width = max(len(_label(*site)) for site, _ in rows)
@@ -151,7 +208,7 @@ def main(argv=None) -> None:
     for (path, function), calls in rows:
         ours = calls if path.startswith(_PACKAGE) else 0
         print(f"{_label(path, function):<{width}}  "
-              f"{ours / count.packets:>6.2f}  {calls / count.packets:>6.2f}")
+              f"{ours / count.events:>6.2f}  {calls / count.events:>6.2f}")
 
 
 if __name__ == "__main__":

@@ -16,13 +16,17 @@ objects: every mixture is serialised exactly once, before it is queued
 (a relay's fan-out is one ``bytes`` join per frame behind headers
 packed once per group, see
 :func:`repro.net.framing.encode_mixture_frames`).  The first enqueue of
-a loop tick schedules one flush (``call_soon``), which hands everything
-queued by then to the transport in a single ``writelines`` — one
-syscall on a real socket; the virtual transport keeps its fault
-injection aligned to the individual frames of the list.  Nothing
-awaits a drain: while the transport says ``pause_writing`` (its unsent
-bytes are over its high-water mark) no flush runs and the queue takes
-the backlog, drop-oldest; ``resume_writing`` schedules the next flush.
+a loop tick puts the pump on its clock's
+:class:`~repro.net.transport.FlushBatch`, and the first pump to join
+in a tick schedules the batch's one loop callback: it reads the clock
+once and flushes every joined pump in join order, each handing
+everything it queued by then to its transport in a single
+``writelines`` — one syscall on a real socket; the virtual transport
+keeps its fault injection aligned to the individual frames of the
+list.  Nothing awaits a drain: while the transport says
+``pause_writing`` (its unsent bytes are over its high-water mark) no
+flush runs and the queue takes the backlog, drop-oldest;
+``resume_writing`` joins the next batch.
 
 The pump's one timer emits a :class:`~repro.protocol.messages.KeepAlive`
 control frame (or the engine's idle fill) when the data flow pauses, so
@@ -87,7 +91,13 @@ from .framing import (
     encode_frame,
     encode_mixture_frames,
 )
-from .transport import AsyncioClock, ByteStreamWriter, Clock, TimerHandle
+from .transport import (
+    AsyncioClock,
+    ByteStreamWriter,
+    Clock,
+    FlushBatch,
+    TimerHandle,
+)
 
 __all__ = ["PacketSender", "PumpSet", "SenderStats"]
 
@@ -113,6 +123,24 @@ class SenderStats:
     flushes: int = 0
 
 
+def _flush_batch(batch: FlushBatch, clock: Clock) -> None:
+    """A tick's one flush callback: every pump that joined ``batch``
+    writes what it queued, in join order, at one reading of ``clock``.
+    A flush that raises is reported the way the loop reports a failed
+    callback, and the pumps behind it still flush."""
+    batch.loop = None
+    pumps, batch.pumps = batch.pumps, []
+    now = clock.time()
+    for pump in pumps:
+        try:
+            pump._flush(now)
+        except Exception as error:
+            asyncio.get_running_loop().call_exception_handler({
+                "message": f"Exception in callback {pump._flush!r}",
+                "exception": error,
+            })
+
+
 class PacketSender:
     """Bounded drop-oldest pump feeding one downstream connection.
 
@@ -128,8 +156,9 @@ class PacketSender:
         keepalive_interval: Idle period after which the idle packet or
             a keep-alive frame is sent (None disables both).  It runs
             from the pump's last write, on one timer per pump.
-        clock: Timeline the idle timer runs on (real time by default;
-            the chaos harness injects a virtual clock).
+        clock: Timeline the idle timer runs on, and whose flush batch
+            the pump joins (real time by default; the chaos harness
+            injects a virtual clock).
         logger: Destination for backpressure decisions (evictions are
             logged at DEBUG); None keeps the pump silent.
     """
@@ -166,7 +195,7 @@ class PacketSender:
         #: Frames not yet flushed, oldest first (at most ``limit``).  A
         #: flush takes the whole list and leaves an empty one behind.
         self._queue: list[bytes] = []
-        #: A flush is on the loop's ready queue.
+        #: The pump is on its clock's flush batch.
         self._flush_due = False
         #: Set by ``pause_writing``, cleared by ``resume_writing``: no
         #: flush runs while it is set.
@@ -206,9 +235,9 @@ class PacketSender:
 
         The encode-once fan-out entry point: callers serialise a packet
         a single time and hand the same immutable bytes to every child's
-        pump.  The first frame of a loop tick schedules the flush that
-        writes all of them; nothing is written here.  Returns True if
-        the frame was queued without an eviction.
+        pump.  The first frame of a loop tick joins the flush batch
+        that writes all of them; nothing is written here.  Returns True
+        if the frame was queued without an eviction.
         """
         if self.closed:
             return False
@@ -226,15 +255,30 @@ class PacketSender:
                 )
         self._queue.append(frame)
         if not self._flush_due and not self.paused:
-            self._flush_due = True
-            try:
-                asyncio.get_running_loop().call_soon(self._flush)
-            except RuntimeError:
-                pass  # no loop to flush on: the queue only fills
+            self._join_flush()
         return clean
 
-    def _flush(self) -> None:
-        """Hand everything queued to the transport in one write."""
+    def _join_flush(self) -> None:
+        """Join the clock's flush batch; the tick's first pump to join
+        schedules its callback."""
+        self._flush_due = True
+        try:
+            loop = asyncio.get_running_loop()
+        except RuntimeError:
+            return  # no loop to flush on: the queue only fills
+        batch = self._clock.flushes
+        if batch.loop is loop:
+            batch.pumps.append(self)
+        else:
+            # The tick's first join — or a batch left pending by a loop
+            # that closed before it ran, whose pumps went with it.
+            batch.loop = loop
+            batch.pumps = [self]
+            loop.call_soon(_flush_batch, batch, self._clock)
+
+    def _flush(self, now: float) -> None:
+        """Hand everything queued to the transport in one write (its
+        batch read the clock: ``now``)."""
         self._flush_due = False
         if self.closed or self.paused or not self._queue:
             return
@@ -244,18 +288,18 @@ class PacketSender:
         stats.sent += len(frames)
         stats.bytes_sent += sum(map(len, frames))
         stats.flushes += 1
-        self._written_at = self._clock.time()
+        self._written_at = now
 
     def pause_writing(self) -> None:
         """The transport is over its high-water mark: hold the queue."""
         self.paused = True
 
     def resume_writing(self) -> None:
-        """The transport drained: flush what queued meanwhile."""
+        """The transport drained: flush what queued meanwhile, in the
+        next batch."""
         self.paused = False
         if self._queue and not self._flush_due and not self.closed:
-            self._flush_due = True
-            asyncio.get_running_loop().call_soon(self._flush)
+            self._join_flush()
 
     def close(self) -> None:
         """Stop the pump (idempotent): nothing more is queued or
@@ -343,7 +387,10 @@ class _Upstream(Handler):
     """The connection a node dialed to ``column``'s parent.
 
     Its hello and the node's completed set go out in one write as it
-    connects.  Every packet is the engine's ``PacketArrived``: its
+    connects.  A packet of a generation or a geometry the session does
+    not have is a :class:`FramingError`, which closes this connection
+    and nobody else's; every other packet is the engine's
+    ``PacketArrived``: its
     ``EmitToChildren`` goes to :meth:`PumpSet.emit`, its
     ``MarkComplete`` calls ``on_complete``, and after each segment the
     reports follow the child's half of the module docstring's contract.
@@ -358,7 +405,12 @@ class _Upstream(Handler):
     def __init__(self, pumps: "PumpSet", column: int, silence_timeout: float,
                  stats, on_complete: Optional[Callable[[], None]]) -> None:
         self.pumps = pumps
-        self.engine = pumps.engine
+        self.engine = engine = pumps.engine
+        #: What every packet is checked against: the generation count,
+        #: then the coefficient and payload lengths.
+        self.generations = engine.generation_count
+        params = engine.recoder.params
+        self.shape = (params.generation_size, params.payload_size)
         self.column = column
         self.silence_timeout = silence_timeout
         #: The node's ``PeerStats``: segments, keep-alives heard and
@@ -401,6 +453,14 @@ class _Upstream(Handler):
 
     def message(self, message) -> None:
         if isinstance(message, CodedPacket):
+            if (not 0 <= message.generation < self.generations
+                    or (len(message.coefficients), len(message.payload))
+                    != self.shape):
+                raise FramingError(
+                    f"packet of generation {message.generation} with "
+                    f"{len(message.coefficients)} coefficients and "
+                    f"{len(message.payload)} payload bytes: not this "
+                    f"session's")
             self.saw_traffic = True
             engine = self.engine
             effects = engine.handle(_new(PacketArrived, (message, 0.0)))
@@ -446,6 +506,9 @@ class _Upstream(Handler):
                 pumps.logger.info(
                     "column %d: corrupted frame from the parent (CRC "
                     "mismatch), dropping connection", column)
+        elif isinstance(error, FramingError) and pumps.logger is not None:
+            pumps.logger.info(
+                "column %d: dropping parent connection: %s", column, error)
         if not self.done.done():
             self.done.set_result(self.saw_traffic)
 

@@ -35,10 +35,15 @@ ever opened.
 Delivery.  Every connection end is an asyncio-shaped transport, and
 the receiving side is the protocol object the dial's or the listener's
 factory made: bytes reach it only through ``data_received``, called
-from the event loop — one ``call_soon`` per pending delivery, which
-hands over everything landed by then — and never inside the writer's
-own call, so a reply written from a handler cannot re-enter the engine
-that is still handling.  A segment written to a link with nothing
+from the event loop and never inside the writer's own call, so a reply
+written from a handler cannot re-enter the engine that is still
+handling.  The network keeps one list of the pipes that have landed
+bytes or an EOF; the first landing of a loop tick schedules one
+delivery callback, which hands each pipe's buffer — everything landed
+by then — to its reader, in landing order.  An accepted connection
+joins that list as it is dialed, so its protocol hears
+``connection_made`` in the same pass, before anything is delivered to
+it.  A segment written to a link with nothing
 scripted on it (:meth:`LinkFaults.is_clean`) and nothing queued ahead
 of it lands at once, and a ``writelines`` flush lands as one append.
 Otherwise segments queue, one per frame, behind the pipe's fault pump —
@@ -58,7 +63,7 @@ from dataclasses import dataclass, replace
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
-from ..transport import Clock, ProtocolFactory
+from ..transport import Clock, FlushBatch, ProtocolFactory
 
 __all__ = [
     "LinkFaults",
@@ -137,6 +142,7 @@ class VirtualClock:
         #: batch.  0.0 (the default) settles after every single timer,
         #: which scenarios asserting exact timer schedules rely on.
         self.quantum = quantum
+        self.flushes = FlushBatch()
 
     def time(self) -> float:
         return self._now
@@ -251,7 +257,9 @@ class _Pipe:
     ``protocol`` writes here; ``reverse`` is the other direction, whose
     writer's protocol reads what crosses this one.  Bytes that have
     crossed the link wait in ``buffer`` (and an EOF in ``eof``) for the
-    one delivery callback on the loop.  On a clean link with nothing
+    network's delivery callback, which the pipe joins once per tick;
+    a pipe whose reader has yet to hear ``connection_made`` is
+    ``unmade``, and joins as it is dialed.  On a clean link with nothing
     queued a flush lands at once; otherwise segments queue, and the
     fault pump applies the link's faults to each in order.  While more
     than ``buffer_bytes`` are queued but not yet carried, the writer's
@@ -267,7 +275,7 @@ class _Pipe:
     __slots__ = (
         "net", "src", "dst", "loop", "protocol", "reverse", "peername",
         "buffer", "eof", "closed", "broken", "in_flight", "paused",
-        "_segments", "_due", "_pumping", "_held",
+        "unmade", "_segments", "_due", "_pumping", "_held",
     )
 
     _EOF = object()
@@ -288,8 +296,9 @@ class _Pipe:
         self.broken = False  # the reading end closed: writes reset
         self.in_flight = 0
         self.paused = False  # the writer's protocol was told to pause
+        self.unmade = False  # the reader's connection_made is to come
         self._segments: list = []
-        #: A delivery is on the loop's ready queue.
+        #: The pipe is on the network's delivery list.
         self._due = False
         #: The fault pump is running (a callback is due).
         self._pumping = False
@@ -349,8 +358,13 @@ class _Pipe:
             if data:
                 self.buffer += data
                 if not self._due:
-                    self._due = True
-                    self.loop.call_soon(self._deliver)
+                    # VirtualNetwork._land's common case, inline on
+                    # the per-write path: keep both alike.
+                    if net._landed_loop is self.loop:
+                        self._due = True
+                        net._landed.append(self)
+                    else:
+                        net._land(self)
                 if net.record_trace:
                     net.record("deliver", self.src, self.dst, len(data))
             return
@@ -429,35 +443,18 @@ class _Pipe:
             net.record("corrupt", self.src, self.dst, index)
         self.buffer.extend(segment)
         if not self._due:
-            self._due = True
-            self.loop.call_soon(self._deliver)
+            net._land(self)
         net.record("deliver", self.src, self.dst, len(segment))
 
     def _deliver_eof(self) -> None:
-        if self.net.faults(self.src, self.dst).delivers():
+        net = self.net
+        if net.faults(self.src, self.dst).delivers():
             self.eof = True
             if not self._due:
-                self._due = True
-                self.loop.call_soon(self._deliver)
-            self.net.record("eof", self.src, self.dst)
+                net._land(self)
+            net.record("eof", self.src, self.dst)
         else:
-            self.net.record("void-eof", self.src, self.dst)
-
-    def _deliver(self) -> None:
-        """Hand the reading protocol everything landed (uncopied: the
-        pipe starts a new buffer), then the EOF if it has come."""
-        self._due = False
-        reader = self.reverse
-        if reader.closed:
-            self.buffer = bytearray()
-            return
-        if self.buffer:
-            data, self.buffer = self.buffer, bytearray()
-            reader.protocol.data_received(data)
-        if self.eof and not reader.closed:
-            self.eof = False
-            if not reader.protocol.eof_received():
-                reader.close()
+            net.record("void-eof", self.src, self.dst)
 
 
 class _VirtualListener:
@@ -516,6 +513,11 @@ class VirtualNetwork:
         self.record_trace = record_trace
         #: (time, kind, *details) tuples — the deterministic event trace.
         self.trace: list[tuple] = []
+        #: Pipes with something for their reader, in landing order, and
+        #: the loop their delivery callback is pending on (None once it
+        #: has run).
+        self._landed: list[_Pipe] = []
+        self._landed_loop: Optional[asyncio.AbstractEventLoop] = None
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -526,6 +528,54 @@ class VirtualNetwork:
     def events(self, *kinds: str) -> list[tuple]:
         """Trace entries filtered by event kind."""
         return [entry for entry in self.trace if entry[1] in kinds]
+
+    # -- delivery ------------------------------------------------------
+
+    def _land(self, pipe: _Pipe) -> None:
+        """Put ``pipe`` on the delivery list; the tick's first landing
+        schedules the delivery callback."""
+        pipe._due = True
+        loop = pipe.loop
+        if self._landed_loop is loop:
+            self._landed.append(pipe)
+        else:
+            # The tick's first landing — or a list left pending by a
+            # loop that closed before it ran, whose pipes went with it.
+            self._landed_loop = loop
+            self._landed = [pipe]
+            loop.call_soon(self._deliver_landed)
+
+    def _deliver_landed(self) -> None:
+        """The tick's one delivery callback.  Each landed pipe's reader
+        hears ``connection_made`` if it has not yet, then everything
+        landed (uncopied: the pipe starts a new buffer), then the EOF
+        if it has come.  A reader that raises is reported the way the
+        loop reports a failed callback, and the pipes behind it are
+        still delivered."""
+        self._landed_loop = None
+        landed, self._landed = self._landed, []
+        for pipe in landed:
+            pipe._due = False
+            reader = pipe.reverse
+            try:
+                if pipe.unmade:
+                    pipe.unmade = False
+                    reader.protocol.connection_made(reader)
+                if reader.closed:
+                    pipe.buffer = bytearray()
+                    continue
+                if pipe.buffer:
+                    data, pipe.buffer = pipe.buffer, bytearray()
+                    reader.protocol.data_received(data)
+                if pipe.eof and not reader.closed:
+                    pipe.eof = False
+                    if not reader.protocol.eof_received():
+                        reader.close()
+            except Exception as error:
+                pipe.loop.call_exception_handler({
+                    "message": f"Exception delivering to {reader.protocol!r}",
+                    "exception": error,
+                })
 
     # -- faults --------------------------------------------------------
 
@@ -600,7 +650,7 @@ class VirtualNetwork:
         refusal or a fresh pipe pair between the protocol ``factory``
         makes and the one the listener's makes.  The dialler's
         ``connection_made`` has run when this returns; the listener's
-        runs on the loop, ahead of any delivery to it."""
+        runs in the next delivery pass, ahead of any delivery to it."""
         faults = self.faults(src, dst)
         delay = faults.latency + (self._rng.uniform(0.0, faults.jitter)
                                   if faults.jitter else 0.0)
@@ -618,7 +668,8 @@ class VirtualNetwork:
                      (src, self._next_port()))
         out.reverse, back.reverse = back, out
         self.record("connect", src, dst, port)
-        loop.call_soon(back.protocol.connection_made, back)
+        out.unmade = True
+        self._land(out)
         out.protocol.connection_made(out)
         return out.protocol
 

@@ -33,7 +33,7 @@ deterministically, with scripted per-link faults, in milliseconds.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Optional, Protocol
 
 __all__ = [
     "AsyncioClock",
@@ -41,6 +41,7 @@ __all__ = [
     "AsyncioTransport",
     "ByteStreamWriter",
     "Clock",
+    "FlushBatch",
     "Listener",
     "ProtocolFactory",
     "TimerHandle",
@@ -67,6 +68,25 @@ class TimerHandle(Protocol):
         ...
 
 
+class FlushBatch:
+    """The outbound pumps with frames to write this loop tick.
+
+    Every clock owns one, so all the pumps on one timeline — a node's,
+    or a whole virtual network's — write through one loop callback per
+    tick (:mod:`repro.net.streams` joins and runs it): the first pump
+    to join in a tick schedules it, on ``loop``, and the callback
+    flushes ``pumps`` in join order.
+    """
+
+    __slots__ = ("pumps", "loop")
+
+    def __init__(self) -> None:
+        #: Pumps that joined since the callback last ran, in join order.
+        self.pumps: list = []
+        #: The loop the callback is pending on; None once it has run.
+        self.loop: Optional[asyncio.AbstractEventLoop] = None
+
+
 class Clock(Protocol):
     """Time as seen by the protocol code.
 
@@ -78,8 +98,10 @@ class Clock(Protocol):
     ``advance`` is the *driver-side* hook harnesses use to let a span
     of time pass — a real clock simply sleeps, a virtual clock fires
     every timer due in the span and settles the event loop between
-    firings.
+    firings.  ``flushes`` is the timeline's :class:`FlushBatch`.
     """
+
+    flushes: FlushBatch
 
     def time(self) -> float: ...
 
@@ -128,6 +150,9 @@ class Transport(Protocol):
 
 class AsyncioClock:
     """Wall-clock time on the running event loop."""
+
+    def __init__(self) -> None:
+        self.flushes = FlushBatch()
 
     def time(self) -> float:
         return asyncio.get_event_loop().time()

@@ -42,7 +42,8 @@ def test_scenario_passes(name):
     assert result.trace, "virtual run produced no event trace"
 
 
-@pytest.mark.parametrize("name", ["crash_parent_midstream", "lossy_links"])
+@pytest.mark.parametrize("name", ["crash_parent_midstream", "lossy_links",
+                                  "multi_crash", "slow_reader_backpressure"])
 def test_same_seed_same_trace(name):
     """Acceptance: one seed, two runs, byte-identical event traces."""
     first = run_scenario_sync(name, seed=11)

@@ -12,12 +12,17 @@ pair drives the outbound pump.
 * ``pause_writing`` holds the pump's queue (drop-oldest, bounded) and
   ``resume_writing`` flushes it once — on the virtual network's
   ``buffer_bytes`` window, and on a real loopback socket.
+* A parent's packet for a generation or geometry the session lacks
+  closes that one upstream connection with a ``FramingError``.
+* One loop callback per tick flushes the pumps and one delivers the
+  virtual pipes; the orders the batches keep are pinned.
 """
 
 import asyncio
 import socket
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (
@@ -28,7 +33,9 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.coding.packet import CodedPacket
 from repro.coding.wire import encode_packet
+from repro.core.matrix import SERVER
 from repro.net.control import GenerationsComplete, encode_control
 from repro.net.framing import (
     KIND_CONTROL,
@@ -40,9 +47,11 @@ from repro.net.framing import (
     FirstFrame,
     FramingError,
     Handler,
+    encode_data_frame,
     encode_frame,
 )
 from repro.net.streams import PacketSender
+from repro.net.transport import AsyncioClock
 from repro.net.testing import (
     ChaosConfig,
     ChaosHarness,
@@ -50,7 +59,7 @@ from repro.net.testing import (
     VirtualNetwork,
 )
 
-from tests.netkit import CollectingWriter, listen
+from tests.netkit import CollectingWriter, Inbox, dial, listen
 from tests.test_net_framing import _message_key, coded_packets, control_messages
 from tests.test_net_pumps import RecordingEngine, _pump_set, _serving
 
@@ -288,6 +297,174 @@ class TestHostileBytesTyped:
             raise errors[0]
 
 
+class TestUpstreamSessionCheck:
+    """A parent's packet for a generation or a geometry the session
+    does not have closes that one upstream connection with a
+    ``FramingError`` before the engine sees it: nothing is reported as
+    a failed loop callback, the thread's ``_thread_loop`` redials, and
+    no other connection notices."""
+
+    @pytest.mark.parametrize("foreign", ["generation", "coefficients",
+                                         "payload"])
+    def test_foreign_packet_closes_only_its_connection(self, foreign):
+        config = ChaosConfig(peers=4, k=4, d=2, seed=0)
+        g, n = config.generation_size, config.payload_size
+        generation, rows, width = {
+            "generation": (config.generations, g, n),
+            "coefficients": (0, g + 1, n),
+            "payload": (0, g, n - 1),
+        }[foreign]
+        frame = encode_data_frame(CodedPacket(
+            generation, np.ones(rows, np.uint8), np.zeros(width, np.uint8)))
+
+        async def scenario():
+            failures = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: failures.append(context))
+            harness = ChaosHarness(config, record_trace=False)
+            try:
+                await harness.start()
+                peer, column = next(
+                    (peer, column) for peer in harness.peers
+                    for column, parent in peer.parents.items()
+                    if parent == SERVER)
+                before = {(peer.node_id, column): writer
+                          for peer in harness.peers
+                          for column, writer in peer.pumps._parents.items()}
+                link = before[peer.node_id, column]
+                handler = link.protocol.handler
+                errors = []
+                closed = handler.closed
+                handler.closed = lambda error: (
+                    errors.append(error), closed(error))
+                task = peer._thread_tasks[column]
+                harness.server.pumps.get(column).enqueue_frame(frame)
+                redialed = await harness.run_until(
+                    lambda: peer.pumps._parents.get(column)
+                    not in (None, link), timeout=5.0)
+                after = {(peer.node_id, column): writer
+                         for peer in harness.peers
+                         for column, writer in peer.pumps._parents.items()}
+                others = [after.get(key) is writer and not writer.closed
+                          for key, writer in before.items()
+                          if writer is not link]
+                alive = (peer._thread_tasks.get(column) is task
+                         and not task.done())
+                return errors, failures, redialed, alive, others
+            finally:
+                await harness.teardown()
+
+        errors, failures, redialed, alive, others = asyncio.run(scenario())
+        assert len(errors) == 1 and type(errors[0]) is FramingError
+        assert failures == []
+        assert redialed and alive
+        assert len(others) == 7 and all(others)
+
+
+class TestTickBatches:
+    """The pumps' flushes and the virtual pipes' deliveries each run as
+    one loop callback per tick; these pin the orders the batches keep."""
+
+    FRAME = encode_frame(KIND_CONTROL, encode_control(GenerationsComplete(1)))
+
+    def test_accepted_side_hears_connected_before_any_message(self):
+        """The dialler's first write lands in a tick whose delivery pass
+        is already pending (another connection's write landed first):
+        the accepting handler still hears ``connected`` first."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            log, accepted = [], []
+            listener = listen(
+                net, "hub", 7, accepted=accepted,
+                on_connect=lambda inbox: log.append((inbox, "connected")),
+                on_message=lambda inbox, _: log.append((inbox, "message")))
+            first = await dial(net, "a", *listener.address)
+            await net.clock.advance(0.0)
+            first.write(self.FRAME)
+            await dial(net, "b", *listener.address, Inbox(
+                on_connect=lambda inbox: inbox.write(self.FRAME)))
+            await net.clock.advance(0.0)
+            return log, accepted
+
+        log, accepted = asyncio.run(scenario())
+        assert len(accepted) == 2
+        for inbox in accepted:
+            assert [event for who, event in log if who is inbox] == [
+                "connected", "message"]
+
+    def test_pump_closed_or_paused_before_its_batch_runs_writes_nothing(self):
+        """Three pumps on one clock join one batch; the one closed and
+        the one paused before it runs write nothing, the third writes
+        its frame, and the paused one flushes once it resumes."""
+
+        async def scenario():
+            clock = AsyncioClock()
+            writers = [CollectingWriter() for _ in range(3)]
+            pumps = [
+                PacketSender(writer, column=0, sender_id=1,
+                             idle_packet=lambda: None, clock=clock)
+                for writer in writers]
+            for pump in pumps:
+                pump.enqueue_frame(self.FRAME)
+            pumps[0].close()
+            pumps[1].pause_writing()
+            await asyncio.sleep(0)
+            held = [list(writer.batches) for writer in writers]
+            pumps[1].resume_writing()
+            await asyncio.sleep(0)
+            return held, [writer.batches for writer in writers]
+
+        held, after = asyncio.run(scenario())
+        assert held == [[], [], [[self.FRAME]]]
+        assert after == [[], [[self.FRAME]], [[self.FRAME]]]
+
+    def test_a_loop_closed_with_batches_pending_strands_nothing(self):
+        """A loop closes with a flush batch and a delivery pass pending
+        on one network's clock; pumps and pipes on the next loop still
+        flush and deliver."""
+        net = VirtualNetwork()
+        loop = asyncio.new_event_loop()
+        try:
+            async def connect():
+                listener = listen(net, "hub", 7)
+                inbox = await dial(net, "a", *listener.address)
+                await asyncio.sleep(0)
+                return listener, inbox
+
+            listener, inbox = loop.run_until_complete(connect())
+            stranded = PacketSender(
+                CollectingWriter(), column=0, sender_id=1,
+                idle_packet=lambda: None, clock=net.clock)
+
+            def strand():
+                stranded.enqueue_frame(self.FRAME)
+                inbox.write(self.FRAME)
+                loop.stop()
+
+            loop.call_soon(strand)
+            loop.run_forever()
+            assert stranded._flush_due and net._landed
+        finally:
+            loop.close()
+
+        async def second():
+            accepted = []
+            listener = listen(net, "hub", 8, accepted=accepted)
+            dialled = await dial(net, "b", *listener.address)
+            writer = CollectingWriter()
+            pump = PacketSender(writer, column=0, sender_id=1,
+                                idle_packet=lambda: None, clock=net.clock)
+            pump.enqueue_frame(self.FRAME)
+            dialled.write(self.FRAME)
+            await net.clock.advance(0.0)
+            return writer.batches, accepted[0].messages
+
+        flushed, delivered = asyncio.run(second())
+        assert flushed == [[self.FRAME]]
+        assert delivered == [GenerationsComplete(1)]
+
+
 class TestTaskCount:
     def test_converged_harness_runs_one_task_per_held_thread(self):
         """After convergence the event loop holds a ``_thread_loop`` per
@@ -331,10 +508,10 @@ class _LoggedSender(PacketSender):
         self.log.append("resume")
         super().resume_writing()
 
-    def _flush(self):
+    def _flush(self, now):
         if self._queue and not self.paused and not self.closed:
             self.log.append(("flush", len(self._queue)))
-        super()._flush()
+        super()._flush(now)
 
 
 def _pump_over(connection, log, limit):
