@@ -120,9 +120,7 @@ def _counting(sites: Counter):
 
 
 def _peer_packets(peers) -> int:
-    return sum(
-        peer.registry.counter("dataplane.packets_in").value
-        for peer in peers)
+    return sum(peer.dataplane.obs.packets_in for peer in peers)
 
 
 async def _rep(config: ChaosConfig, sites: Counter) -> int:

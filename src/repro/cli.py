@@ -196,7 +196,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
             )
             await harness.settle()
             result = harness.result("demo")
-            # Snapshot before teardown so callback gauges read live state.
+            # Snapshot before teardown so the gauges read live state.
             final_snapshot = snapshot()
         finally:
             if metrics is not None:
@@ -209,7 +209,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
         print(f"converged: {result.converged}  "
               f"wall clock: {result.elapsed:.2f}s  rounds: {server.stats.rounds}")
         print(f"completion: {len(done) / max(len(survivors), 1):.1%}  "
-              f"server packets: {server.dataplane.obs.mixtures_out.value}  "
+              f"server packets: {server.dataplane.obs.mixtures_out}  "
               f"backpressure drops: {result.drops}")
         print(f"repairs: {result.repairs}  reconnects: {result.reconnects}  "
               f"complaints: {result.complaints}")
@@ -332,10 +332,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 await metrics.stop()
             await server.stop()
         counts = server.engine.obs
-        print(f"served {server.dataplane.obs.mixtures_out.value} packets "
+        print(f"served {server.dataplane.obs.mixtures_out} packets "
               f"over {server.stats.rounds} rounds; "
-              f"joins={counts.joins.value} leaves={counts.leaves.value} "
-              f"repairs={counts.repairs.value}")
+              f"joins={counts.joins} leaves={counts.leaves} "
+              f"repairs={counts.repairs}")
         _write_stats_json(args.stats_json, snapshot)
         return 0
 
@@ -381,8 +381,8 @@ def _cmd_join(args: argparse.Namespace) -> int:
             pass
         ok = peer.completed
         print(f"rank {peer.rank}/{peer.needed}  "
-              f"received {peer.dataplane.obs.packets_in.value} "
-              f"(innovative {peer.dataplane.obs.innovative_in.value})  "
+              f"received {peer.dataplane.obs.packets_in} "
+              f"(innovative {peer.dataplane.obs.innovative_in})  "
               f"reconnects {peer.stats.reconnects}")
         if ok:
             print(f"decoded {len(peer.recovered_content())} bytes")

@@ -201,7 +201,7 @@ class RelayEngine(TappedEngine):
         if self._children_tuple and (innovative or self._forward_dependent):
             children, spec, skipped = self._plan or self._replan()
             if skipped and self._obs is not None:
-                self._obs.withheld.value += skipped
+                self._obs.withheld += skipped
             if children:
                 emit_rows = self.recoder.emit_rows
                 groups = []

@@ -92,7 +92,7 @@ class SourceEngine(TappedEngine):
             packets += self.encoder.emit_batch(len(members), generation)
         skipped = len(event.targets) - len(children)
         if skipped and self._obs is not None:
-            self._obs.withheld.value += skipped
+            self._obs.withheld += skipped
         if not packets:
             return []
         return [EmitToChildren(tuple(children), packets=tuple(packets))]

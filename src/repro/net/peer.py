@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable, Optional
 
@@ -51,7 +51,6 @@ from ..obs import (
     FlightRecorder,
     PeerEngineInstruments,
     Registry,
-    bind_fields,
     snapshot_obj,
 )
 from ..protocol import (
@@ -194,6 +193,7 @@ class PeerNode:
         #: Per-node telemetry; renamed to ``peer:<node_id>`` once the
         #: grant assigns us an id.  Everything is snapshot-on-read.
         self.registry = Registry("peer")
+        self.registry.owners.append(self)
         #: Both ends of every data connection: one pump per (child id,
         #: column) dialed in, and each thread's dial to its parent.
         self.pumps = PumpSet(
@@ -203,22 +203,20 @@ class PeerNode:
         )
         #: Retired-pump totals first, then one entry per live child pump.
         self.sender_stats = self.pumps.stats
-        PeerEngineInstruments(self.registry).attach(self.engine, self.registry)
+        PeerEngineInstruments(self.engine, self.registry)
         self.engine.flight = FlightRecorder()
-        bind_fields(
-            self.registry, self.stats,
-            ("reconnects", "keepalives_seen", "crc_failures",
-             "upstream_fills"),
-            "net", "live PeerStats counter",
-        )
-        self.registry.gauge(
-            "net.needed", "degrees of freedom for a full decode",
-            fn=lambda: self.needed,
-        )
 
     def snapshot(self) -> dict:
         """This node's registries as a versioned snapshot object."""
         return snapshot_obj(self.registry)
+
+    def snapshot_into(self, counters: dict, gauges: dict,
+                      histograms: dict) -> None:
+        """The registry's read of this node: each :class:`PeerStats`
+        count as ``net.<field>``, and ``net.needed``."""
+        for field in fields(PeerStats):
+            gauges[f"net.{field.name}"] = getattr(self.stats, field.name)
+        gauges["net.needed"] = self.needed
 
     @property
     def node_id(self) -> Optional[int]:
@@ -286,9 +284,7 @@ class PeerNode:
             node_id=grant.node_id,
         ))
         self.pumps.engine = self.dataplane
-        DataplaneInstruments(self.registry).attach(
-            self.dataplane, self.registry
-        )
+        DataplaneInstruments(self.dataplane, self.registry)
         self._dispatch_control(grant)
         self._granted.set_result(grant)
 

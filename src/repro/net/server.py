@@ -47,7 +47,6 @@ from ..obs import (
     FlightRecorder,
     Registry,
     ServerEngineInstruments,
-    bind_fields,
     snapshot_obj,
 )
 from ..protocol import (
@@ -88,6 +87,11 @@ class ServerStats:
     @property
     def rounds(self) -> int:
         return self._dataplane.rounds
+
+    def snapshot_into(self, counters: dict, gauges: dict,
+                      histograms: dict) -> None:
+        """The registry's read of the driver's count: ``net.crashes``."""
+        gauges["net.crashes"] = self.crashes
 
     def __repr__(self) -> str:  # noqa: D105
         return f"ServerStats(rounds={self.rounds}, crashes={self.crashes})"
@@ -164,9 +168,9 @@ class ServerNode:
         self._timers: set[TimerHandle] = set()
         self._running = False
         self.log = logging.getLogger("repro.net.server")
-        #: Per-node telemetry: engine counters, folded stats dataclasses,
-        #: per-column queue depths — everything snapshot-on-read, so the
-        #: hot paths keep bumping plain dataclass fields.
+        #: Per-node telemetry: the owners it reads — the engines'
+        #: bundles, the pumps, ``stats`` — write their plain ints into
+        #: a snapshot only when one is taken.
         self.registry = Registry("server")
         #: The data connections: one pump per column, toward its top node.
         self.pumps = PumpSet(
@@ -179,15 +183,10 @@ class ServerNode:
         self.pumps.generation_size = params.generation_size
         #: Retired-pump totals first, then one entry per live column pump.
         self.sender_stats = self.pumps.stats
-        ServerEngineInstruments(self.registry).attach(self.engine, self.registry)
-        DataplaneInstruments(self.registry).attach(
-            self.dataplane, self.registry
-        )
+        ServerEngineInstruments(self.engine, self.registry)
+        DataplaneInstruments(self.dataplane, self.registry)
+        self.registry.owners.append(self.stats)
         self.engine.flight = FlightRecorder()
-        bind_fields(
-            self.registry, self.stats, ("crashes",),
-            "net", "control connections lost without a good-bye",
-        )
 
     def snapshot(self) -> dict:
         """This node's registries as a versioned snapshot object."""

@@ -78,7 +78,7 @@ from ..dataplane.events import (
     IdlePoll,
     PacketArrived,
 )
-from ..obs import Registry, bind_sender_totals
+from ..obs import Registry
 from ..protocol.messages import KeepAlive
 from .control import DataHello, GenerationsComplete, encode_control
 from .framing import (
@@ -218,7 +218,7 @@ class PacketSender:
     @property
     def queue_depth(self) -> int:
         """Frames queued and not yet flushed (the per-neighbour-queue
-        observable; exporters bind gauges to this)."""
+        observable; the ``net.queue_depth.c<column>`` gauges sum it)."""
         return len(self._queue)
 
     def enqueue(self, packet: CodedPacket) -> bool:
@@ -532,9 +532,11 @@ class PumpSet:
     meet in one place.
 
     Args:
-        registry: Where ``net.children``, the summed ``net.sender.*``
-            totals and one ``net.queue_depth.c<column>`` gauge per
-            served column (the per-neighbour-queue observable) are bound.
+        registry: The node's registry; this set is the owner of
+            ``net.children``, the ``net.sender.*`` totals (each
+            :class:`SenderStats` field summed over :attr:`stats`) and
+            one ``net.queue_depth.c<column>`` gauge per column it has
+            served (the per-neighbour-queue observable).
         limit, keepalive_interval, clock, logger: Handed to every pump.
 
     ``engine`` (the node's :class:`~repro.dataplane.SourceEngine` or
@@ -571,15 +573,24 @@ class PumpSet:
         self._parents: dict[int, ByteStreamWriter] = {}
         #: a generation completed since the last report went out
         self._report_due = False
-        self._registry = registry
+        #: every column a pump has served: one queue-depth gauge each
+        self._columns: set[int] = set()
         self._limit = limit
         self._keepalive_interval = keepalive_interval
         self._clock = clock
-        bind_sender_totals(registry, lambda: self.stats)
-        registry.gauge(
-            "net.children", "attached child pumps",
-            fn=lambda: len(self._pumps),
-        )
+        registry.owners.append(self)
+
+    def snapshot_into(self, counters: dict, gauges: dict,
+                      histograms: dict) -> None:
+        gauges["net.children"] = len(self._pumps)
+        for field in fields(SenderStats):
+            name = field.name
+            gauges[f"net.sender.{name}"] = sum(
+                getattr(s, name) for s in self.stats)
+        for column in self._columns:
+            gauges[f"net.queue_depth.c{column}"] = sum(
+                p.queue_depth for p in self._pumps.values()
+                if p.column == column)
 
     def get(self, key: Hashable) -> Optional[PacketSender]:
         """The pump now serving ``key``, if any."""
@@ -649,15 +660,7 @@ class PumpSet:
         if old is not None:
             old.close()
         self.stats.append(pump.stats)
-        gauge = f"net.queue_depth.c{column}"
-        if gauge not in self._registry:
-            self._registry.gauge(
-                gauge, "frames queued toward this column's children",
-                fn=lambda: sum(
-                    p.queue_depth for p in self._pumps.values()
-                    if p.column == column
-                ),
-            )
+        self._columns.add(column)
         connection.handler = _Child(self, key, pump)
         for effect in burst:
             self.emit(effect)

@@ -567,13 +567,13 @@ class ChaosHarness:
             converged=self.converged(),
             elapsed=self.clock.time() - self._t0,
             violations=list(self.violations),
-            repairs=counts.repairs.value,
+            repairs=counts.repairs,
             crashes=self.server.stats.crashes,
-            probes=counts.probes_sent.value,
-            leaves=counts.leaves.value,
+            probes=counts.probes_sent,
+            leaves=counts.leaves,
             reconnects=sum(p.stats.reconnects for p in self.peers),
             complaints=sum(
-                p.engine.obs.complaints_sent.value for p in self.peers),
+                p.engine.obs.complaints_sent for p in self.peers),
             drops=sum(
                 s.dropped
                 for p in self.peers for s in p.sender_stats
@@ -666,7 +666,7 @@ async def _baseline(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "deployment never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.engine.obs.repairs.value == 0,
+    h.expect(h.server.engine.obs.repairs == 0,
              "repairs on a healthy network")
 
 
@@ -746,7 +746,7 @@ async def _crash_parent_midstream(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.engine.obs.repairs.value >= 1, "crash never repaired")
+    h.expect(h.server.engine.obs.repairs >= 1, "crash never repaired")
 
 
 @scenario(
@@ -767,7 +767,7 @@ async def _lossy_crash_multigen(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.engine.obs.repairs.value >= 1, "crash never repaired")
+    h.expect(h.server.engine.obs.repairs >= 1, "crash never repaired")
 
 
 @scenario(
@@ -786,7 +786,7 @@ async def _multi_crash(h: ChaosHarness) -> None:
     first = h.pick_parent()
     h.kill(first)
     h.expect(
-        await h.run_until(lambda: h.server.engine.obs.repairs.value >= 1),
+        await h.run_until(lambda: h.server.engine.obs.repairs >= 1),
         "first crash never repaired",
     )
     second = next(i for i, _ in h.alive() if i != first)
@@ -794,7 +794,7 @@ async def _multi_crash(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.engine.obs.repairs.value >= 2,
+    h.expect(h.server.engine.obs.repairs >= 2,
              "second crash never repaired")
 
 
@@ -814,7 +814,7 @@ async def _partition_repair(h: ChaosHarness) -> None:
     h.isolate(victim)
     h.expect(
         await h.run_until(
-            lambda: h.server.engine.obs.repairs.value >= 1, timeout=30.0),
+            lambda: h.server.engine.obs.repairs >= 1, timeout=30.0),
         "partitioned peer never repaired away",
     )
     h.rejoin(victim)
@@ -828,7 +828,7 @@ async def _partition_repair(h: ChaosHarness) -> None:
     )
     # The probe timer spliced the victim, not the EOF fast path: one
     # repair, and no control connection counted as crashed.
-    h.expect(h.server.engine.obs.repairs.value == 1,
+    h.expect(h.server.engine.obs.repairs == 1,
              "the partition was not repaired exactly once")
     h.expect(h.server.stats.crashes == 0,
              "the partitioned peer's control connection reached EOF")
@@ -846,14 +846,14 @@ async def _halfopen_parent(h: ChaosHarness) -> None:
     h.net.set_link(h.host(parent), h.host(child), symmetric=False, blackhole=True)
     h.expect(
         await h.run_until(
-            lambda: h.peers[child].engine.obs.complaints_sent.value >= 1,
+            lambda: h.peers[child].engine.obs.complaints_sent >= 1,
             timeout=30.0,
         ),
         "child never complained about the half-open parent",
     )
     h.expect(
         await h.run_until(
-            lambda: h.server.engine.obs.probes_sent.value >= 1, timeout=30.0),
+            lambda: h.server.engine.obs.probes_sent >= 1, timeout=30.0),
         "server never probed the suspect",
     )
     h.net.set_link(h.host(parent), h.host(child), symmetric=False, blackhole=False)
@@ -861,7 +861,7 @@ async def _halfopen_parent(h: ChaosHarness) -> None:
     await h.settle()
     h.check_invariants()
     h.expect(
-        h.server.engine.obs.repairs.value == 0,
+        h.server.engine.obs.repairs == 0,
         "healthy parent was repaired away on a half-open link (false positive)",
     )
 
@@ -943,9 +943,9 @@ async def _graceful_leave_reclip(h: ChaosHarness) -> None:
     h.expect(await h.run_until(h.converged), "survivors never converged")
     await h.settle()
     h.check_invariants()
-    h.expect(h.server.engine.obs.leaves.value == 1,
+    h.expect(h.server.engine.obs.leaves == 1,
              "good-bye never reached the server")
-    h.expect(h.server.engine.obs.repairs.value == 0,
+    h.expect(h.server.engine.obs.repairs == 0,
              "a graceful leave triggered repair")
 
 

@@ -44,7 +44,7 @@ by then — to its reader, in landing order.  An accepted connection
 joins that list as it is dialed, so its protocol hears
 ``connection_made`` in the same pass, before anything is delivered to
 it.  A segment written to a link with nothing
-scripted on it (:meth:`LinkFaults.is_clean`) and nothing queued ahead
+scripted on it (:attr:`LinkFaults.clean`) and nothing queued ahead
 of it lands at once, and a ``writelines`` flush lands as one append.
 Otherwise segments queue, one per frame, behind the pipe's fault pump —
 a chain of ``call_soon``/``clock.call_at`` callbacks, no task — in
@@ -235,10 +235,16 @@ class LinkFaults:
     def delivers(self) -> bool:
         return not (self.partitioned or self.blackhole)
 
-    def is_clean(self) -> bool:
-        """True when nothing is scripted on the link: a segment can be
-        delivered synchronously without changing observable behaviour."""
-        return (
+    #: True when nothing is scripted on the link: a segment can be
+    #: delivered synchronously without changing observable behaviour.
+    #: Re-derived whenever any field is assigned (by the constructor,
+    #: ``replace``, ``set_link``/``set_default`` or directly), so the
+    #: per-write check is one attribute read.
+    clean = True
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        object.__setattr__(self, "clean", (
             self.latency == 0.0
             and self.jitter == 0.0
             and self.loss == 0.0
@@ -247,7 +253,7 @@ class LinkFaults:
             and self.bandwidth is None
             and not self.partitioned
             and not self.blackhole
-        )
+        ))
 
 
 class _Pipe:
@@ -350,7 +356,7 @@ class _Pipe:
         if (
             self.in_flight == 0
             and not self._segments
-            and net._links.get((self.src, self.dst), net._default).is_clean()
+            and net._links.get((self.src, self.dst), net._default).clean
         ):
             # Nothing queued ahead, nothing scripted on the link: the
             # whole flush lands as one append.

@@ -2,13 +2,15 @@
 
 Four small pieces, layered like the rest of the repo:
 
-* :mod:`~repro.obs.registry` — sans-IO counters/gauges/histograms in a
-  named :class:`Registry`; hot-path increments are one attribute bump.
+* :mod:`~repro.obs.registry` — a named :class:`Registry`: the list of
+  objects that already count (plain ``int`` attributes, bumped in
+  place), each writing its values into the snapshot when one is read;
+  plus the fixed-bucket :class:`Histogram`.
 * :mod:`~repro.obs.flight` — a bounded ring of recent engine steps
   (same vocabulary as ``protocol.trace``) for post-mortems.
-* :mod:`~repro.obs.instruments` — pre-bound instrument bundles the
-  engines drive through a duck-typed ``obs`` attribute, plus binders
-  that fold existing stats dataclasses into snapshot-on-read gauges.
+* :mod:`~repro.obs.instruments` — the instrument bundles the engines
+  drive through a duck-typed ``obs`` attribute: each engine's counts,
+  and its registry owner.
 * :mod:`~repro.obs.export` / :mod:`~repro.obs.http` — the versioned
   JSON snapshot, Prometheus text rendering, and the asyncio scrape
   endpoint (``http`` is the only module here allowed to touch asyncio;
@@ -26,23 +28,17 @@ from .instruments import (
     DataplaneInstruments,
     PeerEngineInstruments,
     ServerEngineInstruments,
-    bind_fields,
-    bind_sender_totals,
 )
-from .registry import Counter, Gauge, Histogram, Registry
+from .registry import Histogram, Registry
 
 __all__ = [
-    "Counter",
     "DataplaneInstruments",
     "FlightRecorder",
-    "Gauge",
     "Histogram",
     "PeerEngineInstruments",
     "Registry",
     "SCHEMA",
     "ServerEngineInstruments",
-    "bind_fields",
-    "bind_sender_totals",
     "format_dump",
     "prometheus_text",
     "snapshot_obj",

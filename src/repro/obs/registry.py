@@ -1,18 +1,22 @@
-"""Named instrument registries: counters, gauges, histograms.
+"""Named registries: a name plus the objects that already count.
 
-The hot-path contract is the whole design: an increment is one
-attribute ``+=`` on a pre-bound instrument's ``value`` (``inc`` is the
-same as a method call) — no dict lookup, no lock, no string
-formatting.  Everything expensive (callback gauges, bucket summaries,
-name sorting) happens at *snapshot* time, which runs on demand when an
-exporter scrapes or a run folds its report.
+No instrument object holds a count.  Every count is a plain ``int``
+on the object that owns it — an engine's instrument bundle, a pump's
+``SenderStats``, a node's ``PeerStats`` — bumped in place (``+= 1``):
+no dict lookup, no lock, no string formatting, no object per name.
+A :class:`Registry` is only a name and the list of those *owners*.
+Everything expensive (state sizes, sums over live pumps, name
+sorting) happens at *snapshot* time, which runs on demand when an
+exporter scrapes or a run folds its report: each owner's
+``snapshot_into(counters, gauges, histograms)`` writes its current
+values into the three sections, by name.
 
 The module is part of the sans-IO observability core: it imports
 nothing but the stdlib (``tools/check_layering.py`` enforces this), so
 the protocol engines, the slotted simulator, and the live transport
-all hang the same instruments off the same :class:`Registry`.
+all hang their owners off the same :class:`Registry`.
 
-Concurrency: instruments are safe on the asyncio single-thread path by
+Concurrency: the counts are safe on the asyncio single-thread path by
 construction (one bytecode-level ``+=`` per increment, no compound
 read-modify-write across awaits).  They are *not* cross-thread
 precise; the repo's runtime is single-threaded per node, so precision
@@ -22,11 +26,8 @@ is not bought with locks.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Optional, Union
 
 __all__ = [
-    "Counter",
-    "Gauge",
     "Histogram",
     "Registry",
 ]
@@ -38,75 +39,6 @@ __all__ = [
 LATENCY_BOUNDS = tuple(1e-6 * (1 << i) for i in range(23))
 
 
-class Counter:
-    """A monotonically increasing count.
-
-    Callers hold the instrument object directly.  ``inc`` is a
-    method call; a per-packet path bumps ``value`` itself (``+=``).
-    """
-
-    __slots__ = ("name", "help", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str, help: str) -> None:
-        self.name = name
-        self.help = help
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def snapshot_value(self) -> Union[int, float]:
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"Counter({self.name}={self.value})"
-
-
-class Gauge:
-    """A value that can go up, down, or be computed on read.
-
-    A gauge either holds a value (``set``/``inc``) or is bound
-    to a zero-argument callback (``bind``) evaluated at snapshot time —
-    the snapshot-on-read idiom that keeps queue depths, pool occupancy,
-    and rank progress observable with zero hot-path cost.
-    """
-
-    __slots__ = ("name", "help", "value", "_fn")
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str) -> None:
-        self.name = name
-        self.help = help
-        self.value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def inc(self, amount: float = 1) -> None:
-        self.value += amount
-
-    def bind(self, fn: Callable[[], float]) -> "Gauge":
-        """Evaluate ``fn`` at snapshot time instead of storing a value.
-
-        Re-binding replaces the previous callback (a reconnected child
-        rebinds its queue-depth gauge to the new pump).
-        """
-        self._fn = fn
-        return self
-
-    def snapshot_value(self) -> float:
-        if self._fn is not None:
-            return self._fn()
-        return self.value
-
-    def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"Gauge({self.name}={self.snapshot_value()})"
-
-
 class Histogram:
     """Fixed-bucket histogram with cumulative-``le`` semantics.
 
@@ -114,17 +46,15 @@ class Histogram:
     :func:`bisect.bisect_left` plus two attribute bumps — no allocation,
     no rebucketing.  An observation equal to a bound lands in that
     bound's bucket (``value <= le``, Prometheus semantics); anything
-    above the last bound lands in the implicit overflow bucket.
+    above the last bound lands in the implicit overflow bucket.  Its
+    owner writes :meth:`snapshot_value` under the histogram's name.
     """
 
-    __slots__ = ("name", "help", "bucket_counts", "count", "sum")
+    __slots__ = ("bucket_counts", "count", "sum")
 
-    kind = "histogram"
     bounds = LATENCY_BOUNDS
 
-    def __init__(self, name: str, help: str) -> None:
-        self.name = name
-        self.help = help
+    def __init__(self) -> None:
         #: Per-bucket observation counts; the extra last slot is the
         #: +Inf overflow bucket.
         self.bucket_counts = [0] * (len(self.bounds) + 1)
@@ -146,72 +76,43 @@ class Histogram:
         }
 
     def __repr__(self) -> str:  # pragma: no cover - diagnostics
-        return f"Histogram({self.name} n={self.count} sum={self.sum})"
-
-
-Instrument = Union[Counter, Gauge, Histogram]
+        return f"Histogram(n={self.count} sum={self.sum})"
 
 
 class Registry:
-    """A named bag of instruments with one-shot snapshotting.
+    """A name plus the owners a snapshot reads.
 
-    Instrument constructors are idempotent: asking for an existing name
-    returns the existing instrument (asking for it with a different
-    *kind* is an error).  Drivers therefore wire instruments
-    opportunistically without coordinating ownership.
+    ``owners`` is a plain list: an owner appends itself once, and from
+    then on each :meth:`snapshot` calls its
+    ``snapshot_into(counters, gauges, histograms)``.  A name belongs
+    to exactly one owner: two owners writing one name (in any
+    sections) is an error, raised at snapshot time.
     """
+
+    __slots__ = ("name", "owners")
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._instruments: dict[str, Instrument] = {}
-
-    # -- construction ---------------------------------------------------
-
-    def _get_or_create(self, cls, name: str, help: str) -> Instrument:
-        existing = self._instruments.get(name)
-        if existing is not None:
-            if not isinstance(existing, cls):
-                raise ValueError(
-                    f"instrument {name!r} already registered as "
-                    f"{existing.kind}, not {cls.kind}"
-                )
-            return existing
-        instrument = cls(name, help)
-        self._instruments[name] = instrument
-        return instrument
-
-    def counter(self, name: str, help: str = "") -> Counter:
-        return self._get_or_create(Counter, name, help)
-
-    def gauge(
-        self, name: str, help: str = "",
-        fn: Optional[Callable[[], float]] = None,
-    ) -> Gauge:
-        gauge = self._get_or_create(Gauge, name, help)
-        if fn is not None:
-            gauge.bind(fn)
-        return gauge
-
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get_or_create(Histogram, name, help)
-
-    # -- introspection --------------------------------------------------
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._instruments
-
-    def __len__(self) -> int:
-        return len(self._instruments)
+        self.owners: list = []
 
     def snapshot(self) -> dict:
-        """One consistent read of every instrument.
-
-        Counters and gauges flatten to numbers; histograms to their
-        bounds/counts summary.  Callback gauges are evaluated here —
-        this is the only place they run.
-        """
-        out: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
-        for name in sorted(self._instruments):
-            instrument = self._instruments[name]
-            out[instrument.kind + "s"][name] = instrument.snapshot_value()
-        return out
+        """One consistent read of every owner, each section sorted by
+        name: counters and gauges as numbers, histograms as their
+        bounds/counts summary."""
+        merged: dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+        written: set[str] = set()
+        for owner in self.owners:
+            parts = ({}, {}, {})
+            owner.snapshot_into(*parts)
+            for section, part in zip(merged.values(), parts):
+                clash = written.intersection(part)
+                if clash:
+                    raise ValueError(
+                        f"registry {self.name!r}: {sorted(clash)} written "
+                        f"by two owners (the second is {owner!r})")
+                written.update(part)
+                section.update(part)
+        return {
+            kind: dict(sorted(section.items()))
+            for kind, section in merged.items()
+        }

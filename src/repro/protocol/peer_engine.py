@@ -154,7 +154,7 @@ class PeerEngine(TappedEngine):
             return []
         if column in self.complained:
             if self._obs is not None:
-                self._obs.complaints_suppressed.inc()
+                self._obs.complaints_suppressed += 1
             return []
         self.complained.add(column)
         return [Send(SERVER, ComplaintMsg(

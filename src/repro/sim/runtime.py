@@ -46,6 +46,7 @@ from ..coding.generation import GenerationParams
 from ..core.matrix import SERVER
 from ..core.overlay import OverlayNetwork
 from ..core.random_graph import RandomGraphOverlay
+from ..obs.registry import Histogram
 from .behaviors import NodeRole, RlncBehavior, StoreForwardBehavior
 from .links import LinkStats, LossModel, OutageModel
 from .report import NodeReport, RunReport
@@ -270,48 +271,36 @@ class SlottedRuntime:
         self._loss_rng = self.streams.get("loss")
         #: Instrumentation is opt-in (:meth:`attach_obs`); unattached,
         #: the slot loop pays one attribute check per step.
-        self._obs_slot_seconds = None
-        self._obs_slots = None
-        self._obs_attempted = None
-        self._obs_delivered = None
+        self._obs_slot_seconds: Optional[Histogram] = None
+        #: (slot, attempted, delivered) when :meth:`attach_obs` ran
+        self._obs_since = (0, 0, 0)
 
     def attach_obs(self, registry) -> None:
         """Expose slot-loop timing and delivery/innovation rates.
 
-        ``registry`` is a :class:`repro.obs.Registry` (duck-typed — the
-        simulator never imports ``repro.obs``).  Timing costs two
-        ``perf_counter`` calls per slot, counters one attribute bump
-        each; the rate gauges are callbacks evaluated only at snapshot
-        time.  Nothing here touches an RNG stream, so seeded runs are
-        byte-identical with or without instrumentation.
+        ``registry`` is a :class:`repro.obs.Registry`; this runtime
+        becomes one of its owners.  Timing costs two ``perf_counter``
+        calls per slot; the ``sim.*`` counters count from here on, and
+        they and the rate gauges are read off the runtime's own state
+        only at snapshot time.  Nothing here touches an RNG stream, so
+        seeded runs are byte-identical with or without instrumentation.
         """
-        self._obs_slot_seconds = registry.histogram(
-            "sim.slot_seconds", "wall-clock time of one slot step",
-        )
-        self._obs_slots = registry.counter("sim.slots", "slots stepped")
-        self._obs_attempted = registry.counter(
-            "sim.sends_attempted", "edge sends attempted",
-        )
-        self._obs_delivered = registry.counter(
-            "sim.sends_delivered", "edge sends delivered",
-        )
-        registry.gauge(
-            "sim.server_packets", "source emissions so far",
-            fn=lambda: self.server_packets,
-        )
-        registry.gauge(
-            "sim.completed_nodes", "nodes that fully decoded",
-            fn=lambda: len(self.behavior.completed_at()),
-        )
-        registry.gauge(
-            "sim.delivery_ratio", "delivered / attempted sends",
-            fn=lambda: self.link_stats.delivery_ratio,
-        )
-        registry.gauge(
-            "sim.innovative_ratio",
-            "rank-increasing fraction of delivered packets (measured nodes)",
-            fn=self._innovative_ratio,
-        )
+        self._obs_slot_seconds = Histogram()
+        self._obs_since = (
+            self.slot, self.link_stats.attempted, self.link_stats.delivered)
+        registry.owners.append(self)
+
+    def snapshot_into(self, counters: dict, gauges: dict,
+                      histograms: dict) -> None:
+        slot, attempted, delivered = self._obs_since
+        counters["sim.slots"] = self.slot - slot
+        counters["sim.sends_attempted"] = self.link_stats.attempted - attempted
+        counters["sim.sends_delivered"] = self.link_stats.delivered - delivered
+        gauges["sim.server_packets"] = self.server_packets
+        gauges["sim.completed_nodes"] = len(self.behavior.completed_at())
+        gauges["sim.delivery_ratio"] = self.link_stats.delivery_ratio
+        gauges["sim.innovative_ratio"] = self._innovative_ratio()
+        histograms["sim.slot_seconds"] = self._obs_slot_seconds.snapshot_value()
 
     def _innovative_ratio(self) -> float:
         reports = [
@@ -419,9 +408,6 @@ class SlottedRuntime:
         self.slot += 1
         if timing is not None:
             timing.observe(perf_counter() - started)
-            self._obs_slots.inc()
-            self._obs_attempted.inc(len(sends))
-            self._obs_delivered.inc(delivered_count)
 
     def run(self, slots: int) -> RunReport:
         """Run ``slots`` more slots and return the cumulative report."""

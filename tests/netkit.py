@@ -1,6 +1,7 @@
 """Test-side ends of connections: a handler that collects what a
 connection is sent, a fake transport that collects what a node writes,
-and the dial/listen shorthands the net tests share."""
+the dial/listen shorthands the net tests share, and the names a
+node's registry snapshot holds."""
 
 from __future__ import annotations
 
@@ -103,3 +104,9 @@ def parsed(writer: CollectingWriter) -> list:
     buffer = FrameBuffer()
     buffer.feed(b"".join(writer.chunks))
     return list(iter(buffer.next_message, None))
+
+
+def snapshot_names(registry) -> set:
+    """Every instrument name in one snapshot of ``registry``."""
+    return {name for section in registry.snapshot().values()
+            for name in section}

@@ -112,10 +112,10 @@ def run_virtualnet_script(script):
                 assert sender.enqueue(packet), "injection queue overflow"
             expected = len(prefix) + len(script)
             for _ in range(500):
-                if peer.dataplane.obs.packets_in.value >= expected:
+                if peer.dataplane.obs.packets_in >= expected:
                     break
                 await harness.clock.advance(0.01)
-            assert peer.dataplane.obs.packets_in.value == expected, (
+            assert peer.dataplane.obs.packets_in == expected, (
                 "virtual net dropped scripted packets")
             # Snapshot before teardown noise.
             return prefix, list(log.effect_reprs())

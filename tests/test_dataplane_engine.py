@@ -64,9 +64,8 @@ def make_encoder(seed=0):
 
 def counted(engine):
     """Attach the instruments that count a bare engine's arrivals and
-    emissions (``engine.obs.mixtures_out.value`` and the rest)."""
-    registry = Registry("test")
-    DataplaneInstruments(registry).attach(engine, registry)
+    emissions (``engine.obs.mixtures_out`` and the rest)."""
+    DataplaneInstruments(engine, Registry("test"))
     return engine
 
 
@@ -112,7 +111,7 @@ class TestSourceEngine:
         engine = counted(SourceEngine(make_encoder()))
         assert engine.handle(EmitRound(targets=())) == []
         assert engine.rounds == 1
-        assert engine.obs.mixtures_out.value == 0
+        assert engine.obs.mixtures_out == 0
         engine.handle(ChildAttached("a", NOTHING))
         (effect,) = engine.handle(EmitRound(targets=("a",)))
         assert effect.packets[0].generation == 0
@@ -124,7 +123,7 @@ class TestSourceEngine:
         assert isinstance(effect, EmitToChildren)
         assert effect.children == ("edge",)
         assert len(effect.packets) == 1
-        assert engine.obs.mixtures_out.value == 1
+        assert engine.obs.mixtures_out == 1
         assert engine.rounds == 0
 
     def test_unattached_target_is_skipped(self):
@@ -140,14 +139,14 @@ class TestRelayReceiveGate:
     def test_innovative_arrivals_raise_rank(self):
         engine = make_relay()
         packets = feed_packets(engine, 2)
-        assert engine.obs.packets_in.value == 2
-        assert engine.obs.innovative_in.value == 2
+        assert engine.obs.packets_in == 2
+        assert engine.obs.innovative_in == 2
         assert engine.rank == 2
         # Re-delivering an already-absorbed packet is not innovative.
         effects = engine.handle(PacketArrived(packets[0]))
         assert effects == [Ingested(packets[0].generation, False, 2)]
-        assert engine.obs.packets_in.value == 3
-        assert engine.obs.innovative_in.value == 2
+        assert engine.obs.packets_in == 3
+        assert engine.obs.innovative_in == 2
 
     def test_rank_mirror_matches_decoder(self):
         engine = make_relay()
@@ -174,14 +173,14 @@ class TestRelayReceiveGate:
             encoder = make_encoder()
             effects = engine.handle(PacketArrived(encoder.emit(0)))
             assert [type(e) for e in effects] == [Ingested]
-            assert engine.obs.mixtures_out.value == 0
+            assert engine.obs.mixtures_out == 0
 
 
 class TestRelayPushFanOut:
     def attach_two(self, engine):
         engine.handle(ChildAttached("a", NOTHING))
         engine.handle(ChildAttached("b", NOTHING))
-        return engine.obs.mixtures_out.value  # seed-burst packets
+        return engine.obs.mixtures_out  # seed-burst packets
 
     def test_eager_forwards_every_arrival(self):
         engine = make_relay(forward_dependent=True)
@@ -191,16 +190,16 @@ class TestRelayPushFanOut:
         emits = [e for e in effects if isinstance(e, EmitToChildren)]
         assert emits and emits[0].children == ("a", "b")
         assert emits[0].packets is None
-        assert engine.obs.mixtures_out.value == seeded + 2 + 2
+        assert engine.obs.mixtures_out == seeded + 2 + 2
 
     def test_innovative_withholds_duplicates(self):
         engine = make_relay(forward_dependent=False)
         seeded = self.attach_two(engine)
         packets = feed_packets(engine, 1)
-        assert engine.obs.mixtures_out.value == seeded + 2
+        assert engine.obs.mixtures_out == seeded + 2
         effects = engine.handle(PacketArrived(packets[0]))  # duplicate
         assert not any(isinstance(e, EmitToChildren) for e in effects)
-        assert engine.obs.mixtures_out.value == seeded + 2
+        assert engine.obs.mixtures_out == seeded + 2
 
     @pytest.mark.parametrize("policy", ["eager", "innovative"])
     def test_attach_answers_only_its_seed_burst(self, policy):
@@ -245,7 +244,7 @@ class TestRelayPushFanOut:
         engine = make_relay(seed=5)
         self.attach_two(engine)
         engine.handle(ChildAttached("c", NOTHING))
-        seeded = engine.obs.mixtures_out.value
+        seeded = engine.obs.mixtures_out
         arrivals = 4
         encoder = make_encoder(6)
         for index in range(arrivals):
@@ -258,17 +257,17 @@ class TestRelayPushFanOut:
                 assert rows.shape[1] == (
                     PARAMS.generation_size + PARAMS.payload_size)
             assert sum(rows.shape[0] for _, rows in emit.rows) == 3
-        assert engine.obs.mixtures_out.value == seeded + 3 * arrivals
+        assert engine.obs.mixtures_out == seeded + 3 * arrivals
 
     def test_idle_poll_is_not_fanout(self):
         engine = make_relay(forward_dependent=False)
         feed_packets(engine, 2)
         engine.handle(ChildAttached("a", NOTHING))
-        before = engine.obs.mixtures_out.value
+        before = engine.obs.mixtures_out
         (effect,) = engine.handle(IdlePoll("a"))
         assert effect.children == ("a",)
-        assert engine.obs.idle_fills.value == 1
-        assert engine.obs.mixtures_out.value == before
+        assert engine.obs.idle_fills == 1
+        assert engine.obs.mixtures_out == before
 
     def test_unattached_child_is_answered_with_nothing(self):
         """An idle poll or a report for a child that is not attached —
@@ -282,7 +281,7 @@ class TestRelayPushFanOut:
         engine.handle(ChildDetached("gone"))
         assert engine.handle(IdlePoll("gone")) == []
         assert engine.handle(ChildCompleted("gone", 1)) == []
-        assert engine._children == {} and engine.obs.idle_fills.value == 0
+        assert engine._children == {} and engine.obs.idle_fills == 0
 
 
 class TestRelayPull:
@@ -294,7 +293,7 @@ class TestRelayPull:
         feed_packets(engine, 1)
         for _ in range(5):
             assert engine.handle(PullEmit(9)) != []
-        assert engine.obs.mixtures_out.value == 5
+        assert engine.obs.mixtures_out == 5
 
 
 class TestReplayDeterminism:
@@ -338,8 +337,8 @@ class TestReplayDeterminism:
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
         for name in ("packets_in", "innovative_in", "mixtures_out"):
-            assert (getattr(fresh.obs, name).value
-                    == getattr(recorded.obs, name).value)
+            assert (getattr(fresh.obs, name)
+                    == getattr(recorded.obs, name))
         assert fresh.rank == recorded.rank
 
     def test_source_replay_reproduces_effect_trace(self):
@@ -359,8 +358,8 @@ class TestReplayDeterminism:
         fresh = counted(SourceEngine(make_encoder(9)))
         replayed = replay(fresh, events)
         assert [repr(effect) for effect in replayed] == log.effect_reprs()
-        assert (fresh.obs.mixtures_out.value
-                == recorded.obs.mixtures_out.value)
+        assert (fresh.obs.mixtures_out
+                == recorded.obs.mixtures_out)
         assert fresh.rounds == recorded.rounds
 
 
@@ -380,7 +379,7 @@ class TestPolicyBehaviour:
                 await harness.start()
                 converged = await harness.run_until(harness.converged)
                 harness.check_invariants()
-                forwarded = sum(peer.dataplane.obs.mixtures_out.value
+                forwarded = sum(peer.dataplane.obs.mixtures_out
                                 for peer in harness.peers)
                 return converged, harness.violations, forwarded
             finally:
@@ -466,8 +465,8 @@ class TestSourceNeedView:
         (effect,) = engine.handle(EmitRound(targets=("a", "b")))
         assert served(effect) == [("b", 0)]
         assert engine.handle(EmitRound(targets=("a",))) == []
-        assert engine.obs.withheld.value == 2
-        assert engine.obs.mixtures_out.value == 1 and engine.rounds == 2
+        assert engine.obs.withheld == 2
+        assert engine.obs.mixtures_out == 1 and engine.rounds == 2
 
     def test_update_moves_the_choice_and_detach_forgets(self):
         engine = SourceEngine(make_encoder())
@@ -505,10 +504,10 @@ class TestRelayNeedView:
     def test_child_with_nothing_to_gain_is_skipped(self):
         engine = self.relay()
         engine.handle(ChildAttached("done", (GENERATIONS, ())))
-        forwarded = engine.obs.mixtures_out.value
+        forwarded = engine.obs.mixtures_out
         effects = engine.handle(PacketArrived(make_encoder(3).emit(0)))
         assert emissions(effects) == []
-        assert engine.obs.mixtures_out.value == forwarded
+        assert engine.obs.mixtures_out == forwarded
         assert engine.handle(IdlePoll("done")) == []
 
     def test_sender_without_rank_in_the_lacked_generation_withholds(self):
@@ -529,7 +528,7 @@ class TestRelayNeedView:
         assert served(burst) == [("a", 1), ("a", 1)]
         (fill,) = engine.handle(IdlePoll("a"))
         assert served(fill) == [("a", 1)]
-        assert engine.obs.idle_fills.value == 1
+        assert engine.obs.idle_fills == 1
 
     def test_reattach_starts_from_the_new_report(self):
         engine = self.relay()

@@ -18,7 +18,7 @@ class TestControlPlaneThenDataPlane:
             for _ in range(2):
                 h.isolate(h.pick_parent())
                 await h.settle(2.0)
-            assert h.server.engine.obs.repairs.value == 2
+            assert h.server.engine.obs.repairs == 2
             for _ in range(5):
                 await h.add_peer()
             await h.settle(1.0)

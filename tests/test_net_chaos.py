@@ -144,15 +144,14 @@ def test_a_join_writes_to_no_existing_peer():
             await harness.start()
             assert await harness.run_until(harness.converged)
             await harness.settle(1.0)
-            events = [peer.registry.counter("engine.events").value
-                      for peer in harness.peers]
+            events = [peer.engine.obs.events for peer in harness.peers]
             joiner = await harness.add_peer()
             parents = set(
                 harness.server.core.matrix.parents_of(joiner.node_id).values())
             assert await harness.run_until(harness.converged)
             await harness.settle(1.0)
             return events, [
-                peer.registry.counter("engine.events").value
+                peer.engine.obs.events
                 for peer in harness.peers[:len(events)]
             ], {harness.index_of(parent) for parent in parents} - {None}
         finally:

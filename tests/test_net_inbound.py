@@ -65,7 +65,7 @@ from repro.protocol import (
 )
 from repro.protocol.trace import EngineLog
 
-from tests.netkit import CollectingWriter, Inbox, dial, listen
+from tests.netkit import CollectingWriter, Inbox, dial, listen, snapshot_names
 from tests.test_net_pumps import RecordingEngine, _pump_set, _serving
 
 PARAMS = GenerationParams(3, 10)
@@ -201,7 +201,7 @@ class TestSilenceBetweenMessages:
             task = asyncio.ensure_future(peer._thread_loop(0))
             await net.clock.advance(until)
             task.cancel()
-            return (heard, peer.engine.obs.complaints_sent.value,
+            return (heard, peer.engine.obs.complaints_sent,
                     b"".join(sink.chunks))
 
         return asyncio.run(scenario())
@@ -439,7 +439,7 @@ class TestOneStreamPerConnection:
             await net.clock.advance(0.01)
             counts = server.engine.obs
             await server.stop()
-            return (counts.joins.value, counts.leaves.value,
+            return (counts.joins, counts.leaves,
                     server.stats.crashes)
 
         assert asyncio.run(scenario()) == (1, 1, 0)
@@ -526,7 +526,7 @@ class TestBoundedPumpState:
                     await net.clock.advance(0.1)
                     samples[name].append((
                         len(node.sender_stats),
-                        len(node.registry),
+                        len(snapshot_names(node.registry)),
                         sum(s.sent for s in node.sender_stats),
                         sum(s.bytes_sent for s in node.sender_stats),
                         node.snapshot()["registries"][node.registry.name]
@@ -635,11 +635,11 @@ class TestFirstFrame:
             child.write(_control(
                 DataHello(node_id=4, column=0), GenerationsComplete(0)))
             await net.clock.advance(0.01)
-            return child.messages, len(peer.registry)
+            return child.messages, snapshot_names(peer.registry)
 
         inbox, instruments = asyncio.run(scenario())
         assert inbox == [None]
-        assert instruments == len(PeerNode("server", 1).registry)
+        assert instruments == snapshot_names(PeerNode("server", 1).registry)
 
     @pytest.mark.parametrize("node", ["peer", "server"])
     def test_half_a_hello_is_closed_after_one_timeout(self, node):
@@ -859,7 +859,7 @@ class TestWhatAChildCanDo:
                     host = harness.host(0)
                 else:
                     target, host = harness.server, harness.server_host
-                before = len(target.registry)
+                before = snapshot_names(target.registry)
                 inboxes = []
                 for index, column in enumerate((100, 200, 300)):
                     child = await dial(
@@ -871,10 +871,11 @@ class TestWhatAChildCanDo:
                     await harness.settle(0.1)
                     child.close()
                 await harness.settle(0.1)
+                after = snapshot_names(target.registry)
                 strays = [name for name in (
                     "net.queue_depth.c100", "net.queue_depth.c200",
-                    "net.queue_depth.c300") if name in target.registry]
-                return inboxes, before, len(target.registry), strays
+                    "net.queue_depth.c300") if name in after]
+                return inboxes, before, after, strays
             finally:
                 await harness.teardown()
 

@@ -34,7 +34,7 @@ from repro.net.transport import AsyncioClock
 from repro.obs import Registry
 from repro.protocol import JoinRequest, KeepAlive
 
-from tests.netkit import CollectingWriter, dial, parsed
+from tests.netkit import CollectingWriter, dial, parsed, snapshot_names
 
 PARAMS = GenerationParams(3, 10)
 PORT = 4000
@@ -81,10 +81,13 @@ class RecordingEngine:
         return [e for e in self.heard if isinstance(e, kind)]
 
 
-def _pump_set(engine=None, *, keepalive_interval=None, clock=None) -> PumpSet:
-    """A node's pump set past its grant: four columns, g = 3."""
+def _pump_set(engine=None, *, keepalive_interval=None, clock=None,
+              registry=None) -> PumpSet:
+    """A node's pump set past its grant: four columns, g = 3; it owns
+    its names on ``registry`` if one is given."""
     pumps = PumpSet(
-        Registry("node"), limit=8, keepalive_interval=keepalive_interval,
+        registry if registry is not None else Registry("node"),
+        limit=8, keepalive_interval=keepalive_interval,
         clock=clock if clock is not None else AsyncioClock(),
     )
     pumps.engine = engine if engine is not None else RecordingEngine()
@@ -157,20 +160,19 @@ class TestPumpSet:
 
     def test_queue_depth_gauge_is_bound_once_per_served_column(self):
         async def scenario():
-            pumps = _pump_set()
-            registry = pumps._registry
-            assert "net.queue_depth.c3" not in registry
+            registry = Registry("node")
+            pumps = _pump_set(registry=registry)
+            assert "net.queue_depth.c3" not in snapshot_names(registry)
             _serving(pumps, ("x", 3), column=3)
-            gauge = registry.gauge("net.queue_depth.c3")
-            size = len(registry)
+            names = snapshot_names(registry)
+            assert "net.queue_depth.c3" in names
             _serving(pumps, ("y", 3), column=3)
             _serving(pumps, ("x", 3), column=3)
-            assert registry.gauge("net.queue_depth.c3") is gauge
-            assert len(registry) == size
+            assert snapshot_names(registry) == names
             # One gauge reads every pump now serving the column.
             pumps.get(("x", 3))._queue.extend([b"f"] * 2)
             pumps.get(("y", 3))._queue.extend([b"f"] * 3)
-            assert gauge.snapshot_value() == 5
+            assert registry.snapshot()["gauges"]["net.queue_depth.c3"] == 5
             pumps.close()
 
         asyncio.run(scenario())
@@ -297,14 +299,17 @@ class TestOneConversationPerChild:
             self, column):
         async def scenario():
             engine = RecordingEngine()
-            pumps = _pump_set(engine)
+            registry = Registry("node")
+            pumps = _pump_set(engine, registry=registry)
             writer, link = _serving(pumps, "x", column=column)
             assert link.closed
-            return engine.heard, writer.closed, len(pumps._registry)
+            return engine.heard, writer.closed, snapshot_names(registry)
 
-        heard, closed, size = asyncio.run(scenario())
+        heard, closed, names = asyncio.run(scenario())
         assert heard == [] and closed
-        assert size == len(_pump_set()._registry)
+        fresh = Registry("node")
+        _pump_set(registry=fresh)
+        assert names == snapshot_names(fresh)
 
     def test_child_before_the_engine_is_closed(self):
         async def scenario():
@@ -353,7 +358,7 @@ def test_both_nodes_run_the_same_attach_emit_detach_script(kind):
         assert key in node.pumps.attached()
         assert any(s is pump.stats for s in node.sender_stats)
         assert node.sender_stats is node.pumps.stats
-        assert "net.queue_depth.c0" in node.registry
+        assert "net.queue_depth.c0" in snapshot_names(node.registry)
 
         node.pumps.emit(EmitToChildren(
             (key,), packets=(_packet(origin=4242),)))

@@ -28,11 +28,11 @@ def feeders(h: ChaosHarness) -> list[int]:
 async def isolate_and_time_repair(h: ChaosHarness, index: int) -> float:
     """Silently fail one peer; virtual seconds until the server splices
     it out."""
-    before = h.server.engine.obs.repairs.value
+    before = h.server.engine.obs.repairs
     t0 = h.clock.time()
     h.isolate(index)
     assert await h.run_until(
-        lambda: h.server.engine.obs.repairs.value > before, timeout=10.0)
+        lambda: h.server.engine.obs.repairs > before, timeout=10.0)
     return h.clock.time() - t0
 
 
@@ -72,7 +72,7 @@ class TestFailureDetectionAndRepair:
             await isolate_and_time_repair(h, victim)
             await h.settle(1.0)
             assert node_id not in h.server.core.matrix
-            assert h.server.engine.obs.repairs.value == 1
+            assert h.server.engine.obs.repairs == 1
             assert node_id in h.server.engine.departed
             assert h.check_structure(), h.violations
 
@@ -100,8 +100,8 @@ class TestFailureDetectionAndRepair:
             h.peers[h.index_of(reporter)]._write_control(ComplaintMsg(
                 reporter=reporter, column=column, suspect=suspect))
             await h.settle(1.0)
-            assert h.server.engine.obs.probes_sent.value == 1
-            assert h.server.engine.obs.repairs.value == 0
+            assert h.server.engine.obs.probes_sent == 1
+            assert h.server.engine.obs.repairs == 0
             assert suspect in h.server.core.matrix  # the probe was answered
 
         deploy(script, peers=15)
@@ -122,7 +122,7 @@ class TestFailureDetectionAndRepair:
             h.isolate(h.index_of(leaves[0]))
             await h.settle(2.0)
             assert leaves[0] in matrix
-            assert h.server.engine.obs.repairs.value == 0
+            assert h.server.engine.obs.repairs == 0
 
         deploy(script, peers=10)
 

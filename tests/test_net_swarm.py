@@ -135,10 +135,15 @@ class TestSwarmNetworkUnits:
         asyncio.run(scenario())
 
     def test_linkfaults_is_clean(self):
-        assert LinkFaults().is_clean()
-        assert not LinkFaults(loss=0.1).is_clean()
-        assert not LinkFaults(latency=0.5).is_clean()
-        assert not LinkFaults(partitioned=True).is_clean()
+        assert LinkFaults().clean
+        assert not LinkFaults(loss=0.1).clean
+        assert not LinkFaults(latency=0.5).clean
+        assert not LinkFaults(partitioned=True).clean
+        faults = LinkFaults()
+        faults.bandwidth = 1e6
+        assert not faults.clean
+        faults.bandwidth = None
+        assert faults.clean
 
 
 # ----------------------------------------------------------------------

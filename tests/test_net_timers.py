@@ -17,9 +17,10 @@ from repro.net.testing import (
     VirtualClock,
     VirtualNetwork,
 )
+from repro.obs import Registry
 from repro.protocol import SetParent, StartTimer, TimerFired
 
-from tests.netkit import listen
+from tests.netkit import listen, snapshot_names
 from tests.test_net_inbound import PARAMS, PORT, _child_of, _timed, at
 from tests.test_net_pumps import _pump_set, _serving
 
@@ -110,12 +111,14 @@ class TestTimerState:
 
         async def scenario():
             clock = VirtualClock()
+            registry = Registry("node")
             pumps = _pump_set(
-                Engine(), keepalive_interval=interval, clock=clock)
+                Engine(), keepalive_interval=interval, clock=clock,
+                registry=registry)
             live = list(range(population))
             for key in live:
                 _serving(pumps, key)
-            instruments = len(pumps._registry)
+            instruments = len(snapshot_names(registry))
             for cycle in range(cycles):
                 slot = cycle % population
                 gone, fresh = live[slot], population + cycle
@@ -129,7 +132,7 @@ class TestTimerState:
                     await clock.advance(interval / 4)
             state = (
                 len(pumps._pumps), len(pumps.stats),
-                len(pumps._registry) - instruments,
+                len(snapshot_names(registry)) - instruments,
                 sum(not entry.done() for *_, entry in clock._timers),
                 len(clock._timers),
             )

@@ -345,6 +345,30 @@ class TestVirtualPipes:
         assert echoed == pytest.approx(0.75)  # there and back
         assert data == b"x"
 
+    def test_latency_assigned_on_an_open_link_delays_delivery(self):
+        """A field assigned directly on a live link's record (no
+        ``set_link``) takes the link off the synchronous path: the next
+        write waits out the latency."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            accepted = _accepting(net)
+            client = await net.open_connection("a", "b", 7, _Bytes)
+            client.transport.write(b"now")
+            await net.clock.advance(0.0)
+            landed = bytes(accepted[0].data)
+            net.link("a", "b").latency = 0.25
+            client.transport.write(b"late")
+            await net.clock.advance(0.2)
+            early = bytes(accepted[0].data)
+            await net.clock.advance(0.1)
+            return landed, early, bytes(accepted[0].data)
+
+        landed, early, late = run(scenario())
+        assert landed == b"now"
+        assert early == b"now"
+        assert late == b"nowlate"
+
     def test_connect_refused_without_listener(self):
         async def scenario():
             net = VirtualNetwork()
@@ -476,7 +500,7 @@ class TestVirtualPipes:
 
     def test_reading_faults_creates_no_link_record(self):
         net = VirtualNetwork()
-        assert net.faults("x", "y").is_clean()
+        assert net.faults("x", "y").clean
         net.set_default(latency=0.1)
         assert net.faults("x", "y").latency == 0.1
         assert net._links == {}

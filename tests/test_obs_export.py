@@ -15,13 +15,24 @@ from repro.obs import http
 from repro.obs.http import MetricsServer
 
 
+class _Owner:
+    """One counter, one gauge and one histogram."""
+
+    def __init__(self) -> None:
+        self.events = 3
+        self.slot_seconds = Histogram()
+        self.slot_seconds.observe(0.0005)
+        self.slot_seconds.observe(0.5)
+
+    def snapshot_into(self, counters, gauges, histograms) -> None:
+        counters["engine.events"] = self.events
+        gauges["net.rank"] = 5
+        histograms["sim.slot_seconds"] = self.slot_seconds.snapshot_value()
+
+
 def _populated_registry(name="r") -> Registry:
     registry = Registry(name)
-    registry.counter("engine.events").inc(3)
-    registry.gauge("net.rank").set(5)
-    hist = registry.histogram("sim.slot_seconds")
-    hist.observe(0.0005)
-    hist.observe(0.5)
+    registry.owners.append(_Owner())
     return registry
 
 

@@ -6,53 +6,81 @@ histogram bucket boundaries are exact (a sample equal to a bound lands
 in that bound's bucket, one ulp above lands in the next).
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import CoordinationServer
 from repro.obs import (
-    Counter,
     FlightRecorder,
-    Gauge,
     Histogram,
+    PeerEngineInstruments,
     Registry,
+    ServerEngineInstruments,
     format_dump,
 )
 from repro.obs import flight
+from repro.protocol import PeerEngine, ServerEngine
 
 #: Every histogram's fixed bucket bounds.
 BOUNDS = Histogram.bounds
 
 
+def _server_engine() -> ServerEngine:
+    return ServerEngine(CoordinationServer(4, 2, np.random.default_rng(0)))
+
+
+class _Owner:
+    """A registry owner holding one count and one level."""
+
+    def __init__(self, registry, counter="hits", gauge="depth"):
+        self.hits = 0
+        self.depth = 0
+        self.names = counter, gauge
+        registry.owners.append(self)
+
+    def snapshot_into(self, counters, gauges, histograms):
+        counters[self.names[0]] = self.hits
+        gauges[self.names[1]] = self.depth
+
+
 class TestCounter:
     def test_starts_at_zero_and_accumulates(self):
-        counter = Counter("x", "")
-        counter.inc()
-        counter.inc(5)
-        assert counter.value == 6
-        assert counter.snapshot_value() == 6
+        """A bundle's counts are plain ints, zeroed at attach."""
+        registry = Registry("r")
+        instruments = ServerEngineInstruments(_server_engine(), registry)
+        assert instruments.repairs == 0
+        instruments.repairs += 1
+        instruments.repairs += 5
+        assert instruments.repairs == 6
+        assert registry.snapshot()["counters"]["engine.repairs"] == 6
 
 
 class TestGauge:
-    def test_set_and_inc(self):
-        gauge = Gauge("g", "")
-        gauge.set(10)
-        gauge.inc(2.5)
-        assert gauge.snapshot_value() == 12.5
+    def test_reads_the_owner_up_and_down(self):
+        registry = Registry("r")
+        owner = _Owner(registry)
+        owner.depth = 10
+        assert registry.snapshot()["gauges"] == {"depth": 10}
+        owner.depth -= 7
+        assert registry.snapshot()["gauges"] == {"depth": 3}
 
-    def test_bound_callback_wins_over_stored_value(self):
-        gauge = Gauge("g", "")
-        gauge.set(1)
-        state = {"depth": 7}
-        gauge.bind(lambda: state["depth"])
-        assert gauge.snapshot_value() == 7
-        state["depth"] = 9
-        assert gauge.snapshot_value() == 9
+    def test_reads_the_live_owner_at_snapshot_time(self):
+        """The engine's state sizes are read when the snapshot is
+        taken, not when the bundle attached."""
+        engine = PeerEngine()
+        registry = Registry("r")
+        PeerEngineInstruments(engine, registry)
+        assert registry.snapshot()["gauges"]["engine.threads"] == 0
+        engine.parents[0] = 7
+        engine.parents[1] = 9
+        assert registry.snapshot()["gauges"]["engine.threads"] == 2
 
 
 class TestHistogram:
     def test_exact_boundary_lands_in_its_bucket(self):
-        hist = Histogram("h", "")
+        hist = Histogram()
         hist.observe(BOUNDS[0])  # == first bound -> first bucket (le semantics)
         hist.observe(BOUNDS[1])
         hist.observe(BOUNDS[2])
@@ -61,12 +89,12 @@ class TestHistogram:
     def test_one_ulp_above_bound_spills_to_next_bucket(self):
         import math
 
-        hist = Histogram("h", "")
+        hist = Histogram()
         hist.observe(math.nextafter(BOUNDS[0], BOUNDS[1]))
         assert hist.bucket_counts[:3] == [0, 1, 0]
 
     def test_overflow_bucket(self):
-        hist = Histogram("h", "")
+        hist = Histogram()
         hist.observe(100.0)
         assert hist.bucket_counts == [0] * len(BOUNDS) + [1]
         assert hist.count == 1
@@ -87,7 +115,7 @@ class TestHistogram:
     ))
     def test_buckets_partition_the_samples(self, samples):
         """Every sample lands in exactly one bucket; count/sum agree."""
-        hist = Histogram("h", "")
+        hist = Histogram()
         for sample in samples:
             hist.observe(sample)
         assert sum(hist.bucket_counts) == hist.count == len(samples)
@@ -102,37 +130,35 @@ class TestHistogram:
 
 
 class TestRegistry:
-    def test_idempotent_constructors_return_same_instrument(self):
+    @pytest.mark.parametrize("second", [("x", "other"), ("other", "x")],
+                             ids=["same_section", "across_sections"])
+    def test_two_owners_writing_one_name_is_an_error(self, second):
+        """One name, one owner — in the same section or across two."""
         registry = Registry("r")
-        first = registry.counter("events", "help")
-        second = registry.counter("events")
-        assert first is second
-
-    def test_kind_collision_is_an_error(self):
-        registry = Registry("r")
-        registry.counter("x")
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x")
+        _Owner(registry, counter="x", gauge="depth")
+        _Owner(registry, *second)
+        with pytest.raises(ValueError, match="two owners"):
+            registry.snapshot()
 
     @settings(max_examples=50, deadline=None)
     @given(increments=st.lists(st.integers(min_value=0, max_value=1000),
                                max_size=30))
     def test_snapshot_equals_sum_of_increments(self, increments):
         registry = Registry("r")
-        counter = registry.counter("hits")
+        owner = _Owner(registry)
         for amount in increments:
-            counter.inc(amount)
+            owner.hits += amount
         snap = registry.snapshot()
         assert snap["counters"]["hits"] == sum(increments)
 
     def test_snapshot_sections_are_sorted(self):
         registry = Registry("r")
-        registry.counter("zz")
-        registry.counter("aa")
-        registry.gauge("mm").set(1)
+        _Owner(registry, counter="zz", gauge="mm")
+        _Owner(registry, counter="aa", gauge="bb")
         snap = registry.snapshot()
         assert list(snap["counters"]) == ["aa", "zz"]
-        assert set(snap) == {"counters", "gauges", "histograms"}
+        assert list(snap["gauges"]) == ["bb", "mm"]
+        assert list(snap) == ["counters", "gauges", "histograms"]
 
 
 class TestFlightRecorder:
@@ -164,12 +190,11 @@ class TestFlightRecorder:
 
 class TestInstruments:
     def test_server_instruments_classify_effects(self):
-        from repro.obs import ServerEngineInstruments
         from repro.protocol.effects import Admitted, PeerDeparted, Send
         from repro.protocol.messages import Probe
 
         registry = Registry("r")
-        instruments = ServerEngineInstruments(registry)
+        instruments = ServerEngineInstruments(_server_engine(), registry)
         instruments.record_step("ev", [Admitted(node_id=1, assignments=())])
         instruments.record_step("ev", [Send(5, Probe(nonce=1))])
         instruments.record_step("ev", [PeerDeparted(node_id=1, reason="crash")])
@@ -184,21 +209,16 @@ class TestInstruments:
     def test_population_gauge_is_the_registry_size(self):
         """10 joins, 3 leaves, 1 crash: 6 registered.  (Departed ids are
         already out of the registry; subtracting them again read 2.)"""
-        import numpy as np
-
-        from repro.core import CoordinationServer
-        from repro.obs import ServerEngineInstruments
         from repro.protocol import (
             ConnectionLost,
             JoinRequest,
             LeaveRequest,
             MessageReceived,
-            ServerEngine,
         )
 
-        engine = ServerEngine(CoordinationServer(4, 2, np.random.default_rng(0)))
+        engine = _server_engine()
         registry = Registry("r")
-        ServerEngineInstruments(registry).attach(engine, registry)
+        ServerEngineInstruments(engine, registry)
         for _ in range(10):
             engine.handle(MessageReceived(JoinRequest(reply_to=0)))
         for node in (1, 4, 7):
@@ -209,12 +229,11 @@ class TestInstruments:
         assert gauges["engine.departed"] == 4
 
     def test_peer_instruments_classify_effects(self):
-        from repro.obs import PeerEngineInstruments
         from repro.protocol.effects import Backoff, Clip, Send
         from repro.protocol.messages import ComplaintMsg
 
         registry = Registry("r")
-        instruments = PeerEngineInstruments(registry)
+        instruments = PeerEngineInstruments(PeerEngine(), registry)
         instruments.record_step("ev", [Clip(column=0, parent=1)])
         instruments.record_step("ev", [Backoff(column=0, delay=0.1)])
         instruments.record_step(
@@ -259,19 +278,21 @@ class TestCountedOnce:
         server, peers = harness.server, harness.peers
 
         def copies(node, fields):
-            return [f for f in fields if f"net.{f}" in node.registry]
+            sections = node.registry.snapshot().values()
+            return [f for f in fields
+                    if any(f"net.{f}" in names for names in sections)]
 
         assert copies(server, ("joins", "leaves", "repairs", "probes",
                                "rounds")) == []
         assert not any(copies(peer, ("complaints",)) for peer in peers)
         counts = server.engine.obs
-        assert counts.joins.value == len(peers)
-        assert result.repairs == counts.repairs.value
-        assert result.probes == counts.probes_sent.value
-        assert result.leaves == counts.leaves.value
+        assert counts.joins == len(peers)
+        assert result.repairs == counts.repairs
+        assert result.probes == counts.probes_sent
+        assert result.leaves == counts.leaves
         assert result.crashes == server.stats.crashes
         assert result.complaints == sum(
-            peer.engine.obs.complaints_sent.value for peer in peers)
+            peer.engine.obs.complaints_sent for peer in peers)
         assert result.reconnects == sum(peer.stats.reconnects for peer in peers)
         if name == "partition_repair":
             # The probe timer spliced the victim; its control connection
