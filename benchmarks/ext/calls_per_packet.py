@@ -23,8 +23,10 @@ with its calls per packet, heaviest first; ``--quick`` prints the first
 25 rows.  ``--geometry swarm`` counts the same per membership op
 (peers joined plus peers killed) over one 300-peer
 :class:`~repro.net.testing.SwarmHarness` round, the ``swarm_churn``
-workload's round at its ``--quick`` size (about 1.5 s).  Two runs of
-one seed agree to the digit.  ``TestDataplaneCost`` and
+workload's round at its ``--quick`` size (about 1.5 s), and then over
+one 1 200-peer round (``--quick`` skips it), one column pair per
+population, so a site whose per-op cost grows with the swarm shows
+beside one that does not.  Two runs of one seed agree to the digit.  ``TestDataplaneCost`` and
 ``TestSwarmCallCost`` in ``tests/test_protocol_engine.py`` pin the
 ``src/repro`` share and the ``call_soon`` count with
 :func:`count_calls` and :func:`count_swarm_calls`, and
@@ -60,8 +62,9 @@ GEOMETRIES = {
     "smallgen": dict(generation_size=8, payload_size=64, generations=64),
     "bulk": dict(generation_size=64, payload_size=1024, generations=8),
 }
-#: The membership round ``--geometry swarm`` counts.
-SWARM_PEERS = 300
+#: The populations of the membership rounds ``--geometry swarm`` counts
+#: (``--quick``: the first only).
+SWARM_PEERS = (300, 1200)
 _PACKAGE = os.path.dirname(repro.__file__) + os.sep
 _ASYNCIO = os.path.dirname(asyncio.__file__) + os.sep
 #: The event loop's scheduling entry point, as a call site.
@@ -163,12 +166,11 @@ def count_calls(geometry: str, seed: int = 0) -> CallCount:
     return CallCount(sites, packets)
 
 
-def count_swarm_calls(seed: int = 0) -> CallCount:
-    """Count one :data:`SWARM_PEERS`-peer swarm round, per membership
-    op."""
+def count_swarm_calls(peers: int, seed: int = 0) -> CallCount:
+    """Count one ``peers``-peer swarm round, per membership op."""
     sites: Counter = Counter()
     ops = asyncio.run(_swarm_rep(
-        SwarmConfig(peers=SWARM_PEERS, seed=seed), sites))
+        SwarmConfig(peers=peers, seed=seed), sites))
     return CallCount(sites, ops)
 
 
@@ -186,27 +188,40 @@ def main(argv=None) -> None:
                         default="smallgen")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--quick", action="store_true",
-                        help="print only the 25 heaviest sites")
+                        help="print only the 25 heaviest sites, and count "
+                        "only the first swarm population")
     args = parser.parse_args(argv)
     if args.geometry == "swarm":
-        count, unit = count_swarm_calls(args.seed), "op"
-        what = f"n={SWARM_PEERS}: {count.events} membership ops"
+        unit = "op"
+        counts = [
+            (f"n={peers}: ", "membership ops",
+             count_swarm_calls(peers, args.seed))
+            for peers in SWARM_PEERS[:1 if args.quick else None]]
     else:
-        count, unit = count_calls(args.geometry, args.seed), "packet"
-        what = f"{count.events} packets"
-    print(f"{args.geometry} seed {args.seed}: {what}, "
-          f"{count.per_event(inside_only=True):.1f} calls into src/repro, "
-          f"{count.per_event():.1f} in total and {count.call_soon():.2f} "
-          f"call_soon per {unit}")
-    print(f"remainder per {unit}: " + ", ".join(
-        f"{label} {calls:.1f}" for label, calls in count.remainder().items()))
-    rows = count.sites.most_common(25 if args.quick else None)
+        unit = "packet"
+        counts = [("", "packets", count_calls(args.geometry, args.seed))]
+    for where, what, count in counts:
+        print(f"{args.geometry} seed {args.seed}: {where}{count.events} "
+              f"{what}, {count.per_event(inside_only=True):.1f} calls into "
+              f"src/repro, {count.per_event():.1f} in total and "
+              f"{count.call_soon():.2f} call_soon per {unit}")
+        print(f"remainder per {unit}: " + ", ".join(
+            f"{label} {calls:.1f}"
+            for label, calls in count.remainder().items()))
+    # The largest population's heaviest sites, each beside its cost at
+    # every population counted.
+    rows = counts[-1][2].sites.most_common(25 if args.quick else None)
     width = max(len(_label(*site)) for site, _ in rows)
-    print(f"{'site':<{width}}  {'repro':>6}  {'total':>6}")
-    for (path, function), calls in rows:
-        ours = calls if path.startswith(_PACKAGE) else 0
-        print(f"{_label(path, function):<{width}}  "
-              f"{ours / count.events:>6.2f}  {calls / count.events:>6.2f}")
+    print(f"{'site':<{width}}" + "".join(
+        f"  {'repro':>6}  {'total':>6}" for _ in counts))
+    for site, _ in rows:
+        line = f"{_label(*site):<{width}}"
+        for _, _, count in counts:
+            calls = count.sites[site]
+            ours = calls if site[0].startswith(_PACKAGE) else 0
+            line += (f"  {ours / count.events:>6.2f}"
+                     f"  {calls / count.events:>6.2f}")
+        print(line)
 
 
 if __name__ == "__main__":

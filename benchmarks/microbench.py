@@ -43,22 +43,25 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "bench_smoke.json"
 
 
-def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
+def bench_obs_overhead(quick: bool, trials: int = 11) -> dict[str, float]:
     """Instrumented vs uninstrumented hot paths, same-run A/B.
 
-    Two arms, each measured in ``trials`` interleaved slices with the
-    median ratio reported (so load drift on a shared machine cannot
-    penalise one arm):
+    Two arms, each measured in ``trials`` slices with the median ratio
+    reported.  A slice alternates the arms run by run, so a burst of
+    load on a shared machine falls on both (on a shared 2-core box,
+    slices of 48 runs of one arm, then of the other, read ratios of
+    0.8-1.25):
 
     * ``relative_throughput_slot_loop`` — a seeded E7-style broadcast
-      run with ``SlottedRuntime.attach_obs`` (slot-timing histogram +
-      three counters per slot) vs the identical run unattached.
+      run with ``SlottedRuntime.attach_obs`` (the slot-timing
+      histogram) vs the identical run unattached.
     * ``relative_throughput_sender`` — ``PacketSender.enqueue_frame``
       under constant backpressure eviction with the per-node logger
       wired (the instrumented drop path) vs a bare sender.
 
-    Both ratios must stay >= 0.98: the observability layer's hot-path
-    budget is <= 2%.
+    ``check_bench.py`` holds both ratios to a 0.95 floor: the
+    observability layer's hot-path budget is <= 2% on a quiet machine,
+    and the floor leaves the rest for a shared one.
     """
     from statistics import median
 
@@ -73,27 +76,23 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
     )
     budget = 200 if quick else 400
 
-    runs_per_slice = 12 if quick else 6
+    runs_per_slice = 24 if quick else 6
 
-    def _slot_run(instrumented: bool) -> float:
-        # One seeded run is a few ms; aggregate a batch per slice so the
-        # ratio measures instrumentation, not scheduler noise.
-        slots, elapsed = 0, 0.0
-        for _ in range(runs_per_slice):
-            net = OverlayNetwork(k=k, d=d, seed=404)
-            net.grow(n)
-            sim = rlnc(
-                net, content, GenerationParams(generation_size, payload_size),
-                seed=404, loss=LossModel(0.05),
-            )
-            if instrumented:
-                sim.attach_obs(Registry("bench"))
-            start = time.perf_counter()
-            report = sim.run_until_complete(max_slots=budget)
-            elapsed += time.perf_counter() - start
-            assert report.completion_fraction == 1.0
-            slots += report.slots
-        return slots / elapsed
+    def _slot_run(instrumented: bool) -> tuple[int, float]:
+        """One seeded run (a few ms): its slots and their seconds."""
+        net = OverlayNetwork(k=k, d=d, seed=404)
+        net.grow(n)
+        sim = rlnc(
+            net, content, GenerationParams(generation_size, payload_size),
+            seed=404, loss=LossModel(0.05),
+        )
+        if instrumented:
+            sim.attach_obs(Registry("bench"))
+        start = time.perf_counter()
+        report = sim.run_until_complete(max_slots=budget)
+        elapsed = time.perf_counter() - start
+        assert report.completion_fraction == 1.0
+        return report.slots, elapsed
 
     class _NullWriter:
         """Satisfies PacketSender's writer slot; enqueue never touches it."""
@@ -104,7 +103,7 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
     import logging
 
     frame = b"\x00" * (5 + 4 + generation_size + payload_size)
-    enqueues = 20_000 if quick else 100_000
+    enqueues = (20_000 if quick else 100_000) // runs_per_slice
     # Deployment default: the logger is wired but DEBUG is off, so the
     # per-eviction cost is the None check plus an isEnabledFor bailout.
     # (With --log-level debug each drop builds a LogRecord — that is a
@@ -114,7 +113,8 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
     silent.propagate = False
     silent.setLevel(logging.WARNING)
 
-    def _sender_run(instrumented: bool) -> float:
+    def _sender_run(instrumented: bool) -> tuple[int, float]:
+        """``enqueues`` evicting enqueues and their seconds."""
         sender = PacketSender(
             _NullWriter(), column=0, sender_id=1, idle_packet=lambda: None,
             limit=8,
@@ -126,15 +126,27 @@ def bench_obs_overhead(quick: bool, trials: int = 5) -> dict[str, float]:
         elapsed = time.perf_counter() - start
         assert sender.stats.dropped == enqueues - 8
         sender.close()
-        return enqueues / elapsed
+        return enqueues, elapsed
+
+    def _slice(run) -> tuple[float, float]:
+        """``runs_per_slice`` runs of each arm, alternating: the
+        instrumented and the bare rate."""
+        work, elapsed = {True: 0, False: 0}, {True: 0.0, False: 0.0}
+        for _ in range(runs_per_slice):
+            for instrumented in (True, False):
+                done, seconds = run(instrumented)
+                work[instrumented] += done
+                elapsed[instrumented] += seconds
+        return work[True] / elapsed[True], work[False] / elapsed[False]
 
     def _ab(run) -> tuple[float, float, float]:
         instrumented_rates, bare_rates, ratios = [], [], []
-        run(True), run(False)  # warm both arms
+        _slice(run)  # warm both arms
         for _ in range(trials):
-            instrumented_rates.append(run(True))
-            bare_rates.append(run(False))
-            ratios.append(instrumented_rates[-1] / bare_rates[-1])
+            instrumented, bare = _slice(run)
+            instrumented_rates.append(instrumented)
+            bare_rates.append(bare)
+            ratios.append(instrumented / bare)
         return median(instrumented_rates), median(bare_rates), median(ratios)
 
     metrics: dict[str, float] = {}

@@ -9,7 +9,7 @@ virtual-network chaos tier running the latter) now lives in two pure
 state machines:
 
 * :class:`SourceEngine` — the server side: generation scheduling
-  (each child's lowest unfinished generation for clocked stream loops,
+  (each child's lowest unfinished generation for clocked emission rounds,
   uniform draws for pull-mode drivers) and per-child emission over a
   :class:`~repro.coding.encoder.SourceEncoder`;
 * :class:`RelayEngine` — the peer side: per-packet receive with

@@ -9,8 +9,9 @@ connection, and dials one upstream *data* connection per assigned
 thread.  Every connection is a :class:`~repro.net.framing.Connection`
 fed by its transport's ``data_received``: the control connection's
 handler is this node's, an accepted one's first frame picks its own,
-and only each held thread keeps a task — the redial loop, parked on
-its connection's end.  Both ends of every data connection — what it is sent by its
+and no node holds a task: a held thread is its upstream connection,
+whose end is a callback, or the one redial timer its backoff armed.
+Both ends of every data connection — what it is sent by its
 parents, the reports it owes them, the mixtures it fans out to the
 children that dial it — are its :class:`~repro.net.streams.PumpSet`'s,
 run against the node's :class:`~repro.dataplane.RelayEngine`.
@@ -24,9 +25,9 @@ Robustness model, mirroring §3/§5 on a real event loop:
   episode) and how long the redial should back off;
 * a ``SetParent`` push from the server (repair, uniform-insert splice,
   or graceful leave upstream) re-clips the thread through the engine's
-  ``Clip`` effect: the old thread task is cancelled (closing its
-  connection) and a new one dials the new parent — the live Lemma 1
-  repair;
+  ``Clip`` effect: the old thread's timer or pending dial is cancelled
+  and its connection closed, and a new one dials the new parent — the
+  live Lemma 1 repair;
 * losing the *server* stops membership repair but not the data plane:
   established peer connections keep streaming (the §6 observation that
   swarms outlive the server).
@@ -156,22 +157,17 @@ class PeerNode:
         #: the grant's geometry.
         self._relay = partial(
             RelayEngine, forward_dependent=FORWARD_POLICIES[forward_policy],
-            seed_burst=seed_burst,
-        )
-        self.transport: Transport = (
-            transport if transport is not None else AsyncioTransport()
-        )
+            seed_burst=seed_burst)
+        self.transport: Transport = transport or AsyncioTransport()
         self.clock = self.transport.clock
-        self.server_host = server_host
-        self.server_port = server_port
         self.host = host
         self.port = 0
         self.engine = PeerEngine(
-            reconnect_base=reconnect_base,
-            reconnect_max=reconnect_max,
-        )
+            reconnect_base=reconnect_base, reconnect_max=reconnect_max)
         self.silence_timeout = silence_timeout
-        self.on_complete = on_complete
+        #: Told (with this node) once every generation decodes.
+        self._on_complete = (
+            None if on_complete is None else partial(on_complete, self))
         self.stats = PeerStats()
         #: The sans-IO data-plane core (created with its recoder once
         #: the join grant fixes the coding geometry).
@@ -182,7 +178,10 @@ class PeerNode:
         #: PeerLocator pushes teach us
         self._addresses: dict[int, tuple[str, int]] = {
             SERVER: (server_host, server_port)}
-        self._thread_tasks: dict[int, asyncio.Task] = {}
+        #: column -> the held thread: its upstream link and the task
+        #: dialing it (done once connected), or (None, the redial timer
+        #: its backoff armed)
+        self._threads: dict[int, tuple] = {}
         self._listener: Optional[Listener] = None
         #: The control connection to the server, and the grant it
         #: resolves (or fails) during admission.
@@ -197,10 +196,8 @@ class PeerNode:
         #: Both ends of every data connection: one pump per (child id,
         #: column) dialed in, and each thread's dial to its parent.
         self.pumps = PumpSet(
-            self.registry, limit=queue_limit,
-            keepalive_interval=keepalive_interval, clock=self.clock,
-            logger=self.log,
-        )
+            self.registry, limit=queue_limit, logger=self.log,
+            keepalive_interval=keepalive_interval, clock=self.clock)
         #: Retired-pump totals first, then one entry per live child pump.
         self.sender_stats = self.pumps.stats
         PeerEngineInstruments(self.engine, self.registry)
@@ -241,8 +238,7 @@ class PeerNode:
         self._listener = await self.transport.start_server(
             lambda: Connection(FirstFrame(
                 self._child, self.clock, self.silence_timeout)),
-            self.host, 0,
-        )
+            self.host, 0)
         self.port = self._listener.address[1]
         self._running = True
         self._granted = asyncio.get_running_loop().create_future()
@@ -250,7 +246,7 @@ class PeerNode:
             self._control_message, self._control_closed))
         try:
             await self.transport.connect(
-                lambda: control, self.server_host, self.server_port)
+                lambda: control, *self._addresses[SERVER])
             write_control_nowait(
                 control.transport, JoinRequest(reply_to=self.port))
             await self._granted
@@ -285,7 +281,7 @@ class PeerNode:
         ))
         self.pumps.engine = self.dataplane
         DataplaneInstruments(self.dataplane, self.registry)
-        self._dispatch_control(grant)
+        self._perform(self.engine.handle(MessageReceived(grant)))
         self._granted.set_result(grant)
 
     async def leave(self) -> None:
@@ -295,22 +291,18 @@ class PeerNode:
         await self.close()
 
     async def close(self) -> None:
-        """Stop all tasks and close all transports (no good-bye), then
-        wait for them to finish."""
-        pending = list(self._thread_tasks.values())
+        """Close every connection and cancel every timer (no good-bye),
+        then wait for the listener to close."""
         self.kill()
         if self._listener is not None:
             await self._listener.wait_closed()
-        if pending:
-            await asyncio.gather(*pending, return_exceptions=True)
 
     def kill(self) -> None:
         """Abrupt, silent death — the failure the repair protocol exists
         for.  Closes every transport without a good-bye or any awaiting."""
         self._running = False
-        for task in list(self._thread_tasks.values()):
-            task.cancel()
-        self._thread_tasks.clear()
+        for column in list(self._threads):
+            self._restart_thread(column)
         self.pumps.close()
         if self._control is not None:
             self._control.close()
@@ -346,14 +338,15 @@ class PeerNode:
     # Control plane: pump the engine
 
     def _control_message(self, message: object) -> None:
-        """A message from the server: admission (session, locators,
-        grant) until the grant, the engine's after it."""
-        if self.engine.node_id is not None:
-            self._dispatch_control(message)
+        """A message from the server: a locator goes in the address
+        book; anything else is admission (session, grant) until the
+        grant, the engine's after it."""
+        if isinstance(message, PeerLocator):
+            self._addresses[message.node_id] = (message.host, message.port)
+        elif self.engine.node_id is not None:
+            self._perform(self.engine.handle(MessageReceived(message)))
         elif isinstance(message, SessionInfo):
             self.session = message
-        elif isinstance(message, PeerLocator):
-            self._addresses[message.node_id] = (message.host, message.port)
         elif isinstance(message, JoinGrant):
             if self.session is None:
                 raise FramingError("grant arrived before session info")
@@ -373,17 +366,9 @@ class PeerNode:
         self.log.info("server lost; data plane continues without repair")
         self.engine.handle(ServerLost())
 
-    def _dispatch_control(self, message: object) -> None:
-        if isinstance(message, PeerLocator):
-            self._addresses[message.node_id] = (message.host, message.port)
-            return
-        self._perform(self.engine.handle(MessageReceived(message)))
-
-    def _perform(self, effects) -> Optional[float]:
-        """Carry out the control engine's effects.  A ``Backoff`` is the
-        one it cannot perform here: its delay is returned to the thread
-        loop, the only caller that sleeps on it."""
-        delay: Optional[float] = None
+    def _perform(self, effects) -> None:
+        """Carry out the control engine's effects; a ``Backoff`` arms
+        its thread's redial timer."""
         for effect in effects:
             if isinstance(effect, Send):
                 self._write_control(effect.message)
@@ -391,8 +376,11 @@ class PeerNode:
                 # A stopped thread has no parent left to restart toward.
                 self._restart_thread(effect.column)
             elif isinstance(effect, Backoff):
-                delay = effect.delay
-        return delay
+                self.log.debug("column %d: redialing after %.3fs backoff",
+                               effect.column, effect.delay)
+                self._threads[effect.column] = (None, self.clock.call_at(
+                    self.clock.time() + effect.delay,
+                    partial(self._redial, effect.column)))
 
     def _write_control(self, message: object) -> None:
         if self._control is None or self._control.closed:
@@ -408,56 +396,59 @@ class PeerNode:
     # Data connections: dial each thread's parent, accept children
 
     def _restart_thread(self, column: int) -> None:
-        """(Re)start the upstream pump for one thread."""
-        old = self._thread_tasks.pop(column, None)
-        if old is not None:
-            old.cancel()
+        """(Re)start one thread.  Its entry goes first — so closing its
+        link reports nothing — then its timer or pending dial is
+        cancelled and its link closed, and a running node that still
+        holds the column dials its parent."""
+        link, pending = self._threads.pop(column, (None, None))
+        if pending is not None:
+            pending.cancel()
+        if link is not None:
+            link.close()
+        self._dial(column)
+
+    def _dial(self, column: int) -> None:
+        """Dial the current parent of ``column`` on a connection from
+        ``pumps.upstream``, for as long as we hold the thread; its end
+        is :meth:`_thread_down`."""
         if not self._running or column not in self.parents:
             return
-        self.log.debug(
-            "column %d: clipping to parent %d", column, self.parents[column],
-        )
-        self._thread_tasks[column] = asyncio.ensure_future(
-            self._thread_loop(column)
-        )
+        parent = self.parents[column]
+        self.log.debug("column %d: clipping to parent %d", column, parent)
+        link = self.pumps.upstream(
+            column, self.silence_timeout, self.stats, self._on_complete,
+            partial(self._thread_down, column, parent))
+        self._threads[column] = (link, asyncio.ensure_future(
+            self._connect(link, parent)))
 
-    async def _thread_loop(self, column: int) -> None:
-        """Dial the current parent of ``column`` on a connection from
-        ``pumps.upstream`` and wait for it to end, reconnecting with
-        exponential backoff for as long as we hold the thread.  The
-        engine judges every session end: a healthy one redials
-        immediately, a silent one complains (at most once per episode)
-        and backs off."""
-        notify = None if self.on_complete is None else partial(
-            self.on_complete, self)
-        while self._running and column in self.parents:
-            parent = self.parents[column]
-            address = self._addresses.get(parent)
-            saw_traffic = False
-            if address is not None:
-                link = self.pumps.upstream(
-                    column, self.silence_timeout, self.stats, notify)
-                try:
-                    await self.transport.connect(lambda: link, *address)
-                    saw_traffic = await link.handler.done
-                except (ConnectionError, OSError):
-                    pass
-                finally:
-                    link.close()
-            delay = self._perform(self.engine.handle(UpstreamDown(
-                column=column, parent=parent, saw_traffic=saw_traffic,
-            )))
-            if delay is None:
-                continue  # healthy session: redial immediately
-            self.log.debug(
-                "column %d: redialing parent %d after %.3fs backoff",
-                column, self.parents.get(column, parent), delay,
-            )
-            try:
-                await self.clock.sleep(delay)
-            except asyncio.CancelledError:
-                return
-            self.stats.reconnects += 1
+    async def _connect(self, link: Connection, parent: int) -> None:
+        """A thread's pending dial: refused, or toward a parent whose
+        address never came, it ends like a dropped connection."""
+        try:
+            if parent not in self._addresses:
+                raise ConnectionError(f"no address for node {parent}")
+            await self.transport.connect(
+                lambda: link, *self._addresses[parent])
+        except (ConnectionError, OSError) as error:
+            link.close(error)
+
+    def _thread_down(self, column: int, parent: int,
+                     saw_traffic: bool) -> None:
+        """``column``'s link ended.  Unless the thread was stopped
+        first, the engine judges the session: a healthy one redials at
+        once, a silent one complains (at most once per episode) and
+        backs off."""
+        if self._threads.pop(column, None) is None:
+            return
+        self._perform(self.engine.handle(UpstreamDown(
+            column=column, parent=parent, saw_traffic=saw_traffic)))
+        if column not in self._threads:
+            self._dial(column)
+
+    def _redial(self, column: int) -> None:
+        """The backoff's timer fired: dial again."""
+        self.stats.reconnects += 1
+        self._restart_thread(column)
 
     def _child(self, connection: Connection, hello: object) -> None:
         """An accepted connection's first message: a child's hello is

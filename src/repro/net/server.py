@@ -18,7 +18,10 @@ a real deployment adds around it:
 * the data plane's root: a
   :class:`~repro.coding.encoder.SourceEncoder` pumping coded packets
   down each column's chain (top nodes dial a *data* connection, first
-  frame ``DataHello``).
+  frame ``DataHello``), one emission round per clock timer.
+
+No node holds a task: every connection is callbacks, and every wait —
+the next round, a probe deadline — is one timer.
 
 Failure handling is two-layered, both decided by the engine: the
 **fast path** treats a control connection dropping without a
@@ -29,7 +32,6 @@ probe timeout, exactly as in §3.
 
 from __future__ import annotations
 
-import asyncio
 import logging
 from dataclasses import dataclass
 from functools import partial
@@ -145,17 +147,13 @@ class ServerNode:
         probe_timeout: float = 0.5,
         transport: Optional[Transport] = None,
     ) -> None:
-        self.transport: Transport = (
-            transport if transport is not None else AsyncioTransport()
-        )
+        self.transport: Transport = transport or AsyncioTransport()
         self.clock = self.transport.clock
         rng = default_rng(seed)
-        self.engine = ServerEngine(
-            CoordinationServer(k, d, rng, insert_mode),
-            probe_timeout=probe_timeout,
-        )
+        self.engine = ServerEngine(CoordinationServer(
+            k, d, rng, insert_mode), probe_timeout=probe_timeout)
         #: The sans-IO data-plane core (generation scheduling + per-round
-        #: emission; the stream loop just pumps its effects).
+        #: emission; the round timer just pumps its effects).
         self.dataplane = SourceEngine(SourceEncoder(content, params, rng))
         self.host = host
         self.port = port
@@ -163,7 +161,8 @@ class ServerNode:
         self.stats = ServerStats(self.dataplane)
         self._peers: dict[int, _PeerHandle] = {}
         self._server: Optional[Listener] = None
-        self._stream_task: Optional[asyncio.Task] = None
+        #: The next emission round's clock timer.
+        self._round_timer: Optional[TimerHandle] = None
         #: The engine's armed timers (probe deadlines), until they fire.
         self._timers: set[TimerHandle] = set()
         self._running = False
@@ -174,10 +173,8 @@ class ServerNode:
         self.registry = Registry("server")
         #: The data connections: one pump per column, toward its top node.
         self.pumps = PumpSet(
-            self.registry, limit=queue_limit,
-            keepalive_interval=keepalive_interval, clock=self.clock,
-            logger=self.log,
-        )
+            self.registry, limit=queue_limit, logger=self.log,
+            keepalive_interval=keepalive_interval, clock=self.clock)
         self.pumps.engine = self.dataplane
         self.pumps.k = k
         self.pumps.generation_size = params.generation_size
@@ -201,7 +198,7 @@ class ServerNode:
     # Lifecycle
 
     async def start(self) -> None:
-        """Bind the listen socket and start the emission loop."""
+        """Bind the listen socket and arm the first emission round."""
         self._server = await self.transport.start_server(
             lambda: Connection(FirstFrame(
                 self._accept, self.clock, self.engine.probe_timeout)),
@@ -212,7 +209,8 @@ class ServerNode:
             f"repro.net.server.{self.port}")
         self.registry.name = f"server:{self.port}"
         self._running = True
-        self._stream_task = asyncio.ensure_future(self._stream_loop())
+        self._round_timer = self.clock.call_at(
+            self.clock.time() + self.send_interval, self._round)
         self.log.info(
             "listening on %s:%d (k=%d, d=%d)",
             self.host, self.port, self.core.k, self.core.d,
@@ -224,38 +222,33 @@ class ServerNode:
         for timer in self._timers:
             timer.cancel()
         self._timers.clear()
-        if self._stream_task is not None:
-            self._stream_task.cancel()
+        if self._round_timer is not None:
+            self._round_timer.cancel()
         self.pumps.close()
         for handle in list(self._peers.values()):
             handle.connection.close()
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._stream_task is not None:
-            await asyncio.gather(self._stream_task, return_exceptions=True)
 
     # ------------------------------------------------------------------
     # Data plane
 
-    async def _stream_loop(self) -> None:
-        """One emission round per interval: a packet per attached column.
+    def _round(self) -> None:
+        """One emission round — a packet per attached column — then the
+        next one's timer, ``send_interval`` on.
 
         The :class:`~repro.dataplane.SourceEngine` owns the schedule —
         each column's top node is sent the lowest generation it has not
         reported complete, one mixing gemm per generation chosen — and
-        this loop only hands its effects to the column pumps.
+        this timer only hands its effects to the column pumps.
         """
-        try:
-            while self._running:
-                await self.clock.sleep(self.send_interval)
-                for effect in self.dataplane.handle(
-                    EmitRound(targets=self.pumps.attached())
-                ):
-                    if isinstance(effect, EmitToChildren):
-                        self.pumps.emit(effect)
-        except asyncio.CancelledError:
-            pass
+        for effect in self.dataplane.handle(
+                EmitRound(targets=self.pumps.attached())):
+            if isinstance(effect, EmitToChildren):
+                self.pumps.emit(effect)
+        self._round_timer = self.clock.call_at(
+            self.clock.time() + self.send_interval, self._round)
 
     # ------------------------------------------------------------------
     # Connection handling

@@ -397,13 +397,14 @@ class _Upstream(Handler):
     Silence runs between complete messages, not bytes: one timer per
     connection, due ``silence_timeout`` after the segment that last
     completed one, closes the connection when it fires past that
-    deadline, else re-arms for the deadline as it now stands.  ``done``
-    resolves when the connection ends, True if a packet or a keep-alive
-    arrived (a healthy session).
+    deadline, else re-arms for the deadline as it now stands.  When
+    the connection ends, ``on_end`` hears whether a packet or a
+    keep-alive arrived (a healthy session).
     """
 
     def __init__(self, pumps: "PumpSet", column: int, silence_timeout: float,
-                 stats, on_complete: Optional[Callable[[], None]]) -> None:
+                 stats, on_complete: Optional[Callable[[], None]],
+                 on_end: Callable[[bool], None]) -> None:
         self.pumps = pumps
         self.engine = engine = pumps.engine
         #: What every packet is checked against: the generation count,
@@ -417,7 +418,7 @@ class _Upstream(Handler):
         #: CRC failures.
         self.stats = stats
         self.on_complete = on_complete
-        self.done = asyncio.get_running_loop().create_future()
+        self.on_end = on_end
         self.saw_traffic = False
         #: packets of generations already held, since the last report
         #: this connection sent
@@ -509,8 +510,7 @@ class _Upstream(Handler):
         elif isinstance(error, FramingError) and pumps.logger is not None:
             pumps.logger.info(
                 "column %d: dropping parent connection: %s", column, error)
-        if not self.done.done():
-            self.done.set_result(self.saw_traffic)
+        self.on_end(self.saw_traffic)
 
 
 class PumpSet:
@@ -721,12 +721,13 @@ class PumpSet:
         silence_timeout: float,
         stats,
         on_complete: Optional[Callable[[], None]],
+        on_end: Callable[[bool], None],
     ) -> Connection:
         """The connection to dial to ``column``'s parent (see
-        :class:`_Upstream`); its handler's ``done`` says when it ended
-        and whether it was a healthy session."""
+        :class:`_Upstream`); ``on_end`` hears when it ended and whether
+        it was a healthy session."""
         return Connection(_Upstream(
-            self, column, silence_timeout, stats, on_complete))
+            self, column, silence_timeout, stats, on_complete, on_end))
 
     def _report(self) -> bytes:
         """This node's completed-generation set as a framed record."""

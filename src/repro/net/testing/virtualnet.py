@@ -60,6 +60,7 @@ import asyncio
 import itertools
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Optional
 
@@ -81,26 +82,24 @@ class VirtualTimer:
     """A :meth:`VirtualClock.call_at` timer: ``cancel()`` it before it
     runs and it never does.
 
-    It waits on the clock's heap beside the futures of parked sleeps,
-    and answers the two things the heap asks of them: ``done()`` (a
-    cancelled timer is popped lazily, like a cancelled sleep) and
-    ``set_result()`` (firing, which puts the callback on the loop's
-    ready queue behind whatever fired before it).
+    When its deadline comes the clock puts :meth:`_run` on the loop's
+    ready queue, behind whatever fired before it.  A sleep's timer is
+    ``at_once``: it runs as it fires, resolving the sleeper's future,
+    so the sleeper's wake-up is what takes that place in the queue.
     """
 
-    __slots__ = ("_callback",)
+    __slots__ = ("_callback", "at_once")
 
     def __init__(self, callback: Callable[[], Any]) -> None:
         self._callback: Optional[Callable[[], Any]] = callback
+        self.at_once = False
 
     def cancel(self) -> None:
         self._callback = None
 
     def done(self) -> bool:
+        """Cancelled, or run."""
         return self._callback is None
-
-    def set_result(self, _result: None) -> None:
-        asyncio.get_running_loop().call_soon(self._run)
 
     def _run(self) -> None:
         # Cancelled between firing and running: like asyncio's handles,
@@ -110,23 +109,29 @@ class VirtualTimer:
             callback()
 
 
+def _wake(future: asyncio.Future) -> None:
+    """A sleep's deadline: wake its sleeper, unless it was cancelled."""
+    if not future.done():
+        future.set_result(None)
+
+
 class VirtualClock:
     """A :class:`~repro.net.transport.Clock` whose time only moves when a
     driver calls :meth:`advance` / :meth:`run_until`.
 
-    ``sleep`` parks the caller on a timer heap and ``call_at`` puts a
-    :class:`VirtualTimer` on the same heap, in one sequence, so a sleep
-    and a timer due at the same instant fire in the order they were
-    armed.  ``advance`` pops due timers in deadline order, settling the
-    event loop (draining its ready queue) between firings so
-    causally-dependent wakeups happen in a deterministic, repeatable
-    order.
+    ``call_at`` puts a :class:`VirtualTimer` on a heap, and ``sleep``
+    (the virtual network's SYN latency, and tests that script time) is
+    one too, in one sequence, so a sleep and a timer due at the same
+    instant fire in the order they were armed.  ``advance`` pops due
+    timers in deadline order, settling the event loop (draining its
+    ready queue) between firings so causally-dependent wakeups happen
+    in a deterministic, repeatable order.
     """
 
     def __init__(self, *, quantum: float = 0.0) -> None:
         self._now = 0.0
-        #: (deadline, sequence, sleeper's future or VirtualTimer)
-        self._timers: list[tuple[float, int, Any]] = []
+        #: (deadline, sequence, VirtualTimer)
+        self._timers: list[tuple[float, int, VirtualTimer]] = []
         self._seq = itertools.count()
         #: Bound on settle iterations, so a busy-spinning task turns
         #: into a loud failure instead of a silent hang.
@@ -152,7 +157,7 @@ class VirtualClock:
             await asyncio.sleep(0)
             return
         future = asyncio.get_running_loop().create_future()
-        heappush(self._timers, (self._now + delay, next(self._seq), future))
+        self.call_at(self._now + delay, partial(_wake, future)).at_once = True
         await future
 
     def call_at(self, when: float, callback: Callable[[], Any]) -> VirtualTimer:
@@ -167,11 +172,13 @@ class VirtualClock:
         """Fire every timer due at or before ``deadline``, letting the
         event loop settle after each firing; ends with time == deadline."""
         fired = 0
+        timers = self._timers
+        call_soon = asyncio.get_running_loop().call_soon
         while True:
             await self._settle()
-            while self._timers and self._timers[0][2].done():
-                heappop(self._timers)  # cancelled sleeps and timers
-            if not self._timers or self._timers[0][0] > deadline:
+            while timers and timers[0][2]._callback is None:
+                heappop(timers)  # cancelled timers
+            if not timers or timers[0][0] > deadline:
                 break
             fired += 1
             if fired > self.firing_limit:
@@ -179,19 +186,23 @@ class VirtualClock:
                     f"virtual clock fired {self.firing_limit} timers before "
                     f"reaching t={deadline} (task re-arming an epsilon timer?)"
                 )
-            when, _, future = heappop(self._timers)
+            when, _, timer = heappop(timers)
             self._now = max(self._now, when)
-            if not future.done():
-                future.set_result(None)
+            if timer.at_once:
+                timer._run()
+            else:
+                call_soon(timer._run)
             if self.quantum:
                 # Batch mode: fire everything due within one quantum,
                 # then settle once for the whole batch.
                 horizon = min(when + self.quantum, deadline)
-                while self._timers and self._timers[0][0] <= horizon:
-                    when, _, future = heappop(self._timers)
+                while timers and timers[0][0] <= horizon:
+                    when, _, timer = heappop(timers)
                     self._now = max(self._now, when)
-                    if not future.done():
-                        future.set_result(None)
+                    if timer.at_once:
+                        timer._run()
+                    elif timer._callback is not None:
+                        call_soon(timer._run)
         self._now = max(self._now, deadline)
         await self._settle()
 

@@ -3,8 +3,8 @@
 Everything in :mod:`repro.net` that touches a socket or the passage of
 time does so through the small protocols defined here:
 
-* :class:`Clock` — ``time``/``sleep``, one timer primitive
-  (``call_at``), plus ``advance`` (a driver-side hook that real clocks
+* :class:`Clock` — ``time``, one timer primitive (``call_at``), plus
+  ``advance`` (a driver-side hook that real clocks
   implement as a plain sleep);
 * :class:`Listener` — the accepting side of a bound endpoint;
 * :class:`Transport` — dial + bind, each handed a *protocol factory*
@@ -90,11 +90,12 @@ class FlushBatch:
 class Clock(Protocol):
     """Time as seen by the protocol code.
 
-    ``time``/``sleep``/``call_at`` are used *inside* the nodes: pacing
-    and backoff sleep, and every bound on a connection — upstream
-    silence, the keep-alive idle, the first frame, a probe — is a
-    deadline, one ``call_at`` per connection that checks its deadline
-    when it fires and re-arms itself if the deadline has moved on.
+    ``time``/``call_at`` are used *inside* the nodes: the source's
+    emission rounds and a thread's backoff are each one timer, and
+    every bound on a connection — upstream silence, the keep-alive
+    idle, the first frame, a probe — is a deadline, one ``call_at`` per
+    connection that checks its deadline when it fires and re-arms
+    itself if the deadline has moved on.  Nothing sleeps.
     ``advance`` is the *driver-side* hook harnesses use to let a span
     of time pass — a real clock simply sleeps, a virtual clock fires
     every timer due in the span and settles the event loop between
@@ -104,8 +105,6 @@ class Clock(Protocol):
     flushes: FlushBatch
 
     def time(self) -> float: ...
-
-    async def sleep(self, delay: float) -> None: ...
 
     def call_at(self, when: float, callback: Callable[[], Any]) -> TimerHandle:
         """Run ``callback()`` on the event loop once :meth:`time`
@@ -156,9 +155,6 @@ class AsyncioClock:
 
     def time(self) -> float:
         return asyncio.get_event_loop().time()
-
-    async def sleep(self, delay: float) -> None:
-        await asyncio.sleep(delay)
 
     def call_at(self, when: float, callback: Callable[[], Any]) -> TimerHandle:
         return asyncio.get_running_loop().call_at(when, callback)

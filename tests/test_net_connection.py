@@ -7,8 +7,8 @@ pair drives the outbound pump.
   connection under a control handler (an accepted connection, its
   first frame picking the handler) and under a data handler (a child's
   connection at its parent, which takes completed-set reports only).
-* A converged deployment runs one task per held upstream thread plus
-  the source's emission loop, and none per connection.
+* A converged deployment runs no task: none per connection, per held
+  upstream thread or for the source's rounds.
 * ``pause_writing`` holds the pump's queue (drop-oldest, bounded) and
   ``resume_writing`` flushes it once — on the virtual network's
   ``buffer_bytes`` window, and on a real loopback socket.
@@ -301,7 +301,7 @@ class TestUpstreamSessionCheck:
     """A parent's packet for a generation or a geometry the session
     does not have closes that one upstream connection with a
     ``FramingError`` before the engine sees it: nothing is reported as
-    a failed loop callback, the thread's ``_thread_loop`` redials, and
+    a failed loop callback, the thread holds the link it redialed, and
     no other connection notices."""
 
     @pytest.mark.parametrize("foreign", ["generation", "coefficients",
@@ -337,7 +337,6 @@ class TestUpstreamSessionCheck:
                 closed = handler.closed
                 handler.closed = lambda error: (
                     errors.append(error), closed(error))
-                task = peer._thread_tasks[column]
                 harness.server.pumps.get(column).enqueue_frame(frame)
                 redialed = await harness.run_until(
                     lambda: peer.pumps._parents.get(column)
@@ -348,8 +347,8 @@ class TestUpstreamSessionCheck:
                 others = [after.get(key) is writer and not writer.closed
                           for key, writer in before.items()
                           if writer is not link]
-                alive = (peer._thread_tasks.get(column) is task
-                         and not task.done())
+                alive = (peer._threads[column][0]
+                         is peer.pumps._parents[column].protocol)
                 return errors, failures, redialed, alive, others
             finally:
                 await harness.teardown()
@@ -466,11 +465,12 @@ class TestTickBatches:
 
 
 class TestTaskCount:
-    def test_converged_harness_runs_one_task_per_held_thread(self):
-        """After convergence the event loop holds a ``_thread_loop`` per
-        upstream thread a peer holds, the source's ``_stream_loop``,
-        and the test's own task: no task per accepted connection, per
-        pump, per report listener or in the virtual network."""
+    def test_converged_harness_holds_no_task(self):
+        """After convergence the event loop holds the test's own task
+        and nothing else: no task per held thread, per accepted
+        connection, per pump, per report listener, in the virtual
+        network or for the source's rounds.  Each held thread is its
+        connected upstream link, its dial done."""
         config = ChaosConfig(peers=8, k=8, d=2, seed=0, generations=4)
 
         async def scenario():
@@ -482,15 +482,18 @@ class TestTaskCount:
                 names = Counter(
                     task.get_coro().__qualname__
                     for task in asyncio.all_tasks() if task is not own)
-                held = sum(len(peer._thread_tasks) for peer in harness.peers)
-                return names, held
+                assert names == {}
+                threads = [
+                    link is not None and dial.done()
+                    and link.transport is not None and not link.closed
+                    for peer in harness.peers
+                    for link, dial in peer._threads.values()]
+                return threads
             finally:
                 await harness.teardown()
 
-        names, held = asyncio.run(scenario())
-        assert held == config.peers * config.d
-        assert names == {"PeerNode._thread_loop": held,
-                         "ServerNode._stream_loop": 1}
+        threads = asyncio.run(scenario())
+        assert len(threads) == config.peers * config.d and all(threads)
 
 
 class _LoggedSender(PacketSender):

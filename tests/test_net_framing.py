@@ -265,9 +265,10 @@ def _crc_failures(data: bytes) -> int:
             GenerationParams(4, 16), 1, np.random.default_rng(0), 9))
         pumps.generation_size = 4
         stats = PeerStats()
-        link = pumps.upstream(0, 1.0, stats, None)
+        ended = asyncio.get_running_loop().create_future()
+        link = pumps.upstream(0, 1.0, stats, None, ended.set_result)
         await net.open_connection("peer", *listener.address, lambda: link)
-        await link.handler.done
+        await ended
         return stats.crc_failures
 
     return asyncio.run(scenario())

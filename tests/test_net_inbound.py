@@ -198,9 +198,9 @@ class TestSilenceBetweenMessages:
             sink = _control_sink(peer)
             heard = []
             peer.engine.handle = _timed(net.clock, peer.engine.handle, heard)
-            task = asyncio.ensure_future(peer._thread_loop(0))
+            peer._restart_thread(0)
             await net.clock.advance(until)
-            task.cancel()
+            peer.kill()
             return (heard, peer.engine.obs.complaints_sent,
                     b"".join(sink.chunks))
 
@@ -258,14 +258,15 @@ class TestBatchedDrain:
             log = engine.log = EngineLog()
             pumps = _pump_set(engine, clock=net.clock)
             stats = PeerStats()
-            link = pumps.upstream(0, 1.0, stats, None)
+            ended = []
+            link = pumps.upstream(0, 1.0, stats, None, ended.append)
             received = link.data_received
             link.data_received = lambda data: (
                 segments.append(len(data)), received(data))
             await net.open_connection(
                 "peer", *listener.address, lambda: link)
             await net.clock.advance(0.1)
-            open_ = not link.handler.done.done()
+            open_ = not ended
             tasks = len(asyncio.all_tasks())
             link.close()
             return log.events, open_, stats.upstream_fills, tasks
@@ -307,11 +308,10 @@ class TestChildReportRules:
             for generation in held:
                 for packet in _basis(generation):
                     peer.dataplane.handle(PacketArrived(packet))
-            tasks = [asyncio.ensure_future(peer._thread_loop(c))
-                     for c in range(parents)]
+            for column in range(parents):
+                peer._restart_thread(column)
             await net.clock.advance(0.2)
-            for task in tasks:
-                task.cancel()
+            peer.kill()
             return inboxes, peer, net.trace
 
         return asyncio.run(scenario())
@@ -624,7 +624,7 @@ class TestFirstFrame:
     def test_child_dialing_before_the_grant_is_closed(self):
         """A peer with no grant yet has nothing to serve and no session
         to check the hello against: the dialler is closed at once, and
-        its own thread loop redials."""
+        its own thread redials."""
 
         async def scenario():
             net = VirtualNetwork()

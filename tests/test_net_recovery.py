@@ -180,12 +180,12 @@ class TestActorCongestion:
             h.congest(index)
             await h.settle(0.5)
             assert matrix.row(node).degree == degree_before - 1
-            assert set(peer._thread_tasks) == set(peer.parents)
+            assert set(peer._threads) == set(peer.parents)
             assert h.check_structure(), h.violations
             h.uncongest(index)
             await h.settle(0.5)
             assert matrix.row(node).degree == degree_before
-            assert set(peer._thread_tasks) == set(peer.parents)
+            assert set(peer._threads) == set(peer.parents)
             assert h.check_structure(), h.violations
 
         deploy(script, peers=20)

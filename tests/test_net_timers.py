@@ -6,9 +6,13 @@ paths they bound, in ``test_net_inbound`` and ``test_net_framing``),
 and the timer state a node leaves behind is one timer per connection,
 never one per packet: after a broadcast, after 50k child
 attach/detach cycles, and through 2 000 re-clips of a peer's threads.
+A thread that ends — re-clipped, stopped or killed — takes its redial
+timer or pending dial with it.
 """
 
 import asyncio
+
+import pytest
 
 from repro.net import ServerNode
 from repro.net.testing import (
@@ -18,7 +22,7 @@ from repro.net.testing import (
     VirtualNetwork,
 )
 from repro.obs import Registry
-from repro.protocol import SetParent, StartTimer, TimerFired
+from repro.protocol import SetParent, StartTimer, ThreadRemoved, TimerFired
 
 from tests.netkit import listen, snapshot_names
 from tests.test_net_inbound import PARAMS, PORT, _child_of, _timed, at
@@ -64,9 +68,11 @@ class TestTimerState:
             await net.clock.advance(1.0)
             armed = len(server._timers)
             await server.stop()
-            return armed, len(server._timers)
+            live = sum(not timer.done() for *_, timer in net.clock._timers)
+            return armed, len(server._timers), live
 
-        assert asyncio.run(scenario()) == (1, 0)
+        # stop cancels the emission round's timer too
+        assert asyncio.run(scenario()) == (1, 0, 0)
 
     def test_broadcast_leaves_timers_per_connection_not_per_packet(self):
         """After a broadcast converges the clock's heap holds a few
@@ -144,13 +150,14 @@ class TestTimerState:
         assert armed == population  # one keep-alive timer per live pump
         assert heap <= 3 * population
 
-    def test_2000_reclips_leave_one_task_and_one_parent_per_column(self):
+    def test_2000_reclips_leave_one_thread_and_one_parent_per_column(self):
         """A peer whose threads are re-clipped over and over, each
         between two parents: what it holds afterwards follows the
-        columns it holds, not the re-clips — one thread task and at most
-        one open parent connection per column — and the clock heap stays
-        within the per-connection bound throughout: each re-clip's
-        cancelled silence timer is popped, not left due."""
+        columns it holds, not the re-clips — one thread entry, no task
+        and at most one open parent connection per column — and the
+        clock heap stays within the per-connection bound throughout:
+        each re-clip's cancelled silence timer is popped, not left
+        due."""
         k, reclips, silence = 2, 2_000, 1.0
 
         async def scenario():
@@ -167,16 +174,81 @@ class TestTimerState:
             for reclip in range(reclips):
                 column = reclip % k
                 parent_id = (5 if reclip // k % 2 else 50) + column
-                peer._dispatch_control(
+                peer._control_message(
                     SetParent(column=column, parent=parent_id))
                 await net.clock.advance(0.005)
                 heap = max(heap, len(net.clock._timers))
-            state = (len(peer.parents), len(peer._thread_tasks),
+            tasks = len(asyncio.all_tasks()) - 1
+            state = (len(peer.parents), len(peer._threads), tasks,
                      len(peer.pumps._parents), heap)
             peer.kill()
             return state
 
-        held, tasks, parents, heap = asyncio.run(scenario())
+        held, threads, tasks, parents, heap = asyncio.run(scenario())
         assert held == k
-        assert tasks == held and parents == held
+        assert threads == held and tasks == 0 and parents == held
         assert heap <= 3 * held
+
+
+class TestThreadEnd:
+    """A held thread is its link and pending dial, or its redial timer;
+    whatever ends the thread cancels them before they act."""
+
+    @pytest.mark.parametrize("stop", [False, True], ids=["reclip", "stop"])
+    def test_thread_ended_in_its_backoff_never_redials(self, stop):
+        """A dial to the old parent is refused and the thread backs off;
+        re-clipped (or stopped) during that backoff, it never dials the
+        old parent again and its redial timer never fires."""
+
+        async def scenario():
+            failures = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _loop, context: failures.append(context))
+            net = VirtualNetwork()
+            old = listen(net, "old", 0)
+            old.close()  # every dial to it is refused
+            peer = _child_of(net, old)
+            peer._addresses[6] = listen(net, "new", 0).address
+            peer._restart_thread(0)
+            await net.clock.advance(0.01)
+            backing_off = peer._threads[0][0] is None
+            peer._control_message(ThreadRemoved(column=0) if stop
+                                   else SetParent(column=0, parent=6))
+            live = sum(not timer.done() for *_, timer in net.clock._timers)
+            await net.clock.advance(0.5)
+            dials = [entry[1:3] for entry in net.trace
+                     if entry[1] in ("connect", "refused")]
+            state = (backing_off, live, dials, peer.stats.reconnects,
+                     failures)
+            peer.kill()
+            return state
+
+        backing_off, live, dials, reconnects, failures = asyncio.run(
+            scenario())
+        assert backing_off
+        assert dials == [("refused", "peer")] + (
+            [] if stop else [("connect", "peer")])
+        assert live == 0  # the new dial has no SYN latency to wait out
+        assert reconnects == 0 and failures == []
+
+    def test_peer_killed_while_dialing_leaves_no_open_pipe(self):
+        """A dial still in its SYN latency when the peer dies is
+        cancelled: the parent never accepts it, and nothing connects."""
+
+        async def scenario():
+            net = VirtualNetwork()
+            accepted = []
+            parent = listen(net, "parent", 0, accepted=accepted)
+            net.set_link("peer", "parent", latency=0.1)
+            peer = _child_of(net, parent)
+            peer._restart_thread(0)
+            await net.clock.advance(0.05)
+            pending = not peer._threads[0][1].done()
+            peer.kill()
+            await net.clock.advance(0.5)
+            connects = [entry for entry in net.trace if entry[1] == "connect"]
+            return pending, accepted, connects, peer.pumps._parents
+
+        pending, accepted, connects, parents = asyncio.run(scenario())
+        assert pending
+        assert accepted == [] and connects == [] and parents == {}
