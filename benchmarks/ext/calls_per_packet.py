@@ -225,4 +225,12 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a reader that left shows here, not at exit
+    except BrokenPipeError:
+        # stdout was a pipe whose reader exited early (``... | head``):
+        # leave quietly, as a Unix filter does.  Python flushes stdout
+        # again at exit, so point the fd at devnull first or that flush
+        # raises too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

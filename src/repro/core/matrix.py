@@ -21,8 +21,10 @@ lists, O(d N / k) pointer moves (a column holds about ``d N / k`` rows):
 * ``drop_thread`` / ``add_thread`` — §5 congestion handling (turn a one
   into a zero and back).
 
-``threads_of`` reads a row's parent and child in each of its columns
-with one binary search per column, O(d log N).
+``join`` and ``leave`` return the row's ``(column, parent, child)`` in
+each of its columns, read at the index their one search per column
+found: the hello and good-bye protocols need exactly these neighbours,
+so no edit searches a column twice.
 
 No edit touches a list of all N rows.  The global row order is computed
 where it is read, in ``node_ids``: the joins and leaves since the last
@@ -38,7 +40,6 @@ are tracked by the server registry and applied at analysis time.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -56,13 +57,15 @@ SERVER = -1
 PENDING_MAX = 1024
 
 
-@dataclass
 class Row:
     """One matrix row: a node's arrival key and its set of one-columns."""
 
-    node_id: int
-    key: float
-    columns: set[int]
+    __slots__ = ("node_id", "key", "columns")
+
+    def __init__(self, node_id: int, key: float, columns: set[int]) -> None:
+        self.node_id = node_id
+        self.key = key
+        self.columns = columns
 
     @property
     def degree(self) -> int:
@@ -159,13 +162,6 @@ class ThreadMatrix:
         """The node directly below ``node_id`` in ``column`` (None = hanging)."""
         return self._thread(node_id, column)[2]
 
-    def threads_of(self, node_id: int) -> list[tuple[int, int, Optional[int]]]:
-        """``(column, parent, child)`` for each thread of ``node_id``, in
-        column order: the node above it (SERVER at the top) and the node
-        below it (None when the thread hangs)."""
-        row = self._rows[node_id]
-        return self._threads(row.key, sorted(row.columns))
-
     def parents_of(self, node_id: int) -> dict[int, int]:
         """Map column -> parent node id (SERVER allowed) for each thread,
         in the row's own column order."""
@@ -211,11 +207,12 @@ class ThreadMatrix:
         d: int,
         rng: np.random.Generator,
         columns: Optional[Sequence[int]] = None,
-    ) -> Row:
+    ) -> list[tuple[int, int, Optional[int]]]:
         """Insert a new row with ``d`` ones.
 
         The columns are chosen uniformly at random without replacement
-        unless given explicitly.  Returns the created :class:`Row`.
+        unless given explicitly.  Returns the new row's ``(column,
+        parent, child)`` in each of its columns, in column order.
         """
         if node_id in self._rows:
             raise ValueError(f"node {node_id} already present")
@@ -234,27 +231,24 @@ class ThreadMatrix:
         key = self._allocator.next_key()
         while key in self._id_of_key:  # keys stay unique
             key = self._allocator.next_key()
-        row = Row(node_id=node_id, key=key, columns=column_set)
-        self._rows[node_id] = row
+        self._rows[node_id] = Row(node_id, key, column_set)
         self._id_of_key[key] = node_id
         self._note_order_edit(key, node_id)
-        for column in column_set:
-            self._insert_into_column(column, key)
-        return row
+        return self._edit_columns(node_id, key, column_set, insert=True)
 
-    def leave(self, node_id: int) -> Row:
+    def leave(self, node_id: int) -> list[tuple[int, int, Optional[int]]]:
         """Delete a row, splicing every column it occupied.
 
         This is the structural effect of both a graceful leave and a
         completed repair: each parent thread reattaches directly to the
-        corresponding child (Lemma 1).
+        corresponding child (Lemma 1).  Returns the row's ``(column,
+        parent, child)`` in each of its columns as they stood before the
+        splice, in column order.
         """
         row = self._rows.pop(node_id)
         del self._id_of_key[row.key]
         self._note_order_edit(row.key, None)
-        for column in row.columns:
-            self._remove_from_column(column, row.key, node_id)
-        return row
+        return self._edit_columns(node_id, row.key, row.columns, insert=False)
 
     def drop_thread(self, node_id: int, rng: np.random.Generator) -> int:
         """§5 congestion: give up one random thread (turn a one into a zero).
@@ -267,7 +261,7 @@ class ThreadMatrix:
         if row.degree <= 1:
             raise ValueError("cannot drop the last thread of a node")
         column = int(rng.choice(sorted(row.columns)))
-        self._remove_from_column(column, row.key, node_id)
+        self._edit_columns(node_id, row.key, (column,), insert=False)
         row.columns.discard(column)
         return column
 
@@ -282,7 +276,7 @@ class ThreadMatrix:
             raise ValueError("node already occupies every column")
         free = [c for c in range(self.k) if c not in row.columns]
         column = int(rng.choice(free))
-        self._insert_into_column(column, row.key)
+        self._edit_columns(node_id, row.key, (column,), insert=True)
         row.columns.add(column)
         return column
 
@@ -332,18 +326,32 @@ class ThreadMatrix:
             self._pending.clear()
         return self._order_ids
 
-    def _insert_into_column(self, column: int, key: float) -> None:
-        keys = self._col_keys[column]
-        keys.insert(bisect_left(keys, key), key)
-        self.mutation_epoch += 1
-
-    def _remove_from_column(self, column: int, key: float, node_id: int) -> None:
-        keys = self._col_keys[column]
-        index = bisect_left(keys, key)
-        if index >= len(keys) or keys[index] != key:
-            raise KeyError(f"node {node_id} not found in column {column}")
-        del keys[index]
-        self.mutation_epoch += 1
+    def _edit_columns(self, node_id: int, key: float, columns,
+                      insert: bool) -> list[tuple[int, int, Optional[int]]]:
+        """Insert ``key`` into each of ``columns`` (or delete it), and
+        return the row's ``(column, parent, child)`` in each, in column
+        order, read at the index the one binary search per column found
+        (for a delete, as the column stood before it)."""
+        id_of_key = self._id_of_key
+        threads = []
+        for column in sorted(columns):
+            keys = self._col_keys[column]
+            index = bisect_left(keys, key)
+            if insert:
+                keys.insert(index, key)
+                below = index + 1
+            elif index < len(keys) and keys[index] == key:
+                del keys[index]
+                below = index
+            else:
+                raise KeyError(f"node {node_id} not found in column {column}")
+            threads.append((
+                column,
+                id_of_key[keys[index - 1]] if index else SERVER,
+                id_of_key[keys[below]] if below < len(keys) else None,
+            ))
+        self.mutation_epoch += len(threads)
+        return threads
 
     # ------------------------------------------------------------------
     # Invariant checking (used heavily by property tests)

@@ -2,21 +2,19 @@
 
 The server is a thin coordination point: it owns the matrix ``M`` and, for
 every membership event, tells the affected peers how to re-aim their
-streams.  These dataclasses are the messages it exchanges; the simulator
-and the examples use them, and :class:`MessageStats` provides the message
-accounting reported by experiment E12 (repair cost is O(d) messages per
-event).
+streams.  These :class:`~typing.NamedTuple` records are the messages it
+exchanges; the simulator and the examples use them, and
+:class:`MessageStats` provides the message accounting reported by
+experiment E12 (repair cost is O(d) messages per event).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 
-
-@dataclass(frozen=True)
-class ThreadAssignment:
+class ThreadAssignment(NamedTuple):
     """One thread handed to a node: receive ``column`` from ``parent``.
 
     ``parent == SERVER`` means the stream comes directly from the server.
@@ -26,8 +24,7 @@ class ThreadAssignment:
     parent: int
 
 
-@dataclass(frozen=True)
-class HelloGrant:
+class HelloGrant(NamedTuple):
     """Server response to a join: the new node's id and thread set.
 
     ``redirects`` is non-empty only under random row insertion (§5): when
@@ -44,8 +41,7 @@ class HelloGrant:
         return tuple(a.column for a in self.assignments)
 
 
-@dataclass(frozen=True)
-class Redirect:
+class Redirect(NamedTuple):
     """Instruction: on ``column``, ``parent`` now streams to ``child``.
 
     ``child is None`` means the thread becomes hanging (the parent stops
@@ -57,8 +53,7 @@ class Redirect:
     child: Optional[int]
 
 
-@dataclass(frozen=True)
-class Complaint:
+class Complaint(NamedTuple):
     """A child reporting a dead incoming thread to the server."""
 
     reporter: int
@@ -87,15 +82,3 @@ class MessageStats:
             + self.redirects
             + self.congestion_notices
         )
-
-    def snapshot(self) -> dict[str, int]:
-        """Plain-dict view for metrics recording."""
-        return {
-            "hello_requests": self.hello_requests,
-            "hello_grants": self.hello_grants,
-            "goodbye_requests": self.goodbye_requests,
-            "complaints": self.complaints,
-            "redirects": self.redirects,
-            "congestion_notices": self.congestion_notices,
-            "total": self.total(),
-        }

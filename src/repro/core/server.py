@@ -9,7 +9,7 @@ peer-to-peer RLNC.
 
 from __future__ import annotations
 
-from itertools import starmap
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,6 +18,9 @@ from .keys import AppendKeys, UniformKeys
 from .matrix import SERVER, ThreadMatrix
 from .node import NodeInfo, NodeStatus
 from .protocols import Complaint, HelloGrant, MessageStats, Redirect, ThreadAssignment
+
+# Records are built with ``tuple.__new__``: one C call, no Python frame.
+_new = tuple.__new__
 
 
 class CoordinationServer:
@@ -101,7 +104,7 @@ class CoordinationServer:
         node_id = self._next_id
         # The id is issued only once the join is valid: a rejected hello
         # leaves no id that was never admitted.
-        self.matrix.join(node_id, degree, self._rng, columns)
+        threads = self.matrix.join(node_id, degree, self._rng, columns)
         self._next_id += 1
         self.registry[node_id] = NodeInfo(
             node_id=node_id, nominal_degree=degree, joined_at=self._next_id
@@ -109,13 +112,13 @@ class CoordinationServer:
         self._working.add(node_id)
         assignments = []
         redirects = []
-        for column, parent, child in self.matrix.threads_of(node_id):
-            assignments.append(ThreadAssignment(column, parent))
+        for column, parent, child in threads:
+            assignments.append(_new(ThreadAssignment, (column, parent)))
             if child is not None:
-                redirects.append(Redirect(column, node_id, child))
+                redirects.append(_new(Redirect, (column, node_id, child)))
         self.stats.hello_grants += 1
         self.stats.redirects += len(redirects)
-        return HelloGrant(node_id, tuple(assignments), tuple(redirects))
+        return _new(HelloGrant, (node_id, tuple(assignments), tuple(redirects)))
 
     # ------------------------------------------------------------------
     # Good-bye protocol
@@ -218,8 +221,7 @@ class CoordinationServer:
 
     def _splice_out(self, node_id: int) -> tuple[Redirect, ...]:
         # Each parent now feeds the child below the node on its column.
-        redirects = tuple(starmap(Redirect, self.matrix.threads_of(node_id)))
-        self.matrix.leave(node_id)
+        redirects = tuple(map(partial(_new, Redirect), self.matrix.leave(node_id)))
         self.registry.pop(node_id, None)
         self._working.discard(node_id)
         self.stats.redirects += len(redirects)

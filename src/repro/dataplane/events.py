@@ -21,11 +21,11 @@ every generation below ``base`` is complete and ``extras`` names the
 complete ones above it, so a child served in order is one integer, and
 a child that has reported nothing holds ``(0, ())``.
 
-Unlike the control-plane vocabulary these records ride the per-packet
-hot path (one event per arrival, per pull, per slot edge), so they are
-:class:`~typing.NamedTuple` subclasses rather than frozen dataclasses:
-construction is a C-level tuple fill, with the same field names, repr
-format, equality, and hashability.
+Like every record of the control plane, these are
+:class:`~typing.NamedTuple` subclasses: they ride the per-packet hot
+path (one event per arrival, per pull, per slot edge), and a hot path
+builds one with ``tuple.__new__(cls, fields)``, a C-level tuple fill
+with no Python frame.
 """
 
 from __future__ import annotations

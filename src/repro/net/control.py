@@ -1,9 +1,11 @@
 """Binary serialisation for the control plane.
 
 The live transport takes the §3 protocol messages defined in
-:mod:`repro.protocol.messages` — the same dataclasses the sans-IO
-engines consume — and gives each a compact big-endian wire form: one
-type byte followed by struct-packed fields.
+:mod:`repro.protocol.messages` — the same records the sans-IO engines
+consume — and gives each a compact big-endian wire form: one type byte
+followed by struct-packed fields.  A message's fields are its wire
+fields in order: it packs as ``fmt.pack(*message)`` and unpacks with no
+Python frame, ``tuple.__new__(cls, fmt.unpack(body))``.
 
 Four messages exist only on the live transport:
 
@@ -26,7 +28,7 @@ Four messages exist only on the live transport:
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..protocol.messages import (
     ComplaintMsg,
@@ -63,8 +65,7 @@ class ControlFormatError(ValueError):
 # Net-only messages
 
 
-@dataclass(frozen=True)
-class SessionInfo:
+class SessionInfo(NamedTuple):
     """Server -> joiner: session coding geometry (precedes the grant)."""
 
     generation_size: int
@@ -75,8 +76,7 @@ class SessionInfo:
     d: int
 
 
-@dataclass(frozen=True)
-class PeerLocator:
+class PeerLocator(NamedTuple):
     """Server -> peer: where ``node_id`` listens for data connections."""
 
     node_id: int
@@ -84,8 +84,7 @@ class PeerLocator:
     port: int
 
 
-@dataclass(frozen=True)
-class DataHello:
+class DataHello(NamedTuple):
     """Child -> parent: first frame of a data connection."""
 
     node_id: int
@@ -98,8 +97,7 @@ class DataHello:
 MAX_COMPLETE_WINDOW = 1 << 16
 
 
-@dataclass(frozen=True)
-class GenerationsComplete:
+class GenerationsComplete(NamedTuple):
     """Child -> parent: the generations the child has fully decoded.
 
     Every generation below ``base`` is complete, ``base`` itself is
@@ -115,28 +113,24 @@ class GenerationsComplete:
 
 
 # ----------------------------------------------------------------------
-# Codec registry: message class -> (type byte, struct, field names).
-# 0x03 and 0x04 are retired and never reused: a node still sending them
-# gets a ControlFormatError, never a different message.
+# Codec registry: message class -> (type byte, struct of its fields in
+# field order).  0x03 and 0x04 are retired and never reused: a node
+# still sending them gets a ControlFormatError, never a different
+# message.
 
-_SIMPLE: dict[type, tuple[int, struct.Struct, tuple[str, ...]]] = {
-    JoinRequest: (0x01, struct.Struct(">i"), ("reply_to",)),
-    LeaveRequest: (0x02, struct.Struct(">i"), ("node_id",)),
-    SetParent: (0x05, struct.Struct(">Hi"), ("column", "parent")),
-    KeepAlive: (0x06, struct.Struct(">Hi"), ("column", "sender")),
-    CongestionDrop: (0x07, struct.Struct(">i"), ("node_id",)),
-    CongestionRestore: (0x08, struct.Struct(">i"), ("node_id",)),
-    ThreadRemoved: (0x09, struct.Struct(">H"), ("column",)),
-    ComplaintMsg: (0x0A, struct.Struct(">iHi"), ("reporter", "column", "suspect")),
-    Probe: (0x0B, struct.Struct(">Q"), ("nonce",)),
-    ProbeAck: (0x0C, struct.Struct(">iQ"), ("node_id", "nonce")),
-    SessionInfo: (
-        0x10,
-        struct.Struct(">HHIQHH"),
-        ("generation_size", "payload_size", "generation_count",
-         "content_length", "k", "d"),
-    ),
-    DataHello: (0x12, struct.Struct(">iH"), ("node_id", "column")),
+_SIMPLE: dict[type, tuple[int, struct.Struct]] = {
+    JoinRequest: (0x01, struct.Struct(">i")),
+    LeaveRequest: (0x02, struct.Struct(">i")),
+    SetParent: (0x05, struct.Struct(">Hi")),
+    KeepAlive: (0x06, struct.Struct(">Hi")),
+    CongestionDrop: (0x07, struct.Struct(">i")),
+    CongestionRestore: (0x08, struct.Struct(">i")),
+    ThreadRemoved: (0x09, struct.Struct(">H")),
+    ComplaintMsg: (0x0A, struct.Struct(">iHi")),
+    Probe: (0x0B, struct.Struct(">Q")),
+    ProbeAck: (0x0C, struct.Struct(">iQ")),
+    SessionInfo: (0x10, struct.Struct(">HHIQHH")),
+    DataHello: (0x12, struct.Struct(">iH")),
 }
 
 _TYPE_JOIN_GRANT = 0x0D
@@ -148,22 +142,22 @@ _TYPE_GENERATIONS_COMPLETE = 0x13
 MESSAGE_TYPES: tuple[type, ...] = (
     *_SIMPLE, JoinGrant, PeerLocator, GenerationsComplete)
 
-_BY_TYPE = {type_byte: (cls, fmt, fields)
-            for cls, (type_byte, fmt, fields) in _SIMPLE.items()}
+_BY_TYPE = {type_byte: (cls, fmt) for cls, (type_byte, fmt) in _SIMPLE.items()}
 
 _GRANT_HEADER = struct.Struct(">iH")
 _GRANT_PAIR = struct.Struct(">Hi")
 _LOCATOR_HEADER = struct.Struct(">iHB")
 _COMPLETE_BASE = struct.Struct(">I")
 
+_new = tuple.__new__
+
 
 def encode_control(message: object) -> bytes:
     """Serialise a control message: one type byte + packed fields."""
     entry = _SIMPLE.get(type(message))
     if entry is not None:
-        type_byte, fmt, fields = entry
-        values = tuple(getattr(message, name) for name in fields)
-        return bytes([type_byte]) + fmt.pack(*values)
+        type_byte, fmt = entry
+        return bytes([type_byte]) + fmt.pack(*message)
     if isinstance(message, JoinGrant):
         body = _GRANT_HEADER.pack(message.node_id, len(message.assignments))
         for column, parent in message.assignments:
@@ -196,19 +190,19 @@ def encode_control(message: object) -> bytes:
 
 
 def decode_control(data: bytes) -> object:
-    """Parse a control frame back into its message dataclass."""
+    """Parse a control frame back into its message record."""
     if not data:
         raise ControlFormatError("empty control frame")
     type_byte, body = data[0], data[1:]
     entry = _BY_TYPE.get(type_byte)
     try:
         if entry is not None:
-            cls, fmt, fields = entry
+            cls, fmt = entry
             if len(body) != fmt.size:
                 raise ControlFormatError(
                     f"{cls.__name__}: expected {fmt.size} body bytes, got {len(body)}"
                 )
-            return cls(**dict(zip(fields, fmt.unpack(body))))
+            return _new(cls, fmt.unpack(body))
         if type_byte == _TYPE_JOIN_GRANT:
             node_id, count = _GRANT_HEADER.unpack_from(body)
             expected = _GRANT_HEADER.size + count * _GRANT_PAIR.size
@@ -220,7 +214,7 @@ def decode_control(data: bytes) -> object:
                 _GRANT_PAIR.unpack_from(body, _GRANT_HEADER.size + i * _GRANT_PAIR.size)
                 for i in range(count)
             )
-            return JoinGrant(node_id=node_id, assignments=assignments)
+            return _new(JoinGrant, (node_id, assignments))
         if type_byte == _TYPE_PEER_LOCATOR:
             node_id, port, host_len = _LOCATOR_HEADER.unpack_from(body)
             host = body[_LOCATOR_HEADER.size:]
@@ -228,7 +222,7 @@ def decode_control(data: bytes) -> object:
                 raise ControlFormatError(
                     f"PeerLocator: expected {host_len} host bytes, got {len(host)}"
                 )
-            return PeerLocator(node_id=node_id, host=host.decode("utf-8"), port=port)
+            return _new(PeerLocator, (node_id, host.decode("utf-8"), port))
         if type_byte == _TYPE_GENERATIONS_COMPLETE:
             (base,) = _COMPLETE_BASE.unpack_from(body)
             bitmap = body[_COMPLETE_BASE.size:]
@@ -245,7 +239,7 @@ def decode_control(data: bytes) -> object:
                 lowest = bits & -bits
                 extras.append(base + lowest.bit_length())
                 bits ^= lowest
-            return GenerationsComplete(base=base, extras=tuple(extras))
+            return _new(GenerationsComplete, (base, tuple(extras)))
     except struct.error as exc:
         raise ControlFormatError(str(exc)) from exc
     except UnicodeDecodeError as exc:

@@ -11,11 +11,14 @@ Notification effects (``Admitted``, ``ComplaintNoted``,
 ``PeerDeparted``) carry no protocol obligation; they exist so drivers
 can keep their own bookkeeping (stats counters, peer handles) without
 reimplementing the decision logic.
+
+Effects are :class:`~typing.NamedTuple` subclasses, which the engines
+build with ``tuple.__new__(cls, fields)``: no Python frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Admitted",
@@ -31,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Send:
+class Send(NamedTuple):
     """Deliver ``message`` to node ``to`` (:data:`~repro.core.matrix.SERVER`
     means the coordination server)."""
 
@@ -40,24 +42,21 @@ class Send:
     message: object
 
 
-@dataclass(frozen=True)
-class StartTimer:
+class StartTimer(NamedTuple):
     """Arrange for ``TimerFired(key)`` after ``delay`` seconds."""
 
     key: tuple
     delay: float
 
 
-@dataclass(frozen=True)
-class CloseConnection:
+class CloseConnection(NamedTuple):
     """Server driver: tear down this peer's control connection (probe
     timed out; the suspect is being spliced away)."""
 
     node_id: int
 
 
-@dataclass(frozen=True)
-class Admitted:
+class Admitted(NamedTuple):
     """Hello protocol completed: ``node_id`` joined with these
     ``(column, parent)`` assignments.  Emitted before the grant and
     redirect sends so the driver can set up per-peer state first."""
@@ -66,16 +65,14 @@ class Admitted:
     assignments: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class ComplaintNoted:
+class ComplaintNoted(NamedTuple):
     """First complaint of a failure episode against ``suspect`` was
     accepted (repair-latency bookkeeping hook)."""
 
     suspect: int
 
 
-@dataclass(frozen=True)
-class PeerDeparted:
+class PeerDeparted(NamedTuple):
     """``node_id`` is out of the matrix: ``"leave"`` for a graceful
     good-bye, ``"crash"`` for an EOF or probe-timeout splice."""
 
@@ -83,8 +80,7 @@ class PeerDeparted:
     reason: str
 
 
-@dataclass(frozen=True)
-class Clip:
+class Clip(NamedTuple):
     """Peer driver: (re)connect the upstream pump for ``column`` to
     ``parent`` — the live Lemma 1 re-clip."""
 
@@ -92,15 +88,13 @@ class Clip:
     parent: int
 
 
-@dataclass(frozen=True)
-class StopThread:
+class StopThread(NamedTuple):
     """Peer driver: stop the upstream pump for ``column`` entirely."""
 
     column: int
 
 
-@dataclass(frozen=True)
-class Backoff:
+class Backoff(NamedTuple):
     """Peer driver: wait ``delay`` seconds before redialing ``column``
     (one step of the exponential reconnect schedule)."""
 

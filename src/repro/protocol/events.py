@@ -1,7 +1,7 @@
 """Events: everything the outside world can tell a protocol engine.
 
-An event is a plain frozen dataclass; the engines never look at a
-socket, a clock, or an event loop — whatever happened out there is
+An event is a plain :class:`~typing.NamedTuple`; the engines never look
+at a socket, a clock, or an event loop — whatever happened out there is
 narrated to them through one of these.  Drivers construct events from
 their transport (delivered control frames, stream EOFs, fired
 timers, read timeouts) and feed them to ``engine.handle``.
@@ -12,8 +12,7 @@ timers, backoff sleeps) the driver times and narrates as an event.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "ConnectionLost",
@@ -25,8 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MessageReceived:
+class MessageReceived(NamedTuple):
     """A control message arrived.
 
     ``sender`` is the authenticated transport identity when the driver
@@ -38,24 +36,21 @@ class MessageReceived:
     sender: Optional[object] = None
 
 
-@dataclass(frozen=True)
-class ConnectionLost:
+class ConnectionLost(NamedTuple):
     """A peer's control connection died without a good-bye (EOF-crash
     fast path — only transports with connections emit this)."""
 
     node_id: int
 
 
-@dataclass(frozen=True)
-class TimerFired:
+class TimerFired(NamedTuple):
     """A timer the engine previously requested (``StartTimer``) fired.
     The ``key`` round-trips verbatim; stale keys are ignored."""
 
     key: tuple
 
 
-@dataclass(frozen=True)
-class UpstreamDown:
+class UpstreamDown(NamedTuple):
     """A peer's upstream connection on ``column`` ended — closed by the
     parent or cut by the driver's read timeout.  ``saw_traffic`` is
     True if any packet or keep-alive arrived during the session — a
@@ -66,10 +61,13 @@ class UpstreamDown:
     saw_traffic: bool
 
 
-@dataclass(frozen=True)
-class ServerLost:
+class ServerLost(NamedTuple):
     """The peer's control connection to the server is gone: no more
     membership repair, but the data plane keeps flowing (§6)."""
+
+    def __bool__(self) -> bool:
+        # A record is truthy: a fieldless tuple would not be.
+        return True
 
 
 #: Anything ``handle`` accepts.

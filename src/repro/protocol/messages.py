@@ -2,46 +2,42 @@
 
 These are the protocol's concrete messages, shared by the sans-IO
 engines in this package and their driver (:mod:`repro.net`, which also
-serialises them to wire frames).
+serialises them to wire frames).  They are :class:`~typing.NamedTuple`
+subclasses, built on hot paths with ``tuple.__new__(cls, fields)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class JoinRequest:
+class JoinRequest(NamedTuple):
     """A prospective peer asks to join (the hello protocol)."""
 
     reply_to: int  # provisional transport address chosen by the joiner
 
 
-@dataclass(frozen=True)
-class JoinGrant:
+class JoinGrant(NamedTuple):
     """Server -> new peer: your id and your thread assignments."""
 
     node_id: int
     assignments: tuple[tuple[int, int], ...]  # (column, parent)
 
 
-@dataclass(frozen=True)
-class SetParent:
+class SetParent(NamedTuple):
     """Server -> child: your stream on ``column`` now comes from ``parent``."""
 
     column: int
     parent: int
 
 
-@dataclass(frozen=True)
-class LeaveRequest:
+class LeaveRequest(NamedTuple):
     """Peer -> server: graceful good-bye."""
 
     node_id: int
 
 
-@dataclass(frozen=True)
-class KeepAlive:
+class KeepAlive(NamedTuple):
     """Parent -> child, per thread per interval: the stream is alive.
 
     Stands in for the data packets themselves — a child detects a dead
@@ -52,29 +48,25 @@ class KeepAlive:
     sender: int
 
 
-@dataclass(frozen=True)
-class CongestionDrop:
+class CongestionDrop(NamedTuple):
     """Peer -> server: I am congested; splice me out of one thread."""
 
     node_id: int
 
 
-@dataclass(frozen=True)
-class CongestionRestore:
+class CongestionRestore(NamedTuple):
     """Peer -> server: congestion cleared; give me a thread back."""
 
     node_id: int
 
 
-@dataclass(frozen=True)
-class ThreadRemoved:
+class ThreadRemoved(NamedTuple):
     """Server -> peer: you no longer hold ``column`` at all (shed)."""
 
     column: int
 
 
-@dataclass(frozen=True)
-class ComplaintMsg:
+class ComplaintMsg(NamedTuple):
     """Child -> server: my incoming thread on ``column`` went silent."""
 
     reporter: int
@@ -82,15 +74,13 @@ class ComplaintMsg:
     suspect: int
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(NamedTuple):
     """Server -> suspect: are you alive?"""
 
     nonce: int
 
 
-@dataclass(frozen=True)
-class ProbeAck:
+class ProbeAck(NamedTuple):
     """Suspect -> server: alive (cancels the pending repair)."""
 
     node_id: int

@@ -55,6 +55,9 @@ from .trace import TappedEngine
 
 __all__ = ["PeerEngine"]
 
+# Effects are built with ``tuple.__new__``: one C call, no Python frame.
+_new = tuple.__new__
+
 
 class PeerEngine(TappedEngine):
     """Pure event-in/effect-out peer state machine.
@@ -86,38 +89,37 @@ class PeerEngine(TappedEngine):
     # ------------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> list[Effect]:
-        if isinstance(event, MessageReceived):
-            return self._on_message(event.message)
-        if isinstance(event, UpstreamDown):
-            return self._on_upstream_down(
-                event.column, event.parent, event.saw_traffic
-            )
-        if isinstance(event, ServerLost):
-            self.server_lost = True
-            return []
+        # Exact-type table dispatch, as in ``RelayEngine``: the event and
+        # message vocabularies are closed (no driver subclasses one).
+        if event.__class__ is MessageReceived:
+            message = event.message
+            handler = _MESSAGE_HANDLERS.get(message.__class__)
+            return handler(self, message) if handler is not None else []
+        handler = _EVENT_HANDLERS.get(event.__class__)
+        return handler(self, event) if handler is not None else []
+
+    def _on_server_lost(self, event: ServerLost) -> list[Effect]:
+        self.server_lost = True
         return []
 
     # ------------------------------------------------------------------
     # Control messages
 
-    def _on_message(self, message: object) -> list[Effect]:
-        if isinstance(message, JoinGrant):
-            return [
-                self._clip(column, parent)
-                for column, parent in message.assignments
-            ]
-        if isinstance(message, SetParent):
-            self.complained.discard(message.column)
-            return [self._clip(message.column, message.parent)]
-        if isinstance(message, ThreadRemoved):
-            self.parents.pop(message.column, None)
-            self._backoffs.pop(message.column, None)
-            self.complained.discard(message.column)
-            return [StopThread(column=message.column)]
-        if isinstance(message, Probe):
-            return [Send(SERVER, ProbeAck(
-                node_id=self.node_id, nonce=message.nonce))]
-        return []
+    def _on_grant(self, message: JoinGrant) -> list[Effect]:
+        return [self._clip(column, parent) for column, parent in message.assignments]
+
+    def _on_set_parent(self, message: SetParent) -> list[Effect]:
+        self.complained.discard(message.column)
+        return [self._clip(message.column, message.parent)]
+
+    def _on_thread_removed(self, message: ThreadRemoved) -> list[Effect]:
+        self.parents.pop(message.column, None)
+        self._backoffs.pop(message.column, None)
+        self.complained.discard(message.column)
+        return [_new(StopThread, (message.column,))]
+
+    def _on_probe(self, message: Probe) -> list[Effect]:
+        return [_new(Send, (SERVER, _new(ProbeAck, (self.node_id, message.nonce))))]
 
     def _clip(self, column: int, parent: int) -> Effect:
         """Retarget one thread's upstream; fresh backoff schedule."""
@@ -125,15 +127,14 @@ class PeerEngine(TappedEngine):
         self._backoffs[column] = ReconnectBackoff(
             self.reconnect_base, self.reconnect_max
         )
-        return Clip(column=column, parent=parent)
+        return _new(Clip, (column, parent))
 
     # ------------------------------------------------------------------
     # Silence detection -> complaints
 
-    def _on_upstream_down(
-        self, column: int, parent: int, saw_traffic: bool
-    ) -> list[Effect]:
+    def _on_upstream_down(self, event: UpstreamDown) -> list[Effect]:
         """A session on ``column`` ended; a silent one is a complaint."""
+        column, parent, saw_traffic = event
         backoff = self._backoffs.setdefault(
             column, ReconnectBackoff(self.reconnect_base, self.reconnect_max)
         )
@@ -143,7 +144,7 @@ class PeerEngine(TappedEngine):
         effects: list[Effect] = []
         if self.parents.get(column) == parent:
             effects.extend(self._complain(column, parent))
-        effects.append(Backoff(column=column, delay=backoff.next()))
+        effects.append(_new(Backoff, (column, backoff.next())))
         return effects
 
     def _complain(self, column: int, suspect: int) -> list[Effect]:
@@ -157,5 +158,18 @@ class PeerEngine(TappedEngine):
                 self._obs.complaints_suppressed += 1
             return []
         self.complained.add(column)
-        return [Send(SERVER, ComplaintMsg(
-            reporter=self.node_id, column=column, suspect=suspect))]
+        return [_new(Send, (SERVER, _new(ComplaintMsg, (
+            self.node_id, column, suspect))))]
+
+
+_EVENT_HANDLERS = {
+    UpstreamDown: PeerEngine._on_upstream_down,
+    ServerLost: PeerEngine._on_server_lost,
+}
+
+_MESSAGE_HANDLERS = {
+    JoinGrant: PeerEngine._on_grant,
+    SetParent: PeerEngine._on_set_parent,
+    ThreadRemoved: PeerEngine._on_thread_removed,
+    Probe: PeerEngine._on_probe,
+}

@@ -34,7 +34,6 @@ invariants against :attr:`core` directly.
 from __future__ import annotations
 
 from collections.abc import Iterator, Set
-from operator import attrgetter
 
 from ..core.server import CoordinationServer
 from .effects import (
@@ -63,9 +62,8 @@ from .trace import TappedEngine
 
 __all__ = ["ServerEngine"]
 
-#: A grant's ``ThreadAssignment`` as the ``(column, parent)`` pair the
-#: wire and the ``Admitted`` effect carry.
-_PAIR = attrgetter("column", "parent")
+# Effects are built with ``tuple.__new__``: one C call, no Python frame.
+_new = tuple.__new__
 
 
 def _speaker(event: MessageReceived) -> int:
@@ -143,66 +141,55 @@ class ServerEngine(TappedEngine):
     # ------------------------------------------------------------------
 
     def _dispatch(self, event: Event) -> list[Effect]:
-        if isinstance(event, MessageReceived):
-            message = event.message
-            if isinstance(message, JoinRequest):
-                # Only a connection nothing was admitted on may join: a
-                # second hello from an admitted peer is ignored.
-                return self._on_join() if event.sender is None else []
-            if isinstance(message, LeaveRequest):
-                return self._on_leave(_speaker(event))
-            if isinstance(message, ComplaintMsg):
-                return self._on_complaint(
-                    _speaker(event), message.column, message.suspect)
-            if isinstance(message, ProbeAck):
-                return self._on_probe_ack(_speaker(event), message.nonce)
-            if isinstance(message, CongestionDrop):
-                return self._on_congestion_drop(_speaker(event))
-            if isinstance(message, CongestionRestore):
-                return self._on_congestion_restore(_speaker(event))
-            return []
-        if isinstance(event, ConnectionLost):
-            return self._on_connection_lost(event.node_id)
-        if isinstance(event, TimerFired):
-            if event.key and event.key[0] == "probe":
-                _, suspect, nonce = event.key
-                return self._on_probe_timeout(suspect, nonce)
-            return []
-        return []
+        # Exact-type table dispatch, as in ``RelayEngine``: the event and
+        # message vocabularies are closed (no driver subclasses one).
+        if event.__class__ is MessageReceived:
+            handler = _MESSAGE_HANDLERS.get(event.message.__class__)
+        else:
+            handler = _EVENT_HANDLERS.get(event.__class__)
+        return handler(self, event) if handler is not None else []
 
     # ------------------------------------------------------------------
     # Hello
 
-    def _on_join(self) -> list[Effect]:
-        grant = self.core.hello()
-        node_id = grant.node_id
-        assignments = tuple(map(_PAIR, grant.assignments))
+    def _on_join(self, event: MessageReceived) -> list[Effect]:
+        # Only a connection nothing was admitted on may join: a second
+        # hello from an admitted peer is ignored.
+        if event.sender is not None:
+            return []
+        node_id, assignments, redirects = self.core.hello()
+        # The wire and ``Admitted`` carry plain ``(column, parent)``
+        # pairs, not ``ThreadAssignment`` records.
+        assignments = tuple(map(tuple, assignments))
         # Uniform insertion (§5) may splice the newcomer mid-column: the
         # displaced children re-clip onto it.
         return [
-            Admitted(node_id=node_id, assignments=assignments),
-            Send(node_id, JoinGrant(node_id=node_id, assignments=assignments)),
-            *self._redirect_sends(grant.redirects),
+            _new(Admitted, (node_id, assignments)),
+            _new(Send, (node_id, _new(JoinGrant, (node_id, assignments)))),
+            *self._redirect_sends(redirects),
         ]
 
     # ------------------------------------------------------------------
     # Good-bye
 
-    def _on_leave(self, node_id: int) -> list[Effect]:
+    def _on_leave(self, event: MessageReceived) -> list[Effect]:
+        node_id = _speaker(event)
         if node_id not in self.core.registry or node_id in self.core.failed:
             return []
         self._open_episodes.discard(node_id)
         redirects = self.core.goodbye(node_id)
         return [
-            PeerDeparted(node_id=node_id, reason="leave"),
+            _new(PeerDeparted, (node_id, "leave")),
             *self._redirect_sends(redirects),
         ]
 
     # ------------------------------------------------------------------
     # Failure detection and repair
 
-    def _on_complaint(self, reporter: int, column: int,
-                      suspect: int) -> list[Effect]:
+    def _on_complaint(self, event: MessageReceived) -> list[Effect]:
+        reporter = _speaker(event)
+        message = event.message
+        column, suspect = message.column, message.suspect
         if suspect not in self.core.registry or suspect in self.core.failed:
             return []
         # Only the suspect's child on that column may name it: anyone
@@ -226,12 +213,17 @@ class ServerEngine(TappedEngine):
         ))
         return effects
 
-    def _on_probe_ack(self, node_id: int, nonce: int) -> list[Effect]:
-        if self.pending_probes.get(node_id) == nonce:
+    def _on_probe_ack(self, event: MessageReceived) -> list[Effect]:
+        node_id = _speaker(event)
+        if self.pending_probes.get(node_id) == event.message.nonce:
             del self.pending_probes[node_id]
         return []
 
-    def _on_probe_timeout(self, suspect: int, nonce: int) -> list[Effect]:
+    def _on_timer(self, event: TimerFired) -> list[Effect]:
+        key = event.key
+        if not key or key[0] != "probe":
+            return []
+        _, suspect, nonce = key
         if self.pending_probes.get(suspect) != nonce:
             return []  # the suspect answered: spurious complaint
         del self.pending_probes[suspect]
@@ -240,7 +232,8 @@ class ServerEngine(TappedEngine):
         return [CloseConnection(node_id=suspect),
                 *self._fail_and_splice(suspect)]
 
-    def _on_connection_lost(self, node_id: int) -> list[Effect]:
+    def _on_connection_lost(self, event: ConnectionLost) -> list[Effect]:
+        node_id = event.node_id
         if node_id not in self.core.registry:
             return []
         return self._fail_and_splice(node_id)
@@ -251,22 +244,23 @@ class ServerEngine(TappedEngine):
         self.core.fail(node_id)
         redirects = self.core.repair(node_id)
         return [
-            PeerDeparted(node_id=node_id, reason="crash"),
+            _new(PeerDeparted, (node_id, "crash")),
             *self._redirect_sends(redirects),
         ]
 
     def _redirect_sends(self, redirects) -> list[Effect]:
         """Re-clip every child a redirect moved onto its new parent."""
-        return [
-            Send(redirect.child,
-                 SetParent(column=redirect.column, parent=redirect.parent))
-            for redirect in redirects if redirect.child is not None
-        ]
+        sends = []
+        for column, parent, child in redirects:
+            if child is not None:
+                sends.append(_new(Send, (child, _new(SetParent, (column, parent)))))
+        return sends
 
     # ------------------------------------------------------------------
     # §5 congestion handling
 
-    def _on_congestion_drop(self, node_id: int) -> list[Effect]:
+    def _on_congestion_drop(self, event: MessageReceived) -> list[Effect]:
+        node_id = _speaker(event)
         if node_id not in self.core.registry or node_id in self.core.failed:
             return []
         matrix = self.core.matrix
@@ -288,7 +282,8 @@ class ServerEngine(TappedEngine):
                 child, SetParent(column=column, parent=parent)))
         return effects
 
-    def _on_congestion_restore(self, node_id: int) -> list[Effect]:
+    def _on_congestion_restore(self, event: MessageReceived) -> list[Effect]:
+        node_id = _speaker(event)
         if node_id not in self.core.registry or node_id in self.core.failed:
             return []
         matrix = self.core.matrix
@@ -304,3 +299,18 @@ class ServerEngine(TappedEngine):
             effects.append(Send(
                 child, SetParent(column=column, parent=node_id)))
         return effects
+
+
+_EVENT_HANDLERS = {
+    ConnectionLost: ServerEngine._on_connection_lost,
+    TimerFired: ServerEngine._on_timer,
+}
+
+_MESSAGE_HANDLERS = {
+    JoinRequest: ServerEngine._on_join,
+    LeaveRequest: ServerEngine._on_leave,
+    ComplaintMsg: ServerEngine._on_complaint,
+    ProbeAck: ServerEngine._on_probe_ack,
+    CongestionDrop: ServerEngine._on_congestion_drop,
+    CongestionRestore: ServerEngine._on_congestion_restore,
+}

@@ -26,8 +26,10 @@ class TestJoin:
     def test_random_columns_distinct(self, rng):
         m = ThreadMatrix(k=8)
         for node_id in range(50):
-            row = m.join(node_id, 3, rng)
-            assert len(row.columns) == 3
+            threads = m.join(node_id, 3, rng)
+            columns = [column for column, _, _ in threads]
+            assert len(set(columns)) == 3
+            assert columns == sorted(m.row(node_id).columns)
         m.check_invariants()
 
     def test_duplicate_node_raises(self, matrix, rng):

@@ -114,7 +114,8 @@ row_ops = st.lists(
 
 
 def expected_threads(matrix, node_id):
-    """``threads_of`` derived from the column chains by linear search."""
+    """A row's ``(column, parent, child)`` in each of its columns, in
+    column order, derived from the column chains by linear search."""
     threads = []
     for column in sorted(matrix.columns_of(node_id)):
         chain = matrix.column_chain(column)
@@ -133,9 +134,9 @@ def expected_threads(matrix, node_id):
 def test_row_order_is_the_rows_sorted_by_key(ops, seed, uniform, pending_max):
     """Joins, leaves and thread drops/adds, with reads of the order in
     between or none until the end, and a replay bound small enough to
-    force re-sorts: every read is the rows sorted by key, and the
-    one-pass neighbour view agrees with the chains and its two dict
-    views."""
+    force re-sorts: every read is the rows sorted by key, the
+    neighbours a join or leave returns from its one search per column
+    agree with the chains, and so do the two dict views."""
     rng = np.random.default_rng(seed)
     allocator = UniformKeys(rng) if uniform else AppendKeys()
     matrix = ThreadMatrix(k=6, allocator=allocator)
@@ -148,7 +149,8 @@ def test_row_order_is_the_rows_sorted_by_key(ops, seed, uniform, pending_max):
     with patch.object(matrix_module, "PENDING_MAX", pending_max):
         for op, raw in ops:
             if op == "join":
-                matrix.join(next_id, 1 + raw % 3, rng)
+                threads = matrix.join(next_id, 1 + raw % 3, rng)
+                assert threads == expected_threads(matrix, next_id)
                 present.append(next_id)
                 next_id += 1
             elif op == "read":
@@ -157,7 +159,8 @@ def test_row_order_is_the_rows_sorted_by_key(ops, seed, uniform, pending_max):
                 node = present[raw % len(present)]
                 degree = matrix.row(node).degree
                 if op == "leave":
-                    matrix.leave(node)
+                    threads = expected_threads(matrix, node)
+                    assert matrix.leave(node) == threads
                     present.remove(node)
                 elif op == "drop" and degree > 1:
                     matrix.drop_thread(node, rng=rng)
@@ -165,8 +168,7 @@ def test_row_order_is_the_rows_sorted_by_key(ops, seed, uniform, pending_max):
                     matrix.add_thread(node, rng=rng)
             assert len(matrix._pending) <= min(pending_max, len(present))
             for node in present:
-                threads = matrix.threads_of(node)
-                assert threads == expected_threads(matrix, node)
+                threads = expected_threads(matrix, node)
                 assert matrix.parents_of(node) == {c: p for c, p, _ in threads}
                 assert matrix.children_of(node) == {c: ch for c, _, ch in threads}
                 # The dict views keep the row's own column order, which

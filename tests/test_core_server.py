@@ -171,9 +171,8 @@ class TestCongestionNegotiation:
 class TestMessageAccounting:
     def test_hello_counts(self, server):
         server.hello()
-        snap = server.stats.snapshot()
-        assert snap["hello_requests"] == 1
-        assert snap["hello_grants"] == 1
+        assert server.stats.hello_requests == 1
+        assert server.stats.hello_grants == 1
 
     def test_repair_cost_is_order_d(self, server):
         """The paper's efficiency claim: O(d) redirects per repair."""
