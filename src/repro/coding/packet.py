@@ -18,18 +18,6 @@ import numpy as np
 from ..gf.kernels import addmul_row
 
 
-def systematic_row(row: bytes, g: int) -> bool:
-    """Whether the first ``g`` bytes of ``row`` — a coefficient vector,
-    perhaps followed by its payload — are one 1 among zeros, i.e. an
-    unmixed source packet.
-
-    Two C-level ``bytes.count`` calls: numpy reductions cost
-    microseconds at these vector sizes, and this runs once per
-    serialised frame.
-    """
-    return row.count(1, 0, g) == 1 and row.count(0, 0, g) == g - 1
-
-
 @dataclass
 class CodedPacket:
     """One packet on the wire.

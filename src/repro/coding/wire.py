@@ -22,24 +22,24 @@ decoder.  A frame stamped with any other version — including the
 trailer-less version 1 this format replaced, which would otherwise let
 a sender opt out of the checksum — is rejected as malformed.
 
-Every frame is built the same way: one ``bytes`` join of a head (the
-header, after whatever prefix the caller frames it with), the row
-``coefficients | payload``, and a trailer whose CRC is seeded with the
-header's.  A relay's fan-out (:func:`encode_mixture_rows`) packs each
-group's two possible headers — systematic flag clear and set — and
-their CRCs once, then frames the group's rows in one loop, so a
-mixture costs a flag test (two ``bytes.count`` calls), one CRC over
-its row and the join.  The packet forms (:func:`encode_packet` and the
-batch forms built on it) pack the one header they need.  At the one-
-and two-row groups a relay typically frames, numpy's per-call cost on
-tiny arrays was most of what framing cost, so the mixture path makes
-no numpy call per frame and leases no buffer.
+Every frame is built by one call of :func:`repro.gf.kernels.frame_rows`
+(C on the native backend, its numpy twin on the other): this module
+packs the group's two possible headers — systematic flag clear and
+set — and the kernel writes, per ``coefficients | payload`` row, the
+prefix the caller frames it with, the header the row's coefficients
+select (the flag is set exactly when they are one 1 among zeros), the
+row, and the CRC32 trailer.  A relay's fan-out
+(:func:`encode_mixture_rows`) frames a whole group of mixtures in that
+one call, whatever the matrix's strides; the packet form
+(:func:`encode_packet`, and the batch forms built on it) frames one
+row.  On the native backend no byte of a frame is touched in Python.
 
-Decoding parses at an offset cursor (:func:`decode_packet_from` /
-:func:`read_frame_at`), bounded by the end of the frame when the caller
-knows it, and copies header and body once, into a ``bytearray`` the
-CRC runs over: the packet's coefficient and payload arrays are two
-writable views of that copy, which the packet owns.
+Decoding parses the header at an offset cursor
+(:func:`decode_packet_from` / :func:`read_frame_at`), bounded by the end
+of the frame when the caller knows it, and checks magic, version and
+length here; :func:`repro.gf.kernels.open_frame` then checks the CRC
+over the bytes where they lie and copies the coefficients and the
+payload once, into two fresh writable arrays that the packet owns.
 
 ``wire_size()`` on :class:`~repro.coding.packet.CodedPacket` counts an
 8-byte abstract header; the concrete format here spends 16 for
@@ -55,8 +55,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ..gf.kernels import frame_rows, open_frame
 from .buffers import DEFAULT_POOL, BufferPool
-from .packet import CodedPacket, systematic_row
+from .packet import CodedPacket
 
 #: Magic bytes identifying a coded-packet frame.
 MAGIC = 0x5243
@@ -94,18 +95,16 @@ def frame_size(generation_size: int, payload_size: int) -> int:
 def encode_packet(packet: CodedPacket) -> bytes:
     """Serialise a packet to its exact-length wire frame.
 
-    ``tobytes`` reads either array whatever its strides, so views of a
-    larger matrix need no preparation.
+    The arrays may have any strides, so views of a larger matrix need no
+    preparation.
     """
-    coefficients = packet.coefficients.tobytes()
-    row = coefficients + packet.payload.tobytes()
-    g = len(coefficients)
-    header = _HEADER.pack(
-        MAGIC, VERSION, FLAG_SYSTEMATIC if systematic_row(row, g) else 0,
-        packet.generation, packet.origin, g, len(row) - g,
-    )
-    return b"".join((header, row, _TRAILER.pack(
-        zlib.crc32(row, zlib.crc32(header)))))
+    generation, origin = packet.generation, packet.origin
+    g, n = packet.coefficients.shape[0], packet.payload.shape[0]
+    return frame_rows(
+        packet.coefficients, packet.payload, b"",
+        _HEADER.pack(MAGIC, VERSION, 0, generation, origin, g, n),
+        _HEADER.pack(MAGIC, VERSION, FLAG_SYSTEMATIC, generation, origin, g, n),
+    )[0]
 
 
 def encode_packet_into(packet: CodedPacket, buf: bytearray, offset: int = 0) -> int:
@@ -155,28 +154,17 @@ def encode_mixture_rows(mix: np.ndarray, generation: int, origin: int,
     output); each returned frame is ``prefix`` followed by one row's
     wire frame, byte for byte what :func:`encode_packet` makes of the
     equivalent packet.  Every row shares the generation and origin, so
-    the header is packed once per flag value, and the matrix is read
-    once into ``bytes`` (whatever its strides), whose row slices the
-    flag test and the CRC run on.
+    the header is packed once per flag value, and the group is framed
+    in one :func:`~repro.gf.kernels.frame_rows` call, whatever the
+    matrix's strides.
     """
-    m, width = mix.shape
     g = generation_size
-    heads = []
-    for flags in (0, FLAG_SYSTEMATIC):
-        header = _HEADER.pack(MAGIC, VERSION, flags, generation, origin,
-                              g, width - g)
-        heads.append((prefix + header, zlib.crc32(header)))
-    raw = mix.tobytes()
-    frames = []
-    for start in range(0, m * width, width):
-        row = raw[start:start + width]
-        # systematic_row(row, g), inline (a tests/test_coding_batch.py
-        # property test holds every frame producer to one layout)
-        head, crc = heads[
-            row.count(1, 0, g) == 1 and row.count(0, 0, g) == g - 1]
-        frames.append(
-            b"".join((head, row, _TRAILER.pack(zlib.crc32(row, crc)))))
-    return frames
+    n = mix.shape[1] - g
+    return frame_rows(
+        mix[:, :g], mix[:, g:], prefix,
+        _HEADER.pack(MAGIC, VERSION, 0, generation, origin, g, n),
+        _HEADER.pack(MAGIC, VERSION, FLAG_SYSTEMATIC, generation, origin, g, n),
+    )
 
 
 def encode_packets_into(
@@ -252,21 +240,15 @@ def decode_packet_from(buffer, offset: int = 0,
         raise WireFormatError(
             f"length mismatch: header promises {total}, frame has {available}"
         )
-    stop = offset + total - _TRAILER.size
-    frame = buffer[offset:stop]
-    if frame.__class__ is not bytearray:
-        frame = bytearray(frame)  # bytes are read-only, a view shares
-    (crc,) = _TRAILER.unpack_from(buffer, stop)
-    actual = zlib.crc32(frame)
-    if actual != crc:
-        raise CrcError(
-            f"CRC mismatch: trailer 0x{crc:08x}, body 0x{actual:08x}"
-        )
-    body = np.frombuffer(frame, dtype=np.uint8)
-    coefficients_end = _HEADER.size + g
+    parts = open_frame(buffer, offset, _HEADER.size, g, n)
+    if parts is None:
+        stop = offset + total - _TRAILER.size
+        (crc,) = _TRAILER.unpack_from(buffer, stop)
+        raise CrcError(f"CRC mismatch: trailer 0x{crc:08x}, "
+                       f"body 0x{zlib.crc32(buffer[offset:stop]):08x}")
+    coefficients, payload = parts
     return CodedPacket.trusted(
-        generation, body[_HEADER.size:coefficients_end],
-        body[coefficients_end:], origin), offset + total
+        generation, coefficients, payload, origin), offset + total
 
 
 def decode_packet(frame) -> CodedPacket:

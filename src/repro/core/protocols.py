@@ -36,10 +36,6 @@ class HelloGrant(NamedTuple):
     assignments: tuple[ThreadAssignment, ...]
     redirects: tuple["Redirect", ...] = ()
 
-    @property
-    def columns(self) -> tuple[int, ...]:
-        return tuple(a.column for a in self.assignments)
-
 
 class Redirect(NamedTuple):
     """Instruction: on ``column``, ``parent`` now streams to ``child``.

@@ -1,14 +1,27 @@
-/* GF(2^8) row kernels behind repro.gf.kernels (polynomial 0x11D).
+/* GF(2^8) row kernels behind repro.gf.kernels (polynomial 0x11D), and
+ * the two byte loops of the packet codec.
  *
  * One inner loop, `dst (^)= XOR_j coef[j] * src[j]` over a run of bytes,
- * in three builds chosen once at module init: AVX2 and SSSE3 multiply by
- * a constant with two 16-entry nibble tables and a byte shuffle; every
- * other host (and every operand whose bytes are not adjacent) walks the
- * 256-entry product row.  The Python entry points below check operands
- * and loop that kernel over rows; insert_row chains it through a whole
- * decoder insertion, draw_rows fills coefficient rows with numpy's own
- * bounded-integer draws (libnpyrandom, linked in by _native.py), and
- * draw_distinct samples without replacement from the same draws.
+ * in four builds chosen once at module init: where the CPU has GFNI and
+ * AVX2, it multiplies 32 bytes by a constant with one gf2p8affineqb (the
+ * 8x8 bit matrix of x -> c * x); AVX2 and SSSE3 multiply with two
+ * 16-entry nibble tables and a byte shuffle (SSSE3 also serves the
+ * others' last 16 bytes); every other host (and every operand whose
+ * bytes are not adjacent) walks the 256-entry product row.  The Python
+ * entry points below check operands and loop that kernel over rows;
+ * insert_row chains it through a whole decoder insertion, draw_rows
+ * fills coefficient rows with numpy's own bounded-integer draws
+ * (libnpyrandom, linked in by _native.py), and draw_distinct samples
+ * without replacement from the same draws.
+ *
+ * frame_rows and open_frame are the codec's per-frame byte work, with no
+ * header field in them (the layout stays in coding/wire.py): one builds
+ * `prefix + head + coefficients + payload + CRC-32` per row, choosing
+ * between two caller-packed heads, and the other checks a frame's CRC-32
+ * and copies its coefficients and payload into two fresh numpy arrays.
+ * The CRC-32 (zlib's: reflected 0xEDB88320) is computed here: folded by
+ * carry-less multiplication where the CPU has PCLMULQDQ, and by slices of
+ * eight bytes elsewhere, under 64 bytes and for the last 15.
  *
  * Operands arrive through the buffer protocol: uint8, one or two
  * dimensions, any strides.  An input that shares memory with the output
@@ -24,6 +37,8 @@
 #include <stdlib.h>
 #include <string.h>
 #include <numpy/random/distributions.h>
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include <numpy/arrayobject.h>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -33,6 +48,10 @@
 static uint8_t MUL[256][256];                                /* MUL[c][x] = c * x */
 static uint8_t INV[256];                                     /* INV[x] * x = 1; INV[0] = 0 */
 static uint8_t NIB[256][2][16] __attribute__((aligned(16))); /* c * k, c * (k << 4) */
+/* AFF[c]: the bit matrix of x -> c * x as gf2p8affineqb reads it, byte
+ * 7 - i holding the input bits that make output bit i. */
+static uint64_t AFF[256];
+static uint32_t CRC[8][256];                                 /* slice-by-8 CRC-32 */
 
 static void build_tables(void)
 {
@@ -56,6 +75,100 @@ static void build_tables(void)
             NIB[c][0][k] = MUL[c][k];
             NIB[c][1][k] = MUL[c][k << 4];
         }
+    for (int c = 0; c < 256; c++) {
+        AFF[c] = 0;
+        for (int i = 0; i < 8; i++) {
+            uint64_t row = 0;
+            for (int k = 0; k < 8; k++)
+                row |= (uint64_t)(MUL[c][1 << k] >> i & 1) << k;
+            AFF[c] |= row << (8 * (7 - i));
+        }
+    }
+    for (uint32_t b = 0; b < 256; b++) {
+        uint32_t crc = b;
+        for (int k = 0; k < 8; k++)
+            crc = crc & 1 ? crc >> 1 ^ 0xEDB88320u : crc >> 1;
+        CRC[0][b] = crc;
+    }
+    for (int b = 0; b < 256; b++)
+        for (int t = 1; t < 8; t++)
+            CRC[t][b] = CRC[t - 1][b] >> 8 ^ CRC[0][CRC[t - 1][b] & 0xff];
+}
+
+#ifdef GF_X86
+/* The CRC state (pre- and post-inverted) over len bytes, len >= 64 and a
+ * multiple of 16: four lanes folded by carry-less multiplication, then a
+ * Barrett reduction (Gopal et al., "Fast CRC Computation for Generic
+ * Polynomials Using PCLMULQDQ", Intel 2009; the reflected constants of
+ * 0xEDB88320). */
+__attribute__((target("pclmul,sse4.1")))
+static uint32_t crc32_fold(uint32_t crc, const uint8_t *p, Py_ssize_t len)
+{
+    const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+    const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+    const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
+    const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+    const __m128i low32 = _mm_setr_epi32(~0, 0, ~0, 0);
+    __m128i x1 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)p),
+                               _mm_cvtsi32_si128((int)crc));
+    __m128i x2 = _mm_loadu_si128((const __m128i *)(p + 16));
+    __m128i x3 = _mm_loadu_si128((const __m128i *)(p + 32));
+    __m128i x4 = _mm_loadu_si128((const __m128i *)(p + 48));
+    for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+#define FOLD(x, k, next) \
+        _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), \
+                                    _mm_clmulepi64_si128(x, k, 0x11)), next)
+        x1 = FOLD(x1, k1k2, _mm_loadu_si128((const __m128i *)p));
+        x2 = FOLD(x2, k1k2, _mm_loadu_si128((const __m128i *)(p + 16)));
+        x3 = FOLD(x3, k1k2, _mm_loadu_si128((const __m128i *)(p + 32)));
+        x4 = FOLD(x4, k1k2, _mm_loadu_si128((const __m128i *)(p + 48)));
+    }
+    x1 = FOLD(x1, k3k4, x2);
+    x1 = FOLD(x1, k3k4, x3);
+    x1 = FOLD(x1, k3k4, x4);
+    for (; len >= 16; p += 16, len -= 16)
+        x1 = FOLD(x1, k3k4, _mm_loadu_si128((const __m128i *)p));
+#undef FOLD
+    /* 128 bits to 64, then to 32 */
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), _mm_clmulepi64_si128(x1, k3k4, 0x10));
+    x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                       _mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00));
+    x2 = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+    x2 = _mm_clmulepi64_si128(_mm_and_si128(x2, low32), poly, 0x00);
+    return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x1, x2), 1);
+}
+#endif
+
+static int fold_crc = 0;
+
+/* zlib's crc32() over `len` bytes: by carry-less multiplication where the
+ * CPU has it, then (and elsewhere) eight bytes at a time on a
+ * little-endian host. */
+static uint32_t crc32_of(const uint8_t *p, Py_ssize_t len)
+{
+    uint32_t crc = 0xFFFFFFFFu;
+#ifdef GF_X86
+    if (fold_crc && len >= 64) {
+        Py_ssize_t folded = len & ~(Py_ssize_t)15;
+        crc = crc32_fold(crc, p, folded);
+        p += folded;
+        len -= folded;
+    }
+#endif
+#if __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+    for (; len >= 8; p += 8, len -= 8) {
+        uint64_t word;
+        memcpy(&word, p, 8);
+        word ^= crc;
+        crc = CRC[7][word & 0xff] ^ CRC[6][word >> 8 & 0xff]
+            ^ CRC[5][word >> 16 & 0xff] ^ CRC[4][word >> 24 & 0xff]
+            ^ CRC[3][word >> 32 & 0xff] ^ CRC[2][word >> 40 & 0xff]
+            ^ CRC[1][word >> 48 & 0xff] ^ CRC[0][word >> 56];
+    }
+#endif
+    for (; len > 0; p++, len--)
+        crc = crc >> 8 ^ CRC[0][(crc ^ *p) & 0xff];
+    return crc ^ 0xFFFFFFFFu;
 }
 
 /* ------------------------------------------------------------------ */
@@ -102,6 +215,8 @@ static void mad_portable(uint8_t *dst, const uint8_t *src, Py_ssize_t src_row,
     _mm256_xor_si256(                                                     \
         _mm256_shuffle_epi8(lo, _mm256_and_si256(x, mask)),               \
         _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi16(x, 4), mask)))
+
+#define AFFINE256(x, m) _mm256_gf2p8affine_epi64_epi8(x, m, 0)
 
 __attribute__((target("ssse3")))
 static void mad_ssse3(uint8_t *dst, const uint8_t *src, Py_ssize_t src_row,
@@ -201,6 +316,50 @@ static void mad_avx2(uint8_t *dst, const uint8_t *src, Py_ssize_t src_row,
     mad_ssse3(dst + k, src + k, src_row, coef, coef_step, n, len - k, acc);
 }
 
+/* mad_avx2's loop, each product one affine transform by AFF[c]. */
+__attribute__((target("gfni,avx2")))
+static void mad_gfni(uint8_t *dst, const uint8_t *src, Py_ssize_t src_row,
+                     const uint8_t *coef, Py_ssize_t coef_step,
+                     Py_ssize_t n, Py_ssize_t len, int acc)
+{
+    const __m256i zero = _mm256_setzero_si256();
+    Py_ssize_t k = 0;
+    for (; k + 128 <= len; k += 128) {
+        __m256i *d = (__m256i *)(dst + k);
+        __m256i a0 = acc ? _mm256_loadu_si256(d) : zero;
+        __m256i a1 = acc ? _mm256_loadu_si256(d + 1) : zero;
+        __m256i a2 = acc ? _mm256_loadu_si256(d + 2) : zero;
+        __m256i a3 = acc ? _mm256_loadu_si256(d + 3) : zero;
+        for (Py_ssize_t j = 0; j < n; j++) {
+            const uint8_t c = coef[j * coef_step];
+            if (!c)
+                continue;
+            const __m256i *s = (const __m256i *)(src + j * src_row + k);
+            const __m256i m = _mm256_set1_epi64x((long long)AFF[c]);
+            a0 = _mm256_xor_si256(a0, AFFINE256(_mm256_loadu_si256(s), m));
+            a1 = _mm256_xor_si256(a1, AFFINE256(_mm256_loadu_si256(s + 1), m));
+            a2 = _mm256_xor_si256(a2, AFFINE256(_mm256_loadu_si256(s + 2), m));
+            a3 = _mm256_xor_si256(a3, AFFINE256(_mm256_loadu_si256(s + 3), m));
+        }
+        _mm256_storeu_si256(d, a0);
+        _mm256_storeu_si256(d + 1, a1);
+        _mm256_storeu_si256(d + 2, a2);
+        _mm256_storeu_si256(d + 3, a3);
+    }
+    for (; k + 32 <= len; k += 32) {
+        __m256i *d = (__m256i *)(dst + k);
+        __m256i a0 = acc ? _mm256_loadu_si256(d) : zero;
+        for (Py_ssize_t j = 0; j < n; j++) {
+            const __m256i m = _mm256_set1_epi64x((long long)AFF[coef[j * coef_step]]);
+            a0 = _mm256_xor_si256(a0, AFFINE256(
+                _mm256_loadu_si256((const __m256i *)(src + j * src_row + k)), m));
+        }
+        _mm256_storeu_si256(d, a0);
+    }
+    if (k < len)
+        mad_ssse3(dst + k, src + k, src_row, coef, coef_step, n, len - k, acc);
+}
+
 #endif /* GF_X86 */
 
 static row_kernel mad_adjacent = mad_portable;
@@ -210,7 +369,11 @@ static void choose_kernel(void)
 {
 #ifdef GF_X86
     __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx2")) {
+    fold_crc = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("gfni")) {
+        mad_adjacent = mad_gfni;
+        isa = "avx2-gfni";
+    } else if (__builtin_cpu_supports("avx2")) {
         mad_adjacent = mad_avx2;
         isa = "avx2";
     } else if (__builtin_cpu_supports("ssse3")) {
@@ -415,15 +578,16 @@ static uint8_t *gather_pivots(const Py_buffer *pivots, Py_ssize_t n,
     return scalars;
 }
 
-/* dst[k * step] = src[k] over a whole 1-D operand. */
-static void copy_row(uint8_t *dst, Py_ssize_t step, const operand *src)
+/* dst[k * dst_step] = src[k * src_step] for k < len. */
+static void copy_bytes(uint8_t *dst, Py_ssize_t dst_step, const uint8_t *src,
+                       Py_ssize_t src_step, Py_ssize_t len)
 {
-    if (step == 1 && src->step == 1) {
-        memcpy(dst, src->p, (size_t)src->len);
+    if (dst_step == 1 && src_step == 1) {
+        memcpy(dst, src, (size_t)len);
         return;
     }
-    for (Py_ssize_t k = 0; k < src->len; k++)
-        dst[k * step] = src->p[k * src->step];
+    for (Py_ssize_t k = 0; k < len; k++)
+        dst[k * dst_step] = src[k * src_step];
 }
 
 static int all_zero(const uint8_t *row, Py_ssize_t len)
@@ -552,8 +716,9 @@ static PyObject *gf_insert_row(PyObject *self, PyObject *const *args, Py_ssize_t
     if (detach(&coefficients, &basis) < 0 || detach(&payload, &basis) < 0)
         goto free_scalars;
     row = basis.p + rank * basis.row;
-    copy_row(row, basis.step, &coefficients);
-    copy_row(row + size * basis.step, basis.step, &payload);
+    copy_bytes(row, basis.step, coefficients.p, coefficients.step, size);
+    copy_bytes(row + size * basis.step, basis.step, payload.p, payload.step,
+               payload.len);
     mad_row(&basis, rank, &basis, 0, rank, scalars, 1, 1);
     for (Py_ssize_t k = 0; k < size && pivot < 0; k++)
         if (row[k * basis.step])
@@ -800,6 +965,150 @@ release_out:
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* The codec's byte loops */
+
+/* Whether a coefficient row is one 1 among zeros: an unmixed source
+ * packet. */
+static int unit_row(const uint8_t *row, Py_ssize_t step, Py_ssize_t len)
+{
+    int ones = 0;
+    for (Py_ssize_t k = 0; k < len; k++) {
+        uint8_t value = row[k * step];
+        if (value > 1 || (value == 1 && ones++))
+            return 0;
+    }
+    return ones;
+}
+
+static void put_crc(uint8_t *out, uint32_t crc)
+{
+    out[0] = (uint8_t)(crc >> 24);
+    out[1] = (uint8_t)(crc >> 16);
+    out[2] = (uint8_t)(crc >> 8);
+    out[3] = (uint8_t)crc;
+}
+
+/* frame_rows(coefficients, payload, prefix, plain_head, unit_head) -> list
+ * of bytes.  Frame i is prefix + head + coefficients[i] + payload[i] +
+ * the big-endian CRC-32 of everything after the prefix, where head is
+ * unit_head when coefficients[i] is one 1 among zeros and plain_head
+ * otherwise.  The operands are two matrices with one row per frame, or
+ * two 1-D rows (one frame). */
+static PyObject *gf_frame_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    operand coefficients, payload;
+    Py_buffer bytes[3];     /* prefix, plain_head, unit_head */
+    int held = 0;
+    PyObject *result = NULL;
+    if (arity("frame_rows", nargs, 5) < 0)
+        return NULL;
+    if (acquire(args[0], &coefficients, 0, 1, 2, "coefficients") < 0)
+        return NULL;
+    if (acquire(args[1], &payload, 0, coefficients.view.ndim,
+                coefficients.view.ndim, "payload") < 0)
+        goto release_coefficients;
+    if (payload.rows != coefficients.rows) {
+        mismatch();
+        goto done;
+    }
+    for (; held < 3; held++)
+        if (PyObject_GetBuffer(args[2 + held], &bytes[held], PyBUF_SIMPLE) < 0)
+            goto done;
+    if ((result = PyList_New(coefficients.rows)) == NULL)
+        goto done;
+    const Py_ssize_t g = coefficients.len, n = payload.len;
+    for (Py_ssize_t i = 0; i < coefficients.rows; i++) {
+        const uint8_t *c = coefficients.p + i * coefficients.row;
+        const Py_buffer *head = &bytes[1 + unit_row(c, coefficients.step, g)];
+        Py_ssize_t body = head->len + g + n;
+        PyObject *frame = PyBytes_FromStringAndSize(NULL, bytes[0].len + body + 4);
+        if (frame == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        uint8_t *out = (uint8_t *)PyBytes_AS_STRING(frame) + bytes[0].len;
+        memcpy(out - bytes[0].len, bytes[0].buf, (size_t)bytes[0].len);
+        memcpy(out, head->buf, (size_t)head->len);
+        copy_bytes(out + head->len, 1, c, coefficients.step, g);
+        copy_bytes(out + head->len + g, 1, payload.p + i * payload.row,
+                   payload.step, n);
+        put_crc(out + body, crc32_of(out, body));
+        PyList_SET_ITEM(result, i, frame);
+    }
+done:
+    while (held > 0)
+        PyBuffer_Release(&bytes[--held]);
+    release(&payload);
+release_coefficients:
+    release(&coefficients);
+    return result;
+}
+
+/* open_frame(buffer, start, head_size, g, n) -> (coefficients, payload),
+ * or None.  The frame's body is buffer[start : start + head_size + g + n]
+ * and its big-endian CRC-32 trailer the four bytes after it; on a match
+ * the g coefficient bytes after the head and the n payload bytes after
+ * them are copied into two new uint8 arrays, on a mismatch nothing is
+ * made. */
+static PyObject *gf_open_frame(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    Py_ssize_t sizes[4];    /* start, head_size, g, n */
+    Py_buffer buffer;
+    PyObject *result = NULL;
+    if (arity("open_frame", nargs, 5) < 0)
+        return NULL;
+    for (int i = 0; i < 4; i++)
+        if ((sizes[i] = PyNumber_AsSsize_t(args[1 + i], PyExc_OverflowError)) == -1
+                && PyErr_Occurred())
+            return NULL;
+    if (PyObject_GetBuffer(args[0], &buffer, PyBUF_SIMPLE) < 0)
+        return NULL;
+    Py_ssize_t left = buffer.len;
+    for (int i = 0; i < 4; i++) {
+        if (sizes[i] < 0 || sizes[i] > left) {
+            PyErr_SetString(PyExc_ValueError, "frame runs past the buffer");
+            goto done;
+        }
+        left -= sizes[i];
+    }
+    if (left < 4) {
+        PyErr_SetString(PyExc_ValueError, "frame runs past the buffer");
+        goto done;
+    }
+    const uint8_t *frame = (const uint8_t *)buffer.buf + sizes[0];
+    const Py_ssize_t g = sizes[2], n = sizes[3], body = sizes[1] + g + n;
+    const uint8_t *trailer = frame + body;
+    uint32_t expected = (uint32_t)trailer[0] << 24 | (uint32_t)trailer[1] << 16
+                      | (uint32_t)trailer[2] << 8 | trailer[3];
+    if (crc32_of(frame, body) != expected) {
+        result = Py_None;
+        Py_INCREF(result);
+        goto done;
+    }
+    npy_intp lengths[2] = {g, n};
+    PyObject *parts[2];
+    for (int i = 0; i < 2; i++) {
+        if ((parts[i] = PyArray_SimpleNew(1, &lengths[i], NPY_UINT8)) == NULL) {
+            if (i)
+                Py_DECREF(parts[0]);
+            goto done;
+        }
+        memcpy(PyArray_DATA((PyArrayObject *)parts[i]),
+               frame + sizes[1] + (i ? g : 0), (size_t)lengths[i]);
+    }
+    if ((result = PyTuple_New(2)) == NULL) {
+        Py_DECREF(parts[0]);
+        Py_DECREF(parts[1]);
+        goto done;
+    }
+    PyTuple_SET_ITEM(result, 0, parts[0]);
+    PyTuple_SET_ITEM(result, 1, parts[1]);
+done:
+    PyBuffer_Release(&buffer);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"mad", (PyCFunction)(void (*)(void))gf_mad, METH_FASTCALL, NULL},
     {"eliminate", (PyCFunction)(void (*)(void))gf_eliminate, METH_FASTCALL, NULL},
@@ -808,6 +1117,8 @@ static PyMethodDef methods[] = {
     {"insert_row", (PyCFunction)(void (*)(void))gf_insert_row, METH_FASTCALL, NULL},
     {"draw_rows", (PyCFunction)(void (*)(void))gf_draw_rows, METH_FASTCALL, NULL},
     {"draw_distinct", (PyCFunction)(void (*)(void))gf_draw_distinct, METH_FASTCALL, NULL},
+    {"frame_rows", (PyCFunction)(void (*)(void))gf_frame_rows, METH_FASTCALL, NULL},
+    {"open_frame", (PyCFunction)(void (*)(void))gf_open_frame, METH_FASTCALL, NULL},
     {NULL, NULL, 0, NULL},
 };
 
@@ -817,6 +1128,7 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__gf256(void)
 {
+    import_array();
     build_tables();
     choose_kernel();
     PyObject *m = PyModule_Create(&module);

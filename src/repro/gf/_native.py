@@ -1,4 +1,5 @@
-"""Compile-once loader for the native GF(2^8) kernels (``_gf256.c``).
+"""Compile-once loader for the native GF(2^8) kernels and frame codec
+(``_gf256.c``).
 
 :func:`load` is called once, when :mod:`repro.gf.kernels` is imported.
 It compiles the C file beside this module with the system ``cc`` into a
@@ -6,12 +7,13 @@ user-private cache directory and imports the result as a CPython
 extension; later imports, in any process, find the cached object.  The
 object links numpy's ``libnpyrandom.a`` (shipped with numpy for
 extensions), so the coefficient draws are numpy's bounded-integer code
-itself.  It returns ``None`` — and ``kernels`` stays on numpy — when
-there is no compiler, no ``Python.h``, no numpy random library or header,
-or no usable cache directory, and never raises.  A built object that
-does not reproduce a known product, ``Generator.integers``' stream,
-``Generator.choice``'s sample or the numpy reference's insertion is not
-used either.
+itself, and the frame primitives build their arrays with numpy's C API.
+It returns ``None`` — and ``kernels`` stays on numpy — when there is no
+compiler, no ``Python.h``, no numpy random library or header, or no
+usable cache directory, and never raises.  A built object that does not
+reproduce a known product, a frame with zlib's CRC-32,
+``Generator.integers``' stream, ``Generator.choice``'s sample or the
+numpy reference's insertion is not used either.
 
 The cache is ``$XDG_CACHE_HOME/repro-gf`` (``~/.cache/repro-gf``), one
 file per ``hash(source + flags + compiler + numpy + interpreter ABI)``; delete
@@ -30,9 +32,11 @@ import importlib.util
 import logging
 import os
 import shutil
+import struct
 import subprocess
 import sysconfig
 import tempfile
+import zlib
 from pathlib import Path
 from types import ModuleType
 from typing import Optional
@@ -159,22 +163,46 @@ def _import(path: Path) -> ModuleType:
 def _self_check(module: ModuleType) -> None:
     """Known answers the built object must give before it is used.
 
-    One product spanning a SIMD body, both tails and a zero scalar; the
-    draws of ``Generator.integers`` for both ``low`` values, through a
-    zero row that ends a ``low=0`` draw early, and the generator state
-    after them; the samples of ``Generator.choice`` without replacement,
+    One product whose coefficient row holds every scalar, over a width
+    that spans a 128-byte block, a 32- and a 16-byte step and a byte
+    tail; frames from ``frame_rows`` of both heads, over 1 KiB long and
+    under 64 bytes, against a ``struct`` and ``zlib.crc32`` reference,
+    and one of each length opened back by ``open_frame``; the draws of
+    ``Generator.integers`` for both ``low`` values, through a zero row
+    that ends a ``low=0`` draw early, and the generator state after
+    them; the samples of ``Generator.choice`` without replacement,
     through a full permutation and a one-element sample, and the state
     after them; and every insertion into a 4 x 12 system, as the numpy
     reference makes it.  A numpy whose ``bitgen_t`` or bounded-integer
     algorithm moved fails here and leaves the kernels on numpy, instead
     of shifting every seeded run.
     """
-    rows = (np.arange(5 * 183) * 40503 >> 4).astype(np.uint8).reshape(5, 183)
-    coeffs = np.array([[1, 0, 2, 141, 255]], dtype=np.uint8)
+    rows = np.random.default_rng(3).integers(0, 256, (256, 183), dtype=np.uint8)
+    coeffs = (np.arange(256, dtype=np.uint8) * 167)[None, :]
     out = np.empty((1, 183), dtype=np.uint8)
     module.mad(out, coeffs, rows)
     if not np.array_equal(out[0], np.bitwise_xor.reduce(MUL[coeffs[0][:, None], rows])):
         raise _BuildFailed("the built kernels miscompute a known product")
+    # Row 1 of each call is one 1 among zeros, the others are mixed.
+    # The long frames fold where the CPU folds; the short ones run on
+    # the CRC tables alone and read every entry of every table, in all
+    # likelihood (each is missed with odds under 1e-12).
+    heads = (b"plain-head", b"unit-head!")
+    draw = np.random.default_rng(5)
+    for count, width in ((2, 1100), (1024, 40)):
+        coefficients = draw.integers(2, 256, (count, 9), dtype=np.uint8)
+        coefficients[1] = np.eye(1, 9, 4, dtype=np.uint8)
+        payload = draw.integers(0, 256, (count, width), dtype=np.uint8)
+        frames = module.frame_rows(coefficients, payload, b"pre", *heads)
+        opened = module.open_frame(frames[0], 3, len(heads[0]), 9, width)
+        if (len(frames) != count or opened is None
+                or not np.array_equal(opened[0], coefficients[0])
+                or not np.array_equal(opened[1], payload[0])):
+            raise _BuildFailed("the built frame codec leaves CRC-32 or the layout")
+        for i, frame in enumerate(frames):
+            checked = heads[i == 1] + coefficients[i].tobytes() + payload[i].tobytes()
+            if frame != b"pre" + checked + struct.pack(">I", zlib.crc32(checked)):
+                raise _BuildFailed("the built frame codec leaves CRC-32 or the layout")
     # Seed 120's one-byte stream reads 0 at its fifth draw.
     for low, width, drawn in ((1, 37, 6), (0, 37, 6), (0, 1, 5)):
         ours, theirs = np.random.default_rng(120), np.random.default_rng(120)

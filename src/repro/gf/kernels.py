@@ -26,12 +26,19 @@ One draw serves the control plane: :func:`draw_distinct` is exactly
 ``Generator.choice(n, size=d, replace=False)`` (values and generator
 state), the columns a joining row of the thread matrix takes.
 
+And the codec's per-frame byte work is one call each way, with no
+header field in it (``repro.coding.wire`` keeps the layout):
+:data:`frame_rows` builds ``prefix + head + row + CRC-32`` per row and
+:data:`open_frame` checks one frame's CRC-32 and copies its
+coefficients and payload out.
+
 This module is a seam over two backends that compute the same bytes:
 
 * **native** — ``_gf256.c``, compiled once per host by :mod:`._native`
   and loaded as a CPython extension.  Multiplication by a constant is
-  two 16-entry nibble-table byte shuffles (AVX2 or SSSE3, chosen inside
-  the C at load time; a 256-entry table walk elsewhere), accumulated in
+  one GF(2) affine transform (GFNI) or two 16-entry nibble-table byte
+  shuffles (AVX2 or SSSE3), chosen inside the C at load time (a
+  256-entry table walk elsewhere), accumulated in
   registers across the whole mixture, so no intermediate is ever
   materialised.  Its draws call numpy's own bounded-integer fill on the
   generator's ``bitgen_t``.
@@ -53,13 +60,16 @@ SIMD path); ``addmul_*``, ``eliminate``, ``scale_row_inplace`` and
 are those of reading every input before writing any output, so a
 destination may alias a source.
 
-Nothing in this module knows about packet objects, generations or
-overlays — it is a pure array substrate, kept separate so there is
-exactly one implementation of each inner loop in the codebase.
+Nothing in this module knows about packet objects, header fields,
+generations or overlays — it is a pure array and byte substrate, kept
+separate so there is exactly one implementation of each inner loop in
+the codebase.
 """
 
 from __future__ import annotations
 
+import struct
+import zlib
 from typing import Optional
 
 import numpy as np
@@ -82,6 +92,9 @@ _NUMPY_BLOCK = 1 << 22
 #: Largest population ``Generator.choice`` always samples by Floyd's
 #: method, the branch the native ``draw_distinct`` reproduces.
 _FLOYD_MAX = 10_000
+
+#: A frame's CRC-32 trailer, big-endian.
+_CRC = struct.Struct(">I")
 
 
 class _NumpyBackend:
@@ -230,15 +243,65 @@ class _NumpyBackend:
     def draw_distinct(rng: np.random.Generator, n: int, d: int) -> list[int]:
         return rng.choice(n, size=d, replace=False).tolist()
 
+    @staticmethod
+    def frame_rows(coefficients: np.ndarray, payload: np.ndarray, prefix: bytes,
+                   plain_head: bytes, unit_head: bytes) -> list[bytes]:
+        if coefficients.ndim == 1:
+            coefficients, payload = coefficients[None, :], payload[None, :]
+        m, g = coefficients.shape
+        if payload.shape[0] != m:
+            raise ValueError("operand shapes do not match")
+        n = payload.shape[1]
+        heads = [(prefix + head, zlib.crc32(head))
+                 for head in (plain_head, unit_head)]
+        coefficients, payload = coefficients.tobytes(), payload.tobytes()
+        frames = []
+        for i in range(m):
+            row = coefficients[i * g:(i + 1) * g] + payload[i * n:(i + 1) * n]
+            head, crc = heads[
+                row.count(1, 0, g) == 1 and row.count(0, 0, g) == g - 1]
+            frames.append(b"".join(
+                (head, row, _CRC.pack(zlib.crc32(row, crc)))))
+        return frames
+
+    @staticmethod
+    def open_frame(buffer, start: int, head_size: int, g: int,
+                   n: int) -> Optional[tuple[np.ndarray, np.ndarray]]:
+        stop = start + head_size + g + n
+        if min(start, head_size, g, n) < 0 or stop + _CRC.size > len(buffer):
+            raise ValueError("frame runs past the buffer")
+        frame = buffer[start:stop]
+        if zlib.crc32(frame) != _CRC.unpack_from(buffer, stop)[0]:
+            return None
+        body = np.frombuffer(frame, dtype=np.uint8, offset=head_size)
+        return body[:g].copy(), body[g:].copy()
+
 
 #: The reference backend (and the oracle in ``tests/test_gf_backends.py``).
 NUMPY = _NumpyBackend()
 
 _impl = _native.load() or NUMPY
 
-#: Which backend this process computes on: ``"native-avx2"``,
-#: ``"native-ssse3"``, ``"native-portable"`` or ``"numpy"``.
+#: Which backend this process computes on: ``"native-avx2-gfni"``,
+#: ``"native-avx2"``, ``"native-ssse3"``, ``"native-portable"`` or
+#: ``"numpy"``.  The native arm is a fact of the CPU: GFNI with AVX2
+#: first, then AVX2, then SSSE3.
 BACKEND = "numpy" if _impl is NUMPY else f"native-{_impl.isa}"
+
+#: The codec's two per-frame byte loops, bound to the backend itself so a
+#: frame costs no Python frame here.
+#: ``frame_rows(coefficients, payload, prefix, plain_head, unit_head)``
+#: returns one ``prefix + head + coefficients[i] + payload[i] + crc``
+#: frame per row, ``crc`` the big-endian CRC-32 of everything after the
+#: prefix and ``head`` ``unit_head`` exactly when coefficient row ``i`` is
+#: one 1 among zeros; the operands are two uint8 matrices or two rows.
+#: ``open_frame(buffer, start, head_size, g, n)`` checks the CRC-32 of
+#: ``buffer[start:start + head_size + g + n]`` against the four bytes
+#: after it and returns the ``g`` coefficient and ``n`` payload bytes
+#: after the head as two fresh writable uint8 arrays, or ``None`` on a
+#: mismatch; a frame that runs past the buffer raises ``ValueError``.
+frame_rows = _impl.frame_rows
+open_frame = _impl.open_frame
 
 
 # ----------------------------------------------------------------------

@@ -72,6 +72,8 @@ from .transport import AsyncioTransport, Listener, TimerHandle, Transport
 
 __all__ = ["ServerNode", "ServerStats"]
 
+_new = tuple.__new__
+
 
 class ServerStats:
     """The driver's own count: ``crashes``, the control connections
@@ -368,8 +370,8 @@ class ServerNode:
         which every peer can already dial and ``_peers`` never holds)."""
         peer = self._peers.get(node_id)
         if peer is not None:
-            write_control_nowait(to.connection.transport, PeerLocator(
-                node_id=node_id, host=peer.host, port=peer.port))
+            write_control_nowait(to.connection.transport, _new(
+                PeerLocator, (node_id, peer.host, peer.port)))
 
     def _notify(self, node_id: int, message: object) -> None:
         """Fire-and-forget a control message to a connected peer.  A

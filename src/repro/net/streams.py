@@ -372,7 +372,7 @@ class _Child(Handler):
             raise FramingError(
                 f"{self.reports} completed-set reports where an honest "
                 f"child sends at most {allowed}")
-        pumps.engine.handle(ChildCompleted(self.key, *report))
+        pumps.engine.handle(_new(ChildCompleted, (self.key, *report)))
 
     def closed(self, error: Optional[BaseException]) -> None:
         pumps = self.pumps
@@ -435,7 +435,7 @@ class _Upstream(Handler):
         # so a re-clipped thread is never re-sent what it decoded.
         report = pumps._report()
         writer.write(encode_frame(KIND_CONTROL, encode_control(
-            DataHello(node_id=pumps.origin, column=self.column))) + report)
+            _new(DataHello, (pumps.origin, self.column)))) + report)
         pumps.stats[0].bytes_sent += len(report)
         pumps._parents[self.column] = writer
         clock = pumps._clock
@@ -646,7 +646,7 @@ class PumpSet:
             return
         # The engine first: it owns the fan-out order the new pump
         # joins, and its answer is the burst the pump starts with.
-        burst = engine.handle(ChildAttached(key, completed))
+        burst = engine.handle(_new(ChildAttached, (key, completed)))
         pump = PacketSender(
             connection.transport, column=column, sender_id=self.origin,
             idle_packet=partial(self._idle_packet, key), limit=self._limit,
@@ -731,8 +731,8 @@ class PumpSet:
 
     def _report(self) -> bytes:
         """This node's completed-generation set as a framed record."""
-        return encode_frame(KIND_CONTROL, encode_control(GenerationsComplete(
-            *self.engine.completed_generations)))
+        return encode_frame(KIND_CONTROL, encode_control(_new(
+            GenerationsComplete, self.engine.completed_generations)))
 
     def _report_to(self, writer: ByteStreamWriter, frame: bytes) -> None:
         writer.write(frame)

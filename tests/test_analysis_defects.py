@@ -96,7 +96,7 @@ class TestDefectOfColumns:
         victim = small_net.matrix.node_ids[5]
         small_net.fail(victim)
         grant = small_net.join()
-        columns = tuple(grant.columns)
+        columns = tuple(a.column for a in grant.assignments)
         # measure as if the node had not yet joined: use pre-join structure
         # by removing it again
         connectivity = small_net.connectivity(grant.node_id)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.coding import CodedPacket, SourceBlock, combine
-from repro.coding.packet import systematic_row
+from repro.coding.wire import FLAG_SYSTEMATIC, encode_packet
 from repro.gf.tables import MUL
 
 
@@ -27,9 +27,14 @@ class TestCodedPacket:
         assert packet.header_overhead == pytest.approx(2 / 10)
 
     def test_is_systematic(self):
-        assert systematic_row(bytes([0, 1, 0, 5]), 3)
-        assert not systematic_row(bytes([0, 2, 0, 5]), 3)
-        assert not systematic_row(bytes([1, 1, 0, 5]), 3)
+        """One 1 among zero coefficients is an unmixed source packet; the
+        frame's flags byte says so."""
+        def systematic(coeffs):
+            return bool(encode_packet(make_packet(coeffs, [5]))[3] & FLAG_SYSTEMATIC)
+
+        assert systematic([0, 1, 0])
+        assert not systematic([0, 2, 0])
+        assert not systematic([1, 1, 0])
 
     def test_copy_is_deep(self):
         packet = make_packet([1, 2], [3, 4])

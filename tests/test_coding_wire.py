@@ -1,20 +1,25 @@
 """Unit tests for the packet wire format."""
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.coding import CodedPacket, GenerationParams, SourceEncoder
+from repro.coding import CodedPacket, GenerationParams, SourceEncoder, wire
 from repro.coding.wire import (
     CrcError,
     WireFormatError,
     decode_packet,
     decode_packet_from,
+    encode_mixture_rows,
     encode_packet,
     frame_size,
     read_frame_at,
 )
+from repro.gf import kernels
 from repro.net.framing import (
     CrcMismatchError,
     FrameBuffer,
@@ -231,9 +236,9 @@ class TestErrors:
 
 
 class TestSingleCopyDecode:
-    """A decoded packet's arrays are two views of one private copy of
-    header plus body: writable ``uint8``, and nothing shared with the
-    bytes they were parsed from."""
+    """A decoded packet's arrays are two private copies of its
+    coefficients and payload: writable ``uint8``, and nothing shared
+    with the bytes they were parsed from."""
 
     def test_packet_shares_nothing_with_the_frame_buffer(self, packet):
         frame = encode_data_frame(packet)
@@ -287,3 +292,105 @@ class TestSingleCopyDecode:
                 parser.feed(bytes(flipped))
                 with pytest.raises((CrcMismatchError, FramingError)):
                     parser.next_message()
+
+
+# ----------------------------------------------------------------------
+# One codec on both backends
+
+
+#: The backend this process computes on, then the numpy twin (the same
+#: object twice on a host with no compiler).
+BACKENDS = [kernels._impl, kernels.NUMPY]
+
+
+@pytest.fixture(params=["native", "numpy"])
+def codec(request, monkeypatch):
+    """``coding.wire`` framing and opening frames on one backend."""
+    impl = BACKENDS[request.param == "numpy"]
+    monkeypatch.setattr(wire, "frame_rows", impl.frame_rows)
+    monkeypatch.setattr(wire, "open_frame", impl.open_frame)
+    return impl
+
+
+def _reference_encode(generation, origin, coefficients, payload) -> bytes:
+    """The frame as the struct-and-zlib codec this format began with
+    made it: systematic when the coefficients are one 1 among zeros."""
+    coefficients, payload = bytes(coefficients), bytes(payload)
+    g = len(coefficients)
+    systematic = coefficients.count(1) == 1 and coefficients.count(0) == g - 1
+    header = struct.pack(">HBBIiHH", 0x5243, 2, int(systematic), generation,
+                         origin, g, len(payload))
+    row = coefficients + payload
+    return header + row + struct.pack(">I", zlib.crc32(row, zlib.crc32(header)))
+
+
+def _spread(array, stride):
+    """``array``'s values as a view taking every ``stride``-th column of
+    a larger matrix."""
+    base = np.full((array.shape[0], array.shape[1] * stride), 0xEE, np.uint8)
+    base[:, ::stride] = array
+    return base[:, ::stride]
+
+
+class TestOneCodecOnBothBackends:
+    # The fixture's patch holds for every example.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(g=st.one_of(st.integers(1, 80), st.sampled_from([8, 64])),
+           n=st.one_of(st.integers(0, 1500),
+                       st.sampled_from([0, 127, 128, 129, 255, 256, 1024])),
+           m=st.integers(1, 3), stride=st.integers(1, 3),
+           generation=st.integers(0, 2**32 - 1),
+           origin=st.one_of(st.just(-1), st.integers(-(2**31), 2**31 - 1)),
+           seed=st.integers(0, 2**31 - 1))
+    def test_frames_are_the_reference_frames(self, codec, g, n, m, stride,
+                                             generation, origin, seed):
+        rng = np.random.default_rng(seed)
+        mix = rng.integers(0, 256, (m, g + n), dtype=np.uint8)
+        mix[0, :g] = 0
+        mix[0, int(rng.integers(0, g))] = 1        # a source packet
+        expected = [_reference_encode(generation, origin, row[:g], row[g:])
+                    for row in mix]
+        view = _spread(mix, stride)
+        assert encode_mixture_rows(view, generation, origin, g, b"pre") == [
+            b"pre" + frame for frame in expected]
+        for row, frame in zip(view, expected):
+            packet = CodedPacket.trusted(generation, row[:g], row[g:], origin)
+            assert encode_packet(packet) == frame
+            decoded = decode_packet(frame)
+            assert _packets_equal(decoded, packet)
+            assert decoded.coefficients.flags.owndata
+            assert decoded.payload.flags.owndata
+
+    def test_bad_frames_fail_alike(self, packet):
+        """Corrupted, truncated and over-long frames raise one class with
+        one message, whichever backend opens them."""
+        frame = encode_packet(packet)
+        bad = [frame[:-1], frame + b"\x00", frame[:15], frame[:3]]
+        for index in (0, 2, 5, 16, 20, len(frame) - 9, len(frame) - 1):
+            flipped = bytearray(frame)
+            flipped[index] ^= 0x10
+            bad.append(bytes(flipped))
+        outcomes = []
+        for impl in BACKENDS:
+            seen = []
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(wire, "open_frame", impl.open_frame)
+                for candidate in bad:
+                    for parse in (decode_packet, decode_packet_from,
+                                  read_frame_at):
+                        try:
+                            result = parse(candidate)
+                        except WireFormatError as exc:
+                            seen.append((type(exc), str(exc)))
+                            continue
+                        # read_frame_at waits for the rest of a short
+                        # frame, and stops where an over-long one ends.
+                        got, end = (result if isinstance(result, tuple)
+                                    else (result, None))
+                        seen.append((got and encode_packet(got), end))
+            outcomes.append(seen)
+        assert outcomes[0] == outcomes[1]
+        crc = [o for o in outcomes[0] if o[0] is CrcError]
+        assert crc and all(m.startswith("CRC mismatch: trailer 0x")
+                           for _, m in crc)

@@ -50,7 +50,7 @@ class TestGossipJoin:
         before = net.population
         grant = gossip.join()
         assert net.population == before + 1
-        assert len(grant.columns) == 3
+        assert len(grant.assignments) == 3
         net.matrix.check_invariants()
 
     def test_history_recorded(self, gossip):
@@ -75,7 +75,7 @@ class TestGossipJoin:
 
     def test_heterogeneous_degree_join(self, gossip, net):
         grant = gossip.join(d=5)
-        assert len(grant.columns) == 5
+        assert len(grant.assignments) == 5
 
 
 class TestOversampledGossip:
@@ -103,7 +103,7 @@ class TestOversampledGossip:
         gossip = GossipJoinProtocol(net, walk_length=4, oversample=10.0,
                                     choose="random")
         grant = gossip.join()
-        assert len(grant.columns) == 3
+        assert len(grant.assignments) == 3
 
     def test_option_validation(self, net):
         with pytest.raises(ValueError):
@@ -132,6 +132,6 @@ class TestSelectionBias:
             grant = net.join()
             history.append(GossipJoinStats(
                 walk_length=0, peers_probed=0, threads_seen=16,
-                columns_chosen=grant.columns,
+                columns_chosen=tuple(a.column for a in grant.assignments),
             ))
         assert selection_bias(history, 16) < 0.15

@@ -19,8 +19,10 @@ failed to build fails here.
 import contextlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from hypothesis import strategies as st
 
 from repro.coding import CodedPacket, GenerationParams, Recoder, SourceEncoder
 from repro.gf import kernels
+from repro.gf.tables import MUL
 
 pytestmark = pytest.mark.skipif(
     shutil.which("cc") is None, reason="no C compiler: numpy is the only backend"
@@ -575,6 +578,139 @@ class TestRejections:
             kernels.addmul_row(self.row, self.row, 256)
         with pytest.raises(ValueError):
             kernels.scale_row(self.row, -1)
+
+
+#: Widths on both sides of the GFNI arm's 128-byte block and of the
+#: 32- and 16-byte steps its tails take.
+STRADDLING = [1, 15, 16, 17, 31, 32, 33, 48, 63, 64, 127, 128, 129, 143, 144,
+              159, 160, 161, 176, 255, 256, 257, 383, 1088]
+
+
+class TestEveryScalar:
+    """The chosen arm multiplies by every field element as ``MUL`` does,
+    alone and all 256 in one mixture."""
+
+    @pytest.mark.parametrize("width", STRADDLING)
+    def test_mad_is_the_product_table(self, width):
+        rng = np.random.default_rng(width)
+        rows = rng.integers(0, 256, (256, width), dtype=np.uint8)
+        for scalar in range(256):
+            got = kernels.mix_rows(np.array([scalar], dtype=np.uint8),
+                                   rows[scalar:scalar + 1])
+            assert np.array_equal(got, MUL[scalar][rows[scalar]]), scalar
+        scalars = rng.permutation(256).astype(np.uint8)
+        assert np.array_equal(
+            kernels.mix_rows(scalars, rows),
+            np.bitwise_xor.reduce(MUL[scalars[:, None], rows]))
+
+
+#: Row widths of the codec tests: the SIMD edges and the two geometries.
+CODEC_G = st.one_of(st.integers(1, 80), st.sampled_from([1, 8, 64]))
+CODEC_N = st.one_of(st.integers(0, 1500),
+                    st.sampled_from([0, 127, 128, 129, 255, 256, 1024]))
+
+
+def unit_rows(rng, coefficients):
+    """Make some coefficient rows one 1 among zeros, and some near
+    misses: a lone 2, two 1s."""
+    for row in coefficients:
+        kind = int(rng.integers(0, 4))
+        if kind:
+            row[...] = 0
+            picks = rng.choice(row.shape[0], size=min(2, row.shape[0]),
+                               replace=False)
+            row[picks[0]] = 1 if kind < 3 else 2
+            if kind == 2:
+                row[picks[-1]] = 1
+
+
+class TestCodecPrimitives:
+    """``frame_rows`` and ``open_frame`` make and accept the same bytes on
+    both backends, and those of the layout built by hand."""
+
+    HEADS = (b"\x52\x43\x02\x00plain-head..", b"\x52\x43\x02\x01unit-head...")
+
+    @given(CODEC_G, CODEC_N, st.integers(0, 3), seeds, layouts, layouts,
+           st.binary(max_size=5))
+    @settings(max_examples=120, deadline=None)
+    def test_frame_rows(self, g, n, m, seed, coefficients_layout,
+                        payload_layout, prefix):
+        rng = np.random.default_rng(seed)
+        _, coefficients = matrix(rng, m, g, coefficients_layout)
+        _, payload = matrix(rng, m, n, payload_layout)
+        unit_rows(rng, coefficients)
+        expected = []
+        for row, body in zip(coefficients, payload):
+            nonzero = [c for c in row.tobytes() if c]
+            checked = self.HEADS[nonzero == [1]] + row.tobytes() + body.tobytes()
+            expected.append(prefix + checked + struct.pack(">I", zlib.crc32(checked)))
+        for impl in (NATIVE, kernels.NUMPY):
+            assert impl.frame_rows(coefficients, payload, prefix,
+                                   *self.HEADS) == expected
+            for i in range(m):     # one row of a larger matrix
+                assert impl.frame_rows(coefficients[i], payload[i], prefix,
+                                       *self.HEADS) == [expected[i]]
+
+    @given(CODEC_G, CODEC_N, st.integers(0, 40), seeds, st.integers(-1, 7))
+    @settings(max_examples=120, deadline=None)
+    def test_open_frame(self, g, n, start, seed, flip):
+        rng = np.random.default_rng(seed)
+        head = self.HEADS[0]
+        body = rng.integers(0, 256, g + n, dtype=np.uint8).tobytes()
+        checked = head + body
+        buffer = bytearray(rng.integers(0, 256, start, dtype=np.uint8).tobytes()
+                           + checked + struct.pack(">I", zlib.crc32(checked))
+                           + b"after")
+        if flip >= 0:   # a flipped bit anywhere in the head, body or trailer
+            buffer[start + int(rng.integers(0, len(checked) + 4))] ^= 1 << flip
+        for source in (bytes(buffer), buffer, memoryview(buffer)):
+            opened = [impl.open_frame(source, start, len(head), g, n)
+                      for impl in (NATIVE, kernels.NUMPY)]
+            if flip >= 0:
+                assert opened == [None, None]
+                continue
+            for coefficients, payload in opened:
+                for array, expected in ((coefficients, body[:g]),
+                                        (payload, body[g:])):
+                    assert array.dtype == np.uint8 and array.flags.writeable
+                    assert array.flags.owndata and array.tobytes() == expected
+
+    def test_every_crc_length(self):
+        """Frames of every length to 300 bytes, a few long ones, and 2 048
+        under 64 bytes (enough to read every CRC table entry) carry
+        zlib's CRC-32, whether folding and the tables or the tables alone
+        compute it."""
+        rng = np.random.default_rng(11)
+        for m, n in [*((3, n) for n in range(300)), (3, 1024), (2, 1 << 16),
+                     (2048, 40)]:
+            payload = rng.integers(0, 256, (m, n), dtype=np.uint8)
+            no_coefficients = np.zeros((m, 0), dtype=np.uint8)
+            head = self.HEADS[0]
+            expected = [head + body.tobytes()
+                        + struct.pack(">I", zlib.crc32(head + body.tobytes()))
+                        for body in payload]
+            for impl in (NATIVE, kernels.NUMPY):
+                assert impl.frame_rows(no_coefficients, payload, b"",
+                                       *self.HEADS) == expected, n
+                assert impl.open_frame(expected[0], 0, len(head), 0, n) is not None
+
+    def test_open_frame_stays_inside_the_buffer(self):
+        checked = b"head" + bytes(10)
+        frame = checked + struct.pack(">I", zlib.crc32(checked))
+        for impl in (NATIVE, kernels.NUMPY):
+            assert impl.open_frame(frame, 0, 4, 4, 6) is not None
+            for args in ((1, 4, 4, 6), (0, 4, 4, 7), (0, 4, 5, 6), (-1, 4, 4, 6),
+                         (0, -4, 4, 6), (0, 4, -1, 6), (0, 4, 4, -1)):
+                with pytest.raises(ValueError, match="past the buffer"):
+                    impl.open_frame(frame, *args)
+
+    def test_frame_rows_rejects_what_it_cannot_frame(self):
+        rows = np.zeros((2, 4), dtype=np.uint8)
+        for impl in (NATIVE, kernels.NUMPY):
+            with pytest.raises(ValueError):
+                impl.frame_rows(rows, rows[:1], b"", *self.HEADS)
+        with pytest.raises(TypeError):
+            NATIVE.frame_rows(rows.astype(np.uint16), rows, b"", *self.HEADS)
 
 
 def test_goldens_hold_on_the_numpy_fallback():

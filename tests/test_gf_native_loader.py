@@ -161,10 +161,19 @@ def _flip_a_basis_byte(insert_row):
     return insert
 
 
+def _wrong_crc(frame_rows):
+    def frame(*args):
+        # Every frame's last trailer bit flipped: a CRC table gone wrong.
+        return [body[:-1] + bytes([body[-1] ^ 1])
+                for body in frame_rows(*args)]
+    return frame
+
+
 @pytest.mark.parametrize("name, wrap, complaint", [
     ("draw_rows", _one_draw_too_many, "Generator.integers"),
     ("insert_row", _flip_a_basis_byte, "insertion"),
     ("draw_distinct", _off_by_one, "Generator.choice"),
+    ("frame_rows", _wrong_crc, "CRC-32"),
 ])
 def test_object_that_strays_from_numpy_is_not_used(
         tmp_path, monkeypatch, caplog, name, wrap, complaint):
